@@ -3,9 +3,12 @@
 Butterfly components are wildly size-skewed in real transcriptomes (the
 same abundance skew behind the paper's Figure 3), and the component deal
 is the whole scaling story once each rank enumerates serially.  This
-runner times both deals of
-:func:`repro.parallel.mpi_butterfly.mpi_butterfly` on a deterministic
-*adversarially* skewed workload: mostly light linear components plus
+runner times both deals of the fused
+:func:`repro.parallel.mpi_chrysalis_backend.mpi_chrysalis_backend` stage
+fed *contig-only* inputs (one contig per singleton component, no reads:
+the walk-only case the retired standalone Butterfly stage used to be) on
+a deterministic *adversarially* skewed workload: mostly light linear
+components plus
 heavy ones planted at stride-``nprocs`` ids — the cost-blind chunked
 round-robin's worst case (every heavy component lands on rank 0) and
 therefore the full headroom of the dynamic LPT deal.  Per strategy:
@@ -31,23 +34,20 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from benchmarks.common import bench_parser
+from repro.experiments.fig_butterfly import skewed_contigs
 from repro.mpi import mpirun
-from repro.parallel.mpi_butterfly import (
-    STRATEGIES,
-    ButterflyInputs,
-    ButterflyStageConfig,
-    mpi_butterfly,
+from repro.parallel.component_stage import STRATEGIES
+from repro.parallel.mpi_chrysalis_backend import (
+    ChrysalisBackendStageConfig,
+    contig_only_inputs,
+    mpi_chrysalis_backend,
 )
 from repro.trinity.butterfly import ButterflyConfig, butterfly_assemble
 from repro.trinity.chrysalis.debruijn import fasta_to_debruijn
-from repro.util.rng import derive_seed
 
 ASSEMBLY_K = 25
 N_COMPONENTS = 24
-BASE_LEN = 300
 HEAVY_FACTOR = 12
 NPROCS = 8
 #: Each rank enumerates its components serially — with spare threads a
@@ -56,8 +56,9 @@ NPROCS = 8
 NTHREADS = 1
 
 
-def build_graphs(seed: int = 0, nprocs: int = NPROCS):
-    """Deterministic skewed component graphs, heavy at stride ``nprocs``.
+def build_workload(seed: int = 0, nprocs: int = NPROCS):
+    """Deterministic skewed contigs (heavy at stride ``nprocs``) and the
+    serial ``butterfly_assemble`` reference over their graphs.
 
     Random sequences at k=25 are repeat-free in practice, so every
     component is a linear path graph: one transcript each, with
@@ -65,34 +66,34 @@ def build_graphs(seed: int = 0, nprocs: int = NPROCS):
     ``0, nprocs, 2*nprocs, …`` — under chunked round-robin with one
     component per chunk they all deal to rank 0.
     """
-    rng = np.random.default_rng(derive_seed(seed, "butterfly-bench"))
-    alphabet = np.array(list("ACGT"))
-    graphs = {}
-    for cid in range(N_COMPONENTS):
-        length = BASE_LEN * (HEAVY_FACTOR if cid % nprocs == 0 else 1)
-        seq = "".join(rng.choice(alphabet, size=length).tolist())
-        graphs[cid] = fasta_to_debruijn([seq], ASSEMBLY_K)
-    return graphs
+    seqs = skewed_contigs(seed, nprocs, n_components=N_COMPONENTS)
+    graphs = {
+        cid: fasta_to_debruijn([seq], ASSEMBLY_K) for cid, seq in enumerate(seqs)
+    }
+    return seqs, butterfly_assemble(graphs, ButterflyConfig(seed=seed))
+
+
+def stage_config(seed: int, strategy: str) -> ChrysalisBackendStageConfig:
+    return ChrysalisBackendStageConfig(
+        k=ASSEMBLY_K, weld_k=ASSEMBLY_K - 1,
+        butterfly=ButterflyConfig(seed=seed), nthreads=NTHREADS, strategy=strategy,
+    )
 
 
 def run_points(
     nprocs: int = NPROCS, seed: int = 0, repeat: int = 3
 ) -> List[Dict[str, float]]:
     """Time one mpirun per deal strategy (best wall of ``repeat`` runs)."""
-    graphs = build_graphs(seed=seed, nprocs=nprocs)
-    cfg = ButterflyConfig(seed=seed)
-    serial = butterfly_assemble(graphs, cfg)
-    inputs = ButterflyInputs(graphs=graphs)
+    seqs, serial = build_workload(seed=seed, nprocs=nprocs)
+    inputs = contig_only_inputs(seqs)
     points: List[Dict[str, float]] = []
     virtual: Dict[str, float] = {}
     for strategy in STRATEGIES:
-        config = ButterflyStageConfig(
-            butterfly=cfg, nthreads=NTHREADS, strategy=strategy
-        )
+        config = stage_config(seed, strategy)
         wall = None
         for _rep in range(max(repeat, 1)):
             t0 = time.perf_counter()
-            run = mpirun(mpi_butterfly, nprocs, inputs, config)
+            run = mpirun(mpi_chrysalis_backend, nprocs, inputs, config)
             rep_wall = time.perf_counter() - t0
             wall = rep_wall if wall is None else min(wall, rep_wall)
         if run.outputs[0].transcripts != serial:

@@ -1,24 +1,23 @@
 """Host wall-clock runner for the fused Chrysalis back end.
 
-The pre-fusion driver ran two *serial* regions between RTT and Butterfly
-— FastaToDebruijn and QuantifyGraph on the front-end node — then handed
-the quantified graphs to the distributed Butterfly.  The fused stage
-(:mod:`repro.parallel.mpi_chrysalis_backend`) runs the whole
-orient → build → quantify → walk chain per component on its owner rank,
-so the serial middle disappears from the critical path.  This runner
-times both paths on the smoke workload (real pipeline front end:
-jellyfish → inchworm → bowtie-less GFF → RTT):
+The fused stage (:mod:`repro.parallel.mpi_chrysalis_backend`) runs the
+whole orient → build → quantify → walk chain per component on its owner
+rank, so the back end scales with the rank count instead of sitting on
+the front-end node.  This runner times it on the smoke workload (real
+pipeline front end: jellyfish → inchworm → bowtie-less GFF → RTT) at 1
+and 8 ranks, per deal strategy:
 
-* ``pre-fusion`` — host wall + virtual time of serial
-  ``fasta_to_debruijn`` + ``quantify_graph`` followed by the simulated
-  ``mpi_butterfly`` mpirun (the old driver path);
-* ``fused`` — host wall + virtual makespan of one
-  ``mpi_chrysalis_backend`` mpirun, per deal strategy;
+* ``wall_s`` — host wall-clock of the simulated mpirun;
+* ``virtual_makespan_s`` — the modelled cluster runtime (slowest rank);
 
-plus one ``gain`` row: pre-fusion over fused virtual time (matching
+plus one ``speedup`` row: 1-rank over 8-rank virtual makespan (matching
 round-robin deals, the driver default).  Transcripts and quant stats are
-checked identical to the serial chain on every run, so the history is a
-pure like-for-like record.
+checked identical to the serial ``fasta_to_debruijn`` + ``quantify_graph``
++ ``butterfly_assemble`` chain on every run, so the history is a pure
+like-for-like record.  (Entries up to PR 11 also carry a ``prefusion``
+point and a ``prefusion_over_fused`` gain — the serial middle followed by
+the since-retired standalone distributed Butterfly; they stay as
+history and are no longer re-measured.)
 
 Usage (append a labeled entry to the checked-in history)::
 
@@ -34,22 +33,18 @@ from typing import Dict, List, Optional
 
 from benchmarks.common import bench_parser
 from repro.mpi import mpirun
-from repro.parallel.mpi_butterfly import (
-    STRATEGIES,
-    ButterflyInputs,
-    ButterflyStageConfig,
-    mpi_butterfly,
-)
+from repro.parallel.component_stage import STRATEGIES
 from repro.parallel.mpi_chrysalis_backend import (
     ChrysalisBackendInputs,
     ChrysalisBackendStageConfig,
     mpi_chrysalis_backend,
 )
 
-NPROCS = 8
+NPROCS_SWEEP = (1, 8)
+SPEEDUP_NPROCS = 8
 #: One enumeration thread per rank, like the Butterfly bench: spare
 #: threads would collapse each rank's time to its max component and hide
-#: the serial-middle elimination this bench exists to measure.
+#: the component-parallel scaling this bench exists to measure.
 NTHREADS = 1
 
 
@@ -78,8 +73,9 @@ def build_workload(seed: int = 0):
     return tcfg, reads, contigs, gff.components, assignments, counts
 
 
-def _serial_middle(tcfg, reads, contigs, components, assignments, counts):
-    """The pre-fusion serial region: build every graph, thread every read."""
+def serial_reference(tcfg, reads, contigs, components, assignments, counts):
+    """The serial chain the fused stage must reproduce: (quants, transcripts)."""
+    from repro.trinity.butterfly import butterfly_assemble
     from repro.trinity.chrysalis.debruijn import fasta_to_debruijn
     from repro.trinity.chrysalis.orient import orient_component
     from repro.trinity.chrysalis.quantify import quantify_graph
@@ -95,94 +91,68 @@ def _serial_middle(tcfg, reads, contigs, components, assignments, counts):
         graphs, list(reads), assignments,
         kmer_counts=counts, min_kmer_count=tcfg.min_kmer_count,
     )
-    return graphs, quants
+    return quants, butterfly_assemble(graphs, tcfg.butterfly())
 
 
-def run_points(
-    nprocs: int = NPROCS, seed: int = 0, repeat: int = 3
-) -> List[Dict[str, float]]:
-    """Time the pre-fusion path and the fused stage (best of ``repeat``)."""
-    tcfg, reads, contigs, components, assignments, counts = build_workload(seed)
-    points: List[Dict[str, float]] = []
-
-    # -- pre-fusion: serial middle + distributed Butterfly -------------------
-    middle_wall = None
-    for _rep in range(max(repeat, 1)):
-        t0 = time.perf_counter()
-        graphs, quants = _serial_middle(
-            tcfg, reads, contigs, components, assignments, counts
-        )
-        rep_wall = time.perf_counter() - t0
-        middle_wall = rep_wall if middle_wall is None else min(middle_wall, rep_wall)
-    bf_run = mpirun(
-        mpi_butterfly, nprocs,
-        ButterflyInputs(graphs=graphs),
-        ButterflyStageConfig(
-            butterfly=tcfg.butterfly(), nthreads=NTHREADS, strategy="round_robin"
-        ),
-    )
-    serial_transcripts = bf_run.outputs[0].transcripts
-    prefusion_virtual = middle_wall + bf_run.makespan
-    points.append(
-        {
-            "mode": "prefusion",
-            "nprocs": nprocs,
-            "serial_middle_wall_s": round(middle_wall, 6),
-            "butterfly_makespan_s": round(bf_run.makespan, 6),
-            "virtual_total_s": round(prefusion_virtual, 6),
-        }
-    )
-    print(
-        f"pre-fusion     nprocs={nprocs}  serial_middle={middle_wall:.4f}s + "
-        f"butterfly={bf_run.makespan:.4f}s = {prefusion_virtual:.4f}s virtual"
-    )
-
-    # -- fused stage, both deal strategies -----------------------------------
-    inputs = ChrysalisBackendInputs(
+def fused_inputs(reads, contigs, components, assignments, counts):
+    return ChrysalisBackendInputs(
         contigs=contigs, reads=reads, components=components,
         assignments=assignments, counts=counts,
     )
-    fused_virtual: Dict[str, float] = {}
-    for strategy in STRATEGIES:
-        config = ChrysalisBackendStageConfig(
-            k=tcfg.k, weld_k=tcfg.weld_k, min_kmer_count=tcfg.min_kmer_count,
-            butterfly=tcfg.butterfly(), nthreads=NTHREADS, strategy=strategy,
-        )
-        wall = None
-        for _rep in range(max(repeat, 1)):
-            t0 = time.perf_counter()
-            run = mpirun(mpi_chrysalis_backend, nprocs, inputs, config)
-            rep_wall = time.perf_counter() - t0
-            wall = rep_wall if wall is None else min(wall, rep_wall)
-        out = run.outputs[0]
-        if out.transcripts != serial_transcripts:
-            raise RuntimeError(
-                f"fused strategy {strategy!r} diverged from the serial chain"
-            )
-        if any(
-            out.quant_stats[cid] != (q.n_reads, q.read_edge_weight)
-            for cid, q in quants.items()
-        ):
-            raise RuntimeError(f"fused strategy {strategy!r} quant stats diverged")
-        fused_virtual[strategy] = run.makespan
-        points.append(
-            {
-                "mode": "fused",
-                "strategy": strategy,
-                "nprocs": nprocs,
-                "wall_s": round(wall, 6),
-                "virtual_makespan_s": round(run.makespan, 6),
-            }
-        )
-        print(
-            f"fused ({strategy:<11}) nprocs={nprocs}  wall={wall:.4f}s  "
-            f"virtual_makespan={run.makespan:.4f}s"
-        )
-    gain = prefusion_virtual / fused_virtual["round_robin"]
-    points.append(
-        {"mode": "gain", "nprocs": nprocs, "prefusion_over_fused": round(gain, 3)}
+
+
+def fused_config(tcfg, strategy: str) -> ChrysalisBackendStageConfig:
+    return ChrysalisBackendStageConfig(
+        k=tcfg.k, weld_k=tcfg.weld_k, min_kmer_count=tcfg.min_kmer_count,
+        butterfly=tcfg.butterfly(), nthreads=NTHREADS, strategy=strategy,
     )
-    print(f"gain  pre-fusion/fused(round_robin) = {gain:.2f}x")
+
+
+def run_points(seed: int = 0, repeat: int = 3) -> List[Dict[str, float]]:
+    """Time the fused stage per strategy and rank count (best of ``repeat``)."""
+    tcfg, *workload = build_workload(seed)
+    quants, serial_transcripts = serial_reference(tcfg, *workload)
+    inputs = fused_inputs(*workload)
+    points: List[Dict[str, float]] = []
+    virtual: Dict[tuple, float] = {}
+    for strategy in STRATEGIES:
+        config = fused_config(tcfg, strategy)
+        for nprocs in NPROCS_SWEEP:
+            wall = None
+            for _rep in range(max(repeat, 1)):
+                t0 = time.perf_counter()
+                run = mpirun(mpi_chrysalis_backend, nprocs, inputs, config)
+                rep_wall = time.perf_counter() - t0
+                wall = rep_wall if wall is None else min(wall, rep_wall)
+            out = run.outputs[0]
+            if out.transcripts != serial_transcripts:
+                raise RuntimeError(
+                    f"fused {strategy!r} @{nprocs} diverged from the serial chain"
+                )
+            if any(
+                out.quant_stats[cid] != (q.n_reads, q.read_edge_weight)
+                for cid, q in quants.items()
+            ):
+                raise RuntimeError(f"fused {strategy!r} @{nprocs} quant stats diverged")
+            virtual[strategy, nprocs] = run.makespan
+            points.append(
+                {
+                    "mode": "fused",
+                    "strategy": strategy,
+                    "nprocs": nprocs,
+                    "wall_s": round(wall, 6),
+                    "virtual_makespan_s": round(run.makespan, 6),
+                }
+            )
+            print(
+                f"fused ({strategy:<11}) nprocs={nprocs}  wall={wall:.4f}s  "
+                f"virtual_makespan={run.makespan:.4f}s"
+            )
+    speedup = virtual["round_robin", 1] / virtual["round_robin", SPEEDUP_NPROCS]
+    points.append(
+        {"mode": "speedup", "nprocs": SPEEDUP_NPROCS, "serial_over_mpi": round(speedup, 3)}
+    )
+    print(f"speedup  1-rank/{SPEEDUP_NPROCS}-rank virtual (round_robin) = {speedup:.2f}x")
     return points
 
 
@@ -197,12 +167,9 @@ def append_entry(out: Path, label: str, points: List[Dict[str, float]]) -> None:
             f"nthreads={NTHREADS}"
         ),
         fields={
-            "serial_middle_wall_s": "host wall of serial build+quantify",
-            "butterfly_makespan_s": "pre-fusion distributed walk (virtual)",
-            "virtual_total_s": "pre-fusion path total (virtual)",
             "wall_s": "host wall-clock of the fused simulated mpirun",
             "virtual_makespan_s": "fused stage modelled cluster runtime",
-            "prefusion_over_fused": "pre-fusion / fused virtual time",
+            "serial_over_mpi": "1-rank / 8-rank fused virtual makespan",
         },
         label=label,
         points=points,
@@ -212,12 +179,8 @@ def append_entry(out: Path, label: str, points: List[Dict[str, float]]) -> None:
 def run_cli(argv: Optional[List[str]] = None) -> int:
     """Entry point shared by ``python -m`` and ``repro bench chrysalis``."""
     ap = bench_parser(__doc__.splitlines()[0], Path("BENCH_chrysalis.json"))
-    ap.add_argument("--nprocs", type=int, default=NPROCS)
     args = ap.parse_args(argv)
-    append_entry(
-        args.history, args.label,
-        run_points(args.nprocs, seed=args.seed, repeat=args.repeat),
-    )
+    append_entry(args.history, args.label, run_points(seed=args.seed, repeat=args.repeat))
     return 0
 
 

@@ -67,12 +67,14 @@ def append_bench_entry(
     """Append one labeled, timestamped entry to a ``BENCH_*.json`` history.
 
     Creates the document (with its ``bench``/``workload``/``fields``
-    header) on first use; thereafter only ``entries`` grows, so earlier
+    header) on first use; thereafter only ``entries`` grows (and
+    ``fields`` gains any newly documented point field), so earlier
     measurements are never lost.
     """
     out = Path(out)
     if out.exists():
         doc = json.loads(out.read_text())
+        doc["fields"].update(fields)  # runners may grow new point fields
     else:
         doc = {
             "bench": bench,

@@ -3,30 +3,26 @@
 ``BENCH_butterfly.json`` tracks the labeled wall-clock history; this
 bench re-checks the acceptance properties on the runner's own skewed
 workload: the LPT deal must beat the cost-blind round-robin decisively
-on the virtual makespan, and both deals must reproduce the serial
-``butterfly_assemble`` output exactly.
+on the virtual makespan, and both deals of the fused stage on
+contig-only inputs must reproduce the serial ``butterfly_assemble``
+output exactly.
 """
 
-from benchmarks.butterfly_bench_runner import NPROCS, NTHREADS, build_graphs
+from benchmarks.butterfly_bench_runner import NPROCS, build_workload, stage_config
 from repro.mpi import mpirun
-from repro.parallel.mpi_butterfly import (
-    ButterflyInputs,
-    ButterflyStageConfig,
-    mpi_butterfly,
+from repro.parallel.mpi_chrysalis_backend import (
+    contig_only_inputs,
+    mpi_chrysalis_backend,
 )
-from repro.trinity.butterfly import ButterflyConfig, butterfly_assemble
 
 
 def test_bench_dynamic_deal_beats_round_robin(benchmark):
-    graphs = build_graphs(seed=0, nprocs=NPROCS)
-    cfg = ButterflyConfig(seed=0)
-    serial = butterfly_assemble(graphs, cfg)
-    inputs = ButterflyInputs(graphs=graphs)
+    seqs, serial = build_workload(seed=0, nprocs=NPROCS)
+    inputs = contig_only_inputs(seqs)
 
     def run(strategy):
         return mpirun(
-            mpi_butterfly, NPROCS, inputs,
-            ButterflyStageConfig(butterfly=cfg, nthreads=NTHREADS, strategy=strategy),
+            mpi_chrysalis_backend, NPROCS, inputs, stage_config(0, strategy)
         )
 
     static = run("round_robin")

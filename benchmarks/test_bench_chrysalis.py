@@ -2,89 +2,56 @@
 
 ``BENCH_chrysalis.json`` tracks the labeled wall-clock history; this
 bench re-checks the acceptance properties on the runner's own workload:
-the fused stage's virtual makespan at 8 ranks must beat the pre-fusion
-driver path (serial build+quantify middle followed by the distributed
-Butterfly) by at least the 1.5x floor, and the fused outputs must
-reproduce the serial chain exactly.
+the fused stage's virtual makespan at 8 ranks must beat its own 1-rank
+run by at least the 1.5x floor (like the jellyfish and inchworm-mpi
+guards), and the fused outputs must reproduce the serial chain exactly.
 """
 
 from benchmarks.chrysalis_bench_runner import (
-    NPROCS,
-    NTHREADS,
-    _serial_middle,
+    SPEEDUP_NPROCS,
     build_workload,
+    fused_config,
+    fused_inputs,
+    serial_reference,
 )
 from repro.mpi import mpirun
-from repro.parallel.mpi_butterfly import (
-    ButterflyInputs,
-    ButterflyStageConfig,
-    mpi_butterfly,
-)
-from repro.parallel.mpi_chrysalis_backend import (
-    ChrysalisBackendInputs,
-    ChrysalisBackendStageConfig,
-    mpi_chrysalis_backend,
-)
+from repro.parallel.mpi_chrysalis_backend import mpi_chrysalis_backend
 
 
-def test_bench_fused_backend_beats_serial_middle(benchmark):
-    import time
+def test_bench_fused_backend_scales(benchmark):
+    tcfg, *workload = build_workload(seed=0)
+    quants, serial_transcripts = serial_reference(tcfg, *workload)
+    inputs = fused_inputs(*workload)
+    config = fused_config(tcfg, "round_robin")
 
-    tcfg, reads, contigs, components, assignments, counts = build_workload(seed=0)
+    def run(nprocs):
+        return mpirun(mpi_chrysalis_backend, nprocs, inputs, config)
 
-    t0 = time.perf_counter()
-    graphs, quants = _serial_middle(
-        tcfg, reads, contigs, components, assignments, counts
-    )
-    middle_wall = time.perf_counter() - t0
-    prefusion = mpirun(
-        mpi_butterfly, NPROCS,
-        ButterflyInputs(graphs=graphs),
-        ButterflyStageConfig(
-            butterfly=tcfg.butterfly(), nthreads=NTHREADS, strategy="round_robin"
-        ),
-    )
-    prefusion_virtual = middle_wall + prefusion.makespan
-
-    def run_fused():
-        return mpirun(
-            mpi_chrysalis_backend, NPROCS,
-            ChrysalisBackendInputs(
-                contigs=contigs, reads=reads, components=components,
-                assignments=assignments, counts=counts,
-            ),
-            ChrysalisBackendStageConfig(
-                k=tcfg.k, weld_k=tcfg.weld_k, min_kmer_count=tcfg.min_kmer_count,
-                butterfly=tcfg.butterfly(), nthreads=NTHREADS,
-                strategy="round_robin",
-            ),
-        )
-
-    fused = benchmark(run_fused)
-    out = fused.outputs[0]
+    one = run(1)
+    fused = benchmark(run, SPEEDUP_NPROCS)
 
     # Byte-identity to the serial chain (transcripts and quant stats).
-    assert out.transcripts == prefusion.outputs[0].transcripts
-    assert all(
-        out.quant_stats[cid] == (q.n_reads, q.read_edge_weight)
-        for cid, q in quants.items()
-    )
+    for rec in (one, fused):
+        out = rec.outputs[0]
+        assert out.transcripts == serial_transcripts
+        assert all(
+            out.quant_stats[cid] == (q.n_reads, q.read_edge_weight)
+            for cid, q in quants.items()
+        )
     # The graphs never cross the wire: they live only in per-rank locals,
     # and the union covers every component exactly once.
     merged = {}
     for rank_out in fused.outputs:
         merged.update(rank_out.local_quants)
-    assert sorted(merged) == sorted(graphs)
+    assert sorted(merged) == sorted(quants)
 
-    gain = prefusion_virtual / fused.makespan
+    speedup = one.makespan / fused.makespan
     benchmark.extra_info.update(
         {
-            "serial_middle_wall_s": middle_wall,
-            "prefusion_virtual_s": prefusion_virtual,
+            "serial_makespan_s": one.makespan,
             "fused_makespan_s": fused.makespan,
-            "gain": gain,
+            "speedup": speedup,
         }
     )
-    # Acceptance floor is 1.5x at 8 ranks; the recorded history shows
-    # more (the serial middle dominates the pre-fusion path).
-    assert gain > 1.5
+    # Acceptance floor is 1.5x virtual-clock speedup at 8 ranks.
+    assert speedup > 1.5

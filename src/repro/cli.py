@@ -49,15 +49,15 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
         from repro.parallel import ParallelTrinityDriver
         from repro.parallel.driver import ParallelTrinityConfig
 
-        driver = ParallelTrinityDriver(
+        result = ParallelTrinityDriver(
             ParallelTrinityConfig(trinity=config, nprocs=args.nprocs, nthreads=args.nthreads)
+        ).run(reads, workdir=args.workdir)
+        gff, rtt, bowtie = (
+            result.metrics[f"mpi.{key}_makespan_s"] for key in ("gff", "rtt", "bowtie")
         )
-        result = driver.run(reads, workdir=args.workdir)
-        timings = driver.last_timings
         print(
             f"hybrid Chrysalis ({args.nprocs} ranks x {args.nthreads} threads): "
-            f"GFF {timings.gff.makespan:.3f}s, RTT {timings.rtt.makespan:.3f}s, "
-            f"Bowtie {timings.bowtie.makespan:.3f}s (virtual)"
+            f"GFF {gff:.3f}s, RTT {rtt:.3f}s, Bowtie {bowtie:.3f}s (virtual)"
         )
     else:
         result = TrinityPipeline(config).run(reads, workdir=args.workdir)
@@ -130,155 +130,32 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.mpi import mpirun, render_gantt
     from repro.obs import critical_path, verify_attribution
+    from repro.parallel.driver import ParallelTrinityConfig, run_chain
     from repro.simdata.reads import flatten_reads
     from repro.trinity import TrinityConfig
-    from repro.trinity.inchworm import inchworm_assemble
-    from repro.trinity.jellyfish import jellyfish_count
 
-    recipe = get_recipe(args.recipe)
-    _txome, pairs = recipe.materialize(seed=args.seed)
-    reads = flatten_reads(pairs)
-    cfg = TrinityConfig(seed=args.seed)
-    counts = jellyfish_count(reads, cfg.k)
-    contigs = inchworm_assemble(counts, cfg.inchworm())
-
-    if args.stage == "inchworm":
-        from repro.parallel.mpi_inchworm import (
-            InchwormInputs,
-            InchwormStageConfig,
-            mpi_inchworm,
-        )
-
-        run = mpirun(
-            mpi_inchworm, args.nprocs,
-            InchwormInputs(counts=counts),
-            InchwormStageConfig(
-                inchworm=cfg.inchworm(), n_threads=args.nthreads,
-                strategy=args.strategy,
-            ),
-            trace=True,
-        )
-    elif args.stage == "bowtie":
-        from repro.parallel.mpi_bowtie import BowtieInputs, BowtieStageConfig, mpi_bowtie
-
-        run = mpirun(
-            mpi_bowtie, args.nprocs,
-            BowtieInputs(reads=reads, contigs=contigs),
-            BowtieStageConfig(bowtie=cfg.bowtie()),
-            trace=True,
-        )
-    elif args.stage == "gff":
-        from repro.parallel.mpi_graph_from_fasta import (
-            GffInputs,
-            GffStageConfig,
-            mpi_graph_from_fasta,
-        )
-
-        run = mpirun(
-            mpi_graph_from_fasta, args.nprocs,
-            GffInputs(contigs=contigs, reads=reads),
-            GffStageConfig(gff=cfg.gff(), nthreads=args.nthreads),
-            trace=True,
-        )
-    elif args.stage == "rtt":
-        from repro.parallel.mpi_graph_from_fasta import (
-            GffInputs,
-            GffStageConfig,
-            mpi_graph_from_fasta,
-        )
-        from repro.parallel.mpi_reads_to_transcripts import (
-            RttInputs,
-            RttStageConfig,
-            mpi_reads_to_transcripts,
-        )
-
-        gff_run = mpirun(
-            mpi_graph_from_fasta, args.nprocs,
-            GffInputs(contigs=contigs, reads=reads),
-            GffStageConfig(gff=cfg.gff(), nthreads=args.nthreads),
-        )
-        run = mpirun(
-            mpi_reads_to_transcripts, args.nprocs,
-            RttInputs(reads=reads, contigs=contigs, components=gff_run.outputs[0].components),
-            RttStageConfig(rtt=cfg.rtt(), nthreads=args.nthreads),
-            trace=True,
-        )
-    elif args.stage == "butterfly":
-        from repro.parallel.mpi_butterfly import (
-            ButterflyInputs,
-            ButterflyStageConfig,
-            mpi_butterfly,
-        )
-        from repro.parallel.mpi_graph_from_fasta import (
-            GffInputs,
-            GffStageConfig,
-            mpi_graph_from_fasta,
-        )
-        from repro.trinity.chrysalis.debruijn import fasta_to_debruijn
-        from repro.trinity.chrysalis.orient import orient_component
-
-        gff_run = mpirun(
-            mpi_graph_from_fasta, args.nprocs,
-            GffInputs(contigs=contigs, reads=reads),
-            GffStageConfig(gff=cfg.gff(), nthreads=args.nthreads),
-        )
-        graphs = {
-            comp.id: fasta_to_debruijn(
-                orient_component([contigs[m].seq for m in comp.members], cfg.weld_k),
-                cfg.k,
-            )
-            for comp in gff_run.outputs[0].components
-        }
-        run = mpirun(
-            mpi_butterfly, args.nprocs,
-            ButterflyInputs(graphs=graphs),
-            ButterflyStageConfig(
-                butterfly=cfg.butterfly(), nthreads=args.nthreads,
-                strategy=args.strategy,
-            ),
-            trace=True,
-        )
-    else:  # chrysalis (the fused back end)
-        from repro.parallel.mpi_chrysalis_backend import (
-            ChrysalisBackendInputs,
-            ChrysalisBackendStageConfig,
-            mpi_chrysalis_backend,
-        )
-        from repro.parallel.mpi_graph_from_fasta import (
-            GffInputs,
-            GffStageConfig,
-            mpi_graph_from_fasta,
-        )
-        from repro.parallel.mpi_reads_to_transcripts import (
-            RttInputs,
-            RttStageConfig,
-            mpi_reads_to_transcripts,
-        )
-
-        gff_run = mpirun(
-            mpi_graph_from_fasta, args.nprocs,
-            GffInputs(contigs=contigs, reads=reads),
-            GffStageConfig(gff=cfg.gff(), nthreads=args.nthreads),
-        )
-        components = gff_run.outputs[0].components
-        rtt_run = mpirun(
-            mpi_reads_to_transcripts, args.nprocs,
-            RttInputs(reads=reads, contigs=contigs, components=components),
-            RttStageConfig(rtt=cfg.rtt(), nthreads=args.nthreads),
-        )
-        run = mpirun(
-            mpi_chrysalis_backend, args.nprocs,
-            ChrysalisBackendInputs(
-                contigs=contigs, reads=reads, components=components,
-                assignments=rtt_run.outputs[0].assignments, counts=counts,
-            ),
-            ChrysalisBackendStageConfig(
-                k=cfg.k, weld_k=cfg.weld_k, min_kmer_count=cfg.min_kmer_count,
-                butterfly=cfg.butterfly(), nthreads=args.nthreads,
-                strategy=args.strategy,
-            ),
-            trace=True,
-        )
+    _txome, pairs = get_recipe(args.recipe).materialize(seed=args.seed)
+    cfg = ParallelTrinityConfig(
+        trinity=TrinityConfig(
+            seed=args.seed,
+            # --nthreads is the profiled stage's team: Inchworm's own knob
+            # when it is the target, the serial assembler upstream otherwise.
+            inchworm_threads=args.nthreads if args.stage == "inchworm" else 1,
+        ),
+        nprocs=args.nprocs,
+        nthreads=args.nthreads,
+        butterfly_strategy=args.strategy,
+    )
+    # The driver's own chain up to the target stage; only it is traced.
+    run = run_chain(
+        cfg,
+        flatten_reads(pairs),
+        lambda row, inputs, stage_config: mpirun(
+            row.fn, cfg.nprocs, inputs, stage_config,
+            network=cfg.network, trace=row.key == args.stage,
+        ),
+        target=args.stage,
+    ).runs[args.stage]
 
     verify_attribution(run)  # the breakdown below provably sums to the makespan
     report = critical_path(run, top_k=args.top)
@@ -377,12 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="trace one MPI stage: critical path, Gantt, Chrome export",
     )
-    p.add_argument("--stage", default="gff", choices=["inchworm", "bowtie", "gff", "rtt", "butterfly", "chrysalis"])
+    from repro.parallel.driver import STAGE_TABLE
+
+    p.add_argument("--stage", default="gff", choices=[row.key for row in STAGE_TABLE])
     p.add_argument("--nprocs", type=int, default=4)
     p.add_argument("--nthreads", type=int, default=4, help="OpenMP threads per rank")
     p.add_argument(
         "--strategy", default="round_robin", choices=["round_robin", "dynamic"],
-        help="butterfly component deal (ignored by other stages)",
+        help="component deal of the inchworm and chrysalis stages",
     )
     p.add_argument("--recipe", default="sugarbeet-mini", choices=list_recipes())
     p.add_argument("--seed", type=int, default=0)

@@ -2,9 +2,10 @@
 
 Not a reproduction of a paper figure — the paper leaves Butterfly serial
 and its conclusion calls for "focusing our efforts on the non-parallelized
-regions of the pipeline".  This experiment quantifies what the
-distributed Butterfly of :mod:`repro.parallel.mpi_butterfly` buys and
-how much of it needs the cost model:
+regions of the pipeline".  This experiment quantifies what distributing
+the Butterfly walk (the fused :mod:`repro.parallel.mpi_chrysalis_backend`
+stage fed contig-only inputs) buys and how much of it needs the cost
+model:
 
 * **Analytic sweep** — a heavy-tailed per-component cost distribution
   (the abundance skew of real transcriptomes) replayed through
@@ -25,10 +26,10 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.mpi.launcher import mpirun
-from repro.parallel.mpi_butterfly import (
-    ButterflyInputs,
-    ButterflyStageConfig,
-    mpi_butterfly,
+from repro.parallel.mpi_chrysalis_backend import (
+    ChrysalisBackendStageConfig,
+    contig_only_inputs,
+    mpi_chrysalis_backend,
 )
 from repro.parallel.scaling import ButterflyScalingPoint, simulate_butterfly_point
 from repro.trinity.butterfly import ButterflyConfig, butterfly_assemble
@@ -53,16 +54,20 @@ def sample_component_costs(seed: int = 0, n_components: int = N_COMPONENTS) -> n
     return rng.lognormal(0.0, 1.6, size=n_components)
 
 
-def _real_graphs(seed: int, nprocs: int):
-    """Miniature skewed workload: heavy components at stride ``nprocs``."""
-    rng = np.random.default_rng(derive_seed(seed, "butterfly-bench"))
+def skewed_contigs(
+    seed: int, nprocs: int, label: str = "butterfly-bench", n_components: int = 24
+) -> List[str]:
+    """Miniature skewed workload: one random contig per component, the
+    heavy (12x longer) ones at stride ``nprocs`` — the cost-blind
+    round-robin's worst case (every heavy lands on rank 0)."""
+    rng = np.random.default_rng(derive_seed(seed, label))
     alphabet = np.array(list("ACGT"))
-    graphs = {}
-    for cid in range(24):
-        length = 300 * (12 if cid % nprocs == 0 else 1)
-        seq = "".join(rng.choice(alphabet, size=length).tolist())
-        graphs[cid] = fasta_to_debruijn([seq], 25)
-    return graphs
+    return [
+        "".join(
+            rng.choice(alphabet, size=300 * (12 if cid % nprocs == 0 else 1)).tolist()
+        )
+        for cid in range(n_components)
+    ]
 
 
 @dataclass
@@ -121,14 +126,16 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigButterflyResult
         for n in nodes
     ]
 
-    graphs = _real_graphs(seed, REAL_NPROCS)
+    seqs = skewed_contigs(seed, REAL_NPROCS)
     cfg = ButterflyConfig(seed=seed)
-    serial = butterfly_assemble(graphs, cfg)
-    inputs = ButterflyInputs(graphs=graphs)
+    serial = butterfly_assemble(
+        {cid: fasta_to_debruijn([seq], 25) for cid, seq in enumerate(seqs)}, cfg
+    )
+    inputs = contig_only_inputs(seqs)
     runs = {
         strategy: mpirun(
-            mpi_butterfly, REAL_NPROCS, inputs,
-            ButterflyStageConfig(butterfly=cfg, nthreads=1, strategy=strategy),
+            mpi_chrysalis_backend, REAL_NPROCS, inputs,
+            ChrysalisBackendStageConfig(butterfly=cfg, nthreads=1, strategy=strategy),
         )
         for strategy in ("round_robin", "dynamic")
     }

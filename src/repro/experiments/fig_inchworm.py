@@ -21,25 +21,22 @@ stage of :mod:`repro.parallel.mpi_inchworm` buys:
   integration suite also locks down), and reporting the measured
   virtual-clock speedup.
 * **Whole-pipeline critical path** — with Inchworm distributed, every
-  compute stage of the driver now runs under ``mpirun``; chaining all
-  six traced stages and summing their :func:`repro.obs.critical_path`
-  reports yields the pipeline-level critical-path serial fraction — the
-  number the paper's future-work section is ultimately about.
+  compute stage of the driver now runs under ``mpirun``; walking the
+  driver's own stage table with a traced launcher and summing the
+  :func:`repro.obs.critical_path` reports yields the pipeline-level
+  critical-path serial fraction — the number the paper's future-work
+  section is ultimately about.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.mpi.launcher import mpirun
 from repro.obs import critical_path, verify_attribution
-from repro.parallel.mpi_inchworm import (
-    InchwormInputs,
-    InchwormStageConfig,
-    mpi_inchworm,
-    _component_setup,
-)
+from repro.parallel.driver import ParallelTrinityConfig, run_chain
+from repro.parallel.mpi_inchworm import _component_setup
 from repro.parallel.scaling import (
     InchwormScalingPoint,
     inchworm_serial_baseline_s,
@@ -138,85 +135,34 @@ class FigInchwormResult:
         )
 
 
+def _chain(
+    tcfg: TrinityConfig, reads, nprocs: int, *,
+    trace: bool, strategy: str = "round_robin", target: Optional[str] = None,
+):
+    """Walk the driver's stage table (up to ``target``) under plain,
+    optionally traced, ``mpirun``; returns the runs by stage key."""
+    cfg = ParallelTrinityConfig(
+        trinity=tcfg, nprocs=nprocs, butterfly_strategy=strategy
+    )
+    return run_chain(
+        cfg, reads,
+        lambda row, inputs, stage_config: mpirun(
+            row.fn, nprocs, inputs, stage_config, network=cfg.network, trace=trace
+        ),
+        target=target,
+    ).runs
+
+
 def _pipeline_stage_reports(seed: int, nprocs: int) -> List[Tuple[str, float, float]]:
     """Chain all six traced MPI stages; return (stage, makespan, serial).
 
     The smoke workload keeps the six traced launches cheap; the chain is
-    the driver's launch order with checkpoints and monitors stripped.
+    the driver's own stage table with checkpoints and recovery stripped.
     """
-    from repro.parallel.mpi_bowtie import BowtieInputs, BowtieStageConfig, mpi_bowtie
-    from repro.parallel.mpi_chrysalis_backend import (
-        ChrysalisBackendInputs,
-        ChrysalisBackendStageConfig,
-        mpi_chrysalis_backend,
-    )
-    from repro.parallel.mpi_graph_from_fasta import (
-        GffInputs,
-        GffStageConfig,
-        mpi_graph_from_fasta,
-    )
-    from repro.parallel.mpi_jellyfish import (
-        JellyfishInputs,
-        JellyfishStageConfig,
-        mpi_jellyfish,
-    )
-    from repro.parallel.mpi_reads_to_transcripts import (
-        RttInputs,
-        RttStageConfig,
-        mpi_reads_to_transcripts,
-    )
-
-    tcfg = TrinityConfig(seed=seed)
     _txome, pairs = get_recipe("smoke").materialize(seed=seed)
-    reads = flatten_reads(pairs)
-
-    jf_run = mpirun(
-        mpi_jellyfish, nprocs,
-        JellyfishInputs(reads=reads),
-        JellyfishStageConfig(jellyfish=tcfg.jellyfish()),
-        trace=True,
-    )
-    counts = jf_run.outputs[0].counts
-    iw_run = mpirun(
-        mpi_inchworm, nprocs,
-        InchwormInputs(counts=counts),
-        InchwormStageConfig(inchworm=tcfg.inchworm()),
-        trace=True,
-    )
-    contigs = iw_run.outputs[0].contigs
-    bowtie_run = mpirun(
-        mpi_bowtie, nprocs,
-        BowtieInputs(reads=reads, contigs=contigs),
-        BowtieStageConfig(bowtie=tcfg.bowtie()),
-        trace=True,
-    )
-    gff_run = mpirun(
-        mpi_graph_from_fasta, nprocs,
-        GffInputs(contigs=contigs, reads=reads),
-        GffStageConfig(gff=tcfg.gff()),
-        trace=True,
-    )
-    components = gff_run.outputs[0].components
-    rtt_run = mpirun(
-        mpi_reads_to_transcripts, nprocs,
-        RttInputs(reads=reads, contigs=contigs, components=components),
-        RttStageConfig(rtt=tcfg.rtt()),
-        trace=True,
-    )
-    back_run = mpirun(
-        mpi_chrysalis_backend, nprocs,
-        ChrysalisBackendInputs(
-            contigs=contigs, reads=reads, components=components,
-            assignments=rtt_run.outputs[0].assignments, counts=counts,
-        ),
-        ChrysalisBackendStageConfig(
-            k=tcfg.k, weld_k=tcfg.weld_k, min_kmer_count=tcfg.min_kmer_count,
-            butterfly=tcfg.butterfly(),
-        ),
-        trace=True,
-    )
+    runs = _chain(TrinityConfig(seed=seed), flatten_reads(pairs), nprocs, trace=True)
     stages: List[Tuple[str, float, float]] = []
-    for run in (jf_run, iw_run, bowtie_run, gff_run, rtt_run, back_run):
+    for run in runs.values():
         verify_attribution(run)
         report = critical_path(run)
         stages.append((run.stage, report.makespan, report.serial_time))
@@ -248,15 +194,14 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigInchwormResult:
     ]
 
     # -- real execution identity check ---------------------------------------
-    inputs = InchwormInputs(counts=counts)
-    serial_run = mpirun(
-        mpi_inchworm, 1, inputs, InchwormStageConfig(inchworm=tcfg.inchworm())
-    )
+    def inchworm_run(nprocs: int, strategy: str = "round_robin"):
+        return _chain(
+            tcfg, reads, nprocs, trace=False, strategy=strategy, target="inchworm"
+        )["inchworm"]
+
+    serial_run = inchworm_run(1)
     runs = {
-        strategy: mpirun(
-            mpi_inchworm, REAL_NPROCS, inputs,
-            InchwormStageConfig(inchworm=tcfg.inchworm(), strategy=strategy),
-        )
+        strategy: inchworm_run(REAL_NPROCS, strategy)
         for strategy in ("round_robin", "dynamic")
     }
     identical = all(

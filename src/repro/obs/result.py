@@ -21,8 +21,8 @@ A :class:`StageResult` separates the concerns those classes mixed:
 Every distributed stage now conforms to the
 :class:`~repro.parallel.stage.ParallelStage` protocol and sets
 ``outputs`` to a typed per-stage dataclass (``GffOutputs``,
-``RttOutputs``, ``BowtieOutputs``, ``ButterflyOutputs``, …), so the
-preferred reads are explicit: ``run.outputs[0].welds`` on an ``mpirun``
+``RttOutputs``, ``BowtieOutputs``, ``ChrysalisBackendOutputs``, …), so
+the preferred reads are explicit: ``run.outputs[0].welds`` on an ``mpirun``
 result, ``result.outputs.welds`` on a per-rank one.  Attribute
 delegation to ``outputs`` and ``metrics`` (``result.welds``,
 ``result.loop1_time``) remains for the untyped callers.  The

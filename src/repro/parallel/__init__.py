@@ -15,6 +15,10 @@ All distributed stages share one calling convention — the
 * :mod:`repro.parallel.stage` — the ParallelStage protocol + registry.
 * :mod:`repro.parallel.chunks` — the chunked round-robin distribution
   (paper Fig 3).
+* :mod:`repro.parallel.component_stage` — the one deal -> kernel ->
+  keyed-merge skeleton (round-robin / LPT deal, allgather + key-ordered
+  flatten, part and merged writes) the component-parallel stages plug
+  their kernels into.
 * :mod:`repro.parallel.mpi_jellyfish` — distributed Jellyfish k-mer
   counting (deal -> alltoall exchange -> owner merge; HipMer-style
   distributed k-mer analysis over the DSK partition hash).
@@ -28,19 +32,18 @@ All distributed stages share one calling convention — the
   Allgatherv pooling (SS:III.B).
 * :mod:`repro.parallel.mpi_reads_to_transcripts` — redundant-read
   streaming assignment (SS:III.C).
-* :mod:`repro.parallel.mpi_butterfly` — distributed per-component
-  Butterfly (round-robin or dynamic LPT deal; the paper's "focus on the
-  non-parallelized regions" future work).
 * :mod:`repro.parallel.mpi_chrysalis_backend` — the fused Chrysalis
   back end: orient + FastaToDebruijn + QuantifyGraph + Butterfly per
   component on its owner rank, so graphs never cross the wire and the
-  driver's two serial middle regions disappear.
+  driver's two serial middle regions disappear (walk-only distributed
+  Butterfly is this stage on contig-only inputs).
 * :mod:`repro.parallel.futurework` — the other named future-work
   variants (striped I/O, sharded GFF setup).
 * :mod:`repro.parallel.merge` — per-rank output merging strategies.
 * :mod:`repro.parallel.recovery` — transient-fault retry and crash
   recovery over the fault-injected runtime (:mod:`repro.mpi.faults`).
-* :mod:`repro.parallel.driver` — ``Trinity.pl --nprocs`` equivalent.
+* :mod:`repro.parallel.driver` — ``Trinity.pl --nprocs`` equivalent: the
+  six-stage table and the one chain function that walks it.
 * :mod:`repro.parallel.scaling` — calibrated paper-scale replays that
   regenerate the scaling figures.
 """
@@ -52,12 +55,6 @@ from repro.parallel.mpi_bowtie import (
     BowtieOutputs,
     BowtieStageConfig,
     mpi_bowtie,
-)
-from repro.parallel.mpi_butterfly import (
-    ButterflyInputs,
-    ButterflyOutputs,
-    ButterflyStageConfig,
-    mpi_butterfly,
 )
 from repro.parallel.mpi_chrysalis_backend import (
     ChrysalisBackendInputs,
@@ -116,10 +113,6 @@ __all__ = [
     "BowtieOutputs",
     "BowtieStageConfig",
     "mpi_bowtie",
-    "ButterflyInputs",
-    "ButterflyOutputs",
-    "ButterflyStageConfig",
-    "mpi_butterfly",
     "ChrysalisBackendInputs",
     "ChrysalisBackendOutputs",
     "ChrysalisBackendStageConfig",

@@ -1,0 +1,186 @@
+"""The component-stage skeleton: deal -> per-item kernel -> keyed merge.
+
+Every component-parallel stage has the same shape (the partition ->
+local kernel -> exchange structure of distributed contig generation):
+work items are dealt to ranks, each owner runs the serial kernel per
+item, and the per-item results are pooled and re-emitted in ascending
+key order — so the output never depends on the deal, and a crash
+relaunch on ``p - 1`` survivors re-deals deterministically and
+reproduces the same bytes.  This module is the one copy of everything
+but the kernel; a stage plugs in *setup + cost vector + owned-ids loop
+body + wire tuple* (:mod:`repro.parallel.mpi_chrysalis_backend`,
+:mod:`repro.parallel.mpi_inchworm`).
+
+Two dealing strategies:
+
+* ``"round_robin"`` — the paper's chunked round-robin over the id list
+  (:mod:`repro.parallel.chunks`, Fig 3), cost-blind;
+* ``"dynamic"`` — master-dealt LPT: rank 0 walks the items in descending
+  predicted cost, hands each to the least-loaded rank, and ships every
+  worker its id list point-to-point (the master/worker wire pattern of
+  the rejected RTT strategy, but O(items) ids instead of O(reads) data).
+"""
+
+from __future__ import annotations
+
+import heapq
+import time
+from pathlib import Path
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+
+from repro.errors import PipelineError
+from repro.mpi.comm import SimComm
+from repro.parallel.chunks import default_chunk_size, rank_items
+from repro.parallel.recovery import with_retry
+from repro.seq.fasta import write_fasta
+
+PathLike = Union[str, Path]
+
+#: Component-dealing strategies.
+STRATEGIES = ("round_robin", "dynamic")
+
+
+def check_strategy(strategy: str, what: str) -> None:
+    """Reject an unknown dealing strategy for the ``what`` stage/config."""
+    if strategy not in STRATEGIES:
+        raise PipelineError(
+            f"unknown {what} strategy {strategy!r}; known: {STRATEGIES}"
+        )
+
+
+def round_robin_assign(
+    ids: Sequence[int], rank: int, nprocs: int, chunk_size: int
+) -> List[int]:
+    """``rank``'s ids under the chunked round-robin (chunk i -> rank i mod p)."""
+    return [
+        ids[i]
+        for start, stop in rank_items(len(ids), chunk_size, rank, nprocs)
+        for i in range(start, stop)
+    ]
+
+
+def greedy_assign(
+    costs: Sequence[float], ids: Sequence[int], nprocs: int
+) -> List[List[int]]:
+    """List scheduling: each item, in the given order, goes to the
+    currently least-loaded rank (ties by rank); one id list per rank."""
+    loads = [(0.0, r) for r in range(nprocs)]  # sorted, hence already a heap
+    dealt: List[List[int]] = [[] for _ in range(nprocs)]
+    for cost, item in zip(costs, ids):
+        load, r = heapq.heappop(loads)
+        dealt[r].append(item)
+        heapq.heappush(loads, (load + cost, r))
+    return dealt
+
+
+def lpt_assign(
+    costs: Sequence[float], ids: Sequence[int], nprocs: int
+) -> List[List[int]]:
+    """Longest-processing-time-first: :func:`greedy_assign` over the items
+    in descending cost (ties by id).  Pure and deterministic in
+    ``(costs, ids, nprocs)`` — what recovery's re-deal relies on.
+    """
+    order = sorted(zip(costs, ids), key=lambda t: (-t[0], t[1]))
+    return greedy_assign([c for c, _ in order], [i for _, i in order], nprocs)
+
+
+def deal(
+    comm: SimComm,
+    prefix: str,
+    ids: Sequence[int],
+    costs: Callable[[], Any],
+    *,
+    strategy: str,
+    nthreads: int,
+    chunk_size: Optional[int] = None,
+) -> Tuple[List[int], float]:
+    """The ``<prefix>:deal`` region: this rank's ids and the region time.
+
+    ``costs()`` returns the cost vector indexable by id; it is only
+    evaluated (on every rank, so replicated cost models charge every
+    clock) under ``"dynamic"``.  ``chunk_size`` is round-robin only and
+    defaults to the paper's sizing over ``nthreads`` threads per rank.
+    """
+    with comm.region(f"{prefix}:deal", strategy=strategy) as region:
+        if strategy == "dynamic":
+            cost_of = costs()
+            if comm.rank == 0:
+                dealt = lpt_assign(
+                    [float(cost_of[i]) for i in ids], ids, comm.size
+                )
+                for r in range(1, comm.size):
+                    comm.send(dealt[r], dest=r, tag=r)
+                mine = dealt[0]
+            else:
+                mine = comm.recv(source=0, tag=comm.rank)
+        else:
+            if chunk_size is None:
+                chunk_size = default_chunk_size(len(ids), comm.size, nthreads)
+            mine = round_robin_assign(ids, comm.rank, comm.size, chunk_size)
+    return mine, region.elapsed
+
+
+def merge(
+    comm: SimComm, prefix: str, local: List[tuple]
+) -> Tuple[List[tuple], float]:
+    """The ``<prefix>:merge`` region: allgather the per-item wire tuples
+    and flatten them in ascending key (``item[0]``) order — identical on
+    every rank and independent of the deal."""
+    with comm.region(f"{prefix}:merge") as region:
+        pooled = comm.allgather(local)
+    flat = sorted(
+        (item for part in pooled for item in part), key=lambda item: item[0]
+    )
+    return flat, region.elapsed
+
+
+def write_part(
+    comm: SimComm,
+    prefix: str,
+    workdir: Optional[PathLike],
+    filename: str,
+    items: Sequence[Any],
+) -> Optional[Path]:
+    """Write this rank's piece under ``workdir`` (a retryable I/O point).
+
+    Returns the path, or None (nothing written) without a ``workdir``.
+    """
+    if workdir is None:
+        return None
+    path = Path(workdir) / filename
+    path.parent.mkdir(parents=True, exist_ok=True)
+    records = [item.to_record() for item in items]
+    with_retry(comm, f"{prefix}:write_part", lambda: write_fasta(path, records))
+    return path
+
+
+def write_merged(
+    comm: SimComm,
+    prefix: str,
+    workdir: Optional[PathLike],
+    filename: str,
+    items: Sequence[Any],
+) -> Optional[Path]:
+    """Rank 0 writes the merged FASTA under ``workdir``; returns its path
+    there, None elsewhere (and on every rank without a ``workdir``).
+
+    Written from the merged, key-ordered list — never a cat of the
+    parts, whose order depends on the deal — so the file is
+    byte-identical to a serial write at any nprocs.  Charged as host
+    wall time: the peers are parked at the closing barrier.
+    """
+    if workdir is None:
+        return None
+    out_path: Optional[Path] = None
+    if comm.rank == 0:
+        out_path = Path(workdir) / filename
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        t0 = time.perf_counter()
+        with_retry(
+            comm,
+            f"{prefix}:write_merged",
+            lambda: write_fasta(out_path, [item.to_record() for item in items]),
+        )
+        comm.clock.advance(time.perf_counter() - t0, label=f"{prefix}:write_merged")
+    comm.barrier()
+    return out_path

@@ -17,8 +17,11 @@ compute stage runs on the front-end node any more; the driver only
 launches ``mpirun``\\ s and glues their outputs.
 
 Every MPI stage conforms to the :class:`repro.parallel.stage.ParallelStage`
-protocol, so all six launches flow through the one ``_launch`` path
-(checkpoint restore -> (recovering) mpirun -> checkpoint write).
+protocol, so the six-stage chain is said once: :data:`STAGE_TABLE` names
+each stage's registry entry, inputs builder, config accessor and
+upstream stages, and :func:`run_chain` walks it with whatever *launcher*
+the caller passes — the driver's checkpoint/recovery ``_launch``, or a
+traced ``mpirun`` for ``repro profile`` and ``fig-inchworm``.
 
 The result object is a :class:`repro.trinity.pipeline.TrinityResult`, so
 serial and parallel outputs feed the same validation harness.
@@ -26,11 +29,12 @@ serial and parallel outputs feed the same validation harness.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -45,10 +49,11 @@ from repro.parallel.recovery import DEFAULT_RECOVERY, RecoveryPolicy, mpirun_wit
 from repro.seq.fasta import write_fasta
 from repro.seq.records import SeqRecord
 from repro.trinity.bowtie import scaffold_pairs_from_sam
-from repro.trinity.chrysalis.quantify import ComponentQuant
+from repro.trinity.chrysalis.graph_from_fasta import GraphFromFastaResult
+from repro.trinity.pairs import reconcile_with_pairs
 from repro.trinity.pipeline import TrinityConfig, TrinityResult
+from repro.parallel.component_stage import check_strategy
 from repro.parallel.mpi_bowtie import BowtieInputs, BowtieStageConfig, mpi_bowtie
-from repro.parallel.mpi_butterfly import STRATEGIES, ButterflyStageConfig
 from repro.parallel.mpi_inchworm import (
     InchwormInputs,
     InchwormStageConfig,
@@ -99,8 +104,8 @@ class ParallelTrinityConfig:
     #: Crash-recovery policy; set (or leave default with ``faults``) to
     #: launch stages through :func:`mpirun_with_recovery`.
     recovery: Optional[RecoveryPolicy] = None
-    #: Component-dealing strategy for the fused Chrysalis back end (and
-    #: the standalone distributed Butterfly): ``"round_robin"``
+    #: Component-dealing strategy for the component-parallel stages
+    #: (Inchworm and the fused Chrysalis back end): ``"round_robin"``
     #: (cost-blind chunked deal) or ``"dynamic"`` (master-dealt LPT over
     #: the per-component cost model).
     butterfly_strategy: str = "round_robin"
@@ -110,11 +115,7 @@ class ParallelTrinityConfig:
             raise PipelineError(f"nprocs must be positive, got {self.nprocs}")
         if self.nthreads <= 0:
             raise PipelineError(f"nthreads must be positive, got {self.nthreads}")
-        if self.butterfly_strategy not in STRATEGIES:
-            raise PipelineError(
-                f"unknown Butterfly strategy {self.butterfly_strategy!r}; "
-                f"known: {STRATEGIES}"
-            )
+        check_strategy(self.butterfly_strategy, "Butterfly")
 
     @property
     def inchworm_threads(self) -> int:
@@ -158,16 +159,6 @@ class ParallelTrinityConfig:
     def rtt_stage(self, workdir: Optional[PathLike] = None) -> RttStageConfig:
         return RttStageConfig(
             rtt=self.trinity.rtt(), nthreads=self.nthreads, workdir=workdir
-        )
-
-    def butterfly_stage(
-        self, workdir: Optional[PathLike] = None
-    ) -> ButterflyStageConfig:
-        return ButterflyStageConfig(
-            butterfly=self.trinity.butterfly(),
-            nthreads=self.nthreads,
-            strategy=self.butterfly_strategy,
-            workdir=workdir,
         )
 
     def chrysalis_stage(
@@ -234,17 +225,213 @@ def _inchworm_slowdown_table(
     )
 
 
+@dataclass
+class StageChain:
+    """State of one walk of :data:`STAGE_TABLE`: config, reads, and the
+    ``mpirun`` result of every stage launched so far (keyed by row key,
+    in launch order)."""
+
+    cfg: ParallelTrinityConfig
+    reads: Sequence[SeqRecord]
+    runs: Dict[str, StageResult] = field(default_factory=dict)
+
+    def out(self, key: str) -> Any:
+        """Rank 0's typed ``*Outputs`` of stage ``key``."""
+        return self.runs[key].outputs[0]
+
+    @property
+    def contigs(self) -> Sequence[Any]:
+        contigs = self.out("inchworm").contigs
+        if not contigs:
+            raise PipelineError("inchworm produced no contigs")
+        return contigs
+
+
+@dataclass(frozen=True)
+class StageRow:
+    """One row of :data:`STAGE_TABLE` — everything the chain, the
+    checkpoint key, the metrics and the CLI derive about a stage."""
+
+    key: str  # short name: ``cfg.<key>_stage``, ``mpi.<key>_makespan_s``, ``--stage``
+    fn: Callable[..., StageResult]  # the registered ParallelStage body
+    monitor: str  # timeline span name
+    inputs: Callable[[StageChain], Any]  # the stage's *Inputs from the chain so far
+    config: Callable[[ParallelTrinityConfig, Optional[Path]], Any]
+    upstream: Tuple[str, ...]  # row keys whose outputs ``inputs`` reads
+    file_key: Optional[str] = None  # TrinityResult.files key of outputs[0].out_path
+    #: TrinityConfig knobs ``inputs`` reads beyond the stage config
+    #: (inter-stage glue) — part of the checkpoint key.
+    glue: Tuple[str, ...] = ()
+    ram_bytes: Callable[[StageChain], float] = lambda chain: 0.0  # Collectl-style estimate
+
+
+def _gff_inputs(chain: StageChain) -> GffInputs:
+    """Bowtie's SAM becomes scaffold pairs: the one glue step between stages."""
+    contigs = chain.contigs
+    scaffolds: Sequence[Tuple[int, int]] = ()
+    if chain.cfg.trinity.use_bowtie_scaffolds:
+        scaffolds = scaffold_pairs_from_sam(
+            chain.out("bowtie").records,
+            {c.name: i for i, c in enumerate(contigs)},
+            contig_lengths={c.name: len(c.seq) for c in contigs},
+        )
+    return GffInputs(contigs=contigs, reads=chain.reads, extra_pairs=tuple(scaffolds))
+
+
+def _counts_bytes(chain: StageChain) -> float:
+    return chain.out("jellyfish").counts.memory_bytes()
+
+
+#: The six-stage chain, in launch order.  Adding or removing a stage is
+#: one row; nothing else in the driver, the CLI or the experiments names
+#: a stage.
+STAGE_TABLE: Tuple[StageRow, ...] = (
+    StageRow(
+        "jellyfish", mpi_jellyfish, "jellyfish[mpi]",
+        lambda chain: JellyfishInputs(reads=chain.reads),
+        lambda cfg, wd: cfg.jellyfish_stage(workdir=wd),
+        upstream=(), file_key="jellyfish_dump", ram_bytes=_counts_bytes,
+    ),
+    # Components of the k-mer overlap graph dealt to ranks, each rank
+    # running the threaded engine per component (hybrid MPI x threads).
+    StageRow(
+        "inchworm", mpi_inchworm, "inchworm[mpi]",
+        lambda chain: InchwormInputs(counts=chain.out("jellyfish").counts),
+        lambda cfg, wd: cfg.inchworm_stage(workdir=wd),
+        upstream=("jellyfish",), file_key="inchworm_contigs",
+        ram_bytes=lambda chain: _counts_bytes(chain)
+        + sum(len(c.seq) for c in chain.contigs),
+    ),
+    StageRow(
+        "bowtie", mpi_bowtie, "chrysalis.bowtie[mpi]",
+        lambda chain: BowtieInputs(reads=chain.reads, contigs=chain.contigs),
+        lambda cfg, wd: cfg.bowtie_stage(workdir=wd),
+        upstream=("inchworm",), file_key="bowtie_sam",
+    ),
+    StageRow(
+        "gff", mpi_graph_from_fasta, "chrysalis.graph_from_fasta[mpi]",
+        _gff_inputs,
+        lambda cfg, wd: cfg.gff_stage(),
+        upstream=("inchworm", "bowtie"), glue=("use_bowtie_scaffolds",),
+    ),
+    # Straight after GFF: the fused back end consumes RTT's routing, so
+    # no graphs are ever built on the front-end node.
+    StageRow(
+        "rtt", mpi_reads_to_transcripts, "chrysalis.reads_to_transcripts[mpi]",
+        lambda chain: RttInputs(
+            reads=chain.reads, contigs=chain.contigs,
+            components=chain.out("gff").components,
+        ),
+        lambda cfg, wd: cfg.rtt_stage(workdir=wd),
+        upstream=("inchworm", "gff"), file_key="reads_to_transcripts",
+    ),
+    # orient + FastaToDebruijn + QuantifyGraph + Butterfly per component
+    # on its owner rank; the graphs never cross the wire.
+    StageRow(
+        "chrysalis", mpi_chrysalis_backend, "chrysalis.backend[mpi]",
+        lambda chain: ChrysalisBackendInputs(
+            contigs=chain.contigs, reads=chain.reads,
+            components=chain.out("gff").components,
+            assignments=chain.out("rtt").assignments,
+            counts=chain.out("jellyfish").counts,
+        ),
+        lambda cfg, wd: cfg.chrysalis_stage(workdir=wd),
+        upstream=("jellyfish", "inchworm", "gff", "rtt"),
+        file_key="chrysalis_backend_fasta",
+        ram_bytes=lambda chain: 120 * sum(
+            q.graph.n_edges
+            for out in chain.runs["chrysalis"].outputs
+            for q in out.local_quants.values()
+        ),
+    ),
+)
+
+#: ``launch(row, inputs, stage_config) -> StageResult`` — how one row runs.
+Launcher = Callable[[StageRow, Any, Any], StageResult]
+
+
+def _with_upstream(target: str) -> Set[str]:
+    """``target`` plus every stage it transitively reads from."""
+    needed = {target}
+    for row in reversed(STAGE_TABLE):  # launch order is a topological order
+        if row.key in needed:
+            needed.update(row.upstream)
+    return needed
+
+
+def run_chain(
+    cfg: ParallelTrinityConfig,
+    reads: Sequence[SeqRecord],
+    launch: Launcher,
+    *,
+    workdir: Optional[Path] = None,
+    monitor: Optional[ResourceMonitor] = None,
+    target: Optional[str] = None,
+) -> StageChain:
+    """Walk :data:`STAGE_TABLE` in order, launching each row via ``launch``.
+
+    Each launch runs inside its row's ``monitor`` span (inputs and the
+    inter-stage glue are built outside it).  With ``target``, only that
+    stage and its transitive upstream stages run.
+    """
+    chain = StageChain(cfg, reads)
+    monitor = monitor or ResourceMonitor()
+    needed = _with_upstream(target) if target is not None else None
+    for row in STAGE_TABLE:
+        if needed is not None and row.key not in needed:
+            continue
+        inputs = row.inputs(chain)
+        stage_config = row.config(cfg, workdir)
+        with monitor.stage(row.monitor) as st:
+            chain.runs[row.key] = launch(row, inputs, stage_config)
+            st.ram_bytes = row.ram_bytes(chain)
+    return chain
+
+
+def reads_digest(reads: Sequence[SeqRecord]) -> str:
+    """SHA-256 over the reads' names and sequences, in order."""
+    h = hashlib.sha256()
+    for read in reads:
+        h.update(f"{read.name}\n{read.seq}\n".encode())
+    return h.hexdigest()
+
+
+def _checkpoint_key(
+    row: StageRow,
+    stage_config: Any,
+    cfg: ParallelTrinityConfig,
+    workdir: Optional[Path],
+    digest: str,
+    upstream_keys: Sequence[str],
+) -> str:
+    """Content key of one stage result: everything it depends on.
+
+    The stage and its full config, the launch shape and fault plan, the
+    workdir its files land in, the reads' content digest, the glue knobs
+    its inputs read, and — transitively — the keys of its upstream
+    stages.  Any mismatch recomputes.
+    """
+    parts = (
+        row.fn.__name__, stage_config, cfg.nprocs, cfg.nthreads, cfg.faults,
+        str(workdir), digest,
+        [(knob, getattr(cfg.trinity, knob)) for knob in row.glue],
+        list(upstream_keys),
+    )
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
 def _checkpoint_path(checkpoint_dir: PathLike, stage: str) -> Path:
     return Path(checkpoint_dir) / f"{stage}.ckpt.pkl"
 
 
 def _load_checkpoint(
-    checkpoint_dir: PathLike, stage: str, key: Dict[str, Any]
+    checkpoint_dir: PathLike, stage: str, key: str
 ) -> Optional[StageResult]:
     """A previously checkpointed StageResult, or None if absent/stale.
 
-    Corrupt pickles and key mismatches (different workload, nprocs or
-    fault plan) are treated as misses — the stage recomputes.
+    Corrupt or truncated pickles, payloads without a result and key
+    mismatches (other reads, config, nprocs, fault plan or upstream
+    stage) are treated as misses — the stage recomputes.
     """
     path = _checkpoint_path(checkpoint_dir, stage)
     if not path.exists():
@@ -255,7 +442,11 @@ def _load_checkpoint(
     except Exception as exc:  # noqa: BLE001 - any corruption => recompute
         logger.warning("discarding unreadable checkpoint %s: %r", path, exc)
         return None
-    if not isinstance(payload, dict) or payload.get("key") != key:
+    if (
+        not isinstance(payload, dict)
+        or payload.get("key") != key
+        or "result" not in payload
+    ):
         logger.info("checkpoint %s is stale (key mismatch); recomputing", path)
         return None
     GLOBAL_METRICS.inc("checkpoint.restores")
@@ -264,7 +455,7 @@ def _load_checkpoint(
 
 
 def _write_checkpoint(
-    checkpoint_dir: PathLike, stage: str, key: Dict[str, Any], result: StageResult
+    checkpoint_dir: PathLike, stage: str, key: str, result: StageResult
 ) -> None:
     """Atomically persist a stage result (tmp file + rename)."""
     ckpt_dir = Path(checkpoint_dir)
@@ -282,41 +473,25 @@ def _write_checkpoint(
     GLOBAL_METRICS.inc("checkpoint.writes")
 
 
-@dataclass
-class ParallelStageTimings:
-    """Virtual makespans of the six MPI stages (Figs 7-10 + the fused
-    Chrysalis back end + the distributed Jellyfish and Inchworm front
-    end)."""
-
-    bowtie: StageResult
-    gff: StageResult
-    rtt: StageResult
-    chrysalis: StageResult
-    jellyfish: StageResult
-    inchworm: StageResult
-
-
 class ParallelTrinityDriver:
     """Run Trinity with the hybrid MPI+OpenMP Chrysalis."""
 
     def __init__(self, config: Optional[ParallelTrinityConfig] = None) -> None:
         self.config = config or ParallelTrinityConfig()
-        self.last_timings: Optional[ParallelStageTimings] = None
 
     def _launch(
         self,
         fn: Callable[..., Any],
         *args: Any,
         checkpoint_dir: Optional[PathLike] = None,
-        checkpoint_key: Optional[Dict[str, Any]] = None,
-        **kwargs: Any,
+        checkpoint_key: Optional[str] = None,
     ) -> StageResult:
         """One MPI stage launch: checkpoint restore, else (recovering)
         ``mpirun``, then checkpoint write."""
         cfg = self.config
-        stage = getattr(fn, "__name__", "stage")
+        stage = fn.__name__
         if checkpoint_dir is not None:
-            cached = _load_checkpoint(checkpoint_dir, stage, checkpoint_key or {})
+            cached = _load_checkpoint(checkpoint_dir, stage, checkpoint_key)
             if cached is not None:
                 return cached
         if cfg.faults is not None or cfg.recovery is not None:
@@ -325,12 +500,11 @@ class ParallelTrinityDriver:
                 faults=cfg.faults,
                 policy=cfg.recovery or DEFAULT_RECOVERY,
                 network=cfg.network,
-                **kwargs,
             )
         else:
-            res = mpirun(fn, cfg.nprocs, *args, network=cfg.network, **kwargs)
+            res = mpirun(fn, cfg.nprocs, *args, network=cfg.network)
         if checkpoint_dir is not None:
-            _write_checkpoint(checkpoint_dir, stage, checkpoint_key or {}, res)
+            _write_checkpoint(checkpoint_dir, stage, checkpoint_key, res)
         return res
 
     def run(
@@ -339,26 +513,25 @@ class ParallelTrinityDriver:
         workdir: Optional[PathLike] = None,
         checkpoint_dir: Optional[PathLike] = None,
     ) -> StageResult:
-        """Assemble ``reads`` with the hybrid Chrysalis; per-stage MPI
-        timings land in :attr:`last_timings`.
+        """Assemble ``reads`` with the hybrid Chrysalis.
 
         Returns a :class:`~repro.obs.result.StageResult` whose ``outputs``
         is the :class:`TrinityResult` and whose ``children`` are the six
-        ``mpirun`` StageResults (jellyfish, inchworm, bowtie, gff, rtt,
-        and the fused chrysalis back end) — the full span tree a single
+        ``mpirun`` StageResults in :data:`STAGE_TABLE` order (jellyfish,
+        inchworm, bowtie, gff, rtt, and the fused chrysalis back end) —
+        the per-stage virtual timings, and the full span tree a single
         :func:`repro.obs.chrome.write_chrome_trace` can export.
 
         With ``checkpoint_dir``, each MPI stage's result is pickled there
         after it completes and restored (skipping the launch) on a rerun
-        with an identical workload/config — stage-level restart after a
-        non-recoverable failure.  Stale or corrupt checkpoints recompute.
-        With ``config.faults``/``config.recovery`` set, stages launch via
-        :func:`repro.parallel.recovery.mpirun_with_recovery`.
+        whose reads, stage config, launch shape and upstream stages are
+        all identical (:func:`_checkpoint_key`) — stage-level restart
+        after a non-recoverable failure.  Stale or corrupt checkpoints
+        recompute.  With ``config.faults``/``config.recovery`` set, stages
+        launch via :func:`repro.parallel.recovery.mpirun_with_recovery`.
         """
         cfg = self.config
-        tcfg = cfg.trinity
         monitor = ResourceMonitor()
-        files: Dict[str, Path] = {}
         wd = Path(workdir) if workdir is not None else None
         if wd is not None:
             wd.mkdir(parents=True, exist_ok=True)
@@ -368,180 +541,41 @@ class ParallelTrinityDriver:
             len(reads), cfg.nprocs, cfg.nthreads,
         )
 
-        # Jellyfish and Inchworm launch before any contigs exist, so the
-        # front-end checkpoint key pins the front-end dependencies only.
-        front_key = {
-            "nprocs": cfg.nprocs,
-            "nthreads": cfg.nthreads,
-            "n_reads": len(reads),
-            "faults": repr(cfg.faults),
-            "workdir": str(wd),
-            "jellyfish": repr(tcfg.jellyfish()),
+        digest = reads_digest(reads) if checkpoint_dir is not None else ""
+        keys: Dict[str, str] = {}
+
+        def launch(row: StageRow, inputs: Any, stage_config: Any) -> StageResult:
+            if checkpoint_dir is not None:
+                keys[row.key] = _checkpoint_key(
+                    row, stage_config, cfg, wd, digest,
+                    [keys[up] for up in row.upstream],
+                )
+            return self._launch(
+                row.fn, inputs, stage_config,
+                checkpoint_dir=checkpoint_dir, checkpoint_key=keys.get(row.key),
+            )
+
+        chain = run_chain(cfg, reads, launch, workdir=wd, monitor=monitor)
+        runs = chain.runs
+        files: Dict[str, Path] = {
+            row.file_key: chain.out(row.key).out_path
+            for row in STAGE_TABLE
+            if row.file_key and chain.out(row.key).out_path is not None
         }
 
-        # -- mpirun Jellyfish (distributed front end) -------------------------
-        with monitor.stage("jellyfish[mpi]") as st:
-            jellyfish_run = self._launch(
-                mpi_jellyfish,
-                JellyfishInputs(reads=reads),
-                cfg.jellyfish_stage(workdir=wd),
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_key=front_key,
-            )
-            counts = jellyfish_run.outputs[0].counts
-            st.ram_bytes = counts.memory_bytes()
-        if jellyfish_run.outputs[0].out_path is not None:
-            files["jellyfish_dump"] = jellyfish_run.outputs[0].out_path
-
-        # -- mpirun Inchworm (component-partitioned, hybrid MPI x threads) -----
-        # The last front-end compute stage: components of the k-mer
-        # overlap graph are dealt to ranks, each rank runs the threaded
-        # engine per component, and the merge re-emits the global seed
-        # order.  Its checkpoint pins the inchworm config, the per-rank
-        # thread count and the dealing strategy on top of the front key.
-        inchworm_key = {
-            **front_key,
-            "inchworm": repr(tcfg.inchworm()),
-            "inchworm_threads": cfg.inchworm_threads,
-            "strategy": cfg.butterfly_strategy,
-        }
-        with monitor.stage("inchworm[mpi]") as st:
-            inchworm_run = self._launch(
-                mpi_inchworm,
-                InchwormInputs(counts=counts),
-                cfg.inchworm_stage(workdir=wd),
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_key=inchworm_key,
-            )
-            contigs = inchworm_run.outputs[0].contigs
-            st.ram_bytes = counts.memory_bytes() + sum(len(c.seq) for c in contigs)
-        if inchworm_run.outputs[0].out_path is not None:
-            files["inchworm_contigs"] = inchworm_run.outputs[0].out_path
-        if not contigs:
-            raise PipelineError("inchworm produced no contigs")
-        # Aggregate the per-rank thread-team totals into the historical
-        # pipeline-level attrs (straggler faults still drag speedup down).
-        team_serial = sum(r.metrics["team_serial_s"] for r in inchworm_run.outputs)
-        team_makespan = sum(
-            r.metrics["team_makespan_s"] for r in inchworm_run.outputs
-        )
-        inchworm_attrs: Dict[str, float] = {
-            "inchworm.n_threads": float(cfg.inchworm_threads),
-            "inchworm.team_serial_s": team_serial,
-            "inchworm.team_makespan_s": team_makespan,
-            "inchworm.speedup": (
-                team_serial / team_makespan if team_makespan > 0 else 1.0
-            ),
-        }
-
-        # The checkpoint key pins everything a stage result depends on;
-        # any mismatch (other workload, nprocs or fault plan) recomputes.
-        ckpt_key = {
-            "nprocs": cfg.nprocs,
-            "nthreads": cfg.nthreads,
-            "n_reads": len(reads),
-            "n_contigs": len(contigs),
-            "faults": repr(cfg.faults),
-            "workdir": str(wd),
-        }
-
-        # -- mpirun Bowtie ----------------------------------------------------
-        with monitor.stage("chrysalis.bowtie[mpi]"):
-            bowtie_run = self._launch(
-                mpi_bowtie,
-                BowtieInputs(reads=reads, contigs=contigs),
-                cfg.bowtie_stage(workdir=wd),
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_key=ckpt_key,
-            )
-        sams = bowtie_run.outputs[0].records
-        if wd is not None:
-            files["bowtie_sam"] = wd / "bowtie.sam"
-        name_to_idx = {c.name: i for i, c in enumerate(contigs)}
-        lengths = {c.name: len(c.seq) for c in contigs}
-        scaffolds: List[Tuple[int, int]] = []
-        if tcfg.use_bowtie_scaffolds:
-            scaffolds = scaffold_pairs_from_sam(sams, name_to_idx, contig_lengths=lengths)
-
-        # -- mpirun GraphFromFasta ---------------------------------------------
-        with monitor.stage("chrysalis.graph_from_fasta[mpi]"):
-            gff_run = self._launch(
-                mpi_graph_from_fasta,
-                GffInputs(contigs=contigs, reads=reads, extra_pairs=tuple(scaffolds)),
-                cfg.gff_stage(),
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_key=ckpt_key,
-            )
-        gff = gff_run.outputs[0]
-        from repro.trinity.chrysalis.graph_from_fasta import GraphFromFastaResult
-
-        gff_result = GraphFromFastaResult(
-            welds=gff.welds, pairs=gff.pairs, components=gff.components
-        )
-
-        # -- mpirun ReadsToTranscripts ------------------------------------------
-        # Runs straight after GFF: the fused back end consumes RTT's
-        # routing, so no graphs are built on the front-end node any more.
-        with monitor.stage("chrysalis.reads_to_transcripts[mpi]"):
-            rtt_run = self._launch(
-                mpi_reads_to_transcripts,
-                RttInputs(
-                    reads=reads, contigs=contigs, components=gff_result.components
-                ),
-                cfg.rtt_stage(workdir=wd),
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_key=ckpt_key,
-            )
-        assignments = rtt_run.outputs[0].assignments
-        if rtt_run.outputs[0].out_path is not None:
-            files["reads_to_transcripts"] = rtt_run.outputs[0].out_path
-
-        # -- mpirun fused Chrysalis back end ------------------------------------
-        # One component-parallel stage runs orient + FastaToDebruijn +
-        # QuantifyGraph + Butterfly per component on its owner rank; the
-        # graphs never cross the wire and the old serial middle
-        # (fasta_to_debruijn / quantify_graph monitor stages) is gone.
-        # Its checkpoint additionally pins the component count and the
-        # dealing strategy — the two knobs the deal depends on that the
-        # generic key does not cover.
-        chrysalis_key = {
-            **ckpt_key,
-            "n_components": len(gff_result.components),
-            "butterfly_strategy": cfg.butterfly_strategy,
-        }
-        with monitor.stage("chrysalis.backend[mpi]") as st:
-            chrysalis_run = self._launch(
-                mpi_chrysalis_backend,
-                ChrysalisBackendInputs(
-                    contigs=contigs,
-                    reads=reads,
-                    components=gff_result.components,
-                    assignments=assignments,
-                    counts=counts,
-                ),
-                cfg.chrysalis_stage(workdir=wd),
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_key=chrysalis_key,
-            )
-            st.ram_bytes = sum(
-                q.graph.n_edges
-                for out in chrysalis_run.outputs
-                for q in out.local_quants.values()
-            ) * 120
-        transcripts = chrysalis_run.outputs[0].transcripts
+        gff = chain.out("gff")
+        assignments = chain.out("rtt").assignments
+        transcripts = chain.out("chrysalis").transcripts
         # Graphs stay rank-local in the stage; the serial-shaped quants
         # dict (ascending component id, like the serial pipeline's
         # component order) is unioned host-side from the per-rank locals.
-        local_quants: Dict[int, ComponentQuant] = {}
-        for out in chrysalis_run.outputs:
-            local_quants.update(out.local_quants)
-        quants = {cid: local_quants[cid] for cid in sorted(local_quants)}
-        if chrysalis_run.outputs[0].out_path is not None:
-            files["chrysalis_backend_fasta"] = chrysalis_run.outputs[0].out_path
-        if tcfg.use_pair_reconciliation:
+        local_quants = {
+            cid: q
+            for out in runs["chrysalis"].outputs
+            for cid, q in out.local_quants.items()
+        }
+        if cfg.trinity.use_pair_reconciliation:
             with monitor.stage("butterfly.pair_reconciliation"):
-                from repro.trinity.pairs import reconcile_with_pairs
-
                 transcripts, _pair_stats = reconcile_with_pairs(
                     transcripts, list(reads), assignments
                 )
@@ -550,27 +584,29 @@ class ParallelTrinityDriver:
             write_fasta(files["transcripts"], [t.to_record() for t in transcripts])
 
         logger.info(
-            "mpi stage makespans: jellyfish=%.3fs inchworm=%.3fs bowtie=%.3fs "
-            "gff=%.3fs (imb %.2fx) rtt=%.3fs chrysalis=%.3fs",
-            jellyfish_run.makespan, inchworm_run.makespan, bowtie_run.makespan,
-            gff_run.makespan, gff_run.imbalance, rtt_run.makespan,
-            chrysalis_run.makespan,
+            "mpi stage makespans: %s (gff imb %.2fx)",
+            " ".join(f"{key}={run.makespan:.3f}s" for key, run in runs.items()),
+            runs["gff"].imbalance,
         )
-        self.last_timings = ParallelStageTimings(
-            bowtie=bowtie_run, gff=gff_run, rtt=rtt_run, chrysalis=chrysalis_run,
-            jellyfish=jellyfish_run, inchworm=inchworm_run,
-        )
-        result = TrinityResult(
-            transcripts=transcripts,
-            contigs=contigs,
-            gff=gff_result,
-            assignments=assignments,
-            quants=quants,
-            counts=counts,
-            timeline=monitor.timeline,
-            files=files,
+        # Aggregate the per-rank thread-team totals into the historical
+        # pipeline-level attrs (straggler faults still drag speedup down).
+        team_serial = sum(r.metrics["team_serial_s"] for r in runs["inchworm"].outputs)
+        team_makespan = sum(
+            r.metrics["team_makespan_s"] for r in runs["inchworm"].outputs
         )
         timeline = monitor.timeline
+        result = TrinityResult(
+            transcripts=transcripts,
+            contigs=chain.contigs,
+            gff=GraphFromFastaResult(
+                welds=gff.welds, pairs=gff.pairs, components=gff.components
+            ),
+            assignments=assignments,
+            quants=dict(sorted(local_quants.items())),
+            counts=chain.out("jellyfish").counts,
+            timeline=timeline,
+            files=files,
+        )
         return StageResult(
             stage="parallel-trinity",
             outputs=result,
@@ -578,21 +614,18 @@ class ParallelTrinityDriver:
             spans=list(timeline.spans),
             metrics={
                 **{f"stage.{name}_s": timeline.duration_of(name) for name in timeline.stages()},
-                **inchworm_attrs,
+                "inchworm.n_threads": float(cfg.inchworm_threads),
+                "inchworm.team_serial_s": team_serial,
+                "inchworm.team_makespan_s": team_makespan,
+                "inchworm.speedup": (
+                    team_serial / team_makespan if team_makespan > 0 else 1.0
+                ),
                 "nprocs": float(cfg.nprocs),
                 "nthreads": float(cfg.nthreads),
                 "inchworm_threads": float(cfg.inchworm_threads),
                 "n_transcripts": float(len(transcripts)),
-                "mpi.jellyfish_makespan_s": jellyfish_run.makespan,
-                "mpi.inchworm_makespan_s": inchworm_run.makespan,
-                "mpi.bowtie_makespan_s": bowtie_run.makespan,
-                "mpi.gff_makespan_s": gff_run.makespan,
-                "mpi.rtt_makespan_s": rtt_run.makespan,
-                "mpi.chrysalis_makespan_s": chrysalis_run.makespan,
+                **{f"mpi.{key}_makespan_s": run.makespan for key, run in runs.items()},
                 "peak_ram_gb": timeline.peak_ram_gb,
             },
-            children=[
-                jellyfish_run, inchworm_run, bowtie_run, gff_run, rtt_run,
-                chrysalis_run,
-            ],
+            children=list(runs.values()),
         )

@@ -65,6 +65,7 @@ class BowtieOutputs:
     """What the parallel Bowtie computes."""
 
     records: List[SamRecord]  # full merged SAM (on all ranks)
+    out_path: Optional[Path] = None  # merged SAM (master, if written)
     part_path: Optional[Path] = None  # this rank's SAM piece, if written
 
 
@@ -129,6 +130,7 @@ def mpi_bowtie(
     # -- merge: reduce per-orientation bests across pieces ------------------
     merge_time = 0.0
     merged: Optional[List[SamRecord]] = None
+    final_sam: Optional[Path] = None
     with comm.region("bowtie:merge", serial=True):
         pooled = comm.gather(bests, root=0)
         if comm.rank == 0:
@@ -155,7 +157,9 @@ def mpi_bowtie(
         merged = comm.bcast(merged, root=0)
     return StageResult(
         stage="bowtie",
-        outputs=BowtieOutputs(records=merged, part_path=part_path),
+        outputs=BowtieOutputs(
+            records=merged, out_path=final_sam, part_path=part_path
+        ),
         makespan=comm.clock.now,
         metrics={
             "split_time": split_time,

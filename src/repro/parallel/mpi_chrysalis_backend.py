@@ -10,12 +10,11 @@ walked by Butterfly independently of every other component.
 
 This stage fuses the whole back-end chain — **orient → fasta_to_debruijn
 → quantify_graph → butterfly walk** — into one component-parallel MPI
-stage: components are dealt across ranks once (the same cost-blind
-round-robin / master-dealt LPT ``dynamic`` strategies as
-:mod:`repro.parallel.mpi_butterfly`, with the nodes×max_paths cost model
-*estimated from contig lengths* since graphs don't exist before the
-deal), and each owner rank runs the fused chain for its components on
-its OpenMP team.  De Bruijn graphs and quantified edge weights therefore
+stage on the :mod:`repro.parallel.component_stage` skeleton: components
+are dealt across ranks once (cost-blind round-robin or master-dealt LPT
+``dynamic``, with the nodes×max_paths cost model *estimated from contig
+lengths* since graphs don't exist before the deal), and each owner rank
+runs the fused chain for its components on its OpenMP team.  De Bruijn graphs and quantified edge weights therefore
 never cross the wire: only transcripts and light per-component quant
 stats are pooled, and the two serial regions plus the graph
 allgather/re-deal disappear from the makespan.
@@ -34,25 +33,26 @@ Full :class:`~repro.trinity.chrysalis.quantify.ComponentQuant` objects
 ranks share one address space, so that union models the real design
 where per-component quants would be written per rank and concatenated,
 not allgathered.
+
+The walk-only case (the retired standalone distributed Butterfly) is an
+*input* of this stage, not a second stage: :func:`contig_only_inputs`
+feeds one contig per singleton component and no reads, so orient is the
+identity, quantify threads nothing, and build + walk reproduce
+:func:`~repro.trinity.butterfly.butterfly_assemble` on the same graphs.
 """
 
 from __future__ import annotations
 
-import heapq
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import PipelineError
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
 from repro.openmp import Schedule, ThreadTeam
-from repro.parallel.chunks import chunk_ranges, chunks_for_rank, default_chunk_size
-from repro.parallel.mpi_butterfly import STRATEGIES
+from repro.parallel import component_stage
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
-from repro.seq.fasta import write_fasta
 from repro.seq.records import Contig, SeqRecord, Transcript
 from repro.trinity.butterfly import ButterflyConfig, butterfly_component
 from repro.trinity.chrysalis.components import Component
@@ -74,12 +74,12 @@ def estimated_component_cost(
 ) -> float:
     """Predicted fused-chain cost of one component, *before* its graph exists.
 
-    The standalone Butterfly ranks components by ``n_nodes × max_paths``,
-    but the fused deal happens before FastaToDebruijn, so node counts are
-    estimated from the member contigs: a contig of length ``L`` yields at
-    most ``L - k + 2`` (k-1)-mer nodes.  Build + quantify + walk all
-    scale with the same node count, so one estimate ranks the whole
-    chain.  Only the *relative* order matters (LPT), and the deal never
+    Butterfly's DFS visits at most ``max_paths`` paths, each bounded by
+    the node count, but the fused deal happens before FastaToDebruijn, so
+    node counts are estimated from the member contigs: a contig of
+    length ``L`` yields at most ``L - k + 2`` (k-1)-mer nodes.  Build +
+    quantify + walk all scale with the same node count, so one estimate
+    ranks the whole chain.  Only the *relative* order matters (LPT), and the deal never
     affects outputs — merge order is component id — so a misestimate
     costs balance, not correctness.
     """
@@ -106,6 +106,16 @@ class ChrysalisBackendInputs:
     counts: object = None  # Optional[JellyfishCounts]
 
 
+def contig_only_inputs(seqs: Sequence[str]) -> ChrysalisBackendInputs:
+    """Walk-only workload: contig ``i`` alone in component ``i``, no reads."""
+    return ChrysalisBackendInputs(
+        contigs=[Contig(name=f"contig_{i}", seq=seq) for i, seq in enumerate(seqs)],
+        reads=(),
+        components=[Component(id=i, members=(i,)) for i in range(len(seqs))],
+        assignments=(),
+    )
+
+
 @dataclass(frozen=True)
 class ChrysalisBackendStageConfig:
     """Distribution + kernel knobs for the fused Chrysalis back end."""
@@ -120,11 +130,7 @@ class ChrysalisBackendStageConfig:
     workdir: Optional[PathLike] = None  # per-rank FASTA parts + merged FASTA
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise PipelineError(
-                f"unknown chrysalis-backend strategy {self.strategy!r}; "
-                f"known: {STRATEGIES}"
-            )
+        component_stage.check_strategy(self.strategy, "chrysalis-backend")
 
 
 @dataclass
@@ -141,35 +147,6 @@ class ChrysalisBackendOutputs:
     local_quants: Dict[int, ComponentQuant]
     out_path: Optional[Path] = None  # merged FASTA (master, if written)
     part_path: Optional[Path] = None  # this rank's FASTA piece, if written
-
-
-def _dynamic_deal(
-    comm: SimComm,
-    cids: List[int],
-    costs: Mapping[int, float],
-) -> List[int]:
-    """Master-dealt LPT assignment over estimated costs.
-
-    Identical wire pattern to the standalone Butterfly's dynamic deal
-    (rank 0 walks descending predicted cost, hands to the least-loaded
-    rank, ships each worker its id list point-to-point) — but driven by
-    :func:`estimated_component_cost` since no graphs exist yet.
-    Deterministic in (workload, comm.size), which recovery's re-deal on
-    the survivors relies on.
-    """
-    if comm.rank == 0:
-        order = sorted(((costs[cid], cid) for cid in cids), key=lambda t: (-t[0], t[1]))
-        loads = [(0.0, r) for r in range(comm.size)]
-        heapq.heapify(loads)
-        deal: List[List[int]] = [[] for _ in range(comm.size)]
-        for cost, cid in order:
-            load, r = heapq.heappop(loads)
-            deal[r].append(cid)
-            heapq.heappush(loads, (load + cost, r))
-        for r in range(1, comm.size):
-            comm.send(deal[r], dest=r, tag=r)
-        return deal[0]
-    return comm.recv(source=0, tag=comm.rank)
 
 
 @parallel_stage(
@@ -226,30 +203,22 @@ def mpi_chrysalis_backend(
 
     # -- deal components across ranks (graphs don't exist yet, so the LPT
     # cost model estimates node counts from contig lengths) ----------------
-    with comm.region("chrysalis:deal", strategy=config.strategy) as deal_region:
-        if config.strategy == "dynamic":
-            costs = comm.shared(
-                "chrysalis:costs",
-                lambda: {
-                    cid: estimated_component_cost(
-                        comp_by_id[cid], contigs, config.k,
-                        bf_cfg.max_paths_per_component,
-                    )
-                    for cid in cids
-                },
-            )
-            mine = _dynamic_deal(comm, cids, costs)
-        else:
-            chunk_size = config.chunk_size
-            if chunk_size is None:
-                chunk_size = default_chunk_size(len(cids), comm.size, config.nthreads)
-            ranges = chunk_ranges(len(cids), chunk_size)
-            mine = [
-                cids[i]
-                for c in chunks_for_rank(len(ranges), comm.rank, comm.size)
-                for i in range(*ranges[c])
-            ]
-    deal_time = deal_region.elapsed
+    mine, deal_time = component_stage.deal(
+        comm, "chrysalis", cids,
+        lambda: comm.shared(
+            "chrysalis:costs",
+            lambda: {
+                cid: estimated_component_cost(
+                    comp_by_id[cid], contigs, config.k,
+                    bf_cfg.max_paths_per_component,
+                )
+                for cid in cids
+            },
+        ),
+        strategy=config.strategy,
+        nthreads=config.nthreads,
+        chunk_size=config.chunk_size,
+    )
 
     # -- fused per-component chain on the OpenMP team ------------------------
     def backend_component(cid: int) -> Tuple[ComponentQuant, List[Transcript]]:
@@ -277,53 +246,28 @@ def mpi_chrysalis_backend(
             )
     loop_time = loop_region.elapsed
 
-    # -- per-rank output file ------------------------------------------------
-    part_path: Optional[Path] = None
-    if config.workdir is not None:
-        wd = Path(config.workdir)
-        wd.mkdir(parents=True, exist_ok=True)
-        part_path = wd / f"chrysalis_backend.part{comm.rank}.fasta"
-        part_records = [t.to_record() for _cid, _q, ts in local for t in ts]
-        with_retry(
-            comm,
-            "chrysalis:write_part",
-            lambda: write_fasta(part_path, part_records),
-        )
+    part_path = component_stage.write_part(
+        comm, "chrysalis", config.workdir,
+        f"chrysalis_backend.part{comm.rank}.fasta",
+        [t for _cid, _q, ts in local for t in ts],
+    )
 
     # -- merge: pool transcripts + light quant stats, ascending component
     # id.  Graphs and full quants stay rank-local — that is the point of
     # the fusion: nothing heavier than (cid, n_reads, weight, transcripts)
     # crosses the wire. ------------------------------------------------------
-    with comm.region("chrysalis:merge") as merge_region:
-        wire = [
-            (cid, q.n_reads, q.read_edge_weight, ts) for cid, q, ts in local
-        ]
-        pooled = comm.allgather(wire)
-    by_cid: Dict[int, Tuple[int, float, List[Transcript]]] = {
-        cid: (n, w, ts) for part in pooled for cid, n, w, ts in part
-    }
-    transcripts: List[Transcript] = [t for cid in cids for t in by_cid[cid][2]]
+    flat, merge_time = component_stage.merge(
+        comm, "chrysalis",
+        [(cid, q.n_reads, q.read_edge_weight, ts) for cid, q, ts in local],
+    )
+    transcripts: List[Transcript] = [t for _cid, _n, _w, ts in flat for t in ts]
     quant_stats: Dict[int, Tuple[int, float]] = {
-        cid: (by_cid[cid][0], by_cid[cid][1]) for cid in cids
+        cid: (n, w) for cid, n, w, _ts in flat
     }
-    merge_time = merge_region.elapsed
 
-    out_path: Optional[Path] = None
-    if config.workdir is not None:
-        if comm.rank == 0:
-            out_path = Path(config.workdir) / "chrysalis_backend.fasta"
-            # Written from the merged, component-ordered list — not a cat
-            # of the parts, whose order depends on the deal — so the file
-            # is byte-identical to a serial write at any nprocs.  Wall
-            # time: the peers are parked at the barrier below.
-            t0 = time.perf_counter()
-            with_retry(
-                comm,
-                "chrysalis:write_merged",
-                lambda: write_fasta(out_path, [t.to_record() for t in transcripts]),
-            )
-            comm.clock.advance(time.perf_counter() - t0, label="chrysalis:write_merged")
-        comm.barrier()
+    out_path = component_stage.write_merged(
+        comm, "chrysalis", config.workdir, "chrysalis_backend.fasta", transcripts
+    )
 
     return StageResult(
         stage="chrysalis-backend",

@@ -14,8 +14,9 @@ factors exactly over the components of the k-mer overlap graph
    (built once per simulation via ``comm.shared``, charged per-rank —
    the stage's replicated serial region);
 2. components are dealt to ranks — chunked ``"round_robin"`` or
-   master-dealt LPT ``"dynamic"``, the Butterfly/Chrysalis strategies —
-   with per-component cost = the sum of member k-mer counts;
+   master-dealt LPT ``"dynamic"``, the one deal of
+   :mod:`repro.parallel.component_stage` — with per-component cost =
+   the sum of member k-mer counts;
 3. each rank runs :func:`~repro.trinity.inchworm.inchworm_assemble_threaded`
    on each owned component's sub-counter (hybrid MPI x simulated OpenMP:
    the ``inchworm_threads`` knob is honoured per rank), shipping back
@@ -38,8 +39,6 @@ depends only on ``(seed, n_threads)``, never on the deal or nprocs.
 
 from __future__ import annotations
 
-import heapq
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
@@ -49,11 +48,9 @@ import numpy as np
 from repro.errors import PipelineError
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
-from repro.parallel.chunks import chunk_ranges, chunks_for_rank, default_chunk_size
-from repro.parallel.mpi_butterfly import STRATEGIES
+from repro.parallel import component_stage
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
-from repro.seq.fasta import write_fasta
 from repro.seq.kmer_index import KmerCounter
 from repro.seq.records import Contig
 from repro.trinity.inchworm import (
@@ -99,10 +96,7 @@ class InchwormStageConfig:
     thread_slowdowns: Optional[Tuple[Tuple[float, ...], ...]] = None
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise PipelineError(
-                f"unknown Inchworm strategy {self.strategy!r}; known: {STRATEGIES}"
-            )
+        component_stage.check_strategy(self.strategy, "Inchworm")
         if self.n_threads <= 0:
             raise PipelineError(
                 f"inchworm n_threads must be positive, got {self.n_threads}"
@@ -134,34 +128,6 @@ def _component_setup(counts: JellyfishCounts, cfg: InchwormConfig):
     seed_rank = np.empty(len(filtered), dtype=np.int64)
     seed_rank[perm] = np.arange(len(filtered), dtype=np.int64)
     return filtered, seed_rank, members, costs
-
-
-def _dynamic_deal(
-    comm: SimComm, cids: List[int], costs: np.ndarray
-) -> List[int]:
-    """Master-dealt LPT assignment; returns this rank's component ids.
-
-    Rank 0 walks components in descending count-mass cost (ties by id)
-    and hands each to the least-loaded rank, then ships every worker its
-    id list point-to-point — the Butterfly/Chrysalis deal shape.
-    Deterministic in (workload, comm.size), which recovery's re-deal on
-    the survivors relies on.
-    """
-    if comm.rank == 0:
-        order = sorted(
-            ((float(costs[cid]), cid) for cid in cids), key=lambda t: (-t[0], t[1])
-        )
-        loads = [(0.0, r) for r in range(comm.size)]
-        heapq.heapify(loads)
-        deal: List[List[int]] = [[] for _ in range(comm.size)]
-        for cost, cid in order:
-            load, r = heapq.heappop(loads)
-            deal[r].append(cid)
-            heapq.heappush(loads, (load + cost, r))
-        for r in range(1, comm.size):
-            comm.send(deal[r], dest=r, tag=r)
-        return deal[0]
-    return comm.recv(source=0, tag=comm.rank)
 
 
 def _rank_slowdowns(
@@ -213,22 +179,12 @@ def mpi_inchworm(
 
     # -- deal components across ranks ----------------------------------------
     cids = list(range(len(members)))
-    with comm.region("inchworm:deal", strategy=config.strategy) as deal_region:
-        if config.strategy == "dynamic":
-            mine = _dynamic_deal(comm, cids, costs)
-        else:
-            chunk_size = config.chunk_size
-            if chunk_size is None:
-                chunk_size = default_chunk_size(
-                    len(cids), comm.size, config.n_threads
-                )
-            ranges = chunk_ranges(len(cids), chunk_size)
-            mine = [
-                cids[i]
-                for c in chunks_for_rank(len(ranges), comm.rank, comm.size)
-                for i in range(*ranges[c])
-            ]
-    deal_time = deal_region.elapsed
+    mine, deal_time = component_stage.deal(
+        comm, "inchworm", cids, lambda: costs,
+        strategy=config.strategy,
+        nthreads=config.n_threads,
+        chunk_size=config.chunk_size,
+    )
 
     # -- assemble my components, threaded, shipping only keyed strings -------
     slowdowns = _rank_slowdowns(config, comm.rank)
@@ -280,34 +236,14 @@ def mpi_inchworm(
     assemble_time = asm_region.elapsed
 
     # -- merge: pool keyed contigs, re-emit the global seed-order sequence ---
-    with comm.region("inchworm:merge") as merge_region:
-        pooled = comm.allgather(local)
-    flat = [item for part in pooled for item in part]
-    flat.sort(key=lambda item: item[0])
+    flat, merge_time = component_stage.merge(comm, "inchworm", local)
     contigs = [
         Contig(name=f"iw_contig_{i}", seq=seq, coverage=cov)
         for i, (_key, seq, cov) in enumerate(flat)
     ]
-    merge_time = merge_region.elapsed
-
-    out_path: Optional[Path] = None
-    if config.workdir is not None:
-        if comm.rank == 0:
-            wd = Path(config.workdir)
-            wd.mkdir(parents=True, exist_ok=True)
-            out_path = wd / "inchworm.contigs.fa"
-            # Written from the merged, seed-ordered list — never a cat of
-            # per-rank parts — so the file is byte-identical to the serial
-            # pipeline's write at any nprocs.  Wall time: the peers are
-            # parked at the barrier below.
-            t0 = time.perf_counter()
-            with_retry(
-                comm,
-                "inchworm:write_merged",
-                lambda: write_fasta(out_path, [c.to_record() for c in contigs]),
-            )
-            comm.clock.advance(time.perf_counter() - t0, label="inchworm:write_merged")
-        comm.barrier()
+    out_path = component_stage.write_merged(
+        comm, "inchworm", config.workdir, "inchworm.contigs.fa", contigs
+    )
 
     return StageResult(
         stage="inchworm",

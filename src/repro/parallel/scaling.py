@@ -31,6 +31,11 @@ from repro.parallel.chunks import (
     default_chunk_size,
     static_block_ranges,
 )
+from repro.parallel.component_stage import (
+    greedy_assign,
+    lpt_assign,
+    round_robin_assign,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +99,9 @@ def _rank_loop_times(
         chunk_times = [
             dynamic_makespan(costs[start:stop], nthreads) for start, stop in ranges
         ]
-        import heapq
-
-        heap = [(0.0, r) for r in range(nodes)]
-        heapq.heapify(heap)
-        for ct in chunk_times:
-            free_at, r = heapq.heappop(heap)
-            times[r] = free_at + ct
-            heapq.heappush(heap, (times[r], r))
+        dealt = greedy_assign(chunk_times, range(len(chunk_times)), nodes)
+        for r, chunks in enumerate(dealt):
+            times[r] = sum(chunk_times[c] for c in chunks)
         return times + rank_overhead
     for rank in range(nodes):
         if strategy == "round_robin":
@@ -304,7 +304,8 @@ def simulate_butterfly_point(
 ) -> ButterflyScalingPoint:
     """Simulate the distributed Butterfly deal at one node count.
 
-    Mirrors :func:`repro.parallel.mpi_butterfly.mpi_butterfly` exactly:
+    Mirrors the walk-only (contig-only-input) case of
+    :func:`repro.parallel.mpi_chrysalis_backend.mpi_chrysalis_backend`:
     components are assigned to ranks either by the cost-blind chunked
     round-robin or by the master's LPT deal over predicted costs
     (descending cost to the least-loaded rank), and each rank then runs
@@ -316,32 +317,7 @@ def simulate_butterfly_point(
     if nodes <= 0:
         raise ScheduleError(f"nodes must be positive, got {nodes}")
     costs = np.asarray(component_costs, dtype=float)
-    mine: List[List[int]]
-    if strategy == "dynamic":
-        import heapq
-
-        order = sorted(range(costs.size), key=lambda i: (-costs[i], i))
-        heap = [(0.0, r) for r in range(nodes)]
-        heapq.heapify(heap)
-        mine = [[] for _ in range(nodes)]
-        for i in order:
-            load, r = heapq.heappop(heap)
-            mine[r].append(i)
-            heapq.heappush(heap, (load + costs[i], r))
-    elif strategy == "round_robin":
-        if chunk_size is None:
-            chunk_size = default_chunk_size(costs.size, nodes, nthreads)
-        ranges = chunk_ranges(costs.size, chunk_size)
-        mine = [
-            [
-                i
-                for c in chunks_for_rank(len(ranges), rank, nodes)
-                for i in range(*ranges[c])
-            ]
-            for rank in range(nodes)
-        ]
-    else:
-        raise ScheduleError(f"unknown strategy {strategy!r}")
+    mine = _deal_indices(nodes, costs, nthreads, strategy, chunk_size)
     times = np.array(
         [dynamic_makespan(costs[idx], nthreads) if idx else 0.0 for idx in mine]
     )
@@ -378,35 +354,17 @@ def _deal_indices(
     strategy: str,
     chunk_size: Optional[int],
 ) -> List[List[int]]:
-    """Per-rank component-index lists under either deal strategy.
-
-    The same LPT / chunked-round-robin logic as
-    :func:`simulate_butterfly_point`, factored out so the fused back-end
-    model deals on *fused* per-component costs.
-    """
+    """Per-rank component-index lists under either deal strategy — the
+    stages' own :mod:`repro.parallel.component_stage` assignments, so the
+    models deal exactly as the simulated-MPI stages do."""
+    ids = range(costs.size)
     if strategy == "dynamic":
-        import heapq
-
-        order = sorted(range(costs.size), key=lambda i: (-costs[i], i))
-        heap = [(0.0, r) for r in range(nodes)]
-        heapq.heapify(heap)
-        mine: List[List[int]] = [[] for _ in range(nodes)]
-        for i in order:
-            load, r = heapq.heappop(heap)
-            mine[r].append(i)
-            heapq.heappush(heap, (load + costs[i], r))
-        return mine
+        return lpt_assign(costs.tolist(), ids, nodes)
     if strategy == "round_robin":
         if chunk_size is None:
             chunk_size = default_chunk_size(costs.size, nodes, nthreads)
-        ranges = chunk_ranges(costs.size, chunk_size)
         return [
-            [
-                i
-                for c in chunks_for_rank(len(ranges), rank, nodes)
-                for i in range(*ranges[c])
-            ]
-            for rank in range(nodes)
+            round_robin_assign(ids, rank, nodes, chunk_size) for rank in range(nodes)
         ]
     raise ScheduleError(f"unknown strategy {strategy!r}")
 

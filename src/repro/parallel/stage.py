@@ -17,10 +17,13 @@ run under :func:`repro.mpi.mpirun`:
   ``outputs`` is a typed ``*Outputs`` dataclass.
 
 Keeping data and knobs in separate typed bundles is what lets the driver
-launch every stage through one code path (``_launch``), lets recovery
+describe every stage as one row of a table
+(:data:`repro.parallel.driver.STAGE_TABLE`) and launch all of them
+through one code path (``run_chain`` -> ``_launch``), lets recovery
 relaunch a stage on fewer ranks without re-plumbing arguments, and lets
-checkpointing pickle a stage call as ``(inputs, config)`` — the protocol
-is the contract all of those rely on.
+checkpointing key a stage result by ``repr(config)`` plus the content
+digests of what it read — the protocol is the contract all of those
+rely on.
 
 Stages register themselves with the :func:`parallel_stage` decorator,
 which validates the signature at import time and records a
@@ -55,7 +58,7 @@ class ParallelStage(Protocol):
 class StageSpec:
     """Registry record for one conforming stage."""
 
-    name: str  # registry key, e.g. "butterfly" (variant stages suffix it)
+    name: str  # registry key, e.g. "rtt" (variant stages suffix it)
     fn: Callable[..., StageResult]
     inputs_type: Type[Any]
     config_type: Type[Any]

@@ -1,14 +1,11 @@
-"""Shared utilities: seeded RNG helpers, timers, table formatting."""
+"""Shared utilities: seeded RNG helpers, table formatting."""
 
 from repro.util.rng import spawn_rng, derive_seed
-from repro.util.timing import StageTimer, Timer
 from repro.util.fmt import format_table, format_series, human_time
 
 __all__ = [
     "spawn_rng",
     "derive_seed",
-    "StageTimer",
-    "Timer",
     "format_table",
     "format_series",
     "human_time",

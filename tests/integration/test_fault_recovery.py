@@ -26,6 +26,8 @@ from repro.parallel.mpi_reads_to_transcripts import (
     mpi_reads_to_transcripts,
 )
 from repro.parallel.recovery import RecoveryPolicy
+from repro.simdata import get_recipe
+from repro.simdata.reads import flatten_reads
 from repro.trinity import TrinityConfig
 from repro.trinity.bowtie import BowtieConfig
 from repro.trinity.inchworm import inchworm_assemble
@@ -212,15 +214,69 @@ class TestDriverFaultsAndCheckpoints:
     def test_corrupt_or_stale_checkpoint_recomputes(self, smoke_reads, tmp_path):
         cfg = ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=2, nthreads=2)
         ckpt = tmp_path / "ckpts"
-        ParallelTrinityDriver(cfg).run(smoke_reads, checkpoint_dir=ckpt)
-        # Corrupt one checkpoint; key-mismatch another (different nprocs).
+        first = ParallelTrinityDriver(cfg).run(smoke_reads, checkpoint_dir=ckpt)
+
+        def rewrite(stage, edit):
+            path = ckpt / f"{stage}.ckpt.pkl"
+            payload = pickle.loads(path.read_bytes())
+            edit(payload)
+            path.write_bytes(pickle.dumps(payload))
+
+        # Corrupt one checkpoint, truncate another, key-mismatch a third
+        # (the digest of some other run), and strip the result off a fourth.
         (ckpt / "mpi_bowtie.ckpt.pkl").write_bytes(b"not a pickle")
-        path = ckpt / "mpi_graph_from_fasta.ckpt.pkl"
-        payload = pickle.loads(path.read_bytes())
-        payload["key"]["nprocs"] = 99
-        path.write_bytes(pickle.dumps(payload))
+        jf = ckpt / "mpi_jellyfish.ckpt.pkl"
+        jf.write_bytes(jf.read_bytes()[:100])
+        rewrite("mpi_graph_from_fasta", lambda p: p.update(key="0" * 64))
+        rewrite("mpi_reads_to_transcripts", lambda p: p.pop("result"))
+        restores, writes = _ckpt_counters()
         result = ParallelTrinityDriver(cfg).run(smoke_reads, checkpoint_dir=ckpt)
-        assert result.outputs.transcripts  # recomputed, not crashed
+        # Recomputed, not crashed: the four damaged stages relaunch (same
+        # keys, so the two intact checkpoints downstream still restore).
+        assert _ckpt_counters() == (restores + 2, writes + 4)
+        assert _seqs(result) == _seqs(first)
+
+    @pytest.mark.timeout(300)
+    def test_other_reads_of_same_count_recompute_everything(self, smoke_reads, tmp_path):
+        """The key carries a content digest of the reads, not their count."""
+        other = flatten_reads(get_recipe("smoke").materialize(seed=2)[1])
+        assert len(other) == len(smoke_reads) and other != list(smoke_reads)
+        cfg = ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=2, nthreads=2)
+        ckpt = tmp_path / "ckpts"
+        ParallelTrinityDriver(cfg).run(smoke_reads, checkpoint_dir=ckpt)
+        restores, writes = _ckpt_counters()
+        rerun = ParallelTrinityDriver(cfg).run(other, checkpoint_dir=ckpt)
+        assert _ckpt_counters() == (restores, writes + 6)
+        assert _seqs(rerun) == _seqs(ParallelTrinityDriver(cfg).run(other))
+
+    @pytest.mark.timeout(300)
+    def test_changed_stage_knob_recomputes_it_and_downstream_only(
+        self, smoke_reads, tmp_path
+    ):
+        """A GFF-only knob restores jellyfish/inchworm/bowtie and recomputes
+        gff plus everything reading from it (rtt, chrysalis)."""
+        base = ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=2, nthreads=2)
+        ckpt = tmp_path / "ckpts"
+        ParallelTrinityDriver(base).run(smoke_reads, checkpoint_dir=ckpt)
+        for knob in ({"min_weld_read_support": 3}, {"use_bowtie_scaffolds": False}):
+            cfg = ParallelTrinityConfig(
+                trinity=TrinityConfig(seed=1, **knob), nprocs=2, nthreads=2
+            )
+            restores, writes = _ckpt_counters()
+            rerun = ParallelTrinityDriver(cfg).run(smoke_reads, checkpoint_dir=ckpt)
+            assert _ckpt_counters() == (restores + 3, writes + 3), knob
+            assert _seqs(rerun) == _seqs(ParallelTrinityDriver(cfg).run(smoke_reads))
+
+
+def _ckpt_counters():
+    return (
+        GLOBAL_METRICS.get("checkpoint.restores"),
+        GLOBAL_METRICS.get("checkpoint.writes"),
+    )
+
+
+def _seqs(result):
+    return [t.seq for t in result.outputs.transcripts]
 
 
 class TestSweepAndCli:

@@ -12,21 +12,18 @@ import pytest
 
 from repro.errors import PipelineError
 from repro.mpi import CrashFault, FaultPlan, mpirun
-from repro.parallel.mpi_butterfly import (
-    ButterflyInputs,
-    ButterflyStageConfig,
-    mpi_butterfly,
-)
+from repro.experiments.fig_butterfly import skewed_contigs
 from repro.parallel.mpi_chrysalis_backend import (
     ChrysalisBackendInputs,
     ChrysalisBackendStageConfig,
+    contig_only_inputs,
     estimated_component_cost,
     mpi_chrysalis_backend,
 )
 from repro.parallel.recovery import mpirun_with_recovery
 from repro.seq.fasta import write_fasta
 from repro.trinity import TrinityConfig
-from repro.trinity.butterfly import butterfly_assemble
+from repro.trinity.butterfly import ButterflyConfig, butterfly_assemble
 from repro.trinity.chrysalis.debruijn import fasta_to_debruijn
 from repro.trinity.chrysalis.graph_from_fasta import graph_from_fasta
 from repro.trinity.chrysalis.orient import orient_component
@@ -107,23 +104,31 @@ class TestSerialEquality:
                 cid: (q.n_reads, q.read_edge_weight) for cid, q in quants.items()
             }
 
-    def test_fused_equals_separate_butterfly_stage(
-        self, workload, serial_reference, smoke_reads
-    ):
-        """The fused stage replaces serial-middle + mpi_butterfly verbatim."""
-        tcfg = workload[0]
-        graphs, _quants, _serial = serial_reference
-        separate = mpirun(
-            mpi_butterfly, NPROCS,
-            ButterflyInputs(graphs=graphs),
-            ButterflyStageConfig(butterfly=tcfg.butterfly(), nthreads=2),
+    def test_fused_equals_separate_butterfly_walk(self):
+        """Walk-only distributed Butterfly is this stage on contig-only
+        inputs (one contig per singleton component, no reads): it equals
+        a separate ``butterfly_assemble`` over the same graphs."""
+        # Adversarial skew: heavy components at stride NPROCS all land on
+        # rank 0 under the cost-blind round-robin (one component per chunk).
+        seqs = skewed_contigs(0, NPROCS, label="butterfly-test")
+        cfg = ButterflyConfig(seed=0)
+        serial = butterfly_assemble(
+            {cid: fasta_to_debruijn([seq], 25) for cid, seq in enumerate(seqs)}, cfg
         )
-        fused = mpirun(
-            mpi_chrysalis_backend, NPROCS,
-            _fused_inputs(workload, smoke_reads),
-            _fused_config(tcfg),
-        )
-        assert fused.outputs[0].transcripts == separate.outputs[0].transcripts
+        runs = {
+            strategy: mpirun(
+                mpi_chrysalis_backend, NPROCS, contig_only_inputs(seqs),
+                ChrysalisBackendStageConfig(
+                    butterfly=cfg, nthreads=1, strategy=strategy, chunk_size=1
+                ),
+            )
+            for strategy in ("round_robin", "dynamic")
+        }
+        for run in runs.values():
+            assert all(r.transcripts == serial for r in run.outputs)
+        # The LPT deal spreads the heavies one per rank.  Demand a decisive
+        # margin, not noise.
+        assert runs["dynamic"].makespan < 0.6 * runs["round_robin"].makespan
 
     def test_merged_fasta_byte_identical_to_serial_write(
         self, workload, serial_reference, smoke_reads, tmp_path

@@ -206,9 +206,8 @@ class TestDriverIntegration:
     @pytest.mark.timeout(300)
     def test_driver_runs_inchworm_distributed(self, smoke_reads, tmp_path):
         cfg = ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=3, nthreads=2)
-        driver = ParallelTrinityDriver(cfg)
-        result = driver.run(smoke_reads, workdir=tmp_path)
-        iw = driver.last_timings.inchworm
+        result = ParallelTrinityDriver(cfg).run(smoke_reads, workdir=tmp_path)
+        iw = next(c for c in result.children if c.stage == "mpi_inchworm")
         # The stage really ran under mpirun: per-rank results with a
         # virtual makespan, not a front-end call on the driver thread.
         assert len(iw.outputs) == 3

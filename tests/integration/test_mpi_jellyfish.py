@@ -138,9 +138,8 @@ class TestDriverIntegration:
     @pytest.mark.timeout(300)
     def test_driver_runs_jellyfish_distributed(self, smoke_reads, tmp_path):
         cfg = ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=3, nthreads=2)
-        driver = ParallelTrinityDriver(cfg)
-        result = driver.run(smoke_reads, workdir=tmp_path)
-        jf = driver.last_timings.jellyfish
+        result = ParallelTrinityDriver(cfg).run(smoke_reads, workdir=tmp_path)
+        jf = next(c for c in result.children if c.stage == "mpi_jellyfish")
         # The front end really ran under mpirun: per-rank results with a
         # virtual makespan, not a serial call on the driver thread.
         assert len(jf.outputs) == 3

@@ -21,10 +21,10 @@ def serial(smoke_reads):
 
 @pytest.fixture(scope="module", params=[1, 2, 3, 5])
 def parallel(request, smoke_reads):
-    driver = ParallelTrinityDriver(
+    result = ParallelTrinityDriver(
         ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=request.param, nthreads=4)
-    )
-    return driver.run(smoke_reads), driver.last_timings
+    ).run(smoke_reads)
+    return result, {child.stage: child for child in result.children}
 
 
 class TestEquivalence:
@@ -55,14 +55,14 @@ class TestEquivalence:
 
     def test_virtual_times_recorded(self, parallel):
         _par, timings = parallel
-        assert timings.gff.makespan > 0
-        assert timings.rtt.makespan > 0
-        assert timings.bowtie.makespan > 0
+        assert timings["mpi_graph_from_fasta"].makespan > 0
+        assert timings["mpi_reads_to_transcripts"].makespan > 0
+        assert timings["mpi_bowtie"].makespan > 0
 
     def test_rank_returns_consistent(self, parallel):
         par, timings = parallel
         # Every rank returns identical pooled results.
-        first = timings.gff.outputs[0]
-        for r in timings.gff.outputs[1:]:
+        first = timings["mpi_graph_from_fasta"].outputs[0]
+        for r in timings["mpi_graph_from_fasta"].outputs[1:]:
             assert r.pairs == first.pairs
             assert r.components == first.components

@@ -2,8 +2,11 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.obs.metrics import GLOBAL_METRICS
+from repro.parallel.driver import STAGE_TABLE, _with_upstream
 
 
 class TestProfileCli:
@@ -43,6 +46,27 @@ class TestProfileCli:
         assert "critical path of" in out
         assert "inchworm:" in out  # the stage's own region labels
         assert "rank   0 |" in out
+
+    @pytest.mark.parametrize("row", STAGE_TABLE, ids=lambda row: row.key)
+    def test_every_driver_stage_profiles(self, capsys, row):
+        """--stage walks the driver's table: exactly the target and its
+        upstream stages run, and the target's own region labels show up."""
+        def runs():
+            return {r.key: GLOBAL_METRICS.get(f"mpirun.{r.fn.__name__}.runs")
+                    for r in STAGE_TABLE}
+
+        before = runs()
+        rc = main(
+            ["profile", "--stage", row.key, "--nprocs", "3", "--nthreads", "2",
+             "--recipe", "smoke", "--strategy", "dynamic"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert f"critical path of {row.fn.__name__!r}" in out
+        assert f"{row.fn.stage_spec.name.split('-')[0]}:" in out  # region labels
+        assert "rank   2 |" in out  # the Gantt rows
+        ran = {key for key, n in runs().items() if n > before[key]}
+        assert ran == _with_upstream(row.key)
 
     def test_profile_feeds_global_metrics(self, capsys):
         before = GLOBAL_METRICS.get("mpirun.mpi_graph_from_fasta.runs")

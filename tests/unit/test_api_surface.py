@@ -5,7 +5,9 @@ import importlib
 import pytest
 
 import repro
+import repro.parallel  # registers every shipped stage
 from repro import errors
+from repro.parallel.stage import STAGES
 
 
 class TestTopLevel:
@@ -40,75 +42,34 @@ def test_all_exports_resolve(package):
 
 
 class TestStageSpecs:
-    def test_mpi_jellyfish_spec_well_formed(self):
-        """The newest front-end stage carries a complete StageSpec."""
+    @pytest.mark.parametrize("name", sorted(STAGES))
+    def test_spec_well_formed(self, name):
+        """Every registered stage carries a complete, exported StageSpec."""
         from dataclasses import is_dataclass
 
-        from repro.parallel import (
-            JellyfishInputs,
-            JellyfishOutputs,
-            JellyfishStageConfig,
-            mpi_jellyfish,
-        )
-        from repro.parallel.stage import STAGES
-
-        spec = STAGES["jellyfish"]
-        assert spec.fn is mpi_jellyfish
-        assert mpi_jellyfish.stage_spec is spec
-        assert spec.inputs_type is JellyfishInputs
-        assert spec.config_type is JellyfishStageConfig
-        assert spec.outputs_type is JellyfishOutputs
-        for bundle in (JellyfishInputs, JellyfishStageConfig, JellyfishOutputs):
+        spec = STAGES[name]
+        assert spec.name == name
+        assert spec.fn.stage_spec is spec
+        module = importlib.import_module(spec.fn.__module__)
+        for bundle in (spec.inputs_type, spec.config_type, spec.outputs_type):
             assert is_dataclass(bundle)
             assert bundle.__doc__
+            assert getattr(module, bundle.__name__) is bundle
 
-    def test_mpi_chrysalis_backend_spec_well_formed(self):
-        """The fused back-end stage carries a complete StageSpec."""
-        from dataclasses import is_dataclass
+    def test_no_orphan_stages(self):
+        """Every registered stage is a row of the driver's table or a named
+        variant of one — a stage the driver dropped cannot linger."""
+        from repro.parallel.driver import STAGE_TABLE
 
-        from repro.parallel import (
-            ChrysalisBackendInputs,
-            ChrysalisBackendOutputs,
-            ChrysalisBackendStageConfig,
-            mpi_chrysalis_backend,
-        )
-        from repro.parallel.stage import STAGES
-
-        spec = STAGES["chrysalis-backend"]
-        assert spec.fn is mpi_chrysalis_backend
-        assert mpi_chrysalis_backend.stage_spec is spec
-        assert spec.inputs_type is ChrysalisBackendInputs
-        assert spec.config_type is ChrysalisBackendStageConfig
-        assert spec.outputs_type is ChrysalisBackendOutputs
-        for bundle in (
-            ChrysalisBackendInputs,
-            ChrysalisBackendStageConfig,
-            ChrysalisBackendOutputs,
-        ):
-            assert is_dataclass(bundle)
-            assert bundle.__doc__
-
-    def test_mpi_inchworm_spec_well_formed(self):
-        """The distributed Inchworm stage carries a complete StageSpec."""
-        from dataclasses import is_dataclass
-
-        from repro.parallel import (
-            InchwormInputs,
-            InchwormOutputs,
-            InchwormStageConfig,
-            mpi_inchworm,
-        )
-        from repro.parallel.stage import STAGES
-
-        spec = STAGES["inchworm"]
-        assert spec.fn is mpi_inchworm
-        assert mpi_inchworm.stage_spec is spec
-        assert spec.inputs_type is InchwormInputs
-        assert spec.config_type is InchwormStageConfig
-        assert spec.outputs_type is InchwormOutputs
-        for bundle in (InchwormInputs, InchwormStageConfig, InchwormOutputs):
-            assert is_dataclass(bundle)
-            assert bundle.__doc__
+        rows = {row.fn.stage_spec.name for row in STAGE_TABLE}
+        variants = {"rtt-striped", "rtt-master-slave", "gff-sharded-setup"}
+        assert len(rows) == len(STAGE_TABLE) == 6
+        assert rows | variants == set(STAGES)
+        assert all(v.split("-")[0] in rows for v in variants)
+        for row in STAGE_TABLE:  # the pipeline's stages are package exports
+            spec = row.fn.stage_spec
+            for obj in (spec.fn, spec.inputs_type, spec.config_type, spec.outputs_type):
+                assert getattr(repro.parallel, obj.__name__) is obj
 
 
 class TestErrorHierarchy:

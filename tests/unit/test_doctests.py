@@ -8,14 +8,12 @@ import repro.seq.kmers
 import repro.seq.alphabet
 import repro.seq.stats
 import repro.util.fmt
-import repro.util.timing
 
 MODULES = [
     repro.seq.kmers,
     repro.seq.alphabet,
     repro.seq.stats,
     repro.util.fmt,
-    repro.util.timing,
 ]
 
 

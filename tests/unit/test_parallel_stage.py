@@ -36,9 +36,9 @@ class _Outputs:
 
 class TestRegistry:
     def test_all_shipped_stages_registered(self):
+        assert "butterfly" not in STAGES  # walk-only is an input of chrysalis-backend
         assert set(STAGES) >= {
             "bowtie",
-            "butterfly",
             "chrysalis-backend",
             "gff",
             "gff-sharded-setup",
@@ -68,9 +68,15 @@ class TestRegistry:
         # Every stage must accept config=None (the decorator enforces the
         # default at registration; this exercises one body end to end).
         from repro.mpi import mpirun
-        from repro.parallel.mpi_butterfly import ButterflyInputs, mpi_butterfly
+        from repro.parallel.mpi_chrysalis_backend import (
+            ChrysalisBackendInputs,
+            mpi_chrysalis_backend,
+        )
 
-        run = mpirun(mpi_butterfly, 2, ButterflyInputs(graphs={}))
+        empty = ChrysalisBackendInputs(
+            contigs=(), reads=(), components=(), assignments=()
+        )
+        run = mpirun(mpi_chrysalis_backend, 2, empty)
         assert run.outputs[0].transcripts == []
 
 

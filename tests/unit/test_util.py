@@ -1,12 +1,9 @@
-"""Unit tests for repro.util (rng, timing, formatting)."""
-
-import time
+"""Unit tests for repro.util (rng, formatting)."""
 
 import pytest
 
 from repro.util.fmt import format_series, format_table, human_time, render_mapping
 from repro.util.rng import derive_seed, spawn_rng
-from repro.util.timing import StageTimer, Timer
 
 
 class TestRng:
@@ -33,40 +30,6 @@ class TestRng:
 
     def test_spawn_rng_reproducible(self):
         assert (spawn_rng(7, "z").random(4) == spawn_rng(7, "z").random(4)).all()
-
-
-class TestTimers:
-    def test_timer_measures(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.005
-
-    def test_stage_timer_total(self):
-        st = StageTimer()
-        with st.stage("a"):
-            pass
-        with st.stage("a"):
-            pass
-        assert len(st.records) == 2
-        assert st.total("a") >= 0
-
-    def test_stage_timer_names_in_order(self):
-        st = StageTimer()
-        with st.stage("b"):
-            pass
-        with st.stage("a"):
-            pass
-        assert st.names() == ["b", "a"]
-
-    def test_double_start_rejected(self):
-        st = StageTimer()
-        st.start("x")
-        with pytest.raises(ValueError):
-            st.start("x")
-
-    def test_stop_unstarted_rejected(self):
-        with pytest.raises(ValueError):
-            StageTimer().stop("nope")
 
 
 class TestFmt:

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.seq.kmers import kmer_array, revcomp_codes
 from repro.openmp.schedule import dynamic_makespan
-from repro.trinity.bowtie import BowtieConfig, BowtieIndex, align_read
+from repro.trinity.bowtie import BowtieConfig, BowtieIndex, align_reads
 from repro.trinity.inchworm import InchwormConfig, inchworm_assemble
 from repro.trinity.jellyfish import jellyfish_count
 from repro.util.rng import spawn_rng
@@ -52,11 +52,7 @@ def test_bench_bowtie_align(benchmark, bench_reads):
     contigs = inchworm_assemble(counts, InchwormConfig(seed=0))
     index = BowtieIndex(contigs, BowtieConfig())
     reads = bench_reads[:200]
-
-    def align_batch():
-        return [align_read(r, index) for r in reads]
-
-    records = benchmark(align_batch)
+    records = benchmark(align_reads, reads, index)
     assert len(records) == 200
 
 

@@ -307,6 +307,11 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
         lambda chain: BowtieInputs(reads=chain.reads, contigs=chain.contigs),
         lambda cfg, wd: cfg.bowtie_stage(workdir=wd),
         upstream=("inchworm",), file_key="bowtie_sam",
+        # The piece indexes' real sizes (absent from a checkpoint an older
+        # version wrote).
+        ram_bytes=lambda chain: sum(
+            rank.metrics.get("index_bytes", 0.0) for rank in chain.runs["bowtie"].outputs
+        ),
     ),
     StageRow(
         "gff", mpi_graph_from_fasta, "chrysalis.graph_from_fasta[mpi]",

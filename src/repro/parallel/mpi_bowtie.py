@@ -8,10 +8,30 @@ merged into a single file at the end of the job."
 
 No aligner source changes are needed (that was the point of the paper's
 approach): each rank builds a :class:`BowtieIndex` over its piece and
-aligns *all* reads against it.  The per-read, per-orientation bests are
-then reduced across pieces with the serial aligner's exact tie-break, so
-the merged SAM is record-for-record identical to a single-index run — a
-tested invariant.
+probes all reads' seeds against it with the serial aligner's own
+:func:`align_seeds`.  The per-read, per-orientation bests are then
+reduced across pieces with the serial aligner's exact tie-break
+(:meth:`BestHits.best`), so the merged SAM is record-for-record
+identical to a single-index run — a tested invariant.
+
+**What is shared.**  The read side of the alignment (:class:`ReadSeeds`:
+both orientations' bytes and seed codes) depends on no target piece, so
+every real rank would build the identical table from the read file.  It
+is built once per ``mpirun`` through ``comm.shared("bowtie:read_seeds")``
+and charged to every rank's clock at its single-rank cost, inside
+``bowtie:align`` but outside the rank's own timed window — the
+accounting ``gff:setup`` uses.  Only the piece index and the probe are
+per-rank work, which is what makes a rank's align time fall with its
+piece (Figure 10).
+
+**Wire format.**  Each rank sends the master one record array in the
+one ``gather`` of ``bowtie:merge``: a ``(row, contig, pos, mm)`` record
+per read orientation that has a hit in the piece, contig indices global,
+every field the narrowest unsigned type that holds its bound (twice the
+read count, the contig count, the longest contig, ``max_mismatches`` —
+the same on every rank; 6 bytes a record for a few thousand reads on a
+few hundred contigs).  The master concatenates the arrays, takes each
+row's lexicographic minimum and builds every :class:`SamRecord` once.
 
 The PyFasta split is single-threaded and runs on the master before the
 parallel phase; its serial cost is what flattens the total-time curve in
@@ -23,7 +43,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
@@ -31,17 +53,17 @@ from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
 from repro.seq.pyfasta import plan_split
 from repro.seq.records import Contig, SeqRecord
-from repro.seq.sam import SamRecord, write_sam
+from repro.seq.sam import SamRecord, sam_header, write_sam
 from repro.trinity.bowtie import (
+    BestHits,
     BowtieConfig,
     BowtieIndex,
-    align_read_detail,
-    resolve_orientation,
+    ReadSeeds,
+    align_seeds,
+    sam_records,
 )
 
 PathLike = Union[str, Path]
-
-_Best = Optional[Tuple[int, int, int]]  # (contig idx, pos, mismatches)
 
 
 @dataclass(frozen=True)
@@ -100,17 +122,19 @@ def mpi_bowtie(
             comm.clock.advance(split_time, label="bowtie:pyfasta_split")
         pieces = comm.bcast(pieces, root=0)
 
-    # -- per-rank: build index over my piece, align all reads ---------------
+    # -- per-rank: build index over my piece, probe all reads' seeds ---------
     # Thread CPU time: all ranks align concurrently, so wall time here
     # would grow with nprocs through GIL contention.
-    my_globals: List[int] = pieces[comm.rank]
+    my_globals = np.asarray(pieces[comm.rank], dtype=np.int32)
+    names = [c.name for c in contigs]
     with comm.region("bowtie:align", piece_contigs=len(my_globals), reads=len(reads)):
+        read_seeds = comm.shared(
+            "bowtie:read_seeds", lambda: ReadSeeds.build(reads, cfg)
+        )
         t0 = time.thread_time()
-        index = BowtieIndex([contigs[g] for g in my_globals], cfg)
-        bests: List[Tuple[_Best, _Best]] = []
-        for read in reads:
-            fwd, rev = align_read_detail(read, index)
-            bests.append((_to_global(fwd, my_globals), _to_global(rev, my_globals)))
+        index = BowtieIndex([contigs[g] for g in my_globals.tolist()], cfg)
+        local = align_seeds(read_seeds, index)
+        hits = BestHits(local.rows, my_globals[local.contig], local.pos, local.mm)
         align_time = time.thread_time() - t0
         comm.clock.advance(align_time, label="bowtie:align")
 
@@ -119,10 +143,7 @@ def mpi_bowtie(
         wd = Path(workdir)
         wd.mkdir(parents=True, exist_ok=True)
         part_path = wd / f"bowtie.part{comm.rank}.sam"
-        part_records = [
-            resolve_orientation(read, fwd, rev, lambda g: contigs[g].name)
-            for read, (fwd, rev) in zip(reads, bests)
-        ]
+        part_records = sam_records(reads, hits, names)
         with_retry(
             comm, "bowtie:write_part", lambda: write_sam(part_path, part_records)
         )
@@ -132,21 +153,16 @@ def mpi_bowtie(
     merged: Optional[List[SamRecord]] = None
     final_sam: Optional[Path] = None
     with comm.region("bowtie:merge", serial=True):
-        pooled = comm.gather(bests, root=0)
+        pooled = comm.gather(_to_wire(hits, inputs, cfg), root=0)
         if comm.rank == 0:
             t0 = time.perf_counter()
-            merged = []
-            for ridx, read in enumerate(reads):
-                fwd = _min_best(p[ridx][0] for p in pooled)
-                rev = _min_best(p[ridx][1] for p in pooled)
-                merged.append(
-                    resolve_orientation(read, fwd, rev, lambda g: contigs[g].name)
-                )
+            table = np.concatenate(pooled)
+            merged = sam_records(
+                reads, BestHits.best(*(table[f] for f in _WIRE_FIELDS)), names
+            )
             merge_time = time.perf_counter() - t0
             comm.clock.advance(merge_time, label="bowtie:merge")
             if workdir is not None:
-                from repro.seq.sam import sam_header
-
                 final_sam = Path(workdir) / "bowtie.sam"
                 header = sam_header([(c.name, len(c.seq)) for c in contigs])
                 with_retry(
@@ -166,25 +182,31 @@ def mpi_bowtie(
             "align_time": align_time,
             "merge_time": merge_time,
             "n_records": float(len(merged)),
+            # This piece's share of the work (sums over ranks to the
+            # single-index counts) and of the index memory.
+            "n_seed_hits": float(local.n_seed_hits),
+            "n_verified": float(local.n_verified),
+            "index_bytes": float(index.memory_bytes()),
         },
         rank=comm.rank,
     )
 
 
-def _to_global(best: _Best, my_globals: Sequence[int]) -> _Best:
-    """Rewrite a piece-local best to global contig indices."""
-    if best is None:
-        return None
-    cidx, pos, mm = best
-    return (my_globals[cidx], pos, mm)
+_WIRE_FIELDS = ("rows", "contig", "pos", "mm")
 
 
-def _min_best(cands) -> _Best:
-    """Serial tie-break across pieces: min (mismatches, contig, pos)."""
-    best: _Best = None
-    for cand in cands:
-        if cand is None:
-            continue
-        if best is None or (cand[2], cand[0], cand[1]) < (best[2], best[0], best[1]):
-            best = cand
-    return best
+def _to_wire(hits: BestHits, inputs: BowtieInputs, cfg: BowtieConfig) -> np.ndarray:
+    """``hits`` as one record array, each field as narrow as its bound."""
+    bounds = (
+        2 * len(inputs.reads),
+        len(inputs.contigs),
+        max((len(c.seq) for c in inputs.contigs), default=0),
+        cfg.max_mismatches,
+    )
+    table = np.empty(
+        hits.rows.size,
+        dtype=[(f, np.min_scalar_type(b)) for f, b in zip(_WIRE_FIELDS, bounds)],
+    )
+    for f in _WIRE_FIELDS:
+        table[f] = getattr(hits, f)
+    return table

@@ -2,7 +2,8 @@
 
 Every hot stage of the reproduction keys work off a packed-k-mer table —
 Jellyfish counts them, Inchworm extends over them, GraphFromFasta welds
-on them, ReadsToTranscripts assigns reads through them.  Before this
+on them, ReadsToTranscripts assigns reads through them, Bowtie seeds its
+alignments on them.  Before this
 module each stage carried its own ``Dict[int, int]``, probed one Python
 lookup per k-mer position.  Here the table is one subsystem: an immutable
 pair of parallel numpy arrays — ``codes`` (sorted unique ``uint64``
@@ -21,6 +22,11 @@ Two payload interpretations cover every consumer:
     code -> abundance (Jellyfish / DSK / Inchworm).
 :class:`KmerMap`
     code -> component id, smallest id winning ties (ReadsToTranscripts).
+
+One consumer keeps the idiom but not the class: a seed occurs at many
+contig positions, so :class:`repro.trinity.bowtie.BowtieIndex` holds
+sorted codes *with* duplicates beside parallel ``(contig, pos)`` arrays
+and brackets each code's run with a ``searchsorted`` left/right pair.
 """
 
 from __future__ import annotations

@@ -94,6 +94,38 @@ def _pack_windows(codes: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     return vals, wbad == 0
 
 
+def clean_window_runs(codes: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The clean length-k windows of encoded bases, run-length encoded.
+
+    Returns ``(run_starts, before)``: the maximal runs of ACGT begin at
+    ``run_starts`` (ascending), and run ``j`` holds clean windows number
+    ``before[j] .. before[j + 1] - 1`` of the whole array, one per base
+    from its first.  Costs O(non-ACGT bases) memory where a per-window
+    mask costs O(bases): for callers that pick a few windows per
+    sequence out of a large batch.
+    """
+    edges = np.concatenate(([-1], np.flatnonzero(codes == 255), [codes.size]))
+    run_starts = edges[:-1] + 1
+    windows = np.maximum(edges[1:] - run_starts - (k - 1), 0)
+    return run_starts, np.concatenate(([0], np.cumsum(windows)))
+
+
+def pack_windows_at(codes: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
+    """Pack only the length-k windows of encoded bases beginning at ``starts``.
+
+    For callers that use a few windows per sequence (Bowtie probes
+    ``n_seed_offsets`` seeds of a read's ``L - k + 1``): k passes over
+    ``starts.size`` values instead of :func:`_pack_windows`' passes over
+    every base.  Every selected window must be clean (:func:`clean_window_runs`).
+    """
+    _check_k(k)
+    starts = np.asarray(starts, dtype=np.intp)
+    vals = np.zeros(starts.size, dtype=np.uint64)
+    for j in range(k):
+        vals = (vals << np.uint64(2)) | codes[starts + j]
+    return vals
+
+
 def kmer_array(seq: str, k: int) -> np.ndarray:
     """All k-mer codes of ``seq``, in order, as a uint64 array.
 
@@ -109,19 +141,20 @@ def kmer_array(seq: str, k: int) -> np.ndarray:
     return vals[window_ok]
 
 
-def kmer_arrays_batch(
+def kmer_windows_batch(
     seqs: Sequence[str], k: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All k-mer codes of many sequences in one vectorised pass.
 
-    Returns ``(codes, seq_ids, positions)``: the concatenation of every
+    Returns ``(codes, seq_ids, starts)``: the concatenation of every
     sequence's :func:`kmer_array` (same codes, same order), the index of
-    the sequence each code came from, and each code's position within its
-    sequence's own valid-window enumeration.  Equivalent to calling
-    :func:`kmer_array` per sequence but ~100x cheaper for chunks of short
-    reads, because the encode + window pack runs once over the joined
-    text (reads separated by ``N``, which invalidates the windows that
-    would otherwise span a boundary).
+    the sequence each code came from, and the window's start base within
+    that sequence (its coordinate, whether or not earlier windows were
+    dropped for an ``N``).  Equivalent to calling :func:`kmer_array` per
+    sequence but ~100x cheaper for chunks of short reads, because the
+    encode + window pack runs once over the joined text (reads separated
+    by ``N``, which invalidates the windows that would otherwise span a
+    boundary).
     """
     _check_k(k)
     empty = (
@@ -141,15 +174,26 @@ def kmer_arrays_batch(
     # A valid window never crosses a separator, so the sequence owning a
     # window is determined by its start offset in the joined text.
     lens = np.fromiter((len(s) for s in seqs), dtype=np.int64, count=len(seqs))
-    starts = np.concatenate(([0], np.cumsum(lens[:-1] + 1)))
-    seq_ids = np.searchsorted(starts, w_idx, side="right") - 1
-    # Rank each window among its own sequence's valid windows (the same
-    # enumeration per-sequence kmer_array yields after dropping invalid
-    # windows): arange minus each segment's first index.
+    first = np.concatenate(([0], np.cumsum(lens[:-1] + 1)))
+    seq_ids = np.searchsorted(first, w_idx, side="right") - 1
+    return vals[w_idx], seq_ids, w_idx - first[seq_ids]
+
+
+def kmer_arrays_batch(
+    seqs: Sequence[str], k: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`kmer_windows_batch` with each code's *rank* among its own
+    sequence's valid windows (the enumeration per-sequence
+    :func:`kmer_array` yields after dropping invalid windows) in place of
+    its start base."""
+    codes, seq_ids, starts = kmer_windows_batch(seqs, k)
+    if codes.size == 0:
+        return codes, seq_ids, starts
+    # arange minus each segment's first index.
     seg = np.flatnonzero(np.concatenate(([True], seq_ids[1:] != seq_ids[:-1])))
-    seg_len = np.diff(np.concatenate((seg, [w_idx.size])))
-    positions = np.arange(w_idx.size, dtype=np.int64) - np.repeat(seg, seg_len)
-    return vals[w_idx], seq_ids, positions
+    seg_len = np.diff(np.concatenate((seg, [codes.size])))
+    positions = np.arange(codes.size, dtype=np.int64) - np.repeat(seg, seg_len)
+    return codes, seq_ids, positions
 
 
 def revcomp_codes(codes: np.ndarray, k: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""A Bowtie-like seed-and-extend short-read aligner.
+"""A Bowtie-like seed-and-extend short-read aligner, batched.
 
 Trinity uses Bowtie (a third-party tool) to align the input reads to the
 Inchworm contigs; read pairs whose mates land on the single ends of two
@@ -7,11 +7,37 @@ SS:III.A).  This module provides the same interface surface: build an
 index over a contig FASTA, align reads to SAM, and extract scaffold pairs
 from the SAM output.
 
-Substitution note: real Bowtie is an FM-index aligner; a hashed seed-and-
-extend aligner has the same inputs, outputs and accuracy regime at our
-error rates, and — crucially for the reproduction — the same *parallel
+Substitution note: real Bowtie is an FM-index aligner; a seed-and-extend
+aligner has the same inputs, outputs and accuracy regime at our error
+rates, and — crucially for the reproduction — the same *parallel
 structure*: per-target-piece indexes can be built and queried
 independently, which is what the paper's PyFasta split exploits.
+
+The aligner works on whole batches of reads, and is cut where the MPI
+Bowtie cuts it (merAligner's separation: seeds extracted once, looked up
+in aggregated batches against a partitioned seed index):
+
+:class:`ReadSeeds`
+    The read side, independent of any index: both orientations' bytes
+    and, per orientation, the ``n_seed_offsets`` seed codes with their
+    read offsets.  Only the selected windows are packed.
+:class:`BowtieIndex`
+    The target side: every seed window of the contigs as sorted parallel
+    arrays (seed code, contig index, position) plus the contigs as one
+    byte text — the sorted-array idiom of :mod:`repro.seq.kmer_index`,
+    with duplicate codes kept (a seed may occur at many positions).
+:func:`align_seeds`
+    Probes all seeds with one ``searchsorted`` pair, expands the
+    candidates, bounds-filters, dedups ``(read, contig, start)``, counts
+    mismatches in flat compares + ``reduceat`` and keeps, per read and
+    orientation, the minimum by ``(mismatches, contig, start)``.
+:class:`BestHits`
+    Those minima, rows with a hit only.  :meth:`BestHits.best` is also
+    the reduction across target pieces, and :func:`sam_records` applies
+    the orientation rule (forward preferred on equal mismatches).
+
+Seed coordinates are window *starts* on both sides, so an ``N`` — which
+drops the windows covering it — shifts no other seed.
 """
 
 from __future__ import annotations
@@ -22,10 +48,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import PipelineError
-from repro.seq.alphabet import reverse_complement
-from repro.seq.kmers import kmer_array
+from repro.seq.alphabet import ASCII_TO_CODE, reverse_complement
+from repro.seq.kmers import clean_window_runs, kmer_windows_batch, pack_windows_at
 from repro.seq.records import Contig, SeqRecord
 from repro.seq.sam import FLAG_REVERSE, FLAG_UNMAPPED, SamRecord, sam_header
+
+#: Bases compared per flat mismatch pass.  Bounds the transient index
+#: arrays of :func:`_hamming_distances` (~17 bytes per base) however many
+#: candidates a batch expands to and however many rank threads verify at
+#: the same time.
+_VERIFY_BASES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -45,131 +77,266 @@ class BowtieConfig:
 
 
 class BowtieIndex:
-    """Hashed seed index over a set of target contigs."""
+    """Sorted-array seed index over a set of target contigs.
+
+    ``seed_codes`` (sorted, duplicates kept), ``seed_contig`` and
+    ``seed_pos`` are parallel: one entry per clean seed window, equal
+    codes in ``(contig, pos)`` order.  Contig ``i`` is
+    ``text[offsets[i] : offsets[i] + lengths[i]]``.
+    """
 
     def __init__(self, contigs: Sequence[Contig], cfg: Optional[BowtieConfig] = None):
         self.cfg = cfg or BowtieConfig()
         self.contigs = list(contigs)
-        self._seeds: Dict[int, List[Tuple[int, int]]] = {}
-        self._build()
+        seqs = [c.seq for c in self.contigs]
+        self.lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+        self.offsets = np.cumsum(self.lengths) - self.lengths
+        self.text = np.frombuffer("".join(seqs).encode(), dtype=np.uint8)
+        codes, contig, pos = kmer_windows_batch(seqs, self.cfg.seed_len)
+        order = np.argsort(codes, kind="stable")
+        self.seed_codes = codes[order]
+        self.seed_contig = contig[order].astype(np.int32)
+        self.seed_pos = pos[order].astype(np.int32)
 
-    def _build(self) -> None:
-        s = self.cfg.seed_len
-        for cidx, contig in enumerate(self.contigs):
-            arr = kmer_array(contig.seq, s)
-            for pos, code in enumerate(arr.tolist()):
-                self._seeds.setdefault(code, []).append((cidx, pos))
-
-    @property
-    def n_seeds(self) -> int:
-        return len(self._seeds)
-
-    def candidates(self, seed_code: int) -> List[Tuple[int, int]]:
-        return self._seeds.get(seed_code, [])
+    def memory_bytes(self) -> int:
+        """Actual backing-store size (seed arrays + contig text)."""
+        arrays = (
+            self.seed_codes, self.seed_contig, self.seed_pos,
+            self.text, self.offsets, self.lengths,
+        )
+        return int(sum(a.nbytes for a in arrays))
 
     def header(self) -> List[str]:
         return sam_header([(c.name, len(c.seq)) for c in self.contigs])
 
 
-def _mismatches(a: str, b: str, limit: int) -> int:
-    """Hamming distance with early exit once past ``limit``."""
-    mm = 0
-    for x, y in zip(a, b):
-        if x != y:
-            mm += 1
-            if mm > limit:
-                return mm
+@dataclass(frozen=True)
+class ReadSeeds:
+    """The read side of a batch alignment; depends on no index.
+
+    Row ``o * n_reads + i`` is read ``i`` in orientation ``o`` (0 forward,
+    1 reverse complement): ``text[starts[row] : starts[row] + lengths[row]]``.
+    ``seed_codes``/``seed_rows``/``seed_offsets`` are parallel: a row's
+    seeds are its clean windows at ranks
+    ``np.linspace(0, n - 1, min(n_seed_offsets, n)).astype(int)`` among
+    its ``n`` clean windows, and ``seed_offsets`` their start bases in
+    the row.
+    """
+
+    n_reads: int
+    seed_len: int
+    text: np.ndarray  # uint8: the forward reads, then their reverse complements
+    starts: np.ndarray  # int64, per row
+    lengths: np.ndarray  # int64, per row
+    seed_codes: np.ndarray  # uint64
+    seed_rows: np.ndarray  # int32
+    seed_offsets: np.ndarray  # int32
+
+    @classmethod
+    def build(cls, reads: Sequence[SeqRecord], cfg: BowtieConfig) -> "ReadSeeds":
+        s = cfg.seed_len
+        seqs = [r.seq for r in reads]
+        # Rows are joined by ``N`` so that no clean window spans two of
+        # them; the reverse complement of the joined forward text holds
+        # every read's reverse complement, in mirrored order.
+        fwd = "N".join(seqs)
+        text = np.frombuffer(f"{fwd}N{reverse_complement(fwd)}".encode(), dtype=np.uint8)
+        lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+        fwd_starts = np.cumsum(lens + 1) - (lens + 1)
+        starts = np.concatenate((fwd_starts, text.size - fwd_starts - lens))
+        lengths = np.concatenate((lens, lens))
+        codes = ASCII_TO_CODE[text]
+        # Separators bracket every row, so a run of clean windows lies in
+        # one row: a row's windows are numbers first .. first + n_clean - 1.
+        run_starts, before = clean_window_runs(codes, s)
+        first = before[np.searchsorted(run_starts, starts)]
+        n_clean = before[np.searchsorted(run_starts, starts + lengths)] - first
+        seed_rows = [np.empty(0, dtype=np.int64)]
+        seed_at = [np.empty(0, dtype=np.int64)]  # the seeds' start bases in text
+        # One np.linspace per distinct window count (a single one for
+        # equal-length reads without N) keeps its rounding exactly.
+        for n in np.unique(n_clean[n_clean > 0]).tolist():
+            of_n = np.flatnonzero(n_clean == n)
+            ranks = np.linspace(0, n - 1, min(cfg.n_seed_offsets, n)).astype(int)
+            nth = (first[of_n][:, None] + ranks).ravel()
+            run = np.searchsorted(before, nth, side="right") - 1
+            seed_rows.append(np.repeat(of_n, ranks.size))
+            seed_at.append(run_starts[run] + nth - before[run])
+        seed_rows, seed_at = np.concatenate(seed_rows), np.concatenate(seed_at)
+        return cls(
+            n_reads=len(seqs),
+            seed_len=s,
+            text=text,
+            starts=starts,
+            lengths=lengths,
+            seed_codes=pack_windows_at(codes, seed_at, s),
+            seed_rows=seed_rows.astype(np.int32),
+            seed_offsets=(seed_at - starts[seed_rows]).astype(np.int32),
+        )
+
+
+@dataclass(frozen=True)
+class BestHits:
+    """Best alignment of every :class:`ReadSeeds` row that has one.
+
+    Parallel ``int32`` arrays with ``rows`` strictly increasing; a row's
+    entry is its minimum by ``(mm, contig, pos)`` — the serial tie-break.
+    ``n_seed_hits`` counts the index entries that read seeds matched and
+    ``n_verified`` the distinct in-bounds ``(row, contig, start)``
+    candidates compared base by base: the work done, which a split of
+    the target partitions exactly.
+    """
+
+    rows: np.ndarray
+    contig: np.ndarray
+    pos: np.ndarray
+    mm: np.ndarray
+    n_seed_hits: int = 0
+    n_verified: int = 0
+
+    @classmethod
+    def best(
+        cls,
+        rows: np.ndarray,
+        contig: np.ndarray,
+        pos: np.ndarray,
+        mm: np.ndarray,
+        n_seed_hits: int = 0,
+        n_verified: int = 0,
+    ) -> "BestHits":
+        """Reduce alignments (any order, any number per row) to each row's
+        lexicographic minimum ``(mm, contig, pos)``."""
+        order = np.lexsort((pos, contig, mm, rows))
+        by_row = rows[order]
+        leads = np.ones(order.size, dtype=bool)
+        leads[1:] = by_row[1:] != by_row[:-1]
+        lead = order[leads]
+        return cls(
+            *(a[lead].astype(np.int32) for a in (rows, contig, pos, mm)),
+            n_seed_hits=n_seed_hits,
+            n_verified=n_verified,
+        )
+
+
+def _hamming_distances(
+    read_seeds: ReadSeeds,
+    index: BowtieIndex,
+    rows: np.ndarray,
+    contig: np.ndarray,
+    start: np.ndarray,
+) -> np.ndarray:
+    """Hamming distance of each candidate row against its contig window.
+
+    A block of candidates is laid out as one flat run of base pairs —
+    every candidate's read bytes against its contig bytes — compared at
+    once and summed per candidate with ``np.add.reduceat``.
+    """
+    mm = np.empty(rows.size, dtype=np.int32)
+    if rows.size == 0:
+        return mm
+    lengths = read_seeds.lengths[rows]
+    in_read = read_seeds.starts[rows]
+    to_contig = index.offsets[contig] + start - in_read
+    block = max(1, _VERIFY_BASES // int(lengths.max()))
+    for a in range(0, rows.size, block):
+        part = slice(a, a + block)
+        n = lengths[part]
+        seg = np.cumsum(n) - n
+        r_idx = np.repeat(in_read[part] - seg, n) + np.arange(int(n.sum()))
+        differ = read_seeds.text[r_idx] != index.text[r_idx + np.repeat(to_contig[part], n)]
+        mm[part] = np.add.reduceat(differ, seg, dtype=np.int32)
     return mm
 
 
-def _try_align(
-    read_seq: str, index: BowtieIndex, cfg: BowtieConfig
-) -> Optional[Tuple[int, int, int]]:
-    """Best (contig, pos, mismatches) for one orientation, or None."""
-    s = cfg.seed_len
-    if len(read_seq) < s:
-        return None
-    arr = kmer_array(read_seq, s)
-    if arr.size == 0:
-        return None
-    n_offsets = min(cfg.n_seed_offsets, arr.size)
-    offsets = np.linspace(0, arr.size - 1, n_offsets).astype(int)
-    best: Optional[Tuple[int, int, int]] = None
-    seen: set = set()
-    for off in offsets.tolist():
-        for cidx, pos in index.candidates(int(arr[off])):
-            start = pos - off
-            key = (cidx, start)
-            if key in seen:
-                continue
-            seen.add(key)
-            contig_seq = index.contigs[cidx].seq
-            if start < 0 or start + len(read_seq) > len(contig_seq):
-                continue
-            mm = _mismatches(read_seq, contig_seq[start : start + len(read_seq)], cfg.max_mismatches)
-            if mm > cfg.max_mismatches:
-                continue
-            cand = (mm, cidx, start)
-            if best is None or cand < (best[2], best[0], best[1]):
-                best = (cidx, start, mm)
-    return best
+def align_seeds(read_seeds: ReadSeeds, index: BowtieIndex) -> BestHits:
+    """Align every row of ``read_seeds`` against ``index``.
 
-
-def align_read_detail(
-    read: SeqRecord, index: BowtieIndex
-) -> Tuple[Optional[Tuple[int, int, int]], Optional[Tuple[int, int, int]]]:
-    """Per-orientation bests: ``(fwd, rev)``, each ``(contig, pos, mm)``.
-
-    Exposed separately so the MPI Bowtie can merge per-piece bests with
-    exactly the serial tie-break (forward preferred on equal mismatches;
-    then lowest contig index, then position).
+    Per row, the best ``(contig, pos, mm)`` over the candidates its seeds
+    propose, ``mm <= max_mismatches``; contig indices are the index's own.
     """
     cfg = index.cfg
-    fwd = _try_align(read.seq, index, cfg)
-    rev = _try_align(reverse_complement(read.seq), index, cfg)
-    return fwd, rev
-
-
-def resolve_orientation(
-    read: SeqRecord,
-    fwd: Optional[Tuple[int, int, int]],
-    rev: Optional[Tuple[int, int, int]],
-    contig_name: "callable",
-) -> SamRecord:
-    """Build the final SAM record from per-orientation bests.
-
-    ``contig_name(idx)`` maps a contig index (in whatever index space the
-    bests were computed) to its reference name.
-    """
-    choice = None
-    flag = 0
-    seq = read.seq
-    if fwd is not None and (rev is None or fwd[2] <= rev[2]):
-        choice = fwd
-    elif rev is not None:
-        choice = rev
-        flag = FLAG_REVERSE
-        seq = reverse_complement(read.seq)
-    if choice is None:
-        return SamRecord(read.name, FLAG_UNMAPPED, "*", 0, 0, "*", read.seq)
-    cidx, start, mm = choice
-    return SamRecord(
-        qname=read.name,
-        flag=flag,
-        rname=contig_name(cidx),
-        pos=start + 1,  # SAM is 1-based
-        mapq=255,
-        cigar=f"{len(read.seq)}M",
-        seq=seq,
-        nm=mm,
+    if read_seeds.seed_len != cfg.seed_len:
+        raise PipelineError(
+            f"read seeds of length {read_seeds.seed_len} against an index of "
+            f"seed_len {cfg.seed_len}"
+        )
+    # Every index entry under every seed: the code's run [lo, hi).
+    lo = np.searchsorted(index.seed_codes, read_seeds.seed_codes, side="left")
+    counts = np.searchsorted(index.seed_codes, read_seeds.seed_codes, side="right") - lo
+    n_seed_hits = int(counts.sum())
+    seed = np.repeat(np.arange(counts.size), counts)
+    entry = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(n_seed_hits)
+    rows = read_seeds.seed_rows[seed]
+    contig = index.seed_contig[entry]
+    start = index.seed_pos[entry] - read_seeds.seed_offsets[seed]
+    inside = (start >= 0) & (start + read_seeds.lengths[rows] <= index.lengths[contig])
+    rows, contig, start = rows[inside], contig[inside], start[inside]
+    # Seeds of one read mostly propose the same placement: verify it once.
+    order = np.lexsort((start, contig, rows))
+    rows, contig, start = rows[order], contig[order], start[order]
+    distinct = np.ones(rows.size, dtype=bool)
+    distinct[1:] = (
+        (rows[1:] != rows[:-1]) | (contig[1:] != contig[:-1]) | (start[1:] != start[:-1])
+    )
+    rows, contig, start = rows[distinct], contig[distinct], start[distinct]
+    mm = _hamming_distances(read_seeds, index, rows, contig, start)
+    ok = mm <= cfg.max_mismatches
+    return BestHits.best(
+        rows[ok], contig[ok], start[ok], mm[ok],
+        n_seed_hits=n_seed_hits, n_verified=int(rows.size),
     )
 
 
+def sam_records(
+    reads: Sequence[SeqRecord], hits: BestHits, contig_names: Sequence[str]
+) -> List[SamRecord]:
+    """One SAM record per read from per-orientation bests.
+
+    ``hits`` rows index ``reads`` as in :class:`ReadSeeds`;
+    ``contig_names[idx]`` names contig ``idx`` of whatever index space
+    ``hits.contig`` is in.  Forward wins on equal mismatches; a read with
+    no hit in either orientation is unmapped.
+    """
+    n = len(reads)
+    chosen = np.full(n, -1, dtype=np.int64)  # index into hits, -1 = unmapped
+    n_fwd = int(np.searchsorted(hits.rows, n))
+    chosen[hits.rows[n_fwd:] - n] = np.arange(n_fwd, hits.rows.size)
+    fwd_reads = hits.rows[:n_fwd]
+    rev = chosen[fwd_reads]
+    fwd_wins = (rev < 0) | (hits.mm[:n_fwd] <= hits.mm[rev])
+    chosen[fwd_reads[fwd_wins]] = np.flatnonzero(fwd_wins)
+    contig, pos, mm = hits.contig.tolist(), hits.pos.tolist(), hits.mm.tolist()
+    records = []
+    for read, h in zip(reads, chosen.tolist()):
+        if h < 0:
+            records.append(SamRecord(read.name, FLAG_UNMAPPED, "*", 0, 0, "*", read.seq))
+            continue
+        reverse = h >= n_fwd
+        records.append(
+            SamRecord(
+                qname=read.name,
+                flag=FLAG_REVERSE if reverse else 0,
+                rname=contig_names[contig[h]],
+                pos=pos[h] + 1,  # SAM is 1-based
+                mapq=255,
+                cigar=f"{len(read.seq)}M",
+                seq=reverse_complement(read.seq) if reverse else read.seq,
+                nm=mm[h],
+            )
+        )
+    return records
+
+
+def align_reads(reads: Sequence[SeqRecord], index: BowtieIndex) -> List[SamRecord]:
+    """Align a batch of reads against one index."""
+    hits = align_seeds(ReadSeeds.build(reads, index.cfg), index)
+    return sam_records(reads, hits, [c.name for c in index.contigs])
+
+
 def align_read(read: SeqRecord, index: BowtieIndex) -> SamRecord:
-    """Align one read; returns an unmapped record when nothing clears the
-    mismatch budget."""
-    fwd, rev = align_read_detail(read, index)
-    return resolve_orientation(read, fwd, rev, lambda i: index.contigs[i].name)
+    """Align one read (a batch of one); returns an unmapped record when
+    nothing clears the mismatch budget."""
+    return align_reads([read], index)[0]
 
 
 def bowtie_align(
@@ -178,8 +345,7 @@ def bowtie_align(
     cfg: Optional[BowtieConfig] = None,
 ) -> List[SamRecord]:
     """Align all reads against all contigs (single-node Bowtie run)."""
-    index = BowtieIndex(contigs, cfg)
-    return [align_read(r, index) for r in reads]
+    return align_reads(reads, BowtieIndex(contigs, cfg))
 
 
 def scaffold_pairs_from_sam(

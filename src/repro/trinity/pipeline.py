@@ -25,7 +25,7 @@ from repro.obs.result import StageResult
 from repro.seq.fasta import write_fasta
 from repro.seq.records import Contig, SeqRecord, Transcript
 from repro.seq.sam import write_sam
-from repro.trinity.bowtie import BowtieConfig, BowtieIndex, align_read, scaffold_pairs_from_sam
+from repro.trinity.bowtie import BowtieConfig, BowtieIndex, align_reads, scaffold_pairs_from_sam
 from repro.trinity.butterfly import ButterflyConfig, butterfly_assemble
 from repro.trinity.chrysalis.debruijn import DeBruijnGraph, fasta_to_debruijn
 from repro.trinity.chrysalis.graph_from_fasta import (
@@ -231,8 +231,8 @@ class TrinityPipeline:
         if cfg.use_bowtie_scaffolds:
             with monitor.stage("chrysalis.bowtie") as st:
                 index = BowtieIndex(contigs, cfg.bowtie())
-                sams = [align_read(r, index) for r in reads]
-                st.ram_bytes = index.n_seeds * 60
+                sams = align_reads(reads, index)
+                st.ram_bytes = index.memory_bytes()
             if wd is not None:
                 files["bowtie_sam"] = wd / "bowtie.sam"
                 write_sam(files["bowtie_sam"], sams, index.header())

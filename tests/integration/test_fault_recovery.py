@@ -5,10 +5,11 @@ work with no stage-body changes — plus stage-level checkpoint/restart in
 the driver and the fault-sweep experiment/CLI."""
 
 import pickle
+import threading
 
 import pytest
 
-from repro.errors import MpiAbortError, RankCrash
+from repro.errors import CommAbandonedError, MpiAbortError, RankCrash
 from repro.mpi import CrashFault, FaultPlan, mpirun
 from repro.mpi.datatypes import pack_strings
 from repro.obs.metrics import GLOBAL_METRICS
@@ -29,7 +30,7 @@ from repro.parallel.recovery import RecoveryPolicy
 from repro.simdata import get_recipe
 from repro.simdata.reads import flatten_reads
 from repro.trinity import TrinityConfig
-from repro.trinity.bowtie import BowtieConfig
+from repro.trinity.bowtie import BowtieConfig, ReadSeeds
 from repro.trinity.inchworm import inchworm_assemble
 from repro.trinity.jellyfish import jellyfish_count
 
@@ -170,6 +171,40 @@ class TestRttAndBowtieRecovery:
         plan = FaultPlan(crashes=(CrashFault(rank=4, phase="bowtie:align"),))
         rec = mpirun_with_recovery(mpi_bowtie, NPROCS, inputs, config, faults=plan)
         # Re-split over the survivors must yield the identical merged SAM.
+        assert rec.outputs[0].records == base.outputs[0].records
+
+    @pytest.mark.timeout(120)
+    def test_bowtie_crash_of_the_read_seed_owner(self, smoke_reads, contigs, monkeypatch):
+        """The rank building the shared read-seed table dies inside the
+        build.  Its waiters fail too (``CommAbandonedError``), but the
+        abort must name the owner's crash, and the re-split over the
+        survivors must yield the identical merged SAM."""
+        inputs = BowtieInputs(reads=smoke_reads, contigs=contigs)
+        config = BowtieStageConfig(bowtie=BowtieConfig())
+        base = mpirun(mpi_bowtie, NPROCS, inputs, config)
+        build = ReadSeeds.build
+        owners = []
+
+        def crash_first_build(reads, cfg):
+            owners.append(threading.current_thread().name)
+            if len(owners) == 1:
+                raise RankCrash("crashed building the shared read seeds")
+            return build(reads, cfg)
+
+        monkeypatch.setattr(ReadSeeds, "build", crash_first_build)
+        with pytest.raises(MpiAbortError) as abort:
+            mpirun(mpi_bowtie, NPROCS, inputs, config)
+        assert isinstance(abort.value.__cause__, RankCrash)
+        assert owners == [f"simmpi-rank-{abort.value.rank}"]
+        assert len(abort.value.secondaries) == NPROCS - 1
+        assert all(isinstance(s.exc, CommAbandonedError) for s in abort.value.secondaries)
+
+        del owners[:]
+        losses = GLOBAL_METRICS.get("faults.rank_losses")
+        rec = mpirun_with_recovery(mpi_bowtie, NPROCS, inputs, config)
+        assert len(owners) == 2  # the crashed build, then one on the survivors
+        assert GLOBAL_METRICS.get("faults.rank_losses") == losses + 1
+        assert len(rec.outputs) == NPROCS - 1
         assert rec.outputs[0].records == base.outputs[0].records
 
 

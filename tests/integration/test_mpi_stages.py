@@ -15,8 +15,9 @@ from repro.parallel.mpi_reads_to_transcripts import (
     mpi_reads_to_transcripts,
     mpi_reads_to_transcripts_master_slave,
 )
+from repro.seq.records import Contig, SeqRecord
 from repro.seq.sam import read_sam
-from repro.trinity.bowtie import BowtieConfig, bowtie_align
+from repro.trinity.bowtie import BowtieConfig, BowtieIndex, ReadSeeds, align_seeds, bowtie_align
 from repro.trinity.chrysalis.graph_from_fasta import GraphFromFastaConfig, graph_from_fasta
 from repro.trinity.chrysalis.reads_to_transcripts import (
     ReadsToTranscriptsConfig,
@@ -68,6 +69,87 @@ class TestMpiBowtie:
         split_times = [r.split_time for r in run.outputs]
         assert split_times[0] > 0
         assert all(t == 0.0 for t in split_times[1:])
+
+
+    @pytest.mark.parametrize("nprocs", [1, 3, 8])
+    def test_target_split_partitions_the_work(self, smoke_reads, artefacts, nprocs):
+        """Figure 10 as a count: the pieces' seed hits and verified
+        candidates sum to the single-index run's, whatever the split —
+        and so does their merged SAM."""
+        _counts, contigs, _gff = artefacts
+        cfg = BowtieConfig()
+        whole_index = BowtieIndex(contigs, cfg)
+        whole = align_seeds(ReadSeeds.build(smoke_reads, cfg), whole_index)
+        assert whole.n_verified > 0
+        run = mpirun(
+            mpi_bowtie, nprocs,
+            BowtieInputs(reads=smoke_reads, contigs=contigs),
+            BowtieStageConfig(bowtie=cfg),
+        )
+        assert run.outputs[0].records == bowtie_align(smoke_reads, contigs, cfg)
+        for count in ("n_seed_hits", "n_verified"):
+            assert sum(r.metrics[count] for r in run.outputs) == getattr(whole, count)
+        if nprocs == 1:
+            assert run.outputs[0].metrics["index_bytes"] == whole_index.memory_bytes()
+        else:
+            assert max(r.metrics["n_verified"] for r in run.outputs) < whole.n_verified
+
+    @pytest.mark.parametrize("nprocs", [1, 3, 8])
+    def test_more_ranks_than_contigs(self, nprocs, tmp_path):
+        """``plan_split([100, 200, 50], 8)`` leaves five pieces empty."""
+        import random
+
+        rng = random.Random(3)
+        contigs = [
+            Contig(f"c{i}", "".join(rng.choice("ACGT") for _ in range(n)))
+            for i, n in enumerate((100, 200, 50))
+        ]
+        reads = [
+            SeqRecord(f"r{i}", c.seq[a : a + 40])
+            for i, (c, a) in enumerate((c, a) for c in contigs for a in (0, 5, 10))
+        ]
+        serial = bowtie_align(reads, contigs, BowtieConfig())
+        assert not any(r.is_unmapped for r in serial)
+        run = mpirun(
+            mpi_bowtie, nprocs,
+            BowtieInputs(reads=reads, contigs=contigs),
+            BowtieStageConfig(bowtie=BowtieConfig(), workdir=tmp_path),
+        )
+        assert all(r.outputs.records == serial for r in run.outputs)
+        assert list(read_sam(tmp_path / "bowtie.sam")) == serial
+        parts = [list(read_sam(tmp_path / f"bowtie.part{r}.sam")) for r in range(nprocs)]
+        # Every read is mapped by exactly the piece holding its contig.
+        assert [sum(not p[i].is_unmapped for p in parts) for i in range(len(reads))] == [1] * len(reads)
+
+    @pytest.mark.parametrize("nprocs", [1, 3])
+    def test_zero_contigs_and_zero_reads(self, nprocs, artefacts, smoke_reads):
+        _counts, contigs, _gff = artefacts
+        some_reads = smoke_reads[:20]
+        unmapped = mpirun(
+            mpi_bowtie, nprocs, BowtieInputs(reads=some_reads, contigs=[]), BowtieStageConfig()
+        ).outputs[0].records
+        assert unmapped == bowtie_align(some_reads, [], BowtieConfig())
+        assert all(r.is_unmapped for r in unmapped)
+        nothing = mpirun(
+            mpi_bowtie, nprocs, BowtieInputs(reads=[], contigs=contigs), BowtieStageConfig()
+        )
+        assert nothing.outputs[0].records == []
+        assert sum(r.metrics["n_seed_hits"] for r in nothing.outputs) == 0
+
+    def test_read_seeds_built_once_and_charged_to_every_rank(self, smoke_reads, artefacts):
+        _counts, contigs, _gff = artefacts
+        run = mpirun(
+            mpi_bowtie, 4,
+            BowtieInputs(reads=smoke_reads, contigs=contigs),
+            BowtieStageConfig(bowtie=BowtieConfig()),
+            trace=True,
+        )
+        assert sum(c.shared_computes for c in run.comm) == 1
+        assert sum(c.shared_hits for c in run.comm) == 3
+        charges = [
+            s.duration for s in run.spans if s.label == "shared:bowtie:read_seeds"
+        ]
+        assert len(charges) == 4 and len(set(charges)) == 1 and charges[0] > 0
 
 
 class TestMpiGff:

@@ -9,11 +9,13 @@ from repro.seq.sam import FLAG_REVERSE
 from repro.trinity.bowtie import (
     BowtieConfig,
     BowtieIndex,
+    ReadSeeds,
     align_read,
-    align_read_detail,
+    align_seeds,
     bowtie_align,
     scaffold_pairs_from_sam,
 )
+from tests.reference_bowtie import reference_align
 
 C1 = "ATCGGATTACAGTCCGGTTAACGAGCTTGGCATGCATTTGGCCAATGGCAT"
 C2 = "TTGACCGTAGGCTAACCGTTAGGCCTATGCGATCAGGCTTATTACCGGCAG"
@@ -64,14 +66,54 @@ class TestAlignment:
         assert rec.is_unmapped
 
     def test_detail_exposes_orientations(self, index):
-        fwd, rev = align_read_detail(SeqRecord("r", C1[5:35]), index)
-        assert fwd is not None and fwd[2] == 0
-        assert rev is None or rev[2] > 0
+        hits = align_seeds(ReadSeeds.build([SeqRecord("r", C1[5:35])], index.cfg), index)
+        # Row 0 is the forward orientation, row 1 the reverse complement.
+        assert hits.rows.tolist()[0] == 0 and hits.mm.tolist()[0] == 0
+        assert hits.rows.tolist()[1:] in ([], [1]) and all(m > 0 for m in hits.mm.tolist()[1:])
 
     def test_bowtie_align_batch(self):
         reads = [SeqRecord("a", C1[0:30]), SeqRecord("b", C2[0:30])]
         records = bowtie_align(reads, [Contig("c1", C1), Contig("c2", C2)], BowtieConfig(seed_len=12))
         assert [r.rname for r in records] == ["c1", "c2"]
+
+    def test_batch_of_none_and_empty_index(self):
+        assert bowtie_align([], [Contig("c1", C1)], BowtieConfig(seed_len=12)) == []
+        (rec,) = bowtie_align([SeqRecord("a", C1[0:30])], [], BowtieConfig(seed_len=12))
+        assert rec.is_unmapped
+
+    def test_mismatched_seed_length_rejected(self, index):
+        seeds = ReadSeeds.build([SeqRecord("r", C1[5:35])], BowtieConfig(seed_len=10))
+        with pytest.raises(PipelineError):
+            align_seeds(seeds, index)
+
+    def test_work_counters(self, index):
+        hits = align_seeds(ReadSeeds.build([SeqRecord("r", C1[5:35])], index.cfg), index)
+        # Three forward seeds, each found once, all proposing one placement.
+        assert (hits.n_seed_hits, hits.n_verified) == (3, 1)
+
+    def test_memory_bytes_is_the_arrays(self, index):
+        n_windows = sum(len(c) - 12 + 1 for c in (C1, C2))
+        assert index.seed_codes.size == n_windows
+        # 16 bytes per seed entry, one per base, two int64 per contig.
+        assert index.memory_bytes() == 16 * n_windows + len(C1) + len(C2) + 2 * 16
+
+    def test_verification_in_blocks(self, monkeypatch):
+        """Candidates are compared ``_VERIFY_BASES`` bases at a time; the
+        block size must not show in the result."""
+        import random
+
+        import repro.trinity.bowtie as bowtie
+
+        rng = random.Random(5)
+        contig = "".join(rng.choice("ACGT") for _ in range(300))
+        contigs = [Contig("c1", contig), Contig("c2", contig[100:250])]
+        reads = [SeqRecord(f"r{i}", contig[a : a + 30 + i % 7]) for i, a in enumerate(range(0, 260, 9))]
+        cfg = BowtieConfig(seed_len=12)
+        whole = bowtie_align(reads, contigs, cfg)
+        assert whole == reference_align(reads, contigs, cfg)[1]
+        for bases in (1, 100):  # one candidate per block; a few
+            monkeypatch.setattr(bowtie, "_VERIFY_BASES", bases)
+            assert bowtie_align(reads, contigs, cfg) == whole
 
     def test_config_validation(self):
         with pytest.raises(PipelineError):
@@ -83,6 +125,34 @@ class TestAlignment:
         header = index.header()
         assert any("SN:c1" in h for h in header)
         assert any("SN:c2" in h for h in header)
+
+
+class TestSeedCoordinatesUnderN:
+    """An ``N`` drops the seed windows covering it and must shift no other
+    seed: coordinates are window starts, not ranks among clean windows."""
+
+    @pytest.fixture(scope="class")
+    def contig(self):
+        import random
+
+        rng = random.Random(7)
+        return "".join(rng.choice("ACGT") for _ in range(400))
+
+    def _align(self, read_seq, contig_seq):
+        reads, contigs = [SeqRecord("r", read_seq)], [Contig("c", contig_seq)]
+        (rec,) = bowtie_align(reads, contigs, BowtieConfig())
+        assert rec == reference_align(reads, contigs, BowtieConfig())[1][0]
+        return rec
+
+    @pytest.mark.parametrize("n_at", [5, 30])
+    def test_read_with_n_maps_with_one_mismatch(self, contig, n_at):
+        read = contig[100:175]
+        rec = self._align(read[:n_at] + "N" + read[n_at + 1 :], contig)
+        assert (rec.rname, rec.pos, rec.nm) == ("c", 101, 1)
+
+    def test_contig_with_n_upstream_keeps_downstream_reads(self, contig):
+        rec = self._align(contig[100:175], contig[:50] + "N" + contig[51:])
+        assert (rec.rname, rec.pos, rec.nm) == ("c", 101, 0)
 
 
 class TestScaffoldPairs:

@@ -8,19 +8,18 @@ by default — the paper's timing-benchmark dataset):
   ``_best_extension`` per end, 4 canon + 4 binary searches each) versus
   one batched ``probe_extensions`` + ``select_extensions`` call over all
   ``B`` ends.  ``speedup`` at the reference width (``B = 64``) is the
-  number the acceptance criterion tracks: the batched kernel amortises
-  numpy's fixed dispatch cost over the whole window, so it grows with
+  number the acceptance criterion tracks: the batched probe amortises
+  numpy's fixed dispatch cost over the whole lockstep, so it grows with
   ``B``.
 * **end-to-end rows** — host wall-clock of a full assembly under the
-  serial reference loop and under the batched engine at the reference
-  window width.  These are honest numbers, not highlights: the rolling
-  speculative window does ~2.2-2.7x as many extension rows as commit
-  (junk speculative walkers live until the committed walker plows them),
-  so end-to-end the batched engine roughly breaks even with serial while
-  the kernel itself is many times faster.
+  serial reference loop and under the component kernel (one-rank
+  ``mpi_inchworm``: component labelling, one lockstep across all
+  components, keyed merge).  The lockstep is as wide as there are
+  unfinished components and hands the last few long walks to the scalar
+  probe, so the end-to-end gain is bounded by the largest components.
 * **thread rows** — the simulated OpenMP team's virtual makespan and
-  speedup for each requested thread count, the Inchworm analogue of the
-  paper's per-stage scaling figures.
+  speedup for each requested thread count.  A component is indivisible
+  across threads, so the thread holding the giant component is the floor.
 
 Usage (append a labeled entry to the checked-in history)::
 
@@ -37,14 +36,18 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from benchmarks.common import bench_parser
+from repro.mpi import mpirun
+from repro.parallel.mpi_inchworm import (
+    InchwormInputs,
+    InchwormStageConfig,
+    mpi_inchworm,
+)
 from repro.simdata import get_recipe
 from repro.simdata.reads import flatten_reads
 from repro.trinity.inchworm import (
     InchwormConfig,
     _best_extension,
     inchworm_assemble,
-    inchworm_assemble_batched,
-    inchworm_assemble_threaded,
     probe_extensions,
     select_extensions,
 )
@@ -54,9 +57,8 @@ from repro.util.rng import derive_seed
 WORKLOAD = "sugarbeet-mini"
 ASSEMBLY_K = 25
 MIN_KMER_COUNT = 2
-#: Reference window width: the acceptance criterion's "bench reference
-#: size" — speedup of one batched dispatch over this many scalar probes.
-REFERENCE_BATCH = 64
+#: Lockstep widths of the kernel rows; 64 is the acceptance criterion's
+#: "bench reference size".
 KERNEL_BATCHES = (16, 64, 256)
 
 
@@ -82,24 +84,23 @@ def kernel_points(counts, batches=KERNEL_BATCHES, repeat: int = 5) -> List[Dict]
 
     The ends are real k-mers drawn deterministically from the filtered
     table, probed rightward against it — the same lookup mix the
-    engine's lockstep issues.  Each timing loops the dispatch enough to
+    kernel's lockstep issues.  Each timing loops the dispatch enough to
     dominate timer resolution; best-of-``repeat`` shaves host noise.
     """
     filtered = counts.index.filtered(MIN_KMER_COUNT)
     salt = derive_seed(InchwormConfig().seed, "inchworm-ties")
-    mask = (1 << (2 * ASSEMBLY_K)) - 1
     rng = np.random.default_rng(0)
+    used = np.zeros(len(filtered), dtype=bool)  # empty: pure probe cost, no blocking
     points: List[Dict] = []
     for batch in batches:
         ends = rng.choice(filtered.codes, size=batch, replace=False).astype(np.uint64)
         end_list = [int(c) for c in ends.tolist()]
-        used: set = set()  # empty: measure pure probe cost, no blocking
         loops = max(1, 4096 // batch)
 
         def serial_dispatch():
             for _ in range(loops):
                 for c in end_list:
-                    _best_extension(filtered, True, used, c, mask, salt, right=True)
+                    _best_extension(filtered, True, used, c, salt, right=True)
 
         def batched_dispatch():
             for _ in range(loops):
@@ -124,26 +125,33 @@ def kernel_points(counts, batches=KERNEL_BATCHES, repeat: int = 5) -> List[Dict]
     return points
 
 
-def end_to_end_points(counts, repeat: int = 3) -> List[Dict]:
-    """Full-assembly wall clock: serial reference loop vs batched engine."""
-    cfg = InchwormConfig(min_kmer_count=MIN_KMER_COUNT)
-    serial_s = _best_of(lambda: inchworm_assemble(counts, cfg), repeat)
-    batched_s = _best_of(
-        lambda: inchworm_assemble_batched(counts, cfg, batch_size=REFERENCE_BATCH),
-        repeat,
+def one_rank(counts, cfg: InchwormConfig, n_threads: int = 1):
+    """The component kernel as the pipeline runs it: ``mpi_inchworm`` on one rank."""
+    return mpirun(
+        mpi_inchworm, 1, InchwormInputs(counts=counts),
+        InchwormStageConfig(inchworm=cfg, n_threads=n_threads),
     )
+
+
+def end_to_end_points(counts, repeat: int = 3) -> List[Dict]:
+    """Full-assembly wall clock: serial reference loop vs component kernel."""
+    cfg = InchwormConfig(min_kmer_count=MIN_KMER_COUNT)
+    serial = inchworm_assemble(counts, cfg)
+    if one_rank(counts, cfg).outputs[0].outputs.contigs != serial:
+        raise RuntimeError("component kernel diverged from serial inchworm_assemble")
+    serial_s = _best_of(lambda: inchworm_assemble(counts, cfg), repeat)
+    batched_s = _best_of(lambda: one_rank(counts, cfg), repeat)
     points = [
         {"mode": "end_to_end_serial", "wall_s": round(serial_s, 3)},
         {
             "mode": "end_to_end_batched",
-            "batch": REFERENCE_BATCH,
             "wall_s": round(batched_s, 3),
             "speedup": round(serial_s / batched_s, 2),
         },
     ]
     print(
-        f"end-to-end  serial={serial_s:6.3f}s  batched(B={REFERENCE_BATCH})="
-        f"{batched_s:6.3f}s  speedup={serial_s / batched_s:4.2f}x"
+        f"end-to-end  serial={serial_s:6.3f}s  component-kernel={batched_s:6.3f}s  "
+        f"speedup={serial_s / batched_s:4.2f}x"
     )
     return points
 
@@ -153,22 +161,21 @@ def thread_points(counts, thread_counts=(1, 2, 4, 8)) -> List[Dict]:
     cfg = InchwormConfig(min_kmer_count=MIN_KMER_COUNT)
     points: List[Dict] = []
     for t in thread_counts:
-        res = inchworm_assemble_threaded(
-            counts, cfg, n_threads=t, batch_size=REFERENCE_BATCH
-        )
+        rank = one_rank(counts, cfg, n_threads=t).outputs[0]
+        makespan = rank.metrics["team_makespan_s"]
+        speedup = rank.metrics["team_serial_s"] / makespan if makespan > 0 else 1.0
         points.append(
             {
                 "mode": "threads",
                 "n_threads": t,
-                "batch": REFERENCE_BATCH,
-                "virtual_makespan_s": round(res.team.makespan, 6),
-                "team_speedup": round(res.team.speedup, 3),
-                "n_contigs": len(res.contigs),
+                "virtual_makespan_s": round(makespan, 6),
+                "team_speedup": round(speedup, 3),
+                "n_contigs": len(rank.outputs.contigs),
             }
         )
         print(
-            f"threads T={t}  virtual_makespan={res.team.makespan:8.4f}s  "
-            f"team_speedup={res.team.speedup:5.2f}x  contigs={len(res.contigs)}"
+            f"threads T={t}  virtual_makespan={makespan:8.4f}s  "
+            f"team_speedup={speedup:5.2f}x  contigs={len(rank.outputs.contigs)}"
         )
     return points
 
@@ -179,10 +186,7 @@ def append_entry(out: Path, label: str, points: List[Dict]) -> None:
     append_bench_entry(
         out,
         bench="inchworm_extension_kernel",
-        workload=(
-            f"{WORKLOAD}, k={ASSEMBLY_K}, min_kmer_count={MIN_KMER_COUNT}, "
-            f"reference batch={REFERENCE_BATCH}"
-        ),
+        workload=f"{WORKLOAD}, k={ASSEMBLY_K}, min_kmer_count={MIN_KMER_COUNT}",
         fields={
             "serial_us": "one scalar _best_extension probe per end, x batch",
             "batched_us": "one probe_extensions+select_extensions dispatch",

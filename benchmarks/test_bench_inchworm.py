@@ -9,11 +9,11 @@ beat ``B`` scalar ``_best_extension`` probes by a wide margin.
 
 import numpy as np
 
+from benchmarks.inchworm_bench_runner import one_rank
 from repro.trinity.inchworm import (
     InchwormConfig,
     _best_extension,
     inchworm_assemble,
-    inchworm_assemble_threaded,
     probe_extensions,
     select_extensions,
 )
@@ -28,7 +28,6 @@ def test_bench_batched_extension_kernel(benchmark, bench_reads):
     counts = jellyfish_count(bench_reads, K)
     filtered = counts.index.filtered(2)
     salt = derive_seed(InchwormConfig().seed, "inchworm-ties")
-    mask = (1 << (2 * K)) - 1
     rng = np.random.default_rng(0)
     ends = rng.choice(filtered.codes, size=REFERENCE_BATCH, replace=False).astype(
         np.uint64
@@ -41,9 +40,10 @@ def test_bench_batched_extension_kernel(benchmark, bench_reads):
 
     import time
 
+    used = np.zeros(len(filtered), dtype=bool)
     t0 = time.perf_counter()
     for c in end_list:
-        _best_extension(filtered, True, set(), c, mask, salt, right=True)
+        _best_extension(filtered, True, used, c, salt, right=True)
     serial_s = time.perf_counter() - t0
 
     benchmark(batched_dispatch)
@@ -56,18 +56,17 @@ def test_bench_batched_extension_kernel(benchmark, bench_reads):
 
 
 def test_bench_threaded_engine(benchmark, bench_reads):
-    """Full threaded assembly stays comparable to serial while the team's
-    virtual speedup scales (history tracks exact makespans)."""
+    """The component kernel on a 4-thread team (one-rank ``mpi_inchworm``)
+    reproduces the serial contigs byte for byte while the team's virtual
+    speedup scales (history tracks exact makespans)."""
     counts = jellyfish_count(bench_reads, K)
     cfg = InchwormConfig(seed=0)
     serial = inchworm_assemble(counts, cfg)
 
-    res = benchmark(
-        inchworm_assemble_threaded, counts, cfg, n_threads=4,
-        batch_size=REFERENCE_BATCH,
-    )
+    rank = benchmark(one_rank, counts, cfg, n_threads=4).outputs[0]
+    speedup = rank.metrics["team_serial_s"] / rank.metrics["team_makespan_s"]
     benchmark.extra_info.update(
-        {"team_speedup": res.team.speedup, "contigs": len(res.contigs)}
+        {"team_speedup": speedup, "contigs": len(rank.outputs.contigs)}
     )
-    assert res.team.speedup > 1.5
-    assert len(res.contigs) == len(serial)
+    assert speedup > 1.5
+    assert rank.outputs.contigs == serial

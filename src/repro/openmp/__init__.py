@@ -8,7 +8,6 @@ thread takes the next chunk".
 
 from repro.openmp.schedule import (
     Schedule,
-    deal_partition,
     static_chunks,
     dynamic_makespan,
     guided_makespan,
@@ -19,7 +18,6 @@ from repro.openmp.team import ThreadTeam, TeamResult
 
 __all__ = [
     "Schedule",
-    "deal_partition",
     "static_chunks",
     "dynamic_makespan",
     "guided_makespan",

@@ -59,22 +59,6 @@ def static_chunks(n_items: int, n_threads: int) -> List[Tuple[int, int]]:
     return ranges
 
 
-def deal_partition(n_items: int, n_threads: int) -> List[List[int]]:
-    """Round-robin ("card deal") partition of item indices across threads.
-
-    Thread ``t`` receives items ``t, t + n_threads, t + 2*n_threads, ...``
-    — OpenMP ``schedule(static, 1)``.  For a priority-ordered work list
-    (Inchworm's abundance-sorted seeds) this gives every thread a
-    statistically similar slice of the priority spectrum, unlike
-    contiguous static chunks which would hand thread 0 all the hot seeds.
-    """
-    if n_threads <= 0:
-        raise ScheduleError(f"n_threads must be positive, got {n_threads}")
-    if n_items < 0:
-        raise ScheduleError(f"n_items must be >= 0, got {n_items}")
-    return [list(range(t, n_items, n_threads)) for t in range(n_threads)]
-
-
 def static_makespan(costs: Sequence[float], n_threads: int) -> float:
     """Makespan of ``schedule(static)``: max over contiguous blocks."""
     costs = _validate(np.asarray(costs, dtype=float), n_threads, 1)

@@ -25,7 +25,7 @@ All distributed stages share one calling convention — the
 * :mod:`repro.parallel.mpi_inchworm` — distributed Inchworm over the
   connected components of the k-mer overlap graph
   (:mod:`repro.trinity.kmer_components`), hybrid MPI x threads: each
-  rank runs the threaded engine per owned component, and the merge
+  rank walks its owned components in one lockstep, and the merge
   re-emits the exact global seed order.
 * :mod:`repro.parallel.mpi_bowtie` — PyFasta-split Bowtie (SS:III.A).
 * :mod:`repro.parallel.mpi_graph_from_fasta` — hybrid loops 1+2 with

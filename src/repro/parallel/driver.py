@@ -142,7 +142,6 @@ class ParallelTrinityConfig:
         return InchwormStageConfig(
             inchworm=self.trinity.inchworm(),
             n_threads=self.inchworm_threads,
-            batch_size=self.trinity.inchworm_batch,
             strategy=self.butterfly_strategy,
             workdir=workdir,
             thread_slowdowns=_inchworm_slowdown_table(
@@ -293,7 +292,7 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
         upstream=(), file_key="jellyfish_dump", ram_bytes=_counts_bytes,
     ),
     # Components of the k-mer overlap graph dealt to ranks, each rank
-    # running the threaded engine per component (hybrid MPI x threads).
+    # walking all of its components in one lockstep (hybrid MPI x threads).
     StageRow(
         "inchworm", mpi_inchworm, "inchworm[mpi]",
         lambda chain: InchwormInputs(counts=chain.out("jellyfish").counts),

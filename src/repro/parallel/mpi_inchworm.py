@@ -17,11 +17,13 @@ factors exactly over the components of the k-mer overlap graph
    master-dealt LPT ``"dynamic"``, the one deal of
    :mod:`repro.parallel.component_stage` — with per-component cost =
    the sum of member k-mer counts;
-3. each rank runs :func:`~repro.trinity.inchworm.inchworm_assemble_threaded`
-   on each owned component's sub-counter (hybrid MPI x simulated OpenMP:
-   the ``inchworm_threads`` knob is honoured per rank), shipping back
-   only the contig strings keyed by their seed's *global* seed-order
-   rank;
+3. each rank deals its owned components to its ``n_threads`` simulated
+   OpenMP threads (LPT over the same costs — hybrid MPI x threads) and
+   makes *one* call to the component kernel
+   :func:`~repro.trinity.inchworm.inchworm_assemble_components`, which
+   advances every owned component's walker in one lockstep against the
+   global filtered counter and ships back only the contig strings keyed
+   by their seed's *global* seed-order rank;
 4. the merge pools the keyed contigs and re-emits them in ascending
    key order — the exact global ``_seed_order`` sequence — renaming
    ``iw_contig_{i}`` globally.
@@ -31,10 +33,11 @@ the component (the comparator depends only on each k-mer's count, tie
 hash and code), and walks in different components share no candidates,
 the merged output is **byte-identical to serial**
 :func:`~repro.trinity.inchworm.inchworm_assemble` at every rank count
-when ranks run one thread — under both deal strategies and under an
+and every thread count — under both deal strategies and under an
 injected ``inchworm:assemble`` rank crash with survivor re-deal (tested
-invariants, like the other stages).  At ``n_threads > 1`` the output
-depends only on ``(seed, n_threads)``, never on the deal or nprocs.
+invariants, like the other stages).  Threads and their stragglers only
+move virtual clocks; a component is indivisible across them, so the
+thread holding the largest component is the floor of a rank's team.
 """
 
 from __future__ import annotations
@@ -51,12 +54,12 @@ from repro.obs.result import StageResult
 from repro.parallel import component_stage
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
-from repro.seq.kmer_index import KmerCounter
 from repro.seq.records import Contig
 from repro.trinity.inchworm import (
     InchwormConfig,
     _seed_order,
-    inchworm_assemble_threaded,
+    inchworm_assemble_components,
+    keyed_contigs,
 )
 from repro.trinity.jellyfish import JellyfishCounts
 from repro.trinity.kmer_components import (
@@ -86,7 +89,6 @@ class InchwormStageConfig:
 
     inchworm: InchwormConfig = InchwormConfig()
     n_threads: int = 1  # simulated OpenMP threads per rank
-    batch_size: int = 32  # speculative window per thread
     strategy: str = "round_robin"  # or "dynamic" (master-dealt LPT)
     chunk_size: Optional[int] = None  # round_robin only; None -> default
     workdir: Optional[PathLike] = None  # merged contig FASTA (rank 0)
@@ -158,9 +160,9 @@ def mpi_inchworm(
 
     Every rank returns the full contig list in global seed order —
     byte-identical to serial
-    :func:`~repro.trinity.inchworm.inchworm_assemble` when
-    ``n_threads == 1`` (a tested invariant at nprocs 1/3/8, both deal
-    strategies, including under crash recovery).
+    :func:`~repro.trinity.inchworm.inchworm_assemble` (a tested
+    invariant at nprocs 1/3/8, both deal strategies, any ``n_threads``,
+    including under crash recovery).
     """
     config = config or InchwormStageConfig()
     cfg = config.inchworm
@@ -186,61 +188,36 @@ def mpi_inchworm(
         chunk_size=config.chunk_size,
     )
 
-    # -- assemble my components, threaded, shipping only keyed strings -------
-    slowdowns = _rank_slowdowns(config, comm.rank)
-    local: List[Tuple[int, str, float]] = []  # (global seed rank, seq, cov)
+    # -- assemble my components in one lockstep, shipping only keyed strings --
     with comm.region(
         "inchworm:assemble", strategy=config.strategy, components=len(mine)
     ) as asm_region:
-        team_makespan = 0.0
-        team_serial = 0.0
-        n_steps = 0
-        n_deferred = 0
-        for cid in mine:
-            m = members[cid]
-            sub = JellyfishCounts(
-                k=counts.k,
-                canonical=counts.canonical,
-                index=KmerCounter(counts.k, filtered.codes[m], filtered.values[m]),
-            )
-            iw = inchworm_assemble_threaded(
-                sub,
-                cfg,
-                n_threads=config.n_threads,
-                batch_size=config.batch_size,
-                thread_slowdowns=slowdowns,
-            )
-            # A component-local seed order is the global order restricted
-            # to the component, so local order index j maps to the j-th
-            # smallest global seed rank among the members.
-            keys = np.sort(seed_rank[m])
-            for j, contig in enumerate(iw.contigs):
-                local.append(
-                    (int(keys[iw.seed_orders[j]]), contig.seq, contig.coverage)
-                )
-            team_makespan += iw.team.makespan
-            team_serial += iw.team.serial_time
-            n_steps += iw.n_steps
-            n_deferred += iw.n_deferred
+        teams = component_stage.lpt_assign(
+            [float(costs[cid]) for cid in mine], mine, config.n_threads
+        )
+        iw = inchworm_assemble_components(
+            filtered,
+            counts.canonical,
+            cfg,
+            seed_rank,
+            [[members[cid] for cid in team] for team in teams],
+            _rank_slowdowns(config, comm.rank),
+        )
         if mine:
             comm.clock.advance(
-                team_makespan,
+                iw.team.makespan,
                 label="inchworm:assemble_components",
                 attrs={
                     "components": len(mine),
                     "n_threads": config.n_threads,
-                    "steps": n_steps,
-                    "deferred": n_deferred,
+                    "steps": iw.n_steps,
                 },
             )
     assemble_time = asm_region.elapsed
 
     # -- merge: pool keyed contigs, re-emit the global seed-order sequence ---
-    flat, merge_time = component_stage.merge(comm, "inchworm", local)
-    contigs = [
-        Contig(name=f"iw_contig_{i}", seq=seq, coverage=cov)
-        for i, (_key, seq, cov) in enumerate(flat)
-    ]
+    flat, merge_time = component_stage.merge(comm, "inchworm", iw.keyed)
+    contigs = keyed_contigs(flat)
     out_path = component_stage.write_merged(
         comm, "inchworm", config.workdir, "inchworm.contigs.fa", contigs
     )
@@ -261,8 +238,8 @@ def mpi_inchworm(
             "n_contigs": float(len(contigs)),
             # Per-rank thread-team totals: the driver aggregates these
             # into the pipeline-level inchworm.speedup metric.
-            "team_makespan_s": team_makespan,
-            "team_serial_s": team_serial,
+            "team_makespan_s": iw.team.makespan,
+            "team_serial_s": iw.team.serial_time,
             "n_threads": float(config.n_threads),
         },
         rank=comm.rank,

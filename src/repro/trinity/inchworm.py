@@ -14,43 +14,32 @@ perturbs tie-breaking; we model that with a seed-dependent tie-break among
 equal-abundance k-mers so repeated runs with different seeds reproduce the
 output *distribution* the paper's validation (SS:IV) studies.
 
-Three drivers share one semantics:
+Two assemblers share one semantics:
 
 :func:`inchworm_assemble`
     The serial reference: one seed at a time, one 4-candidate probe per
-    extension step.
-:func:`inchworm_assemble_batched`
-    The batched kernel: a rolling window of contigs grows speculatively,
-    all of their 4-candidate probes resolving against the filtered
-    :class:`~repro.seq.kmer_index.KmerCounter` in a single ``find`` per
-    lockstep.  Every canonical k-mer consumed is *claimed*; when two
-    speculations claim the same k-mer the later-ranked one is doomed and
-    reborn against the updated snapshot, and finished contigs commit
-    strictly in seed-priority order — so the output is byte-identical to
-    the serial reference.
-:func:`inchworm_assemble_threaded`
-    The batched kernel dealt across simulated OpenMP threads
-    (:func:`repro.openmp.deal_partition`), with per-thread virtual clocks
-    charging each thread its share of the measured kernel cost (times any
-    straggler slowdown).  Cross-thread commit order interleaves threads by
-    the same seed-salted hash that breaks extension ties, which is the
-    modelled analogue of the thread-race nondeterminism: at
-    ``n_threads=1`` it degenerates to seed order (byte-identity with the
-    serial path), at higher thread counts it perturbs contig boundaries
-    the way real Trinity's scheduling does.
+    extension step.  The serial pipeline runs it and every identity test
+    compares against it.
+:func:`inchworm_assemble_components`
+    The component kernel behind :mod:`repro.parallel.mpi_inchworm`: a
+    greedy walk never leaves the connected component of its seed in the
+    filtered k-mer overlap graph, so one serial walker per component,
+    all advanced together by one batched probe per step, reproduces the
+    reference byte for byte with nothing to arbitrate.  Simulated OpenMP
+    threads each own whole components; per-thread virtual clocks are
+    charged their share of the measured cost (times any straggler
+    slowdown), never changing the output.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import PipelineError
-from repro.openmp.schedule import deal_partition
 from repro.openmp.team import TeamResult
 from repro.seq.kmer_index import KmerCounter
 from repro.seq.kmers import canonical_code, decode_kmer, revcomp_codes
@@ -116,7 +105,7 @@ def _seed_order(filtered: KmerCounter, salt: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# The batched extension kernel (public: the engine and Figure 1 both use it)
+# The batched extension probe (public: the kernel and Figure 1 both use it)
 # --------------------------------------------------------------------------
 
 
@@ -142,7 +131,7 @@ def extension_candidates(cur: np.ndarray, k: int, right) -> np.ndarray:
 
     ``right`` selects the extension direction — a scalar bool, or a bool
     array aligned with ``cur`` when the batch mixes directions (the
-    engine grows right- and left-phase contigs in the same lockstep).
+    kernel grows right- and left-phase contigs in the same lockstep).
     """
     cur = np.asarray(cur, dtype=np.uint64)
     b = np.arange(4, dtype=np.uint64)[None, :]
@@ -166,7 +155,7 @@ def probe_extensions(
 
     One ``revcomp``/``minimum`` pass canonicalises all ``4 * n``
     candidates, and one :meth:`KmerCounter.find` resolves their counts —
-    this is the whole point of the batched kernel versus the serial
+    this is the whole point of the lockstep versus the serial
     4-candidate probe per step.
     """
     k = filtered.k
@@ -217,14 +206,31 @@ def select_extensions(
 # --------------------------------------------------------------------------
 
 
+def _seed_marks(filtered: KmerCounter, canonical: bool) -> np.ndarray:
+    """Per position: the ``used``-mask slot that seeding from it claims.
+
+    A seed consumes its *canonical* k-mer, so that is the slot to test
+    and set.  In a well-formed table that is the seed's own position.  A
+    directed code whose canonical partner was filtered away (possible
+    only for hand-built tables) falls back to its own slot: no probe can
+    ever land there, and it is seeded at most once.
+    """
+    own = np.arange(len(filtered), dtype=np.intp)
+    if not canonical:
+        return own
+    canons = np.minimum(filtered.codes, revcomp_codes(filtered.codes, filtered.k))
+    pos, found = filtered.find(canons)
+    return np.where(found, pos, own)
+
+
 def inchworm_assemble(
     counts: JellyfishCounts,
     config: Optional[InchwormConfig] = None,
 ) -> List[Contig]:
     """Assemble contigs from k-mer counts; deterministic given the seed.
 
-    This is the per-k-mer reference loop; the batched/threaded drivers
-    below reproduce its output byte for byte (at ``n_threads=1``).
+    This is the per-k-mer reference loop; the component kernel below
+    reproduces its output byte for byte.
     """
     cfg = config or InchwormConfig()
     k = counts.k
@@ -238,18 +244,14 @@ def inchworm_assemble(
     perm = _seed_order(filtered, salt)
     order_codes = filtered.codes[perm].tolist()
     order_values = filtered.values[perm].tolist()
+    order_marks = _seed_marks(filtered, canonical)[perm].tolist()
 
-    def canon(code: int) -> int:
-        return canonical_code(code, k) if canonical else code
-
-    used: Set[int] = set()
+    used = np.zeros(len(filtered), dtype=bool)  # consumed canonical k-mers, by position
     contigs: List[Contig] = []
     min_len = cfg.resolved_min_length(k)
-    mask = (1 << (2 * k)) - 1
-    suffix_mask = (1 << (2 * (k - 1))) - 1
 
-    for seed_code, seed_count in zip(order_codes, order_values):
-        if canon(seed_code) in used:
+    for seed_code, seed_count, seed_mark in zip(order_codes, order_values, order_marks):
+        if used[seed_mark]:
             continue
         seq_codes = [seed_code]
         # Coverage is the mean of the *filtered* counts greedy extension
@@ -257,30 +259,28 @@ def inchworm_assemble(
         # candidate's looked-up count — never a second canonicalisation
         # pass over another table.
         covs = [seed_count]
-        used.add(canon(seed_code))
+        used[seed_mark] = True
         # Extend right.
         cur = seed_code
         while len(seq_codes) < cfg.max_contig_length:
-            nxt = _best_extension(filtered, canonical, used, cur, mask, salt, right=True)
+            nxt = _best_extension(filtered, canonical, used, cur, salt, right=True)
             if nxt is None:
                 break
-            code, cnt = nxt
-            seq_codes.append(code)
+            cur, cnt, pos = nxt
+            seq_codes.append(cur)
             covs.append(cnt)
-            used.add(canon(code))
-            cur = code
+            used[pos] = True
         # Extend left.
         cur = seed_code
         left_codes: List[int] = []
         while len(seq_codes) + len(left_codes) < cfg.max_contig_length:
-            nxt = _best_extension(filtered, canonical, used, cur, suffix_mask, salt, right=False)
+            nxt = _best_extension(filtered, canonical, used, cur, salt, right=False)
             if nxt is None:
                 break
-            code, cnt = nxt
-            left_codes.append(code)
+            cur, cnt, pos = nxt
+            left_codes.append(cur)
             covs.append(cnt)
-            used.add(canon(code))
-            cur = code
+            used[pos] = True
         all_codes = left_codes[::-1] + seq_codes
         seq = _codes_to_seq(all_codes, k)
         if len(seq) < min_len:
@@ -293,690 +293,224 @@ def inchworm_assemble(
 def _best_extension(
     filtered: KmerCounter,
     canonical: bool,
-    used: Set[int],
+    used: np.ndarray,
     cur: int,
-    mask: int,
     salt: int,
     right: bool,
-) -> Optional[Tuple[int, int]]:
-    """Highest-count unused (k-1)-overlap neighbour as ``(code, count)``.
+) -> Optional[Tuple[int, int, int]]:
+    """Highest-count unused (k-1)-overlap neighbour of ``cur``.
 
-    The four candidate codes resolve against the filtered sorted-array
-    index in a single ``searchsorted`` (count 0 = not solid).  Ties
+    Returns ``(code, count, position)`` — the directed candidate, its
+    filtered count and the ``used``-mask position of its canonical k-mer
+    — or None at a dead end.  The four candidates resolve against the
+    filtered sorted-array index in a single ``searchsorted``.  Ties
     between equal-count candidates are broken by :func:`tie_break_code`.
     """
     k = filtered.k
     if right:
+        mask = (1 << (2 * k)) - 1
         cands = [((cur << 2) | b) & mask for b in range(4)]
     else:
         cands = [(b << (2 * (k - 1))) | (cur >> 2) for b in range(4)]
     canons = [canonical_code(c, k) for c in cands] if canonical else cands
-    counts = filtered.lookup(np.asarray(canons, dtype=np.uint64))
-    best: Optional[Tuple[int, int, int]] = None  # (count, -tiebreak, candidate)
-    for cand, canon, cnt in zip(cands, canons, counts.tolist()):
-        if cnt == 0 or canon in used:
+    pos, found = filtered.find(np.asarray(canons, dtype=np.uint64))
+    best: Optional[Tuple[int, int, int, int]] = None  # (count, -tiebreak, candidate, position)
+    for cand, p, hit in zip(cands, pos.tolist(), found.tolist()):
+        cnt = int(filtered.values[p]) if hit and not used[p] else 0
+        if cnt == 0:
             continue
         tie = tie_break_code(cand, salt)
         if best is None or (cnt, -tie) > (best[0], best[1]):
-            best = (cnt, -tie, cand)
-    return (best[2], best[0]) if best else None
+            best = (cnt, -tie, cand, p)
+    return (best[2], best[0], best[3]) if best else None
 
 
 # --------------------------------------------------------------------------
-# Speculative rolling-window engine (shared by batched and threaded drivers)
+# Component kernel: one lockstep across k-mer-graph components
 # --------------------------------------------------------------------------
 
-
-class _Speculation:
-    """One speculatively grown contig, pending its commit decision."""
-
-    __slots__ = (
-        "sid", "stream", "level", "rank", "order_idx", "seed_code", "seed_count",
-        "seed_pos", "seed_canon", "codes", "left", "covs", "claims",
-        "claim_extra", "cur", "phase", "own", "doomed", "dropped", "in_growing",
-        "committed", "waiters",
-    )
-
-    RIGHT, LEFT, DONE = 0, 1, 2
-
-    def __init__(self, sid: int, stream: int, level: int, rank: Tuple[int, int, int],
-                 order_idx: int, seed_code: int, seed_count: int,
-                 seed_pos: int, seed_canon: int) -> None:
-        self.sid = sid  # dense id, indexes the arbiter's claim-mark array
-        self.stream = stream
-        self.level = level  # per-stream birth sequence number
-        self.rank = rank  # global commit priority: (level, seed tie hash, stream)
-        self.order_idx = order_idx
-        self.seed_code = seed_code
-        self.seed_count = seed_count
-        self.seed_pos = seed_pos  # seed canon's filtered position, -1 if absent
-        self.seed_canon = seed_canon
-        # Seed canons missing from the filtered index (possible only for
-        # malformed directed-code tables) race through a side map.
-        self.claim_extra: Optional[int] = seed_canon if seed_pos < 0 else None
-        self.dropped = False  # seed consumed while doomed: dead, awaiting pop
-        self.in_growing = False  # membership flag for the engine's growing list
-        self.committed = False
-        self.phase = _Speculation.RIGHT
-        self.doomed = False
-        # Growth state (codes/covs/own/...) is allocated by reset_growth()
-        # on the first real life: a spec parked at birth — its seed already
-        # claimed by a better-ranked walker — never pays for it, which
-        # matters because *most* seeds of a transcript die exactly that way.
-        self.claims: Sequence[int] = ()
-        # Specs parked on this one's fate: flushed for rebirth when this
-        # spec commits, dooms, or drops.  Starts as an immutable empty
-        # sentinel; reset_growth swaps in a real list (only specs that have
-        # actually claimed k-mers can acquire waiters).
-        self.waiters: Sequence["_Speculation"] = ()
-
-    def reset_growth(self) -> None:
-        """(Re)start growth from the bare seed — used at birth and rebirth."""
-        if not isinstance(self.waiters, list):
-            self.waiters = []
-        self.codes: List[int] = [self.seed_code]  # seed + right extensions
-        self.left: List[int] = []  # left extensions, innermost first
-        self.covs: List[int] = [self.seed_count]  # filtered counts, consumption order
-        self.claims: List[int] = [self.seed_pos] if self.seed_pos >= 0 else []
-        self.own: Set[int] = set(self.claims)  # own positions, for self-overlap
-        self.cur = self.seed_code
-        self.phase = _Speculation.RIGHT
-        self.doomed = False
-
-    def n_kmers(self) -> int:
-        return len(self.codes) + len(self.left)
-
-    def enforce_caps(self, max_len: int) -> None:
-        """Mirror the serial loops' length guards exactly."""
-        if self.phase == _Speculation.RIGHT and len(self.codes) >= max_len:
-            self.phase = _Speculation.LEFT
-            self.cur = self.seed_code
-        if self.phase == _Speculation.LEFT and self.n_kmers() >= max_len:
-            self.phase = _Speculation.DONE
-
-    def stop_phase(self) -> None:
-        """Current direction exhausted: right flips to left, left finishes."""
-        if self.phase == _Speculation.RIGHT:
-            self.phase = _Speculation.LEFT
-            self.cur = self.seed_code
-        else:
-            self.phase = _Speculation.DONE
-
-    def extend(self, code: int, position: int, count: int) -> None:
-        if self.phase == _Speculation.RIGHT:
-            self.codes.append(code)
-        else:
-            self.left.append(code)
-        self.covs.append(count)
-        self.claims.append(position)
-        self.own.add(position)
-        self.cur = code
-
-
-class _ClaimArbiter:
-    """Claim races between in-flight speculations.
-
-    Speculations grow blind to each other, but every canonical k-mer claim
-    registers here; when two speculations claim the same position, the one
-    with the *worse* commit rank is doomed on the spot: its map entries are
-    released, it stops growing, and it waits in ``pending`` to be reborn
-    against the then-current committed snapshot (or dropped, if its seed
-    was consumed meanwhile).  Committed speculations keep their entries, so
-    a straggler that grew past a k-mer an earlier-ranked contig later
-    consumed is always caught and replayed — which is exactly what makes
-    committing any race-free speculation sound.
-    """
-
-    __slots__ = ("claim_owner", "mark", "extra_owner", "pending", "n_doomed")
-
-    def __init__(self, n_positions: int) -> None:
-        self.claim_owner: dict = {}  # filtered position -> owning speculation
-        # Dense mirror of claim_owner's sids: lets the lockstep kernel
-        # vectorise "is this candidate my own claim?" as one gather.
-        self.mark = np.full(n_positions, -1, dtype=np.int64)
-        self.extra_owner: dict = {}  # out-of-index canon code -> owning speculation
-        self.pending: List[_Speculation] = []  # doomed, awaiting rebirth/drop
-        self.n_doomed = 0
-
-    def doom(self, spec: _Speculation, blocker: Optional[_Speculation] = None) -> None:
-        """Discard ``spec``'s speculative life and queue it for rebirth.
-
-        When the race's winner is known, ``spec`` parks on that blocker's
-        waiter list instead of the pending queue: rebirthing it while the
-        winner still holds the contested claim would just lose the same
-        race again next step, and that doom-regrow churn was measured to
-        dwarf the useful lockstep work on overlap-heavy workloads.  The
-        blocker's own commit/doom/drop flushes the waiters back to
-        ``pending``.
-        """
-        if spec.doomed:
-            return
-        spec.doomed = True
-        self.n_doomed += 1
-        for p in spec.claims:
-            if self.claim_owner.get(p) is spec:
-                del self.claim_owner[p]
-                self.mark[p] = -1
-        if spec.claim_extra is not None and self.extra_owner.get(spec.claim_extra) is spec:
-            del self.extra_owner[spec.claim_extra]
-        if blocker is not None and not blocker.doomed and not blocker.committed:
-            # Park the loser — and everything parked on it — on the winner:
-            # they all block (at least transitively) on claims the winner's
-            # region of the k-mer graph now owns, so waking them before the
-            # winner resolves would only replay the same lost races.
-            blocker.waiters.append(spec)
-            if spec.waiters:
-                blocker.waiters.extend(spec.waiters)
-                spec.waiters = []
-        else:
-            self.pending.append(spec)
-            if spec.waiters:
-                self.pending.extend(spec.waiters)
-                spec.waiters = []
-
-    def claim(self, spec: _Speculation, position: int) -> bool:
-        """Register a position claim; False if ``spec`` lost the race."""
-        other = self.claim_owner.get(position)
-        if other is None or other is spec:
-            self.claim_owner[position] = spec
-            self.mark[position] = spec.sid
-            return True
-        if other.rank < spec.rank:
-            self.doom(spec, blocker=other)
-            return False
-        self.doom(other, blocker=spec)
-        self.claim_owner[position] = spec
-        self.mark[position] = spec.sid
-        return True
-
-    def claim_extra_key(self, spec: _Speculation, canon: int) -> bool:
-        """Claim race for a seed canon that is absent from the index."""
-        other = self.extra_owner.get(canon)
-        if other is None or other is spec:
-            self.extra_owner[canon] = spec
-            return True
-        if other.rank < spec.rank:
-            self.doom(spec, blocker=other)
-            return False
-        self.doom(other, blocker=spec)
-        self.extra_owner[canon] = spec
-        return True
-
-
-@dataclass
-class ThreadedInchwormResult:
-    """Contigs plus the simulated thread team's timing."""
-
-    contigs: List[Contig]
-    team: TeamResult
-    thread_clocks: np.ndarray  # virtual seconds per simulated thread
-    n_steps: int  # kernel dispatches (lockstep batches + scalar probes)
-    n_deferred: int  # speculative lives discarded after a claim race
-    #: Seed-order index (position in this run's ``_seed_order`` stream) of
-    #: each emitted contig's seed, parallel to ``contigs`` — the key the
-    #: distributed merge sorts on to re-emit the global serial sequence.
-    seed_orders: Optional[List[int]] = None
-
-    def as_span_attrs(self) -> dict:
-        return {
-            **self.team.as_span_attrs(),
-            "steps": self.n_steps,
-            "deferred": self.n_deferred,
-        }
-
-
-#: Below this many live rows the lockstep's fixed vector overhead costs
-#: more than the scalar per-step probe; remaining contigs finish serially.
+#: Below this many live walkers the lockstep's fixed vector overhead costs
+#: more than the scalar per-step probe; the remaining walks finish serially.
 _SCALAR_CUTOFF = 6
 
 
-class _InchwormEngine:
-    """Rolling-window speculative Inchworm.
+@dataclass
+class ComponentAssembly:
+    """Keyed contigs of one kernel call plus the simulated team's timing."""
 
-    Each simulated thread keeps a window of up to ``batch_size`` in-flight
-    speculations drawn from its dealt seed stream.  Every iteration the
-    engine (1) refills the windows, skipping seeds whose canon is already
-    committed; (2) advances every growing speculation one lockstep of the
-    batched kernel (or finishes the long-tail stragglers with the scalar
-    probe once fewer than :data:`_SCALAR_CUTOFF` rows remain); (3) reborns
-    doomed speculations against the updated snapshot; and (4) commits
-    finished speculations in global rank order — ``(level, seed tie hash,
-    stream)`` — as long as each stream's front is finished and race-free.
-
-    Why commits are serial-faithful: a committing speculation grew against
-    the committed ``used_mask`` as of its last (re)birth plus its own
-    claims; every claim it made was raced through the arbiter against all
-    concurrently live *and* already-committed speculations, so its k-mers
-    are disjoint from every earlier-ranked contig's.  Greedy extension is
-    invariant under growing the used set with k-mers the walk never
-    chooses, so its path is exactly what the serial loop would have
-    walked at its turn — any speculation for which that could have failed
-    lost a race first and was replayed.  At ``n_threads=1`` rank order
-    *is* the serial seed order, giving byte-identity; the window only
-    changes how much work is in flight, never what commits.
-    """
-
-    def __init__(
-        self,
-        filtered: KmerCounter,
-        canonical: bool,
-        cfg: InchwormConfig,
-        n_threads: int,
-        batch_size: int,
-        slowdowns: np.ndarray,
-    ) -> None:
-        self.filtered = filtered
-        self.canonical = canonical
-        self.k = filtered.k
-        self.n_threads = n_threads
-        self.batch_size = batch_size
-        self.slowdowns = slowdowns
-        self.min_len = cfg.resolved_min_length(self.k)
-        self.max_len = cfg.max_contig_length
-        self.salt = derive_seed(cfg.seed, "inchworm-ties")
-
-        perm = _seed_order(filtered, self.salt)
-        order_codes = filtered.codes[perm]
-        if canonical:
-            order_canons = np.minimum(order_codes, revcomp_codes(order_codes, self.k))
-        else:
-            order_canons = order_codes
-        canon_pos, canon_found = filtered.find(order_canons)
-        self.order_codes = order_codes.tolist()
-        self.order_values = filtered.values[perm].tolist()
-        self.order_canons = order_canons.tolist()
-        self.canon_pos = np.where(canon_found, canon_pos, -1).tolist()
-        self.order_ties = tie_break_codes(order_codes, self.salt).tolist()
-
-        self.streams: List[Deque[int]] = [
-            deque(part) for part in deal_partition(len(self.order_codes), n_threads)
-        ]
-        self.live: List[Deque[_Speculation]] = [deque() for _ in range(n_threads)]
-        self.next_level = [0] * n_threads
-        self.next_sid = 0
-        self.used_mask = np.zeros(len(filtered), dtype=bool)
-        self.used_extra: Set[int] = set()  # committed canons absent from `filtered`
-        self.arbiter = _ClaimArbiter(len(filtered))
-        self.growing: List[_Speculation] = []  # undoomed, un-finished specs
-        # Spawns allowed per stream per refill; tracks the stream's recent
-        # lockstep width so seed pops keep pace with k-mer claims.
-        self.pop_quota = [batch_size] * n_threads
-        self.contigs: List[Contig] = []
-        self.contig_orders: List[int] = []  # seed-order index per emitted contig
-        self.clocks = np.zeros(n_threads)
-        self.serial_time = 0.0
-        self.n_steps = 0
-
-    # -- main loop ---------------------------------------------------------
-
-    def run(self) -> None:
-        while True:
-            # Specs finished or doomed since the last step fall out here;
-            # finished ones wait in their live window for their commit turn
-            # without occupying a growth slot.
-            fresh: List[_Speculation] = []
-            for s in self.growing:
-                if not s.doomed and s.phase != _Speculation.DONE:
-                    fresh.append(s)
-                else:
-                    s.in_growing = False
-            self.growing = fresh
-            self._refill()
-            active = self.growing
-            if active:
-                if len(active) >= _SCALAR_CUTOFF or any(self.streams):
-                    self._lockstep_step(active)
-                else:
-                    self._scalar_finish(active)
-            self._rebirth_pass()
-            self._commit_scan()
-            if not active and not self.arbiter.pending and not any(self.streams):
-                break
-
-    # -- window refill -----------------------------------------------------
-
-    def _refill(self) -> None:
-        """Top up each stream's window from its dealt seed queue.
-
-        Three dispositions per popped seed, cheapest first: a seed whose
-        canon an earlier commit consumed is skipped outright (the serial
-        loop's ``used`` check); one claimed by a better-ranked in-flight
-        walker is parked at birth as an embryo — no growth state, no
-        claims, just a rank placeholder in the commit queue that almost
-        always evaporates when its owner commits; only a seed that is
-        genuinely free spawns a growing speculation.  Spawns are throttled
-        to each stream's recent claim rate (``pop_quota``): popping far
-        ahead of the walkers would manufacture speculations the walkers
-        are about to plow through, and the doomed-growth churn costs more
-        than the lost window width.
-        """
-        budget = [self.batch_size] * self.n_threads
-        for spec in self.growing:
-            budget[spec.stream] -= 1
-        used_mask = self.used_mask
-        claim_owner = self.arbiter.claim_owner
-        for t, stream in enumerate(self.streams):
-            live_t = self.live[t]
-            quota = self.pop_quota[t]
-            while stream and budget[t] > 0 and quota > 0:
-                idx = stream.popleft()
-                pos = self.canon_pos[idx]
-                if pos >= 0:
-                    if used_mask[pos]:
-                        continue  # consumed by an earlier commit: skipped for good
-                    owner = claim_owner.get(pos)
-                elif self.order_canons[idx] in self.used_extra:
-                    continue
-                else:
-                    owner = self.arbiter.extra_owner.get(self.order_canons[idx])
-                level = self.next_level[t]
-                self.next_level[t] = level + 1
-                rank = (level, self.order_ties[idx], t)
-                spec = _Speculation(
-                    self.next_sid, t, level, rank,
-                    idx, self.order_codes[idx], self.order_values[idx],
-                    pos, self.order_canons[idx],
-                )
-                self.next_sid += 1
-                live_t.append(spec)
-                if owner is not None and owner.rank < rank and not owner.committed:
-                    spec.doomed = True  # embryo: parked at birth, never grew
-                    owner.waiters.append(spec)
-                    continue
-                spec.reset_growth()
-                spec.enforce_caps(self.max_len)
-                # The seed itself is a claim; losing this race just means
-                # the spec starts life doomed and waits for a rebirth.
-                if pos >= 0:
-                    self.arbiter.claim(spec, pos)
-                else:
-                    self.arbiter.claim_extra_key(spec, spec.seed_canon)
-                if not spec.doomed and spec.phase != _Speculation.DONE:
-                    spec.in_growing = True
-                    self.growing.append(spec)
-                    budget[t] -= 1
-                    quota -= 1
-
-    # -- growth ------------------------------------------------------------
-
-    def _lockstep_step(self, active: List[_Speculation]) -> None:
-        """Advance every growing speculation by one batched kernel step."""
-        t0 = time.thread_time()
-        n = len(active)
-        cur = np.fromiter((s.cur for s in active), dtype=np.uint64, count=n)
-        right = np.fromiter(
-            (s.phase == _Speculation.RIGHT for s in active), dtype=bool, count=n
-        )
-        probe = probe_extensions(self.filtered, cur, right, self.salt, self.canonical)
-        # A row's own claims are exactly the positions the arbiter marks
-        # with its sid — one gather replaces a per-candidate set lookup.
-        sids = np.fromiter((s.sid for s in active), dtype=np.int64, count=n)
-        blocked = (
-            self.used_mask[probe.pos]
-            | ~probe.found
-            | (self.arbiter.mark[probe.pos] == sids[:, None])
-        )
-        cols, ok = select_extensions(probe, blocked)
-        rows = np.arange(n)
-        chosen_codes = probe.cands[rows, cols].tolist()
-        chosen_pos = probe.pos[rows, cols].tolist()
-        chosen_counts = probe.counts[rows, cols].tolist()
-        ok_l = ok.tolist()
-        # Hand-inlined claim-and-extend: this loop touches every row of
-        # every lockstep, so the uncontested path (no current owner) does
-        # its bookkeeping without any function calls.
-        mark = self.arbiter.mark
-        claim_owner = self.arbiter.claim_owner
-        claim = self.arbiter.claim
-        max_len = self.max_len
-        RIGHT = _Speculation.RIGHT
-        for r, spec in enumerate(active):
-            if spec.doomed:
-                continue  # lost a race to an earlier row this very step
-            if ok_l[r]:
-                pos = chosen_pos[r]
-                if pos in claim_owner:
-                    if not claim(spec, pos):
-                        continue  # lost the race: doomed, awaits rebirth
-                else:
-                    claim_owner[pos] = spec
-                    mark[pos] = spec.sid
-                code = chosen_codes[r]
-                if spec.phase == RIGHT:
-                    spec.codes.append(code)
-                else:
-                    spec.left.append(code)
-                spec.covs.append(chosen_counts[r])
-                spec.claims.append(pos)
-                spec.own.add(pos)
-                spec.cur = code
-                if spec.n_kmers() >= max_len:
-                    spec.enforce_caps(max_len)
-            else:
-                spec.stop_phase()
-        cost = time.thread_time() - t0
-        self.serial_time += cost
-        self.n_steps += 1
-        stream_rows = np.bincount(
-            [s.stream for s in active], minlength=self.n_threads
-        ).astype(float)
-        total = stream_rows.sum()
-        if total > 0:
-            self.clocks += cost * (stream_rows / total) * self.slowdowns
-        self.pop_quota = [max(8, int(r)) for r in stream_rows]
-
-    def _scalar_finish(self, active: List[_Speculation]) -> None:
-        """Finish the last few contigs with the serial per-step probe.
-
-        Semantically identical to a lockstep of one: same candidate order,
-        same comparator, same snapshot-plus-own blocking, same claim races
-        — growth order cannot affect the output because race outcomes
-        depend only on ranks.
-        """
-        k = self.k
-        mask = (1 << (2 * k)) - 1
-        shift = 2 * (k - 1)
-        values = self.filtered.values
-        for spec in sorted(active, key=lambda s: s.rank):
-            if spec.doomed or spec.phase == _Speculation.DONE:
-                continue
-            t0 = time.thread_time()
-            steps = 0
-            while spec.phase != _Speculation.DONE and not spec.doomed:
-                cur = spec.cur
-                if spec.phase == _Speculation.RIGHT:
-                    cands = [((cur << 2) | b) & mask for b in range(4)]
-                else:
-                    cands = [(b << shift) | (cur >> 2) for b in range(4)]
-                canons = [canonical_code(c, k) for c in cands] if self.canonical else cands
-                pos, found = self.filtered.find(np.asarray(canons, dtype=np.uint64))
-                steps += 1
-                best: Optional[Tuple[int, int, int, int]] = None
-                for c in range(4):
-                    if not found[c]:
-                        continue
-                    p = int(pos[c])
-                    if self.used_mask[p] or p in spec.own:
-                        continue
-                    cnt = int(values[p])
-                    tie = tie_break_code(cands[c], self.salt)
-                    if best is None or (cnt, -tie) > (best[0], best[1]):
-                        best = (cnt, -tie, cands[c], p)
-                if best is None:
-                    spec.stop_phase()
-                    continue
-                if not self.arbiter.claim(spec, best[3]):
-                    break  # lost the race: doomed, awaits rebirth
-                spec.extend(best[2], best[3], best[0])
-                spec.enforce_caps(self.max_len)
-            cost = time.thread_time() - t0
-            self.serial_time += cost
-            self.n_steps += steps
-            self.clocks[spec.stream] += cost * self.slowdowns[spec.stream]
-
-    # -- rebirth and commit ------------------------------------------------
-
-    def _rebirth_pass(self) -> None:
-        """Give every doomed speculation a fresh life against the snapshot.
-
-        A doomed spec whose seed canon was committed meanwhile is dropped —
-        the serial loop would skip that seed at its turn, since the used
-        set only ever grows.  One whose seed is owned by an earlier-ranked
-        live spec stays parked (rebirthing it would lose the race again
-        immediately); the earlier spec's own fate frees it eventually.
-        """
-        if not self.arbiter.pending:
-            return
-        pending = self.arbiter.pending
-        self.arbiter.pending = []
-        for spec in pending:
-            if spec.seed_pos >= 0:
-                if self.used_mask[spec.seed_pos]:
-                    spec.dropped = True  # popped when it reaches its window front
-                    self._flush_waiters(spec)
-                    continue
-                owner = self.arbiter.claim_owner.get(spec.seed_pos)
-            else:
-                if spec.seed_canon in self.used_extra:
-                    spec.dropped = True
-                    self._flush_waiters(spec)
-                    continue
-                owner = self.arbiter.extra_owner.get(spec.seed_canon)
-            if owner is not None and owner.rank < spec.rank:
-                owner.waiters.append(spec)  # parked on the seed's owner
-                continue
-            spec.reset_growth()
-            spec.enforce_caps(self.max_len)
-            if owner is not None:
-                self.arbiter.doom(owner, blocker=spec)
-            if spec.seed_pos >= 0:
-                self.arbiter.claim(spec, spec.seed_pos)
-            else:
-                self.arbiter.claim_extra_key(spec, spec.seed_canon)
-            if spec.phase != _Speculation.DONE and not spec.in_growing:
-                spec.in_growing = True
-                self.growing.append(spec)
-
-    def _flush_waiters(self, spec: _Speculation) -> None:
-        if spec.waiters:
-            self.arbiter.pending.extend(spec.waiters)
-            spec.waiters = []
-
-    def _commit_scan(self) -> None:
-        """Commit finished speculations in global rank order.
-
-        Only the minimum-rank stream front may commit; it can never be
-        doomed later (every spec it could race has a worse rank), so
-        marking its claims used is final.
-        """
-        while True:
-            front: Optional[_Speculation] = None
-            front_t = -1
-            for t, live_t in enumerate(self.live):
-                while live_t and live_t[0].dropped:
-                    live_t.popleft()
-                if live_t and (front is None or live_t[0].rank < front.rank):
-                    front, front_t = live_t[0], t
-            if front is None or front.doomed or front.phase != _Speculation.DONE:
-                return
-            self.live[front_t].popleft()
-            self._commit(front)
-
-    def _commit(self, spec: _Speculation) -> None:
-        spec.committed = True
-        self._flush_waiters(spec)
-        if spec.claims:
-            self.used_mask[np.asarray(spec.claims, dtype=np.int64)] = True
-        if spec.claim_extra is not None:
-            self.used_extra.add(spec.claim_extra)
-        all_codes = spec.left[::-1] + spec.codes
-        seq = _codes_to_seq(all_codes, self.k)
-        if len(seq) < self.min_len:
-            return
-        coverage = float(sum(spec.covs)) / len(spec.covs)
-        self.contigs.append(
-            Contig(name=f"iw_contig_{len(self.contigs)}", seq=seq, coverage=coverage)
-        )
-        self.contig_orders.append(spec.order_idx)
+    #: ``(global seed rank, seq, coverage)`` per contig, in emission order;
+    #: :func:`keyed_contigs` re-emits any union of these as the serial list.
+    keyed: List[Tuple[int, str, float]]
+    team: TeamResult
+    thread_clocks: np.ndarray  # virtual seconds per simulated thread
+    n_steps: int  # kernel dispatches (lockstep batches + scalar probes)
 
 
-def inchworm_assemble_batched(
-    counts: JellyfishCounts,
-    config: Optional[InchwormConfig] = None,
-    batch_size: int = 32,
-) -> List[Contig]:
-    """Batched Inchworm: byte-identical to :func:`inchworm_assemble`."""
-    return inchworm_assemble_threaded(counts, config, n_threads=1, batch_size=batch_size).contigs
+def keyed_contigs(keyed: Iterable[Tuple[int, str, float]]) -> List[Contig]:
+    """Keyed contigs as the serial loop emits them: ascending seed rank,
+    named ``iw_contig_{i}`` in that order."""
+    return [
+        Contig(name=f"iw_contig_{i}", seq=seq, coverage=cov)
+        for i, (_key, seq, cov) in enumerate(sorted(keyed))
+    ]
 
 
-def inchworm_assemble_threaded(
-    counts: JellyfishCounts,
-    config: Optional[InchwormConfig] = None,
-    n_threads: int = 1,
-    batch_size: int = 32,
+class _Walker:
+    """One component's serial walk: its seed queue and the contig in hand."""
+
+    __slots__ = (
+        "thread", "queue", "marks", "at", "seed", "codes", "left", "cov", "cur", "right",
+    )
+
+    def __init__(self, thread: int, queue: List[int], marks: List[int]) -> None:
+        self.thread = thread  # simulated thread charged for this walk
+        self.queue = queue  # member positions in global seed order
+        self.marks = marks  # per member: the used-mask position its seeding claims
+        self.at = 0  # next queue entry to try as a seed
+
+
+def inchworm_assemble_components(
+    filtered: KmerCounter,
+    canonical: bool,
+    config: InchwormConfig,
+    seed_rank: np.ndarray,
+    thread_components: Sequence[Sequence[np.ndarray]],
     thread_slowdowns: Optional[Sequence[float]] = None,
-) -> ThreadedInchwormResult:
-    """Inchworm on the simulated OpenMP runtime.
+) -> ComponentAssembly:
+    """Assemble whole k-mer-graph components, all of them in one lockstep.
 
-    Seed priorities are dealt round-robin across ``n_threads`` streams;
-    each stream keeps a rolling window of up to ``batch_size`` contigs
-    growing speculatively in one joint lockstep of the batched kernel,
-    and finished contigs commit in an order interleaved across threads by
-    the seed-salted tie hash.  A contig whose claimed canonical k-mers
-    collide with an earlier-ranked contig's is replayed against the
-    updated snapshot.  Output therefore depends only on
-    ``(seed, n_threads)``, never on host timing.
+    ``thread_components[t]`` lists the components (member position arrays
+    of ``filtered``, from :mod:`repro.trinity.kmer_components`) simulated
+    thread ``t`` walks; ``seed_rank[p]`` is position ``p``'s rank in the
+    global :func:`_seed_order`.  Each component gets one serial walker
+    whose seed queue is its members in global seed order, and every step
+    advances *all* live walkers with one :func:`probe_extensions` +
+    :func:`select_extensions` against ``filtered``.  A greedy walk never
+    leaves its seed's component and components are disjoint, so walkers
+    share one ``used`` mask without ever contending: each replays exactly
+    the steps :func:`inchworm_assemble` takes inside that component, and
+    the contigs — keyed by their seed's global rank — are the serial
+    output restricted to these components, at any thread count.
 
-    ``thread_slowdowns`` (one factor per thread, >= 1) models straggler
-    fault injection: a slowed thread's virtual clock is charged
-    proportionally more for its share of the measured kernel cost.
+    Timing: one ``thread_time`` window covers everything the call does.
+    Each lockstep's share of it (queue setup, seed scans and emits since
+    the previous step included) is split over the threads by their share
+    of the step's rows, times ``thread_slowdowns`` (one factor per thread,
+    >= 1 models a straggler); a tail walk is charged to its own thread.
+    A component is indivisible, so the thread holding the largest one is
+    the floor of the team makespan.
     """
-    cfg = config or InchwormConfig()
-    k = counts.k
+    k = filtered.k
     if k < 2:
         raise PipelineError(f"inchworm needs k >= 2, got {k}")
-    if n_threads <= 0:
-        raise PipelineError(f"inchworm n_threads must be positive, got {n_threads}")
-    if batch_size <= 0:
-        raise PipelineError(f"inchworm batch_size must be positive, got {batch_size}")
-    if thread_slowdowns is None:
-        slowdowns = np.ones(n_threads)
-    else:
-        slowdowns = np.asarray(thread_slowdowns, dtype=float)
-        if slowdowns.shape != (n_threads,):
-            raise PipelineError(
-                f"thread_slowdowns must have one factor per thread, "
-                f"got shape {slowdowns.shape} for {n_threads} threads"
-            )
-        if np.any(slowdowns <= 0):
-            raise PipelineError("thread slowdown factors must be positive")
-
-    filtered = counts.index.filtered(cfg.min_kmer_count)
-    if len(filtered) == 0:
-        return ThreadedInchwormResult(
-            contigs=[],
-            team=TeamResult(values=[], makespan=0.0, serial_time=0.0, n_threads=n_threads),
-            thread_clocks=np.zeros(n_threads),
-            n_steps=0,
-            n_deferred=0,
-            seed_orders=[],
+    n_threads = len(thread_components)
+    if n_threads == 0:
+        raise PipelineError("inchworm needs at least one thread's component list")
+    slowdowns = np.ones(n_threads) if thread_slowdowns is None else np.asarray(
+        thread_slowdowns, dtype=float
+    )
+    if slowdowns.shape != (n_threads,):
+        raise PipelineError(
+            f"thread_slowdowns must have one factor per thread, "
+            f"got shape {slowdowns.shape} for {n_threads} threads"
         )
-    engine = _InchwormEngine(filtered, counts.canonical, cfg, n_threads, batch_size, slowdowns)
-    engine.run()
+    if np.any(slowdowns <= 0):
+        raise PipelineError("thread slowdown factors must be positive")
+
+    started = stamp = time.thread_time()
+    salt = derive_seed(config.seed, "inchworm-ties")
+    min_len = config.resolved_min_length(k)
+    max_len = config.max_contig_length
+    codes, values = filtered.codes, filtered.values
+    marks = _seed_marks(filtered, canonical)
+    used = np.zeros(len(filtered), dtype=bool)
+    keyed: List[Tuple[int, str, float]] = []
+    clocks = np.zeros(n_threads)
+
+    def start(w: _Walker) -> bool:
+        """Seed ``w``'s next contig; False once its component is exhausted."""
+        while True:
+            while w.at < len(w.queue) and used[w.marks[w.at]]:
+                w.at += 1
+            if w.at == len(w.queue):
+                return False
+            used[w.marks[w.at]] = True
+            w.seed = w.queue[w.at]
+            w.cur = int(codes[w.seed])
+            w.codes, w.left, w.cov, w.right = [w.cur], [], int(values[w.seed]), True
+            if max_len > 1:
+                return True
+            emit(w)  # the cap admits the bare seed only: nothing to probe
+
+    def emit(w: _Walker) -> None:
+        seq = _codes_to_seq(w.left[::-1] + w.codes, k)
+        if len(seq) >= min_len:
+            n = len(w.codes) + len(w.left)
+            keyed.append((int(seed_rank[w.seed]), seq, float(w.cov) / n))
+
+    def advance(w: _Walker, hit: Optional[Tuple[int, int, int]]) -> bool:
+        """Apply one probe result; False once ``w``'s component is exhausted."""
+        if hit is None:
+            if w.right:  # right end exhausted: turn around at the seed
+                w.right, w.cur = False, w.codes[0]
+                return True
+        else:
+            code, count, pos = hit
+            used[pos] = True
+            (w.codes if w.right else w.left).append(code)
+            w.cov += count
+            w.cur = code
+            if len(w.codes) + len(w.left) < max_len:
+                return True
+        emit(w)
+        return start(w)
+
+    def charge(rows: List[_Walker]) -> None:
+        """Bill the time since the last stamp to the threads of ``rows``."""
+        nonlocal stamp, clocks
+        now = time.thread_time()
+        per_thread = np.bincount([w.thread for w in rows], minlength=n_threads)
+        clocks += (now - stamp) * per_thread / len(rows) * slowdowns
+        stamp = now
+
+    walkers = []
+    for t, components in enumerate(thread_components):
+        for members in components:
+            queue = members[np.argsort(seed_rank[members])]
+            walkers.append(_Walker(t, queue.tolist(), marks[queue].tolist()))
+    live = [w for w in walkers if start(w)]
+    n_steps = 0
+    while len(live) >= _SCALAR_CUTOFF:
+        rows, n = live, len(live)
+        cur = np.fromiter((w.cur for w in rows), dtype=np.uint64, count=n)
+        right = np.fromiter((w.right for w in rows), dtype=bool, count=n)
+        probe = probe_extensions(filtered, cur, right, salt, canonical)
+        cols, ok = select_extensions(probe, used[probe.pos])
+        picked = (np.arange(n), cols)
+        hits = zip(
+            probe.cands[picked].tolist(),
+            probe.counts[picked].tolist(),
+            probe.pos[picked].tolist(),
+        )
+        live = [
+            w for w, found, hit in zip(rows, ok.tolist(), hits)
+            if advance(w, hit if found else None)
+        ]
+        n_steps += 1
+        charge(rows)
+    for w in live:
+        alive = True
+        while alive:
+            alive = advance(
+                w, _best_extension(filtered, canonical, used, w.cur, salt, w.right)
+            )
+            n_steps += 1
+        charge([w])
     team = TeamResult(
-        values=engine.contigs,
-        makespan=float(engine.clocks.max()),
-        serial_time=engine.serial_time,
+        values=keyed, makespan=float(clocks.max()), serial_time=stamp - started,
         n_threads=n_threads,
     )
-    return ThreadedInchwormResult(
-        contigs=engine.contigs,
-        team=team,
-        thread_clocks=engine.clocks,
-        n_steps=engine.n_steps,
-        n_deferred=engine.arbiter.n_doomed,
-        seed_orders=engine.contig_orders,
-    )
+    return ComponentAssembly(keyed=keyed, team=team, thread_clocks=clocks, n_steps=n_steps)
 
 
 # --------------------------------------------------------------------------

@@ -40,11 +40,7 @@ from repro.trinity.chrysalis.reads_to_transcripts import (
     ReadsToTranscriptsConfig,
     reads_to_transcripts,
 )
-from repro.trinity.inchworm import (
-    InchwormConfig,
-    inchworm_assemble,
-    inchworm_assemble_threaded,
-)
+from repro.trinity.inchworm import InchwormConfig, inchworm_assemble
 from repro.trinity.jellyfish import (
     JellyfishConfig,
     JellyfishCounts,
@@ -85,15 +81,13 @@ class TrinityConfig:
     #: transcription is kept apart.  Our read simulator is strand-
     #: symmetric, so this is only meaningful for external data.
     strand_specific: bool = False
-    #: Simulated OpenMP thread count for Inchworm's seed loop.  1 runs
-    #: the serial reference assembler; >1 runs the batched threaded
-    #: driver, whose output depends only on ``(seed, inchworm_threads)``
-    #: — the modelled form of the paper's thread-scheduling
-    #: indeterminism (SS:IV).
+    #: Simulated OpenMP threads per rank of the *distributed* Inchworm
+    #: (:mod:`repro.parallel.mpi_inchworm`), which deals each rank's k-mer-
+    #: graph components to that many thread clocks.  Timing only: the
+    #: contigs are the serial reference's at every value, and this serial
+    #: pipeline always runs the reference itself — a one-node threaded
+    #: Inchworm is the parallel driver at ``nprocs=1``.
     inchworm_threads: int = 1
-    #: Rolling speculative-window width per simulated Inchworm thread
-    #: (rows handed to one batched-kernel dispatch).
-    inchworm_batch: int = 32
 
     def __post_init__(self) -> None:
         if self.k % 2 == 0 or self.k < 5:
@@ -103,10 +97,6 @@ class TrinityConfig:
         if self.inchworm_threads <= 0:
             raise PipelineError(
                 f"inchworm_threads must be positive, got {self.inchworm_threads}"
-            )
-        if self.inchworm_batch <= 0:
-            raise PipelineError(
-                f"inchworm_batch must be positive, got {self.inchworm_batch}"
             )
 
     @property
@@ -199,22 +189,8 @@ class TrinityPipeline:
             jellyfish_dump(counts, files["jellyfish_dump"])
 
         # -- Inchworm --------------------------------------------------------
-        inchworm_attrs: Dict[str, float] = {}
         with monitor.stage("inchworm") as st:
-            if cfg.inchworm_threads > 1:
-                iw = inchworm_assemble_threaded(
-                    counts,
-                    cfg.inchworm(),
-                    n_threads=cfg.inchworm_threads,
-                    batch_size=cfg.inchworm_batch,
-                )
-                contigs = iw.contigs
-                inchworm_attrs = {
-                    f"inchworm.{key}": float(val)
-                    for key, val in iw.as_span_attrs().items()
-                }
-            else:
-                contigs = inchworm_assemble(counts, cfg.inchworm())
+            contigs = inchworm_assemble(counts, cfg.inchworm())
             st.ram_bytes = counts.memory_bytes() + sum(len(c.seq) for c in contigs)
         if not contigs:
             raise PipelineError(
@@ -311,7 +287,6 @@ class TrinityPipeline:
             spans=list(timeline.spans),
             metrics={
                 **{f"stage.{name}_s": timeline.duration_of(name) for name in timeline.stages()},
-                **inchworm_attrs,
                 "n_transcripts": float(len(transcripts)),
                 "n_contigs": float(len(contigs)),
                 "n_components": float(result.n_components),

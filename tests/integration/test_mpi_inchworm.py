@@ -1,12 +1,12 @@
 """Integration tests for the distributed component-partitioned Inchworm.
 
-The invariant everything else hangs off: at every rank count, under both
-deal strategies, with or without an injected rank crash, single-thread
-``mpi_inchworm`` reproduces serial ``inchworm_assemble`` *exactly* — the
-greedy walk can never leave its seed's k-mer-graph component, and a
-component-local seed order is the global order restricted to the
+The invariant everything else hangs off: at every rank count and thread
+count, under both deal strategies, with or without an injected rank
+crash, ``mpi_inchworm`` reproduces serial ``inchworm_assemble`` *exactly*
+— the greedy walk can never leave its seed's k-mer-graph component, and
+a component-local seed order is the global order restricted to the
 component, so the keyed merge re-emits the serial sequence byte for
-byte.  Thread-team stragglers stretch virtual clocks only; the output
+byte.  Threads and their stragglers move virtual clocks only; the output
 never depends on them.
 """
 
@@ -75,24 +75,22 @@ class TestSerialEquality:
             == serial.outputs.files["inchworm_contigs"].read_bytes()
         )
 
-    def test_threaded_output_invariant_in_nprocs(self, smoke_counts):
-        # At n_threads > 1 the output depends only on (seed, n_threads):
-        # the deal and the rank count must never show through.
-        runs = [
-            mpirun(
-                mpi_inchworm, nprocs,
-                InchwormInputs(counts=smoke_counts),
-                InchwormStageConfig(
-                    inchworm=InchwormConfig(seed=1),
-                    n_threads=4,
-                    strategy=strategy,
-                ),
-            )
-            for nprocs in (1, 3, NPROCS)
-            for strategy in ("round_robin", "dynamic")
-        ]
-        first = runs[0].outputs[0].outputs.contigs
-        assert all(r.outputs[0].outputs.contigs == first for r in runs[1:])
+    def test_threaded_output_invariant_in_nprocs(self, smoke_counts, serial_contigs):
+        # Threads own whole components, so at n_threads > 1 the output is
+        # still the serial one: neither the deal, the rank count nor the
+        # thread count may show through.
+        for nprocs in (1, 3, NPROCS):
+            for strategy in ("round_robin", "dynamic"):
+                run = mpirun(
+                    mpi_inchworm, nprocs,
+                    InchwormInputs(counts=smoke_counts),
+                    InchwormStageConfig(
+                        inchworm=InchwormConfig(seed=1),
+                        n_threads=4,
+                        strategy=strategy,
+                    ),
+                )
+                assert run.outputs[0].outputs.contigs == serial_contigs
 
     def test_empty_counter(self):
         counts = jellyfish_count([], 25)
@@ -106,6 +104,67 @@ class TestSerialEquality:
             assert r.outputs.n_components == 0
 
 
+class TestFewComponents:
+    """More ranks, or more threads, than there are components to own."""
+
+    @pytest.fixture(scope="class")
+    def two_component_counts(self):
+        rng = np.random.default_rng(5)
+        seqs = ["".join(rng.choice(list("ACGT"), size=n).tolist()) for n in (90, 60)]
+        # Two copies of each clear the error-kmer filter (min_kmer_count).
+        return jellyfish_count(
+            [SeqRecord(f"r{i}", seq) for i, seq in enumerate(seqs + seqs)], 25
+        )
+
+    @pytest.mark.parametrize("strategy", ["round_robin", "dynamic"])
+    def test_ranks_owning_nothing_stay_at_zero(self, two_component_counts, strategy):
+        run = mpirun(
+            mpi_inchworm, 5,
+            InchwormInputs(counts=two_component_counts),
+            InchwormStageConfig(
+                inchworm=InchwormConfig(seed=1), n_threads=8, strategy=strategy
+            ),
+            trace=True,
+        )
+        serial = inchworm_assemble(two_component_counts, InchwormConfig(seed=1))
+        owners = 0
+        for r, trace in zip(run.outputs, run.traces):
+            assert r.outputs.contigs == serial
+            assert r.outputs.n_components == 2
+            advances = [
+                seg for seg in trace.segments
+                if seg.label == "inchworm:assemble_components"
+            ]
+            if r.metrics["n_local_components"] == 0:
+                # Nothing owned: no team time, no clock advance, same keys.
+                assert r.metrics["team_makespan_s"] == 0.0
+                assert r.metrics["team_serial_s"] == 0.0
+                assert r.metrics["assemble_time"] == 0.0
+                assert advances == []
+            else:
+                owners += 1
+                assert r.metrics["team_makespan_s"] > 0
+                (seg,) = advances
+                assert set(seg.attrs) == {"components", "n_threads", "steps"}
+                assert seg.attrs["n_threads"] == 8
+            assert r.metrics["n_threads"] == 8.0
+        assert 1 <= owners <= 2
+
+    def test_eight_threads_two_components_one_rank(self, two_component_counts):
+        # At most two of the eight thread clocks can move; the team
+        # makespan is the busier of the two, never a sum over threads.
+        run = mpirun(
+            mpi_inchworm, 1,
+            InchwormInputs(counts=two_component_counts),
+            InchwormStageConfig(inchworm=InchwormConfig(seed=1), n_threads=8),
+        )
+        r = run.outputs[0]
+        assert r.outputs.contigs == inchworm_assemble(
+            two_component_counts, InchwormConfig(seed=1)
+        )
+        assert 0 < r.metrics["team_makespan_s"] <= r.metrics["team_serial_s"]
+
+
 class TestRecovery:
     @pytest.mark.timeout(120)
     @pytest.mark.parametrize("strategy", ["round_robin", "dynamic"])
@@ -113,17 +172,21 @@ class TestRecovery:
         self, smoke_counts, serial_contigs, strategy
     ):
         plan = FaultPlan(crashes=(CrashFault(rank=2, phase="inchworm:assemble"),))
-        rec = mpirun_with_recovery(
-            mpi_inchworm, NPROCS,
-            InchwormInputs(counts=smoke_counts),
-            InchwormStageConfig(inchworm=InchwormConfig(seed=1), strategy=strategy),
-            faults=plan,
-        )
-        # The deal is a pure function of (counter, nprocs), so the
-        # survivor re-deal reproduces the identical merged contigs.
-        assert len(rec.outputs) == NPROCS - 1
-        assert rec.outputs[0].outputs.contigs == serial_contigs
-        assert rec.metrics["faults.rank_losses"] == 1.0
+        for n_threads in (1, 4):
+            rec = mpirun_with_recovery(
+                mpi_inchworm, NPROCS,
+                InchwormInputs(counts=smoke_counts),
+                InchwormStageConfig(
+                    inchworm=InchwormConfig(seed=1), strategy=strategy,
+                    n_threads=n_threads,
+                ),
+                faults=plan,
+            )
+            # The deal is a pure function of (counter, nprocs), so the
+            # survivor re-deal reproduces the identical merged contigs.
+            assert len(rec.outputs) == NPROCS - 1
+            assert rec.outputs[0].outputs.contigs == serial_contigs
+            assert rec.metrics["faults.rank_losses"] == 1.0
 
 
 class TestStragglers:

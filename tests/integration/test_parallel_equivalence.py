@@ -66,3 +66,26 @@ class TestEquivalence:
         for r in timings["mpi_graph_from_fasta"].outputs[1:]:
             assert r.pairs == first.pairs
             assert r.components == first.components
+
+
+class TestThreadedInchwormBytes:
+    """Inchworm threads own whole k-mer-graph components, so the whole
+    driver stays byte-identical to the serial pipeline with them on."""
+
+    @pytest.mark.timeout(300)
+    def test_transcript_fasta_bytes_equal_serial(self, smoke_reads, tmp_path):
+        trinity = TrinityConfig(seed=1, inchworm_threads=4)
+        serial = TrinityPipeline(trinity).run(smoke_reads, workdir=tmp_path / "serial")
+        want = serial.outputs.files["transcripts"].read_bytes()
+        assert want
+        for nprocs in (1, 3, 8):
+            for strategy in ("round_robin", "dynamic"):
+                wd = tmp_path / f"{strategy}-{nprocs}"
+                par = ParallelTrinityDriver(
+                    ParallelTrinityConfig(
+                        trinity=trinity, nprocs=nprocs, nthreads=4,
+                        butterfly_strategy=strategy,
+                    )
+                ).run(smoke_reads, workdir=wd)
+                assert par.outputs.files["transcripts"].read_bytes() == want
+                assert par.metrics["inchworm.n_threads"] == 4.0

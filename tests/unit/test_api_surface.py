@@ -72,6 +72,26 @@ class TestStageSpecs:
                 assert getattr(repro.parallel, obj.__name__) is obj
 
 
+class TestInchwormSurface:
+    def test_two_assemblers_and_no_window_knob(self):
+        """The serial reference and the component kernel are the only
+        assemblers; threads per rank is the one Inchworm option left."""
+        from dataclasses import fields
+
+        from repro.parallel import InchwormStageConfig
+        from repro.trinity import TrinityConfig, inchworm
+
+        assemblers = {n for n in vars(inchworm) if n.startswith("inchworm_assemble")}
+        assert assemblers == {"inchworm_assemble", "inchworm_assemble_components"}
+        assert {f.name for f in fields(InchwormStageConfig)} == {
+            "inchworm", "n_threads", "strategy", "chunk_size", "workdir",
+            "thread_slowdowns",
+        }
+        assert [f.name for f in fields(TrinityConfig) if "inchworm" in f.name] == [
+            "inchworm_threads"
+        ]
+
+
 class TestErrorHierarchy:
     def test_all_derive_from_repro_error(self):
         for name in dir(errors):

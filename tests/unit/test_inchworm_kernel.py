@@ -1,25 +1,32 @@
-"""Unit tests for the batched/threaded Inchworm engine and its fidelity
-fixes: shared tie-break helper, filtered-table coverage, and the
-n_threads=1 byte-identity contract of the speculative-window engine."""
+"""Unit tests for the Inchworm component kernel and its fidelity fixes:
+shared tie-break helper, filtered-table coverage, byte identity with the
+serial reference on either side of the lockstep/scalar split, and the
+thread-clock accounting."""
+
+import time
 
 import numpy as np
 import pytest
 
 from repro.errors import PipelineError
+from repro.parallel.component_stage import lpt_assign
+from repro.parallel.mpi_inchworm import _component_setup
 from repro.seq.kmer_index import KmerCounter
 from repro.seq.kmers import canonical_code, encode_kmer
 from repro.seq.records import SeqRecord
+from repro.trinity import inchworm
 from repro.trinity.inchworm import (
     InchwormConfig,
     inchworm_assemble,
-    inchworm_assemble_batched,
-    inchworm_assemble_threaded,
+    inchworm_assemble_components,
+    keyed_contigs,
     probe_extensions,
     select_extensions,
     tie_break_code,
     tie_break_codes,
 )
 from repro.trinity.jellyfish import JellyfishCounts, jellyfish_count
+from tests.inchworm_kernel import assemble_components
 
 
 def counts_for(*seqs, k=7):
@@ -94,8 +101,8 @@ class TestCoverageUsesFilteredTable:
             index=KmerCounter.from_dict({f_code: 5, c_code: 1}, k),
         )
         cfg = InchwormConfig(min_kmer_count=2, min_contig_length=1)
-        res = inchworm_assemble_threaded(counts, cfg, n_threads=1)
-        assert [c.coverage for c in res.contigs] == [pytest.approx(5.0)]
+        res = assemble_components(counts, cfg)
+        assert [cov for _key, _seq, cov in res.keyed] == [pytest.approx(5.0)]
 
 
 class TestBatchedKernel:
@@ -121,13 +128,16 @@ class TestBatchedKernel:
         _cols, ok = select_extensions(probe, all_blocked)
         assert not ok.any()
 
-    @pytest.mark.parametrize("batch_size", [1, 2, 8, 32])
-    def test_batched_identical_to_serial(self, batch_size):
+    @pytest.mark.parametrize("cutoff", [1, 2, 8, 32])
+    def test_batched_identical_to_serial(self, cutoff, monkeypatch):
+        # Where the lockstep hands over to the scalar tail never changes
+        # what is emitted: 1 = every step batched, 32 = every step scalar.
+        monkeypatch.setattr(inchworm, "_SCALAR_CUTOFF", cutoff)
         counts = counts_for(SRC1, SRC2, SRC3, SRC1, k=7)
         for seed in (0, 3):
             cfg = InchwormConfig(min_kmer_count=1, seed=seed)
             serial = inchworm_assemble(counts, cfg)
-            batched = inchworm_assemble_batched(counts, cfg, batch_size=batch_size)
+            batched = keyed_contigs(assemble_components(counts, cfg).keyed)
             assert [(c.name, c.seq, c.coverage) for c in serial] == [
                 (c.name, c.seq, c.coverage) for c in batched
             ]
@@ -138,69 +148,91 @@ class TestThreadedDriver:
         counts = counts_for(SRC1, SRC2, SRC3, k=7)
         cfg = InchwormConfig(min_kmer_count=1, seed=2)
         serial = inchworm_assemble(counts, cfg)
-        res = inchworm_assemble_threaded(counts, cfg, n_threads=1)
+        res = assemble_components(counts, cfg)
         assert [(c.name, c.seq, c.coverage) for c in serial] == [
-            (c.name, c.seq, c.coverage) for c in res.contigs
+            (c.name, c.seq, c.coverage) for c in keyed_contigs(res.keyed)
         ]
 
     @pytest.mark.parametrize("n_threads", [2, 4, 8])
     def test_multithread_conserves_kmer_partition(self, n_threads):
-        # Different interleavings may pick different contig boundaries,
-        # but no canonical k-mer may appear in two contigs and every
-        # contig must still be made of table k-mers.
+        # No canonical k-mer may appear in two contigs and every contig
+        # must be made of table k-mers, at any thread count.
         from repro.seq.kmers import canonical_kmers
 
         counts = counts_for(SRC1, SRC2, SRC3, SRC1, k=7)
         cfg = InchwormConfig(min_kmer_count=1)
-        res = inchworm_assemble_threaded(counts, cfg, n_threads=n_threads)
+        res = assemble_components(counts, cfg, n_threads=n_threads)
         seen = set()
-        for c in res.contigs:
-            for code in canonical_kmers(c.seq, 7).tolist():
+        for _key, seq, _cov in res.keyed:
+            for code in canonical_kmers(seq, 7).tolist():
                 assert code not in seen
                 assert counts.get(code) > 0
                 seen.add(code)
 
     def test_team_timing_populated(self):
         counts = counts_for(SRC1, SRC2, k=7)
-        res = inchworm_assemble_threaded(
-            counts, InchwormConfig(min_kmer_count=1), n_threads=4
-        )
+        res = assemble_components(counts, InchwormConfig(min_kmer_count=1), n_threads=4)
         assert res.team.n_threads == 4
         assert res.team.makespan > 0
         assert res.thread_clocks.shape == (4,)
-        attrs = res.as_span_attrs()
-        assert attrs["n_threads"] == 4
-        assert attrs["steps"] == res.n_steps
+        assert res.n_steps > 0
+
+    def test_clocks_cover_the_whole_call(self, smoke_counts):
+        # Everything the kernel does — walker and queue setup, seed scans
+        # and emits, not just the probe bodies — reaches a thread clock.
+        slow = np.array([3.0, 1.0, 2.0, 1.0])
+        assemble_components(smoke_counts, n_threads=4)  # warm the index
+        cfg = InchwormConfig()
+        filtered, seed_rank, members, costs = _component_setup(smoke_counts, cfg)
+        teams = lpt_assign(costs.tolist(), range(len(members)), 4)
+        thread_components = [[members[c] for c in team] for team in teams]
+        t0 = time.thread_time()
+        res = inchworm_assemble_components(
+            filtered, smoke_counts.canonical, cfg, seed_rank, thread_components, slow
+        )
+        measured = time.thread_time() - t0
+        assert res.team.serial_time == pytest.approx((res.thread_clocks / slow).sum())
+        assert 0.9 * measured <= res.team.serial_time <= measured
+        assert res.team.makespan == res.thread_clocks.max()
 
     def test_straggler_slowdown_stretches_makespan(self):
         counts = counts_for(SRC1, SRC2, SRC3, k=7)
         cfg = InchwormConfig(min_kmer_count=1)
-        fair = inchworm_assemble_threaded(counts, cfg, n_threads=4)
-        slowed = inchworm_assemble_threaded(
-            counts, cfg, n_threads=4, thread_slowdowns=[8.0, 1.0, 1.0, 1.0]
-        )
+        # One thread holds everything, so the slowed thread is the busy one
+        # whatever the host's timing noise.
+        fair = assemble_components(counts, cfg)
+        slowed = assemble_components(counts, cfg, thread_slowdowns=[8.0])
         # Same output (slowdowns shape timing, never results)...
-        assert [c.seq for c in fair.contigs] == [c.seq for c in slowed.contigs]
-        # ...but the straggling thread drags the team makespan.
-        assert slowed.team.makespan > fair.team.makespan
+        assert fair.keyed == slowed.keyed
+        # ...but the straggler's share of the work is charged 8x.
+        assert slowed.team.makespan == pytest.approx(8.0 * slowed.team.serial_time)
+        assert fair.team.makespan == pytest.approx(fair.team.serial_time)
+
+    def test_more_threads_than_components_idle_at_zero(self):
+        counts = counts_for(SRC1, SRC2, k=7)
+        res = assemble_components(counts, InchwormConfig(min_kmer_count=1), n_threads=8)
+        busy = np.flatnonzero(res.thread_clocks)
+        assert 0 < busy.size < 8  # fewer components than threads
+        assert res.team.makespan == res.thread_clocks.max()
 
     def test_empty_counts(self):
         counts = counts_for("AAA", k=3)
-        res = inchworm_assemble_threaded(counts, InchwormConfig(min_kmer_count=10))
-        assert res.contigs == []
+        res = assemble_components(counts, InchwormConfig(min_kmer_count=10), n_threads=2)
+        assert res.keyed == []
         assert res.team.makespan == 0.0
+        assert res.thread_clocks.tolist() == [0.0, 0.0]
+        assert res.n_steps == 0
 
     def test_invalid_args_rejected(self):
         counts = counts_for(SRC1, k=7)
         with pytest.raises(PipelineError):
-            inchworm_assemble_threaded(counts, n_threads=0)
+            assemble_components(counts, n_threads=2, thread_slowdowns=[1.0])
         with pytest.raises(PipelineError):
-            inchworm_assemble_threaded(counts, batch_size=0)
-        with pytest.raises(PipelineError):
-            inchworm_assemble_threaded(counts, n_threads=2, thread_slowdowns=[1.0])
-        with pytest.raises(PipelineError):
-            inchworm_assemble_threaded(
-                counts, n_threads=2, thread_slowdowns=[1.0, -2.0]
+            assemble_components(counts, n_threads=2, thread_slowdowns=[1.0, -2.0])
+        filtered = counts.index.filtered(1)
+        with pytest.raises(PipelineError):  # no thread at all
+            inchworm_assemble_components(
+                filtered, True, InchwormConfig(), np.arange(len(filtered)), []
             )
 
 
@@ -210,8 +242,6 @@ class TestPipelineKnob:
 
         with pytest.raises(PipelineError):
             TrinityConfig(inchworm_threads=0)
-        with pytest.raises(PipelineError):
-            TrinityConfig(inchworm_batch=-1)
 
     def test_parallel_config_validation(self):
         from repro.parallel.driver import ParallelTrinityConfig

@@ -83,23 +83,29 @@ def stage_config(seed: int, strategy: str) -> ChrysalisBackendStageConfig:
 def run_points(
     nprocs: int = NPROCS, seed: int = 0, repeat: int = 3
 ) -> List[Dict[str, float]]:
-    """Time one mpirun per deal strategy (best wall of ``repeat`` runs)."""
+    """Time one mpirun per deal strategy: the best wall and, separately,
+    the launch with the best virtual makespan of ``repeat`` runs (a
+    launch is a few ms of thread time since PR 18, less than one pass of
+    the cyclic collector, which lands on whichever rank thread
+    allocated)."""
     seqs, serial = build_workload(seed=seed, nprocs=nprocs)
     inputs = contig_only_inputs(seqs)
     points: List[Dict[str, float]] = []
     virtual: Dict[str, float] = {}
     for strategy in STRATEGIES:
         config = stage_config(seed, strategy)
-        wall = None
+        wall = run = None
         for _rep in range(max(repeat, 1)):
             t0 = time.perf_counter()
-            run = mpirun(mpi_chrysalis_backend, nprocs, inputs, config)
+            rep = mpirun(mpi_chrysalis_backend, nprocs, inputs, config)
             rep_wall = time.perf_counter() - t0
             wall = rep_wall if wall is None else min(wall, rep_wall)
-        if run.outputs[0].transcripts != serial:
-            raise RuntimeError(
-                f"strategy {strategy!r} diverged from serial butterfly_assemble"
-            )
+            if rep.outputs[0].transcripts != serial:
+                raise RuntimeError(
+                    f"strategy {strategy!r} diverged from serial butterfly_assemble"
+                )
+            if run is None or rep.makespan < run.makespan:
+                run = rep
         virtual[strategy] = run.makespan
         # Run-level rank times are equalised by the final barrier, so the
         # deal imbalance is read off the enumeration-loop metric instead.
@@ -139,7 +145,10 @@ def append_entry(out: Path, label: str, points: List[Dict[str, float]]) -> None:
         ),
         fields={
             "wall_s": "host wall-clock of the simulated mpirun",
-            "virtual_makespan_s": "modelled cluster runtime (slowest rank)",
+            "virtual_makespan_s": (
+                "modelled cluster runtime (slowest rank); best of --repeat "
+                "launches from PR 18 on, the last launch before"
+            ),
             "loop_imbalance": "max/min rank enumeration-loop time",
             "static_over_dynamic": "round_robin / dynamic virtual makespan",
         },

@@ -6,6 +6,16 @@ workload: the LPT deal must beat the cost-blind round-robin decisively
 on the virtual makespan, and both deals of the fused stage on
 contig-only inputs must reproduce the serial ``butterfly_assemble``
 output exactly.
+
+Since PR 18 the walk is linear in the nodes, so the heavy components cost
+13x a light one (before: 12x the length -> ~150x the cost) and a launch
+is 7-25 ms of virtual time instead of 140-350 ms.  The *ratio* is where
+it was — three heavies on one rank against one per rank is 3x either way
+(pinned, eight pairs each: parent 2.5-2.8x, this PR 2.6-2.95x with the
+cyclic collector paused) — but one collector pass (~20 ms) charged to the
+rank thread that happened to allocate now outweighs a whole launch: with
+it on, single pairs read 0.8-6.3x.  The floor stays 1.5x; each side is
+the best of its launches.
 """
 
 from benchmarks.butterfly_bench_runner import NPROCS, build_workload, stage_config
@@ -25,11 +35,14 @@ def test_bench_dynamic_deal_beats_round_robin(benchmark):
             mpi_chrysalis_backend, NPROCS, inputs, stage_config(0, strategy)
         )
 
-    static = run("round_robin")
-    dynamic = benchmark(run, "dynamic")
+    statics = [run("round_robin") for _ in range(3)]
+    dynamics = []
+    benchmark(lambda: dynamics.append(run("dynamic")))
 
-    assert static.outputs[0].transcripts == serial
-    assert dynamic.outputs[0].transcripts == serial
+    assert all(rec.outputs[0].transcripts == serial for rec in (*statics, *dynamics))
+    static, dynamic = (
+        min(recs, key=lambda rec: rec.makespan) for recs in (statics, dynamics)
+    )
 
     def loop_imbalance(run):
         # The final barrier equalises rank end-times, so imbalance lives
@@ -48,6 +61,6 @@ def test_bench_dynamic_deal_beats_round_robin(benchmark):
         }
     )
     # Acceptance floor is 1.5x on the stride-skewed workload; the recorded
-    # history shows ~2.7x at 8 ranks.
+    # history shows 2.5-3.0x at 8 ranks.
     assert gain > 1.5
     assert loop_imbalance(dynamic) < loop_imbalance(static)

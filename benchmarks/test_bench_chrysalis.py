@@ -5,6 +5,14 @@ bench re-checks the acceptance properties on the runner's own workload:
 the fused stage's virtual makespan at 8 ranks must beat its own 1-rank
 run by at least the 1.5x floor (like the jellyfish and inchworm-mpi
 guards), and the fused outputs must reproduce the serial chain exactly.
+
+Since PR 18 (batched threading, linear walk) the 1-rank makespan is
+~0.040 s and the 8-rank one ~0.010 s — parent 0.12 s / 0.035 s — so the
+ratio moved from 3.5x to 3.8-4.4x (pinned, six pairs each), and one
+cyclic-collector pass (~10-20 ms, charged to whichever rank thread
+allocated) now doubles an 8-rank launch: single pairs dipped to 1.6x
+(parent) and 1.8x (this PR).  The floor stays 1.5x; each side is the best
+of its launches.
 """
 
 from benchmarks.chrysalis_bench_runner import (
@@ -27,11 +35,13 @@ def test_bench_fused_backend_scales(benchmark):
     def run(nprocs):
         return mpirun(mpi_chrysalis_backend, nprocs, inputs, config)
 
-    one = run(1)
-    fused = benchmark(run, SPEEDUP_NPROCS)
+    ones = [run(1) for _ in range(3)]
+    eights = []
+    benchmark(lambda: eights.append(run(SPEEDUP_NPROCS)))
+    one, fused = (min(recs, key=lambda rec: rec.makespan) for recs in (ones, eights))
 
     # Byte-identity to the serial chain (transcripts and quant stats).
-    for rec in (one, fused):
+    for rec in (*ones, *eights):
         out = rec.outputs[0]
         assert out.transcripts == serial_transcripts
         assert all(

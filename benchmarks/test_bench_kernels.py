@@ -5,10 +5,21 @@ Python kernel performance that the calibrated simulations build on.
 """
 
 import numpy as np
+import pytest
 
 from repro.seq.kmers import kmer_array, revcomp_codes
 from repro.openmp.schedule import dynamic_makespan
+from repro.simdata.reads import flatten_reads
+from repro.trinity import TrinityConfig, TrinityPipeline
 from repro.trinity.bowtie import BowtieConfig, BowtieIndex, align_reads
+from repro.trinity.butterfly import butterfly_component
+from repro.trinity.chrysalis.debruijn import fasta_to_debruijn
+from repro.trinity.chrysalis.orient import orient_component
+from repro.trinity.chrysalis.quantify import (
+    quantify_component,
+    reads_by_component,
+    solid_index,
+)
 from repro.trinity.inchworm import InchwormConfig, inchworm_assemble
 from repro.trinity.jellyfish import jellyfish_count
 from repro.util.rng import spawn_rng
@@ -73,3 +84,41 @@ def test_bench_dynamic_schedule(benchmark):
     costs = rng.lognormal(0, 1, 100_000)
     ms = benchmark(dynamic_makespan, costs, 16)
     assert ms > 0
+
+
+@pytest.fixture(scope="module")
+def giant_component():
+    """The whitefly-half library's largest component (one 2.5-kb contig,
+    ~840 routed reads, ~2 600 nodes): most of the fused back end's loop,
+    and the critical rank's whole share at 8 ranks."""
+    from benchmarks.pipeline.spec import LIBRARY_SEED, WHITEFLY
+
+    _txome, pairs = WHITEFLY.materialize(seed=LIBRARY_SEED)
+    reads = flatten_reads(pairs)
+    tcfg = TrinityConfig(seed=1)
+    out = TrinityPipeline(tcfg).run(reads).outputs
+    routed = reads_by_component(out.assignments)
+    comp = max(out.gff.components, key=lambda c: len(routed.get(c.id, ())))
+    oriented = orient_component([out.contigs[m].seq for m in comp.members], tcfg.weld_k)
+    solid = solid_index(out.counts, tcfg.min_kmer_count)
+    return tcfg, comp.id, oriented, reads, routed[comp.id], solid
+
+
+def test_bench_quantify_component(benchmark, giant_component):
+    tcfg, cid, oriented, reads, read_indices, solid = giant_component
+
+    def fresh_graph():
+        return (cid, fasta_to_debruijn(oriented, tcfg.k), reads, read_indices), {"solid": solid}
+
+    quant = benchmark.pedantic(quantify_component, setup=fresh_graph, rounds=10)
+    assert quant.n_reads == len(read_indices) > 500
+    assert quant.read_edge_weight > 0
+
+
+def test_bench_butterfly_walk(benchmark, giant_component):
+    tcfg, cid, oriented, reads, read_indices, solid = giant_component
+    graph = fasta_to_debruijn(oriented, tcfg.k)
+    quantify_component(cid, graph, reads, read_indices, solid=solid)
+    transcripts = benchmark(butterfly_component, cid, graph, tcfg.butterfly())
+    assert len(transcripts) > 1
+    assert graph.n_nodes > 2000

@@ -10,14 +10,20 @@ walked by Butterfly independently of every other component.
 
 This stage fuses the whole back-end chain — **orient → fasta_to_debruijn
 → quantify_graph → butterfly walk** — into one component-parallel MPI
-stage on the :mod:`repro.parallel.component_stage` skeleton: components
-are dealt across ranks once (cost-blind round-robin or master-dealt LPT
-``dynamic``, with the nodes×max_paths cost model *estimated from contig
-lengths* since graphs don't exist before the deal), and each owner rank
-runs the fused chain for its components on its OpenMP team.  De Bruijn graphs and quantified edge weights therefore
-never cross the wire: only transcripts and light per-component quant
-stats are pooled, and the two serial regions plus the graph
-allgather/re-deal disappear from the makespan.
+stage on the :mod:`repro.parallel.component_stage` skeleton.  Components
+are dealt across ranks once: cost-blind round-robin, or master-dealt LPT
+(``dynamic``) over :func:`estimated_component_cost`, which predicts each
+chain from what is known before any graph exists — the member contigs'
+lengths (walk) and the component's routed read count (threading).  Each
+owner rank then runs the fused chain for its components on its OpenMP
+team, one component per task: the kernels batch *within* a component
+(:func:`~repro.trinity.chrysalis.quantify.quantify_component` threads
+all of a component's reads as arrays), so the per-component deal, wire
+tuple and retry points are the unit of distribution and of recovery.
+De Bruijn graphs and quantified edge weights therefore never cross the
+wire: only transcripts and light per-component quant stats are pooled,
+and the two serial regions plus the graph allgather/re-deal disappear
+from the makespan.
 
 Outputs are **byte-identical to the serial pipeline** at every rank
 count: the fused chain per component is exactly the serial code path
@@ -69,24 +75,50 @@ from repro.trinity.chrysalis.reads_to_transcripts import ReadAssignment
 PathLike = Union[str, Path]
 
 
+#: Threading one routed read costs what walking this many node x path
+#: units costs (the fit in :func:`estimated_component_cost`).
+READ_COST = 66.0
+
+
 def estimated_component_cost(
-    component: Component, contigs: Sequence[Contig], k: int, max_paths: int
+    component: Component,
+    contigs: Sequence[Contig],
+    k: int,
+    max_paths: int,
+    n_reads: int = 0,
 ) -> float:
     """Predicted fused-chain cost of one component, *before* its graph exists.
 
-    Butterfly's DFS visits at most ``max_paths`` paths, each bounded by
-    the node count, but the fused deal happens before FastaToDebruijn, so
-    node counts are estimated from the member contigs: a contig of
-    length ``L`` yields at most ``L - k + 2`` (k-1)-mer nodes.  Build +
-    quantify + walk all scale with the same node count, so one estimate
-    ranks the whole chain.  Only the *relative* order matters (LPT), and the deal never
-    affects outputs — merge order is component id — so a misestimate
-    costs balance, not correctness.
+    Two terms, in node x path units.  **Walk**: Butterfly's DFS visits at
+    most ``max_paths`` paths, each linear in the node count, and the deal
+    happens before FastaToDebruijn, so nodes are estimated from the
+    member contigs — a contig of length ``L`` yields at most
+    ``L - k + 2`` (k-1)-mer nodes; orient and build scale with the same
+    count and ride in this term.  **Threading**: QuantifyGraph's batch is
+    linear in the read windows of the component's ``n_reads`` routed
+    reads (known at deal time from the RTT routing table), weighted by
+    :data:`READ_COST`.
+
+    The ratio was fitted once, by least squares on the per-component
+    ``thread_time`` of the fused chain over all 65 + 91 components of the
+    two benchmark libraries (whitefly-half, sugarbeet-third; best of 7
+    pinned passes): ``t = 3.5e-7 * est_nodes * max_paths + 2.3e-5 *
+    n_reads`` seconds, R^2 0.96, rms residual 0.7 ms against a median
+    component of 0.5 ms and a largest of 36 ms (so the fit is the
+    giants', which is what LPT needs).  Per library the ratio is 40 and
+    36; any value in 36-100 deals the same makespans to within 1 %.
+    Both libraries hold 75-bp reads (51 windows at k=25, i.e. ~1.3 units
+    per window); reads of one library share a length, so the count ranks
+    components as the window total would.
+
+    Only the *relative* order matters (LPT), and the deal never affects
+    outputs — merge order is component id — so a misestimate costs
+    balance, not correctness.
     """
     est_nodes = sum(
         max(len(contigs[m].seq) - k + 2, 1) for m in component.members
     )
-    return float(est_nodes * max(max_paths, 1))
+    return float(est_nodes * max(max_paths, 1)) + READ_COST * n_reads
 
 
 @dataclass(frozen=True)
@@ -202,7 +234,7 @@ def mpi_chrysalis_backend(
     )
 
     # -- deal components across ranks (graphs don't exist yet, so the LPT
-    # cost model estimates node counts from contig lengths) ----------------
+    # cost model works from contig lengths and routed read counts) ----------
     mine, deal_time = component_stage.deal(
         comm, "chrysalis", cids,
         lambda: comm.shared(
@@ -210,7 +242,7 @@ def mpi_chrysalis_backend(
             lambda: {
                 cid: estimated_component_cost(
                     comp_by_id[cid], contigs, config.k,
-                    bf_cfg.max_paths_per_component,
+                    bf_cfg.max_paths_per_component, len(routed.get(cid, ())),
                 )
                 for cid in cids
             },

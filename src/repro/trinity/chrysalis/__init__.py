@@ -31,7 +31,7 @@ from repro.trinity.chrysalis.graph_from_fasta import (
     canonical_weldmer,
 )
 from repro.trinity.chrysalis.debruijn import DeBruijnGraph, fasta_to_debruijn
-from repro.trinity.chrysalis.orient import orient_component, best_orientation
+from repro.trinity.chrysalis.orient import node_codes, orient_component, reverse_votes
 from repro.trinity.chrysalis.reads_to_transcripts import (
     ReadsToTranscriptsConfig,
     ReadAssignment,
@@ -66,7 +66,8 @@ __all__ = [
     "DeBruijnGraph",
     "fasta_to_debruijn",
     "orient_component",
-    "best_orientation",
+    "node_codes",
+    "reverse_votes",
     "ReadsToTranscriptsConfig",
     "ReadAssignment",
     "reads_to_transcripts",

@@ -5,8 +5,12 @@ u and suffix is v.  Edge weights count occurrences across the component's
 contigs (and later, reads via QuantifyGraph).  Butterfly walks these
 graphs to reconstruct transcripts.
 
-Graphs are small (one gene family each) so a dict-of-dicts is the right
-representation; no numpy needed here.
+Graphs are small (one gene family each) and Butterfly walks them node by
+node, so a dict-of-dicts is the right representation.  The *counting*
+that fills one is array work done by the callers: QuantifyGraph reduces a
+component's read k-mers to (distinct k-mer, multiplicity) pairs in numpy
+and lands them through :meth:`DeBruijnGraph.add_kmers`, one dict touch
+per distinct edge.
 """
 
 from __future__ import annotations
@@ -44,50 +48,17 @@ class DeBruijnGraph:
             touched += 1
         return touched
 
-    def add_sequence_filtered(self, seq: str, is_solid, weight: float = 1.0) -> int:
-        """Thread a sequence, skipping edges whose k-mer fails ``is_solid``.
+    def add_kmers(self, kmers: Iterable[str], weights: Iterable[float]) -> None:
+        """Add one weighted edge per k-mer string.
 
-        ``is_solid(kmer) -> bool`` typically checks Jellyfish abundance;
-        sequencing errors then leave gaps instead of junk branches.  Each
-        maximal solid run threads contiguously; runs are not connected
-        across skipped edges.  Returns #edges touched.
+        A k-mer *is* an edge — from its (k-1)-prefix node to its
+        (k-1)-suffix node — so a batch of distinct k-mers with their
+        multiplicities is a whole threading pass (QuantifyGraph counts a
+        component's read k-mers in arrays and lands them here, one dict
+        touch per distinct edge).
         """
-        k = self.k
-        if len(seq) < k:
-            return 0
-        touched = 0
-        prev = seq[: k - 1]
-        for i in range(1, len(seq) - k + 2):
-            cur = seq[i : i + k - 1]
-            kmer = seq[i - 1 : i - 1 + k]
-            if is_solid(kmer):
-                self._add_edge(prev, cur, weight)
-                touched += 1
-            prev = cur
-        return touched
-
-    def add_sequence_masked(self, seq: str, solid_mask, weight: float = 1.0) -> int:
-        """Thread a sequence, keeping only edges whose k-mer index is True
-        in ``solid_mask`` (a boolean sequence over the ``len(seq)-k+1``
-        windows).  Vectorised callers (QuantifyGraph) precompute the mask
-        in bulk instead of re-encoding every window."""
-        k = self.k
-        n_windows = len(seq) - k + 1
-        if n_windows <= 0:
-            return 0
-        if len(solid_mask) != n_windows:
-            raise PipelineError(
-                f"mask length {len(solid_mask)} != window count {n_windows}"
-            )
-        touched = 0
-        prev = seq[: k - 1]
-        for i in range(1, n_windows + 1):
-            cur = seq[i : i + k - 1]
-            if solid_mask[i - 1]:
-                self._add_edge(prev, cur, weight)
-                touched += 1
-            prev = cur
-        return touched
+        for kmer, weight in zip(kmers, weights):
+            self._add_edge(kmer[:-1], kmer[1:], weight)
 
     def _add_edge(self, u: str, v: str, weight: float) -> None:
         out = self.edges.setdefault(u, {})

@@ -143,8 +143,9 @@ def component_costs(
 
     Extension work is proportional to the k-mers a walk consumes, and
     abundance bounds how often the batched kernel revisits a region, so
-    the count mass is the natural LPT cost (mirrors the contig-length
-    estimate :func:`repro.parallel.mpi_chrysalis_backend.estimated_component_cost`
+    the count mass is the natural LPT cost (the role the contig-length
+    plus routed-read estimate
+    :func:`repro.parallel.mpi_chrysalis_backend.estimated_component_cost`
     plays for the back end).
     """
     return np.array(

@@ -89,3 +89,34 @@ class TestThreadedInchwormBytes:
                 ).run(smoke_reads, workdir=wd)
                 assert par.outputs.files["transcripts"].read_bytes() == want
                 assert par.metrics["inchworm.n_threads"] == 4.0
+
+
+class TestReadsWithN:
+    """A library with a few ``N``-bearing reads runs end to end: at the
+    parent QuantifyGraph raised on the first routed one (``mask length
+    != window count``).  An ``N`` window is a gap, in the serial pipeline
+    and on every rank alike, so the bytes still agree."""
+
+    @pytest.mark.timeout(300)
+    def test_serial_and_three_ranks_equal_bytes(self, smoke_reads, tmp_path):
+        from repro.seq.records import SeqRecord
+
+        reads = list(smoke_reads)
+        for i, at in ((3, 0), (10, 30), (17, -1), (24, 40), (31, 12)):
+            seq = reads[i].seq
+            at %= len(seq)
+            reads[i] = SeqRecord(reads[i].name, seq[:at] + "N" + seq[at + 1 :])
+        trinity = TrinityConfig(seed=1)
+        serial = TrinityPipeline(trinity).run(reads, workdir=tmp_path / "serial")
+        routed = {a.read_index for a in serial.outputs.assignments if a.component >= 0}
+        assert routed & {3, 10, 17, 24, 31}  # QuantifyGraph saw an N read
+        assert not any("N" in t.seq for t in serial.outputs.transcripts)
+        want = serial.outputs.files["transcripts"].read_bytes()
+        assert want
+        par = ParallelTrinityDriver(
+            ParallelTrinityConfig(trinity=trinity, nprocs=3, nthreads=4)
+        ).run(reads, workdir=tmp_path / "par")
+        assert par.outputs.files["transcripts"].read_bytes() == want
+        assert {c: (q.n_reads, q.read_edge_weight) for c, q in par.outputs.quants.items()} == {
+            c: (q.n_reads, q.read_edge_weight) for c, q in serial.outputs.quants.items()
+        }

@@ -92,6 +92,56 @@ class TestInchwormSurface:
         ]
 
 
+class TestChrysalisBackendSurface:
+    def test_kernel_signatures_and_no_scalar_path(self):
+        """One batched threading kernel, one walk, the signatures the fused
+        stage and the serial pipeline call — and no field, mode parameter
+        or per-read entry point beside them (the scalar code is the oracle
+        in ``tests/reference_chrysalis.py``)."""
+        from dataclasses import fields
+        from inspect import signature
+
+        from repro.parallel import ChrysalisBackendStageConfig
+        from repro.parallel.mpi_chrysalis_backend import estimated_component_cost
+        from repro.trinity import butterfly, chrysalis
+        from repro.trinity.chrysalis import debruijn, orient, quantify
+
+        def params(fn):
+            return list(signature(fn).parameters)
+
+        assert params(quantify.quantify_component) == [
+            "component", "graph", "reads", "read_indices", "solid",
+        ]
+        assert params(quantify.quantify_graph) == [
+            "graphs", "reads", "assignments", "kmer_counts", "min_kmer_count",
+        ]
+        assert params(orient.node_codes) == ["nodes", "k"]
+        assert params(orient.reverse_votes) == ["seqs", "nodes", "k"]
+        assert params(debruijn.DeBruijnGraph.add_kmers) == ["self", "kmers", "weights"]
+        assert params(butterfly.butterfly_component) == ["component_id", "graph", "cfg"]
+        assert params(butterfly.butterfly_assemble) == ["graphs", "cfg"]
+        assert params(butterfly._dfs) == [
+            "graph", "src", "cfg", "salt", "paths", "seen_paths",
+        ]
+        assert params(estimated_component_cost) == [
+            "component", "contigs", "k", "max_paths", "n_reads",
+        ]
+        for name in ("quantify_component", "quantify_graph", "node_codes", "reverse_votes"):
+            assert name in chrysalis.__all__
+        for gone in ("best_orientation", "add_sequence_masked", "add_sequence_filtered"):
+            assert not hasattr(orient, gone)
+            assert not hasattr(debruijn.DeBruijnGraph, gone)
+            assert gone not in chrysalis.__all__
+        assert {f.name for f in fields(butterfly.ButterflyConfig)} == {
+            "max_paths_per_component", "min_transcript_length", "min_edge_fraction",
+            "max_path_nodes", "seed", "simplify",
+        }
+        assert {f.name for f in fields(ChrysalisBackendStageConfig)} == {
+            "k", "weld_k", "min_kmer_count", "butterfly", "nthreads", "strategy",
+            "chunk_size", "workdir",
+        }
+
+
 class TestErrorHierarchy:
     def test_all_derive_from_repro_error(self):
         for name in dir(errors):

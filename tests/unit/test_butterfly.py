@@ -1,5 +1,8 @@
 """Unit tests for Butterfly transcript reconstruction."""
 
+import pytest
+
+from repro.errors import PipelineError
 from repro.trinity.butterfly import (
     ButterflyConfig,
     _dedup_contained,
@@ -159,3 +162,23 @@ class TestAssemble:
         a = butterfly_component(0, g, ButterflyConfig(seed=1))
         b = butterfly_component(0, g, ButterflyConfig(seed=2))
         assert {t.seq for t in a} == {t.seq for t in b}  # same full set here
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"min_edge_fraction": -0.01}, "min_edge_fraction"),
+            ({"min_edge_fraction": 1.01}, "min_edge_fraction"),
+            ({"max_paths_per_component": 0}, "max_paths_per_component"),
+            ({"max_path_nodes": 0}, "max_path_nodes"),
+        ],
+    )
+    def test_out_of_range_rejected(self, kwargs, field):
+        with pytest.raises(PipelineError, match=field):
+            ButterflyConfig(**kwargs)
+
+    def test_bounds_accepted(self):
+        for frac in (0.0, 1.0):
+            assert ButterflyConfig(min_edge_fraction=frac).min_edge_fraction == frac
+        assert ButterflyConfig(max_paths_per_component=1, max_path_nodes=1)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import PipelineError
 from repro.trinity.chrysalis.debruijn import DeBruijnGraph, fasta_to_debruijn, spell_path
+from tests.reference_chrysalis import add_sequence_filtered
 
 
 class TestConstruction:
@@ -53,22 +54,37 @@ class TestConstruction:
         assert g.successors("AC")["CG"] == 10.0
 
 
+def _kmers(seq, k):
+    return [seq[i : i + k] for i in range(len(seq) - k + 1)]
+
+
 class TestFilteredThreading:
+    """Per-window threading (the oracle's ``add_sequence_filtered``) against
+    the bulk ``add_kmers`` update that replaced it: a k-mer is an edge."""
+
     def test_solid_filter_skips_edges(self):
         g = DeBruijnGraph(k=3)
         # reject any k-mer containing 'T'
-        touched = g.add_sequence_filtered("ACGTACG", lambda kmer: "T" not in kmer)
+        touched = add_sequence_filtered(g, "ACGTACG", lambda kmer: "T" not in kmer)
         assert touched < 5
         for u, outs in g.edges.items():
             for v in outs:
                 assert "T" not in u + v[-1]
+        bulk = DeBruijnGraph(k=3)
+        solid = [kmer for kmer in _kmers("ACGTACG", 3) if "T" not in kmer]
+        bulk.add_kmers(solid, [1.0] * len(solid))
+        assert (bulk.edges, bulk._in_edges) == (g.edges, g._in_edges)
 
     def test_all_solid_equals_unfiltered(self):
         a = DeBruijnGraph(k=4)
         a.add_sequence("ACGTACGT")
         b = DeBruijnGraph(k=4)
-        b.add_sequence_filtered("ACGTACGT", lambda _k: True)
+        add_sequence_filtered(b, "ACGTACGT", lambda _k: True)
         assert a.edges == b.edges
+        # The repeated k-mer ACGT arrives once, with its multiplicity.
+        c = DeBruijnGraph(k=4)
+        c.add_kmers(["ACGT", "CGTA", "GTAC", "TACG"], [2.0, 1.0, 1.0, 1.0])
+        assert (c.edges, c._in_edges) == (a.edges, a._in_edges)
 
 
 class TestSpellAndUnitigs:

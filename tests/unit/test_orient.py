@@ -1,7 +1,17 @@
 """Unit tests for component strand orientation."""
 
+import pytest
+
+from repro.errors import PipelineError
 from repro.seq.alphabet import reverse_complement
-from repro.trinity.chrysalis.orient import best_orientation, directed_kmer_set, orient_component
+from repro.seq.kmers import encode_kmer
+from repro.trinity.chrysalis.orient import (
+    directed_kmer_set,
+    node_codes,
+    orient_component,
+    reverse_votes,
+)
+from tests.reference_chrysalis import best_orientation
 
 SRC = "ATCGGATTACAGTCCGGTTAACGAGCTTGGCATGCAT"
 
@@ -43,19 +53,49 @@ class TestOrientComponent:
 
 
 class TestBestOrientation:
+    """The read-orientation vote: the batched ``reverse_votes`` QuantifyGraph
+    runs, checked against the scalar ``best_orientation`` oracle it replaced."""
+
     def test_forward_read(self):
         nodes = {SRC[i : i + 7] for i in range(len(SRC) - 6)}
         read = SRC[5:25]
+        assert reverse_votes([read], node_codes(nodes, 8), 8).tolist() == [False]
         assert best_orientation(read, nodes, 8) == read
 
     def test_reverse_read_flipped(self):
         nodes = {SRC[i : i + 7] for i in range(len(SRC) - 6)}
         read = reverse_complement(SRC[5:25])
+        assert reverse_votes([read, SRC[5:25]], node_codes(nodes, 8), 8).tolist() == [True, False]
         assert best_orientation(read, nodes, 8) == SRC[5:25]
 
     def test_tie_keeps_forward(self):
         read = "ACGTACGT"
+        assert reverse_votes([read], node_codes(set(), 4), 4).tolist() == [False]
         assert best_orientation(read, set(), 4) == read
+        # A palindrome hits the same nodes on both strands: an exact tie.
+        nodes = {read[i : i + 3] for i in range(len(read) - 2)}
+        assert reverse_votes([read], node_codes(nodes, 4), 4).tolist() == [False]
+
+    def test_repeated_node_votes_once(self):
+        # Forward: one node ("AAA") seen five times; reverse: two distinct
+        # nodes seen once each.  Distinct counts decide, so reverse wins.
+        read = "AAAAAAAGG"
+        nodes = {"AAA", "CCT", "CTT"}
+        assert reverse_votes([read], node_codes(nodes, 4), 4).tolist() == [True]
+        assert best_orientation(read, nodes, 4) == reverse_complement(read)
+
+
+class TestNodeCodes:
+    def test_sorted_codes_one_per_clean_node(self):
+        nodes = ["TTT", "ACG", "ANG", "CCA"]
+        assert node_codes(nodes, 4).tolist() == sorted(
+            encode_kmer(n) for n in nodes if "N" not in n
+        )
+        assert node_codes([], 4).size == 0
+
+    def test_rejects_nodes_of_another_length(self):
+        with pytest.raises(PipelineError, match="3-mers"):
+            node_codes(["ACG", "ACGT"], 4)
 
 
 class TestDirectedKmerSet:

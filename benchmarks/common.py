@@ -14,7 +14,7 @@ The shared parent keeps the flag surface identical across benches:
 * ``--history`` (alias ``--out``, kept for older invocations) — the
   JSON history file to append to.
 
-Runner-specific flags (``--nprocs``, ``--kernel``, ``--threads``, …)
+Runner-specific flags (``--nprocs``, ``--threads``, …)
 stay on the individual runners.
 """
 

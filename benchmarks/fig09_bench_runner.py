@@ -6,16 +6,18 @@ runner times the actual simulated-MPI execution (thread-per-rank) of
 on the whitefly-mini workload, recording both numbers that matter:
 
 * ``wall_s`` — host wall-clock of the simulation itself.  This is what
-  the batched sorted-array kernel attacks: the per-read loop probed a
-  Python dict once per k-mer position of every read on every rank.
+  the batched sorted-array kernel attacked: the per-read loop it replaced
+  probed a Python dict once per k-mer position of every read on every
+  rank.
 * ``virtual_makespan_s`` — the modelled cluster runtime (slowest rank's
   virtual clock), which must stay nprocs-faithful regardless of how fast
   the host happens to run the simulation.
 
-``--kernel per-read`` measures the legacy per-read reference loop (the
-"before" rows of the checked-in history); the default measures the
-batched kernel.  Outputs are byte-identical either way — the equivalence
-suite asserts it — so the history is a pure like-for-like speedup record.
+The runner measures the path the driver runs — the batched kernel, with
+the final all-ranks pooling.  The history's per-read rows and its first
+batched row (taken without the pooling step) were measured through
+selectors the stage no longer has; they stay as the record of why the
+batched kernel is the only one.
 
 Usage (append a labeled entry to the checked-in history)::
 
@@ -63,15 +65,14 @@ def build_inputs(seed: int = 0):
 
 
 def run_points(
-    nprocs_list: List[int], kernel: str = "batched", repeat: int = 1, seed: int = 0
+    nprocs_list: List[int], repeat: int = 1, seed: int = 0
 ) -> List[Dict[str, float]]:
     """Time one mpirun of the RTT stage per requested rank count
     (best wall of ``repeat`` runs, to shave host noise off the history).
 
-    Measures the paper-faithful output path: per-rank part files in a
-    scratch ``workdir`` concatenated by the master (Figure 9 includes the
-    ``cat`` step), with ``pool=False`` — the all-ranks Python-object
-    pooling is a simulation convenience the real pipeline doesn't pay.
+    Measures the stage as the driver launches it: per-rank part files in
+    a scratch ``workdir`` concatenated by the master (Figure 9 includes
+    the ``cat`` step), then the pooled table on every rank.
     """
     reads, contigs, components = build_inputs(seed=seed)
     inputs = RttInputs(reads=reads, contigs=contigs, components=components)
@@ -81,9 +82,7 @@ def run_points(
         wall = None
         for _rep in range(max(repeat, 1)):
             with tempfile.TemporaryDirectory(prefix="fig09_rtt_") as wd:
-                config = RttStageConfig(
-                    rtt=cfg, nthreads=NTHREADS, workdir=wd, kernel=kernel, pool=False
-                )
+                config = RttStageConfig(rtt=cfg, nthreads=NTHREADS, workdir=wd)
                 t0 = time.perf_counter()
                 run = mpirun(mpi_reads_to_transcripts, nprocs, inputs, config)
                 rep_wall = time.perf_counter() - t0
@@ -96,7 +95,7 @@ def run_points(
             }
         )
         print(
-            f"nprocs={nprocs:>3}  kernel={kernel:<8}  wall={wall:8.3f}s  "
+            f"nprocs={nprocs:>3}  wall={wall:8.3f}s  "
             f"virtual_makespan={run.makespan:.4f}s"
         )
     return points
@@ -125,17 +124,10 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
     """Entry point shared by ``python -m`` and ``repro bench rtt``."""
     ap = bench_parser(__doc__.splitlines()[0], Path("BENCH_fig09.json"))
     ap.add_argument("--nprocs", type=int, nargs="+", default=[1, 8])
-    ap.add_argument(
-        "--kernel",
-        choices=["batched", "per-read"],
-        default="batched",
-        help="main-loop kernel to measure (per-read = legacy dict loop)",
-    )
     args = ap.parse_args(argv)
-    kernel = args.kernel.replace("-", "_")
     append_entry(
         args.history, args.label,
-        run_points(args.nprocs, kernel=kernel, repeat=args.repeat, seed=args.seed),
+        run_points(args.nprocs, repeat=args.repeat, seed=args.seed),
     )
     return 0
 

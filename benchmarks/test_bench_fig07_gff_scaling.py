@@ -33,12 +33,17 @@ def test_fig07_gff_scaling(benchmark, workload):
 
 
 def test_fig07_gff_wallclock_mpirun(benchmark):
-    """Host wall-clock of the *actual* simulated mpirun (not the analytic
-    replay): with the rank-shared setup cache, simulating more ranks must
-    not multiply the host cost of the redundant serial regions.
+    """The *actual* simulated mpirun (not the analytic replay), at a
+    CI-friendly size; BENCH_fig07.json tracks the full 1/8/64 sweep.
 
-    BENCH_fig07.json tracks the full 1/8/64 sweep; this bench guards the
-    property at a CI-friendly size.
+    Host wall: with the rank-shared cache for what is still replicated
+    (k-mer map, weld index, components), simulating more ranks must not
+    multiply the host cost.  Virtual makespan: the read weldmer scan is
+    dealt across the ranks, so the stage now scales — measured on this
+    workload, 1 / 8 / 64 ranks, before 0.199 / 0.211 / 0.204 s (the
+    replicated scan *was* the makespan: 1.0x from 64 ranks) and after
+    0.205 / 0.043 / 0.061 s; host wall 0.207 / 0.219 / 0.263 s before,
+    0.213 / 0.229 / 0.414 s after (unpinned, best of 3).
     """
     from benchmarks.fig07_bench_runner import run_points
 
@@ -55,4 +60,5 @@ def test_fig07_gff_wallclock_mpirun(benchmark):
     # Pre-cache this ratio was ~7x (every rank redundantly rebuilt the
     # setup tables and wall clocks measured peers' GIL time).
     assert by_np[8]["wall_s"] < 3.0 * by_np[1]["wall_s"]
-    assert by_np[8]["virtual_makespan_s"] < 2.5 * by_np[1]["virtual_makespan_s"]
+    # A stage that does not scale at all passed the old "< 2.5x" guard.
+    assert by_np[8]["virtual_makespan_s"] < 0.75 * by_np[1]["virtual_makespan_s"]

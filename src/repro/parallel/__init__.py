@@ -29,7 +29,8 @@ All distributed stages share one calling convention — the
   re-emits the exact global seed order.
 * :mod:`repro.parallel.mpi_bowtie` — PyFasta-split Bowtie (SS:III.A).
 * :mod:`repro.parallel.mpi_graph_from_fasta` — hybrid loops 1+2 with
-  Allgatherv pooling (SS:III.B).
+  Allgatherv pooling (SS:III.B), plus the sharded read weldmer scan
+  (the paper's SS:VI future work, shipped).
 * :mod:`repro.parallel.mpi_reads_to_transcripts` — redundant-read
   streaming assignment (SS:III.C).
 * :mod:`repro.parallel.mpi_chrysalis_backend` — the fused Chrysalis
@@ -37,9 +38,7 @@ All distributed stages share one calling convention — the
   component on its owner rank, so graphs never cross the wire and the
   driver's two serial middle regions disappear (walk-only distributed
   Butterfly is this stage on contig-only inputs).
-* :mod:`repro.parallel.futurework` — the other named future-work
-  variants (striped I/O, sharded GFF setup).
-* :mod:`repro.parallel.merge` — per-rank output merging strategies.
+* :mod:`repro.parallel.merge` — per-rank output concatenation (``cat``).
 * :mod:`repro.parallel.recovery` — transient-fault retry and crash
   recovery over the fault-injected runtime (:mod:`repro.mpi.faults`).
 * :mod:`repro.parallel.driver` — ``Trinity.pl --nprocs`` equivalent: the
@@ -86,7 +85,6 @@ from repro.parallel.mpi_reads_to_transcripts import (
     RttStageConfig,
     mpi_reads_to_transcripts,
 )
-from repro.parallel import futurework as _futurework  # register variant stages
 from repro.parallel.recovery import (
     RecoveryPolicy,
     RetryPolicy,
@@ -94,8 +92,6 @@ from repro.parallel.recovery import (
     with_retry,
 )
 from repro.parallel.driver import ParallelTrinityConfig, ParallelTrinityDriver
-
-del _futurework
 
 __all__ = [
     "STAGES",

@@ -50,10 +50,10 @@ def chunks_for_rank(total_chunks: int, rank: int, nprocs: int) -> List[int]:
 def rank_items(
     n_items: int, chunk_size: int, rank: int, nprocs: int
 ) -> Iterator[Tuple[int, int]]:
-    """(start, stop) item ranges of every chunk owned by ``rank``."""
-    ranges = chunk_ranges(n_items, chunk_size)
-    for c in chunks_for_rank(len(ranges), rank, nprocs):
-        yield ranges[c]
+    """(start, stop) item ranges of every chunk owned by ``rank`` (its own
+    entries of :func:`chunk_ranges`, without building everyone's)."""
+    for c in chunks_for_rank(n_chunks(n_items, chunk_size), rank, nprocs):
+        yield c * chunk_size, min((c + 1) * chunk_size, n_items)
 
 
 def default_chunk_size(n_items: int, nprocs: int, nthreads: int) -> int:

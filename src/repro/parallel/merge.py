@@ -1,18 +1,17 @@
-"""Per-rank output merging strategies (paper SS:III.C).
+"""Per-rank output merging (paper SS:III.C).
 
 The shipped strategy is a plain ``cat`` of the per-process files by the
 master ("There is a final command at the end by the master node which
 combines the multiple files into a single file with a simple cat
 command"); the alternative the paper mentions — gathering the data at the
-root over MPI and writing once — is provided for the ablation benchmark.
+root over MPI and writing once — is costed by the ``abl-merge`` model in
+:mod:`repro.experiments.ablations`.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
-
-from repro.mpi.comm import SimComm
+from typing import Iterable, Union
 
 PathLike = Union[str, Path]
 
@@ -29,24 +28,3 @@ def cat_files(out_path: PathLike, part_paths: Iterable[PathLike]) -> int:
             total += len(data)
     return total
 
-
-def gather_merge(
-    comm: SimComm, local_lines: Sequence[str], out_path: Optional[PathLike] = None
-) -> Optional[List[str]]:
-    """Root-gather merge: every rank sends its lines to rank 0, which
-    (optionally) writes the single output file.
-
-    Returns the merged line list on rank 0, ``None`` elsewhere.  The
-    gather's payload cost is charged by the communicator, which is the
-    point of the abl-merge benchmark: at scale, shipping the full output
-    over the interconnect loses to per-rank files + ``cat``.
-    """
-    gathered = comm.gather(list(local_lines), root=0)
-    if comm.rank != 0:
-        return None
-    merged: List[str] = [line for part in gathered for line in part]
-    if out_path is not None:
-        with open(out_path, "w", encoding="ascii") as fh:
-            for line in merged:
-                fh.write(line + "\n")
-    return merged

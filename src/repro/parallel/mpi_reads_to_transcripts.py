@@ -5,20 +5,19 @@ The streaming reads model is kept: reads are consumed in chunks of
 ("updated") one: **every rank reads every chunk** and simply discards
 chunks whose ordinal is not congruent to its rank — redundant I/O in
 exchange for zero distribution communication.  (The first strategy the
-paper tried, master/slave chunk distribution, is implemented in
-:func:`mpi_reads_to_transcripts_master_slave` for the ablation bench.)
+paper tried and rejected, master/slave chunk distribution, is evaluated
+where its cost lives — the ``abl-rtt-io`` model in
+:mod:`repro.experiments.ablations`.)
 
 Each rank writes its own assignment file; the master concatenates them
 with a plain ``cat`` at the end (the measured-constant <15 s step of
 Figure 9), via :mod:`repro.parallel.merge`.
 
 The main loop runs the **batched sorted-array kernel**
-(:func:`~repro.trinity.chrysalis.reads_to_transcripts.assign_reads_batched`)
-by default: each ``max_mem_reads`` chunk is assigned in a handful of
-numpy passes against the shared
-:class:`~repro.seq.kmer_index.KmerMap`.  ``kernel="per_read"`` selects
-the legacy per-read dict loop (same output byte for byte — the ablation
-measured in ``BENCH_fig09.json``).
+(:func:`~repro.trinity.chrysalis.reads_to_transcripts.assign_reads_batched`):
+each ``max_mem_reads`` chunk is assigned in a handful of numpy passes
+against the shared :class:`~repro.seq.kmer_index.KmerMap`, and every
+rank returns the full pooled assignment table the back end consumes.
 """
 
 from __future__ import annotations
@@ -29,19 +28,16 @@ from operator import attrgetter
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.errors import PipelineError
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
-from repro.openmp import Schedule, TeamResult, ThreadTeam
+from repro.openmp import Schedule, ThreadTeam
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
-from repro.seq.kmer_index import KmerMap
 from repro.seq.records import Contig, SeqRecord
 from repro.trinity.chrysalis.components import Component
 from repro.trinity.chrysalis.reads_to_transcripts import (
     ReadAssignment,
     ReadsToTranscriptsConfig,
-    assign_read,
     assign_reads_batched,
     build_kmer_map,
     stream_chunks,
@@ -49,54 +45,6 @@ from repro.trinity.chrysalis.reads_to_transcripts import (
 )
 
 PathLike = Union[str, Path]
-
-#: Selectable main-loop kernels: the batched sorted-array kernel is the
-#: production path; the per-read reference loop stays for the ablation
-#: bench and as the equivalence oracle.
-KERNELS = ("batched", "per_read")
-
-
-def _shared_setup(
-    comm: SimComm,
-    contigs: Sequence[Contig],
-    components: Sequence[Component],
-    cfg: ReadsToTranscriptsConfig,
-    kernel: str,
-) -> KmerMap:
-    """Build the k-mer -> component map once per simulated run.
-
-    Both kernels probe the same sorted-array :class:`KmerMap` — batched
-    via one ``searchsorted`` per chunk, per-read via scalar ``get``.
-    """
-    if kernel not in KERNELS:
-        raise PipelineError(f"unknown RTT kernel {kernel!r}; known: {KERNELS}")
-    return comm.shared(
-        "rtt:kmer_map", lambda: build_kmer_map(contigs, components, cfg.k)
-    )
-
-
-def _assign_chunk(
-    team: ThreadTeam,
-    chunk: Sequence[Tuple[int, SeqRecord]],
-    kmer_map: KmerMap,
-    cfg: ReadsToTranscriptsConfig,
-    kernel: str,
-) -> TeamResult:
-    """Run one chunk through the selected kernel, with OpenMP timing.
-
-    The batched kernel computes the whole chunk in one vectorised call;
-    its measured thread CPU time is apportioned across the reads by
-    k-mer-position count (each read's share of the flattened code array)
-    so the simulated team schedule sees the same per-item cost shape the
-    per-read loop measures directly.
-    """
-    if kernel == "batched":
-        t0 = time.thread_time()
-        values = assign_reads_batched(chunk, kmer_map, cfg)
-        cost = time.thread_time() - t0
-        weights = [max(len(read.seq) - cfg.k + 1, 1) for _i, read in chunk]
-        return team.batch(values, cost, weights=weights)
-    return team.map(lambda item: assign_read(item[0], item[1], kmer_map, cfg), chunk)
 
 
 @dataclass(frozen=True)
@@ -111,21 +59,11 @@ class RttInputs:
 @dataclass(frozen=True)
 class RttStageConfig:
     """Distribution knobs on top of the serial
-    :class:`ReadsToTranscriptsConfig`.
-
-    ``kernel`` selects the main-loop implementation (``"batched"``
-    sorted-array kernel, or the ``"per_read"`` reference loop); both
-    produce byte-identical output.  ``pool=False`` skips the final
-    allgather and each rank returns only its own assignments (in chunk
-    order) — the paper-faithful output is the concatenated ``workdir``
-    file, which the Figure-9 bench measures.
-    """
+    :class:`ReadsToTranscriptsConfig`."""
 
     rtt: ReadsToTranscriptsConfig = ReadsToTranscriptsConfig()
     nthreads: int = 16
     workdir: Optional[PathLike] = None
-    kernel: str = "batched"
-    pool: bool = True
 
 
 @dataclass
@@ -148,20 +86,21 @@ def mpi_reads_to_transcripts(
 
     Returns identical, serially-equal assignments on every rank (pooled
     with a gather+bcast that stands in for the final file concatenation
-    when no ``workdir`` is given); see :class:`RttStageConfig` for the
-    ``kernel``/``pool`` knobs.
+    when no ``workdir`` is given).
     """
     config = config or RttStageConfig()
     reads, contigs, components = inputs.reads, inputs.contigs, inputs.components
     cfg = config.rtt
-    workdir, kernel, pool = config.workdir, config.kernel, config.pool
+    workdir = config.workdir
     team = ThreadTeam(config.nthreads, Schedule.DYNAMIC)
 
     # -- OpenMP-only setup: assign k-mers to Inchworm bundles --------------
     # (redundant on every real rank, so every rank is charged the build
     # cost — but computed once per simulated run)
     with comm.region("rtt:setup", serial=True) as setup_region:
-        kmer_map = _shared_setup(comm, contigs, components, cfg, kernel)
+        kmer_map = comm.shared(
+            "rtt:kmer_map", lambda: build_kmer_map(contigs, components, cfg.k)
+        )
     setup_time = setup_region.elapsed
 
     # -- MPI loop: redundant-read streaming --------------------------------
@@ -185,8 +124,16 @@ def mpi_reads_to_transcripts(
             # …but only processes chunks congruent to its rank.
             if chunk_idx % comm.size != comm.rank:
                 continue
+            # One vectorised call per chunk; its measured thread CPU time
+            # is apportioned across the reads by k-mer-position count (each
+            # read's share of the flattened code array) so the simulated
+            # team schedule sees a per-item cost shape.
             chunk = [(i, reads[i]) for i in range(start, stop)]
-            result = _assign_chunk(team, chunk, kmer_map, cfg, kernel)
+            t0 = time.thread_time()
+            values = assign_reads_batched(chunk, kmer_map, cfg)
+            cost = time.thread_time() - t0
+            weights = [max(len(read.seq) - cfg.k + 1, 1) for _i, read in chunk]
+            result = team.batch(values, cost, weights=weights)
             mine.extend(result.values)
             comm.clock.advance(
                 result.makespan,
@@ -219,13 +166,10 @@ def mpi_reads_to_transcripts(
     # Pool assignments so every rank returns the full, ordered table
     # (downstream QuantifyGraph needs it; rank order then index sort is
     # deterministic and equals the serial order).
-    if pool:
-        pooled = comm.allgather(mine)
-        assignments = sorted(
-            (a for part in pooled for a in part), key=attrgetter("read_index")
-        )
-    else:
-        assignments = mine
+    pooled = comm.allgather(mine)
+    assignments = sorted(
+        (a for part in pooled for a in part), key=attrgetter("read_index")
+    )
     return StageResult(
         stage="rtt",
         outputs=RttOutputs(assignments=assignments, out_path=out_path),
@@ -265,73 +209,3 @@ def _chunk_plan(
         plan.append((start, start + len(chunk), _chunk_read_cost(chunk)))
         start += len(chunk)
     return plan
-
-
-@parallel_stage(
-    "rtt-master-slave", inputs=RttInputs, config=RttStageConfig, outputs=RttOutputs
-)
-def mpi_reads_to_transcripts_master_slave(
-    comm: SimComm,
-    inputs: RttInputs,
-    config: Optional[RttStageConfig] = None,
-) -> StageResult:
-    """The paper's *first* (rejected) strategy, for the ablation bench:
-
-    "let only a master node or rank read the sequences and distribute to
-    the other 'slave' nodes.  However, this strategy involves relatively
-    heavy communications between master and slave nodes which leads to a
-    bottleneck particularly as the number of slave nodes increases."
-
-    ``config.workdir`` and ``config.pool`` are ignored: this variant
-    always pools and never writes part files.
-    """
-    config = config or RttStageConfig()
-    reads, contigs, components = inputs.reads, inputs.contigs, inputs.components
-    cfg = config.rtt
-    kernel = config.kernel
-    team = ThreadTeam(config.nthreads, Schedule.DYNAMIC)
-
-    with comm.region("rtt:setup", serial=True) as setup_region:
-        kmer_map = _shared_setup(comm, contigs, components, cfg, kernel)
-    setup_time = setup_region.elapsed
-
-    mine: List[ReadAssignment] = []
-    with comm.region("rtt:loop", strategy="master_slave") as loop_region:
-        for chunk_idx, chunk in enumerate(stream_chunks(reads, cfg.max_mem_reads)):
-            target = chunk_idx % comm.size
-            if comm.rank == 0:
-                comm.clock.advance(
-                    _chunk_read_cost(chunk), label=f"rtt:read_chunk{chunk_idx}"
-                )  # only master reads
-            # Master ships the chunk to its owner (self-sends skipped).
-            if target != 0:
-                if comm.rank == 0:
-                    comm.send(chunk, dest=target, tag=chunk_idx)
-                elif comm.rank == target:
-                    chunk = comm.recv(source=0, tag=chunk_idx)
-            if comm.rank == target:
-                result = _assign_chunk(team, chunk, kmer_map, cfg, kernel)
-                mine.extend(result.values)
-                comm.clock.advance(
-                    result.makespan,
-                    label=f"rtt:assign_chunk{chunk_idx}",
-                    attrs=result.as_span_attrs(),
-                )
-    loop_time = loop_region.elapsed
-
-    pooled = comm.allgather(mine)
-    assignments = sorted(
-        (a for part in pooled for a in part), key=attrgetter("read_index")
-    )
-    return StageResult(
-        stage="rtt",
-        outputs=RttOutputs(assignments=assignments, out_path=None),
-        makespan=comm.clock.now,
-        metrics={
-            "loop_time": loop_time,
-            "setup_time": setup_time,
-            "concat_time": 0.0,
-            "n_assignments": float(len(assignments)),
-        },
-        rank=comm.rank,
-    )

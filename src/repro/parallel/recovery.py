@@ -12,8 +12,9 @@ that in:
   ranks and the paper's ``i mod p`` chunked round-robin map re-deals
   every chunk — including the dead rank's — over the new ``p``.  No
   per-rank state needs migrating: GraphFromFasta pools results on every
-  rank, ReadsToTranscripts re-reads the whole file anyway (redundant
-  I/O), MPI Bowtie simply re-splits the contig FASTA into ``p - 1``
+  rank (and the read-block deal of its sharded weldmer scan is a function
+  of ``p`` alone), ReadsToTranscripts re-reads the whole file anyway
+  (redundant I/O), MPI Bowtie re-splits the contig FASTA into ``p - 1``
   PyFasta pieces, and the distributed Butterfly re-deals its components
   (both the round-robin and the master-dealt LPT assignments are pure
   functions of the workload and the new ``p``).  Stage outputs are

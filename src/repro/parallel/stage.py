@@ -58,7 +58,7 @@ class ParallelStage(Protocol):
 class StageSpec:
     """Registry record for one conforming stage."""
 
-    name: str  # registry key, e.g. "rtt" (variant stages suffix it)
+    name: str  # registry key, e.g. "rtt"
     fn: Callable[..., StageResult]
     inputs_type: Type[Any]
     config_type: Type[Any]

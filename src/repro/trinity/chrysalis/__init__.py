@@ -37,7 +37,6 @@ from repro.trinity.chrysalis.reads_to_transcripts import (
     ReadAssignment,
     reads_to_transcripts,
     build_kmer_map,
-    assign_read,
 )
 from repro.trinity.chrysalis.quantify import (
     ComponentQuant,
@@ -72,7 +71,6 @@ __all__ = [
     "ReadAssignment",
     "reads_to_transcripts",
     "build_kmer_map",
-    "assign_read",
     "quantify_graph",
     "quantify_component",
     "reads_by_component",

@@ -15,9 +15,7 @@ Split into kernels so the hybrid MPI version can reuse them:
 * :func:`assign_reads_batched` — the whole-chunk batched kernel of the
   MPI-enabled main loop: one ``searchsorted`` against the map plus
   per-(read, component) segmented reductions, byte-identical to the
-  per-read reference path;
-* :func:`assign_read` — the per-read reference body, kept for
-  equivalence tests and the ``kernel="per_read"`` ablation;
+  per-read oracle ``tests/reference_rtt.py``;
 * :func:`reads_to_transcripts` — the serial streaming driver.
 """
 
@@ -25,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import PipelineError
 from repro.seq.kmer_index import KmerMap
-from repro.seq.kmers import kmer_array, kmer_arrays_batch, revcomp_codes
+from repro.seq.kmers import kmer_arrays_batch, revcomp_codes
 from repro.seq.records import Contig, SeqRecord
 from repro.trinity.chrysalis.components import Component, component_of_map
 
@@ -126,11 +124,12 @@ def assign_reads_batched(
     boundary diffs), and the best component per read falls out of a
     segmented min whose key mirrors the per-read tie-break (largest
     shared count, then smallest component id).  Byte-identical to
-    mapping :func:`assign_read` over the chunk — a tested invariant.
+    mapping the per-read oracle (``tests/reference_rtt.py``) over the
+    chunk — a tested invariant.
 
     Positions are indices into each read's valid-window code array (the
-    same enumeration :func:`assign_read` uses), so non-ACGT handling and
-    region extents match the reference path exactly.
+    same enumeration the oracle uses), so non-ACGT handling and region
+    extents match the reference path exactly.
     """
     n = len(chunk)
     if n == 0:
@@ -236,51 +235,6 @@ def assign_reads_batched(
                 )
             )
     return out
-
-
-def assign_read(
-    read_index: int,
-    read: SeqRecord,
-    kmer_to_component: KmerMap,
-    cfg: ReadsToTranscriptsConfig,
-) -> ReadAssignment:
-    """Per-read reference body: link one read to its best component.
-
-    Kept as the readable specification of the assignment rule and as the
-    equivalence oracle for :func:`assign_reads_batched`; the hot paths
-    (serial driver and MPI stage) run the batched kernel.  Probes the
-    same sorted-array :class:`KmerMap` as the batched kernel, one
-    binary-search ``get`` per k-mer.
-    """
-    arr = kmer_array(read.seq, cfg.k)
-    if arr.size == 0:
-        return ReadAssignment(read_index, read.name, -1, 0, 0, 0)
-    canon = np.minimum(arr, revcomp_codes(arr, cfg.k))
-    shared: Dict[int, int] = {}
-    first_pos: Dict[int, int] = {}
-    last_pos: Dict[int, int] = {}
-    for pos, code in enumerate(canon.tolist()):
-        comp = kmer_to_component.get(code, -1)
-        if comp < 0:
-            continue
-        shared[comp] = shared.get(comp, 0) + 1
-        if comp not in first_pos:
-            first_pos[comp] = pos
-        last_pos[comp] = pos
-    if not shared:
-        return ReadAssignment(read_index, read.name, -1, 0, 0, 0)
-    # Largest shared count; ties -> smallest component id (deterministic).
-    best = min(shared, key=lambda c: (-shared[c], c))
-    if shared[best] < cfg.min_shared_kmers:
-        return ReadAssignment(read_index, read.name, -1, 0, 0, 0)
-    return ReadAssignment(
-        read_index=read_index,
-        read_name=read.name,
-        component=best,
-        shared_kmers=shared[best],
-        region_start=first_pos[best],
-        region_end=last_pos[best] + cfg.k,
-    )
 
 
 def stream_chunks(

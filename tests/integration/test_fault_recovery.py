@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from repro.errors import CommAbandonedError, MpiAbortError, RankCrash
-from repro.mpi import CrashFault, FaultPlan, mpirun
+from repro.mpi import CrashFault, FaultPlan, FlakyIO, mpirun
 from repro.mpi.datatypes import pack_strings
 from repro.obs.metrics import GLOBAL_METRICS
 from repro.parallel import ParallelTrinityDriver, mpirun_with_recovery
@@ -68,6 +68,12 @@ def canonical_welds(welds) -> bytes:
     return bytes(packed) + lengths.tobytes()
 
 
+def assert_same_gff(out, base) -> None:
+    assert canonical_welds(out.welds) == canonical_welds(base.welds)
+    assert out.pairs == base.pairs
+    assert out.components == base.components
+
+
 class TestGffRecovery:
     @pytest.mark.timeout(120)
     def test_phase_crash_recovers_byte_identical_welds(
@@ -86,6 +92,45 @@ class TestGffRecovery:
         assert canonical_welds(out.welds) == canonical_welds(base.welds)
         assert out.pairs == base.pairs
         assert out.components == base.components
+
+    @pytest.mark.timeout(120)
+    def test_setup_crash_recovers_identical_outputs(
+        self, smoke_reads, contigs, tcfg, gff_fault_free
+    ):
+        """The rank dies entering ``gff:setup``; its peers are released from
+        the weldmer-pooling collective inside it, and the survivors re-deal
+        the read blocks — the deal is a pure function of ``p``."""
+        plan = FaultPlan(crashes=(CrashFault(rank=3, phase="gff:setup"),))
+        losses = GLOBAL_METRICS.get("faults.rank_losses")
+        rec = mpirun_with_recovery(
+            mpi_graph_from_fasta, NPROCS,
+            GffInputs(contigs=contigs, reads=smoke_reads),
+            GffStageConfig(gff=tcfg.gff(), nthreads=2),
+            faults=plan,
+        )
+        assert GLOBAL_METRICS.get("faults.rank_losses") == losses + 1
+        assert rec.metrics["faults.rank_losses"] == 1.0
+        assert len(rec.outputs) == NPROCS - 1
+        for out in rec.outputs:
+            assert_same_gff(out, gff_fault_free.outputs[0])
+
+    @pytest.mark.timeout(120)
+    def test_flaky_read_fasta_is_absorbed(self, smoke_reads, contigs, tcfg, gff_fault_free):
+        """Every attempt at the stage's one I/O point fails until FlakyIO's
+        consecutive-failure bound: two retries per rank, same bytes."""
+        retries = GLOBAL_METRICS.get("faults.retries")
+        run = mpirun(
+            mpi_graph_from_fasta, NPROCS,
+            GffInputs(contigs=contigs, reads=smoke_reads),
+            GffStageConfig(gff=tcfg.gff(), nthreads=2),
+            faults=FaultPlan(flaky_io=FlakyIO(rate=1.0, max_consecutive=2), seed=7),
+        )
+        assert GLOBAL_METRICS.get("faults.retries") == retries + 2 * NPROCS
+        assert {s.label for s in run.spans if s.kind == "fault"} == {
+            "fault:io:gff:read_fasta", "fault:retry:gff:read_fasta",
+        }
+        for out in run.outputs:
+            assert_same_gff(out, gff_fault_free.outputs[0])
 
     @pytest.mark.timeout(120)
     def test_makespan_accumulates_and_recovery_spans_emitted(
@@ -223,6 +268,23 @@ class TestDriverFaultsAndCheckpoints:
         assert sorted(t.seq for t in faulted.outputs.transcripts) == sorted(
             t.seq for t in base.outputs.transcripts
         )
+
+    @pytest.mark.timeout(300)
+    def test_driver_setup_crash_at_8_ranks_matches_fault_free(self, smoke_reads):
+        """Final transcripts, in order, after a rank is lost inside the
+        sharded GFF setup."""
+        base = ParallelTrinityDriver(
+            ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=NPROCS, nthreads=2)
+        ).run(smoke_reads)
+        plan = FaultPlan(crashes=(CrashFault(rank=3, phase="gff:setup"),))
+        losses = GLOBAL_METRICS.get("faults.rank_losses")
+        faulted = ParallelTrinityDriver(
+            ParallelTrinityConfig(
+                trinity=TrinityConfig(seed=1), nprocs=NPROCS, nthreads=2, faults=plan
+            )
+        ).run(smoke_reads)
+        assert GLOBAL_METRICS.get("faults.rank_losses") == losses + 1
+        assert _seqs(faulted) == _seqs(base)
 
     @pytest.mark.timeout(300)
     def test_checkpoint_restart(self, smoke_reads, tmp_path):

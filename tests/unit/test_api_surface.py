@@ -57,15 +57,13 @@ class TestStageSpecs:
             assert getattr(module, bundle.__name__) is bundle
 
     def test_no_orphan_stages(self):
-        """Every registered stage is a row of the driver's table or a named
-        variant of one — a stage the driver dropped cannot linger."""
+        """Every registered stage is a row of the driver's table — a body
+        the driver does not launch cannot linger in the registry."""
         from repro.parallel.driver import STAGE_TABLE
 
         rows = {row.fn.stage_spec.name for row in STAGE_TABLE}
-        variants = {"rtt-striped", "rtt-master-slave", "gff-sharded-setup"}
         assert len(rows) == len(STAGE_TABLE) == 6
-        assert rows | variants == set(STAGES)
-        assert all(v.split("-")[0] in rows for v in variants)
+        assert rows == set(STAGES)
         for row in STAGE_TABLE:  # the pipeline's stages are package exports
             spec = row.fn.stage_spec
             for obj in (spec.fn, spec.inputs_type, spec.config_type, spec.outputs_type):
@@ -90,6 +88,35 @@ class TestInchwormSurface:
         assert [f.name for f in fields(TrinityConfig) if "inchworm" in f.name] == [
             "inchworm_threads"
         ]
+
+
+class TestChrysalisFrontSurface:
+    def test_one_body_per_stage_and_no_selector(self):
+        """GraphFromFasta and ReadsToTranscripts each have one stage body;
+        no kernel/pool selector and no per-read entry point beside it (the
+        scalar loop is the oracle in ``tests/reference_rtt.py``)."""
+        from dataclasses import fields
+
+        from repro.parallel import (
+            GffStageConfig,
+            RttStageConfig,
+            mpi_graph_from_fasta,
+            mpi_reads_to_transcripts,
+        )
+        from repro.trinity import chrysalis
+        from repro.trinity.chrysalis import reads_to_transcripts
+
+        assert {f.name for f in fields(RttStageConfig)} == {"rtt", "nthreads", "workdir"}
+        assert {f.name for f in fields(GffStageConfig)} == {"gff", "nthreads", "chunk_size"}
+        for fn in (mpi_graph_from_fasta, mpi_reads_to_transcripts):
+            module = importlib.import_module(fn.__module__)
+            assert [
+                name for name, obj in vars(module).items()
+                if getattr(obj, "__module__", None) == module.__name__
+                and hasattr(obj, "stage_spec")
+            ] == [fn.__name__]
+        assert not hasattr(reads_to_transcripts, "assign_read")
+        assert "assign_read" not in chrysalis.__all__
 
 
 class TestChrysalisBackendSurface:

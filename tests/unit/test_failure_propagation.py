@@ -147,6 +147,42 @@ class TestSharedCellRelease:
             assert isinstance(failure.exc, CommAbandonedError)
             assert isinstance(failure.exc.__cause__, ValueError)
 
+    @pytest.mark.timeout(60)
+    def test_gff_weldmer_merge_failure_surfaces_as_primary(self, monkeypatch):
+        """The same, through the real stage: the owner of ``gff:weldmers``
+        fails while summing the pooled tables.  Its peers are leaving the
+        ``allgatherv`` before it or waiting in ``shared()``; wherever they
+        are released from, none hangs and each is only a secondary."""
+        import importlib
+
+        from repro.seq.records import Contig, SeqRecord
+
+        # (the package re-exports a same-named function; fetch the module)
+        stage = importlib.import_module("repro.parallel.mpi_graph_from_fasta")
+
+        def corrupt(payload, lengths):
+            raise ValueError("corrupt weldmer payload")
+
+        # The merge is the stage's first unpack; the weld pooling's comes later.
+        monkeypatch.setattr(stage, "unpack_strings", corrupt)
+        seed = "ACGTCA"
+        inputs = stage.GffInputs(
+            contigs=[Contig("a", "TTGGAT" + seed + "CCATTG"), Contig("b", "GACTAG" + seed + "TGAACC")],
+            reads=[SeqRecord(f"r{i}", "GAT" + seed + "TGA") for i in range(2)],
+        )
+        config = stage.GffStageConfig(gff=stage.GraphFromFastaConfig(k=6), nthreads=2)
+        t0 = time.monotonic()
+        with pytest.raises(MpiAbortError) as ei:
+            mpirun(stage.mpi_graph_from_fasta, 4, inputs, config)
+        assert time.monotonic() - t0 < 30
+        assert isinstance(ei.value.__cause__, ValueError)
+        assert len(ei.value.secondaries) == 3
+        for failure in ei.value.secondaries:
+            assert failure.rank != ei.value.rank
+            assert isinstance(failure.exc, CommAbandonedError)
+            # Released from shared(): chained to the owner's error.
+            assert isinstance(failure.exc.__cause__, (ValueError, type(None)))
+
 
 class TestSplitRelease:
     @pytest.mark.timeout(60)

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
-from repro.mpi import mpirun
-from repro.parallel.merge import cat_files, gather_merge
+from repro.parallel.merge import cat_files
 
 
 class TestCatFiles:
@@ -33,25 +32,6 @@ class TestCatFiles:
         p.write_bytes(b"")
         out = tmp_path / "out.txt"
         assert cat_files(out, [p]) == 0
-
-
-class TestGatherMerge:
-    def test_root_gets_all_lines_in_rank_order(self):
-        def body(comm):
-            return gather_merge(comm, [f"r{comm.rank}"])
-
-        res = mpirun(body, 3)
-        assert res.outputs[0] == ["r0", "r1", "r2"]
-        assert res.outputs[1] is None
-
-    def test_writes_file_at_root(self, tmp_path):
-        out = tmp_path / "merged.txt"
-
-        def body(comm):
-            return gather_merge(comm, [f"r{comm.rank}"], out_path=out if comm.rank == 0 else None)
-
-        mpirun(body, 2)
-        assert out.read_text() == "r0\nr1\n"
 
 
 class TestRegistry:

@@ -12,7 +12,6 @@ from repro.trinity.chrysalis.components import build_components
 from repro.trinity.chrysalis.reads_to_transcripts import (
     ReadAssignment,
     ReadsToTranscriptsConfig,
-    assign_read,
     assign_reads_batched,
     build_kmer_map,
     read_assignments,
@@ -20,6 +19,7 @@ from repro.trinity.chrysalis.reads_to_transcripts import (
     stream_chunks,
     write_assignments,
 )
+from tests.reference_rtt import assign_read
 
 K = 9
 SRC_A = "ATCGGATTACAGTCCGGTTAACGAGCTTGGCATGCAT"
@@ -137,7 +137,8 @@ class TestFileFormat:
 
 
 class TestBatchedEquivalence:
-    """assign_reads_batched must be byte-identical to mapping assign_read."""
+    """assign_reads_batched must be byte-identical to mapping the per-read
+    oracle ``tests/reference_rtt.assign_read``."""
 
     def _check(self, contigs, reads, cfg):
         comps = build_components(len(contigs), [])

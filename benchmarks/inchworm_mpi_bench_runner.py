@@ -1,10 +1,11 @@
 """Host wall-clock runner for the distributed component-partitioned Inchworm.
 
 The distributed stage of :func:`repro.parallel.mpi_inchworm.mpi_inchworm`
-labels the connected components of the filtered k-mer overlap graph,
-deals them across ranks by count mass, walks each rank's components in
-one lockstep charged to a per-rank thread team, and merges the keyed
-contig strings back into the exact global seed order.  This runner times
+probes the filtered k-mer table once (dealt in position blocks), labels
+the connected components of its overlap graph, deals them across ranks
+by count mass, has each rank build successor rows for its own
+components and walk them, charged to a per-rank thread team, and merges
+the keyed contig strings back into the exact global seed order.  This runner times
 the stage on the whitefly miniature at a sweep of rank counts, with the
 per-rank thread team fixed at the driver's front-end width — so the
 1-rank point *is* the one-node threaded baseline, and the sweep shows

@@ -1,24 +1,29 @@
-"""CI guard for the Inchworm batched-extension kernel.
+"""CI guard for the Inchworm successor table.
 
-``BENCH_inchworm.json`` tracks the full labeled history (kernel widths
-16/64/256, end-to-end walls, thread makespans); this bench re-measures
-the acceptance property at the reference width on a CI-friendly input:
-one batched ``probe_extensions`` + ``select_extensions`` dispatch must
-beat ``B`` scalar ``_best_extension`` probes by a wide margin.
+``BENCH_inchworm.json`` tracks the full labeled history (kernel rows at
+16/64/256 ends, end-to-end walls, thread makespans); this bench
+re-measures the acceptance property at the reference width on a
+CI-friendly input: one table step per end — the first unused entry of a
+prebuilt preference row — must beat the per-step oracle
+(``_best_extension`` of ``tests/reference_inchworm.py``, the scalar probe
+the table replaced) by a wide margin.  Until PR 20 the fast side was one
+batched ``probe_extensions`` + ``select_extensions`` dispatch.
 """
+
+import time
 
 import numpy as np
 
-from benchmarks.inchworm_bench_runner import one_rank
+from benchmarks.inchworm_bench_runner import one_rank, table_step
 from repro.trinity.inchworm import (
     InchwormConfig,
-    _best_extension,
     inchworm_assemble,
-    probe_extensions,
-    select_extensions,
+    neighbours,
+    preference_rows,
 )
 from repro.trinity.jellyfish import jellyfish_count
 from repro.util.rng import derive_seed
+from tests import reference_inchworm
 
 REFERENCE_BATCH = 64
 K = 25
@@ -29,29 +34,27 @@ def test_bench_batched_extension_kernel(benchmark, bench_reads):
     filtered = counts.index.filtered(2)
     salt = derive_seed(InchwormConfig().seed, "inchworm-ties")
     rng = np.random.default_rng(0)
-    ends = rng.choice(filtered.codes, size=REFERENCE_BATCH, replace=False).astype(
-        np.uint64
+    at = rng.choice(len(filtered), size=REFERENCE_BATCH, replace=False)
+    rows = memoryview(
+        preference_rows(
+            filtered, True, salt, neighbours(filtered), np.arange(len(filtered))
+        ).reshape(-1)
     )
-    end_list = [int(c) for c in ends.tolist()]
-
-    def batched_dispatch():
-        probe = probe_extensions(filtered, ends, right=True, salt=salt)
-        return select_extensions(probe, ~probe.found)
-
-    import time
+    unused = bytearray(len(filtered))
 
     used = np.zeros(len(filtered), dtype=bool)
     t0 = time.perf_counter()
-    for c in end_list:
-        _best_extension(filtered, True, used, c, salt, right=True)
+    for c in filtered.codes[at].tolist():
+        reference_inchworm._best_extension(filtered, True, used, c, salt, right=True)
     serial_s = time.perf_counter() - t0
 
-    benchmark(batched_dispatch)
+    benchmark(table_step, rows, unused, (at << 1).tolist())
     batched_s = benchmark.stats.stats.min
     benchmark.extra_info.update(
         {"serial_us": serial_s * 1e6, "batched_us": batched_s * 1e6}
     )
-    # Acceptance floor is 3x at B=64; the recorded history shows ~12x.
+    # Acceptance floor is 3x at B=64; the lockstep's history shows ~12x,
+    # the table's ~100x (a row lookup against four searches and a compare).
     assert serial_s / batched_s > 3.0
 
 

@@ -36,6 +36,16 @@ def test_bench_mpi_scaling_beats_front_end(benchmark):
     children: unpinned, eight rank threads fighting for the GIL inflate
     their own thread-CPU clocks ~2.5x in most runs (ROADMAP item 4) —
     the simulator's defect, not the deal's.
+
+    Readings of this ratio (7 alternated 1-rank / 8-rank runs each,
+    median [min .. max], this host): with the lockstep kernel of PR 16,
+    2.04-2.09x [1.66 .. 2.35] (0.150-0.166 s over 0.074-0.079 s); with
+    the successor table of PR 20 but the probe still built once and
+    charged to every rank, 1.83-1.84x [1.55 .. 1.99] (0.085 over 0.046 s)
+    — both sides fell ~2x, but the replicated probe became most of the
+    8-rank stage, and the minimum sat on the floor; with the probe dealt
+    in position blocks (what ships), 2.78-2.92x [2.41 .. 3.27] (0.059-0.093
+    over 0.021-0.032 s).
     """
     counts, tcfg = build_counts(seed=0)
     inputs = InchwormInputs(counts=counts)

@@ -20,10 +20,18 @@ from repro.trinity.chrysalis.quantify import (
     reads_by_component,
     solid_index,
 )
-from repro.trinity.inchworm import InchwormConfig, inchworm_assemble
+from repro.parallel.mpi_inchworm import _component_setup
+from repro.trinity.inchworm import (
+    InchwormConfig,
+    inchworm_assemble,
+    inchworm_assemble_components,
+    neighbours,
+)
 from repro.trinity.jellyfish import jellyfish_count
+from repro.trinity.pairs import reconcile_with_pairs
 from repro.util.rng import spawn_rng
 from repro.validation.smith_waterman import sw_align, sw_score
+from tests import reference_inchworm, reference_pairs
 
 
 def _random_seq(n, seed=0):
@@ -87,16 +95,22 @@ def test_bench_dynamic_schedule(benchmark):
 
 
 @pytest.fixture(scope="module")
-def giant_component():
-    """The whitefly-half library's largest component (one 2.5-kb contig,
-    ~840 routed reads, ~2 600 nodes): most of the fused back end's loop,
-    and the critical rank's whole share at 8 ranks."""
+def whitefly_half():
+    """The pipeline benchmark's whitefly-half library, assembled serially."""
     from benchmarks.pipeline.spec import LIBRARY_SEED, WHITEFLY
 
     _txome, pairs = WHITEFLY.materialize(seed=LIBRARY_SEED)
     reads = flatten_reads(pairs)
     tcfg = TrinityConfig(seed=1)
-    out = TrinityPipeline(tcfg).run(reads).outputs
+    return tcfg, reads, TrinityPipeline(tcfg).run(reads).outputs
+
+
+@pytest.fixture(scope="module")
+def giant_component(whitefly_half):
+    """The whitefly-half library's largest component (one 2.5-kb contig,
+    ~840 routed reads, ~2 600 nodes): most of the fused back end's loop,
+    and the critical rank's whole share at 8 ranks."""
+    tcfg, reads, out = whitefly_half
     routed = reads_by_component(out.assignments)
     comp = max(out.gff.components, key=lambda c: len(routed.get(c.id, ())))
     oriented = orient_component([out.contigs[m].seq for m in comp.members], tcfg.weld_k)
@@ -122,3 +136,38 @@ def test_bench_butterfly_walk(benchmark, giant_component):
     transcripts = benchmark(butterfly_component, cid, graph, tcfg.butterfly())
     assert len(transcripts) > 1
     assert graph.n_nodes > 2000
+
+
+def test_bench_inchworm_table_walk(benchmark, whitefly_half):
+    """Rows + walks over the giant k-mer-graph component (a quarter of the
+    filtered table, and its owner's whole Inchworm share at 8 ranks):
+    what one rank pays in ``inchworm:assemble``.  The per-step loop it
+    replaced took ~18 us a step; the oracle's contigs are the check."""
+    tcfg, _reads, out = whitefly_half
+    cfg = tcfg.inchworm()
+    filtered = out.counts.index.filtered(cfg.min_kmer_count)
+    landing, seed_rank, members, _costs = _component_setup(
+        filtered, cfg, [neighbours(filtered, out.counts.canonical)]
+    )
+    giant = max(members, key=len)
+    res = benchmark(
+        inchworm_assemble_components,
+        filtered, out.counts.canonical, cfg, landing, seed_rank, [[giant]],
+    )
+    assert len(giant) > 2000 and res.n_steps > len(giant)
+    oracle = reference_inchworm.inchworm_assemble(out.counts, cfg)
+    assert res.keyed
+    assert {(seq, cov) for _key, seq, cov in res.keyed} <= {(c.seq, c.coverage) for c in oracle}
+
+
+def test_bench_pair_support(benchmark, whitefly_half):
+    """Pair reconciliation of the whole library — the driver's front-end
+    glue step; the giant component's ~420 pairs x its isoforms dominate.
+    Seed-and-verify against the per-pair string scans it replaced."""
+    _tcfg, reads, out = whitefly_half
+    kept, stats = benchmark(reconcile_with_pairs, out.transcripts, reads, out.assignments)
+    want, want_stats = reference_pairs.reconcile_with_pairs(
+        out.transcripts, reads, out.assignments
+    )
+    assert [(t.name, t.seq) for t in kept] == [(t.name, t.seq) for t in want]
+    assert stats == want_stats and stats.n_in > 50

@@ -14,9 +14,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.seq.kmers import canonical_code, decode_kmer, encode_kmer
+from repro.seq.kmers import canonical_code, decode_kmer, encode_kmer, revcomp_codes
 from repro.seq.records import SeqRecord
-from repro.trinity.inchworm import probe_extensions, select_extensions
+from repro.trinity.inchworm import neighbours, preference_rows
 from repro.trinity.jellyfish import jellyfish_count
 from repro.util.fmt import format_table
 from repro.util.rng import derive_seed
@@ -71,35 +71,37 @@ def run(seed: int = 0) -> Fig01Result:
     ]
     counts = jellyfish_count(reads, K)
     filtered = counts.index  # no abundance floor in the illustration
-    salt = derive_seed(seed, "inchworm-ties")
+    # The shipped kernel's successor table over the whole toy dictionary:
+    # each k-mer's candidates, best first, as the walk states they lead to.
+    rows = preference_rows(
+        filtered, True, derive_seed(seed, "inchworm-ties"),
+        neighbours(filtered), np.arange(len(filtered)),
+    )
+
+    def kmer_and_count(state: int) -> Tuple[str, int]:
+        """A walk state ``position << 1 | reversed`` as (directed k-mer, count)."""
+        code = filtered.codes[state >> 1 : (state >> 1) + 1]
+        directed = int(revcomp_codes(code, K)[0] if state & 1 else code[0])
+        return decode_kmer(directed, K), int(filtered.values[state >> 1])
 
     seed_kmer = TRUE_SEQ[:K]
     cur = encode_kmer(seed_kmer)
-    used = {canonical_code(cur, K)}
+    canon = canonical_code(cur, K)
+    state = int(np.searchsorted(filtered.codes, np.uint64(canon))) << 1 | (cur != canon)
+    used = {state >> 1}
     contig = seed_kmer
     steps: List[ExtensionStep] = []
     for pos in range(len(TRUE_SEQ)):
-        # One shipped-kernel dispatch resolves all four candidates of the
-        # (single-row) batch: counts, canon codes and salted tie hashes.
-        probe = probe_extensions(
-            filtered, np.array([cur], dtype=np.uint64), right=True, salt=salt
-        )
-        candidates = [
-            (decode_kmer(int(probe.cands[0, b]), K), int(probe.counts[0, b]))
-            for b in range(4)
-            if probe.counts[0, b] > 0
-        ]
-        blocked = ~probe.found | np.isin(
-            probe.canons, np.fromiter(used, dtype=np.uint64, count=len(used))
-        )
-        cols, ok = select_extensions(probe, blocked)
-        if not ok[0]:
-            steps.append(ExtensionStep(pos, decode_kmer(cur, K), candidates, None))
+        current = kmer_and_count(state)[0]
+        row = [nxt for nxt in rows[state >> 1, state & 1, 0].tolist() if nxt >= 0]
+        # Shown in base order, as the figure draws them; taken in row order.
+        candidates = sorted(kmer_and_count(nxt) for nxt in row)
+        state = next((nxt for nxt in row if nxt >> 1 not in used), -1)
+        if state < 0:
+            steps.append(ExtensionStep(pos, current, candidates, None))
             break
-        nxt = int(probe.cands[0, cols[0]])
-        chosen = decode_kmer(nxt, K)
-        steps.append(ExtensionStep(pos, decode_kmer(cur, K), candidates, chosen))
+        chosen = kmer_and_count(state)[0]
+        steps.append(ExtensionStep(pos, current, candidates, chosen))
         contig += chosen[-1]
-        used.add(int(probe.canons[0, cols[0]]))
-        cur = nxt
+        used.add(state >> 1)
     return Fig01Result(seed_kmer=seed_kmer, steps=steps, contig=contig, true_seq=TRUE_SEQ)

@@ -36,7 +36,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.mpi.launcher import mpirun
 from repro.obs import critical_path, verify_attribution
 from repro.parallel.driver import ParallelTrinityConfig, run_chain
-from repro.parallel.mpi_inchworm import _component_setup
 from repro.parallel.scaling import (
     InchwormScalingPoint,
     inchworm_serial_baseline_s,
@@ -45,8 +44,13 @@ from repro.parallel.scaling import (
 from repro.simdata import get_recipe
 from repro.simdata.reads import flatten_reads
 from repro.trinity import TrinityConfig
-from repro.trinity.inchworm import inchworm_assemble
+from repro.trinity.inchworm import inchworm_assemble, neighbours
 from repro.trinity.jellyfish import jellyfish_count
+from repro.trinity.kmer_components import (
+    component_costs,
+    component_members,
+    kmer_components,
+)
 from repro.util.fmt import format_table
 
 #: Paper-scale sweep, starting at 1 to show the serial anchor.
@@ -175,7 +179,9 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigInchwormResult:
     _txome, pairs = get_recipe("whitefly-mini").materialize(seed=seed)
     reads = flatten_reads(pairs)
     counts = jellyfish_count(reads, tcfg.k)
-    _filtered, _ranks, _members, costs = _component_setup(counts, tcfg.inchworm())
+    filtered = counts.index.filtered(tcfg.min_kmer_count)
+    members = component_members(kmer_components(neighbours(filtered, counts.canonical)))
+    costs = component_costs(filtered, members)
     serial_contigs = inchworm_assemble(counts, tcfg.inchworm())
     contig_bytes = float(sum(len(c.seq) for c in serial_contigs))
     rows = [

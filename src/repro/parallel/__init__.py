@@ -24,9 +24,10 @@ All distributed stages share one calling convention — the
   distributed k-mer analysis over the DSK partition hash).
 * :mod:`repro.parallel.mpi_inchworm` — distributed Inchworm over the
   connected components of the k-mer overlap graph
-  (:mod:`repro.trinity.kmer_components`), hybrid MPI x threads: each
-  rank walks its owned components in one lockstep, and the merge
-  re-emits the exact global seed order.
+  (:mod:`repro.trinity.kmer_components`), hybrid MPI x threads: the
+  extension probe is dealt in position blocks, each rank builds
+  successor rows for the components it owns and walks them by lookup,
+  and the merge re-emits the exact global seed order.
 * :mod:`repro.parallel.mpi_bowtie` — PyFasta-split Bowtie (SS:III.A).
 * :mod:`repro.parallel.mpi_graph_from_fasta` — hybrid loops 1+2 with
   Allgatherv pooling (SS:III.B), plus the sharded read weldmer scan

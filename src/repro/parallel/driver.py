@@ -13,8 +13,17 @@ threads per rank), and the whole Chrysalis *back end* — orient +
 FastaToDebruijn + QuantifyGraph + Butterfly fused into one
 component-parallel stage (:mod:`repro.parallel.mpi_chrysalis_backend`)
 — all byte-identical to their serial stages at any rank count.  No
-compute stage runs on the front-end node any more; the driver only
-launches ``mpirun``\\ s and glues their outputs.
+compute *stage* runs on the front-end node any more, but the node is not
+idle: between launches it turns Bowtie's SAM into scaffold pairs
+(:func:`~repro.trinity.bowtie.scaffold_pairs_from_sam`, ~2 ms on the
+whitefly-half benchmark library) and, after the last one, reconciles
+the candidate transcripts with the mate pairs
+(:func:`~repro.trinity.pairs.reconcile_with_pairs`: one seed-and-verify
+pass per component, ~15 ms there — it was ~70 ms of per-pair string
+scans, a quarter of a one-rank run), unions the ranks' quantified
+graphs and writes ``Trinity.fasta``.  That glue is host time outside
+every ``mpirun`` (the pipeline benchmark's ``pipeline.glue_s``) and is
+not on the modelled clocks.
 
 Every MPI stage conforms to the :class:`repro.parallel.stage.ParallelStage`
 protocol, so the six-stage chain is said once: :data:`STAGE_TABLE` names
@@ -292,14 +301,20 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
         upstream=(), file_key="jellyfish_dump", ram_bytes=_counts_bytes,
     ),
     # Components of the k-mer overlap graph dealt to ranks, each rank
-    # walking all of its components in one lockstep (hybrid MPI x threads).
+    # building successor rows for its own components and walking them
+    # (hybrid MPI x threads).
     StageRow(
         "inchworm", mpi_inchworm, "inchworm[mpi]",
         lambda chain: InchwormInputs(counts=chain.out("jellyfish").counts),
         lambda cfg, wd: cfg.inchworm_stage(workdir=wd),
         upstream=("jellyfish",), file_key="inchworm_contigs",
+        # The counter, the contigs, and the successor table's real size on
+        # its largest holder (absent from a checkpoint an older version wrote).
         ram_bytes=lambda chain: _counts_bytes(chain)
-        + sum(len(c.seq) for c in chain.contigs),
+        + sum(len(c.seq) for c in chain.contigs)
+        + max(
+            rank.metrics.get("table_bytes", 0.0) for rank in chain.runs["inchworm"].outputs
+        ),
     ),
     StageRow(
         "bowtie", mpi_bowtie, "chrysalis.bowtie[mpi]",

@@ -10,9 +10,14 @@ leave the connected component of its seed.  Contig assembly therefore
 factors exactly over the components of the k-mer overlap graph
 (:mod:`repro.trinity.kmer_components`):
 
-1. every rank obtains the component labelling of the filtered counter
-   (built once per simulation via ``comm.shared``, charged per-rank —
-   the stage's replicated serial region);
+1. the probe — where each stored k-mer's eight extensions land,
+   :func:`~repro.trinity.inchworm.neighbours`, the stage's only table
+   search — is owner-computes: every rank resolves one block of stored
+   positions and the ``int32`` rows are pooled with one ``allgatherv``;
+   the component labelling is read off the pooled probe and, with the
+   global seed ranks, built once per simulation via ``comm.shared``,
+   charged per-rank — what is left of the stage's replicated serial
+   region;
 2. components are dealt to ranks — chunked ``"round_robin"`` or
    master-dealt LPT ``"dynamic"``, the one deal of
    :mod:`repro.parallel.component_stage` — with per-component cost =
@@ -20,10 +25,11 @@ factors exactly over the components of the k-mer overlap graph
 3. each rank deals its owned components to its ``n_threads`` simulated
    OpenMP threads (LPT over the same costs — hybrid MPI x threads) and
    makes *one* call to the component kernel
-   :func:`~repro.trinity.inchworm.inchworm_assemble_components`, which
-   advances every owned component's walker in one lockstep against the
-   global filtered counter and ships back only the contig strings keyed
-   by their seed's *global* seed-order rank;
+   :func:`~repro.trinity.inchworm.inchworm_assemble_components`, in
+   which each thread orders its own members' landings into successor
+   rows and walks them by lookup — the table is owner-built, never
+   replicated — and ships back only the contig strings keyed by their
+   seed's *global* seed-order rank;
 4. the merge pools the keyed contigs and re-emits them in ascending
    key order — the exact global ``_seed_order`` sequence — renaming
    ``iw_contig_{i}`` globally.
@@ -42,6 +48,7 @@ thread holding the largest component is the floor of a rank's team.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
@@ -52,14 +59,17 @@ from repro.errors import PipelineError
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
 from repro.parallel import component_stage
+from repro.parallel.chunks import static_block_ranges
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
+from repro.seq.kmer_index import KmerCounter
 from repro.seq.records import Contig
 from repro.trinity.inchworm import (
     InchwormConfig,
     _seed_order,
     inchworm_assemble_components,
     keyed_contigs,
+    neighbours,
 )
 from repro.trinity.jellyfish import JellyfishCounts
 from repro.trinity.kmer_components import (
@@ -114,22 +124,27 @@ class InchwormOutputs:
     n_components: int = 0  # k-mer-graph components in the whole workload
 
 
-def _component_setup(counts: JellyfishCounts, cfg: InchwormConfig):
-    """Filtered counter, global seed ranks, component members and costs.
+def _component_setup(
+    filtered: KmerCounter, cfg: InchwormConfig, blocks: Sequence[np.ndarray]
+):
+    """The pooled probe, global seed ranks, component members and costs.
 
     Built once per simulated ``mpirun`` (every real rank would rebuild it
     redundantly — the stage's replicated serial region) and treated as
-    read-only by all ranks.  ``seed_rank[p]`` is position ``p``'s rank in
-    the global ``_seed_order`` permutation: the merge key space.
+    read-only by all ranks.  ``blocks`` are the ranks' position blocks of
+    :func:`~repro.trinity.inchworm.neighbours` in rank order; stacked
+    they are ``landing``, the one search of the table: the components
+    are read off it here and each owner orders its own rows of it later.
+    ``seed_rank[p]`` is position ``p``'s rank in the global
+    ``_seed_order`` permutation: the merge key space.
     """
-    filtered = counts.index.filtered(cfg.min_kmer_count)
-    labels = kmer_components(filtered, counts.canonical)
-    members = component_members(labels)
+    landing = np.concatenate(blocks)
+    members = component_members(kmer_components(landing))
     costs = component_costs(filtered, members)
     perm = _seed_order(filtered, derive_seed(cfg.seed, "inchworm-ties"))
     seed_rank = np.empty(len(filtered), dtype=np.int64)
     seed_rank[perm] = np.arange(len(filtered), dtype=np.int64)
-    return filtered, seed_rank, members, costs
+    return landing, seed_rank, members, costs
 
 
 def _rank_slowdowns(
@@ -172,12 +187,29 @@ def mpi_inchworm(
     # fault plans (a no-op in fault-free runs).
     with_retry(comm, "inchworm:read_counts", lambda: None)
 
-    # -- connected components of the k-mer overlap graph ---------------------
-    with comm.region("inchworm:components", serial=True) as comp_region:
-        filtered, seed_rank, members, costs = comm.shared(
-            "inchworm:setup", lambda: _component_setup(counts, cfg)
+    # -- the probe, owner-computes: each rank resolves the extensions of
+    # its block of stored positions (every position costs the same, so
+    # contiguous blocks balance) and the blocks are pooled.  Still
+    # "components" (same label), no longer serial.  Thread CPU time: the
+    # ranks probe concurrently, so wall time would count GIL contention.
+    with comm.region("inchworm:components") as probe_region:
+        filtered = comm.shared(
+            "inchworm:filtered", lambda: counts.index.filtered(cfg.min_kmer_count)
         )
-    components_time = comp_region.elapsed
+        t0 = time.thread_time()
+        block = neighbours(
+            filtered, counts.canonical,
+            *static_block_ranges(len(filtered), comm.rank, comm.size),
+        )
+        comm.clock.advance(time.thread_time() - t0, label="inchworm:probe")
+        blocks = comm.allgatherv(block)
+
+    # -- connected components of the k-mer overlap graph, read off it --------
+    with comm.region("inchworm:components", serial=True) as comp_region:
+        landing, seed_rank, members, costs = comm.shared(
+            "inchworm:setup", lambda: _component_setup(filtered, cfg, blocks)
+        )
+    components_time = probe_region.elapsed + comp_region.elapsed
 
     # -- deal components across ranks ----------------------------------------
     cids = list(range(len(members)))
@@ -188,7 +220,7 @@ def mpi_inchworm(
         chunk_size=config.chunk_size,
     )
 
-    # -- assemble my components in one lockstep, shipping only keyed strings --
+    # -- rows over my components, then the walks; only keyed strings ship -----
     with comm.region(
         "inchworm:assemble", strategy=config.strategy, components=len(mine)
     ) as asm_region:
@@ -199,6 +231,7 @@ def mpi_inchworm(
             filtered,
             counts.canonical,
             cfg,
+            landing,
             seed_rank,
             [[members[cid] for cid in team] for team in teams],
             _rank_slowdowns(config, comm.rank),
@@ -241,6 +274,9 @@ def mpi_inchworm(
             "team_makespan_s": iw.team.makespan,
             "team_serial_s": iw.team.serial_time,
             "n_threads": float(config.n_threads),
+            # The successor table as this rank holds it: the shared probe
+            # plus the rows its own threads built.
+            "table_bytes": float(landing.nbytes + iw.row_bytes),
         },
         rank=comm.rank,
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SequenceError
 
@@ -31,6 +31,35 @@ class SeqRecord:
     def header(self) -> str:
         """The FASTA header line content (without the leading ``>``)."""
         return f"{self.name} {self.description}".strip()
+
+
+def mate_key(name: str) -> Optional[Tuple[str, int]]:
+    """``(base, 1 | 2)`` of a paired-end read name, else None.
+
+    Only a final ``/1`` or ``/2`` is a mate suffix: ``lib/a`` and ``solo``
+    name no mate.
+
+    >>> mate_key("read7/2"), mate_key("lib/a"), mate_key("solo")
+    (('read7', 2), None, None)
+    """
+    base, _slash, mate = name.rpartition("/")
+    return (base, int(mate)) if base and mate in ("1", "2") else None
+
+
+def mate_pairs(names: Iterable[str]) -> Dict[str, List[int]]:
+    """Indices into ``names`` of the two mates of every complete pair,
+    keyed by base name, in input order.
+
+    A pair is exactly one ``base/1`` and one ``base/2``: records that
+    merely share a prefix, or repeat a mate, pair with nothing.
+    """
+    slots: Dict[str, List[int]] = {}  # base -> [index of /1, of /2]; -1 unseen, -2 repeated
+    for i, name in enumerate(names):
+        key = mate_key(name)
+        if key is not None:
+            slot = slots.setdefault(key[0], [-1, -1])
+            slot[key[1] - 1] = i if slot[key[1] - 1] == -1 else -2
+    return {base: sorted(slot) for base, slot in slots.items() if min(slot) >= 0}
 
 
 @dataclass(frozen=True)

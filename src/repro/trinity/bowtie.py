@@ -50,7 +50,7 @@ import numpy as np
 from repro.errors import PipelineError
 from repro.seq.alphabet import ASCII_TO_CODE, reverse_complement
 from repro.seq.kmers import clean_window_runs, kmer_windows_batch, pack_windows_at
-from repro.seq.records import Contig, SeqRecord
+from repro.seq.records import Contig, SeqRecord, mate_pairs
 from repro.seq.sam import FLAG_REVERSE, FLAG_UNMAPPED, SamRecord, sam_header
 
 #: Bases compared per flat mismatch pass.  Bounds the transient index
@@ -362,17 +362,10 @@ def scaffold_pairs_from_sam(
     to one transcript (paper SS:III.A); pairs with at least
     ``min_support`` spanning mate pairs are emitted.
     """
-    by_base: Dict[str, List[SamRecord]] = {}
-    for rec in records:
-        if rec.is_unmapped:
-            continue
-        base = rec.qname.rsplit("/", 1)[0] if "/" in rec.qname else rec.qname
-        by_base.setdefault(base, []).append(rec)
+    mapped = [rec for rec in records if not rec.is_unmapped]
     support: Dict[Tuple[int, int], int] = {}
-    for base, recs in by_base.items():
-        if len(recs) != 2:
-            continue
-        a, b = recs
+    for first, second in mate_pairs(rec.qname for rec in mapped).values():
+        a, b = mapped[first], mapped[second]
         if a.rname == b.rname:
             continue
         if contig_lengths is not None and not (

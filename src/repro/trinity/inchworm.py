@@ -14,27 +14,40 @@ perturbs tie-breaking; we model that with a seed-dependent tie-break among
 equal-abundance k-mers so repeated runs with different seeds reproduce the
 output *distribution* the paper's validation (SS:IV) studies.
 
-Two assemblers share one semantics:
+Counts and tie hashes never change during a run — only which k-mers are
+``used`` does — so the order in which a growing end prefers its four
+candidates is a property of the table, not of the step.  The assembler
+is therefore probe -> rows -> walk:
 
-:func:`inchworm_assemble`
-    The serial reference: one seed at a time, one 4-candidate probe per
-    extension step.  The serial pipeline runs it and every identity test
-    compares against it.
-:func:`inchworm_assemble_components`
-    The component kernel behind :mod:`repro.parallel.mpi_inchworm`: a
-    greedy walk never leaves the connected component of its seed in the
-    filtered k-mer overlap graph, so one serial walker per component,
-    all advanced together by one batched probe per step, reproduces the
-    reference byte for byte with nothing to arbitrate.  Simulated OpenMP
-    threads each own whole components; per-thread virtual clocks are
-    charged their share of the measured cost (times any straggler
-    slowdown), never changing the output.
+:func:`neighbours`
+    The probe, and the only table search: for every stored k-mer the
+    landing position of its four right and four left extensions.
+:func:`preference_rows`
+    Per walked k-mer, orientation and direction, those landings ordered
+    by the greedy comparator — built vectorised by whoever walks them
+    (HipMer's traversal stores a k-mer's extensions with it for the same
+    reason).
+:func:`walk`
+    One contig: from a seed, the first not-yet-used entry of each row.
+
+Both assemblers are that walk.  :func:`inchworm_assemble` builds rows
+for every position and walks the global seed order; the serial pipeline
+runs it.  :func:`inchworm_assemble_components`, the kernel behind
+:mod:`repro.parallel.mpi_inchworm`, builds rows for the components it
+was dealt only: a greedy walk never leaves the connected component of
+its seed in the k-mer overlap graph, so every landing is owned and the
+keyed union over any deal is the serial output.  Simulated OpenMP
+threads each own whole components; a thread's virtual clock is charged
+the measured cost of its own rows and walks (times any straggler
+slowdown), never changing the output.  The per-step scalar loop both
+replaced is the oracle in ``tests/reference_inchworm.py``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +55,7 @@ import numpy as np
 from repro.errors import PipelineError
 from repro.openmp.team import TeamResult
 from repro.seq.kmer_index import KmerCounter
-from repro.seq.kmers import canonical_code, decode_kmer, revcomp_codes
+from repro.seq.kmers import decode_kmer, revcomp_codes
 from repro.seq.records import Contig
 from repro.trinity.jellyfish import JellyfishCounts
 from repro.util.rng import derive_seed
@@ -50,7 +63,14 @@ from repro.util.rng import derive_seed
 #: Fibonacci-hash multiplier shared by every Inchworm tie-break.
 GOLDEN = 0x9E3779B97F4A7C15
 
-_TIE_SENTINEL = np.int64(1) << np.int64(33)  # above any 32-bit tie hash
+#: Row entries are ``int32`` walk states (``row << 1 | orientation``), so
+#: a table of this many k-mers or more cannot be walked: the probe refuses.
+_MAX_POSITIONS = 1 << 30
+
+#: Positions per vectorised pass of the row builder.  Bounds its transient
+#: candidate, count and hash arrays (~0.5 KB a position) whatever the
+#: number of k-mers a thread owns.
+_ROW_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -59,8 +79,20 @@ class InchwormConfig:
 
     min_kmer_count: int = 2  # error-kmer removal threshold
     min_contig_length: int = 0  # 0 -> use 2*k (GraphFromFasta window size)
-    max_contig_length: int = 200_000  # cycle guard
+    max_contig_length: int = 200_000  # cycle guard, in k-mers
     seed: int = 0  # tie-break stream
+
+    def __post_init__(self) -> None:
+        if self.min_kmer_count < 0:
+            raise PipelineError(f"min_kmer_count must be >= 0, got {self.min_kmer_count}")
+        if self.min_contig_length < 0:
+            raise PipelineError(
+                f"min_contig_length must be >= 0, got {self.min_contig_length}"
+            )
+        if self.max_contig_length < 1:
+            raise PipelineError(
+                f"max_contig_length must be >= 1, got {self.max_contig_length}"
+            )
 
     def resolved_min_length(self, k: int) -> int:
         return self.min_contig_length if self.min_contig_length > 0 else 2 * k
@@ -104,246 +136,238 @@ def _seed_order(filtered: KmerCounter, salt: int) -> np.ndarray:
     return np.lexsort((filtered.codes, tie, -filtered.values))
 
 
-# --------------------------------------------------------------------------
-# The batched extension probe (public: the kernel and Figure 1 both use it)
-# --------------------------------------------------------------------------
+def _seed_marks(filtered: KmerCounter, canonical: bool, queue: np.ndarray) -> np.ndarray:
+    """Per ``queue`` entry: the queue index whose ``used`` slot seeding
+    from it claims.
 
-
-@dataclass(frozen=True)
-class ExtensionProbe:
-    """All four (k-1)-overlap candidates of a batch of growing ends.
-
-    Row ``i`` describes the four single-base extensions of the ``i``-th
-    current end; every array is shaped ``(n, 4)``.  ``pos`` indexes the
-    probed counter where ``found`` is True (clamped to 0 elsewhere).
+    A seed consumes its *canonical* k-mer.  In a well-formed table that
+    is the seed's own entry and nothing is searched.  A stored directed
+    code (hand-built tables only) claims its canonical partner's slot
+    where ``queue`` holds it, and otherwise — the partner was filtered
+    away — its own: no walk can land there, and it is seeded at most once.
     """
+    marks = np.arange(queue.size)
+    if not canonical:
+        return marks
+    stored = filtered.codes[queue]
+    canons = np.minimum(stored, revcomp_codes(stored, filtered.k))
+    odd = np.flatnonzero(canons != stored)
+    if odd.size:
+        pos, found = filtered.find(canons[odd])
+        row_of = np.full(len(filtered), -1, dtype=np.int64)
+        row_of[queue] = marks
+        partner = row_of[pos]
+        held = found & (partner >= 0)
+        marks[odd[held]] = partner[held]
+    return marks
 
-    cands: np.ndarray  # uint64 directed candidate codes
-    canons: np.ndarray  # uint64 canonical candidate codes
-    pos: np.ndarray  # intp positions into the probed counter
-    found: np.ndarray  # bool: candidate present in the counter
-    counts: np.ndarray  # int64 counts (0 where absent)
-    ties: np.ndarray  # int64 salted tie-break hashes of the directed codes
+
+# --------------------------------------------------------------------------
+# Probe: every stored k-mer's eight extensions, resolved once
+# --------------------------------------------------------------------------
 
 
-def extension_candidates(cur: np.ndarray, k: int, right) -> np.ndarray:
-    """The four directed (k-1)-overlap neighbours of each code in ``cur``.
-
-    ``right`` selects the extension direction — a scalar bool, or a bool
-    array aligned with ``cur`` when the batch mixes directions (the
-    kernel grows right- and left-phase contigs in the same lockstep).
-    """
+def extension_candidates(cur: np.ndarray, k: int, right: bool) -> np.ndarray:
+    """The four directed (k-1)-overlap neighbours of each code in ``cur``,
+    shaped ``(n, 4)``: column ``b`` appends (``right``) or prepends base ``b``."""
     cur = np.asarray(cur, dtype=np.uint64)
     b = np.arange(4, dtype=np.uint64)[None, :]
-    mask = np.uint64(((1 << (2 * k)) - 1) & 0xFFFFFFFFFFFFFFFF)
-    rights = ((cur[:, None] << np.uint64(2)) | b) & mask
-    lefts = (b << np.uint64(2 * (k - 1))) | (cur[:, None] >> np.uint64(2))
-    direction = np.asarray(right, dtype=bool)
-    if direction.ndim == 0:
-        return rights if bool(direction) else lefts
-    return np.where(direction[:, None], rights, lefts)
+    if right:
+        mask = np.uint64(((1 << (2 * k)) - 1) & 0xFFFFFFFFFFFFFFFF)
+        return ((cur[:, None] << np.uint64(2)) | b) & mask
+    return (b << np.uint64(2 * (k - 1))) | (cur[:, None] >> np.uint64(2))
 
 
-def probe_extensions(
-    filtered: KmerCounter,
-    cur: np.ndarray,
-    right,
-    salt: int,
-    canonical: bool = True,
-) -> ExtensionProbe:
-    """Resolve every growing end's four candidates in one batched lookup.
+def neighbours(
+    filtered: KmerCounter, canonical: bool = True, start: int = 0, stop: Optional[int] = None
+) -> np.ndarray:
+    """Where each stored k-mer's single-base extensions land in ``filtered``.
 
-    One ``revcomp``/``minimum`` pass canonicalises all ``4 * n``
-    candidates, and one :meth:`KmerCounter.find` resolves their counts —
-    this is the whole point of the lockstep versus the serial
-    4-candidate probe per step.
+    ``(n, 8)`` ``int32``: row ``p`` holds the position of
+    ``filtered.codes[p]`` extended right by base ``b`` in column ``b`` and
+    left by base ``b`` in column ``4 + b`` (canonicalised first when
+    ``canonical``), or -1 where that k-mer is not stored.  This is the
+    whole reachability relation of the greedy walk — the edges
+    :mod:`repro.trinity.kmer_components` labels and the candidates
+    :func:`preference_rows` orders — and the only search of the table
+    Inchworm makes.  ``start`` / ``stop`` probe that block of positions
+    only: blocks stack (``np.concatenate``) into the whole table.
     """
     k = filtered.k
-    cands = extension_candidates(cur, k, right)
-    flat = cands.reshape(-1)
-    canons = np.minimum(flat, revcomp_codes(flat, k)) if canonical else flat
-    pos, found = filtered.find(canons)
-    if len(filtered):
-        cnts = np.where(found, filtered.values[pos], np.int64(0))
-    else:
-        cnts = np.zeros(flat.shape, dtype=np.int64)
-    shape = cands.shape
-    return ExtensionProbe(
-        cands=cands,
-        canons=canons.reshape(shape),
-        pos=pos.reshape(shape),
-        found=found.reshape(shape),
-        counts=cnts.reshape(shape),
-        ties=tie_break_codes(flat, salt).reshape(shape),
-    )
-
-
-def select_extensions(
-    probe: ExtensionProbe, blocked: Optional[np.ndarray] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pick each row's winning candidate, exactly the serial comparator.
-
-    Highest count first; equal counts resolve to the smallest salted tie
-    hash; an exact (count, hash) tie falls to the lowest base index, which
-    is what the serial loop's strict ``>`` comparison does.  Returns
-    ``(cols, ok)``: the winning column per row, and whether the row has
-    any un-blocked solid candidate at all.
-    """
-    counts = probe.counts
-    if blocked is not None:
-        counts = np.where(blocked, np.int64(0), counts)
-    best_count = counts.max(axis=1)
-    ok = best_count > 0
-    top = (counts == best_count[:, None]) & (counts > 0)
-    ties = np.where(top, probe.ties, _TIE_SENTINEL)
-    best_tie = ties.min(axis=1)
-    cols = np.argmax(ties == best_tie[:, None], axis=1)
-    return cols, ok
+    if len(filtered) >= _MAX_POSITIONS:
+        raise PipelineError(
+            f"inchworm walks at most {_MAX_POSITIONS - 1} k-mers, got {len(filtered)}"
+        )
+    stored = filtered.codes[start:stop]
+    landing = np.empty((stored.size, 8), dtype=np.int32)
+    for half, right in ((landing[:, :4], True), (landing[:, 4:], False)):
+        cands = extension_candidates(stored, k, right).reshape(-1)
+        if canonical:
+            cands = np.minimum(cands, revcomp_codes(cands, k))
+        pos, found = filtered.find(cands)
+        half[...] = np.where(found, pos, -1).reshape(-1, 4)
+    return landing
 
 
 # --------------------------------------------------------------------------
-# Serial reference
+# Rows: each walked k-mer's candidates in the order the greedy rule tries them
 # --------------------------------------------------------------------------
 
 
-def _seed_marks(filtered: KmerCounter, canonical: bool) -> np.ndarray:
-    """Per position: the ``used``-mask slot that seeding from it claims.
-
-    A seed consumes its *canonical* k-mer, so that is the slot to test
-    and set.  In a well-formed table that is the seed's own position.  A
-    directed code whose canonical partner was filtered away (possible
-    only for hand-built tables) falls back to its own slot: no probe can
-    ever land there, and it is seeded at most once.
-    """
-    own = np.arange(len(filtered), dtype=np.intp)
-    if not canonical:
-        return own
-    canons = np.minimum(filtered.codes, revcomp_codes(filtered.codes, filtered.k))
-    pos, found = filtered.find(canons)
-    return np.where(found, pos, own)
-
-
-def inchworm_assemble(
-    counts: JellyfishCounts,
-    config: Optional[InchwormConfig] = None,
-) -> List[Contig]:
-    """Assemble contigs from k-mer counts; deterministic given the seed.
-
-    This is the per-k-mer reference loop; the component kernel below
-    reproduces its output byte for byte.
-    """
-    cfg = config or InchwormConfig()
-    k = counts.k
-    if k < 2:
-        raise PipelineError(f"inchworm needs k >= 2, got {k}")
-    filtered = counts.index.filtered(cfg.min_kmer_count)
-    if len(filtered) == 0:
-        return []
-    canonical = counts.canonical
-    salt = derive_seed(cfg.seed, "inchworm-ties")
-    perm = _seed_order(filtered, salt)
-    order_codes = filtered.codes[perm].tolist()
-    order_values = filtered.values[perm].tolist()
-    order_marks = _seed_marks(filtered, canonical)[perm].tolist()
-
-    used = np.zeros(len(filtered), dtype=bool)  # consumed canonical k-mers, by position
-    contigs: List[Contig] = []
-    min_len = cfg.resolved_min_length(k)
-
-    for seed_code, seed_count, seed_mark in zip(order_codes, order_values, order_marks):
-        if used[seed_mark]:
-            continue
-        seq_codes = [seed_code]
-        # Coverage is the mean of the *filtered* counts greedy extension
-        # actually consumed — the seed's own table entry plus each chosen
-        # candidate's looked-up count — never a second canonicalisation
-        # pass over another table.
-        covs = [seed_count]
-        used[seed_mark] = True
-        # Extend right.
-        cur = seed_code
-        while len(seq_codes) < cfg.max_contig_length:
-            nxt = _best_extension(filtered, canonical, used, cur, salt, right=True)
-            if nxt is None:
-                break
-            cur, cnt, pos = nxt
-            seq_codes.append(cur)
-            covs.append(cnt)
-            used[pos] = True
-        # Extend left.
-        cur = seed_code
-        left_codes: List[int] = []
-        while len(seq_codes) + len(left_codes) < cfg.max_contig_length:
-            nxt = _best_extension(filtered, canonical, used, cur, salt, right=False)
-            if nxt is None:
-                break
-            cur, cnt, pos = nxt
-            left_codes.append(cur)
-            covs.append(cnt)
-            used[pos] = True
-        all_codes = left_codes[::-1] + seq_codes
-        seq = _codes_to_seq(all_codes, k)
-        if len(seq) < min_len:
-            continue
-        coverage = float(sum(covs)) / len(covs)
-        contigs.append(Contig(name=f"iw_contig_{len(contigs)}", seq=seq, coverage=coverage))
-    return contigs
-
-
-def _best_extension(
+def preference_rows(
     filtered: KmerCounter,
     canonical: bool,
-    used: np.ndarray,
-    cur: int,
     salt: int,
-    right: bool,
-) -> Optional[Tuple[int, int, int]]:
-    """Highest-count unused (k-1)-overlap neighbour of ``cur``.
+    landing: np.ndarray,
+    queue: np.ndarray,
+) -> np.ndarray:
+    """Successor table of the positions in ``queue``.
 
-    Returns ``(code, count, position)`` — the directed candidate, its
-    filtered count and the ``used``-mask position of its canonical k-mer
-    — or None at a dead end.  The four candidates resolve against the
-    filtered sorted-array index in a single ``searchsorted``.  Ties
-    between equal-count candidates are broken by :func:`tie_break_code`.
+    ``rows[i, o, d]`` are the up to four extensions of ``queue[i]``'s
+    k-mer read in orientation ``o`` (0 as stored, 1 reverse-complemented;
+    0 only unless ``canonical``) towards ``d`` (0 right, 1 left), best
+    first by the greedy comparator — count descending, then the salted
+    hash of the *directed* candidate ascending, then base ascending —
+    and padded with -1.  A candidate that is absent, or stored with a
+    count <= 0, is no candidate.  An entry is the walk state it leads
+    to, ``j << o_bits | orientation``: ``j`` the landing position's index
+    in ``queue`` (every landing of a walked position must be in
+    ``queue``: pass whole components of ``landing``), orientation 1 when
+    the directed candidate is the reverse complement of the stored code.
+
+    The reverse orientation costs no search: ``rightext_b(rc(c))`` is the
+    reverse complement of ``leftext_{3-b}(c)``, so it lands where that
+    does — ``landing``'s other half, base order mirrored.  Only the
+    directed codes, which the tie hash reads, are recomputed.
+    """
+    k, codes, values = filtered.k, filtered.codes, filtered.values
+    o_bits = 1 if canonical else 0
+    row_of = np.full(len(filtered), -1, dtype=np.int32)
+    row_of[queue] = np.arange(queue.size, dtype=np.int32)
+    rows = np.empty((queue.size, 1 + o_bits, 2, 4), dtype=np.int32)
+    for a in range(0, queue.size, _ROW_BLOCK):
+        part = queue[a : a + _ROW_BLOCK]
+        stored, lands = codes[part], landing[part]
+        for o in range(1 + o_bits):
+            directed = revcomp_codes(stored, k) if o else stored
+            for d, right in enumerate((True, False)):
+                cands = extension_candidates(directed, k, right)
+                half = lands[:, :4] if right != bool(o) else lands[:, 4:]
+                land = half[:, ::-1] if o else half
+                at = np.maximum(land, 0)
+                count = np.where(land >= 0, values[at], 0)
+                np.maximum(count, 0, out=count)
+                # Stable two-key sort along each row: equal (count, hash)
+                # keep base order, and no count is too large for the key.
+                order = np.lexsort((tie_break_codes(cands, salt), -count))
+                row = row_of[at]
+                if (row[count > 0] < 0).any():
+                    raise PipelineError(
+                        "preference_rows needs whole components: a queued k-mer "
+                        "extends to a stored k-mer outside the queue"
+                    )
+                state = (row << o_bits) | (cands != codes[at])
+                state[count == 0] = -1
+                rows[a : a + part.size, o, d] = np.take_along_axis(state, order, axis=1)
+    return rows
+
+
+# --------------------------------------------------------------------------
+# Walk: the first unused entry of each row, from a seed to both dead ends
+# --------------------------------------------------------------------------
+
+
+def walk(
+    rows: Sequence[int], used: bytearray, o_bits: int, seed: int, max_len: int
+) -> Tuple[List[int], int]:
+    """Greedily extend one contig from walk state ``seed``.
+
+    ``rows`` is :func:`preference_rows` flattened; ``used`` has one slot
+    per row index and the caller has claimed the seed's.  Extends right
+    until a row has no unused entry, then left from the seed, claiming
+    each landing, for at most ``max_len`` k-mers in all.  Returns the
+    visited states left end first, and the number of rows read.
+    """
+    arms: Tuple[List[int], List[int]] = ([seed], [])
+    n = reads = 0
+    for d, arm in enumerate(arms):
+        cur = seed
+        while n + 1 < max_len:
+            reads += 1
+            base = (cur << 3) | (d << 2)
+            for nxt in rows[base : base + 4]:
+                if nxt < 0 or not used[nxt >> o_bits]:
+                    break
+            else:
+                nxt = -1
+            if nxt < 0:
+                break
+            used[nxt >> o_bits] = 1
+            arm.append(nxt)
+            cur = nxt
+            n += 1
+    return arms[1][::-1] + arms[0], reads
+
+
+_BASE_BYTES = np.frombuffer(b"ACGT", dtype=np.uint8)
+
+
+def _assemble_queue(
+    filtered: KmerCounter,
+    canonical: bool,
+    cfg: InchwormConfig,
+    landing: np.ndarray,
+    queue: np.ndarray,
+) -> Tuple[List[Tuple[int, str, float]], int, int]:
+    """Rows over ``queue`` — whole components' positions in seeding order
+    — then one walk from every entry still unclaimed when its turn comes.
+
+    Returns ``(contigs, rows read, row bytes)``; a contig is ``(index in
+    queue of its seed, bases, coverage)``, in seeding order.  Bases and
+    coverage are read off the visited states in one pass at the end: the
+    directed code of a state is the stored code or its reverse
+    complement, consecutive codes overlap by k-1 so each adds its last
+    base, and coverage is the mean of the visited *filtered* counts.
     """
     k = filtered.k
-    if right:
-        mask = (1 << (2 * k)) - 1
-        cands = [((cur << 2) | b) & mask for b in range(4)]
-    else:
-        cands = [(b << (2 * (k - 1))) | (cur >> 2) for b in range(4)]
-    canons = [canonical_code(c, k) for c in cands] if canonical else cands
-    pos, found = filtered.find(np.asarray(canons, dtype=np.uint64))
-    best: Optional[Tuple[int, int, int, int]] = None  # (count, -tiebreak, candidate, position)
-    for cand, p, hit in zip(cands, pos.tolist(), found.tolist()):
-        cnt = int(filtered.values[p]) if hit and not used[p] else 0
-        if cnt == 0:
+    o_bits = 1 if canonical else 0
+    rows = preference_rows(
+        filtered, canonical, derive_seed(cfg.seed, "inchworm-ties"), landing, queue
+    )
+    flat = memoryview(rows.reshape(-1))  # plain ints out, no second copy of the table
+    used = bytearray(queue.size)
+    min_kmers = cfg.resolved_min_length(k) - k + 1
+    seeds: List[int] = []
+    paths: List[List[int]] = []
+    n_reads = 0
+    for seed, mark in enumerate(_seed_marks(filtered, canonical, queue).tolist()):
+        if used[mark]:
             continue
-        tie = tie_break_code(cand, salt)
-        if best is None or (cnt, -tie) > (best[0], best[1]):
-            best = (cnt, -tie, cand, p)
-    return (best[2], best[0], best[3]) if best else None
-
-
-# --------------------------------------------------------------------------
-# Component kernel: one lockstep across k-mer-graph components
-# --------------------------------------------------------------------------
-
-#: Below this many live walkers the lockstep's fixed vector overhead costs
-#: more than the scalar per-step probe; the remaining walks finish serially.
-_SCALAR_CUTOFF = 6
-
-
-@dataclass
-class ComponentAssembly:
-    """Keyed contigs of one kernel call plus the simulated team's timing."""
-
-    #: ``(global seed rank, seq, coverage)`` per contig, in emission order;
-    #: :func:`keyed_contigs` re-emits any union of these as the serial list.
-    keyed: List[Tuple[int, str, float]]
-    team: TeamResult
-    thread_clocks: np.ndarray  # virtual seconds per simulated thread
-    n_steps: int  # kernel dispatches (lockstep batches + scalar probes)
+        used[mark] = 1
+        path, reads = walk(flat, used, o_bits, seed << o_bits, cfg.max_contig_length)
+        n_reads += reads
+        if len(path) >= min_kmers:
+            seeds.append(seed)
+            paths.append(path)
+    if not paths:
+        return [], n_reads, rows.nbytes
+    lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+    states = np.fromiter(chain.from_iterable(paths), dtype=np.int64, count=int(lengths.sum()))
+    at = queue[states >> o_bits]
+    directed = filtered.codes[at]
+    if canonical:
+        flipped = (states & 1).astype(bool)
+        directed[flipped] = revcomp_codes(directed[flipped], k)
+    starts = np.cumsum(lengths) - lengths
+    totals = np.add.reduceat(filtered.values[at], starts)
+    last_bases = _BASE_BYTES[(directed & np.uint64(3)).astype(np.intp)].tobytes().decode("ascii")
+    contigs = [
+        (seed, decode_kmer(first, k) + last_bases[a + 1 : a + n], float(total) / n)
+        for seed, first, a, n, total in zip(
+            seeds, directed[starts].tolist(), starts.tolist(), lengths.tolist(), totals.tolist()
+        )
+    ]
+    return contigs, n_reads, rows.nbytes
 
 
 def keyed_contigs(keyed: Iterable[Tuple[int, str, float]]) -> List[Contig]:
@@ -355,54 +379,75 @@ def keyed_contigs(keyed: Iterable[Tuple[int, str, float]]) -> List[Contig]:
     ]
 
 
-class _Walker:
-    """One component's serial walk: its seed queue and the contig in hand."""
+def inchworm_assemble(
+    counts: JellyfishCounts,
+    config: Optional[InchwormConfig] = None,
+) -> List[Contig]:
+    """Assemble contigs from k-mer counts; deterministic given the seed.
 
-    __slots__ = (
-        "thread", "queue", "marks", "at", "seed", "codes", "left", "cov", "cur", "right",
+    Rows for every stored k-mer, then the walk over the global seed order.
+    """
+    cfg = config or InchwormConfig()
+    if counts.k < 2:
+        raise PipelineError(f"inchworm needs k >= 2, got {counts.k}")
+    filtered = counts.index.filtered(cfg.min_kmer_count)
+    queue = _seed_order(filtered, derive_seed(cfg.seed, "inchworm-ties"))
+    contigs, _reads, _bytes = _assemble_queue(
+        filtered, counts.canonical, cfg, neighbours(filtered, counts.canonical), queue
     )
+    return keyed_contigs(contigs)
 
-    def __init__(self, thread: int, queue: List[int], marks: List[int]) -> None:
-        self.thread = thread  # simulated thread charged for this walk
-        self.queue = queue  # member positions in global seed order
-        self.marks = marks  # per member: the used-mask position its seeding claims
-        self.at = 0  # next queue entry to try as a seed
+
+# --------------------------------------------------------------------------
+# Component kernel: rows and walks over the components one rank was dealt
+# --------------------------------------------------------------------------
+
+
+@dataclass
+class ComponentAssembly:
+    """Keyed contigs of one kernel call plus the simulated team's timing."""
+
+    #: ``(global seed rank, seq, coverage)`` per contig;
+    #: :func:`keyed_contigs` re-emits any union of these as the serial list.
+    keyed: List[Tuple[int, str, float]]
+    team: TeamResult
+    thread_clocks: np.ndarray  # virtual seconds per simulated thread
+    n_steps: int  # rows read by the walks
+    row_bytes: int  # the threads' preference rows, summed
 
 
 def inchworm_assemble_components(
     filtered: KmerCounter,
     canonical: bool,
     config: InchwormConfig,
+    landing: np.ndarray,
     seed_rank: np.ndarray,
     thread_components: Sequence[Sequence[np.ndarray]],
     thread_slowdowns: Optional[Sequence[float]] = None,
 ) -> ComponentAssembly:
-    """Assemble whole k-mer-graph components, all of them in one lockstep.
+    """Assemble whole k-mer-graph components, thread by thread.
 
     ``thread_components[t]`` lists the components (member position arrays
     of ``filtered``, from :mod:`repro.trinity.kmer_components`) simulated
-    thread ``t`` walks; ``seed_rank[p]`` is position ``p``'s rank in the
-    global :func:`_seed_order`.  Each component gets one serial walker
-    whose seed queue is its members in global seed order, and every step
-    advances *all* live walkers with one :func:`probe_extensions` +
-    :func:`select_extensions` against ``filtered``.  A greedy walk never
-    leaves its seed's component and components are disjoint, so walkers
-    share one ``used`` mask without ever contending: each replays exactly
-    the steps :func:`inchworm_assemble` takes inside that component, and
-    the contigs — keyed by their seed's global rank — are the serial
-    output restricted to these components, at any thread count.
+    thread ``t`` owns; ``landing`` is :func:`neighbours` of the same
+    table and ``seed_rank[p]`` position ``p``'s rank in the global
+    :func:`_seed_order`.  Each thread builds :func:`preference_rows` for
+    its own members and walks them in global seed order.  A greedy walk
+    never leaves its seed's component and a component's seed order is the
+    global order restricted to it, so every walk replays exactly the
+    steps the serial assembler takes inside that component, and the
+    contigs — keyed by their seed's global rank — are the serial output
+    restricted to these components, at any thread count.
 
-    Timing: one ``thread_time`` window covers everything the call does.
-    Each lockstep's share of it (queue setup, seed scans and emits since
-    the previous step included) is split over the threads by their share
-    of the step's rows, times ``thread_slowdowns`` (one factor per thread,
-    >= 1 models a straggler); a tail walk is charged to its own thread.
-    A component is indivisible, so the thread holding the largest one is
-    the floor of the team makespan.
+    Timing: one ``thread_time`` window covers the call; what a thread's
+    rows and walks took (the call's own setup goes to the first busy
+    thread) is charged to its clock times ``thread_slowdowns`` (one
+    factor per thread, >= 1 models a straggler).  A component is
+    indivisible, so the thread holding the largest one is the floor of
+    the team makespan.
     """
-    k = filtered.k
-    if k < 2:
-        raise PipelineError(f"inchworm needs k >= 2, got {k}")
+    if filtered.k < 2:
+        raise PipelineError(f"inchworm needs k >= 2, got {filtered.k}")
     n_threads = len(thread_components)
     if n_threads == 0:
         raise PipelineError("inchworm needs at least one thread's component list")
@@ -418,119 +463,32 @@ def inchworm_assemble_components(
         raise PipelineError("thread slowdown factors must be positive")
 
     started = stamp = time.thread_time()
-    salt = derive_seed(config.seed, "inchworm-ties")
-    min_len = config.resolved_min_length(k)
-    max_len = config.max_contig_length
-    codes, values = filtered.codes, filtered.values
-    marks = _seed_marks(filtered, canonical)
-    used = np.zeros(len(filtered), dtype=bool)
     keyed: List[Tuple[int, str, float]] = []
     clocks = np.zeros(n_threads)
-
-    def start(w: _Walker) -> bool:
-        """Seed ``w``'s next contig; False once its component is exhausted."""
-        while True:
-            while w.at < len(w.queue) and used[w.marks[w.at]]:
-                w.at += 1
-            if w.at == len(w.queue):
-                return False
-            used[w.marks[w.at]] = True
-            w.seed = w.queue[w.at]
-            w.cur = int(codes[w.seed])
-            w.codes, w.left, w.cov, w.right = [w.cur], [], int(values[w.seed]), True
-            if max_len > 1:
-                return True
-            emit(w)  # the cap admits the bare seed only: nothing to probe
-
-    def emit(w: _Walker) -> None:
-        seq = _codes_to_seq(w.left[::-1] + w.codes, k)
-        if len(seq) >= min_len:
-            n = len(w.codes) + len(w.left)
-            keyed.append((int(seed_rank[w.seed]), seq, float(w.cov) / n))
-
-    def advance(w: _Walker, hit: Optional[Tuple[int, int, int]]) -> bool:
-        """Apply one probe result; False once ``w``'s component is exhausted."""
-        if hit is None:
-            if w.right:  # right end exhausted: turn around at the seed
-                w.right, w.cur = False, w.codes[0]
-                return True
-        else:
-            code, count, pos = hit
-            used[pos] = True
-            (w.codes if w.right else w.left).append(code)
-            w.cov += count
-            w.cur = code
-            if len(w.codes) + len(w.left) < max_len:
-                return True
-        emit(w)
-        return start(w)
-
-    def charge(rows: List[_Walker]) -> None:
-        """Bill the time since the last stamp to the threads of ``rows``."""
-        nonlocal stamp, clocks
-        now = time.thread_time()
-        per_thread = np.bincount([w.thread for w in rows], minlength=n_threads)
-        clocks += (now - stamp) * per_thread / len(rows) * slowdowns
-        stamp = now
-
-    walkers = []
+    n_steps = row_bytes = 0
     for t, components in enumerate(thread_components):
-        for members in components:
-            queue = members[np.argsort(seed_rank[members])]
-            walkers.append(_Walker(t, queue.tolist(), marks[queue].tolist()))
-    live = [w for w in walkers if start(w)]
-    n_steps = 0
-    while len(live) >= _SCALAR_CUTOFF:
-        rows, n = live, len(live)
-        cur = np.fromiter((w.cur for w in rows), dtype=np.uint64, count=n)
-        right = np.fromiter((w.right for w in rows), dtype=bool, count=n)
-        probe = probe_extensions(filtered, cur, right, salt, canonical)
-        cols, ok = select_extensions(probe, used[probe.pos])
-        picked = (np.arange(n), cols)
-        hits = zip(
-            probe.cands[picked].tolist(),
-            probe.counts[picked].tolist(),
-            probe.pos[picked].tolist(),
-        )
-        live = [
-            w for w, found, hit in zip(rows, ok.tolist(), hits)
-            if advance(w, hit if found else None)
-        ]
-        n_steps += 1
-        charge(rows)
-    for w in live:
-        alive = True
-        while alive:
-            alive = advance(
-                w, _best_extension(filtered, canonical, used, w.cur, salt, w.right)
-            )
-            n_steps += 1
-        charge([w])
+        if not components:
+            continue
+        members = np.concatenate(components)
+        queue = members[np.argsort(seed_rank[members])]
+        contigs, reads, nbytes = _assemble_queue(filtered, canonical, config, landing, queue)
+        keys = seed_rank[queue[[seed for seed, _seq, _cov in contigs]]].tolist()
+        keyed += [(key, seq, cov) for key, (_seed, seq, cov) in zip(keys, contigs)]
+        n_steps += reads
+        row_bytes += nbytes
+        now = time.thread_time()
+        clocks[t] += (now - stamp) * slowdowns[t]
+        stamp = now
     team = TeamResult(
         values=keyed, makespan=float(clocks.max()), serial_time=stamp - started,
         n_threads=n_threads,
     )
-    return ComponentAssembly(keyed=keyed, team=team, thread_clocks=clocks, n_steps=n_steps)
+    return ComponentAssembly(
+        keyed=keyed, team=team, thread_clocks=clocks, n_steps=n_steps, row_bytes=row_bytes
+    )
 
 
 # --------------------------------------------------------------------------
-
-
-_BASE_BYTES = np.frombuffer(b"ACGT", dtype=np.uint8)
-
-
-def _codes_to_seq(codes: List[int], k: int) -> str:
-    """Reconstruct the contig string from consecutive overlapping codes.
-
-    Consecutive codes share a (k-1)-overlap, so past the first k-mer each
-    code contributes exactly its last base (``code & 3``) — one vector
-    mask instead of a per-k-mer decode.
-    """
-    first = decode_kmer(codes[0], k)
-    if len(codes) == 1:
-        return first
-    tail = np.asarray(codes[1:], dtype=np.uint64) & np.uint64(3)
-    return first + _BASE_BYTES[tail.astype(np.intp)].tobytes().decode("ascii")
 
 
 def mean_coverage(contig_seq: str, counts: JellyfishCounts) -> float:

@@ -1,22 +1,24 @@
 """Connected components of the filtered k-mer overlap graph.
 
 Inchworm's greedy walk only ever moves along (k-1)-overlap extension
-edges that land on k-mers present in the filtered counter — the exact
-candidate set :func:`repro.trinity.inchworm.probe_extensions` resolves.
-A walk therefore never leaves the connected component of its seed, so
-contig assembly factors over components: deal the components to MPI
-ranks, assemble each sub-counter independently, and the union of the
-per-component outputs is exactly the serial output (the fidelity
-argument behind :mod:`repro.parallel.mpi_inchworm`, following the
-distributed string-graph construction of Guidi et al.).
+edges that land on k-mers present in the filtered counter — the
+landings :func:`repro.trinity.inchworm.neighbours` resolves, once, for
+every stored k-mer.  A walk therefore never leaves the connected
+component of its seed, so contig assembly factors over components: deal
+the components to MPI ranks, let each owner build successor rows for
+its own members and walk them, and the union of the per-component
+outputs is exactly the serial output (the fidelity argument behind
+:mod:`repro.parallel.mpi_inchworm`, following the distributed
+string-graph construction of Guidi et al.).
 
 In canonical mode the index stores ``min(code, revcomp(code))`` while
 the walk moves over *directed* codes.  Reverse complement conjugates
 the two directions — ``revcomp(rightext_b(revcomp(c)))`` is a left
 extension of ``c`` — so the four right plus four left canonicalised
 neighbours of each stored canonical code cover every transition either
-strand of the walk can take.  Eight candidate lookups per stored k-mer
-close the reachability relation.
+strand of the walk can take.  Eight landings per stored k-mer close the
+reachability relation, and this module searches for none of them: it
+reads its edges off the probe the walk's rows are built from.
 
 The component labelling itself is a vectorised union-find of the
 classic Shiloach-Vishkin shape: root-hooking over the edge list
@@ -32,8 +34,6 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.seq.kmer_index import KmerCounter
-from repro.seq.kmers import revcomp_codes
-from repro.trinity.inchworm import extension_candidates
 
 __all__ = [
     "overlap_edges",
@@ -43,42 +43,25 @@ __all__ = [
 ]
 
 
-def overlap_edges(
-    filtered: KmerCounter, canonical: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Edge list of the (k-1)-overlap graph over ``filtered`` positions.
+def overlap_edges(landing: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Edge list of the (k-1)-overlap graph, read off the probe.
 
-    Returns parallel ``(u, v)`` position arrays: one edge for every
-    single-base extension candidate of a stored code (four right, four
-    left, canonicalised when ``canonical``) that is itself present in
-    ``filtered``.  These are by construction the same edges the greedy
-    walk's batched probe resolves.  Self-loops (palindromic neighbours
-    resolving to their own source) are dropped; duplicate edges are
-    harmless to the label propagation and not deduplicated.
+    ``landing`` is :func:`repro.trinity.inchworm.neighbours` of the
+    table.  Returns parallel ``(u, v)`` position arrays: one edge for
+    every single-base extension of a stored code (four right, four left)
+    that is itself stored — by construction the candidates the greedy
+    walk's rows hold.  Self-loops (palindromic neighbours resolving to
+    their own source) are dropped; duplicate edges are harmless to the
+    label propagation and not deduplicated.
     """
-    n = len(filtered)
-    if n == 0:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty
-    k = filtered.k
-    sources = np.repeat(np.arange(n, dtype=np.intp), 4)
-    u_parts: List[np.ndarray] = []
-    v_parts: List[np.ndarray] = []
-    for right in (True, False):
-        cands = extension_candidates(filtered.codes, k, right).reshape(-1)
-        if canonical:
-            cands = np.minimum(cands, revcomp_codes(cands, k))
-        pos, found = filtered.find(cands)
-        u = sources[found]
-        v = pos[found].astype(np.intp, copy=False)
-        keep = u != v
-        u_parts.append(u[keep])
-        v_parts.append(v[keep])
-    return np.concatenate(u_parts), np.concatenate(v_parts)
+    u, col = np.nonzero(landing >= 0)
+    v = landing[u, col].astype(np.intp)
+    keep = u != v
+    return u[keep], v[keep]
 
 
-def kmer_components(filtered: KmerCounter, canonical: bool = True) -> np.ndarray:
-    """Component label for every position of ``filtered``.
+def kmer_components(landing: np.ndarray) -> np.ndarray:
+    """Component label for every position of the table ``landing`` probes.
 
     The label of a component is the minimum position among its members,
     so labels are stable under any edge ordering and directly comparable
@@ -95,11 +78,8 @@ def kmer_components(filtered: KmerCounter, canonical: bool = True) -> np.ndarray
     away from itself, so the fixpoint labels every member with that
     minimum.
     """
-    n = len(filtered)
-    parent = np.arange(n, dtype=np.intp)
-    if n == 0:
-        return parent
-    u, v = overlap_edges(filtered, canonical)
+    parent = np.arange(len(landing), dtype=np.intp)
+    u, v = overlap_edges(landing)
     if u.size == 0:
         return parent
     while True:
@@ -141,9 +121,9 @@ def component_costs(
 ) -> np.ndarray:
     """Per-component deal weight: the sum of member k-mer counts.
 
-    Extension work is proportional to the k-mers a walk consumes, and
-    abundance bounds how often the batched kernel revisits a region, so
-    the count mass is the natural LPT cost (the role the contig-length
+    Row building and extension work are proportional to the k-mers a
+    component holds, and abundance weights the ones long walks are made
+    of, so the count mass is the natural LPT cost (the role the contig-length
     plus routed-read estimate
     :func:`repro.parallel.mpi_chrysalis_backend.estimated_component_cost`
     plays for the back end).

@@ -14,6 +14,7 @@ from repro.trinity.inchworm import (
     ComponentAssembly,
     InchwormConfig,
     inchworm_assemble_components,
+    neighbours,
 )
 from repro.trinity.jellyfish import JellyfishCounts
 
@@ -27,10 +28,13 @@ def assemble_components(
 ) -> ComponentAssembly:
     """All of ``counts``' components (or just the ``owned`` ids) on one rank."""
     cfg = cfg or InchwormConfig()
-    filtered, seed_rank, members, costs = _component_setup(counts, cfg)
+    filtered = counts.index.filtered(cfg.min_kmer_count)
+    landing, seed_rank, members, costs = _component_setup(
+        filtered, cfg, [neighbours(filtered, counts.canonical)]
+    )
     mine = list(range(len(members))) if owned is None else list(owned)
     teams = lpt_assign([float(costs[c]) for c in mine], mine, n_threads)
     return inchworm_assemble_components(
-        filtered, counts.canonical, cfg, seed_rank,
+        filtered, counts.canonical, cfg, landing, seed_rank,
         [[members[c] for c in team] for team in teams], thread_slowdowns,
     )

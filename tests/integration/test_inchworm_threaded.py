@@ -21,6 +21,7 @@ from repro.simdata.reads import flatten_reads
 from repro.trinity import TrinityConfig
 from repro.trinity.inchworm import InchwormConfig, inchworm_assemble, keyed_contigs
 from repro.trinity.jellyfish import jellyfish_count
+from tests import reference_inchworm
 from tests.inchworm_kernel import assemble_components
 
 ASSEMBLY_K = 25
@@ -39,11 +40,22 @@ class TestSingleThreadByteIdentity:
     def test_whitefly_byte_identical(self, counts0, seed):
         cfg = InchwormConfig(seed=seed)
         serial = inchworm_assemble(counts0, cfg)
+        # Both are table walks: the per-step oracle says what "serial" is.
+        assert serial == reference_inchworm.inchworm_assemble(counts0, cfg)
         for n_threads in (1, 4):
             res = assemble_components(counts0, cfg, n_threads=n_threads)
             assert [(c.name, c.seq, c.coverage) for c in serial] == [
                 (c.name, c.seq, c.coverage) for c in keyed_contigs(res.keyed)
             ]
+
+    def test_strand_specific_counts_equal_the_oracle(self):
+        # Directed k-mers: one orientation per row, no canonical partner.
+        _txome, pairs = get_recipe("whitefly-mini").materialize(seed=0)
+        counts = jellyfish_count(flatten_reads(pairs), ASSEMBLY_K, canonical=False)
+        cfg = InchwormConfig(seed=3)
+        oracle = reference_inchworm.inchworm_assemble(counts, cfg)
+        assert oracle and inchworm_assemble(counts, cfg) == oracle
+        assert keyed_contigs(assemble_components(counts, cfg, n_threads=4).keyed) == oracle
 
 
 @pytest.fixture(scope="module")

@@ -31,13 +31,20 @@ from repro.trinity import TrinityConfig
 from repro.trinity.inchworm import InchwormConfig, inchworm_assemble
 from repro.trinity.jellyfish import jellyfish_count
 from repro.trinity.pipeline import TrinityPipeline
+from tests import reference_inchworm
 
 NPROCS = 8
 
 
 @pytest.fixture(scope="module")
 def serial_contigs(smoke_counts):
-    return inchworm_assemble(smoke_counts, InchwormConfig(seed=1))
+    contigs = inchworm_assemble(smoke_counts, InchwormConfig(seed=1))
+    # The serial assembler is itself a table walk: pin it to the per-step
+    # oracle, so "equals serial" below means "equals the greedy rule".
+    assert contigs == reference_inchworm.inchworm_assemble(
+        smoke_counts, InchwormConfig(seed=1)
+    )
+    return contigs
 
 
 class TestSerialEquality:
@@ -91,6 +98,23 @@ class TestSerialEquality:
                     ),
                 )
                 assert run.outputs[0].outputs.contigs == serial_contigs
+
+    def test_probe_is_dealt_and_rows_are_owned(self, smoke_counts):
+        # Each rank probes one block of positions, and every stored k-mer's
+        # rows (2 orientations x 2 directions x 4 int32 entries) are built
+        # on exactly one rank: its component's owner.
+        run = mpirun(
+            mpi_inchworm, 3,
+            InchwormInputs(counts=smoke_counts),
+            InchwormStageConfig(inchworm=InchwormConfig(seed=1)),
+            trace=True,
+        )
+        n = len(smoke_counts.index.filtered(InchwormConfig().min_kmer_count))
+        landing_bytes = n * 8 * 4
+        row_bytes = [r.metrics["table_bytes"] - landing_bytes for r in run.outputs]
+        assert all(b >= 0 for b in row_bytes) and sum(row_bytes) == n * 2 * 2 * 4 * 4
+        for trace in run.traces:
+            assert len([s for s in trace.segments if s.label == "inchworm:probe"]) == 1
 
     def test_empty_counter(self):
         counts = jellyfish_count([], 25)

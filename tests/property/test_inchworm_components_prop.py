@@ -1,36 +1,74 @@
-"""Property: the component kernel equals the serial Inchworm loop.
+"""Property: both table assemblers equal the per-step Inchworm oracle.
 
-For any k-mer table, any split of its k-mer-graph components over
-"ranks", any thread count and any straggler row, pooling the keyed
-contigs of one ``inchworm_assemble_components`` call per rank must
-re-emit ``inchworm_assemble``'s list exactly — names, bases and
-coverage — because a greedy walk never leaves its seed's component and
-a component's seed order is the global order restricted to it.
+For any k-mer table, ``inchworm_assemble`` and — over any split of the
+table's k-mer-graph components over "ranks", any thread count and any
+straggler row — the pooled keyed contigs of one
+``inchworm_assemble_components`` call per rank must re-emit the list of
+``tests/reference_inchworm.py`` exactly — names, bases and coverage —
+because a row holds a k-mer's candidates in the order the oracle's
+comparator would try them, a greedy walk never leaves its seed's
+component and a component's seed order is the global order restricted
+to it.
+
+Hand mutants of the table this file kills (each was applied to
+``repro/trinity/inchworm.py`` and failed here within the 200 examples):
+rows ordered by count alone, ignoring the tie hash (count ties between
+candidates: repeated reads, the left fork); the reverse orientation
+reusing the stored orientation's tie hashes (a fork met on the reverse
+strand: canonical tables walk both); the landing orientation dropped
+from the entry (any canonical walk that changes strand); ``used``
+tested on the row's own slot instead of the landing's (every second
+contig of a component); the reverse orientation's bases not mirrored
+(``land = half``); ``_seed_marks`` without its own-slot fallback (the
+injected directed code).
 """
 
-from unittest import mock
-
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.mpi_inchworm import _component_setup
 from repro.seq.alphabet import reverse_complement
+from repro.seq.kmer_index import KmerCounter
+from repro.seq.kmers import canonical_code, encode_kmer
 from repro.seq.records import SeqRecord
-from repro.trinity import inchworm
-from repro.trinity.inchworm import InchwormConfig, inchworm_assemble, keyed_contigs
-from repro.trinity.jellyfish import jellyfish_count
+from repro.trinity.inchworm import (
+    InchwormConfig,
+    inchworm_assemble,
+    keyed_contigs,
+    neighbours,
+)
+from repro.trinity.jellyfish import JellyfishCounts, jellyfish_count
+from repro.trinity.kmer_components import component_members, kmer_components
+from tests import reference_inchworm
 from tests.inchworm_kernel import assemble_components
 
 
 @st.composite
 def assembly_cases(draw):
-    """A tiny read set at k 5 or 7 — possibly empty after filtering, a
-    single k-mer, homopolymer and palindromic runs (k-mers that overlap
+    """A tiny read set at k 5, 7 or 17 — possibly empty after filtering,
+    a single k-mer, homopolymer and palindromic runs (k-mers that overlap
     themselves), one long shared sequence plus unrelated short ones (a
     giant component beside singletons), repeated reads so counts tie and
     differ — with length caps that bite in either phase, a minimum
-    contig length, and strand-specific counting."""
-    k = draw(st.sampled_from([5, 7]))
+    contig length, and strand-specific counting.  Cases the successor
+    table must get right on top of that:
+
+    * an even-k palindrome (k 6) that is its own reverse complement and,
+      as a homopolymer-like ``ATATAT``, its own neighbour;
+    * a fork ``aSb`` / ``rc(bSa)``: two present bases in one row with
+      equal counts, one arm stored reverse-complemented, met from either
+      strand (two bases of one row can never land on the *same* slot:
+      ``rightext_b1(c) == rc(rightext_b2(c))`` forces ``b1 == b2``);
+    * a crowded table at k 5 / 6, where most rows hold several
+      candidates with tying counts;
+    * a left fork at k 17, where both candidates' directed codes agree
+      in their low 32 bits, so the tie hash cannot separate an equal
+      count and only the base index does;
+    * in a canonical table, a stored *directed* code whose canonical
+      partner is absent (``_seed_marks``' own-slot fallback).
+    """
+    k = draw(st.sampled_from([5, 6, 7, 17]))
     dna = lambda lo, hi: st.text(alphabet="ACGT", min_size=lo, max_size=hi)
     seqs = draw(st.lists(dna(0, 30), max_size=4))
     if draw(st.booleans()):
@@ -40,10 +78,23 @@ def assembly_cases(draw):
     if draw(st.booleans()):
         half = draw(dna(k // 2 + 1, k))
         seqs.append(half + reverse_complement(half))  # palindrome: own revcomp
+    if k % 2 == 0 and draw(st.booleans()):
+        seqs.append(draw(st.sampled_from(["AT", "CG", "TA", "GC"])) * (k // 2 + 1))
     if draw(st.booleans()):
         giant = draw(dna(40, 90))
         cuts = draw(st.lists(st.integers(0, len(giant) - k), min_size=1, max_size=4))
         seqs += [giant] + [giant[a : a + 3 * k] for a in cuts]
+    if draw(st.booleans()):
+        # One (k-1)-mer with two different bases before it (and two
+        # after): equal-count forks in both directions, one arm given on
+        # the other strand so its candidate lands reverse-complemented.
+        core = draw(dna(k - 1, k + 6))
+        a, b = draw(st.permutations("ACGT"))[:2]
+        seqs += [a + core + b, reverse_complement(b + core + a)]
+    if k < 7 and draw(st.booleans()):
+        # Enough short reads to crowd the 4**k code space: most rows fork,
+        # on both strands, with counts that tie.
+        seqs += draw(st.lists(dna(k, k + 3), min_size=8, max_size=24))
     seqs += draw(st.lists(st.sampled_from(seqs), max_size=4)) if seqs else []
     cfg = InchwormConfig(
         min_kmer_count=draw(st.sampled_from([1, 1, 2, 50])),
@@ -52,11 +103,19 @@ def assembly_cases(draw):
         seed=draw(st.integers(0, 5)),
     )
     reads = [SeqRecord(f"r{i}", seq) for i, seq in enumerate(seqs)]
-    return jellyfish_count(reads, k, canonical=draw(st.booleans())), cfg
+    counts = jellyfish_count(reads, k, canonical=draw(st.booleans()))
+    if counts.canonical and draw(st.booleans()):
+        directed = encode_kmer(draw(dna(k, k)))
+        partner = canonical_code(directed, k)
+        if partner != directed and counts.index.get(partner) == 0:
+            table = dict(zip(counts.index.codes.tolist(), counts.index.values.tolist()))
+            table[directed] = draw(st.integers(1, 60))
+            counts = JellyfishCounts(k=k, canonical=True, index=KmerCounter.from_dict(table, k))
+    return counts, cfg
 
 
 def _triples(contigs):
-    return [(c.name, c.seq, c.coverage) for c in contigs]
+    return [(c.name, c.seq, repr(c.coverage)) for c in contigs]
 
 
 @settings(max_examples=200, deadline=None)
@@ -64,20 +123,14 @@ def _triples(contigs):
     assembly_cases(),
     st.integers(1, 4),
     st.sampled_from([1, 2, 4, 8]),
-    st.sampled_from([1, 3, 6]),
     st.randoms(use_true_random=False),
 )
-def test_any_rank_and_thread_split_equals_serial(case, n_ranks, n_threads, cutoff, rng):
-    # These tables have few components, so most draws lower the walker
-    # count below which the kernel leaves its lockstep for the scalar
-    # tail: both paths, and the hand-over between them, get exercised.
-    with mock.patch.object(inchworm, "_SCALAR_CUTOFF", cutoff):
-        _check_split(*case, n_ranks, n_threads, rng)
-
-
-def _check_split(counts, cfg, n_ranks, n_threads, rng):
-    serial = inchworm_assemble(counts, cfg)
-    n_components = len(_component_setup(counts, cfg)[2])
+def test_any_rank_and_thread_split_equals_serial(case, n_ranks, n_threads, rng):
+    counts, cfg = case
+    oracle = _triples(reference_inchworm.inchworm_assemble(counts, cfg))
+    assert _triples(inchworm_assemble(counts, cfg)) == oracle
+    filtered = counts.index.filtered(cfg.min_kmer_count)
+    n_components = len(component_members(kmer_components(neighbours(filtered, counts.canonical))))
     owner = [rng.randrange(n_ranks) for _ in range(n_components)]
     pooled, pooled_slow = [], []
     for rank in range(n_ranks):
@@ -92,5 +145,6 @@ def _check_split(counts, cfg, n_ranks, n_threads, rng):
         pooled_slow += slow.keyed
         if not owned:
             assert fair.team.makespan == 0.0 and not fair.thread_clocks.any()
-    assert _triples(keyed_contigs(pooled)) == _triples(serial)
+        assert fair.team.serial_time == pytest.approx(np.sum(fair.thread_clocks))
+    assert _triples(keyed_contigs(pooled)) == oracle
     assert pooled_slow == pooled  # stragglers move clocks, never bytes

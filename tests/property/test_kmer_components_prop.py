@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.seq.kmer_index import KmerCounter
 from repro.seq.kmers import canonical_kmers
+from repro.trinity.inchworm import neighbours
 from repro.trinity.kmer_components import (
     component_members,
     kmer_components,
@@ -56,10 +57,9 @@ def _counter_from_dna(seq: str) -> KmerCounter:
 @given(dna)
 def test_labels_match_bfs_on_dna_spectra(seq):
     counter = _counter_from_dna(seq)
-    u, v = overlap_edges(counter, canonical=True)
-    assert np.array_equal(
-        kmer_components(counter, canonical=True), _bfs_labels(len(counter), u, v)
-    )
+    landing = neighbours(counter, canonical=True)
+    u, v = overlap_edges(landing)
+    assert np.array_equal(kmer_components(landing), _bfs_labels(len(counter), u, v))
 
 
 @settings(max_examples=60, deadline=None)
@@ -68,17 +68,16 @@ def test_labels_match_bfs_on_random_codes(seed, canonical):
     rng = np.random.default_rng(seed)
     codes = np.unique(rng.integers(0, 4**K, size=200, dtype=np.int64))
     counter = KmerCounter(K, codes, np.ones(codes.size, dtype=np.int64))
-    u, v = overlap_edges(counter, canonical)
-    assert np.array_equal(
-        kmer_components(counter, canonical), _bfs_labels(len(counter), u, v)
-    )
+    landing = neighbours(counter, canonical)
+    u, v = overlap_edges(landing)
+    assert np.array_equal(kmer_components(landing), _bfs_labels(len(counter), u, v))
 
 
 @settings(max_examples=60, deadline=None)
 @given(dna)
 def test_members_partition_positions(seq):
     counter = _counter_from_dna(seq)
-    labels = kmer_components(counter, canonical=True)
+    labels = kmer_components(neighbours(counter, canonical=True))
     members = component_members(labels)
     flat = np.concatenate(members) if members else np.empty(0, dtype=np.intp)
     assert sorted(flat.tolist()) == list(range(len(counter)))

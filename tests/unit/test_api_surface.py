@@ -72,18 +72,48 @@ class TestStageSpecs:
 
 class TestInchwormSurface:
     def test_two_assemblers_and_no_window_knob(self):
-        """The serial reference and the component kernel are the only
-        assemblers; threads per rank is the one Inchworm option left."""
+        """Probe -> rows -> walk behind two assemblers: no second engine,
+        no per-step search and no option beside threads per rank (the
+        per-step loops are the oracles in ``tests/reference_inchworm.py``
+        and ``tests/reference_pairs.py``)."""
         from dataclasses import fields
+        from inspect import signature
+        from pathlib import Path
 
+        import repro
         from repro.parallel import InchwormStageConfig
-        from repro.trinity import TrinityConfig, inchworm
+        from repro.trinity import TrinityConfig, inchworm, pairs
+        from repro.trinity.inchworm import InchwormConfig
+
+        def params(fn):
+            return list(signature(fn).parameters)
 
         assemblers = {n for n in vars(inchworm) if n.startswith("inchworm_assemble")}
         assert assemblers == {"inchworm_assemble", "inchworm_assemble_components"}
+        assert params(inchworm.inchworm_assemble) == ["counts", "config"]
+        assert params(inchworm.inchworm_assemble_components) == [
+            "filtered", "canonical", "config", "landing", "seed_rank",
+            "thread_components", "thread_slowdowns",
+        ]
+        assert params(inchworm.neighbours) == ["filtered", "canonical", "start", "stop"]
+        assert params(inchworm.preference_rows) == [
+            "filtered", "canonical", "salt", "landing", "queue",
+        ]
+        assert params(inchworm.walk) == ["rows", "used", "o_bits", "seed", "max_len"]
+        assert params(pairs.reconcile_with_pairs) == [
+            "transcripts", "reads", "assignments", "min_support",
+        ]
+        assert params(pairs.pair_support) == ["transcript_seq", "pairs"]
+        gone = ("_best_extension", "_SCALAR_CUTOFF", "_Walker", "def _occurs")
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            text = path.read_text()
+            assert not [name for name in gone if name in text], path
         assert {f.name for f in fields(InchwormStageConfig)} == {
             "inchworm", "n_threads", "strategy", "chunk_size", "workdir",
             "thread_slowdowns",
+        }
+        assert {f.name for f in fields(InchwormConfig)} == {
+            "min_kmer_count", "min_contig_length", "max_contig_length", "seed",
         }
         assert [f.name for f in fields(TrinityConfig) if "inchworm" in f.name] == [
             "inchworm_threads"

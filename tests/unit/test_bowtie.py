@@ -174,6 +174,19 @@ class TestScaffoldPairs:
         )
         assert pairs == [(0, 1)]
 
+    def test_records_sharing_a_prefix_do_not_span(self):
+        # Spanning placements, but no /1 + /2 of one base among them: two
+        # records of one bare name, two library-prefixed names and a mate
+        # aligned twice each used to count as a supporting pair.
+        records = []
+        for first, second in (("solo", "solo"), ("lib/a", "lib/b"), ("x/1", "x/1")):
+            records += [self._sam(first, "c1", 40), self._sam(second, "c2", 1)]
+        kwargs = dict(end_window=20, contig_lengths={"c1": len(C1), "c2": len(C2)})
+        assert scaffold_pairs_from_sam(records, {"c1": 0, "c2": 1}, **kwargs) == []
+        records += [self._sam("p/2", "c1", 40), self._sam("p/1", "c2", 1)]
+        records += [self._sam("q/1", "c2", 1), self._sam("q/2", "c1", 40)]
+        assert scaffold_pairs_from_sam(records, {"c1": 0, "c2": 1}, **kwargs) == [(0, 1)]
+
     def test_single_support_ignored(self):
         records = [self._sam("p0/1", "c1", 40), self._sam("p0/2", "c2", 1)]
         pairs = scaffold_pairs_from_sam(

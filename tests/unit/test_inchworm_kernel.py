@@ -1,7 +1,7 @@
-"""Unit tests for the Inchworm component kernel and its fidelity fixes:
-shared tie-break helper, filtered-table coverage, byte identity with the
-serial reference on either side of the lockstep/scalar split, and the
-thread-clock accounting."""
+"""Unit tests for the Inchworm successor table and the component kernel:
+shared tie-break helper, filtered-table coverage, the probe and the rows
+against direct lookups, byte identity with the per-step oracle at every
+length cap, and the thread-clock accounting."""
 
 import time
 
@@ -12,20 +12,23 @@ from repro.errors import PipelineError
 from repro.parallel.component_stage import lpt_assign
 from repro.parallel.mpi_inchworm import _component_setup
 from repro.seq.kmer_index import KmerCounter
-from repro.seq.kmers import canonical_code, encode_kmer
+from repro.seq.kmers import canonical_code, encode_kmer, revcomp_codes
 from repro.seq.records import SeqRecord
-from repro.trinity import inchworm
 from repro.trinity.inchworm import (
     InchwormConfig,
+    _seed_order,
+    extension_candidates,
     inchworm_assemble,
     inchworm_assemble_components,
     keyed_contigs,
-    probe_extensions,
-    select_extensions,
+    neighbours,
+    preference_rows,
     tie_break_code,
     tie_break_codes,
+    walk,
 )
 from repro.trinity.jellyfish import JellyfishCounts, jellyfish_count
+from tests import reference_inchworm
 from tests.inchworm_kernel import assemble_components
 
 
@@ -105,42 +108,112 @@ class TestCoverageUsesFilteredTable:
         assert [cov for _key, _seq, cov in res.keyed] == [pytest.approx(5.0)]
 
 
+def _triples(contigs):
+    return [(c.name, c.seq, repr(c.coverage)) for c in contigs]
+
+
 class TestBatchedKernel:
     def test_probe_matches_table(self):
         counts = counts_for(SRC1, SRC1, SRC2, k=7)
         filtered = counts.index.filtered(1)
-        cur = filtered.codes[:8].copy()
-        probe = probe_extensions(filtered, cur, right=True, salt=3)
-        assert probe.cands.shape == (8, 4)
-        # Every reported count must equal a direct scalar lookup.
-        for i in range(8):
-            for b in range(4):
-                want = filtered.get(int(probe.canons[i, b]), 0)
-                assert int(probe.counts[i, b]) == want
-                assert bool(probe.found[i, b]) == (want > 0)
+        landing = neighbours(filtered, canonical=True)
+        assert landing.shape == (len(filtered), 8) and landing.dtype == np.int32
+        # Every landing must equal a direct scalar lookup of the
+        # canonicalised candidate, and -1 exactly where that is absent.
+        for right, half in ((True, landing[:, :4]), (False, landing[:, 4:])):
+            cands = extension_candidates(filtered.codes, 7, right)
+            for i in range(len(filtered)):
+                for b in range(4):
+                    canon = canonical_code(int(cands[i, b]), 7)
+                    if half[i, b] < 0:
+                        assert filtered.get(canon, 0) == 0
+                    else:
+                        assert int(filtered.codes[half[i, b]]) == canon
+        # Position blocks, empty ones included, stack into the whole table.
+        cuts = [0, 3, 3, len(filtered) // 2, len(filtered)]
+        blocks = [neighbours(filtered, True, a, b) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(blocks), landing)
 
     def test_select_respects_blocking(self):
+        # With every slot already used no row offers anything: the walk
+        # reads the seed's two rows and stops on the bare seed.
         counts = counts_for(SRC1, SRC2, k=7)
         filtered = counts.index.filtered(1)
-        cur = filtered.codes[:4].copy()
-        probe = probe_extensions(filtered, cur, right=True, salt=0)
-        all_blocked = np.ones_like(probe.found)
-        _cols, ok = select_extensions(probe, all_blocked)
-        assert not ok.any()
+        queue = np.arange(len(filtered))
+        rows = preference_rows(filtered, True, 0, neighbours(filtered), queue)
+        assert (rows >= 0).any()
+        all_blocked = bytearray(b"\x01" * len(filtered))
+        for seed in (0, 5, 2 * len(filtered) - 1):
+            assert walk(memoryview(rows.reshape(-1)), all_blocked, 1, seed, 100) == ([seed], 2)
+
+    def test_rows_hold_the_comparator_order(self):
+        # Each row against the rule spelled out: present candidates by
+        # count descending, directed tie hash ascending, base ascending;
+        # the reverse orientation's rows hash the reverse strand's codes.
+        counts = counts_for(SRC1, SRC2, SRC3, SRC1, k=7)
+        filtered = counts.index.filtered(1)
+        queue = _seed_order(filtered, 9)
+        rows = preference_rows(filtered, True, 9, neighbours(filtered), queue)
+        stored = filtered.codes[queue]
+        for o, directed in enumerate((stored, revcomp_codes(stored, 7))):
+            for d, right in enumerate((True, False)):
+                cands = extension_candidates(directed, 7, right).tolist()
+                for i, row_cands in enumerate(cands):
+                    want = []
+                    for b, cand in enumerate(row_cands):
+                        canon = canonical_code(cand, 7)
+                        if filtered.get(canon, 0) > 0:
+                            at = int(np.searchsorted(filtered.codes, np.uint64(canon)))
+                            state = int(np.flatnonzero(queue == at)[0]) << 1 | (cand != canon)
+                            want.append((-filtered.get(canon), tie_break_code(cand, 9), b, state))
+                    got = [e for e in rows[i, o, d].tolist() if e >= 0]
+                    assert got == [state for *_key, state in sorted(want)]
+                    assert rows[i, o, d].tolist()[len(got):] == [-1] * (4 - len(got))
+
+    def test_zero_count_is_absent(self):
+        # A stored count of 0 is no candidate (the oracle skips cnt == 0):
+        # neither neighbour may step onto the zero-count AAACA, which
+        # still sees both of them and seeds its own contig last.
+        k = 5
+        kmers = ["AAAAC", "AAACA", "AACAG"]  # ascending codes: positions 0, 1, 2
+        table = dict(zip(map(encode_kmer, kmers), (4, 0, 3)))
+        counts = JellyfishCounts(k=k, canonical=False, index=KmerCounter.from_dict(table, k))
+        cfg = InchwormConfig(min_kmer_count=0, min_contig_length=1)
+        filtered = counts.index.filtered(0)
+        rows = preference_rows(
+            filtered, False, 0, neighbours(filtered, False), np.arange(len(filtered))
+        )
+        assert rows[:, 0].tolist() == [
+            [[-1] * 4, [-1] * 4],
+            [[2, -1, -1, -1], [0, -1, -1, -1]],
+            [[-1] * 4, [-1] * 4],
+        ]
+        got = inchworm_assemble(counts, cfg)
+        assert _triples(got) == _triples(reference_inchworm.inchworm_assemble(counts, cfg))
+        assert [c.seq for c in got] == ["AAAAC", "AACAG", "AAACA"]
+
+    def test_rows_reject_a_landing_outside_the_queue(self):
+        counts = counts_for(SRC1, k=7)
+        filtered = counts.index.filtered(1)
+        landing = neighbours(filtered)
+        with pytest.raises(PipelineError, match="whole components"):
+            preference_rows(filtered, True, 0, landing, np.arange(len(filtered) // 2))
 
     @pytest.mark.parametrize("cutoff", [1, 2, 8, 32])
-    def test_batched_identical_to_serial(self, cutoff, monkeypatch):
-        # Where the lockstep hands over to the scalar tail never changes
-        # what is emitted: 1 = every step batched, 32 = every step scalar.
-        monkeypatch.setattr(inchworm, "_SCALAR_CUTOFF", cutoff)
+    def test_batched_identical_to_serial(self, cutoff):
+        # Both assemblers equal the per-step oracle whatever the length
+        # cap: 1 = bare seeds, 2 / 8 = the cap bites in either arm,
+        # 32 = nothing is cut.
         counts = counts_for(SRC1, SRC2, SRC3, SRC1, k=7)
         for seed in (0, 3):
-            cfg = InchwormConfig(min_kmer_count=1, seed=seed)
-            serial = inchworm_assemble(counts, cfg)
+            cfg = InchwormConfig(
+                min_kmer_count=1, min_contig_length=1, max_contig_length=cutoff, seed=seed
+            )
+            oracle = reference_inchworm.inchworm_assemble(counts, cfg)
+            assert oracle
+            assert _triples(inchworm_assemble(counts, cfg)) == _triples(oracle)
             batched = keyed_contigs(assemble_components(counts, cfg).keyed)
-            assert [(c.name, c.seq, c.coverage) for c in serial] == [
-                (c.name, c.seq, c.coverage) for c in batched
-            ]
+            assert _triples(batched) == _triples(oracle)
 
 
 class TestThreadedDriver:
@@ -178,17 +251,20 @@ class TestThreadedDriver:
         assert res.n_steps > 0
 
     def test_clocks_cover_the_whole_call(self, smoke_counts):
-        # Everything the kernel does — walker and queue setup, seed scans
-        # and emits, not just the probe bodies — reaches a thread clock.
+        # Everything the kernel does — queue setup, row builds, seed scans
+        # and emits, not just the walks — reaches a thread clock.
         slow = np.array([3.0, 1.0, 2.0, 1.0])
         assemble_components(smoke_counts, n_threads=4)  # warm the index
         cfg = InchwormConfig()
-        filtered, seed_rank, members, costs = _component_setup(smoke_counts, cfg)
+        filtered = smoke_counts.index.filtered(cfg.min_kmer_count)
+        landing, seed_rank, members, costs = _component_setup(
+            filtered, cfg, [neighbours(filtered, smoke_counts.canonical)]
+        )
         teams = lpt_assign(costs.tolist(), range(len(members)), 4)
         thread_components = [[members[c] for c in team] for team in teams]
         t0 = time.thread_time()
         res = inchworm_assemble_components(
-            filtered, smoke_counts.canonical, cfg, seed_rank, thread_components, slow
+            filtered, smoke_counts.canonical, cfg, landing, seed_rank, thread_components, slow
         )
         measured = time.thread_time() - t0
         assert res.team.serial_time == pytest.approx((res.thread_clocks / slow).sum())
@@ -232,7 +308,8 @@ class TestThreadedDriver:
         filtered = counts.index.filtered(1)
         with pytest.raises(PipelineError):  # no thread at all
             inchworm_assemble_components(
-                filtered, True, InchwormConfig(), np.arange(len(filtered)), []
+                filtered, True, InchwormConfig(), neighbours(filtered),
+                np.arange(len(filtered)), [],
             )
 
 
@@ -242,6 +319,14 @@ class TestPipelineKnob:
 
         with pytest.raises(PipelineError):
             TrinityConfig(inchworm_threads=0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"min_kmer_count": -1}, {"min_contig_length": -1}, {"max_contig_length": 0}],
+    )
+    def test_inchworm_config_rejects_values_that_mean_something_else(self, bad):
+        with pytest.raises(PipelineError, match=next(iter(bad))):
+            InchwormConfig(**bad)
 
     def test_parallel_config_validation(self):
         from repro.parallel.driver import ParallelTrinityConfig

@@ -13,7 +13,7 @@ import pytest
 
 from repro.seq.kmer_index import KmerCounter
 from repro.seq.kmers import canonical_kmers, kmer_array
-from repro.trinity.inchworm import InchwormConfig, inchworm_assemble
+from repro.trinity.inchworm import InchwormConfig, inchworm_assemble, neighbours
 from repro.trinity.jellyfish import jellyfish_count
 from repro.trinity.kmer_components import (
     component_costs,
@@ -62,24 +62,24 @@ class TestAgainstNaiveBFS:
     def test_random_kmer_sets(self, seed, canonical):
         rng = np.random.default_rng(seed)
         counter = random_counter(rng, n=400)
-        u, v = overlap_edges(counter, canonical)
+        u, v = overlap_edges(neighbours(counter, canonical))
         expected = bfs_labels(len(counter), u, v)
-        assert np.array_equal(kmer_components(counter, canonical), expected)
+        assert np.array_equal(kmer_components(neighbours(counter, canonical)), expected)
 
     def test_real_counter(self, smoke_counts):
         filtered = smoke_counts.index.filtered(2)
-        u, v = overlap_edges(filtered, smoke_counts.canonical)
+        u, v = overlap_edges(neighbours(filtered, smoke_counts.canonical))
         expected = bfs_labels(len(filtered), u, v)
         assert np.array_equal(
-            kmer_components(filtered, smoke_counts.canonical), expected
+            kmer_components(neighbours(filtered, smoke_counts.canonical)), expected
         )
 
 
 class TestEdgeCases:
     def test_empty_counter(self):
         counter = KmerCounter(K, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        assert kmer_components(counter).size == 0
-        u, v = overlap_edges(counter)
+        assert kmer_components(neighbours(counter)).size == 0
+        u, v = overlap_edges(neighbours(counter))
         assert u.size == 0 and v.size == 0
         assert component_members(np.empty(0, dtype=np.intp)) == []
 
@@ -95,7 +95,7 @@ class TestEdgeCases:
             )
         )
         counter = KmerCounter(8, codes, np.ones(3, dtype=np.int64))
-        labels = kmer_components(counter)
+        labels = kmer_components(neighbours(counter))
         assert np.array_equal(labels, np.arange(3))
         members = component_members(labels)
         assert [m.tolist() for m in members] == [[0], [1], [2]]
@@ -103,7 +103,7 @@ class TestEdgeCases:
     def test_members_are_dense_ascending_partition(self):
         rng = np.random.default_rng(3)
         counter = random_counter(rng, n=300)
-        labels = kmer_components(counter)
+        labels = kmer_components(neighbours(counter))
         members = component_members(labels)
         # Dense component ids, ascending labels, ascending members...
         assert sorted(np.concatenate(members).tolist()) == list(range(len(counter)))
@@ -117,7 +117,7 @@ class TestEdgeCases:
     def test_costs_are_member_count_sums(self):
         rng = np.random.default_rng(4)
         counter = random_counter(rng, n=200)
-        members = component_members(kmer_components(counter))
+        members = component_members(kmer_components(neighbours(counter)))
         costs = component_costs(counter, members)
         assert costs.shape == (len(members),)
         assert costs.sum() == pytest.approx(float(counter.values.sum()))
@@ -138,7 +138,7 @@ class TestContigFactorisation:
         contigs = inchworm_assemble(smoke_counts, cfg)
         assert contigs
         filtered = smoke_counts.index.filtered(cfg.min_kmer_count)
-        labels = kmer_components(filtered, smoke_counts.canonical)
+        labels = kmer_components(neighbours(filtered, smoke_counts.canonical))
         for contig in contigs:
             codes = (
                 canonical_kmers(contig.seq, filtered.k)
@@ -156,7 +156,7 @@ class TestContigFactorisation:
         cfg = InchwormConfig(seed=1)
         contigs = inchworm_assemble(smoke_counts, cfg)
         filtered = smoke_counts.index.filtered(cfg.min_kmer_count)
-        labels = kmer_components(filtered, smoke_counts.canonical)
+        labels = kmer_components(neighbours(filtered, smoke_counts.canonical))
         spans = []
         for contig in contigs:
             codes = canonical_kmers(contig.seq, filtered.k)
@@ -172,7 +172,7 @@ def test_whitefly_regression_component_count():
     _txome, pairs = get_recipe("whitefly-mini").materialize(seed=0)
     counts = jellyfish_count(flatten_reads(pairs), K)
     filtered = counts.index.filtered(InchwormConfig().min_kmer_count)
-    labels = kmer_components(filtered, counts.canonical)
+    labels = kmer_components(neighbours(filtered, counts.canonical))
     members = component_members(labels)
     # Pinned: the miniature's filtered graph resolves to 228 components.
     assert len(members) == 228

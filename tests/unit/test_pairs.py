@@ -30,6 +30,20 @@ class TestMateGroups:
         reads = [SeqRecord("solo", "AC")]
         assert mate_groups(reads) == {}
 
+    @pytest.mark.parametrize(
+        "names",
+        [("solo", "solo"), ("lib/a", "lib/b"), ("x/1", "x/1")],
+        ids=["same-bare-name", "shared-prefix", "same-mate-twice"],
+    )
+    def test_records_sharing_a_prefix_are_not_mates(self, names):
+        # Only a final /1 or /2 is a mate suffix, and a pair is exactly
+        # one of each: all three used to come back as {base: [0, 1]}.
+        assert mate_groups([SeqRecord(name, "ACGT") for name in names]) == {}
+
+    def test_mates_pair_in_either_order_and_among_strays(self):
+        names = ["lib/a", "p/2", "solo", "q/1", "p/1", "q/1"]
+        assert mate_groups([SeqRecord(n, "ACGT") for n in names]) == {"p": [1, 4]}
+
 
 class TestComponentPairs:
     def test_both_mates_same_component(self):
@@ -120,3 +134,21 @@ class TestReconcile:
         kept1, _ = reconcile_with_pairs(transcripts, reads, assigns)
         kept2, _ = reconcile_with_pairs(list(reversed(transcripts)), reads, assigns)
         assert [t.name for t in kept1] == [t.name for t in kept2]
+
+
+class TestExactOnAnyStrings:
+    """The seed-and-verify pass must answer as ``str in str`` does."""
+
+    def test_case_n_empty_and_text_ends(self):
+        from tests import reference_pairs
+
+        transcript = "ACGTacgtNNACGTTGCA" + ISO1
+        spill = ISO1[-35:] + reverse_complement(ISO1)[0]  # runs on into the other strand's text
+        pairs = [
+            ("acgt", "ACGT"), ("ACGTACGT", ISO1[:20]), ("NN", ""), (spill, spill),
+            (reverse_complement(ISO1[-33:]), "TGCA"), (ISO1 + "A", ISO1), (ISO1[-33:], ISO1[:33]),
+        ]
+        for t in (transcript, ISO1, ISO2, ""):
+            assert pair_support(t, pairs) == reference_pairs.pair_support(t, pairs)
+        assert pair_support(ISO1, [(spill, spill)]) == 0
+        assert pair_support(ISO1, []) == 0

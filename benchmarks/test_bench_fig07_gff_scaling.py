@@ -44,6 +44,15 @@ def test_fig07_gff_wallclock_mpirun(benchmark):
     replicated scan *was* the makespan: 1.0x from 64 ranks) and after
     0.205 / 0.043 / 0.061 s; host wall 0.207 / 0.219 / 0.263 s before,
     0.213 / 0.229 / 0.414 s after (unpinned, best of 3).
+
+    PR 21 (the scan counts pairs of k-mer codes, the seed table is one
+    array pass): floors re-checked, both hold with more room than before.
+    Same host, same hour, 1 / 8 / 64 ranks: makespan 0.235 / 0.062-0.066 /
+    0.026-0.031 s -> 0.034-0.041 / 0.008-0.009 / 0.005-0.006 s, host wall
+    0.245 / 0.26-0.28 / 0.32-0.37 s -> 0.040-0.049 / 0.046-0.055 /
+    0.10-0.13 s (two parent sweeps, four of the change).  The 8-over-1
+    makespan ratio this guards at < 0.75 reads 0.23 (was 0.27); the wall
+    ratio guarded at < 3 reads 1.1.
     """
     from benchmarks.fig07_bench_runner import run_points
 

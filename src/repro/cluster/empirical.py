@@ -19,7 +19,6 @@ import numpy as np
 from repro.seq.records import Contig, SeqRecord
 from repro.trinity.chrysalis.graph_from_fasta import (
     GraphFromFastaConfig,
-    build_kmer_to_contigs,
     build_weld_index,
     build_weldmer_index,
     find_weld_pairs_for_contig,
@@ -55,12 +54,11 @@ def measure_gff_item_costs(
     """
     if repeats <= 0:
         raise ValueError(f"repeats must be positive, got {repeats}")
-    kmer_map = build_kmer_to_contigs(contigs, cfg.k)
-    shared_seeds = shared_seed_array(kmer_map, cfg)
+    shared_seeds = shared_seed_array(contigs, cfg)
     weldmers = build_weldmer_index(reads, shared_seeds, cfg)
     welds = []
     for idx, contig in enumerate(contigs):
-        welds.extend(harvest_welds_for_contig(idx, contig, kmer_map, cfg, shared_seeds))
+        welds.extend(harvest_welds_for_contig(idx, contig, cfg, shared_seeds))
     weld_index = build_weld_index(welds)
     weld_keys = weld_index_keys(weld_index)
 
@@ -70,7 +68,7 @@ def measure_gff_item_costs(
     for _ in range(repeats):
         for idx, contig in enumerate(contigs):
             t0 = time.perf_counter()
-            harvest_welds_for_contig(idx, contig, kmer_map, cfg, shared_seeds)
+            harvest_welds_for_contig(idx, contig, cfg, shared_seeds)
             loop1[idx] = min(loop1[idx], time.perf_counter() - t0)
             t0 = time.perf_counter()
             find_weld_pairs_for_contig(

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.seq.kmers import base_blocks
 from repro.seq.records import SeqRecord
 from repro.simdata import get_recipe
 from repro.simdata.reads import flatten_reads
@@ -34,15 +35,10 @@ def jellyfish_peak_bytes(
     The largest resident set of :func:`jellyfish_count`: one batch's raw
     code array (8 B per k-mer position, bounded by ``batch_bases``)
     alongside the builder's accumulated partials (~the final table).
-    Mirrors the batch loop's flush points exactly.
+    The batches are the counting loop's own (:func:`base_blocks`).
     """
-    k = counts.k
-    peak_batch = batch = 0
-    for rec in reads:
-        batch += len(rec.seq)
-        if batch >= batch_bases:
-            peak_batch, batch = max(peak_batch, batch), 0
-    peak_batch = max(peak_batch, batch)
+    batches = base_blocks((rec.seq for rec in reads), batch_bases)
+    peak_batch = max((sum(map(len, batch)) for batch in batches), default=0)
     # ~1 windowed code per joined base; + the merged table's two arrays.
     return peak_batch * 8 + counts.memory_bytes()
 

@@ -6,16 +6,18 @@ with ``allgatherv`` — strings (packed welding subsequences) after loop 1,
 a flat int array (pair indices) after loop 2, exactly the wire formats
 the paper describes.  The paper's non-MPI regions run redundantly on
 every *real* rank, which is why their share of total time grows with node
-count (Figure 8); here that is true of the contig k-mer map, the weld
-index and component construction only.  In the simulation those
-read-only structures are built once per run through
+count (Figure 8); here that is true of the shared-seed array over the
+contigs, the weld index and component construction only.  In the
+simulation those read-only structures are built once per run through
 :meth:`repro.mpi.comm.SimComm.shared` — every rank is still *charged* the
 single-rank build cost on its virtual clock, but the host no longer pays
 O(nprocs x setup) wall-clock.  The read weldmer scan, the dominant share
 of that setup and the paper's named future work (SS:VI), is
-owner-computes: each rank scans its round-robin blocks of the reads once,
-and the partial tables are pooled with a third ``allgatherv`` (packed
-weldmer strings + an int64 count array) and summed.
+owner-computes: each rank scans its round-robin blocks of the reads once
+(a weldmer is a pair of packed k-mer codes, the scan array passes), and
+the partial tables are pooled with a third ``allgatherv`` as the kernel's
+``(hi, lo, counts)`` arrays — 24 B per distinct weldmer — summed by key
+and decoded to the strings loop 2 probes once per run.
 
 The per-contig kernels are imported from the serial implementation, so
 the weld/pair/component *sets* computed here are identical to
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -43,13 +45,14 @@ from repro.trinity.chrysalis.components import Component, build_components
 from repro.trinity.chrysalis.graph_from_fasta import (
     GraphFromFastaConfig,
     WeldCandidate,
-    build_kmer_to_contigs,
     build_weld_index,
-    build_weldmer_index,
     find_weld_pairs_for_contig,
     harvest_welds_for_contig,
+    scan_weldmers,
     shared_seed_array,
+    sum_weldmer_tables,
     weld_index_keys,
+    weldmer_index,
 )
 
 
@@ -112,15 +115,11 @@ def mpi_graph_from_fasta(
     # fault plans.  A no-op in fault-free runs (zero cost, no spans).
     with_retry(comm, "gff:read_fasta", lambda: None)
 
-    # -- serial region: k-mer -> contigs map (redundant on every real rank —
+    # -- serial region: the shared-seed array (redundant on every real rank —
     # Fig 8's non-parallel share — so every rank is charged the build cost,
     # but computed once per run) ---------------------------------------------
-    def _setup():
-        kmer_map = build_kmer_to_contigs(contigs, cfg.k)
-        return kmer_map, shared_seed_array(kmer_map, cfg)
-
     with comm.region("gff:setup", serial=True) as setup_region:
-        kmer_map, shared_seeds = comm.shared("gff:setup", _setup)
+        shared_seeds = comm.shared("gff:setup", lambda: shared_seed_array(contigs, cfg))
     serial_time = setup_region.elapsed
 
     # -- read weldmer scan, owner-computes: each rank scans its round-robin
@@ -129,28 +128,26 @@ def mpi_graph_from_fasta(
     # the ranks scan concurrently, so wall time would count GIL contention.
     with comm.region("gff:setup"):
         read_block = default_chunk_size(len(reads), comm.size, nthreads)
-        my_blocks = rank_items(len(reads), read_block, comm.rank, comm.size)
+        mine = [
+            reads[i]
+            for start, stop in rank_items(len(reads), read_block, comm.rank, comm.size)
+            for i in range(start, stop)
+        ]
         t0 = time.thread_time()
-        my_weldmers = build_weldmer_index(
-            (reads[i] for start, stop in my_blocks for i in range(start, stop)),
-            shared_seeds,
-            cfg,
+        my_weldmers = scan_weldmers(mine, shared_seeds, cfg)
+        n_hits = int(my_weldmers[2].sum())
+        comm.clock.advance(
+            time.thread_time() - t0,
+            label="gff:weldmer_scan",
+            attrs={"reads": len(mine), "hits": n_hits},
         )
-        comm.clock.advance(time.thread_time() - t0, label="gff:weldmer_scan")
-        payload, lengths = pack_strings(list(my_weldmers))
-        counts = np.fromiter(my_weldmers.values(), dtype=np.int64, count=len(my_weldmers))
-        pooled_weldmers = comm.allgatherv((payload, lengths, counts))
-
-        # Summed once, charged per rank: the pooled tables are identical
-        # on every rank.
-        def _weldmers():
-            merged: Dict[str, int] = {}
-            for pay, lens, cnts in pooled_weldmers:
-                for window, n in zip(unpack_strings(pay, lens), cnts.tolist()):
-                    merged[window] = merged.get(window, 0) + n
-            return merged
-
-        weldmers = comm.shared("gff:weldmers", _weldmers)
+        pooled_weldmers = comm.allgatherv(my_weldmers)
+        # Summed and decoded once, charged per rank: the pooled tables are
+        # identical on every rank.
+        weldmers = comm.shared(
+            "gff:weldmers",
+            lambda: weldmer_index(sum_weldmer_tables(pooled_weldmers), cfg.k),
+        )
 
     # -- loop 1: harvest welds over my chunks ------------------------------
     my_welds: List[WeldCandidate] = []
@@ -158,9 +155,7 @@ def mpi_graph_from_fasta(
         for c in my_chunks:
             start, stop = ranges[c]
             result = team.map(
-                lambda idx: harvest_welds_for_contig(
-                    idx, contigs[idx], kmer_map, cfg, shared_seeds
-                ),
+                lambda idx: harvest_welds_for_contig(idx, contigs[idx], cfg, shared_seeds),
                 list(range(start, stop)),
             )
             for welds in result.values:
@@ -252,6 +247,9 @@ def mpi_graph_from_fasta(
             "loop1_time": loop1_time,
             "loop2_time": loop2_time,
             "serial_time": serial_time,
+            "n_shared_seeds": float(shared_seeds.size),
+            "n_weldmer_hits": float(n_hits),
+            "n_weldmers": float(len(weldmers)),
             "n_welds": float(len(welds)),
             "n_pairs": float(len(pairs)),
             "n_components": float(len(components)),

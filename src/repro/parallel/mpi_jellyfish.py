@@ -11,7 +11,8 @@ decomposition here is the standard one:
    survivors re-deals deterministically);
 2. **count** — each rank encodes + canonicalises its reads in
    ``batch_bases``-bounded batches (the serial
-   :func:`~repro.trinity.jellyfish._batch_codes` kernel), reduces each
+   :func:`~repro.trinity.jellyfish._batch_codes` kernel, which packs a
+   cache-sized block of reads at a time), reduces each
    batch to (unique code, count) pairs, and buckets them by *owner*: the
    DSK multiplicative hash (:func:`~repro.trinity.dsk._partition_of`)
    over ``p`` partitions of k-mer space;
@@ -46,6 +47,7 @@ from repro.obs.result import StageResult
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
 from repro.seq.kmer_index import KmerCounter
+from repro.seq.kmers import base_blocks
 from repro.seq.records import SeqRecord
 from repro.trinity.dsk import _partition_of
 from repro.trinity.jellyfish import (
@@ -129,6 +131,8 @@ def mpi_jellyfish(
     with comm.region("jellyfish:count", reads=len(mine)) as count_region:
         t0 = time.thread_time()
 
+        # A function, so a batch's code arrays die with its frame and not
+        # with the stage's (~2 MB of peak RSS at 4 ranks when inlined).
         def _flush(seqs: List[str]) -> None:
             nonlocal n_local_kmers
             codes = _batch_codes(seqs, k, canonical)
@@ -142,15 +146,7 @@ def mpi_jellyfish(
                 send_codes[dest].append(uniq[sel])
                 send_counts[dest].append(cnts[sel].astype(np.int64))
 
-        batch: List[str] = []
-        batch_len = 0
-        for seq in mine:
-            batch.append(seq)
-            batch_len += len(seq)
-            if batch_len >= jcfg.batch_bases:
-                _flush(batch)
-                batch, batch_len = [], 0
-        if batch:
+        for batch in base_blocks(mine, jcfg.batch_bases):
             _flush(batch)
         # Concurrent rank region: thread CPU time, per the clock-fidelity
         # rule (wall time here would double-count the peer ranks' work).

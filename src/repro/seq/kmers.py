@@ -9,7 +9,7 @@ per-base Python loops.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -17,6 +17,12 @@ from repro.errors import SequenceError
 from repro.seq.alphabet import BASES, encode_bases
 
 MAX_K = 31
+
+#: Bases one vectorised pack joins: :func:`pack_windows`' ~10 full-length
+#: ``uint64`` temporaries cost 2x per base once they leave the cache.  The
+#: small end of the measured plateau (DESIGN SS:5.19; every rank thread's
+#: malloc arena keeps its transients); output never depends on it.
+PACK_BLOCK_BASES = 16_384
 
 
 def _check_k(k: int) -> None:
@@ -56,7 +62,7 @@ def decode_kmer(code: int, k: int) -> str:
     return "".join(out)
 
 
-def _pack_windows(codes: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+def pack_windows(codes: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Pack every length-k window of encoded bases into uint64 codes.
 
     Returns ``(vals, window_ok)`` over all ``codes.size - k + 1`` windows
@@ -94,6 +100,21 @@ def _pack_windows(codes: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     return vals, wbad == 0
 
 
+def base_blocks(seqs: Iterable[str], block_bases: Optional[int] = None) -> Iterator[List[str]]:
+    """Consecutive runs of ``seqs``, each closed by the sequence that takes
+    it to ``block_bases`` (default :data:`PACK_BLOCK_BASES`) bases."""
+    limit = PACK_BLOCK_BASES if block_bases is None else block_bases
+    block, n_bases = [], 0
+    for seq in seqs:
+        block.append(seq)
+        n_bases += len(seq)
+        if n_bases >= limit:
+            yield block
+            block, n_bases = [], 0
+    if block:
+        yield block
+
+
 def clean_window_runs(codes: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """The clean length-k windows of encoded bases, run-length encoded.
 
@@ -115,7 +136,7 @@ def pack_windows_at(codes: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray
 
     For callers that use a few windows per sequence (Bowtie probes
     ``n_seed_offsets`` seeds of a read's ``L - k + 1``): k passes over
-    ``starts.size`` values instead of :func:`_pack_windows`' passes over
+    ``starts.size`` values instead of :func:`pack_windows`' passes over
     every base.  Every selected window must be clean (:func:`clean_window_runs`).
     """
     _check_k(k)
@@ -137,7 +158,7 @@ def kmer_array(seq: str, k: int) -> np.ndarray:
     codes = encode_bases(seq)
     if codes.size - k + 1 <= 0:
         return np.empty(0, dtype=np.uint64)
-    vals, window_ok = _pack_windows(codes, k)
+    vals, window_ok = pack_windows(codes, k)
     return vals[window_ok]
 
 
@@ -167,7 +188,7 @@ def kmer_windows_batch(
     codes = encode_bases("N".join(seqs))
     if codes.size - k + 1 <= 0:
         return empty
-    vals, window_ok = _pack_windows(codes, k)
+    vals, window_ok = pack_windows(codes, k)
     w_idx = np.flatnonzero(window_ok)
     if w_idx.size == 0:
         return empty
@@ -252,10 +273,7 @@ def canonical_code(code: int, k: int) -> int:
 def canonical_kmers(seq: str, k: int) -> np.ndarray:
     """Canonical (min of forward / reverse-complement) k-mer codes."""
     fwd = kmer_array(seq, k)
-    if fwd.size == 0:
-        return fwd
-    rev = revcomp_codes(fwd, k)
-    return np.minimum(fwd, rev)
+    return np.minimum(fwd, revcomp_codes(fwd, k))
 
 
 def kmer_set(seq: str, k: int, canonical: bool = False) -> Set[int]:

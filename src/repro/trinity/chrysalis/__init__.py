@@ -22,10 +22,8 @@ from repro.trinity.chrysalis.graph_from_fasta import (
     graph_from_fasta,
     harvest_welds_for_contig,
     find_weld_pairs_for_contig,
-    build_kmer_to_contigs,
     build_weld_index,
     build_weldmer_index,
-    shared_seed_codes,
     shared_seed_array,
     weld_index_keys,
     canonical_weldmer,
@@ -55,10 +53,8 @@ __all__ = [
     "graph_from_fasta",
     "harvest_welds_for_contig",
     "find_weld_pairs_for_contig",
-    "build_kmer_to_contigs",
     "build_weld_index",
     "build_weldmer_index",
-    "shared_seed_codes",
     "shared_seed_array",
     "weld_index_keys",
     "canonical_weldmer",

@@ -25,13 +25,26 @@ Read support ("weldmers"): because no single assembly k-mer can span from
 one contig's flank across the whole seed into the other's flank, k-mer
 abundances cannot distinguish a genuine junction from two contigs that
 merely share a repeat.  GraphFromFasta therefore scans the *reads* for
-2k-base weldmers around every shared seed (the serial setup region before
-loop 2); a junction counts as supported only if its exact weldmer occurs
-in at least ``min_weld_read_support`` reads.
+2k-base weldmers around every shared seed (the set-up before the loops);
+a junction counts as supported only if its exact weldmer occurs in at
+least ``min_weld_read_support`` reads.
 
-The shared read-only inputs of the loops — the weld-k-mer -> contigs map
-and the weldmer table built from the reads — are the "non-parallel
-regions" of Figure 8.
+A weldmer is two k-mer codes.  The 2k window around the seed at base ``t``
+is the k-mer at ``t - k/2`` followed by the k-mer at ``t + k/2``, so the
+window pack every batched kernel runs over a block of reads already holds
+it as a pair ``(hi, lo)``: string order is numeric order on the pair, the
+reverse complement is ``(rc(lo), rc(hi))``, and the window is clean and
+inside one read iff both halves are.  :func:`scan_weldmers` counts pairs
+(pack, one ``searchsorted`` of the centres against
+:func:`shared_seed_array`, one compare to canonicalise, sort + segmented
+sum); block and rank tables add up because counting commutes, and a
+weldmer becomes a string once, in :func:`weldmer_index`.
+
+These set-up structures are Figure 8's "non-parallel regions", at the
+paper's scale the memory- and time-heavy part of the stage; here they are
+linear array passes, ~25 ns per read base and ~10 ns per contig base
+(DESIGN.md SS:5.19).  The per-read loop and dict of sets they replaced are
+the oracle ``tests/reference_gff.py``.
 """
 
 from __future__ import annotations
@@ -42,8 +55,16 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.errors import PipelineError
-from repro.seq.alphabet import reverse_complement
-from repro.seq.kmers import kmer_array, revcomp_codes
+from repro.seq.alphabet import encode_bases, reverse_complement
+from repro.seq.kmer_index import decode_kmers
+from repro.seq.kmers import (
+    MAX_K,
+    base_blocks,
+    canonical_kmers,
+    kmer_windows_batch,
+    pack_windows,
+    revcomp_codes,
+)
 from repro.seq.records import Contig, SeqRecord
 from repro.trinity.chrysalis.components import Component, build_components
 
@@ -64,8 +85,13 @@ class GraphFromFastaConfig:
     def __post_init__(self) -> None:
         if self.k % 2 != 0:
             raise PipelineError(f"weld k must be even (k/2 flanks), got {self.k}")
-        if self.k < 4:
-            raise PipelineError(f"weld k too small: {self.k}")
+        if not 4 <= self.k < MAX_K:
+            raise PipelineError(
+                f"weld k must be in [4, {MAX_K - 1}] (a weldmer is two packed k-mers), got {self.k}"
+            )
+        for name in ("min_weld_read_support", "min_contigs_sharing"):
+            if getattr(self, name) < 1:
+                raise PipelineError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def window(self) -> int:
@@ -102,45 +128,26 @@ class WeldCandidate:
 # --------------------------------------------------------------------------
 
 
-def weld_kmer_codes(seq: str, k: int) -> np.ndarray:
-    """Canonical weld-k-mer codes along a sequence."""
-    arr = kmer_array(seq, k)
-    if arr.size == 0:
-        return arr
-    return np.minimum(arr, revcomp_codes(arr, k))
+def shared_seed_array(contigs: Sequence[Contig], cfg: GraphFromFastaConfig) -> np.ndarray:
+    """Sorted canonical weld-k-mer codes held by at least
+    ``min_contigs_sharing`` *distinct* contigs.
 
-
-def build_kmer_to_contigs(contigs: Sequence[Contig], k: int) -> Dict[int, Set[int]]:
-    """Canonical weld-k-mer code -> set of contig indices containing it."""
-    table: Dict[int, Set[int]] = {}
-    for idx, contig in enumerate(contigs):
-        for code in np.unique(weld_kmer_codes(contig.seq, k)).tolist():
-            table.setdefault(code, set()).add(idx)
-    return table
-
-
-def shared_seed_codes(kmer_to_contigs: Dict[int, Set[int]], cfg: GraphFromFastaConfig) -> Set[int]:
-    """Seeds occurring in >= ``min_contigs_sharing`` contigs."""
-    return {
-        code
-        for code, members in kmer_to_contigs.items()
-        if len(members) >= cfg.min_contigs_sharing
-    }
-
-
-def shared_seed_array(
-    kmer_to_contigs: Dict[int, Set[int]], cfg: GraphFromFastaConfig
-) -> np.ndarray:
-    """Sorted uint64 array of the shared seed codes.
-
-    The vector-friendly form of :func:`shared_seed_codes`: loop 1 tests
-    whole contigs against it with one ``searchsorted`` instead of one
-    dict probe per position.
+    One pass: every contig window, canonical, stably sorted by code — the
+    windows arrive contig by contig, so inside a code's run each contig
+    boundary is one more distinct holder (a repeat inside one contig is
+    one holder).
     """
-    shared = shared_seed_codes(kmer_to_contigs, cfg)
-    arr = np.fromiter(shared, dtype=np.uint64, count=len(shared))
-    arr.sort()
-    return arr
+    codes, contig_ids, _starts = kmer_windows_batch([c.seq for c in contigs], cfg.k)
+    canon = np.minimum(codes, revcomp_codes(codes, cfg.k))
+    order = np.argsort(canon, kind="stable")
+    canon, contig_ids = canon[order], contig_ids[order]
+    new_code = np.ones(canon.size, dtype=bool)
+    new_code[1:] = canon[1:] != canon[:-1]
+    new_contig = new_code.copy()
+    new_contig[1:] |= contig_ids[1:] != contig_ids[:-1]
+    first = np.flatnonzero(new_code)
+    n_contigs = np.add.reduceat(new_contig.astype(np.int64), first)
+    return canon[first[n_contigs >= cfg.min_contigs_sharing]]
 
 
 def canonical_weldmer(window: str) -> str:
@@ -149,44 +156,77 @@ def canonical_weldmer(window: str) -> str:
     return window if window <= rc else rc
 
 
-def build_weldmer_index(
-    reads: Iterable[SeqRecord],
-    shared_seeds: "Set[int] | np.ndarray",
-    cfg: GraphFromFastaConfig,
-) -> Dict[str, int]:
-    """Scan the reads for 2k weldmers centred on shared seeds.
+#: Read support as arrays: the distinct canonical weldmers as ``(hi, lo)``,
+#: the packed codes of their first and last k bases, ascending (which is
+#: string order), and how many read windows spelled each.
+WeldmerTable = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    ``shared_seeds`` is a set of codes or, equivalently, an already-sorted
-    uint64 array from :func:`shared_seed_array`.  Returns canonical
-    weldmer string -> read-occurrence count.  This is the read-support
-    evidence loop 2 consults; it is the memory- and time-heavy serial
-    region of GraphFromFasta.
+_NO_WELDMERS: WeldmerTable = (np.empty(0, np.uint64), np.empty(0, np.uint64), np.empty(0, np.int64))
+
+
+def scan_weldmers(
+    reads: Iterable[SeqRecord], shared_seeds: np.ndarray, cfg: GraphFromFastaConfig
+) -> WeldmerTable:
+    """Count the reads' 2k weldmers centred on a shared seed: per block of
+    reads joined by ``N``, the weldmer at base ``w`` is ``(vals[w],
+    vals[w + k])`` of one window pack, its seed ``vals[w + k/2]``.
+
+    Pinned rule: windows are indexed by *position in the read*; a window
+    holding a non-ACGT base is not counted (it can equal no junction
+    built from contigs) and shifts nothing after it; lower-case bases
+    count as their upper-case weldmer.
     """
     k = cfg.k
-    half = k // 2
-    if isinstance(shared_seeds, np.ndarray):
-        shared_arr = shared_seeds
-    else:
-        shared_arr = np.fromiter(shared_seeds, dtype=np.uint64, count=len(shared_seeds))
-        shared_arr.sort()
-    if shared_arr.size == 0:
-        return {}
-    index: Dict[str, int] = {}
-    for read in reads:
-        seq = read.seq
-        if len(seq) < cfg.window:
+    if shared_seeds.size == 0:
+        return _NO_WELDMERS
+    # A k-mer's canonical form is shared iff the k-mer is a shared seed or
+    # the reverse complement of one: no per-base canonicalisation.
+    either_strand = np.union1d(shared_seeds, revcomp_codes(shared_seeds, k))
+    tables: List[WeldmerTable] = []
+    for block in base_blocks(rec.seq for rec in reads):
+        codes = encode_bases("N".join(block))
+        if codes.size < 2 * k:
             continue
-        canon = weld_kmer_codes(seq, k)
-        # Positions where a full 2k window fits: pos in [half, L-k-half].
-        view = canon[half : len(seq) - k - half + 1]
-        if view.size == 0:
-            continue
-        hits = np.nonzero(_in_sorted(view, shared_arr))[0]
-        for off in hits.tolist():
-            pos = off + half
-            weldmer = canonical_weldmer(seq[pos - half : pos + k + half])
-            index[weldmer] = index.get(weldmer, 0) + 1
-    return index
+        vals, window_ok = pack_windows(codes, k)
+        # Both halves clean <=> a clean 2k window inside one read (the
+        # separator spoils every window across a read boundary).
+        starts = np.flatnonzero(window_ok[:-k] & window_ok[k:])
+        starts = starts[_in_sorted(vals[starts + k // 2], either_strand)]
+        hi, lo = vals[starts], vals[starts + k]
+        rc_hi, rc_lo = revcomp_codes(lo, k), revcomp_codes(hi, k)
+        swap = (rc_hi < hi) | ((rc_hi == hi) & (rc_lo < lo))
+        hits = np.where(swap, rc_hi, hi), np.where(swap, rc_lo, lo), np.ones(starts.size, np.int64)
+        tables.append(sum_weldmer_tables([hits]))
+    return sum_weldmer_tables(tables)
+
+
+def sum_weldmer_tables(tables: Sequence[WeldmerTable]) -> WeldmerTable:
+    """Keyed sum of weldmer tables (blocks of one scan, or ranks' scans):
+    counting commutes, so any split of the reads sums to the same table."""
+    hi, lo, counts = (np.concatenate(column) for column in zip(_NO_WELDMERS, *tables))
+    order = np.lexsort((lo, hi))
+    hi, lo, counts = hi[order], lo[order], counts[order]
+    new = np.ones(hi.size, dtype=bool)
+    new[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+    first = np.flatnonzero(new)
+    return hi[first], lo[first], np.add.reduceat(counts, first)
+
+
+def weldmer_index(table: WeldmerTable, k: int) -> Dict[str, int]:
+    """Canonical weldmer string -> read count: what loop 2 probes.  The
+    only place a weldmer becomes a string, once per distinct weldmer."""
+    hi, lo, counts = table
+    return {
+        head + tail: n
+        for head, tail, n in zip(decode_kmers(hi, k), decode_kmers(lo, k), counts.tolist())
+    }
+
+
+def build_weldmer_index(
+    reads: Iterable[SeqRecord], shared_seeds: np.ndarray, cfg: GraphFromFastaConfig
+) -> Dict[str, int]:
+    """:func:`scan_weldmers` as the mapping loop 2 consults."""
+    return weldmer_index(scan_weldmers(reads, shared_seeds, cfg), cfg.k)
 
 
 def _in_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
@@ -206,9 +246,8 @@ def _in_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
 def harvest_welds_for_contig(
     contig_idx: int,
     contig: Contig,
-    kmer_to_contigs: Dict[int, Set[int]],
     cfg: GraphFromFastaConfig,
-    shared_seeds: Optional[np.ndarray] = None,
+    shared_seeds: np.ndarray,
 ) -> List[WeldCandidate]:
     """Loop-1 body: harvest welding candidates from one contig.
 
@@ -216,19 +255,13 @@ def harvest_welds_for_contig(
     contig, packaged with this contig's flanks.  The first occurrence of
     each shared seed (in position order) wins.
 
-    Membership is tested with one vectorised ``searchsorted`` over
-    ``shared_seeds`` (pass the :func:`shared_seed_array` of
-    ``kmer_to_contigs`` when calling in a loop; it is derived on the fly
-    otherwise) instead of a per-position dict probe.
+    Membership is one vectorised ``searchsorted`` over ``shared_seeds``,
+    the :func:`shared_seed_array` of all the contigs.
     """
     k = cfg.k
     half = k // 2
     seq = contig.seq
-    if len(seq) < k:
-        return []
-    canon = weld_kmer_codes(seq, k)
-    if shared_seeds is None:
-        shared_seeds = shared_seed_array(kmer_to_contigs, cfg)
+    canon = canonical_kmers(seq, k)
     hit_pos = np.nonzero(_in_sorted(canon, shared_seeds))[0]
     if hit_pos.size == 0:
         return []
@@ -292,20 +325,13 @@ def find_weld_pairs_for_contig(
     right flank, and vice versa, orientation-corrected) and weld the pair
     if either occurs in the reads often enough.
 
-    The sparse per-position dict probe is replaced by one vectorised mask
-    over ``weld_keys`` (pass :func:`weld_index_keys` of ``weld_index``
-    when calling in a loop); only positions carrying a weld seed fall
-    through to the Python junction checks.
+    Positions carrying a weld seed are found by one vectorised mask over
+    ``weld_keys`` (:func:`weld_index_keys` of ``weld_index``).
     """
     k = cfg.k
     half = k // 2
     seq = contig.seq
-    if len(seq) < k:
-        return []
-    fwd = kmer_array(seq, k)
-    if fwd.size == 0:
-        return []
-    canon = np.minimum(fwd, revcomp_codes(fwd, k))
+    canon = canonical_kmers(seq, k)
     if weld_keys is None:
         weld_keys = weld_index_keys(weld_index)
     hit_pos = np.nonzero(_in_sorted(canon, weld_keys))[0]
@@ -388,12 +414,11 @@ def graph_from_fasta(
     ... for full construction of Inchworm bundles" (paper SS:III.A).
     """
     cfg = cfg or GraphFromFastaConfig()
-    kmer_map = build_kmer_to_contigs(contigs, cfg.k)  # serial region
-    shared = shared_seed_array(kmer_map, cfg)
+    shared = shared_seed_array(contigs, cfg)  # serial region
     weldmers = build_weldmer_index(reads, shared, cfg)  # serial region
     welds: List[WeldCandidate] = []
     for idx, contig in enumerate(contigs):  # loop 1
-        welds.extend(harvest_welds_for_contig(idx, contig, kmer_map, cfg, shared))
+        welds.extend(harvest_welds_for_contig(idx, contig, cfg, shared))
     weld_index = build_weld_index(welds)  # serial region
     weld_keys = weld_index_keys(weld_index)
     pair_set: Set[Tuple[int, int]] = set()

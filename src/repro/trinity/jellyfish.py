@@ -10,15 +10,18 @@ format).
 The in-memory representation is a :class:`repro.seq.kmer_index.KmerCounter`
 — the shared sorted-array k-mer index — so downstream consumers (Inchworm,
 QuantifyGraph, coverage) probe it with batched ``searchsorted`` lookups.
-The historical ``Dict[int, int]`` table is gone; batch consumers read
-the index arrays, scalar consumers use ``get`` / ``get_kmer``.
+Batch consumers read the index arrays, scalar consumers use ``get`` /
+``get_kmer``.  ``batch_bases`` bounds what one sort + count reduces;
+inside a batch the window pack runs a cache-sized block
+(:data:`repro.seq.kmers.PACK_BLOCK_BASES`) at a time, which halves its
+cost per base at every input size measured (DESIGN.md SS:5.19).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,7 +32,13 @@ from repro.seq.kmer_index import (
     read_counter_dump,
     write_counter_dump,
 )
-from repro.seq.kmers import canonical_code, encode_kmer, kmer_array, revcomp_codes
+from repro.seq.kmers import (
+    base_blocks,
+    canonical_code,
+    canonical_kmers,
+    encode_kmer,
+    kmer_array,
+)
 from repro.seq.records import SeqRecord
 
 PathLike = Union[str, Path]
@@ -62,8 +71,6 @@ class JellyfishCounts:
     Array-backed: ``index`` is the sorted-array :class:`KmerCounter`;
     batch access goes through its ``codes``/``values`` arrays and
     ``find``/``lookup``, scalar access through ``get`` / ``get_kmer``.
-    (The plain-dict ``counts`` view from the pre-array era served its one
-    deprecation release and is gone.)
     """
 
     __slots__ = ("k", "canonical", "index")
@@ -134,24 +141,17 @@ def jellyfish_count(
     :class:`KmerCounterBuilder`'s final sort + segmented sum.
     """
     builder = KmerCounterBuilder(k)
-    batch: list = []
-    batch_len = 0
-    for rec in reads:
-        batch.append(rec.seq)
-        batch_len += len(rec.seq)
-        if batch_len >= batch_bases:
-            builder.add_codes(_batch_codes(batch, k, canonical))
-            batch, batch_len = [], 0
-    if batch:
+    for batch in base_blocks((rec.seq for rec in reads), batch_bases):
         builder.add_codes(_batch_codes(batch, k, canonical))
     return JellyfishCounts(k=k, canonical=canonical, index=builder.build())
 
 
-def _batch_codes(seqs: list, k: int, canonical: bool) -> np.ndarray:
-    arr = kmer_array("N".join(seqs), k)
-    if arr.size and canonical:
-        arr = np.minimum(arr, revcomp_codes(arr, k))
-    return arr
+def _batch_codes(seqs: Sequence[str], k: int, canonical: bool) -> np.ndarray:
+    """K-mer codes of ``seqs`` in read order, packed a cache-sized block at
+    a time: the blocks' arrays concatenated are the one-call array."""
+    encode = canonical_kmers if canonical else kmer_array
+    parts = [encode("N".join(block), k) for block in base_blocks(seqs)]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
 
 
 def jellyfish_dump(counts: JellyfishCounts, path: PathLike) -> int:

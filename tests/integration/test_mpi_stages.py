@@ -17,7 +17,12 @@ from repro.parallel.mpi_reads_to_transcripts import (
 from repro.seq.records import Contig, SeqRecord
 from repro.seq.sam import read_sam
 from repro.trinity.bowtie import BowtieConfig, BowtieIndex, ReadSeeds, align_seeds, bowtie_align
-from repro.trinity.chrysalis.graph_from_fasta import GraphFromFastaConfig, graph_from_fasta
+from repro.trinity.chrysalis.graph_from_fasta import (
+    GraphFromFastaConfig,
+    build_weldmer_index,
+    graph_from_fasta,
+    shared_seed_array,
+)
 from repro.trinity.chrysalis.reads_to_transcripts import (
     ReadsToTranscriptsConfig,
     reads_to_transcripts,
@@ -201,6 +206,32 @@ class TestMpiGff:
         one = mpirun(mpi_graph_from_fasta, 1, inputs, config)
         eight = mpirun(mpi_graph_from_fasta, 8, inputs, config)
         assert eight.makespan < 2.5 * one.makespan
+
+    @pytest.mark.parametrize("nprocs", [1, 4])
+    def test_scan_counts_at_the_boundary(self, smoke_reads, artefacts, nprocs):
+        """Counts that repeat exactly: every read is scanned once, the
+        ranks' hits add up to the serial table's, and every rank reports
+        the same seed array and pooled table sizes."""
+        _counts, contigs, _gff = artefacts
+        cfg = GraphFromFastaConfig(k=24)
+        shared = shared_seed_array(contigs, cfg)
+        table = build_weldmer_index(smoke_reads, shared, cfg)
+        assert shared.size > 0 and table
+        run = mpirun(
+            mpi_graph_from_fasta, nprocs,
+            GffInputs(contigs=contigs, reads=smoke_reads),
+            GffStageConfig(gff=cfg, nthreads=2), trace=True,
+        )
+        scans = [s for s in run.spans if s.label == "gff:weldmer_scan"]
+        assert len(scans) == nprocs
+        assert sum(s.attr("reads") for s in scans) == len(smoke_reads)
+        assert sum(s.attr("hits") for s in scans) == sum(table.values())
+        assert sorted(s.attr("hits") for s in scans) == sorted(
+            out.metrics["n_weldmer_hits"] for out in run.outputs
+        )
+        for out in run.outputs:
+            assert out.metrics["n_shared_seeds"] == shared.size
+            assert out.metrics["n_weldmers"] == len(table)
 
     def test_loop_times_positive(self, smoke_reads, artefacts):
         _counts, contigs, _gff = artefacts

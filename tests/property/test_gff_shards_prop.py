@@ -24,25 +24,53 @@ Hand mutants tried against this file (each fails both tests below):
 * canonicalisation lost in the wire round-trip (table re-keyed by the
   reverse complement on unpack): the table check, on any case with a
   non-palindromic weldmer, and the same pair disappears.
+
+The second half holds the array kernels (``shared_seed_array``,
+``scan_weldmers``) to the position-by-position oracle
+``tests/reference_gff.py``: a Hypothesis property over generated
+contigs x reads x ``min_contigs_sharing`` x block size, and the named
+cases of ``ORACLE_CASES``.  Hand mutants of the kernels tried against
+it, and the named case that kills each (the property kills all six too):
+
+* centre offset by one (``vals[starts + k // 2 + 1]``): ``plain`` and
+  every other case that counts a weldmer;
+* ``window_ok`` checked on ``hi`` only: ``n_in_right_flank`` (the
+  spoiled window is counted), ``short_right_flank_then_next_read`` (a
+  window running across the separator into the next read is counted)
+  and ``shorter_than_2k``;
+* ``hi`` and ``lo`` canonicalised independently
+  (``min(hi, rc(hi)), min(lo, rc(lo))``): ``plain``,
+  ``revcomp_other_read``, ``palindrome``;
+* reverse-complement pair not swapped (``(rc(hi), rc(lo))``): the same
+  three;
+* tables overwritten instead of added (a key's last count wins):
+  ``two_blocks``, ``exactly_2k_twice``, ``same_seed_twice_in_one_read``;
+* contigs counted with multiplicity (every window a new holder):
+  ``repeat_in_one_contig``, ``repeat_needs_a_third_contig``.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.seq.kmers
 from repro.mpi import mpirun
 from repro.parallel.mpi_graph_from_fasta import (
     GffInputs,
     GffStageConfig,
     mpi_graph_from_fasta,
 )
+from repro.seq.alphabet import reverse_complement
 from repro.seq.records import Contig, SeqRecord
 from repro.trinity.chrysalis.graph_from_fasta import (
     GraphFromFastaConfig,
-    build_kmer_to_contigs,
     build_weldmer_index,
     graph_from_fasta,
+    scan_weldmers,
     shared_seed_array,
+    weldmer_index,
 )
+from tests import reference_gff
 
 NPROCS = (1, 3, 8)
 KINDS = ("mixed", "few_blocks", "zero_reads", "short_only", "all_n", "no_shared_seed")
@@ -108,9 +136,7 @@ def _stage_and_table(comm, inputs, config):
 def _check(k, contigs, reads):
     cfg = GraphFromFastaConfig(k=k)
     serial = graph_from_fasta(contigs, reads, cfg)
-    table = build_weldmer_index(
-        reads, shared_seed_array(build_kmer_to_contigs(contigs, k), cfg), cfg
-    )
+    table = build_weldmer_index(reads, shared_seed_array(contigs, cfg), cfg)
     for nprocs in NPROCS:
         run = mpirun(
             _stage_and_table, nprocs,
@@ -143,3 +169,104 @@ def test_support_reached_only_across_ranks():
     serial, table = _check(k, [a, b], reads)
     assert serial.pairs == [(0, 1)] and list(table.values()) == [2]
     assert graph_from_fasta([a, b], reads[:1], GraphFromFastaConfig(k=k)).pairs == []
+
+
+# --------------------------------------------------------------------------
+# The array kernels against the position-by-position oracle
+# --------------------------------------------------------------------------
+
+
+def _assert_kernels_equal_oracle(k, contigs, reads, min_contigs_sharing=2, block_bases=None):
+    cfg = GraphFromFastaConfig(k=k, min_contigs_sharing=min_contigs_sharing)
+    shared = shared_seed_array(contigs, cfg)
+    assert shared.tolist() == sorted(reference_gff.shared_seed_codes(contigs, cfg))
+    with pytest.MonkeyPatch.context() as patch:
+        if block_bases is not None:
+            patch.setattr(repro.seq.kmers, "PACK_BLOCK_BASES", block_bases)
+        hi, lo, counts = scan_weldmers(reads, shared, cfg)
+    # Distinct, ascending in string order, every count a real occurrence.
+    keys = list(zip(hi.tolist(), lo.tolist()))
+    assert keys == sorted(set(keys)) and (counts > 0).all()
+    table = weldmer_index((hi, lo, counts), k)
+    assert list(table) == sorted(table)
+    assert table == reference_gff.build_weldmer_index(reads, set(shared.tolist()), cfg)
+    return shared, table
+
+
+@st.composite
+def oracle_cases(draw):
+    k, contigs, reads = draw(gff_cases())
+    seqs = [r.seq for r in reads]
+    if seqs and draw(st.booleans()):
+        # The same windows from the other strand, in lower case, cut to
+        # exactly 2k, or twice in one read.
+        extra = draw(st.lists(st.sampled_from(seqs), max_size=6))
+        how = st.sampled_from([reverse_complement, str.lower, lambda s: s[: 2 * k], lambda s: s + s])
+        seqs += [draw(how)(s) for s in extra]
+    if draw(st.booleans()):
+        # A k-mer repeated inside one contig, and a third holder of it.
+        seq = contigs[0].seq
+        contigs = contigs + [Contig("rep", seq[:k] + draw(_dna(0, 3)) + seq[:k])]
+    return (
+        k, contigs, [SeqRecord(f"r{i}", s) for i, s in enumerate(seqs)],
+        draw(st.sampled_from([1, 2, 3])),
+        draw(st.sampled_from([None, 1, 2 * k, 5 * k])),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(oracle_cases())
+def test_kernels_equal_the_oracle(case):
+    _assert_kernels_equal_oracle(*case)
+
+
+_K = 6
+_SEED = "ACGTCA"
+_A = "TTGGAT" + _SEED + "CCATTG"
+_B = "GACTAG" + _SEED + "TGAACC"
+_JUNCTION = "GAT" + _SEED + "TGA"  # a's left flank + seed + b's right flank
+_PAL_HALF = "TTGACA"  # its reverse complement TGTCAA sorts first
+_PAL = _PAL_HALF + reverse_complement(_PAL_HALF)
+
+#: name -> (contigs, reads, min_contigs_sharing, block_bases, expected table)
+ORACLE_CASES = {
+    "plain": ([_A, _B], [_JUNCTION], 2, None, {_JUNCTION: 1}),
+    "zero_reads": ([_A, _B], [], 2, None, {}),
+    "empty_seed_array": ([_A], [_A], 2, None, {}),
+    "shorter_than_2k": ([_A, _B], [_JUNCTION[:-1], "", "ACG"], 2, None, {}),
+    "exactly_2k_twice": ([_A, _B], [_JUNCTION, _JUNCTION], 2, None, {_JUNCTION: 2}),
+    "n_before": ([_A, _B], ["CNA" + _JUNCTION], 2, None, {_JUNCTION: 1}),
+    "n_after": ([_A, _B], [_JUNCTION + "ANC"], 2, None, {_JUNCTION: 1}),
+    "n_in_left_flank": ([_A, _B], ["GNT" + _SEED + "TGA"], 2, None, {}),
+    "n_in_seed": ([_A, _B], ["GATACNTCATGA"], 2, None, {}),
+    "n_in_right_flank": ([_A, _B], ["GAT" + _SEED + "TGN"], 2, None, {}),
+    "short_right_flank_then_next_read": (
+        [_A, _B], ["GAT" + _SEED + "T", "ACCGGTACCGGT"], 2, None, {},
+    ),
+    "lower_case": ([_A, _B], [_JUNCTION.lower()], 2, None, {_JUNCTION: 1}),
+    "revcomp_other_read": (
+        [_A, _B], [_JUNCTION, reverse_complement(_JUNCTION)], 2, None, {_JUNCTION: 2},
+    ),
+    "palindrome": (
+        ["GG" + _PAL[3:9] + "CC", "AT" + _PAL[3:9] + "TA"], [_PAL], 2, None, {_PAL: 1},
+    ),
+    "same_seed_twice_in_one_read": (
+        [_A, _B], [_JUNCTION + "C" + _JUNCTION], 2, None, {_JUNCTION: 2},
+    ),
+    "two_blocks": ([_A, _B], [_JUNCTION, _JUNCTION, _JUNCTION], 2, 1, {_JUNCTION: 3}),
+    "repeat_in_one_contig": ([_SEED + "T" + _SEED, "GGCCGGCC"], [_JUNCTION], 2, None, {}),
+    "repeat_needs_a_third_contig": ([_A + _SEED, _B], [_JUNCTION], 3, None, {}),
+    "three_contigs_share": ([_A, _B, "C" + _SEED + "G"], [_JUNCTION], 3, None, {_JUNCTION: 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_kernels_equal_the_oracle_on_named_cases(name):
+    contigs, reads, sharing, block_bases, expected = ORACLE_CASES[name]
+    _shared, table = _assert_kernels_equal_oracle(
+        _K,
+        [Contig(f"c{i}", s) for i, s in enumerate(contigs)],
+        [SeqRecord(f"r{i}", s) for i, s in enumerate(reads)],
+        sharing, block_bases,
+    )
+    assert table == {reference_gff.canonical_weldmer(w): n for w, n in expected.items()}

@@ -148,6 +148,45 @@ class TestChrysalisFrontSurface:
         assert not hasattr(reads_to_transcripts, "assign_read")
         assert "assign_read" not in chrysalis.__all__
 
+    def test_gff_setup_is_two_array_kernels(self):
+        """One seed table and one read scan, both on arrays, called by the
+        stage, the serial pipeline and the calibration alike: no dict of
+        sets, no set-or-array argument and no new field (the scalar scan
+        and the dict of sets are the oracle in ``tests/reference_gff.py``)."""
+        from dataclasses import fields
+        from inspect import signature
+        from pathlib import Path
+
+        import repro
+        from repro.parallel import GffStageConfig
+        from repro.trinity import chrysalis
+
+        gff = importlib.import_module("repro.trinity.chrysalis.graph_from_fasta")
+
+        def params(fn):
+            return list(signature(fn).parameters)
+
+        assert params(gff.shared_seed_array) == ["contigs", "cfg"]
+        assert params(gff.scan_weldmers) == ["reads", "shared_seeds", "cfg"]
+        assert params(gff.sum_weldmer_tables) == ["tables"]
+        assert params(gff.weldmer_index) == ["table", "k"]
+        assert params(gff.build_weldmer_index) == ["reads", "shared_seeds", "cfg"]
+        assert params(gff.harvest_welds_for_contig) == [
+            "contig_idx", "contig", "cfg", "shared_seeds",
+        ]
+        for name in ("shared_seed_array", "build_weldmer_index"):
+            assert name in chrysalis.__all__
+        gone = ("build_kmer_to_contigs", "shared_seed_codes")
+        for name in gone:
+            assert name not in chrysalis.__all__
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            text = path.read_text()
+            assert not [name for name in gone if name in text], path
+        assert {f.name for f in fields(gff.GraphFromFastaConfig)} == {
+            "k", "min_weld_read_support", "min_contigs_sharing",
+        }
+        assert {f.name for f in fields(GffStageConfig)} == {"gff", "nthreads", "chunk_size"}
+
 
 class TestChrysalisBackendSurface:
     def test_kernel_signatures_and_no_scalar_path(self):

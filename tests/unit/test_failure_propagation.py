@@ -160,11 +160,12 @@ class TestSharedCellRelease:
         # (the package re-exports a same-named function; fetch the module)
         stage = importlib.import_module("repro.parallel.mpi_graph_from_fasta")
 
-        def corrupt(payload, lengths):
+        def corrupt(tables):
             raise ValueError("corrupt weldmer payload")
 
-        # The merge is the stage's first unpack; the weld pooling's comes later.
-        monkeypatch.setattr(stage, "unpack_strings", corrupt)
+        # The stage's own reference: the pooled sum (the kernel's per-block
+        # sums go through graph_from_fasta's).
+        monkeypatch.setattr(stage, "sum_weldmer_tables", corrupt)
         seed = "ACGTCA"
         inputs = stage.GffInputs(
             contigs=[Contig("a", "TTGGAT" + seed + "CCATTG"), Contig("b", "GACTAG" + seed + "TGAACC")],

@@ -16,7 +16,17 @@ cyclic collector paused) — but one collector pass (~20 ms) charged to the
 rank thread that happened to allocate now outweighs a whole launch: with
 it on, single pairs read 0.8-6.3x.  The floor stays 1.5x; each side is
 the best of its launches.
+
+Since PR 22 (two-array graph, walk over integer rows) a launch is 1-6 ms:
+round-robin 0.028-0.042 -> 0.0043-0.0060 s, dynamic 0.0084-0.0108 ->
+0.0012-0.0013 s (parent unpinned, this PR pinned; four runs a side).  At
+that size eight rank threads on two CPUs charge their switches to each
+other's thread clocks — unpinned, three runs of this guard read 3.0 / 2.2
+/ 1.4x — so the launches are pinned to one CPU, as the Jellyfish and
+Inchworm guards already are: 3.5-4.6x (parent, unpinned: 3.1-5.0x).
 """
+
+import os
 
 from benchmarks.butterfly_bench_runner import NPROCS, build_workload, stage_config
 from repro.mpi import mpirun
@@ -35,9 +45,17 @@ def test_bench_dynamic_deal_beats_round_robin(benchmark):
             mpi_chrysalis_backend, NPROCS, inputs, stage_config(0, strategy)
         )
 
-    statics = [run("round_robin") for _ in range(3)]
-    dynamics = []
-    benchmark(lambda: dynamics.append(run("dynamic")))
+    # Pinned to one CPU, as the Jellyfish and Inchworm launch-ratio guards
+    # are: a launch is 2-6 ms of thread time now, and eight rank threads
+    # sharing two CPUs put their switches on each other's clocks.
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(cpus)})
+    try:
+        statics = [run("round_robin") for _ in range(3)]
+        dynamics = []
+        benchmark(lambda: dynamics.append(run("dynamic")))
+    finally:
+        os.sched_setaffinity(0, cpus)
 
     assert all(rec.outputs[0].transcripts == serial for rec in (*statics, *dynamics))
     static, dynamic = (

@@ -13,7 +13,15 @@ cyclic-collector pass (~10-20 ms, charged to whichever rank thread
 allocated) now doubles an 8-rank launch: single pairs dipped to 1.6x
 (parent) and 1.8x (this PR).  The floor stays 1.5x; each side is the best
 of its launches.
+
+Since PR 22 (reads packed once per rank, two-array graph, walk over
+integer rows) the 1-rank makespan is 0.017-0.020 s and the 8-rank one
+0.0038-0.0046 s, pinned to one CPU as the Jellyfish and Inchworm guards
+are: 3.8-5.1x over four runs (unpinned 2.5-3.8x over three; the parent,
+unpinned on the same day, 0.036-0.068 s / 0.0084-0.017 s, 2.3-4.7x).
 """
+
+import os
 
 from benchmarks.chrysalis_bench_runner import (
     SPEEDUP_NPROCS,
@@ -35,9 +43,17 @@ def test_bench_fused_backend_scales(benchmark):
     def run(nprocs):
         return mpirun(mpi_chrysalis_backend, nprocs, inputs, config)
 
-    ones = [run(1) for _ in range(3)]
-    eights = []
-    benchmark(lambda: eights.append(run(SPEEDUP_NPROCS)))
+    # Pinned to one CPU, as the Jellyfish and Inchworm launch-ratio guards
+    # are: an 8-rank launch is ~5 ms of thread time now, and eight rank
+    # threads sharing two CPUs put their switches on each other's clocks.
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(cpus)})
+    try:
+        ones = [run(1) for _ in range(3)]
+        eights = []
+        benchmark(lambda: eights.append(run(SPEEDUP_NPROCS)))
+    finally:
+        os.sched_setaffinity(0, cpus)
     one, fused = (min(recs, key=lambda rec: rec.makespan) for recs in (ones, eights))
 
     # Byte-identity to the serial chain (transcripts and quant stats).

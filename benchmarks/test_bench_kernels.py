@@ -15,7 +15,7 @@ from repro.openmp.schedule import dynamic_makespan
 from repro.simdata.reads import flatten_reads
 from repro.trinity import TrinityConfig, TrinityPipeline
 from repro.trinity.bowtie import BowtieConfig, BowtieIndex, align_reads
-from repro.trinity.butterfly import butterfly_component
+from repro.trinity.butterfly import butterfly_assemble, butterfly_component
 from repro.trinity.chrysalis.debruijn import fasta_to_debruijn
 from repro.trinity.chrysalis.graph_from_fasta import (
     GraphFromFastaConfig,
@@ -24,6 +24,7 @@ from repro.trinity.chrysalis.graph_from_fasta import (
 )
 from repro.trinity.chrysalis.orient import orient_component
 from repro.trinity.chrysalis.quantify import (
+    pack_routed_reads,
     quantify_component,
     reads_by_component,
     solid_index,
@@ -39,7 +40,7 @@ from repro.trinity.jellyfish import jellyfish_count
 from repro.trinity.pairs import reconcile_with_pairs
 from repro.util.rng import spawn_rng
 from repro.validation.smith_waterman import sw_align, sw_score
-from tests import reference_gff, reference_inchworm, reference_pairs
+from tests import reference_chrysalis, reference_gff, reference_inchworm, reference_pairs
 
 
 def _random_seq(n, seed=0):
@@ -126,24 +127,101 @@ def giant_component(whitefly_half):
     return tcfg, comp.id, oriented, reads, routed[comp.id], solid
 
 
+def _oracle_component(giant_component):
+    """The dict graph threaded by the per-read loop: ``(graph, quant, seconds)``."""
+    tcfg, cid, oriented, reads, read_indices, solid = giant_component
+    t0 = time.perf_counter()
+    graph = reference_chrysalis.fasta_to_debruijn(oriented, tcfg.k)
+    quant = reference_chrysalis.quantify_component(cid, graph, reads, read_indices, solid=solid)
+    return graph, quant, time.perf_counter() - t0
+
+
 def test_bench_quantify_component(benchmark, giant_component):
+    """Pack + build + vote + count + merge of the giant component: the
+    graph must be the per-read loop's on the dict graph, and at least 2x
+    faster than it with the pack included (measured 6-12x: 0.094-0.17 s
+    -> 0.012-0.015 s; PR 18's batched kernel on the dict graph, graph
+    build not included, 0.016-0.018 s)."""
+    from benchmarks.inchworm_bench_runner import _best_of
+
     tcfg, cid, oriented, reads, read_indices, solid = giant_component
 
-    def fresh_graph():
-        return (cid, fasta_to_debruijn(oriented, tcfg.k), reads, read_indices), {"solid": solid}
+    def build_and_thread():
+        graph = fasta_to_debruijn(oriented, tcfg.k)
+        pack = pack_routed_reads(reads, {cid: read_indices}, tcfg.k, solid)
+        return quantify_component(cid, graph, pack)
 
-    quant = benchmark.pedantic(quantify_component, setup=fresh_graph, rounds=10)
+    quant = benchmark.pedantic(build_and_thread, rounds=10)
     assert quant.n_reads == len(read_indices) > 500
-    assert quant.read_edge_weight > 0
+    want_graph, want, oracle_s = _oracle_component(giant_component)
+    assert quant.graph.edge_weights() == reference_chrysalis.edge_weights(want_graph)
+    assert (quant.n_reads, quant.read_edge_weight) == (want.n_reads, want.read_edge_weight)
+    kernel_s = _best_of(build_and_thread, 5)
+    benchmark.extra_info.update({"oracle_s": oracle_s, "kernel_s": kernel_s})
+    assert oracle_s >= 2 * kernel_s
 
 
 def test_bench_butterfly_walk(benchmark, giant_component):
+    """Rows + walk + spelling of the giant component's quantified graph:
+    the transcripts must be the string-keyed walk's on the dict graph, at
+    least 2x faster than it (measured 3.2-3.8x: 0.011-0.017 s ->
+    0.0034-0.0045 s)."""
+    from benchmarks.inchworm_bench_runner import _best_of
+
     tcfg, cid, oriented, reads, read_indices, solid = giant_component
     graph = fasta_to_debruijn(oriented, tcfg.k)
-    quantify_component(cid, graph, reads, read_indices, solid=solid)
+    quantify_component(cid, graph, pack_routed_reads(reads, {cid: read_indices}, tcfg.k, solid))
     transcripts = benchmark(butterfly_component, cid, graph, tcfg.butterfly())
     assert len(transcripts) > 1
     assert graph.n_nodes > 2000
+    want_graph, _quant, _s = _oracle_component(giant_component)
+    cfg = tcfg.butterfly()
+    assert transcripts == reference_chrysalis.butterfly_component(cid, want_graph, cfg)
+    oracle_s = _best_of(lambda: reference_chrysalis.butterfly_component(cid, want_graph, cfg), 5)
+    kernel_s = _best_of(lambda: butterfly_component(cid, graph, cfg), 5)
+    benchmark.extra_info.update({"oracle_s": oracle_s, "kernel_s": kernel_s})
+    assert oracle_s >= 2 * kernel_s
+
+
+def test_bench_backend_chain_is_linear(benchmark):
+    """Build + pack + quantify + walk of every component, serially, on the
+    whitefly-half library and on 4x of it (80 genes, 8 400 reads): 4x the
+    reads must cost <= 6x (log-log slope <= 1.3; measured 3.6-4.1x), so a
+    per-read loop, a per-component re-encode or a graph that grows
+    quadratically comes back here and not at the next re-anchor."""
+    from benchmarks.inchworm_bench_runner import _best_of
+    from benchmarks.pipeline.spec import LIBRARY_SEED, WHITEFLY
+
+    tcfg = TrinityConfig(seed=1)
+
+    def library(scale):
+        recipe = replace(
+            WHITEFLY, n_genes=WHITEFLY.n_genes * scale, n_reads=WHITEFLY.n_reads * scale
+        )
+        reads = flatten_reads(recipe.materialize(seed=LIBRARY_SEED)[1])
+        out = TrinityPipeline(tcfg).run(reads).outputs
+        members = {
+            comp.id: orient_component([out.contigs[m].seq for m in comp.members], tcfg.weld_k)
+            for comp in out.gff.components
+        }
+        return reads, members, out.assignments, solid_index(out.counts, tcfg.min_kmer_count)
+
+    def chain(reads, members, assignments, solid):
+        graphs = {cid: fasta_to_debruijn(seqs, tcfg.k) for cid, seqs in members.items()}
+        routed = reads_by_component(assignments)
+        pack = pack_routed_reads(
+            reads, {cid: routed.get(cid, ()) for cid in graphs}, tcfg.k, solid
+        )
+        for cid, graph in graphs.items():
+            quantify_component(cid, graph, pack)
+        return butterfly_assemble(graphs, tcfg.butterfly())
+
+    small, big = library(1), library(4)
+    transcripts = benchmark(chain, *small)
+    assert len(transcripts) > 20
+    small_s, big_s = _best_of(lambda: chain(*small), 5), _best_of(lambda: chain(*big), 3)
+    benchmark.extra_info.update({"chain_s": small_s, "chain_4x_s": big_s})
+    assert big_s <= 6 * small_s
 
 
 def test_bench_inchworm_table_walk(benchmark, whitefly_half):

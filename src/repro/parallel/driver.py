@@ -357,8 +357,8 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
         lambda cfg, wd: cfg.chrysalis_stage(workdir=wd),
         upstream=("jellyfish", "inchworm", "gff", "rtt"),
         file_key="chrysalis_backend_fasta",
-        ram_bytes=lambda chain: 120 * sum(
-            q.graph.n_edges
+        ram_bytes=lambda chain: sum(
+            q.graph.nbytes
             for out in chain.runs["chrysalis"].outputs
             for q in out.local_quants.values()
         ),
@@ -415,6 +415,14 @@ def reads_digest(reads: Sequence[SeqRecord]) -> str:
     return h.hexdigest()
 
 
+#: Version of what a checkpointed ``StageResult`` pickles to.  Part of
+#: every key, so a payload written under another layout — e.g. component
+#: graphs as dicts of strings, before they were two arrays — is a logged
+#: miss that recomputes, never an object of the wrong shape handed back
+#: as "restored".  Bump it with any change to a pickled outputs type.
+_CHECKPOINT_LAYOUT = 2
+
+
 def _checkpoint_key(
     row: StageRow,
     stage_config: Any,
@@ -427,11 +435,11 @@ def _checkpoint_key(
 
     The stage and its full config, the launch shape and fault plan, the
     workdir its files land in, the reads' content digest, the glue knobs
-    its inputs read, and — transitively — the keys of its upstream
-    stages.  Any mismatch recomputes.
+    its inputs read, the payload layout version, and — transitively — the
+    keys of its upstream stages.  Any mismatch recomputes.
     """
     parts = (
-        row.fn.__name__, stage_config, cfg.nprocs, cfg.nthreads, cfg.faults,
+        _CHECKPOINT_LAYOUT, row.fn.__name__, stage_config, cfg.nprocs, cfg.nthreads, cfg.faults,
         str(workdir), digest,
         [(knob, getattr(cfg.trinity, knob)) for knob in row.glue],
         list(upstream_keys),

@@ -15,15 +15,19 @@ are dealt across ranks once: cost-blind round-robin, or master-dealt LPT
 (``dynamic``) over :func:`estimated_component_cost`, which predicts each
 chain from what is known before any graph exists — the member contigs'
 lengths (walk) and the component's routed read count (threading).  Each
-owner rank then runs the fused chain for its components on its OpenMP
-team, one component per task: the kernels batch *within* a component
-(:func:`~repro.trinity.chrysalis.quantify.quantify_component` threads
-all of a component's reads as arrays), so the per-component deal, wire
-tuple and retry points are the unit of distribution and of recovery.
-De Bruijn graphs and quantified edge weights therefore never cross the
-wire: only transcripts and light per-component quant stats are pooled,
-and the two serial regions plus the graph allgather/re-deal disappear
-from the makespan.
+owner rank packs the reads routed to its own components once
+(:func:`~repro.trinity.chrysalis.quantify.pack_routed_reads`; each
+component's windows are one slice of it; owner-computes, DESIGN §5.20),
+then runs the fused chain for its components on its OpenMP team, one
+component per task: the kernels batch *within* a component, so the
+per-component deal, wire tuple and retry points are the unit of
+distribution and of recovery.  De Bruijn graphs and quantified edge
+weights therefore never cross the wire: only transcripts and light
+per-component quant stats are pooled, and the two serial regions plus
+the graph allgather/re-deal disappear from the makespan.  What every
+real rank would rebuild (component and routing tables, solid index, LPT
+costs) is the stage's serial time: a first, ``serial=True`` entry of
+``chrysalis:deal``.
 
 Outputs are **byte-identical to the serial pipeline** at every rank
 count: the fused chain per component is exactly the serial code path
@@ -49,6 +53,7 @@ identity, quantify threads nothing, and build + walk reproduce
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -66,6 +71,7 @@ from repro.trinity.chrysalis.debruijn import fasta_to_debruijn
 from repro.trinity.chrysalis.orient import orient_component
 from repro.trinity.chrysalis.quantify import (
     ComponentQuant,
+    pack_routed_reads,
     quantify_component,
     reads_by_component,
     solid_index,
@@ -77,7 +83,7 @@ PathLike = Union[str, Path]
 
 #: Threading one routed read costs what walking this many node x path
 #: units costs (the fit in :func:`estimated_component_cost`).
-READ_COST = 66.0
+READ_COST = 80.0
 
 
 def estimated_component_cost(
@@ -94,22 +100,23 @@ def estimated_component_cost(
     happens before FastaToDebruijn, so nodes are estimated from the
     member contigs — a contig of length ``L`` yields at most
     ``L - k + 2`` (k-1)-mer nodes; orient and build scale with the same
-    count and ride in this term.  **Threading**: QuantifyGraph's batch is
-    linear in the read windows of the component's ``n_reads`` routed
-    reads (known at deal time from the RTT routing table), weighted by
-    :data:`READ_COST`.
+    count and ride in this term.  **Threading**: the owner's read pack
+    and QuantifyGraph's vote and count are linear in the read windows of
+    the component's ``n_reads`` routed reads (known at deal time from the
+    RTT routing table), weighted by :data:`READ_COST`.
 
-    The ratio was fitted once, by least squares on the per-component
-    ``thread_time`` of the fused chain over all 65 + 91 components of the
-    two benchmark libraries (whitefly-half, sugarbeet-third; best of 7
-    pinned passes): ``t = 3.5e-7 * est_nodes * max_paths + 2.3e-5 *
-    n_reads`` seconds, R^2 0.96, rms residual 0.7 ms against a median
-    component of 0.5 ms and a largest of 36 ms (so the fit is the
-    giants', which is what LPT needs).  Per library the ratio is 40 and
-    36; any value in 36-100 deals the same makespans to within 1 %.
-    Both libraries hold 75-bp reads (51 windows at k=25, i.e. ~1.3 units
-    per window); reads of one library share a length, so the count ranks
-    components as the window total would.
+    The ratio is a least-squares fit to the per-component ``thread_time``
+    of the fused chain (plus each component's share, by routed reads, of
+    its owner's read pack) over the 65 + 91 components of the two
+    benchmark libraries, best of 7 pinned passes: ``t = 1.24e-7 *
+    est_nodes * max_paths + 9.85e-6 * n_reads`` seconds, R^2 0.98, rms
+    residual 0.19 ms against a median component of 0.27 ms and a largest
+    of 12.9 ms (the fit is the giants', which is what LPT needs); per
+    library the ratio is 57 and 66, pooled 80, and any value in 36-100
+    deals the same makespans to within 1 %.  (PR 18's dict kernels: 3.5e-7
+    / 2.3e-5 s, ratio 66 — both terms fell 2.3-2.8x; DESIGN §5.20.)  Both
+    libraries hold 75-bp reads, so the count ranks components as the
+    window total would.
 
     Only the *relative* order matters (LPT), and the deal never affects
     outputs — merge order is component id — so a misestimate costs
@@ -211,42 +218,51 @@ def mpi_chrysalis_backend(
     # node): the retryable I/O point for flaky-I/O fault plans.
     with_retry(comm, "chrysalis:read_inputs", lambda: None)
 
-    # -- shared setup: built once per simulated mpirun, charged per rank --
-    # The serial assembly order — and the deterministic merge order.
-    comp_by_id: Dict[int, Component] = comm.shared(
-        "chrysalis:components", lambda: {c.id: c for c in inputs.components}
-    )
-    cids: List[int] = comm.shared(
-        "chrysalis:order", lambda: sorted(comp_by_id), cost=0.0
-    )
-    # RTT routing table: component id -> read indices in assignment order.
-    routed: Dict[int, List[int]] = comm.shared(
-        "chrysalis:route", lambda: reads_by_component(inputs.assignments)
-    )
-    # Solid canonical-k-mer index shared by every threading pass.
-    solid = (
-        comm.shared(
-            "chrysalis:solid",
-            lambda: solid_index(inputs.counts, config.min_kmer_count),
+    # -- replicated setup: every real rank would build these, so each is
+    # built once per simulated mpirun and charged to every rank — the
+    # stage's serial share, marked as such (a first, ``serial=True`` entry
+    # of the deal's label: what precedes the deal *is* deal set-up) --------
+    with comm.region("chrysalis:deal", serial=True):
+        # The serial assembly order — and the deterministic merge order.
+        comp_by_id: Dict[int, Component] = comm.shared(
+            "chrysalis:components", lambda: {c.id: c for c in inputs.components}
         )
-        if inputs.counts is not None
-        else None
-    )
+        cids: List[int] = comm.shared(
+            "chrysalis:order", lambda: sorted(comp_by_id), cost=0.0
+        )
+        # RTT routing table: component id -> read indices in assignment order.
+        routed: Dict[int, List[int]] = comm.shared(
+            "chrysalis:route", lambda: reads_by_component(inputs.assignments)
+        )
+        # Solid canonical-k-mer index shared by every rank's read pack.
+        solid = (
+            comm.shared(
+                "chrysalis:solid",
+                lambda: solid_index(inputs.counts, config.min_kmer_count),
+            )
+            if inputs.counts is not None
+            else None
+        )
+        # Graphs don't exist yet, so the LPT cost model works from contig
+        # lengths and routed read counts.
+        costs = (
+            comm.shared(
+                "chrysalis:costs",
+                lambda: {
+                    cid: estimated_component_cost(
+                        comp_by_id[cid], contigs, config.k,
+                        bf_cfg.max_paths_per_component, len(routed.get(cid, ())),
+                    )
+                    for cid in cids
+                },
+            )
+            if config.strategy == "dynamic"
+            else None
+        )
 
-    # -- deal components across ranks (graphs don't exist yet, so the LPT
-    # cost model works from contig lengths and routed read counts) ----------
+    # -- deal components across ranks ---------------------------------------
     mine, deal_time = component_stage.deal(
-        comm, "chrysalis", cids,
-        lambda: comm.shared(
-            "chrysalis:costs",
-            lambda: {
-                cid: estimated_component_cost(
-                    comp_by_id[cid], contigs, config.k,
-                    bf_cfg.max_paths_per_component, len(routed.get(cid, ())),
-                )
-                for cid in cids
-            },
-        ),
+        comm, "chrysalis", cids, lambda: costs,
         strategy=config.strategy,
         nthreads=config.nthreads,
         chunk_size=config.chunk_size,
@@ -259,17 +275,38 @@ def mpi_chrysalis_backend(
             [contigs[m].seq for m in comp.members], config.weld_k
         )
         graph = fasta_to_debruijn(oriented, config.k)
-        quant = quantify_component(
-            cid, graph, inputs.reads, routed.get(cid, ()), solid=solid
-        )
+        quant = quantify_component(cid, graph, pack)
         return quant, butterfly_component(cid, graph, bf_cfg)
 
     local: List[Tuple[int, ComponentQuant, List[Transcript]]] = []
+    n_read_windows = pack_bytes = 0
     with comm.region(
         "chrysalis:loop", strategy=config.strategy, components=len(mine)
     ) as loop_region:
         if mine:
+            # Owner-computes: the reads routed to this rank's components,
+            # encoded and packed once, each component's windows one slice.
+            # One array pass over blocks of reads — the team divides it as
+            # it does RTT's chunk kernel.
+            t0 = time.thread_time()
+            pack = pack_routed_reads(
+                inputs.reads, {cid: routed.get(cid, ()) for cid in mine},
+                config.k, solid,
+            )
+            packed = team.batch(
+                pack.block_bases, time.thread_time() - t0, weights=pack.block_bases
+            )
+            n_read_windows, pack_bytes = int(pack.nodes.size), pack.nbytes
+            comm.clock.advance(
+                packed.makespan,
+                label="chrysalis:pack",
+                attrs={
+                    **packed.as_span_attrs(),
+                    "reads": int(pack.has_kmer.size), "windows": n_read_windows,
+                },
+            )
             result = team.map(backend_component, mine)
+            del pack  # a rank's largest transient: gone before the merge
             local = [(cid, q, ts) for cid, (q, ts) in zip(mine, result.values)]
             comm.clock.advance(
                 result.makespan,
@@ -319,6 +356,10 @@ def mpi_chrysalis_backend(
             "n_local_components": float(len(mine)),
             "n_transcripts": float(len(transcripts)),
             "n_reads_threaded": float(sum(n for n, _w in quant_stats.values())),
+            # Exact, rank-local counts of what this rank built and packed.
+            "n_graph_edges": float(sum(q.graph.n_edges for _cid, q, _ts in local)),
+            "n_read_windows": float(n_read_windows),
+            "pack_bytes": float(pack_bytes),
         },
         rank=comm.rank,
     )

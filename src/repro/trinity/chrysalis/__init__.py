@@ -8,7 +8,7 @@ Substeps, in workflow order (paper SS:II.A, SS:III):
    read-supported "welding" 2k-mers shared between contigs; loop 2 finds
    contig pairs sharing a weld; union-find clustering builds components.
 3. :mod:`~repro.trinity.chrysalis.debruijn` (FastaToDebruijn) builds a de
-   Bruijn graph per component.
+   Bruijn graph per component: sorted k-mer edge codes and their weights.
 4. :mod:`~repro.trinity.chrysalis.reads_to_transcripts` assigns each read
    to the component sharing the most k-mers.
 5. :mod:`~repro.trinity.chrysalis.quantify` (QuantifyGraph) weights each
@@ -28,8 +28,8 @@ from repro.trinity.chrysalis.graph_from_fasta import (
     weld_index_keys,
     canonical_weldmer,
 )
-from repro.trinity.chrysalis.debruijn import DeBruijnGraph, fasta_to_debruijn
-from repro.trinity.chrysalis.orient import node_codes, orient_component, reverse_votes
+from repro.trinity.chrysalis.debruijn import DeBruijnGraph, fasta_to_debruijn, spell_path
+from repro.trinity.chrysalis.orient import orient_component, reverse_votes
 from repro.trinity.chrysalis.reads_to_transcripts import (
     ReadsToTranscriptsConfig,
     ReadAssignment,
@@ -38,6 +38,8 @@ from repro.trinity.chrysalis.reads_to_transcripts import (
 )
 from repro.trinity.chrysalis.quantify import (
     ComponentQuant,
+    ReadPack,
+    pack_routed_reads,
     quantify_component,
     quantify_graph,
     reads_by_component,
@@ -60,8 +62,8 @@ __all__ = [
     "canonical_weldmer",
     "DeBruijnGraph",
     "fasta_to_debruijn",
+    "spell_path",
     "orient_component",
-    "node_codes",
     "reverse_votes",
     "ReadsToTranscriptsConfig",
     "ReadAssignment",
@@ -69,6 +71,8 @@ __all__ = [
     "build_kmer_map",
     "quantify_graph",
     "quantify_component",
+    "pack_routed_reads",
+    "ReadPack",
     "reads_by_component",
     "solid_index",
     "ComponentQuant",

@@ -1,151 +1,163 @@
-"""FastaToDebruijn: per-component de Bruijn graph construction.
+"""FastaToDebruijn: per-component de Bruijn graphs, held as two arrays.
 
 Nodes are (k-1)-mers; an edge u->v exists for every k-mer whose prefix is
-u and suffix is v.  Edge weights count occurrences across the component's
-contigs (and later, reads via QuantifyGraph).  Butterfly walks these
-graphs to reconstruct transcripts.
+u and suffix is v, so an edge *is* a k-mer: its packed code names both
+ends (prefix node ``code >> 2``, suffix node ``code & mask(k-1)``) and a
+graph is its sorted distinct edge codes plus one weight per edge.  Edge
+weights count occurrences across the component's contigs (and later,
+reads via QuantifyGraph).  Butterfly walks these graphs to reconstruct
+transcripts.
 
-Graphs are small (one gene family each) and Butterfly walks them node by
-node, so a dict-of-dicts is the right representation.  The *counting*
-that fills one is array work done by the callers: QuantifyGraph reduces a
-component's read k-mers to (distinct k-mer, multiplicity) pairs in numpy
-and lands them through :meth:`DeBruijnGraph.add_kmers`, one dict touch
-per distinct edge.
+Everything else is a derived view (:meth:`DeBruijnGraph.rows`).  Edges
+sorted by code are sorted by prefix node, so a node's <= 4 successors are
+one run of the edge arrays — the CSR comes free — and code order is
+string order at equal length, so every "sorted for determinism" of the
+string-keyed graph is the arrays' own order.  Building is counting,
+threading reads is a merge of sorted (code, weight) pairs
+(:meth:`DeBruijnGraph.add_kmers`), and strings appear only when a path is
+spelled (:func:`spell_path`).  The dict-of-dicts graph this replaced is
+the oracle in ``tests/reference_chrysalis.py``.
+
+Codes cannot say what strings said about a non-ACGT base, so the reads'
+rule (DESIGN §5.16) holds for contigs too: a k-window holding one adds
+no edge and joins nothing.  Lower-case bases read as upper-case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
+
+import numpy as np
 
 from repro.errors import PipelineError
+from repro.seq.alphabet import CODE_TO_BASE
+from repro.seq.kmer_index import decode_kmers
+from repro.seq.kmers import MAX_K, kmer_windows_batch
 
 
-@dataclass
+@dataclass(eq=False)
 class DeBruijnGraph:
-    """A weighted de Bruijn graph over (k-1)-mer string nodes."""
+    """A weighted de Bruijn graph: sorted distinct k-mer edge codes
+    (``codes``) and their weights (``weights``), index-aligned."""
 
     k: int
-    edges: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    _in_edges: Dict[str, Set[str]] = field(default_factory=dict)
+    codes: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.uint64))
+    weights: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise PipelineError(f"de Bruijn k must be >= 2, got {self.k}")
+        if not 2 <= self.k <= MAX_K:
+            raise PipelineError(
+                f"de Bruijn k must be in [2, {MAX_K}] (an edge is one packed "
+                f"k-mer code), got {self.k}"
+            )
 
     # -- construction ------------------------------------------------------
-    def add_sequence(self, seq: str, weight: float = 1.0) -> int:
-        """Thread a sequence through the graph; returns #edges touched."""
-        k = self.k
-        if len(seq) < k:
-            return 0
-        touched = 0
-        prev = seq[: k - 1]
-        for i in range(1, len(seq) - k + 2):
-            cur = seq[i : i + k - 1]
-            self._add_edge(prev, cur, weight)
-            prev = cur
-            touched += 1
-        return touched
+    def add_kmers(self, codes: np.ndarray, weights: np.ndarray) -> None:
+        """Add ``weights[i]`` to the edge of k-mer code ``codes[i]``.
 
-    def add_kmers(self, kmers: Iterable[str], weights: Iterable[float]) -> None:
-        """Add one weighted edge per k-mer string.
-
-        A k-mer *is* an edge — from its (k-1)-prefix node to its
-        (k-1)-suffix node — so a batch of distinct k-mers with their
-        multiplicities is a whole threading pass (QuantifyGraph counts a
-        component's read k-mers in arrays and lands them here, one dict
-        touch per distinct edge).
+        A merge of (code, weight) pairs into the sorted edge arrays: new
+        codes become edges, repeated ones — in the batch or already in
+        the graph — sum.  QuantifyGraph counts a component's read k-mers
+        in arrays and lands them here in one call.
         """
-        for kmer, weight in zip(kmers, weights):
-            self._add_edge(kmer[:-1], kmer[1:], weight)
+        merged = np.concatenate((self.codes, np.asarray(codes, dtype=np.uint64)))
+        self.codes, edge = np.unique(merged, return_inverse=True)
+        self.weights = np.bincount(
+            edge,
+            weights=np.concatenate((self.weights, np.asarray(weights, dtype=np.float64))),
+            minlength=self.codes.size,
+        )
 
-    def _add_edge(self, u: str, v: str, weight: float) -> None:
-        out = self.edges.setdefault(u, {})
-        out[v] = out.get(v, 0.0) + weight
-        self.edges.setdefault(v, {})
-        self._in_edges.setdefault(v, set()).add(u)
-        self._in_edges.setdefault(u, set())
-
-    # -- queries -----------------------------------------------------------
-    @property
-    def n_nodes(self) -> int:
-        return len(self.edges)
-
+    # -- derived views -----------------------------------------------------
     @property
     def n_edges(self) -> int:
-        return sum(len(d) for d in self.edges.values())
+        return int(self.codes.size)
 
-    def successors(self, node: str) -> Dict[str, float]:
-        return self.edges.get(node, {})
+    @property
+    def n_nodes(self) -> int:
+        return int(self.nodes().size)
 
-    def predecessors(self, node: str) -> Set[str]:
-        return self._in_edges.get(node, set())
-
-    def sources(self) -> List[str]:
-        """Nodes with no predecessors (path starts), sorted for determinism."""
-        return sorted(n for n in self.edges if not self._in_edges.get(n))
-
-    def out_degree(self, node: str) -> int:
-        return len(self.edges.get(node, {}))
-
-    def in_degree(self, node: str) -> int:
-        return len(self._in_edges.get(node, ()))
+    @property
+    def nbytes(self) -> int:
+        return int(self.codes.nbytes + self.weights.nbytes)
 
     def total_weight(self) -> float:
-        return sum(w for d in self.edges.values() for w in d.values())
+        return float(self.weights.sum())
 
-    def reweight(self, fn) -> None:
-        """Apply ``fn(u, v, w) -> w'`` to every edge in place."""
-        for u, outs in self.edges.items():
-            for v in list(outs):
-                outs[v] = fn(u, v, outs[v])
+    def _ends(self) -> np.ndarray:
+        """Every edge's prefix node code, then every edge's suffix node code."""
+        suffix = np.uint64((1 << (2 * (self.k - 1))) - 1)
+        return np.concatenate((self.codes >> np.uint64(2), self.codes & suffix))
+
+    def nodes(self) -> np.ndarray:
+        """Sorted distinct (k-1)-mer node codes (a node exists iff an edge
+        names it)."""
+        ends = np.sort(self._ends())
+        return ends[np.concatenate(([True], ends[1:] != ends[:-1]))[: ends.size]]
+
+    def rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(nodes, src, dst)``: :meth:`nodes`, and per edge the rows of
+        its prefix and suffix node in it.  ``src`` ascends with the edges,
+        so a node's out-edges are one run of them, ordered by last base."""
+        nodes, row = np.unique(self._ends(), return_inverse=True)
+        return nodes, row[: self.codes.size], row[self.codes.size :]
+
+    def sources(self) -> np.ndarray:
+        """Codes of the nodes with no in-edge (path starts), ascending."""
+        nodes, _src, dst = self.rows()
+        return nodes[np.bincount(dst, minlength=nodes.size) == 0]
+
+    def edge_weights(self) -> Dict[Tuple[str, str], float]:
+        """The graph decoded to ``{(prefix node, suffix node): weight}`` —
+        a view for tests, examples and debugging; no kernel reads it."""
+        kmers = decode_kmers(self.codes, self.k)
+        return {(s[:-1], s[1:]): w for s, w in zip(kmers, self.weights.tolist())}
 
     # -- compaction ---------------------------------------------------------
     def unitigs(self) -> List[str]:
-        """Maximal unbranched paths spelled out as sequences.
+        """Maximal unbranched paths spelled out as sequences, by ascending
+        start node then successor.
 
-        Used by tests and by Butterfly's linear fast path: a component
-        whose graph is one unitig is a single-isoform gene.
+        Used by tests and by Butterfly's fallback for a component with no
+        source node (every node on a cycle).
         """
-        visited_edges: Set[Tuple[str, str]] = set()
+        nodes, src, dst = self.rows()
+        out_deg = np.bincount(src, minlength=nodes.size)
+        unbranched = (np.bincount(dst, minlength=nodes.size) == 1) & (out_deg == 1)
+        through = unbranched.tolist()
+        first = np.concatenate(([0], np.cumsum(out_deg))).tolist()
+        dst_of = dst.tolist()
+        visited = bytearray(len(dst_of))
         out: List[str] = []
-        starts = [
-            n
-            for n in sorted(self.edges)
-            if self.in_degree(n) != 1 or self.out_degree(n) != 1
-        ]
-        for start in starts:
-            for nxt in sorted(self.successors(start)):
-                if (start, nxt) in visited_edges:
-                    continue
-                path = [start, nxt]
-                visited_edges.add((start, nxt))
-                cur = nxt
-                while self.in_degree(cur) == 1 and self.out_degree(cur) == 1:
-                    follow = next(iter(self.successors(cur)))
-                    if (cur, follow) in visited_edges:
-                        break
-                    visited_edges.add((cur, follow))
-                    path.append(follow)
-                    cur = follow
-                out.append(spell_path(path))
+        for start in np.flatnonzero(~unbranched).tolist():
+            for edge in range(first[start], first[start + 1]):
+                visited[edge] = 1
+                cur = dst_of[edge]
+                path = [start, cur]
+                while through[cur] and not visited[first[cur]]:
+                    visited[first[cur]] = 1
+                    cur = dst_of[first[cur]]
+                    path.append(cur)
+                out.append(spell_path(nodes[path], self.k))
         return out
 
 
-def spell_path(nodes: Sequence[str]) -> str:
-    """Spell the sequence of a node path (overlap k-2 between nodes)."""
-    if not nodes:
+def spell_path(nodes: np.ndarray, k: int) -> str:
+    """Spell a path of (k-1)-mer node codes (consecutive nodes overlap by
+    k-2): the first node, then the last base of every later one."""
+    nodes = np.asarray(nodes, dtype=np.uint64)
+    if not nodes.size:
         return ""
-    seq = [nodes[0]]
-    for node in nodes[1:]:
-        seq.append(node[-1])
-    return "".join(seq)
+    tail = CODE_TO_BASE[(nodes[1:] & np.uint64(3)).astype(np.uint8)]
+    return decode_kmers(nodes[:1], k - 1)[0] + tail.tobytes().decode("ascii")
 
 
 def fasta_to_debruijn(sequences: Iterable[str], k: int) -> DeBruijnGraph:
-    """Build a component graph from its contig sequences (FastaToDebruijn)."""
-    g = DeBruijnGraph(k=k)
-    for seq in sequences:
-        g.add_sequence(seq)
-    return g
+    """Build a component graph from its contig sequences (FastaToDebruijn):
+    one edge per distinct clean k-mer window, weighted by its count."""
+    graph = DeBruijnGraph(k=k)
+    windows, _seq_ids, _starts = kmer_windows_batch(list(sequences), k)
+    graph.codes, counts = np.unique(windows, return_counts=True)
+    graph.weights = counts.astype(np.float64)
+    return graph

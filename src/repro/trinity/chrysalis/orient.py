@@ -11,18 +11,18 @@ always share some and the greedy pass is well-determined.
 
 Reads are strand-symmetric too: QuantifyGraph threads each one on the
 strand that shares more nodes with its component's graph, decided for a
-whole component's reads at once by :func:`reverse_votes`.
+whole component's reads at once by :func:`reverse_votes`, on the window
+codes the rank's read pack already holds.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set
+from typing import List, Sequence, Set
 
 import numpy as np
 
-from repro.errors import PipelineError
-from repro.seq.alphabet import encode_bases, reverse_complement
-from repro.seq.kmers import kmer_array, kmer_windows_batch, pack_windows_at, revcomp_codes
+from repro.seq.alphabet import reverse_complement
+from repro.seq.kmers import kmer_array, revcomp_codes
 
 
 def directed_kmer_set(seq: str, k: int) -> Set[int]:
@@ -37,8 +37,8 @@ def orient_component(seqs: Sequence[str], k: int) -> List[str]:
     members are processed in the given (component-member) order and ties
     keep the forward strand.
     """
-    if not seqs:
-        return []
+    if len(seqs) < 2:  # nothing to orient against the anchor
+        return list(seqs)
     oriented = [seqs[0]]
     anchor = directed_kmer_set(seqs[0], k)
     for seq in seqs[1:]:
@@ -54,45 +54,42 @@ def orient_component(seqs: Sequence[str], k: int) -> List[str]:
     return oriented
 
 
-def node_codes(nodes: Iterable[str], k: int) -> np.ndarray:
-    """Sorted codes of a graph's (k-1)-mer node strings (``k`` is the
-    graph's k).  A node holding a non-ACGT base has no code and is left
-    out: no clean read window equals it.
-
-    Packs exactly one window per node (:func:`pack_windows_at`): joining
-    the nodes and packing *every* window of the text costs k times the
-    memory for the same codes.
-    """
-    nodes = list(nodes)
-    bases = encode_bases("".join(nodes))
-    if bases.size != len(nodes) * (k - 1):
-        raise PipelineError(f"graph nodes must all be {k - 1}-mers")
-    clean = (bases.reshape(len(nodes), k - 1) != 255).all(axis=1)
-    return np.sort(pack_windows_at(bases, np.flatnonzero(clean) * (k - 1), k - 1))
-
-
-def reverse_votes(seqs: Sequence[str], nodes: np.ndarray, k: int) -> np.ndarray:
+def reverse_votes(
+    windows: np.ndarray, seq_ids: np.ndarray, n_seqs: int, nodes: np.ndarray, k: int
+) -> np.ndarray:
     """Which sequences (e.g. reads) thread a graph on the reverse strand.
 
-    ``nodes`` is :func:`node_codes` of the graph, ``k`` its k.  One flag
-    per sequence: True where its reverse complement shares strictly more
-    *distinct* (k-1)-mers with ``nodes`` than the sequence itself does —
-    forward wins ties, as in :func:`orient_component`.  QuantifyGraph
-    votes a component's routed reads against the nodes as they stand
-    before any read is threaded; that fixed reference is what makes
-    threading independent of read order.
+    ``windows`` are the sequences' clean (k-1)-mer window codes,
+    ``seq_ids`` the sequence (0 .. ``n_seqs - 1``) each came from, and
+    ``nodes`` the sorted node codes of the graph of this ``k``
+    (:meth:`DeBruijnGraph.nodes`).  One flag per sequence: True where its
+    reverse complement shares strictly more *distinct* (k-1)-mers with
+    ``nodes`` than the sequence itself does — forward wins ties, as in
+    :func:`orient_component`.  QuantifyGraph votes a component's routed
+    reads against the nodes as they stand before any read is threaded;
+    that fixed reference is what makes threading independent of read
+    order.
+
+    A window's reverse complement is node ``n`` iff the window is
+    ``rc(n)``, so both strands are read off one search against the nodes
+    and their reverse complements together.
     """
-    fwd, seq_ids, _starts = kmer_windows_batch(seqs, k - 1)
-    if not (fwd.size and nodes.size):
-        return np.zeros(len(seqs), dtype=bool)
-    votes = []
-    for codes in (fwd, revcomp_codes(fwd, k - 1)):
-        pos = np.searchsorted(nodes, codes)
-        pos[pos == nodes.size] = 0
-        hit = nodes[pos] == codes
-        # One key per (sequence, node): a repeated (k-1)-mer votes once.
-        pairs = np.sort(seq_ids[hit] * nodes.size + pos[hit])
-        first = np.ones(pairs.size, dtype=bool)
-        first[1:] = pairs[1:] != pairs[:-1]
-        votes.append(np.bincount(pairs[first] // nodes.size, minlength=len(seqs)))
-    return votes[1] > votes[0]
+    if not (windows.size and nodes.size):
+        return np.zeros(n_seqs, dtype=bool)
+    table, row = np.unique(
+        np.concatenate((nodes, revcomp_codes(nodes, k - 1))), return_inverse=True
+    )
+    strand = np.zeros((2, table.size), dtype=bool)  # entry is a node / an rc(node)
+    strand[0, row[: nodes.size]] = strand[1, row[nodes.size :]] = True
+    pos = np.searchsorted(table, windows)
+    pos[pos == table.size] = 0
+    hit = table[pos] == windows
+    # One key per (sequence, table entry): a repeated (k-1)-mer votes once.
+    pairs = np.sort(seq_ids[hit] * table.size + pos[hit])
+    first = np.ones(pairs.size, dtype=bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    seq, entry = np.divmod(pairs[first], table.size)
+    forward, reverse = (
+        np.bincount(seq[strand[s, entry]], minlength=n_seqs) for s in (0, 1)
+    )
+    return reverse > forward

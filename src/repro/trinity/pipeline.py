@@ -234,7 +234,7 @@ class TrinityPipeline:
                     [contigs[m].seq for m in comp.members], cfg.weld_k
                 )
                 graphs[comp.id] = fasta_to_debruijn(oriented, cfg.k)
-            st.ram_bytes = sum(g.n_edges for g in graphs.values()) * 120
+            st.ram_bytes = sum(g.nbytes for g in graphs.values())
 
         # -- Chrysalis: ReadsToTranscripts ------------------------------------
         with monitor.stage("chrysalis.reads_to_transcripts") as st:
@@ -252,7 +252,7 @@ class TrinityPipeline:
                 graphs, list(reads), assignments,
                 kmer_counts=counts, min_kmer_count=cfg.min_kmer_count,
             )
-            st.ram_bytes = sum(g.n_edges for g in graphs.values()) * 120
+            st.ram_bytes = sum(g.nbytes for g in graphs.values())
 
         # -- Butterfly ---------------------------------------------------------
         with monitor.stage("butterfly") as st:

@@ -334,6 +334,49 @@ class TestDriverFaultsAndCheckpoints:
         assert _seqs(result) == _seqs(first)
 
     @pytest.mark.timeout(300)
+    def test_checkpoint_of_another_payload_layout_is_a_logged_miss(
+        self, smoke_reads, tmp_path, monkeypatch, caplog
+    ):
+        """Checkpoints keyed as before the key carried a payload-layout
+        version (config and inputs only — under which a back-end payload
+        unpickled into a dict-of-strings graph and was handed back as
+        "restored") all miss, say so, and recompute the same bytes; a
+        same-version restart still restores six of six."""
+        import hashlib
+        import logging
+
+        from repro.parallel import driver
+
+        def old_key(row, stage_config, cfg, workdir, digest, upstream_keys):
+            parts = (
+                row.fn.__name__, stage_config, cfg.nprocs, cfg.nthreads, cfg.faults,
+                str(workdir), digest,
+                [(knob, getattr(cfg.trinity, knob)) for knob in row.glue],
+                list(upstream_keys),
+            )
+            return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+        cfg = ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=2, nthreads=2)
+        ckpt, wd = tmp_path / "ckpts", tmp_path / "wd"
+
+        def run():
+            ParallelTrinityDriver(cfg).run(smoke_reads, workdir=wd, checkpoint_dir=ckpt)
+            return (wd / "Trinity.fasta").read_bytes()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(driver, "_checkpoint_key", old_key)
+            old = run()
+        restores, writes = _ckpt_counters()
+        with caplog.at_level(logging.INFO, logger=driver.logger.name):
+            new = run()
+        assert _ckpt_counters() == (restores, writes + 6)
+        stale = [r.getMessage() for r in caplog.records if "stale" in r.getMessage()]
+        assert len(stale) == 6 and all("recomputing" in msg for msg in stale)
+        assert new == old and new.count(b">") > 0
+        assert run() == new
+        assert _ckpt_counters() == (restores + 6, writes + 6)
+
+    @pytest.mark.timeout(300)
     def test_other_reads_of_same_count_recompute_everything(self, smoke_reads, tmp_path):
         """The key carries a content digest of the reads, not their count."""
         other = flatten_reads(get_recipe("smoke").materialize(seed=2)[1])

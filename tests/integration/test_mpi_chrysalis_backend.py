@@ -9,6 +9,7 @@ and the merge follows ascending component id regardless of the deal.
 """
 
 import gc
+import os
 
 import pytest
 
@@ -128,22 +129,31 @@ class TestSerialEquality:
             )
 
         # The LPT deal spreads the heavies one per rank.  Demand a decisive
-        # margin, not noise — on quantities the host cannot move.  With the
-        # linear walk these makespans are 7-25 ms of thread time, and one
-        # cyclic-GC pass (~20 ms in a long pytest process) lands on
-        # whichever rank thread allocated last: with the collector on,
-        # single launches paired anywhere from 0.2 to 1.3.  So (1) the
-        # deal's own arithmetic, exact — the heaviest rank's share of the
-        # cost vector it dealt; (2) the measured makespan, best of three
-        # launches with the collector paused (0.34-0.39 over eight pairs).
+        # margin, not noise — on quantities the host cannot move.  Since
+        # the walk reads integer rows a heavy component is 1.5 ms of
+        # thread time and a light one 0.35 (8.4 / 0.59 ms on the dict
+        # graph), so these makespans are 2-5 ms: one cyclic-GC pass
+        # (~20 ms in a long pytest process) lands on whichever rank thread
+        # allocated last, and eight rank threads sharing two CPUs put
+        # their switches on each other's thread clocks (unpinned,
+        # collector paused, best-of-three pairs read 0.36-1.06).  So (1)
+        # the deal's own arithmetic, exact — the heaviest rank's share of
+        # the cost vector it dealt; (2) the measured makespan, best of
+        # three launches with the collector paused and the process pinned
+        # to one CPU (0.37-0.44 over ten pairs; 0.34-0.39 on the dict
+        # graph, where the heavies weighed more against the per-component
+        # fixed cost).
+        cpus = os.sched_getaffinity(0)
         gc.collect()
         gc.disable()
+        os.sched_setaffinity(0, {max(cpus)})
         try:
             launches = {
                 strategy: [launch(strategy) for _ in range(3)]
                 for strategy in ("round_robin", "dynamic")
             }
         finally:
+            os.sched_setaffinity(0, cpus)
             gc.enable()
         for runs in launches.values():
             for run in runs:
@@ -166,9 +176,8 @@ class TestSerialEquality:
 
     def test_kernels_equal_scalar_oracle(self, workload, serial_reference, smoke_reads):
         """On these (``N``-free) inputs every quantified graph and every
-        transcript equals what the scalar loop and the copying DFS in
-        ``tests/reference_chrysalis.py`` produce."""
-        import repro.trinity.butterfly as butterfly
+        transcript equals what the dict graph, the scalar loop and both
+        string-keyed walks in ``tests/reference_chrysalis.py`` produce."""
         from repro.trinity.chrysalis.quantify import reads_by_component, solid_index
         from tests import reference_chrysalis as ref
 
@@ -176,26 +185,21 @@ class TestSerialEquality:
         _graphs, quants, serial = serial_reference
         routed = reads_by_component(assignments)
         solid = solid_index(counts, tcfg.min_kmer_count)
-        oracle_graphs = {}
-        for comp in components:
-            graph = fasta_to_debruijn(
-                orient_component([contigs[m].seq for m in comp.members], tcfg.weld_k),
-                tcfg.k,
-            )
-            old = ref.quantify_component(
-                comp.id, graph, smoke_reads, routed.get(comp.id, ()), solid=solid
-            )
-            new = quants[comp.id]
-            assert new.graph.edges == graph.edges
-            assert new.graph._in_edges == graph._in_edges
-            assert (new.n_reads, new.read_edge_weight) == (old.n_reads, old.read_edge_weight)
-            oracle_graphs[comp.id] = graph
-        in_place = butterfly._dfs
-        butterfly._dfs = ref.dfs
-        try:
-            assert butterfly_assemble(oracle_graphs, tcfg.butterfly()) == serial
-        finally:
-            butterfly._dfs = in_place
+        for walk in (ref.dfs_in_place, ref.dfs):
+            oracle = []
+            for comp in sorted(components, key=lambda c: c.id):
+                graph = ref.fasta_to_debruijn(
+                    orient_component([contigs[m].seq for m in comp.members], tcfg.weld_k),
+                    tcfg.k,
+                )
+                old = ref.quantify_component(
+                    comp.id, graph, smoke_reads, routed.get(comp.id, ()), solid=solid
+                )
+                new = quants[comp.id]
+                assert new.graph.edge_weights() == ref.edge_weights(graph)
+                assert (new.n_reads, new.read_edge_weight) == (old.n_reads, old.read_edge_weight)
+                oracle += ref.butterfly_component(comp.id, graph, tcfg.butterfly(), walk)
+            assert oracle == serial
 
     def test_merged_fasta_byte_identical_to_serial_write(
         self, workload, serial_reference, smoke_reads, tmp_path
@@ -233,7 +237,7 @@ class TestSerialEquality:
             merged.update(r.local_quants)
         assert sorted(merged) == sorted(graphs)
         for cid, q in merged.items():
-            assert q.graph.edges == quants[cid].graph.edges
+            assert q.graph.edge_weights() == quants[cid].graph.edge_weights()
 
 
 class TestRecovery:
@@ -258,6 +262,146 @@ class TestRecovery:
         assert rec.outputs[0].transcripts == serial
         assert rec.outputs[0].out_path.read_bytes() == serial_path.read_bytes()
         assert rec.metrics["faults.rank_losses"] == 1.0
+
+
+    @pytest.mark.timeout(120)
+    def test_crash_entering_the_serial_deal_entry_recovers(
+        self, workload, serial_reference, smoke_reads
+    ):
+        """``chrysalis:deal`` has two entries since the replicated set-up
+        became its serial one; a rank dying on the first — before any
+        ``comm.shared`` cell it might own is published — releases its
+        peers, and the survivors' re-deal gives the same bytes."""
+        tcfg = workload[0]
+        _graphs, quants, serial = serial_reference
+        plan = FaultPlan(crashes=(CrashFault(rank=0, phase="chrysalis:deal"),))
+        rec = mpirun_with_recovery(
+            mpi_chrysalis_backend, 3,
+            _fused_inputs(workload, smoke_reads),
+            _fused_config(tcfg, strategy="dynamic"),
+            faults=plan,
+        )
+        assert len(rec.outputs) == 2 and rec.metrics["faults.rank_losses"] == 1.0
+        for out in rec.outputs:
+            assert out.transcripts == serial
+            assert out.quant_stats == {
+                cid: (q.n_reads, q.read_edge_weight) for cid, q in quants.items()
+            }
+
+
+class TestRegions:
+    @pytest.mark.parametrize("strategy", ["round_robin", "dynamic"])
+    def test_region_entries_and_serial_share(self, workload, smoke_reads, strategy):
+        """The label set stays ``{deal, loop, merge}``; ``deal`` is entered
+        twice — first ``serial=True`` around the replicated ``comm.shared``
+        set-ups, then the deal itself — and the stage's serial time is
+        exactly those shared charges (it read 0 while they sat outside
+        every serial region)."""
+        from repro.obs.critical import critical_path
+
+        tcfg = workload[0]
+        run = mpirun(
+            mpi_chrysalis_backend, 3,
+            _fused_inputs(workload, smoke_reads),
+            _fused_config(tcfg, strategy=strategy),
+            trace=True,
+        )
+        shared = ["components", "route", "solid"]  # (``order`` is charged 0: no span)
+        shared += ["costs"] if strategy == "dynamic" else []
+        for rank in range(3):
+            mine = [s for s in run.spans if s.track == f"rank {rank}"]
+            phases = [s for s in mine if s.kind == "phase"]
+            assert [(s.label, bool(s.attr("serial"))) for s in phases] == [
+                ("chrysalis:deal", True), ("chrysalis:deal", False),
+                ("chrysalis:loop", False), ("chrysalis:merge", False),
+            ]
+            charges = [s for s in mine if s.label.startswith("shared:chrysalis:")]
+            assert [s.label for s in charges] == [f"shared:chrysalis:{key}" for key in shared]
+            setup = phases[0]
+            assert all(setup.start <= s.start and s.stop <= setup.stop for s in charges)
+            assert setup.duration == pytest.approx(sum(s.duration for s in charges))
+        report = critical_path(run)
+        assert report.serial_time > 0
+        assert report.serial_time == pytest.approx(
+            sum(s.duration for s in run.spans
+                if s.track == f"rank {report.critical_rank}"
+                and s.label.startswith("shared:chrysalis:"))
+        )
+
+    def test_pack_span_carries_reads_and_windows(self, workload, smoke_reads):
+        tcfg, _contigs, _components, assignments, _counts = workload
+        run = mpirun(
+            mpi_chrysalis_backend, 3,
+            _fused_inputs(workload, smoke_reads), _fused_config(tcfg), trace=True,
+        )
+        packs = [s for s in run.spans if s.label == "chrysalis:pack"]
+        assert len(packs) == 3 and {s.kind for s in packs} == {"compute"}
+        routed = sum(a.component >= 0 for a in assignments)
+        assert sum(s.attr("reads") for s in packs) == routed > 0
+        assert sum(s.attr("windows") for s in packs) == sum(
+            r.metrics["n_read_windows"] for r in run.outputs
+        )
+        loops = {s.track: s for s in run.spans if s.label == "chrysalis:loop"}
+        assert all(
+            loops[s.track].start <= s.start and s.stop <= loops[s.track].stop for s in packs
+        )
+
+
+class TestNonAcgtContigs:
+    def test_contig_n_is_a_gap_serial_and_at_three_ranks(
+        self, workload, serial_reference, smoke_reads
+    ):
+        """An ``N`` in a contig adds no edge and joins nothing, and lower
+        case reads as upper case — the same through ``fasta_to_debruijn``,
+        the serial chain and the stage at 3 ranks (the dict graph grew
+        ``...N...`` nodes and Butterfly spelled them into transcripts)."""
+        from repro.seq.records import Contig
+
+        tcfg, contigs, components, assignments, counts = workload
+        long = max(range(len(contigs)), key=lambda i: len(contigs[i].seq))
+        edited = list(contigs)
+        seq = contigs[long].seq
+        mid = len(seq) // 2
+        edited[long] = Contig(
+            name=contigs[long].name, seq=seq[:mid] + "N" + seq[mid + 1 :].lower()
+        )
+        whole = fasta_to_debruijn([edited[long].seq], tcfg.k)
+        halves = fasta_to_debruijn([seq[:mid], seq[mid + 1 :]], tcfg.k)
+        assert whole.edge_weights() == halves.edge_weights()
+        assert whole.n_edges == len(seq) - tcfg.k + 1 - tcfg.k
+
+        graphs = {
+            comp.id: fasta_to_debruijn(
+                orient_component([edited[m].seq for m in comp.members], tcfg.weld_k),
+                tcfg.k,
+            )
+            for comp in components
+        }
+        quants = quantify_graph(
+            graphs, list(smoke_reads), assignments,
+            kmer_counts=counts, min_kmer_count=tcfg.min_kmer_count,
+        )
+        serial = butterfly_assemble(graphs, tcfg.butterfly())
+        assert serial and not any(set(t.seq) - set("ACGT") for t in serial)
+        run = mpirun(
+            mpi_chrysalis_backend, 3,
+            ChrysalisBackendInputs(
+                contigs=edited, reads=smoke_reads, components=components,
+                assignments=assignments, counts=counts,
+            ),
+            _fused_config(tcfg, strategy="dynamic"),
+        )
+        for out in run.outputs:
+            assert out.transcripts == serial
+            assert out.quant_stats == {
+                cid: (q.n_reads, q.read_edge_weight) for cid, q in quants.items()
+            }
+        # The edit was not a no-op: the component's graph lost the k contig
+        # windows that held the N (here the reads still bridge the gap).
+        (cid,) = [comp.id for comp in components if long in comp.members]
+        assert quants[cid].graph.total_weight() == (
+            serial_reference[1][cid].graph.total_weight() - tcfg.k
+        )
 
 
 class TestCostModel:
@@ -348,3 +492,32 @@ class TestMetrics:
         assert r.metrics["merge_time"] >= 0
         assert r.metrics["n_reads_threaded"] > 0
         assert run.makespan > 0
+
+    def test_exact_counts_off_the_run_record(self, workload, serial_reference, smoke_reads):
+        """``n_graph_edges`` / ``n_read_windows`` / ``pack_bytes`` are exact,
+        rank-local and repeat run to run: edges sum to the serial graphs',
+        windows to the clean (k-1)-mer windows of every routed read."""
+        from repro.seq.kmers import kmer_windows_batch
+
+        tcfg, _contigs, _components, assignments, _counts = workload
+        graphs, _quants, _serial = serial_reference
+        routed = [smoke_reads[a.read_index].seq for a in assignments if a.component >= 0]
+        n_windows = kmer_windows_batch(routed, tcfg.k - 1)[0].size
+        for nprocs in (1, 3):
+            runs = [
+                mpirun(
+                    mpi_chrysalis_backend, nprocs,
+                    _fused_inputs(workload, smoke_reads), _fused_config(tcfg),
+                )
+                for _ in range(2)
+            ]
+            per_rank = [
+                [(r.metrics["n_graph_edges"], r.metrics["n_read_windows"],
+                  r.metrics["pack_bytes"]) for r in run.outputs]
+                for run in runs
+            ]
+            assert per_rank[0] == per_rank[1]
+            edges, windows, nbytes = map(sum, zip(*per_rank[0]))
+            assert edges == sum(g.n_edges for g in graphs.values())
+            assert windows == n_windows
+            assert nbytes >= 16 * windows

@@ -1,14 +1,34 @@
-"""Property: the batched QuantifyGraph kernel and the in-place Butterfly
-walk equal the scalar code they replaced (``tests.reference_chrysalis``).
+"""Property: the array-backed Chrysalis back end — the two-array de Bruijn
+graph, the packed-once QuantifyGraph, the Butterfly walk over integer rows
+and the integer-row simplify — equals the string-keyed code it replaced
+(``tests.reference_chrysalis``).
 
-``quantify_component`` is checked twice on every case: against a
-string-only statement of its contract (orientation by distinct-node vote
-against the pre-threading graph, forward on ties; a k-mer window is an
-edge unless it holds a non-ACGT base or fails the solid filter;
-``n_reads`` counts reads with a clean window), and — wherever the old
-loop is defined and agrees with that contract, i.e. on ``N``-free reads —
-against the old loop itself.  ``_dfs`` is checked against the copying
-walk on the ordered ``(name, seq)`` list ``butterfly_component`` returns.
+* ``fasta_to_debruijn`` / ``add_kmers`` against the dict-of-dicts graph,
+  as the mapping ``(u, v) -> w``, plus ``sources()``, ``unitigs()`` and
+  the node set.
+* ``quantify_component`` twice on every case: against a string-only
+  statement of its contract (orientation by distinct-node vote against
+  the pre-threading graph, forward on ties; a k-mer window is an edge
+  unless it holds a non-ACGT base or fails the solid filter; ``n_reads``
+  counts reads with a clean window), and — wherever the old loop is
+  defined and agrees with that contract, i.e. on ``N``-free reads —
+  against the old loop itself.  The component under test always sits in a
+  pack between two neighbours (one with reads of its own, one with none),
+  and the pack is cut at 1 to 4 096 bases, so slices and blocks fall
+  everywhere.
+* ``butterfly_component`` against both dict-graph walks (the in-place
+  ``dfs_in_place`` and the copying ``dfs``) on the ordered ``(name, seq)``
+  list, at four salts.
+* ``simplify_graph`` against the dict passes, on the oracle built in code
+  order (the order the array passes visit nodes in).
+
+Assertions that moved here from the unit files when the graph stopped
+being a dict: ``test_debruijn.py``'s ``(bulk.edges, bulk._in_edges) ==
+(g.edges, g._in_edges)`` pairs and ``test_quantify.py``'s
+``graphs[0]._in_edges == want._in_edges`` (predecessor sets are derived
+from the edge codes now — ``test_graph_equals_dict_graph`` checks them as
+``sources()`` and in-degrees), and ``test_mpi_chrysalis_backend.py``'s
+``butterfly._dfs = ref.dfs`` monkeypatch (the oracle walks its own graph).
 
 Hand mutants tried against this file (each restored afterwards), and the
 test that fails:
@@ -18,33 +38,180 @@ test that fails:
 * non-distinct vote (every hit counted, ``first`` mask dropped): same
   test, through the stutter read (and
   ``test_orient.py::TestBestOrientation::test_repeated_node_votes_once``)
-* vote against post-threading nodes (each block of reads voting on the
-  graph the blocks before it left): same test, at block sizes 1-5,
-  through the unrelated read routed on both strands
-* un-canonicalised solid lookup (``solid.contains(fwd)``): same test
+* vote against post-threading nodes (``graph.nodes()`` read after the
+  merge of a first half of the reads): same test, through the unrelated
+  read routed on both strands
+* un-canonicalised solid lookup (``solid.contains(kmer)``): same test
+* k codes shifted from the wrong window (``node[at + 1] << 2``):
+  ``test_quantify_component_equals_contract_and_oracle`` and every named
+  quantify case
+* ``base[w + k - 1]`` validity dropped (``kmer_ok = node_ok[:-1]``):
+  ``test_n_dirties_only_the_k_window`` (an ``N``-closed window threads an
+  ``A``), ``test_last_window_of_a_slice_stays_home`` (a k-mer spans the
+  separator into the next read)
+* a component's slice one window long (``at[stop] + 1``):
+  ``test_last_window_of_a_slice_stays_home``,
+  ``test_zero_read_component_between_two``
+* floor taken after the on-path filter (``strongest`` over off-path
+  siblings only, i.e. computed in ``_dfs``): ``test_walk_equals_copying_dfs``
+  and ``test_floor_counts_on_path_siblings``
+* tie-break on code instead of ``crc32 ^ salt`` (key ``(-w, name)``):
+  ``test_tied_siblings_follow_the_salt``, ``test_walk_equals_copying_dfs``
+* in-degree over surviving edges only (``bincount(dst[alive])`` for
+  ``sources``): ``test_walk_equals_copying_dfs`` at ``fraction`` 0.3 / 1.0,
+  ``test_sources_count_pruned_edges``
+* merge overwriting instead of summing (``weights[edge] = ...``):
+  ``test_graph_equals_dict_graph``, ``test_duplicate_contigs_sum``
 * in-place run skipping the ``on_path`` test: ``test_walk_equals_copying_dfs``
   (cyclic graphs: the walk no longer terminates a path at a repeat node)
 * ``max_paths`` re-check dropped (``while stack:``): ``test_walk_equals_copying_dfs``
   at ``max_paths_per_component`` 1 and 2
 """
 
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.trinity.butterfly as butterfly
+from repro.seq import kmers
 from repro.seq.alphabet import reverse_complement
 from repro.seq.kmer_index import KmerCounter, counter_from_reads, decode_kmers
 from repro.seq.records import SeqRecord
 from repro.trinity.butterfly import ButterflyConfig, butterfly_component
 from repro.trinity.chrysalis.debruijn import DeBruijnGraph, fasta_to_debruijn
-from repro.trinity.chrysalis import quantify
 from repro.trinity.chrysalis.orient import orient_component
-from repro.trinity.chrysalis.quantify import quantify_component
+from repro.trinity.chrysalis.quantify import pack_routed_reads, quantify_component
+from repro.trinity.chrysalis.simplify import SimplifyConfig, simplify_graph
 from tests import reference_chrysalis as ref
+from tests.graph_view import source_strings, thread, weighted_graph
 
 
 def dna(lo, hi, alphabet="ACGT"):
     return st.text(alphabet=alphabet, min_size=lo, max_size=hi)
+
+
+def transcripts(found):
+    return [(t.name, t.seq) for t in found]
+
+
+@contextmanager
+def block_bases(n):
+    """``PACK_BLOCK_BASES`` patched to ``n`` inside the ``with`` block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kmers, "PACK_BLOCK_BASES", n)
+        yield
+
+
+def quantify_between_neighbours(cid, graph, seqs, solid, left=("ACGTACGTTGCA",), right=()):
+    """``quantify_component`` for ``seqs``, packed between a component of
+    ``left`` reads and one of ``right`` reads: a slice off by one window
+    or one read in either direction reads a neighbour's."""
+    reads = [SeqRecord(f"r{i}", s) for i, s in enumerate((*left, *seqs, *right))]
+    a, b = len(left), len(left) + len(seqs)
+    routed = {cid - 1: range(a), cid: range(a, b), cid + 1: range(b, len(reads))}
+    return quantify_component(cid, graph, pack_routed_reads(reads, routed, graph.k, solid))
+
+
+# -- the graph ----------------------------------------------------------------
+
+
+@st.composite
+def weighted_sequences(draw):
+    """``(k, [(sequence, weight)])`` at k=5 (256 possible nodes, so random
+    sequences collide into branches and cycles): a backbone and variants of
+    it (a substitution: a diamond; a deletion: a skip edge), each threaded
+    at a weight from a small set so siblings often tie; extra sequences —
+    some shorter than k, some duplicates — give several sources, a
+    rotation-closed one gives a source-less cycle, a homopolymer a
+    self-loop, a half + its reverse complement a palindromic node."""
+    k = 5
+    weights = st.sampled_from([1.0, 1.0, 2.0, 5.0])
+    seqs = []
+    if draw(st.integers(0, 4)) == 0:  # every node has a predecessor
+        ring = draw(dna(6, 14))
+        seqs.append((ring + ring[: k - 1], draw(weights)))
+        if draw(st.booleans()):
+            return k, seqs
+    backbone = draw(dna(8, 30))
+    seqs.append((backbone, draw(weights)))
+    for _ in range(draw(st.integers(0, 4))):
+        a = draw(st.integers(1, len(backbone) - 2))
+        b = draw(st.integers(a, min(a + 6, len(backbone) - 1)))
+        seqs.append((backbone[:a] + draw(dna(0, 3)) + backbone[b:], draw(weights)))
+    for extra in draw(st.lists(dna(0, 20), max_size=2)):
+        seqs.append((extra, draw(weights)))
+    if draw(st.booleans()):
+        seqs.append((draw(st.sampled_from("ACGT")) * draw(st.integers(k, k + 2)), draw(weights)))
+    if draw(st.booleans()):
+        half = draw(dna(2, 2))
+        seqs.append((draw(dna(2, 5)) + half + reverse_complement(half) + draw(dna(2, 5)), 1.0))
+    if draw(st.booleans()):
+        seqs.append(draw(st.sampled_from(seqs)))
+    return k, seqs
+
+
+def both_graphs(k, seqs):
+    got, want = DeBruijnGraph(k=k), ref.DeBruijnGraph(k=k)
+    for seq, weight in seqs:
+        thread(got, seq, weight)
+        want.add_sequence(seq, weight)
+    return got, want
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_sequences())
+def test_graph_equals_dict_graph(case):
+    k, seqs = case
+    got, want = both_graphs(k, seqs)
+    assert got.edge_weights() == ref.edge_weights(want)
+    assert (got.n_nodes, got.n_edges) == (want.n_nodes, want.n_edges)
+    assert got.total_weight() == want.total_weight()
+    assert decode_kmers(got.nodes(), k - 1) == sorted(want.edges)
+    assert source_strings(got) == want.sources()
+    assert got.unitigs() == want.unitigs()
+    nodes, src, dst = got.rows()
+    assert nodes.tolist() == got.nodes().tolist()
+    names = decode_kmers(nodes, k - 1)
+    assert np.bincount(dst, minlength=nodes.size).tolist() == [want.in_degree(n) for n in names]
+    assert np.bincount(src, minlength=nodes.size).tolist() == [want.out_degree(n) for n in names]
+    # Unweighted contigs: one counting pass builds the same graph.
+    plain = [seq for seq, _w in seqs]
+    assert fasta_to_debruijn(plain, k).edge_weights() == ref.edge_weights(
+        ref.fasta_to_debruijn(plain, k)
+    )
+
+
+def test_duplicate_contigs_sum():
+    got = fasta_to_debruijn(["ACGTACG", "ACGTACG", "GTACG"], 4)
+    assert got.edge_weights() == ref.edge_weights(
+        ref.fasta_to_debruijn(["ACGTACG", "ACGTACG", "GTACG"], 4)
+    )
+    assert got.edge_weights()[("TAC", "ACG")] == 3.0
+    thread(got, "GTACG", 2.0)
+    assert got.edge_weights()[("TAC", "ACG")] == 5.0
+
+
+def test_contig_shorter_than_k_adds_nothing():
+    assert fasta_to_debruijn(["ACGT", "", "AC"], 5).n_edges == 0
+    got = fasta_to_debruijn(["ACGT", "TTGCAAT"], 5)
+    assert got.edge_weights() == ref.edge_weights(ref.fasta_to_debruijn(["TTGCAAT"], 5))
+
+
+def test_self_loop_and_palindromic_node():
+    seqs = ["CCAAAAAAGG", "GGACGTCC"]  # AAAA -> AAAA; ACGT is its own reverse complement
+    got, want = fasta_to_debruijn(seqs, 5), ref.fasta_to_debruijn(seqs, 5)
+    assert got.edge_weights() == ref.edge_weights(want)
+    assert got.edge_weights()[("AAAA", "AAAA")] == 2.0
+    assert got.unitigs() == want.unitigs()
+    cfg = ButterflyConfig(min_transcript_length=1)
+    assert transcripts(butterfly_component(0, got, cfg)) == transcripts(
+        ref.butterfly_component(0, want, cfg)
+    )
+
+
+# -- QuantifyGraph ------------------------------------------------------------
 
 
 @st.composite
@@ -99,11 +266,12 @@ def components(draw):
         solid = counter_from_reads(clean, k).filtered(draw(st.integers(1, 2)))
     elif solid_kind == "empty":
         solid = KmerCounter.empty(k)
-    return k, members, [SeqRecord(f"r{i}", s) for i, s in enumerate(reads)], solid
+    return k, members, list(reads), solid
 
 
 def contract_quantify(graph, seqs, solid_kmers):
-    """The kernel's contract in strings: returns ``(n_reads, weight)``."""
+    """The kernel's contract in strings, on the dict graph: returns
+    ``(n_reads, weight)``."""
     k = graph.k
     node_set = set(graph.edges)
     n_reads, weight = 0, 0.0
@@ -123,91 +291,207 @@ def contract_quantify(graph, seqs, solid_kmers):
 
 
 @settings(max_examples=200, deadline=None)
-@given(components(), st.sampled_from([1, 2, 5, 128]))
-def test_quantify_component_equals_contract_and_oracle(case, block_reads):
-    k, members, reads, solid = case
+@given(
+    components(),
+    st.sampled_from([1, 7, 40, 4096]),
+    st.lists(st.text(alphabet="ACGTN", max_size=12), max_size=2),
+)
+def test_quantify_component_equals_contract_and_oracle(case, block, right):
+    k, members, seqs, solid = case
     oriented = orient_component(members, k - 1)
-    indices = list(range(len(reads)))
-    seqs = [r.seq for r in reads]
 
     got_graph = fasta_to_debruijn(oriented, k)
-    # The kernel threads reads in internal blocks; no result may depend
-    # on where the block boundaries fall.
-    whole_blocks = quantify._BLOCK_READS
-    quantify._BLOCK_READS = block_reads
-    try:
-        got = quantify_component(3, got_graph, reads, indices, solid=solid)
-    finally:
-        quantify._BLOCK_READS = whole_blocks
+    # The pack is cut in blocks of reads; no result may depend on where
+    # the block boundaries fall.
+    with block_bases(block):
+        got = quantify_between_neighbours(3, got_graph, seqs, solid, right=right)
     assert got.component == 3 and got.graph is got_graph
 
-    want_graph = fasta_to_debruijn(oriented, k)
+    want_graph = ref.fasta_to_debruijn(oriented, k)
     solid_kmers = None if solid is None else set(decode_kmers(solid.codes, k))
     n_reads, weight = contract_quantify(want_graph, seqs, solid_kmers)
-    assert got_graph.edges == want_graph.edges
-    assert got_graph._in_edges == want_graph._in_edges
+    assert got_graph.edge_weights() == ref.edge_weights(want_graph)
     assert (got.n_reads, got.read_edge_weight) == (n_reads, weight)
 
     if not any("N" in s for s in seqs):
-        old_graph = fasta_to_debruijn(oriented, k)
-        old = ref.quantify_component(3, old_graph, reads, indices, solid=solid)
-        assert got_graph.edges == old_graph.edges
-        assert got_graph._in_edges == old_graph._in_edges
+        old_graph = ref.fasta_to_debruijn(oriented, k)
+        reads = [SeqRecord(f"r{i}", s) for i, s in enumerate(seqs)]
+        old = ref.quantify_component(3, old_graph, reads, range(len(reads)), solid=solid)
+        assert got_graph.edge_weights() == ref.edge_weights(old_graph)
         assert got.read_edge_weight == old.read_edge_weight
         # Unfiltered, the old loop also counted reads too short to thread.
         short = 0 if solid is not None else sum(len(s) < k for s in seqs)
         assert got.n_reads == old.n_reads - short
 
 
-@st.composite
-def weighted_graphs(draw):
-    """A weighted graph at k=5 (256 possible nodes, so random sequences
-    collide into branches and cycles) from a backbone and variants of it
-    (a substitution: a diamond; a deletion: a skip edge), each threaded at
-    a weight from a small set so siblings often tie; extra sequences give
-    several sources, a rotation-closed one gives a source-less cycle."""
-    k = 5
-    graph = DeBruijnGraph(k=k)
-    weights = st.sampled_from([1.0, 1.0, 2.0, 5.0])
-    if draw(st.integers(0, 4)) == 0:  # every node has a predecessor
-        ring = draw(dna(6, 14))
-        graph.add_sequence(ring + ring[: k - 1], draw(weights))
-        if draw(st.booleans()):
-            return graph
-    backbone = draw(dna(8, 30))
-    graph.add_sequence(backbone, draw(weights))
-    for _ in range(draw(st.integers(0, 4))):
-        a = draw(st.integers(1, len(backbone) - 2))
-        b = draw(st.integers(a, min(a + 6, len(backbone) - 1)))
-        variant = backbone[:a] + draw(dna(0, 3)) + backbone[b:]
-        graph.add_sequence(variant, draw(weights))
-    for extra in draw(st.lists(dna(k, 20), max_size=2)):
-        graph.add_sequence(extra, draw(weights))
-    return graph
+CONTIG = "ATCGGATTACAGTCCGGTTAACGAGC"
+
+
+def test_n_dirties_only_the_k_window():
+    """The read's one ``N`` closes its last k-window: every (k-1)-window
+    before it is clean (the read still votes, on all of them) and so is
+    every other k-window."""
+    k = 7
+    read = CONTIG[3:14] + "N"  # 6 clean 6-mers, 5 clean 7-mers
+    got = fasta_to_debruijn([CONTIG], k)
+    quant = quantify_between_neighbours(1, got, [read], None)
+    want = ref.fasta_to_debruijn([CONTIG], k)
+    want.add_sequence(CONTIG[3:14])
+    assert got.edge_weights() == ref.edge_weights(want)
+    assert (quant.n_reads, quant.read_edge_weight) == (1, 5.0)
+    # On the reverse strand the vote still finds its 6 clean nodes.
+    got = fasta_to_debruijn([CONTIG], k)
+    quant = quantify_between_neighbours(1, got, [reverse_complement(read)], None)
+    assert got.edge_weights() == ref.edge_weights(want)
+    assert (quant.n_reads, quant.read_edge_weight) == (1, 5.0)
+
+
+def test_last_window_of_a_slice_stays_home():
+    """The last window of a component's last read, and the first of its
+    first, belong to it and to no neighbour — with the neighbours' reads
+    chosen so a leaked window would be a *new* edge."""
+    k = 7
+    mine = [CONTIG[0:9], CONTIG[12:20]]
+    left, right = ["TTTTTTTGGGGGGG"], ["CCCCCCCAAAAAAA"]
+    got = fasta_to_debruijn([CONTIG], k)
+    quant = quantify_between_neighbours(5, got, mine, None, left=left, right=right)
+    want = ref.fasta_to_debruijn([CONTIG], k)
+    for seq in mine:
+        want.add_sequence(seq)
+    assert got.edge_weights() == ref.edge_weights(want)
+    assert (quant.n_reads, quant.read_edge_weight) == (2, 3.0 + 2.0)
+
+
+def test_zero_read_component_between_two():
+    k = 7
+    reads = [SeqRecord("a", CONTIG[0:10]), SeqRecord("b", CONTIG[8:20])]
+    pack = pack_routed_reads(reads, {4: [0], 9: [], 2: [1]}, k)
+    assert pack.spans == {4: (0, 1), 9: (1, 1), 2: (1, 2)}
+    graphs = {cid: fasta_to_debruijn([CONTIG], k) for cid in (4, 9, 2)}
+    quants = {cid: quantify_component(cid, g, pack) for cid, g in graphs.items()}
+    assert [(q.n_reads, q.read_edge_weight) for q in quants.values()] == [
+        (1, 4.0), (0, 0.0), (1, 6.0),
+    ]
+    assert graphs[9].edge_weights() == fasta_to_debruijn([CONTIG], k).edge_weights()
+    assert graphs[4].total_weight() + graphs[2].total_weight() == 2 * 20.0 + 10.0
+
+
+def test_support_reached_across_two_blocks():
+    """Reads of one component land in different ``base_blocks`` blocks; the
+    edge they share carries all of them, and the third read's last two
+    k-mers (seen once in the library: not solid) none."""
+    k = 7
+    seqs = [CONTIG[2:14], CONTIG[2:14], CONTIG[4:16]]
+    solid = counter_from_reads(seqs, k).filtered(2)
+    whole = fasta_to_debruijn([CONTIG], k)
+    quantify_between_neighbours(1, whole, seqs, solid)
+    for block in (1, 12, 13, 24):
+        with block_bases(block):
+            cut = fasta_to_debruijn([CONTIG], k)
+            quant = quantify_between_neighbours(1, cut, seqs, solid)
+            assert len(pack_routed_reads([SeqRecord("r", s) for s in seqs],
+                                         {0: range(3)}, k).block_bases) >= 2
+        assert cut.edge_weights() == whole.edge_weights()
+        assert (quant.n_reads, quant.read_edge_weight) == (3, 16.0)
+    assert whole.edge_weights()[(CONTIG[4:10], CONTIG[5:11])] == 4.0
+
+
+# -- Butterfly ----------------------------------------------------------------
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    weighted_graphs(),
+    weighted_sequences(),
     st.sampled_from([1, 2, 12]),
     st.sampled_from([1, 3, 6, 100_000]),
     st.sampled_from([0.0, 0.3, 1.0]),
-    st.integers(0, 3),
 )
-def test_walk_equals_copying_dfs(graph, max_paths, max_path_nodes, fraction, seed):
-    cfg = ButterflyConfig(
-        max_paths_per_component=max_paths,
-        max_path_nodes=max_path_nodes,
-        min_edge_fraction=fraction,
-        min_transcript_length=1,
-        seed=seed,
-    )
-    got = [(t.name, t.seq) for t in butterfly_component(7, graph, cfg)]
-    in_place = butterfly._dfs
-    butterfly._dfs = ref.dfs
-    try:
-        want = [(t.name, t.seq) for t in butterfly_component(7, graph, cfg)]
-    finally:
-        butterfly._dfs = in_place
-    assert got == want
-    assert len(got) <= max_paths
+def test_walk_equals_copying_dfs(case, max_paths, max_path_nodes, fraction):
+    k, seqs = case
+    graph, oracle = both_graphs(k, seqs)
+    for seed in range(4):
+        cfg = ButterflyConfig(
+            max_paths_per_component=max_paths,
+            max_path_nodes=max_path_nodes,
+            min_edge_fraction=fraction,
+            min_transcript_length=1,
+            seed=seed,
+        )
+        got = transcripts(butterfly_component(7, graph, cfg))
+        assert got == transcripts(ref.butterfly_component(7, oracle, cfg, ref.dfs_in_place))
+        assert got == transcripts(ref.butterfly_component(7, oracle, cfg, ref.dfs))
+        assert len(got) <= max_paths
+
+
+def test_tied_siblings_follow_the_salt():
+    """Three equally supported branches: their order is the salted hash's,
+    not the codes' — some seed must put a later code first — and always
+    the oracle's."""
+    stem = "GATTACAG"
+    arms = [stem + tail for tail in ("AACCGGTA", "CATCATCC", "TGTGAGAG")]
+    graph = weighted_graph(7, *((arm, 2.0) for arm in arms))
+    oracle = ref.DeBruijnGraph(k=7)
+    for arm in arms:
+        oracle.add_sequence(arm, 2.0)
+    firsts = set()
+    for seed in range(12):
+        cfg = ButterflyConfig(seed=seed, max_paths_per_component=1, min_transcript_length=1)
+        got = transcripts(butterfly_component(0, graph, cfg))
+        assert got == transcripts(ref.butterfly_component(0, oracle, cfg))
+        firsts.add(got[0][1])
+    assert len(firsts) > 1
+
+
+def test_floor_counts_on_path_siblings():
+    """The edge closing a cycle is its node's strongest, and leads to a
+    node already on the path; the way out is below ``min_edge_fraction``
+    of it, so the path ends there although the strong sibling cannot be
+    taken."""
+    k = 5
+    loop = "ACGGTCA" + "ACGG"  # ACGG -> ... -> AACG -> ACGG
+    seqs = [("TT" + loop, 10.0), ("CAACGTTTGC", 1.0)]  # weak exit AACG -> ACGT
+    graph, oracle = both_graphs(k, seqs)
+    for fraction, leaves in ((0.05, True), (0.5, False)):
+        cfg = ButterflyConfig(min_edge_fraction=fraction, min_transcript_length=1)
+        got = transcripts(butterfly_component(0, graph, cfg))
+        assert got == transcripts(ref.butterfly_component(0, oracle, cfg))
+        assert any("TTTGC" in seq for _name, seq in got) == leaves
+
+
+def test_sources_count_pruned_edges():
+    """A node whose only in-edge is too weak to walk is still not a source."""
+    k = 5
+    seqs = [("AACCGGTTAC", 10.0), ("CCGGATCGA", 1.0)]  # weak branch CCGG -> CGGA
+    graph, oracle = both_graphs(k, seqs)
+    assert source_strings(graph) == oracle.sources() == ["AACC"]
+    cfg = ButterflyConfig(min_edge_fraction=0.5, min_transcript_length=1)
+    got = transcripts(butterfly_component(0, graph, cfg))
+    assert got == transcripts(ref.butterfly_component(0, oracle, cfg))
+    assert [seq for _name, seq in got] == ["AACCGGTTAC"]
+
+
+def test_no_source_graph_falls_back_to_unitigs():
+    ring = "ACGGTCAT"
+    seqs = [(ring + ring[:4], 1.0), ("GTCAGG" + ring[:4], 1.0)]  # a cycle with a chord
+    graph, oracle = both_graphs(5, seqs)
+    assert graph.sources().size == 0 and oracle.sources() == []
+    cfg = ButterflyConfig(min_transcript_length=1, max_paths_per_component=2)
+    got = transcripts(butterfly_component(0, graph, cfg))
+    assert got == transcripts(ref.butterfly_component(0, oracle, cfg))
+    assert len(got) == 2
+
+
+# -- simplify -----------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_sequences(), st.sampled_from([0, 2, 4]))
+def test_simplify_equals_dict_simplify(case, max_nodes):
+    k, seqs = case
+    got, _insertion_order = both_graphs(k, seqs)
+    want = ref.graph_from_edges(k, got.edge_weights())
+    cfg = SimplifyConfig(max_tip_nodes=max_nodes, max_bubble_nodes=max_nodes)
+    got_stats, want_stats = simplify_graph(got, cfg), ref.simplify_graph(want, cfg)
+    assert got_stats == want_stats
+    assert got.edge_weights() == ref.edge_weights(want)
+    assert np.all(got.codes[1:] > got.codes[:-1]) and got.weights.size == got.codes.size

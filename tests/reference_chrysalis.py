@@ -1,36 +1,342 @@
-"""Scalar QuantifyGraph threading and Butterfly walk: the oracles for
-``repro.trinity.chrysalis.quantify`` and ``repro.trinity.butterfly``.
+"""The string-keyed Chrysalis back end: the oracles for
+``repro.trinity.chrysalis.{debruijn,quantify,simplify}`` and
+``repro.trinity.butterfly``.
 
-This is the code the batched ``quantify_component`` and the in-place
-``_dfs`` replaced, moved here unchanged: the per-read loop with its
-string-set orientation vote (``best_orientation``), the per-window
-``add_sequence_masked`` / ``add_sequence_filtered`` threading, and the
-DFS that copies its path and ``on_path`` set at every node.  Reads are
-handled as strings throughout — nothing here touches ``repro.seq.kmers``
-except the solid lookup the old loop itself made.
+Everything here is code the array kernels replaced, moved unchanged:
 
-Two things the oracle does that the kernel deliberately does not (the
-``N`` rule of DESIGN §5.16): with ``solid=None`` it threads windows
-holding a non-ACGT base into the graph and counts reads shorter than
-``k`` in ``n_reads``; with a solid index it raises on a read holding an
-``N``.  Property tests therefore compare against it on ``N``-free reads
-of at least ``k`` bases and against the rule itself otherwise.
+* the dict-of-dicts :class:`DeBruijnGraph` over (k-1)-mer *strings*, with
+  ``add_sequence`` / ``add_kmers`` / ``unitigs`` and :func:`spell_path`
+  (until PR 22 ``repro.trinity.chrysalis.debruijn``);
+* tip pruning and bubble popping over it (until PR 22
+  ``repro.trinity.chrysalis.simplify``; thresholds still come from the
+  library's ``SimplifyConfig``);
+* the per-read QuantifyGraph loop with its string-set orientation vote
+  (``best_orientation``) and per-window ``add_sequence_masked`` /
+  ``add_sequence_filtered`` threading (until PR 18);
+* two Butterfly walks over the dict graph: :func:`dfs`, which copies its
+  path and ``on_path`` set at every node (until PR 18), and
+  :func:`dfs_in_place`, which extends them in place and sorts siblings
+  at each branch it reaches (until PR 22) — and :func:`butterfly_component`,
+  the enumeration around either.
+
+Reads and contigs are handled as strings throughout — nothing here
+touches ``repro.seq.kmers`` except the solid lookup the old loop itself
+made.
+
+Things the oracle does that the kernels deliberately do not (the ``N``
+rule of DESIGN §5.16, extended to contigs in §5.20): it threads windows
+holding a non-ACGT base into the graph as nodes (contigs always; reads
+with ``solid=None``), counts reads shorter than ``k`` in ``n_reads``
+when unfiltered, raises on a read holding an ``N`` when filtered, keeps
+lower-case bases lower-case, keeps a node whose edges were all removed,
+and visits nodes in dict insertion order where the kernels use code
+order.  Property tests therefore compare against it on upper-case
+``N``-free contigs, on ``N``-free reads of at least ``k`` bases, build
+it in code order (:func:`graph_from_edges`) where a pass's visiting
+order can matter, and check the rules themselves otherwise.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Callable, List, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.errors import PipelineError
 from repro.seq.alphabet import reverse_complement
 from repro.seq.kmers import kmer_array, revcomp_codes
-from repro.seq.records import SeqRecord
-from repro.trinity.butterfly import ButterflyConfig
-from repro.trinity.chrysalis.debruijn import DeBruijnGraph
+from repro.seq.records import SeqRecord, Transcript
+from repro.trinity.butterfly import ButterflyConfig, _dedup_contained
 from repro.trinity.chrysalis.quantify import ComponentQuant
+from repro.trinity.chrysalis.simplify import SimplifyConfig, SimplifyStats
+from repro.util.rng import derive_seed
+
+# -- FastaToDebruijn ----------------------------------------------------------
+
+
+@dataclass
+class DeBruijnGraph:
+    """A weighted de Bruijn graph over (k-1)-mer string nodes."""
+
+    k: int
+    edges: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    _in_edges: Dict[str, Set[str]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.k < 2:
+            raise PipelineError(f"de Bruijn k must be >= 2, got {self.k}")
+
+    # -- construction ------------------------------------------------------
+    def add_sequence(self, seq: str, weight: float = 1.0) -> int:
+        """Thread a sequence through the graph; returns #edges touched."""
+        k = self.k
+        if len(seq) < k:
+            return 0
+        touched = 0
+        prev = seq[: k - 1]
+        for i in range(1, len(seq) - k + 2):
+            cur = seq[i : i + k - 1]
+            self._add_edge(prev, cur, weight)
+            prev = cur
+            touched += 1
+        return touched
+
+    def add_kmers(self, kmers: Iterable[str], weights: Iterable[float]) -> None:
+        """Add one weighted edge per k-mer string.
+
+        A k-mer *is* an edge — from its (k-1)-prefix node to its
+        (k-1)-suffix node — so a batch of distinct k-mers with their
+        multiplicities is a whole threading pass (QuantifyGraph counts a
+        component's read k-mers in arrays and lands them here, one dict
+        touch per distinct edge).
+        """
+        for kmer, weight in zip(kmers, weights):
+            self._add_edge(kmer[:-1], kmer[1:], weight)
+
+    def _add_edge(self, u: str, v: str, weight: float) -> None:
+        out = self.edges.setdefault(u, {})
+        out[v] = out.get(v, 0.0) + weight
+        self.edges.setdefault(v, {})
+        self._in_edges.setdefault(v, set()).add(u)
+        self._in_edges.setdefault(u, set())
+
+    # -- queries -----------------------------------------------------------
+    @property
+    def n_nodes(self) -> int:
+        return len(self.edges)
+
+    @property
+    def n_edges(self) -> int:
+        return sum(len(d) for d in self.edges.values())
+
+    def successors(self, node: str) -> Dict[str, float]:
+        return self.edges.get(node, {})
+
+    def predecessors(self, node: str) -> Set[str]:
+        return self._in_edges.get(node, set())
+
+    def sources(self) -> List[str]:
+        """Nodes with no predecessors (path starts), sorted for determinism."""
+        return sorted(n for n in self.edges if not self._in_edges.get(n))
+
+    def out_degree(self, node: str) -> int:
+        return len(self.edges.get(node, {}))
+
+    def in_degree(self, node: str) -> int:
+        return len(self._in_edges.get(node, ()))
+
+    def total_weight(self) -> float:
+        return sum(w for d in self.edges.values() for w in d.values())
+
+    def reweight(self, fn) -> None:
+        """Apply ``fn(u, v, w) -> w'`` to every edge in place."""
+        for u, outs in self.edges.items():
+            for v in list(outs):
+                outs[v] = fn(u, v, outs[v])
+
+    # -- compaction ---------------------------------------------------------
+    def unitigs(self) -> List[str]:
+        """Maximal unbranched paths spelled out as sequences.
+
+        Used by tests and by Butterfly's linear fast path: a component
+        whose graph is one unitig is a single-isoform gene.
+        """
+        visited_edges: Set[Tuple[str, str]] = set()
+        out: List[str] = []
+        starts = [
+            n
+            for n in sorted(self.edges)
+            if self.in_degree(n) != 1 or self.out_degree(n) != 1
+        ]
+        for start in starts:
+            for nxt in sorted(self.successors(start)):
+                if (start, nxt) in visited_edges:
+                    continue
+                path = [start, nxt]
+                visited_edges.add((start, nxt))
+                cur = nxt
+                while self.in_degree(cur) == 1 and self.out_degree(cur) == 1:
+                    follow = next(iter(self.successors(cur)))
+                    if (cur, follow) in visited_edges:
+                        break
+                    visited_edges.add((cur, follow))
+                    path.append(follow)
+                    cur = follow
+                out.append(spell_path(path))
+        return out
+
+
+def spell_path(nodes: Sequence[str]) -> str:
+    """Spell the sequence of a node path (overlap k-2 between nodes)."""
+    if not nodes:
+        return ""
+    seq = [nodes[0]]
+    for node in nodes[1:]:
+        seq.append(node[-1])
+    return "".join(seq)
+
+
+def fasta_to_debruijn(sequences: Iterable[str], k: int) -> DeBruijnGraph:
+    """Build a component graph from its contig sequences (FastaToDebruijn)."""
+    g = DeBruijnGraph(k=k)
+    for seq in sequences:
+        g.add_sequence(seq)
+    return g
+
+
+def graph_from_edges(k: int, edges: Mapping[Tuple[str, str], float]) -> DeBruijnGraph:
+    """The dict graph of ``{(u, v): w}`` (e.g. the array graph's
+    ``edge_weights()``), its nodes and edges inserted in ascending string
+    order — the order the array passes visit them in."""
+    graph = DeBruijnGraph(k=k)
+    for node in sorted({n for edge in edges for n in edge}):
+        graph.edges.setdefault(node, {})
+        graph._in_edges.setdefault(node, set())
+    for (u, v), w in sorted(edges.items()):
+        graph._add_edge(u, v, w)
+    return graph
+
+
+def edge_weights(graph: DeBruijnGraph) -> Dict[Tuple[str, str], float]:
+    """The dict graph as ``{(u, v): w}``: the array graph's decoded view."""
+    return {(u, v): w for u, outs in graph.edges.items() for v, w in outs.items()}
+
+
+# -- simplify ------------------------------------------------------------------
+
+
+def _remove_node(graph: DeBruijnGraph, node: str) -> None:
+    for succ in list(graph.edges.get(node, {})):
+        graph._in_edges[succ].discard(node)
+    for pred in list(graph._in_edges.get(node, ())):
+        graph.edges[pred].pop(node, None)
+    graph.edges.pop(node, None)
+    graph._in_edges.pop(node, None)
+
+
+def _walk_tip(graph: DeBruijnGraph, start: str, max_len: int) -> Optional[List[str]]:
+    """Collect a dead-end chain starting at an out-degree-0 node, walking
+    backwards while the chain stays unbranched; None if too long."""
+    chain = [start]
+    cur = start
+    while len(chain) <= max_len:
+        preds = graph.predecessors(cur)
+        if len(preds) != 1:
+            return chain  # reached the branch point (or an orphan)
+        (pred,) = preds
+        if graph.out_degree(pred) > 1:
+            chain.append(pred)  # branch node marks the tip's attachment
+            return chain[:-1]
+        chain.append(pred)
+        cur = pred
+    return None
+
+
+def prune_tips(
+    graph: DeBruijnGraph, cfg: Optional[SimplifyConfig] = None
+) -> SimplifyStats:
+    """Remove weakly-supported short dead ends, in place."""
+    cfg = cfg or SimplifyConfig()
+    stats = SimplifyStats()
+    max_len = cfg.resolved_tip_len(graph.k)
+    changed = True
+    while changed:
+        changed = False
+        dead_ends = [n for n in list(graph.edges) if graph.out_degree(n) == 0]
+        for node in dead_ends:
+            if node not in graph.edges:
+                continue
+            chain = _walk_tip(graph, node, max_len)
+            if chain is None or len(chain) > max_len:
+                continue
+            # The tip hangs off the predecessor of its last chain node.
+            anchor_preds = graph.predecessors(chain[-1])
+            if not anchor_preds:
+                continue  # isolated chain, not a tip
+            (anchor,) = anchor_preds if len(anchor_preds) == 1 else (None,)
+            if anchor is None:
+                continue
+            tip_w = graph.successors(anchor).get(chain[-1], 0.0)
+            siblings = [w for v, w in graph.successors(anchor).items() if v != chain[-1]]
+            if not siblings or tip_w > cfg.tip_weight_ratio * max(siblings):
+                continue
+            for n in chain:
+                _remove_node(graph, n)
+                stats.nodes_removed += 1
+            stats.tips_removed += 1
+            changed = True
+    return stats
+
+
+def _follow_arm(
+    graph: DeBruijnGraph, first: str, max_len: int
+) -> Optional[Tuple[List[str], str, float]]:
+    """Follow an unbranched arm from ``first``; return (interior nodes,
+    reconvergence node, min edge weight), or None if it branches/ends."""
+    arm = [first]
+    weight = float("inf")
+    cur = first
+    for _ in range(max_len + 1):
+        if graph.out_degree(cur) != 1:
+            return None
+        if len(graph.predecessors(cur)) > 1 and cur != first:
+            return None
+        (nxt,) = graph.successors(cur)
+        weight = min(weight, graph.successors(cur)[nxt])
+        if len(graph.predecessors(nxt)) > 1:
+            return arm, nxt, weight
+        arm.append(nxt)
+        cur = nxt
+    return None
+
+
+def pop_bubbles(
+    graph: DeBruijnGraph, cfg: Optional[SimplifyConfig] = None
+) -> SimplifyStats:
+    """Collapse weak parallel arms that reconverge, in place."""
+    cfg = cfg or SimplifyConfig()
+    stats = SimplifyStats()
+    max_len = cfg.resolved_bubble_len(graph.k)
+    for node in list(graph.edges):
+        if node not in graph.edges or graph.out_degree(node) < 2:
+            continue
+        arms = []
+        for succ, w_in in list(graph.successors(node).items()):
+            followed = _follow_arm(graph, succ, max_len)
+            if followed is not None:
+                interior, join, w_min = followed
+                arms.append((succ, interior, join, min(w_in, w_min)))
+        # Group arms by reconvergence node; pop the weak ones.
+        by_join = {}
+        for arm in arms:
+            by_join.setdefault(arm[2], []).append(arm)
+        for join, group in by_join.items():
+            if len(group) < 2:
+                continue
+            group.sort(key=lambda a: -a[3])
+            strongest = group[0][3]
+            for _succ, interior, _join, w in group[1:]:
+                if w <= cfg.bubble_weight_ratio * strongest:
+                    for n in interior:
+                        _remove_node(graph, n)
+                        stats.nodes_removed += 1
+                    stats.bubbles_popped += 1
+    return stats
+
+
+def simplify_graph(
+    graph: DeBruijnGraph, cfg: Optional[SimplifyConfig] = None
+) -> SimplifyStats:
+    """Tips first (they expose bubbles), then bubbles."""
+    cfg = cfg or SimplifyConfig()
+    stats = prune_tips(graph, cfg)
+    b = pop_bubbles(graph, cfg)
+    stats.bubbles_popped += b.bubbles_popped
+    stats.nodes_removed += b.nodes_removed
+    return stats
+
 
 # -- QuantifyGraph ------------------------------------------------------------
 
@@ -131,6 +437,118 @@ def quantify_component(
 
 
 # -- Butterfly ----------------------------------------------------------------
+
+
+def butterfly_component(
+    component_id: int,
+    graph: DeBruijnGraph,
+    cfg: Optional[ButterflyConfig] = None,
+    walk=None,
+) -> List[Transcript]:
+    """Enumerate transcripts for one component graph (``walk``:
+    :func:`dfs_in_place`, the default, or :func:`dfs`)."""
+    cfg = cfg or ButterflyConfig()
+    walk = walk or dfs_in_place
+    if cfg.simplify:
+        simplify_graph(graph)
+    min_len = cfg.resolved_min_length(graph.k)
+    salt = derive_seed(cfg.seed, "butterfly", component_id)
+    paths: List[Tuple[str, ...]] = []
+    seen_paths: Set[Tuple[str, ...]] = set()
+
+    sources = graph.sources()
+    if not sources:
+        # Fully cyclic graph (rare; repeat-only component): fall back to
+        # unitigs so the component still yields sequence.
+        return _from_unitigs(component_id, graph, cfg)
+
+    for src in sources:
+        walk(graph, src, cfg, salt, paths, seen_paths)
+        if len(paths) >= cfg.max_paths_per_component:
+            break
+
+    seqs = _dedup_contained([spell_path(p) for p in paths])
+    out: List[Transcript] = []
+    for i, seq in enumerate(seqs):
+        if len(seq) < min_len:
+            continue
+        out.append(
+            Transcript(
+                name=f"comp{component_id}_seq{i}",
+                seq=seq,
+                component=component_id,
+            )
+        )
+    return out
+
+
+def dfs_in_place(
+    graph: DeBruijnGraph,
+    src: str,
+    cfg: ButterflyConfig,
+    salt: int,
+    paths: List[Tuple[str, ...]],
+    seen_paths: Set[Tuple[str, ...]],
+) -> None:
+    """Iterative DFS from one source, branch-pruned by read support.
+
+    A stack entry owns its ``path`` list and ``on_path`` set, so the
+    best viable successor extends both in place; only the other siblings
+    at a node with two or more viable successors get copies.  Component
+    graphs are mostly unbranched chains, which makes one path cost
+    O(nodes) instead of the O(nodes^2) of a copy per node.
+    """
+    stack: List[Tuple[List[str], Set[str]]] = [([src], {src})]
+    while stack and len(paths) < cfg.max_paths_per_component:
+        path, on_path = stack.pop()
+        while True:
+            succs = graph.successors(path[-1])
+            # Prune weak branches relative to the strongest sibling, and
+            # successors already on the path (no cycles in one transcript).
+            floor = cfg.min_edge_fraction * max(succs.values(), default=0.0)
+            viable = [
+                (nxt, w)
+                for nxt, w in succs.items()
+                if nxt not in on_path and w >= floor
+            ]
+            if not viable or len(path) >= cfg.max_path_nodes:
+                key = tuple(path)
+                if key not in seen_paths:
+                    seen_paths.add(key)
+                    paths.append(key)
+                break
+            if len(viable) > 1:
+                # Deterministic-but-seeded branch order: strongest support
+                # first, equal support ordered by a salted hash (the
+                # modelled source of output variation between repeated
+                # Trinity runs).
+                viable.sort(
+                    key=lambda nw: (
+                        -nw[1], (zlib.crc32(nw[0].encode()) ^ salt) & 0xFFFFFFFF, nw[0]
+                    )
+                )
+                # Depth-first: the best branch is walked next (in place,
+                # below); the rest wait beneath it, next-best on top.
+                for nxt, _w in reversed(viable[1:]):
+                    stack.append(([*path, nxt], {*on_path, nxt}))
+            best = viable[0][0]
+            path.append(best)
+            on_path.add(best)
+
+
+def _from_unitigs(
+    component_id: int, graph: DeBruijnGraph, cfg: ButterflyConfig
+) -> List[Transcript]:
+    min_len = cfg.resolved_min_length(graph.k)
+    out = []
+    for i, seq in enumerate(graph.unitigs()):
+        if len(seq) >= min_len:
+            out.append(
+                Transcript(name=f"comp{component_id}_seq{i}", seq=seq, component=component_id)
+            )
+        if len(out) >= cfg.max_paths_per_component:
+            break
+    return out
 
 
 def dfs(

@@ -190,44 +190,51 @@ class TestChrysalisFrontSurface:
 
 class TestChrysalisBackendSurface:
     def test_kernel_signatures_and_no_scalar_path(self):
-        """One batched threading kernel, one walk, the signatures the fused
-        stage and the serial pipeline call — and no field, mode parameter
-        or per-read entry point beside them (the scalar code is the oracle
-        in ``tests/reference_chrysalis.py``)."""
+        """One pack, one threading kernel, one walk, the signatures the fused
+        stage and the serial pipeline call — and no field, mode parameter,
+        string-keyed graph or per-read entry point beside them (the dict
+        graph and the scalar code are the oracle in
+        ``tests/reference_chrysalis.py``)."""
         from dataclasses import fields
         from inspect import signature
 
         from repro.parallel import ChrysalisBackendStageConfig
         from repro.parallel.mpi_chrysalis_backend import estimated_component_cost
         from repro.trinity import butterfly, chrysalis
-        from repro.trinity.chrysalis import debruijn, orient, quantify
+        from repro.trinity.chrysalis import debruijn, orient, quantify, simplify
 
         def params(fn):
             return list(signature(fn).parameters)
 
-        assert params(quantify.quantify_component) == [
-            "component", "graph", "reads", "read_indices", "solid",
-        ]
+        assert params(quantify.pack_routed_reads) == ["reads", "routed", "k", "solid"]
+        assert params(quantify.quantify_component) == ["component", "graph", "pack"]
         assert params(quantify.quantify_graph) == [
             "graphs", "reads", "assignments", "kmer_counts", "min_kmer_count",
         ]
-        assert params(orient.node_codes) == ["nodes", "k"]
-        assert params(orient.reverse_votes) == ["seqs", "nodes", "k"]
-        assert params(debruijn.DeBruijnGraph.add_kmers) == ["self", "kmers", "weights"]
+        assert params(orient.reverse_votes) == ["windows", "seq_ids", "n_seqs", "nodes", "k"]
+        assert [f.name for f in fields(debruijn.DeBruijnGraph)] == ["k", "codes", "weights"]
+        assert params(debruijn.DeBruijnGraph.add_kmers) == ["self", "codes", "weights"]
+        assert params(debruijn.fasta_to_debruijn) == ["sequences", "k"]
+        assert params(debruijn.spell_path) == ["nodes", "k"]
         assert params(butterfly.butterfly_component) == ["component_id", "graph", "cfg"]
         assert params(butterfly.butterfly_assemble) == ["graphs", "cfg"]
+        assert params(butterfly._walk_rows) == ["graph", "cfg", "salt"]
         assert params(butterfly._dfs) == [
-            "graph", "src", "cfg", "salt", "paths", "seen_paths",
+            "step", "branches", "src", "cfg", "paths", "seen_paths",
         ]
+        assert params(simplify.simplify_graph) == ["graph", "cfg"]
         assert params(estimated_component_cost) == [
             "component", "contigs", "k", "max_paths", "n_reads",
         ]
-        for name in ("quantify_component", "quantify_graph", "node_codes", "reverse_votes"):
-            assert name in chrysalis.__all__
-        for gone in ("best_orientation", "add_sequence_masked", "add_sequence_filtered"):
-            assert not hasattr(orient, gone)
-            assert not hasattr(debruijn.DeBruijnGraph, gone)
-            assert gone not in chrysalis.__all__
+        gone = (
+            "best_orientation", "add_sequence_masked", "add_sequence_filtered",
+            "add_sequence", "node_codes", "successors", "predecessors", "reweight",
+        )
+        for name in gone:
+            assert not hasattr(orient, name)
+            assert not hasattr(debruijn.DeBruijnGraph, name)
+            assert name not in chrysalis.__all__
+        assert not hasattr(quantify, "_BLOCK_READS")
         assert {f.name for f in fields(butterfly.ButterflyConfig)} == {
             "max_paths_per_component", "min_transcript_length", "min_edge_fraction",
             "max_path_nodes", "seed", "simplify",
@@ -236,6 +243,41 @@ class TestChrysalisBackendSurface:
             "k", "weld_k", "min_kmer_count", "butterfly", "nthreads", "strategy",
             "chunk_size", "workdir",
         }
+
+    def test_package_exports_and_config_fields_pinned(self):
+        """``repro.trinity.chrysalis.__all__`` after the array graph, and the
+        four config dataclasses it could have leaked a knob into: none
+        gained a field."""
+        from dataclasses import fields
+
+        from repro.parallel import ChrysalisBackendStageConfig, ParallelTrinityConfig
+        from repro.trinity import TrinityConfig, chrysalis
+        from repro.trinity.butterfly import ButterflyConfig
+
+        assert sorted(chrysalis.__all__) == sorted([
+            "UnionFind", "Component", "build_components",
+            "GraphFromFastaConfig", "WeldCandidate", "graph_from_fasta",
+            "harvest_welds_for_contig", "find_weld_pairs_for_contig",
+            "build_weld_index", "build_weldmer_index", "shared_seed_array",
+            "weld_index_keys", "canonical_weldmer",
+            "DeBruijnGraph", "fasta_to_debruijn", "spell_path",
+            "orient_component", "reverse_votes",
+            "ReadsToTranscriptsConfig", "ReadAssignment", "reads_to_transcripts",
+            "build_kmer_map",
+            "quantify_graph", "quantify_component", "pack_routed_reads", "ReadPack",
+            "reads_by_component", "solid_index", "ComponentQuant",
+        ])
+        assert len(fields(ChrysalisBackendStageConfig)) == 8
+        assert len(fields(ButterflyConfig)) == 6
+        assert [f.name for f in fields(TrinityConfig)] == [
+            "k", "min_kmer_count", "seed", "max_mem_reads", "use_bowtie_scaffolds",
+            "min_weld_read_support", "butterfly_max_paths", "use_pair_reconciliation",
+            "strand_specific", "inchworm_threads",
+        ]
+        assert [f.name for f in fields(ParallelTrinityConfig)] == [
+            "trinity", "nprocs", "nthreads", "network", "faults", "recovery",
+            "butterfly_strategy",
+        ]
 
 
 class TestErrorHierarchy:

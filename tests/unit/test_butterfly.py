@@ -10,6 +10,8 @@ from repro.trinity.butterfly import (
     butterfly_component,
 )
 from repro.trinity.chrysalis.debruijn import DeBruijnGraph, fasta_to_debruijn
+from tests import reference_chrysalis as ref
+from tests.graph_view import reweight, thread
 
 SRC = "ATCGGATTACAGTCCGGTTAACGAGCTTGGCATGCAT"
 
@@ -41,8 +43,8 @@ class TestIsoforms:
         iso1 = prefix + mid + suffix
         iso2 = prefix + suffix
         g = DeBruijnGraph(k=7)
-        g.add_sequence(iso1, weight=5)
-        g.add_sequence(iso2, weight=5)
+        thread(g, iso1, weight=5)
+        thread(g, iso2, weight=5)
         return g, iso1, iso2
 
     def test_both_isoforms_enumerated(self):
@@ -55,10 +57,12 @@ class TestIsoforms:
     def test_weak_branch_pruned(self):
         g, iso1, iso2 = self._two_isoform_graph()
         # Make the skip path's support negligible.
-        g.reweight(lambda u, v, w: 0.1 if v == iso2[len("ATCGGATTACAG")- 6 : len("ATCGGATTACAG")] else w)
+        skip = iso2[len("ATCGGATTACAG") - 5 : len("ATCGGATTACAG") + 1]  # first node off iso1
+        reweight(g, lambda u, v, w: 0.1 if v == skip else w)
         out = butterfly_component(0, g, ButterflyConfig(min_edge_fraction=0.3))
         seqs = {t.seq for t in out}
         assert iso1 in seqs
+        assert iso2 not in seqs
 
     def test_max_paths_cap(self):
         g, _i1, _i2 = self._two_isoform_graph()
@@ -69,10 +73,15 @@ class TestIsoforms:
 class TestCyclicFallback:
     def test_cyclic_graph_yields_unitigs(self):
         g = DeBruijnGraph(k=4)
-        g.add_sequence("ACGTACGTACGT")  # cycle: no sources
-        assert g.sources() == []
-        out = butterfly_component(0, g, ButterflyConfig(min_transcript_length=1))
-        assert isinstance(out, list)
+        thread(g, "ACGTACGTACGT")  # cycle: no sources
+        assert g.sources().size == 0
+        cfg = ButterflyConfig(min_transcript_length=1)
+        out = butterfly_component(0, g, cfg)
+        want = ref.DeBruijnGraph(k=4)
+        want.add_sequence("ACGTACGTACGT")
+        assert [(t.name, t.seq) for t in out] == [
+            (t.name, t.seq) for t in ref.butterfly_component(0, want, cfg)
+        ]
 
 
 class TestDedup:
@@ -157,8 +166,8 @@ class TestAssemble:
     def test_seed_perturbs_branch_order_not_validity(self):
         prefix, mid, suffix = "ATCGGATTACAG", "TCCGGTTAACGA", "GCTTGGCATGCA"
         g = DeBruijnGraph(k=7)
-        g.add_sequence(prefix + mid + suffix, weight=5)
-        g.add_sequence(prefix + suffix, weight=5)
+        thread(g, prefix + mid + suffix, weight=5)
+        thread(g, prefix + suffix, weight=5)
         a = butterfly_component(0, g, ButterflyConfig(seed=1))
         b = butterfly_component(0, g, ButterflyConfig(seed=2))
         assert {t.seq for t in a} == {t.seq for t in b}  # same full set here

@@ -185,6 +185,33 @@ class TestSharedCellRelease:
             assert isinstance(failure.exc.__cause__, (ValueError, type(None)))
 
 
+    @pytest.mark.timeout(60)
+    def test_backend_serial_setup_failure_surfaces_as_primary(self, monkeypatch):
+        """The same inside the back end's serial ``chrysalis:deal`` entry:
+        the owner of ``chrysalis:route`` fails building the routing table;
+        its peers wait on that cell (or on a later one) inside the region
+        and are released as secondaries."""
+        import importlib
+
+        stage = importlib.import_module("repro.parallel.mpi_chrysalis_backend")
+
+        def corrupt(assignments):
+            raise ValueError("corrupt routing table")
+
+        monkeypatch.setattr(stage, "reads_by_component", corrupt)
+        inputs = stage.contig_only_inputs(["ACGTTGCAAGGCTTAACCGGATCCATGCAAGT"] * 4)
+        config = stage.ChrysalisBackendStageConfig(k=7, weld_k=6, nthreads=2)
+        t0 = time.monotonic()
+        with pytest.raises(MpiAbortError) as ei:
+            mpirun(stage.mpi_chrysalis_backend, 4, inputs, config)
+        assert time.monotonic() - t0 < 30
+        assert isinstance(ei.value.__cause__, ValueError)
+        assert len(ei.value.secondaries) == 3
+        for failure in ei.value.secondaries:
+            assert failure.rank != ei.value.rank
+            assert isinstance(failure.exc, CommAbandonedError)
+
+
 class TestSplitRelease:
     @pytest.mark.timeout(60)
     def test_peer_blocked_in_sub_communicator_is_released(self):

@@ -1,17 +1,29 @@
 """Unit tests for component strand orientation."""
 
-import pytest
+import numpy as np
 
-from repro.errors import PipelineError
 from repro.seq.alphabet import reverse_complement
-from repro.seq.kmers import encode_kmer
+from repro.seq.kmers import encode_kmer, kmer_windows_batch
+from repro.trinity.chrysalis.debruijn import fasta_to_debruijn
 from repro.trinity.chrysalis.orient import (
     directed_kmer_set,
-    node_codes,
     orient_component,
     reverse_votes,
 )
 from tests.reference_chrysalis import best_orientation
+
+
+def node_codes(nodes, k):
+    """Sorted codes of (k-1)-mer node strings: what ``DeBruijnGraph.nodes()``
+    hands the vote."""
+    return np.array(sorted(encode_kmer(n) for n in nodes), dtype=np.uint64)
+
+
+def votes(seqs, nodes, k):
+    """``reverse_votes`` of whole sequences: their clean (k-1)-mer windows,
+    as the read pack holds them."""
+    windows, seq_ids, _starts = kmer_windows_batch(seqs, k - 1)
+    return reverse_votes(windows, seq_ids, len(seqs), nodes, k)
 
 SRC = "ATCGGATTACAGTCCGGTTAACGAGCTTGGCATGCAT"
 
@@ -59,43 +71,46 @@ class TestBestOrientation:
     def test_forward_read(self):
         nodes = {SRC[i : i + 7] for i in range(len(SRC) - 6)}
         read = SRC[5:25]
-        assert reverse_votes([read], node_codes(nodes, 8), 8).tolist() == [False]
+        assert votes([read], node_codes(nodes, 8), 8).tolist() == [False]
         assert best_orientation(read, nodes, 8) == read
 
     def test_reverse_read_flipped(self):
         nodes = {SRC[i : i + 7] for i in range(len(SRC) - 6)}
         read = reverse_complement(SRC[5:25])
-        assert reverse_votes([read, SRC[5:25]], node_codes(nodes, 8), 8).tolist() == [True, False]
+        assert votes([read, SRC[5:25]], node_codes(nodes, 8), 8).tolist() == [True, False]
         assert best_orientation(read, nodes, 8) == SRC[5:25]
 
     def test_tie_keeps_forward(self):
         read = "ACGTACGT"
-        assert reverse_votes([read], node_codes(set(), 4), 4).tolist() == [False]
+        assert votes([read], node_codes(set(), 4), 4).tolist() == [False]
         assert best_orientation(read, set(), 4) == read
         # A palindrome hits the same nodes on both strands: an exact tie.
         nodes = {read[i : i + 3] for i in range(len(read) - 2)}
-        assert reverse_votes([read], node_codes(nodes, 4), 4).tolist() == [False]
+        assert votes([read], node_codes(nodes, 4), 4).tolist() == [False]
 
     def test_repeated_node_votes_once(self):
         # Forward: one node ("AAA") seen five times; reverse: two distinct
         # nodes seen once each.  Distinct counts decide, so reverse wins.
         read = "AAAAAAAGG"
         nodes = {"AAA", "CCT", "CTT"}
-        assert reverse_votes([read], node_codes(nodes, 4), 4).tolist() == [True]
+        assert votes([read], node_codes(nodes, 4), 4).tolist() == [True]
         assert best_orientation(read, nodes, 4) == reverse_complement(read)
 
 
 class TestNodeCodes:
     def test_sorted_codes_one_per_clean_node(self):
-        nodes = ["TTT", "ACG", "ANG", "CCA"]
-        assert node_codes(nodes, 4).tolist() == sorted(
-            encode_kmer(n) for n in nodes if "N" not in n
-        )
-        assert node_codes([], 4).size == 0
+        # The graph's node codes: sorted, one per distinct (k-1)-mer an
+        # edge names; a contig window holding ``N`` names none.
+        graph = fasta_to_debruijn(["TTTACG", "CCANGTTT", "ACGT"], 4)
+        clean = {"TTT", "TTA", "TAC", "ACG", "CGT", "GTT"}
+        assert graph.nodes().tolist() == sorted(encode_kmer(n) for n in clean)
+        assert graph.nodes().tolist() == graph.rows()[0].tolist()
+        assert fasta_to_debruijn([], 4).nodes().size == 0
 
-    def test_rejects_nodes_of_another_length(self):
-        with pytest.raises(PipelineError, match="3-mers"):
-            node_codes(["ACG", "ACGT"], 4)
+    def test_votes_ignore_windows_off_the_graph(self):
+        nodes = node_codes({"ACG", "CGT"}, 4)
+        assert votes(["ACGT", "TTTT", "", "ACNGT"], nodes, 4).tolist() == [False] * 4
+        assert votes(["ACGT"], node_codes(set(), 4), 4).tolist() == [False]
 
 
 class TestDirectedKmerSet:

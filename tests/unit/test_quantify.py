@@ -1,10 +1,12 @@
 """Unit tests for QuantifyGraph."""
 
+import numpy as np
 import pytest
 
 from repro.seq.alphabet import reverse_complement
+from repro.seq.kmers import encode_kmer
 from repro.seq.records import SeqRecord
-from repro.trinity.chrysalis.debruijn import DeBruijnGraph, fasta_to_debruijn
+from repro.trinity.chrysalis.debruijn import fasta_to_debruijn
 from repro.trinity.chrysalis.quantify import quantify_graph
 from repro.trinity.chrysalis.reads_to_transcripts import ReadAssignment
 from repro.trinity.jellyfish import jellyfish_count
@@ -86,7 +88,10 @@ def _expected_edges(seqs, k):
         clean = [
             seq[i : i + k] for i in range(len(seq) - k + 1) if "N" not in seq[i : i + k]
         ]
-        g.add_kmers(clean, [1.0] * len(clean))
+        g.add_kmers(
+            np.array([encode_kmer(kmer) for kmer in clean], dtype=np.uint64),
+            np.ones(len(clean)),
+        )
         n_reads += bool(clean)
         weight += len(clean)
     return g, n_reads, weight
@@ -115,11 +120,10 @@ class TestReadsWithN:
             kmer_counts=kmer_counts,
         )
         want, n_reads, weight = _expected_edges([read], K)
-        assert graphs[0].edges == want.edges
-        assert graphs[0]._in_edges == want._in_edges
+        assert graphs[0].edge_weights() == want.edge_weights()
         assert (quants[0].n_reads, quants[0].read_edge_weight) == (n_reads, weight)
         assert n_reads == 1 and weight == 22 - min(K, at + 1, 30 - at)
-        assert not any("N" in node for node in graphs[0].edges)
+        assert not any("N" in u + v for u, v in graphs[0].edge_weights())
 
     def test_reverse_strand_read_with_n(self, kmer_counts):
         read = reverse_complement(_with_n(self.READ, 15))
@@ -129,7 +133,7 @@ class TestReadsWithN:
             kmer_counts=kmer_counts,
         )
         want, _n, _w = _expected_edges([_with_n(self.READ, 15)], K)
-        assert graphs[0].edges == want.edges
+        assert graphs[0].edge_weights() == want.edge_weights()
 
     def test_all_n_and_short_reads_count_nothing(self, kmer_counts):
         reads = [
@@ -139,13 +143,13 @@ class TestReadsWithN:
             SeqRecord("r3", ""),
         ]
         graphs = {0: fasta_to_debruijn([SRC], K)}
-        before = DeBruijnGraph(K, {u: dict(o) for u, o in graphs[0].edges.items()})
+        before = graphs[0].edge_weights()
         quants = quantify_graph(
             graphs, reads, [make_assignment(i, 0) for i in range(len(reads))],
             kmer_counts=kmer_counts,
         )
         assert (quants[0].n_reads, quants[0].read_edge_weight) == (0, 0.0)
-        assert graphs[0].edges == before.edges
+        assert graphs[0].edge_weights() == before
 
     def test_n_read_beside_clean_reads(self, kmer_counts):
         reads = [
@@ -161,5 +165,5 @@ class TestReadsWithN:
         want, n_reads, weight = _expected_edges(
             [self.READ, _with_n(self.READ, 15), self.READ], K
         )
-        assert graphs[0].edges == want.edges
+        assert graphs[0].edge_weights() == want.edge_weights()
         assert (quants[0].n_reads, quants[0].read_edge_weight) == (n_reads, weight)

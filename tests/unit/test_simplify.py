@@ -9,6 +9,7 @@ from repro.trinity.chrysalis.simplify import (
     prune_tips,
     simplify_graph,
 )
+from tests.graph_view import thread
 
 K = 7
 BACKBONE = "ATCGGATTACAGTCCGGTTAACGAGCTTGG"
@@ -17,10 +18,10 @@ BACKBONE = "ATCGGATTACAGTCCGGTTAACGAGCTTGG"
 def graph_with_tip():
     """Strong backbone + weak short dead-end branching off mid-way."""
     g = DeBruijnGraph(k=K)
-    g.add_sequence(BACKBONE, weight=10)
+    thread(g, BACKBONE, weight=10)
     branch_at = 12
     tip_seq = BACKBONE[branch_at - (K - 1) : branch_at] + "TTTT"  # diverges, dies
-    g.add_sequence(tip_seq, weight=1)
+    thread(g, tip_seq, weight=1)
     return g
 
 
@@ -31,8 +32,8 @@ def graph_with_bubble():
     strong = prefix + "ACCTGA" + suffix
     weak = prefix + "ACGTGA" + suffix  # one-base difference mid-arm
     g = DeBruijnGraph(k=K)
-    g.add_sequence(strong, weight=10)
-    g.add_sequence(weak, weight=1)
+    thread(g, strong, weight=10)
+    thread(g, weak, weight=1)
     return g
 
 
@@ -48,19 +49,19 @@ class TestPruneTips:
 
     def test_strong_tip_kept(self):
         g = DeBruijnGraph(k=K)
-        g.add_sequence(BACKBONE, weight=1)
+        thread(g, BACKBONE, weight=1)
         branch_at = 12
         tip_seq = BACKBONE[branch_at - (K - 1) : branch_at] + "TTTT"
-        g.add_sequence(tip_seq, weight=5)  # stronger than the backbone
+        thread(g, tip_seq, weight=5)  # stronger than the backbone
         stats = prune_tips(g)
         assert stats.tips_removed == 0
 
     def test_long_dead_end_kept(self):
         # A long alternative ending is a real isoform end, not a tip.
         g = DeBruijnGraph(k=K)
-        g.add_sequence(BACKBONE, weight=10)
+        thread(g, BACKBONE, weight=10)
         long_alt = BACKBONE[5 : 5 + (K - 1)] + "TTGACCGTAGGCTAACCGTTAGGCCTATG"
-        g.add_sequence(long_alt, weight=1)
+        thread(g, long_alt, weight=1)
         stats = prune_tips(g)
         assert stats.tips_removed == 0
 
@@ -91,8 +92,8 @@ class TestPopBubbles:
         prefix = BACKBONE[:12]
         suffix = BACKBONE[18:]
         g = DeBruijnGraph(k=K)
-        g.add_sequence(prefix + "ACCTGA" + suffix, weight=5)
-        g.add_sequence(prefix + "ACGTGA" + suffix, weight=5)  # genuine isoforms
+        thread(g, prefix + "ACCTGA" + suffix, weight=5)
+        thread(g, prefix + "ACGTGA" + suffix, weight=5)  # genuine isoforms
         stats = pop_bubbles(g)
         assert stats.bubbles_popped == 0
 
@@ -106,7 +107,7 @@ class TestSimplify:
         g = graph_with_tip()
         prefix = BACKBONE[:12]
         suffix = BACKBONE[18:]
-        g.add_sequence(prefix + "ACGTGA" + suffix, weight=1)
+        thread(g, prefix + "ACGTGA" + suffix, weight=1)
         stats = simplify_graph(g)
         assert stats.nodes_removed > 0
 

@@ -142,7 +142,7 @@ def test_bench_quantify_component(benchmark, giant_component):
     faster than it with the pack included (measured 6-12x: 0.094-0.17 s
     -> 0.012-0.015 s; PR 18's batched kernel on the dict graph, graph
     build not included, 0.016-0.018 s)."""
-    from benchmarks.inchworm_bench_runner import _best_of
+    from benchmarks.conftest import _best_of
 
     tcfg, cid, oriented, reads, read_indices, solid = giant_component
 
@@ -166,7 +166,7 @@ def test_bench_butterfly_walk(benchmark, giant_component):
     the transcripts must be the string-keyed walk's on the dict graph, at
     least 2x faster than it (measured 3.2-3.8x: 0.011-0.017 s ->
     0.0034-0.0045 s)."""
-    from benchmarks.inchworm_bench_runner import _best_of
+    from benchmarks.conftest import _best_of
 
     tcfg, cid, oriented, reads, read_indices, solid = giant_component
     graph = fasta_to_debruijn(oriented, tcfg.k)
@@ -189,7 +189,7 @@ def test_bench_backend_chain_is_linear(benchmark):
     reads must cost <= 6x (log-log slope <= 1.3; measured 3.6-4.1x), so a
     per-read loop, a per-component re-encode or a graph that grows
     quadratically comes back here and not at the next re-anchor."""
-    from benchmarks.inchworm_bench_runner import _best_of
+    from benchmarks.conftest import _best_of
     from benchmarks.pipeline.spec import LIBRARY_SEED, WHITEFLY
 
     tcfg = TrinityConfig(seed=1)
@@ -268,7 +268,7 @@ def test_bench_weldmer_scan(benchmark):
     library costs <= 6x (log-log slope <= 1.3; measured 4.5x, slope 1.08),
     so a kernel whose working set leaves the cache, or a per-read loop
     coming back, fails here and not at the next re-anchor."""
-    from benchmarks.inchworm_bench_runner import _best_of
+    from benchmarks.conftest import _best_of
     from benchmarks.pipeline.spec import LIBRARY_SEED, SUGARBEET
 
     cfg = GraphFromFastaConfig(k=24)

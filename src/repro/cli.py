@@ -14,7 +14,6 @@ stats        assembly statistics (N50 etc.) of a FASTA
 profile      trace one MPI stage: critical path, Gantt, Chrome export
 faults       sweep injected crash/straggler/flaky-IO rates vs makespan
 experiments  regenerate paper figures (same as python -m repro.experiments)
-bench        append a wall-clock entry to a BENCH_*.json history (gff, rtt, inchworm, inchworm-mpi, butterfly, jellyfish, chrysalis)
 
 Run ``python -m repro <subcommand> --help`` for options.
 """
@@ -186,16 +185,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.registry import run_bench
-
-    try:
-        return run_bench(args.bench_id, args.bench_args)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import ReportOptions, write_report
 
@@ -289,18 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="io_rates", help="flaky-I/O failure probabilities to sweep",
     )
     p.set_defaults(fn=_cmd_faults)
-
-    p = sub.add_parser(
-        "bench",
-        help="run a wall-clock bench runner (appends to its BENCH_*.json)",
-    )
-    p.add_argument("bench_id", help="bench id, e.g. gff, rtt or inchworm")
-    p.add_argument(
-        "bench_args",
-        nargs=argparse.REMAINDER,
-        help="options passed through to the runner (e.g. --label x --nprocs 1 8)",
-    )
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("experiments", help="regenerate paper figures")
     p.add_argument("ids", nargs="*")

@@ -81,10 +81,6 @@ class ScheduleError(ReproError):
     """Invalid scheduling parameters (chunk size, rank counts, ...)."""
 
 
-class CalibrationError(ReproError):
-    """Cost-model calibration is missing or inconsistent."""
-
-
 class ValidationError(ReproError):
     """Validation harness was given incomparable inputs."""
 

@@ -27,16 +27,6 @@ class ChunksizeAblationResult:
     loop2_192_s: List[float]
     imbalance_192: List[float]
 
-    @property
-    def regression_regime(self) -> List[int]:
-        """chunk counts where loop 2 gets *slower* going 128 -> 192 nodes
-        (the paper's Figure 7 behaviour)."""
-        return [
-            c
-            for c, t128, t192 in zip(self.chunks_totals, self.loop2_128_s, self.loop2_192_s)
-            if t192 > t128
-        ]
-
     def render(self) -> str:
         rows = [
             [c, f"{t128:.0f}", f"{t192:.0f}", f"{imb:.2f}", "YES" if t192 > t128 else "no"]

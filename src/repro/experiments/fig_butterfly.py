@@ -9,7 +9,7 @@ model:
 
 * **Analytic sweep** — a heavy-tailed per-component cost distribution
   (the abundance skew of real transcriptomes) replayed through
-  :func:`repro.parallel.scaling.simulate_butterfly_point` at paper-scale
+  :func:`repro.parallel.scaling.simulate_component_stage` at paper-scale
   node counts, for both deal strategies.  Each rank enumerates its
   components serially (``nthreads=1``), so the deal *is* the makespan.
 * **Real execution check** — the actual simulated-MPI stage on a
@@ -31,7 +31,7 @@ from repro.parallel.mpi_chrysalis_backend import (
     contig_only_inputs,
     mpi_chrysalis_backend,
 )
-from repro.parallel.scaling import ButterflyScalingPoint, simulate_butterfly_point
+from repro.parallel.scaling import ComponentStagePoint, simulate_component_stage
 from repro.trinity.butterfly import ButterflyConfig, butterfly_assemble
 from repro.trinity.chrysalis.debruijn import fasta_to_debruijn
 from repro.util.fmt import format_table
@@ -74,7 +74,7 @@ def skewed_contigs(
 class FigButterflyResult:
     """Analytic strategy sweep plus the real-execution identity check."""
 
-    rows: List[Tuple[int, ButterflyScalingPoint, ButterflyScalingPoint]]
+    rows: List[Tuple[int, ComponentStagePoint, ComponentStagePoint]]
     real_static_makespan: float
     real_dynamic_makespan: float
     outputs_identical: bool
@@ -120,8 +120,8 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigButterflyResult
     rows = [
         (
             n,
-            simulate_butterfly_point(n, costs, nthreads=1, strategy="round_robin"),
-            simulate_butterfly_point(n, costs, nthreads=1, strategy="dynamic"),
+            simulate_component_stage(n, costs, nthreads=1, strategy="round_robin"),
+            simulate_component_stage(n, costs, nthreads=1, strategy="dynamic"),
         )
         for n in nodes
     ]

@@ -11,8 +11,8 @@ fusing the whole back-end chain into one component-parallel stage
 
 * **Analytic sweep** — heavy-tailed per-component build/quantify/walk
   cost distributions (the same abundance skew as the Butterfly sweep)
-  replayed through
-  :func:`repro.parallel.scaling.simulate_chrysalis_backend_point` at
+  replayed, as each component's fused build + quantify + walk sum,
+  through :func:`repro.parallel.scaling.simulate_component_stage` at
   paper-scale node counts, against
   :func:`repro.parallel.scaling.chrysalis_prefusion_total_s` — the
   serial-middle + graph-allgather + distributed-walk baseline.
@@ -36,9 +36,9 @@ from repro.parallel.mpi_chrysalis_backend import (
     mpi_chrysalis_backend,
 )
 from repro.parallel.scaling import (
-    ChrysalisBackendScalingPoint,
+    ComponentStagePoint,
     chrysalis_prefusion_total_s,
-    simulate_chrysalis_backend_point,
+    simulate_component_stage,
 )
 from repro.util.fmt import format_table
 from repro.util.rng import spawn_rng
@@ -72,7 +72,10 @@ def sample_phase_costs(
 class FigChrysalisResult:
     """Analytic fusion sweep plus the real-execution identity check."""
 
-    rows: List[Tuple[int, float, ChrysalisBackendScalingPoint]]
+    rows: List[Tuple[int, float, ComponentStagePoint]]
+    #: QuantifyGraph's share of the summed fused cost: the slowest rank's
+    #: loop splits build / quantify / walk in the global proportions.
+    quantify_share: float
     real_fused_makespan: float
     real_serial_middle_s: float
     outputs_identical: bool
@@ -89,7 +92,7 @@ class FigChrysalisResult:
                 n,
                 f"{prefusion:.1f}",
                 f"{fused.total_s:.1f}",
-                f"{fused.quantify_s:.1f}",
+                f"{fused.loop_max * self.quantify_share:.1f}",
                 f"{fused.gather_s:.3f}",
                 f"{prefusion / fused.total_s:.2f}",
             ]
@@ -126,6 +129,7 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigChrysalisResult
     from repro.trinity.jellyfish import jellyfish_count
 
     build, quantify, walk = sample_phase_costs(seed=seed)
+    fused_costs = build + quantify + walk
     rows = [
         (
             n,
@@ -133,9 +137,9 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigChrysalisResult
                 n, build, quantify, walk, nthreads=1, strategy="dynamic",
                 graph_bytes=GRAPH_BYTES,
             ),
-            simulate_chrysalis_backend_point(
-                n, build, quantify, walk, nthreads=1, strategy="dynamic",
-                transcript_bytes=TRANSCRIPT_BYTES,
+            simulate_component_stage(
+                n, fused_costs, nthreads=1, strategy="dynamic",
+                gather_bytes=TRANSCRIPT_BYTES,
             ),
         )
         for n in nodes
@@ -184,6 +188,7 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigChrysalisResult
     )
     return FigChrysalisResult(
         rows=rows,
+        quantify_share=float(quantify.sum() / fused_costs.sum()),
         real_fused_makespan=fused_run.makespan,
         real_serial_middle_s=serial_middle_s,
         outputs_identical=identical,

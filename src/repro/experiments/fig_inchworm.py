@@ -33,14 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.cluster.costmodel import CALIBRATION
 from repro.mpi.launcher import mpirun
 from repro.obs import critical_path, verify_attribution
 from repro.parallel.driver import ParallelTrinityConfig, run_chain
-from repro.parallel.scaling import (
-    InchwormScalingPoint,
-    inchworm_serial_baseline_s,
-    simulate_inchworm_point,
-)
+from repro.parallel.scaling import ComponentStagePoint, simulate_inchworm_point
 from repro.simdata import get_recipe
 from repro.simdata.reads import flatten_reads
 from repro.trinity import TrinityConfig
@@ -64,7 +61,7 @@ SWEEP_NTHREADS = 16
 class FigInchwormResult:
     """Analytic strategy sweep, identity check, pipeline serial fraction."""
 
-    rows: List[Tuple[int, InchwormScalingPoint, InchwormScalingPoint]]
+    rows: List[Tuple[int, ComponentStagePoint, ComponentStagePoint]]
     serial_baseline_s: float
     n_components: int
     real_serial_makespan: float
@@ -219,7 +216,7 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigInchwormResult:
     pipeline_stages = _pipeline_stage_reports(seed=1, nprocs=REAL_NPROCS)
     return FigInchwormResult(
         rows=rows,
-        serial_baseline_s=inchworm_serial_baseline_s(),
+        serial_baseline_s=CALIBRATION.inchworm_serial_s,  # paper Fig 2: ~5 h
         n_components=int(runs["dynamic"].outputs[0].n_components),
         real_serial_makespan=serial_run.makespan,
         real_static_makespan=runs["round_robin"].makespan,

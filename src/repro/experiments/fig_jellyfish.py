@@ -28,17 +28,14 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.cluster.costmodel import CALIBRATION
 from repro.mpi.launcher import mpirun
 from repro.parallel.mpi_jellyfish import (
     JellyfishInputs,
     JellyfishStageConfig,
     mpi_jellyfish,
 )
-from repro.parallel.scaling import (
-    JellyfishScalingPoint,
-    jellyfish_serial_baseline_s,
-    simulate_jellyfish_scaling,
-)
+from repro.parallel.scaling import JellyfishScalingPoint, simulate_jellyfish_point
 from repro.simdata import get_recipe
 from repro.simdata.reads import flatten_reads
 from repro.trinity.jellyfish import JellyfishConfig, jellyfish_count, jellyfish_dump
@@ -103,7 +100,7 @@ class FigJellyfishResult:
 
 
 def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigJellyfishResult:
-    points = simulate_jellyfish_scaling(nodes)
+    points = [simulate_jellyfish_point(n) for n in nodes]
 
     _txome, pairs = get_recipe("whitefly-mini").materialize(seed=seed)
     reads = flatten_reads(pairs)
@@ -137,7 +134,7 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigJellyfishResult
     )
     return FigJellyfishResult(
         points=points,
-        serial_baseline_s=jellyfish_serial_baseline_s(),
+        serial_baseline_s=CALIBRATION.jellyfish_serial_s,  # paper Fig 2: ~2.5 h
         real_serial_makespan=serial_run.makespan,
         real_mpi_makespan=mpi_run.makespan,
         outputs_identical=identical,

@@ -1,19 +1,16 @@
 """Experiment registry: id -> runner, with lazy imports.
 
 ``run_experiment("fig07")`` executes a runner with its defaults and
-returns the result object (every result has ``render()``).
-
-Host wall-clock bench runners (the writers of the checked-in
-``BENCH_*.json`` histories) are registered separately in :data:`BENCHES`
-because they live under ``benchmarks/`` — outside the installed package —
-and take argv-style options rather than kwargs.
+returns the result object (every result has ``render()``).  Measurements
+are not registered here: stage and pipeline timings come from
+``python3 -m benchmarks.pipeline`` (run from a checkout).
 """
 
 from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict
 
 
 @dataclass(frozen=True)
@@ -73,54 +70,3 @@ def get_experiment(exp_id: str) -> Experiment:
 def run_experiment(exp_id: str, **kwargs: Any) -> Any:
     """Run an experiment by id with its default parameters."""
     return get_experiment(exp_id).load()(**kwargs)
-
-
-@dataclass(frozen=True)
-class Bench:
-    """One registered host wall-clock bench runner.
-
-    ``module`` lives under the repo-root ``benchmarks/`` tree, so loading
-    requires running from a checkout (the runners are development tools,
-    not shipped features).
-    """
-
-    id: str
-    title: str
-    module: str
-    runner: str = "run_cli"
-
-    def load(self) -> Callable[[Optional[List[str]]], int]:
-        try:
-            mod = importlib.import_module(self.module)
-        except ImportError as exc:
-            raise KeyError(
-                f"bench {self.id!r} needs {self.module!r} importable; "
-                "run from the repo root (benchmarks/ is not installed)"
-            ) from exc
-        return getattr(mod, self.runner)
-
-
-BENCHES: Dict[str, Bench] = {
-    b.id: b
-    for b in [
-        Bench("gff", "Fig-7 GraphFromFasta wall-clock under mpirun", "benchmarks.fig07_bench_runner"),
-        Bench("rtt", "Fig-9 ReadsToTranscripts wall-clock under mpirun", "benchmarks.fig09_bench_runner"),
-        Bench("inchworm", "Inchworm batched-extension kernel wall-clock", "benchmarks.inchworm_bench_runner"),
-        Bench("butterfly", "Distributed Butterfly deal strategies wall-clock", "benchmarks.butterfly_bench_runner"),
-        Bench("jellyfish", "Distributed Jellyfish k-mer counting wall-clock", "benchmarks.jellyfish_bench_runner"),
-        Bench("chrysalis", "Fused Chrysalis back end wall-clock", "benchmarks.chrysalis_bench_runner"),
-        Bench("inchworm-mpi", "Distributed Inchworm wall-clock under mpirun", "benchmarks.inchworm_mpi_bench_runner"),
-    ]
-}
-
-
-def get_bench(bench_id: str) -> Bench:
-    try:
-        return BENCHES[bench_id]
-    except KeyError:
-        raise KeyError(f"unknown bench {bench_id!r}; known: {sorted(BENCHES)}") from None
-
-
-def run_bench(bench_id: str, argv: Optional[List[str]] = None) -> int:
-    """Run a bench runner's CLI by id, returning its exit status."""
-    return get_bench(bench_id).load()(argv)

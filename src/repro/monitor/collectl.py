@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.obs.span import Span
 
@@ -160,7 +160,6 @@ class ResourceMonitor:
 
     def __init__(self) -> None:
         self.timeline = Timeline()
-        self._t0: Optional[float] = None
 
     def stage(self, name: str, ram_bytes: int = 0) -> "_StageCtx":
         return _StageCtx(self, name, ram_bytes)

@@ -23,9 +23,9 @@ from repro.mpi.faults import (
     RankFaultInjector,
     StragglerFault,
 )
-from repro.mpi.launcher import mpirun, MpiRunResult
+from repro.mpi.launcher import mpirun
 from repro.mpi.datatypes import pack_strings, unpack_strings, nbytes_of
-from repro.mpi.trace import RankTrace, TraceSegment, render_gantt, trace_summary
+from repro.mpi.trace import RankTrace, render_gantt, trace_summary
 from repro.obs.result import StageResult
 from repro.obs.span import Span
 
@@ -43,14 +43,12 @@ __all__ = [
     "FaultyClock",
     "RankFaultInjector",
     "mpirun",
-    "MpiRunResult",
     "StageResult",
     "Span",
     "pack_strings",
     "unpack_strings",
     "nbytes_of",
     "RankTrace",
-    "TraceSegment",
     "render_gantt",
     "trace_summary",
 ]

@@ -8,7 +8,37 @@ simulation, so results are machine-independent and deterministic.
 
 from __future__ import annotations
 
+import time
 from typing import Any, Mapping, Optional
+
+
+class Stopwatch:
+    """Thread-CPU seconds of a ``with`` block — the one measured window.
+
+    The clock-fidelity rule, stated here and nowhere else: rank code that
+    runs *concurrently* with its peers is timed in thread CPU time
+    (``time.thread_time``), because the simulated ranks are threads of
+    one process and wall time would charge each rank its peers' GIL
+    turns; wall clock (``perf_counter``) is used only where the peers
+    are parked — a master-only step ahead of a barrier or broadcast.
+
+    ``seconds`` is read after the block, whether or not it raised.
+    :meth:`repro.mpi.comm.SimComm.compute` charges a window to the rank's
+    clock; a caller that hands the cost on instead (``comm.shared`` to
+    every rank, a stage to ``team.batch``) reads the stopwatch bare.
+    """
+
+    __slots__ = ("seconds", "_t0")
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+
+    def __enter__(self) -> "Stopwatch":
+        self._t0 = time.thread_time()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.seconds = time.thread_time() - self._t0
 
 
 class VirtualClock:

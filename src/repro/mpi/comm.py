@@ -14,13 +14,12 @@ pooled payload.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CommAbandonedError, CommError, TransientIOError
-from repro.mpi.clock import VirtualClock
+from repro.mpi.clock import Stopwatch, VirtualClock
 from repro.mpi.datatypes import nbytes_of
 from repro.mpi.network import NetworkModel
 from repro.obs.span import Span
@@ -100,7 +99,7 @@ class _SharedState:
 class _Region:
     """Context manager behind :meth:`SimComm.region`."""
 
-    __slots__ = ("_comm", "label", "serial", "attrs", "start", "elapsed")
+    __slots__ = ("_comm", "label", "serial", "attrs", "start")
 
     def __init__(self, comm: "SimComm", label: str, serial: bool, attrs: Dict[str, Any]):
         self._comm = comm
@@ -108,7 +107,6 @@ class _Region:
         self.serial = serial
         self.attrs = attrs
         self.start = 0.0
-        self.elapsed = 0.0
 
     def __enter__(self) -> "_Region":
         if self._comm.faults is not None:
@@ -117,10 +115,9 @@ class _Region:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        stop = self._comm.clock.now
-        self.elapsed = stop - self.start
         if exc_type is not None:
             return
+        stop = self._comm.clock.now
         attrs = dict(self.attrs)
         if self.serial:
             attrs["serial"] = True
@@ -134,6 +131,25 @@ class _Region:
                 attrs=attrs or None,
             )
         )
+
+
+class _Compute(Stopwatch):
+    """Context manager behind :meth:`SimComm.compute`."""
+
+    __slots__ = ("_comm", "label", "attrs")
+
+    def __init__(self, comm: "SimComm", label: str, attrs: Dict[str, Any]):
+        super().__init__()
+        self._comm = comm
+        self.label = label
+        self.attrs = attrs
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        super().__exit__(exc_type, exc, tb)
+        if exc_type is None:
+            self._comm.clock.advance(
+                self.seconds, label=self.label, attrs=self.attrs or None
+            )
 
 
 class SimComm:
@@ -164,14 +180,6 @@ class SimComm:
 
     @property
     def size(self) -> int:
-        return self._state.size
-
-    def Get_rank(self) -> int:
-        """mpi4py spelling of :attr:`rank`."""
-        return self._rank
-
-    def Get_size(self) -> int:
-        """mpi4py spelling of :attr:`size`."""
         return self._state.size
 
     # -- internals --------------------------------------------------------
@@ -233,11 +241,39 @@ class SimComm:
         ``serial=True`` for the paper's redundant serial regions so the
         critical-path analyser can report the Figure-8 serial fraction.
 
-        The context object's ``elapsed`` gives the region's virtual
-        duration, replacing the hand-rolled ``t0 = comm.clock.now`` /
-        ``now - t0`` bookkeeping the stage bodies used to carry.
+        The span is the only record of the region's duration; a stage
+        reports its regions through :meth:`phase_seconds`.
         """
         return _Region(self, label, serial, attrs)
+
+    def phase_seconds(self) -> Dict[str, float]:
+        """This rank's region time so far as ``{"phase.<region>_s": s}``.
+
+        Derived from the ``phase`` spans :meth:`region` has recorded,
+        entries of one label summed and the ``<stage>:`` prefix dropped —
+        the per-rank form of the ``<stage>.phase.*_s`` layers the pipeline
+        benchmark reads off the critical rank's spans.  A stage body
+        splats it into its ``StageResult.metrics``; the spans stay the
+        record, this is a view of them.
+        """
+        out: Dict[str, float] = {}
+        for span in self.spans:
+            if span.kind == "phase":
+                key = f"phase.{span.label.partition(':')[2] or span.label}_s"
+                out[key] = out.get(key, 0.0) + span.duration
+        return out
+
+    def compute(self, label: str, **attrs: Any) -> "_Compute":
+        """Charge the thread CPU time of a ``with`` block to this rank.
+
+        The measured window of concurrent rank code (the rule is
+        :class:`~repro.mpi.clock.Stopwatch`'s): on a clean exit the clock
+        advances by the block's thread-CPU seconds as one ``compute``
+        segment named ``label`` carrying ``attrs`` (the context object's
+        ``attrs`` dict may be added to inside the block; ``seconds`` is
+        readable after it).  A block that raises charges nothing.
+        """
+        return _Compute(self, label, attrs)
 
     # -- fault injection ----------------------------------------------------
     def check_io_fault(self, label: str) -> None:
@@ -290,14 +326,15 @@ class SimComm:
             if compute:
                 cell = st.shared_cells[key] = _OnceCell(self._rank)
         if compute:
-            t0 = time.thread_time()
+            watch = Stopwatch()
             try:
-                cell.value = fn()
+                with watch:
+                    cell.value = fn()
             except BaseException as exc:
                 cell.exc = exc
                 cell.done.set()
                 raise
-            cell.cost = time.thread_time() - t0 if cost is None else float(cost)
+            cell.cost = watch.seconds if cost is None else float(cost)
             cell.done.set()
             self.stats.shared_computes += 1
         else:

@@ -21,11 +21,6 @@ from repro.obs.metrics import GLOBAL_METRICS
 from repro.obs.result import StageResult
 from repro.obs.span import Span
 
-#: Deprecated alias, kept for one release: an ``mpirun`` outcome is now
-#: the unified :class:`repro.obs.result.StageResult` — per-rank returns
-#: live in ``.outputs``, per-rank comm stats in ``.comm``.
-MpiRunResult = StageResult
-
 
 def _aggregate_metrics(stats: List[CommStats]) -> Dict[str, float]:
     """Sum per-rank CommStats into the run's scalar metrics."""
@@ -84,8 +79,7 @@ def mpirun(
     """Run ``fn(comm, *args, **kwargs)`` on ``nprocs`` simulated ranks.
 
     ``fn`` must treat ``comm`` (a :class:`SimComm`) as its only channel to
-    other ranks.  Returns an :class:`MpiRunResult` with each rank's return
-    value in rank order.  With ``trace=True``, per-rank compute/wait/comm
+    other ranks.  With ``trace=True``, per-rank compute/wait/comm
     segment traces are recorded (see :mod:`repro.mpi.trace`).
 
     With ``faults`` (a :class:`~repro.mpi.faults.FaultPlan`), rank
@@ -95,10 +89,9 @@ def mpirun(
     crash-recovering wrapper.
 
     Returns a :class:`~repro.obs.result.StageResult`: per-rank return
-    values in ``outputs`` (deprecated alias ``returns``), per-rank
-    ``CommStats`` in ``comm`` (deprecated alias ``stats``), labelled
-    phase spans plus — when traced — raw clock segments in ``spans``,
-    and the aggregated comm counters in ``metrics``.
+    values in ``outputs`` (rank order), per-rank ``CommStats`` in
+    ``comm``, labelled phase spans plus — when traced — raw clock
+    segments in ``spans``, and the aggregated comm counters in ``metrics``.
 
     On any rank failure the remaining ranks are released (barrier abort,
     mailbox wakeup, cascading into split sub-communicators) and an

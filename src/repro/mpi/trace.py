@@ -7,10 +7,10 @@ run can be inspected like an MPI profiler timeline.  The Figure 7/8
 narrative ("load imbalance", "non-parallel regions") becomes directly
 visible in the Gantt output.
 
-Segments are the unified :class:`repro.obs.span.Span` type —
-``TraceSegment`` is now an alias for it, so rank traces feed the Chrome
-exporter and critical-path analyser without conversion.  ``render_gantt``
-and ``trace_summary`` are views over the same spans.
+Segments are the unified :class:`repro.obs.span.Span` type, so rank
+traces feed the Chrome exporter and critical-path analyser without
+conversion.  ``render_gantt`` and ``trace_summary`` are views over the
+same spans.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ from dataclasses import dataclass, field
 from typing import Any, List, Mapping, Optional, Sequence
 
 from repro.obs.span import Span
-
-#: Deprecated alias, kept for one release: a trace segment IS a span
-#: (same constructor shape: ``TraceSegment(kind, start, stop, label)``).
-TraceSegment = Span
 
 
 @dataclass

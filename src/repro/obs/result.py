@@ -25,7 +25,7 @@ Every distributed stage now conforms to the
 the preferred reads are explicit: ``run.outputs[0].welds`` on an ``mpirun``
 result, ``result.outputs.welds`` on a per-rank one.  Attribute
 delegation to ``outputs`` and ``metrics`` (``result.welds``,
-``result.loop1_time``) remains for the untyped callers.  The
+``result.serial_time``) remains for the untyped callers.  The
 ``returns``/``stats`` aliases from the ``MpiRunResult`` era served
 their one deprecation release and are gone — read ``outputs``/``comm``
 directly.
@@ -93,7 +93,7 @@ class StageResult:
     def __getattr__(self, name: str) -> Any:
         # Delegation keeps pre-StageResult field access working: stage
         # outputs (r.welds, r.transcripts) and timing metrics
-        # (r.loop1_time) were fields of the per-stage result classes.
+        # (r.serial_time) were fields of the per-stage result classes.
         if name.startswith("_"):
             raise AttributeError(name)
         outputs = object.__getattribute__(self, "outputs")

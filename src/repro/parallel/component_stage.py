@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 import time
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 from repro.errors import PipelineError
 from repro.mpi.comm import SimComm
@@ -93,15 +93,15 @@ def deal(
     strategy: str,
     nthreads: int,
     chunk_size: Optional[int] = None,
-) -> Tuple[List[int], float]:
-    """The ``<prefix>:deal`` region: this rank's ids and the region time.
+) -> List[int]:
+    """The ``<prefix>:deal`` region: this rank's ids.
 
     ``costs()`` returns the cost vector indexable by id; it is only
     evaluated (on every rank, so replicated cost models charge every
     clock) under ``"dynamic"``.  ``chunk_size`` is round-robin only and
     defaults to the paper's sizing over ``nthreads`` threads per rank.
     """
-    with comm.region(f"{prefix}:deal", strategy=strategy) as region:
+    with comm.region(f"{prefix}:deal", strategy=strategy):
         if strategy == "dynamic":
             cost_of = costs()
             if comm.rank == 0:
@@ -117,21 +117,23 @@ def deal(
             if chunk_size is None:
                 chunk_size = default_chunk_size(len(ids), comm.size, nthreads)
             mine = round_robin_assign(ids, comm.rank, comm.size, chunk_size)
-    return mine, region.elapsed
+    return mine
 
 
-def merge(
-    comm: SimComm, prefix: str, local: List[tuple]
-) -> Tuple[List[tuple], float]:
+def merge(comm: SimComm, prefix: str, local: List[tuple]) -> List[tuple]:
     """The ``<prefix>:merge`` region: allgather the per-item wire tuples
     and flatten them in ascending key (``item[0]``) order — identical on
     every rank and independent of the deal."""
-    with comm.region(f"{prefix}:merge") as region:
+    with comm.region(f"{prefix}:merge"):
         pooled = comm.allgather(local)
-    flat = sorted(
+    return sorted(
         (item for part in pooled for item in part), key=lambda item: item[0]
     )
-    return flat, region.elapsed
+
+
+def fasta_writer(items: Sequence[Any]) -> Callable[[Path], Any]:
+    """``write(path)`` that renders ``items`` (``to_record()``-able) as FASTA."""
+    return lambda path: write_fasta(path, [item.to_record() for item in items])
 
 
 def write_part(
@@ -149,25 +151,26 @@ def write_part(
         return None
     path = Path(workdir) / filename
     path.parent.mkdir(parents=True, exist_ok=True)
-    records = [item.to_record() for item in items]
-    with_retry(comm, f"{prefix}:write_part", lambda: write_fasta(path, records))
+    write = fasta_writer(items)
+    with_retry(comm, f"{prefix}:write_part", lambda: write(path))
     return path
 
 
 def write_merged(
     comm: SimComm,
-    prefix: str,
+    label: str,
     workdir: Optional[PathLike],
     filename: str,
-    items: Sequence[Any],
+    write: Callable[[Path], Any],
 ) -> Optional[Path]:
-    """Rank 0 writes the merged FASTA under ``workdir``; returns its path
-    there, None elsewhere (and on every rank without a ``workdir``).
+    """Rank 0 runs ``write(path)`` for ``workdir/filename``; returns the
+    path there, None elsewhere (and on every rank without a ``workdir``).
 
-    Written from the merged, key-ordered list — never a cat of the
-    parts, whose order depends on the deal — so the file is
-    byte-identical to a serial write at any nprocs.  Charged as host
-    wall time: the peers are parked at the closing barrier.
+    ``label`` names both the retryable I/O point and the charged compute
+    segment.  The writer renders the merged, key-ordered result — never
+    a deal-dependent order — so the file is byte-identical to a serial
+    write at any nprocs.  Charged as host wall time: the peers are
+    parked at the closing barrier.
     """
     if workdir is None:
         return None
@@ -176,11 +179,7 @@ def write_merged(
         out_path = Path(workdir) / filename
         out_path.parent.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
-        with_retry(
-            comm,
-            f"{prefix}:write_merged",
-            lambda: write_fasta(out_path, [item.to_record() for item in items]),
-        )
-        comm.clock.advance(time.perf_counter() - t0, label=f"{prefix}:write_merged")
+        with_retry(comm, label, lambda: write(out_path))
+        comm.clock.advance(time.perf_counter() - t0, label=label)
     comm.barrier()
     return out_path

@@ -123,20 +123,16 @@ def mpi_bowtie(
         pieces = comm.bcast(pieces, root=0)
 
     # -- per-rank: build index over my piece, probe all reads' seeds ---------
-    # Thread CPU time: all ranks align concurrently, so wall time here
-    # would grow with nprocs through GIL contention.
     my_globals = np.asarray(pieces[comm.rank], dtype=np.int32)
     names = [c.name for c in contigs]
     with comm.region("bowtie:align", piece_contigs=len(my_globals), reads=len(reads)):
         read_seeds = comm.shared(
             "bowtie:read_seeds", lambda: ReadSeeds.build(reads, cfg)
         )
-        t0 = time.thread_time()
-        index = BowtieIndex([contigs[g] for g in my_globals.tolist()], cfg)
-        local = align_seeds(read_seeds, index)
-        hits = BestHits(local.rows, my_globals[local.contig], local.pos, local.mm)
-        align_time = time.thread_time() - t0
-        comm.clock.advance(align_time, label="bowtie:align")
+        with comm.compute("bowtie:align") as align:
+            index = BowtieIndex([contigs[g] for g in my_globals.tolist()], cfg)
+            local = align_seeds(read_seeds, index)
+            hits = BestHits(local.rows, my_globals[local.contig], local.pos, local.mm)
 
     part_path: Optional[Path] = None
     if workdir is not None:
@@ -178,8 +174,9 @@ def mpi_bowtie(
         ),
         makespan=comm.clock.now,
         metrics={
+            **comm.phase_seconds(),
             "split_time": split_time,
-            "align_time": align_time,
+            "align_time": align.seconds,
             "merge_time": merge_time,
             "n_records": float(len(merged)),
             # This piece's share of the work (sums over ranks to the

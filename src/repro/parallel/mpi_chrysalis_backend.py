@@ -53,11 +53,11 @@ identity, quantify threads nothing, and build + walk reproduce
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.mpi.clock import Stopwatch
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
 from repro.openmp import Schedule, ThreadTeam
@@ -261,7 +261,7 @@ def mpi_chrysalis_backend(
         )
 
     # -- deal components across ranks ---------------------------------------
-    mine, deal_time = component_stage.deal(
+    mine = component_stage.deal(
         comm, "chrysalis", cids, lambda: costs,
         strategy=config.strategy,
         nthreads=config.nthreads,
@@ -282,19 +282,19 @@ def mpi_chrysalis_backend(
     n_read_windows = pack_bytes = 0
     with comm.region(
         "chrysalis:loop", strategy=config.strategy, components=len(mine)
-    ) as loop_region:
+    ):
         if mine:
             # Owner-computes: the reads routed to this rank's components,
             # encoded and packed once, each component's windows one slice.
             # One array pass over blocks of reads — the team divides it as
             # it does RTT's chunk kernel.
-            t0 = time.thread_time()
-            pack = pack_routed_reads(
-                inputs.reads, {cid: routed.get(cid, ()) for cid in mine},
-                config.k, solid,
-            )
+            with Stopwatch() as packing:
+                pack = pack_routed_reads(
+                    inputs.reads, {cid: routed.get(cid, ()) for cid in mine},
+                    config.k, solid,
+                )
             packed = team.batch(
-                pack.block_bases, time.thread_time() - t0, weights=pack.block_bases
+                pack.block_bases, packing.seconds, weights=pack.block_bases
             )
             n_read_windows, pack_bytes = int(pack.nodes.size), pack.nbytes
             comm.clock.advance(
@@ -313,7 +313,6 @@ def mpi_chrysalis_backend(
                 label="chrysalis:components",
                 attrs=result.as_span_attrs(),
             )
-    loop_time = loop_region.elapsed
 
     part_path = component_stage.write_part(
         comm, "chrysalis", config.workdir,
@@ -325,7 +324,7 @@ def mpi_chrysalis_backend(
     # id.  Graphs and full quants stay rank-local — that is the point of
     # the fusion: nothing heavier than (cid, n_reads, weight, transcripts)
     # crosses the wire. ------------------------------------------------------
-    flat, merge_time = component_stage.merge(
+    flat = component_stage.merge(
         comm, "chrysalis",
         [(cid, q.n_reads, q.read_edge_weight, ts) for cid, q, ts in local],
     )
@@ -335,7 +334,8 @@ def mpi_chrysalis_backend(
     }
 
     out_path = component_stage.write_merged(
-        comm, "chrysalis", config.workdir, "chrysalis_backend.fasta", transcripts
+        comm, "chrysalis:write_merged", config.workdir, "chrysalis_backend.fasta",
+        component_stage.fasta_writer(transcripts),
     )
 
     return StageResult(
@@ -349,9 +349,7 @@ def mpi_chrysalis_backend(
         ),
         makespan=comm.clock.now,
         metrics={
-            "deal_time": deal_time,
-            "loop_time": loop_time,
-            "merge_time": merge_time,
+            **comm.phase_seconds(),
             "n_components": float(len(cids)),
             "n_local_components": float(len(mine)),
             "n_transcripts": float(len(transcripts)),

@@ -27,7 +27,6 @@ tested invariant.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -118,14 +117,12 @@ def mpi_graph_from_fasta(
     # -- serial region: the shared-seed array (redundant on every real rank —
     # Fig 8's non-parallel share — so every rank is charged the build cost,
     # but computed once per run) ---------------------------------------------
-    with comm.region("gff:setup", serial=True) as setup_region:
+    with comm.region("gff:setup", serial=True):
         shared_seeds = comm.shared("gff:setup", lambda: shared_seed_array(contigs, cfg))
-    serial_time = setup_region.elapsed
 
     # -- read weldmer scan, owner-computes: each rank scans its round-robin
     # blocks of the reads and the partial tables are pooled like the welds
-    # below.  Still setup (same label), no longer serial.  Thread CPU time:
-    # the ranks scan concurrently, so wall time would count GIL contention.
+    # below.  Still setup (same label), no longer serial.
     with comm.region("gff:setup"):
         read_block = default_chunk_size(len(reads), comm.size, nthreads)
         mine = [
@@ -133,14 +130,9 @@ def mpi_graph_from_fasta(
             for start, stop in rank_items(len(reads), read_block, comm.rank, comm.size)
             for i in range(start, stop)
         ]
-        t0 = time.thread_time()
-        my_weldmers = scan_weldmers(mine, shared_seeds, cfg)
-        n_hits = int(my_weldmers[2].sum())
-        comm.clock.advance(
-            time.thread_time() - t0,
-            label="gff:weldmer_scan",
-            attrs={"reads": len(mine), "hits": n_hits},
-        )
+        with comm.compute("gff:weldmer_scan", reads=len(mine)) as scan:
+            my_weldmers = scan_weldmers(mine, shared_seeds, cfg)
+            n_hits = scan.attrs["hits"] = int(my_weldmers[2].sum())
         pooled_weldmers = comm.allgatherv(my_weldmers)
         # Summed and decoded once, charged per rank: the pooled tables are
         # identical on every rank.
@@ -151,7 +143,7 @@ def mpi_graph_from_fasta(
 
     # -- loop 1: harvest welds over my chunks ------------------------------
     my_welds: List[WeldCandidate] = []
-    with comm.region("gff:loop1", chunks=len(my_chunks)) as loop1_region:
+    with comm.region("gff:loop1", chunks=len(my_chunks)):
         for c in my_chunks:
             start, stop = ranges[c]
             result = team.map(
@@ -165,7 +157,6 @@ def mpi_graph_from_fasta(
                 label=f"gff:loop1:chunk{c}",
                 attrs=result.as_span_attrs(),
             )
-    loop1_time = loop1_region.elapsed
 
     # -- pool welds on every rank (packed strings + Allgatherv) ------------
     # Wire format mirrors the paper: the vector of welding subsequences is
@@ -197,13 +188,12 @@ def mpi_graph_from_fasta(
         index = build_weld_index(welds)
         return index, weld_index_keys(index)
 
-    with comm.region("gff:weld_index", serial=True) as widx_region:
+    with comm.region("gff:weld_index", serial=True):
         weld_index, weld_keys = comm.shared("gff:weld_index", _weld_index)
-    serial_time += widx_region.elapsed
 
     # -- loop 2: find pairs over my chunks ----------------------------------
     my_pairs: Set[Tuple[int, int]] = set()
-    with comm.region("gff:loop2", chunks=len(my_chunks)) as loop2_region:
+    with comm.region("gff:loop2", chunks=len(my_chunks)):
         for c in my_chunks:
             start, stop = ranges[c]
             result = team.map(
@@ -219,7 +209,6 @@ def mpi_graph_from_fasta(
                 label=f"gff:loop2:chunk{c}",
                 attrs=result.as_span_attrs(),
             )
-    loop2_time = loop2_region.elapsed
 
     # -- pool pairs on every rank (flat int array + Allgatherv) ------------
     flat = pack_int_pairs(sorted(my_pairs))
@@ -233,20 +222,21 @@ def mpi_graph_from_fasta(
 
     # -- serial region: components (charged per rank, built once; the
     # pooled pair list is identical on every rank) --------------------------
-    with comm.region("gff:components", serial=True) as comp_region:
+    with comm.region("gff:components", serial=True):
         components = comm.shared(
             "gff:components", lambda: build_components(len(contigs), pairs)
         )
-    serial_time += comp_region.elapsed
 
     return StageResult(
         stage="gff",
         outputs=GffOutputs(welds=welds, pairs=pairs, components=components),
         makespan=comm.clock.now,
         metrics={
-            "loop1_time": loop1_time,
-            "loop2_time": loop2_time,
-            "serial_time": serial_time,
+            **comm.phase_seconds(),
+            # What is still replicated on every real rank (Fig 8's share).
+            "serial_time": sum(
+                s.duration for s in comm.spans if s.kind == "phase" and s.attr("serial")
+            ),
             "n_shared_seeds": float(shared_seeds.size),
             "n_weldmer_hits": float(n_hits),
             "n_weldmers": float(len(weldmers)),

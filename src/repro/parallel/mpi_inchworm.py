@@ -48,7 +48,6 @@ thread holding the largest component is the floor of a rank's team.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
@@ -190,30 +189,27 @@ def mpi_inchworm(
     # -- the probe, owner-computes: each rank resolves the extensions of
     # its block of stored positions (every position costs the same, so
     # contiguous blocks balance) and the blocks are pooled.  Still
-    # "components" (same label), no longer serial.  Thread CPU time: the
-    # ranks probe concurrently, so wall time would count GIL contention.
-    with comm.region("inchworm:components") as probe_region:
+    # "components" (same label), no longer serial.
+    with comm.region("inchworm:components"):
         filtered = comm.shared(
             "inchworm:filtered", lambda: counts.index.filtered(cfg.min_kmer_count)
         )
-        t0 = time.thread_time()
-        block = neighbours(
-            filtered, counts.canonical,
-            *static_block_ranges(len(filtered), comm.rank, comm.size),
-        )
-        comm.clock.advance(time.thread_time() - t0, label="inchworm:probe")
+        with comm.compute("inchworm:probe"):
+            block = neighbours(
+                filtered, counts.canonical,
+                *static_block_ranges(len(filtered), comm.rank, comm.size),
+            )
         blocks = comm.allgatherv(block)
 
     # -- connected components of the k-mer overlap graph, read off it --------
-    with comm.region("inchworm:components", serial=True) as comp_region:
+    with comm.region("inchworm:components", serial=True):
         landing, seed_rank, members, costs = comm.shared(
             "inchworm:setup", lambda: _component_setup(filtered, cfg, blocks)
         )
-    components_time = probe_region.elapsed + comp_region.elapsed
 
     # -- deal components across ranks ----------------------------------------
     cids = list(range(len(members)))
-    mine, deal_time = component_stage.deal(
+    mine = component_stage.deal(
         comm, "inchworm", cids, lambda: costs,
         strategy=config.strategy,
         nthreads=config.n_threads,
@@ -223,7 +219,7 @@ def mpi_inchworm(
     # -- rows over my components, then the walks; only keyed strings ship -----
     with comm.region(
         "inchworm:assemble", strategy=config.strategy, components=len(mine)
-    ) as asm_region:
+    ):
         teams = component_stage.lpt_assign(
             [float(costs[cid]) for cid in mine], mine, config.n_threads
         )
@@ -246,13 +242,12 @@ def mpi_inchworm(
                     "steps": iw.n_steps,
                 },
             )
-    assemble_time = asm_region.elapsed
 
     # -- merge: pool keyed contigs, re-emit the global seed-order sequence ---
-    flat, merge_time = component_stage.merge(comm, "inchworm", iw.keyed)
-    contigs = keyed_contigs(flat)
+    contigs = keyed_contigs(component_stage.merge(comm, "inchworm", iw.keyed))
     out_path = component_stage.write_merged(
-        comm, "inchworm", config.workdir, "inchworm.contigs.fa", contigs
+        comm, "inchworm:write_merged", config.workdir, "inchworm.contigs.fa",
+        component_stage.fasta_writer(contigs),
     )
 
     return StageResult(
@@ -262,10 +257,7 @@ def mpi_inchworm(
         ),
         makespan=comm.clock.now,
         metrics={
-            "components_time": components_time,
-            "deal_time": deal_time,
-            "assemble_time": assemble_time,
-            "merge_time": merge_time,
+            **comm.phase_seconds(),
             "n_components": float(len(cids)),
             "n_local_components": float(len(mine)),
             "n_contigs": float(len(contigs)),

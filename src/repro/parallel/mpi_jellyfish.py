@@ -35,7 +35,6 @@ rank crash with survivor re-deal).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
@@ -44,6 +43,7 @@ import numpy as np
 
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
+from repro.parallel.component_stage import write_merged
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
 from repro.seq.kmer_index import KmerCounter
@@ -128,8 +128,7 @@ def mpi_jellyfish(
     send_codes: List[List[np.ndarray]] = [[] for _ in range(comm.size)]
     send_counts: List[List[np.ndarray]] = [[] for _ in range(comm.size)]
     n_local_kmers = 0
-    with comm.region("jellyfish:count", reads=len(mine)) as count_region:
-        t0 = time.thread_time()
+    with comm.region("jellyfish:count", reads=len(mine)), comm.compute("jellyfish:encode"):
 
         # A function, so a batch's code arrays die with its frame and not
         # with the stage's (~2 MB of peak RSS at 4 ranks when inlined).
@@ -148,72 +147,48 @@ def mpi_jellyfish(
 
         for batch in base_blocks(mine, jcfg.batch_bases):
             _flush(batch)
-        # Concurrent rank region: thread CPU time, per the clock-fidelity
-        # rule (wall time here would double-count the peer ranks' work).
-        comm.clock.advance(time.thread_time() - t0, label="jellyfish:encode")
-    count_time = count_region.elapsed
 
     # -- exchange: ship each bucket to its owner ----------------------------
-    with comm.region("jellyfish:exchange") as exchange_region:
+    with comm.region("jellyfish:exchange"):
         payload = [
             _pack_pairs(send_codes[dest], send_counts[dest])
             for dest in range(comm.size)
         ]
         received = comm.alltoall(payload)
-    exchange_time = exchange_region.elapsed
 
     # -- owner merge: one sort + segmented sum over my k-mer-space slice ----
-    with comm.region("jellyfish:merge") as merge_region:
-        t0 = time.thread_time()
+    with comm.region("jellyfish:merge"), comm.compute("jellyfish:merge_sort"):
         owned_codes, owned_counts = _pack_pairs(
             [c for c, _n in received if c.size],
             [n for c, n in received if c.size],
         )
         owned = KmerCounter.from_pairs(owned_codes, owned_counts, k)
-        comm.clock.advance(time.thread_time() - t0, label="jellyfish:merge_sort")
-    merge_time = merge_region.elapsed
 
     # -- gather: pool the disjoint owner slices onto every rank -------------
-    with comm.region("jellyfish:gather") as gather_region:
+    with comm.region("jellyfish:gather"):
         parts = comm.allgather((owned.codes, owned.values))
-        t0 = time.thread_time()
-        all_codes, all_values = _pack_pairs(
-            [c for c, _v in parts if c.size],
-            [v for c, v in parts if c.size],
-        )
-        # Owner slices are disjoint, so this from_pairs only sorts — the
-        # result is the exact serial sorted-unique array.
-        index = KmerCounter.from_pairs(all_codes, all_values, k)
-        comm.clock.advance(time.thread_time() - t0, label="jellyfish:final_merge")
-    gather_time = gather_region.elapsed
+        with comm.compute("jellyfish:final_merge"):
+            all_codes, all_values = _pack_pairs(
+                [c for c, _v in parts if c.size],
+                [v for c, v in parts if c.size],
+            )
+            # Owner slices are disjoint, so this from_pairs only sorts — the
+            # result is the exact serial sorted-unique array.
+            index = KmerCounter.from_pairs(all_codes, all_values, k)
     counts = JellyfishCounts(k=k, canonical=canonical, index=index)
 
-    # -- rank-0 dump file ----------------------------------------------------
-    out_path: Optional[Path] = None
-    if config.workdir is not None:
-        wd = Path(config.workdir)
-        out_path = wd / "jellyfish.kmers.fa"
-        if comm.rank == 0:
-            wd.mkdir(parents=True, exist_ok=True)
-            # Written from the merged index, so the file is byte-identical
-            # to a serial dump at any nprocs.  Wall time: the peers are
-            # parked at the barrier below.
-            t0 = time.perf_counter()
-            with_retry(
-                comm, "jellyfish:write_dump", lambda: jellyfish_dump(counts, out_path)
-            )
-            comm.clock.advance(time.perf_counter() - t0, label="jellyfish:write_dump")
-        comm.barrier()
+    # -- rank-0 dump file, from the merged index ------------------------------
+    out_path = write_merged(
+        comm, "jellyfish:write_dump", config.workdir, "jellyfish.kmers.fa",
+        lambda path: jellyfish_dump(counts, path),
+    )
 
     return StageResult(
         stage="jellyfish",
         outputs=JellyfishOutputs(counts=counts, out_path=out_path),
         makespan=comm.clock.now,
         metrics={
-            "count_time": count_time,
-            "exchange_time": exchange_time,
-            "merge_time": merge_time,
-            "gather_time": gather_time,
+            **comm.phase_seconds(),
             "n_reads": float(len(reads)),
             "n_local_reads": float(len(mine)),
             "n_local_kmers": float(n_local_kmers),

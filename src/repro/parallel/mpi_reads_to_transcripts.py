@@ -22,15 +22,17 @@ rank returns the full pooled assignment table the back end consumes.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
+from repro.mpi.clock import Stopwatch
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
 from repro.openmp import Schedule, ThreadTeam
+from repro.parallel.component_stage import write_merged
+from repro.parallel.merge import cat_files
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
 from repro.seq.records import Contig, SeqRecord
@@ -97,11 +99,10 @@ def mpi_reads_to_transcripts(
     # -- OpenMP-only setup: assign k-mers to Inchworm bundles --------------
     # (redundant on every real rank, so every rank is charged the build
     # cost — but computed once per simulated run)
-    with comm.region("rtt:setup", serial=True) as setup_region:
+    with comm.region("rtt:setup", serial=True):
         kmer_map = comm.shared(
             "rtt:kmer_map", lambda: build_kmer_map(contigs, components, cfg.k)
         )
-    setup_time = setup_region.elapsed
 
     # -- MPI loop: redundant-read streaming --------------------------------
     # The chunk boundaries and per-chunk read costs depend only on the
@@ -111,7 +112,7 @@ def mpi_reads_to_transcripts(
         "rtt:chunk_plan", lambda: _chunk_plan(reads, cfg.max_mem_reads), cost=0.0
     )
     mine: List[ReadAssignment] = []
-    with comm.region("rtt:loop") as loop_region:
+    with comm.region("rtt:loop"):
         for chunk_idx, (start, stop, read_cost) in enumerate(plan):
             # Every rank "reads" the chunk (redundant I/O, no communication)…
             with_retry(
@@ -129,39 +130,30 @@ def mpi_reads_to_transcripts(
             # read's share of the flattened code array) so the simulated
             # team schedule sees a per-item cost shape.
             chunk = [(i, reads[i]) for i in range(start, stop)]
-            t0 = time.thread_time()
-            values = assign_reads_batched(chunk, kmer_map, cfg)
-            cost = time.thread_time() - t0
+            with Stopwatch() as kernel:
+                values = assign_reads_batched(chunk, kmer_map, cfg)
             weights = [max(len(read.seq) - cfg.k + 1, 1) for _i, read in chunk]
-            result = team.batch(values, cost, weights=weights)
+            result = team.batch(values, kernel.seconds, weights=weights)
             mine.extend(result.values)
             comm.clock.advance(
                 result.makespan,
                 label=f"rtt:assign_chunk{chunk_idx}",
                 attrs=result.as_span_attrs(),
             )
-    loop_time = loop_region.elapsed
 
-    # -- per-rank output file + master concatenation ------------------------
+    # -- per-rank output file + master concatenation (a plain ``cat``:
+    # I/O-bound, the measured-constant step of Figure 9) ---------------------
     out_path: Optional[Path] = None
-    concat_time = 0.0
     if workdir is not None:
         wd = Path(workdir)
         wd.mkdir(parents=True, exist_ok=True)
         part = wd / f"readsToComponents.part{comm.rank}.out"
         with_retry(comm, "rtt:write_part", lambda: write_assignments(part, mine))
         parts = comm.gather(part, root=0)
-        if comm.rank == 0:
-            from repro.parallel.merge import cat_files
-
-            out_path = wd / "readsToComponents.out"
-            # Wall time, not thread CPU time: cat is I/O-bound, and the
-            # peers are parked at the barrier below (no GIL contention).
-            t0 = time.perf_counter()
-            with_retry(comm, "rtt:concat", lambda: cat_files(out_path, parts))
-            concat_time = time.perf_counter() - t0
-            comm.clock.advance(concat_time, label="rtt:concat")
-        comm.barrier()
+        out_path = write_merged(
+            comm, "rtt:concat", wd, "readsToComponents.out",
+            lambda path: cat_files(path, parts),
+        )
 
     # Pool assignments so every rank returns the full, ordered table
     # (downstream QuantifyGraph needs it; rank order then index sort is
@@ -175,9 +167,7 @@ def mpi_reads_to_transcripts(
         outputs=RttOutputs(assignments=assignments, out_path=out_path),
         makespan=comm.clock.now,
         metrics={
-            "loop_time": loop_time,
-            "setup_time": setup_time,
-            "concat_time": concat_time,
+            **comm.phase_seconds(),
             "n_assignments": float(len(assignments)),
         },
         rank=comm.rank,

@@ -273,77 +273,8 @@ def rtt_serial_baseline_s(calibration: PaperCalibration = CALIBRATION) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Butterfly (distributed per-component enumeration)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ButterflyScalingPoint:
-    """One (node count, strategy)'s simulated distributed-Butterfly timings."""
-
-    nodes: int
-    strategy: str
-    loop_max: float
-    loop_min: float
-
-    @property
-    def total_s(self) -> float:
-        return self.loop_max
-
-    @property
-    def imbalance(self) -> float:
-        return self.loop_max / self.loop_min if self.loop_min > 0 else float("inf")
-
-
-def simulate_butterfly_point(
-    nodes: int,
-    component_costs: Sequence[float],
-    nthreads: int = 16,
-    strategy: str = "round_robin",
-    chunk_size: Optional[int] = None,
-) -> ButterflyScalingPoint:
-    """Simulate the distributed Butterfly deal at one node count.
-
-    Mirrors the walk-only (contig-only-input) case of
-    :func:`repro.parallel.mpi_chrysalis_backend.mpi_chrysalis_backend`:
-    components are assigned to ranks either by the cost-blind chunked
-    round-robin or by the master's LPT deal over predicted costs
-    (descending cost to the least-loaded rank), and each rank then runs
-    *all* its components through one dynamically-scheduled OpenMP team —
-    so a rank's time is ``dynamic_makespan(its costs, nthreads)``.  The
-    dynamic strategy's win over round-robin on an abundance-skewed
-    component mix is the whole point of the ``fig-butterfly`` sweep.
-    """
-    if nodes <= 0:
-        raise ScheduleError(f"nodes must be positive, got {nodes}")
-    costs = np.asarray(component_costs, dtype=float)
-    mine = _deal_indices(nodes, costs, nthreads, strategy, chunk_size)
-    times = np.array(
-        [dynamic_makespan(costs[idx], nthreads) if idx else 0.0 for idx in mine]
-    )
-    return ButterflyScalingPoint(
-        nodes=nodes,
-        strategy=strategy,
-        loop_max=float(times.max()),
-        loop_min=float(times.min()),
-    )
-
-
-def simulate_butterfly_scaling(
-    nodes_list: Sequence[int],
-    component_costs: Sequence[float],
-    nthreads: int = 16,
-    strategy: str = "round_robin",
-) -> List[ButterflyScalingPoint]:
-    """The fig-butterfly sweep over node counts for one strategy."""
-    return [
-        simulate_butterfly_point(n, component_costs, nthreads, strategy)
-        for n in nodes_list
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Fused Chrysalis back end (orient+build+quantify+walk per component)
+# Component stages: deal -> team -> gather (Inchworm, the fused Chrysalis
+# back end and its walk-only Butterfly case)
 # ---------------------------------------------------------------------------
 
 
@@ -370,91 +301,63 @@ def _deal_indices(
 
 
 @dataclass(frozen=True)
-class ChrysalisBackendScalingPoint:
-    """One node count's simulated fused-back-end timings.
-
-    ``build_s``/``quantify_s``/``walk_s`` split the slowest rank's fused
-    loop proportionally to the global phase shares; ``gather_s`` is the
-    transcripts-only allgather (the only pooled payload — graphs and
-    quantified weights stay rank-local by construction).
-    """
+class ComponentStagePoint:
+    """One (node count, strategy)'s simulated component-stage timings."""
 
     nodes: int
     strategy: str
-    build_s: float  # FastaToDebruijn share of the slowest rank's loop
-    quantify_s: float  # QuantifyGraph (read-threading) share
-    walk_s: float  # Butterfly enumeration share
-    gather_s: float  # transcripts-only allgather
-    loop_min: float  # fastest rank's fused loop (imbalance witness)
-
-    @property
-    def loop_s(self) -> float:
-        return self.build_s + self.quantify_s + self.walk_s
+    setup_s: float  # replicated set-up, charged to every rank (Amdahl floor)
+    loop_max: float  # slowest rank's team over its components
+    loop_min: float  # fastest rank's (imbalance witness)
+    gather_s: float  # the merge's pooling collective
 
     @property
     def total_s(self) -> float:
-        return self.loop_s + self.gather_s
+        return self.setup_s + self.loop_max + self.gather_s
 
     @property
     def imbalance(self) -> float:
-        return self.loop_s / self.loop_min if self.loop_min > 0 else float("inf")
+        return self.loop_max / self.loop_min if self.loop_min > 0 else float("inf")
 
 
-def simulate_chrysalis_backend_point(
+def simulate_component_stage(
     nodes: int,
-    build_costs: Sequence[float],
-    quantify_costs: Sequence[float],
-    walk_costs: Sequence[float],
+    component_costs: Sequence[float],
     nthreads: int = 16,
     strategy: str = "round_robin",
     chunk_size: Optional[int] = None,
     network: NetworkModel = IDATAPLEX_FDR10,
-    transcript_bytes: float = 0.0,
-) -> ChrysalisBackendScalingPoint:
-    """Simulate the fused Chrysalis back end at one node count.
+    setup_s: float = 0.0,
+    gather_bytes: Optional[float] = None,
+) -> ComponentStagePoint:
+    """Simulate a :mod:`repro.parallel.component_stage` stage at one node count.
 
-    Mirrors :func:`repro.parallel.mpi_chrysalis_backend.mpi_chrysalis_backend`:
-    each component's *fused* cost is its build + quantify + walk sum, the
-    deal assigns whole components (cost-blind chunked round-robin or LPT
-    over the fused costs), each rank runs its components through one
-    dynamically-scheduled OpenMP team, and the only collective is the
-    transcripts-only allgather — compare
-    :func:`chrysalis_prefusion_total_s`, where build + quantify run
-    serially on one node and the quantified graphs must be pooled before
-    the distributed walk.
+    Mirrors the skeleton ``mpi_inchworm`` and ``mpi_chrysalis_backend``
+    share: every rank pays the replicated ``setup_s``; whole components
+    are dealt by the cost-blind chunked round-robin or by the master's
+    LPT over ``component_costs`` (descending cost to the least-loaded
+    rank); each rank runs *all* its components through one
+    dynamically-scheduled OpenMP team, so its time is
+    ``dynamic_makespan(its costs, nthreads)``; and the merge pools
+    ``gather_bytes`` with one allgather (``None``: nothing is pooled,
+    the walk-only Butterfly sweep).  A component is indivisible, so the
+    heaviest one is the floor the dynamic deal converges to.
     """
     if nodes <= 0:
         raise ScheduleError(f"nodes must be positive, got {nodes}")
-    build = np.asarray(build_costs, dtype=float)
-    quantify = np.asarray(quantify_costs, dtype=float)
-    walk = np.asarray(walk_costs, dtype=float)
-    if not (build.size == quantify.size == walk.size):
-        raise ScheduleError(
-            f"phase cost arrays disagree on component count: "
-            f"{build.size}/{quantify.size}/{walk.size}"
-        )
-    fused = build + quantify + walk
-    mine = _deal_indices(nodes, fused, nthreads, strategy, chunk_size)
+    costs = np.asarray(component_costs, dtype=float)
+    mine = _deal_indices(nodes, costs, nthreads, strategy, chunk_size)
     times = np.array(
-        [dynamic_makespan(fused[idx], nthreads) if idx else 0.0 for idx in mine]
+        [dynamic_makespan(costs[idx], nthreads) if idx else 0.0 for idx in mine]
     )
-    loop_max = float(times.max())
-    loop_min = float(times.min())
-    total = float(fused.sum())
-    shares = (
-        (build.sum() / total, quantify.sum() / total, walk.sum() / total)
-        if total > 0
-        else (0.0, 0.0, 0.0)
-    )
-    gather = network.allgatherv(nodes, transcript_bytes) if nodes > 1 else 0.0
-    return ChrysalisBackendScalingPoint(
+    pooled = gather_bytes is not None and nodes > 1
+    return ComponentStagePoint(
         nodes=nodes,
         strategy=strategy,
-        build_s=loop_max * shares[0],
-        quantify_s=loop_max * shares[1],
-        walk_s=loop_max * shares[2],
-        gather_s=float(gather),
-        loop_min=loop_min,
+        setup_s=setup_s,
+        loop_max=float(times.max()),
+        loop_min=float(times.min()),
+        gather_s=float(network.allgatherv(nodes, gather_bytes)) if pooled else 0.0,
     )
 
 
@@ -474,35 +377,14 @@ def chrysalis_prefusion_total_s(
     QuantifyGraph run *serially* on the front-end node (their costs sum,
     no matter how many nodes the job has), the quantified graphs are
     allgathered to every rank, and only the Butterfly walk distributes
-    (via :func:`simulate_butterfly_point` on the walk costs).
+    (:func:`simulate_component_stage` on the walk costs).
     """
     serial_middle = float(np.sum(build_costs) + np.sum(quantify_costs))
     pool = network.allgatherv(nodes, graph_bytes) if nodes > 1 else 0.0
-    walk = simulate_butterfly_point(
+    walk = simulate_component_stage(
         nodes, walk_costs, nthreads=nthreads, strategy=strategy
     ).loop_max
     return serial_middle + float(pool) + walk
-
-
-def simulate_chrysalis_backend_scaling(
-    nodes_list: Sequence[int],
-    build_costs: Sequence[float],
-    quantify_costs: Sequence[float],
-    walk_costs: Sequence[float],
-    nthreads: int = 16,
-    strategy: str = "round_robin",
-    network: NetworkModel = IDATAPLEX_FDR10,
-    transcript_bytes: float = 0.0,
-) -> List[ChrysalisBackendScalingPoint]:
-    """The fig-chrysalis sweep over node counts for one strategy."""
-    return [
-        simulate_chrysalis_backend_point(
-            n, build_costs, quantify_costs, walk_costs,
-            nthreads=nthreads, strategy=strategy, network=network,
-            transcript_bytes=transcript_bytes,
-        )
-        for n in nodes_list
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +424,6 @@ class JellyfishScalingPoint:
     @property
     def comm_s(self) -> float:
         return self.exchange_s + self.gather_s
-
-    @property
-    def comm_share(self) -> float:
-        return self.comm_s / self.total_s if self.total_s > 0 else 0.0
 
 
 def simulate_jellyfish_point(
@@ -598,24 +476,6 @@ def simulate_jellyfish_point(
     )
 
 
-def simulate_jellyfish_scaling(
-    nodes_list: Sequence[int],
-    workload: Optional["PaperScaleWorkload"] = None,
-    calibration: PaperCalibration = CALIBRATION,
-    network: NetworkModel = IDATAPLEX_FDR10,
-) -> List[JellyfishScalingPoint]:
-    """The fig-jellyfish sweep over node counts."""
-    return [
-        simulate_jellyfish_point(n, workload, calibration, network)
-        for n in nodes_list
-    ]
-
-
-def jellyfish_serial_baseline_s(calibration: PaperCalibration = CALIBRATION) -> float:
-    """The big-memory-node serial Jellyfish time (paper Fig 2: ~2.5 h)."""
-    return calibration.jellyfish_serial_s
-
-
 # ---------------------------------------------------------------------------
 # Inchworm (component-partitioned distributed contig assembly)
 # ---------------------------------------------------------------------------
@@ -629,102 +489,29 @@ _IW_SETUP_SHARE = 0.05
 _IW_ASSEMBLE_SHARE = 1.0 - _IW_SETUP_SHARE
 
 
-@dataclass(frozen=True)
-class InchwormScalingPoint:
-    """One node count's simulated distributed-Inchworm timings."""
-
-    nodes: int
-    strategy: str
-    setup_s: float  # replicated components + seed ranking (Amdahl floor)
-    assemble_max: float  # slowest rank's threaded per-component assembly
-    assemble_min: float  # fastest rank's (imbalance witness)
-    gather_s: float  # keyed contig-string allgather
-
-    @property
-    def total_s(self) -> float:
-        return self.setup_s + self.assemble_max + self.gather_s
-
-    @property
-    def imbalance(self) -> float:
-        return (
-            self.assemble_max / self.assemble_min
-            if self.assemble_min > 0
-            else float("inf")
-        )
-
-    @property
-    def comm_share(self) -> float:
-        return self.gather_s / self.total_s if self.total_s > 0 else 0.0
-
-
 def simulate_inchworm_point(
     nodes: int,
     component_costs: Sequence[float],
     calibration: PaperCalibration = CALIBRATION,
     nthreads: int = 16,
     strategy: str = "round_robin",
-    chunk_size: Optional[int] = None,
-    network: NetworkModel = IDATAPLEX_FDR10,
     contig_bytes: float = 0.0,
-) -> InchwormScalingPoint:
-    """Simulate the distributed Inchworm deal at one node count.
+) -> ComponentStagePoint:
+    """The distributed Inchworm at one node count, in paper seconds.
 
-    Mirrors :func:`repro.parallel.mpi_inchworm.mpi_inchworm`: every rank
-    pays the replicated component/seed-rank setup (the stage's serial
-    region), components — weighted by their k-mer count mass — are dealt
-    by the cost-blind chunked round-robin or the master's LPT, each rank
-    assembles its components on an ``nthreads`` team (modelled as one
-    dynamically-scheduled pool over the component costs, like the
-    Butterfly/Chrysalis replays), and the only collective is the keyed
-    contig-string allgather.  Absolute time is anchored by the paper's
-    Fig 2 serial Inchworm reading (``inchworm_serial_s``), spread over
-    the components proportionally to their count mass.
+    :func:`simulate_component_stage` with absolute time anchored by the
+    paper's Fig 2 serial Inchworm reading (``inchworm_serial_s``): the
+    replicated component / seed-rank set-up takes its assumed share, the
+    rest is spread over the components proportionally to their k-mer
+    count mass, and the keyed contig strings are what the merge pools.
     """
-    if nodes <= 0:
-        raise ScheduleError(f"nodes must be positive, got {nodes}")
     costs = np.asarray(component_costs, dtype=float)
-    total_mass = float(costs.sum())
-    serial = calibration.inchworm_serial_s
-    unit = _IW_ASSEMBLE_SHARE * serial / total_mass if total_mass > 0 else 0.0
-    scaled = costs * unit
-    mine = _deal_indices(nodes, scaled, nthreads, strategy, chunk_size)
-    times = np.array(
-        [dynamic_makespan(scaled[idx], nthreads) if idx else 0.0 for idx in mine]
+    mass, serial = float(costs.sum()), calibration.inchworm_serial_s
+    return simulate_component_stage(
+        nodes, costs * (_IW_ASSEMBLE_SHARE * serial / mass if mass > 0 else 0.0),
+        nthreads=nthreads, strategy=strategy,
+        setup_s=_IW_SETUP_SHARE * serial, gather_bytes=contig_bytes,
     )
-    gather = network.allgatherv(nodes, contig_bytes) if nodes > 1 else 0.0
-    return InchwormScalingPoint(
-        nodes=nodes,
-        strategy=strategy,
-        setup_s=_IW_SETUP_SHARE * serial,
-        assemble_max=float(times.max()),
-        assemble_min=float(times.min()),
-        gather_s=float(gather),
-    )
-
-
-def simulate_inchworm_scaling(
-    nodes_list: Sequence[int],
-    component_costs: Sequence[float],
-    calibration: PaperCalibration = CALIBRATION,
-    nthreads: int = 16,
-    strategy: str = "round_robin",
-    network: NetworkModel = IDATAPLEX_FDR10,
-    contig_bytes: float = 0.0,
-) -> List[InchwormScalingPoint]:
-    """The fig-inchworm sweep over node counts for one strategy."""
-    return [
-        simulate_inchworm_point(
-            n, component_costs, calibration,
-            nthreads=nthreads, strategy=strategy, network=network,
-            contig_bytes=contig_bytes,
-        )
-        for n in nodes_list
-    ]
-
-
-def inchworm_serial_baseline_s(calibration: PaperCalibration = CALIBRATION) -> float:
-    """The front-end-node serial Inchworm time (paper Fig 2: ~5 h)."""
-    return calibration.inchworm_serial_s
 
 
 # ---------------------------------------------------------------------------

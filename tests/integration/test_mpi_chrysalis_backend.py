@@ -487,9 +487,6 @@ class TestMetrics:
         )
         r = run.outputs[0]
         assert r.metrics["n_components"] == len(components)
-        assert r.metrics["deal_time"] >= 0
-        assert r.metrics["loop_time"] > 0
-        assert r.metrics["merge_time"] >= 0
         assert r.metrics["n_reads_threaded"] > 0
         assert run.makespan > 0
 

@@ -163,7 +163,7 @@ class TestFewComponents:
                 # Nothing owned: no team time, no clock advance, same keys.
                 assert r.metrics["team_makespan_s"] == 0.0
                 assert r.metrics["team_serial_s"] == 0.0
-                assert r.metrics["assemble_time"] == 0.0
+                assert r.metrics["phase.assemble_s"] == 0.0
                 assert advances == []
             else:
                 owners += 1
@@ -269,10 +269,6 @@ class TestMetrics:
         )
         per_rank = run.outputs
         r = per_rank[0]
-        assert r.metrics["components_time"] >= 0
-        assert r.metrics["deal_time"] >= 0
-        assert r.metrics["assemble_time"] > 0
-        assert r.metrics["merge_time"] >= 0
         assert r.metrics["n_components"] > 0
         # The deal tiles the components exactly across the ranks.
         assert (

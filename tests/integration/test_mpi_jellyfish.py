@@ -117,10 +117,6 @@ class TestMetrics:
         per_rank = run.outputs
         r = per_rank[0]
         assert r.metrics["n_reads"] == len(smoke_reads)
-        assert r.metrics["count_time"] > 0
-        assert r.metrics["exchange_time"] >= 0
-        assert r.metrics["merge_time"] >= 0
-        assert r.metrics["gather_time"] >= 0
         # The deal covers every read exactly once...
         assert sum(x.metrics["n_local_reads"] for x in per_rank) == len(smoke_reads)
         # ...and the disjoint owner slices tile the merged table exactly.

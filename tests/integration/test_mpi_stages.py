@@ -241,7 +241,6 @@ class TestMpiGff:
             GffStageConfig(gff=GraphFromFastaConfig(k=24), nthreads=2),
         )
         r = run.outputs[0]
-        assert r.loop1_time >= 0
         assert r.serial_time > 0
 
     def test_explicit_chunk_size(self, smoke_reads, artefacts):

@@ -280,6 +280,37 @@ class TestChrysalisBackendSurface:
         ]
 
 
+class TestMeasurementSurface:
+    def test_one_measurement_path_and_no_knob_for_it(self):
+        """Stage timings come from spans and ``benchmarks.pipeline``: no
+        ``repro bench``, no bench registry, and the communicator gained
+        exactly the window and the span view (``compute``,
+        ``phase_seconds``) and lost the two unused mpi4py spellings."""
+        from dataclasses import fields
+
+        from repro.cli import build_parser
+        from repro.experiments import registry
+        from repro.mpi import SimComm
+        from repro.parallel import BowtieStageConfig, JellyfishStageConfig
+
+        (commands,) = [
+            a.choices for a in build_parser()._actions if getattr(a, "choices", None)
+        ]
+        assert sorted(commands) == [
+            "assemble", "experiments", "faults", "profile", "recovery", "report",
+            "simulate", "stats", "validate",
+        ]
+        assert not [name for name in vars(registry) if "bench" in name.lower()]
+        assert sorted(n for n in vars(SimComm) if not n.startswith("_")) == sorted([
+            "rank", "size", "region", "phase_seconds", "compute", "check_io_fault",
+            "shared", "barrier", "bcast", "gather", "allgather", "allgatherv",
+            "scatter", "alltoall", "reduce_max", "allreduce_sum", "Bcast",
+            "Allgatherv", "split", "send", "recv",
+        ])
+        assert [f.name for f in fields(JellyfishStageConfig)] == ["jellyfish", "workdir"]
+        assert [f.name for f in fields(BowtieStageConfig)] == ["bowtie", "workdir"]
+
+
 class TestErrorHierarchy:
     def test_all_derive_from_repro_error(self):
         for name in dir(errors):

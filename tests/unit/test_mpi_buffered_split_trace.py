@@ -6,7 +6,8 @@ import pytest
 from repro.errors import CommError
 from repro.mpi import mpirun
 from repro.mpi.network import ZERO_COST
-from repro.mpi.trace import RankTrace, TraceSegment, render_gantt, trace_summary
+from repro.mpi.trace import RankTrace, render_gantt, trace_summary
+from repro.obs.span import Span
 
 
 class TestBufferCollectives:
@@ -135,10 +136,10 @@ class TestTrace:
         assert render_gantt([]) == "(no traces)"
 
     def test_summary(self):
-        trace = RankTrace(0, [TraceSegment("compute", 0.0, 2.0)])
+        trace = RankTrace(0, [Span("compute", 0.0, 2.0)])
         out = trace_summary([trace])
         assert "compute" in out and "2" in out
 
     def test_invalid_segment(self):
         with pytest.raises(ValueError):
-            TraceSegment("compute", 2.0, 1.0)
+            Span("compute", 2.0, 1.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mpi.trace import RankTrace, TraceSegment
+from repro.mpi.trace import RankTrace
 from repro.obs import MetricsRegistry, Span, SpanList, StageResult
 from repro.obs.span import CLOCK_KINDS
 
@@ -17,12 +17,6 @@ class TestSpan:
     def test_rejects_negative_interval(self):
         with pytest.raises(ValueError):
             Span("compute", 2.0, 1.0)
-
-    def test_trace_segment_is_span(self):
-        # The deprecated alias keeps the old positional constructor shape.
-        seg = TraceSegment("compute", 0.0, 2.0, "kernel")
-        assert isinstance(seg, Span)
-        assert (seg.kind, seg.start, seg.stop, seg.label) == ("compute", 0.0, 2.0, "kernel")
 
     def test_attr_lookup_none_safe(self):
         assert Span("comm", 0.0, 1.0).attr("bytes", 0) == 0

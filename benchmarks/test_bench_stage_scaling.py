@@ -34,19 +34,28 @@ NPROCS = 8
 #: Library seed (materialisation and ``TrinityConfig``) per recipe.
 LIBRARY_SEEDS = {"whitefly-mini": 0, "smoke": 1}
 
-#: row key -> (recipe, nthreads, strategy, floors).  ``nthreads`` is the
-#: team width of the target launch (one thread where a team would hide
-#: the rank deal behind its largest item); a floor is the minimum
-#: 1-rank-over-8-rank ratio of that reading.  GraphFromFasta's are its
-#: old "8-rank makespan < 0.75x, host wall < 3x the 1-rank one".
+#: case (a row key, or ``<row key>@<what differs>``) -> (recipe, nthreads,
+#: strategy, floors).  ``nthreads`` is the team width of the target launch
+#: (one thread where a team would hide the rank deal behind its largest
+#: item); a floor is the minimum 1-rank-over-8-rank ratio of that reading.
+#: GraphFromFasta's are its old "8-rank makespan < 0.75x, host wall < 3x
+#: the 1-rank one".  Bowtie's came with the read-block deal (seeds, probe
+#: and merge all fall with ``p``): 1.25 before it, 4.08 / 4.15 / 4.40
+#: after.  ``chrysalis@node`` is the back end at the node's real team
+#: width, where eight ranks used to *cost* time (0.90 before the
+#: (component, read block) deal, 1.03 / 1.07 / 1.22 after): a 16-thread
+#: team already spreads the units, so what ranks can still remove is
+#: small — the floor only says they must not lose.
 CASES = {
     "jellyfish": ("whitefly-mini", 16, "round_robin", {"makespan": 1.5}),
     "inchworm": ("whitefly-mini", 1, "round_robin", {"makespan": 1.5}),
-    "bowtie": ("whitefly-mini", 16, "round_robin", {}),
+    "bowtie": ("whitefly-mini", 16, "round_robin", {"makespan": 3.0}),
     "gff": ("whitefly-mini", 16, "round_robin", {"makespan": 1 / 0.75, "wall_s": 1 / 3.0}),
     "rtt": ("whitefly-mini", 16, "round_robin", {}),
     "chrysalis": ("smoke", 1, "round_robin", {"makespan": 1.5}),
+    "chrysalis@node": ("whitefly-mini", 16, "dynamic", {"makespan": 0.9}),
 }
+ROWS = {row.key: row for row in STAGE_TABLE}
 #: Inchworm's identity is also checked with this team per rank (the
 #: front-end node's width): threads may not change the contigs either.
 INCHWORM_TEAM = 4
@@ -103,9 +112,14 @@ def library(tmp_path_factory):
     return get
 
 
-@pytest.mark.parametrize("row", STAGE_TABLE, ids=lambda row: row.key)
-def test_bench_stage_scales(benchmark, best_launch, library, row):
-    recipe, nthreads, strategy, floors = CASES[row.key]
+def test_every_row_has_a_case():
+    assert {case.partition("@")[0] for case in CASES} == set(ROWS)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_bench_stage_scales(benchmark, best_launch, library, case):
+    row = ROWS[case.partition("@")[0]]
+    recipe, nthreads, strategy, floors = CASES[case]
     tcfg, reads, serial, upstream = library(recipe)
     cfg = ParallelTrinityConfig(
         trinity=replace(tcfg, inchworm_threads=nthreads),

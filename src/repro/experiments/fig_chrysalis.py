@@ -11,10 +11,12 @@ fusing the whole back-end chain into one component-parallel stage
 
 * **Analytic sweep** — heavy-tailed per-component build/quantify/walk
   cost distributions (the same abundance skew as the Butterfly sweep)
-  replayed, as each component's fused build + quantify + walk sum,
-  through :func:`repro.parallel.scaling.simulate_component_stage` at
-  paper-scale node counts, against
-  :func:`repro.parallel.scaling.chrysalis_prefusion_total_s` — the
+  replayed through
+  :func:`repro.parallel.scaling.simulate_component_stage` at paper-scale
+  node counts — dealt as whole components (each one's build + quantify +
+  walk sum) and as the units the stage deals (:func:`unit_costs`: what
+  stays indivisible is the walk) — against
+  :func:`repro.parallel.scaling.chrysalis_prefusion_total_s`, the
   serial-middle + graph-allgather + distributed-walk baseline.
 * **Real execution check** — the actual simulated-MPI fused stage on the
   smoke workload at 8 ranks, asserting transcripts and quant stats
@@ -51,6 +53,9 @@ REAL_NPROCS = 8
 #: size-ordered: quantified graphs outweigh transcripts ~30x).
 GRAPH_BYTES = 6e9
 TRANSCRIPT_BYTES = 2e8
+#: Components whose reads fit one read block (benchmark whitefly library):
+#: that quantile of quantify cost is a block's.
+ONE_BLOCK_SHARE = 60 / 65
 
 
 def sample_phase_costs(
@@ -68,11 +73,22 @@ def sample_phase_costs(
     return 0.6 * base, 2.4 * base, 1.0 * base
 
 
+def unit_costs(build: np.ndarray, quantify: np.ndarray, walk: np.ndarray) -> np.ndarray:
+    """The stage's (component, read block) units, costed: quantify cut in
+    blocks of at most a block's cost, build + walk on the owner's first."""
+    n_blocks = np.maximum(np.ceil(quantify / np.quantile(quantify, ONE_BLOCK_SHARE)), 1)
+    first = np.concatenate(([0], np.cumsum(n_blocks[:-1]))).astype(int)
+    units = np.repeat(quantify / n_blocks, n_blocks.astype(int))
+    units[first] += build + walk
+    return units
+
+
 @dataclass
 class FigChrysalisResult:
     """Analytic fusion sweep plus the real-execution identity check."""
 
-    rows: List[Tuple[int, float, ComponentStagePoint]]
+    #: (nodes, pre-fusion total, fused dealt by component, ... by unit)
+    rows: List[Tuple[int, float, ComponentStagePoint, ComponentStagePoint]]
     #: QuantifyGraph's share of the summed fused cost: the slowest rank's
     #: loop splits build / quantify / walk in the global proportions.
     quantify_share: float
@@ -81,7 +97,7 @@ class FigChrysalisResult:
     outputs_identical: bool
 
     def gain(self, nodes: int) -> float:
-        for n, prefusion, fused in self.rows:
+        for n, prefusion, fused, _by_unit in self.rows:
             if n == nodes:
                 return prefusion / fused.total_s
         raise KeyError(f"no simulated point at {nodes} nodes")
@@ -92,14 +108,15 @@ class FigChrysalisResult:
                 n,
                 f"{prefusion:.1f}",
                 f"{fused.total_s:.1f}",
+                f"{by_unit.total_s:.1f}",
                 f"{fused.loop_max * self.quantify_share:.1f}",
                 f"{fused.gather_s:.3f}",
                 f"{prefusion / fused.total_s:.2f}",
             ]
-            for n, prefusion, fused in self.rows
+            for n, prefusion, fused, by_unit in self.rows
         ]
         table = format_table(
-            ["nodes", "pre-fusion (u)", "fused (u)", "quantify (u)",
+            ["nodes", "pre-fusion (u)", "fused (u)", "unit-dealt (u)", "quantify (u)",
              "gather (u)", "gain"],
             rows,
         )
@@ -137,9 +154,12 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigChrysalisResult
                 n, build, quantify, walk, nthreads=1, strategy="dynamic",
                 graph_bytes=GRAPH_BYTES,
             ),
-            simulate_component_stage(
-                n, fused_costs, nthreads=1, strategy="dynamic",
-                gather_bytes=TRANSCRIPT_BYTES,
+            *(
+                simulate_component_stage(
+                    n, costs, nthreads=1, strategy="dynamic",
+                    gather_bytes=TRANSCRIPT_BYTES,
+                )
+                for costs in (fused_costs, unit_costs(build, quantify, walk))
             ),
         )
         for n in nodes

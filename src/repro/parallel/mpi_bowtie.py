@@ -14,24 +14,30 @@ reduced across pieces with the serial aligner's exact tie-break
 (:meth:`BestHits.best`), so the merged SAM is record-for-record
 identical to a single-index run — a tested invariant.
 
-**What is shared.**  The read side of the alignment (:class:`ReadSeeds`:
-both orientations' bytes and seed codes) depends on no target piece, so
-every real rank would build the identical table from the read file.  It
-is built once per ``mpirun`` through ``comm.shared("bowtie:read_seeds")``
-and charged to every rank's clock at its single-rank cost, inside
-``bowtie:align`` but outside the rank's own timed window — the
-accounting ``gff:setup`` uses.  Only the piece index and the probe are
-per-rank work, which is what makes a rank's align time fall with its
+**What is shared.**  Only the index is per target piece; the read side
+is per *read block* — the reads cut in ``p`` contiguous blocks
+(:func:`~repro.parallel.chunks.static_block_ranges`), block ``r`` rank
+``r``'s.  :class:`ReadSeeds` (both orientations' bytes and seed codes,
+sorted by code) depends on no piece: each rank builds its block's table,
+one ``allgatherv`` pools them and ``comm.shared("bowtie:read_seeds")``
+stitches them once per ``mpirun`` (charged to every rank in
+``bowtie:align``, outside its timed window), so the set-up costs a rank
+``1/p`` of it plus the stitch.  The probe looks the *piece's* distinct
+codes up in the sorted read seeds, so a rank's align time falls with its
 piece (Figure 10).
 
-**Wire format.**  Each rank sends the master one record array in the
-one ``gather`` of ``bowtie:merge``: a ``(row, contig, pos, mm)`` record
-per read orientation that has a hit in the piece, contig indices global,
-every field the narrowest unsigned type that holds its bound (twice the
-read count, the contig count, the longest contig, ``max_mismatches`` —
-the same on every rank; 6 bytes a record for a few thousand reads on a
-few hundred contigs).  The master concatenates the arrays, takes each
-row's lexicographic minimum and builds every :class:`SamRecord` once.
+**Wire format.**  A rank's piece-local bests are one record array: a
+``(row, contig, pos, mm)`` record per read orientation that has a hit in
+the piece, contig indices global, every field the narrowest unsigned
+type that holds its bound (twice the read count, the contig count, the
+longest contig, ``max_mismatches`` — the same on every rank; 6 bytes a
+record for a few thousand reads on a few hundred contigs).  In
+``bowtie:merge`` one ``alltoall`` takes each record to the owner of its
+read's block, who takes each row's lexicographic minimum and renders the
+block's :class:`SamRecord`s; one ``allgather`` in block order — read
+order — puts the full SAM on every rank.  Rank 0 writes ``bowtie.sam``;
+``bowtie.part<r>.sam`` stays piece-local (every read against piece
+``r``: the paper's per-node artefact).
 
 The PyFasta split is single-threaded and runs on the master before the
 parallel phase; its serial cost is what flattens the total-time curve in
@@ -49,6 +55,7 @@ import numpy as np
 
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
+from repro.parallel.chunks import static_block_ranges
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
 from repro.seq.pyfasta import plan_split
@@ -122,13 +129,18 @@ def mpi_bowtie(
             comm.clock.advance(split_time, label="bowtie:pyfasta_split")
         pieces = comm.bcast(pieces, root=0)
 
-    # -- per-rank: build index over my piece, probe all reads' seeds ---------
+    # -- per-rank: seeds of my read block, pooled; then the index over my
+    # piece, probed with all reads' seeds --------------------------------------
     my_globals = np.asarray(pieces[comm.rank], dtype=np.int32)
     names = [c.name for c in contigs]
-    with comm.region("bowtie:align", piece_contigs=len(my_globals), reads=len(reads)):
-        read_seeds = comm.shared(
-            "bowtie:read_seeds", lambda: ReadSeeds.build(reads, cfg)
-        )
+    n, p = len(reads), comm.size
+    first = np.array([static_block_ranges(n, r, p)[0] for r in range(p)] + [n])
+    lo, hi = first[comm.rank], first[comm.rank + 1]
+    with comm.region("bowtie:align", piece_contigs=len(my_globals), reads=n):
+        with comm.compute("bowtie:seeds", reads=int(hi - lo)):
+            block = ReadSeeds.build(reads[lo:hi], cfg)
+        blocks = comm.allgatherv(block)
+        read_seeds = comm.shared("bowtie:read_seeds", lambda: ReadSeeds.stitch(blocks))
         with comm.compute("bowtie:align") as align:
             index = BowtieIndex([contigs[g] for g in my_globals.tolist()], cfg)
             local = align_seeds(read_seeds, index)
@@ -140,50 +152,48 @@ def mpi_bowtie(
         wd.mkdir(parents=True, exist_ok=True)
         part_path = wd / f"bowtie.part{comm.rank}.sam"
         part_records = sam_records(reads, hits, names)
-        with_retry(
-            comm, "bowtie:write_part", lambda: write_sam(part_path, part_records)
-        )
+        with_retry(comm, "bowtie:write_part", lambda: write_sam(part_path, part_records))
 
-    # -- merge: reduce per-orientation bests across pieces ------------------
-    merge_time = 0.0
-    merged: Optional[List[SamRecord]] = None
+    # -- merge: a row's bests meet at the owner of its read's block, which
+    # reduces them and renders the block's records ----------------------------
     final_sam: Optional[Path] = None
-    with comm.region("bowtie:merge", serial=True):
-        pooled = comm.gather(_to_wire(hits, inputs, cfg), root=0)
-        if comm.rank == 0:
-            t0 = time.perf_counter()
-            table = np.concatenate(pooled)
-            merged = sam_records(
-                reads, BestHits.best(*(table[f] for f in _WIRE_FIELDS)), names
-            )
-            merge_time = time.perf_counter() - t0
-            comm.clock.advance(merge_time, label="bowtie:merge")
-            if workdir is not None:
-                final_sam = Path(workdir) / "bowtie.sam"
-                header = sam_header([(c.name, len(c.seq)) for c in contigs])
-                with_retry(
-                    comm,
-                    "bowtie:write_sam",
-                    lambda: write_sam(final_sam, merged, header),
-                )
-        merged = comm.bcast(merged, root=0)
+    with comm.region("bowtie:merge"):
+        wire = _to_wire(hits, inputs, cfg)
+        dest = np.searchsorted(first, wire["rows"] % max(n, 1), side="right") - 1
+        by_dest = np.split(
+            wire[np.argsort(dest, kind="stable")], np.cumsum(np.bincount(dest, minlength=p))[:-1]
+        )
+        routed = comm.alltoall(by_dest)
+        with comm.compute("bowtie:merge") as merging:
+            table = np.concatenate(routed)
+            # Library row -> row of this block (forward rows first).
+            rows = table["rows"].astype(np.int64)
+            rows -= lo + np.where(rows >= n, n - (hi - lo), 0)
+            best = BestHits.best(rows, *(table[f] for f in _WIRE_FIELDS[1:]))
+            mine = sam_records(reads[lo:hi], best, names)
+        merged = [record for part in comm.allgather(mine) for record in part]
+        if comm.rank == 0 and workdir is not None:
+            final_sam = Path(workdir) / "bowtie.sam"
+            header = sam_header([(c.name, len(c.seq)) for c in contigs])
+            with_retry(comm, "bowtie:write_sam", lambda: write_sam(final_sam, merged, header))
     return StageResult(
         stage="bowtie",
-        outputs=BowtieOutputs(
-            records=merged, out_path=final_sam, part_path=part_path
-        ),
+        outputs=BowtieOutputs(records=merged, out_path=final_sam, part_path=part_path),
         makespan=comm.clock.now,
         metrics={
             **comm.phase_seconds(),
             "split_time": split_time,
             "align_time": align.seconds,
-            "merge_time": merge_time,
+            "merge_time": merging.seconds,
             "n_records": float(len(merged)),
-            # This piece's share of the work (sums over ranks to the
-            # single-index counts) and of the index memory.
+            # This piece's share of the work (sums over ranks to the single-
+            # index counts; lookups: plus shared codes), this block's reads.
+            "n_seed_lookups": float(local.n_seed_lookups),
             "n_seed_hits": float(local.n_seed_hits),
             "n_verified": float(local.n_verified),
             "index_bytes": float(index.memory_bytes()),
+            "n_block_reads": float(hi - lo),
+            "n_rows_routed": float(wire.size),
         },
         rank=comm.rank,
     )

@@ -10,29 +10,32 @@ walked by Butterfly independently of every other component.
 
 This stage fuses the whole back-end chain — **orient → fasta_to_debruijn
 → quantify_graph → butterfly walk** — into one component-parallel MPI
-stage on the :mod:`repro.parallel.component_stage` skeleton.  Components
-are dealt across ranks once: cost-blind round-robin, or master-dealt LPT
-(``dynamic``) over :func:`estimated_component_cost`, which predicts each
-chain from what is known before any graph exists — the member contigs'
-lengths (walk) and the component's routed read count (threading).  Each
-owner rank packs the reads routed to its own components once
-(:func:`~repro.trinity.chrysalis.quantify.pack_routed_reads`; each
-component's windows are one slice of it; owner-computes, DESIGN §5.20),
-then runs the fused chain for its components on its OpenMP team, one
-component per task: the kernels batch *within* a component, so the
-per-component deal, wire tuple and retry points are the unit of
-distribution and of recovery.  De Bruijn graphs and quantified edge
-weights therefore never cross the wire: only transcripts and light
-per-component quant stats are pooled, and the two serial regions plus
-the graph allgather/re-deal disappear from the makespan.  What every
-real rank would rebuild (component and routing tables, solid index, LPT
-costs) is the stage's serial time: a first, ``serial=True`` entry of
-``chrysalis:deal``.
+stage on the :mod:`repro.parallel.component_stage` skeleton.  What is
+dealt is a **(component, read block)** unit (:func:`read_block_units`),
+a component with no more than a pack block of routed reads being one:
+cost-blind round-robin over the unit list, or master-dealt LPT
+(``dynamic``) over ``READ_COST x block reads`` with the component's walk
+term (:func:`estimated_component_cost`) riding on its block 0 — whose
+rank is the component's **owner**.  A rank packs the reads of its units
+once (:func:`~repro.trinity.chrysalis.quantify.pack_routed_reads`; a
+unit's windows are one slice; DESIGN §5.20) and its OpenMP team counts
+them, one unit per task, against the component's contig-built graph
+(:func:`~repro.trinity.chrysalis.quantify.count_block`: a read is voted
+against the graph *before* any read is threaded, so a block depends on
+no other).  Tables of units dealt away from their owner reach it in one
+``alltoall``; the owner lands a component's tables with one ``add_kmers``
+(:func:`~repro.trinity.chrysalis.quantify.pool_blocks`: integer counts,
+so neither cut nor arrival order can change a byte) and walks, one
+component per task — the walk is what stays indivisible.  Graphs and
+quantified weights never cross the wire: only block tables, transcripts
+and light per-component quant stats do.  What every real rank would
+rebuild (component and unit tables, solid index, LPT costs) is the
+stage's serial time: a first, ``serial=True`` entry of ``chrysalis:deal``.
 
 Outputs are **byte-identical to the serial pipeline** at every rank
-count: the fused chain per component is exactly the serial code path
-(reads routed in serial assignment order, Butterfly enumeration salted
-by ``(seed, cid)`` only), and the merge concatenates per-component
+count: the fused chain per component is the serial code path over more
+blocks (reads routed in serial assignment order, Butterfly enumeration
+salted by ``(seed, cid)`` only), and the merge concatenates per-component
 results in ascending component-id order.  Rank-independence again makes
 crash recovery free: a relaunch on ``p - 1`` survivors re-deals
 deterministically and reproduces the same merged outputs.
@@ -54,8 +57,9 @@ identity, quantify threads nothing, and build + walk reproduce
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.mpi.clock import Stopwatch
 from repro.mpi.comm import SimComm
@@ -64,6 +68,7 @@ from repro.openmp import Schedule, ThreadTeam
 from repro.parallel import component_stage
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
+from repro.seq import kmers
 from repro.seq.records import Contig, SeqRecord, Transcript
 from repro.trinity.butterfly import ButterflyConfig, butterfly_component
 from repro.trinity.chrysalis.components import Component
@@ -71,8 +76,9 @@ from repro.trinity.chrysalis.debruijn import fasta_to_debruijn
 from repro.trinity.chrysalis.orient import orient_component
 from repro.trinity.chrysalis.quantify import (
     ComponentQuant,
+    count_block,
     pack_routed_reads,
-    quantify_component,
+    pool_blocks,
     reads_by_component,
     solid_index,
 )
@@ -126,6 +132,27 @@ def estimated_component_cost(
         max(len(contigs[m].seq) - k + 2, 1) for m in component.members
     )
     return float(est_nodes * max(max_paths, 1)) + READ_COST * n_reads
+
+
+def read_block_units(
+    reads: Sequence[SeqRecord],
+    routed: Mapping[int, Sequence[int]],
+    cids: Sequence[int],
+) -> List[Tuple[int, int, Sequence[int]]]:
+    """The units of deal, ``(component, block, read indices)`` in ``cids``
+    order: a component's routed reads in runs of one pack block's worth
+    (where ``base_blocks`` cuts reads as long as the component's first: one
+    read looked at, not all, in this replicated region).  Block 0 (empty
+    without reads) names the owner."""
+    units: List[Tuple[int, int, Sequence[int]]] = []
+    for cid in cids:
+        indices = routed.get(cid, ())
+        size = -(-kmers.PACK_BLOCK_BASES // max(len(reads[indices[0]].seq), 1)) if indices else 1
+        units += [
+            (cid, block, indices[block * size : (block + 1) * size])
+            for block in range(max(-(-len(indices) // size), 1))
+        ]
+    return units
 
 
 @dataclass(frozen=True)
@@ -201,13 +228,15 @@ def mpi_chrysalis_backend(
 ) -> StageResult:
     """SPMD body; run under :func:`repro.mpi.mpirun`.
 
-    Per component on its owner rank: orient the member contigs, build the
-    de Bruijn graph, thread the RTT-routed reads (solid-masked), walk the
-    quantified graph with Butterfly.  Every rank returns the full merged
-    transcript list and quant stats in ascending component-id order —
-    byte-identical to the serial ``fasta_to_debruijn`` + ``quantify_graph``
-    + ``butterfly_assemble`` chain (a tested invariant at nprocs 1/3/8,
-    including under crash recovery).
+    Per unit, where it was dealt: orient the member contigs, build the
+    de Bruijn graph, count the block's RTT-routed reads against it
+    (solid-masked); per component, on its owner: land every block's
+    table, walk the quantified graph with Butterfly.  Every rank returns
+    the full merged transcript list and quant stats in ascending
+    component-id order — byte-identical to the serial
+    ``fasta_to_debruijn`` + ``quantify_graph`` + ``butterfly_assemble``
+    chain (a tested invariant at nprocs 1/3/8, including under crash
+    recovery).
     """
     config = config or ChrysalisBackendStageConfig()
     bf_cfg = config.butterfly
@@ -230,9 +259,13 @@ def mpi_chrysalis_backend(
         cids: List[int] = comm.shared(
             "chrysalis:order", lambda: sorted(comp_by_id), cost=0.0
         )
-        # RTT routing table: component id -> read indices in assignment order.
-        routed: Dict[int, List[int]] = comm.shared(
-            "chrysalis:route", lambda: reads_by_component(inputs.assignments)
+        # RTT routing table (component id -> read indices in assignment
+        # order), cut into the units of deal.
+        units = comm.shared(
+            "chrysalis:route",
+            lambda: read_block_units(
+                inputs.reads, reads_by_component(inputs.assignments), cids
+            ),
         )
         # Solid canonical-k-mer index shared by every rank's read pack.
         solid = (
@@ -244,75 +277,89 @@ def mpi_chrysalis_backend(
             else None
         )
         # Graphs don't exist yet, so the LPT cost model works from contig
-        # lengths and routed read counts.
+        # lengths and routed read counts; the walk rides on block 0.
         costs = (
             comm.shared(
                 "chrysalis:costs",
-                lambda: {
-                    cid: estimated_component_cost(
+                lambda: [
+                    estimated_component_cost(
                         comp_by_id[cid], contigs, config.k,
-                        bf_cfg.max_paths_per_component, len(routed.get(cid, ())),
+                        bf_cfg.max_paths_per_component, len(indices),
                     )
-                    for cid in cids
-                },
+                    if block == 0
+                    else READ_COST * len(indices)
+                    for cid, block, indices in units
+                ],
             )
             if config.strategy == "dynamic"
             else None
         )
 
-    # -- deal components across ranks ---------------------------------------
+    # -- deal units across ranks ---------------------------------------------
     mine = component_stage.deal(
-        comm, "chrysalis", cids, lambda: costs,
+        comm, "chrysalis", range(len(units)), lambda: costs,
         strategy=config.strategy,
         nthreads=config.nthreads,
         chunk_size=config.chunk_size,
     )
+    owned = [units[u][0] for u in mine if units[u][1] == 0]
 
-    # -- fused per-component chain on the OpenMP team ------------------------
+    # -- per-unit count, then per-component pool + walk, on the OpenMP team ---
+    def count_unit(u: int) -> tuple:
+        members = [contigs[m].seq for m in comp_by_id[units[u][0]].members]
+        graph = fasta_to_debruijn(orient_component(members, config.weld_k), config.k)
+        return graph, count_block(u, graph, pack)
+
     def backend_component(cid: int) -> Tuple[ComponentQuant, List[Transcript]]:
-        comp = comp_by_id[cid]
-        oriented = orient_component(
-            [contigs[m].seq for m in comp.members], config.weld_k
-        )
-        graph = fasta_to_debruijn(oriented, config.k)
-        quant = quantify_component(cid, graph, pack)
-        return quant, butterfly_component(cid, graph, bf_cfg)
+        quant = pool_blocks(cid, graphs[cid], tables[cid])
+        return quant, butterfly_component(cid, quant.graph, bf_cfg)
 
-    local: List[Tuple[int, ComponentQuant, List[Transcript]]] = []
-    n_read_windows = pack_bytes = 0
+    graphs: Dict[int, object] = {}
+    tables: Dict[int, list] = {}
+    outbox: List[list] = [[] for _ in range(comm.size)]
     with comm.region(
-        "chrysalis:loop", strategy=config.strategy, components=len(mine)
+        "chrysalis:loop", strategy=config.strategy, components=len(owned), units=len(mine)
     ):
-        if mine:
-            # Owner-computes: the reads routed to this rank's components,
-            # encoded and packed once, each component's windows one slice.
-            # One array pass over blocks of reads — the team divides it as
-            # it does RTT's chunk kernel.
-            with Stopwatch() as packing:
-                pack = pack_routed_reads(
-                    inputs.reads, {cid: routed.get(cid, ()) for cid in mine},
-                    config.k, solid,
-                )
-            packed = team.batch(
-                pack.block_bases, packing.seconds, weights=pack.block_bases
+        owned_by = enumerate(comm.allgather(owned))
+        owner = {cid: rank for rank, cids_of in owned_by for cid in cids_of}
+        # The reads of this rank's units, encoded and packed once, each
+        # unit's windows one slice.  One array pass over blocks of reads —
+        # the team divides it as it does RTT's chunk kernel.
+        with Stopwatch() as packing:
+            pack = pack_routed_reads(
+                inputs.reads, {u: units[u][2] for u in mine}, config.k, solid
             )
-            n_read_windows, pack_bytes = int(pack.nodes.size), pack.nbytes
-            comm.clock.advance(
-                packed.makespan,
-                label="chrysalis:pack",
-                attrs={
-                    **packed.as_span_attrs(),
-                    "reads": int(pack.has_kmer.size), "windows": n_read_windows,
-                },
-            )
-            result = team.map(backend_component, mine)
-            del pack  # a rank's largest transient: gone before the merge
-            local = [(cid, q, ts) for cid, (q, ts) in zip(mine, result.values)]
-            comm.clock.advance(
-                result.makespan,
-                label="chrysalis:components",
-                attrs=result.as_span_attrs(),
-            )
+        packed = team.batch(pack.block_bases, packing.seconds, weights=pack.block_bases)
+        n_read_windows, pack_bytes = int(pack.nodes.size), pack.nbytes
+        comm.clock.advance(
+            packed.makespan,
+            label="chrysalis:pack",
+            attrs={
+                **packed.as_span_attrs(), "units": len(mine),
+                "reads": int(pack.has_kmer.size), "windows": n_read_windows,
+            },
+        )
+        counted = team.map(count_unit, mine)
+        del pack  # a rank's largest transient: gone before the merge
+        comm.clock.advance(
+            counted.makespan, label="chrysalis:units", attrs=counted.as_span_attrs()
+        )
+        # A unit's table goes to its component's owner (this rank's own stay
+        # off the wire); block 0's graph is the one the owner keeps.
+        for u, (graph, table) in zip(mine, counted.values):
+            cid, block, _indices = units[u]
+            if block == 0:
+                graphs[cid] = graph
+            outbox[owner[cid]].append((cid, table))
+        here, outbox[comm.rank] = outbox[comm.rank], []
+        inbox = comm.alltoall(outbox)
+        for cid, table in chain(here, *inbox):
+            tables.setdefault(cid, []).append(table)
+        result = team.map(backend_component, owned)
+        local = [(cid, q, ts) for cid, (q, ts) in zip(owned, result.values)]
+        comm.clock.advance(
+            result.makespan, label="chrysalis:components", attrs=result.as_span_attrs()
+        )
 
     part_path = component_stage.write_part(
         comm, "chrysalis", config.workdir,
@@ -351,13 +398,21 @@ def mpi_chrysalis_backend(
         metrics={
             **comm.phase_seconds(),
             "n_components": float(len(cids)),
-            "n_local_components": float(len(mine)),
+            "n_local_components": float(len(owned)),
             "n_transcripts": float(len(transcripts)),
             "n_reads_threaded": float(sum(n for n, _w in quant_stats.values())),
             # Exact, rank-local counts of what this rank built and packed.
             "n_graph_edges": float(sum(q.graph.n_edges for _cid, q, _ts in local)),
             "n_read_windows": float(n_read_windows),
             "pack_bytes": float(pack_bytes),
+            # ... and of what the unit deal moved (tables, bytes: over the wire).
+            "n_units": float(len(mine)),
+            "n_split_components": float(sum(len(tables[cid]) > 1 for cid in owned)),
+            "n_tables_sent": float(sum(map(len, outbox))),
+            "n_tables_received": float(sum(map(len, inbox))),
+            "pool_bytes": float(sum(
+                c.nbytes + w.nbytes for _cid, (c, w, _n) in chain.from_iterable(outbox)
+            )),
         },
         rank=comm.rank,
     )

@@ -333,15 +333,16 @@ def simulate_component_stage(
     """Simulate a :mod:`repro.parallel.component_stage` stage at one node count.
 
     Mirrors the skeleton ``mpi_inchworm`` and ``mpi_chrysalis_backend``
-    share: every rank pays the replicated ``setup_s``; whole components
-    are dealt by the cost-blind chunked round-robin or by the master's
-    LPT over ``component_costs`` (descending cost to the least-loaded
-    rank); each rank runs *all* its components through one
-    dynamically-scheduled OpenMP team, so its time is
-    ``dynamic_makespan(its costs, nthreads)``; and the merge pools
-    ``gather_bytes`` with one allgather (``None``: nothing is pooled,
-    the walk-only Butterfly sweep).  A component is indivisible, so the
-    heaviest one is the floor the dynamic deal converges to.
+    share: every rank pays the replicated ``setup_s``; the items of
+    ``component_costs`` are dealt by the cost-blind chunked round-robin
+    or by the master's LPT (descending cost to the least-loaded rank);
+    each rank runs *all* its items through one dynamically-scheduled
+    OpenMP team, so its time is ``dynamic_makespan(its costs,
+    nthreads)``; and the merge pools ``gather_bytes`` with one allgather
+    (``None``: nothing is pooled, the walk-only Butterfly sweep).  An
+    item is indivisible, so the heaviest is the floor the dynamic deal
+    converges to: a k-mer component for Inchworm; for the back end a
+    (component, read block) unit, a component's walk on its first.
     """
     if nodes <= 0:
         raise ScheduleError(f"nodes must be positive, got {nodes}")

@@ -20,17 +20,19 @@ in aggregated batches against a partitioned seed index):
 :class:`ReadSeeds`
     The read side, independent of any index: both orientations' bytes
     and, per orientation, the ``n_seed_offsets`` seed codes with their
-    read offsets.  Only the selected windows are packed.
+    read offsets, sorted by code.  Only the selected windows are packed;
+    tables of consecutive read blocks stitch into the library's.
 :class:`BowtieIndex`
     The target side: every seed window of the contigs as sorted parallel
     arrays (seed code, contig index, position) plus the contigs as one
     byte text — the sorted-array idiom of :mod:`repro.seq.kmer_index`,
     with duplicate codes kept (a seed may occur at many positions).
 :func:`align_seeds`
-    Probes all seeds with one ``searchsorted`` pair, expands the
-    candidates, bounds-filters, dedups ``(read, contig, start)``, counts
-    mismatches in flat compares + ``reduceat`` and keeps, per read and
-    orientation, the minimum by ``(mismatches, contig, start)``.
+    Looks the index's distinct codes up in the sorted read seeds (one
+    ``searchsorted`` pair: a probe costs what the index holds), expands
+    the candidates, bounds-filters, dedups ``(read, contig, start)``,
+    counts mismatches in flat compares + ``reduceat`` and keeps, per read
+    and orientation, the minimum by ``(mismatches, contig, start)``.
 :class:`BestHits`
     Those minima, rows with a hit only.  :meth:`BestHits.best` is also
     the reduction across target pieces, and :func:`sam_records` applies
@@ -116,8 +118,8 @@ class ReadSeeds:
 
     Row ``o * n_reads + i`` is read ``i`` in orientation ``o`` (0 forward,
     1 reverse complement): ``text[starts[row] : starts[row] + lengths[row]]``.
-    ``seed_codes``/``seed_rows``/``seed_offsets`` are parallel: a row's
-    seeds are its clean windows at ranks
+    ``seed_codes``/``seed_rows``/``seed_offsets`` are parallel and sorted
+    by code: a row's seeds are its clean windows at ranks
     ``np.linspace(0, n - 1, min(n_seed_offsets, n)).astype(int)`` among
     its ``n`` clean windows, and ``seed_offsets`` their start bases in
     the row.
@@ -128,7 +130,7 @@ class ReadSeeds:
     text: np.ndarray  # uint8: the forward reads, then their reverse complements
     starts: np.ndarray  # int64, per row
     lengths: np.ndarray  # int64, per row
-    seed_codes: np.ndarray  # uint64
+    seed_codes: np.ndarray  # uint64, ascending
     seed_rows: np.ndarray  # int32
     seed_offsets: np.ndarray  # int32
 
@@ -163,15 +165,41 @@ class ReadSeeds:
             seed_rows.append(np.repeat(of_n, ranks.size))
             seed_at.append(run_starts[run] + nth - before[run])
         seed_rows, seed_at = np.concatenate(seed_rows), np.concatenate(seed_at)
+        seed_codes = pack_windows_at(codes, seed_at, s)
+        order = np.argsort(seed_codes, kind="stable")
         return cls(
             n_reads=len(seqs),
             seed_len=s,
             text=text,
             starts=starts,
             lengths=lengths,
-            seed_codes=pack_windows_at(codes, seed_at, s),
-            seed_rows=seed_rows.astype(np.int32),
-            seed_offsets=(seed_at - starts[seed_rows]).astype(np.int32),
+            seed_codes=seed_codes[order],
+            seed_rows=seed_rows[order].astype(np.int32),
+            seed_offsets=(seed_at - starts[seed_rows])[order].astype(np.int32),
+        )
+
+    @classmethod
+    def stitch(cls, blocks: Sequence["ReadSeeds"]) -> "ReadSeeds":
+        """The table of all the reads from the tables of consecutive
+        blocks of them (one at least): texts end to end, rows renumbered
+        to the library's (every forward row first), seeds merged by code."""
+        n = sum(b.n_reads for b in blocks)
+        first = np.cumsum([0] + [b.n_reads for b in blocks])
+        text_at = np.cumsum([0] + [b.text.size for b in blocks])
+        # Library row of each block's rows: reverse ones n - n_reads on.
+        rows = [
+            np.arange(2 * b.n_reads) + at + np.repeat([0, n - b.n_reads], b.n_reads)
+            for b, at in zip(blocks, first)
+        ]
+        by_row = np.argsort(np.concatenate(rows))
+        cat = lambda field: np.concatenate([getattr(b, field) for b in blocks])
+        codes = cat("seed_codes")
+        order = np.argsort(codes, kind="stable")
+        starts = np.concatenate([b.starts + at for b, at in zip(blocks, text_at)])
+        seed_rows = np.concatenate([r[b.seed_rows] for r, b in zip(rows, blocks)])
+        return cls(
+            n, blocks[0].seed_len, cat("text"), starts[by_row], cat("lengths")[by_row],
+            codes[order], seed_rows[order].astype(np.int32), cat("seed_offsets")[order],
         )
 
 
@@ -181,10 +209,11 @@ class BestHits:
 
     Parallel ``int32`` arrays with ``rows`` strictly increasing; a row's
     entry is its minimum by ``(mm, contig, pos)`` — the serial tie-break.
-    ``n_seed_hits`` counts the index entries that read seeds matched and
+    ``n_seed_lookups`` counts the distinct index codes probed,
+    ``n_seed_hits`` the index entries that read seeds matched and
     ``n_verified`` the distinct in-bounds ``(row, contig, start)``
-    candidates compared base by base: the work done, which a split of
-    the target partitions exactly.
+    candidates compared base by base: the work done, which a split of the
+    target partitions exactly (lookups: up to codes pieces share).
     """
 
     rows: np.ndarray
@@ -193,6 +222,7 @@ class BestHits:
     mm: np.ndarray
     n_seed_hits: int = 0
     n_verified: int = 0
+    n_seed_lookups: int = 0
 
     @classmethod
     def best(
@@ -203,6 +233,7 @@ class BestHits:
         mm: np.ndarray,
         n_seed_hits: int = 0,
         n_verified: int = 0,
+        n_seed_lookups: int = 0,
     ) -> "BestHits":
         """Reduce alignments (any order, any number per row) to each row's
         lexicographic minimum ``(mm, contig, pos)``."""
@@ -215,6 +246,7 @@ class BestHits:
             *(a[lead].astype(np.int32) for a in (rows, contig, pos, mm)),
             n_seed_hits=n_seed_hits,
             n_verified=n_verified,
+            n_seed_lookups=n_seed_lookups,
         )
 
 
@@ -260,12 +292,17 @@ def align_seeds(read_seeds: ReadSeeds, index: BowtieIndex) -> BestHits:
             f"read seeds of length {read_seeds.seed_len} against an index of "
             f"seed_len {cfg.seed_len}"
         )
-    # Every index entry under every seed: the code's run [lo, hi).
-    lo = np.searchsorted(index.seed_codes, read_seeds.seed_codes, side="left")
-    counts = np.searchsorted(index.seed_codes, read_seeds.seed_codes, side="right") - lo
-    n_seed_hits = int(counts.sum())
-    seed = np.repeat(np.arange(counts.size), counts)
-    entry = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(n_seed_hits)
+    # Every read seed under every index entry of its code (the cross
+    # product of the code's two runs), found from the index's side.
+    codes, runs, n_entries = np.unique(index.seed_codes, return_index=True, return_counts=True)
+    lo = np.searchsorted(read_seeds.seed_codes, codes, side="left")
+    n_seeds = np.searchsorted(read_seeds.seed_codes, codes, side="right") - lo
+    pairs = n_seeds * n_entries
+    n_seed_hits = int(pairs.sum())
+    code = np.repeat(np.arange(pairs.size), pairs)
+    nth = np.arange(n_seed_hits) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    seed = lo[code] + nth // n_entries[code]
+    entry = runs[code] + nth % n_entries[code]
     rows = read_seeds.seed_rows[seed]
     contig = index.seed_contig[entry]
     start = index.seed_pos[entry] - read_seeds.seed_offsets[seed]
@@ -283,7 +320,7 @@ def align_seeds(read_seeds: ReadSeeds, index: BowtieIndex) -> BestHits:
     ok = mm <= cfg.max_mismatches
     return BestHits.best(
         rows[ok], contig[ok], start[ok], mm[ok],
-        n_seed_hits=n_seed_hits, n_verified=int(rows.size),
+        n_seed_hits=n_seed_hits, n_verified=int(rows.size), n_seed_lookups=int(runs.size),
     )
 
 

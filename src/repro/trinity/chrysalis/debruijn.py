@@ -61,6 +61,8 @@ class DeBruijnGraph:
         the graph — sum.  QuantifyGraph counts a component's read k-mers
         in arrays and lands them here in one call.
         """
+        if not len(codes):  # walk-only components thread nothing
+            return
         merged = np.concatenate((self.codes, np.asarray(codes, dtype=np.uint64)))
         self.codes, edge = np.unique(merged, return_inverse=True)
         self.weights = np.bincount(

@@ -60,7 +60,6 @@ from repro.seq.kmer_index import decode_kmers
 from repro.seq.kmers import (
     MAX_K,
     base_blocks,
-    canonical_kmers,
     kmer_windows_batch,
     pack_windows,
     revcomp_codes,
@@ -238,6 +237,19 @@ def _in_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
     return sorted_arr[idx] == values
 
 
+def _seed_windows(seq: str, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Canonical codes of a contig's clean k-windows and the base each
+    starts at in ``seq`` (not its rank among the clean ones: that shifts
+    every seed and flank cut after an ``N``)."""
+    bases = encode_bases(seq)
+    if bases.size < k:
+        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
+    fwd, window_ok = pack_windows(bases, k)
+    starts = np.flatnonzero(window_ok)
+    fwd = fwd[starts]
+    return np.minimum(fwd, revcomp_codes(fwd, k)), starts
+
+
 # --------------------------------------------------------------------------
 # Loop 1 kernel
 # --------------------------------------------------------------------------
@@ -261,22 +273,23 @@ def harvest_welds_for_contig(
     k = cfg.k
     half = k // 2
     seq = contig.seq
-    canon = canonical_kmers(seq, k)
-    hit_pos = np.nonzero(_in_sorted(canon, shared_seeds))[0]
-    if hit_pos.size == 0:
+    canon, starts = _seed_windows(seq, k)
+    hits = np.nonzero(_in_sorted(canon, shared_seeds))[0]
+    if hits.size == 0:
         return []
     # First occurrence per seed code, emitted in ascending position order
     # (np.unique returns first-occurrence indices for sorted unique codes).
-    _codes, first = np.unique(canon[hit_pos], return_index=True)
+    _codes, first = np.unique(canon[hits], return_index=True)
     out: List[WeldCandidate] = []
-    for pos in hit_pos[np.sort(first)].tolist():
+    for w in hits[np.sort(first)].tolist():
+        pos = int(starts[w])
         out.append(
             WeldCandidate(
                 left_flank=seq[max(0, pos - half) : pos],
                 seed=seq[pos : pos + k],
                 right_flank=seq[pos + k : pos + k + half],
                 owner=contig_idx,
-                seed_code=int(canon[pos]),
+                seed_code=int(canon[w]),
             )
         )
     return out
@@ -331,13 +344,13 @@ def find_weld_pairs_for_contig(
     k = cfg.k
     half = k // 2
     seq = contig.seq
-    canon = canonical_kmers(seq, k)
+    canon, starts = _seed_windows(seq, k)
     if weld_keys is None:
         weld_keys = weld_index_keys(weld_index)
-    hit_pos = np.nonzero(_in_sorted(canon, weld_keys))[0]
+    at = np.nonzero(_in_sorted(canon, weld_keys))[0]
     pairs: Set[Tuple[int, int]] = set()
-    for pos in hit_pos.tolist():
-        hits = weld_index[int(canon[pos])]
+    for pos, code in zip(starts[at].tolist(), canon[at].tolist()):
+        hits = weld_index[code]
         my_left = seq[max(0, pos - half) : pos]
         my_seed = seq[pos : pos + k]
         my_right = seq[pos + k : pos + k + half]

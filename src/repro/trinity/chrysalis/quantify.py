@@ -4,25 +4,28 @@ The last Chrysalis substep (paper SS:II.B lists it among the Chrysalis
 phases): reads assigned by ReadsToTranscripts are threaded through their
 component's graph so Butterfly can prune read-unsupported branches.
 
-A read only ever touches its own component's graph, and needs encoding
-only once, so the module is a pack and a per-component kernel:
+A read only ever touches its own component's graph, needs encoding only
+once and — threading being counting — can be counted wherever it was
+packed, so the module is a pack, a per-block count and a pool:
 
-* :func:`pack_routed_reads` — the reads routed to a set of components
-  laid end to end and packed once: the clean (k-1)-mer windows the vote
-  reads, and the clean, solid k-mer windows the count reads (the first
-  shifted by one base), on both strands.  A read routes to one
-  component, so each component's windows are one slice of the pack;
-* :func:`quantify_component` — vote, count and merge one component's
-  slice into its graph: what the fused back end
-  (:mod:`repro.parallel.mpi_chrysalis_backend`) runs per component over
-  its rank's own pack, and :func:`quantify_graph`, the serial wrapper,
-  over one pack of everything;
+* :func:`pack_routed_reads` — routed reads laid end to end and packed
+  once: the clean (k-1)-mer windows the vote reads, and the clean, solid
+  k-mer windows the count reads (the first shifted by one base), on both
+  strands.  A key's reads — a component's, or one block of them — are
+  one slice of the pack;
+* :func:`count_block` — one slice voted against the component's graph
+  and counted, a ``(codes, counts, n_has_kmer)`` table: what the fused
+  back end (:mod:`repro.parallel.mpi_chrysalis_backend`) computes per
+  (component, read block) and ships to the component's owner;
+* :func:`pool_blocks` — a component's tables landed with one ``add_kmers``
+  (:func:`quantify_component`, :func:`quantify_graph`: both, one block);
 * :func:`reads_by_component` / :func:`solid_index` — the routing table
   and solid-k-mer filter both callers build exactly once.
 
-Within a component the order of the routed reads does not matter: every
-read is oriented against the graph's nodes as they stand *before* any
-read is threaded, and threading only adds integer edge counts.  The
+Neither the order of a component's routed reads nor their cut into
+blocks matters: every read is oriented against the graph's nodes as they
+stand *before* any read is threaded, and threading only adds integer
+edge counts (exact in ``float64`` in any order).  The
 per-read loop this replaced (same votes, same edges, one window at a
 time) is the oracle in ``tests/reference_chrysalis.py``.
 """
@@ -30,7 +33,7 @@ time) is the oracle in ``tests/reference_chrysalis.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -88,14 +91,14 @@ def solid_index(kmer_counts, min_kmer_count: int):
 @dataclass
 class ReadPack:
     """Routed reads, packed once (:func:`pack_routed_reads`), numbered in
-    pack order: component ``cid`` owns reads ``spans[cid][0] ..
-    spans[cid][1] - 1``; read ``r``'s clean (k-1)-mer windows are
-    ``nodes[node_at[r]:node_at[r + 1]]``, its clean, solid k-mer windows
-    ``kmer_fwd[kmer_at[r]:kmer_at[r + 1]]`` (``kmer_rev``: the same,
-    reverse-complemented), and ``has_kmer[r]`` says whether it had a
-    clean k-mer window at all, solid or not."""
+    pack order: ``key`` (a component, or one block of its reads) owns
+    reads ``spans[key][0] .. spans[key][1] - 1``; read ``r``'s clean
+    (k-1)-mer windows are ``nodes[node_at[r]:node_at[r + 1]]``, its clean,
+    solid k-mer windows ``kmer_fwd[kmer_at[r]:kmer_at[r + 1]]``
+    (``kmer_rev``: the same, reverse-complemented), and ``has_kmer[r]``
+    says whether it had a clean k-mer window at all, solid or not."""
 
-    spans: Dict[int, Tuple[int, int]]
+    spans: Dict[Hashable, Tuple[int, int]]
     nodes: np.ndarray
     node_at: np.ndarray
     kmer_fwd: np.ndarray
@@ -147,24 +150,25 @@ def _pack_block(seqs: Sequence[str], k: int, solid) -> Tuple[np.ndarray, ...]:
 
 def pack_routed_reads(
     reads: Sequence[SeqRecord],
-    routed: Mapping[int, Sequence[int]],
+    routed: Mapping[Hashable, Sequence[int]],
     k: int,
     solid=None,
 ) -> ReadPack:
-    """Encode and pack the reads routed to ``routed``'s components, once.
+    """Encode and pack the reads listed in ``routed``, once.
 
-    ``routed`` maps component id -> read indices (rows of
-    :func:`reads_by_component`) and its order is the pack's; ``solid`` is
-    the pre-filtered :func:`solid_index` (None keeps every clean k-mer).
+    ``routed`` maps a key -> read indices (a row of
+    :func:`reads_by_component`, or a run of one) and its order is the
+    pack's; ``solid`` is the pre-filtered :func:`solid_index` (None keeps
+    every clean k-mer).
     Packed in :func:`~repro.seq.kmers.base_blocks` blocks, so the
     temporaries stay cache-sized whatever a rank owns (taken in one pass
     they grow every concurrent rank thread's malloc arena by megabytes
     that stay resident); no result depends on where the blocks fall.
     """
-    spans: Dict[int, Tuple[int, int]] = {}
+    spans: Dict[Hashable, Tuple[int, int]] = {}
     n_reads = 0
-    for cid, indices in routed.items():
-        spans[cid] = (n_reads, n_reads + len(indices))
+    for key, indices in routed.items():
+        spans[key] = (n_reads, n_reads + len(indices))
         n_reads += len(indices)
     blocks = list(base_blocks(reads[i].seq for indices in routed.values() for i in indices))
     # (the empty block first: typed empties to concatenate when no read is routed)
@@ -179,46 +183,53 @@ def pack_routed_reads(
     )
 
 
-def quantify_component(
-    component: int, graph: DeBruijnGraph, pack: ReadPack
-) -> ComponentQuant:
-    """Thread one component's routed reads — its slice of ``pack`` —
-    through its graph, in place.
+def count_block(key: Hashable, graph: DeBruijnGraph, pack: ReadPack) -> tuple:
+    """One block of a component's routed reads — ``pack``'s slice ``key``
+    — counted against its ``graph`` as it stands before any read is
+    threaded (the graph is only read): ``(codes, counts, n_has_kmer)``.
 
     A k-mer *is* an edge (prefix node -> suffix node), so threading is
     counting: every read is oriented by one vote against the graph's
-    nodes as they stand on entry
-    (:func:`~repro.trinity.chrysalis.orient.reverse_votes`), its k-mers
-    are taken on that strand, and each distinct k-mer is merged in once
-    with its multiplicity as weight.  A window that holds a non-ACGT base
-    or — with a solid filter — whose canonical k-mer is not solid is a
-    gap: it adds no edge and no node, and the windows either side of it
-    are not joined.  ``n_reads`` counts the reads with at least one clean
+    nodes (:func:`~repro.trinity.chrysalis.orient.reverse_votes`), its
+    k-mers are taken on that strand, and each distinct k-mer is listed
+    once with its multiplicity.  A window that holds a non-ACGT base or —
+    with a solid filter — whose canonical k-mer is not solid is a gap: it
+    adds no edge and no node, and the windows either side of it are not
+    joined.  ``n_has_kmer`` counts the reads with at least one clean
     k-mer window, with and without the filter.
     """
-    first, stop = pack.spans[component]
+    first, stop = pack.spans[key]
     if first == stop:  # walk-only inputs: nothing to vote on
-        return ComponentQuant(component, 0, graph, 0.0)
+        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64), 0
     local = np.arange(stop - first)
 
     def reads_of(at: np.ndarray) -> Tuple[slice, np.ndarray]:
-        """The component's run of a window array, and each window's read."""
+        """The block's run of a window array, and each window's read."""
         return slice(at[first], at[stop]), np.repeat(local, np.diff(at[first : stop + 1]))
 
     run, read_ids = reads_of(pack.node_at)
     reverse = reverse_votes(pack.nodes[run], read_ids, stop - first, graph.nodes(), graph.k)
     run, read_ids = reads_of(pack.kmer_at)
-    edges, counts = np.unique(
+    codes, counts = np.unique(
         np.where(reverse[read_ids], pack.kmer_rev[run], pack.kmer_fwd[run]),
         return_counts=True,
     )
-    graph.add_kmers(edges, counts)
-    return ComponentQuant(
-        component=component,
-        n_reads=int(np.count_nonzero(pack.has_kmer[first:stop])),
-        graph=graph,
-        read_edge_weight=float(counts.sum()),
-    )
+    return codes, counts, int(np.count_nonzero(pack.has_kmer[first:stop]))
+
+
+def pool_blocks(component: int, graph: DeBruijnGraph, tables: Sequence[tuple]) -> ComponentQuant:
+    """Thread a component's reads through its graph, in place: its blocks'
+    tables (one at least) landed with the one ``add_kmers`` that sums."""
+    codes, counts, n_reads = zip(*tables)
+    counts = np.concatenate(counts)
+    graph.add_kmers(np.concatenate(codes), counts)
+    return ComponentQuant(component, sum(n_reads), graph, float(counts.sum()))
+
+
+def quantify_component(component: int, graph: DeBruijnGraph, pack: ReadPack) -> ComponentQuant:
+    """Thread one component's routed reads — slice ``component`` of
+    ``pack``, as one block — through its graph, in place."""
+    return pool_blocks(component, graph, [count_block(component, graph, pack)])
 
 
 def quantify_graph(

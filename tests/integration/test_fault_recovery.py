@@ -220,34 +220,41 @@ class TestRttAndBowtieRecovery:
 
     @pytest.mark.timeout(120)
     def test_bowtie_crash_of_the_read_seed_owner(self, smoke_reads, contigs, monkeypatch):
-        """The rank building the shared read-seed table dies inside the
-        build.  Its waiters fail too (``CommAbandonedError``), but the
-        abort must name the owner's crash, and the re-split over the
-        survivors must yield the identical merged SAM."""
+        """The owner of one read block dies inside its seed-table build.
+        Its peers — each with its own block built — are abandoned in the
+        ``allgatherv`` that pools the blocks (``CommAbandonedError``), the
+        abort names the owner's crash, and the re-split and re-cut over
+        the survivors yields the identical merged SAM."""
         inputs = BowtieInputs(reads=smoke_reads, contigs=contigs)
         config = BowtieStageConfig(bowtie=BowtieConfig())
         base = mpirun(mpi_bowtie, NPROCS, inputs, config)
         build = ReadSeeds.build
-        owners = []
+        victim, crashed, built = "simmpi-rank-3", [], []
 
-        def crash_first_build(reads, cfg):
-            owners.append(threading.current_thread().name)
-            if len(owners) == 1:
-                raise RankCrash("crashed building the shared read seeds")
+        def crash_one_block(reads, cfg):
+            rank = threading.current_thread().name
+            if rank == victim and not crashed:
+                crashed.append(rank)
+                raise RankCrash("crashed building a read block's seeds")
+            built.append(len(reads))
             return build(reads, cfg)
 
-        monkeypatch.setattr(ReadSeeds, "build", crash_first_build)
+        monkeypatch.setattr(ReadSeeds, "build", crash_one_block)
         with pytest.raises(MpiAbortError) as abort:
             mpirun(mpi_bowtie, NPROCS, inputs, config)
         assert isinstance(abort.value.__cause__, RankCrash)
-        assert owners == [f"simmpi-rank-{abort.value.rank}"]
+        assert crashed == [f"simmpi-rank-{abort.value.rank}"] == [victim]
         assert len(abort.value.secondaries) == NPROCS - 1
         assert all(isinstance(s.exc, CommAbandonedError) for s in abort.value.secondaries)
+        # Whoever got that far had built only its own 1/p of the reads.
+        assert len(built) < NPROCS and sum(built) < len(smoke_reads)
 
-        del owners[:]
+        del crashed[:], built[:]
         losses = GLOBAL_METRICS.get("faults.rank_losses")
         rec = mpirun_with_recovery(mpi_bowtie, NPROCS, inputs, config)
-        assert len(owners) == 2  # the crashed build, then one on the survivors
+        assert crashed == [victim]
+        # The relaunch re-cuts the reads over the seven survivors.
+        assert sum(built[1 - NPROCS :]) == len(smoke_reads)
         assert GLOBAL_METRICS.get("faults.rank_losses") == losses + 1
         assert len(rec.outputs) == NPROCS - 1
         assert rec.outputs[0].records == base.outputs[0].records

@@ -10,11 +10,13 @@ and the merge follows ascending component id regardless of the deal.
 
 import gc
 import os
+import threading
 
 import pytest
 
-from repro.errors import PipelineError
-from repro.mpi import CrashFault, FaultPlan, mpirun
+import repro.seq.kmers
+from repro.errors import PipelineError, RankCrash
+from repro.mpi import CrashFault, FaultPlan, FlakyIO, SimComm, mpirun
 from repro.experiments.fig_butterfly import skewed_contigs
 from repro.parallel.mpi_chrysalis_backend import (
     ChrysalisBackendInputs,
@@ -22,6 +24,7 @@ from repro.parallel.mpi_chrysalis_backend import (
     contig_only_inputs,
     estimated_component_cost,
     mpi_chrysalis_backend,
+    read_block_units,
 )
 from repro.parallel.recovery import mpirun_with_recovery
 from repro.seq.fasta import write_fasta
@@ -287,6 +290,142 @@ class TestRecovery:
             assert out.quant_stats == {
                 cid: (q.n_reads, q.read_edge_weight) for cid, q in quants.items()
             }
+
+
+class TestReadBlockUnits:
+    """The unit of deal is a (component, read block).  No smoke component
+    holds a block of reads (the largest: 148 x 75 bases), so every test
+    above deals whole components; with the cutter at 3 000 bases the
+    three largest span 3-4 blocks each.  The serial reference is still
+    the one-block chain: equality shows the cut cannot be seen."""
+
+    @pytest.fixture()
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(repro.seq.kmers, "PACK_BLOCK_BASES", 3_000)
+
+    @pytest.mark.parametrize("nprocs", [1, 3, NPROCS])
+    @pytest.mark.parametrize("strategy", ["round_robin", "dynamic"])
+    def test_split_components_match_serial_exactly(
+        self, workload, serial_reference, smoke_reads, small_blocks, nprocs, strategy
+    ):
+        from repro.trinity.chrysalis.quantify import reads_by_component
+
+        tcfg, _contigs, components, assignments, _counts = workload
+        _graphs, quants, serial = serial_reference
+        units = read_block_units(
+            smoke_reads, reads_by_component(assignments), sorted(c.id for c in components)
+        )
+        n_blocks = {cid: block + 1 for cid, block, _indices in units}
+        assert max(n_blocks.values()) >= 3 and min(n_blocks.values()) == 1
+        # Units are in (component, block) order and cover the routing table.
+        assert [(cid, block) for cid, block, _i in units] == sorted(
+            (cid, block) for cid, block, _i in units
+        )
+        routed = reads_by_component(assignments)
+        for cid in n_blocks:
+            assert [i for c, _b, idx in units if c == cid for i in idx] == routed.get(cid, [])
+        run = mpirun(
+            mpi_chrysalis_backend, nprocs,
+            _fused_inputs(workload, smoke_reads),
+            _fused_config(tcfg, strategy=strategy),
+        )
+        for r in run.outputs:
+            assert r.transcripts == serial
+            assert r.quant_stats == {
+                cid: (q.n_reads, q.read_edge_weight) for cid, q in quants.items()
+            }
+        # The owner holds the quantified graph, whoever counted its blocks.
+        merged = {}
+        for r in run.outputs:
+            assert not set(merged) & set(r.local_quants)
+            merged.update(r.local_quants)
+        assert sorted(merged) == sorted(quants)
+        for cid, q in merged.items():
+            assert q.graph.edge_weights() == quants[cid].graph.edge_weights()
+        total = lambda name: sum(r.metrics[name] for r in run.outputs)
+        assert total("n_units") == len(units) > len(components)
+        assert total("n_split_components") == sum(n > 1 for n in n_blocks.values()) >= 3
+        assert total("n_tables_sent") == total("n_tables_received")
+        if nprocs == 1:
+            assert total("n_tables_sent") == total("pool_bytes") == 0
+        else:
+            # Some split component's blocks were counted away from its owner.
+            assert total("n_tables_sent") > 0 and total("pool_bytes") > 0
+
+    def test_counts_repeat_and_the_pack_span_carries_units(
+        self, workload, smoke_reads, small_blocks
+    ):
+        tcfg = workload[0]
+        runs = [
+            mpirun(
+                mpi_chrysalis_backend, 3,
+                _fused_inputs(workload, smoke_reads),
+                _fused_config(tcfg, strategy="dynamic"), trace=True,
+            )
+            for _ in range(2)
+        ]
+        names = ("n_units", "n_split_components", "n_tables_sent",
+                 "n_tables_received", "pool_bytes")
+        per_rank = [[[r.metrics[n] for n in names] for r in run.outputs] for run in runs]
+        assert per_rank[0] == per_rank[1]
+        packs = [s for s in runs[0].spans if s.label == "chrysalis:pack"]
+        assert sorted(s.attr("units") for s in packs) == sorted(
+            r.metrics["n_units"] for r in runs[0].outputs
+        )
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("strategy", ["round_robin", "dynamic"])
+    @pytest.mark.parametrize("when", ["inside", "after"])
+    def test_crash_around_the_table_exchange_recovers_the_bytes(
+        self, workload, serial_reference, smoke_reads, small_blocks, monkeypatch,
+        strategy, when
+    ):
+        """A rank dies inside the ``alltoall`` that carries block tables to
+        their owners (its peers are parked in it), or an owner dies right
+        after its tables arrived; the ``p - 1`` survivors re-deal the
+        units and reproduce the serial bytes."""
+        tcfg = workload[0]
+        _graphs, quants, serial = serial_reference
+        alltoall, crashed, lock = SimComm.alltoall, [], threading.Lock()
+
+        def first_to_ask(comm):
+            with lock:  # two owners may ask at once; one dies
+                crashed.append(comm.rank)
+                return len(crashed) == 1
+
+        def crashing(comm, values):
+            victim = threading.current_thread().name == "simmpi-rank-1"
+            if when == "inside" and victim and not crashed and first_to_ask(comm):
+                raise RankCrash("crashed sending block tables")
+            received = alltoall(comm, values)
+            if when == "after" and any(received) and not crashed and first_to_ask(comm):
+                raise RankCrash("an owner crashed holding its blocks' tables")
+            return received
+
+        monkeypatch.setattr(SimComm, "alltoall", crashing)
+        rec = mpirun_with_recovery(
+            mpi_chrysalis_backend, 3,
+            _fused_inputs(workload, smoke_reads),
+            _fused_config(tcfg, strategy=strategy),
+        )
+        assert crashed and len(rec.outputs) == 2
+        for out in rec.outputs:
+            assert out.transcripts == serial
+            assert out.quant_stats == {
+                cid: (q.n_reads, q.read_edge_weight) for cid, q in quants.items()
+            }
+
+    def test_flaky_io_retries_the_same_points(self, workload, smoke_reads, tmp_path):
+        tcfg = workload[0]
+        run = mpirun(
+            mpi_chrysalis_backend, 3,
+            _fused_inputs(workload, smoke_reads), _fused_config(tcfg, workdir=tmp_path),
+            trace=True, faults=FaultPlan(flaky_io=FlakyIO(rate=1.0, max_consecutive=2), seed=7),
+        )
+        assert {s.label for s in run.spans if s.label.startswith("fault:retry:")} == {
+            "fault:retry:chrysalis:read_inputs", "fault:retry:chrysalis:write_part",
+            "fault:retry:chrysalis:write_merged",
+        }
 
 
 class TestRegions:

@@ -1,8 +1,11 @@
 """Integration tests for the three MPI stages run standalone."""
 
+import threading
+
 import pytest
 
-from repro.mpi import mpirun
+from repro.errors import RankCrash
+from repro.mpi import FaultPlan, FlakyIO, SimComm, mpirun
 from repro.parallel.mpi_bowtie import BowtieInputs, BowtieStageConfig, mpi_bowtie
 from repro.parallel.mpi_graph_from_fasta import (
     GffInputs,
@@ -14,6 +17,7 @@ from repro.parallel.mpi_reads_to_transcripts import (
     RttStageConfig,
     mpi_reads_to_transcripts,
 )
+from repro.parallel.recovery import mpirun_with_recovery
 from repro.seq.records import Contig, SeqRecord
 from repro.seq.sam import read_sam
 from repro.trinity.bowtie import BowtieConfig, BowtieIndex, ReadSeeds, align_seeds, bowtie_align
@@ -97,6 +101,94 @@ class TestMpiBowtie:
             assert run.outputs[0].metrics["index_bytes"] == whole_index.memory_bytes()
         else:
             assert max(r.metrics["n_verified"] for r in run.outputs) < whole.n_verified
+
+    @pytest.mark.parametrize("nprocs", [1, 3, 8])
+    def test_read_blocks_partition_the_reads_and_files_match_serial(
+        self, smoke_reads, artefacts, nprocs, tmp_path
+    ):
+        """Seeds, reduce and render are per read block (block ``r`` of the
+        reads is rank ``r``'s), the index per target piece: the merged SAM
+        is the serial file byte for byte, part ``r`` is every read against
+        piece ``r`` alone, and the merge is serial on no rank."""
+        from repro.obs.critical import critical_path
+        from repro.seq.pyfasta import plan_split
+        from repro.seq.sam import write_sam
+        from repro.trinity.bowtie import sam_records
+
+        _counts, contigs, _gff = artefacts
+        cfg = BowtieConfig()
+        index = BowtieIndex(contigs, cfg)
+        serial = bowtie_align(smoke_reads, contigs, cfg)
+        write_sam(tmp_path / "serial.sam", serial, index.header())
+        run = mpirun(
+            mpi_bowtie, nprocs,
+            BowtieInputs(reads=smoke_reads, contigs=contigs),
+            BowtieStageConfig(bowtie=cfg, workdir=tmp_path), trace=True,
+        )
+        assert (tmp_path / "bowtie.sam").read_bytes() == (tmp_path / "serial.sam").read_bytes()
+        seeds = ReadSeeds.build(smoke_reads, cfg)
+        pieces = plan_split([len(c.seq) for c in contigs], nprocs)
+        for rank, piece in enumerate(pieces):
+            alone = [contigs[g] for g in piece]
+            want = sam_records(
+                smoke_reads, align_seeds(seeds, BowtieIndex(alone, cfg)), [c.name for c in alone]
+            )
+            assert list(read_sam(tmp_path / f"bowtie.part{rank}.sam")) == want
+        blocks = [r.metrics["n_block_reads"] for r in run.outputs]
+        assert sum(blocks) == len(smoke_reads) and max(blocks) - min(blocks) <= 1
+        assert sum(r.metrics["n_rows_routed"] for r in run.outputs) >= len(
+            [r for r in serial if not r.is_unmapped]
+        )
+        assert sum(r.metrics["n_seed_lookups"] for r in run.outputs) >= align_seeds(
+            seeds, index
+        ).n_seed_lookups
+        phases = {(s.label, bool(s.attr("serial"))) for s in run.spans if s.kind == "phase"}
+        assert phases == {("bowtie:split", True), ("bowtie:align", False), ("bowtie:merge", False)}
+        for rank, out in enumerate(run.outputs):
+            (window,) = [
+                s for s in run.spans
+                if s.kind == "compute" and s.label == "bowtie:merge" and s.track == f"rank {rank}"
+            ]
+            assert out.metrics["merge_time"] == pytest.approx(window.duration)
+        assert critical_path(run).serial_time == pytest.approx(
+            max(s.duration for s in run.spans if s.label == "bowtie:split")
+        )
+
+    @pytest.mark.timeout(120)
+    def test_crash_inside_the_merge_alltoall_recovers_the_sam(
+        self, smoke_reads, artefacts, monkeypatch
+    ):
+        """A rank dies routing its rows to their block owners (its peers
+        are parked in the ``alltoall``); the survivors re-split the
+        targets, re-cut the reads and return the same records."""
+        _counts, contigs, _gff = artefacts
+        inputs = BowtieInputs(reads=smoke_reads, contigs=contigs)
+        serial = bowtie_align(smoke_reads, contigs, BowtieConfig())
+        alltoall, crashed = SimComm.alltoall, []
+
+        def crashing(comm, values):
+            if threading.current_thread().name == "simmpi-rank-2" and not crashed:
+                crashed.append(comm.rank)
+                raise RankCrash("crashed routing rows to their block owners")
+            return alltoall(comm, values)
+
+        monkeypatch.setattr(SimComm, "alltoall", crashing)
+        rec = mpirun_with_recovery(mpi_bowtie, 8, inputs, BowtieStageConfig())
+        assert crashed == [2] and len(rec.outputs) == 7
+        assert all(out.records == serial for out in rec.outputs)
+
+    def test_flaky_io_retries_the_same_points(self, smoke_reads, artefacts, tmp_path):
+        _counts, contigs, _gff = artefacts
+        run = mpirun(
+            mpi_bowtie, 3, BowtieInputs(reads=smoke_reads, contigs=contigs),
+            BowtieStageConfig(workdir=tmp_path), trace=True,
+            faults=FaultPlan(flaky_io=FlakyIO(rate=1.0, max_consecutive=2), seed=7),
+        )
+        assert {s.label for s in run.spans if s.label.startswith("fault:retry:")} == {
+            "fault:retry:bowtie:pyfasta_split", "fault:retry:bowtie:write_part",
+            "fault:retry:bowtie:write_sam",
+        }
+        assert run.outputs[0].records == bowtie_align(smoke_reads, contigs, BowtieConfig())
 
     @pytest.mark.parametrize("nprocs", [1, 3, 8])
     def test_more_ranks_than_contigs(self, nprocs, tmp_path):

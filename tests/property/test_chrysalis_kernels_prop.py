@@ -16,6 +16,12 @@ and the integer-row simplify — equals the string-keyed code it replaced
   pack between two neighbours (one with reads of its own, one with none),
   and the pack is cut at 1 to 4 096 bases, so slices and blocks fall
   everywhere.
+* ``count_block`` + ``pool_blocks`` — what the fused back end runs per
+  (component, read block) unit and per owner — over *any* cut of a
+  component's reads into blocks (empty blocks, one read per block, the
+  blocks packed in any order, their tables pooled in any order): the
+  same contract, the same old loop, and weights equal to the one-block
+  ``quantify_component``'s to the byte.
 * ``butterfly_component`` against both dict-graph walks (the in-place
   ``dfs_in_place`` and the copying ``dfs``) on the ordered ``(name, seq)``
   list, at four salts.
@@ -52,6 +58,19 @@ test that fails:
 * a component's slice one window long (``at[stop] + 1``):
   ``test_last_window_of_a_slice_stays_home``,
   ``test_zero_read_component_between_two``
+* a block voted after an earlier block was threaded (``count_block``
+  lands its own table and ``pool_blocks`` only sums the stats):
+  ``test_pooled_blocks_equal_contract_whatever_the_cut``, through the
+  unrelated read routed on both strands
+* ``has_kmer`` counted once per block (``pack.has_kmer[first:stop].any()``):
+  same test (any block of two threadable reads), and
+  ``test_blocks_of_one_component_across_two_packs``
+* block tables pooled in floating point (``counts / counts.sum()`` shares
+  re-scaled at the owner, or ``float32`` counts): same test — the counts
+  must be integers, which is what makes the pooled weights independent
+  of block order to the byte
+* solid filter applied on one strand (``solid.contains(kmer)``): same
+  test, and the one-block test above
 * floor taken after the on-path filter (``strongest`` over off-path
   siblings only, i.e. computed in ``_dfs``): ``test_walk_equals_copying_dfs``
   and ``test_floor_counts_on_path_siblings``
@@ -82,7 +101,12 @@ from repro.seq.records import SeqRecord
 from repro.trinity.butterfly import ButterflyConfig, butterfly_component
 from repro.trinity.chrysalis.debruijn import DeBruijnGraph, fasta_to_debruijn
 from repro.trinity.chrysalis.orient import orient_component
-from repro.trinity.chrysalis.quantify import pack_routed_reads, quantify_component
+from repro.trinity.chrysalis.quantify import (
+    count_block,
+    pack_routed_reads,
+    pool_blocks,
+    quantify_component,
+)
 from repro.trinity.chrysalis.simplify import SimplifyConfig, simplify_graph
 from tests import reference_chrysalis as ref
 from tests.graph_view import source_strings, thread, weighted_graph
@@ -324,7 +348,71 @@ def test_quantify_component_equals_contract_and_oracle(case, block, right):
         assert got.n_reads == old.n_reads - short
 
 
+@settings(max_examples=200, deadline=None)
+@given(components(), st.data())
+def test_pooled_blocks_equal_contract_whatever_the_cut(case, data):
+    """Any cut of the routed reads into blocks — counted block by block
+    against the contig-built graph, wherever each block was packed, pooled
+    in any order — is the scalar oracle's graph, ``n_reads`` and weight."""
+    k, members, seqs, solid = case
+    seqs = seqs + data.draw(st.lists(st.sampled_from(["N" * (k + 2), "", "ACG"]), max_size=2))
+    oriented = orient_component(members, k - 1)
+    reads = [SeqRecord(f"r{i}", s) for i, s in enumerate(seqs)]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(seqs)), max_size=len(seqs) + 2)))
+    bounds = [0, *cuts, len(seqs)]
+    blocks = [range(a, b) for a, b in zip(bounds, bounds[1:])]  # some empty, some of one read
+
+    got_graph = fasta_to_debruijn(oriented, k)
+    # Blocks are packed where they were dealt: in any order, between
+    # other components' units, in packs of their own.
+    order = data.draw(st.permutations(range(len(blocks))))
+    n_packs = data.draw(st.integers(1, 3))
+    tables = []
+    for part in range(n_packs):
+        routed = {("left", part): [0] if reads else []}
+        routed.update({(3, b): blocks[b] for b in order[part::n_packs]})
+        with block_bases(data.draw(st.sampled_from([1, 40, 4096]))):
+            pack = pack_routed_reads(reads, routed, k, solid)
+        tables += [count_block((3, b), got_graph, pack) for b in order[part::n_packs]]
+    assert got_graph.edge_weights() == fasta_to_debruijn(oriented, k).edge_weights()  # only read
+    assert all(counts.dtype.kind in "iu" for _codes, counts, _n in tables)
+    got = pool_blocks(3, got_graph, data.draw(st.permutations(tables)))
+
+    want_graph = ref.fasta_to_debruijn(oriented, k)
+    solid_kmers = None if solid is None else set(decode_kmers(solid.codes, k))
+    n_reads, weight = contract_quantify(want_graph, seqs, solid_kmers)
+    assert got_graph.edge_weights() == ref.edge_weights(want_graph)
+    assert (got.n_reads, got.read_edge_weight) == (n_reads, weight)
+    assert type(got.n_reads) is int
+
+    whole = fasta_to_debruijn(oriented, k)
+    quantify_component(0, whole, pack_routed_reads(reads, {0: range(len(reads))}, k, solid))
+    assert got_graph.codes.tobytes() == whole.codes.tobytes()
+    assert got_graph.weights.tobytes() == whole.weights.tobytes()
+
+    if not any("N" in s for s in seqs):
+        old_graph = ref.fasta_to_debruijn(oriented, k)
+        old = ref.quantify_component(3, old_graph, reads, range(len(reads)), solid=solid)
+        assert got_graph.edge_weights() == ref.edge_weights(old_graph)
+        assert got.read_edge_weight == old.read_edge_weight
+
+
 CONTIG = "ATCGGATTACAGTCCGGTTAACGAGC"
+
+
+def test_blocks_of_one_component_across_two_packs():
+    """Two reads in one block, a third in a block packed elsewhere: the
+    owner counts three reads, and the edge all three share carries them."""
+    k = 7
+    reads = [SeqRecord(f"r{i}", s) for i, s in enumerate((CONTIG[2:14], CONTIG[2:14], CONTIG[4:16]))]
+    graph = fasta_to_debruijn([CONTIG], k)
+    here = pack_routed_reads(reads, {(1, 0): [0, 1]}, k)
+    there = pack_routed_reads(reads, {(9, 0): [], (1, 1): [2]}, k)
+    tables = [count_block((1, 1), graph, there), count_block((1, 0), graph, here)]
+    assert [n for _codes, _counts, n in tables] == [1, 2]
+    quant = pool_blocks(1, graph, tables)
+    assert (quant.n_reads, quant.read_edge_weight) == (3, 18.0)
+    assert graph.edge_weights()[(CONTIG[4:10], CONTIG[5:11])] == 4.0
 
 
 def test_n_dirties_only_the_k_window():

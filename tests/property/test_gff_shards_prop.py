@@ -26,10 +26,15 @@ Hand mutants tried against this file (each fails both tests below):
   non-palindromic weldmer, and the same pair disappears.
 
 The second half holds the array kernels (``shared_seed_array``,
-``scan_weldmers``) to the position-by-position oracle
+``scan_weldmers``) and the two loop kernels (welds and pairs of
+``graph_from_fasta``) to the position-by-position oracle
 ``tests/reference_gff.py``: a Hypothesis property over generated
-contigs x reads x ``min_contigs_sharing`` x block size, and the named
-cases of ``ORACLE_CASES``.  Hand mutants of the kernels tried against
+contigs (some holding an ``N``) x reads x ``min_contigs_sharing`` x
+block size, the named cases of ``ORACLE_CASES``, and the oracle's
+``N_CONTIG_CASES`` serial and at 1 and 3 ranks (a contig's seeds and
+flanks indexed by rank among its clean windows — every cut after the
+first ``N`` shifted left — dies on the first three of them and on the
+property).  Hand mutants of the kernels tried against
 it, and the named case that kills each (the property kills all six too):
 
 * centre offset by one (``vals[starts + k // 2 + 1]``): ``plain`` and
@@ -94,6 +99,10 @@ def gff_cases(draw):
         contigs = [
             genome[a : a + step + k + 2] for a in range(0, len(genome) - k, step)
         ]
+    if draw(st.booleans()):  # a caller's own contig FASTA may hold an N
+        i = draw(st.integers(0, len(contigs) - 1))
+        at = draw(st.integers(0, len(contigs[i])))
+        contigs[i] = contigs[i][:at] + "N" + contigs[i][at:]
     scannable = st.builds(
         lambda a, n: genome[a : a + n],
         st.integers(0, len(genome) - 2 * k), st.integers(2 * k, 3 * k),
@@ -190,6 +199,10 @@ def _assert_kernels_equal_oracle(k, contigs, reads, min_contigs_sharing=2, block
     table = weldmer_index((hi, lo, counts), k)
     assert list(table) == sorted(table)
     assert table == reference_gff.build_weldmer_index(reads, set(shared.tolist()), cfg)
+    # Loops 1 and 2: a seed is where its window starts, N or no N before it.
+    serial = graph_from_fasta(contigs, reads, cfg)
+    assert serial.welds == reference_gff.harvest_welds(contigs, set(shared.tolist()), cfg)
+    assert serial.pairs == reference_gff.weld_pairs(contigs, serial.welds, table, cfg)
     return shared, table
 
 
@@ -221,10 +234,10 @@ def test_kernels_equal_the_oracle(case):
 
 
 _K = 6
-_SEED = "ACGTCA"
-_A = "TTGGAT" + _SEED + "CCATTG"
-_B = "GACTAG" + _SEED + "TGAACC"
-_JUNCTION = "GAT" + _SEED + "TGA"  # a's left flank + seed + b's right flank
+# Two contigs sharing one seed, and a's left flank + seed + b's right flank.
+_SEED, _A, _B, _JUNCTION = (
+    reference_gff._SEED, reference_gff._A, reference_gff._B, reference_gff._JUNCTION
+)
 _PAL_HALF = "TTGACA"  # its reverse complement TGTCAA sorts first
 _PAL = _PAL_HALF + reverse_complement(_PAL_HALF)
 
@@ -270,3 +283,26 @@ def test_kernels_equal_the_oracle_on_named_cases(name):
         sharing, block_bases,
     )
     assert table == {reference_gff.canonical_weldmer(w): n for w, n in expected.items()}
+
+
+@pytest.mark.parametrize("name", sorted(reference_gff.N_CONTIG_CASES))
+def test_contig_n_shifts_no_seed_and_no_flank(name):
+    """An ``N`` in a contig drops the windows that hold it and moves no
+    other: every weld's ``seed`` string is the one ``seed_code`` decodes
+    to (or its reverse complement), serial and at 1 and 3 ranks."""
+    contigs, reads, pairs = reference_gff.N_CONTIG_CASES[name]
+    contigs = [Contig(f"c{i}", s) for i, s in enumerate(contigs)]
+    reads = [SeqRecord(f"r{i}", s) for i, s in enumerate(reads)]
+    _assert_kernels_equal_oracle(_K, contigs, reads)
+    serial = graph_from_fasta(contigs, reads, GraphFromFastaConfig(k=_K))
+    assert serial.pairs == pairs
+    for weld in serial.welds:
+        assert reference_gff.canonical_seed_code(weld.seed) == weld.seed_code
+    for nprocs in (1, 3):
+        run = mpirun(
+            mpi_graph_from_fasta, nprocs, GffInputs(contigs=contigs, reads=reads),
+            GffStageConfig(gff=GraphFromFastaConfig(k=_K), nthreads=2),
+        )
+        for out in run.outputs:
+            assert sorted(out.outputs.welds, key=lambda w: (w.owner, w.seed_code)) == serial.welds
+            assert out.outputs.pairs == pairs

@@ -27,8 +27,8 @@ def main() -> None:
     print(f"\nserial pipeline: {len(serial.contigs)} Inchworm contigs -> "
           f"{serial.n_components} Chrysalis components -> "
           f"{len(serial.transcripts)} transcripts")
-    for span in serial.timeline.spans:
-        print(f"  {span.stage:35s} {human_time(span.duration_s)}")
+    for span in serial.spans:
+        print(f"  {span.label:35s} {human_time(span.duration)}")
 
     # 3. Hybrid Trinity: Chrysalis under mpirun on 4 simulated nodes.
     parallel = ParallelTrinityDriver(

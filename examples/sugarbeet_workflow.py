@@ -13,7 +13,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.monitor.report import render_stage_table, render_timeline
+from repro.obs.span import render_stage_table, render_timeline
 from repro.parallel import ParallelTrinityDriver
 from repro.parallel.driver import ParallelTrinityConfig
 from repro.seq.fasta import iter_fasta
@@ -33,12 +33,12 @@ def main() -> None:
 
     print("\n--- serial Trinity (original workflow) ---")
     serial = TrinityPipeline(config).run(reads, workdir=workdir / "serial")
-    print(render_timeline(serial.timeline))
+    print(render_timeline(serial.spans))
 
     print("\n--- hybrid Trinity (mpirun -np 4, 4 threads/rank) ---")
     driver = ParallelTrinityDriver(ParallelTrinityConfig(trinity=config, nprocs=4, nthreads=4))
     parallel = driver.run(reads, workdir=workdir / "parallel")
-    print(render_stage_table(parallel.timeline))
+    print(render_stage_table(parallel.spans))
     print(f"\nstage files under {workdir}/parallel:")
     for name, path in sorted(parallel.files.items()):
         print(f"  {name:20s} {path}")

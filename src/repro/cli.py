@@ -66,8 +66,8 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
         f"{len(reads)} reads -> {len(result.contigs)} contigs -> "
         f"{result.n_components} components -> {len(result.transcripts)} transcripts"
     )
-    for span in result.timeline.spans:
-        print(f"  {span.stage:40s} {human_time(span.duration_s)}")
+    for span in result.spans:
+        print(f"  {span.label:40s} {human_time(span.duration)}")
     print(f"wrote {out}")
     return 0
 

@@ -10,35 +10,28 @@ also emerges from the real implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro.cluster.costmodel import CALIBRATION
 from repro.experiments import paper
-from repro.monitor.collectl import Timeline
-from repro.monitor.report import render_stage_table, render_timeline
+from repro.obs.span import Span, render_stage_table, render_timeline, stage_seconds
 from repro.parallel.scaling import simulate_serial_timeline
 from repro.util.fmt import format_table
 
 
 @dataclass
 class Fig02Result:
-    timeline: Timeline
-    measured_mini: Optional[Timeline] = None
+    timeline: List[Span]
+    measured_mini: Optional[List[Span]] = None
 
     @property
     def total_h(self) -> float:
-        return self.timeline.total_s / 3600.0
+        return self.timeline[-1].stop / 3600.0
 
     @property
     def chrysalis_h(self) -> float:
-        return (
-            sum(
-                self.timeline.duration_of(s)
-                for s in self.timeline.stages()
-                if s.startswith("chrysalis")
-            )
-            / 3600.0
-        )
+        stages = stage_seconds(self.timeline).items()
+        return sum(s for label, s in stages if label.startswith("chrysalis")) / 3600.0
 
     def render(self) -> str:
         parts = [
@@ -72,5 +65,5 @@ def run(include_mini: bool = False, seed: int = 0) -> Fig02Result:
 
         _, pairs = get_recipe("sugarbeet-mini").materialize(seed=seed)
         result = TrinityPipeline(TrinityConfig(seed=seed)).run(flatten_reads(pairs))
-        measured = result.timeline
+        measured = result.spans
     return Fig02Result(timeline=timeline, measured_mini=measured)

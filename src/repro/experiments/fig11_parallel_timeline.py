@@ -3,29 +3,23 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 from repro.cluster.workload import build_workload
-from repro.monitor.collectl import Timeline
-from repro.monitor.report import render_timeline
+from repro.obs.span import Span, render_timeline, stage_seconds
 from repro.parallel.scaling import simulate_parallel_timeline, simulate_serial_timeline
 from repro.util.fmt import format_table
 
 
 @dataclass
 class Fig11Result:
-    parallel: Timeline
-    serial: Timeline
+    parallel: List[Span]
+    serial: List[Span]
     nodes: int
 
-    def chrysalis_h(self, timeline: Timeline) -> float:
-        return (
-            sum(
-                timeline.duration_of(s)
-                for s in timeline.stages()
-                if s.startswith("chrysalis")
-            )
-            / 3600.0
-        )
+    def chrysalis_h(self, timeline: List[Span]) -> float:
+        stages = stage_seconds(timeline).items()
+        return sum(s for label, s in stages if label.startswith("chrysalis")) / 3600.0
 
     def render(self) -> str:
         return "\n".join(
@@ -43,8 +37,8 @@ class Fig11Result:
                         ],
                         [
                             "whole pipeline (h)",
-                            f"{self.parallel.total_s / 3600:.1f}",
-                            f"{self.serial.total_s / 3600:.1f}",
+                            f"{self.parallel[-1].stop / 3600:.1f}",
+                            f"{self.serial[-1].stop / 3600:.1f}",
                         ],
                     ],
                 ),

@@ -1,10 +1,10 @@
 """Pipeline-wide span observability: one span type, every layer emits it.
 
-The subsystem has four pieces, each consuming the one before:
+The subsystem has five pieces, each consuming the one before:
 
-* :mod:`repro.obs.span` — :class:`Span`, the unified interval record that
-  subsumes the old ``TraceSegment`` (per-rank clock segments) and
-  ``StageSpan`` (driver stage intervals);
+* :mod:`repro.obs.span` — :class:`Span`, the one interval record (per-rank
+  clock segments, labelled regions, driver stage intervals), and the
+  back-to-back stage spans of the pipelines and Figures 2 / 11;
 * :mod:`repro.obs.result` — :class:`StageResult`, the common return shape
   of the MPI stage bodies, ``mpirun`` and both pipeline drivers;
 * :mod:`repro.obs.chrome` — Chrome trace-event / Perfetto export of any
@@ -17,7 +17,7 @@ The subsystem has four pieces, each consuming the one before:
 ``repro profile`` is the CLI entry point over all of it.
 """
 
-from repro.obs.span import CLOCK_KINDS, Span, SpanList
+from repro.obs.span import CLOCK_KINDS, Span
 from repro.obs.result import StageResult
 from repro.obs.chrome import chrome_trace, chrome_trace_events, write_chrome_trace
 from repro.obs.critical import (
@@ -31,7 +31,6 @@ from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
 __all__ = [
     "CLOCK_KINDS",
     "Span",
-    "SpanList",
     "StageResult",
     "chrome_trace",
     "chrome_trace_events",

@@ -1,12 +1,7 @@
 """``StageResult`` — the one result shape every stage returns.
 
-Before this module each layer returned an ad-hoc dataclass: ``mpirun``
-returned ``MpiRunResult``, the three MPI stage bodies returned
-``MpiBowtieResult`` / ``MpiGffResult`` / ``MpiRttResult``, the pipelines
-returned bare ``TrinityResult``.  The exporter, the critical-path
-analyser and the validation harness each had to know every shape.
-
-A :class:`StageResult` separates the concerns those classes mixed:
+A :class:`StageResult` keeps apart what the exporter, the critical-path
+analyser and the validation harness each read:
 
 ``outputs``
     what the stage *computed* (records, welds, assignments, a
@@ -14,21 +9,19 @@ A :class:`StageResult` separates the concerns those classes mixed:
 ``makespan`` / ``elapsed`` / ``traces``
     when it happened on the virtual clocks;
 ``spans``
-    the unified :class:`~repro.obs.span.Span` stream for exporters;
+    the unified :class:`~repro.obs.span.Span` stream for exporters — for
+    the two pipeline drivers, their back-to-back ``stage`` spans;
 ``comm`` / ``metrics``
     communication accounting and scalar counters/gauges.
 
-Every distributed stage now conforms to the
+Every distributed stage conforms to the
 :class:`~repro.parallel.stage.ParallelStage` protocol and sets
 ``outputs`` to a typed per-stage dataclass (``GffOutputs``,
 ``RttOutputs``, ``BowtieOutputs``, ``ChrysalisBackendOutputs``, …), so
 the preferred reads are explicit: ``run.outputs[0].welds`` on an ``mpirun``
 result, ``result.outputs.welds`` on a per-rank one.  Attribute
 delegation to ``outputs`` and ``metrics`` (``result.welds``,
-``result.serial_time``) remains for the untyped callers.  The
-``returns``/``stats`` aliases from the ``MpiRunResult`` era served
-their one deprecation release and are gone — read ``outputs``/``comm``
-directly.
+``result.serial_time``) remains for the untyped callers.
 """
 
 from __future__ import annotations
@@ -36,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.span import Span, SpanList
+from repro.obs.span import Span
 
 
 @dataclass
@@ -65,10 +58,6 @@ class StageResult:
         """max/min rank time — the paper's load-imbalance measure."""
         lo = self.min_rank_time
         return self.makespan / lo if lo > 0 else float("inf")
-
-    def span_list(self) -> SpanList:
-        """The span stream wrapped with per-track analytics."""
-        return SpanList(list(self.spans))
 
     def all_spans(self) -> List[Span]:
         """This stage's spans plus every child stage's, recursively."""

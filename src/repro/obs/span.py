@@ -1,12 +1,10 @@
 """The unified span type every instrumentation layer emits.
 
-Before this module the repo carried three disconnected timing records —
-``repro.mpi.trace.TraceSegment`` (per-rank compute/wait/comm intervals),
-``repro.monitor.collectl.StageSpan`` (pipeline-stage wall intervals) and
-the scalar counters in ``CommStats``.  A :class:`Span` subsumes the first
-two (both are now views over it) so the Chrome-trace exporter and the
-critical-path analyser consume a single shape regardless of which layer
-produced the interval.
+A :class:`Span` is the one interval record of the repository: the
+per-rank clock segments of :mod:`repro.mpi.trace`, the labelled regions
+of ``SimComm.region`` and the pipeline drivers' stage intervals are all
+spans, so the Chrome-trace exporter and the critical-path analyser
+consume a single shape regardless of which layer produced the interval.
 
 Vocabulary
 ----------
@@ -19,12 +17,23 @@ Vocabulary
     Which timeline row the span belongs to: ``"rank 3"``, ``"driver"``.
 ``attrs``
     Free-form annotations — byte counts, item counts, cache hits, RAM.
+
+Stage spans on the ``driver`` track are the Collectl-style traces of the
+paper's Figures 2 and 11: :func:`append_stage` lays them back to back
+(each carries its estimated resident size as ``attrs["ram_gb"]``), the
+modelled timelines of :mod:`repro.parallel.scaling` call it directly and
+the two pipeline drivers time live stages with :func:`host_stage`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional
+import time
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
+
+from repro.util.fmt import format_table, human_time
 
 #: Clock kinds: every advancement of a rank's virtual clock is exactly one
 #: of these, which is why their per-rank totals sum to the rank's end time.
@@ -93,44 +102,75 @@ class Span:
         )
 
 
-@dataclass
-class SpanList:
-    """A mutable, track-aware collection of spans with simple analytics."""
+def append_stage(spans: List[Span], label: str, duration_s: float, ram_gb: float) -> Span:
+    """Append a driver-track ``stage`` span starting where the last one stopped."""
+    if ram_gb < 0:
+        raise ValueError(f"negative RAM for stage {label!r}")
+    start = spans[-1].stop if spans else 0.0
+    span = Span("stage", start, start + duration_s, label, "driver", {"ram_gb": ram_gb})
+    spans.append(span)
+    return span
 
-    spans: list = field(default_factory=list)
 
-    def add(self, span: Span) -> Span:
-        """Append one span (kept in insertion order)."""
-        self.spans.append(span)
-        return span
+@contextmanager
+def host_stage(spans: List[Span], label: str) -> Iterator[SimpleNamespace]:
+    """Time the body on the host wall clock as one :func:`append_stage` span.
 
-    def total(self, kind: str, track: Optional[str] = None) -> float:
-        """Summed duration of ``kind`` spans, optionally on one track."""
-        return sum(
-            s.duration
-            for s in self.spans
-            if s.kind == kind and (track is None or s.track == track)
-        )
+    The body may set ``ram_bytes`` on the yielded object: the stage's
+    resident size, estimated from the sizes of its own tables (Python
+    object introspection is unreliable).
 
-    def tracks(self) -> list:
-        """Distinct tracks in first-seen order."""
-        seen: list = []
-        for s in self.spans:
-            if s.track not in seen:
-                seen.append(s.track)
-        return seen
+    Clock choice: ``perf_counter``, by design.  The span brackets work
+    that runs in *other* threads (the simulated MPI ranks and OpenMP
+    teams); ``thread_time`` on the driver thread would read ~0 across an
+    ``mpirun`` stage, while the Collectl traces this mimics are host-side
+    elapsed time.  ``thread_time`` belongs inside the rank bodies, which
+    charge their own virtual clocks.
+    """
+    stage = SimpleNamespace(ram_bytes=0)
+    t0 = time.perf_counter()
+    yield stage
+    append_stage(spans, label, time.perf_counter() - t0, stage.ram_bytes / 1e9)
 
-    def on_track(self, track: str) -> list:
-        """All spans of one track, time-sorted."""
-        return sorted((s for s in self.spans if s.track == track), key=lambda s: s.start)
 
-    def longest(self, k: int = 5, kinds: Optional[tuple] = None) -> list:
-        """The ``k`` longest spans (optionally restricted to ``kinds``)."""
-        pool = [s for s in self.spans if kinds is None or s.kind in kinds]
-        return sorted(pool, key=lambda s: -s.duration)[:k]
+def stage_seconds(spans: Iterable[Span]) -> Dict[str, float]:
+    """Summed duration of each label, in first-seen order."""
+    out: Dict[str, float] = {}
+    for s in spans:
+        out[s.label] = out.get(s.label, 0.0) + s.duration
+    return out
 
-    def __iter__(self):
-        return iter(self.spans)
 
-    def __len__(self) -> int:
-        return len(self.spans)
+def peak_ram_gb(spans: Iterable[Span]) -> float:
+    """The largest ``ram_gb`` any span carries (0 for none)."""
+    return max((s.attr("ram_gb", 0.0) for s in spans), default=0.0)
+
+
+def render_stage_table(spans: List[Span]) -> str:
+    """Per-stage duration / peak-RAM table of back-to-back stage spans."""
+    rows: List[List[object]] = [
+        [
+            label,
+            human_time(seconds),
+            f"{peak_ram_gb(s for s in spans if s.label == label):.1f}",
+        ]
+        for label, seconds in stage_seconds(spans).items()
+    ]
+    total = spans[-1].stop if spans else 0.0
+    rows.append(["TOTAL", human_time(total), f"{peak_ram_gb(spans):.1f}"])
+    return format_table(["stage", "time", "peak RAM (GB)"], rows)
+
+
+def render_timeline(spans: List[Span], width: int = 72) -> str:
+    """ASCII Collectl-style trace: one bar per stage span, length ~ duration."""
+    total = spans[-1].stop if spans else 0.0
+    if total <= 0:
+        return "(empty timeline)"
+    name_w = max(len(s.label) for s in spans)
+    lines = [
+        f"{s.label.ljust(name_w)} |{'#' * max(1, round(width * s.duration / total))}| "
+        f"{human_time(s.duration)} @ {s.attr('ram_gb', 0.0):.1f} GB"
+        for s in spans
+    ]
+    lines.append(f"{'TOTAL'.ljust(name_w)}  {human_time(total)}, peak {peak_ram_gb(spans):.1f} GB")
+    return "\n".join(lines)

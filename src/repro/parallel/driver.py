@@ -43,14 +43,12 @@ import logging
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple, Union
-
-import numpy as np
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import PipelineError
-from repro.monitor import ResourceMonitor
 from repro.obs.metrics import GLOBAL_METRICS
 from repro.obs.result import StageResult
+from repro.obs.span import Span, host_stage, peak_ram_gb, stage_seconds
 from repro.mpi import mpirun
 from repro.mpi.faults import FaultPlan
 from repro.mpi.network import IDATAPLEX_FDR10, NetworkModel
@@ -130,10 +128,9 @@ class ParallelTrinityConfig:
     def inchworm_threads(self) -> int:
         """Simulated OpenMP thread count for the Inchworm front end.
 
-        Delegates to ``trinity.inchworm_threads`` — the single source of
-        truth shared with the serial pipeline (this used to be a
-        duplicated field that could silently diverge).  Straggler faults
-        from ``faults`` slow the matching thread's clock.
+        Delegates to ``trinity.inchworm_threads``, the one setting the
+        serial pipeline shares, so the two cannot diverge.  Straggler
+        faults from ``faults`` slow the matching thread's clock.
         """
         return self.trinity.inchworm_threads
 
@@ -183,69 +180,46 @@ class ParallelTrinityConfig:
         )
 
 
-def _inchworm_thread_slowdowns(
-    plan: Optional[FaultPlan], n_threads: int, rank: int = 0
-) -> Optional[np.ndarray]:
-    """Straggler factors from ``plan`` mapped onto Inchworm's threads.
-
-    The fault plan indexes stragglers by a flat id; the distributed
-    Inchworm numbers its hybrid workers ``rank * n_threads + thread``,
-    so straggler id ``f`` slows thread ``f - rank * n_threads`` of
-    ``rank`` whenever that lands in ``[0, n_threads)``.  The default
-    ``rank=0`` reproduces the historical front-end mapping exactly
-    (straggler rank ``t`` -> thread ``t`` when ``t < n_threads``).
-    Returns ``None`` when no straggler lands on a live thread, so the
-    fast no-faults path stays allocation-free.  Slowdowns only stretch
-    virtual thread clocks — stage output never depends on them.
-    """
-    if plan is None or not plan.stragglers:
-        return None
-    slow = np.ones(n_threads)
-    base = rank * n_threads
-    for s in plan.stragglers:
-        t = s.rank - base
-        if 0 <= t < n_threads:
-            slow[t] = max(slow[t], s.slowdown)
-    if np.all(slow == 1.0):
-        return None
-    return slow
-
-
 def _inchworm_slowdown_table(
     plan: Optional[FaultPlan], nprocs: int, n_threads: int
 ) -> Optional[Tuple[Tuple[float, ...], ...]]:
-    """Per-rank straggler rows for the distributed Inchworm stage.
+    """Straggler factors from ``plan`` as one row of thread factors per rank.
 
-    One :func:`_inchworm_thread_slowdowns` row per rank (all-ones rows
-    for ranks no straggler maps onto); ``None`` when the plan touches no
-    (rank, thread) pair at all.
+    The fault plan indexes stragglers by a flat id; the distributed
+    Inchworm numbers its hybrid workers ``rank * n_threads + thread``, so
+    straggler id ``f`` slows thread ``f % n_threads`` of rank
+    ``f // n_threads`` (ids past the last worker land nowhere).  Returns
+    ``None`` when no straggler lands on a live thread, so the fast
+    no-faults path stays allocation-free.  Slowdowns only stretch virtual
+    thread clocks — stage output never depends on them.
     """
     if plan is None or not plan.stragglers:
         return None
-    rows = [
-        _inchworm_thread_slowdowns(plan, n_threads, rank=r) for r in range(nprocs)
-    ]
-    if all(row is None for row in rows):
+    rows = [[1.0] * n_threads for _ in range(nprocs)]
+    for s in plan.stragglers:
+        rank, thread = divmod(s.rank, n_threads)
+        if 0 <= rank < nprocs:
+            rows[rank][thread] = max(rows[rank][thread], float(s.slowdown))
+    if all(f == 1.0 for row in rows for f in row):
         return None
-    ones = (1.0,) * n_threads
-    return tuple(
-        ones if row is None else tuple(float(f) for f in row) for row in rows
-    )
+    return tuple(tuple(row) for row in rows)
 
 
 @dataclass
 class StageChain:
     """State of one walk of :data:`STAGE_TABLE`: config, reads, and the
-    ``mpirun`` result of every stage launched so far (keyed by row key,
-    in launch order)."""
+    ``mpirun`` result and host-wall span of every stage launched so far
+    (results keyed by row key, both in launch order)."""
 
     cfg: ParallelTrinityConfig
     reads: Sequence[SeqRecord]
     runs: Dict[str, StageResult] = field(default_factory=dict)
+    #: One driver-track ``stage`` span per launch, back to back.
+    spans: List[Span] = field(default_factory=list)
 
     def out(self, key: str) -> Any:
         """Rank 0's typed ``*Outputs`` of stage ``key``."""
-        return self.runs[key].outputs[0]
+        return self.runs[key].outputs[0].outputs
 
     @property
     def contigs(self) -> Sequence[Any]:
@@ -262,7 +236,7 @@ class StageRow:
 
     key: str  # short name: ``cfg.<key>_stage``, ``mpi.<key>_makespan_s``, ``--stage``
     fn: Callable[..., StageResult]  # the registered ParallelStage body
-    monitor: str  # timeline span name
+    label: str  # its driver-track stage span's label
     inputs: Callable[[StageChain], Any]  # the stage's *Inputs from the chain so far
     config: Callable[[ParallelTrinityConfig, Optional[Path]], Any]
     upstream: Tuple[str, ...]  # row keys whose outputs ``inputs`` reads
@@ -359,8 +333,8 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
         file_key="chrysalis_backend_fasta",
         ram_bytes=lambda chain: sum(
             q.graph.nbytes
-            for out in chain.runs["chrysalis"].outputs
-            for q in out.local_quants.values()
+            for rank in chain.runs["chrysalis"].outputs
+            for q in rank.outputs.local_quants.values()
         ),
     ),
 )
@@ -384,24 +358,23 @@ def run_chain(
     launch: Launcher,
     *,
     workdir: Optional[Path] = None,
-    monitor: Optional[ResourceMonitor] = None,
     target: Optional[str] = None,
 ) -> StageChain:
     """Walk :data:`STAGE_TABLE` in order, launching each row via ``launch``.
 
-    Each launch runs inside its row's ``monitor`` span (inputs and the
-    inter-stage glue are built outside it).  With ``target``, only that
-    stage and its transitive upstream stages run.
+    Each launch and its RAM estimate run inside one :func:`host_stage`
+    span labelled by the row (inputs and the inter-stage glue are built
+    outside it).  With ``target``, only that stage and its transitive
+    upstream stages run.
     """
     chain = StageChain(cfg, reads)
-    monitor = monitor or ResourceMonitor()
     needed = _with_upstream(target) if target is not None else None
     for row in STAGE_TABLE:
         if needed is not None and row.key not in needed:
             continue
         inputs = row.inputs(chain)
         stage_config = row.config(cfg, workdir)
-        with monitor.stage(row.monitor) as st:
+        with host_stage(chain.spans, row.label) as st:
             chain.runs[row.key] = launch(row, inputs, stage_config)
             st.ram_bytes = row.ram_bytes(chain)
     return chain
@@ -558,7 +531,6 @@ class ParallelTrinityDriver:
         launch via :func:`repro.parallel.recovery.mpirun_with_recovery`.
         """
         cfg = self.config
-        monitor = ResourceMonitor()
         wd = Path(workdir) if workdir is not None else None
         if wd is not None:
             wd.mkdir(parents=True, exist_ok=True)
@@ -582,7 +554,7 @@ class ParallelTrinityDriver:
                 checkpoint_dir=checkpoint_dir, checkpoint_key=keys.get(row.key),
             )
 
-        chain = run_chain(cfg, reads, launch, workdir=wd, monitor=monitor)
+        chain = run_chain(cfg, reads, launch, workdir=wd)
         runs = chain.runs
         files: Dict[str, Path] = {
             row.file_key: chain.out(row.key).out_path
@@ -598,11 +570,12 @@ class ParallelTrinityDriver:
         # component order) is unioned host-side from the per-rank locals.
         local_quants = {
             cid: q
-            for out in runs["chrysalis"].outputs
-            for cid, q in out.local_quants.items()
+            for rank in runs["chrysalis"].outputs
+            for cid, q in rank.outputs.local_quants.items()
         }
+        spans = chain.spans
         if cfg.trinity.use_pair_reconciliation:
-            with monitor.stage("butterfly.pair_reconciliation"):
+            with host_stage(spans, "butterfly.pair_reconciliation"):
                 transcripts, _pair_stats = reconcile_with_pairs(
                     transcripts, list(reads), assignments
                 )
@@ -621,7 +594,6 @@ class ParallelTrinityDriver:
         team_makespan = sum(
             r.metrics["team_makespan_s"] for r in runs["inchworm"].outputs
         )
-        timeline = monitor.timeline
         result = TrinityResult(
             transcripts=transcripts,
             contigs=chain.contigs,
@@ -631,16 +603,15 @@ class ParallelTrinityDriver:
             assignments=assignments,
             quants=dict(sorted(local_quants.items())),
             counts=chain.out("jellyfish").counts,
-            timeline=timeline,
             files=files,
         )
         return StageResult(
             stage="parallel-trinity",
             outputs=result,
-            makespan=timeline.total_s,
-            spans=list(timeline.spans),
+            makespan=spans[-1].stop,
+            spans=spans,
             metrics={
-                **{f"stage.{name}_s": timeline.duration_of(name) for name in timeline.stages()},
+                **{f"stage.{label}_s": s for label, s in stage_seconds(spans).items()},
                 "inchworm.n_threads": float(cfg.inchworm_threads),
                 "inchworm.team_serial_s": team_serial,
                 "inchworm.team_makespan_s": team_makespan,
@@ -652,7 +623,7 @@ class ParallelTrinityDriver:
                 "inchworm_threads": float(cfg.inchworm_threads),
                 "n_transcripts": float(len(transcripts)),
                 **{f"mpi.{key}_makespan_s": run.makespan for key, run in runs.items()},
-                "peak_ram_gb": timeline.peak_ram_gb,
+                "peak_ram_gb": peak_ram_gb(spans),
             },
             children=list(runs.values()),
         )

@@ -102,7 +102,7 @@ class InchwormStageConfig:
     chunk_size: Optional[int] = None  # round_robin only; None -> default
     workdir: Optional[PathLike] = None  # merged contig FASTA (rank 0)
     #: Per-(rank, thread) straggler factors, one row per rank (from
-    #: :func:`repro.parallel.driver._inchworm_thread_slowdowns`).  Purely
+    #: :func:`repro.parallel.driver._inchworm_slowdown_table`).  Purely
     #: a virtual-clock effect: output never depends on it.
     thread_slowdowns: Optional[Tuple[Tuple[float, ...], ...]] = None
 

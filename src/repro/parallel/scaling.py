@@ -22,7 +22,7 @@ import numpy as np
 from repro.cluster.costmodel import CALIBRATION, PaperCalibration
 from repro.cluster.workload import ChrysalisWorkload, build_workload
 from repro.errors import ScheduleError
-from repro.monitor.collectl import Timeline
+from repro.obs.span import Span, append_stage
 from repro.mpi.network import IDATAPLEX_FDR10, NetworkModel
 from repro.openmp.schedule import dynamic_makespan
 from repro.parallel.chunks import (
@@ -571,7 +571,7 @@ def simulate_bowtie_scaling(
 # ---------------------------------------------------------------------------
 
 
-def simulate_serial_timeline(calibration: PaperCalibration = CALIBRATION) -> Timeline:
+def simulate_serial_timeline(calibration: PaperCalibration = CALIBRATION) -> List[Span]:
     """Figure 2: original Trinity on one 16-core, 256 GB node.
 
     RAM figures come from :func:`repro.cluster.memory.model_stage_memory`
@@ -582,14 +582,14 @@ def simulate_serial_timeline(calibration: PaperCalibration = CALIBRATION) -> Tim
     from repro.cluster.memory import model_stage_memory
 
     mem = model_stage_memory(nprocs=1)
-    tl = Timeline()
-    tl.append("jellyfish", calibration.jellyfish_serial_s, mem.jellyfish_gb)
-    tl.append("inchworm", calibration.inchworm_serial_s, mem.inchworm_gb)
-    tl.append("chrysalis.bowtie", calibration.bowtie_serial_total_s, mem.bowtie_gb)
-    tl.append("chrysalis.graph_from_fasta", calibration.gff_serial_total_s, mem.gff_gb)
-    tl.append("chrysalis.reads_to_transcripts", calibration.rtt_serial_total_s, mem.rtt_gb)
-    tl.append("chrysalis.misc", calibration.chrysalis_misc_serial_s, mem.gff_gb)
-    tl.append("butterfly", calibration.butterfly_serial_s, mem.butterfly_gb)
+    tl: List[Span] = []
+    append_stage(tl, "jellyfish", calibration.jellyfish_serial_s, mem.jellyfish_gb)
+    append_stage(tl, "inchworm", calibration.inchworm_serial_s, mem.inchworm_gb)
+    append_stage(tl, "chrysalis.bowtie", calibration.bowtie_serial_total_s, mem.bowtie_gb)
+    append_stage(tl, "chrysalis.graph_from_fasta", calibration.gff_serial_total_s, mem.gff_gb)
+    append_stage(tl, "chrysalis.reads_to_transcripts", calibration.rtt_serial_total_s, mem.rtt_gb)
+    append_stage(tl, "chrysalis.misc", calibration.chrysalis_misc_serial_s, mem.gff_gb)
+    append_stage(tl, "butterfly", calibration.butterfly_serial_s, mem.butterfly_gb)
     return tl
 
 
@@ -599,7 +599,7 @@ def simulate_parallel_timeline(
     calibration: PaperCalibration = CALIBRATION,
     nthreads: int = 16,
     network: NetworkModel = IDATAPLEX_FDR10,
-) -> Timeline:
+) -> List[Span]:
     """Figure 11: hybrid Trinity at ``nodes`` nodes (paper plots 16).
 
     Per the paper's caption, the Jellyfish/Inchworm front end is "not
@@ -614,17 +614,17 @@ def simulate_parallel_timeline(
     rtt = simulate_rtt_point(nodes, workload, calibration)
     bowtie = simulate_bowtie_point(nodes, 129_800_000, calibration)
     mem = model_stage_memory(nprocs=nodes)
-    tl = Timeline()
+    tl: List[Span] = []
     # Jellyfish/Inchworm still run on the big-memory node in the paper's
     # workflow ("Running instances of Inchworm/Jellyfish are not recorded
     # for MPI-parallelized Trinity", Fig 11 caption).
-    tl.append("jellyfish", calibration.jellyfish_serial_s, mem.jellyfish_gb)
-    tl.append("inchworm", calibration.inchworm_serial_s, mem.inchworm_gb)
-    tl.append("chrysalis.bowtie[mpi]", bowtie.total_s, mem.bowtie_gb)
-    tl.append("chrysalis.graph_from_fasta[mpi]", gff.total_s, mem.gff_gb)
-    tl.append("chrysalis.reads_to_transcripts[mpi]", rtt.total_s, mem.rtt_gb)
-    tl.append("chrysalis.misc", calibration.chrysalis_misc_serial_s, mem.gff_gb)
-    tl.append("butterfly", calibration.butterfly_serial_s, mem.butterfly_gb)
+    append_stage(tl, "jellyfish", calibration.jellyfish_serial_s, mem.jellyfish_gb)
+    append_stage(tl, "inchworm", calibration.inchworm_serial_s, mem.inchworm_gb)
+    append_stage(tl, "chrysalis.bowtie[mpi]", bowtie.total_s, mem.bowtie_gb)
+    append_stage(tl, "chrysalis.graph_from_fasta[mpi]", gff.total_s, mem.gff_gb)
+    append_stage(tl, "chrysalis.reads_to_transcripts[mpi]", rtt.total_s, mem.rtt_gb)
+    append_stage(tl, "chrysalis.misc", calibration.chrysalis_misc_serial_s, mem.gff_gb)
+    append_stage(tl, "butterfly", calibration.butterfly_serial_s, mem.butterfly_gb)
     return tl
 
 

@@ -121,11 +121,10 @@ class JellyfishCounts:
         return JellyfishCounts(self.k, canonical=self.canonical, index=self.index.filtered(min_count))
 
     def memory_bytes(self) -> int:
-        """Resident size of the backing store (for the monitor).
+        """Resident size of the backing store (a stage span's RAM estimate).
 
         The sorted-array index holds exactly two parallel arrays, so this
-        is the true footprint (16 B/key), not the ~100 B/key CPython-dict
-        estimate the monitor used to extrapolate from.
+        is the true footprint (16 B/key).
         """
         return self.index.memory_bytes()
 

@@ -20,8 +20,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import PipelineError
-from repro.monitor import ResourceMonitor, Timeline
 from repro.obs.result import StageResult
+from repro.obs.span import Span, host_stage, peak_ram_gb, stage_seconds
 from repro.seq.fasta import write_fasta
 from repro.seq.records import Contig, SeqRecord, Transcript
 from repro.seq.sam import write_sam
@@ -135,7 +135,6 @@ class TrinityResult:
     assignments: List[ReadAssignment]
     quants: Dict[int, ComponentQuant]
     counts: JellyfishCounts
-    timeline: Timeline
     files: Dict[str, Path] = field(default_factory=dict)
 
     @property
@@ -160,15 +159,13 @@ class TrinityPipeline:
         """Assemble ``reads``; write stage files under ``workdir`` if given.
 
         Returns a :class:`~repro.obs.result.StageResult` whose ``outputs``
-        is the :class:`TrinityResult`; the artefact fields
-        (``transcripts``, ``contigs``, ``timeline``, ``files``, …) remain
-        reachable on the result by delegation, so pre-existing callers
-        run unmodified.
+        is the :class:`TrinityResult` and whose ``spans`` time each stage
+        on the host wall clock, back to back (:func:`host_stage`).
         """
         if not reads:
             raise PipelineError("no reads supplied")
         cfg = self.config
-        monitor = ResourceMonitor()
+        spans: List[Span] = []
         files: Dict[str, Path] = {}
         wd = Path(workdir) if workdir is not None else None
         if wd is not None:
@@ -177,7 +174,7 @@ class TrinityPipeline:
         logger.info("trinity: %d reads, k=%d, seed=%d", len(reads), cfg.k, cfg.seed)
 
         # -- Jellyfish ------------------------------------------------------
-        with monitor.stage("jellyfish") as st:
+        with host_stage(spans, "jellyfish") as st:
             jcfg = cfg.jellyfish()
             counts = jellyfish_count(
                 reads, jcfg.k, canonical=jcfg.canonical, batch_bases=jcfg.batch_bases
@@ -189,7 +186,7 @@ class TrinityPipeline:
             jellyfish_dump(counts, files["jellyfish_dump"])
 
         # -- Inchworm --------------------------------------------------------
-        with monitor.stage("inchworm") as st:
+        with host_stage(spans, "inchworm") as st:
             contigs = inchworm_assemble(counts, cfg.inchworm())
             st.ram_bytes = counts.memory_bytes() + sum(len(c.seq) for c in contigs)
         if not contigs:
@@ -205,7 +202,7 @@ class TrinityPipeline:
         # -- Chrysalis: Bowtie ------------------------------------------------
         scaffolds: List[Tuple[int, int]] = []
         if cfg.use_bowtie_scaffolds:
-            with monitor.stage("chrysalis.bowtie") as st:
+            with host_stage(spans, "chrysalis.bowtie") as st:
                 index = BowtieIndex(contigs, cfg.bowtie())
                 sams = align_reads(reads, index)
                 st.ram_bytes = index.memory_bytes()
@@ -217,7 +214,7 @@ class TrinityPipeline:
             scaffolds = scaffold_pairs_from_sam(sams, name_to_idx, contig_lengths=lengths)
 
         # -- Chrysalis: GraphFromFasta ----------------------------------------
-        with monitor.stage("chrysalis.graph_from_fasta") as st:
+        with host_stage(spans, "chrysalis.graph_from_fasta") as st:
             gff_result = graph_from_fasta(contigs, reads, cfg.gff(), extra_pairs=scaffolds)
             st.ram_bytes = sum(len(w.window) for w in gff_result.welds) * 2
 
@@ -227,7 +224,7 @@ class TrinityPipeline:
         )
 
         # -- Chrysalis: FastaToDebruijn ---------------------------------------
-        with monitor.stage("chrysalis.fasta_to_debruijn") as st:
+        with host_stage(spans, "chrysalis.fasta_to_debruijn") as st:
             graphs: Dict[int, DeBruijnGraph] = {}
             for comp in gff_result.components:
                 oriented = orient_component(
@@ -237,7 +234,7 @@ class TrinityPipeline:
             st.ram_bytes = sum(g.nbytes for g in graphs.values())
 
         # -- Chrysalis: ReadsToTranscripts ------------------------------------
-        with monitor.stage("chrysalis.reads_to_transcripts") as st:
+        with host_stage(spans, "chrysalis.reads_to_transcripts") as st:
             out_path = (wd / "readsToComponents.out") if wd is not None else None
             assignments = reads_to_transcripts(
                 reads, contigs, gff_result.components, cfg.rtt(), out_path=out_path
@@ -247,7 +244,7 @@ class TrinityPipeline:
             st.ram_bytes = cfg.max_mem_reads * 200
 
         # -- Chrysalis: QuantifyGraph -----------------------------------------
-        with monitor.stage("chrysalis.quantify_graph") as st:
+        with host_stage(spans, "chrysalis.quantify_graph") as st:
             quants = quantify_graph(
                 graphs, list(reads), assignments,
                 kmer_counts=counts, min_kmer_count=cfg.min_kmer_count,
@@ -255,7 +252,7 @@ class TrinityPipeline:
             st.ram_bytes = sum(g.nbytes for g in graphs.values())
 
         # -- Butterfly ---------------------------------------------------------
-        with monitor.stage("butterfly") as st:
+        with host_stage(spans, "butterfly") as st:
             transcripts = butterfly_assemble(graphs, cfg.butterfly())
             if cfg.use_pair_reconciliation:
                 from repro.trinity.pairs import reconcile_with_pairs
@@ -276,20 +273,18 @@ class TrinityPipeline:
             assignments=assignments,
             quants=quants,
             counts=counts,
-            timeline=monitor.timeline,
             files=files,
         )
-        timeline = monitor.timeline
         return StageResult(
             stage="trinity",
             outputs=result,
-            makespan=timeline.total_s,
-            spans=list(timeline.spans),
+            makespan=spans[-1].stop,
+            spans=spans,
             metrics={
-                **{f"stage.{name}_s": timeline.duration_of(name) for name in timeline.stages()},
+                **{f"stage.{label}_s": s for label, s in stage_seconds(spans).items()},
                 "n_transcripts": float(len(transcripts)),
                 "n_contigs": float(len(contigs)),
                 "n_components": float(result.n_components),
-                "peak_ram_gb": timeline.peak_ram_gb,
+                "peak_ram_gb": peak_ram_gb(spans),
             },
         )

@@ -15,6 +15,7 @@ import pytest
 
 from repro.errors import PipelineError
 from repro.mpi import CrashFault, FaultPlan, StragglerFault, mpirun
+from repro.obs.span import stage_seconds
 from repro.parallel.driver import (
     ParallelTrinityConfig,
     ParallelTrinityDriver,
@@ -296,7 +297,7 @@ class TestDriverIntegration:
         assert len(iw.outputs) == 3
         assert iw.makespan > 0
         assert result.metrics["mpi.inchworm_makespan_s"] == iw.makespan
-        assert "inchworm[mpi]" in result.outputs.timeline.stages()
+        assert "inchworm[mpi]" in stage_seconds(result.spans)
         serial = inchworm_assemble(
             jellyfish_count(smoke_reads, cfg.trinity.k), cfg.trinity.inchworm()
         )

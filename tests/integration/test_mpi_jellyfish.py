@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import PipelineError
 from repro.mpi import CrashFault, FaultPlan, mpirun
+from repro.obs.span import stage_seconds
 from repro.parallel.driver import ParallelTrinityConfig, ParallelTrinityDriver
 from repro.parallel.mpi_jellyfish import (
     JellyfishInputs,
@@ -141,7 +142,7 @@ class TestDriverIntegration:
         assert len(jf.outputs) == 3
         assert jf.makespan > 0
         assert result.metrics["mpi.jellyfish_makespan_s"] == jf.makespan
-        assert "jellyfish[mpi]" in result.outputs.timeline.stages()
+        assert "jellyfish[mpi]" in stage_seconds(result.spans)
         serial = jellyfish_count(smoke_reads, cfg.trinity.k)
         _assert_table_equal(jf.outputs[0].counts, serial)
         dump = result.outputs.files["jellyfish_dump"]

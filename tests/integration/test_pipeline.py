@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import PipelineError
+from repro.obs.span import stage_seconds
 from repro.seq.fasta import read_fasta
 from repro.trinity import TrinityConfig, TrinityPipeline
 from repro.trinity.jellyfish import jellyfish_load
@@ -16,7 +17,7 @@ class TestSmokeRun:
         assert smoke_result.n_components > 0
 
     def test_all_stages_timed(self, smoke_result):
-        stages = smoke_result.timeline.stages()
+        stages = stage_seconds(smoke_result.spans)
         for expected in [
             "jellyfish",
             "inchworm",

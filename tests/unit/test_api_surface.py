@@ -28,7 +28,6 @@ PACKAGES = [
     "repro.openmp",
     "repro.cluster",
     "repro.parallel",
-    "repro.monitor",
     "repro.validation",
     "repro.experiments",
 ]

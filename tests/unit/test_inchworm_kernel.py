@@ -338,13 +338,12 @@ class TestPipelineKnob:
 
     def test_straggler_mapping(self):
         from repro.mpi.faults import FaultPlan, StragglerFault
-        from repro.parallel.driver import _inchworm_thread_slowdowns
+        from repro.parallel.driver import _inchworm_slowdown_table
 
-        assert _inchworm_thread_slowdowns(None, 4) is None
-        assert _inchworm_thread_slowdowns(FaultPlan(), 4) is None
+        assert _inchworm_slowdown_table(None, 1, 4) is None
+        assert _inchworm_slowdown_table(FaultPlan(), 1, 4) is None
         plan = FaultPlan(stragglers=(StragglerFault(rank=1, slowdown=3.0),))
-        slow = _inchworm_thread_slowdowns(plan, 4)
-        assert slow.tolist() == [1.0, 3.0, 1.0, 1.0]
-        # A straggler beyond the thread count maps to nothing.
+        assert _inchworm_slowdown_table(plan, 1, 4) == ((1.0, 3.0, 1.0, 1.0),)
+        # A straggler beyond the last thread maps to nothing.
         far = FaultPlan(stragglers=(StragglerFault(rank=9, slowdown=3.0),))
-        assert _inchworm_thread_slowdowns(far, 4) is None
+        assert _inchworm_slowdown_table(far, 1, 4) is None

@@ -1,131 +1,129 @@
-"""Unit tests for the Collectl-equivalent monitor."""
+"""Unit tests for the driver-track stage spans (the Collectl-style trace)."""
 
 import pytest
 
-from repro.monitor.collectl import ResourceMonitor, StageSpan, Timeline
-from repro.monitor.report import render_stage_table, render_timeline
+import repro.obs.span as span_mod
+from repro.obs.span import (
+    append_stage,
+    host_stage,
+    peak_ram_gb,
+    render_stage_table,
+    render_timeline,
+    stage_seconds,
+)
 
 
-class TestStageSpan:
+class TestAppendStage:
     def test_end(self):
-        span = StageSpan("x", 10.0, 5.0, 1.0)
-        assert span.end_s == 15.0
+        spans = []
+        append_stage(spans, "w", 10.0, 0.0)
+        span = append_stage(spans, "x", 5.0, 1.0)
+        assert span.stop == 15.0
+        assert (span.kind, span.track, span.attr("ram_gb")) == ("stage", "driver", 1.0)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
-            StageSpan("x", 0.0, -1.0, 1.0)
+            append_stage([], "x", -1.0, 1.0)
 
     def test_negative_ram_rejected(self):
         with pytest.raises(ValueError):
-            StageSpan("x", 0.0, 1.0, -1.0)
+            append_stage([], "x", 1.0, -1.0)
 
 
 class TestTimeline:
     def test_append_chains_start_times(self):
-        tl = Timeline()
-        tl.append("a", 10.0, 5.0)
-        span = tl.append("b", 20.0, 3.0)
-        assert span.start_s == 10.0
-        assert tl.total_s == 30.0
+        spans = []
+        append_stage(spans, "a", 10.0, 5.0)
+        span = append_stage(spans, "b", 20.0, 3.0)
+        assert span.start == 10.0
+        assert spans[-1].stop == 30.0
 
     def test_peak_ram(self):
-        tl = Timeline()
-        tl.append("a", 1.0, 5.0)
-        tl.append("b", 1.0, 50.0)
-        assert tl.peak_ram_gb == 50.0
+        spans = []
+        append_stage(spans, "a", 1.0, 5.0)
+        append_stage(spans, "b", 1.0, 50.0)
+        assert peak_ram_gb(spans) == 50.0
+        assert peak_ram_gb([]) == 0.0
 
     def test_duration_of_accumulates(self):
-        tl = Timeline()
-        tl.append("a", 1.0, 0.0)
-        tl.append("b", 2.0, 0.0)
-        tl.append("a", 3.0, 0.0)
-        assert tl.duration_of("a") == 4.0
+        spans = []
+        append_stage(spans, "a", 1.0, 0.0)
+        append_stage(spans, "b", 2.0, 0.0)
+        append_stage(spans, "a", 3.0, 0.0)
+        assert stage_seconds(spans)["a"] == 4.0
 
     def test_stages_in_first_seen_order(self):
-        tl = Timeline()
-        tl.append("b", 1.0, 0.0)
-        tl.append("a", 1.0, 0.0)
-        tl.append("b", 1.0, 0.0)
-        assert tl.stages() == ["b", "a"]
-
-    def test_sample_trace(self):
-        tl = Timeline()
-        tl.append("a", 10.0, 1.0)
-        tl.append("b", 10.0, 9.0)
-        samples = tl.sample(10)
-        assert len(samples) == 11
-        assert samples[0][1] == 1.0
-        assert samples[-1][1] == 9.0
-
-    def test_sample_empty(self):
-        assert Timeline().sample(10) == []
+        spans = []
+        append_stage(spans, "b", 1.0, 0.0)
+        append_stage(spans, "a", 1.0, 0.0)
+        append_stage(spans, "b", 1.0, 0.0)
+        assert list(stage_seconds(spans)) == ["b", "a"]
 
 
 class TestClockChoice:
-    """Pin which clock each monitor region uses (clock-fidelity audit).
+    """Pin which clock a host stage span uses (clock-fidelity audit).
 
     Stage intervals are *host wall* measurements of work running in
-    other threads (mpirun ranks, OpenMP teams), so ``_StageCtx`` must
+    other threads (mpirun ranks, OpenMP teams), so ``host_stage`` must
     read ``perf_counter`` — and must never consult the driver thread's
     ``thread_time``, which would read ~0 across an mpirun stage.
     """
 
     def test_stage_duration_comes_from_perf_counter(self, monkeypatch):
-        import repro.monitor.collectl as collectl
-
         ticks = iter([10.0, 15.0])
-        monkeypatch.setattr(collectl.time, "perf_counter", lambda: next(ticks))
-        mon = ResourceMonitor()
-        with mon.stage("work"):
+        monkeypatch.setattr(span_mod.time, "perf_counter", lambda: next(ticks))
+        spans = []
+        with host_stage(spans, "work"):
             pass
-        assert mon.timeline.spans[0].duration_s == pytest.approx(5.0)
+        assert spans[0].duration == pytest.approx(5.0)
 
     def test_stage_never_reads_thread_time(self, monkeypatch):
-        import repro.monitor.collectl as collectl
-
         def forbidden():
-            raise AssertionError("_StageCtx must not use thread_time")
+            raise AssertionError("host_stage must not use thread_time")
 
-        monkeypatch.setattr(collectl.time, "thread_time", forbidden)
-        mon = ResourceMonitor()
-        with mon.stage("work"):
+        monkeypatch.setattr(span_mod.time, "thread_time", forbidden)
+        spans = []
+        with host_stage(spans, "work"):
             pass
-        assert mon.timeline.spans[0].duration_s >= 0
+        assert spans[0].duration >= 0
 
 
-class TestResourceMonitor:
+class TestHostStage:
     def test_stage_records_duration_and_ram(self):
-        mon = ResourceMonitor()
-        with mon.stage("work", ram_bytes=2_000_000_000):
+        spans = []
+        append_stage(spans, "before", 2.0, 0.0)
+        with host_stage(spans, "work"):
             pass
-        (span,) = mon.timeline.spans
-        assert span.stage == "work"
-        assert span.ram_gb == pytest.approx(2.0)
-        assert span.duration_s >= 0
+        span = spans[-1]
+        assert span.label == "work"
+        assert span.attr("ram_gb") == 0.0
+        assert span.start == 2.0  # back to back, whatever ran in between
+        assert span.duration >= 0
 
     def test_ram_updated_inside_block(self):
-        mon = ResourceMonitor()
-        with mon.stage("work") as st:
+        spans = []
+        with host_stage(spans, "work") as st:
             st.ram_bytes = 1_000_000_000
-        assert mon.timeline.spans[0].ram_gb == pytest.approx(1.0)
+        assert spans[0].attr("ram_gb") == pytest.approx(1.0)
 
 
 class TestReport:
-    def _timeline(self):
-        tl = Timeline()
-        tl.append("jellyfish", 9000.0, 110.0)
-        tl.append("chrysalis", 180_000.0, 60.0)
-        return tl
+    def _spans(self):
+        spans = []
+        append_stage(spans, "jellyfish", 9000.0, 110.0)
+        append_stage(spans, "chrysalis", 180_000.0, 60.0)
+        return spans
 
     def test_stage_table(self):
-        out = render_stage_table(self._timeline())
+        out = render_stage_table(self._spans())
         assert "jellyfish" in out
         assert "TOTAL" in out
+        assert "110.0" in out
 
     def test_timeline_bars_scale(self):
-        out = render_timeline(self._timeline())
+        out = render_timeline(self._spans())
         lines = out.splitlines()
         assert lines[1].count("#") > lines[0].count("#")
 
     def test_empty_timeline(self):
-        assert render_timeline(Timeline()) == "(empty timeline)"
+        assert render_timeline([]) == "(empty timeline)"

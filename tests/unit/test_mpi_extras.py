@@ -1,15 +1,12 @@
-"""Unit tests for scatter/alltoall and monitor serialisation."""
+"""Unit tests for scatter/alltoall and stage-span serialisation."""
+
+import json
 
 import pytest
 
 from repro.errors import CommError
-from repro.monitor import (
-    Timeline,
-    timeline_from_json,
-    timeline_to_csv,
-    timeline_to_json,
-)
 from repro.mpi import mpirun
+from repro.obs.span import Span, append_stage
 from repro.validation.fasta_align import MatchCategories, identity_histogram
 
 
@@ -55,23 +52,12 @@ class TestAlltoall:
 
 
 class TestTimelineSerialisation:
-    def _timeline(self):
-        tl = Timeline()
-        tl.append("a", 5.0, 1.5)
-        tl.append("b", 2.0, 3.0)
-        return tl
-
     def test_json_roundtrip(self):
-        tl = self._timeline()
-        back = timeline_from_json(timeline_to_json(tl))
-        assert back.spans == tl.spans
-
-    def test_csv_header_and_rows(self):
-        csv = timeline_to_csv(self._timeline())
-        lines = csv.strip().splitlines()
-        assert lines[0] == "stage,start_s,duration_s,ram_gb"
-        assert len(lines) == 3
-        assert lines[1].startswith("a,")
+        spans = []
+        append_stage(spans, "a", 5.0, 1.5)
+        append_stage(spans, "b", 2.0, 3.0)
+        text = json.dumps([s.to_dict() for s in spans])
+        assert [Span.from_dict(obj) for obj in json.loads(text)] == spans
 
 
 class TestIdentityHistogram:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mpi.trace import RankTrace
-from repro.obs import MetricsRegistry, Span, SpanList, StageResult
+from repro.obs import MetricsRegistry, Span, StageResult
 from repro.obs.span import CLOCK_KINDS
 
 
@@ -34,32 +34,6 @@ class TestSpan:
 
     def test_clock_kinds(self):
         assert CLOCK_KINDS == ("compute", "wait", "comm")
-
-
-class TestSpanList:
-    def _spans(self):
-        sl = SpanList()
-        sl.add(Span("compute", 0.0, 3.0, track="rank 0"))
-        sl.add(Span("wait", 3.0, 4.0, track="rank 0"))
-        sl.add(Span("compute", 0.0, 1.0, track="rank 1"))
-        return sl
-
-    def test_total_by_kind_and_track(self):
-        sl = self._spans()
-        assert sl.total("compute") == 4.0
-        assert sl.total("compute", track="rank 0") == 3.0
-
-    def test_tracks_first_seen_order(self):
-        assert self._spans().tracks() == ["rank 0", "rank 1"]
-
-    def test_longest(self):
-        (top,) = self._spans().longest(1)
-        assert top.duration == 3.0
-
-    def test_len_and_iter(self):
-        sl = self._spans()
-        assert len(sl) == 3
-        assert len(list(sl)) == 3
 
 
 class TestRankTraceOrdering:
@@ -130,7 +104,6 @@ class TestStageResult:
         child = StageResult(stage="c", spans=[Span("compute", 0.0, 1.0)])
         parent = StageResult(stage="p", spans=[Span("stage", 0.0, 2.0)], children=[child])
         assert len(parent.all_spans()) == 2
-        assert len(parent.span_list()) == 1
 
 
 class TestMetricsRegistry:

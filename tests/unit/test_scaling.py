@@ -10,6 +10,7 @@ import pytest
 from repro.cluster.costmodel import CALIBRATION
 from repro.cluster.workload import build_workload
 from repro.errors import ScheduleError
+from repro.obs.span import stage_seconds
 from repro.parallel.scaling import (
     chrysalis_total_s,
     gff_serial_baseline_s,
@@ -142,20 +143,20 @@ class TestBowtie:
 class TestTimelines:
     def test_serial_timeline_close_to_60h(self):
         tl = simulate_serial_timeline()
-        assert tl.total_s / 3600 == pytest.approx(58, abs=4)
+        assert tl[-1].stop / 3600 == pytest.approx(58, abs=4)
 
     def test_serial_chrysalis_dominates(self):
         tl = simulate_serial_timeline()
         chrysalis = sum(
-            tl.duration_of(s) for s in tl.stages() if s.startswith("chrysalis")
+            d for s, d in stage_seconds(tl).items() if s.startswith("chrysalis")
         )
-        assert chrysalis / tl.total_s > 0.7
+        assert chrysalis / tl[-1].stop > 0.7
 
     def test_parallel_timeline_shrinks_chrysalis(self, workload):
         serial = simulate_serial_timeline()
         parallel = simulate_parallel_timeline(nodes=16, workload=workload)
-        s_chr = sum(serial.duration_of(s) for s in serial.stages() if "chrysalis" in s)
-        p_chr = sum(parallel.duration_of(s) for s in parallel.stages() if "chrysalis" in s)
+        s_chr = sum(d for s, d in stage_seconds(serial).items() if "chrysalis" in s)
+        p_chr = sum(d for s, d in stage_seconds(parallel).items() if "chrysalis" in s)
         assert p_chr < s_chr / 3
 
     def test_headline_chrysalis_under_5h(self, workload):

@@ -37,10 +37,12 @@ from repro.trinity.inchworm import (
     neighbours,
 )
 from repro.trinity.jellyfish import jellyfish_count
+from repro.trinity.kmer_components import kmer_components, overlap_edges
 from repro.trinity.pairs import reconcile_with_pairs
 from repro.util.rng import spawn_rng
 from repro.validation.smith_waterman import sw_align, sw_score
 from tests import reference_chrysalis, reference_gff, reference_inchworm, reference_pairs
+from tests.reference_components import bfs_labels
 
 
 def _random_seq(n, seed=0):
@@ -225,25 +227,42 @@ def test_bench_backend_chain_is_linear(benchmark):
 
 
 def test_bench_inchworm_table_walk(benchmark, whitefly_half):
-    """Rows + walks over the giant k-mer-graph component (a quarter of the
-    filtered table, and its owner's whole Inchworm share at 8 ranks):
-    what one rank pays in ``inchworm:assemble``.  The per-step loop it
-    replaced took ~18 us a step; the oracle's contigs are the check."""
+    """Seed order + rows + walks over the giant k-mer-graph component (a
+    quarter of the filtered table, and its owner's whole Inchworm share at
+    8 ranks): what one rank pays in ``inchworm:assemble``.  The per-step
+    loop it replaced took ~18 us a step; the oracle's contigs are the check."""
     tcfg, _reads, out = whitefly_half
     cfg = tcfg.inchworm()
     filtered = out.counts.index.filtered(cfg.min_kmer_count)
-    landing, seed_rank, members, _costs = _component_setup(
-        filtered, cfg, [neighbours(filtered, out.counts.canonical)]
+    landing, ids, _costs = _component_setup(
+        filtered, [neighbours(filtered, out.counts.canonical)]
     )
-    giant = max(members, key=len)
+    sizes = np.bincount(ids)
+    giant = int(np.argmax(sizes))
     res = benchmark(
         inchworm_assemble_components,
-        filtered, out.counts.canonical, cfg, landing, seed_rank, [[giant]],
+        filtered, out.counts.canonical, cfg, landing, ids, [[giant]],
     )
-    assert len(giant) > 2000 and res.n_steps > len(giant)
+    assert sizes[giant] > 2000 and res.n_steps > sizes[giant]
     oracle = reference_inchworm.inchworm_assemble(out.counts, cfg)
     assert res.keyed
     assert {(seq, cov) for _key, seq, cov in res.keyed} <= {(c.seq, c.coverage) for c in oracle}
+
+
+def test_bench_kmer_components(benchmark, whitefly_half):
+    """The replicated part of Inchworm's set-up — the Shiloach-Vishkin
+    labelling of the whole filtered table, run by every rank — on
+    whitefly-half: the labels must be the BFS oracle's (measured 1.3 ms
+    with contracted edge lists, 2.0 ms without)."""
+    from benchmarks.conftest import _best_of
+
+    tcfg, _reads, out = whitefly_half
+    filtered = out.counts.index.filtered(tcfg.min_kmer_count)
+    landing = neighbours(filtered, out.counts.canonical)
+    labels = benchmark(kmer_components, landing)
+    assert np.array_equal(labels, bfs_labels(len(filtered), *overlap_edges(landing)))
+    assert np.unique(labels).size > 50
+    benchmark.extra_info["labelling_ms"] = 1e3 * _best_of(lambda: kmer_components(landing), 10)
 
 
 def test_bench_pair_support(benchmark, whitefly_half):

@@ -11,8 +11,8 @@ stage of :mod:`repro.parallel.mpi_inchworm` buys:
   Figure-7-series node counts, for both deal strategies, using the
   *real* per-component k-mer count masses of the whitefly miniature
   (scaled to the Fig 2 serial Inchworm anchor) rather than a synthetic
-  skew.  Two floors cap the speedup: the replicated component labelling
-  + seed ranking, and the indivisible largest component (a walk cannot
+  skew.  Two floors cap the speedup: the replicated component
+  labelling, and the indivisible largest component (a walk cannot
   be split below component granularity), which saturates the sweep well
   before the node counts run out.
 * **Real execution check** — the actual simulated-MPI stage on the
@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.cluster.costmodel import CALIBRATION
 from repro.mpi.launcher import mpirun
 from repro.obs import critical_path, verify_attribution
@@ -43,11 +45,7 @@ from repro.simdata.reads import flatten_reads
 from repro.trinity import TrinityConfig
 from repro.trinity.inchworm import inchworm_assemble, neighbours
 from repro.trinity.jellyfish import jellyfish_count
-from repro.trinity.kmer_components import (
-    component_costs,
-    component_members,
-    kmer_components,
-)
+from repro.trinity.kmer_components import component_ids, kmer_components
 from repro.util.fmt import format_table
 
 #: Paper-scale sweep, starting at 1 to show the serial anchor.
@@ -177,8 +175,8 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigInchwormResult:
     reads = flatten_reads(pairs)
     counts = jellyfish_count(reads, tcfg.k)
     filtered = counts.index.filtered(tcfg.min_kmer_count)
-    members = component_members(kmer_components(neighbours(filtered, counts.canonical)))
-    costs = component_costs(filtered, members)
+    ids = component_ids(kmer_components(neighbours(filtered, counts.canonical)))
+    costs = np.bincount(ids, weights=filtered.values)
     serial_contigs = inchworm_assemble(counts, tcfg.inchworm())
     contig_bytes = float(sum(len(c.seq) for c in serial_contigs))
     rows = [

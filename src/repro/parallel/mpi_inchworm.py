@@ -14,10 +14,10 @@ factors exactly over the components of the k-mer overlap graph
    :func:`~repro.trinity.inchworm.neighbours`, the stage's only table
    search — is owner-computes: every rank resolves one block of stored
    positions and the ``int32`` rows are pooled with one ``allgatherv``;
-   the component labelling is read off the pooled probe and, with the
-   global seed ranks, built once per simulation via ``comm.shared``,
-   charged per-rank — what is left of the stage's replicated serial
-   region;
+   what stays replicated — built once per simulation via
+   ``comm.shared``, charged per-rank, the stage's serial region — is the
+   filtered counter and the component labelling of the pooled probe,
+   with each position's dense component id and each component's cost;
 2. components are dealt to ranks — chunked ``"round_robin"`` or
    master-dealt LPT ``"dynamic"``, the one deal of
    :mod:`repro.parallel.component_stage` — with per-component cost =
@@ -25,11 +25,12 @@ factors exactly over the components of the k-mer overlap graph
 3. each rank deals its owned components to its ``n_threads`` simulated
    OpenMP threads (LPT over the same costs — hybrid MPI x threads) and
    makes *one* call to the component kernel
-   :func:`~repro.trinity.inchworm.inchworm_assemble_components`, in
-   which each thread orders its own members' landings into successor
-   rows and walks them by lookup — the table is owner-built, never
-   replicated — and ships back only the contig strings keyed by their
-   seed's *global* seed-order rank;
+   :func:`~repro.trinity.inchworm.inchworm_assemble_components`: one
+   sort queues the rank's positions per thread in seed order, and each
+   thread orders its members' landings into successor rows and walks
+   them by lookup — the table is owner-built, never replicated — and
+   ships back only the contig strings keyed by their seed's comparator
+   tuple ``(-count, tie hash, code)``: no global permutation is built;
 4. the merge pools the keyed contigs and re-emits them in ascending
    key order — the exact global ``_seed_order`` sequence — renaming
    ``iw_contig_{i}`` globally.
@@ -65,18 +66,12 @@ from repro.seq.kmer_index import KmerCounter
 from repro.seq.records import Contig
 from repro.trinity.inchworm import (
     InchwormConfig,
-    _seed_order,
     inchworm_assemble_components,
     keyed_contigs,
     neighbours,
 )
 from repro.trinity.jellyfish import JellyfishCounts
-from repro.trinity.kmer_components import (
-    component_costs,
-    component_members,
-    kmer_components,
-)
-from repro.util.rng import derive_seed
+from repro.trinity.kmer_components import component_ids, kmer_components
 
 PathLike = Union[str, Path]
 
@@ -123,27 +118,22 @@ class InchwormOutputs:
     n_components: int = 0  # k-mer-graph components in the whole workload
 
 
-def _component_setup(
-    filtered: KmerCounter, cfg: InchwormConfig, blocks: Sequence[np.ndarray]
-):
-    """The pooled probe, global seed ranks, component members and costs.
+def _component_setup(filtered: KmerCounter, blocks: Sequence[np.ndarray]):
+    """The pooled probe, per-position component ids and component costs.
 
     Built once per simulated ``mpirun`` (every real rank would rebuild it
     redundantly — the stage's replicated serial region) and treated as
     read-only by all ranks.  ``blocks`` are the ranks' position blocks of
     :func:`~repro.trinity.inchworm.neighbours` in rank order; stacked
     they are ``landing``, the one search of the table: the components
-    are read off it here and each owner orders its own rows of it later.
-    ``seed_rank[p]`` is position ``p``'s rank in the global
-    ``_seed_order`` permutation: the merge key space.
+    are labelled off it here and each owner orders its own rows of it
+    later.  A component's deal cost is its k-mer count mass: rows and
+    walks are proportional to the k-mers it holds, and abundance weights
+    the ones long walks are made of.
     """
     landing = np.concatenate(blocks)
-    members = component_members(kmer_components(landing))
-    costs = component_costs(filtered, members)
-    perm = _seed_order(filtered, derive_seed(cfg.seed, "inchworm-ties"))
-    seed_rank = np.empty(len(filtered), dtype=np.int64)
-    seed_rank[perm] = np.arange(len(filtered), dtype=np.int64)
-    return landing, seed_rank, members, costs
+    ids = component_ids(kmer_components(landing))
+    return landing, ids, np.bincount(ids, weights=filtered.values)
 
 
 def _rank_slowdowns(
@@ -186,14 +176,17 @@ def mpi_inchworm(
     # fault plans (a no-op in fault-free runs).
     with_retry(comm, "inchworm:read_counts", lambda: None)
 
-    # -- the probe, owner-computes: each rank resolves the extensions of
-    # its block of stored positions (every position costs the same, so
-    # contiguous blocks balance) and the blocks are pooled.  Still
-    # "components" (same label), no longer serial.
-    with comm.region("inchworm:components"):
+    # -- every rank filters the whole counter: replicated, so serial ------
+    with comm.region("inchworm:components", serial=True):
         filtered = comm.shared(
             "inchworm:filtered", lambda: counts.index.filtered(cfg.min_kmer_count)
         )
+
+    # -- the probe, owner-computes: each rank resolves the extensions of
+    # its block of stored positions (every position costs the same, so
+    # contiguous blocks balance) and the blocks are pooled.  Still
+    # "components" (same label), not serial.
+    with comm.region("inchworm:components"):
         with comm.compute("inchworm:probe"):
             block = neighbours(
                 filtered, counts.canonical,
@@ -203,12 +196,12 @@ def mpi_inchworm(
 
     # -- connected components of the k-mer overlap graph, read off it --------
     with comm.region("inchworm:components", serial=True):
-        landing, seed_rank, members, costs = comm.shared(
-            "inchworm:setup", lambda: _component_setup(filtered, cfg, blocks)
+        landing, ids, costs = comm.shared(
+            "inchworm:setup", lambda: _component_setup(filtered, blocks)
         )
 
     # -- deal components across ranks ----------------------------------------
-    cids = list(range(len(members)))
+    cids = list(range(len(costs)))
     mine = component_stage.deal(
         comm, "inchworm", cids, lambda: costs,
         strategy=config.strategy,
@@ -228,8 +221,8 @@ def mpi_inchworm(
             counts.canonical,
             cfg,
             landing,
-            seed_rank,
-            [[members[cid] for cid in team] for team in teams],
+            ids,
+            teams,
             _rank_slowdowns(config, comm.rank),
         )
         if mine:

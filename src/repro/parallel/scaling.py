@@ -483,8 +483,8 @@ def simulate_jellyfish_point(
 
 
 #: Assumed split of the serial Inchworm time between the replicated setup
-#: (error-kmer filter + vectorised component labelling + seed ranking —
-#: one ``np.minimum.at``/pointer-jump pass over the table) and the greedy
+#: (error-kmer filter + vectorised component labelling, ids and costs —
+#: ``np.minimum.at``/pointer-jump rounds over the table) and the greedy
 #: extension walks that dominate the stage.
 _IW_SETUP_SHARE = 0.05
 _IW_ASSEMBLE_SHARE = 1.0 - _IW_SETUP_SHARE
@@ -502,7 +502,7 @@ def simulate_inchworm_point(
 
     :func:`simulate_component_stage` with absolute time anchored by the
     paper's Fig 2 serial Inchworm reading (``inchworm_serial_s``): the
-    replicated component / seed-rank set-up takes its assumed share, the
+    replicated component set-up takes its assumed share, the
     rest is spread over the components proportionally to their k-mer
     count mass, and the keyed contig strings are what the merge pools.
     """

@@ -48,7 +48,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -126,14 +126,46 @@ def tie_break_codes(codes: np.ndarray, salt: int) -> np.ndarray:
     return (hashed & np.uint64(0xFFFFFFFF)).astype(np.int64)
 
 
-def _seed_order(filtered: KmerCounter, salt: int) -> np.ndarray:
-    """Seeding priority, as a permutation of ``filtered``'s positions.
+def _seed_keys(
+    filtered: KmerCounter, salt: int, at: Union[np.ndarray, slice] = slice(None)
+) -> Tuple[np.ndarray, ...]:
+    """The seeding comparator of positions ``at``, most significant key
+    first: ``(-count, tie hash, code)``.
 
     Decreasing abundance; ties broken by the seed-salted hash then code,
     so different seeds explore equal-abundance seeds in different orders.
     """
-    tie = tie_break_codes(filtered.codes, salt)
-    return np.lexsort((filtered.codes, tie, -filtered.values))
+    codes = filtered.codes[at]
+    return -filtered.values[at], tie_break_codes(codes, salt), codes
+
+
+def _seed_order(filtered: KmerCounter, salt: int) -> np.ndarray:
+    """Seeding priority, as a permutation of ``filtered``'s positions."""
+    return np.lexsort(_seed_keys(filtered, salt)[::-1])
+
+
+def _thread_queues(
+    filtered: KmerCounter,
+    salt: int,
+    component_ids: np.ndarray,
+    thread_components: Sequence[Sequence[int]],
+) -> List[np.ndarray]:
+    """Per thread, the positions of its components in seeding order.
+
+    One pass over the owned positions: each is tagged with its thread and
+    all are sorted by (thread, :func:`_seed_keys`), so a thread's queue is
+    the global seed order restricted to its positions, with no global
+    permutation built.
+    """
+    thread_of = np.full(len(filtered), -1, dtype=np.intp)
+    for t, components in enumerate(thread_components):
+        thread_of[np.asarray(components, dtype=np.intp)] = t
+    thread = thread_of[component_ids]
+    at = np.flatnonzero(thread >= 0)
+    thread = thread[at]
+    order = np.lexsort((*_seed_keys(filtered, salt, at)[::-1], thread))
+    bounds = np.searchsorted(thread[order], np.arange(1, len(thread_components)))
+    return np.split(at[order], bounds)
 
 
 def _seed_marks(filtered: KmerCounter, canonical: bool, queue: np.ndarray) -> np.ndarray:
@@ -370,8 +402,8 @@ def _assemble_queue(
     return contigs, n_reads, rows.nbytes
 
 
-def keyed_contigs(keyed: Iterable[Tuple[int, str, float]]) -> List[Contig]:
-    """Keyed contigs as the serial loop emits them: ascending seed rank,
+def keyed_contigs(keyed: Iterable[tuple]) -> List[Contig]:
+    """Keyed contigs as the serial loop emits them: ascending seed key,
     named ``iw_contig_{i}`` in that order."""
     return [
         Contig(name=f"iw_contig_{i}", seq=seq, coverage=cov)
@@ -407,9 +439,9 @@ def inchworm_assemble(
 class ComponentAssembly:
     """Keyed contigs of one kernel call plus the simulated team's timing."""
 
-    #: ``(global seed rank, seq, coverage)`` per contig;
+    #: ``(seed's :func:`_seed_keys` tuple, seq, coverage)`` per contig;
     #: :func:`keyed_contigs` re-emits any union of these as the serial list.
-    keyed: List[Tuple[int, str, float]]
+    keyed: List[Tuple[Tuple[int, int, int], str, float]]
     team: TeamResult
     thread_clocks: np.ndarray  # virtual seconds per simulated thread
     n_steps: int  # rows read by the walks
@@ -421,30 +453,31 @@ def inchworm_assemble_components(
     canonical: bool,
     config: InchwormConfig,
     landing: np.ndarray,
-    seed_rank: np.ndarray,
-    thread_components: Sequence[Sequence[np.ndarray]],
+    component_ids: np.ndarray,
+    thread_components: Sequence[Sequence[int]],
     thread_slowdowns: Optional[Sequence[float]] = None,
 ) -> ComponentAssembly:
     """Assemble whole k-mer-graph components, thread by thread.
 
-    ``thread_components[t]`` lists the components (member position arrays
-    of ``filtered``, from :mod:`repro.trinity.kmer_components`) simulated
-    thread ``t`` owns; ``landing`` is :func:`neighbours` of the same
-    table and ``seed_rank[p]`` position ``p``'s rank in the global
-    :func:`_seed_order`.  Each thread builds :func:`preference_rows` for
-    its own members and walks them in global seed order.  A greedy walk
-    never leaves its seed's component and a component's seed order is the
-    global order restricted to it, so every walk replays exactly the
-    steps the serial assembler takes inside that component, and the
-    contigs — keyed by their seed's global rank — are the serial output
-    restricted to these components, at any thread count.
+    ``component_ids[p]`` is position ``p``'s dense component id
+    (:func:`repro.trinity.kmer_components.component_ids`) and
+    ``thread_components[t]`` lists the ids simulated thread ``t`` owns;
+    ``landing`` is :func:`neighbours` of the same table.  One sort puts
+    every owned position in its thread's queue in :func:`_seed_order`'s
+    order; each thread builds :func:`preference_rows` for its own members
+    and walks them in that order.  A greedy walk never leaves its seed's
+    component and a component's seed order is the global order restricted
+    to it, so every walk replays exactly the steps the serial assembler
+    takes inside that component, and the contigs — keyed by their seed's
+    comparator tuple — are the serial output restricted to these
+    components, at any thread count.
 
     Timing: one ``thread_time`` window covers the call; what a thread's
-    rows and walks took (the call's own setup goes to the first busy
-    thread) is charged to its clock times ``thread_slowdowns`` (one
-    factor per thread, >= 1 models a straggler).  A component is
-    indivisible, so the thread holding the largest one is the floor of
-    the team makespan.
+    rows and walks took (the call's own setup, the sort included, goes to
+    the first busy thread) is charged to its clock times
+    ``thread_slowdowns`` (one factor per thread, >= 1 models a
+    straggler).  A component is indivisible, so the thread holding the
+    largest one is the floor of the team makespan.
     """
     if filtered.k < 2:
         raise PipelineError(f"inchworm needs k >= 2, got {filtered.k}")
@@ -463,16 +496,17 @@ def inchworm_assemble_components(
         raise PipelineError("thread slowdown factors must be positive")
 
     started = stamp = time.thread_time()
-    keyed: List[Tuple[int, str, float]] = []
+    salt = derive_seed(config.seed, "inchworm-ties")
+    keyed: List[Tuple[Tuple[int, int, int], str, float]] = []
     clocks = np.zeros(n_threads)
     n_steps = row_bytes = 0
-    for t, components in enumerate(thread_components):
-        if not components:
+    queues = _thread_queues(filtered, salt, component_ids, thread_components)
+    for t, queue in enumerate(queues):
+        if not queue.size:
             continue
-        members = np.concatenate(components)
-        queue = members[np.argsort(seed_rank[members])]
         contigs, reads, nbytes = _assemble_queue(filtered, canonical, config, landing, queue)
-        keys = seed_rank[queue[[seed for seed, _seq, _cov in contigs]]].tolist()
+        seeds = queue[[seed for seed, _seq, _cov in contigs]]
+        keys = zip(*(key.tolist() for key in _seed_keys(filtered, salt, seeds)))
         keyed += [(key, seq, cov) for key, (_seed, seq, cov) in zip(keys, contigs)]
         n_steps += reads
         row_bytes += nbytes

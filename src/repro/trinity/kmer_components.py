@@ -23,23 +23,21 @@ reads its edges off the probe the walk's rows are built from.
 The component labelling itself is a vectorised union-find of the
 classic Shiloach-Vishkin shape: root-hooking over the edge list
 (``np.minimum.at`` on the tree roots) interleaved with pointer jumping
-(``parent = parent[parent]``) until no live edge remains — a
-logarithmic number of rounds, no Python-level per-node loop.
+(``parent = parent[parent]``), each round keeping only the edges that
+still join two trees — a logarithmic number of rounds over a shrinking
+edge list, no Python-level per-node loop.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
-
-from repro.seq.kmer_index import KmerCounter
 
 __all__ = [
     "overlap_edges",
     "kmer_components",
-    "component_members",
-    "component_costs",
+    "component_ids",
 ]
 
 
@@ -68,66 +66,39 @@ def kmer_components(landing: np.ndarray) -> np.ndarray:
     across runs.  Positions with no surviving overlap edges are
     singleton components labelled by themselves.
 
-    Shiloach-Vishkin rounds: with ``parent`` fully compressed (every
-    entry a root), each live edge hooks the larger of its two roots onto
-    the smaller (``np.minimum.at`` on the *root*, not the endpoint — the
-    whole tree moves at once, which is what makes the round count
-    logarithmic rather than diameter-bound), then pointer jumping
-    (``parent = parent[parent]``) recompresses.  Roots only ever
-    decrease and the component's minimum position can never be hooked
-    away from itself, so the fixpoint labels every member with that
-    minimum.
+    Shiloach-Vishkin rounds over a contracting edge list: every edge
+    endpoint is a root, and each edge hooks the larger of its two roots
+    onto the smaller (``np.minimum.at`` on the *root*, not an original
+    endpoint — the whole tree moves at once, which is what makes the
+    round count logarithmic rather than diameter-bound); pointer jumping
+    (``parent = parent[parent]``) recompresses, and the edges are
+    re-pointed at their endpoints' new roots, keeping only those whose
+    roots still differ.  Roots only ever decrease and the component's
+    minimum position can never be hooked away from itself, so the
+    fixpoint labels every member with that minimum.
     """
     parent = np.arange(len(landing), dtype=np.intp)
     u, v = overlap_edges(landing)
-    if u.size == 0:
-        return parent
-    while True:
-        ru, rv = parent[u], parent[v]
-        live = ru != rv
-        if not live.any():
-            return parent
-        lo = np.minimum(ru[live], rv[live])
-        hi = np.maximum(ru[live], rv[live])
-        np.minimum.at(parent, hi, lo)
+    while u.size:
+        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
         while True:
             jumped = parent[parent]
             if np.array_equal(jumped, parent):
                 break
             parent = jumped
+        u, v = parent[u], parent[v]
+        live = u != v
+        u, v = u[live], v[live]
+    return parent
 
 
-def component_members(labels: np.ndarray) -> List[np.ndarray]:
-    """Group positions by component label.
+def component_ids(labels: np.ndarray) -> np.ndarray:
+    """Dense component id of every position, from its label.
 
-    Returns one ascending position array per component, components
-    ordered by ascending label — a deterministic dense numbering
-    (component id = list index) shared by every rank that computes it
-    from the same ``labels``.
+    Ids ascend with the label (the minimum member position), so every
+    rank that computes them from the same ``labels`` shares one
+    deterministic numbering; ``np.bincount(ids, weights=...)`` sums any
+    per-position quantity per component.
     """
     labels = np.asarray(labels)
-    order = np.argsort(labels, kind="stable")  # stable => members ascending
-    sorted_labels = labels[order]
-    starts = np.flatnonzero(
-        np.r_[np.ones(min(1, sorted_labels.size), dtype=bool),
-              sorted_labels[1:] != sorted_labels[:-1]]
-    )
-    bounds = np.append(starts, sorted_labels.size)
-    return [order[bounds[i] : bounds[i + 1]] for i in range(starts.size)]
-
-
-def component_costs(
-    filtered: KmerCounter, members: List[np.ndarray]
-) -> np.ndarray:
-    """Per-component deal weight: the sum of member k-mer counts.
-
-    Row building and extension work are proportional to the k-mers a
-    component holds, and abundance weights the ones long walks are made
-    of, so the count mass is the natural LPT cost (the role the contig-length
-    plus routed-read estimate
-    :func:`repro.parallel.mpi_chrysalis_backend.estimated_component_cost`
-    plays for the back end).
-    """
-    return np.array(
-        [float(filtered.values[m].sum()) for m in members], dtype=float
-    )
+    return (np.cumsum(labels == np.arange(labels.size)) - 1)[labels]

@@ -29,12 +29,9 @@ def assemble_components(
     """All of ``counts``' components (or just the ``owned`` ids) on one rank."""
     cfg = cfg or InchwormConfig()
     filtered = counts.index.filtered(cfg.min_kmer_count)
-    landing, seed_rank, members, costs = _component_setup(
-        filtered, cfg, [neighbours(filtered, counts.canonical)]
-    )
-    mine = list(range(len(members))) if owned is None else list(owned)
+    landing, ids, costs = _component_setup(filtered, [neighbours(filtered, counts.canonical)])
+    mine = list(range(len(costs))) if owned is None else list(owned)
     teams = lpt_assign([float(costs[c]) for c in mine], mine, n_threads)
     return inchworm_assemble_components(
-        filtered, counts.canonical, cfg, landing, seed_rank,
-        [[members[c] for c in team] for team in teams], thread_slowdowns,
+        filtered, counts.canonical, cfg, landing, ids, teams, thread_slowdowns
     )

@@ -10,6 +10,8 @@ byte.  Threads and their stragglers move virtual clocks only; the output
 never depends on them.
 """
 
+from importlib import import_module
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from repro.parallel.mpi_inchworm import (
 )
 from repro.parallel.recovery import mpirun_with_recovery
 from repro.seq.records import SeqRecord
-from repro.trinity import TrinityConfig
+from repro.trinity import TrinityConfig, inchworm
 from repro.trinity.inchworm import InchwormConfig, inchworm_assemble
 from repro.trinity.jellyfish import jellyfish_count
 from repro.trinity.pipeline import TrinityPipeline
@@ -116,6 +118,37 @@ class TestSerialEquality:
         assert all(b >= 0 for b in row_bytes) and sum(row_bytes) == n * 2 * 2 * 4 * 4
         for trace in run.traces:
             assert len([s for s in trace.segments if s.label == "inchworm:probe"]) == 1
+
+    @pytest.mark.parametrize("strategy", ["round_robin", "dynamic"])
+    def test_serial_region_is_the_replicated_builds(
+        self, smoke_counts, serial_contigs, strategy, monkeypatch
+    ):
+        """What is replicated is the filter and the labelling, charged at
+        single-rank cost; no global seed order is built on any rank."""
+
+        def no_global_order(*_args):
+            raise AssertionError("mpi_inchworm built the global seed order")
+
+        for module in (inchworm, import_module("repro.parallel.mpi_inchworm")):
+            monkeypatch.setattr(module, "_seed_order", no_global_order, raising=False)
+        run = mpirun(
+            mpi_inchworm, 3,
+            InchwormInputs(counts=smoke_counts),
+            InchwormStageConfig(inchworm=InchwormConfig(seed=1), strategy=strategy),
+            trace=True,
+        )
+        assert run.outputs[0].outputs.contigs == serial_contigs
+        for key in ("inchworm:filtered", "inchworm:setup"):
+            charges = [s for s in run.spans if s.label == f"shared:{key}"]
+            assert len({s.track for s in charges}) == 3 and len(charges) == 3
+            assert len({s.duration for s in charges}) == 1
+        for rank in range(3):
+            mine = [s for s in run.spans if s.track == f"rank {rank}"]
+            serial = [s for s in mine if s.kind == "phase" and s.attr("serial")]
+            assert {s.label for s in serial} == {"inchworm:components"} and len(serial) == 2
+            assert sum(s.duration for s in serial) == pytest.approx(
+                sum(s.duration for s in mine if s.label.startswith("shared:inchworm:"))
+            )
 
     def test_empty_counter(self):
         counts = jellyfish_count([], 25)

@@ -5,8 +5,6 @@ the same overlap edges for *any* k-mer set — random codes or the k-mer
 spectrum of random DNA — in both canonical and directed mode.
 """
 
-from collections import deque
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,37 +13,15 @@ from repro.seq.kmer_index import KmerCounter
 from repro.seq.kmers import canonical_kmers
 from repro.trinity.inchworm import neighbours
 from repro.trinity.kmer_components import (
-    component_members,
+    component_ids,
     kmer_components,
     overlap_edges,
 )
+from tests.reference_components import bfs_labels as _bfs_labels
 
 K = 6
 
 dna = st.text(alphabet="ACGT", min_size=K, max_size=120)
-
-
-def _bfs_labels(n, u, v):
-    adj = [[] for _ in range(n)]
-    for a, b in zip(u.tolist(), v.tolist()):
-        adj[a].append(b)
-        adj[b].append(a)
-    labels = np.full(n, -1, dtype=np.intp)
-    for start in range(n):
-        if labels[start] != -1:
-            continue
-        seen = [start]
-        labels[start] = start
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if labels[y] == -1:
-                    labels[y] = start
-                    seen.append(y)
-                    queue.append(y)
-        labels[np.array(seen)] = min(seen)
-    return labels
 
 
 def _counter_from_dna(seq: str) -> KmerCounter:
@@ -78,8 +54,8 @@ def test_labels_match_bfs_on_random_codes(seed, canonical):
 def test_members_partition_positions(seq):
     counter = _counter_from_dna(seq)
     labels = kmer_components(neighbours(counter, canonical=True))
-    members = component_members(labels)
-    flat = np.concatenate(members) if members else np.empty(0, dtype=np.intp)
-    assert sorted(flat.tolist()) == list(range(len(counter)))
-    for m in members:
-        assert np.all(labels[m] == m[0])
+    ids = component_ids(labels)
+    # Dense ids ascending by component, each labelled by its first member.
+    firsts = np.flatnonzero(labels == np.arange(labels.size))
+    assert np.array_equal(ids[firsts], np.arange(firsts.size))
+    assert np.array_equal(firsts[ids], labels)

@@ -91,7 +91,7 @@ class TestInchwormSurface:
         assert assemblers == {"inchworm_assemble", "inchworm_assemble_components"}
         assert params(inchworm.inchworm_assemble) == ["counts", "config"]
         assert params(inchworm.inchworm_assemble_components) == [
-            "filtered", "canonical", "config", "landing", "seed_rank",
+            "filtered", "canonical", "config", "landing", "component_ids",
             "thread_components", "thread_slowdowns",
         ]
         assert params(inchworm.neighbours) == ["filtered", "canonical", "start", "stop"]

@@ -257,14 +257,13 @@ class TestThreadedDriver:
         assemble_components(smoke_counts, n_threads=4)  # warm the index
         cfg = InchwormConfig()
         filtered = smoke_counts.index.filtered(cfg.min_kmer_count)
-        landing, seed_rank, members, costs = _component_setup(
-            filtered, cfg, [neighbours(filtered, smoke_counts.canonical)]
+        landing, ids, costs = _component_setup(
+            filtered, [neighbours(filtered, smoke_counts.canonical)]
         )
-        teams = lpt_assign(costs.tolist(), range(len(members)), 4)
-        thread_components = [[members[c] for c in team] for team in teams]
+        teams = lpt_assign(costs.tolist(), range(len(costs)), 4)
         t0 = time.thread_time()
         res = inchworm_assemble_components(
-            filtered, smoke_counts.canonical, cfg, landing, seed_rank, thread_components, slow
+            filtered, smoke_counts.canonical, cfg, landing, ids, teams, slow
         )
         measured = time.thread_time() - t0
         assert res.team.serial_time == pytest.approx((res.thread_clocks / slow).sum())

@@ -6,48 +6,23 @@ exact factorisation the distributed Inchworm relies on: every serial
 contig's k-mers fall inside exactly one component.
 """
 
-from collections import deque
-
 import numpy as np
 import pytest
 
+from repro.parallel.mpi_inchworm import _component_setup
 from repro.seq.kmer_index import KmerCounter
 from repro.seq.kmers import canonical_kmers, kmer_array
+from repro.seq.records import SeqRecord
 from repro.trinity.inchworm import InchwormConfig, inchworm_assemble, neighbours
 from repro.trinity.jellyfish import jellyfish_count
 from repro.trinity.kmer_components import (
-    component_costs,
-    component_members,
+    component_ids,
     kmer_components,
     overlap_edges,
 )
+from tests.reference_components import bfs_labels
 
 K = 25
-
-
-def bfs_labels(n, u, v):
-    """Reference labelling: BFS from each unvisited node, min-position label."""
-    adj = [[] for _ in range(n)]
-    for a, b in zip(u.tolist(), v.tolist()):
-        adj[a].append(b)
-        adj[b].append(a)
-    labels = np.full(n, -1, dtype=np.intp)
-    for start in range(n):
-        if labels[start] != -1:
-            continue
-        seen = [start]
-        labels[start] = start
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if labels[y] == -1:
-                    labels[y] = start
-                    seen.append(y)
-                    queue.append(y)
-        lo = min(seen)
-        labels[np.array(seen)] = lo
-    return labels
 
 
 def random_counter(rng, n, k=8):
@@ -81,7 +56,7 @@ class TestEdgeCases:
         assert kmer_components(neighbours(counter)).size == 0
         u, v = overlap_edges(neighbours(counter))
         assert u.size == 0 and v.size == 0
-        assert component_members(np.empty(0, dtype=np.intp)) == []
+        assert component_ids(np.empty(0, dtype=np.intp)).size == 0
 
     def test_singletons_label_themselves(self):
         # K-mers chosen so no (k-1)-overlap neighbour of one (on either
@@ -97,19 +72,19 @@ class TestEdgeCases:
         counter = KmerCounter(8, codes, np.ones(3, dtype=np.int64))
         labels = kmer_components(neighbours(counter))
         assert np.array_equal(labels, np.arange(3))
-        members = component_members(labels)
-        assert [m.tolist() for m in members] == [[0], [1], [2]]
+        assert component_ids(labels).tolist() == [0, 1, 2]
 
     def test_members_are_dense_ascending_partition(self):
         rng = np.random.default_rng(3)
         counter = random_counter(rng, n=300)
         labels = kmer_components(neighbours(counter))
-        members = component_members(labels)
-        # Dense component ids, ascending labels, ascending members...
-        assert sorted(np.concatenate(members).tolist()) == list(range(len(counter)))
+        ids = component_ids(labels)
+        members = [np.flatnonzero(ids == c) for c in range(int(ids.max()) + 1)]
+        # Dense component ids, every one with members, ascending by their
+        # minimum member...
+        assert all(m.size for m in members)
         firsts = [int(m[0]) for m in members]
         assert firsts == sorted(firsts)
-        assert all(np.all(np.diff(m) > 0) for m in members if m.size > 1)
         # ...and the label is the minimum member position.
         for m in members:
             assert np.all(labels[m] == m[0])
@@ -117,12 +92,27 @@ class TestEdgeCases:
     def test_costs_are_member_count_sums(self):
         rng = np.random.default_rng(4)
         counter = random_counter(rng, n=200)
-        members = component_members(kmer_components(neighbours(counter)))
-        costs = component_costs(counter, members)
-        assert costs.shape == (len(members),)
+        landing, ids, costs = _component_setup(counter, [neighbours(counter)])
+        assert np.array_equal(landing, neighbours(counter))
+        assert np.array_equal(ids, component_ids(kmer_components(landing)))
+        assert costs.shape == (int(ids.max()) + 1,)
         assert costs.sum() == pytest.approx(float(counter.values.sum()))
-        for m, c in zip(members, costs):
-            assert c == pytest.approx(float(counter.values[m].sum()))
+        for c, cost in enumerate(costs):
+            assert cost == float(counter.values[ids == c].sum())
+
+
+class TestContractedRounds:
+    @pytest.mark.timeout(30)
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_one_long_chain_is_one_component(self, canonical):
+        # Thousands of k-mers on one path, positions scattered by code:
+        # many rounds, each of which must re-point its live edges at their
+        # roots — an edge kept on its original endpoints hooks a non-root
+        # and can stay live forever.
+        seq = "".join(np.random.default_rng(9).choice(list("ACGT"), size=3000).tolist())
+        counts = jellyfish_count([SeqRecord("r0", seq)], K, canonical=canonical)
+        labels = kmer_components(neighbours(counts.index, canonical))
+        assert labels.size > 2900 and not labels.any()
 
 
 class TestContigFactorisation:
@@ -172,8 +162,7 @@ def test_whitefly_regression_component_count():
     _txome, pairs = get_recipe("whitefly-mini").materialize(seed=0)
     counts = jellyfish_count(flatten_reads(pairs), K)
     filtered = counts.index.filtered(InchwormConfig().min_kmer_count)
-    labels = kmer_components(neighbours(filtered, counts.canonical))
-    members = component_members(labels)
+    ids = component_ids(kmer_components(neighbours(filtered, counts.canonical)))
     # Pinned: the miniature's filtered graph resolves to 228 components.
-    assert len(members) == 228
-    assert sum(m.size for m in members) == len(filtered)
+    assert int(ids.max()) + 1 == 228
+    assert np.bincount(ids).min() >= 1 and ids.size == len(filtered)

@@ -4,7 +4,7 @@ Each figure benchmark runs its experiment once per round (`pedantic`,
 rounds=1) because the experiments are deterministic replays — variance
 across rounds would only measure host noise — and records the figure's
 key numbers in ``extra_info`` so `--benchmark-json` output carries the
-paper-vs-measured comparison.
+paper-vs-modelled comparison.
 
 The checked-in ``BENCH_*.json`` files are frozen histories (no writer
 remains; ``test_bench_histories.py`` checks their shape).  Stage-level

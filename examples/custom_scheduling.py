@@ -11,50 +11,23 @@ order and compares three distribution strategies at several node counts:
 Run:  python examples/custom_scheduling.py
 """
 
-import numpy as np
-
 from repro.cluster.costmodel import CALIBRATION
 from repro.cluster.workload import build_workload
-from repro.openmp.schedule import dynamic_makespan
-from repro.parallel.chunks import chunk_ranges, chunks_for_rank, static_block_ranges
+from repro.parallel.scaling import TEAM, chunk_makespans, rank_loads
 from repro.util.fmt import format_table
-
-NTHREADS = 16
-
-
-def round_robin(costs: np.ndarray, nodes: int, chunk_size: int) -> float:
-    ranges = chunk_ranges(costs.size, chunk_size)
-    worst = 0.0
-    for rank in range(nodes):
-        t = sum(
-            dynamic_makespan(costs[a:b], NTHREADS)
-            for a, b in (ranges[c] for c in chunks_for_rank(len(ranges), rank, nodes))
-        )
-        worst = max(worst, t)
-    return worst
-
-
-def static_blocks(costs: np.ndarray, nodes: int) -> float:
-    return max(
-        dynamic_makespan(costs[slice(*static_block_ranges(costs.size, r, nodes))], NTHREADS)
-        for r in range(nodes)
-    )
-
-
-def ideal_dynamic(costs: np.ndarray, nodes: int) -> float:
-    """Global work queue over all node-threads — the achievable floor."""
-    return dynamic_makespan(costs, nodes * NTHREADS)
 
 
 def main() -> None:
     workload = build_workload(seed=0, order="abundance")
     costs = workload.loop2_costs
-    chunk_size = CALIBRATION.chunk_size(costs.size)
+    # A round-robin rank runs its chunks one after another on its team.
+    chunks = chunk_makespans(costs, CALIBRATION.chunk_size(costs.size))
     rows = []
     for nodes in (16, 32, 64, 128):
-        sb = static_blocks(costs, nodes)
-        rr = round_robin(costs, nodes, chunk_size)
-        ideal = ideal_dynamic(costs, nodes)
+        sb = rank_loads(costs, nodes, "static_block").max()
+        rr = rank_loads(chunks, nodes, nthreads=1, chunk_size=1).max()
+        # One global work queue over all node-threads: the achievable floor.
+        ideal = rank_loads(costs, 1, "static_block", nthreads=nodes * TEAM).max()
         rows.append(
             [
                 nodes,

@@ -1,20 +1,15 @@
-"""Cluster modelling: hardware specs, cost calibration, workload statistics.
+"""Cluster modelling: cost calibration and workload statistics.
 
-This package turns the paper's testbed ("Blue Wonder", a 512-node iDataPlex
-with 2x8-core 2.6 GHz SandyBridge per node) into simulation parameters, and
-carries the calibration constants that anchor our virtual seconds to the
-paper's measured single-node baselines.
+Carries the calibration constants that anchor our virtual seconds to the
+paper's measured single-node baselines on its testbed ("Blue Wonder", a
+512-node iDataPlex with 2x8-core 2.6 GHz SandyBridge per node), and the
+sampled per-item workloads the scaling replays deal.
 """
 
-from repro.cluster.machine import NodeSpec, ClusterSpec, BLUE_WONDER, BLUE_WONDER_BIGMEM
 from repro.cluster.costmodel import PaperCalibration, CALIBRATION
 from repro.cluster.workload import ChrysalisWorkload, build_workload
 
 __all__ = [
-    "NodeSpec",
-    "ClusterSpec",
-    "BLUE_WONDER",
-    "BLUE_WONDER_BIGMEM",
     "PaperCalibration",
     "CALIBRATION",
     "ChrysalisWorkload",

@@ -4,7 +4,8 @@ Each runner returns a result object with a ``render()`` method printing
 the same rows/series the paper's figure reports, next to the paper's
 values where the paper states them.  The benchmark harness under
 ``benchmarks/`` calls these runners; EXPERIMENTS.md records one full
-paper-vs-measured sweep.
+sweep, paper against modelled (the paper-scale replays) and measured
+(the miniature runs).
 """
 
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment

@@ -16,12 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-import numpy as np
-
-from repro.cluster.costmodel import CALIBRATION
 from repro.cluster.workload import build_workload
-from repro.parallel.chunks import chunks_for_rank
-from repro.parallel.scaling import simulate_gff_point
+from repro.parallel.scaling import simulate_gff, simulate_rtt
 from repro.util.fmt import format_table
 
 
@@ -52,12 +48,10 @@ def run_scheduler_ablation(
     """Both strategies on the abundance-ordered (head-heavy) workload —
     the file order Inchworm actually writes."""
     workload = build_workload(seed=seed, order="abundance")
-    rr, sb = [], []
-    for nodes in nodes_list:
-        p_rr = simulate_gff_point(nodes, workload, strategy="round_robin")
-        p_sb = simulate_gff_point(nodes, workload, strategy="static_block")
-        rr.append(p_rr.loops_s)
-        sb.append(p_sb.loops_s)
+    rr, sb = (
+        [p.loop1_max + p.loop2_max for p in simulate_gff(nodes_list, workload, strategy)]
+        for strategy in ("round_robin", "static_block")
+    )
     return SchedulerAblationResult(list(nodes_list), rr, sb)
 
 
@@ -107,22 +101,13 @@ def run_rtt_io_ablation(
     saturates — the paper's stated reason for abandoning it.
     """
     workload = build_workload(seed=seed)
-    cal = CALIBRATION
     file_bytes = 15e9  # the sugarbeet FASTA
     t_distribute = file_bytes / PICKLE_EFFECTIVE_BW
-    redundant, master_slave = [], []
-    costs = workload.rtt_chunk_costs
-    for nodes in nodes_list:
-        times = np.zeros(nodes)
-        for rank in range(nodes):
-            mine = chunks_for_rank(costs.size, rank, nodes)
-            times[rank] = costs[mine].sum() + cal.rtt_redundant_read_s
-        redundant.append(float(times.max()))
-        ms_times = np.zeros(nodes)
-        for rank in range(nodes):
-            mine = chunks_for_rank(costs.size, rank, nodes)
-            ms_times[rank] = costs[mine].sum()
-        master_slave.append(t_distribute + float(ms_times.max()))
+    redundant = [p.loop_max for p in simulate_rtt(nodes_list, workload)]
+    # The slaves read nothing: the master ships them their chunks.
+    master_slave = [
+        t_distribute + p.loop_max for p in simulate_rtt(nodes_list, workload, read_s=0.0)
+    ]
     return RttIoAblationResult(list(nodes_list), redundant, master_slave)
 
 

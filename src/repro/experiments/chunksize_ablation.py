@@ -10,13 +10,11 @@ nodes, exposing the regime where the paper's regression appears.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.cluster.costmodel import CALIBRATION
 from repro.cluster.workload import ChrysalisWorkload, build_workload
-from repro.parallel.scaling import simulate_gff_point
+from repro.parallel.scaling import simulate_gff
 from repro.util.fmt import format_table
 
 
@@ -56,9 +54,7 @@ def run_chunksize_ablation(
     workload = workload if workload is not None else build_workload(seed=seed)
     l128, l192, imb = [], [], []
     for chunks_total in chunks_totals:
-        cal = dataclasses.replace(CALIBRATION, chunks_total=chunks_total)
-        p128 = simulate_gff_point(128, workload, calibration=cal)
-        p192 = simulate_gff_point(192, workload, calibration=cal)
+        p128, p192 = simulate_gff((128, 192), workload, chunks_total=chunks_total)
         l128.append(p128.loop2_max)
         l192.append(p192.loop2_max)
         imb.append(p192.loop2_imbalance)

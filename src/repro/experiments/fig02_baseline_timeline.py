@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.cluster.costmodel import CALIBRATION
 from repro.experiments import paper
 from repro.obs.span import Span, render_stage_table, render_timeline, stage_seconds
 from repro.parallel.scaling import simulate_serial_timeline
@@ -39,7 +38,7 @@ class Fig02Result:
             render_timeline(self.timeline),
             "",
             format_table(
-                ["quantity", "measured", "paper"],
+                ["quantity", "modelled", "paper"],
                 [
                     ["total pipeline (h)", f"{self.total_h:.1f}", f"~{paper.TRINITY_SERIAL_TOTAL_H:.0f}"],
                     ["Chrysalis (h)", f"{self.chrysalis_h:.1f}", f">{paper.CHRYSALIS_SERIAL_H:.0f}"],
@@ -56,7 +55,7 @@ class Fig02Result:
 
 
 def run(include_mini: bool = False, seed: int = 0) -> Fig02Result:
-    timeline = simulate_serial_timeline(CALIBRATION)
+    timeline = simulate_serial_timeline()
     measured = None
     if include_mini:
         from repro.simdata import get_recipe

@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-import numpy as np
-
 from repro.cluster.workload import build_workload
-from repro.openmp.schedule import dynamic_makespan
-from repro.parallel.chunks import chunk_ranges, chunks_for_rank, static_block_ranges
+from repro.parallel.chunks import chunks_for_rank
+from repro.parallel.scaling import chunk_makespans, rank_loads
 from repro.util.fmt import format_table
 
 
@@ -58,27 +56,15 @@ def run(nprocs: int = 4, nthreads: int = 2, seed: int = 0) -> Fig03Result:
 
     # Quantitative part: both strategies on the paper-scale loop-2 costs
     # in Inchworm's abundance (head-heavy) file order — the ordering that
-    # sank the authors' first, pre-allocated strategy.
-    workload = build_workload(seed=seed, order="abundance")
-    costs = workload.loop2_costs
-    nodes, team = 64, 16
-    chunk_size = max(1, costs.size // 512)
-    ranges = chunk_ranges(costs.size, chunk_size)
-    rr = np.zeros(nodes)
-    for rank in range(nodes):
-        rr[rank] = sum(
-            dynamic_makespan(costs[a:b], team)
-            for a, b in (ranges[c] for c in chunks_for_rank(len(ranges), rank, nodes))
-        )
-    sb = np.zeros(nodes)
-    for rank in range(nodes):
-        a, b = static_block_ranges(costs.size, rank, nodes)
-        sb[rank] = dynamic_makespan(costs[a:b], team)
+    # sank the authors' first, pre-allocated strategy — at 64 nodes x 16
+    # threads.  A round-robin rank runs its chunks one after another.
+    costs = build_workload(seed=seed, order="abundance").loop2_costs
+    chunks = chunk_makespans(costs, max(1, costs.size // 512))
     return Fig03Result(
         nprocs=nprocs,
         nthreads=nthreads,
         n_chunks=n_chunks,
         dealing=dealing,
-        round_robin_makespan=float(rr.max()),
-        static_block_makespan=float(sb.max()),
+        round_robin_makespan=float(rank_loads(chunks, 64, nthreads=1, chunk_size=1).max()),
+        static_block_makespan=float(rank_loads(costs, 64, "static_block").max()),
     )

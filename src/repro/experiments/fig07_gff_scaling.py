@@ -7,7 +7,7 @@ from typing import List, Optional
 
 from repro.cluster.workload import ChrysalisWorkload, build_workload
 from repro.experiments import paper
-from repro.parallel.scaling import GffScalingPoint, gff_serial_baseline_s, simulate_gff_scaling
+from repro.parallel.scaling import ScalingPoint, at, gff_serial_baseline_s, simulate_gff
 from repro.util.fmt import format_table
 
 
@@ -15,27 +15,21 @@ from repro.util.fmt import format_table
 class Fig07Result:
     """Simulated Figure 7 series plus derived speedups."""
 
-    points: List[GffScalingPoint]
+    points: List[ScalingPoint]
     serial_baseline_s: float
 
     @property
-    def base(self) -> GffScalingPoint:
+    def base(self) -> ScalingPoint:
         return self.points[0]
 
-    def _point(self, nodes: int) -> GffScalingPoint:
-        for p in self.points:
-            if p.nodes == nodes:
-                return p
-        raise KeyError(f"no simulated point at {nodes} nodes")
-
     def loop1_speedup(self, nodes: int) -> float:
-        return self.base.loop1_max / self._point(nodes).loop1_max
+        return self.base.loop1_max / at(self.points, nodes).loop1_max
 
     def loop2_speedup(self, nodes: int) -> float:
-        return self.base.loop2_max / self._point(nodes).loop2_max
+        return self.base.loop2_max / at(self.points, nodes).loop2_max
 
     def total_speedup(self, nodes: int) -> float:
-        return self.serial_baseline_s / self._point(nodes).total_s
+        return self.serial_baseline_s / at(self.points, nodes).total_s
 
     def render(self) -> str:
         rows = [
@@ -53,22 +47,23 @@ class Fig07Result:
             ["nodes", "loop1 max (s)", "loop1 min", "loop2 max", "loop2 min", "total"],
             rows,
         )
+        p192 = at(self.points, 192)
         cmp_rows = [
             ["loop1 speedup @128 (vs 16)", f"{self.loop1_speedup(128):.2f}", paper.GFF_LOOP1_SPEEDUP_128],
             ["loop1 speedup @192", f"{self.loop1_speedup(192):.2f}", paper.GFF_LOOP1_SPEEDUP_192],
             ["loop2 speedup @128", f"{self.loop2_speedup(128):.2f}", paper.GFF_LOOP2_SPEEDUP_128],
             ["loop2 speedup @192", f"{self.loop2_speedup(192):.2f}", paper.GFF_LOOP2_SPEEDUP_192],
-            ["loop1 max/min @192", f"{self._point(192).loop1_imbalance:.2f}", paper.GFF_LOOP1_IMBALANCE_192],
-            ["loop2 max/min @192", f"{self._point(192).loop2_imbalance:.2f}", f">{paper.GFF_LOOP2_IMBALANCE_192}"],
+            ["loop1 max/min @192", f"{p192.loop1_imbalance:.2f}", paper.GFF_LOOP1_IMBALANCE_192],
+            ["loop2 max/min @192", f"{p192.loop2_imbalance:.2f}", f">{paper.GFF_LOOP2_IMBALANCE_192}"],
             ["total speedup @16 (vs serial)", f"{self.total_speedup(16):.2f}", paper.GFF_SPEEDUP_16N],
             ["total speedup @192", f"{self.total_speedup(192):.2f}", paper.GFF_SPEEDUP_192N],
             ["serial baseline (s)", f"{self.serial_baseline_s:.0f}", paper.GFF_SERIAL_S],
         ]
-        cmp = format_table(["quantity", "measured", "paper"], cmp_rows)
+        cmp = format_table(["quantity", "modelled", "paper"], cmp_rows)
         return f"Figure 7 — hybrid GraphFromFasta scaling\n{table}\n\n{cmp}"
 
 
 def run(workload: Optional[ChrysalisWorkload] = None, seed: int = 0) -> Fig07Result:
     workload = workload if workload is not None else build_workload(seed=seed)
-    points = simulate_gff_scaling(paper.GFF_SWEEP_NODES, workload)
+    points = simulate_gff(paper.GFF_SWEEP_NODES, workload)
     return Fig07Result(points=points, serial_baseline_s=gff_serial_baseline_s())

@@ -7,19 +7,16 @@ from typing import List, Optional
 
 from repro.cluster.workload import ChrysalisWorkload, build_workload
 from repro.experiments import paper
-from repro.parallel.scaling import GffScalingPoint, simulate_gff_scaling
+from repro.parallel.scaling import ScalingPoint, at, simulate_gff
 from repro.util.fmt import format_table
 
 
 @dataclass
 class Fig08Result:
-    points: List[GffScalingPoint]
+    points: List[ScalingPoint]
 
     def share(self, nodes: int) -> float:
-        for p in self.points:
-            if p.nodes == nodes:
-                return p.loops_share
-        raise KeyError(f"no simulated point at {nodes} nodes")
+        return at(self.points, nodes).loops_share
 
     def render(self) -> str:
         rows = []
@@ -35,7 +32,7 @@ class Fig08Result:
             )
         table = format_table(["nodes", "loop1 %", "loop2 %", "non-parallel %"], rows)
         cmp = format_table(
-            ["quantity", "measured", "paper"],
+            ["quantity", "modelled", "paper"],
             [
                 ["loops share @16", f"{100 * self.share(16):.1f}%", f"{100 * paper.GFF_LOOPS_SHARE_16N:.1f}%"],
                 ["loops share @192", f"{100 * self.share(192):.1f}%", f"{100 * paper.GFF_LOOPS_SHARE_192N:.1f}%"],
@@ -51,4 +48,4 @@ class Fig08Result:
 
 def run(workload: Optional[ChrysalisWorkload] = None, seed: int = 0) -> Fig08Result:
     workload = workload if workload is not None else build_workload(seed=seed)
-    return Fig08Result(points=simulate_gff_scaling(paper.GFF_SWEEP_NODES, workload))
+    return Fig08Result(points=simulate_gff(paper.GFF_SWEEP_NODES, workload))

@@ -6,44 +6,38 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.experiments import paper
-from repro.parallel.scaling import BowtieScalingPoint, simulate_bowtie_scaling
+from repro.parallel.scaling import ScalingPoint, at, simulate_bowtie
 from repro.util.fmt import format_table
 
 
 @dataclass
 class Fig10Result:
-    points: List[BowtieScalingPoint]
-
-    def _point(self, nodes: int) -> BowtieScalingPoint:
-        for p in self.points:
-            if p.nodes == nodes:
-                return p
-        raise KeyError(f"no simulated point at {nodes} nodes")
+    points: List[ScalingPoint]
 
     @property
     def overall_speedup_128(self) -> float:
-        return self._point(1).total_s / self._point(128).total_s
+        return at(self.points, 1).total_s / at(self.points, 128).total_s
 
     @property
     def split_exceeds_bowtie_at(self) -> int:
         """Smallest node count where the PyFasta split outweighs Bowtie."""
         for p in self.points:
-            if p.nodes > 1 and p.split_s > p.bowtie_s:
+            if p.nodes > 1 and p.split_max > p.align_max:
                 return p.nodes
         return -1
 
     def render(self) -> str:
         rows = [
-            [p.nodes, f"{p.split_s:.0f}", f"{p.bowtie_s:.0f}", f"{p.merge_s:.0f}", f"{p.total_s:.0f}"]
+            [p.nodes, f"{p.split_max:.0f}", f"{p.align_max:.0f}", f"{p.merge_max:.0f}", f"{p.total_s:.0f}"]
             for p in self.points
         ]
         table = format_table(
             ["nodes", "PyFasta split (s)", "Bowtie (s)", "SAM merge (s)", "total"], rows
         )
         cmp = format_table(
-            ["quantity", "measured", "paper"],
+            ["quantity", "modelled", "paper"],
             [
-                ["serial Bowtie (s)", f"{self._point(1).total_s:.0f}", paper.BOWTIE_SERIAL_S],
+                ["serial Bowtie (s)", f"{at(self.points, 1).total_s:.0f}", paper.BOWTIE_SERIAL_S],
                 ["overall speedup @128", f"{self.overall_speedup_128:.2f}", paper.BOWTIE_SPEEDUP_128N],
                 [
                     "split > bowtie from",
@@ -56,4 +50,4 @@ class Fig10Result:
 
 
 def run(n_reads: int = paper.SUGARBEET_READS) -> Fig10Result:
-    return Fig10Result(points=simulate_bowtie_scaling(paper.BOWTIE_SWEEP_NODES, n_reads))
+    return Fig10Result(points=simulate_bowtie(paper.BOWTIE_SWEEP_NODES, n_reads))

@@ -8,9 +8,9 @@ stage fed contig-only inputs) buys and how much of it needs the cost
 model:
 
 * **Analytic sweep** — a heavy-tailed per-component cost distribution
-  (the abundance skew of real transcriptomes) replayed through
-  :func:`repro.parallel.scaling.simulate_component_stage` at paper-scale
-  node counts, for both deal strategies.  Each rank enumerates its
+  (the abundance skew of real transcriptomes) dealt by
+  :func:`repro.parallel.scaling.rank_loads` at paper-scale node counts,
+  for both deal strategies.  Each rank enumerates its
   components serially (``nthreads=1``), so the deal *is* the makespan.
 * **Real execution check** — the actual simulated-MPI stage on a
   miniature skewed workload at 8 ranks, asserting both strategies
@@ -31,7 +31,7 @@ from repro.parallel.mpi_chrysalis_backend import (
     contig_only_inputs,
     mpi_chrysalis_backend,
 )
-from repro.parallel.scaling import ComponentStagePoint, simulate_component_stage
+from repro.parallel.scaling import ScalingPoint, rank_loads
 from repro.trinity.butterfly import ButterflyConfig, butterfly_assemble
 from repro.trinity.chrysalis.debruijn import fasta_to_debruijn
 from repro.util.fmt import format_table
@@ -74,7 +74,7 @@ def skewed_contigs(
 class FigButterflyResult:
     """Analytic strategy sweep plus the real-execution identity check."""
 
-    rows: List[Tuple[int, ComponentStagePoint, ComponentStagePoint]]
+    rows: List[Tuple[int, ScalingPoint, ScalingPoint]]
     real_static_makespan: float
     real_dynamic_makespan: float
     outputs_identical: bool
@@ -95,9 +95,9 @@ class FigButterflyResult:
             [
                 n,
                 f"{static.loop_max:.1f}",
-                f"{static.imbalance:.2f}",
+                f"{static.loop_imbalance:.2f}",
                 f"{dynamic.loop_max:.1f}",
-                f"{dynamic.imbalance:.2f}",
+                f"{dynamic.loop_imbalance:.2f}",
                 f"{static.loop_max / dynamic.loop_max:.2f}",
             ]
             for n, static, dynamic in self.rows
@@ -120,8 +120,10 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigButterflyResult
     rows = [
         (
             n,
-            simulate_component_stage(n, costs, nthreads=1, strategy="round_robin"),
-            simulate_component_stage(n, costs, nthreads=1, strategy="dynamic"),
+            *(
+                ScalingPoint.of(n, loop=rank_loads(costs, n, strategy, nthreads=1))
+                for strategy in ("round_robin", "dynamic")
+            ),
         )
         for n in nodes
     ]

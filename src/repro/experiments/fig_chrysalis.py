@@ -11,12 +11,10 @@ fusing the whole back-end chain into one component-parallel stage
 
 * **Analytic sweep** — heavy-tailed per-component build/quantify/walk
   cost distributions (the same abundance skew as the Butterfly sweep)
-  replayed through
-  :func:`repro.parallel.scaling.simulate_component_stage` at paper-scale
-  node counts — dealt as whole components (each one's build + quantify +
-  walk sum) and as the units the stage deals (:func:`unit_costs`: what
-  stays indivisible is the walk) — against
-  :func:`repro.parallel.scaling.chrysalis_prefusion_total_s`, the
+  dealt by :func:`repro.parallel.scaling.rank_loads` at paper-scale node
+  counts — as whole components (each one's build + quantify + walk sum)
+  and as the units the stage deals (:func:`unit_costs`: what stays
+  indivisible is the walk) — against :func:`prefusion_total_s`, the
   serial-middle + graph-allgather + distributed-walk baseline.
 * **Real execution check** — the actual simulated-MPI fused stage on the
   smoke workload at 8 ranks, asserting transcripts and quant stats
@@ -37,11 +35,7 @@ from repro.parallel.mpi_chrysalis_backend import (
     ChrysalisBackendStageConfig,
     mpi_chrysalis_backend,
 )
-from repro.parallel.scaling import (
-    ComponentStagePoint,
-    chrysalis_prefusion_total_s,
-    simulate_component_stage,
-)
+from repro.parallel.scaling import NETWORK, ScalingPoint, rank_loads
 from repro.util.fmt import format_table
 from repro.util.rng import spawn_rng
 
@@ -83,12 +77,24 @@ def unit_costs(build: np.ndarray, quantify: np.ndarray, walk: np.ndarray) -> np.
     return units
 
 
+def prefusion_total_s(
+    nodes: int, build: np.ndarray, quantify: np.ndarray, walk: np.ndarray
+) -> float:
+    """The driver path the fused stage replaced: FastaToDebruijn and
+    QuantifyGraph run serially on the front-end node (their costs sum
+    whatever the node count), the quantified graphs are allgathered to
+    every rank, and only the Butterfly walk is dealt."""
+    serial_middle = float(np.sum(build) + np.sum(quantify))
+    walk_s = float(rank_loads(walk, nodes, "dynamic", nthreads=1).max())
+    return serial_middle + NETWORK.allgatherv(nodes, GRAPH_BYTES) + walk_s
+
+
 @dataclass
 class FigChrysalisResult:
     """Analytic fusion sweep plus the real-execution identity check."""
 
     #: (nodes, pre-fusion total, fused dealt by component, ... by unit)
-    rows: List[Tuple[int, float, ComponentStagePoint, ComponentStagePoint]]
+    rows: List[Tuple[int, float, ScalingPoint, ScalingPoint]]
     #: QuantifyGraph's share of the summed fused cost: the slowest rank's
     #: loop splits build / quantify / walk in the global proportions.
     quantify_share: float
@@ -110,7 +116,7 @@ class FigChrysalisResult:
                 f"{fused.total_s:.1f}",
                 f"{by_unit.total_s:.1f}",
                 f"{fused.loop_max * self.quantify_share:.1f}",
-                f"{fused.gather_s:.3f}",
+                f"{fused.merge_max:.3f}",
                 f"{prefusion / fused.total_s:.2f}",
             ]
             for n, prefusion, fused, by_unit in self.rows
@@ -150,14 +156,12 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigChrysalisResult
     rows = [
         (
             n,
-            chrysalis_prefusion_total_s(
-                n, build, quantify, walk, nthreads=1, strategy="dynamic",
-                graph_bytes=GRAPH_BYTES,
-            ),
+            prefusion_total_s(n, build, quantify, walk),
             *(
-                simulate_component_stage(
-                    n, costs, nthreads=1, strategy="dynamic",
-                    gather_bytes=TRANSCRIPT_BYTES,
+                ScalingPoint.of(
+                    n,
+                    loop=rank_loads(costs, n, "dynamic", nthreads=1),
+                    merge=NETWORK.allgatherv(n, TRANSCRIPT_BYTES),
                 )
                 for costs in (fused_costs, unit_costs(build, quantify, walk))
             ),

@@ -7,7 +7,7 @@ pipeline".  This experiment quantifies what the component-partitioned
 stage of :mod:`repro.parallel.mpi_inchworm` buys:
 
 * **Analytic sweep** — the paper-scale greedy-extension pass replayed
-  through :func:`repro.parallel.scaling.simulate_inchworm_point` at
+  through :func:`repro.parallel.scaling.simulate_inchworm` at
   Figure-7-series node counts, for both deal strategies, using the
   *real* per-component k-mer count masses of the whitefly miniature
   (scaled to the Fig 2 serial Inchworm anchor) rather than a synthetic
@@ -39,7 +39,7 @@ from repro.cluster.costmodel import CALIBRATION
 from repro.mpi.launcher import mpirun
 from repro.obs import critical_path, verify_attribution
 from repro.parallel.driver import ParallelTrinityConfig, run_chain
-from repro.parallel.scaling import ComponentStagePoint, simulate_inchworm_point
+from repro.parallel.scaling import ScalingPoint, simulate_inchworm
 from repro.simdata import get_recipe
 from repro.simdata.reads import flatten_reads
 from repro.trinity import TrinityConfig
@@ -51,15 +51,13 @@ from repro.util.fmt import format_table
 #: Paper-scale sweep, starting at 1 to show the serial anchor.
 SWEEP_NODES = (1, 2, 4, 8, 16, 32, 64)
 REAL_NPROCS = 8
-#: Threads per rank in the analytic sweep (the paper's per-node width).
-SWEEP_NTHREADS = 16
 
 
 @dataclass
 class FigInchwormResult:
     """Analytic strategy sweep, identity check, pipeline serial fraction."""
 
-    rows: List[Tuple[int, ComponentStagePoint, ComponentStagePoint]]
+    rows: List[Tuple[int, ScalingPoint, ScalingPoint]]
     serial_baseline_s: float
     n_components: int
     real_serial_makespan: float
@@ -96,9 +94,9 @@ class FigInchwormResult:
             [
                 n,
                 f"{static.total_s:.0f}",
-                f"{static.imbalance:.2f}",
+                f"{static.assemble_imbalance:.2f}",
                 f"{dynamic.total_s:.0f}",
-                f"{dynamic.imbalance:.2f}",
+                f"{dynamic.assemble_imbalance:.2f}",
                 f"{self.serial_baseline_s / dynamic.total_s:.2f}",
             ]
             for n, static, dynamic in self.rows
@@ -179,20 +177,13 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigInchwormResult:
     costs = np.bincount(ids, weights=filtered.values)
     serial_contigs = inchworm_assemble(counts, tcfg.inchworm())
     contig_bytes = float(sum(len(c.seq) for c in serial_contigs))
-    rows = [
-        (
-            n,
-            simulate_inchworm_point(
-                n, costs, nthreads=SWEEP_NTHREADS, strategy="round_robin",
-                contig_bytes=contig_bytes,
-            ),
-            simulate_inchworm_point(
-                n, costs, nthreads=SWEEP_NTHREADS, strategy="dynamic",
-                contig_bytes=contig_bytes,
-            ),
-        )
-        for n in nodes
-    ]
+    rows = list(zip(
+        nodes,
+        *(
+            simulate_inchworm(nodes, costs, strategy, contig_bytes)
+            for strategy in ("round_robin", "dynamic")
+        ),
+    ))
 
     # -- real execution identity check ---------------------------------------
     def inchworm_run(nprocs: int, strategy: str = "round_robin"):

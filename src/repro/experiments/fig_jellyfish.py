@@ -6,7 +6,7 @@ appetite as the pipeline's wall (§II.A).  This experiment quantifies
 what the distributed stage of :mod:`repro.parallel.mpi_jellyfish` buys:
 
 * **Analytic sweep** — the sugarbeet-scale counting pass replayed
-  through :func:`repro.parallel.scaling.simulate_jellyfish_point` at
+  through :func:`repro.parallel.scaling.simulate_jellyfish` at
   paper-scale node counts, splitting each point into count / exchange /
   merge / gather / resort.  The final allgather + re-sort replicate the
   whole table on every rank, so the speedup saturates — the stage's
@@ -35,7 +35,7 @@ from repro.parallel.mpi_jellyfish import (
     JellyfishStageConfig,
     mpi_jellyfish,
 )
-from repro.parallel.scaling import JellyfishScalingPoint, simulate_jellyfish_point
+from repro.parallel.scaling import ScalingPoint, at, simulate_jellyfish
 from repro.simdata import get_recipe
 from repro.simdata.reads import flatten_reads
 from repro.trinity.jellyfish import JellyfishConfig, jellyfish_count, jellyfish_dump
@@ -51,7 +51,7 @@ ASSEMBLY_K = 25
 class FigJellyfishResult:
     """Analytic scaling sweep plus the real-execution identity check."""
 
-    points: List[JellyfishScalingPoint]
+    points: List[ScalingPoint]
     serial_baseline_s: float
     real_serial_makespan: float
     real_mpi_makespan: float
@@ -64,19 +64,16 @@ class FigJellyfishResult:
         return self.real_serial_makespan / self.real_mpi_makespan
 
     def speedup(self, nodes: int) -> float:
-        for p in self.points:
-            if p.nodes == nodes:
-                return self.serial_baseline_s / p.total_s
-        raise KeyError(f"no simulated point at {nodes} nodes")
+        return self.serial_baseline_s / at(self.points, nodes).total_s
 
     def render(self) -> str:
         rows = [
             [
                 p.nodes,
-                f"{p.count_s:.0f}",
-                f"{p.merge_s:.0f}",
-                f"{p.resort_s:.0f}",
-                f"{p.comm_s:.1f}",
+                f"{p.count_max:.0f}",
+                f"{p.merge_max:.0f}",
+                f"{p.resort_max:.0f}",
+                f"{p.exchange_max + p.gather_max:.1f}",
                 f"{p.total_s:.0f}",
                 f"{self.serial_baseline_s / p.total_s:.2f}",
             ]
@@ -100,7 +97,7 @@ class FigJellyfishResult:
 
 
 def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigJellyfishResult:
-    points = [simulate_jellyfish_point(n) for n in nodes]
+    points = simulate_jellyfish(nodes)
 
     _txome, pairs = get_recipe("whitefly-mini").materialize(seed=seed)
     reads = flatten_reads(pairs)

@@ -1,7 +1,8 @@
 """Experiments for the paper's SS:VI future-work directions (fw-*).
 
 Each compares the shipped design against the improvement the authors
-said they would try next, at paper scale.
+said they would try next, at paper scale.  The variants are built here
+on the shared model's points and terms, not as flags of it.
 """
 
 from __future__ import annotations
@@ -10,13 +11,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.cluster.workload import ChrysalisWorkload, build_workload
-from repro.parallel.scaling import simulate_gff_point, simulate_rtt_point
+from repro.parallel.scaling import NETWORK, ScalingPoint, simulate_gff, simulate_rtt
 from repro.util.fmt import format_table
 
 
 @dataclass
 class DynamicPartitionResult:
-    """fw-dynamic: round-robin vs master-dealt dynamic chunks (GFF)."""
+    """fw-dynamic: round-robin vs the master's LPT deal of the chunks (GFF)."""
 
     nodes_list: List[int]
     round_robin_s: List[float]
@@ -52,15 +53,15 @@ def run_dynamic_partition(
     seed: int = 0,
 ) -> DynamicPartitionResult:
     workload = workload if workload is not None else build_workload(seed=seed)
-    rr_s, dy_s, rr_i, dy_i = [], [], [], []
-    for nodes in nodes_list:
-        rr = simulate_gff_point(nodes, workload, strategy="round_robin")
-        dy = simulate_gff_point(nodes, workload, strategy="dynamic")
-        rr_s.append(rr.loops_s)
-        dy_s.append(dy.loops_s)
-        rr_i.append(rr.loop2_imbalance)
-        dy_i.append(dy.loop2_imbalance)
-    return DynamicPartitionResult(list(nodes_list), rr_s, dy_s, rr_i, dy_i)
+    rr = simulate_gff(nodes_list, workload, "round_robin")
+    dy = simulate_gff(nodes_list, workload, "dynamic")
+    return DynamicPartitionResult(
+        list(nodes_list),
+        [p.loop1_max + p.loop2_max for p in rr],
+        [p.loop1_max + p.loop2_max for p in dy],
+        [p.loop2_imbalance for p in rr],
+        [p.loop2_imbalance for p in dy],
+    )
 
 
 @dataclass
@@ -93,21 +94,35 @@ class SerialRegionResult:
         )
 
 
+def sharded_setup(point: ScalingPoint, workload: ChrysalisWorkload) -> ScalingPoint:
+    """A shipped GraphFromFasta point with its set-up sharded: each rank
+    indexes ``1/nodes`` of the reads and contigs, then the tables (~4x the
+    weld payload) are pooled with one more allgather."""
+    n = point.nodes
+    if n == 1:
+        return point
+    return ScalingPoint.of(n, **{
+        **point.phases,
+        "comm": point.comm_max + NETWORK.allgatherv(n, 4 * workload.weld_payload_bytes),
+        "setup": point.setup_max / n,
+    })
+
+
 def run_serial_regions(
     nodes_list: Sequence[int] = (16, 64, 128, 192),
     workload: Optional[ChrysalisWorkload] = None,
     seed: int = 0,
 ) -> SerialRegionResult:
     workload = workload if workload is not None else build_workload(seed=seed)
-    shipped_t, sharded_t, shipped_s, sharded_s = [], [], [], []
-    for nodes in nodes_list:
-        a = simulate_gff_point(nodes, workload)
-        b = simulate_gff_point(nodes, workload, parallel_serial_region=True)
-        shipped_t.append(a.total_s)
-        sharded_t.append(b.total_s)
-        shipped_s.append(1 - a.loops_share)
-        sharded_s.append(1 - b.loops_share)
-    return SerialRegionResult(list(nodes_list), shipped_t, sharded_t, shipped_s, sharded_s)
+    shipped = simulate_gff(nodes_list, workload)
+    sharded = [sharded_setup(p, workload) for p in shipped]
+    return SerialRegionResult(
+        list(nodes_list),
+        [p.total_s for p in shipped],
+        [p.total_s for p in sharded],
+        [1 - p.loops_share for p in shipped],
+        [1 - p.loops_share for p in sharded],
+    )
 
 
 @dataclass
@@ -133,6 +148,12 @@ class StripedIoResult:
         )
 
 
+def striped_read_s(io_cost_s: float, nodes: int) -> float:
+    """A rank's read of the reads file under MPI-I/O: its own stripe, plus
+    the collective ``MPI_File_open`` and view set-up."""
+    return io_cost_s / nodes + 0.5
+
+
 def run_striped_io(
     nodes_list: Sequence[int] = (4, 16, 32, 64),
     io_cost_s: float = 120.0,
@@ -140,10 +161,9 @@ def run_striped_io(
     seed: int = 0,
 ) -> StripedIoResult:
     workload = workload if workload is not None else build_workload(seed=seed)
-    redundant, striped = [], []
-    for nodes in nodes_list:
-        r = simulate_rtt_point(nodes, workload, io_cost_s=io_cost_s)
-        s = simulate_rtt_point(nodes, workload, striped_io=True, io_cost_s=io_cost_s)
-        redundant.append(r.loop_max)
-        striped.append(s.loop_max)
+    redundant = [p.loop_max for p in simulate_rtt(nodes_list, workload, io_cost_s)]
+    striped = [
+        simulate_rtt([n], workload, striped_read_s(io_cost_s, n))[0].loop_max
+        for n in nodes_list
+    ]
     return StripedIoResult(list(nodes_list), io_cost_s, redundant, striped)

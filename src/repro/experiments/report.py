@@ -27,6 +27,9 @@ SECTIONS: List[Tuple[str, List[str]]] = [
     ("Ablations", ["abl-sched", "abl-rtt-io", "abl-merge", "abl-chunksize", "abl-dsk"]),
     ("Model validation", ["calibration-check", "robustness"]),
     ("Future work", ["fw-dynamic", "fw-serial-regions", "fw-striped-io"]),
+    ("Distributed stages beyond the paper",
+     ["fig-jellyfish", "fig-inchworm", "fig-chrysalis", "fig-butterfly"]),
+    ("Fault injection", ["faults"]),
     ("Output validation (slow)", ["fig04", "fig05_06"]),
 ]
 

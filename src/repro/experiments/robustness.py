@@ -18,8 +18,8 @@ from repro.cluster.workload import build_workload
 from repro.parallel.scaling import (
     gff_serial_baseline_s,
     rtt_serial_baseline_s,
-    simulate_gff_point,
-    simulate_rtt_point,
+    simulate_gff,
+    simulate_rtt,
 )
 from repro.util.fmt import format_table
 
@@ -58,14 +58,12 @@ def run_robustness(seeds: Sequence[int] = (0, 1, 2, 3, 4)) -> RobustnessResult:
     }
     for seed in seeds:
         wl = build_workload(seed=seed)
-        p16 = simulate_gff_point(16, wl)
-        p192 = simulate_gff_point(192, wl)
+        p16, p192 = simulate_gff((16, 192), wl)
         metrics["gff total speedup @16"].append(gff_serial_baseline_s() / p16.total_s)
         metrics["gff total speedup @192"].append(gff_serial_baseline_s() / p192.total_s)
         metrics["gff loop1 speedup 16->192"].append(p16.loop1_max / p192.loop1_max)
         metrics["gff loop2 imbalance @192"].append(p192.loop2_imbalance)
-        r4 = simulate_rtt_point(4, wl)
-        r32 = simulate_rtt_point(32, wl)
+        r4, r32 = simulate_rtt((4, 32), wl)
         metrics["rtt loop speedup 4->32"].append(r4.loop_max / r32.loop_max)
         metrics["rtt total speedup @32"].append(rtt_serial_baseline_s() / r32.total_s)
     paper = {

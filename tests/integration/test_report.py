@@ -42,9 +42,12 @@ class TestReport:
     def test_every_section_id_registered(self):
         from repro.experiments.registry import EXPERIMENTS
 
-        for _title, ids in SECTIONS:
-            for exp_id in ids:
-                assert exp_id in EXPERIMENTS, exp_id
+        listed = [exp_id for _title, ids in SECTIONS for exp_id in ids]
+        for exp_id in listed:
+            assert exp_id in EXPERIMENTS, exp_id
+        # Conversely, every registered experiment is in exactly one section.
+        for exp_id in EXPERIMENTS:
+            assert listed.count(exp_id) == 1, exp_id
 
     def test_sections_render_headers(self, stubbed, tmp_path):
         out = write_report(tmp_path / "r.md", ReportOptions())

@@ -7,7 +7,8 @@ spans sit back to back from 0, ``makespan`` is their sum and
 ``peak_ram_gb`` their largest ``ram_gb``.  The parallel driver reads its
 own stage results through their typed ``*Outputs`` only: with
 ``StageResult``'s attribute delegation deleted it still writes the serial
-pipeline's bytes.  And the library quickstart runs as a user runs it.
+pipeline's bytes.  And the quickstart and scheduling examples run as a
+user runs them.
 """
 
 import os
@@ -80,15 +81,26 @@ def test_driver_runs_without_attribute_delegation(smoke_reads, tmp_path, monkeyp
     assert written.read_bytes() == (tmp_path / "serial" / "Trinity.fasta").read_bytes()
 
 
-def test_quickstart_example_runs():
+def _run_example(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "examples" / "quickstart.py")],
+        [sys.executable, str(REPO_ROOT / "examples" / name)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_custom_scheduling_example_runs():
+    proc = _run_example("custom_scheduling.py")
+    assert "round-robin" in proc.stdout
+    assert "128" in proc.stdout  # the last node count's row
+
+
+def test_quickstart_example_runs():
+    proc = _run_example("quickstart.py")
     assert "serial and hybrid transcript sets identical: True" in proc.stdout
     assert "chrysalis.graph_from_fasta" in proc.stdout  # one line per stage span

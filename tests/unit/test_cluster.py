@@ -1,34 +1,10 @@
-"""Unit tests for cluster specs, calibration and workload sampling."""
+"""Unit tests for calibration and workload sampling."""
 
 import numpy as np
 import pytest
 
-from repro.cluster.costmodel import CALIBRATION, PaperCalibration
-from repro.cluster.machine import BLUE_WONDER, BLUE_WONDER_BIGMEM, ClusterSpec, NodeSpec
+from repro.cluster.costmodel import CALIBRATION
 from repro.cluster.workload import build_workload
-
-
-class TestMachine:
-    def test_blue_wonder_matches_paper(self):
-        # "512 nodes each with 2x 8 core 2.6 GHz ... 8,192 cores in total"
-        assert BLUE_WONDER.n_nodes == 512
-        assert BLUE_WONDER.total_cores == 8192
-        assert BLUE_WONDER.node.ghz == 2.6
-        assert BLUE_WONDER.node.mem_gb == 128
-
-    def test_baseline_node(self):
-        assert BLUE_WONDER_BIGMEM.node.mem_gb == 256
-        assert BLUE_WONDER_BIGMEM.node.cores == 16
-
-    def test_invalid_node(self):
-        with pytest.raises(ValueError):
-            NodeSpec("bad", sockets=0, cores_per_socket=8, ghz=2.6, mem_gb=128)
-        with pytest.raises(ValueError):
-            NodeSpec("bad", sockets=2, cores_per_socket=8, ghz=-1, mem_gb=128)
-
-    def test_invalid_cluster(self):
-        with pytest.raises(ValueError):
-            ClusterSpec("bad", 0, BLUE_WONDER.node, BLUE_WONDER.network)
 
 
 class TestCalibration:

@@ -55,6 +55,37 @@ class TestScalingRenders:
             assert phrase in out
 
 
+#: Every analytic replay, with arguments that keep it quick (a render's
+#: headers do not depend on them).
+ANALYTIC = {
+    "fig02": {},
+    "fig03": {},
+    "fig07": {},
+    "fig08": {},
+    "fig09": {},
+    "fig10": {},
+    "fig11": {},
+    "headline": {},
+    "abl-sched": {"nodes_list": (16,)},
+    "abl-rtt-io": {},
+    "abl-merge": {},
+    "abl-chunksize": {"chunks_totals": (512,)},
+    "robustness": {"seeds": (0,)},
+    "fw-dynamic": {"nodes_list": (64,)},
+    "fw-serial-regions": {"nodes_list": (16,)},
+    "fw-striped-io": {},
+}
+
+
+@pytest.mark.parametrize("exp_id", sorted(ANALYTIC))
+def test_no_measured_header(exp_id):
+    """A model's numbers sit under "modelled"; "measured" is for real runs."""
+    lines = run_experiment(exp_id, **ANALYTIC[exp_id]).render().splitlines()
+    headers = [h for h, rule in zip(lines, lines[1:]) if rule and not rule.strip("- ")]
+    assert headers, "no table rendered"
+    assert not any("measured" in h.split() for h in headers), headers
+
+
 class TestAblationRenders:
     def test_abl_dsk(self):
         out = run_experiment("abl-dsk", dataset="smoke").render()

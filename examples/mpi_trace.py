@@ -22,8 +22,8 @@ The same workflow is packaged as ``python -m repro profile``.
 
 import sys
 
-from repro.mpi import mpirun, render_gantt, trace_summary
-from repro.obs import critical_path, verify_attribution
+from repro.mpi import mpirun
+from repro.obs import critical_path, render_gantt, trace_summary, verify_attribution
 from repro.parallel.mpi_graph_from_fasta import (
     GffInputs,
     GffStageConfig,
@@ -51,9 +51,9 @@ def main() -> None:
         GffStageConfig(gff=GraphFromFastaConfig(k=24), nthreads=4),
         trace=True,
     )
-    print(render_gantt(run.traces))
+    print(render_gantt(run))
     print()
-    print(trace_summary(run.traces))
+    print(trace_summary(run))
     print(f"\nmakespan {run.makespan:.3f}s, rank imbalance {run.imbalance:.2f}x")
     r = run.outputs[0]
     print(f"{len(r.welds)} welds -> {len(r.pairs)} pairs -> {len(r.components)} components")

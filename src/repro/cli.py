@@ -127,8 +127,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.mpi import mpirun, render_gantt
-    from repro.obs import critical_path, verify_attribution
+    from repro.mpi import mpirun
+    from repro.obs import critical_path, render_gantt, verify_attribution
     from repro.parallel.driver import ParallelTrinityConfig, run_chain
     from repro.simdata.reads import flatten_reads
     from repro.trinity import TrinityConfig
@@ -160,7 +160,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     report = critical_path(run, top_k=args.top)
     print(report.render())
     print()
-    print(render_gantt(run.traces))
+    print(render_gantt(run))
     if args.chrome is not None:
         out = run.write_chrome_trace(args.chrome)
         print(f"\nwrote Chrome trace {out} (open in chrome://tracing or ui.perfetto.dev)")

@@ -1,37 +1,38 @@
 """Simulated MPI: a deterministic, thread-backed SPMD runtime.
 
-The API mirrors mpi4py's communicator surface (lower-case generic-object
-methods, mpi4py-style semantics) so the parallel Chrysalis code reads like
-the hybrid code the paper describes.  Rank-local computation is executed
-for real; *time* is virtual — each rank carries a :class:`VirtualClock`
-advanced by modelled compute and by an alpha-beta (latency-bandwidth)
-communication cost at every collective.
+The communicator offers the operations the stage bodies call — barrier,
+bcast, gather, allgather(v), alltoall, send/recv and a rank-shared set-up
+cache — spelled like mpi4py's lower-case generic-object methods, so the
+parallel Chrysalis code reads like the hybrid code the paper describes.
+Rank-local computation is executed for real; *time* is virtual — each
+rank carries one :class:`VirtualClock`, advanced by modelled compute and
+by an alpha-beta (latency-bandwidth) communication cost at every
+collective, which also records the rank's trace spans and injects its
+faults.
 
 Why not real mpi4py: the repro runs on one machine and must model
 16-192-node clusters; virtual clocks make the cluster size a parameter
 rather than hardware.
 """
 
-from repro.mpi.clock import TracingClock, VirtualClock
+from repro.mpi.clock import VirtualClock
 from repro.mpi.network import NetworkModel, IDATAPLEX_FDR10
 from repro.mpi.comm import SimComm, CommStats
 from repro.mpi.faults import (
     CrashFault,
     FaultPlan,
-    FaultyClock,
     FlakyIO,
     RankFaultInjector,
     StragglerFault,
 )
 from repro.mpi.launcher import mpirun
 from repro.mpi.datatypes import pack_strings, unpack_strings, nbytes_of
-from repro.mpi.trace import RankTrace, render_gantt, trace_summary
+from repro.obs.critical import render_gantt, trace_summary
 from repro.obs.result import StageResult
 from repro.obs.span import Span
 
 __all__ = [
     "VirtualClock",
-    "TracingClock",
     "NetworkModel",
     "IDATAPLEX_FDR10",
     "SimComm",
@@ -40,7 +41,6 @@ __all__ = [
     "StragglerFault",
     "FlakyIO",
     "FaultPlan",
-    "FaultyClock",
     "RankFaultInjector",
     "mpirun",
     "StageResult",
@@ -48,7 +48,6 @@ __all__ = [
     "pack_strings",
     "unpack_strings",
     "nbytes_of",
-    "RankTrace",
     "render_gantt",
     "trace_summary",
 ]

@@ -53,12 +53,7 @@ class _OnceCell:
 class _SharedState:
     """State shared by all ranks of one simulated communicator."""
 
-    def __init__(
-        self,
-        size: int,
-        network: NetworkModel,
-        failed: Optional[threading.Event] = None,
-    ) -> None:
+    def __init__(self, size: int, network: NetworkModel) -> None:
         self.size = size
         self.network = network
         self.barrier = threading.Barrier(size)
@@ -67,33 +62,24 @@ class _SharedState:
         self.mailboxes: Dict[Tuple[int, int], deque] = {}
         self.mailbox_lock = threading.Lock()
         self.mailbox_cv = threading.Condition(self.mailbox_lock)
-        # split() bookkeeping: sub-states created once per (epoch, color).
-        self.split_epoch = 0
-        self.split_states: Dict[Tuple[int, Any], "_SharedState"] = {}
         # SimComm.shared bookkeeping: one once-latch per cache key.
         self.shared_cells: Dict[Any, _OnceCell] = {}
         self.shared_lock = threading.Lock()
         # Set by the launcher when any rank fails, so blocking receives
-        # bail out instead of waiting forever for a dead sender.  Split
-        # sub-communicators SHARE the parent's event — a rank dying while
-        # its peers wait inside a sub-communicator must release them too.
-        self.failed = failed if failed is not None else threading.Event()
+        # bail out instead of waiting forever for a dead sender.
+        self.failed = threading.Event()
         # Ranks that have failed, so sends to a dead mailbox are rejected
         # instead of silently "succeeding".  Guarded by mailbox_lock.
         self.failed_ranks: set = set()
 
     def abort(self) -> None:
-        """Release every rank blocked anywhere in this communicator tree:
+        """Release every rank blocked anywhere in this communicator:
         barrier waiters (abort), mailbox waiters (notify), and — via the
-        shared ``failed`` event — polling ``shared`` waiters, recursively
-        through every split sub-communicator."""
+        ``failed`` event — polling ``shared`` waiters."""
         self.failed.set()
         self.barrier.abort()
         with self.mailbox_cv:
             self.mailbox_cv.notify_all()
-            subs = list(self.split_states.values())
-        for sub in subs:
-            sub.abort()
 
 
 class _Region:
@@ -153,22 +139,26 @@ class _Compute(Stopwatch):
 
 
 class SimComm:
-    """mpi4py-flavoured communicator for one simulated rank.
+    """The communicator of one simulated rank: the collectives, point-to-point
+    calls and shared set-up cache the stage bodies use, spelled like mpi4py.
 
     Construct via :func:`repro.mpi.launcher.mpirun`; each rank function
     receives its own ``SimComm``.
     """
 
-    def __init__(self, rank: int, state: _SharedState, clock: Optional[VirtualClock] = None):
+    def __init__(self, rank: int, state: _SharedState):
         if not (0 <= rank < state.size):
             raise CommError(f"rank {rank} out of range for size {state.size}")
         self._rank = rank
         self._state = state
-        self.clock = clock if clock is not None else VirtualClock()
         self.stats = CommStats()
-        #: Labelled phase spans recorded via :meth:`region` (always on,
-        #: independent of segment tracing — they cost one Span each).
+        #: The rank's one span list: labelled phase spans recorded via
+        #: :meth:`region` and fault spans (always on — they cost one Span
+        #: each), interleaved with the clock's segments in a traced run.
         self.spans: List[Span] = []
+        #: The rank's one clock; ``mpirun`` hands it :attr:`spans` when
+        #: tracing and :attr:`faults` when given a fault plan.
+        self.clock = VirtualClock(track=f"rank {rank}")
         #: Per-rank fault injector (:class:`repro.mpi.faults.RankFaultInjector`),
         #: set by the launcher when ``mpirun`` is given a fault plan.
         self.faults: Optional[Any] = None
@@ -442,35 +432,6 @@ class SimComm:
         )
         return list(snapshot)
 
-    def scatter(self, values: Optional[List[Any]], root: int = 0) -> Any:
-        """Root distributes one object per rank; returns this rank's item."""
-        if not (0 <= root < self.size):
-            raise CommError(f"scatter root {root} out of range")
-        if self._rank == root:
-            if values is None or len(values) != self.size:
-                raise CommError(
-                    f"scatter at root needs exactly {self.size} values, got "
-                    f"{None if values is None else len(values)}"
-                )
-        # Only the root sizes its sendlist (sizing may pickle, the dominant
-        # host cost); the sizes ride the exchange so the other ranks never
-        # re-pickle the root's payloads just to charge the network model.
-        if self._rank == root:
-            packet = (values, [nbytes_of(v) for v in values])
-        else:
-            packet = None
-        snapshot = self._exchange(packet)
-        sendlist, sizes = snapshot[root]
-        total = sum(sizes)
-        self._charge(
-            self._state.network.scatter(self.size, total),
-            total if self._rank == root else 0,
-            op="scatter",
-            pooled_bytes=total,
-            items=self.size,
-        )
-        return sendlist[self._rank]
-
     def alltoall(self, values: List[Any]) -> List[Any]:
         """Personalised exchange: item ``j`` of this rank's list goes to
         rank ``j``; returns the items addressed to this rank."""
@@ -493,110 +454,6 @@ class SimComm:
             items=self.size,
         )
         return [snapshot[src][0][self._rank] for src in range(self.size)]
-
-    def reduce_max(self, value: float, root: int = 0) -> Optional[float]:
-        """Max-reduce a scalar to ``root`` (None elsewhere)."""
-        vals = self._exchange(float(value))
-        self._charge(self._state.network.gather(self.size, 8 * self.size), 8, op="reduce_max")
-        return max(vals) if self._rank == root else None
-
-    def allreduce_sum(self, value: float) -> float:
-        """Sum-reduce a scalar onto every rank."""
-        vals = self._exchange(float(value))
-        self._charge(
-            self._state.network.allgatherv(self.size, 8 * self.size), 8, op="allreduce_sum"
-        )
-        return float(sum(vals))
-
-    # -- buffer-style collectives (mpi4py's uppercase flavour) -------------
-    def Bcast(self, arr: "np.ndarray", root: int = 0) -> "np.ndarray":
-        """Broadcast a numpy array; exact byte accounting, no pickling.
-
-        Returns the root's array on every rank (a shared read-only view
-        in this simulation — callers must not mutate it in place).
-        """
-        import numpy as np
-
-        if self._rank == root and not isinstance(arr, np.ndarray):
-            raise CommError("Bcast requires a numpy array at the root")
-        snapshot = self._exchange(arr if self._rank == root else None)
-        payload = snapshot[root]
-        self._charge(
-            self._state.network.bcast(self.size, payload.nbytes),
-            payload.nbytes if self._rank == root else 0,
-            op="Bcast",
-            pooled_bytes=payload.nbytes,
-        )
-        return payload
-
-    def Allgatherv(self, arr: "np.ndarray") -> "np.ndarray":
-        """Pool variable-length numpy arrays; returns the concatenation.
-
-        The paper's wire pattern: sizes are exchanged first, then the
-        payloads are pooled on every rank.
-        """
-        import numpy as np
-
-        if not isinstance(arr, np.ndarray):
-            raise CommError("Allgatherv requires a numpy array")
-        sizes = self._exchange(arr.nbytes)
-        self._charge(
-            self._state.network.allgatherv(self.size, 8 * self.size),
-            8,
-            op="Allgatherv:sizes",
-        )
-        snapshot = self._exchange(arr)
-        total = sum(int(s) for s in sizes)
-        self._charge(
-            self._state.network.allgatherv(self.size, total),
-            arr.nbytes,
-            op="Allgatherv",
-            pooled_bytes=total,
-            items=self.size,
-        )
-        return np.concatenate([a for a in snapshot if a.size] or [arr[:0]])
-
-    # -- communicator management -------------------------------------------
-    def split(self, color: Any, key: Optional[int] = None) -> Optional["SimComm"]:
-        """Partition the communicator by ``color`` (MPI_Comm_split).
-
-        Ranks passing the same ``color`` form a new communicator, ordered
-        by ``(key, old rank)`` (``key`` defaults to the old rank).  Pass
-        ``color=None`` to opt out (returns None).  Collective: every rank
-        of this communicator must call it.
-        """
-        st = self._state
-        contributions = self._exchange((color, self._rank if key is None else key))
-        self._charge(st.network.allgatherv(self.size, 16 * self.size), 16, op="split")
-        if color is None:
-            # Everyone advances the epoch identically (done below by rank 0).
-            group = None
-        else:
-            group = sorted(
-                (k, r)
-                for r, (c, k) in enumerate(contributions)
-                if c is not None and c == color
-            )
-        # One rank per color creates the sub-state; epoch isolates calls.
-        if self._rank == 0:
-            st.split_epoch += 1
-        self._barrier_wait("split")
-        epoch = st.split_epoch
-        if group is None:
-            self._barrier_wait("split")
-            return None
-        my_index = [r for _k, r in group].index(self._rank)
-        key_id = (epoch, color)
-        if my_index == 0:
-            with st.mailbox_lock:
-                # Sub-communicators share the parent's failure event so a
-                # rank death releases waiters at every nesting level.
-                st.split_states[key_id] = _SharedState(
-                    len(group), st.network, failed=st.failed
-                )
-        self._barrier_wait("split")
-        sub_state = st.split_states[key_id]
-        return SimComm(my_index, sub_state, clock=self.clock)
 
     # -- point-to-point ---------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:

@@ -21,8 +21,9 @@ what goes wrong in one run:
   :class:`~repro.errors.TransientIOError`.
 
 Injection is threaded through the clock layer: ``mpirun(..., faults=plan)``
-wraps each rank's :class:`~repro.mpi.clock.VirtualClock` in a
-:class:`FaultyClock` and hands the rank a :class:`RankFaultInjector`.
+hands each rank a :class:`RankFaultInjector`, held by the rank's
+:class:`~repro.mpi.clock.VirtualClock` (stragglers, timed crashes) and its
+communicator (phase crashes, flaky I/O).
 Everything is keyed off ``(plan.seed, rank, op ordinal)``, so the same
 plan over the same workload produces an identical fault sequence —
 including across the recovery reruns of
@@ -34,10 +35,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import FaultError, RankCrash
-from repro.mpi.clock import VirtualClock
 
 
 @dataclass(frozen=True)
@@ -238,62 +238,3 @@ class RankFaultInjector:
             return True
         self._io_run = 0
         return False
-
-
-class FaultyClock:
-    """A virtual-clock wrapper that injects stragglers and timed crashes.
-
-    Duck-types :class:`~repro.mpi.clock.VirtualClock` (``now``/
-    ``advance``/``sync_to``) and delegates to the wrapped clock — which
-    may be a :class:`~repro.mpi.clock.TracingClock`, so tracing and fault
-    injection compose.  Compute advances are stretched by the straggler
-    factor; any advance or sync that would cross the rank's crash time
-    first moves the inner clock exactly to the crash instant (so the
-    failed attempt's makespan accounting is exact) and then raises
-    :class:`~repro.errors.RankCrash`.
-    """
-
-    __slots__ = ("inner", "injector")
-
-    def __init__(self, inner: VirtualClock, injector: RankFaultInjector) -> None:
-        self.inner = inner
-        self.injector = injector
-
-    @property
-    def now(self) -> float:
-        return self.inner.now
-
-    def _armed_crash_time(self) -> Optional[float]:
-        inj = self.injector
-        ct = inj.crash_time
-        return ct if ct is not None and not inj.crashed else None
-
-    def advance(
-        self,
-        dt: float,
-        kind: str = "compute",
-        label: str = "",
-        attrs: Optional[Mapping[str, Any]] = None,
-    ) -> float:
-        inj = self.injector
-        if kind == "compute" and inj.slowdown != 1.0:
-            dt = dt * inj.slowdown
-        ct = self._armed_crash_time()
-        if ct is not None and self.inner.now + dt >= ct:
-            # Advance exactly to the crash instant, keeping the segment's
-            # kind so the failed attempt's attribution stays exact.
-            partial = ct - self.inner.now
-            if partial > 0:
-                self.inner.advance(partial, kind, label, attrs)
-            inj.trigger(f"at virtual time {ct:g}s (during {label or kind})")
-        return self.inner.advance(dt, kind, label, attrs)
-
-    def sync_to(self, t: float, label: str = "") -> None:
-        ct = self._armed_crash_time()
-        if ct is not None and t >= ct and t > self.inner.now:
-            self.inner.sync_to(ct, label)
-            self.injector.trigger(f"at virtual time {ct:g}s (during {label or 'sync'})")
-        self.inner.sync_to(t, label)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FaultyClock({self.inner!r}, rank={self.injector.rank})"

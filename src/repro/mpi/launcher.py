@@ -1,10 +1,14 @@
 """``mpirun`` for the simulated runtime.
 
 Runs an SPMD function on ``nprocs`` simulated ranks (one thread each) and
-collects per-rank return values, virtual clocks and comm statistics.
-Exceptions on any rank abort the run and are re-raised on the caller with
-the failing rank attached; remaining ranks are released via barrier abort
-so the process never deadlocks on a dead rank.
+collects per-rank return values, end times, spans and comm statistics.
+Each rank has one :class:`~repro.mpi.clock.VirtualClock`; the launcher
+hands it the rank's span list when tracing and the rank's fault injector
+when given a plan, so a traced run's clock segments land once, in the
+same per-rank list as its phase and fault spans.  Exceptions on any rank
+abort the run and are re-raised on the caller with the failing rank
+attached; remaining ranks are released via barrier abort so the process
+never deadlocks on a dead rank.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import CommAbandonedError, CommError, MpiAbortError, RankCrash
 from repro.mpi.comm import CommStats, SimComm, _SharedState
-from repro.mpi.faults import FaultPlan, FaultyClock
+from repro.mpi.faults import FaultPlan
 from repro.mpi.network import IDATAPLEX_FDR10, NetworkModel
 from repro.obs.metrics import GLOBAL_METRICS
 from repro.obs.result import StageResult
@@ -79,8 +83,9 @@ def mpirun(
     """Run ``fn(comm, *args, **kwargs)`` on ``nprocs`` simulated ranks.
 
     ``fn`` must treat ``comm`` (a :class:`SimComm`) as its only channel to
-    other ranks.  With ``trace=True``, per-rank compute/wait/comm
-    segment traces are recorded (see :mod:`repro.mpi.trace`).
+    other ranks.  With ``trace=True``, every rank's clock records its
+    compute/wait/comm segments as spans on its ``rank r`` track (the
+    views are in :mod:`repro.obs.critical`).
 
     With ``faults`` (a :class:`~repro.mpi.faults.FaultPlan`), rank
     crashes, stragglers and flaky I/O are injected deterministically
@@ -90,32 +95,28 @@ def mpirun(
 
     Returns a :class:`~repro.obs.result.StageResult`: per-rank return
     values in ``outputs`` (rank order), per-rank ``CommStats`` in
-    ``comm``, labelled phase spans plus — when traced — raw clock
-    segments in ``spans``, and the aggregated comm counters in ``metrics``.
+    ``comm``, every rank's spans — labelled phases, faults and, when
+    traced, the clock segments — in ``spans``, each rank's end time in
+    ``elapsed`` and the aggregated comm counters in ``metrics``.
 
     On any rank failure the remaining ranks are released (barrier abort,
-    mailbox wakeup, cascading into split sub-communicators) and an
+    mailbox wakeup, the shared ``failed`` event) and an
     :class:`~repro.errors.MpiAbortError` is raised carrying the *primary*
-    (root-cause) rank and exception; tagged secondary abandonment errors
-    never mask it and are attached as notes/``secondaries``.
+    (root-cause) rank and exception and every span recorded so far — a
+    traced crashing rank's clock segments end at its crash instant;
+    tagged secondary abandonment errors never mask it and are attached as
+    notes/``secondaries``.
     """
     if nprocs <= 0:
         raise CommError(f"nprocs must be positive, got {nprocs}")
     state = _SharedState(nprocs, network)
-    traces: Optional[List["RankTrace"]] = None
-    if trace:
-        from repro.mpi.clock import TracingClock
-        from repro.mpi.trace import RankTrace
-
-        traces = [RankTrace(r) for r in range(nprocs)]
-        comms = [SimComm(r, state, clock=TracingClock(traces[r])) for r in range(nprocs)]
-    else:
-        comms = [SimComm(r, state) for r in range(nprocs)]
-    if faults is not None and not faults.is_empty:
-        for comm in comms:
-            injector = faults.injector(comm.rank)
-            comm.faults = injector
-            comm.clock = FaultyClock(comm.clock, injector)
+    comms = [SimComm(r, state) for r in range(nprocs)]
+    faulty = faults is not None and not faults.is_empty
+    for comm in comms:
+        if trace:
+            comm.clock.spans = comm.spans
+        if faulty:
+            comm.faults = comm.clock.faults = faults.injector(comm.rank)
     returns: List[Any] = [None] * nprocs
     failures: List[_RankFailure] = []
     failure_lock = threading.Lock()
@@ -135,7 +136,7 @@ def mpirun(
                 GLOBAL_METRICS.inc("faults.crashes")
             # Mark the rank dead *before* the global release so peers that
             # wake observe a consistent view, then release everyone blocked
-            # anywhere in the communicator tree.
+            # anywhere in the communicator.
             with state.mailbox_cv:
                 state.failed_ranks.add(rank)
             state.abort()
@@ -187,9 +188,6 @@ def mpirun(
     spans: List[Span] = []
     for c in comms:
         spans.extend(c.spans)
-    if traces is not None:
-        for t in traces:
-            spans.extend(t.segments)
     metrics = _aggregate_metrics(stats)
     stage = getattr(fn, "__name__", "mpirun")
     GLOBAL_METRICS.inc(f"mpirun.{stage}.runs")
@@ -203,5 +201,4 @@ def mpirun(
         comm=stats,
         metrics=metrics,
         elapsed=elapsed,
-        traces=traces,
     )

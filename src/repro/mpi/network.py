@@ -4,7 +4,7 @@ Collective costs use standard algorithm models (Thakur et al., 2005):
 
 * barrier / small sync:   ``ceil(log2 p) * alpha``
 * bcast (binomial tree):  ``ceil(log2 p) * (alpha + n*beta)``
-* gather / scatter:       ``(p-1)*alpha + ((p-1)/p)*n_total*beta``
+* gather:                 ``(p-1)*alpha + ((p-1)/p)*n_total*beta``
 * allgather(v) (ring):    ``(p-1)*alpha + ((p-1)/p)*n_total*beta``
 * point-to-point:         ``alpha + n*beta``
 
@@ -52,17 +52,6 @@ class NetworkModel:
             return 0.0
         return (p - 1) * self.alpha + ((p - 1) / p) * total_bytes * self.beta
 
-    def scatter(self, p: int, total_bytes: int) -> float:
-        """Root -> ranks distribution (the reverse of gather).
-
-        Same alpha-beta shape as gather under the linear model (Thakur et
-        al., 2005) but kept as its own entry point so root->ranks traffic
-        is costed by the right primitive.
-        """
-        if p <= 1:
-            return 0.0
-        return (p - 1) * self.alpha + ((p - 1) / p) * total_bytes * self.beta
-
     def allgatherv(self, p: int, total_bytes: int) -> float:
         """Ring allgather over the pooled payload.
 
@@ -82,9 +71,6 @@ class NetworkModel:
 
 #: Blue Wonder's FDR10 InfiniBand (paper SS:V test hardware).
 IDATAPLEX_FDR10 = NetworkModel(alpha=1.5e-6, beta=1.0 / 5e9)
-
-#: A deliberately slow network for sensitivity studies.
-SLOW_ETHERNET = NetworkModel(alpha=50e-6, beta=1.0 / 1.0e8)
 
 #: Zero-cost network (isolates compute scaling in ablations).
 ZERO_COST = NetworkModel(alpha=0.0, beta=0.0)

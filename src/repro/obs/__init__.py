@@ -10,7 +10,8 @@ The subsystem has five pieces, each consuming the one before:
 * :mod:`repro.obs.chrome` — Chrome trace-event / Perfetto export of any
   StageResult;
 * :mod:`repro.obs.critical` — makespan attribution (compute/wait/comm per
-  rank, Figure-8 serial fraction, top-k spans) over traced runs;
+  rank, Figure-8 serial fraction, top-k spans), the Gantt chart and the
+  per-rank totals, all views over a traced run's ``rank r`` spans;
 * :mod:`repro.obs.metrics` — counter/gauge registry snapshotted into
   experiment reports.
 
@@ -24,6 +25,8 @@ from repro.obs.critical import (
     CriticalPathReport,
     RankBreakdown,
     critical_path,
+    render_gantt,
+    trace_summary,
     verify_attribution,
 )
 from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
@@ -38,6 +41,8 @@ __all__ = [
     "CriticalPathReport",
     "RankBreakdown",
     "critical_path",
+    "render_gantt",
+    "trace_summary",
     "verify_attribution",
     "GLOBAL_METRICS",
     "MetricsRegistry",

@@ -1,21 +1,25 @@
-"""Critical-path analysis over per-rank virtual timelines.
+"""Critical-path analysis and views over per-rank virtual timelines.
 
 The paper's whole argument is a timing argument: Figure 7 measures load
 imbalance as max/min rank time, Figure 8 shows the redundant serial
 region's share growing with node count.  This module computes both
-directly from a traced run's span stream.
+directly from a traced run's spans: each ``rank r`` track of
+``StageResult.spans``, for ``r`` over the run's ``len(elapsed)`` ranks.
 
 Because every advancement of a rank's virtual clock is exactly one of
 the clock kinds (compute, wait at a collective, communication), each
 rank's three totals sum to its end time — and the slowest ("critical")
 rank's totals sum to the job makespan.  That identity is a tested
 invariant and makes the attribution exact rather than sampled.
+
+:func:`render_gantt` and :func:`trace_summary` are two more views over
+the same spans: an ASCII timeline per rank and its per-kind totals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.errors import ObsError
 from repro.obs.result import StageResult
@@ -102,26 +106,40 @@ class CriticalPathReport:
         return "\n".join(parts)
 
 
-def critical_path(result: StageResult, top_k: int = 5) -> CriticalPathReport:
-    """Attribute a traced ``mpirun`` result's makespan.
+def rank_clock_spans(result: StageResult) -> List[List[Span]]:
+    """Each rank's clock spans (compute / wait / comm), in recorded order.
 
-    Requires the run to have been launched with ``trace=True`` (the
-    per-rank clock segments are the ground truth being attributed).
+    Requires the run to have been launched with ``trace=True`` — the
+    clock segments are the ground truth being attributed.  A recovered
+    run is refused too: its spans join attempts on different rank counts.
     """
-    if result.traces is None:
+    if "faults.rank_losses" in result.metrics:
+        raise ObsError(
+            f"stage {result.stage!r} recovered from a rank loss; its spans join "
+            "attempts on different rank counts and cannot be attributed per rank"
+        )
+    tracks: Dict[str, List[Span]] = {f"rank {r}": [] for r in range(len(result.elapsed))}
+    for span in result.spans:
+        if span.kind in CLOCK_KINDS:
+            tracks[span.track].append(span)
+    if not any(tracks.values()):
         raise ObsError(
             f"stage {result.stage!r} was not traced; rerun with mpirun(..., trace=True)"
         )
-    ranks: List[RankBreakdown] = []
-    for trace in result.traces:
-        ranks.append(
-            RankBreakdown(
-                rank=trace.rank,
-                compute=trace.total("compute"),
-                wait=trace.total("wait"),
-                comm=trace.total("comm"),
-            )
-        )
+    return list(tracks.values())
+
+
+def _breakdown(rank: int, spans: Sequence[Span]) -> RankBreakdown:
+    totals = dict.fromkeys(CLOCK_KINDS, 0.0)
+    for span in spans:
+        totals[span.kind] += span.duration
+    return RankBreakdown(rank=rank, **totals)
+
+
+def critical_path(result: StageResult, top_k: int = 5) -> CriticalPathReport:
+    """Attribute a traced ``mpirun`` result's makespan (see
+    :func:`rank_clock_spans` for what it accepts)."""
+    ranks = [_breakdown(r, spans) for r, spans in enumerate(rank_clock_spans(result))]
     critical_rank = max(ranks, key=lambda r: (r.total, -r.rank)).rank
     serial_time = sum(
         s.duration
@@ -160,3 +178,34 @@ def verify_attribution(result: StageResult, tol: float = 1e-9) -> Sequence[float
             f"clock attribution broken for {result.stage!r}: residuals {residuals}"
         )
     return residuals
+
+
+_GLYPH = {"compute": "#", "wait": ".", "comm": "~"}
+
+
+def render_gantt(result: StageResult, width: int = 72) -> str:
+    """ASCII Gantt chart of a traced run: one row per rank, time left to right.
+
+    ``#`` compute, ``.`` waiting at a collective, ``~`` communication.
+    """
+    ranks = rank_clock_spans(result)
+    horizon = max(s.stop for spans in ranks for s in spans)
+    lines = [f"virtual time 0 .. {horizon:.3g}s   (# compute, . wait, ~ comm)"]
+    for rank, spans in enumerate(ranks):
+        row = [" "] * width
+        for seg in spans:
+            a = int(seg.start / horizon * (width - 1))
+            b = max(a + 1, int(seg.stop / horizon * (width - 1)) + 1)
+            for i in range(a, min(b, width)):
+                row[i] = _GLYPH[seg.kind]
+        lines.append(f"rank {rank:3d} |{''.join(row)}|")
+    return "\n".join(lines)
+
+
+def trace_summary(result: StageResult) -> str:
+    """Per-rank compute/wait/comm totals of a traced run — the imbalance at a glance."""
+    lines = ["rank  compute     wait        comm"]
+    for rank, spans in enumerate(rank_clock_spans(result)):
+        b = _breakdown(rank, spans)
+        lines.append(f"{rank:4d}  {b.compute:<10.4g}  {b.wait:<10.4g}  {b.comm:<10.4g}")
+    return "\n".join(lines)

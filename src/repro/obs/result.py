@@ -6,11 +6,13 @@ analyser and the validation harness each read:
 ``outputs``
     what the stage *computed* (records, welds, assignments, a
     ``TrinityResult``, or — for an ``mpirun`` — the per-rank return list);
-``makespan`` / ``elapsed`` / ``traces``
+``makespan`` / ``elapsed``
     when it happened on the virtual clocks;
 ``spans``
-    the unified :class:`~repro.obs.span.Span` stream for exporters — for
-    the two pipeline drivers, their back-to-back ``stage`` spans;
+    the unified :class:`~repro.obs.span.Span` stream — for an ``mpirun``,
+    every rank's phase, fault and (traced) clock spans on its ``rank r``
+    track; for the two pipeline drivers, their back-to-back ``stage``
+    spans;
 ``comm`` / ``metrics``
     communication accounting and scalar counters/gauges.
 
@@ -43,7 +45,6 @@ class StageResult:
     comm: List[Any] = field(default_factory=list)  # per-rank CommStats
     metrics: Dict[str, float] = field(default_factory=dict)
     elapsed: List[float] = field(default_factory=list)  # per-rank end times
-    traces: Optional[List[Any]] = None  # per-rank RankTrace when traced
     children: List["StageResult"] = field(default_factory=list)
     rank: Optional[int] = None  # set on per-rank results from SPMD bodies
 

@@ -1,7 +1,7 @@
 """The unified span type every instrumentation layer emits.
 
 A :class:`Span` is the one interval record of the repository: the
-per-rank clock segments of :mod:`repro.mpi.trace`, the labelled regions
+per-rank clock segments a traced rank's clock records, the labelled regions
 of ``SimComm.region`` and the pipeline drivers' stage intervals are all
 spans, so the Chrome-trace exporter and the critical-path analyser
 consume a single shape regardless of which layer produced the interval.

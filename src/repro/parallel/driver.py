@@ -49,7 +49,6 @@ from repro.errors import PipelineError
 from repro.obs.metrics import GLOBAL_METRICS
 from repro.obs.result import StageResult
 from repro.obs.span import Span, host_stage, peak_ram_gb, stage_seconds
-from repro.mpi import mpirun
 from repro.mpi.faults import FaultPlan
 from repro.mpi.network import IDATAPLEX_FDR10, NetworkModel
 from repro.parallel.recovery import DEFAULT_RECOVERY, RecoveryPolicy, mpirun_with_recovery
@@ -108,9 +107,10 @@ class ParallelTrinityConfig:
     network: NetworkModel = IDATAPLEX_FDR10
     #: Deterministic fault schedule injected into every MPI stage launch.
     faults: Optional[FaultPlan] = None
-    #: Crash-recovery policy; set (or leave default with ``faults``) to
-    #: launch stages through :func:`mpirun_with_recovery`.
-    recovery: Optional[RecoveryPolicy] = None
+    #: Crash-recovery policy of every stage launch (all go through
+    #: :func:`mpirun_with_recovery`, which without a crash in ``faults``
+    #: is one plain ``mpirun``).  Not part of the checkpoint key.
+    recovery: RecoveryPolicy = DEFAULT_RECOVERY
     #: Component-dealing strategy for the component-parallel stages
     #: (Inchworm and the fused Chrysalis back end): ``"round_robin"``
     #: (cost-blind chunked deal) or ``"dynamic"`` (master-dealt LPT over
@@ -392,8 +392,9 @@ def reads_digest(reads: Sequence[SeqRecord]) -> str:
 #: every key, so a payload written under another layout — e.g. component
 #: graphs as dicts of strings, before they were two arrays — is a logged
 #: miss that recomputes, never an object of the wrong shape handed back
-#: as "restored".  Bump it with any change to a pickled outputs type.
-_CHECKPOINT_LAYOUT = 2
+#: as "restored".  Bump it with any change to ``StageResult``'s fields or
+#: to a pickled outputs type.
+_CHECKPOINT_LAYOUT = 3
 
 
 def _checkpoint_key(
@@ -494,15 +495,10 @@ class ParallelTrinityDriver:
             cached = _load_checkpoint(checkpoint_dir, stage, checkpoint_key)
             if cached is not None:
                 return cached
-        if cfg.faults is not None or cfg.recovery is not None:
-            res = mpirun_with_recovery(
-                fn, cfg.nprocs, *args,
-                faults=cfg.faults,
-                policy=cfg.recovery or DEFAULT_RECOVERY,
-                network=cfg.network,
-            )
-        else:
-            res = mpirun(fn, cfg.nprocs, *args, network=cfg.network)
+        res = mpirun_with_recovery(
+            fn, cfg.nprocs, *args,
+            faults=cfg.faults, policy=cfg.recovery, network=cfg.network,
+        )
         if checkpoint_dir is not None:
             _write_checkpoint(checkpoint_dir, stage, checkpoint_key, res)
         return res
@@ -527,8 +523,9 @@ class ParallelTrinityDriver:
         whose reads, stage config, launch shape and upstream stages are
         all identical (:func:`_checkpoint_key`) — stage-level restart
         after a non-recoverable failure.  Stale or corrupt checkpoints
-        recompute.  With ``config.faults``/``config.recovery`` set, stages
-        launch via :func:`repro.parallel.recovery.mpirun_with_recovery`.
+        recompute.  Stages launch via
+        :func:`repro.parallel.recovery.mpirun_with_recovery` under
+        ``config.faults`` and ``config.recovery``.
         """
         cfg = self.config
         wd = Path(workdir) if workdir is not None else None

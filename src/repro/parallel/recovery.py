@@ -157,9 +157,9 @@ def mpirun_with_recovery(
     The returned :class:`StageResult` covers the *whole* timeline: failed
     attempts' spans, ``fault`` spans on the ``recovery`` track, and the
     final attempt's spans shifted to start where the last crash left off;
-    ``makespan``/``elapsed`` include the banked time.  Per-rank ``traces``
-    are dropped on recovered runs (they are per-attempt and would break
-    the exact-attribution invariant on the merged timeline).
+    ``makespan``/``elapsed`` include the banked time.  The merged spans
+    join attempts on different rank counts, so :mod:`repro.obs.critical`
+    refuses a recovered run (``faults.rank_losses`` in its metrics).
 
     Deterministic: the same plan over the same workload yields the same
     survivor sequence, recovery spans and outputs on every run.
@@ -229,7 +229,6 @@ def mpirun_with_recovery(
         comm=res.comm,
         metrics=metrics,
         elapsed=[t_base + e for e in res.elapsed],
-        traces=None,
         children=res.children,
         rank=res.rank,
     )

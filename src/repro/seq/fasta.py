@@ -99,21 +99,3 @@ def _write_one(fh: io.TextIOBase, rec: SeqRecord, width: int) -> None:
     for i in range(0, len(seq), width):
         fh.write(seq[i : i + width])
         fh.write("\n")
-
-
-def concatenate_fasta(out_path: PathLike, part_paths: Iterable[PathLike]) -> int:
-    """``cat part1 part2 ... > out`` — the paper's output-merge strategy.
-
-    Returns the total number of bytes written.  Byte-level concatenation is
-    valid for FASTA because records are newline-delimited and each part
-    ends with a newline (our writer guarantees that).
-    """
-    total = 0
-    with open(out_path, "wb") as out:
-        for part in part_paths:
-            data = Path(part).read_bytes()
-            if data and not data.endswith(b"\n"):
-                data += b"\n"
-            out.write(data)
-            total += len(data)
-    return total

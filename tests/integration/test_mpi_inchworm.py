@@ -17,6 +17,7 @@ import pytest
 
 from repro.errors import PipelineError
 from repro.mpi import CrashFault, FaultPlan, StragglerFault, mpirun
+from repro.obs.critical import rank_clock_spans
 from repro.obs.span import stage_seconds
 from repro.parallel.driver import (
     ParallelTrinityConfig,
@@ -116,8 +117,8 @@ class TestSerialEquality:
         landing_bytes = n * 8 * 4
         row_bytes = [r.metrics["table_bytes"] - landing_bytes for r in run.outputs]
         assert all(b >= 0 for b in row_bytes) and sum(row_bytes) == n * 2 * 2 * 4 * 4
-        for trace in run.traces:
-            assert len([s for s in trace.segments if s.label == "inchworm:probe"]) == 1
+        for spans in rank_clock_spans(run):
+            assert len([s for s in spans if s.label == "inchworm:probe"]) == 1
 
     @pytest.mark.parametrize("strategy", ["round_robin", "dynamic"])
     def test_serial_region_is_the_replicated_builds(
@@ -186,11 +187,11 @@ class TestFewComponents:
         )
         serial = inchworm_assemble(two_component_counts, InchwormConfig(seed=1))
         owners = 0
-        for r, trace in zip(run.outputs, run.traces):
+        for r, spans in zip(run.outputs, rank_clock_spans(run)):
             assert r.outputs.contigs == serial
             assert r.outputs.n_components == 2
             advances = [
-                seg for seg in trace.segments
+                seg for seg in spans
                 if seg.label == "inchworm:assemble_components"
             ]
             if r.metrics["n_local_components"] == 0:

@@ -11,6 +11,7 @@ pipeline's bytes.  And the quickstart and scheduling examples run as a
 user runs them.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -81,14 +82,14 @@ def test_driver_runs_without_attribute_delegation(smoke_reads, tmp_path, monkeyp
     assert written.read_bytes() == (tmp_path / "serial" / "Trinity.fasta").read_bytes()
 
 
-def _run_example(name):
+def _run_example(name, *argv, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "examples" / name)],
-        capture_output=True, text=True, env=env, timeout=300,
+        [sys.executable, str(REPO_ROOT / "examples" / name), *argv],
+        capture_output=True, text=True, env=env, timeout=300, cwd=cwd,
     )
     assert proc.returncode == 0, proc.stderr
     return proc
@@ -104,3 +105,10 @@ def test_quickstart_example_runs():
     proc = _run_example("quickstart.py")
     assert "serial and hybrid transcript sets identical: True" in proc.stdout
     assert "chrysalis.graph_from_fasta" in proc.stdout  # one line per stage span
+
+
+def test_mpi_trace_example_runs(tmp_path):
+    proc = _run_example("mpi_trace.py", "2", cwd=tmp_path)
+    assert "rank   1 |" in proc.stdout  # the Gantt chart's last row
+    assert "critical rank" in proc.stdout
+    assert json.loads((tmp_path / "mpi_trace.json").read_text())["traceEvents"]

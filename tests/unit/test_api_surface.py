@@ -303,11 +303,45 @@ class TestMeasurementSurface:
         assert sorted(n for n in vars(SimComm) if not n.startswith("_")) == sorted([
             "rank", "size", "region", "phase_seconds", "compute", "check_io_fault",
             "shared", "barrier", "bcast", "gather", "allgather", "allgatherv",
-            "scatter", "alltoall", "reduce_max", "allreduce_sum", "Bcast",
-            "Allgatherv", "split", "send", "recv",
+            "alltoall", "send", "recv",
         ])
         assert [f.name for f in fields(JellyfishStageConfig)] == ["jellyfish", "workdir"]
         assert [f.name for f in fields(BowtieStageConfig)] == ["bowtie", "workdir"]
+
+
+class TestOneClockSurface:
+    def test_one_clock_one_span_list(self):
+        """One rank clock (tracing and fault injection are what it holds,
+        not wrapper classes) and one record of a traced run's segments:
+        ``StageResult.spans``, with no per-rank trace field beside it."""
+        from dataclasses import fields
+        from inspect import signature
+
+        import repro.mpi
+        from repro.mpi import VirtualClock, mpirun
+        from repro.mpi.network import NetworkModel
+        from repro.obs import StageResult
+        from repro.parallel.recovery import mpirun_with_recovery
+
+        assert sorted(repro.mpi.__all__) == sorted([
+            "VirtualClock", "NetworkModel", "IDATAPLEX_FDR10", "SimComm", "CommStats",
+            "CrashFault", "StragglerFault", "FlakyIO", "FaultPlan", "RankFaultInjector",
+            "mpirun", "StageResult", "Span", "pack_strings", "unpack_strings",
+            "nbytes_of", "render_gantt", "trace_summary",
+        ])
+        assert [f.name for f in fields(StageResult)] == [
+            "stage", "outputs", "makespan", "spans", "comm", "metrics", "elapsed",
+            "children", "rank",
+        ]
+        assert list(signature(VirtualClock).parameters) == ["start", "spans", "track", "faults"]
+        assert list(signature(mpirun).parameters) == [
+            "fn", "nprocs", "args", "network", "trace", "faults", "kwargs",
+        ]
+        assert list(signature(mpirun_with_recovery).parameters) == [
+            "fn", "nprocs", "args", "faults", "policy", "network", "trace", "kwargs",
+        ]
+        assert not hasattr(NetworkModel, "scatter")
+        assert not hasattr(repro.mpi.network, "SLOW_ETHERNET")
 
 
 class TestErrorHierarchy:

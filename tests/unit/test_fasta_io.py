@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import FastaFormatError
-from repro.seq.fasta import concatenate_fasta, iter_fasta, parse_fasta, read_fasta, write_fasta
+from repro.parallel.merge import cat_files
+from repro.seq.fasta import iter_fasta, parse_fasta, read_fasta, write_fasta
 from repro.seq.records import SeqRecord
 
 
@@ -69,14 +70,7 @@ class TestRoundtrip:
 
 
 class TestConcatenate:
-    def test_concat_equals_combined(self, tmp_path):
-        a = [SeqRecord("a", "ACGT")]
-        b = [SeqRecord("b", "GGTT")]
-        pa, pb, out = tmp_path / "a.fa", tmp_path / "b.fa", tmp_path / "out.fa"
-        write_fasta(pa, a)
-        write_fasta(pb, b)
-        concatenate_fasta(out, [pa, pb])
-        assert read_fasta(out) == a + b
+    """FASTA parts are joined by the merge step's byte-level ``cat_files``."""
 
     def test_concat_handles_missing_trailing_newline(self, tmp_path):
         pa = tmp_path / "a.fa"
@@ -84,10 +78,5 @@ class TestConcatenate:
         pb = tmp_path / "b.fa"
         write_fasta(pb, [SeqRecord("b", "GG")])
         out = tmp_path / "out.fa"
-        concatenate_fasta(out, [pa, pb])
+        cat_files(out, [pa, pb])
         assert [r.name for r in read_fasta(out)] == ["a", "b"]
-
-    def test_concat_empty_list(self, tmp_path):
-        out = tmp_path / "out.fa"
-        assert concatenate_fasta(out, []) == 0
-        assert out.read_bytes() == b""

@@ -4,6 +4,8 @@ import pytest
 
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
 from repro.parallel.merge import cat_files
+from repro.seq.fasta import read_fasta, write_fasta
+from repro.seq.records import SeqRecord
 
 
 class TestCatFiles:
@@ -32,6 +34,20 @@ class TestCatFiles:
         p.write_bytes(b"")
         out = tmp_path / "out.txt"
         assert cat_files(out, [p]) == 0
+
+    def test_no_parts(self, tmp_path):
+        out = tmp_path / "out.fa"
+        assert cat_files(out, []) == 0
+        assert out.read_bytes() == b""
+
+    def test_fasta_parts_concat_to_the_combined_records(self, tmp_path):
+        a = [SeqRecord("a", "ACGT")]
+        b = [SeqRecord("b", "GGTT")]
+        pa, pb, out = tmp_path / "a.fa", tmp_path / "b.fa", tmp_path / "out.fa"
+        write_fasta(pa, a)
+        write_fasta(pb, b)
+        cat_files(out, [pa, pb])
+        assert read_fasta(out) == a + b
 
 
 class TestRegistry:

@@ -131,20 +131,6 @@ class TestCollectives:
         for r in res.outputs:
             assert [arr.tolist() for arr in r] == [[0], [1, 1], [2, 2, 2]]
 
-    def test_reduce_max(self):
-        def body(comm):
-            return comm.reduce_max(float(comm.rank), root=0)
-
-        res = mpirun(body, 5)
-        assert res.outputs[0] == 4.0
-
-    def test_allreduce_sum(self):
-        def body(comm):
-            return comm.allreduce_sum(1.0)
-
-        res = mpirun(body, 6)
-        assert res.outputs == [6.0] * 6
-
     def test_send_recv(self):
         def body(comm):
             if comm.rank == 0:

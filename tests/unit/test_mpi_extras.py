@@ -1,4 +1,4 @@
-"""Unit tests for scatter/alltoall and stage-span serialisation."""
+"""Unit tests for alltoall and stage-span serialisation."""
 
 import json
 
@@ -8,31 +8,6 @@ from repro.errors import CommError
 from repro.mpi import mpirun
 from repro.obs.span import Span, append_stage
 from repro.validation.fasta_align import MatchCategories, identity_histogram
-
-
-class TestScatter:
-    def test_each_rank_gets_its_item(self):
-        def body(comm):
-            values = [f"item{r}" for r in range(comm.size)] if comm.rank == 0 else None
-            return comm.scatter(values, root=0)
-
-        res = mpirun(body, 4)
-        assert res.outputs == ["item0", "item1", "item2", "item3"]
-
-    def test_wrong_length_rejected(self):
-        def body(comm):
-            values = [1] if comm.rank == 0 else None
-            return comm.scatter(values, root=0)
-
-        with pytest.raises(CommError):
-            mpirun(body, 3)
-
-    def test_bad_root(self):
-        def body(comm):
-            return comm.scatter([1, 2], root=9)
-
-        with pytest.raises(CommError):
-            mpirun(body, 2)
 
 
 class TestAlltoall:

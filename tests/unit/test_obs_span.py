@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mpi.trace import RankTrace
+from repro.mpi.clock import VirtualClock
 from repro.obs import MetricsRegistry, Span, StageResult
 from repro.obs.span import CLOCK_KINDS
 
@@ -37,25 +37,38 @@ class TestSpan:
 
 
 class TestRankTraceOrdering:
+    """A rank's clock spans: one per forward move of its one clock."""
+
+    def _clock(self):
+        spans = []
+        return VirtualClock(spans=spans, track="rank 0"), spans
+
     def test_out_of_order_add_is_sorted(self):
-        # Regression: end/render_gantt assumed time-sorted segments; a
-        # replayed buffered cost may arrive out of order.
-        t = RankTrace(0)
-        t.add("compute", 5.0, 7.0)
-        t.add("comm", 1.0, 2.0)
-        assert [s.start for s in t.segments] == [1.0, 5.0]
-        assert t.end == 7.0
+        # A sync to an earlier time (a peer already behind us) records
+        # nothing, so the spans stay in time order without re-sorting.
+        clock, spans = self._clock()
+        clock.advance(1.0, kind="comm")
+        clock.sync_to(5.0)
+        clock.sync_to(2.0)
+        clock.advance(2.0)
+        assert [(s.kind, s.start) for s in spans] == [
+            ("comm", 0.0), ("wait", 1.0), ("compute", 5.0)
+        ]
+        assert [s.start for s in spans] == sorted(s.start for s in spans)
+        assert all(s.track == "rank 0" for s in spans)
 
     def test_end_is_max_stop_not_last(self):
-        t = RankTrace(0)
-        t.add("compute", 0.0, 9.0)
-        t.add("comm", 0.5, 1.0)  # starts after 0.0 -> appended after sort key
-        assert t.end == 9.0
+        clock, spans = self._clock()
+        clock.advance(9.0)
+        clock.sync_to(0.5)  # behind the clock: no span, no move
+        assert clock.now == 9.0
+        assert max(s.stop for s in spans) == spans[-1].stop == 9.0
 
     def test_zero_duration_dropped(self):
-        t = RankTrace(0)
-        t.add("compute", 1.0, 1.0)
-        assert t.segments == []
+        clock, spans = self._clock()
+        clock.advance(0.0)
+        clock.sync_to(0.0)
+        assert spans == []
 
 
 class TestStageResult:

@@ -17,7 +17,7 @@ from repro.util.fmt import format_table
 
 @dataclass
 class DynamicPartitionResult:
-    """fw-dynamic: round-robin vs the master's LPT deal of the chunks (GFF)."""
+    """fw-dynamic: round-robin vs the LPT deal of the chunks (GFF)."""
 
     nodes_list: List[int]
     round_robin_s: List[float]

@@ -1,9 +1,9 @@
 """Simulated MPI: a deterministic, thread-backed SPMD runtime.
 
 The communicator offers the operations the stage bodies call — barrier,
-bcast, gather, allgather(v), alltoall, send/recv and a rank-shared set-up
-cache — spelled like mpi4py's lower-case generic-object methods, so the
-parallel Chrysalis code reads like the hybrid code the paper describes.
+bcast, allgather(v), alltoall and a rank-shared set-up cache — spelled
+like mpi4py's lower-case generic-object methods, so the parallel
+Chrysalis code reads like the hybrid code the paper describes.
 Rank-local computation is executed for real; *time* is virtual — each
 rank carries one :class:`VirtualClock`, advanced by modelled compute and
 by an alpha-beta (latency-bandwidth) communication cost at every

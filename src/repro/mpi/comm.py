@@ -14,9 +14,8 @@ pooled payload.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import CommAbandonedError, CommError, TransientIOError
 from repro.mpi.clock import Stopwatch, VirtualClock
@@ -30,7 +29,6 @@ class CommStats:
     """Per-rank communication accounting."""
 
     n_collectives: int = 0
-    n_messages: int = 0
     bytes_sent: int = 0
     comm_time: float = 0.0
     shared_computes: int = 0  # SimComm.shared keys this rank computed
@@ -59,27 +57,19 @@ class _SharedState:
         self.barrier = threading.Barrier(size)
         self.slots: List[Any] = [None] * size
         self.clock_slots: List[float] = [0.0] * size
-        self.mailboxes: Dict[Tuple[int, int], deque] = {}
-        self.mailbox_lock = threading.Lock()
-        self.mailbox_cv = threading.Condition(self.mailbox_lock)
         # SimComm.shared bookkeeping: one once-latch per cache key.
         self.shared_cells: Dict[Any, _OnceCell] = {}
         self.shared_lock = threading.Lock()
-        # Set by the launcher when any rank fails, so blocking receives
-        # bail out instead of waiting forever for a dead sender.
+        # Set by the launcher when any rank fails, so ``shared`` waiters
+        # bail out instead of waiting forever for a dead owner.
         self.failed = threading.Event()
-        # Ranks that have failed, so sends to a dead mailbox are rejected
-        # instead of silently "succeeding".  Guarded by mailbox_lock.
-        self.failed_ranks: set = set()
 
     def abort(self) -> None:
         """Release every rank blocked anywhere in this communicator:
-        barrier waiters (abort), mailbox waiters (notify), and — via the
-        ``failed`` event — polling ``shared`` waiters."""
+        barrier waiters (abort) and — via the ``failed`` event — polling
+        ``shared`` waiters."""
         self.failed.set()
         self.barrier.abort()
-        with self.mailbox_cv:
-            self.mailbox_cv.notify_all()
 
 
 class _Region:
@@ -139,8 +129,8 @@ class _Compute(Stopwatch):
 
 
 class SimComm:
-    """The communicator of one simulated rank: the collectives, point-to-point
-    calls and shared set-up cache the stage bodies use, spelled like mpi4py.
+    """The communicator of one simulated rank: the collectives and shared
+    set-up cache the stage bodies use, spelled like mpi4py.
 
     Construct via :func:`repro.mpi.launcher.mpirun`; each rank function
     receives its own ``SimComm``.
@@ -372,27 +362,11 @@ class SimComm:
         )
         return payload
 
-    def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
-        """Collect one object per rank at ``root`` (None elsewhere)."""
-        if not (0 <= root < self.size):
-            raise CommError(f"gather root {root} out of range")
+    def allgather(self, obj: Any) -> List[Any]:
+        """Pool one object per rank onto every rank (generic payloads)."""
         # Each rank sizes only its own payload (sizing may pickle, which is
         # the dominant host cost of a collective); the exchange then makes
         # every size visible without re-sizing peers' objects O(size^2).
-        mine = nbytes_of(obj)
-        snapshot = self._exchange((obj, mine))
-        total = sum(s for _v, s in snapshot)
-        self._charge(
-            self._state.network.gather(self.size, total),
-            mine,
-            op="gather",
-            pooled_bytes=total,
-            items=self.size,
-        )
-        return [v for v, _s in snapshot] if self._rank == root else None
-
-    def allgather(self, obj: Any) -> List[Any]:
-        """Pool one object per rank onto every rank (generic payloads)."""
         mine = nbytes_of(obj)
         snapshot = self._exchange((obj, mine))
         total = sum(s for _v, s in snapshot)
@@ -440,7 +414,7 @@ class SimComm:
                 f"alltoall needs exactly {self.size} values, got {len(values)}"
             )
         # Each rank sizes its own p payloads exactly once and ships the
-        # sizes with the values — like gather — so no rank re-pickles the
+        # sizes with the values — like allgather — so no rank re-pickles the
         # other ranks' rows (which made the old sizing pass O(p^2) pickles
         # per rank, O(p^3) across the job).
         sizes = [nbytes_of(v) for v in values]
@@ -454,71 +428,3 @@ class SimComm:
             items=self.size,
         )
         return [snapshot[src][0][self._rank] for src in range(self.size)]
-
-    # -- point-to-point ---------------------------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Eager point-to-point send (latency charged to the sender)."""
-        if not (0 <= dest < self.size):
-            raise CommError(f"send dest {dest} out of range")
-        if dest == self._rank:
-            raise CommError("send to self is not supported")
-        n = nbytes_of(obj)
-        cost = self._state.network.ptp(n)
-        st = self._state
-        with st.mailbox_cv:
-            if dest in st.failed_ranks:
-                # Without this check the message lands in a dead mailbox
-                # and the send "succeeds" silently — the sender must learn
-                # its peer is gone (tagged secondary: the root cause is
-                # whatever killed the destination rank).
-                raise CommAbandonedError(
-                    f"send from rank {self._rank} to dead rank {dest}: "
-                    "peer already failed"
-                )
-            st.mailboxes.setdefault((self._rank, dest), deque()).append(
-                (tag, obj, self.clock.now + cost, cost)
-            )
-            st.mailbox_cv.notify_all()
-        self.stats.n_messages += 1
-        self.stats.bytes_sent += n
-        # Eager-send model: sender pays latency only — but that latency is
-        # communication, so it counts towards comm accounting and traces.
-        alpha = self._state.network.alpha
-        self.clock.advance(alpha, kind="comm", label="send", attrs={"bytes": n, "dest": dest})
-        self.stats.comm_time += alpha
-
-    def recv(self, source: int, tag: int = 0) -> Any:
-        """Blocking receive; the clock syncs to the message arrival.
-
-        The in-flight transfer time (up to the full ptp cost of the
-        message) is credited to this rank's comm accounting: any earlier
-        idle time is a "wait" segment, the transfer itself a "comm" one.
-        """
-        if not (0 <= source < self.size):
-            raise CommError(f"recv source {source} out of range")
-        st = self._state
-        key = (source, self._rank)
-        with st.mailbox_cv:
-            while True:
-                box = st.mailboxes.get(key)
-                if box:
-                    for i, (t, obj, arrive, cost) in enumerate(box):
-                        if t == tag:
-                            del box[i]
-                            if arrive > self.clock.now:
-                                transfer = min(cost, arrive - self.clock.now)
-                                self.clock.sync_to(arrive - transfer, label="recv:idle")
-                                self.clock.advance(
-                                    transfer,
-                                    kind="comm",
-                                    label="recv",
-                                    attrs={"source": source},
-                                )
-                                self.stats.comm_time += transfer
-                            return obj
-                if st.failed.is_set():
-                    raise CommAbandonedError(
-                        f"recv on rank {self._rank} from rank {source} "
-                        "abandoned: a peer rank failed"
-                    )
-                st.mailbox_cv.wait(timeout=0.1)

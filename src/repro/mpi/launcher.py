@@ -31,7 +31,6 @@ def _aggregate_metrics(stats: List[CommStats]) -> Dict[str, float]:
     out: Dict[str, float] = {
         "bytes_sent": 0.0,
         "n_collectives": 0.0,
-        "n_messages": 0.0,
         "comm_time": 0.0,
         "shared_computes": 0.0,
         "shared_hits": 0.0,
@@ -39,7 +38,6 @@ def _aggregate_metrics(stats: List[CommStats]) -> Dict[str, float]:
     for st in stats:
         out["bytes_sent"] += st.bytes_sent
         out["n_collectives"] += st.n_collectives
-        out["n_messages"] += st.n_messages
         out["comm_time"] += st.comm_time
         out["shared_computes"] += st.shared_computes
         out["shared_hits"] += st.shared_hits
@@ -100,7 +98,7 @@ def mpirun(
     ``elapsed`` and the aggregated comm counters in ``metrics``.
 
     On any rank failure the remaining ranks are released (barrier abort,
-    mailbox wakeup, the shared ``failed`` event) and an
+    the shared ``failed`` event) and an
     :class:`~repro.errors.MpiAbortError` is raised carrying the *primary*
     (root-cause) rank and exception and every span recorded so far — a
     traced crashing rank's clock segments end at its crash instant;
@@ -134,11 +132,7 @@ def mpirun(
                          track=f"rank {rank}", attrs={"exc": repr(exc)})
                 )
                 GLOBAL_METRICS.inc("faults.crashes")
-            # Mark the rank dead *before* the global release so peers that
-            # wake observe a consistent view, then release everyone blocked
-            # anywhere in the communicator.
-            with state.mailbox_cv:
-                state.failed_ranks.add(rank)
+            # Release everyone blocked anywhere in the communicator.
             state.abort()
 
     if nprocs == 1:
@@ -173,16 +167,6 @@ def mpirun(
                 err.add_note(note)
         GLOBAL_METRICS.inc(f"mpirun.{getattr(fn, '__name__', 'mpirun')}.aborts")
         raise err from primary.exc
-    orphans = {
-        f"{src}->{dst}": len(box)
-        for (src, dst), box in state.mailboxes.items()
-        if box
-    }
-    if orphans:
-        raise CommError(
-            f"orphaned mailbox entries on clean completion (sent but never "
-            f"received): {orphans}"
-        )
     elapsed = [c.clock.now for c in comms]
     stats = [c.stats for c in comms]
     spans: List[Span] = []

@@ -4,9 +4,8 @@ Collective costs use standard algorithm models (Thakur et al., 2005):
 
 * barrier / small sync:   ``ceil(log2 p) * alpha``
 * bcast (binomial tree):  ``ceil(log2 p) * (alpha + n*beta)``
-* gather:                 ``(p-1)*alpha + ((p-1)/p)*n_total*beta``
 * allgather(v) (ring):    ``(p-1)*alpha + ((p-1)/p)*n_total*beta``
-* point-to-point:         ``alpha + n*beta``
+* alltoall:               ``(p-1)*alpha + n_total*beta``
 
 where ``n_total`` is the total payload pooled across ranks.  The defaults
 approximate the FDR10 InfiniBand of the "Blue Wonder" iDataPlex the paper
@@ -35,10 +34,6 @@ class NetworkModel:
             raise ValueError(f"communicator size must be >= 1, got {p}")
         return max(1, math.ceil(math.log2(p))) if p > 1 else 0
 
-    def ptp(self, nbytes: int) -> float:
-        """One point-to-point message of ``nbytes``."""
-        return self.alpha + nbytes * self.beta
-
     def barrier(self, p: int) -> float:
         return self._log2p(p) * self.alpha
 
@@ -46,11 +41,6 @@ class NetworkModel:
         if p <= 1:
             return 0.0
         return self._log2p(p) * (self.alpha + nbytes * self.beta)
-
-    def gather(self, p: int, total_bytes: int) -> float:
-        if p <= 1:
-            return 0.0
-        return (p - 1) * self.alpha + ((p - 1) / p) * total_bytes * self.beta
 
     def allgatherv(self, p: int, total_bytes: int) -> float:
         """Ring allgather over the pooled payload.

@@ -15,16 +15,17 @@ Two dealing strategies:
 
 * ``"round_robin"`` — the paper's chunked round-robin over the id list
   (:mod:`repro.parallel.chunks`, Fig 3), cost-blind;
-* ``"dynamic"`` — master-dealt LPT: rank 0 walks the items in descending
-  predicted cost, hands each to the least-loaded rank, and ships every
-  worker its id list point-to-point (the master/worker wire pattern of
-  the rejected RTT strategy, but O(items) ids instead of O(reads) data).
+* ``"dynamic"`` — LPT: the items in descending predicted cost, each to
+  the least-loaded rank.  Every rank holds the cost vector, so every rank
+  evaluates the same pure deal and takes its own row — no messages, as
+  with the round-robin's ``i mod p``.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence, Union
 
@@ -59,65 +60,71 @@ def round_robin_assign(
     ]
 
 
-def greedy_assign(
+def lpt_assign(
     costs: Sequence[float], ids: Sequence[int], nprocs: int
 ) -> List[List[int]]:
-    """List scheduling: each item, in the given order, goes to the
-    currently least-loaded rank (ties by rank); one id list per rank."""
+    """Longest-processing-time-first list scheduling: the items in
+    descending cost (ties by id), each to the currently least-loaded rank
+    (ties by rank); one id list per rank.  Pure and deterministic in
+    ``(costs, ids, nprocs)`` — what every rank's deal and recovery's
+    re-deal rely on.
+    """
     loads = [(0.0, r) for r in range(nprocs)]  # sorted, hence already a heap
     dealt: List[List[int]] = [[] for _ in range(nprocs)]
-    for cost, item in zip(costs, ids):
+    for cost, item in sorted(zip(costs, ids), key=lambda t: (-t[0], t[1])):
         load, r = heapq.heappop(loads)
         dealt[r].append(item)
         heapq.heappush(loads, (load + cost, r))
     return dealt
 
 
-def lpt_assign(
-    costs: Sequence[float], ids: Sequence[int], nprocs: int
+def assign(
+    strategy: str,
+    ids: Sequence[int],
+    nprocs: int,
+    costs: Optional[Sequence[float]] = None,
+    *,
+    nthreads: int = 1,
+    chunk_size: Optional[int] = None,
 ) -> List[List[int]]:
-    """Longest-processing-time-first: :func:`greedy_assign` over the items
-    in descending cost (ties by id).  Pure and deterministic in
-    ``(costs, ids, nprocs)`` — what recovery's re-deal relies on.
+    """Every rank's ids under one deal; pure in its arguments.
+
+    ``costs`` is indexable by id and read only under ``"dynamic"``;
+    ``chunk_size`` is round-robin only and defaults to the paper's sizing
+    over ``nthreads`` threads per rank.
     """
-    order = sorted(zip(costs, ids), key=lambda t: (-t[0], t[1]))
-    return greedy_assign([c for c, _ in order], [i for _, i in order], nprocs)
+    if strategy == "dynamic":
+        return lpt_assign([float(costs[i]) for i in ids], ids, nprocs)
+    if chunk_size is None:
+        chunk_size = default_chunk_size(len(ids), nprocs, nthreads)
+    return [round_robin_assign(ids, r, nprocs, chunk_size) for r in range(nprocs)]
 
 
 def deal(
     comm: SimComm,
     prefix: str,
     ids: Sequence[int],
-    costs: Callable[[], Any],
+    costs: Optional[Sequence[float]],
     *,
     strategy: str,
     nthreads: int,
     chunk_size: Optional[int] = None,
 ) -> List[int]:
-    """The ``<prefix>:deal`` region: this rank's ids.
+    """The ``<prefix>:deal`` region: row ``comm.rank`` of :func:`assign`.
 
-    ``costs()`` returns the cost vector indexable by id; it is only
-    evaluated (on every rank, so replicated cost models charge every
-    clock) under ``"dynamic"``.  ``chunk_size`` is round-robin only and
-    defaults to the paper's sizing over ``nthreads`` threads per rank.
+    Every rank evaluates the same lists; the LPT pass is built once per
+    ``mpirun`` (a ``comm.shared`` entry, uncharged like the round-robin's
+    index arithmetic).
     """
+    lists = partial(
+        assign, strategy, ids, comm.size, costs, nthreads=nthreads, chunk_size=chunk_size
+    )
     with comm.region(f"{prefix}:deal", strategy=strategy):
         if strategy == "dynamic":
-            cost_of = costs()
-            if comm.rank == 0:
-                dealt = lpt_assign(
-                    [float(cost_of[i]) for i in ids], ids, comm.size
-                )
-                for r in range(1, comm.size):
-                    comm.send(dealt[r], dest=r, tag=r)
-                mine = dealt[0]
-            else:
-                mine = comm.recv(source=0, tag=comm.rank)
+            dealt = comm.shared(f"{prefix}:deal", lists, cost=0.0)
         else:
-            if chunk_size is None:
-                chunk_size = default_chunk_size(len(ids), comm.size, nthreads)
-            mine = round_robin_assign(ids, comm.rank, comm.size, chunk_size)
-    return mine
+            dealt = lists()
+    return dealt[comm.rank]
 
 
 def merge(comm: SimComm, prefix: str, local: List[tuple]) -> List[tuple]:

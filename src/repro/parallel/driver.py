@@ -113,8 +113,8 @@ class ParallelTrinityConfig:
     recovery: RecoveryPolicy = DEFAULT_RECOVERY
     #: Component-dealing strategy for the component-parallel stages
     #: (Inchworm and the fused Chrysalis back end): ``"round_robin"``
-    #: (cost-blind chunked deal) or ``"dynamic"`` (master-dealt LPT over
-    #: the per-component cost model).
+    #: (cost-blind chunked deal) or ``"dynamic"`` (LPT over the
+    #: per-component cost model).
     butterfly_strategy: str = "round_robin"
 
     def __post_init__(self) -> None:
@@ -129,8 +129,8 @@ class ParallelTrinityConfig:
         """Simulated OpenMP thread count for the Inchworm front end.
 
         Delegates to ``trinity.inchworm_threads``, the one setting the
-        serial pipeline shares, so the two cannot diverge.  Straggler
-        faults from ``faults`` slow the matching thread's clock.
+        serial pipeline shares, so the two cannot diverge.  A straggler
+        fault in ``faults`` slows its rank's clock, threads and all.
         """
         return self.trinity.inchworm_threads
 
@@ -150,9 +150,6 @@ class ParallelTrinityConfig:
             n_threads=self.inchworm_threads,
             strategy=self.butterfly_strategy,
             workdir=workdir,
-            thread_slowdowns=_inchworm_slowdown_table(
-                self.faults, self.nprocs, self.inchworm_threads
-            ),
         )
 
     def bowtie_stage(self, workdir: Optional[PathLike] = None) -> BowtieStageConfig:
@@ -178,31 +175,6 @@ class ParallelTrinityConfig:
             strategy=self.butterfly_strategy,
             workdir=workdir,
         )
-
-
-def _inchworm_slowdown_table(
-    plan: Optional[FaultPlan], nprocs: int, n_threads: int
-) -> Optional[Tuple[Tuple[float, ...], ...]]:
-    """Straggler factors from ``plan`` as one row of thread factors per rank.
-
-    The fault plan indexes stragglers by a flat id; the distributed
-    Inchworm numbers its hybrid workers ``rank * n_threads + thread``, so
-    straggler id ``f`` slows thread ``f % n_threads`` of rank
-    ``f // n_threads`` (ids past the last worker land nowhere).  Returns
-    ``None`` when no straggler lands on a live thread, so the fast
-    no-faults path stays allocation-free.  Slowdowns only stretch virtual
-    thread clocks — stage output never depends on them.
-    """
-    if plan is None or not plan.stragglers:
-        return None
-    rows = [[1.0] * n_threads for _ in range(nprocs)]
-    for s in plan.stragglers:
-        rank, thread = divmod(s.rank, n_threads)
-        if 0 <= rank < nprocs:
-            rows[rank][thread] = max(rows[rank][thread], float(s.slowdown))
-    if all(f == 1.0 for row in rows for f in row):
-        return None
-    return tuple(tuple(row) for row in rows)
 
 
 @dataclass
@@ -392,9 +364,9 @@ def reads_digest(reads: Sequence[SeqRecord]) -> str:
 #: every key, so a payload written under another layout — e.g. component
 #: graphs as dicts of strings, before they were two arrays — is a logged
 #: miss that recomputes, never an object of the wrong shape handed back
-#: as "restored".  Bump it with any change to ``StageResult``'s fields or
-#: to a pickled outputs type.
-_CHECKPOINT_LAYOUT = 3
+#: as "restored".  Bump it with any change to ``StageResult``'s fields,
+#: to ``CommStats`` or to a pickled outputs type.
+_CHECKPOINT_LAYOUT = 4
 
 
 def _checkpoint_key(
@@ -586,7 +558,8 @@ class ParallelTrinityDriver:
             runs["gff"].imbalance,
         )
         # Aggregate the per-rank thread-team totals into the historical
-        # pipeline-level attrs (straggler faults still drag speedup down).
+        # pipeline-level attrs (host-measured: a straggler stretches the
+        # rank clocks, ``mpi.inchworm_makespan_s``, not these).
         team_serial = sum(r.metrics["team_serial_s"] for r in runs["inchworm"].outputs)
         team_makespan = sum(
             r.metrics["team_makespan_s"] for r in runs["inchworm"].outputs

@@ -13,9 +13,9 @@ This stage fuses the whole back-end chain — **orient → fasta_to_debruijn
 stage on the :mod:`repro.parallel.component_stage` skeleton.  What is
 dealt is a **(component, read block)** unit (:func:`read_block_units`),
 a component with no more than a pack block of routed reads being one:
-cost-blind round-robin over the unit list, or master-dealt LPT
-(``dynamic``) over ``READ_COST x block reads`` with the component's walk
-term (:func:`estimated_component_cost`) riding on its block 0 — whose
+cost-blind round-robin over the unit list, or LPT (``dynamic``) over
+``READ_COST x block reads`` with the component's walk term
+(:func:`estimated_component_cost`) riding on its block 0 — whose
 rank is the component's **owner**.  A rank packs the reads of its units
 once (:func:`~repro.trinity.chrysalis.quantify.pack_routed_reads`; a
 unit's windows are one slice; DESIGN §5.20) and its OpenMP team counts
@@ -191,7 +191,7 @@ class ChrysalisBackendStageConfig:
     min_kmer_count: int = 2  # solid-k-mer threshold for read threading
     butterfly: ButterflyConfig = field(default_factory=ButterflyConfig)
     nthreads: int = 16
-    strategy: str = "round_robin"  # or "dynamic" (master-dealt LPT)
+    strategy: str = "round_robin"  # or "dynamic" (LPT)
     chunk_size: Optional[int] = None  # round_robin only; None -> default
     workdir: Optional[PathLike] = None  # per-rank FASTA parts + merged FASTA
 
@@ -297,7 +297,7 @@ def mpi_chrysalis_backend(
 
     # -- deal units across ranks ---------------------------------------------
     mine = component_stage.deal(
-        comm, "chrysalis", range(len(units)), lambda: costs,
+        comm, "chrysalis", range(len(units)), costs,
         strategy=config.strategy,
         nthreads=config.nthreads,
         chunk_size=config.chunk_size,

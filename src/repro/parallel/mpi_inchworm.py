@@ -19,7 +19,7 @@ factors exactly over the components of the k-mer overlap graph
    filtered counter and the component labelling of the pooled probe,
    with each position's dense component id and each component's cost;
 2. components are dealt to ranks — chunked ``"round_robin"`` or
-   master-dealt LPT ``"dynamic"``, the one deal of
+   LPT ``"dynamic"``, the one deal of
    :mod:`repro.parallel.component_stage` — with per-component cost =
    the sum of member k-mer counts;
 3. each rank deals its owned components to its ``n_threads`` simulated
@@ -42,16 +42,17 @@ the merged output is **byte-identical to serial**
 :func:`~repro.trinity.inchworm.inchworm_assemble` at every rank count
 and every thread count — under both deal strategies and under an
 injected ``inchworm:assemble`` rank crash with survivor re-deal (tested
-invariants, like the other stages).  Threads and their stragglers only
-move virtual clocks; a component is indivisible across them, so the
-thread holding the largest component is the floor of a rank's team.
+invariants, like the other stages).  Threads and stragglers only move
+virtual clocks — a straggling rank's clock stretches its whole team —
+and a component is indivisible across threads, so the thread holding
+the largest component is the floor of a rank's team.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -93,13 +94,9 @@ class InchwormStageConfig:
 
     inchworm: InchwormConfig = InchwormConfig()
     n_threads: int = 1  # simulated OpenMP threads per rank
-    strategy: str = "round_robin"  # or "dynamic" (master-dealt LPT)
+    strategy: str = "round_robin"  # or "dynamic" (LPT)
     chunk_size: Optional[int] = None  # round_robin only; None -> default
     workdir: Optional[PathLike] = None  # merged contig FASTA (rank 0)
-    #: Per-(rank, thread) straggler factors, one row per rank (from
-    #: :func:`repro.parallel.driver._inchworm_slowdown_table`).  Purely
-    #: a virtual-clock effect: output never depends on it.
-    thread_slowdowns: Optional[Tuple[Tuple[float, ...], ...]] = None
 
     def __post_init__(self) -> None:
         component_stage.check_strategy(self.strategy, "Inchworm")
@@ -134,19 +131,6 @@ def _component_setup(filtered: KmerCounter, blocks: Sequence[np.ndarray]):
     landing = np.concatenate(blocks)
     ids = component_ids(kmer_components(landing))
     return landing, ids, np.bincount(ids, weights=filtered.values)
-
-
-def _rank_slowdowns(
-    config: InchwormStageConfig, rank: int
-) -> Optional[Sequence[float]]:
-    """This rank's thread-straggler row, or None when all-ones."""
-    table = config.thread_slowdowns
-    if table is None or rank >= len(table):
-        return None
-    row = table[rank]
-    if all(f == 1.0 for f in row):
-        return None
-    return row
 
 
 @parallel_stage(
@@ -203,7 +187,7 @@ def mpi_inchworm(
     # -- deal components across ranks ----------------------------------------
     cids = list(range(len(costs)))
     mine = component_stage.deal(
-        comm, "inchworm", cids, lambda: costs,
+        comm, "inchworm", cids, costs,
         strategy=config.strategy,
         nthreads=config.n_threads,
         chunk_size=config.chunk_size,
@@ -217,13 +201,7 @@ def mpi_inchworm(
             [float(costs[cid]) for cid in mine], mine, config.n_threads
         )
         iw = inchworm_assemble_components(
-            filtered,
-            counts.canonical,
-            cfg,
-            landing,
-            ids,
-            teams,
-            _rank_slowdowns(config, comm.rank),
+            filtered, counts.canonical, cfg, landing, ids, teams
         )
         if mine:
             comm.clock.advance(

@@ -87,8 +87,7 @@ def mpi_reads_to_transcripts(
     """SPMD body; run under :func:`repro.mpi.mpirun`.
 
     Returns identical, serially-equal assignments on every rank (pooled
-    with a gather+bcast that stands in for the final file concatenation
-    when no ``workdir`` is given).
+    with one allgather).
     """
     config = config or RttStageConfig()
     reads, contigs, components = inputs.reads, inputs.contigs, inputs.components
@@ -143,13 +142,17 @@ def mpi_reads_to_transcripts(
 
     # -- per-rank output file + master concatenation (a plain ``cat``:
     # I/O-bound, the measured-constant step of Figure 9) ---------------------
+    # Part names are a function of the rank, so the master only waits at a
+    # barrier for every part to land.
     out_path: Optional[Path] = None
     if workdir is not None:
         wd = Path(workdir)
         wd.mkdir(parents=True, exist_ok=True)
-        part = wd / f"readsToComponents.part{comm.rank}.out"
-        with_retry(comm, "rtt:write_part", lambda: write_assignments(part, mine))
-        parts = comm.gather(part, root=0)
+        parts = [wd / f"readsToComponents.part{r}.out" for r in range(comm.size)]
+        with_retry(
+            comm, "rtt:write_part", lambda: write_assignments(parts[comm.rank], mine)
+        )
+        comm.barrier()
         out_path = write_merged(
             comm, "rtt:concat", wd, "readsToComponents.out",
             lambda path: cat_files(path, parts),

@@ -16,8 +16,8 @@ that in:
   of ``p`` alone), ReadsToTranscripts re-reads the whole file anyway
   (redundant I/O), MPI Bowtie re-splits the contig FASTA into ``p - 1``
   PyFasta pieces, and the distributed Butterfly re-deals its components
-  (both the round-robin and the master-dealt LPT assignments are pure
-  functions of the workload and the new ``p``).  Stage outputs are
+  (both the round-robin and the LPT assignments are pure functions of
+  the workload and the new ``p``, evaluated by every rank).  Stage outputs are
   therefore identical to a fault-free run — a tested invariant.
 
 Faults and recoveries emit dedicated ``fault`` spans (on the failing

@@ -30,8 +30,8 @@ from repro.errors import ScheduleError
 from repro.mpi.network import IDATAPLEX_FDR10
 from repro.obs.span import Span, append_stage
 from repro.openmp.schedule import dynamic_makespan
-from repro.parallel.chunks import chunk_ranges, default_chunk_size, static_block_ranges
-from repro.parallel.component_stage import lpt_assign, round_robin_assign
+from repro.parallel.chunks import chunk_ranges, static_block_ranges
+from repro.parallel.component_stage import STRATEGIES, assign
 from repro.simdata.datasets import SUGARBEET_PAPER
 
 #: One paper node's OpenMP team (2x 8-core SandyBridge).
@@ -101,22 +101,21 @@ def rank_loads(
     """Each rank's time under one deal of the items.
 
     ``round_robin`` — the paper's chunked round-robin (chunk ``i`` to rank
-    ``i mod nodes``; ``chunk_size`` defaults to the stages' sizing);
-    ``dynamic`` — the master's LPT, what ``component_stage.deal`` runs;
+    ``i mod nodes``; ``chunk_size`` defaults to the stages' sizing) and
+    ``dynamic`` — LPT — are :func:`~repro.parallel.component_stage.assign`'s
+    lists, the ones every rank's ``deal`` takes its row of;
     ``static_block`` — the paper's rejected pre-allocation.  A rank runs
     all its items through one dynamically scheduled team of ``nthreads``.
     """
     if nodes <= 0:
         raise ScheduleError(f"nodes must be positive, got {nodes}")
     costs = np.asarray(costs, dtype=float)
-    ids = range(costs.size)
-    if strategy == "round_robin":
-        size = chunk_size or default_chunk_size(costs.size, nodes, nthreads)
-        dealt = [round_robin_assign(ids, r, nodes, size) for r in range(nodes)]
-    elif strategy == "dynamic":
-        dealt = lpt_assign(costs.tolist(), ids, nodes)
-    elif strategy == "static_block":
+    if strategy == "static_block":
         dealt = [range(*static_block_ranges(costs.size, r, nodes)) for r in range(nodes)]
+    elif strategy in STRATEGIES:
+        dealt = assign(
+            strategy, range(costs.size), nodes, costs, nthreads=nthreads, chunk_size=chunk_size
+        )
     else:
         raise ScheduleError(f"unknown strategy {strategy!r}")
     return np.array(

@@ -38,8 +38,7 @@ was dealt only: a greedy walk never leaves the connected component of
 its seed in the k-mer overlap graph, so every landing is owned and the
 keyed union over any deal is the serial output.  Simulated OpenMP
 threads each own whole components; a thread's virtual clock is charged
-the measured cost of its own rows and walks (times any straggler
-slowdown), never changing the output.  The per-step scalar loop both
+the measured cost of its own rows and walks, never changing the output.  The per-step scalar loop both
 replaced is the oracle in ``tests/reference_inchworm.py``.
 """
 
@@ -455,7 +454,6 @@ def inchworm_assemble_components(
     landing: np.ndarray,
     component_ids: np.ndarray,
     thread_components: Sequence[Sequence[int]],
-    thread_slowdowns: Optional[Sequence[float]] = None,
 ) -> ComponentAssembly:
     """Assemble whole k-mer-graph components, thread by thread.
 
@@ -474,26 +472,16 @@ def inchworm_assemble_components(
 
     Timing: one ``thread_time`` window covers the call; what a thread's
     rows and walks took (the call's own setup, the sort included, goes to
-    the first busy thread) is charged to its clock times
-    ``thread_slowdowns`` (one factor per thread, >= 1 models a
-    straggler).  A component is indivisible, so the thread holding the
-    largest one is the floor of the team makespan.
+    the first busy thread) is charged to its clock.  A component is
+    indivisible, so the thread holding the largest one is the floor of
+    the team makespan.  A straggling rank stretches the team's makespan
+    on its own clock, not here.
     """
     if filtered.k < 2:
         raise PipelineError(f"inchworm needs k >= 2, got {filtered.k}")
     n_threads = len(thread_components)
     if n_threads == 0:
         raise PipelineError("inchworm needs at least one thread's component list")
-    slowdowns = np.ones(n_threads) if thread_slowdowns is None else np.asarray(
-        thread_slowdowns, dtype=float
-    )
-    if slowdowns.shape != (n_threads,):
-        raise PipelineError(
-            f"thread_slowdowns must have one factor per thread, "
-            f"got shape {slowdowns.shape} for {n_threads} threads"
-        )
-    if np.any(slowdowns <= 0):
-        raise PipelineError("thread slowdown factors must be positive")
 
     started = stamp = time.thread_time()
     salt = derive_seed(config.seed, "inchworm-ties")
@@ -511,7 +499,7 @@ def inchworm_assemble_components(
         n_steps += reads
         row_bytes += nbytes
         now = time.thread_time()
-        clocks[t] += (now - stamp) * slowdowns[t]
+        clocks[t] += now - stamp
         stamp = now
     team = TeamResult(
         values=keyed, makespan=float(clocks.max()), serial_time=stamp - started,

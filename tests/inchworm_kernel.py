@@ -23,7 +23,6 @@ def assemble_components(
     counts: JellyfishCounts,
     cfg: Optional[InchwormConfig] = None,
     n_threads: int = 1,
-    thread_slowdowns: Optional[Sequence[float]] = None,
     owned: Optional[Sequence[int]] = None,
 ) -> ComponentAssembly:
     """All of ``counts``' components (or just the ``owned`` ids) on one rank."""
@@ -33,5 +32,5 @@ def assemble_components(
     mine = list(range(len(costs))) if owned is None else list(owned)
     teams = lpt_assign([float(costs[c]) for c in mine], mine, n_threads)
     return inchworm_assemble_components(
-        filtered, counts.canonical, cfg, landing, ids, teams, thread_slowdowns
+        filtered, counts.canonical, cfg, landing, ids, teams
     )

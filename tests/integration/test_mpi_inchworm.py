@@ -6,7 +6,7 @@ crash, ``mpi_inchworm`` reproduces serial ``inchworm_assemble`` *exactly*
 — the greedy walk can never leave its seed's k-mer-graph component, and
 a component-local seed order is the global order restricted to the
 component, so the keyed merge re-emits the serial sequence byte for
-byte.  Threads and their stragglers move virtual clocks only; the output
+byte.  Threads and stragglers move virtual clocks only; the output
 never depends on them.
 """
 
@@ -19,11 +19,7 @@ from repro.errors import PipelineError
 from repro.mpi import CrashFault, FaultPlan, StragglerFault, mpirun
 from repro.obs.critical import rank_clock_spans
 from repro.obs.span import stage_seconds
-from repro.parallel.driver import (
-    ParallelTrinityConfig,
-    ParallelTrinityDriver,
-    _inchworm_slowdown_table,
-)
+from repro.parallel.driver import ParallelTrinityConfig, ParallelTrinityDriver
 from repro.parallel.mpi_inchworm import (
     InchwormInputs,
     InchwormStageConfig,
@@ -251,48 +247,22 @@ class TestRecovery:
 class TestStragglers:
     def test_straggler_on_non_owner_rank_leaves_output_untouched(self):
         # One long read -> every k-mer chains into a single component,
-        # which the round-robin deal hands to rank 0.  A straggler mapped
-        # to rank 2's thread 0 (flat id 2 * n_threads) slows a rank that
-        # owns nothing: the contigs must be bit-identical to fault-free.
+        # which the round-robin deal hands to rank 0.  A straggler on rank
+        # 2 slows a rank that owns nothing: the contigs must be
+        # bit-identical to fault-free.
         rng = np.random.default_rng(7)
         seq = "".join(rng.choice(list("ACGT"), size=120).tolist())
         # Two copies clear the error-kmer filter (min_kmer_count).
         counts = jellyfish_count([SeqRecord("r0", seq), SeqRecord("r1", seq)], 25)
-        n_threads = 2
-        plan = FaultPlan(
-            stragglers=(StragglerFault(rank=2 * n_threads, slowdown=50.0),)
-        )
-        table = _inchworm_slowdown_table(plan, nprocs=3, n_threads=n_threads)
-        assert table is not None
-        assert table[2][0] == 50.0 and table[0] == (1.0,) * n_threads
-        base = mpirun(
-            mpi_inchworm, 3,
-            InchwormInputs(counts=counts),
-            InchwormStageConfig(inchworm=InchwormConfig(seed=1), n_threads=n_threads),
-        )
+        config = InchwormStageConfig(inchworm=InchwormConfig(seed=1), n_threads=2)
+        base = mpirun(mpi_inchworm, 3, InchwormInputs(counts=counts), config)
         slowed = mpirun(
-            mpi_inchworm, 3,
-            InchwormInputs(counts=counts),
-            InchwormStageConfig(
-                inchworm=InchwormConfig(seed=1),
-                n_threads=n_threads,
-                thread_slowdowns=table,
-            ),
+            mpi_inchworm, 3, InchwormInputs(counts=counts), config,
+            faults=FaultPlan(stragglers=(StragglerFault(rank=2, slowdown=50.0),)),
         )
         assert base.outputs[0].metrics["n_components"] == 1.0
+        assert [r.metrics["n_local_components"] for r in slowed.outputs] == [1.0, 0.0, 0.0]
         assert slowed.outputs[0].outputs.contigs == base.outputs[0].outputs.contigs
-
-    def test_flat_ids_map_to_rank_thread_pairs(self):
-        # flat id = rank * n_threads + thread, rank-major.
-        plan = FaultPlan(
-            stragglers=(
-                StragglerFault(rank=1, slowdown=3.0),  # rank 0, thread 1
-                StragglerFault(rank=5, slowdown=7.0),  # rank 2, thread 1
-                StragglerFault(rank=6, slowdown=9.0),  # beyond 3x2: dropped
-            )
-        )
-        table = _inchworm_slowdown_table(plan, nprocs=3, n_threads=2)
-        assert table == ((1.0, 3.0), (1.0, 1.0), (1.0, 7.0))
 
 
 class TestMetrics:

@@ -5,18 +5,19 @@ costs) — including all-equal and all-zero costs and fewer ids than
 ranks; LPT is deterministic with (id, rank) tie-breaks and within the
 classic greedy bound; the round-robin branch is the spelled-out
 ``chunk_ranges`` / ``chunks_for_rank`` comprehension every stage used to
-carry; and the lists the ``deal`` region ships under ``mpirun`` are the
-pure function's.
+carry; and the ids each rank's ``deal`` region takes under ``mpirun``
+are the pure function's rows, with nothing sent.
 """
 
 import heapq
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpi import mpirun
 from repro.parallel.chunks import chunk_ranges, chunks_for_rank
-from repro.parallel.component_stage import deal, lpt_assign, round_robin_assign
+from repro.parallel.component_stage import assign, deal, lpt_assign, round_robin_assign
 
 nprocs_st = st.integers(min_value=1, max_value=9)
 
@@ -91,7 +92,7 @@ def test_round_robin_is_the_spelled_out_chunk_comprehension(data, nprocs, chunk_
 
 
 def _deal_body(comm, ids, costs, strategy):
-    return deal(comm, "prop", ids, lambda: costs, strategy=strategy, nthreads=2)
+    return deal(comm, "prop", ids, costs, strategy=strategy, nthreads=2)
 
 
 @settings(max_examples=5, deadline=None)
@@ -101,5 +102,17 @@ def test_shipped_lists_are_the_pure_assignment(data, nprocs):
     cost_of = dict(zip(ids, costs))
     run = mpirun(_deal_body, nprocs, ids, cost_of, "dynamic")
     assert run.outputs == lpt_assign(costs, ids, nprocs)
+    assert run.outputs == assign("dynamic", ids, nprocs, cost_of)
     rr = mpirun(_deal_body, nprocs, ids, cost_of, "round_robin")
     _assert_partition(rr.outputs, ids)
+    assert rr.outputs == assign("round_robin", ids, nprocs, nthreads=2)
+
+
+@pytest.mark.parametrize("nprocs", [1, 3, 5])
+@settings(max_examples=3, deadline=None)
+@given(ids_and_costs())
+def test_dynamic_deal_sends_nothing(nprocs, data):
+    """Every rank evaluates the LPT itself: no id list crosses the wire."""
+    ids, costs = data
+    run = mpirun(_deal_body, nprocs, ids, dict(zip(ids, costs)), "dynamic")
+    assert run.metrics["bytes_sent"] == 0

@@ -92,7 +92,7 @@ class TestInchwormSurface:
         assert params(inchworm.inchworm_assemble) == ["counts", "config"]
         assert params(inchworm.inchworm_assemble_components) == [
             "filtered", "canonical", "config", "landing", "component_ids",
-            "thread_components", "thread_slowdowns",
+            "thread_components",
         ]
         assert params(inchworm.neighbours) == ["filtered", "canonical", "start", "stop"]
         assert params(inchworm.preference_rows) == [
@@ -109,7 +109,6 @@ class TestInchwormSurface:
             assert not [name for name in gone if name in text], path
         assert {f.name for f in fields(InchwormStageConfig)} == {
             "inchworm", "n_threads", "strategy", "chunk_size", "workdir",
-            "thread_slowdowns",
         }
         assert {f.name for f in fields(InchwormConfig)} == {
             "min_kmer_count", "min_contig_length", "max_contig_length", "seed",
@@ -284,7 +283,8 @@ class TestMeasurementSurface:
         """Stage timings come from spans and ``benchmarks.pipeline``: no
         ``repro bench``, no bench registry, and the communicator gained
         exactly the window and the span view (``compute``,
-        ``phase_seconds``) and lost the two unused mpi4py spellings."""
+        ``phase_seconds``) and lost the mpi4py spellings no stage calls
+        (point-to-point and the root-only gather among them)."""
         from dataclasses import fields
 
         from repro.cli import build_parser
@@ -302,8 +302,7 @@ class TestMeasurementSurface:
         assert not [name for name in vars(registry) if "bench" in name.lower()]
         assert sorted(n for n in vars(SimComm) if not n.startswith("_")) == sorted([
             "rank", "size", "region", "phase_seconds", "compute", "check_io_fault",
-            "shared", "barrier", "bcast", "gather", "allgather", "allgatherv",
-            "alltoall", "send", "recv",
+            "shared", "barrier", "bcast", "allgather", "allgatherv", "alltoall",
         ])
         assert [f.name for f in fields(JellyfishStageConfig)] == ["jellyfish", "workdir"]
         assert [f.name for f in fields(BowtieStageConfig)] == ["bowtie", "workdir"]
@@ -342,6 +341,18 @@ class TestOneClockSurface:
         ]
         assert not hasattr(NetworkModel, "scatter")
         assert not hasattr(repro.mpi.network, "SLOW_ETHERNET")
+
+    def test_no_point_to_point_wire(self):
+        """Every rank evaluates the deal itself, so nothing is sent
+        point-to-point: no message cost, counter or root-only gather."""
+        from dataclasses import fields
+
+        from repro.mpi import CommStats
+        from repro.mpi.network import NetworkModel
+
+        assert not hasattr(NetworkModel, "ptp")
+        assert not hasattr(NetworkModel, "gather")
+        assert "n_messages" not in {f.name for f in fields(CommStats)}
 
 
 class TestErrorHierarchy:

@@ -52,10 +52,6 @@ class TestNetwork:
         net = NetworkModel(alpha=1e-3, beta=0.0)
         assert net.allgatherv(64, 0) > net.allgatherv(4, 0)
 
-    def test_ptp(self):
-        net = NetworkModel(alpha=1e-6, beta=1e-9)
-        assert net.ptp(1000) == pytest.approx(1e-6 + 1e-6)
-
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             NetworkModel(alpha=-1)
@@ -108,14 +104,6 @@ class TestCollectives:
         res = mpirun(body, 4)
         assert res.outputs == ["hello"] * 4
 
-    def test_gather(self):
-        def body(comm):
-            return comm.gather(comm.rank, root=0)
-
-        res = mpirun(body, 4)
-        assert res.outputs[0] == [0, 1, 2, 3]
-        assert res.outputs[1] is None
-
     def test_allgather(self):
         def body(comm):
             return comm.allgather(comm.rank * 10)
@@ -130,23 +118,6 @@ class TestCollectives:
         res = mpirun(body, 3)
         for r in res.outputs:
             assert [arr.tolist() for arr in r] == [[0], [1, 1], [2, 2, 2]]
-
-    def test_send_recv(self):
-        def body(comm):
-            if comm.rank == 0:
-                comm.send({"x": 42}, dest=1)
-                return None
-            return comm.recv(source=0)
-
-        res = mpirun(body, 2)
-        assert res.outputs[1] == {"x": 42}
-
-    def test_send_to_self_rejected(self):
-        def body(comm):
-            comm.send(1, dest=comm.rank)
-
-        with pytest.raises(CommError):
-            mpirun(body, 2)
 
     def test_collective_clock_sync(self):
         def body(comm):
@@ -209,15 +180,3 @@ class TestLauncher:
         r1 = mpirun(body, 8)
         r2 = mpirun(body, 8)
         assert r1.outputs == r2.outputs
-
-    def test_rank_failure_releases_blocked_recv(self):
-        """A dying rank must not leave peers hanging in recv (regression:
-        mpirun used to deadlock here)."""
-
-        def body(comm):
-            if comm.rank == 0:
-                raise RuntimeError("boom before send")
-            return comm.recv(source=0)
-
-        with pytest.raises(CommError, match="rank 0"):
-            mpirun(body, 2)

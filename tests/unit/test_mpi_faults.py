@@ -4,7 +4,6 @@ retry (repro.parallel.recovery.with_retry)."""
 import pytest
 
 from repro.errors import (
-    CommError,
     FaultError,
     MpiAbortError,
     RankCrash,
@@ -156,31 +155,3 @@ class TestWithRetry:
             RetryPolicy(max_attempts=0)
         with pytest.raises(FaultError):
             RetryPolicy(backoff_factor=0.5)
-
-
-class TestMailboxHygiene:
-    def test_send_to_dead_rank_raises(self):
-        def body(comm):
-            if comm.rank == 1:
-                raise ValueError("rank 1 genuine bug")
-            # Wait until the failure is globally visible, then try to send.
-            comm._state.failed.wait(timeout=30)
-            assert 1 in comm._state.failed_ranks
-            comm.send("late message", dest=1)
-
-        with pytest.raises(MpiAbortError) as ei:
-            mpirun(body, 2)
-        # The genuine ValueError is primary; the dead-mailbox send on rank 0
-        # is a tagged secondary.
-        assert ei.value.rank == 1
-        assert isinstance(ei.value.__cause__, ValueError)
-        assert len(ei.value.secondaries) == 1
-
-    def test_orphaned_mailbox_detected_on_clean_completion(self):
-        def body(comm):
-            if comm.rank == 0:
-                comm.send("never received", dest=1)
-            # Rank 1 returns without receiving.
-
-        with pytest.raises(CommError, match="orphaned mailbox"):
-            mpirun(body, 2)

@@ -1,12 +1,10 @@
-"""Unit tests for the rank-shared compute-once cache (SimComm.shared)
-and the point-to-point cost-accounting fixes that rode along.
-"""
+"""Unit tests for the rank-shared compute-once cache (SimComm.shared)."""
 
 import pytest
 
 from repro.errors import CommError
 from repro.mpi import mpirun
-from repro.mpi.network import NetworkModel, ZERO_COST
+from repro.mpi.network import ZERO_COST
 from repro.obs.critical import rank_clock_spans
 
 
@@ -84,48 +82,3 @@ class TestSharedCache:
 
         with pytest.raises(CommError):
             mpirun(body, 3, network=ZERO_COST)
-
-
-class TestPtpAccounting:
-    def test_send_charges_latency_to_comm_time(self):
-        net = NetworkModel(alpha=1e-3, beta=1e-9)
-
-        def body(comm):
-            if comm.rank == 0:
-                comm.send(b"x" * 1000, dest=1)
-            else:
-                comm.recv(source=0)
-
-        res = mpirun(body, 2, network=net)
-        assert res.comm[0].comm_time == pytest.approx(net.alpha)
-        # Receiver starts at t=0, so it idles/transfers up to arrival; the
-        # transfer part (at most the full ptp cost) is comm time.
-        assert res.comm[1].comm_time > 0
-
-    def test_ptp_trace_has_comm_segments_both_sides(self):
-        net = NetworkModel(alpha=1e-3, beta=1e-9)
-
-        def body(comm):
-            if comm.rank == 0:
-                comm.send(list(range(100)), dest=1)
-            else:
-                comm.recv(source=0)
-
-        res = mpirun(body, 2, network=net, trace=True)
-        sender, receiver = rank_clock_spans(res)
-        assert any(s.kind == "comm" for s in sender)  # sender pays alpha
-        assert any(s.kind == "comm" for s in receiver)  # receiver pays transfer
-
-    def test_recv_clock_still_syncs_to_arrival(self):
-        net = NetworkModel(alpha=1e-3, beta=1e-9)
-
-        def body(comm):
-            if comm.rank == 0:
-                comm.send(b"y" * 10_000, dest=1)
-                return None
-            comm.recv(source=0)
-            return comm.clock.now
-
-        res = mpirun(body, 2, network=net)
-        # Arrival = sender send-time (0) + full ptp cost.
-        assert res.outputs[1] == pytest.approx(net.ptp(10_000))

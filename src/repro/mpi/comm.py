@@ -281,11 +281,14 @@ class SimComm:
         """Compute ``fn()`` once per communicator; return it on every rank.
 
         The simulated ranks of one ``mpirun`` are threads in one address
-        space, so read-only setup structures that every *real* rank would
-        rebuild redundantly (the paper's "non-parallel regions") need only
-        be built once per simulation.  The first rank to arrive at ``key``
-        computes the object; all ranks receive the same object and MUST
-        treat it as read-only.
+        space, so what every *real* rank would build redundantly need only
+        be built once per simulation: read-only setup structures (the
+        paper's "non-parallel regions") and the pure merge each rank runs
+        over a collective's snapshot.  The first rank to arrive at ``key``
+        computes the object; all ranks receive the same object, which is
+        frozen: a :class:`~repro.seq.kmer_index.KmerIndex` in it has
+        read-only arrays, and no rank, stage or caller may mutate a
+        container in it.
 
         Virtual-time semantics are unchanged: every rank's clock advances
         by the *single-rank* cost of the computation — the thread CPU time

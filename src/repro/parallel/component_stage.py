@@ -127,14 +127,24 @@ def deal(
     return dealt[comm.rank]
 
 
-def merge(comm: SimComm, prefix: str, local: List[tuple]) -> List[tuple]:
-    """The ``<prefix>:merge`` region: allgather the per-item wire tuples
-    and flatten them in ascending key (``item[0]``) order — identical on
-    every rank and independent of the deal."""
+def merge(
+    comm: SimComm, prefix: str, local: List[tuple], finish: Callable[[List[tuple]], Any]
+) -> Any:
+    """The ``<prefix>:merge`` region: allgather the per-item wire tuples,
+    flatten them in ascending key (``item[0]``) order — independent of the
+    deal — and return ``finish(flat)``.
+
+    The flatten and ``finish`` are one uncharged ``comm.shared`` entry:
+    every rank gets the same read-only object.
+    """
     with comm.region(f"{prefix}:merge"):
         pooled = comm.allgather(local)
-    return sorted(
-        (item for part in pooled for item in part), key=lambda item: item[0]
+    return comm.shared(
+        f"{prefix}:merge",
+        lambda: finish(
+            sorted((item for part in pooled for item in part), key=lambda item: item[0])
+        ),
+        cost=0.0,
     )
 
 

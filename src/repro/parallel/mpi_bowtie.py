@@ -171,7 +171,10 @@ def mpi_bowtie(
             rows -= lo + np.where(rows >= n, n - (hi - lo), 0)
             best = BestHits.best(rows, *(table[f] for f in _WIRE_FIELDS[1:]))
             mine = sam_records(reads[lo:hi], best, names)
-        merged = [record for part in comm.allgather(mine) for record in part]
+        parts = comm.allgather(mine)
+        merged = comm.shared(
+            "bowtie:merged", lambda: [record for part in parts for record in part], cost=0.0
+        )
         if comm.rank == 0 and workdir is not None:
             final_sam = Path(workdir) / "bowtie.sam"
             header = sam_header([(c.name, len(c.seq)) for c in contigs])

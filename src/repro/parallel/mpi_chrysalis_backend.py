@@ -371,14 +371,14 @@ def mpi_chrysalis_backend(
     # id.  Graphs and full quants stay rank-local — that is the point of
     # the fusion: nothing heavier than (cid, n_reads, weight, transcripts)
     # crosses the wire. ------------------------------------------------------
-    flat = component_stage.merge(
+    transcripts, quant_stats = component_stage.merge(
         comm, "chrysalis",
         [(cid, q.n_reads, q.read_edge_weight, ts) for cid, q, ts in local],
+        lambda flat: (
+            [t for _cid, _n, _w, ts in flat for t in ts],
+            {cid: (n, w) for cid, n, w, _ts in flat},
+        ),
     )
-    transcripts: List[Transcript] = [t for _cid, _n, _w, ts in flat for t in ts]
-    quant_stats: Dict[int, Tuple[int, float]] = {
-        cid: (n, w) for cid, n, w, _ts in flat
-    }
 
     out_path = component_stage.write_merged(
         comm, "chrysalis:write_merged", config.workdir, "chrysalis_backend.fasta",

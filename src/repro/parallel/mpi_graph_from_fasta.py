@@ -168,19 +168,16 @@ def mpi_graph_from_fasta(
     owners = np.array([w.owner for w in my_welds], dtype=np.int64)
     seeds = np.array([w.seed_code for w in my_welds], dtype=np.uint64)
     pooled = comm.allgatherv((payload, lengths, owners, seeds))
-    welds: List[WeldCandidate] = []
-    for pay, lens, own, sds in pooled:
-        for packed, o, s in zip(unpack_strings(pay, lens), own.tolist(), sds.tolist()):
-            left, seed, right = packed.split(",")
-            welds.append(
-                WeldCandidate(
-                    left_flank=left,
-                    seed=seed,
-                    right_flank=right,
-                    owner=int(o),
-                    seed_code=int(s),
-                )
-            )
+    # Unpacked once per run and uncharged, like the other pooled merges.
+    welds = comm.shared(
+        "gff:welds",
+        lambda: [
+            WeldCandidate(*packed.split(","), owner=int(o), seed_code=int(s))
+            for pay, lens, own, sds in pooled
+            for packed, o, s in zip(unpack_strings(pay, lens), own.tolist(), sds.tolist())
+        ],
+        cost=0.0,
+    )
 
     # -- serial region: weld index rebuild (charged per rank, built once;
     # valid because the pooled weld list is identical on every rank) -------
@@ -213,12 +210,14 @@ def mpi_graph_from_fasta(
     # -- pool pairs on every rank (flat int array + Allgatherv) ------------
     flat = pack_int_pairs(sorted(my_pairs))
     pooled_pairs = comm.allgatherv(flat)
-    pair_set: Set[Tuple[int, int]] = set()
-    for arr in pooled_pairs:
-        pair_set.update(unpack_int_pairs(arr))
-    for a, b in extra_pairs:
-        pair_set.add((min(a, b), max(a, b)))
-    pairs = sorted(pair_set)
+    pairs = comm.shared(
+        "gff:pairs",
+        lambda: sorted(
+            {pair for arr in pooled_pairs for pair in unpack_int_pairs(arr)}
+            | {(min(a, b), max(a, b)) for a, b in extra_pairs}
+        ),
+        cost=0.0,
+    )
 
     # -- serial region: components (charged per rank, built once; the
     # pooled pair list is identical on every rank) --------------------------

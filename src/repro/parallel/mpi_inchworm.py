@@ -215,7 +215,7 @@ def mpi_inchworm(
             )
 
     # -- merge: pool keyed contigs, re-emit the global seed-order sequence ---
-    contigs = keyed_contigs(component_stage.merge(comm, "inchworm", iw.keyed))
+    contigs = component_stage.merge(comm, "inchworm", iw.keyed, keyed_contigs)
     out_path = component_stage.write_merged(
         comm, "inchworm:write_merged", config.workdir, "inchworm.contigs.fa",
         component_stage.fasta_writer(contigs),

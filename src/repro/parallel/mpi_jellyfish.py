@@ -23,7 +23,10 @@ decomposition here is the standard one:
    disjoint slice of k-mer space;
 5. **gather** — an ``allgather`` pools the owner slices; since the
    slices are disjoint, one final ``from_pairs`` just sorts them into
-   the exact serial array.
+   the exact serial array.  Every rank would build that same table from
+   the same snapshot, so it is built once per ``mpirun``
+   (``comm.shared("jellyfish:final_merge")``, its one-rank cost charged
+   to every rank) and all ranks hold the one read-only object.
 
 Because counting is a commutative multiset reduction and the final
 arrays are sorted-unique, the result — :class:`JellyfishCounts` index
@@ -164,18 +167,20 @@ def mpi_jellyfish(
         )
         owned = KmerCounter.from_pairs(owned_codes, owned_counts, k)
 
-    # -- gather: pool the disjoint owner slices onto every rank -------------
+    # -- gather: pool the disjoint owner slices onto every rank; the merged
+    # table is one shared object, its one-rank build charged to every rank --
+    def final_merge() -> JellyfishCounts:
+        all_codes, all_values = _pack_pairs(
+            [c for c, _v in parts if c.size], [v for c, v in parts if c.size]
+        )
+        # Owner slices are disjoint, so this from_pairs only sorts — the
+        # result is the exact serial sorted-unique (read-only) array.
+        index = KmerCounter.from_pairs(all_codes, all_values, k)
+        return JellyfishCounts(k=k, canonical=canonical, index=index)
+
     with comm.region("jellyfish:gather"):
         parts = comm.allgather((owned.codes, owned.values))
-        with comm.compute("jellyfish:final_merge"):
-            all_codes, all_values = _pack_pairs(
-                [c for c, _v in parts if c.size],
-                [v for c, v in parts if c.size],
-            )
-            # Owner slices are disjoint, so this from_pairs only sorts — the
-            # result is the exact serial sorted-unique array.
-            index = KmerCounter.from_pairs(all_codes, all_values, k)
-    counts = JellyfishCounts(k=k, canonical=canonical, index=index)
+        counts = comm.shared("jellyfish:final_merge", final_merge)
 
     # -- rank-0 dump file, from the merged index ------------------------------
     out_path = write_merged(

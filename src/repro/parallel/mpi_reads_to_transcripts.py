@@ -160,10 +160,12 @@ def mpi_reads_to_transcripts(
 
     # Pool assignments so every rank returns the full, ordered table
     # (downstream QuantifyGraph needs it; rank order then index sort is
-    # deterministic and equals the serial order).
+    # deterministic and equals the serial order) — one shared object.
     pooled = comm.allgather(mine)
-    assignments = sorted(
-        (a for part in pooled for a in part), key=attrgetter("read_index")
+    assignments = comm.shared(
+        "rtt:assignments",
+        lambda: sorted((a for part in pooled for a in part), key=attrgetter("read_index")),
+        cost=0.0,
     )
     return StageResult(
         stage="rtt",

@@ -75,6 +75,11 @@ class KmerIndex:
         self._bucket_shift = 0
         self._bucket_depth = 0
 
+    def __reduce__(self):
+        # Unpickled through __init__, so a restored index is read-only too
+        # (and the lazily built lookup accelerator is not pickled).
+        return type(self), (self.k, self.codes, self.values)
+
     # -- scalar interface ---------------------------------------------------
 
     def __len__(self) -> int:

@@ -322,6 +322,33 @@ class TestDriverFaultsAndCheckpoints:
         )
 
     @pytest.mark.timeout(300)
+    def test_checkpoint_restart_at_8_ranks_keeps_the_shared_outputs(
+        self, smoke_reads, tmp_path
+    ):
+        """Each stage is one ``pickle.dump``, which keeps object identity: a
+        restored eight-rank run writes the same ``Trinity.fasta``, and its
+        ranks still hold one merged object per output, not eight."""
+        cfg = ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=NPROCS, nthreads=2)
+        ckpt, wd = tmp_path / "ckpts", tmp_path / "wd"
+        ParallelTrinityDriver(cfg).run(smoke_reads, workdir=wd, checkpoint_dir=ckpt)
+        cold = (wd / "Trinity.fasta").read_bytes()
+        restores, writes = _ckpt_counters()
+        warm = ParallelTrinityDriver(cfg).run(smoke_reads, workdir=wd, checkpoint_dir=ckpt)
+        assert _ckpt_counters() == (restores + 6, writes)
+        assert (wd / "Trinity.fasta").read_bytes() == cold and cold.count(b">") > 0
+        merged = (
+            ("counts",), ("contigs",), ("records",), ("welds", "pairs", "components"),
+            ("assignments",), ("transcripts", "quant_stats"),
+        )
+        for stage, names in zip(warm.children, merged):
+            outs = [rank.outputs for rank in stage.outputs]
+            assert len(outs) == NPROCS
+            for name in names:
+                assert all(getattr(o, name) is getattr(outs[0], name) for o in outs), name
+        # ... and the restored k-mer table is as read-only as the shared one.
+        assert not warm.outputs.counts.index.codes.flags.writeable
+
+    @pytest.mark.timeout(300)
     def test_corrupt_or_stale_checkpoint_recomputes(self, smoke_reads, tmp_path):
         cfg = ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=2, nthreads=2)
         ckpt = tmp_path / "ckpts"

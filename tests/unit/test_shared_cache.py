@@ -6,6 +6,7 @@ from repro.errors import CommError
 from repro.mpi import mpirun
 from repro.mpi.network import ZERO_COST
 from repro.obs.critical import rank_clock_spans
+from repro.parallel.mpi_jellyfish import JellyfishInputs, mpi_jellyfish
 
 
 class TestSharedCache:
@@ -82,3 +83,16 @@ class TestSharedCache:
 
         with pytest.raises(CommError):
             mpirun(body, 3, network=ZERO_COST)
+
+
+class TestSharedMergesAreFrozen:
+    def test_merged_kmer_table_is_read_only_on_every_rank(self, smoke_reads):
+        """The merged Jellyfish table is one shared object: writing into it
+        through any rank raises instead of changing every rank's table."""
+        run = mpirun(mpi_jellyfish, 3, JellyfishInputs(reads=smoke_reads))
+        counts = run.outputs[1].outputs.counts
+        assert counts is run.outputs[0].outputs.counts
+        with pytest.raises(ValueError):
+            counts.index.codes[0] = 0
+        with pytest.raises(ValueError):
+            counts.index.values[0] = 0

@@ -17,7 +17,7 @@ class SequenceError(ReproError):
 
 
 class FastaFormatError(SequenceError):
-    """Malformed FASTA/FASTQ input."""
+    """Malformed FASTA input."""
 
 
 class PipelineError(ReproError):

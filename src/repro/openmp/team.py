@@ -4,7 +4,7 @@
 result is exactly what an OpenMP loop would compute — OpenMP loops in
 Chrysalis have no cross-iteration dependencies) and simultaneously
 computes the virtual makespan a team of ``n_threads`` would have achieved
-under the chosen schedule, using either caller-supplied per-item costs or
+under ``schedule(dynamic)``, using either caller-supplied per-item costs or
 measured per-item thread CPU time (GIL-contention-free, so costs do not
 depend on how many simulated ranks run concurrently).
 """
@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence, TypeVar
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.openmp.schedule import Schedule, simulate_schedule
+from repro.openmp.schedule import dynamic_makespan
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -54,21 +54,12 @@ class ThreadTeam:
     ----------
     n_threads:
         Team size (the paper runs 16 threads per node).
-    schedule, chunk:
-        OpenMP loop schedule used for the virtual-time simulation.
     """
 
-    def __init__(
-        self,
-        n_threads: int,
-        schedule: Schedule = Schedule.DYNAMIC,
-        chunk: int = 1,
-    ) -> None:
+    def __init__(self, n_threads: int) -> None:
         if n_threads <= 0:
             raise ScheduleError(f"n_threads must be positive, got {n_threads}")
         self.n_threads = n_threads
-        self.schedule = schedule
-        self.chunk = chunk
 
     def map(
         self,
@@ -101,7 +92,7 @@ class ThreadTeam:
                     f"costs shape {cost_arr.shape} does not match {len(items)} items"
                 )
             values = [fn(item) for item in items]
-        makespan = simulate_schedule(cost_arr, self.n_threads, self.schedule, self.chunk)
+        makespan = dynamic_makespan(cost_arr, self.n_threads)
         return TeamResult(
             values=values,
             makespan=makespan,

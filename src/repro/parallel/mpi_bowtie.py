@@ -39,9 +39,11 @@ order — puts the full SAM on every rank.  Rank 0 writes ``bowtie.sam``;
 ``bowtie.part<r>.sam`` stays piece-local (every read against piece
 ``r``: the paper's per-node artefact).
 
-The PyFasta split is single-threaded and runs on the master before the
-parallel phase; its serial cost is what flattens the total-time curve in
-Figure 10.
+The PyFasta split balances bases across pieces: the LPT deal of the
+contigs by length (:func:`~repro.parallel.component_stage.lpt_assign`),
+each piece kept in input order.  It is single-threaded and runs on the
+master before the parallel phase; its serial cost is what flattens the
+total-time curve in Figure 10.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ import numpy as np
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
 from repro.parallel.chunks import static_block_ranges
+from repro.parallel.component_stage import lpt_assign
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
-from repro.seq.pyfasta import plan_split
 from repro.seq.records import Contig, SeqRecord
 from repro.seq.sam import SamRecord, sam_header, write_sam
 from repro.trinity.bowtie import (
@@ -118,10 +120,14 @@ def mpi_bowtie(
     with comm.region("bowtie:split", serial=True):
         if comm.rank == 0:
             t0 = time.perf_counter()
+            lengths = [len(c.seq) for c in contigs]
             pieces = with_retry(
                 comm,
                 "bowtie:pyfasta_split",
-                lambda: plan_split([len(c.seq) for c in contigs], comm.size),
+                lambda: [
+                    sorted(piece)
+                    for piece in lpt_assign(lengths, range(len(contigs)), comm.size)
+                ],
             )
             split_time = time.perf_counter() - t0
             # Model the file rewrite at 200 MB/s (PyFasta is I/O bound).

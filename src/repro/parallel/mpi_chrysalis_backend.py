@@ -64,7 +64,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.mpi.clock import Stopwatch
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
-from repro.openmp import Schedule, ThreadTeam
+from repro.openmp import ThreadTeam
 from repro.parallel import component_stage
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
@@ -241,7 +241,7 @@ def mpi_chrysalis_backend(
     config = config or ChrysalisBackendStageConfig()
     bf_cfg = config.butterfly
     contigs = inputs.contigs
-    team = ThreadTeam(config.nthreads, Schedule.DYNAMIC)
+    team = ThreadTeam(config.nthreads)
 
     # Simulated input-bundle read (contigs + assignments land on every
     # node): the retryable I/O point for flaky-I/O fault plans.

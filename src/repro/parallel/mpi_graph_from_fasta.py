@@ -35,7 +35,7 @@ import numpy as np
 from repro.mpi.comm import SimComm
 from repro.mpi.datatypes import pack_int_pairs, pack_strings, unpack_int_pairs, unpack_strings
 from repro.obs.result import StageResult
-from repro.openmp import Schedule, ThreadTeam
+from repro.openmp import ThreadTeam
 from repro.parallel.chunks import chunk_ranges, chunks_for_rank, default_chunk_size, rank_items
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
@@ -103,7 +103,7 @@ def mpi_graph_from_fasta(
     contigs, reads, extra_pairs = inputs.contigs, inputs.reads, inputs.extra_pairs
     cfg = config.gff
     nthreads = config.nthreads
-    team = ThreadTeam(nthreads, Schedule.DYNAMIC)
+    team = ThreadTeam(nthreads)
     chunk_size = config.chunk_size
     if chunk_size is None:
         chunk_size = default_chunk_size(len(contigs), comm.size, nthreads)

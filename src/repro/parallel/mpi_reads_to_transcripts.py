@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.mpi.clock import Stopwatch
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
-from repro.openmp import Schedule, ThreadTeam
+from repro.openmp import ThreadTeam
 from repro.parallel.component_stage import write_merged
 from repro.parallel.merge import cat_files
 from repro.parallel.recovery import with_retry
@@ -93,7 +93,7 @@ def mpi_reads_to_transcripts(
     reads, contigs, components = inputs.reads, inputs.contigs, inputs.components
     cfg = config.rtt
     workdir = config.workdir
-    team = ThreadTeam(config.nthreads, Schedule.DYNAMIC)
+    team = ThreadTeam(config.nthreads)
 
     # -- OpenMP-only setup: assign k-mers to Inchworm bundles --------------
     # (redundant on every real rank, so every rank is charged the build

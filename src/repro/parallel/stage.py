@@ -59,7 +59,7 @@ class StageSpec:
     """Registry record for one conforming stage."""
 
     name: str  # registry key, e.g. "rtt"
-    fn: Callable[..., StageResult]
+    fn: ParallelStage
     inputs_type: Type[Any]
     config_type: Type[Any]
     outputs_type: Type[Any]

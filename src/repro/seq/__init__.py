@@ -1,4 +1,4 @@
-"""Sequence substrate: alphabets, k-mer codec, FASTA/FASTQ/SAM I/O, PyFasta.
+"""Sequence substrate: alphabet, k-mer codec, FASTA and SAM I/O.
 
 Everything the Trinity reimplementation needs to touch nucleotide data
 lives here.  The k-mer codec is numpy-vectorised (2 bits/base) because the
@@ -7,9 +7,7 @@ assembly stages spend most of their time extracting and hashing k-mers.
 
 from repro.seq.alphabet import (
     BASES,
-    complement,
     reverse_complement,
-    is_valid_dna,
     sanitize,
 )
 from repro.seq.kmers import (
@@ -30,15 +28,11 @@ from repro.seq.kmer_index import (
 )
 from repro.seq.records import SeqRecord, ReadPair
 from repro.seq.fasta import read_fasta, write_fasta, iter_fasta
-from repro.seq.fastq import read_fastq, write_fastq, iter_fastq
-from repro.seq.sam import SamRecord, write_sam, read_sam, merge_sam_files
-from repro.seq.pyfasta import FastaIndex, split_fasta
+from repro.seq.sam import SamRecord, write_sam, read_sam
 
 __all__ = [
     "BASES",
-    "complement",
     "reverse_complement",
-    "is_valid_dna",
     "sanitize",
     "encode_kmer",
     "decode_kmer",
@@ -57,13 +51,7 @@ __all__ = [
     "read_fasta",
     "write_fasta",
     "iter_fasta",
-    "read_fastq",
-    "write_fastq",
-    "iter_fastq",
     "SamRecord",
     "write_sam",
     "read_sam",
-    "merge_sam_files",
-    "FastaIndex",
-    "split_fasta",
 ]

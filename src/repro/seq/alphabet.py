@@ -1,10 +1,12 @@
 """DNA alphabet primitives.
 
 The canonical alphabet is ``ACGT`` with 2-bit codes A=0, C=1, G=2, T=3
-(the ordering Jellyfish uses).  Ambiguity codes are not modelled; reads
-containing ``N`` are sanitised by the read simulator / loaders before they
-reach the assembly stages, mirroring Trinity's behaviour of discarding
-k-mers containing non-ACGT characters.
+(the ordering Jellyfish uses).  Ambiguity codes are not modelled: k-mer
+extraction skips every window holding a non-ACGT base, mirroring
+Trinity's behaviour of discarding k-mers containing non-ACGT characters.
+``repro assemble`` passes each input read through :func:`sanitize`, so
+soft-masked (lower-case) bases count as the bases they mask and anything
+outside ``ACGTN`` is rejected before the assembly stages see it.
 """
 
 from __future__ import annotations
@@ -32,22 +34,6 @@ for _b, _c in BASE_TO_CODE.items():
     ASCII_TO_CODE[ord(_b.lower())] = _c
 
 
-def complement(base: str) -> str:
-    """Complement a single base.
-
-    >>> complement("A")
-    'T'
-    """
-    if len(base) != 1:
-        raise SequenceError(f"complement() takes one base, got {base!r}")
-    out = base.translate(str.maketrans("ACGTacgt", "TGCAtgca"))
-    if out == base and base.upper() not in "AT":
-        # translate() leaves unknown characters untouched
-        if base.upper() not in "ACGT":
-            raise SequenceError(f"invalid base {base!r}")
-    return out
-
-
 def reverse_complement(seq: str) -> str:
     """Reverse-complement a DNA string (``N`` is preserved).
 
@@ -55,16 +41,6 @@ def reverse_complement(seq: str) -> str:
     'ACGGT'
     """
     return seq.encode().translate(_COMPLEMENT_TABLE)[::-1].decode()
-
-
-def is_valid_dna(seq: str) -> bool:
-    """True if ``seq`` consists only of ``ACGT`` (upper case)."""
-    if not seq:
-        return True
-    arr = np.frombuffer(seq.encode(), dtype=np.uint8)
-    codes = ASCII_TO_CODE[arr]
-    # lowercase also maps to valid codes; require strict upper-case ACGT
-    return bool(np.all(codes != 255)) and seq == seq.upper()
 
 
 def sanitize(seq: str) -> str:
@@ -85,11 +61,3 @@ def encode_bases(seq: str) -> np.ndarray:
     """Encode a DNA string to a uint8 code array (255 marks non-ACGT)."""
     raw = np.frombuffer(seq.upper().encode(), dtype=np.uint8)
     return ASCII_TO_CODE[raw]
-
-
-def decode_bases(codes: np.ndarray) -> str:
-    """Decode a uint8 code array back to a DNA string."""
-    codes = np.asarray(codes)
-    if codes.size and (codes.max(initial=0) > 3):
-        raise SequenceError("code array contains invalid codes")
-    return CODE_TO_BASE[codes].tobytes().decode()

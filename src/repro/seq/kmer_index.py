@@ -32,7 +32,7 @@ and brackets each code's run with a ``searchsorted`` left/right pair.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, List, Mapping, Tuple, Union
+from typing import List, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -245,14 +245,6 @@ class KmerCounter(KmerIndex):
     def total(self) -> int:
         return int(self.values.sum())
 
-    def histogram(self, max_bin: int = 50) -> np.ndarray:
-        """Abundance histogram: index i = number of k-mers seen i times."""
-        hist = np.zeros(max_bin + 1, dtype=np.int64)
-        if self.values.size:
-            clipped = np.minimum(self.values, max_bin)
-            hist += np.bincount(clipped, minlength=max_bin + 1)[: max_bin + 1]
-        return hist
-
 
 class KmerCounterBuilder:
     """Streaming accumulator: per-batch partial counts, one final merge.
@@ -402,13 +394,3 @@ def read_counter_dump(path: PathLike) -> KmerCounter:
             raise SequenceError(f"inconsistent k in dump: saw {k} then {len(kmer)} ({kmer!r})")
     codes = np.fromiter((encode_kmer(m) for m in kmers), dtype=np.uint64, count=len(kmers))
     return KmerCounter.from_pairs(codes, np.asarray(counts, dtype=np.int64), k)
-
-
-def counter_from_reads(seqs: Iterable[str], k: int, canonical: bool = True) -> KmerCounter:
-    """Convenience one-shot counter over sequence strings (tests, DSK)."""
-    from repro.seq.kmers import canonical_kmers, kmer_array
-
-    builder = KmerCounterBuilder(k)
-    for seq in seqs:
-        builder.add_codes(canonical_kmers(seq, k) if canonical else kmer_array(seq, k))
-    return builder.build()

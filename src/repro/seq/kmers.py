@@ -9,7 +9,7 @@ per-base Python loops.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -280,18 +280,3 @@ def kmer_set(seq: str, k: int, canonical: bool = False) -> Set[int]:
     """Distinct k-mer codes of ``seq`` as a Python set of ints."""
     arr = canonical_kmers(seq, k) if canonical else kmer_array(seq, k)
     return set(int(v) for v in np.unique(arr))
-
-
-def count_kmers_into(counts: Dict[int, int], seq: str, k: int, canonical: bool = False) -> None:
-    """Accumulate k-mer counts of ``seq`` into ``counts`` (in place)."""
-    arr = canonical_kmers(seq, k) if canonical else kmer_array(seq, k)
-    if arr.size == 0:
-        return
-    vals, cnts = np.unique(arr, return_counts=True)
-    for v, c in zip(vals.tolist(), cnts.tolist()):
-        counts[v] = counts.get(v, 0) + c
-
-
-def shared_kmer_count(a: Iterable[int], b: Set[int]) -> int:
-    """Number of codes from ``a`` (with multiplicity) present in set ``b``."""
-    return sum(1 for v in a if v in b)

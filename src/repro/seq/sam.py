@@ -1,8 +1,8 @@
-"""Minimal SAM records, writer, reader, and the multi-file merger.
+"""Minimal SAM records, writer and reader.
 
 The MPI Bowtie step in the paper produces one SAM file per node, merged
-into a single file at the end of the job; :func:`merge_sam_files`
-implements that merge (headers deduplicated, alignment lines concatenated).
+into a single file at the end of the job; :mod:`repro.parallel.mpi_bowtie`
+merges the ranks' records in memory and writes the one file.
 """
 
 from __future__ import annotations
@@ -111,36 +111,3 @@ def read_sam(path: PathLike) -> Iterator[SamRecord]:
             if line.startswith("@") or not line.strip():
                 continue
             yield SamRecord.from_line(line)
-
-
-def merge_sam_files(out_path: PathLike, part_paths: Sequence[PathLike]) -> int:
-    """Merge per-node SAM files into one (paper SS:III.A final step).
-
-    Headers are taken from the first part; @SQ lines present only in later
-    parts are appended (the paper's split-by-contig scheme gives each part
-    a disjoint @SQ set).  Returns the number of alignment lines written.
-    """
-    hd_lines: List[str] = []
-    other_lines: List[str] = []
-    seen: set = set()
-    n_align = 0
-    with open(out_path, "w", encoding="ascii") as out:
-        # First pass: the union of header lines, @HD first, in part order.
-        for part in part_paths:
-            with open(part, "r", encoding="ascii") as fh:
-                for line in fh:
-                    if not line.startswith("@"):
-                        break
-                    if line in seen:
-                        continue
-                    seen.add(line)
-                    (hd_lines if line.startswith("@HD") else other_lines).append(line)
-        out.writelines(hd_lines + other_lines)
-        for part in part_paths:
-            with open(part, "r", encoding="ascii") as fh:
-                for line in fh:
-                    if line.startswith("@") or not line.strip():
-                        continue
-                    out.write(line)
-                    n_align += 1
-    return n_align

@@ -9,7 +9,7 @@ isoforms, and a long-tailed contig-length distribution.
 
 from repro.simdata.transcriptome import Gene, Isoform, Transcriptome, generate_transcriptome
 from repro.simdata.expression import ExpressionModel, lognormal_expression
-from repro.simdata.reads import ReadSimulator, simulate_reads
+from repro.simdata.reads import ReadSimulator
 from repro.simdata.datasets import DatasetRecipe, get_recipe, list_recipes, PaperScaleWorkload
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "ExpressionModel",
     "lognormal_expression",
     "ReadSimulator",
-    "simulate_reads",
     "DatasetRecipe",
     "get_recipe",
     "list_recipes",

@@ -64,11 +64,6 @@ def lognormal_expression(
     return ExpressionModel(rng.lognormal(mean=0.0, sigma=sigma, size=n_isoforms))
 
 
-def uniform_expression(n_isoforms: int) -> ExpressionModel:
-    """Flat abundances (useful for tests where coverage must be even)."""
-    return ExpressionModel(np.ones(n_isoforms))
-
-
 def length_weighted(model: ExpressionModel, lengths: Sequence[int]) -> ExpressionModel:
     """Convert molar abundances to read-sampling weights.
 

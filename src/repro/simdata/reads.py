@@ -116,17 +116,6 @@ class ReadSimulator:
         return arr.tobytes().decode()
 
 
-def simulate_reads(
-    isoform_seqs: Sequence[str],
-    expression: ExpressionModel,
-    n_reads: int,
-    seed: int = 0,
-    **kwargs,
-) -> List[ReadPair]:
-    """Convenience wrapper around :class:`ReadSimulator`."""
-    return ReadSimulator(**kwargs).simulate(isoform_seqs, expression, n_reads, seed)
-
-
 def flatten_reads(pairs: Sequence[ReadPair]) -> List[SeqRecord]:
     """All read records (left then right) in pair order."""
     out: List[SeqRecord] = []

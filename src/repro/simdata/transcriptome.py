@@ -171,16 +171,3 @@ def _make_isoform(gene: Gene, exon_indices: tuple, iso_idx: int) -> Isoform:
         exon_indices=exon_indices,
         seq=seq,
     )
-
-
-def fuse_transcripts(a: Isoform, b: Isoform, linker: str = "") -> SeqRecord:
-    """End-to-end fusion of two isoforms (for testing Fig 6 counting).
-
-    The paper notes fused transcripts arise "due to overlapping UTRs or
-    other factors"; tests use this helper to construct known fusions.
-    """
-    return SeqRecord(
-        f"fusion_{a.name}_{b.name}",
-        a.seq + linker + b.seq,
-        f"fusion of {a.name},{b.name}",
-    )

@@ -22,10 +22,9 @@ from repro.trinity.jellyfish import (
     JellyfishCounts,
     jellyfish_count,
     jellyfish_dump,
-    jellyfish_load,
 )
 from repro.trinity.inchworm import InchwormConfig, inchworm_assemble
-from repro.trinity.bowtie import BowtieIndex, bowtie_align, scaffold_pairs_from_sam
+from repro.trinity.bowtie import BowtieIndex, align_reads, scaffold_pairs_from_sam
 from repro.trinity.butterfly import butterfly_assemble
 from repro.trinity.pipeline import TrinityConfig, TrinityPipeline, TrinityResult
 
@@ -34,11 +33,10 @@ __all__ = [
     "JellyfishCounts",
     "jellyfish_count",
     "jellyfish_dump",
-    "jellyfish_load",
     "InchwormConfig",
     "inchworm_assemble",
     "BowtieIndex",
-    "bowtie_align",
+    "align_reads",
     "scaffold_pairs_from_sam",
     "butterfly_assemble",
     "TrinityConfig",

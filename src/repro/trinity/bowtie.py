@@ -370,21 +370,6 @@ def align_reads(reads: Sequence[SeqRecord], index: BowtieIndex) -> List[SamRecor
     return sam_records(reads, hits, [c.name for c in index.contigs])
 
 
-def align_read(read: SeqRecord, index: BowtieIndex) -> SamRecord:
-    """Align one read (a batch of one); returns an unmapped record when
-    nothing clears the mismatch budget."""
-    return align_reads([read], index)[0]
-
-
-def bowtie_align(
-    reads: Sequence[SeqRecord],
-    contigs: Sequence[Contig],
-    cfg: Optional[BowtieConfig] = None,
-) -> List[SamRecord]:
-    """Align all reads against all contigs (single-node Bowtie run)."""
-    return align_reads(reads, BowtieIndex(contigs, cfg))
-
-
 def scaffold_pairs_from_sam(
     records: Sequence[SamRecord],
     contig_name_to_idx: Dict[str, int],

@@ -282,8 +282,3 @@ def write_assignments(path: PathLike, assignments: Iterable[ReadAssignment]) -> 
             fh.write(a.to_line() + "\n")
             n += 1
     return n
-
-
-def read_assignments(path: PathLike) -> List[ReadAssignment]:
-    with open(path, "r", encoding="ascii") as fh:
-        return [ReadAssignment.from_line(line) for line in fh if line.strip()]

@@ -88,23 +88,6 @@ def _partition_of(codes: np.ndarray, n_partitions: int) -> np.ndarray:
     return (mixed >> np.uint64(40)) % np.uint64(n_partitions)
 
 
-def dsk_count(
-    reads: Iterable[SeqRecord],
-    k: int,
-    config: Optional[DskConfig] = None,
-    workdir: Optional[PathLike] = None,
-    canonical: bool = True,
-) -> JellyfishCounts:
-    """Count k-mers with DSK's partition-then-count strategy.
-
-    ``workdir`` holds the partition spill files (a temp dir by default,
-    removed afterwards).  Returns the same :class:`JellyfishCounts` as
-    Jellyfish would.
-    """
-    counts, _stats = dsk_count_with_stats(reads, k, config, workdir, canonical)
-    return counts
-
-
 def dsk_count_with_stats(
     reads: Iterable[SeqRecord],
     k: int,
@@ -112,7 +95,12 @@ def dsk_count_with_stats(
     workdir: Optional[PathLike] = None,
     canonical: bool = True,
 ):
-    """:func:`dsk_count` plus a :class:`DskStats` (for the memory bench)."""
+    """Count k-mers with DSK's partition-then-count strategy.
+
+    ``workdir`` holds the partition spill files (a temp dir by default,
+    removed afterwards).  Returns the same :class:`JellyfishCounts` as
+    Jellyfish would, plus a :class:`DskStats` (for the memory bench).
+    """
     cfg = config or DskConfig()
     stats = DskStats()
     own_tmp = workdir is None

@@ -98,27 +98,22 @@ class InchwormConfig:
 
 
 # --------------------------------------------------------------------------
-# Tie-breaking: one helper, scalar and vectorised, identical semantics
+# Tie-breaking
 # --------------------------------------------------------------------------
 
 
-def tie_break_code(code: int, salt: int) -> int:
-    """Salted 32-bit tie-break hash of one directed k-mer code.
+def tie_break_codes(codes: np.ndarray, salt: int) -> np.ndarray:
+    """Salted 32-bit tie-break hash of each directed k-mer code.
 
     Equal-count candidates (and equal-count seeds) are ordered by this
     hash — the modelled source of Trinity's run-to-run variation; a fixed
     salt keeps each individual run fully reproducible.
-    """
-    return (code * GOLDEN ^ salt) & 0xFFFFFFFF
-
-
-def tie_break_codes(codes: np.ndarray, salt: int) -> np.ndarray:
-    """Vectorised :func:`tie_break_code` over a ``uint64`` code array.
 
     uint64 wraparound in the multiply leaves the low 32 bits identical to
-    the unbounded-int scalar expression, and masking the salt to 32 bits
-    before the XOR commutes with the final mask — so scalar and vectorised
-    paths can never disagree on a tie (property-tested).
+    the unbounded-int expression ``(code * GOLDEN ^ salt) & 0xFFFFFFFF``
+    (the scalar oracle, ``tests.reference_inchworm.tie_break_code``), and
+    masking the salt to 32 bits before the XOR commutes with the final
+    mask — so the two can never disagree on a tie (property-tested).
     """
     codes = np.asarray(codes, dtype=np.uint64)
     hashed = (codes * np.uint64(GOLDEN)) ^ np.uint64(salt & 0xFFFFFFFF)
@@ -508,18 +503,3 @@ def inchworm_assemble_components(
     return ComponentAssembly(
         keyed=keyed, team=team, thread_clocks=clocks, n_steps=n_steps, row_bytes=row_bytes
     )
-
-
-# --------------------------------------------------------------------------
-
-
-def mean_coverage(contig_seq: str, counts: JellyfishCounts) -> float:
-    """Mean k-mer abundance along a sequence (used by GraphFromFasta)."""
-    from repro.seq.kmers import kmer_array
-
-    arr = kmer_array(contig_seq, counts.k)
-    if arr.size == 0:
-        return 0.0
-    if counts.canonical:
-        arr = np.minimum(arr, revcomp_codes(arr, counts.k))
-    return float(np.mean(counts.index.lookup(arr)))

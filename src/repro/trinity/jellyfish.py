@@ -29,7 +29,6 @@ from repro.errors import PipelineError, SequenceError
 from repro.seq.kmer_index import (
     KmerCounter,
     KmerCounterBuilder,
-    read_counter_dump,
     write_counter_dump,
 )
 from repro.seq.kmers import (
@@ -162,14 +161,3 @@ def jellyfish_dump(counts: JellyfishCounts, path: PathLike) -> int:
     historical ``sorted(dict)`` emission.
     """
     return write_counter_dump(counts.index, path)
-
-
-def jellyfish_load(path: PathLike, canonical: bool = True) -> JellyfishCounts:
-    """Read a dump file back into :class:`JellyfishCounts`."""
-    counter = read_counter_dump(path)
-    return JellyfishCounts(k=counter.k, canonical=canonical, index=counter)
-
-
-def kmer_histogram(counts: JellyfishCounts, max_bin: int = 50) -> np.ndarray:
-    """Abundance histogram (``jellyfish histo``): index i = #kmers seen i times."""
-    return counts.index.histogram(max_bin)

@@ -6,7 +6,7 @@ report; these helpers keep that output consistent and diff-friendly.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Sequence
 
 
 def human_time(seconds: float) -> str:
@@ -44,14 +44,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     return "\n".join(lines)
 
 
-def format_series(name: str, xs: Sequence[object], ys: Sequence[object]) -> str:
-    """Render an (x, y) series as ``name: x=y`` pairs, one per line."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have equal length")
-    body = "\n".join(f"  {x} -> {_cell(y)}" for x, y in zip(xs, ys))
-    return f"{name}:\n{body}"
-
-
 def _cell(v: object) -> str:
     if isinstance(v, float):
         if v == 0:
@@ -62,10 +54,3 @@ def _cell(v: object) -> str:
             return f"{v:.3g}"
         return f"{v:.3g}"
     return str(v)
-
-
-def render_mapping(title: str, mapping: Mapping[str, object]) -> str:
-    """Render a flat mapping as a titled key/value block."""
-    width = max((len(k) for k in mapping), default=0)
-    lines = [title] + [f"  {k.ljust(width)} : {_cell(v)}" for k, v in mapping.items()]
-    return "\n".join(lines)

@@ -1,0 +1,48 @@
+"""One-call conveniences only tests use.
+
+Each wraps library code the pipeline runs in some other shape: the
+serial single-index Bowtie run the parallel stage must reproduce, a
+k-mer counter over plain strings, flat expression and a strict
+``ACGT`` check for simulated data.  They live here, not in ``src/``,
+because nothing but the tests calls them.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, List, Optional, Sequence
+
+import numpy as np
+
+from repro.seq.kmer_index import KmerCounter, KmerCounterBuilder
+from repro.seq.kmers import canonical_kmers, kmer_array
+from repro.seq.records import Contig, SeqRecord
+from repro.seq.sam import SamRecord
+from repro.simdata.expression import ExpressionModel
+from repro.trinity.bowtie import BowtieConfig, BowtieIndex, align_reads
+
+
+def bowtie_align(
+    reads: Sequence[SeqRecord],
+    contigs: Sequence[Contig],
+    cfg: Optional[BowtieConfig] = None,
+) -> List[SamRecord]:
+    """Align all reads against all contigs (a single-node Bowtie run)."""
+    return align_reads(reads, BowtieIndex(contigs, cfg))
+
+
+def counter_from_reads(seqs: Iterable[str], k: int, canonical: bool = True) -> KmerCounter:
+    """One-shot k-mer counter over sequence strings."""
+    builder = KmerCounterBuilder(k)
+    for seq in seqs:
+        builder.add_codes(canonical_kmers(seq, k) if canonical else kmer_array(seq, k))
+    return builder.build()
+
+
+def uniform_expression(n_isoforms: int) -> ExpressionModel:
+    """Flat abundances, for tests where coverage must be even."""
+    return ExpressionModel(np.ones(n_isoforms))
+
+
+def is_valid_dna(seq: str) -> bool:
+    """True if ``seq`` consists only of upper-case ``ACGT``."""
+    return set(seq) <= set("ACGT")

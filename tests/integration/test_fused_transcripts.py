@@ -8,11 +8,11 @@ counted by the recovery harness.
 
 import pytest
 
-from repro.simdata.expression import uniform_expression
 from repro.simdata.reads import ReadSimulator, flatten_reads
 from repro.simdata.transcriptome import generate_transcriptome
 from repro.trinity import TrinityConfig, TrinityPipeline
 from repro.validation import reference_recovery
+from tests.helpers import uniform_expression
 
 
 @pytest.fixture(scope="module")

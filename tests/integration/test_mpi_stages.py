@@ -20,7 +20,7 @@ from repro.parallel.mpi_reads_to_transcripts import (
 from repro.parallel.recovery import mpirun_with_recovery
 from repro.seq.records import Contig, SeqRecord
 from repro.seq.sam import read_sam
-from repro.trinity.bowtie import BowtieConfig, BowtieIndex, ReadSeeds, align_seeds, bowtie_align
+from repro.trinity.bowtie import BowtieConfig, BowtieIndex, ReadSeeds, align_seeds
 from repro.trinity.chrysalis.graph_from_fasta import (
     GraphFromFastaConfig,
     build_weldmer_index,
@@ -33,6 +33,7 @@ from repro.trinity.chrysalis.reads_to_transcripts import (
 )
 from repro.trinity.inchworm import InchwormConfig, inchworm_assemble
 from repro.trinity.jellyfish import jellyfish_count
+from tests.helpers import bowtie_align
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +112,7 @@ class TestMpiBowtie:
         is the serial file byte for byte, part ``r`` is every read against
         piece ``r`` alone, and the merge is serial on no rank."""
         from repro.obs.critical import critical_path
-        from repro.seq.pyfasta import plan_split
+        from repro.parallel.component_stage import lpt_assign
         from repro.seq.sam import write_sam
         from repro.trinity.bowtie import sam_records
 
@@ -127,7 +128,8 @@ class TestMpiBowtie:
         )
         assert (tmp_path / "bowtie.sam").read_bytes() == (tmp_path / "serial.sam").read_bytes()
         seeds = ReadSeeds.build(smoke_reads, cfg)
-        pieces = plan_split([len(c.seq) for c in contigs], nprocs)
+        lengths = [len(c.seq) for c in contigs]
+        pieces = [sorted(p) for p in lpt_assign(lengths, range(len(contigs)), nprocs)]
         for rank, piece in enumerate(pieces):
             alone = [contigs[g] for g in piece]
             want = sam_records(
@@ -192,7 +194,8 @@ class TestMpiBowtie:
 
     @pytest.mark.parametrize("nprocs", [1, 3, 8])
     def test_more_ranks_than_contigs(self, nprocs, tmp_path):
-        """``plan_split([100, 200, 50], 8)`` leaves five pieces empty."""
+        """Splitting contigs of lengths ``[100, 200, 50]`` eight ways
+        leaves five pieces empty."""
         import random
 
         rng = random.Random(3)

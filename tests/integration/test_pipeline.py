@@ -5,8 +5,9 @@ import pytest
 from repro.errors import PipelineError
 from repro.obs.span import stage_seconds
 from repro.seq.fasta import read_fasta
+from repro.seq.kmer_index import read_counter_dump
 from repro.trinity import TrinityConfig, TrinityPipeline
-from repro.trinity.jellyfish import jellyfish_load
+from repro.trinity.jellyfish import JellyfishCounts
 from repro.validation import reference_recovery
 
 
@@ -94,8 +95,8 @@ class TestFileExchange:
 
     def test_jellyfish_dump_reloads(self, smoke_reads, tmp_path):
         result = TrinityPipeline(TrinityConfig(seed=1)).run(smoke_reads, workdir=tmp_path)
-        loaded = jellyfish_load(result.files["jellyfish_dump"])
-        assert loaded == result.counts
+        loaded = read_counter_dump(result.files["jellyfish_dump"])
+        assert JellyfishCounts(loaded.k, index=loaded) == result.counts
 
     def test_contig_fasta_matches_result(self, smoke_reads, tmp_path):
         result = TrinityPipeline(TrinityConfig(seed=1)).run(smoke_reads, workdir=tmp_path)

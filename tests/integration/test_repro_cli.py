@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cli import main
-from repro.seq.fasta import read_fasta
+from repro.seq.fasta import read_fasta, write_fasta
+from repro.seq.records import SeqRecord
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +57,36 @@ class TestAssemble:
         serial = sorted(r.seq for r in read_fasta(assembled))
         hybrid = sorted(r.seq for r in read_fasta(out))
         assert serial == hybrid
+
+
+class TestReadCase:
+    """``assemble`` sanitises its input: a soft-masked (lower-case) base
+    is the base it masks, and a character outside ``ACGTN`` is an error."""
+
+    def test_lower_case_reads_assemble_identically(self, dataset, assembled, tmp_path):
+        reads = read_fasta(dataset / "smoke.reads.fasta")
+        masked = [
+            SeqRecord(r.name, r.seq.lower() if i % 2 else r.seq, r.description)
+            for i, r in enumerate(reads)
+        ]
+        assert any(r.seq.islower() for r in masked)
+        write_fasta(tmp_path / "masked.fasta", masked)
+        out = tmp_path / "masked.out.fasta"
+        rc = main(
+            ["assemble", "--reads", str(tmp_path / "masked.fasta"), "--out", str(out), "--seed", "5"]
+        )
+        assert rc == 0
+        assert out.read_bytes() == assembled.read_bytes()
+
+    def test_invalid_base_is_an_error(self, tmp_path, capsys):
+        write_fasta(tmp_path / "bad.fasta", [SeqRecord("r0", "ACGTACGTXACGT")])
+        rc = main(
+            ["assemble", "--reads", str(tmp_path / "bad.fasta"), "--out", str(tmp_path / "o.fasta")]
+        )
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'X'" in err
+        assert not (tmp_path / "o.fasta").exists()
 
 
 class TestAnalysis:

@@ -41,9 +41,9 @@ from repro.trinity.bowtie import (
     BowtieIndex,
     ReadSeeds,
     align_seeds,
-    bowtie_align,
     sam_records,
 )
+from tests.helpers import bowtie_align
 from tests.reference_bowtie import reference_align
 
 SEED_LEN = 8  # the smallest BowtieConfig allows: short inputs still seed

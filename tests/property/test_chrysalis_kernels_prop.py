@@ -1,6 +1,6 @@
 """Property: the array-backed Chrysalis back end — the two-array de Bruijn
-graph, the packed-once QuantifyGraph, the Butterfly walk over integer rows
-and the integer-row simplify — equals the string-keyed code it replaced
+graph, the packed-once QuantifyGraph and the Butterfly walk over integer
+rows — equals the string-keyed code it replaced
 (``tests.reference_chrysalis``).
 
 * ``fasta_to_debruijn`` / ``add_kmers`` against the dict-of-dicts graph,
@@ -25,8 +25,6 @@ and the integer-row simplify — equals the string-keyed code it replaced
 * ``butterfly_component`` against both dict-graph walks (the in-place
   ``dfs_in_place`` and the copying ``dfs``) on the ordered ``(name, seq)``
   list, at four salts.
-* ``simplify_graph`` against the dict passes, on the oracle built in code
-  order (the order the array passes visit nodes in).
 
 Assertions that moved here from the unit files when the graph stopped
 being a dict: ``test_debruijn.py``'s ``(bulk.edges, bulk._in_edges) ==
@@ -96,7 +94,7 @@ from hypothesis import strategies as st
 
 from repro.seq import kmers
 from repro.seq.alphabet import reverse_complement
-from repro.seq.kmer_index import KmerCounter, counter_from_reads, decode_kmers
+from repro.seq.kmer_index import KmerCounter, decode_kmers
 from repro.seq.records import SeqRecord
 from repro.trinity.butterfly import ButterflyConfig, butterfly_component
 from repro.trinity.chrysalis.debruijn import DeBruijnGraph, fasta_to_debruijn
@@ -107,9 +105,9 @@ from repro.trinity.chrysalis.quantify import (
     pool_blocks,
     quantify_component,
 )
-from repro.trinity.chrysalis.simplify import SimplifyConfig, simplify_graph
 from tests import reference_chrysalis as ref
 from tests.graph_view import source_strings, thread, weighted_graph
+from tests.helpers import counter_from_reads
 
 
 def dna(lo, hi, alphabet="ACGT"):
@@ -567,19 +565,3 @@ def test_no_source_graph_falls_back_to_unitigs():
     got = transcripts(butterfly_component(0, graph, cfg))
     assert got == transcripts(ref.butterfly_component(0, oracle, cfg))
     assert len(got) == 2
-
-
-# -- simplify -----------------------------------------------------------------
-
-
-@settings(max_examples=200, deadline=None)
-@given(weighted_sequences(), st.sampled_from([0, 2, 4]))
-def test_simplify_equals_dict_simplify(case, max_nodes):
-    k, seqs = case
-    got, _insertion_order = both_graphs(k, seqs)
-    want = ref.graph_from_edges(k, got.edge_weights())
-    cfg = SimplifyConfig(max_tip_nodes=max_nodes, max_bubble_nodes=max_nodes)
-    got_stats, want_stats = simplify_graph(got, cfg), ref.simplify_graph(want, cfg)
-    assert got_stats == want_stats
-    assert got.edge_weights() == ref.edge_weights(want)
-    assert np.all(got.codes[1:] > got.codes[:-1]) and got.weights.size == got.codes.size

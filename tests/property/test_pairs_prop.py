@@ -6,7 +6,8 @@ from either strand of any of them or from nowhere, shorter than the
 with ``N`` or lower-case bases in mate or transcript, or no pairs at all
 — ``reconcile_with_pairs`` must keep the same transcripts and report the
 same ``PairFilterStats`` as ``tests/reference_pairs.py``, and
-``pair_support`` must count the same pairs for every transcript.
+``_pair_supports`` (the count ``reconcile_with_pairs`` filters on) must
+count the same pairs for every transcript.
 
 Hand mutants of ``repro/trinity/pairs.py`` this file kills (each was
 applied and failed here; ``tests/unit/test_pairs.py::TestExactOnAnyStrings``
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 from repro.seq.alphabet import reverse_complement
 from repro.seq.records import SeqRecord, Transcript
 from repro.trinity.chrysalis.reads_to_transcripts import ReadAssignment
-from repro.trinity.pairs import component_pairs, pair_support, reconcile_with_pairs
+from repro.trinity.pairs import _pair_supports, component_pairs, reconcile_with_pairs
 from tests import reference_pairs
 
 
@@ -112,8 +113,10 @@ def test_batched_reconciliation_equals_string_scans(component, min_support):
     by_component = component_pairs(reads, assignments)
     for t in transcripts:
         pairs = by_component.get(t.component, [])
-        assert pair_support(t.seq, pairs) == reference_pairs.pair_support(t.seq, pairs)
+        assert _pair_supports([t.seq], pairs) == [reference_pairs.pair_support(t.seq, pairs)]
         # Each mate on its own, so a containment error cannot hide behind
         # the other mate of its pair missing.
         singles = [(mate, mate) for pair in pairs for mate in pair]
-        assert pair_support(t.seq, singles) == reference_pairs.pair_support(t.seq, singles)
+        assert _pair_supports([t.seq], singles) == [
+            reference_pairs.pair_support(t.seq, singles)
+        ]

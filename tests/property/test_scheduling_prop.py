@@ -4,12 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.openmp.schedule import (
-    dynamic_makespan,
-    per_thread_busy_times,
-    static_chunks,
-    static_makespan,
-)
+from repro.openmp.schedule import dynamic_makespan
 from repro.parallel.chunks import chunk_ranges, chunks_for_rank, static_block_ranges
 
 costs_strategy = st.lists(
@@ -27,34 +22,6 @@ def test_dynamic_makespan_bounds(costs, threads):
     assert ms >= total / threads - 1e-9
     if costs.size:
         assert ms >= costs.max() - 1e-9
-
-
-@given(costs_strategy, threads_strategy)
-def test_static_ge_optimal_work_bound(costs, threads):
-    costs = np.asarray(costs)
-    ms = static_makespan(costs, threads)
-    assert ms >= float(costs.sum()) / threads - 1e-9
-
-
-@given(costs_strategy, threads_strategy, st.integers(min_value=1, max_value=8))
-def test_busy_times_conserve_work(costs, threads, chunk):
-    costs = np.asarray(costs)
-    busy = per_thread_busy_times(costs, threads, chunk)
-    np.testing.assert_allclose(busy.sum(), costs.sum(), rtol=1e-9, atol=1e-9)
-
-
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=64))
-def test_static_chunks_partition(n_items, n_threads):
-    ranges = static_chunks(n_items, n_threads)
-    assert len(ranges) == n_threads
-    covered = 0
-    prev_stop = 0
-    for start, stop in ranges:
-        assert start == prev_stop
-        assert stop >= start
-        covered += stop - start
-        prev_stop = stop
-    assert covered == n_items
 
 
 @given(

@@ -29,12 +29,12 @@ from repro.trinity.inchworm import (
     inchworm_assemble,
     keyed_contigs,
     neighbours,
-    tie_break_code,
 )
 from repro.trinity.jellyfish import JellyfishCounts
 from repro.trinity.kmer_components import component_ids, kmer_components
 from repro.util.rng import derive_seed
 from tests.inchworm_kernel import assemble_components
+from tests.reference_inchworm import tie_break_code
 
 
 def _spelled(filtered, salt, p):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.mpi.datatypes import pack_int_pairs, pack_strings, unpack_int_pairs, unpack_strings
 from repro.seq.fasta import parse_fasta
-from repro.seq.pyfasta import plan_split
 from repro.seq.records import SeqRecord
 from repro.trinity.chrysalis.components import build_components
 from repro.validation.smith_waterman import sw_align, sw_score
@@ -38,21 +37,6 @@ def test_fasta_write_parse_roundtrip(items):
         lines.append(f">{r.header}")
         lines.append(r.seq)
     assert list(parse_fasta(lines)) == records
-
-
-@given(st.lists(st.integers(min_value=1, max_value=10_000), max_size=64), st.integers(1, 16))
-def test_plan_split_is_partition(lengths, pieces):
-    plan = plan_split(lengths, pieces)
-    assert sorted(i for p in plan for i in p) == list(range(len(lengths)))
-
-
-@given(st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=64))
-def test_plan_split_lpt_bound(lengths):
-    """LPT guarantee: max load <= mean + max item."""
-    pieces = 4
-    plan = plan_split(lengths, pieces)
-    loads = [sum(lengths[i] for i in p) for p in plan]
-    assert max(loads) <= sum(lengths) / pieces + max(lengths)
 
 
 @given(st.lists(st.text(alphabet="ACGT", max_size=30), max_size=20))

@@ -1,5 +1,5 @@
 """The string-keyed Chrysalis back end: the oracles for
-``repro.trinity.chrysalis.{debruijn,quantify,simplify}`` and
+``repro.trinity.chrysalis.{debruijn,quantify}`` and
 ``repro.trinity.butterfly``.
 
 Everything here is code the array kernels replaced, moved unchanged:
@@ -7,9 +7,6 @@ Everything here is code the array kernels replaced, moved unchanged:
 * the dict-of-dicts :class:`DeBruijnGraph` over (k-1)-mer *strings*, with
   ``add_sequence`` / ``add_kmers`` / ``unitigs`` and :func:`spell_path`
   (until PR 22 ``repro.trinity.chrysalis.debruijn``);
-* tip pruning and bubble popping over it (until PR 22
-  ``repro.trinity.chrysalis.simplify``; thresholds still come from the
-  library's ``SimplifyConfig``);
 * the per-read QuantifyGraph loop with its string-set orientation vote
   (``best_orientation``) and per-window ``add_sequence_masked`` /
   ``add_sequence_filtered`` threading (until PR 18);
@@ -28,19 +25,17 @@ rule of DESIGN §5.16, extended to contigs in §5.20): it threads windows
 holding a non-ACGT base into the graph as nodes (contigs always; reads
 with ``solid=None``), counts reads shorter than ``k`` in ``n_reads``
 when unfiltered, raises on a read holding an ``N`` when filtered, keeps
-lower-case bases lower-case, keeps a node whose edges were all removed,
-and visits nodes in dict insertion order where the kernels use code
-order.  Property tests therefore compare against it on upper-case
-``N``-free contigs, on ``N``-free reads of at least ``k`` bases, build
-it in code order (:func:`graph_from_edges`) where a pass's visiting
-order can matter, and check the rules themselves otherwise.
+lower-case bases lower-case, and visits nodes in dict insertion order
+where the kernels use code order.  Property tests therefore compare
+against it on upper-case ``N``-free contigs and on ``N``-free reads of
+at least ``k`` bases, and check the rules themselves otherwise.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -50,7 +45,6 @@ from repro.seq.kmers import kmer_array, revcomp_codes
 from repro.seq.records import SeqRecord, Transcript
 from repro.trinity.butterfly import ButterflyConfig, _dedup_contained
 from repro.trinity.chrysalis.quantify import ComponentQuant
-from repro.trinity.chrysalis.simplify import SimplifyConfig, SimplifyStats
 from repro.util.rng import derive_seed
 
 # -- FastaToDebruijn ----------------------------------------------------------
@@ -186,156 +180,9 @@ def fasta_to_debruijn(sequences: Iterable[str], k: int) -> DeBruijnGraph:
     return g
 
 
-def graph_from_edges(k: int, edges: Mapping[Tuple[str, str], float]) -> DeBruijnGraph:
-    """The dict graph of ``{(u, v): w}`` (e.g. the array graph's
-    ``edge_weights()``), its nodes and edges inserted in ascending string
-    order — the order the array passes visit them in."""
-    graph = DeBruijnGraph(k=k)
-    for node in sorted({n for edge in edges for n in edge}):
-        graph.edges.setdefault(node, {})
-        graph._in_edges.setdefault(node, set())
-    for (u, v), w in sorted(edges.items()):
-        graph._add_edge(u, v, w)
-    return graph
-
-
 def edge_weights(graph: DeBruijnGraph) -> Dict[Tuple[str, str], float]:
     """The dict graph as ``{(u, v): w}``: the array graph's decoded view."""
     return {(u, v): w for u, outs in graph.edges.items() for v, w in outs.items()}
-
-
-# -- simplify ------------------------------------------------------------------
-
-
-def _remove_node(graph: DeBruijnGraph, node: str) -> None:
-    for succ in list(graph.edges.get(node, {})):
-        graph._in_edges[succ].discard(node)
-    for pred in list(graph._in_edges.get(node, ())):
-        graph.edges[pred].pop(node, None)
-    graph.edges.pop(node, None)
-    graph._in_edges.pop(node, None)
-
-
-def _walk_tip(graph: DeBruijnGraph, start: str, max_len: int) -> Optional[List[str]]:
-    """Collect a dead-end chain starting at an out-degree-0 node, walking
-    backwards while the chain stays unbranched; None if too long."""
-    chain = [start]
-    cur = start
-    while len(chain) <= max_len:
-        preds = graph.predecessors(cur)
-        if len(preds) != 1:
-            return chain  # reached the branch point (or an orphan)
-        (pred,) = preds
-        if graph.out_degree(pred) > 1:
-            chain.append(pred)  # branch node marks the tip's attachment
-            return chain[:-1]
-        chain.append(pred)
-        cur = pred
-    return None
-
-
-def prune_tips(
-    graph: DeBruijnGraph, cfg: Optional[SimplifyConfig] = None
-) -> SimplifyStats:
-    """Remove weakly-supported short dead ends, in place."""
-    cfg = cfg or SimplifyConfig()
-    stats = SimplifyStats()
-    max_len = cfg.resolved_tip_len(graph.k)
-    changed = True
-    while changed:
-        changed = False
-        dead_ends = [n for n in list(graph.edges) if graph.out_degree(n) == 0]
-        for node in dead_ends:
-            if node not in graph.edges:
-                continue
-            chain = _walk_tip(graph, node, max_len)
-            if chain is None or len(chain) > max_len:
-                continue
-            # The tip hangs off the predecessor of its last chain node.
-            anchor_preds = graph.predecessors(chain[-1])
-            if not anchor_preds:
-                continue  # isolated chain, not a tip
-            (anchor,) = anchor_preds if len(anchor_preds) == 1 else (None,)
-            if anchor is None:
-                continue
-            tip_w = graph.successors(anchor).get(chain[-1], 0.0)
-            siblings = [w for v, w in graph.successors(anchor).items() if v != chain[-1]]
-            if not siblings or tip_w > cfg.tip_weight_ratio * max(siblings):
-                continue
-            for n in chain:
-                _remove_node(graph, n)
-                stats.nodes_removed += 1
-            stats.tips_removed += 1
-            changed = True
-    return stats
-
-
-def _follow_arm(
-    graph: DeBruijnGraph, first: str, max_len: int
-) -> Optional[Tuple[List[str], str, float]]:
-    """Follow an unbranched arm from ``first``; return (interior nodes,
-    reconvergence node, min edge weight), or None if it branches/ends."""
-    arm = [first]
-    weight = float("inf")
-    cur = first
-    for _ in range(max_len + 1):
-        if graph.out_degree(cur) != 1:
-            return None
-        if len(graph.predecessors(cur)) > 1 and cur != first:
-            return None
-        (nxt,) = graph.successors(cur)
-        weight = min(weight, graph.successors(cur)[nxt])
-        if len(graph.predecessors(nxt)) > 1:
-            return arm, nxt, weight
-        arm.append(nxt)
-        cur = nxt
-    return None
-
-
-def pop_bubbles(
-    graph: DeBruijnGraph, cfg: Optional[SimplifyConfig] = None
-) -> SimplifyStats:
-    """Collapse weak parallel arms that reconverge, in place."""
-    cfg = cfg or SimplifyConfig()
-    stats = SimplifyStats()
-    max_len = cfg.resolved_bubble_len(graph.k)
-    for node in list(graph.edges):
-        if node not in graph.edges or graph.out_degree(node) < 2:
-            continue
-        arms = []
-        for succ, w_in in list(graph.successors(node).items()):
-            followed = _follow_arm(graph, succ, max_len)
-            if followed is not None:
-                interior, join, w_min = followed
-                arms.append((succ, interior, join, min(w_in, w_min)))
-        # Group arms by reconvergence node; pop the weak ones.
-        by_join = {}
-        for arm in arms:
-            by_join.setdefault(arm[2], []).append(arm)
-        for join, group in by_join.items():
-            if len(group) < 2:
-                continue
-            group.sort(key=lambda a: -a[3])
-            strongest = group[0][3]
-            for _succ, interior, _join, w in group[1:]:
-                if w <= cfg.bubble_weight_ratio * strongest:
-                    for n in interior:
-                        _remove_node(graph, n)
-                        stats.nodes_removed += 1
-                    stats.bubbles_popped += 1
-    return stats
-
-
-def simplify_graph(
-    graph: DeBruijnGraph, cfg: Optional[SimplifyConfig] = None
-) -> SimplifyStats:
-    """Tips first (they expose bubbles), then bubbles."""
-    cfg = cfg or SimplifyConfig()
-    stats = prune_tips(graph, cfg)
-    b = pop_bubbles(graph, cfg)
-    stats.bubbles_popped += b.bubbles_popped
-    stats.nodes_removed += b.nodes_removed
-    return stats
 
 
 # -- QuantifyGraph ------------------------------------------------------------
@@ -449,8 +296,6 @@ def butterfly_component(
     :func:`dfs_in_place`, the default, or :func:`dfs`)."""
     cfg = cfg or ButterflyConfig()
     walk = walk or dfs_in_place
-    if cfg.simplify:
-        simplify_graph(graph)
     min_len = cfg.resolved_min_length(graph.k)
     salt = derive_seed(cfg.seed, "butterfly", component_id)
     paths: List[Tuple[str, ...]] = []

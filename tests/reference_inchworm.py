@@ -26,9 +26,15 @@ from repro.errors import PipelineError
 from repro.seq.kmer_index import KmerCounter
 from repro.seq.kmers import canonical_code, decode_kmer
 from repro.seq.records import Contig
-from repro.trinity.inchworm import InchwormConfig, _seed_order, tie_break_code
+from repro.trinity.inchworm import GOLDEN, InchwormConfig, _seed_order
 from repro.trinity.jellyfish import JellyfishCounts
 from repro.util.rng import derive_seed
+
+
+def tie_break_code(code: int, salt: int) -> int:
+    """Salted 32-bit tie-break hash of one directed k-mer code: the
+    unbounded-int statement of ``repro.trinity.inchworm.tie_break_codes``."""
+    return (code * GOLDEN ^ salt) & 0xFFFFFFFF
 
 
 def _seed_mark(filtered: KmerCounter, canonical: bool, position: int) -> int:

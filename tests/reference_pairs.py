@@ -5,8 +5,8 @@ seed-and-verify pass replaced, moved here unchanged: four ``str in str``
 scans per (pair, transcript) — each mate, each strand — and one
 ``pair_support`` call per candidate transcript.  Case-exact, and defined
 for any strings: empty mates occur everywhere, an ``N`` matches only an
-``N``.  ``reconcile_with_pairs`` and ``pair_support`` must return
-exactly what these do.
+``N``.  ``reconcile_with_pairs`` and the per-transcript counts it filters
+on (``_pair_supports``) must return exactly what these do.
 """
 
 from __future__ import annotations

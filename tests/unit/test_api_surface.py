@@ -102,7 +102,6 @@ class TestInchwormSurface:
         assert params(pairs.reconcile_with_pairs) == [
             "transcripts", "reads", "assignments", "min_support",
         ]
-        assert params(pairs.pair_support) == ["transcript_seq", "pairs"]
         gone = ("_best_extension", "_SCALAR_CUTOFF", "_Walker", "def _occurs")
         for path in Path(repro.__file__).parent.rglob("*.py"):
             text = path.read_text()
@@ -199,7 +198,7 @@ class TestChrysalisBackendSurface:
         from repro.parallel import ChrysalisBackendStageConfig
         from repro.parallel.mpi_chrysalis_backend import estimated_component_cost
         from repro.trinity import butterfly, chrysalis
-        from repro.trinity.chrysalis import debruijn, orient, quantify, simplify
+        from repro.trinity.chrysalis import debruijn, orient, quantify
 
         def params(fn):
             return list(signature(fn).parameters)
@@ -220,7 +219,6 @@ class TestChrysalisBackendSurface:
         assert params(butterfly._dfs) == [
             "step", "branches", "src", "cfg", "paths", "seen_paths",
         ]
-        assert params(simplify.simplify_graph) == ["graph", "cfg"]
         assert params(estimated_component_cost) == [
             "component", "contigs", "k", "max_paths", "n_reads",
         ]
@@ -235,7 +233,7 @@ class TestChrysalisBackendSurface:
         assert not hasattr(quantify, "_BLOCK_READS")
         assert {f.name for f in fields(butterfly.ButterflyConfig)} == {
             "max_paths_per_component", "min_transcript_length", "min_edge_fraction",
-            "max_path_nodes", "seed", "simplify",
+            "max_path_nodes", "seed",
         }
         assert {f.name for f in fields(ChrysalisBackendStageConfig)} == {
             "k", "weld_k", "min_kmer_count", "butterfly", "nthreads", "strategy",
@@ -266,7 +264,7 @@ class TestChrysalisBackendSurface:
             "reads_by_component", "solid_index", "ComponentQuant",
         ])
         assert len(fields(ChrysalisBackendStageConfig)) == 8
-        assert len(fields(ButterflyConfig)) == 6
+        assert len(fields(ButterflyConfig)) == 5
         assert [f.name for f in fields(TrinityConfig)] == [
             "k", "min_kmer_count", "seed", "max_mem_reads", "use_bowtie_scaffolds",
             "min_weld_read_support", "butterfly_max_paths", "use_pair_reconciliation",
@@ -353,6 +351,73 @@ class TestOneClockSurface:
         assert not hasattr(NetworkModel, "ptp")
         assert not hasattr(NetworkModel, "gather")
         assert "n_messages" not in {f.name for f in fields(CommStats)}
+
+
+class TestDeletedSurface:
+    """What nothing ran is gone, and stays gone: the graph simplification
+    pass, the OpenMP schedules no team used, FASTQ and PyFasta I/O, and
+    the helpers only their own tests called (what a test still needs
+    lives under ``tests/``)."""
+
+    GONE = {
+        "repro.openmp": (
+            "Schedule", "simulate_schedule", "static_makespan", "guided_makespan",
+            "static_chunks", "per_thread_busy_times",
+        ),
+        "repro.openmp.schedule": (
+            "Schedule", "simulate_schedule", "static_makespan", "guided_makespan",
+            "static_chunks", "per_thread_busy_times",
+        ),
+        "repro.seq": (
+            "is_valid_dna", "complement", "read_fastq", "write_fastq", "iter_fastq",
+            "FastaIndex", "split_fasta", "merge_sam_files",
+        ),
+        "repro.seq.alphabet": ("decode_bases", "is_valid_dna", "complement"),
+        "repro.seq.kmers": ("count_kmers_into", "shared_kmer_count"),
+        "repro.seq.kmer_index": ("counter_from_reads",),
+        "repro.seq.sam": ("merge_sam_files",),
+        "repro.simdata": ("simulate_reads",),
+        "repro.simdata.expression": ("uniform_expression",),
+        "repro.simdata.reads": ("simulate_reads",),
+        "repro.simdata.transcriptome": ("fuse_transcripts",),
+        "repro.trinity": ("bowtie_align", "jellyfish_load"),
+        "repro.trinity.bowtie": ("align_read", "bowtie_align"),
+        "repro.trinity.chrysalis": ("simplify",),
+        "repro.trinity.chrysalis.reads_to_transcripts": ("read_assignments",),
+        "repro.trinity.dsk": ("dsk_count",),
+        "repro.trinity.inchworm": ("mean_coverage", "tie_break_code"),
+        "repro.trinity.jellyfish": ("jellyfish_load", "kmer_histogram"),
+        "repro.trinity.pairs": ("pair_support",),
+        "repro.util": ("format_series",),
+        "repro.util.fmt": ("format_series", "render_mapping"),
+    }
+
+    @pytest.mark.parametrize(
+        "module", ["repro.seq.fastq", "repro.seq.pyfasta", "repro.trinity.chrysalis.simplify"]
+    )
+    def test_module_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    def test_names_gone(self):
+        from repro.seq.kmer_index import KmerCounter
+
+        for module, names in self.GONE.items():
+            mod = importlib.import_module(module)
+            assert [n for n in names if hasattr(mod, n)] == [], module
+            assert not set(names) & set(getattr(mod, "__all__", ())), module
+        assert not hasattr(KmerCounter, "histogram")
+
+    def test_one_schedule_no_knobs(self):
+        from dataclasses import fields
+        from inspect import signature
+
+        from repro.openmp import ThreadTeam, dynamic_makespan
+        from repro.trinity.butterfly import ButterflyConfig
+
+        assert list(signature(ThreadTeam).parameters) == ["n_threads"]
+        assert list(signature(dynamic_makespan).parameters) == ["costs", "n_threads"]
+        assert "simplify" not in {f.name for f in fields(ButterflyConfig)}
 
 
 class TestErrorHierarchy:

@@ -10,15 +10,21 @@ from repro.trinity.bowtie import (
     BowtieConfig,
     BowtieIndex,
     ReadSeeds,
-    align_read,
+    align_reads,
     align_seeds,
-    bowtie_align,
     scaffold_pairs_from_sam,
 )
+from tests.helpers import bowtie_align
 from tests.reference_bowtie import reference_align
 
 C1 = "ATCGGATTACAGTCCGGTTAACGAGCTTGGCATGCATTTGGCCAATGGCAT"
 C2 = "TTGACCGTAGGCTAACCGTTAGGCCTATGCGATCAGGCTTATTACCGGCAG"
+
+
+def align_read(read, index):
+    """One read aligned as a batch of one."""
+    (rec,) = align_reads([read], index)
+    return rec
 
 
 @pytest.fixture

@@ -4,8 +4,12 @@ import pytest
 
 from repro.errors import PipelineError
 from repro.seq.records import SeqRecord
-from repro.trinity.dsk import DskConfig, dsk_count, dsk_count_with_stats
+from repro.trinity.dsk import DskConfig, dsk_count_with_stats
 from repro.trinity.jellyfish import jellyfish_count
+
+
+def dsk_count(*args, **kwargs):
+    return dsk_count_with_stats(*args, **kwargs)[0]
 
 
 def reads(*seqs):

@@ -1,9 +1,8 @@
-"""Unit tests for transparent gzip FASTA/FASTQ I/O."""
+"""Unit tests for transparent gzip FASTA I/O."""
 
 import gzip
 
 from repro.seq.fasta import open_text, read_fasta, write_fasta
-from repro.seq.fastq import read_fastq, write_fastq
 from repro.seq.records import SeqRecord
 
 
@@ -36,12 +35,3 @@ class TestGzipFasta:
         for p in (plain, gz):
             with open_text(p) as fh:
                 assert fh.read() == "hello\n"
-
-
-class TestGzipFastq:
-    def test_roundtrip_gz(self, tmp_path):
-        records = [SeqRecord("r1", "ACGT")]
-        path = tmp_path / "x.fastq.gz"
-        write_fastq(path, records)
-        back = read_fastq(path)
-        assert [r for r, _q in back] == records

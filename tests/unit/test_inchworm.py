@@ -5,7 +5,7 @@ import pytest
 from repro.errors import PipelineError
 from repro.seq.alphabet import reverse_complement
 from repro.seq.records import SeqRecord
-from repro.trinity.inchworm import InchwormConfig, inchworm_assemble, mean_coverage
+from repro.trinity.inchworm import InchwormConfig, inchworm_assemble
 from repro.trinity.jellyfish import jellyfish_count
 
 
@@ -92,14 +92,3 @@ class TestDeterminismAndSeeds:
         for c in contigs:
             # max_contig_length bounds the k-mer count per contig
             assert len(c.seq) <= 20 + 7
-
-
-class TestMeanCoverage:
-    def test_matches_counts(self):
-        src = "ATCGGATTACAGTCC"
-        counts = counts_for(src, src, k=7)
-        assert mean_coverage(src, counts) == pytest.approx(2.0)
-
-    def test_short_sequence_zero(self):
-        counts = counts_for("ATCGGATTACAGTCC", k=7)
-        assert mean_coverage("ACG", counts) == 0.0

@@ -23,12 +23,12 @@ from repro.trinity.inchworm import (
     keyed_contigs,
     neighbours,
     preference_rows,
-    tie_break_code,
     tie_break_codes,
     walk,
 )
 from repro.trinity.jellyfish import JellyfishCounts, jellyfish_count
 from tests import reference_inchworm
+from tests.reference_inchworm import tie_break_code
 from tests.inchworm_kernel import assemble_components
 
 

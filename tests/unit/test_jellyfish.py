@@ -4,14 +4,10 @@ import pytest
 
 from repro.errors import SequenceError
 from repro.seq.alphabet import reverse_complement
+from repro.seq.kmer_index import read_counter_dump
 from repro.seq.kmers import encode_kmer
 from repro.seq.records import SeqRecord
-from repro.trinity.jellyfish import (
-    jellyfish_count,
-    jellyfish_dump,
-    jellyfish_load,
-    kmer_histogram,
-)
+from repro.trinity.jellyfish import JellyfishCounts, jellyfish_count, jellyfish_dump
 
 
 def reads(*seqs):
@@ -140,9 +136,9 @@ class TestDump:
         path = tmp_path / "dump.fa"
         n = jellyfish_dump(counts, path)
         assert n == len(counts)
-        loaded = jellyfish_load(path)
+        loaded = read_counter_dump(path)
         assert loaded.k == 5
-        assert loaded == counts
+        assert JellyfishCounts(loaded.k, index=loaded) == counts
 
     def test_dump_format(self, tmp_path):
         counts = jellyfish_count(reads("AAAA"), k=3, canonical=False)
@@ -154,29 +150,16 @@ class TestDump:
         path = tmp_path / "empty.fa"
         path.write_text("")
         with pytest.raises(SequenceError):
-            jellyfish_load(path)
+            read_counter_dump(path)
 
     def test_load_rejects_inconsistent_k(self, tmp_path):
         path = tmp_path / "bad.fa"
         path.write_text(">1\nAAA\n>1\nAAAA\n")
         with pytest.raises(SequenceError):
-            jellyfish_load(path)
+            read_counter_dump(path)
 
     def test_load_rejects_non_numeric_header(self, tmp_path):
         path = tmp_path / "bad.fa"
         path.write_text(">x\nAAA\n")
         with pytest.raises(SequenceError):
-            jellyfish_load(path)
-
-
-class TestHistogram:
-    def test_histogram(self):
-        counts = jellyfish_count(reads("AAAA", "CCC"), k=3, canonical=False)
-        hist = kmer_histogram(counts)
-        assert hist[1] == 1  # CCC seen once
-        assert hist[2] == 1  # AAA seen twice
-
-    def test_histogram_clips_to_max_bin(self):
-        counts = jellyfish_count(reads("A" * 100), k=3)
-        hist = kmer_histogram(counts, max_bin=10)
-        assert hist[10] == 1
+            read_counter_dump(path)

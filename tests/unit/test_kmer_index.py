@@ -9,7 +9,6 @@ from repro.seq.kmer_index import (
     KmerCounterBuilder,
     KmerIndex,
     KmerMap,
-    counter_from_reads,
     decode_kmers,
     read_counter_dump,
     write_counter_dump,
@@ -17,6 +16,7 @@ from repro.seq.kmer_index import (
 from repro.seq.kmers import canonical_kmers, encode_kmer
 from repro.seq.records import SeqRecord
 from repro.trinity.jellyfish import jellyfish_count
+from tests.helpers import counter_from_reads
 
 
 def make_index(codes, values, k=8):
@@ -105,11 +105,6 @@ class TestKmerCounter:
         f = c.filtered(2)
         assert f.codes.tolist() == [1, 3]
         assert c.filtered(1) is c
-
-    def test_histogram(self):
-        c = KmerCounter.from_codes(np.array([1, 1, 2], dtype=np.uint64), k=4)
-        hist = c.histogram(max_bin=5)
-        assert hist[1] == 1 and hist[2] == 1
 
     def test_builder_streams(self):
         b = KmerCounterBuilder(4)

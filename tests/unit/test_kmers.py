@@ -9,15 +9,14 @@ from repro.seq.kmers import (
     MAX_K,
     canonical_code,
     canonical_kmers,
-    count_kmers_into,
     decode_kmer,
     encode_kmer,
     kmer_array,
     kmer_set,
     revcomp_code,
     revcomp_codes,
-    shared_kmer_count,
 )
+from tests.helpers import counter_from_reads
 
 
 class TestEncodeDecode:
@@ -117,19 +116,11 @@ class TestSetsAndCounts:
         assert s == {encode_kmer("AA")}
 
     def test_count_kmers_accumulates(self):
-        counts = {}
-        count_kmers_into(counts, "AAAA", 2)
-        count_kmers_into(counts, "AAA", 2)
-        assert counts[encode_kmer("AA")] == 5
-
-    def test_shared_kmer_count(self):
-        a = [1, 2, 2, 3]
-        assert shared_kmer_count(a, {2, 3}) == 3
+        counts = counter_from_reads(["AAAA", "AAA"], 2, canonical=False)
+        assert (counts.codes.tolist(), counts.values.tolist()) == ([encode_kmer("AA")], [5])
 
     def test_empty_sequence_no_counts(self):
-        counts = {}
-        count_kmers_into(counts, "A", 2)
-        assert counts == {}
+        assert len(counter_from_reads(["A"], 2)) == 0
 
 
 class TestKmerArraysBatch:

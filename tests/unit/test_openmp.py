@@ -1,45 +1,17 @@
-"""Unit tests for the simulated OpenMP thread teams and schedules."""
+"""Unit tests for the simulated OpenMP thread teams and dynamic schedule."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ScheduleError
-from repro.openmp import Schedule, ThreadTeam, dynamic_makespan, static_chunks, static_makespan
-from repro.openmp.schedule import per_thread_busy_times, simulate_schedule
-
-
-class TestStaticChunks:
-    def test_even_split(self):
-        assert static_chunks(8, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
-
-    def test_uneven_split(self):
-        ranges = static_chunks(10, 3)
-        sizes = [b - a for a, b in ranges]
-        assert sizes == [4, 3, 3]
-
-    def test_more_threads_than_items(self):
-        ranges = static_chunks(2, 4)
-        assert ranges[2] == ranges[3] == (2, 2)
-
-    def test_partition_exact(self):
-        ranges = static_chunks(17, 5)
-        assert ranges[0][0] == 0
-        assert ranges[-1][1] == 17
-        for (a1, b1), (a2, _b2) in zip(ranges, ranges[1:]):
-            assert b1 == a2
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ScheduleError):
-            static_chunks(5, 0)
-        with pytest.raises(ScheduleError):
-            static_chunks(-1, 2)
+from repro.openmp import ThreadTeam, dynamic_makespan
+from repro.parallel.chunks import static_block_ranges
 
 
 class TestMakespans:
     def test_single_thread_is_sum(self):
         costs = [1.0, 2.0, 3.0]
         assert dynamic_makespan(costs, 1) == 6.0
-        assert static_makespan(costs, 1) == 6.0
 
     def test_dynamic_bounds(self):
         rng = np.random.default_rng(0)
@@ -51,38 +23,23 @@ class TestMakespans:
             assert ms <= costs.sum() + 1e-9
 
     def test_dynamic_beats_static_on_skewed_sorted(self):
-        # Front-loaded costs: static gives thread 0 all the heavy items.
-        costs = [10.0] * 10 + [1.0] * 30
-        assert dynamic_makespan(costs, 4) < static_makespan(costs, 4)
+        # Front-loaded costs: contiguous static blocks give thread 0 all
+        # the heavy items.
+        costs = np.array([10.0] * 10 + [1.0] * 30)
+        blocks = [static_block_ranges(costs.size, t, 4) for t in range(4)]
+        static = max(costs[a:b].sum() for a, b in blocks)
+        assert dynamic_makespan(costs, 4) < static
 
     def test_uniform_costs_near_ideal(self):
         costs = np.ones(64)
         assert dynamic_makespan(costs, 8) == pytest.approx(8.0)
 
-    def test_chunked_dynamic(self):
-        costs = np.ones(8)
-        # chunk=4 with 4 threads: only 2 chunks busy -> makespan 4
-        assert dynamic_makespan(costs, 4, chunk=4) == pytest.approx(4.0)
-
     def test_empty_costs(self):
         assert dynamic_makespan([], 4) == 0.0
-        assert static_makespan([], 4) == 0.0
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ScheduleError):
             dynamic_makespan([-1.0], 2)
-
-    def test_simulate_dispatch(self):
-        costs = [1.0, 2.0]
-        assert simulate_schedule(costs, 2, Schedule.STATIC) == static_makespan(costs, 2)
-        assert simulate_schedule(costs, 2, Schedule.DYNAMIC) == dynamic_makespan(costs, 2)
-
-    def test_busy_times_conserve_work(self):
-        rng = np.random.default_rng(1)
-        costs = rng.random(50)
-        busy = per_thread_busy_times(costs, 4)
-        assert busy.sum() == pytest.approx(costs.sum())
-        assert busy.max() == pytest.approx(dynamic_makespan(costs, 4))
 
 
 class TestThreadTeam:
@@ -110,41 +67,6 @@ class TestThreadTeam:
     def test_invalid_team_size(self):
         with pytest.raises(ScheduleError):
             ThreadTeam(0)
-
-
-class TestGuided:
-    def test_covers_all_work(self):
-        import numpy as np
-        from repro.openmp.schedule import guided_makespan
-
-        costs = np.ones(100)
-        ms = guided_makespan(costs, 4)
-        assert costs.sum() / 4 - 1e-9 <= ms <= costs.sum() + 1e-9
-
-    def test_single_thread_is_sum(self):
-        from repro.openmp.schedule import guided_makespan
-
-        assert guided_makespan([1.0, 2.0, 3.0], 1) == 6.0
-
-    def test_between_static_and_ideal_on_front_loaded(self):
-        import numpy as np
-        from repro.openmp.schedule import guided_makespan
-
-        costs = np.array([10.0] * 10 + [1.0] * 90)
-        guided = guided_makespan(costs, 4)
-        assert guided >= costs.sum() / 4 - 1e-9
-        assert guided <= static_makespan(costs, 4) + 1e-9
-
-    def test_dispatch_via_simulate(self):
-        from repro.openmp.schedule import guided_makespan
-
-        costs = [1.0, 2.0, 3.0, 4.0]
-        assert simulate_schedule(costs, 2, Schedule.GUIDED) == guided_makespan(costs, 2)
-
-    def test_empty(self):
-        from repro.openmp.schedule import guided_makespan
-
-        assert guided_makespan([], 4) == 0.0
 
 
 class TestTeamBatch:

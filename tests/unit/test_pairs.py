@@ -6,14 +6,20 @@ from repro.seq.alphabet import reverse_complement
 from repro.seq.records import SeqRecord, Transcript
 from repro.trinity.chrysalis.reads_to_transcripts import ReadAssignment
 from repro.trinity.pairs import (
+    _pair_supports,
     component_pairs,
     mate_groups,
-    pair_support,
     reconcile_with_pairs,
 )
 
 ISO1 = "ATCGGATTACAGTCCGGTTAACGAGCTTGGCATGCATTTGGCCAATGG"
 ISO2 = "ATCGGATTACAGTCCGGTCATGCATTTGGCCAATGG"  # exon-skipped variant
+
+
+def pair_support(transcript_seq, pairs):
+    """Pairs with both mates in one transcript, by the pass
+    ``reconcile_with_pairs`` runs."""
+    return _pair_supports([transcript_seq], pairs)[0]
 
 
 def assignment(idx, comp):

@@ -1,0 +1,100 @@
+"""Every public top-level ``def`` / ``class`` under ``src/repro`` is run by
+something: referenced in ``src/``, ``examples/`` or ``benchmarks/``
+outside its own body.
+
+Tests do not count — a name only its own tests reach is code nothing
+runs (an oracle a test needs lives under ``tests/``).  Neither does an
+``import`` (an ``__init__`` re-export, or an import nothing then uses)
+nor an ``__all__`` entry: a reference is a name or attribute *read* in
+code, or a string that is exactly the name outside ``__all__`` (what a
+registry hands to ``getattr``).  The scan is by bare name, so it is a
+floor, not a call graph: a name shared with some other used function
+passes.
+"""
+
+import ast
+from functools import lru_cache
+from pathlib import Path
+from typing import Dict, FrozenSet, Iterator, List, Tuple
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+SCANNED = ("src", "examples", "benchmarks")
+
+#: name -> why it stays although nothing in ``SCANNED`` reads it.
+ALLOWED_UNREFERENCED: Dict[str, str] = {
+    "read_counter_dump": "parses the format write_counter_dump emits; tests round-trip through it",
+}
+
+Span = Tuple[Path, int, int]
+
+
+def _python_files() -> Iterator[Path]:
+    for top in SCANNED:
+        yield from sorted((REPO_ROOT / top).rglob("*.py"))
+
+
+def _definitions(path: Path, tree: ast.Module) -> Dict[str, List[Span]]:
+    defs: Dict[str, List[Span]] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                defs.setdefault(node.name, []).append((path, node.lineno, node.end_lineno))
+    return defs
+
+
+def _references(tree: ast.Module) -> Iterator[Tuple[str, int]]:
+    exports = {
+        id(const)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for const in ast.walk(node.value)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+            and id(node) not in exports
+        ):
+            yield node.value, node.lineno
+
+
+@lru_cache(maxsize=None)
+def unreferenced_names() -> FrozenSet[str]:
+    defs: Dict[str, List[Span]] = {}
+    refs: Dict[str, List[Tuple[Path, int]]] = {}
+    for path in _python_files():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.is_relative_to(REPO_ROOT / "src" / "repro"):
+            for name, spans in _definitions(path, tree).items():
+                defs.setdefault(name, []).extend(spans)
+        for name, line in _references(tree):
+            refs.setdefault(name, []).append((path, line))
+
+    def inside_own_body(name: str, path: Path, line: int) -> bool:
+        return any(p == path and lo <= line <= hi for p, lo, hi in defs[name])
+
+    return frozenset(
+        name
+        for name in defs
+        if not any(not inside_own_body(name, p, line) for p, line in refs.get(name, ()))
+    )
+
+
+def test_every_public_definition_is_reachable():
+    missing = sorted(unreferenced_names() - set(ALLOWED_UNREFERENCED))
+    assert not missing, (
+        "public definitions nothing in src/, examples/ or benchmarks/ reads "
+        f"(delete them, or move a test oracle under tests/): {missing}"
+    )
+
+
+def test_allowlist_is_current():
+    """An allowlisted name that is now used, or gone, leaves the list."""
+    assert set(ALLOWED_UNREFERENCED) <= unreferenced_names()
+    assert all(reason.strip() for reason in ALLOWED_UNREFERENCED.values())

@@ -14,7 +14,6 @@ from repro.trinity.chrysalis.reads_to_transcripts import (
     ReadsToTranscriptsConfig,
     assign_reads_batched,
     build_kmer_map,
-    read_assignments,
     reads_to_transcripts,
     stream_chunks,
     write_assignments,
@@ -112,6 +111,10 @@ class TestStreaming:
     def test_invalid_max_mem_reads(self):
         with pytest.raises(PipelineError):
             ReadsToTranscriptsConfig(max_mem_reads=0)
+
+
+def read_assignments(path):
+    return [ReadAssignment.from_line(line) for line in path.read_text().splitlines()]
 
 
 class TestFileFormat:

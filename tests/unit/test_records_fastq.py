@@ -1,9 +1,8 @@
-"""Unit tests for sequence records and FASTQ I/O."""
+"""Unit tests for sequence records."""
 
 import pytest
 
-from repro.errors import FastaFormatError, SequenceError
-from repro.seq.fastq import iter_fastq, read_fastq, write_fastq
+from repro.errors import SequenceError
 from repro.seq.records import Contig, ReadPair, SeqRecord, Transcript
 
 
@@ -45,46 +44,3 @@ class TestContigTranscript:
         rec = t.to_record()
         assert "comp=3" in rec.description
         assert "len=8" in rec.description
-
-
-class TestFastq:
-    def test_roundtrip_default_quality(self, tmp_path):
-        path = tmp_path / "r.fastq"
-        records = [SeqRecord("r1", "ACGT"), SeqRecord("r2", "GGTT")]
-        assert write_fastq(path, records) == 2
-        back = read_fastq(path)
-        assert [r for r, _q in back] == records
-        assert all(q == "I" * 4 for _r, q in back)
-
-    def test_roundtrip_explicit_quality(self, tmp_path):
-        path = tmp_path / "r.fastq"
-        write_fastq(path, [SeqRecord("r1", "ACGT")], ["!!!!"])
-        assert read_fastq(path)[0][1] == "!!!!"
-
-    def test_quality_length_mismatch_rejected(self, tmp_path):
-        with pytest.raises(FastaFormatError):
-            write_fastq(tmp_path / "r.fastq", [SeqRecord("r1", "ACGT")], ["!!"])
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "r.fastq"
-        path.write_text(">r1\nACGT\n+\nIIII\n")
-        with pytest.raises(FastaFormatError):
-            list(iter_fastq(path))
-
-    def test_truncated_record_rejected(self, tmp_path):
-        path = tmp_path / "r.fastq"
-        path.write_text("@r1\nACGT\n")
-        with pytest.raises(FastaFormatError):
-            list(iter_fastq(path))
-
-    def test_bad_separator_rejected(self, tmp_path):
-        path = tmp_path / "r.fastq"
-        path.write_text("@r1\nACGT\n-\nIIII\n")
-        with pytest.raises(FastaFormatError):
-            list(iter_fastq(path))
-
-    def test_quality_sequence_length_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "r.fastq"
-        path.write_text("@r1\nACGT\n+\nII\n")
-        with pytest.raises(FastaFormatError):
-            list(iter_fastq(path))

@@ -1,4 +1,4 @@
-"""Unit tests for SAM records and the multi-file merge."""
+"""Unit tests for SAM records, the writer and the reader."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.seq.sam import (
     FLAG_REVERSE,
     FLAG_UNMAPPED,
     SamRecord,
-    merge_sam_files,
     read_sam,
     sam_header,
     write_sam,
@@ -63,33 +62,3 @@ class TestIO:
         path = tmp_path / "x.sam"
         write_sam(path, [rec()], sam_header([("c1", 100)]))
         assert len(list(read_sam(path))) == 1
-
-
-class TestMerge:
-    def test_merge_concatenates_alignments(self, tmp_path):
-        p1, p2 = tmp_path / "a.sam", tmp_path / "b.sam"
-        write_sam(p1, [rec("r1", rname="c1")], sam_header([("c1", 10)]))
-        write_sam(p2, [rec("r2", rname="c2")], sam_header([("c2", 20)]))
-        out = tmp_path / "out.sam"
-        n = merge_sam_files(out, [p1, p2])
-        assert n == 2
-        merged = list(read_sam(out))
-        assert [m.qname for m in merged] == ["r1", "r2"]
-
-    def test_merge_unions_sq_headers(self, tmp_path):
-        p1, p2 = tmp_path / "a.sam", tmp_path / "b.sam"
-        write_sam(p1, [rec()], sam_header([("c1", 10)]))
-        write_sam(p2, [rec()], sam_header([("c2", 20)]))
-        out = tmp_path / "out.sam"
-        merge_sam_files(out, [p1, p2])
-        text = out.read_text()
-        assert "SN:c1" in text and "SN:c2" in text
-        assert text.index("@HD") < text.index("@SQ")
-
-    def test_merge_dedupes_repeated_sq(self, tmp_path):
-        p1, p2 = tmp_path / "a.sam", tmp_path / "b.sam"
-        write_sam(p1, [rec()], sam_header([("c1", 10)]))
-        write_sam(p2, [rec()], sam_header([("c1", 10)]))
-        out = tmp_path / "out.sam"
-        merge_sam_files(out, [p1, p2])
-        assert out.read_text().count("SN:c1") == 1

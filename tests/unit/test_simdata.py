@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.seq.alphabet import is_valid_dna, reverse_complement
+from repro.seq.alphabet import reverse_complement
 from repro.simdata.datasets import (
     DatasetRecipe,
     SUGARBEET_PAPER,
@@ -15,11 +15,11 @@ from repro.simdata.expression import (
     ExpressionModel,
     length_weighted,
     lognormal_expression,
-    uniform_expression,
 )
 from repro.simdata.reads import ReadSimulator, flatten_reads
-from repro.simdata.transcriptome import fuse_transcripts, generate_transcriptome
+from repro.simdata.transcriptome import generate_transcriptome
 from repro.util.rng import spawn_rng
+from tests.helpers import is_valid_dna, uniform_expression
 
 
 class TestTranscriptome:
@@ -70,12 +70,6 @@ class TestTranscriptome:
     def test_zero_genes_rejected(self):
         with pytest.raises(ValueError):
             generate_transcriptome(0)
-
-    def test_fusion_helper(self):
-        txome = generate_transcriptome(2, seed=0)
-        a, b = txome.genes[0].isoforms[0], txome.genes[1].isoforms[0]
-        fused = fuse_transcripts(a, b)
-        assert fused.seq == a.seq + b.seq
 
 
 class TestExpression:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.fmt import format_series, format_table, human_time, render_mapping
+from repro.util.fmt import format_table, human_time
 from repro.util.rng import derive_seed, spawn_rng
 
 
@@ -55,16 +55,3 @@ class TestFmt:
     def test_table_row_length_checked(self):
         with pytest.raises(ValueError):
             format_table(["a", "b"], [["only-one"]])
-
-    def test_series(self):
-        out = format_series("s", [1, 2], [10.0, 20.0])
-        assert "1 -> 10" in out
-
-    def test_series_length_mismatch(self):
-        with pytest.raises(ValueError):
-            format_series("s", [1], [1, 2])
-
-    def test_render_mapping(self):
-        out = render_mapping("T", {"k": 1, "longer": 2.5})
-        assert out.splitlines()[0] == "T"
-        assert "longer" in out

@@ -40,16 +40,6 @@ class StageMemory:
     rtt_gb: float
     butterfly_gb: float
 
-    def peak_gb(self) -> float:
-        return max(
-            self.jellyfish_gb,
-            self.inchworm_gb,
-            self.bowtie_gb,
-            self.gff_gb,
-            self.rtt_gb,
-            self.butterfly_gb,
-        )
-
 
 def model_stage_memory(
     workload: PaperScaleWorkload = SUGARBEET_PAPER,

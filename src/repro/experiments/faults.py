@@ -3,7 +3,7 @@
 The paper reports healthy-cluster runs only; this experiment asks the
 operational follow-up — *what does a lost node or a slow node cost?* —
 using the fault-injection layer (:mod:`repro.mpi.faults`) and the
-recovery policies (:mod:`repro.parallel.recovery`).
+crash recovery (:mod:`repro.parallel.recovery`).
 
 A fully deterministic replay stage stands in for the real kernels: a
 chunked round-robin loop whose per-chunk virtual costs are drawn from
@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 from repro.mpi.comm import SimComm
 from repro.mpi.faults import FaultPlan
 from repro.parallel.chunks import chunks_for_rank
-from repro.parallel.recovery import RecoveryPolicy, mpirun_with_recovery, with_retry
+from repro.parallel.recovery import mpirun_with_recovery, with_retry
 from repro.util.fmt import format_table
 
 
@@ -108,14 +108,16 @@ def run_fault_sweep(
 ) -> FaultSweepResult:
     """Sweep crash / straggler / flaky-I/O rates against the replay stage.
 
-    Every scenario runs under :func:`mpirun_with_recovery` with a policy
-    generous enough to survive the sampled plans; each row records the
-    virtual makespan, its degradation over the fault-free baseline, and
-    whether the pooled outputs still match the baseline exactly.
+    Every scenario runs under :func:`mpirun_with_recovery` allowed to
+    lose all but one rank, enough to survive the sampled plans; each row
+    records the virtual makespan, its degradation over the fault-free
+    baseline, and whether the pooled outputs still match the baseline
+    exactly.
     """
-    policy = RecoveryPolicy(max_rank_losses=nprocs - 1, min_survivors=1)
-
-    base = mpirun_with_recovery(replay_stage, nprocs, n_chunks, seed, policy=policy)
+    max_losses = nprocs - 1
+    base = mpirun_with_recovery(
+        replay_stage, nprocs, n_chunks, seed, max_rank_losses=max_losses
+    )
     base_out = base.outputs[0]
 
     def one(label: str, plan: Optional[FaultPlan]) -> FaultScenario:
@@ -123,7 +125,8 @@ def run_fault_sweep(
             res = base
         else:
             res = mpirun_with_recovery(
-                replay_stage, nprocs, n_chunks, seed, faults=plan, policy=policy
+                replay_stage, nprocs, n_chunks, seed, faults=plan,
+                max_rank_losses=max_losses,
             )
         retries = sum(
             1 for s in res.spans if s.kind == "fault" and s.label.startswith("fault:retry")

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro._version import __version__
 from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.obs.metrics import GLOBAL_METRICS
 
 #: Report layout: (section title, experiment ids).  Validation sweeps are
 #: only included when slow mode is requested.
@@ -74,17 +73,6 @@ def generate_report(options: Optional[ReportOptions] = None) -> str:
             parts.append(result.render())
             parts.append("```")
             parts.append("")
-    parts.append("## Observability")
-    parts.append("")
-    parts.append(
-        "Counters and gauges accumulated by the runtime while the report's "
-        "experiments ran (`repro.obs.GLOBAL_METRICS`)."
-    )
-    parts.append("")
-    parts.append("```")
-    parts.append(GLOBAL_METRICS.render())
-    parts.append("```")
-    parts.append("")
     return "\n".join(parts)
 
 

@@ -21,7 +21,6 @@ from repro.errors import CommAbandonedError, CommError, MpiAbortError, RankCrash
 from repro.mpi.comm import CommStats, SimComm, _SharedState
 from repro.mpi.faults import FaultPlan
 from repro.mpi.network import IDATAPLEX_FDR10, NetworkModel
-from repro.obs.metrics import GLOBAL_METRICS
 from repro.obs.result import StageResult
 from repro.obs.span import Span
 
@@ -57,10 +56,6 @@ def _failure_severity(failure: _RankFailure) -> int:
     1 — a tagged secondary: a blocking op abandoned *because* a peer
         failed (``CommAbandonedError``);
     2 — a raw ``BrokenBarrierError`` leaked from a barrier abort.
-
-    The old picker sorted by rank and only skipped ``BrokenBarrierError``,
-    so a secondary abandonment from a low rank masked the true primary
-    from a higher rank.
     """
     if isinstance(failure.exc, threading.BrokenBarrierError):
         return 2
@@ -131,7 +126,6 @@ def mpirun(
                     Span("fault", now, now, f"fault:crash:rank{rank}",
                          track=f"rank {rank}", attrs={"exc": repr(exc)})
                 )
-                GLOBAL_METRICS.inc("faults.crashes")
             # Release everyone blocked anywhere in the communicator.
             state.abort()
 
@@ -165,24 +159,18 @@ def mpirun(
             note = f"secondary failure on rank {s.rank}: {s.exc!r}"
             if hasattr(err, "add_note"):  # 3.11+
                 err.add_note(note)
-        GLOBAL_METRICS.inc(f"mpirun.{getattr(fn, '__name__', 'mpirun')}.aborts")
         raise err from primary.exc
     elapsed = [c.clock.now for c in comms]
     stats = [c.stats for c in comms]
     spans: List[Span] = []
     for c in comms:
         spans.extend(c.spans)
-    metrics = _aggregate_metrics(stats)
-    stage = getattr(fn, "__name__", "mpirun")
-    GLOBAL_METRICS.inc(f"mpirun.{stage}.runs")
-    GLOBAL_METRICS.inc(f"mpirun.{stage}.bytes_sent", metrics["bytes_sent"])
-    GLOBAL_METRICS.set_gauge(f"mpirun.{stage}.nprocs", float(nprocs))
     return StageResult(
-        stage=stage,
+        stage=getattr(fn, "__name__", "mpirun"),
         outputs=returns,
         makespan=max(elapsed) if elapsed else 0.0,
         spans=spans,
         comm=stats,
-        metrics=metrics,
+        metrics=_aggregate_metrics(stats),
         elapsed=elapsed,
     )

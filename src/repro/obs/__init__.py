@@ -12,8 +12,9 @@ The subsystem has five pieces, each consuming the one before:
 * :mod:`repro.obs.critical` — makespan attribution (compute/wait/comm per
   rank, Figure-8 serial fraction, top-k spans), the Gantt chart and the
   per-rank totals, all views over a traced run's ``rank r`` spans;
-* :mod:`repro.obs.metrics` — counter/gauge registry snapshotted into
-  experiment reports.
+* :mod:`repro.obs.metrics` — the one process-wide counter, the driver's
+  checkpoint restores; every other fact a run produces is on its own
+  StageResult.
 
 ``repro profile`` is the CLI entry point over all of it.
 """

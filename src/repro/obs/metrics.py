@@ -1,30 +1,26 @@
-"""Counter/gauge registry snapshotted into experiment reports.
+"""The one process-wide counter: checkpoint restores across driver runs.
 
-The simulated runtime produces scalar facts that are not intervals —
-bytes pooled by collectives, shared-cache hits, ranks launched.  A
-:class:`MetricsRegistry` accumulates them; ``repro report`` snapshots the
-process-wide :data:`GLOBAL_METRICS` into its Observability section, and
-every :class:`~repro.obs.result.StageResult` carries its own flat
-``metrics`` dict derived from a registry snapshot.
-
-Counters only ever increase (``inc``); gauges hold the last value set
-(``set_gauge``).  The registry is thread-safe: simulated ranks run as
-concurrent host threads.
+Every fact a run produces lives on that run's
+:class:`~repro.obs.result.StageResult` — its ``metrics`` dict, or the
+``fault`` / ``phase`` span that records the event.  :data:`GLOBAL_METRICS`
+keeps only ``checkpoint.restores``, which
+:class:`~repro.parallel.driver.ParallelTrinityDriver` also reports per
+run, for readers that measure a restart as a delta across runs.  The
+registry is thread-safe: simulated ranks run as concurrent host threads.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict
 
 
 class MetricsRegistry:
-    """A named set of monotone counters and last-value gauges."""
+    """A named set of monotone counters."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, float] = {}
 
     def inc(self, name: str, value: float = 1.0) -> float:
         """Add ``value`` to counter ``name``; returns the new total."""
@@ -35,58 +31,11 @@ class MetricsRegistry:
             self._counters[name] = new
             return new
 
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to ``value`` (last write wins)."""
-        with self._lock:
-            self._gauges[name] = float(value)
-
     def get(self, name: str, default: float = 0.0) -> float:
-        """Current value of a counter or gauge (counters win on clash)."""
+        """Current value of counter ``name``."""
         with self._lock:
-            if name in self._counters:
-                return self._counters[name]
-            return self._gauges.get(name, default)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in: counters add, gauges overwrite."""
-        counters, gauges = other.snapshot_split()
-        with self._lock:
-            for name, value in counters.items():
-                self._counters[name] = self._counters.get(name, 0.0) + value
-            self._gauges.update(gauges)
-
-    def snapshot_split(self) -> Tuple[Dict[str, float], Dict[str, float]]:
-        """(counters, gauges) copies, for serialisation."""
-        with self._lock:
-            return dict(self._counters), dict(self._gauges)
-
-    def snapshot(self) -> Dict[str, float]:
-        """One flat dict of every metric (counters win on name clash)."""
-        counters, gauges = self.snapshot_split()
-        out = dict(gauges)
-        out.update(counters)
-        return out
-
-    def render(self, header: Optional[Iterable[str]] = None) -> str:
-        """Plain-text table of the current snapshot, sorted by name."""
-        counters, gauges = self.snapshot_split()
-        if not counters and not gauges:
-            return "(no metrics recorded)"
-        lines = list(header or [])
-        width = max(len(n) for n in list(counters) + list(gauges))
-        for name in sorted(counters):
-            lines.append(f"{name.ljust(width)}  {counters[name]:g}  (counter)")
-        for name in sorted(gauges):
-            lines.append(f"{name.ljust(width)}  {gauges[name]:g}  (gauge)")
-        return "\n".join(lines)
-
-    def reset(self) -> None:
-        """Drop every metric (tests and fresh report runs)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
+            return self._counters.get(name, default)
 
 
-#: Process-wide registry the simulated-MPI launcher feeds; ``repro
-#: report`` snapshots it into the Observability section.
+#: Process-wide registry; the driver's checkpoint restores are its one counter.
 GLOBAL_METRICS = MetricsRegistry()

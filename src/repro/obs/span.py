@@ -68,38 +68,9 @@ class Span:
         """Look up one annotation (None-safe)."""
         return default if self.attrs is None else self.attrs.get(key, default)
 
-    def on_track(self, track: str) -> "Span":
-        """Copy of this span reassigned to ``track``."""
-        return replace(self, track=track)
-
     def shifted(self, dt: float) -> "Span":
         """Copy of this span translated by ``dt`` seconds."""
         return replace(self, start=self.start + dt, stop=self.stop + dt)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (inverse of :meth:`from_dict`)."""
-        out: Dict[str, Any] = {
-            "kind": self.kind,
-            "start": self.start,
-            "stop": self.stop,
-            "label": self.label,
-            "track": self.track,
-        }
-        if self.attrs:
-            out["attrs"] = dict(self.attrs)
-        return out
-
-    @classmethod
-    def from_dict(cls, obj: Mapping[str, Any]) -> "Span":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            kind=obj["kind"],
-            start=float(obj["start"]),
-            stop=float(obj["stop"]),
-            label=obj.get("label", ""),
-            track=obj.get("track", ""),
-            attrs=obj.get("attrs"),
-        )
 
 
 def append_stage(spans: List[Span], label: str, duration_s: float, ram_gb: float) -> Span:

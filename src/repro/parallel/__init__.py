@@ -40,8 +40,9 @@ All distributed stages share one calling convention — the
   driver's two serial middle regions disappear (walk-only distributed
   Butterfly is this stage on contig-only inputs).
 * :mod:`repro.parallel.merge` — per-rank output concatenation (``cat``).
-* :mod:`repro.parallel.recovery` — transient-fault retry and crash
-  recovery over the fault-injected runtime (:mod:`repro.mpi.faults`).
+* :mod:`repro.parallel.recovery` — transient-fault retry (a fixed
+  backoff budget) and crash recovery (one knob, ``max_rank_losses``)
+  over the fault-injected runtime (:mod:`repro.mpi.faults`).
 * :mod:`repro.parallel.driver` — ``Trinity.pl --nprocs`` equivalent: the
   six-stage table and the one chain function that walks it.
 * :mod:`repro.parallel.scaling` — calibrated paper-scale replays that
@@ -86,12 +87,7 @@ from repro.parallel.mpi_reads_to_transcripts import (
     RttStageConfig,
     mpi_reads_to_transcripts,
 )
-from repro.parallel.recovery import (
-    RecoveryPolicy,
-    RetryPolicy,
-    mpirun_with_recovery,
-    with_retry,
-)
+from repro.parallel.recovery import mpirun_with_recovery, with_retry
 from repro.parallel.driver import ParallelTrinityConfig, ParallelTrinityDriver
 
 __all__ = [
@@ -99,8 +95,6 @@ __all__ = [
     "ParallelStage",
     "StageSpec",
     "parallel_stage",
-    "RecoveryPolicy",
-    "RetryPolicy",
     "mpirun_with_recovery",
     "with_retry",
     "chunk_ranges",

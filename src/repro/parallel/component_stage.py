@@ -108,7 +108,6 @@ def deal(
     *,
     strategy: str,
     nthreads: int,
-    chunk_size: Optional[int] = None,
 ) -> List[int]:
     """The ``<prefix>:deal`` region: row ``comm.rank`` of :func:`assign`.
 
@@ -116,9 +115,7 @@ def deal(
     ``mpirun`` (a ``comm.shared`` entry, uncharged like the round-robin's
     index arithmetic).
     """
-    lists = partial(
-        assign, strategy, ids, comm.size, costs, nthreads=nthreads, chunk_size=chunk_size
-    )
+    lists = partial(assign, strategy, ids, comm.size, costs, nthreads=nthreads)
     with comm.region(f"{prefix}:deal", strategy=strategy):
         if strategy == "dynamic":
             dealt = comm.shared(f"{prefix}:deal", lists, cost=0.0)

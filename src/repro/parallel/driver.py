@@ -29,8 +29,9 @@ Every MPI stage conforms to the :class:`repro.parallel.stage.ParallelStage`
 protocol, so the six-stage chain is said once: :data:`STAGE_TABLE` names
 each stage's registry entry, inputs builder, config accessor and
 upstream stages, and :func:`run_chain` walks it with whatever *launcher*
-the caller passes — the driver's checkpoint/recovery ``_launch``, or a
-traced ``mpirun`` for ``repro profile`` and ``fig-inchworm``.
+the caller passes — :meth:`ParallelTrinityDriver.run`'s checkpoint and
+recovery ``launch``, or a traced ``mpirun`` for ``repro profile`` and
+``fig-inchworm``.
 
 The result object is a :class:`repro.trinity.pipeline.TrinityResult`, so
 serial and parallel outputs feed the same validation harness.
@@ -51,7 +52,7 @@ from repro.obs.result import StageResult
 from repro.obs.span import Span, host_stage, peak_ram_gb, stage_seconds
 from repro.mpi.faults import FaultPlan
 from repro.mpi.network import IDATAPLEX_FDR10, NetworkModel
-from repro.parallel.recovery import DEFAULT_RECOVERY, RecoveryPolicy, mpirun_with_recovery
+from repro.parallel.recovery import mpirun_with_recovery
 from repro.seq.fasta import write_fasta
 from repro.seq.records import SeqRecord
 from repro.trinity.bowtie import scaffold_pairs_from_sam
@@ -105,12 +106,10 @@ class ParallelTrinityConfig:
     nprocs: int = 4
     nthreads: int = 16  # OpenMP threads per rank (paper: 16 per node)
     network: NetworkModel = IDATAPLEX_FDR10
-    #: Deterministic fault schedule injected into every MPI stage launch.
+    #: Deterministic fault schedule injected into every MPI stage launch
+    #: (all go through :func:`mpirun_with_recovery`, which without a crash
+    #: in ``faults`` is one plain ``mpirun``).
     faults: Optional[FaultPlan] = None
-    #: Crash-recovery policy of every stage launch (all go through
-    #: :func:`mpirun_with_recovery`, which without a crash in ``faults``
-    #: is one plain ``mpirun``).  Not part of the checkpoint key.
-    recovery: RecoveryPolicy = DEFAULT_RECOVERY
     #: Component-dealing strategy for the component-parallel stages
     #: (Inchworm and the fused Chrysalis back end): ``"round_robin"``
     #: (cost-blind chunked deal) or ``"dynamic"`` (LPT over the
@@ -429,8 +428,9 @@ def _load_checkpoint(
 
 def _write_checkpoint(
     checkpoint_dir: PathLike, stage: str, key: str, result: StageResult
-) -> None:
-    """Atomically persist a stage result (tmp file + rename)."""
+) -> bool:
+    """Atomically persist a stage result (tmp file + rename); False if
+    the write failed."""
     ckpt_dir = Path(checkpoint_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     path = _checkpoint_path(ckpt_dir, stage)
@@ -442,8 +442,8 @@ def _write_checkpoint(
     except Exception as exc:  # noqa: BLE001 - checkpointing is best-effort
         logger.warning("failed to write checkpoint %s: %r", path, exc)
         tmp.unlink(missing_ok=True)
-        return
-    GLOBAL_METRICS.inc("checkpoint.writes")
+        return False
+    return True
 
 
 class ParallelTrinityDriver:
@@ -451,29 +451,6 @@ class ParallelTrinityDriver:
 
     def __init__(self, config: Optional[ParallelTrinityConfig] = None) -> None:
         self.config = config or ParallelTrinityConfig()
-
-    def _launch(
-        self,
-        fn: Callable[..., Any],
-        *args: Any,
-        checkpoint_dir: Optional[PathLike] = None,
-        checkpoint_key: Optional[str] = None,
-    ) -> StageResult:
-        """One MPI stage launch: checkpoint restore, else (recovering)
-        ``mpirun``, then checkpoint write."""
-        cfg = self.config
-        stage = fn.__name__
-        if checkpoint_dir is not None:
-            cached = _load_checkpoint(checkpoint_dir, stage, checkpoint_key)
-            if cached is not None:
-                return cached
-        res = mpirun_with_recovery(
-            fn, cfg.nprocs, *args,
-            faults=cfg.faults, policy=cfg.recovery, network=cfg.network,
-        )
-        if checkpoint_dir is not None:
-            _write_checkpoint(checkpoint_dir, stage, checkpoint_key, res)
-        return res
 
     def run(
         self,
@@ -497,7 +474,12 @@ class ParallelTrinityDriver:
         after a non-recoverable failure.  Stale or corrupt checkpoints
         recompute.  Stages launch via
         :func:`repro.parallel.recovery.mpirun_with_recovery` under
-        ``config.faults`` and ``config.recovery``.
+        ``config.faults``.
+
+        ``metrics`` is this run's record: besides the timings it always
+        carries ``checkpoint.restores`` and ``checkpoint.writes`` (stages
+        restored from / written to ``checkpoint_dir`` by this run) and
+        ``faults.rank_losses`` (ranks lost over the six stages).
         """
         cfg = self.config
         wd = Path(workdir) if workdir is not None else None
@@ -511,17 +493,29 @@ class ParallelTrinityDriver:
 
         digest = reads_digest(reads) if checkpoint_dir is not None else ""
         keys: Dict[str, str] = {}
+        restores = writes = 0
 
         def launch(row: StageRow, inputs: Any, stage_config: Any) -> StageResult:
+            """Checkpoint restore, else a recovering ``mpirun``, then
+            checkpoint write."""
+            nonlocal restores, writes
+            stage = row.fn.__name__
             if checkpoint_dir is not None:
-                keys[row.key] = _checkpoint_key(
+                key = keys[row.key] = _checkpoint_key(
                     row, stage_config, cfg, wd, digest,
                     [keys[up] for up in row.upstream],
                 )
-            return self._launch(
-                row.fn, inputs, stage_config,
-                checkpoint_dir=checkpoint_dir, checkpoint_key=keys.get(row.key),
+                cached = _load_checkpoint(checkpoint_dir, stage, key)
+                if cached is not None:
+                    restores += 1
+                    return cached
+            res = mpirun_with_recovery(
+                row.fn, cfg.nprocs, inputs, stage_config,
+                faults=cfg.faults, network=cfg.network,
             )
+            if checkpoint_dir is not None:
+                writes += _write_checkpoint(checkpoint_dir, stage, key, res)
+            return res
 
         chain = run_chain(cfg, reads, launch, workdir=wd)
         runs = chain.runs
@@ -594,6 +588,11 @@ class ParallelTrinityDriver:
                 "n_transcripts": float(len(transcripts)),
                 **{f"mpi.{key}_makespan_s": run.makespan for key, run in runs.items()},
                 "peak_ram_gb": peak_ram_gb(spans),
+                "checkpoint.restores": float(restores),
+                "checkpoint.writes": float(writes),
+                "faults.rank_losses": sum(
+                    run.metrics.get("faults.rank_losses", 0.0) for run in runs.values()
+                ),
             },
             children=list(runs.values()),
         )

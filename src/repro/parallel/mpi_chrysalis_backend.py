@@ -192,7 +192,6 @@ class ChrysalisBackendStageConfig:
     butterfly: ButterflyConfig = field(default_factory=ButterflyConfig)
     nthreads: int = 16
     strategy: str = "round_robin"  # or "dynamic" (LPT)
-    chunk_size: Optional[int] = None  # round_robin only; None -> default
     workdir: Optional[PathLike] = None  # per-rank FASTA parts + merged FASTA
 
     def __post_init__(self) -> None:
@@ -300,7 +299,6 @@ def mpi_chrysalis_backend(
         comm, "chrysalis", range(len(units)), costs,
         strategy=config.strategy,
         nthreads=config.nthreads,
-        chunk_size=config.chunk_size,
     )
     owned = [units[u][0] for u in mine if units[u][1] == 0]
 

@@ -74,7 +74,6 @@ class GffStageConfig:
 
     gff: GraphFromFastaConfig = GraphFromFastaConfig()
     nthreads: int = 16
-    chunk_size: Optional[int] = None  # None -> default_chunk_size
 
 
 @dataclass
@@ -104,10 +103,7 @@ def mpi_graph_from_fasta(
     cfg = config.gff
     nthreads = config.nthreads
     team = ThreadTeam(nthreads)
-    chunk_size = config.chunk_size
-    if chunk_size is None:
-        chunk_size = default_chunk_size(len(contigs), comm.size, nthreads)
-    ranges = chunk_ranges(len(contigs), chunk_size)
+    ranges = chunk_ranges(len(contigs), default_chunk_size(len(contigs), comm.size, nthreads))
     my_chunks = chunks_for_rank(len(ranges), comm.rank, comm.size)
 
     # Simulated input-FASTA read: the retryable I/O point for flaky-I/O

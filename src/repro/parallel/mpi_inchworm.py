@@ -95,7 +95,6 @@ class InchwormStageConfig:
     inchworm: InchwormConfig = InchwormConfig()
     n_threads: int = 1  # simulated OpenMP threads per rank
     strategy: str = "round_robin"  # or "dynamic" (LPT)
-    chunk_size: Optional[int] = None  # round_robin only; None -> default
     workdir: Optional[PathLike] = None  # merged contig FASTA (rank 0)
 
     def __post_init__(self) -> None:
@@ -190,7 +189,6 @@ def mpi_inchworm(
         comm, "inchworm", cids, costs,
         strategy=config.strategy,
         nthreads=config.n_threads,
-        chunk_size=config.chunk_size,
     )
 
     # -- rows over my components, then the walks; only keyed strings ship -----

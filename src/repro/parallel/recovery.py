@@ -1,4 +1,5 @@
-"""Recovery policies over the fault-injected simulated MPI runtime.
+"""Transient-fault retry and rank-loss recovery over the fault-injected
+simulated MPI runtime.
 
 The paper's design choices make recovery *cheap*, and this module cashes
 that in:
@@ -14,21 +15,22 @@ that in:
   per-rank state needs migrating: GraphFromFasta pools results on every
   rank (and the read-block deal of its sharded weldmer scan is a function
   of ``p`` alone), ReadsToTranscripts re-reads the whole file anyway
-  (redundant I/O), MPI Bowtie re-splits the contig FASTA into ``p - 1``
-  PyFasta pieces, and the distributed Butterfly re-deals its components
+  (redundant I/O), MPI Bowtie re-splits the contigs into ``p - 1``
+  pieces, and the distributed Butterfly re-deals its components
   (both the round-robin and the LPT assignments are pure functions of
   the workload and the new ``p``, evaluated by every rank).  Stage outputs are
   therefore identical to a fault-free run — a tested invariant.
 
-Faults and recoveries emit dedicated ``fault`` spans (on the failing
-rank's track and on a ``recovery`` track) and ``faults.*`` metrics
-through :mod:`repro.obs`, so a recovered run's Chrome trace shows the
-failed attempts, the crash instants and the backoff intervals.
+Faults and recoveries are recorded on the run itself: ``fault`` spans on
+the failing rank's track and on a ``recovery`` track, and — on a run that
+lost ranks — ``faults.*`` keys in its ``metrics``.  A recovered run's
+Chrome trace shows the failed attempts, the crash instants and the
+backoff intervals.  The launch path has one knob, ``max_rank_losses``;
+the retry budget and backoff are the module constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, TypeVar
 
 from repro.errors import FaultError, MpiAbortError, RankCrash, TransientIOError
@@ -36,7 +38,6 @@ from repro.mpi.comm import SimComm
 from repro.mpi.faults import FaultPlan
 from repro.mpi.launcher import mpirun
 from repro.mpi.network import IDATAPLEX_FDR10, NetworkModel
-from repro.obs.metrics import GLOBAL_METRICS
 from repro.obs.result import StageResult
 from repro.obs.span import Span
 
@@ -46,42 +47,23 @@ T = TypeVar("T")
 RECOVERY_TRACK = "recovery"
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential-backoff retry for transient (I/O) faults."""
-
-    max_attempts: int = 4
-    base_backoff_s: float = 0.05
-    backoff_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise FaultError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_backoff_s < 0 or self.backoff_factor < 1.0:
-            raise FaultError("backoff must be non-negative with factor >= 1")
-
-    def backoff_s(self, attempt: int) -> float:
-        """Virtual backoff before retry number ``attempt`` (1-based)."""
-        return self.base_backoff_s * self.backoff_factor ** (attempt - 1)
+#: Transient-fault retry budget: attempts per I/O point, and the virtual
+#: backoff before retry ``n`` (1-based), ``BASE_BACKOFF_S * BACKOFF_FACTOR
+#: ** (n - 1)``.
+MAX_ATTEMPTS = 4
+BASE_BACKOFF_S = 0.05
+BACKOFF_FACTOR = 2.0
 
 
-DEFAULT_RETRY = RetryPolicy()
-
-
-def with_retry(
-    comm: SimComm,
-    label: str,
-    fn: Callable[[], T],
-    policy: RetryPolicy = DEFAULT_RETRY,
-) -> T:
+def with_retry(comm: SimComm, label: str, fn: Callable[[], T]) -> T:
     """Run one simulated I/O operation with transient-fault retry.
 
     Consults the rank's flaky-I/O schedule (``comm.check_io_fault``)
     before each attempt; on an injected :class:`TransientIOError` the
     rank backs off exponentially on its *virtual* clock (a ``wait``
     segment plus a ``fault:retry`` span) and tries again.  Fault-free
-    runs pay nothing — the check is a no-op without a plan.  The policy's
-    default attempt budget exceeds :class:`~repro.mpi.faults.FlakyIO`'s
+    runs pay nothing — the check is a no-op without a plan.  The
+    :data:`MAX_ATTEMPTS` budget exceeds :class:`~repro.mpi.faults.FlakyIO`'s
     default ``max_consecutive``, so injected flakiness always converges.
     """
     attempt = 0
@@ -91,10 +73,9 @@ def with_retry(
             return fn()
         except TransientIOError:
             attempt += 1
-            GLOBAL_METRICS.inc("faults.transient_io")
-            if attempt >= policy.max_attempts:
+            if attempt >= MAX_ATTEMPTS:
                 raise
-            backoff = policy.backoff_s(attempt)
+            backoff = BASE_BACKOFF_S * BACKOFF_FACTOR ** (attempt - 1)
             t0 = comm.clock.now
             comm.clock.advance(backoff, kind="wait", label=f"fault:backoff:{label}")
             comm.spans.append(
@@ -107,29 +88,6 @@ def with_retry(
                     attrs={"attempt": attempt, "backoff_s": backoff},
                 )
             )
-            GLOBAL_METRICS.inc("faults.retries")
-
-
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """How many rank losses a stage survives, and at what cost."""
-
-    max_rank_losses: int = 2
-    min_survivors: int = 1
-    #: Virtual seconds charged per recovery for failure detection plus
-    #: relaunch (MPI job teardown + restart on the survivors).
-    restart_overhead_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.max_rank_losses < 0:
-            raise FaultError(f"max_rank_losses must be >= 0, got {self.max_rank_losses}")
-        if self.min_survivors < 1:
-            raise FaultError(f"min_survivors must be >= 1, got {self.min_survivors}")
-        if self.restart_overhead_s < 0:
-            raise FaultError("restart_overhead_s must be >= 0")
-
-
-DEFAULT_RECOVERY = RecoveryPolicy()
 
 
 def mpirun_with_recovery(
@@ -137,9 +95,8 @@ def mpirun_with_recovery(
     nprocs: int,
     *args: Any,
     faults: Optional[FaultPlan] = None,
-    policy: RecoveryPolicy = DEFAULT_RECOVERY,
+    max_rank_losses: int = 2,
     network: NetworkModel = IDATAPLEX_FDR10,
-    trace: bool = False,
     **kwargs: Any,
 ) -> StageResult:
     """``mpirun`` that survives injected rank crashes by rerunning on the
@@ -147,12 +104,12 @@ def mpirun_with_recovery(
 
     On a :class:`~repro.errors.RankCrash` primary failure, the dead
     rank's faults are dropped (:meth:`FaultPlan.restrict`), the virtual
-    time burnt by the failed attempt (its makespan at abort) plus the
-    policy's restart overhead is banked, and the stage is relaunched with
-    ``p - 1`` ranks — the chunked round-robin map redistributes the dead
-    rank's work automatically.  Repeats up to ``policy.max_rank_losses``
-    times.  Non-crash failures (genuine bugs, exhausted retries) are
-    re-raised unchanged.
+    time burnt by the failed attempt (its makespan at abort) is banked,
+    and the stage is relaunched with ``p - 1`` ranks — the chunked
+    round-robin map redistributes the dead rank's work automatically.
+    Repeats up to ``max_rank_losses`` times while a rank survives.
+    Non-crash failures (genuine bugs, exhausted retries) are re-raised
+    unchanged.
 
     The returned :class:`StageResult` covers the *whole* timeline: failed
     attempts' spans, ``fault`` spans on the ``recovery`` track, and the
@@ -164,54 +121,44 @@ def mpirun_with_recovery(
     Deterministic: the same plan over the same workload yields the same
     survivor sequence, recovery spans and outputs on every run.
     """
+    if max_rank_losses < 0:
+        raise FaultError(f"max_rank_losses must be >= 0, got {max_rank_losses}")
     survivors: List[int] = list(range(nprocs))
     t_base = 0.0
     losses = 0
     merged_spans: List[Span] = []
-    lost_ranks: List[int] = []
     while True:
         sub_plan = faults.restrict(survivors) if faults is not None else None
         try:
             res = mpirun(
-                fn, len(survivors), *args,
-                network=network, trace=trace, faults=sub_plan, **kwargs,
+                fn, len(survivors), *args, network=network, faults=sub_plan, **kwargs
             )
             break
         except MpiAbortError as exc:
             crash = exc.__cause__
-            recoverable = (
-                isinstance(crash, RankCrash)
-                and losses < policy.max_rank_losses
-                and len(survivors) - 1 >= policy.min_survivors
-            )
-            if not recoverable:
+            if not (
+                isinstance(crash, RankCrash) and losses < max_rank_losses and len(survivors) > 1
+            ):
                 raise
             losses += 1
             dead = survivors[exc.rank]
-            lost_ranks.append(dead)
             attempt_makespan = max(exc.elapsed) if exc.elapsed else 0.0
             merged_spans.extend(s.shifted(t_base) for s in exc.spans)
             merged_spans.append(
                 Span(
                     "fault",
                     t_base,
-                    t_base + attempt_makespan + policy.restart_overhead_s,
+                    t_base + attempt_makespan,
                     f"fault:lost-rank{dead}:attempt{losses}",
                     track=RECOVERY_TRACK,
-                    attrs={
-                        "dead_rank": dead,
-                        "survivors": len(survivors) - 1,
-                        "restart_overhead_s": policy.restart_overhead_s,
-                    },
+                    attrs={"dead_rank": dead, "survivors": len(survivors) - 1},
                 )
             )
-            t_base += attempt_makespan + policy.restart_overhead_s
+            t_base += attempt_makespan
             survivors.remove(dead)
-            GLOBAL_METRICS.inc("faults.rank_losses")
 
     if losses == 0:
         return res
-    GLOBAL_METRICS.inc("faults.recovered_runs")
     merged_spans.extend(s.shifted(t_base) for s in res.spans)
     metrics = dict(res.metrics)
     metrics.update(

@@ -11,7 +11,7 @@ run under :func:`repro.mpi.mpirun`:
   (reads, contigs, component graphs, …), identical on every rank;
 * ``config`` — a frozen ``*StageConfig`` dataclass holding everything
   tunable (the serial kernel's config plus distribution knobs such as
-  ``nthreads``/``chunk_size``/``strategy``), defaulting to the stage's
+  ``nthreads``/``strategy``), defaulting to the stage's
   baseline when ``None``;
 * the return is a :class:`~repro.obs.result.StageResult` whose
   ``outputs`` is a typed ``*Outputs`` dataclass.
@@ -19,11 +19,11 @@ run under :func:`repro.mpi.mpirun`:
 Keeping data and knobs in separate typed bundles is what lets the driver
 describe every stage as one row of a table
 (:data:`repro.parallel.driver.STAGE_TABLE`) and launch all of them
-through one code path (``run_chain`` -> ``_launch``), lets recovery
-relaunch a stage on fewer ranks without re-plumbing arguments, and lets
-checkpointing key a stage result by ``repr(config)`` plus the content
-digests of what it read — the protocol is the contract all of those
-rely on.
+through one code path (``run_chain`` -> the driver's ``launch``), lets
+recovery relaunch a stage on fewer ranks without re-plumbing arguments,
+and lets checkpointing key a stage result by ``repr(config)`` plus the
+content digests of what it read — the protocol is the contract all of
+those rely on.
 
 Stages register themselves with the :func:`parallel_stage` decorator,
 which validates the signature at import time and records a

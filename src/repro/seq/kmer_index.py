@@ -32,7 +32,7 @@ and brackets each code's run with a ``searchsorted`` left/right pair.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Mapping, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -166,26 +166,6 @@ class KmerIndex:
         _pos, found = self.find(query)
         return found
 
-    def lookup(self, query: np.ndarray, default: int = 0) -> np.ndarray:
-        """Payloads for a batch of codes (``default`` where absent)."""
-        pos, found = self.find(query)
-        out = np.full(np.asarray(query).shape, default, dtype=np.int64)
-        out[found] = self.values[pos[found]]
-        return out
-
-    # -- set operations -----------------------------------------------------
-
-    def intersect_codes(self, other: "KmerIndex | np.ndarray") -> np.ndarray:
-        """Sorted codes present in both indexes (``np.intersect1d``)."""
-        other_codes = other.codes if isinstance(other, KmerIndex) else np.asarray(
-            other, dtype=np.uint64
-        )
-        return np.intersect1d(self.codes, other_codes, assume_unique=isinstance(other, KmerIndex))
-
-    def isin(self, query: np.ndarray) -> np.ndarray:
-        """``np.isin`` of arbitrary codes against this index's code set."""
-        return np.isin(np.asarray(query, dtype=np.uint64), self.codes, assume_unique=False)
-
     def memory_bytes(self) -> int:
         """Actual backing-store size (both arrays)."""
         return int(self.codes.nbytes + self.values.nbytes)
@@ -197,15 +177,6 @@ class KmerCounter(KmerIndex):
     @classmethod
     def empty(cls, k: int) -> "KmerCounter":
         return cls(k, _EMPTY_U64, _EMPTY_I64)
-
-    @classmethod
-    def from_codes(cls, codes: np.ndarray, k: int) -> "KmerCounter":
-        """Count one raw (unsorted, duplicated) code stream."""
-        codes = np.asarray(codes, dtype=np.uint64)
-        if codes.size == 0:
-            return cls.empty(k)
-        uniq, counts = np.unique(codes, return_counts=True)
-        return cls(k, uniq, counts.astype(np.int64))
 
     @classmethod
     def from_pairs(cls, codes: np.ndarray, counts: np.ndarray, k: int) -> "KmerCounter":
@@ -223,16 +194,6 @@ class KmerCounter(KmerIndex):
         ns = counts[order]
         starts = np.flatnonzero(np.concatenate(([True], cs[1:] != cs[:-1])))
         return cls(k, cs[starts], np.add.reduceat(ns, starts))
-
-    @classmethod
-    def from_dict(cls, counts: Mapping[int, int], k: int) -> "KmerCounter":
-        """Adopt a legacy dict table (sorted on entry)."""
-        if not counts:
-            return cls.empty(k)
-        codes = np.fromiter(counts.keys(), dtype=np.uint64, count=len(counts))
-        vals = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-        order = np.argsort(codes)
-        return cls(k, codes[order], vals[order])
 
     def filtered(self, min_count: int) -> "KmerCounter":
         """Drop codes below ``min_count`` (error-kmer removal)."""

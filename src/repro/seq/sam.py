@@ -40,10 +40,6 @@ class SamRecord:
     def is_unmapped(self) -> bool:
         return bool(self.flag & FLAG_UNMAPPED)
 
-    @property
-    def is_reverse(self) -> bool:
-        return bool(self.flag & FLAG_REVERSE)
-
     def to_line(self) -> str:
         fields = [
             self.qname,

@@ -38,17 +38,6 @@ class ExpressionModel:
     def n(self) -> int:
         return int(self.weights.size)
 
-    def dynamic_range(self) -> float:
-        """max/min of the non-zero weights."""
-        nz = self.weights[self.weights > 0]
-        return float(nz.max() / nz.min())
-
-    def reads_per_isoform(self, n_reads: int, rng: np.random.Generator) -> np.ndarray:
-        """Multinomial draw of read counts per isoform."""
-        if n_reads < 0:
-            raise ValueError(f"n_reads must be >= 0, got {n_reads}")
-        return rng.multinomial(n_reads, self.weights)
-
 
 def lognormal_expression(
     n_isoforms: int, seed: int = 0, sigma: float = 1.2

@@ -84,9 +84,6 @@ class DeBruijnGraph:
     def nbytes(self) -> int:
         return int(self.codes.nbytes + self.weights.nbytes)
 
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
     def _ends(self) -> np.ndarray:
         """Every edge's prefix node code, then every edge's suffix node code."""
         suffix = np.uint64((1 << (2 * (self.k - 1))) - 1)

@@ -55,11 +55,6 @@ class ComponentQuant:
     graph: DeBruijnGraph
     read_edge_weight: float  # total edge weight contributed by reads
 
-    @property
-    def mean_support(self) -> float:
-        n_edges = self.graph.n_edges
-        return self.read_edge_weight / n_edges if n_edges else 0.0
-
 
 def reads_by_component(
     assignments: Iterable[ReadAssignment],

@@ -10,9 +10,9 @@ format).
 The in-memory representation is a :class:`repro.seq.kmer_index.KmerCounter`
 — the shared sorted-array k-mer index — so downstream consumers (Inchworm,
 QuantifyGraph, coverage) probe it with batched ``searchsorted`` lookups.
-Batch consumers read the index arrays, scalar consumers use ``get`` /
-``get_kmer``.  ``batch_bases`` bounds what one sort + count reduces;
-inside a batch the window pack runs a cache-sized block
+Batch consumers read the index arrays, scalar consumers use ``get``.
+``batch_bases`` bounds what one sort + count reduces; inside a batch the
+window pack runs a cache-sized block
 (:data:`repro.seq.kmers.PACK_BLOCK_BASES`) at a time, which halves its
 cost per base at every input size measured (DESIGN.md SS:5.19).
 """
@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.errors import PipelineError, SequenceError
+from repro.errors import PipelineError
 from repro.seq.kmer_index import (
     KmerCounter,
     KmerCounterBuilder,
@@ -33,9 +33,7 @@ from repro.seq.kmer_index import (
 )
 from repro.seq.kmers import (
     base_blocks,
-    canonical_code,
     canonical_kmers,
-    encode_kmer,
     kmer_array,
 )
 from repro.seq.records import SeqRecord
@@ -69,7 +67,7 @@ class JellyfishCounts:
 
     Array-backed: ``index`` is the sorted-array :class:`KmerCounter`;
     batch access goes through its ``codes``/``values`` arrays and
-    ``find``/``lookup``, scalar access through ``get`` / ``get_kmer``.
+    ``find``, scalar access through ``get``.
     """
 
     __slots__ = ("k", "canonical", "index")
@@ -99,15 +97,6 @@ class JellyfishCounts:
 
     def get(self, code: int, default: int = 0) -> int:
         return self.index.get(code, default)
-
-    def get_kmer(self, kmer: str) -> int:
-        """Count of a k-mer given as a string (canonicalised if needed)."""
-        if len(kmer) != self.k:
-            raise SequenceError(f"expected a {self.k}-mer, got {len(kmer)} bases")
-        code = encode_kmer(kmer)
-        if self.canonical:
-            code = canonical_code(code, self.k)
-        return self.index.get(code, 0)
 
     @property
     def total(self) -> int:

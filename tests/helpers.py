@@ -2,14 +2,14 @@
 
 Each wraps library code the pipeline runs in some other shape: the
 serial single-index Bowtie run the parallel stage must reproduce, a
-k-mer counter over plain strings, flat expression and a strict
-``ACGT`` check for simulated data.  They live here, not in ``src/``,
+k-mer counter over plain strings or a hand-made ``{code: count}`` table,
+flat expression and a strict ``ACGT`` check for simulated data.  They live here, not in ``src/``,
 because nothing but the tests calls them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +36,13 @@ def counter_from_reads(seqs: Iterable[str], k: int, canonical: bool = True) -> K
     for seq in seqs:
         builder.add_codes(canonical_kmers(seq, k) if canonical else kmer_array(seq, k))
     return builder.build()
+
+
+def counter_from_dict(counts: Mapping[int, int], k: int) -> KmerCounter:
+    """A counter holding a hand-made ``{code: count}`` table."""
+    codes = np.fromiter(counts.keys(), dtype=np.uint64, count=len(counts))
+    vals = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    return KmerCounter.from_pairs(codes, vals, k)
 
 
 def uniform_expression(n_isoforms: int) -> ExpressionModel:

@@ -2,18 +2,19 @@
 *identical* outputs to a fault-free run — the paper's chunked round-robin
 map (GFF/RTT) and PyFasta re-split (Bowtie) redistribute the dead rank's
 work with no stage-body changes — plus stage-level checkpoint/restart in
-the driver and the fault-sweep experiment/CLI."""
+the driver, the driver run's own record of both, and the fault-sweep
+experiment/CLI."""
 
 import pickle
 import threading
+from dataclasses import replace
 
 import pytest
 
-from repro.errors import CommAbandonedError, MpiAbortError, ObsError, RankCrash
+from repro.errors import CommAbandonedError, FaultError, MpiAbortError, ObsError, RankCrash
 from repro.mpi import CrashFault, FaultPlan, FlakyIO, mpirun
 from repro.mpi.datatypes import pack_strings
 from repro.obs.critical import critical_path
-from repro.obs.metrics import GLOBAL_METRICS
 from repro.parallel import ParallelTrinityDriver, mpirun_with_recovery
 from repro.parallel.driver import ParallelTrinityConfig
 from repro.parallel.mpi_bowtie import BowtieInputs, BowtieStageConfig, mpi_bowtie
@@ -27,7 +28,6 @@ from repro.parallel.mpi_reads_to_transcripts import (
     RttStageConfig,
     mpi_reads_to_transcripts,
 )
-from repro.parallel.recovery import RecoveryPolicy
 from repro.simdata import get_recipe
 from repro.simdata.reads import flatten_reads
 from repro.trinity import TrinityConfig
@@ -102,15 +102,16 @@ class TestGffRecovery:
         the weldmer-pooling collective inside it, and the survivors re-deal
         the read blocks — the deal is a pure function of ``p``."""
         plan = FaultPlan(crashes=(CrashFault(rank=3, phase="gff:setup"),))
-        losses = GLOBAL_METRICS.get("faults.rank_losses")
         rec = mpirun_with_recovery(
             mpi_graph_from_fasta, NPROCS,
             GffInputs(contigs=contigs, reads=smoke_reads),
             GffStageConfig(gff=tcfg.gff(), nthreads=2),
             faults=plan,
         )
-        assert GLOBAL_METRICS.get("faults.rank_losses") == losses + 1
         assert rec.metrics["faults.rank_losses"] == 1.0
+        assert [s.label for s in rec.spans if s.track == "recovery"] == [
+            "fault:lost-rank3:attempt1"
+        ]
         assert len(rec.outputs) == NPROCS - 1
         for out in rec.outputs:
             assert_same_gff(out, gff_fault_free.outputs[0])
@@ -119,14 +120,16 @@ class TestGffRecovery:
     def test_flaky_read_fasta_is_absorbed(self, smoke_reads, contigs, tcfg, gff_fault_free):
         """Every attempt at the stage's one I/O point fails until FlakyIO's
         consecutive-failure bound: two retries per rank, same bytes."""
-        retries = GLOBAL_METRICS.get("faults.retries")
         run = mpirun(
             mpi_graph_from_fasta, NPROCS,
             GffInputs(contigs=contigs, reads=smoke_reads),
             GffStageConfig(gff=tcfg.gff(), nthreads=2),
             faults=FaultPlan(flaky_io=FlakyIO(rate=1.0, max_consecutive=2), seed=7),
         )
-        assert GLOBAL_METRICS.get("faults.retries") == retries + 2 * NPROCS
+        retries = [s for s in run.spans if s.label == "fault:retry:gff:read_fasta"]
+        assert sorted(s.track for s in retries) == sorted(
+            f"rank {r}" for r in range(NPROCS) for _ in range(2)
+        )
         assert {s.label for s in run.spans if s.kind == "fault"} == {
             "fault:io:gff:read_fasta", "fault:retry:gff:read_fasta",
         }
@@ -138,21 +141,23 @@ class TestGffRecovery:
         self, smoke_reads, contigs, tcfg, gff_fault_free
     ):
         plan = FaultPlan(crashes=(CrashFault(rank=3, phase="gff:loop1"),))
-        policy = RecoveryPolicy(restart_overhead_s=5.0)
         rec = mpirun_with_recovery(
             mpi_graph_from_fasta, NPROCS,
             GffInputs(contigs=contigs, reads=smoke_reads),
             GffStageConfig(gff=tcfg.gff(), nthreads=2),
-            faults=plan, policy=policy,
+            faults=plan,
         )
-        # Final-attempt time rides on top of the failed attempt + overhead.
-        assert rec.makespan > 5.0
         assert rec.metrics["faults.rank_losses"] == 1.0
         with pytest.raises(ObsError):  # the spans join attempts on different rank counts
             critical_path(rec)
         recovery_spans = [s for s in rec.spans if s.track == "recovery"]
         assert len(recovery_spans) == 1
         assert recovery_spans[0].attrs["dead_rank"] == 3
+        # The failed attempt's makespan is banked, with no restart overhead,
+        # and the final attempt rides on top of it.
+        banked = rec.metrics["faults.recovery_overhead_s"]
+        assert recovery_spans[0].start == 0.0 and recovery_spans[0].stop == banked > 0.0
+        assert rec.makespan == max(rec.elapsed) > banked
         crash_spans = [s for s in rec.spans if s.label.startswith("fault:crash")]
         assert crash_spans, "the failed attempt's crash span must be kept"
 
@@ -165,9 +170,18 @@ class TestGffRecovery:
                 GffInputs(contigs=contigs, reads=smoke_reads),
                 GffStageConfig(gff=tcfg.gff(), nthreads=2),
                 faults=plan,
-                policy=RecoveryPolicy(max_rank_losses=0),
+                max_rank_losses=0,
             )
         assert isinstance(ei.value.__cause__, RankCrash)
+
+    def test_negative_loss_budget_rejected(self, smoke_reads, contigs, tcfg):
+        with pytest.raises(FaultError):
+            mpirun_with_recovery(
+                mpi_graph_from_fasta, 2,
+                GffInputs(contigs=contigs, reads=smoke_reads),
+                GffStageConfig(gff=tcfg.gff(), nthreads=2),
+                max_rank_losses=-1,
+            )
 
     @pytest.mark.timeout(120)
     def test_recovery_is_deterministic(self, smoke_reads, contigs, tcfg):
@@ -182,7 +196,6 @@ class TestGffRecovery:
                 GffInputs(contigs=contigs, reads=smoke_reads),
                 GffStageConfig(gff=tcfg.gff(), nthreads=2),
                 faults=plan,
-                policy=RecoveryPolicy(restart_overhead_s=1.0),
             )
             fault_labels = sorted(s.label for s in res.spans if s.kind == "fault")
             return canonical_welds(res.outputs[0].welds), fault_labels
@@ -257,12 +270,11 @@ class TestRttAndBowtieRecovery:
         assert len(built) < NPROCS and sum(built) < len(smoke_reads)
 
         del crashed[:], built[:]
-        losses = GLOBAL_METRICS.get("faults.rank_losses")
         rec = mpirun_with_recovery(mpi_bowtie, NPROCS, inputs, config)
         assert crashed == [victim]
         # The relaunch re-cuts the reads over the seven survivors.
         assert sum(built[1 - NPROCS :]) == len(smoke_reads)
-        assert GLOBAL_METRICS.get("faults.rank_losses") == losses + 1
+        assert rec.metrics["faults.rank_losses"] == 1.0
         assert len(rec.outputs) == NPROCS - 1
         assert rec.outputs[0].records == base.outputs[0].records
 
@@ -291,13 +303,13 @@ class TestDriverFaultsAndCheckpoints:
             ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=NPROCS, nthreads=2)
         ).run(smoke_reads)
         plan = FaultPlan(crashes=(CrashFault(rank=3, phase="gff:setup"),))
-        losses = GLOBAL_METRICS.get("faults.rank_losses")
         faulted = ParallelTrinityDriver(
             ParallelTrinityConfig(
                 trinity=TrinityConfig(seed=1), nprocs=NPROCS, nthreads=2, faults=plan
             )
         ).run(smoke_reads)
-        assert GLOBAL_METRICS.get("faults.rank_losses") == losses + 1
+        assert faulted.metrics["faults.rank_losses"] == 1.0
+        assert base.metrics["faults.rank_losses"] == 0.0
         assert _seqs(faulted) == _seqs(base)
 
     @pytest.mark.timeout(300)
@@ -314,9 +326,9 @@ class TestDriverFaultsAndCheckpoints:
             "mpi_jellyfish.ckpt.pkl",
             "mpi_reads_to_transcripts.ckpt.pkl",
         ]
-        restores_before = GLOBAL_METRICS.get("checkpoint.restores")
+        assert _ckpt_counters(first) == (0, 6)
         second = ParallelTrinityDriver(cfg).run(smoke_reads, checkpoint_dir=ckpt)
-        assert GLOBAL_METRICS.get("checkpoint.restores") == restores_before + 6
+        assert _ckpt_counters(second) == (6, 0)
         assert sorted(t.seq for t in second.outputs.transcripts) == sorted(
             t.seq for t in first.outputs.transcripts
         )
@@ -332,9 +344,8 @@ class TestDriverFaultsAndCheckpoints:
         ckpt, wd = tmp_path / "ckpts", tmp_path / "wd"
         ParallelTrinityDriver(cfg).run(smoke_reads, workdir=wd, checkpoint_dir=ckpt)
         cold = (wd / "Trinity.fasta").read_bytes()
-        restores, writes = _ckpt_counters()
         warm = ParallelTrinityDriver(cfg).run(smoke_reads, workdir=wd, checkpoint_dir=ckpt)
-        assert _ckpt_counters() == (restores + 6, writes)
+        assert _ckpt_counters(warm) == (6, 0)
         assert (wd / "Trinity.fasta").read_bytes() == cold and cold.count(b">") > 0
         merged = (
             ("counts",), ("contigs",), ("records",), ("welds", "pairs", "components"),
@@ -367,11 +378,10 @@ class TestDriverFaultsAndCheckpoints:
         jf.write_bytes(jf.read_bytes()[:100])
         rewrite("mpi_graph_from_fasta", lambda p: p.update(key="0" * 64))
         rewrite("mpi_reads_to_transcripts", lambda p: p.pop("result"))
-        restores, writes = _ckpt_counters()
         result = ParallelTrinityDriver(cfg).run(smoke_reads, checkpoint_dir=ckpt)
         # Recomputed, not crashed: the four damaged stages relaunch (same
         # keys, so the two intact checkpoints downstream still restore).
-        assert _ckpt_counters() == (restores + 2, writes + 4)
+        assert _ckpt_counters(result) == (2, 4)
         assert _seqs(result) == _seqs(first)
 
     @pytest.mark.timeout(300)
@@ -401,21 +411,21 @@ class TestDriverFaultsAndCheckpoints:
         ckpt, wd = tmp_path / "ckpts", tmp_path / "wd"
 
         def run():
-            ParallelTrinityDriver(cfg).run(smoke_reads, workdir=wd, checkpoint_dir=ckpt)
-            return (wd / "Trinity.fasta").read_bytes()
+            result = ParallelTrinityDriver(cfg).run(
+                smoke_reads, workdir=wd, checkpoint_dir=ckpt
+            )
+            return (wd / "Trinity.fasta").read_bytes(), _ckpt_counters(result)
 
         with monkeypatch.context() as patch:
             patch.setattr(driver, "_checkpoint_key", old_key)
-            old = run()
-        restores, writes = _ckpt_counters()
+            old, _ = run()
         with caplog.at_level(logging.INFO, logger=driver.logger.name):
-            new = run()
-        assert _ckpt_counters() == (restores, writes + 6)
+            new, counters = run()
+        assert counters == (0, 6)
         stale = [r.getMessage() for r in caplog.records if "stale" in r.getMessage()]
         assert len(stale) == 6 and all("recomputing" in msg for msg in stale)
         assert new == old and new.count(b">") > 0
-        assert run() == new
-        assert _ckpt_counters() == (restores + 6, writes + 6)
+        assert run() == (new, (6, 0))
 
     @pytest.mark.timeout(300)
     def test_other_reads_of_same_count_recompute_everything(self, smoke_reads, tmp_path):
@@ -425,9 +435,8 @@ class TestDriverFaultsAndCheckpoints:
         cfg = ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=2, nthreads=2)
         ckpt = tmp_path / "ckpts"
         ParallelTrinityDriver(cfg).run(smoke_reads, checkpoint_dir=ckpt)
-        restores, writes = _ckpt_counters()
         rerun = ParallelTrinityDriver(cfg).run(other, checkpoint_dir=ckpt)
-        assert _ckpt_counters() == (restores, writes + 6)
+        assert _ckpt_counters(rerun) == (0, 6)
         assert _seqs(rerun) == _seqs(ParallelTrinityDriver(cfg).run(other))
 
     @pytest.mark.timeout(300)
@@ -443,17 +452,38 @@ class TestDriverFaultsAndCheckpoints:
             cfg = ParallelTrinityConfig(
                 trinity=TrinityConfig(seed=1, **knob), nprocs=2, nthreads=2
             )
-            restores, writes = _ckpt_counters()
             rerun = ParallelTrinityDriver(cfg).run(smoke_reads, checkpoint_dir=ckpt)
-            assert _ckpt_counters() == (restores + 3, writes + 3), knob
+            assert _ckpt_counters(rerun) == (3, 3), knob
             assert _seqs(rerun) == _seqs(ParallelTrinityDriver(cfg).run(smoke_reads))
 
 
-def _ckpt_counters():
-    return (
-        GLOBAL_METRICS.get("checkpoint.restores"),
-        GLOBAL_METRICS.get("checkpoint.writes"),
-    )
+class TestRunRecord:
+    @pytest.mark.timeout(300)
+    def test_faults_and_checkpoints_are_counted_per_run(self, smoke_reads, tmp_path):
+        """A driver run's metrics say what happened in that run only: a
+        lost rank is not reported again by the next fault-free run in the
+        same process, and a rerun counts its own restores, not the cold
+        run's writes."""
+        cfg = ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=3, nthreads=2)
+        plan = FaultPlan(crashes=(CrashFault(rank=2, phase="gff:loop1"),))
+        faulted = ParallelTrinityDriver(replace(cfg, faults=plan)).run(smoke_reads)
+        assert faulted.metrics["faults.rank_losses"] == 1.0
+        clean = ParallelTrinityDriver(cfg).run(smoke_reads)
+        assert clean.metrics["faults.rank_losses"] == 0.0
+        assert _ckpt_counters(clean) == (0, 0)
+
+        ckpt = tmp_path / "ckpts"
+        cold = ParallelTrinityDriver(cfg).run(smoke_reads, checkpoint_dir=ckpt)
+        warm = ParallelTrinityDriver(cfg).run(smoke_reads, checkpoint_dir=ckpt)
+        assert _ckpt_counters(cold) == (0, 6)
+        assert _ckpt_counters(warm) == (6, 0)
+        assert warm.metrics["faults.rank_losses"] == 0.0
+        assert _seqs(warm) == _seqs(cold) == _seqs(clean) == _seqs(faulted)
+
+
+def _ckpt_counters(result):
+    """(stages restored, stages checkpointed) by one driver run."""
+    return result.metrics["checkpoint.restores"], result.metrics["checkpoint.writes"]
 
 
 def _seqs(result):

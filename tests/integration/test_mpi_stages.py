@@ -337,15 +337,6 @@ class TestMpiGff:
         r = run.outputs[0]
         assert r.serial_time > 0
 
-    def test_explicit_chunk_size(self, smoke_reads, artefacts):
-        _counts, contigs, gff = artefacts
-        run = mpirun(
-            mpi_graph_from_fasta, 2,
-            GffInputs(contigs=contigs, reads=smoke_reads),
-            GffStageConfig(gff=GraphFromFastaConfig(k=24), nthreads=2, chunk_size=1),
-        )
-        assert run.outputs[0].pairs == gff.pairs
-
 
 class TestMpiRtt:
     @pytest.mark.parametrize("nprocs", [1, 3, 8])

@@ -1,12 +1,12 @@
-"""End-to-end test of ``repro profile`` and the report Observability section."""
+"""End-to-end test of ``repro profile``."""
 
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.obs.metrics import GLOBAL_METRICS
-from repro.parallel.driver import STAGE_TABLE, _with_upstream
+from repro.parallel import driver
+from repro.parallel.driver import STAGE_TABLE, _with_upstream, run_chain
 
 
 class TestProfileCli:
@@ -48,14 +48,16 @@ class TestProfileCli:
         assert "rank   0 |" in out
 
     @pytest.mark.parametrize("row", STAGE_TABLE, ids=lambda row: row.key)
-    def test_every_driver_stage_profiles(self, capsys, row):
+    def test_every_driver_stage_profiles(self, capsys, monkeypatch, row):
         """--stage walks the driver's table: exactly the target and its
         upstream stages run, and the target's own region labels show up."""
-        def runs():
-            return {r.key: GLOBAL_METRICS.get(f"mpirun.{r.fn.__name__}.runs")
-                    for r in STAGE_TABLE}
+        chains = []
 
-        before = runs()
+        def recording_chain(*args, **kwargs):
+            chains.append(run_chain(*args, **kwargs))
+            return chains[-1]
+
+        monkeypatch.setattr(driver, "run_chain", recording_chain)
         rc = main(
             ["profile", "--stage", row.key, "--nprocs", "3", "--nthreads", "2",
              "--recipe", "smoke", "--strategy", "dynamic"]
@@ -65,29 +67,5 @@ class TestProfileCli:
         assert f"critical path of {row.fn.__name__!r}" in out
         assert f"{row.fn.stage_spec.name.split('-')[0]}:" in out  # region labels
         assert "rank   2 |" in out  # the Gantt rows
-        ran = {key for key, n in runs().items() if n > before[key]}
-        assert ran == _with_upstream(row.key)
-
-    def test_profile_feeds_global_metrics(self, capsys):
-        before = GLOBAL_METRICS.get("mpirun.mpi_graph_from_fasta.runs")
-        rc = main(
-            ["profile", "--stage", "gff", "--nprocs", "2", "--nthreads", "2",
-             "--recipe", "whitefly-mini"]
-        )
-        assert rc == 0
-        capsys.readouterr()
-        assert GLOBAL_METRICS.get("mpirun.mpi_graph_from_fasta.runs") > before
-
-
-class TestReportObservability:
-    def test_report_has_observability_section(self, monkeypatch):
-        from repro.experiments import report as report_mod
-
-        class _Stub:
-            def render(self):
-                return "stub"
-
-        monkeypatch.setattr(report_mod, "run_experiment", lambda exp_id, **kw: _Stub())
-        text = report_mod.generate_report()
-        assert "## Observability" in text
-        assert "GLOBAL_METRICS" in text
+        (chain,) = chains
+        assert set(chain.runs) == _with_upstream(row.key)

@@ -19,7 +19,6 @@ import pytest
 
 from repro.errors import CommAbandonedError, MpiAbortError, RankCrash
 from repro.mpi import CrashFault, FaultPlan, mpirun
-from repro.obs.metrics import GLOBAL_METRICS
 from repro.parallel.driver import STAGE_TABLE, ParallelTrinityConfig, run_chain
 from repro.parallel.recovery import mpirun_with_recovery
 from repro.seq.fasta import write_fasta
@@ -163,10 +162,9 @@ def test_crash_inside_a_shared_merge_abandons_its_waiters(
     assert all(f"shared('{key}:" in str(s.exc) for s in waiters), [str(s.exc) for s in waiters]
 
     del crashed[:]
-    losses = GLOBAL_METRICS.get("faults.rank_losses")
     wd = tmp_path / "wd"
     rec = mpirun_with_recovery(row.fn, NPROCS, row.inputs(chain), row.config(cfg, wd))
     assert len(crashed) == 1 and len(rec.outputs) == NPROCS - 1
-    assert GLOBAL_METRICS.get("faults.rank_losses") == losses + 1
+    assert rec.metrics["faults.rank_losses"] == 1.0
     assert rec.outputs[0].outputs.out_path.read_bytes() == _serial_files(chain, cfg, tmp_path)[key]
 

@@ -39,6 +39,7 @@ DRIVER_METRICS = [
     "inchworm.speedup", "nprocs", "nthreads", "inchworm_threads", "n_transcripts",
     "mpi.jellyfish_makespan_s", "mpi.inchworm_makespan_s", "mpi.bowtie_makespan_s",
     "mpi.gff_makespan_s", "mpi.rtt_makespan_s", "mpi.chrysalis_makespan_s", "peak_ram_gb",
+    "checkpoint.restores", "checkpoint.writes", "faults.rank_losses",
 ]
 
 

@@ -189,7 +189,7 @@ def test_graph_equals_dict_graph(case):
     got, want = both_graphs(k, seqs)
     assert got.edge_weights() == ref.edge_weights(want)
     assert (got.n_nodes, got.n_edges) == (want.n_nodes, want.n_edges)
-    assert got.total_weight() == want.total_weight()
+    assert got.weights.sum() == want.total_weight()
     assert decode_kmers(got.nodes(), k - 1) == sorted(want.edges)
     assert source_strings(got) == want.sources()
     assert got.unitigs() == want.unitigs()
@@ -459,7 +459,7 @@ def test_zero_read_component_between_two():
         (1, 4.0), (0, 0.0), (1, 6.0),
     ]
     assert graphs[9].edge_weights() == fasta_to_debruijn([CONTIG], k).edge_weights()
-    assert graphs[4].total_weight() + graphs[2].total_weight() == 2 * 20.0 + 10.0
+    assert graphs[4].weights.sum() + graphs[2].weights.sum() == 2 * 20.0 + 10.0
 
 
 def test_support_reached_across_two_blocks():

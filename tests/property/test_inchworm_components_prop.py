@@ -29,7 +29,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.seq.alphabet import reverse_complement
-from repro.seq.kmer_index import KmerCounter
 from repro.seq.kmers import canonical_code, encode_kmer
 from repro.seq.records import SeqRecord
 from repro.trinity.inchworm import (
@@ -42,6 +41,7 @@ from repro.trinity.jellyfish import JellyfishCounts, jellyfish_count
 from repro.trinity.kmer_components import component_ids, kmer_components
 from tests import reference_inchworm
 from tests.inchworm_kernel import assemble_components
+from tests.helpers import counter_from_dict
 
 
 @st.composite
@@ -110,7 +110,7 @@ def assembly_cases(draw):
         if partner != directed and counts.index.get(partner) == 0:
             table = dict(zip(counts.index.codes.tolist(), counts.index.values.tolist()))
             table[directed] = draw(st.integers(1, 60))
-            counts = JellyfishCounts(k=k, canonical=True, index=KmerCounter.from_dict(table, k))
+            counts = JellyfishCounts(k=k, canonical=True, index=counter_from_dict(table, k))
     return counts, cfg
 
 

@@ -35,6 +35,7 @@ from repro.trinity.kmer_components import component_ids, kmer_components
 from repro.util.rng import derive_seed
 from tests.inchworm_kernel import assemble_components
 from tests.reference_inchworm import tie_break_code
+from tests.helpers import counter_from_dict
 
 
 def _spelled(filtered, salt, p):
@@ -83,7 +84,7 @@ def test_equal_count_and_tie_hash_fall_to_the_code():
     twins = [5 + j * 2**32 for j in range(3)] + [9 + j * 2**32 for j in range(2)]
     table = {code: 3 for code in twins}
     table.update({77: 3, 12345: 8, 2**33 + 1001: 1})
-    counts = JellyfishCounts(k=k, canonical=False, index=KmerCounter.from_dict(table, k))
+    counts = JellyfishCounts(k=k, canonical=False, index=counter_from_dict(table, k))
     filtered = counts.index.filtered(1)
     at = filtered.find(np.array(twins, dtype=np.uint64))[0]
     assert len({_spelled(filtered, salt, p)[:2] for p in at[:3].tolist()}) == 1

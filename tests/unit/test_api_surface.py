@@ -107,7 +107,7 @@ class TestInchwormSurface:
             text = path.read_text()
             assert not [name for name in gone if name in text], path
         assert {f.name for f in fields(InchwormStageConfig)} == {
-            "inchworm", "n_threads", "strategy", "chunk_size", "workdir",
+            "inchworm", "n_threads", "strategy", "workdir",
         }
         assert {f.name for f in fields(InchwormConfig)} == {
             "min_kmer_count", "min_contig_length", "max_contig_length", "seed",
@@ -134,7 +134,7 @@ class TestChrysalisFrontSurface:
         from repro.trinity.chrysalis import reads_to_transcripts
 
         assert {f.name for f in fields(RttStageConfig)} == {"rtt", "nthreads", "workdir"}
-        assert {f.name for f in fields(GffStageConfig)} == {"gff", "nthreads", "chunk_size"}
+        assert {f.name for f in fields(GffStageConfig)} == {"gff", "nthreads"}
         for fn in (mpi_graph_from_fasta, mpi_reads_to_transcripts):
             module = importlib.import_module(fn.__module__)
             assert [
@@ -182,7 +182,7 @@ class TestChrysalisFrontSurface:
         assert {f.name for f in fields(gff.GraphFromFastaConfig)} == {
             "k", "min_weld_read_support", "min_contigs_sharing",
         }
-        assert {f.name for f in fields(GffStageConfig)} == {"gff", "nthreads", "chunk_size"}
+        assert {f.name for f in fields(GffStageConfig)} == {"gff", "nthreads"}
 
 
 class TestChrysalisBackendSurface:
@@ -237,7 +237,7 @@ class TestChrysalisBackendSurface:
         }
         assert {f.name for f in fields(ChrysalisBackendStageConfig)} == {
             "k", "weld_k", "min_kmer_count", "butterfly", "nthreads", "strategy",
-            "chunk_size", "workdir",
+            "workdir",
         }
 
     def test_package_exports_and_config_fields_pinned(self):
@@ -263,7 +263,7 @@ class TestChrysalisBackendSurface:
             "quantify_graph", "quantify_component", "pack_routed_reads", "ReadPack",
             "reads_by_component", "solid_index", "ComponentQuant",
         ])
-        assert len(fields(ChrysalisBackendStageConfig)) == 8
+        assert len(fields(ChrysalisBackendStageConfig)) == 7
         assert len(fields(ButterflyConfig)) == 5
         assert [f.name for f in fields(TrinityConfig)] == [
             "k", "min_kmer_count", "seed", "max_mem_reads", "use_bowtie_scaffolds",
@@ -271,8 +271,7 @@ class TestChrysalisBackendSurface:
             "strand_specific", "inchworm_threads",
         ]
         assert [f.name for f in fields(ParallelTrinityConfig)] == [
-            "trinity", "nprocs", "nthreads", "network", "faults", "recovery",
-            "butterfly_strategy",
+            "trinity", "nprocs", "nthreads", "network", "faults", "butterfly_strategy",
         ]
 
 
@@ -335,7 +334,7 @@ class TestOneClockSurface:
             "fn", "nprocs", "args", "network", "trace", "faults", "kwargs",
         ]
         assert list(signature(mpirun_with_recovery).parameters) == [
-            "fn", "nprocs", "args", "faults", "policy", "network", "trace", "kwargs",
+            "fn", "nprocs", "args", "faults", "max_rank_losses", "network", "kwargs",
         ]
         assert not hasattr(NetworkModel, "scatter")
         assert not hasattr(repro.mpi.network, "SLOW_ETHERNET")
@@ -351,6 +350,30 @@ class TestOneClockSurface:
         assert not hasattr(NetworkModel, "ptp")
         assert not hasattr(NetworkModel, "gather")
         assert "n_messages" not in {f.name for f in fields(CommStats)}
+
+
+class TestRunRecordSurface:
+    def test_one_launch_knob_and_one_global_counter(self):
+        """The launch path's one settable value is ``max_rank_losses``;
+        retry is a fixed budget; the process-wide registry holds one
+        counter and can neither gauge, merge, render nor reset."""
+        from inspect import signature
+
+        from repro.obs.metrics import MetricsRegistry
+        from repro.parallel import recovery
+        from repro.parallel.driver import ParallelTrinityDriver
+
+        assert list(signature(recovery.with_retry).parameters) == ["comm", "label", "fn"]
+        assert (recovery.MAX_ATTEMPTS, recovery.BASE_BACKOFF_S, recovery.BACKOFF_FACTOR) == (
+            4, 0.05, 2.0,
+        )
+        for name in ("RetryPolicy", "RecoveryPolicy", "DEFAULT_RETRY", "DEFAULT_RECOVERY"):
+            assert not hasattr(recovery, name), name
+            assert not hasattr(repro.parallel, name), name
+        assert not hasattr(ParallelTrinityDriver, "_launch")
+        assert sorted(n for n in vars(MetricsRegistry) if not n.startswith("_")) == [
+            "get", "inc",
+        ]
 
 
 class TestDeletedSurface:

@@ -38,7 +38,7 @@ class TestAlignment:
         assert rec.rname == "c1"
         assert rec.pos == 6  # 1-based
         assert rec.nm == 0
-        assert not rec.is_reverse
+        assert not rec.flag & FLAG_REVERSE
 
     def test_exact_reverse(self, index):
         rec = align_read(SeqRecord("r", reverse_complement(C2[10:40])), index)

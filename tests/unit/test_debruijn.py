@@ -74,7 +74,7 @@ class TestConstruction:
     def test_total_weight(self):
         g = DeBruijnGraph(k=3)
         thread(g, "ACGT", weight=2.0)
-        assert g.total_weight() == pytest.approx(4.0)
+        assert g.weights.sum() == pytest.approx(4.0)
 
     def test_reweight(self):
         g = fasta_to_debruijn(["ACGT"], 3)
@@ -128,7 +128,7 @@ class TestFilteredThreading:
             ("ACG", "CGT"): 1.0, ("CGT", "GTA"): 4.0, ("GGG", "GGG"): 5.0,
         }
         g.add_kmers(np.empty(0, dtype=np.uint64), np.empty(0))
-        assert g.n_edges == 3 and g.total_weight() == 10.0
+        assert g.n_edges == 3 and g.weights.sum() == 10.0
 
 
 class TestNonAcgtContigs:

@@ -11,7 +11,6 @@ import pytest
 from repro.errors import PipelineError
 from repro.parallel.component_stage import lpt_assign
 from repro.parallel.mpi_inchworm import _component_setup
-from repro.seq.kmer_index import KmerCounter
 from repro.seq.kmers import canonical_code, encode_kmer, revcomp_codes
 from repro.seq.records import SeqRecord
 from repro.trinity.inchworm import (
@@ -30,6 +29,7 @@ from repro.trinity.jellyfish import JellyfishCounts, jellyfish_count
 from tests import reference_inchworm
 from tests.reference_inchworm import tie_break_code
 from tests.inchworm_kernel import assemble_components
+from tests.helpers import counter_from_dict
 
 
 def counts_for(*seqs, k=7):
@@ -87,7 +87,7 @@ class TestCoverageUsesFilteredTable:
         counts = JellyfishCounts(
             k=k,
             canonical=True,
-            index=KmerCounter.from_dict({f_code: 5, c_code: 1}, k),
+            index=counter_from_dict({f_code: 5, c_code: 1}, k),
         )
         cfg = InchwormConfig(min_kmer_count=2, min_contig_length=1)
         contigs = inchworm_assemble(counts, cfg)
@@ -101,7 +101,7 @@ class TestCoverageUsesFilteredTable:
         counts = JellyfishCounts(
             k=k,
             canonical=True,
-            index=KmerCounter.from_dict({f_code: 5, c_code: 1}, k),
+            index=counter_from_dict({f_code: 5, c_code: 1}, k),
         )
         cfg = InchwormConfig(min_kmer_count=2, min_contig_length=1)
         res = assemble_components(counts, cfg)
@@ -177,7 +177,7 @@ class TestBatchedKernel:
         k = 5
         kmers = ["AAAAC", "AAACA", "AACAG"]  # ascending codes: positions 0, 1, 2
         table = dict(zip(map(encode_kmer, kmers), (4, 0, 3)))
-        counts = JellyfishCounts(k=k, canonical=False, index=KmerCounter.from_dict(table, k))
+        counts = JellyfishCounts(k=k, canonical=False, index=counter_from_dict(table, k))
         cfg = InchwormConfig(min_kmer_count=0, min_contig_length=1)
         filtered = counts.index.filtered(0)
         rows = preference_rows(

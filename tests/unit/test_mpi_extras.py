@@ -1,12 +1,9 @@
-"""Unit tests for alltoall and stage-span serialisation."""
-
-import json
+"""Unit tests for alltoall and the identity histogram."""
 
 import pytest
 
 from repro.errors import CommError
 from repro.mpi import mpirun
-from repro.obs.span import Span, append_stage
 from repro.validation.fasta_align import MatchCategories, identity_histogram
 
 
@@ -24,15 +21,6 @@ class TestAlltoall:
 
         with pytest.raises(CommError):
             mpirun(body, 3)
-
-
-class TestTimelineSerialisation:
-    def test_json_roundtrip(self):
-        spans = []
-        append_stage(spans, "a", 5.0, 1.5)
-        append_stage(spans, "b", 2.0, 3.0)
-        text = json.dumps([s.to_dict() for s in spans])
-        assert [Span.from_dict(obj) for obj in json.loads(text)] == spans
 
 
 class TestIdentityHistogram:

@@ -10,7 +10,7 @@ from repro.errors import (
     TransientIOError,
 )
 from repro.mpi import CrashFault, FaultPlan, FlakyIO, StragglerFault, mpirun
-from repro.parallel.recovery import RetryPolicy, with_retry
+from repro.parallel.recovery import MAX_ATTEMPTS, with_retry
 
 
 class TestFaultPlan:
@@ -128,15 +128,18 @@ class TestWithRetry:
         assert retry_spans, "retries must be visible as fault spans"
 
     def test_exhausted_retries_reraise(self):
-        plan = FaultPlan(flaky_io=FlakyIO(rate=1.0, max_consecutive=50), seed=0)
-        policy = RetryPolicy(max_attempts=2)
+        """As many consecutive failures as the attempt budget exhaust it:
+        three backoffs, 0.05 + 0.1 + 0.2 s, then the fourth failure raises."""
+        plan = FaultPlan(flaky_io=FlakyIO(rate=1.0, max_consecutive=MAX_ATTEMPTS), seed=0)
 
         def body(comm):
-            with_retry(comm, "io", lambda: None, policy=policy)
+            with_retry(comm, "io", lambda: None)
 
         with pytest.raises(MpiAbortError) as ei:
             mpirun(body, 1, faults=plan)
         assert isinstance(ei.value.__cause__, TransientIOError)
+        backoffs = [s.attrs["backoff_s"] for s in ei.value.spans if s.label == "fault:retry:io"]
+        assert backoffs == [0.05, 0.1, 0.2]
 
     def test_io_stream_is_deterministic(self):
         plan = FaultPlan(flaky_io=FlakyIO(rate=0.5), seed=11)
@@ -149,9 +152,3 @@ class TestWithRetry:
         assert a.outputs == b.outputs
         # Per-rank streams differ (seeded by rank).
         assert a.outputs[0] != a.outputs[1]
-
-    def test_retry_policy_validation(self):
-        with pytest.raises(FaultError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(FaultError):
-            RetryPolicy(backoff_factor=0.5)

@@ -23,14 +23,11 @@ class TestSpan:
         assert Span("comm", 0.0, 1.0, attrs={"bytes": 42}).attr("bytes") == 42
 
     def test_shifted_and_on_track(self):
+        """A shifted copy moves in time and stays on its track."""
         s = Span("compute", 1.0, 2.0, track="rank 0")
-        assert s.shifted(3.0).start == 4.0
-        assert s.on_track("rank 1").track == "rank 1"
-        assert s.track == "rank 0"  # original untouched
-
-    def test_dict_round_trip(self):
-        s = Span("phase", 0.5, 1.5, "gff:setup", "rank 2", {"serial": True})
-        assert Span.from_dict(s.to_dict()) == s
+        moved = s.shifted(3.0)
+        assert (moved.start, moved.stop, moved.track) == (4.0, 5.0, "rank 0")
+        assert s.start == 1.0  # original untouched
 
     def test_clock_kinds(self):
         assert CLOCK_KINDS == ("compute", "wait", "comm")
@@ -129,27 +126,3 @@ class TestMetricsRegistry:
     def test_counter_cannot_decrease(self):
         with pytest.raises(ValueError):
             MetricsRegistry().inc("x", -1.0)
-
-    def test_gauge_last_write_wins(self):
-        m = MetricsRegistry()
-        m.set_gauge("nprocs", 4)
-        m.set_gauge("nprocs", 8)
-        assert m.get("nprocs") == 8.0
-
-    def test_merge_adds_counters_overwrites_gauges(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("n", 1)
-        b.inc("n", 2)
-        a.set_gauge("g", 1)
-        b.set_gauge("g", 5)
-        a.merge(b)
-        assert a.get("n") == 3.0
-        assert a.get("g") == 5.0
-
-    def test_render_and_reset(self):
-        m = MetricsRegistry()
-        assert m.render() == "(no metrics recorded)"
-        m.inc("bytes", 10)
-        assert "bytes" in m.render()
-        m.reset()
-        assert m.render() == "(no metrics recorded)"

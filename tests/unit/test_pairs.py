@@ -116,7 +116,7 @@ class TestReconcile:
         transcripts, reads, assigns = self._setup()
         kept, stats = reconcile_with_pairs(transcripts, reads, assigns)
         assert [t.seq for t in kept] == [ISO1]
-        assert stats.n_removed == 1
+        assert stats.n_in - stats.n_out == 1
         assert stats.n_components_filtered == 1
 
     def test_component_without_pairs_untouched(self):
@@ -126,7 +126,7 @@ class TestReconcile:
         ]
         kept, stats = reconcile_with_pairs(transcripts, [], [])
         assert len(kept) == 2
-        assert stats.n_removed == 0
+        assert stats.n_in - stats.n_out == 0
 
     def test_no_supported_candidate_keeps_all(self):
         transcripts, reads, assigns = self._setup()

@@ -71,7 +71,7 @@ class TestQuantify:
         graphs = {0: fasta_to_debruijn([SRC], K)}
         reads = [SeqRecord("r0", SRC)]
         quants = quantify_graph(graphs, reads, [make_assignment(0, 0)])
-        assert quants[0].mean_support == pytest.approx(1.0)
+        assert quants[0].read_edge_weight / quants[0].graph.n_edges == pytest.approx(1.0)
 
 
 def _with_n(seq, at):

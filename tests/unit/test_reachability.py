@@ -1,6 +1,7 @@
-"""Every public top-level ``def`` / ``class`` under ``src/repro`` is run by
-something: referenced in ``src/``, ``examples/`` or ``benchmarks/``
-outside its own body.
+"""Every public top-level ``def`` / ``class`` under ``src/repro``, and every
+public method and property of those classes, is run by something:
+referenced in ``src/``, ``examples/`` or ``benchmarks/`` outside its own
+body.  Dunders and the stubs of a ``Protocol`` are exempt.
 
 Tests do not count — a name only its own tests reach is code nothing
 runs (an oracle a test needs lives under ``tests/``).  Neither does an
@@ -33,13 +34,30 @@ def _python_files() -> Iterator[Path]:
         yield from sorted((REPO_ROOT / top).rglob("*.py"))
 
 
-def _definitions(path: Path, tree: ast.Module) -> Dict[str, List[Span]]:
-    defs: Dict[str, List[Span]] = {}
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_protocol(node: ast.ClassDef) -> bool:
+    return any(
+        (base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)) == "Protocol"
+        for base in node.bases
+    )
+
+
+def _definitions(path: Path, tree: ast.Module) -> Iterator[Tuple[str, str, Span]]:
+    """(bare name, qualified name, span) of each public definition; a
+    span starts at the first decorator, so ``@x.setter`` is inside it."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not node.name.startswith("_"):
-                defs.setdefault(node.name, []).append((path, node.lineno, node.end_lineno))
-    return defs
+        if not isinstance(node, DEFS) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name, (path, node.lineno, node.end_lineno)
+        if isinstance(node, ast.ClassDef) and not _is_protocol(node):
+            for member in node.body:
+                if isinstance(member, DEFS) and not member.name.startswith("_"):
+                    start = min([member.lineno] + [d.lineno for d in member.decorator_list])
+                    yield member.name, f"{node.name}.{member.name}", (
+                        path, start, member.end_lineno
+                    )
 
 
 def _references(tree: ast.Module) -> Iterator[Tuple[str, int]]:
@@ -66,23 +84,24 @@ def _references(tree: ast.Module) -> Iterator[Tuple[str, int]]:
 
 @lru_cache(maxsize=None)
 def unreferenced_names() -> FrozenSet[str]:
-    defs: Dict[str, List[Span]] = {}
+    defs: Dict[str, List[Tuple[str, Span]]] = {}  # bare name -> (qualified name, span)
     refs: Dict[str, List[Tuple[Path, int]]] = {}
     for path in _python_files():
         tree = ast.parse(path.read_text(), filename=str(path))
         if path.is_relative_to(REPO_ROOT / "src" / "repro"):
-            for name, spans in _definitions(path, tree).items():
-                defs.setdefault(name, []).extend(spans)
+            for name, qualname, span in _definitions(path, tree):
+                defs.setdefault(name, []).append((qualname, span))
         for name, line in _references(tree):
             refs.setdefault(name, []).append((path, line))
 
     def inside_own_body(name: str, path: Path, line: int) -> bool:
-        return any(p == path and lo <= line <= hi for p, lo, hi in defs[name])
+        return any(p == path and lo <= line <= hi for _q, (p, lo, hi) in defs[name])
 
     return frozenset(
-        name
-        for name in defs
+        qualname
+        for name, entries in defs.items()
         if not any(not inside_own_body(name, p, line) for p, line in refs.get(name, ()))
+        for qualname, _span in entries
     )
 
 

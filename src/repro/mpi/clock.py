@@ -22,7 +22,8 @@ class Stopwatch:
     (``time.thread_time``), because the simulated ranks are threads of
     one process and wall time would charge each rank its peers' GIL
     turns; wall clock (``perf_counter``) is used only where the peers
-    are parked — a master-only step ahead of a barrier or broadcast.
+    are parked: Bowtie's master-only split, ahead of its broadcast, is
+    the one such window.
 
     ``seconds`` is read after the block, whether or not it raised.
     :meth:`repro.mpi.comm.SimComm.compute` charges a window to the rank's

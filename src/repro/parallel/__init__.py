@@ -17,8 +17,9 @@ All distributed stages share one calling convention — the
   (paper Fig 3).
 * :mod:`repro.parallel.component_stage` — the one deal -> kernel ->
   keyed-merge skeleton (round-robin / LPT deal, allgather + key-ordered
-  flatten, part and merged writes) the component-parallel stages plug
-  their kernels into.
+  flatten, part writes) the component-parallel stages plug their kernels
+  into, and the one merged-file writer every stage shares: each rank
+  writes its rendered piece at its offset.
 * :mod:`repro.parallel.mpi_jellyfish` — distributed Jellyfish k-mer
   counting (deal -> alltoall exchange -> owner merge; HipMer-style
   distributed k-mer analysis over the DSK partition hash).
@@ -39,7 +40,6 @@ All distributed stages share one calling convention — the
   component on its owner rank, so graphs never cross the wire and the
   driver's two serial middle regions disappear (walk-only distributed
   Butterfly is this stage on contig-only inputs).
-* :mod:`repro.parallel.merge` — per-rank output concatenation (``cat``).
 * :mod:`repro.parallel.recovery` — transient-fault retry (a fixed
   backoff budget) and crash recovery (one knob, ``max_rank_losses``)
   over the fault-injected runtime (:mod:`repro.mpi.faults`).

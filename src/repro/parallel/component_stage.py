@@ -24,16 +24,16 @@ Two dealing strategies:
 from __future__ import annotations
 
 import heapq
-import time
+import os
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence, Union
 
 from repro.errors import PipelineError
 from repro.mpi.comm import SimComm
-from repro.parallel.chunks import default_chunk_size, rank_items
+from repro.parallel.chunks import default_chunk_size, rank_items, static_block_ranges
 from repro.parallel.recovery import with_retry
-from repro.seq.fasta import write_fasta
+from repro.seq.fasta import format_fasta, write_fasta
 
 PathLike = Union[str, Path]
 
@@ -145,9 +145,11 @@ def merge(
     )
 
 
-def fasta_writer(items: Sequence[Any]) -> Callable[[Path], Any]:
-    """``write(path)`` that renders ``items`` (``to_record()``-able) as FASTA."""
-    return lambda path: write_fasta(path, [item.to_record() for item in items])
+def fasta_block(comm: SimComm, items: Sequence[Any]) -> Callable[[], bytes]:
+    """``render()`` of this rank's :func:`static_block_ranges` block of
+    ``items`` (``to_record()``-able) as FASTA: its piece of the merged file."""
+    block = items[slice(*static_block_ranges(len(items), comm.rank, comm.size))]
+    return lambda: format_fasta([item.to_record() for item in block]).encode("ascii")
 
 
 def write_part(
@@ -165,8 +167,10 @@ def write_part(
         return None
     path = Path(workdir) / filename
     path.parent.mkdir(parents=True, exist_ok=True)
-    write = fasta_writer(items)
-    with_retry(comm, f"{prefix}:write_part", lambda: write(path))
+    with_retry(
+        comm, f"{prefix}:write_part",
+        lambda: write_fasta(path, [item.to_record() for item in items]),
+    )
     return path
 
 
@@ -175,25 +179,45 @@ def write_merged(
     label: str,
     workdir: Optional[PathLike],
     filename: str,
-    write: Callable[[Path], Any],
+    render: Callable[[], bytes],
 ) -> Optional[Path]:
-    """Rank 0 runs ``write(path)`` for ``workdir/filename``; returns the
-    path there, None elsewhere (and on every rank without a ``workdir``).
+    """Write ``workdir/filename`` striped over the ranks; returns the path
+    on rank 0, None elsewhere (and, with no collective, on every rank
+    without a ``workdir``).
 
-    ``label`` names both the retryable I/O point and the charged compute
-    segment.  The writer renders the merged, key-ordered result — never
-    a deal-dependent order — so the file is byte-identical to a serial
-    write at any nprocs.  Charged as host wall time: the peers are
-    parked at the closing barrier.
+    Every rank renders its own piece, ``render()``, charged as ``label``
+    (thread CPU, like any concurrent rank code).  One allgather of the
+    piece lengths places it: rank r's piece starts where ranks < r's end.
+    Each rank writes its piece at that offset of a temporary sibling of
+    the target under ``with_retry(label)``; after a barrier rank 0 trims
+    the temporary to the total length and renames it onto the target, so
+    neither a crashed attempt's pieces nor a longer stale file can show
+    through.  The pieces are consecutive blocks of the merged, key-ordered
+    result (or the ranks' own records, in rank order), so the file is
+    byte-identical to a serial write at any nprocs.
     """
     if workdir is None:
         return None
-    out_path: Optional[Path] = None
-    if comm.rank == 0:
-        out_path = Path(workdir) / filename
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        t0 = time.perf_counter()
-        with_retry(comm, label, lambda: write(out_path))
-        comm.clock.advance(time.perf_counter() - t0, label=label)
+    path = Path(workdir) / filename
+    tmp = path.with_name(f"{path.name}.tmp")
+    with comm.compute(label):
+        piece = render()
+    lengths = comm.allgather(len(piece))
+
+    def pwrite() -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT, 0o644)
+        try:
+            written = os.pwrite(fd, piece, sum(lengths[: comm.rank]))
+        finally:
+            os.close(fd)
+        if written != len(piece):
+            raise OSError(f"short write to {tmp}: {written} of {len(piece)} bytes")
+
+    with_retry(comm, label, pwrite)
     comm.barrier()
-    return out_path
+    if comm.rank != 0:
+        return None
+    os.truncate(tmp, sum(lengths))
+    os.replace(tmp, path)
+    return path

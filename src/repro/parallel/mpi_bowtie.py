@@ -35,7 +35,8 @@ record for a few thousand reads on a few hundred contigs).  In
 ``bowtie:merge`` one ``alltoall`` takes each record to the owner of its
 read's block, who takes each row's lexicographic minimum and renders the
 block's :class:`SamRecord`s; one ``allgather`` in block order — read
-order — puts the full SAM on every rank.  Rank 0 writes ``bowtie.sam``;
+order — puts the full SAM on every rank.  Each rank writes its block's
+lines at its offset of ``bowtie.sam``, rank 0's after the header;
 ``bowtie.part<r>.sam`` stays piece-local (every read against piece
 ``r``: the paper's per-node artefact).
 
@@ -58,11 +59,11 @@ import numpy as np
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
 from repro.parallel.chunks import static_block_ranges
-from repro.parallel.component_stage import lpt_assign
+from repro.parallel.component_stage import lpt_assign, write_merged
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
 from repro.seq.records import Contig, SeqRecord
-from repro.seq.sam import SamRecord, sam_header, write_sam
+from repro.seq.sam import SamRecord, format_sam, sam_header, write_sam
 from repro.trinity.bowtie import (
     BestHits,
     BowtieConfig,
@@ -96,7 +97,7 @@ class BowtieOutputs:
     """What the parallel Bowtie computes."""
 
     records: List[SamRecord]  # full merged SAM (on all ranks)
-    out_path: Optional[Path] = None  # merged SAM (master, if written)
+    out_path: Optional[Path] = None  # merged SAM (on rank 0, if written)
     part_path: Optional[Path] = None  # this rank's SAM piece, if written
 
 
@@ -162,7 +163,6 @@ def mpi_bowtie(
 
     # -- merge: a row's bests meet at the owner of its read's block, which
     # reduces them and renders the block's records ----------------------------
-    final_sam: Optional[Path] = None
     with comm.region("bowtie:merge"):
         wire = _to_wire(hits, inputs, cfg)
         dest = np.searchsorted(first, wire["rows"] % max(n, 1), side="right") - 1
@@ -181,10 +181,13 @@ def mpi_bowtie(
         merged = comm.shared(
             "bowtie:merged", lambda: [record for part in parts for record in part], cost=0.0
         )
-        if comm.rank == 0 and workdir is not None:
-            final_sam = Path(workdir) / "bowtie.sam"
-            header = sam_header([(c.name, len(c.seq)) for c in contigs])
-            with_retry(comm, "bowtie:write_sam", lambda: write_sam(final_sam, merged, header))
+    # -- the merged SAM: each rank's block of records, the header on rank 0 ----
+    final_sam = write_merged(
+        comm, "bowtie:write_sam", workdir, "bowtie.sam",
+        lambda: format_sam(
+            mine, sam_header([(c.name, len(c.seq)) for c in contigs]) if comm.rank == 0 else ()
+        ).encode("ascii"),
+    )
     return StageResult(
         stage="bowtie",
         outputs=BowtieOutputs(records=merged, out_path=final_sam, part_path=part_path),

@@ -380,7 +380,7 @@ def mpi_chrysalis_backend(
 
     out_path = component_stage.write_merged(
         comm, "chrysalis:write_merged", config.workdir, "chrysalis_backend.fasta",
-        component_stage.fasta_writer(transcripts),
+        component_stage.fasta_block(comm, transcripts),
     )
 
     return StageResult(

@@ -216,7 +216,7 @@ def mpi_inchworm(
     contigs = component_stage.merge(comm, "inchworm", iw.keyed, keyed_contigs)
     out_path = component_stage.write_merged(
         comm, "inchworm:write_merged", config.workdir, "inchworm.contigs.fa",
-        component_stage.fasta_writer(contigs),
+        component_stage.fasta_block(comm, contigs),
     )
 
     return StageResult(

@@ -46,10 +46,11 @@ import numpy as np
 
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
+from repro.parallel.chunks import static_block_ranges
 from repro.parallel.component_stage import write_merged
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
-from repro.seq.kmer_index import KmerCounter
+from repro.seq.kmer_index import KmerCounter, format_counter_dump
 from repro.seq.kmers import base_blocks
 from repro.seq.records import SeqRecord
 from repro.trinity.dsk import _partition_of
@@ -57,7 +58,6 @@ from repro.trinity.jellyfish import (
     JellyfishConfig,
     JellyfishCounts,
     _batch_codes,
-    jellyfish_dump,
 )
 
 PathLike = Union[str, Path]
@@ -78,7 +78,7 @@ class JellyfishStageConfig:
     """Distribution knobs on top of the serial :class:`JellyfishConfig`."""
 
     jellyfish: JellyfishConfig = JellyfishConfig()
-    workdir: Optional[PathLike] = None  # rank 0 writes jellyfish.kmers.fa here
+    workdir: Optional[PathLike] = None  # the ranks write jellyfish.kmers.fa here
 
 
 @dataclass
@@ -86,7 +86,7 @@ class JellyfishOutputs:
     """What the distributed Jellyfish computes."""
 
     counts: JellyfishCounts  # full merged table (identical on all ranks)
-    out_path: Optional[Path] = None  # the dump file (master, if written)
+    out_path: Optional[Path] = None  # the dump file (on rank 0, if written)
 
 
 def _pack_pairs(
@@ -182,10 +182,12 @@ def mpi_jellyfish(
         parts = comm.allgather((owned.codes, owned.values))
         counts = comm.shared("jellyfish:final_merge", final_merge)
 
-    # -- rank-0 dump file, from the merged index ------------------------------
+    # -- the dump file: each rank renders its block of the merged index -------
+    index = counts.index
+    block = slice(*static_block_ranges(len(index), comm.rank, comm.size))
     out_path = write_merged(
         comm, "jellyfish:write_dump", config.workdir, "jellyfish.kmers.fa",
-        lambda path: jellyfish_dump(counts, path),
+        lambda: format_counter_dump(index.codes[block], index.values[block], k),
     )
 
     return StageResult(

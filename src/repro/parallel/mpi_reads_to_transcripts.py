@@ -9,9 +9,10 @@ paper tried and rejected, master/slave chunk distribution, is evaluated
 where its cost lives — the ``abl-rtt-io`` model in
 :mod:`repro.experiments.ablations`.)
 
-Each rank writes its own assignment file; the master concatenates them
-with a plain ``cat`` at the end (the measured-constant <15 s step of
-Figure 9), via :mod:`repro.parallel.merge`.
+Each rank writes its own assignment file.  The paper's master then
+concatenates them with a plain ``cat`` (the measured-constant <15 s step
+of Figure 9); here each rank writes the same bytes at its offset of the
+merged file (:func:`~repro.parallel.component_stage.write_merged`).
 
 The main loop runs the **batched sorted-array kernel**
 (:func:`~repro.trinity.chrysalis.reads_to_transcripts.assign_reads_batched`):
@@ -32,7 +33,6 @@ from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
 from repro.openmp import ThreadTeam
 from repro.parallel.component_stage import write_merged
-from repro.parallel.merge import cat_files
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
 from repro.seq.records import Contig, SeqRecord
@@ -42,6 +42,7 @@ from repro.trinity.chrysalis.reads_to_transcripts import (
     ReadsToTranscriptsConfig,
     assign_reads_batched,
     build_kmer_map,
+    format_assignments,
     stream_chunks,
     write_assignments,
 )
@@ -73,7 +74,7 @@ class RttOutputs:
     """What the hybrid ReadsToTranscripts computes."""
 
     assignments: List[ReadAssignment]  # full, read-index-ordered (on all ranks)
-    out_path: Optional[Path] = None  # concatenated output (master, if written)
+    out_path: Optional[Path] = None  # merged output (on rank 0, if written)
 
 
 @parallel_stage(
@@ -140,23 +141,16 @@ def mpi_reads_to_transcripts(
                 attrs=result.as_span_attrs(),
             )
 
-    # -- per-rank output file + master concatenation (a plain ``cat``:
-    # I/O-bound, the measured-constant step of Figure 9) ---------------------
-    # Part names are a function of the rank, so the master only waits at a
-    # barrier for every part to land.
-    out_path: Optional[Path] = None
+    # -- per-rank output file, and the merged one striped over the ranks: the
+    # same bytes in rank order, what a ``cat`` of the parts gives ----------------
     if workdir is not None:
-        wd = Path(workdir)
-        wd.mkdir(parents=True, exist_ok=True)
-        parts = [wd / f"readsToComponents.part{r}.out" for r in range(comm.size)]
-        with_retry(
-            comm, "rtt:write_part", lambda: write_assignments(parts[comm.rank], mine)
-        )
-        comm.barrier()
-        out_path = write_merged(
-            comm, "rtt:concat", wd, "readsToComponents.out",
-            lambda path: cat_files(path, parts),
-        )
+        part = Path(workdir) / f"readsToComponents.part{comm.rank}.out"
+        part.parent.mkdir(parents=True, exist_ok=True)
+        with_retry(comm, "rtt:write_part", lambda: write_assignments(part, mine))
+    out_path = write_merged(
+        comm, "rtt:concat", workdir, "readsToComponents.out",
+        lambda: format_assignments(mine).encode("ascii"),
+    )
 
     # Pool assignments so every rank returns the full, ordered table
     # (downstream QuantifyGraph needs it; rank order then index sort is

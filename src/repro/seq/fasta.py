@@ -9,7 +9,6 @@ reads model.
 from __future__ import annotations
 
 import gzip
-import io
 from pathlib import Path
 from typing import Iterable, Iterator, List, Union
 
@@ -81,21 +80,21 @@ def read_fasta(path: PathLike) -> List[SeqRecord]:
     return list(iter_fasta(path))
 
 
-def write_fasta(path: PathLike, records: Iterable[SeqRecord], width: int = 60) -> int:
-    """Write records as FASTA; returns the number of records written."""
+def format_fasta(records: Iterable[SeqRecord], width: int = 60) -> str:
+    """Records as FASTA text: a ``>header`` line, then ``width``-base lines."""
     if width <= 0:
         raise ValueError(f"line width must be positive, got {width}")
-    n = 0
+    lines = []
+    for rec in records:
+        lines.append(f">{rec.header}\n")
+        lines.extend(f"{rec.seq[i : i + width]}\n" for i in range(0, len(rec.seq), width))
+    return "".join(lines)
+
+
+def write_fasta(path: PathLike, records: Iterable[SeqRecord], width: int = 60) -> int:
+    """Write :func:`format_fasta` of ``records``; returns the number written."""
+    records = list(records)
+    text = format_fasta(records, width)
     with open_text(path, "w") as fh:
-        for rec in records:
-            _write_one(fh, rec, width)
-            n += 1
-    return n
-
-
-def _write_one(fh: io.TextIOBase, rec: SeqRecord, width: int) -> None:
-    fh.write(f">{rec.header}\n")
-    seq = rec.seq
-    for i in range(0, len(seq), width):
-        fh.write(seq[i : i + width])
-        fh.write("\n")
+        fh.write(text)
+    return len(records)

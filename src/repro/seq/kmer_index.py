@@ -312,22 +312,56 @@ def decode_kmers(codes: np.ndarray, k: int) -> List[str]:
     return [rows[i * k : (i + 1) * k].decode("ascii") for i in range(codes.size)]
 
 
-def write_counter_dump(counter: KmerCounter, path: PathLike) -> int:
-    """Write the Jellyfish text dump (``>count\\nkmer``); returns #records.
+#: ``_BASES4[b]``: the four bases byte ``b`` of a code packs, first base
+#: first, as the four ASCII bytes of one ``uint32``.
+_BASES4 = CODE_TO_BASE[(np.arange(256)[:, None] >> np.array([6, 4, 2, 0])) & 3]
+_BASES4 = _BASES4.view(np.uint32)[:, 0]
+#: ``_POW10[j] == 10**j``, up to the largest power below an int64 count's bound.
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
 
-    Codes are already sorted, matching the historical ``sorted(dict)``
-    emission order byte for byte.
+
+def format_counter_dump(codes: np.ndarray, values: np.ndarray, k: int) -> bytes:
+    """The Jellyfish text dump (``>count\\nkmer\\n`` per code) of sorted
+    ``codes`` and their positive counts ``values``.
+
+    Whole-array passes, nothing per record: each code's eight big-endian
+    bytes decode through a four-bases-per-byte table, each count fills
+    the widest count's digit columns right-aligned, and one mask drops
+    the leading padding row by row.  A slice of a counter renders to the matching
+    slice of its dump, so rank blocks concatenate to the serial file.
     """
-    kmers = decode_kmers(counter.codes, counter.k)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(
-            f">{count}\n{kmer}\n" for count, kmer in zip(counter.values.tolist(), kmers)
-        )
-    return len(kmers)
+    _check_k(k)
+    n = len(codes)
+    if n == 0:
+        return b""
+    values = np.asarray(values, dtype=np.int64)
+    width = max(int(np.searchsorted(_POW10, values.max(), side="right")), 1)
+    rows = np.empty((n, width + k + 3), dtype=np.uint8)
+    rows[:, 0] = ord(">")
+    q = values
+    for col in range(width, 0, -1):
+        q, rows[:, col] = np.divmod(q, 10)
+    rows[:, 1 : width + 1] += ord("0")
+    rows[:, width + 1] = rows[:, -1] = ord("\n")
+    bases = _BASES4[np.asarray(codes, dtype=">u8").view(np.uint8)].view(np.uint8)
+    rows[:, width + 2 : -1] = bases.reshape(n, 32)[:, 32 - k :]
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[:, 1:width] = values[:, None] >= _POW10[width - 1 : 0 : -1]
+    return rows[keep].tobytes()
+
+
+def write_counter_dump(counter: KmerCounter, path: PathLike) -> int:
+    """Write :func:`format_counter_dump` of ``counter``; returns #records."""
+    Path(path).write_bytes(format_counter_dump(counter.codes, counter.values, counter.k))
+    return len(counter)
 
 
 def read_counter_dump(path: PathLike) -> KmerCounter:
-    """Parse a Jellyfish text dump back into a :class:`KmerCounter`."""
+    """Parse a Jellyfish text dump back into a :class:`KmerCounter`.
+
+    Accepts only what :func:`format_counter_dump` can emit: decimal,
+    positive counts and each k-mer once.
+    """
     counts: List[int] = []
     kmers: List[str] = []
     with open(path, "r", encoding="ascii") as fh:
@@ -341,10 +375,9 @@ def read_counter_dump(path: PathLike) -> KmerCounter:
             else:
                 if header is None:
                     raise SequenceError(f"malformed dump near {line!r}")
-                try:
-                    counts.append(int(header))
-                except ValueError:
-                    raise SequenceError(f"dump header is not a count: {header!r}") from None
+                if not (header.isdecimal() and int(header) > 0):
+                    raise SequenceError(f"dump header is not a positive count: {header!r}")
+                counts.append(int(header))
                 kmers.append(line)
                 header = None
     if not kmers:
@@ -353,5 +386,7 @@ def read_counter_dump(path: PathLike) -> KmerCounter:
     for kmer in kmers:
         if len(kmer) != k:
             raise SequenceError(f"inconsistent k in dump: saw {k} then {len(kmer)} ({kmer!r})")
+    if len(set(kmers)) != len(kmers):
+        raise SequenceError(f"k-mer repeated in dump: {path}")
     codes = np.fromiter((encode_kmer(m) for m in kmers), dtype=np.uint64, count=len(kmers))
     return KmerCounter.from_pairs(codes, np.asarray(counts, dtype=np.int64), k)

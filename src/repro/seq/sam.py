@@ -1,13 +1,14 @@
 """Minimal SAM records, writer and reader.
 
 The MPI Bowtie step in the paper produces one SAM file per node, merged
-into a single file at the end of the job; :mod:`repro.parallel.mpi_bowtie`
-merges the ranks' records in memory and writes the one file.
+into a single file at the end of the job; in :mod:`repro.parallel.mpi_bowtie`
+each rank writes its block's records at its offset of the one file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, List, Sequence, Union
 
@@ -88,16 +89,16 @@ def sam_header(reference_lengths: Sequence[tuple]) -> List[str]:
     return lines
 
 
+def format_sam(records: Iterable[SamRecord], header: Sequence[str] = ()) -> str:
+    """Header lines then one line per alignment record, as SAM text."""
+    return "".join(f"{line}\n" for line in chain(header, (rec.to_line() for rec in records)))
+
+
 def write_sam(path: PathLike, records: Iterable[SamRecord], header: Sequence[str] = ()) -> int:
-    """Write header lines then alignment records; returns record count."""
-    n = 0
-    with open(path, "w", encoding="ascii") as fh:
-        for h in header:
-            fh.write(h + "\n")
-        for rec in records:
-            fh.write(rec.to_line() + "\n")
-            n += 1
-    return n
+    """Write :func:`format_sam` of ``records``; returns the record count."""
+    records = list(records)
+    Path(path).write_text(format_sam(records, header), encoding="ascii")
+    return len(records)
 
 
 def read_sam(path: PathLike) -> Iterator[SamRecord]:

@@ -275,10 +275,13 @@ def reads_to_transcripts(
     return out
 
 
+def format_assignments(assignments: Iterable[ReadAssignment]) -> str:
+    """``readsToComponents.out`` text: one line per assignment."""
+    return "".join(f"{a.to_line()}\n" for a in assignments)
+
+
 def write_assignments(path: PathLike, assignments: Iterable[ReadAssignment]) -> int:
-    n = 0
-    with open(path, "w", encoding="ascii") as fh:
-        for a in assignments:
-            fh.write(a.to_line() + "\n")
-            n += 1
-    return n
+    """Write :func:`format_assignments` of ``assignments``; returns the count."""
+    assignments = list(assignments)
+    Path(path).write_text(format_assignments(assignments), encoding="ascii")
+    return len(assignments)

@@ -1,24 +1,30 @@
 """What a stage reports about its own time is a view of its spans, and
-the master's merged write is one function.
+every merged file is one striped write.
 
 Every ``STAGE_TABLE`` row at three traced ranks on the smoke recipe:
 ``metrics["phase.<region>_s"]`` is the rank's same-label ``phase`` spans
 summed (the per-rank form of the pipeline benchmark's ``S.phase.*_s``
 layers; the region sets below are spelled here on purpose), only rank 0
 reports an ``out_path``, and ``component_stage.write_merged`` — the
-Jellyfish dump, Inchworm's and the back end's FASTA, RTT's ``cat`` —
-retries, charges and recovers the same way for all four.
+Jellyfish dump, Inchworm's FASTA, Bowtie's SAM, RTT's assignments and the
+back end's FASTA — retries, charges and recovers the same way for all
+five: every rank renders, retries and pays for its own piece.
 """
 
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from repro.mpi import CrashFault, FaultPlan, FlakyIO, mpirun
+from repro.errors import RankCrash
+from repro.mpi import CrashFault, FaultPlan, FlakyIO, SimComm, mpirun
 from repro.parallel import component_stage
+from repro.parallel.mpi_jellyfish import JellyfishInputs, JellyfishStageConfig, mpi_jellyfish
 from repro.parallel.driver import STAGE_TABLE, ParallelTrinityConfig, run_chain
 from repro.parallel.recovery import mpirun_with_recovery
 from repro.trinity import TrinityConfig
+from repro.trinity.jellyfish import JellyfishConfig, jellyfish_dump
 
 NPROCS = 3
 REGIONS = {
@@ -32,6 +38,7 @@ REGIONS = {
 #: row key -> the retry point / charged label of its ``write_merged``.
 MERGED_WRITES = {
     "jellyfish": "jellyfish:write_dump",
+    "bowtie": "bowtie:write_sam",
     "inchworm": "inchworm:write_merged",
     "rtt": "rtt:concat",
     "chrysalis": "chrysalis:write_merged",
@@ -108,26 +115,33 @@ def test_only_rank_zero_reports_an_out_path(chain):
 
 
 class TestWriteMerged:
-    def test_callable_writer_retries_charges_and_parks_the_peers(self, tmp_path):
-        calls = []
+    def test_each_rank_retries_and_pays_its_piece(self, tmp_path):
+        renders = []
 
         def body(comm):
+            def render():
+                renders.append(comm.rank)
+                return f"rank {comm.rank}\n".encode() * (comm.rank + 1) if comm.rank != 1 else b""
+
             return component_stage.write_merged(
-                comm, "demo:write", tmp_path / "nested", "out.txt",
-                lambda path: (calls.append(comm.rank), path.write_text("merged\n")),
+                comm, "demo:write", tmp_path / "nested", "out.txt", render
             )
 
         run = mpirun(body, NPROCS, trace=True, faults=FaultPlan(flaky_io=FLAKY, seed=3))
-        assert run.outputs == [tmp_path / "nested" / "out.txt", None, None]
-        assert run.outputs[0].read_text() == "merged\n"
-        assert calls == [0]  # the writer runs once, after the injected failures
-        assert [s.label for s in run.spans if s.kind == "fault"] == [
-            "fault:io:demo:write", "fault:retry:demo:write",
-        ] * 2
-        # One closing barrier per rank, one charged segment on the master.
-        assert [c.n_collectives for c in run.comm] == [1] * NPROCS
-        charged = [s for s in run.spans if s.kind == "compute"]
-        assert [(s.label, s.track) for s in charged] == [("demo:write", "rank 0")]
+        out = tmp_path / "nested" / "out.txt"
+        assert run.outputs == [out, None, None]
+        # The pieces land in rank order (rank 1's is empty); no temporary stays.
+        assert out.read_text() == "rank 0\n" + "rank 2\n" * 3
+        assert [p.name for p in out.parent.iterdir()] == ["out.txt"]
+        assert sorted(renders) == list(range(NPROCS))  # once each, not per attempt
+        for rank in range(NPROCS):
+            spans = _rank_spans(run, rank)
+            assert [s.label for s in spans if s.kind == "fault"] == [
+                "fault:io:demo:write", "fault:retry:demo:write",
+            ] * 2
+            assert [s.label for s in spans if s.kind == "compute"] == ["demo:write"]
+        # One allgather of the piece lengths and one closing barrier per rank.
+        assert [c.n_collectives for c in run.comm] == [2] * NPROCS
 
     def test_without_a_workdir_nothing_happens(self):
         def body(comm):
@@ -152,11 +166,12 @@ class TestWriteMerged:
         want, got = clean.outputs[0].outputs.out_path, flaky.outputs[0].outputs.out_path
         assert got.name == want.name and got.read_bytes() == want.read_bytes()
         assert flaky.metrics["n_collectives"] == clean.metrics["n_collectives"]
-        retried = [s for s in flaky.spans if s.label == f"fault:retry:{label}"]
-        assert len(retried) == 2 and {s.track for s in retried} == {"rank 0"}
+        tracks = [f"rank {r}" for r in range(NPROCS)]
+        retried = [s.track for s in flaky.spans if s.label == f"fault:retry:{label}"]
+        assert sorted(retried) == sorted(tracks * 2)
         for run in (clean, flaky):
-            charged = [s for s in run.spans if s.kind == "compute" and s.label == label]
-            assert [s.track for s in charged] == ["rank 0"]
+            charged = [s.track for s in run.spans if s.kind == "compute" and s.label == label]
+            assert sorted(charged) == tracks
 
     @pytest.mark.timeout(120)
     @pytest.mark.parametrize("key", sorted(MERGED_WRITES))
@@ -171,7 +186,9 @@ class TestWriteMerged:
             row.fn, NPROCS, inputs, row.config(cfg, tmp_path / "probe"),
             faults=FaultPlan(flaky_io=FLAKY, seed=7),
         )
-        backoff = next(s for s in probe.spans if s.label == f"fault:retry:{label}")
+        backoff = next(
+            s for s in probe.spans if s.label == f"fault:retry:{label}" and s.track == "rank 0"
+        )
         plan = FaultPlan(
             crashes=(CrashFault(rank=0, at_time=(backoff.start + backoff.stop) / 2),),
             flaky_io=FLAKY, seed=7,
@@ -184,3 +201,77 @@ class TestWriteMerged:
         want = chain.runs[key].outputs[0].outputs.out_path
         assert rec.outputs[0].outputs.out_path.read_bytes() == want.read_bytes()
         assert [out.outputs.out_path for out in rec.outputs[1:]] == [None] * (NPROCS - 2)
+        assert not list((tmp_path / "rec").glob("*.tmp"))
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("when", ["retry", "barrier"])
+    @pytest.mark.parametrize("nprocs", [3, 8])
+    def test_peer_crash_at_its_write_recovers(
+        self, smoke_reads, smoke_counts, nprocs, when, tmp_path, monkeypatch
+    ):
+        """The last rank dies at its piece — mid-retry, with its peers'
+        pieces written, or entering the closing barrier after its own — and
+        the survivors' relaunch writes the serial dump, no temporary left."""
+        serial = tmp_path / "serial.kmers.fa"
+        jellyfish_dump(smoke_counts, serial)
+        inputs, last = JellyfishInputs(reads=smoke_reads), nprocs - 1
+        plan = None
+        if when == "retry":
+            probe = mpirun(
+                mpi_jellyfish, nprocs, inputs, _dump_config(tmp_path / "probe"),
+                trace=True, faults=FaultPlan(flaky_io=FLAKY, seed=7),
+            )
+            backoff = next(
+                s for s in probe.spans
+                if s.label == "fault:retry:jellyfish:write_dump" and s.track == f"rank {last}"
+            )
+            plan = FaultPlan(
+                crashes=(CrashFault(rank=last, at_time=(backoff.start + backoff.stop) / 2),),
+                flaky_io=FLAKY, seed=7,
+            )
+        else:
+            crashed, barrier = [], SimComm.barrier
+
+            def crashing(comm):
+                if threading.current_thread().name == f"simmpi-rank-{last}" and not crashed:
+                    crashed.append(comm.rank)
+                    raise RankCrash("crashed between its write and the closing barrier")
+                return barrier(comm)
+
+            monkeypatch.setattr(SimComm, "barrier", crashing)
+        wd = tmp_path / "rec"
+        rec = mpirun_with_recovery(mpi_jellyfish, nprocs, inputs, _dump_config(wd), faults=plan)
+        assert rec.metrics["faults.rank_losses"] == 1.0
+        assert len(rec.outputs) == nprocs - 1
+        assert rec.outputs[0].outputs.out_path.read_bytes() == serial.read_bytes()
+        assert [p.name for p in wd.iterdir()] == ["jellyfish.kmers.fa"]
+
+    @pytest.mark.parametrize("nprocs", [1, 3, 8])
+    def test_longer_stale_files_never_show_through(
+        self, smoke_reads, smoke_counts, nprocs, tmp_path
+    ):
+        """A longer file at the target and a longer temporary (what a
+        crashed attempt leaves) are both gone after one write; the rank
+        threads switch every microsecond while they share the file."""
+        serial = tmp_path / "serial.kmers.fa"
+        jellyfish_dump(smoke_counts, serial)
+        wd = tmp_path / "wd"
+        wd.mkdir()
+        stale = b"N" * (2 * serial.stat().st_size)
+        for name in ("jellyfish.kmers.fa", "jellyfish.kmers.fa.tmp"):
+            (wd / name).write_bytes(stale)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = mpirun(
+                mpi_jellyfish, nprocs, JellyfishInputs(reads=smoke_reads), _dump_config(wd)
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert run.outputs[0].outputs.out_path.read_bytes() == serial.read_bytes()
+        assert [p.name for p in wd.iterdir()] == ["jellyfish.kmers.fa"]
+
+
+def _dump_config(workdir):
+    """The stage config whose dump is ``smoke_counts``' serial one."""
+    return JellyfishStageConfig(jellyfish=JellyfishConfig(k=25), workdir=workdir)

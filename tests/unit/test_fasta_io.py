@@ -1,9 +1,8 @@
-"""Unit tests for FASTA reading/writing/concatenation."""
+"""Unit tests for FASTA reading and writing."""
 
 import pytest
 
 from repro.errors import FastaFormatError
-from repro.parallel.merge import cat_files
 from repro.seq.fasta import iter_fasta, parse_fasta, read_fasta, write_fasta
 from repro.seq.records import SeqRecord
 
@@ -67,16 +66,3 @@ class TestRoundtrip:
         it = iter_fasta(path)
         assert next(it).name == "a"
         assert next(it).name == "b"
-
-
-class TestConcatenate:
-    """FASTA parts are joined by the merge step's byte-level ``cat_files``."""
-
-    def test_concat_handles_missing_trailing_newline(self, tmp_path):
-        pa = tmp_path / "a.fa"
-        pa.write_bytes(b">a\nACGT")  # no trailing newline
-        pb = tmp_path / "b.fa"
-        write_fasta(pb, [SeqRecord("b", "GG")])
-        out = tmp_path / "out.fa"
-        cat_files(out, [pa, pb])
-        assert [r.name for r in read_fasta(out)] == ["a", "b"]

@@ -200,3 +200,23 @@ class TestDumpSerialization:
         path.write_text(">notanumber\nACGT\n")
         with pytest.raises(SequenceError):
             read_counter_dump(path)
+
+    @pytest.mark.parametrize("header", ["-3", "+5", "1_0", " 7"])
+    def test_non_decimal_count_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.fa"
+        path.write_text(f">{header}\nACGTA\n")
+        with pytest.raises(SequenceError, match="not a positive count"):
+            read_counter_dump(path)
+
+    def test_zero_count_rejected(self, tmp_path):
+        path = tmp_path / "bad.fa"
+        path.write_text(">0\nACGTA\n")
+        with pytest.raises(SequenceError, match="not a positive count"):
+            read_counter_dump(path)
+
+    def test_repeated_kmer_rejected(self, tmp_path):
+        """Two records for one k-mer are not summed into one."""
+        path = tmp_path / "bad.fa"
+        path.write_text(">3\nACGTA\n>4\nACGTA\n")
+        with pytest.raises(SequenceError, match="repeated"):
+            read_counter_dump(path)

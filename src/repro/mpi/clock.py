@@ -17,18 +17,19 @@ from repro.obs.span import Span
 class Stopwatch:
     """Thread-CPU seconds of a ``with`` block — the one measured window.
 
-    The clock-fidelity rule, stated here and nowhere else: rank code that
-    runs *concurrently* with its peers is timed in thread CPU time
-    (``time.thread_time``), because the simulated ranks are threads of
-    one process and wall time would charge each rank its peers' GIL
-    turns; wall clock (``perf_counter``) is used only where the peers
-    are parked: Bowtie's master-only split, ahead of its broadcast, is
-    the one such window.
+    The clock-fidelity rule, stated here and nowhere else: rank code is
+    timed in thread CPU time (``time.thread_time``), everywhere, because
+    the simulated ranks are threads of one process and wall time would
+    charge each rank its peers' GIL turns.
 
     ``seconds`` is read after the block, whether or not it raised.
     :meth:`repro.mpi.comm.SimComm.compute` charges a window to the rank's
-    clock; a caller that hands the cost on instead (``comm.shared`` to
-    every rank, a stage to ``team.batch``) reads the stopwatch bare.
+    clock (its ``map`` times each item of a team's loop the same way);
+    ``comm.shared`` reads the stopwatch bare and hands the cost to every
+    rank.  The one other per-thread clock is Inchworm's component kernel
+    (:func:`repro.trinity.inchworm.inchworm_assemble_components`), whose
+    simulated threads' clocks are reported into a ``comm.compute``
+    window as its per-item costs.
     """
 
     __slots__ = ("seconds", "_t0")

@@ -14,14 +14,18 @@ pooled payload.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.errors import CommAbandonedError, CommError, TransientIOError
+import numpy as np
+
+from repro.errors import CommAbandonedError, CommError, ScheduleError, TransientIOError
 from repro.mpi.clock import Stopwatch, VirtualClock
 from repro.mpi.datatypes import nbytes_of
 from repro.mpi.network import NetworkModel
 from repro.obs.span import Span
+from repro.openmp.schedule import dynamic_makespan
 
 
 @dataclass
@@ -112,20 +116,47 @@ class _Region:
 class _Compute(Stopwatch):
     """Context manager behind :meth:`SimComm.compute`."""
 
-    __slots__ = ("_comm", "label", "attrs")
+    __slots__ = ("_comm", "label", "threads", "attrs", "costs", "weights")
 
-    def __init__(self, comm: "SimComm", label: str, attrs: Dict[str, Any]):
+    def __init__(self, comm: "SimComm", label: str, threads: int, attrs: Dict[str, Any]):
+        if threads <= 0:
+            raise ScheduleError(f"threads must be positive, got {threads}")
         super().__init__()
         self._comm = comm
         self.label = label
+        self.threads = threads
         self.attrs = attrs
+        self.costs: Optional[Sequence[float]] = None
+        self.weights: Optional[Sequence[float]] = None
+
+    def _team(self) -> tuple:
+        """``(items, serial seconds, makespan)`` of the window's team."""
+        if self.costs is not None:
+            costs = np.asarray(self.costs, dtype=float)
+            return costs.size, float(costs.sum()), dynamic_makespan(costs, self.threads)
+        w = np.asarray(self.weights, dtype=float)
+        if w.ndim != 1:
+            raise ScheduleError(f"weights must be 1-D, got shape {w.shape}")
+        if w.size == 0:
+            return 0, 0.0, 0.0
+        # A fused array pass has no per-item dispatch to simulate: the
+        # work-span bound, floored by the heaviest item's share.
+        total, wsum = self.seconds, float(w.sum())
+        heaviest = total * float(w.max()) / wsum if wsum > 0 else total / w.size
+        return w.size, total, max(total / self.threads, heaviest)
 
     def __exit__(self, exc_type, exc, tb) -> None:
         super().__exit__(exc_type, exc, tb)
-        if exc_type is None:
-            self._comm.clock.advance(
-                self.seconds, label=self.label, attrs=self.attrs or None
-            )
+        if exc_type is not None:
+            return
+        charge, attrs = self.seconds, self.attrs
+        if self.costs is not None or self.weights is not None:
+            items, serial, charge = self._team()
+            attrs = {
+                "items": items, "serial_time": serial, "n_threads": self.threads,
+                "speedup": serial / charge if charge > 0 else 1.0, **attrs,
+            }
+        self._comm.clock.advance(charge, label=self.label, attrs=attrs or None)
 
 
 class SimComm:
@@ -243,17 +274,48 @@ class SimComm:
                 out[key] = out.get(key, 0.0) + span.duration
         return out
 
-    def compute(self, label: str, **attrs: Any) -> "_Compute":
+    def compute(self, label: str, threads: int = 1, **attrs: Any) -> "_Compute":
         """Charge the thread CPU time of a ``with`` block to this rank.
 
-        The measured window of concurrent rank code (the rule is
-        :class:`~repro.mpi.clock.Stopwatch`'s): on a clean exit the clock
-        advances by the block's thread-CPU seconds as one ``compute``
-        segment named ``label`` carrying ``attrs`` (the context object's
-        ``attrs`` dict may be added to inside the block; ``seconds`` is
-        readable after it).  A block that raises charges nothing.
+        The measured window of rank code (the rule is
+        :class:`~repro.mpi.clock.Stopwatch`'s) and the one place a measured
+        cost becomes virtual time: on a clean exit the clock advances by
+        the window's charge as one ``compute`` segment named ``label``
+        carrying ``attrs`` (the context object's ``attrs`` dict may be
+        added to inside the block; ``seconds`` is readable after it).  A
+        block that raises charges nothing.
+
+        A block run by an OpenMP team of ``threads`` sets one per-item
+        cost shape on the context object, and is charged the team's
+        makespan (its span adds ``items``, ``serial_time``, ``n_threads``
+        and ``speedup``): ``costs``, each item's measured cost (as
+        :meth:`map` sets them), under ``schedule(dynamic)``
+        (:func:`~repro.openmp.schedule.dynamic_makespan`); or ``weights``,
+        the items' shares of one vectorised call, under the work-span
+        bound ``max(total / threads, total * max(w) / sum(w))`` of the
+        window's thread CPU ``total`` (all-zero weights share evenly, no
+        weights charge nothing).  ``threads <= 0`` raises
+        :class:`~repro.errors.ScheduleError`.
         """
-        return _Compute(self, label, attrs)
+        return _Compute(self, label, threads, attrs)
+
+    def map(self, label: str, fn: Callable, items: Sequence, threads: int, **attrs: Any) -> list:
+        """``[fn(item) for item in items]`` on an OpenMP team of ``threads``.
+
+        The items run serially, in order, so the values are exactly what
+        the team's loop computes (no cross-iteration dependencies); each
+        item's thread CPU time is its cost in a :meth:`compute` window,
+        which charges the team's dynamic-schedule makespan.
+        """
+        with self.compute(label, threads=threads, **attrs) as window:
+            costs = np.zeros(len(items))
+            values = []
+            for i, item in enumerate(items):
+                t0 = time.thread_time()
+                values.append(fn(item))
+                costs[i] = time.thread_time() - t0
+            window.costs = costs
+        return values
 
     # -- fault injection ----------------------------------------------------
     def check_io_fault(self, label: str) -> None:

@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import CommAbandonedError, CommError, MpiAbortError, RankCrash
+from repro.errors import CommAbandonedError, CommError, FaultError, MpiAbortError, RankCrash
 from repro.mpi.comm import CommStats, SimComm, _SharedState
 from repro.mpi.faults import FaultPlan
 from repro.mpi.network import IDATAPLEX_FDR10, NetworkModel
@@ -102,6 +102,10 @@ def mpirun(
     """
     if nprocs <= 0:
         raise CommError(f"nprocs must be positive, got {nprocs}")
+    if faults is not None:
+        named = [f.rank for f in faults.crashes + faults.stragglers if f.rank >= nprocs]
+        if named:
+            raise FaultError(f"fault plan names rank(s) {named} of a {nprocs}-rank launch")
     state = _SharedState(nprocs, network)
     comms = [SimComm(r, state) for r in range(nprocs)]
     faulty = faults is not None and not faults.is_empty

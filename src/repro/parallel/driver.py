@@ -378,14 +378,15 @@ def _checkpoint_key(
 ) -> str:
     """Content key of one stage result: everything it depends on.
 
-    The stage and its full config, the launch shape and fault plan, the
-    workdir its files land in, the reads' content digest, the glue knobs
-    its inputs read, the payload layout version, and — transitively — the
-    keys of its upstream stages.  Any mismatch recomputes.
+    The stage and its full config, the launch shape, network and fault
+    plan, the workdir its files land in, the reads' content digest, the
+    glue knobs its inputs read, the payload layout version, and —
+    transitively — the keys of its upstream stages.  Any mismatch
+    recomputes.
     """
     parts = (
-        _CHECKPOINT_LAYOUT, row.fn.__name__, stage_config, cfg.nprocs, cfg.nthreads, cfg.faults,
-        str(workdir), digest,
+        _CHECKPOINT_LAYOUT, row.fn.__name__, stage_config, cfg.nprocs, cfg.nthreads,
+        cfg.network, cfg.faults, str(workdir), digest,
         [(knob, getattr(cfg.trinity, knob)) for knob in row.glue],
         list(upstream_keys),
     )
@@ -402,7 +403,7 @@ def _load_checkpoint(
     """A previously checkpointed StageResult, or None if absent/stale.
 
     Corrupt or truncated pickles, payloads without a result and key
-    mismatches (other reads, config, nprocs, fault plan or upstream
+    mismatches (other reads, config, nprocs, network, fault plan or upstream
     stage) are treated as misses — the stage recomputes.
     """
     path = _checkpoint_path(checkpoint_dir, stage)

@@ -49,7 +49,6 @@ total-time curve in Figure 10.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
@@ -116,24 +115,23 @@ def mpi_bowtie(
     workdir = config.workdir
 
     # -- PyFasta split on the master (serial overhead) ----------------------
-    split_time = 0.0
     pieces: Optional[List[List[int]]] = None
     with comm.region("bowtie:split", serial=True):
         if comm.rank == 0:
-            t0 = time.perf_counter()
-            lengths = [len(c.seq) for c in contigs]
-            pieces = with_retry(
-                comm,
-                "bowtie:pyfasta_split",
-                lambda: [
-                    sorted(piece)
-                    for piece in lpt_assign(lengths, range(len(contigs)), comm.size)
-                ],
-            )
-            split_time = time.perf_counter() - t0
+            with comm.compute("bowtie:pyfasta_split"):
+                lengths = [len(c.seq) for c in contigs]
+                pieces = with_retry(
+                    comm,
+                    "bowtie:pyfasta_split",
+                    lambda: [
+                        sorted(piece)
+                        for piece in lpt_assign(lengths, range(len(contigs)), comm.size)
+                    ],
+                )
             # Model the file rewrite at 200 MB/s (PyFasta is I/O bound).
-            split_time += sum(len(c.seq) for c in contigs) / 200e6
-            comm.clock.advance(split_time, label="bowtie:pyfasta_split")
+            comm.clock.advance(
+                sum(len(c.seq) for c in contigs) / 200e6, label="bowtie:pyfasta_split"
+            )
         pieces = comm.bcast(pieces, root=0)
 
     # -- per-rank: seeds of my read block, pooled; then the index over my
@@ -148,7 +146,7 @@ def mpi_bowtie(
             block = ReadSeeds.build(reads[lo:hi], cfg)
         blocks = comm.allgatherv(block)
         read_seeds = comm.shared("bowtie:read_seeds", lambda: ReadSeeds.stitch(blocks))
-        with comm.compute("bowtie:align") as align:
+        with comm.compute("bowtie:align"):
             index = BowtieIndex([contigs[g] for g in my_globals.tolist()], cfg)
             local = align_seeds(read_seeds, index)
             hits = BestHits(local.rows, my_globals[local.contig], local.pos, local.mm)
@@ -170,7 +168,7 @@ def mpi_bowtie(
             wire[np.argsort(dest, kind="stable")], np.cumsum(np.bincount(dest, minlength=p))[:-1]
         )
         routed = comm.alltoall(by_dest)
-        with comm.compute("bowtie:merge") as merging:
+        with comm.compute("bowtie:merge"):
             table = np.concatenate(routed)
             # Library row -> row of this block (forward rows first).
             rows = table["rows"].astype(np.int64)
@@ -194,9 +192,6 @@ def mpi_bowtie(
         makespan=comm.clock.now,
         metrics={
             **comm.phase_seconds(),
-            "split_time": split_time,
-            "align_time": align.seconds,
-            "merge_time": merging.seconds,
             "n_records": float(len(merged)),
             # This piece's share of the work (sums over ranks to the single-
             # index counts; lookups: plus shared codes), this block's reads.

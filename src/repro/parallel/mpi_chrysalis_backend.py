@@ -61,10 +61,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.mpi.clock import Stopwatch
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
-from repro.openmp import ThreadTeam
 from repro.parallel import component_stage
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
@@ -240,7 +238,6 @@ def mpi_chrysalis_backend(
     config = config or ChrysalisBackendStageConfig()
     bf_cfg = config.butterfly
     contigs = inputs.contigs
-    team = ThreadTeam(config.nthreads)
 
     # Simulated input-bundle read (contigs + assignments land on every
     # node): the retryable I/O point for flaky-I/O fault plans.
@@ -323,28 +320,20 @@ def mpi_chrysalis_backend(
         # The reads of this rank's units, encoded and packed once, each
         # unit's windows one slice.  One array pass over blocks of reads —
         # the team divides it as it does RTT's chunk kernel.
-        with Stopwatch() as packing:
+        with comm.compute(
+            "chrysalis:pack", threads=config.nthreads, units=len(mine)
+        ) as packing:
             pack = pack_routed_reads(
                 inputs.reads, {u: units[u][2] for u in mine}, config.k, solid
             )
-        packed = team.batch(pack.block_bases, packing.seconds, weights=pack.block_bases)
-        n_read_windows, pack_bytes = int(pack.nodes.size), pack.nbytes
-        comm.clock.advance(
-            packed.makespan,
-            label="chrysalis:pack",
-            attrs={
-                **packed.as_span_attrs(), "units": len(mine),
-                "reads": int(pack.has_kmer.size), "windows": n_read_windows,
-            },
-        )
-        counted = team.map(count_unit, mine)
+            packing.weights = pack.block_bases
+            n_read_windows, pack_bytes = int(pack.nodes.size), pack.nbytes
+            packing.attrs.update(reads=int(pack.has_kmer.size), windows=n_read_windows)
+        counted = comm.map("chrysalis:units", count_unit, mine, config.nthreads)
         del pack  # a rank's largest transient: gone before the merge
-        comm.clock.advance(
-            counted.makespan, label="chrysalis:units", attrs=counted.as_span_attrs()
-        )
         # A unit's table goes to its component's owner (this rank's own stay
         # off the wire); block 0's graph is the one the owner keeps.
-        for u, (graph, table) in zip(mine, counted.values):
+        for u, (graph, table) in zip(mine, counted):
             cid, block, _indices = units[u]
             if block == 0:
                 graphs[cid] = graph
@@ -353,11 +342,8 @@ def mpi_chrysalis_backend(
         inbox = comm.alltoall(outbox)
         for cid, table in chain(here, *inbox):
             tables.setdefault(cid, []).append(table)
-        result = team.map(backend_component, owned)
-        local = [(cid, q, ts) for cid, (q, ts) in zip(owned, result.values)]
-        comm.clock.advance(
-            result.makespan, label="chrysalis:components", attrs=result.as_span_attrs()
-        )
+        result = comm.map("chrysalis:components", backend_component, owned, config.nthreads)
+        local = [(cid, q, ts) for cid, (q, ts) in zip(owned, result)]
 
     part_path = component_stage.write_part(
         comm, "chrysalis", config.workdir,

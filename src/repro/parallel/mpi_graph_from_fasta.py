@@ -35,7 +35,6 @@ import numpy as np
 from repro.mpi.comm import SimComm
 from repro.mpi.datatypes import pack_int_pairs, pack_strings, unpack_int_pairs, unpack_strings
 from repro.obs.result import StageResult
-from repro.openmp import ThreadTeam
 from repro.parallel.chunks import chunk_ranges, chunks_for_rank, default_chunk_size, rank_items
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
@@ -102,7 +101,6 @@ def mpi_graph_from_fasta(
     contigs, reads, extra_pairs = inputs.contigs, inputs.reads, inputs.extra_pairs
     cfg = config.gff
     nthreads = config.nthreads
-    team = ThreadTeam(nthreads)
     ranges = chunk_ranges(len(contigs), default_chunk_size(len(contigs), comm.size, nthreads))
     my_chunks = chunks_for_rank(len(ranges), comm.rank, comm.size)
 
@@ -142,17 +140,13 @@ def mpi_graph_from_fasta(
     with comm.region("gff:loop1", chunks=len(my_chunks)):
         for c in my_chunks:
             start, stop = ranges[c]
-            result = team.map(
+            for welds in comm.map(
+                f"gff:loop1:chunk{c}",
                 lambda idx: harvest_welds_for_contig(idx, contigs[idx], cfg, shared_seeds),
-                list(range(start, stop)),
-            )
-            for welds in result.values:
+                range(start, stop),
+                nthreads,
+            ):
                 my_welds.extend(welds)
-            comm.clock.advance(
-                result.makespan,
-                label=f"gff:loop1:chunk{c}",
-                attrs=result.as_span_attrs(),
-            )
 
     # -- pool welds on every rank (packed strings + Allgatherv) ------------
     # Wire format mirrors the paper: the vector of welding subsequences is
@@ -189,19 +183,15 @@ def mpi_graph_from_fasta(
     with comm.region("gff:loop2", chunks=len(my_chunks)):
         for c in my_chunks:
             start, stop = ranges[c]
-            result = team.map(
+            for pairs in comm.map(
+                f"gff:loop2:chunk{c}",
                 lambda idx: find_weld_pairs_for_contig(
                     idx, contigs[idx], welds, weld_index, weldmers, cfg, weld_keys
                 ),
-                list(range(start, stop)),
-            )
-            for pairs in result.values:
+                range(start, stop),
+                nthreads,
+            ):
                 my_pairs.update(pairs)
-            comm.clock.advance(
-                result.makespan,
-                label=f"gff:loop2:chunk{c}",
-                attrs=result.as_span_attrs(),
-            )
 
     # -- pool pairs on every rank (flat int array + Allgatherv) ------------
     flat = pack_int_pairs(sorted(my_pairs))
@@ -228,10 +218,6 @@ def mpi_graph_from_fasta(
         makespan=comm.clock.now,
         metrics={
             **comm.phase_seconds(),
-            # What is still replicated on every real rank (Fig 8's share).
-            "serial_time": sum(
-                s.duration for s in comm.spans if s.kind == "phase" and s.attr("serial")
-            ),
             "n_shared_seeds": float(shared_seeds.size),
             "n_weldmer_hits": float(n_hits),
             "n_weldmers": float(len(weldmers)),

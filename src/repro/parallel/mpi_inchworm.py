@@ -198,19 +198,14 @@ def mpi_inchworm(
         teams = component_stage.lpt_assign(
             [float(costs[cid]) for cid in mine], mine, config.n_threads
         )
-        iw = inchworm_assemble_components(
-            filtered, counts.canonical, cfg, landing, ids, teams
-        )
-        if mine:
-            comm.clock.advance(
-                iw.team.makespan,
-                label="inchworm:assemble_components",
-                attrs={
-                    "components": len(mine),
-                    "n_threads": config.n_threads,
-                    "steps": iw.n_steps,
-                },
+        with comm.compute(
+            "inchworm:assemble_components", threads=config.n_threads, components=len(mine)
+        ) as kernel:
+            iw = inchworm_assemble_components(
+                filtered, counts.canonical, cfg, landing, ids, teams
             )
+            kernel.costs = iw.thread_clocks
+            kernel.attrs["steps"] = iw.n_steps
 
     # -- merge: pool keyed contigs, re-emit the global seed-order sequence ---
     contigs = component_stage.merge(comm, "inchworm", iw.keyed, keyed_contigs)
@@ -232,8 +227,8 @@ def mpi_inchworm(
             "n_contigs": float(len(contigs)),
             # Per-rank thread-team totals: the driver aggregates these
             # into the pipeline-level inchworm.speedup metric.
-            "team_makespan_s": iw.team.makespan,
-            "team_serial_s": iw.team.serial_time,
+            "team_makespan_s": float(iw.thread_clocks.max()),
+            "team_serial_s": float(iw.thread_clocks.sum()),
             "n_threads": float(config.n_threads),
             # The successor table as this rank holds it: the shared probe
             # plus the rows its own threads built.

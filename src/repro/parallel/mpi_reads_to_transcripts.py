@@ -28,10 +28,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.mpi.clock import Stopwatch
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
-from repro.openmp import ThreadTeam
 from repro.parallel.component_stage import write_merged
 from repro.parallel.recovery import with_retry
 from repro.parallel.stage import parallel_stage
@@ -94,7 +92,6 @@ def mpi_reads_to_transcripts(
     reads, contigs, components = inputs.reads, inputs.contigs, inputs.components
     cfg = config.rtt
     workdir = config.workdir
-    team = ThreadTeam(config.nthreads)
 
     # -- OpenMP-only setup: assign k-mers to Inchworm bundles --------------
     # (redundant on every real rank, so every rank is charged the build
@@ -125,21 +122,16 @@ def mpi_reads_to_transcripts(
             # …but only processes chunks congruent to its rank.
             if chunk_idx % comm.size != comm.rank:
                 continue
-            # One vectorised call per chunk; its measured thread CPU time
-            # is apportioned across the reads by k-mer-position count (each
-            # read's share of the flattened code array) so the simulated
-            # team schedule sees a per-item cost shape.
+            # One vectorised call per chunk on the OpenMP team; its thread
+            # CPU time is apportioned across the reads by k-mer-position
+            # count (each read's share of the flattened code array).
             chunk = [(i, reads[i]) for i in range(start, stop)]
-            with Stopwatch() as kernel:
-                values = assign_reads_batched(chunk, kmer_map, cfg)
             weights = [max(len(read.seq) - cfg.k + 1, 1) for _i, read in chunk]
-            result = team.batch(values, kernel.seconds, weights=weights)
-            mine.extend(result.values)
-            comm.clock.advance(
-                result.makespan,
-                label=f"rtt:assign_chunk{chunk_idx}",
-                attrs=result.as_span_attrs(),
-            )
+            with comm.compute(
+                f"rtt:assign_chunk{chunk_idx}", threads=config.nthreads
+            ) as kernel:
+                mine.extend(assign_reads_batched(chunk, kmer_map, cfg))
+                kernel.weights = weights
 
     # -- per-rank output file, and the merged one striped over the ranks: the
     # same bytes in rank order, what a ``cat`` of the parts gives ----------------

@@ -52,7 +52,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import PipelineError
-from repro.openmp.team import TeamResult
 from repro.seq.kmer_index import KmerCounter
 from repro.seq.kmers import decode_kmer, revcomp_codes
 from repro.seq.records import Contig
@@ -431,12 +430,11 @@ def inchworm_assemble(
 
 @dataclass
 class ComponentAssembly:
-    """Keyed contigs of one kernel call plus the simulated team's timing."""
+    """Keyed contigs of one kernel call plus its simulated threads' clocks."""
 
     #: ``(seed's :func:`_seed_keys` tuple, seq, coverage)`` per contig;
     #: :func:`keyed_contigs` re-emits any union of these as the serial list.
     keyed: List[Tuple[Tuple[int, int, int], str, float]]
-    team: TeamResult
     thread_clocks: np.ndarray  # virtual seconds per simulated thread
     n_steps: int  # rows read by the walks
     row_bytes: int  # the threads' preference rows, summed
@@ -467,10 +465,12 @@ def inchworm_assemble_components(
 
     Timing: one ``thread_time`` window covers the call; what a thread's
     rows and walks took (the call's own setup, the sort included, goes to
-    the first busy thread) is charged to its clock.  A component is
-    indivisible, so the thread holding the largest one is the floor of
-    the team makespan.  A straggling rank stretches the team's makespan
-    on its own clock, not here.
+    the first busy thread) is charged to its clock in ``thread_clocks``.
+    The stage hands them to its ``comm.compute`` window as per-item costs,
+    one item per thread, so the team's makespan is the largest clock; a
+    component is indivisible, so the thread holding the largest one is
+    its floor.  A straggling rank stretches the makespan on its own
+    clock, not here.
     """
     if filtered.k < 2:
         raise PipelineError(f"inchworm needs k >= 2, got {filtered.k}")
@@ -478,7 +478,7 @@ def inchworm_assemble_components(
     if n_threads == 0:
         raise PipelineError("inchworm needs at least one thread's component list")
 
-    started = stamp = time.thread_time()
+    stamp = time.thread_time()
     salt = derive_seed(config.seed, "inchworm-ties")
     keyed: List[Tuple[Tuple[int, int, int], str, float]] = []
     clocks = np.zeros(n_threads)
@@ -496,10 +496,6 @@ def inchworm_assemble_components(
         now = time.thread_time()
         clocks[t] += now - stamp
         stamp = now
-    team = TeamResult(
-        values=keyed, makespan=float(clocks.max()), serial_time=stamp - started,
-        n_threads=n_threads,
-    )
     return ComponentAssembly(
-        keyed=keyed, team=team, thread_clocks=clocks, n_steps=n_steps, row_bytes=row_bytes
+        keyed=keyed, thread_clocks=clocks, n_steps=n_steps, row_bytes=row_bytes
     )

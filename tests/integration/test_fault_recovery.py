@@ -14,6 +14,7 @@ import pytest
 from repro.errors import CommAbandonedError, FaultError, MpiAbortError, ObsError, RankCrash
 from repro.mpi import CrashFault, FaultPlan, FlakyIO, mpirun
 from repro.mpi.datatypes import pack_strings
+from repro.mpi.network import NetworkModel
 from repro.obs.critical import critical_path
 from repro.parallel import ParallelTrinityDriver, mpirun_with_recovery
 from repro.parallel.driver import ParallelTrinityConfig
@@ -455,6 +456,20 @@ class TestDriverFaultsAndCheckpoints:
             rerun = ParallelTrinityDriver(cfg).run(smoke_reads, checkpoint_dir=ckpt)
             assert _ckpt_counters(rerun) == (3, 3), knob
             assert _seqs(rerun) == _seqs(ParallelTrinityDriver(cfg).run(smoke_reads))
+
+    @pytest.mark.timeout(300)
+    def test_other_network_recomputes_everything(self, smoke_reads, tmp_path):
+        """The network model times every collective, so it is part of the
+        key: a slower interconnect restores nothing, the same one all six."""
+        fast = ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=3, nthreads=2)
+        slow = replace(fast, network=NetworkModel(alpha=1e-2, beta=1e-6))
+        ckpt = tmp_path / "ckpts"
+        ParallelTrinityDriver(fast).run(smoke_reads, checkpoint_dir=ckpt)
+        cold = ParallelTrinityDriver(slow).run(smoke_reads, checkpoint_dir=ckpt)
+        assert _ckpt_counters(cold) == (0, 6)
+        warm = ParallelTrinityDriver(slow).run(smoke_reads, checkpoint_dir=ckpt)
+        assert _ckpt_counters(warm) == (6, 0)
+        assert _seqs(warm) == _seqs(cold)
 
 
 class TestRunRecord:

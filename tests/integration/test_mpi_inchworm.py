@@ -200,8 +200,12 @@ class TestFewComponents:
                 owners += 1
                 assert r.metrics["team_makespan_s"] > 0
                 (seg,) = advances
-                assert set(seg.attrs) == {"components", "n_threads", "steps"}
-                assert seg.attrs["n_threads"] == 8
+                assert set(seg.attrs) == {
+                    "components", "n_threads", "steps", "items", "serial_time", "speedup",
+                }
+                assert seg.attrs["n_threads"] == seg.attrs["items"] == 8
+                assert seg.duration == pytest.approx(r.metrics["team_makespan_s"])
+                assert seg.attrs["serial_time"] == pytest.approx(r.metrics["team_serial_s"])
             assert r.metrics["n_threads"] == 8.0
         assert 1 <= owners <= 2
 

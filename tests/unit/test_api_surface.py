@@ -279,8 +279,8 @@ class TestMeasurementSurface:
     def test_one_measurement_path_and_no_knob_for_it(self):
         """Stage timings come from spans and ``benchmarks.pipeline``: no
         ``repro bench``, no bench registry, and the communicator gained
-        exactly the window and the span view (``compute``,
-        ``phase_seconds``) and lost the mpi4py spellings no stage calls
+        exactly the window, its team form and the span view (``compute``,
+        ``map``, ``phase_seconds``) and lost the mpi4py spellings no stage calls
         (point-to-point and the root-only gather among them)."""
         from dataclasses import fields
 
@@ -298,7 +298,7 @@ class TestMeasurementSurface:
         ]
         assert not [name for name in vars(registry) if "bench" in name.lower()]
         assert sorted(n for n in vars(SimComm) if not n.startswith("_")) == sorted([
-            "rank", "size", "region", "phase_seconds", "compute", "check_io_fault",
+            "rank", "size", "region", "phase_seconds", "compute", "map", "check_io_fault",
             "shared", "barrier", "bcast", "allgather", "allgatherv", "alltoall",
         ])
         assert [f.name for f in fields(JellyfishStageConfig)] == ["jellyfish", "workdir"]
@@ -378,14 +378,15 @@ class TestRunRecordSurface:
 
 class TestDeletedSurface:
     """What nothing ran is gone, and stays gone: the graph simplification
-    pass, the OpenMP schedules no team used, FASTQ and PyFasta I/O, and
+    pass, the OpenMP schedules no team used and the thread-team objects
+    ``SimComm`` replaced, FASTQ and PyFasta I/O, and
     the helpers only their own tests called (what a test still needs
     lives under ``tests/``)."""
 
     GONE = {
         "repro.openmp": (
             "Schedule", "simulate_schedule", "static_makespan", "guided_makespan",
-            "static_chunks", "per_thread_busy_times",
+            "static_chunks", "per_thread_busy_times", "ThreadTeam", "TeamResult",
         ),
         "repro.openmp.schedule": (
             "Schedule", "simulate_schedule", "static_makespan", "guided_makespan",
@@ -416,7 +417,11 @@ class TestDeletedSurface:
     }
 
     @pytest.mark.parametrize(
-        "module", ["repro.seq.fastq", "repro.seq.pyfasta", "repro.trinity.chrysalis.simplify"]
+        "module",
+        [
+            "repro.openmp.team", "repro.seq.fastq", "repro.seq.pyfasta",
+            "repro.trinity.chrysalis.simplify",
+        ],
     )
     def test_module_gone(self, module):
         with pytest.raises(ModuleNotFoundError):
@@ -435,10 +440,17 @@ class TestDeletedSurface:
         from dataclasses import fields
         from inspect import signature
 
-        from repro.openmp import ThreadTeam, dynamic_makespan
+        from repro.mpi import SimComm
+        from repro.openmp import dynamic_makespan
         from repro.trinity.butterfly import ButterflyConfig
 
-        assert list(signature(ThreadTeam).parameters) == ["n_threads"]
+        # A team is a compute window: its size is the one knob.
+        assert list(signature(SimComm.compute).parameters) == [
+            "self", "label", "threads", "attrs",
+        ]
+        assert list(signature(SimComm.map).parameters) == [
+            "self", "label", "fn", "items", "threads", "attrs",
+        ]
         assert list(signature(dynamic_makespan).parameters) == ["costs", "n_threads"]
         assert "simplify" not in {f.name for f in fields(ButterflyConfig)}
 

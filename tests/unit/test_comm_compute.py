@@ -1,11 +1,12 @@
-"""The one measured window: ``comm.compute`` and the stopwatch under it."""
+"""The one measured window: ``comm.compute`` and the stopwatch under it
+(its team charge rules are in ``test_openmp.py``)."""
 
 import time
 
 import pytest
 
 from repro.errors import MpiAbortError
-from repro.mpi import CrashFault, FaultPlan, mpirun
+from repro.mpi import CrashFault, FaultPlan, StragglerFault, mpirun
 from repro.mpi.clock import Stopwatch
 
 
@@ -90,3 +91,35 @@ class TestCompute:
             mpirun(body, 2, faults=plan)
         assert err.value.rank == 1
         assert err.value.elapsed[1] == pytest.approx(0.001)
+
+
+class TestTeamWindow:
+    """A team window is a compute window: the same no-charge-on-raise and
+    straggler rules hold for its makespan."""
+
+    def test_a_raising_team_window_charges_nothing(self):
+        def item(x):
+            _spin(0.002)
+            if x == 2:
+                raise ValueError("no result, no charge")
+            return x
+
+        def body(comm):
+            with pytest.raises(ValueError):
+                comm.map("doomed", item, [1, 2, 3], threads=2)
+            return comm.clock.now
+
+        run = mpirun(body, 1, trace=True)
+        assert run.outputs == [0.0]
+        assert not [s for s in run.spans if s.label == "doomed"]
+
+    def test_a_straggler_stretches_a_team_window(self):
+        def body(comm):
+            with comm.compute("team", threads=2) as window:
+                window.costs = [1.0, 1.0, 2.0]
+            return comm.clock.now
+
+        plan = FaultPlan(stragglers=(StragglerFault(rank=1, slowdown=3.0),))
+        assert mpirun(body, 2, faults=plan).outputs == [
+            pytest.approx(3.0), pytest.approx(9.0),
+        ]

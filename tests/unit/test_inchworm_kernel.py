@@ -245,9 +245,8 @@ class TestThreadedDriver:
     def test_team_timing_populated(self):
         counts = counts_for(SRC1, SRC2, k=7)
         res = assemble_components(counts, InchwormConfig(min_kmer_count=1), n_threads=4)
-        assert res.team.n_threads == 4
-        assert res.team.makespan > 0
         assert res.thread_clocks.shape == (4,)
+        assert res.thread_clocks.max() > 0
         assert res.n_steps > 0
 
     def test_clocks_cover_the_whole_call(self, smoke_counts):
@@ -265,22 +264,18 @@ class TestThreadedDriver:
             filtered, smoke_counts.canonical, cfg, landing, ids, teams
         )
         measured = time.thread_time() - t0
-        assert res.team.serial_time == pytest.approx(res.thread_clocks.sum())
-        assert 0.9 * measured <= res.team.serial_time <= measured
-        assert res.team.makespan == res.thread_clocks.max()
+        assert 0.9 * measured <= res.thread_clocks.sum() <= measured
 
     def test_more_threads_than_components_idle_at_zero(self):
         counts = counts_for(SRC1, SRC2, k=7)
         res = assemble_components(counts, InchwormConfig(min_kmer_count=1), n_threads=8)
         busy = np.flatnonzero(res.thread_clocks)
         assert 0 < busy.size < 8  # fewer components than threads
-        assert res.team.makespan == res.thread_clocks.max()
 
     def test_empty_counts(self):
         counts = counts_for("AAA", k=3)
         res = assemble_components(counts, InchwormConfig(min_kmer_count=10), n_threads=2)
         assert res.keyed == []
-        assert res.team.makespan == 0.0
         assert res.thread_clocks.tolist() == [0.0, 0.0]
         assert res.n_steps == 0
 

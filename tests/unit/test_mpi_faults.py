@@ -98,6 +98,24 @@ class TestInjection:
         assert isinstance(ei.value.__cause__, RankCrash)
         assert "stage:loop" in str(ei.value.__cause__)
 
+    def test_plan_naming_a_rank_past_the_launch_is_refused(self):
+        """A fault for a rank the launch does not have would silently do
+        nothing: ``mpirun`` refuses the plan before any rank starts."""
+        started = []
+
+        def body(comm):
+            started.append(comm.rank)
+
+        plan = FaultPlan(
+            crashes=(CrashFault(rank=3, phase="phase"),),
+            stragglers=(StragglerFault(rank=7, slowdown=5.0),),
+        )
+        with pytest.raises(FaultError, match=r"\[3, 7\]"):
+            mpirun(body, 3, faults=plan)
+        assert started == []
+        in_range = FaultPlan(stragglers=(StragglerFault(rank=2, slowdown=5.0),))
+        assert mpirun(body, 3, faults=in_range).makespan == 0.0
+
     def test_empty_plan_changes_nothing(self):
         base = mpirun(_compute_body, 2, 1.0)
         faulted = mpirun(_compute_body, 2, 1.0, faults=FaultPlan())

@@ -16,8 +16,7 @@ analyser and the validation harness each read:
 ``comm`` / ``metrics``
     communication accounting and scalar counters/gauges.
 
-Every distributed stage conforms to the
-:class:`~repro.parallel.stage.ParallelStage` protocol and sets
+Every distributed stage body, ``stage(comm, inputs, config=None)``, sets
 ``outputs`` to a typed per-stage dataclass (``GffOutputs``,
 ``RttOutputs``, ``BowtieOutputs``, ``ChrysalisBackendOutputs``, …), so
 the preferred reads are explicit: ``run.outputs[0].welds`` on an ``mpirun``

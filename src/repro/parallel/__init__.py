@@ -6,13 +6,12 @@ code paths compute real results whose equivalence to the serial pipeline
 is tested — while per-rank virtual clocks provide the cluster-scale
 timing the paper's Figures 7-11 report.
 
-All distributed stages share one calling convention — the
-:class:`repro.parallel.stage.ParallelStage` protocol:
-``stage(comm, inputs, config) -> StageResult`` with typed ``*Inputs`` /
-``*StageConfig`` / ``*Outputs`` dataclasses — and register themselves in
-:data:`repro.parallel.stage.STAGES`.
+All distributed stages share one calling convention,
+``stage(comm, inputs, config=None) -> StageResult`` with typed
+``*Inputs`` / ``*StageConfig`` / ``*Outputs`` dataclasses, and each is one
+row of the driver's :data:`~repro.parallel.driver.STAGE_TABLE`;
+:data:`STAGES` is those rows keyed by stage name.
 
-* :mod:`repro.parallel.stage` — the ParallelStage protocol + registry.
 * :mod:`repro.parallel.chunks` — the chunked round-robin distribution
   (paper Fig 3).
 * :mod:`repro.parallel.component_stage` — the one deal -> kernel ->
@@ -44,12 +43,12 @@ All distributed stages share one calling convention — the
   backoff budget) and crash recovery (one knob, ``max_rank_losses``)
   over the fault-injected runtime (:mod:`repro.mpi.faults`).
 * :mod:`repro.parallel.driver` — ``Trinity.pl --nprocs`` equivalent: the
-  six-stage table and the one chain function that walks it.
+  six-stage table (the stage registry) and the one chain function that
+  walks it.
 * :mod:`repro.parallel.scaling` — calibrated paper-scale replays that
   regenerate the scaling figures.
 """
 
-from repro.parallel.stage import STAGES, ParallelStage, StageSpec, parallel_stage
 from repro.parallel.chunks import chunk_ranges, chunks_for_rank, rank_items
 from repro.parallel.mpi_bowtie import (
     BowtieInputs,
@@ -88,13 +87,10 @@ from repro.parallel.mpi_reads_to_transcripts import (
     mpi_reads_to_transcripts,
 )
 from repro.parallel.recovery import mpirun_with_recovery, with_retry
-from repro.parallel.driver import ParallelTrinityConfig, ParallelTrinityDriver
+from repro.parallel.driver import STAGES, ParallelTrinityConfig, ParallelTrinityDriver
 
 __all__ = [
     "STAGES",
-    "ParallelStage",
-    "StageSpec",
-    "parallel_stage",
     "mpirun_with_recovery",
     "with_retry",
     "chunk_ranges",

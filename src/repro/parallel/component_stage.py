@@ -33,7 +33,7 @@ from repro.errors import PipelineError
 from repro.mpi.comm import SimComm
 from repro.parallel.chunks import default_chunk_size, rank_items, static_block_ranges
 from repro.parallel.recovery import with_retry
-from repro.seq.fasta import format_fasta, write_fasta
+from repro.seq.fasta import format_fasta
 
 PathLike = Union[str, Path]
 
@@ -154,23 +154,22 @@ def fasta_block(comm: SimComm, items: Sequence[Any]) -> Callable[[], bytes]:
 
 def write_part(
     comm: SimComm,
-    prefix: str,
+    label: str,
     workdir: Optional[PathLike],
     filename: str,
-    items: Sequence[Any],
+    render: Callable[[], bytes],
 ) -> Optional[Path]:
-    """Write this rank's piece under ``workdir`` (a retryable I/O point).
+    """Write this rank's own file, ``workdir/filename``, holding ``render()``.
 
-    Returns the path, or None (nothing written) without a ``workdir``.
+    Rendering and writing are one retryable I/O point, ``label``, outside
+    any compute window.  Returns the path, or None (nothing rendered or
+    written) without a ``workdir``.
     """
     if workdir is None:
         return None
     path = Path(workdir) / filename
     path.parent.mkdir(parents=True, exist_ok=True)
-    with_retry(
-        comm, f"{prefix}:write_part",
-        lambda: write_fasta(path, [item.to_record() for item in items]),
-    )
+    with_retry(comm, label, lambda: path.write_bytes(render()))
     return path
 
 

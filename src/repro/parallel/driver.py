@@ -25,11 +25,13 @@ graphs and writes ``Trinity.fasta``.  That glue is host time outside
 every ``mpirun`` (the pipeline benchmark's ``pipeline.glue_s``) and is
 not on the modelled clocks.
 
-Every MPI stage conforms to the :class:`repro.parallel.stage.ParallelStage`
-protocol, so the six-stage chain is said once: :data:`STAGE_TABLE` names
-each stage's registry entry, inputs builder, config accessor and
-upstream stages, and :func:`run_chain` walks it with whatever *launcher*
-the caller passes — :meth:`ParallelTrinityDriver.run`'s checkpoint and
+Every MPI stage body is ``stage(comm, inputs, config=None) -> StageResult``
+with typed ``*Inputs`` / ``*StageConfig`` / ``*Outputs`` dataclasses, so
+the six-stage chain is said once.  :data:`STAGE_TABLE` is the one list of
+stages: each row names a stage's body, inputs type and builder, config
+accessor and upstream stages, and :data:`STAGES` is the same rows keyed
+by name.  :func:`run_chain` walks the table with whatever *launcher* the
+caller passes: :meth:`ParallelTrinityDriver.run`'s checkpoint and
 recovery ``launch``, or a traced ``mpirun`` for ``repro profile`` and
 ``fig-inchworm``.
 
@@ -44,7 +46,7 @@ import logging
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Type, Union
 
 from repro.errors import PipelineError
 from repro.obs.metrics import GLOBAL_METRICS
@@ -203,22 +205,29 @@ class StageChain:
 @dataclass(frozen=True)
 class StageRow:
     """One row of :data:`STAGE_TABLE` — everything the chain, the
-    checkpoint key, the metrics and the CLI derive about a stage."""
+    checkpoint key, the metrics, the CLI and the benchmark derive about a
+    stage."""
 
     key: str  # short name: ``cfg.<key>_stage``, ``mpi.<key>_makespan_s``, ``--stage``
-    fn: Callable[..., StageResult]  # the registered ParallelStage body
+    name: str  # its :data:`STAGES` key, and its per-rank results' ``stage``
+    fn: Callable[..., StageResult]  # the body: ``fn(comm, inputs, config=None)``
+    inputs_type: Type[Any]  # the body's ``*Inputs`` dataclass
     label: str  # its driver-track stage span's label
-    inputs: Callable[[StageChain], Any]  # the stage's *Inputs from the chain so far
+    args: Callable[[StageChain], Dict[str, Any]]  # ``inputs_type`` fields from the chain
     config: Callable[[ParallelTrinityConfig, Optional[Path]], Any]
-    upstream: Tuple[str, ...]  # row keys whose outputs ``inputs`` reads
+    upstream: Tuple[str, ...]  # row keys whose outputs ``args`` reads
     file_key: Optional[str] = None  # TrinityResult.files key of outputs[0].out_path
-    #: TrinityConfig knobs ``inputs`` reads beyond the stage config
+    #: TrinityConfig knobs ``args`` reads beyond the stage config
     #: (inter-stage glue) — part of the checkpoint key.
     glue: Tuple[str, ...] = ()
     ram_bytes: Callable[[StageChain], float] = lambda chain: 0.0  # Collectl-style estimate
 
+    def inputs(self, chain: StageChain) -> Any:
+        """The stage's ``*Inputs`` from the chain so far."""
+        return self.inputs_type(**self.args(chain))
 
-def _gff_inputs(chain: StageChain) -> GffInputs:
+
+def _gff_args(chain: StageChain) -> Dict[str, Any]:
     """Bowtie's SAM becomes scaffold pairs: the one glue step between stages."""
     contigs = chain.contigs
     scaffolds: Sequence[Tuple[int, int]] = ()
@@ -228,20 +237,20 @@ def _gff_inputs(chain: StageChain) -> GffInputs:
             {c.name: i for i, c in enumerate(contigs)},
             contig_lengths={c.name: len(c.seq) for c in contigs},
         )
-    return GffInputs(contigs=contigs, reads=chain.reads, extra_pairs=tuple(scaffolds))
+    return dict(contigs=contigs, reads=chain.reads, extra_pairs=tuple(scaffolds))
 
 
 def _counts_bytes(chain: StageChain) -> float:
     return chain.out("jellyfish").counts.memory_bytes()
 
 
-#: The six-stage chain, in launch order.  Adding or removing a stage is
-#: one row; nothing else in the driver, the CLI or the experiments names
-#: a stage.
+#: The six-stage chain, in launch order: the one list of stages.  Adding
+#: or removing a stage is one row; nothing else in the driver, the CLI
+#: or the experiments names a stage.
 STAGE_TABLE: Tuple[StageRow, ...] = (
     StageRow(
-        "jellyfish", mpi_jellyfish, "jellyfish[mpi]",
-        lambda chain: JellyfishInputs(reads=chain.reads),
+        "jellyfish", "jellyfish", mpi_jellyfish, JellyfishInputs, "jellyfish[mpi]",
+        lambda chain: dict(reads=chain.reads),
         lambda cfg, wd: cfg.jellyfish_stage(workdir=wd),
         upstream=(), file_key="jellyfish_dump", ram_bytes=_counts_bytes,
     ),
@@ -249,8 +258,8 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
     # building successor rows for its own components and walking them
     # (hybrid MPI x threads).
     StageRow(
-        "inchworm", mpi_inchworm, "inchworm[mpi]",
-        lambda chain: InchwormInputs(counts=chain.out("jellyfish").counts),
+        "inchworm", "inchworm", mpi_inchworm, InchwormInputs, "inchworm[mpi]",
+        lambda chain: dict(counts=chain.out("jellyfish").counts),
         lambda cfg, wd: cfg.inchworm_stage(workdir=wd),
         upstream=("jellyfish",), file_key="inchworm_contigs",
         # The counter, the contigs, and the successor table's real size on
@@ -262,8 +271,8 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
         ),
     ),
     StageRow(
-        "bowtie", mpi_bowtie, "chrysalis.bowtie[mpi]",
-        lambda chain: BowtieInputs(reads=chain.reads, contigs=chain.contigs),
+        "bowtie", "bowtie", mpi_bowtie, BowtieInputs, "chrysalis.bowtie[mpi]",
+        lambda chain: dict(reads=chain.reads, contigs=chain.contigs),
         lambda cfg, wd: cfg.bowtie_stage(workdir=wd),
         upstream=("inchworm",), file_key="bowtie_sam",
         # The piece indexes' real sizes (absent from a checkpoint an older
@@ -273,16 +282,17 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
         ),
     ),
     StageRow(
-        "gff", mpi_graph_from_fasta, "chrysalis.graph_from_fasta[mpi]",
-        _gff_inputs,
+        "gff", "gff", mpi_graph_from_fasta, GffInputs, "chrysalis.graph_from_fasta[mpi]",
+        _gff_args,
         lambda cfg, wd: cfg.gff_stage(),
         upstream=("inchworm", "bowtie"), glue=("use_bowtie_scaffolds",),
     ),
     # Straight after GFF: the fused back end consumes RTT's routing, so
     # no graphs are ever built on the front-end node.
     StageRow(
-        "rtt", mpi_reads_to_transcripts, "chrysalis.reads_to_transcripts[mpi]",
-        lambda chain: RttInputs(
+        "rtt", "rtt", mpi_reads_to_transcripts, RttInputs,
+        "chrysalis.reads_to_transcripts[mpi]",
+        lambda chain: dict(
             reads=chain.reads, contigs=chain.contigs,
             components=chain.out("gff").components,
         ),
@@ -292,8 +302,9 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
     # orient + FastaToDebruijn + QuantifyGraph + Butterfly per component
     # on its owner rank; the graphs never cross the wire.
     StageRow(
-        "chrysalis", mpi_chrysalis_backend, "chrysalis.backend[mpi]",
-        lambda chain: ChrysalisBackendInputs(
+        "chrysalis", "chrysalis-backend", mpi_chrysalis_backend, ChrysalisBackendInputs,
+        "chrysalis.backend[mpi]",
+        lambda chain: dict(
             contigs=chain.contigs, reads=chain.reads,
             components=chain.out("gff").components,
             assignments=chain.out("rtt").assignments,
@@ -310,12 +321,19 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
     ),
 )
 
+#: The rows by name (``StageRow.name``): the stage registry.
+STAGES: Dict[str, StageRow] = {row.name: row for row in STAGE_TABLE}
+
 #: ``launch(row, inputs, stage_config) -> StageResult`` — how one row runs.
 Launcher = Callable[[StageRow, Any, Any], StageResult]
 
 
 def _with_upstream(target: str) -> Set[str]:
-    """``target`` plus every stage it transitively reads from."""
+    """``target`` plus every stage it transitively reads from; an unknown
+    row key raises :class:`PipelineError`."""
+    keys = [row.key for row in STAGE_TABLE]
+    if target not in keys:
+        raise PipelineError(f"unknown stage {target!r}; known: {keys}")
     needed = {target}
     for row in reversed(STAGE_TABLE):  # launch order is a topological order
         if row.key in needed:
@@ -335,8 +353,8 @@ def run_chain(
 
     Each launch and its RAM estimate run inside one :func:`host_stage`
     span labelled by the row (inputs and the inter-stage glue are built
-    outside it).  With ``target``, only that stage and its transitive
-    upstream stages run.
+    outside it).  With ``target`` (a row key), only that stage and its
+    transitive upstream stages run.
     """
     chain = StageChain(cfg, reads)
     needed = _with_upstream(target) if target is not None else None
@@ -402,9 +420,11 @@ def _load_checkpoint(
 ) -> Optional[StageResult]:
     """A previously checkpointed StageResult, or None if absent/stale.
 
-    Corrupt or truncated pickles, payloads without a result and key
+    Corrupt or truncated pickles, payloads without a result, key
     mismatches (other reads, config, nprocs, network, fault plan or upstream
-    stage) are treated as misses — the stage recomputes.
+    stage) and results naming a file (any rank's ``out_path`` or
+    ``part_path``) that no longer exists are treated as misses — the stage
+    recomputes.
     """
     path = _checkpoint_path(checkpoint_dir, stage)
     if not path.exists():
@@ -421,6 +441,18 @@ def _load_checkpoint(
         or "result" not in payload
     ):
         logger.info("checkpoint %s is stale (key mismatch); recomputing", path)
+        return None
+    missing = [
+        file
+        for rank in payload["result"].outputs
+        for file in (
+            getattr(rank.outputs, "out_path", None),
+            getattr(rank.outputs, "part_path", None),
+        )
+        if file is not None and not file.exists()
+    ]
+    if missing:
+        logger.info("checkpoint %s names missing file %s; recomputing", path, missing[0])
         return None
     GLOBAL_METRICS.inc("checkpoint.restores")
     logger.info("restored stage %r from checkpoint %s", stage, path)

@@ -58,11 +58,10 @@ import numpy as np
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
 from repro.parallel.chunks import static_block_ranges
-from repro.parallel.component_stage import lpt_assign, write_merged
+from repro.parallel.component_stage import lpt_assign, write_merged, write_part
 from repro.parallel.recovery import with_retry
-from repro.parallel.stage import parallel_stage
 from repro.seq.records import Contig, SeqRecord
-from repro.seq.sam import SamRecord, format_sam, sam_header, write_sam
+from repro.seq.sam import SamRecord, format_sam, sam_header
 from repro.trinity.bowtie import (
     BestHits,
     BowtieConfig,
@@ -100,9 +99,6 @@ class BowtieOutputs:
     part_path: Optional[Path] = None  # this rank's SAM piece, if written
 
 
-@parallel_stage(
-    "bowtie", inputs=BowtieInputs, config=BowtieStageConfig, outputs=BowtieOutputs
-)
 def mpi_bowtie(
     comm: SimComm,
     inputs: BowtieInputs,
@@ -151,13 +147,10 @@ def mpi_bowtie(
             local = align_seeds(read_seeds, index)
             hits = BestHits(local.rows, my_globals[local.contig], local.pos, local.mm)
 
-    part_path: Optional[Path] = None
-    if workdir is not None:
-        wd = Path(workdir)
-        wd.mkdir(parents=True, exist_ok=True)
-        part_path = wd / f"bowtie.part{comm.rank}.sam"
-        part_records = sam_records(reads, hits, names)
-        with_retry(comm, "bowtie:write_part", lambda: write_sam(part_path, part_records))
+    part_path = write_part(
+        comm, "bowtie:write_part", workdir, f"bowtie.part{comm.rank}.sam",
+        lambda: format_sam(sam_records(reads, hits, names)).encode("ascii"),
+    )
 
     # -- merge: a row's bests meet at the owner of its read's block, which
     # reduces them and renders the block's records ----------------------------

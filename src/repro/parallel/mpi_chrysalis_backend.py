@@ -65,8 +65,8 @@ from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
 from repro.parallel import component_stage
 from repro.parallel.recovery import with_retry
-from repro.parallel.stage import parallel_stage
 from repro.seq import kmers
+from repro.seq.fasta import format_fasta
 from repro.seq.records import Contig, SeqRecord, Transcript
 from repro.trinity.butterfly import ButterflyConfig, butterfly_component
 from repro.trinity.chrysalis.components import Component
@@ -212,12 +212,6 @@ class ChrysalisBackendOutputs:
     part_path: Optional[Path] = None  # this rank's FASTA piece, if written
 
 
-@parallel_stage(
-    "chrysalis-backend",
-    inputs=ChrysalisBackendInputs,
-    config=ChrysalisBackendStageConfig,
-    outputs=ChrysalisBackendOutputs,
-)
 def mpi_chrysalis_backend(
     comm: SimComm,
     inputs: ChrysalisBackendInputs,
@@ -346,9 +340,11 @@ def mpi_chrysalis_backend(
         local = [(cid, q, ts) for cid, (q, ts) in zip(owned, result)]
 
     part_path = component_stage.write_part(
-        comm, "chrysalis", config.workdir,
+        comm, "chrysalis:write_part", config.workdir,
         f"chrysalis_backend.part{comm.rank}.fasta",
-        [t for _cid, _q, ts in local for t in ts],
+        lambda: format_fasta(
+            [t.to_record() for _cid, _q, ts in local for t in ts]
+        ).encode("ascii"),
     )
 
     # -- merge: pool transcripts + light quant stats, ascending component

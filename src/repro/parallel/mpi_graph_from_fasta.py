@@ -37,7 +37,6 @@ from repro.mpi.datatypes import pack_int_pairs, pack_strings, unpack_int_pairs, 
 from repro.obs.result import StageResult
 from repro.parallel.chunks import chunk_ranges, chunks_for_rank, default_chunk_size, rank_items
 from repro.parallel.recovery import with_retry
-from repro.parallel.stage import parallel_stage
 from repro.seq.records import Contig, SeqRecord
 from repro.trinity.chrysalis.components import Component, build_components
 from repro.trinity.chrysalis.graph_from_fasta import (
@@ -88,9 +87,6 @@ class GffOutputs:
     components: List[Component]
 
 
-@parallel_stage(
-    "gff", inputs=GffInputs, config=GffStageConfig, outputs=GffOutputs
-)
 def mpi_graph_from_fasta(
     comm: SimComm,
     inputs: GffInputs,

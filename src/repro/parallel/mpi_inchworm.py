@@ -62,7 +62,6 @@ from repro.obs.result import StageResult
 from repro.parallel import component_stage
 from repro.parallel.chunks import static_block_ranges
 from repro.parallel.recovery import with_retry
-from repro.parallel.stage import parallel_stage
 from repro.seq.kmer_index import KmerCounter
 from repro.seq.records import Contig
 from repro.trinity.inchworm import (
@@ -132,12 +131,6 @@ def _component_setup(filtered: KmerCounter, blocks: Sequence[np.ndarray]):
     return landing, ids, np.bincount(ids, weights=filtered.values)
 
 
-@parallel_stage(
-    "inchworm",
-    inputs=InchwormInputs,
-    config=InchwormStageConfig,
-    outputs=InchwormOutputs,
-)
 def mpi_inchworm(
     comm: SimComm,
     inputs: InchwormInputs,

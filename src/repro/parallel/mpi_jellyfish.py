@@ -49,7 +49,6 @@ from repro.obs.result import StageResult
 from repro.parallel.chunks import static_block_ranges
 from repro.parallel.component_stage import write_merged
 from repro.parallel.recovery import with_retry
-from repro.parallel.stage import parallel_stage
 from repro.seq.kmer_index import KmerCounter, format_counter_dump
 from repro.seq.kmers import base_blocks
 from repro.seq.records import SeqRecord
@@ -98,12 +97,6 @@ def _pack_pairs(
     return np.concatenate(codes), np.concatenate(counts)
 
 
-@parallel_stage(
-    "jellyfish",
-    inputs=JellyfishInputs,
-    config=JellyfishStageConfig,
-    outputs=JellyfishOutputs,
-)
 def mpi_jellyfish(
     comm: SimComm,
     inputs: JellyfishInputs,

@@ -30,9 +30,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
-from repro.parallel.component_stage import write_merged
+from repro.parallel.component_stage import write_merged, write_part
 from repro.parallel.recovery import with_retry
-from repro.parallel.stage import parallel_stage
 from repro.seq.records import Contig, SeqRecord
 from repro.trinity.chrysalis.components import Component
 from repro.trinity.chrysalis.reads_to_transcripts import (
@@ -42,7 +41,6 @@ from repro.trinity.chrysalis.reads_to_transcripts import (
     build_kmer_map,
     format_assignments,
     stream_chunks,
-    write_assignments,
 )
 
 PathLike = Union[str, Path]
@@ -75,9 +73,6 @@ class RttOutputs:
     out_path: Optional[Path] = None  # merged output (on rank 0, if written)
 
 
-@parallel_stage(
-    "rtt", inputs=RttInputs, config=RttStageConfig, outputs=RttOutputs
-)
 def mpi_reads_to_transcripts(
     comm: SimComm,
     inputs: RttInputs,
@@ -135,10 +130,10 @@ def mpi_reads_to_transcripts(
 
     # -- per-rank output file, and the merged one striped over the ranks: the
     # same bytes in rank order, what a ``cat`` of the parts gives ----------------
-    if workdir is not None:
-        part = Path(workdir) / f"readsToComponents.part{comm.rank}.out"
-        part.parent.mkdir(parents=True, exist_ok=True)
-        with_retry(comm, "rtt:write_part", lambda: write_assignments(part, mine))
+    write_part(
+        comm, "rtt:write_part", workdir, f"readsToComponents.part{comm.rank}.out",
+        lambda: format_assignments(mine).encode("ascii"),
+    )
     out_path = write_merged(
         comm, "rtt:concat", workdir, "readsToComponents.out",
         lambda: format_assignments(mine).encode("ascii"),

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import PipelineError
 from repro.experiments.__main__ import main as experiments_main
 from repro.parallel import ParallelTrinityDriver
-from repro.parallel.driver import ParallelTrinityConfig
+from repro.parallel.driver import ParallelTrinityConfig, run_chain
 from repro.trinity import TrinityConfig
 
 
@@ -32,6 +32,17 @@ class TestDriverConfig:
     def test_invalid_nthreads(self):
         with pytest.raises(PipelineError):
             ParallelTrinityConfig(nthreads=0)
+
+    def test_unknown_target_launches_nothing(self, smoke_reads):
+        """A target is a row key: the back end's ``STAGES`` name is not one."""
+        launched = []
+        with pytest.raises(PipelineError, match="known: .*'chrysalis'"):
+            run_chain(
+                ParallelTrinityConfig(), smoke_reads,
+                lambda row, inputs, config: launched.append(row),
+                target="chrysalis-backend",
+            )
+        assert launched == []
 
 
 class TestDriverFiles:

@@ -6,6 +6,7 @@ the driver, the driver run's own record of both, and the fault-sweep
 experiment/CLI."""
 
 import pickle
+import shutil
 import threading
 from dataclasses import replace
 
@@ -359,6 +360,34 @@ class TestDriverFaultsAndCheckpoints:
                 assert all(getattr(o, name) is getattr(outs[0], name) for o in outs), name
         # ... and the restored k-mer table is as read-only as the shared one.
         assert not warm.outputs.counts.index.codes.flags.writeable
+
+    @pytest.mark.timeout(300)
+    def test_deleted_workdir_recomputes_the_stages_that_wrote_it(
+        self, smoke_reads, tmp_path
+    ):
+        """A checkpoint whose files are gone is a miss: only GFF, which
+        writes no file, is restored, and every file is written again."""
+        cfg = ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=3, nthreads=2)
+        ckpt, wd = tmp_path / "ckpts", tmp_path / "wd"
+        cold = ParallelTrinityDriver(cfg).run(smoke_reads, workdir=wd, checkpoint_dir=ckpt)
+        shutil.rmtree(wd)
+        rerun = ParallelTrinityDriver(cfg).run(smoke_reads, workdir=wd, checkpoint_dir=ckpt)
+        assert _ckpt_counters(rerun) == (1, 5)
+        assert set(rerun.outputs.files) == set(cold.outputs.files)
+        assert all(path.exists() for path in rerun.outputs.files.values())
+        assert _seqs(rerun) == _seqs(cold)
+
+    @pytest.mark.timeout(300)
+    def test_one_deleted_output_recomputes_only_its_stage(self, smoke_reads, tmp_path):
+        cfg = ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=3, nthreads=2)
+        ckpt, wd = tmp_path / "ckpts", tmp_path / "wd"
+        ParallelTrinityDriver(cfg).run(smoke_reads, workdir=wd, checkpoint_dir=ckpt)
+        contigs = wd / "inchworm.contigs.fa"
+        cold = contigs.read_bytes()
+        contigs.unlink()
+        rerun = ParallelTrinityDriver(cfg).run(smoke_reads, workdir=wd, checkpoint_dir=ckpt)
+        assert _ckpt_counters(rerun) == (5, 1)
+        assert contigs.read_bytes() == cold
 
     @pytest.mark.timeout(300)
     def test_corrupt_or_stale_checkpoint_recomputes(self, smoke_reads, tmp_path):

@@ -65,7 +65,7 @@ class TestProfileCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert f"critical path of {row.fn.__name__!r}" in out
-        assert f"{row.fn.stage_spec.name.split('-')[0]}:" in out  # region labels
+        assert f"{row.name.split('-')[0]}:" in out  # region labels
         assert "rank   2 |" in out  # the Gantt rows
         (chain,) = chains
         assert set(chain.runs) == _with_upstream(row.key)

@@ -129,6 +129,11 @@ class _Compute(Stopwatch):
         self.costs: Optional[Sequence[float]] = None
         self.weights: Optional[Sequence[float]] = None
 
+    def __enter__(self) -> "_Compute":
+        if self._comm.faults is not None:
+            self._comm.faults.on_phase(self.label)
+        return super().__enter__()
+
     def _team(self) -> tuple:
         """``(items, serial seconds, makespan)`` of the window's team."""
         if self.costs is not None:

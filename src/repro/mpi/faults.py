@@ -46,7 +46,7 @@ class CrashFault:
 
     rank: int
     at_time: Optional[float] = None  # virtual seconds since attempt start
-    phase: Optional[str] = None  # region-label prefix; fires at entry
+    phase: Optional[str] = None  # region- or compute-label prefix; fires at entry
 
     def __post_init__(self) -> None:
         if self.rank < 0:
@@ -219,7 +219,8 @@ class RankFaultInjector:
         raise RankCrash(f"rank {self.rank} crashed {reason}", rank=self.rank)
 
     def on_phase(self, label: str) -> None:
-        """Phase-crash hook, called by ``SimComm.region`` on entry."""
+        """Phase-crash hook, called by ``SimComm.region`` and
+        ``SimComm.compute`` on entry."""
         c = self.crash
         if c is not None and not self.crashed and c.phase is not None and label.startswith(c.phase):
             self.trigger(f"entering phase {label!r}")

@@ -12,18 +12,18 @@ Inchworm via k-mer-graph component partitioning
 threads per rank), and the whole Chrysalis *back end* — orient +
 FastaToDebruijn + QuantifyGraph + Butterfly fused into one
 component-parallel stage (:mod:`repro.parallel.mpi_chrysalis_backend`)
-— all byte-identical to their serial stages at any rank count.  No
-compute *stage* runs on the front-end node any more, but the node is not
-idle: between launches it turns Bowtie's SAM into scaffold pairs
-(:func:`~repro.trinity.bowtie.scaffold_pairs_from_sam`, ~2 ms on the
-whitefly-half benchmark library) and, after the last one, reconciles
-the candidate transcripts with the mate pairs
-(:func:`~repro.trinity.pairs.reconcile_with_pairs`: one seed-and-verify
-pass per component, ~15 ms there — it was ~70 ms of per-pair string
-scans, a quarter of a one-rank run), unions the ranks' quantified
-graphs and writes ``Trinity.fasta``.  That glue is host time outside
-every ``mpirun`` (the pipeline benchmark's ``pipeline.glue_s``) and is
-not on the modelled clocks.
+— all byte-identical to their serial stages at any rank count.  The
+front-end node computes nothing between launches: the two pair steps
+the serial pipeline runs between its stages run inside stages, on the
+modelled clocks.  Bowtie counts scaffold support from its alignment
+columns (a keyed sum of per-read-block counts hands GraphFromFasta its
+scaffold pairs), and the back end scores each component's candidate
+transcripts against the mate pairs routed to it, after the walk, and
+writes the survivors as ``Trinity.fasta``.  What remains host-side is the
+table walk itself, the checkpoints and the union of the ranks'
+quantified graphs into the result (the pipeline benchmark's
+``pipeline.glue_s``).  With ``use_bowtie_scaffolds`` off no Bowtie is
+launched, as in the serial pipeline.
 
 Every MPI stage body is ``stage(comm, inputs, config=None) -> StageResult``
 with typed ``*Inputs`` / ``*StageConfig`` / ``*Outputs`` dataclasses, so
@@ -55,11 +55,8 @@ from repro.obs.span import Span, host_stage, peak_ram_gb, stage_seconds
 from repro.mpi.faults import FaultPlan
 from repro.mpi.network import IDATAPLEX_FDR10, NetworkModel
 from repro.parallel.recovery import mpirun_with_recovery
-from repro.seq.fasta import write_fasta
 from repro.seq.records import SeqRecord
-from repro.trinity.bowtie import scaffold_pairs_from_sam
 from repro.trinity.chrysalis.graph_from_fasta import GraphFromFastaResult
-from repro.trinity.pairs import reconcile_with_pairs
 from repro.trinity.pipeline import TrinityConfig, TrinityResult
 from repro.parallel.component_stage import check_strategy
 from repro.parallel.mpi_bowtie import BowtieInputs, BowtieStageConfig, mpi_bowtie
@@ -175,6 +172,7 @@ class ParallelTrinityConfig:
             nthreads=self.nthreads,
             strategy=self.butterfly_strategy,
             workdir=workdir,
+            use_pair_reconciliation=self.trinity.use_pair_reconciliation,
         )
 
 
@@ -215,29 +213,15 @@ class StageRow:
     label: str  # its driver-track stage span's label
     args: Callable[[StageChain], Dict[str, Any]]  # ``inputs_type`` fields from the chain
     config: Callable[[ParallelTrinityConfig, Optional[Path]], Any]
-    upstream: Tuple[str, ...]  # row keys whose outputs ``args`` reads
+    upstream: Tuple[str, ...]  # row keys whose outputs ``args`` reads (if launched)
     file_key: Optional[str] = None  # TrinityResult.files key of outputs[0].out_path
-    #: TrinityConfig knobs ``args`` reads beyond the stage config
-    #: (inter-stage glue) — part of the checkpoint key.
-    glue: Tuple[str, ...] = ()
+    #: Whether a run of this config launches the stage at all.
+    launched: Callable[[ParallelTrinityConfig], bool] = lambda cfg: True
     ram_bytes: Callable[[StageChain], float] = lambda chain: 0.0  # Collectl-style estimate
 
     def inputs(self, chain: StageChain) -> Any:
         """The stage's ``*Inputs`` from the chain so far."""
         return self.inputs_type(**self.args(chain))
-
-
-def _gff_args(chain: StageChain) -> Dict[str, Any]:
-    """Bowtie's SAM becomes scaffold pairs: the one glue step between stages."""
-    contigs = chain.contigs
-    scaffolds: Sequence[Tuple[int, int]] = ()
-    if chain.cfg.trinity.use_bowtie_scaffolds:
-        scaffolds = scaffold_pairs_from_sam(
-            chain.out("bowtie").records,
-            {c.name: i for i, c in enumerate(contigs)},
-            contig_lengths={c.name: len(c.seq) for c in contigs},
-        )
-    return dict(contigs=contigs, reads=chain.reads, extra_pairs=tuple(scaffolds))
 
 
 def _counts_bytes(chain: StageChain) -> float:
@@ -275,6 +259,7 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
         lambda chain: dict(reads=chain.reads, contigs=chain.contigs),
         lambda cfg, wd: cfg.bowtie_stage(workdir=wd),
         upstream=("inchworm",), file_key="bowtie_sam",
+        launched=lambda cfg: cfg.trinity.use_bowtie_scaffolds,
         # The piece indexes' real sizes (absent from a checkpoint an older
         # version wrote).
         ram_bytes=lambda chain: sum(
@@ -283,9 +268,12 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
     ),
     StageRow(
         "gff", "gff", mpi_graph_from_fasta, GffInputs, "chrysalis.graph_from_fasta[mpi]",
-        _gff_args,
+        lambda chain: dict(
+            contigs=chain.contigs, reads=chain.reads,
+            extra_pairs=chain.out("bowtie").scaffolds if "bowtie" in chain.runs else (),
+        ),
         lambda cfg, wd: cfg.gff_stage(),
-        upstream=("inchworm", "bowtie"), glue=("use_bowtie_scaffolds",),
+        upstream=("inchworm", "bowtie"),
     ),
     # Straight after GFF: the fused back end consumes RTT's routing, so
     # no graphs are ever built on the front-end node.
@@ -312,7 +300,7 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
         ),
         lambda cfg, wd: cfg.chrysalis_stage(workdir=wd),
         upstream=("jellyfish", "inchworm", "gff", "rtt"),
-        file_key="chrysalis_backend_fasta",
+        file_key="transcripts",
         ram_bytes=lambda chain: sum(
             q.graph.nbytes
             for rank in chain.runs["chrysalis"].outputs
@@ -352,14 +340,14 @@ def run_chain(
     """Walk :data:`STAGE_TABLE` in order, launching each row via ``launch``.
 
     Each launch and its RAM estimate run inside one :func:`host_stage`
-    span labelled by the row (inputs and the inter-stage glue are built
-    outside it).  With ``target`` (a row key), only that stage and its
-    transitive upstream stages run.
+    span labelled by the row (its inputs are built outside it).  With
+    ``target`` (a row key), only that stage and its transitive upstream
+    stages run; a row whose ``launched(cfg)`` is false never does.
     """
     chain = StageChain(cfg, reads)
     needed = _with_upstream(target) if target is not None else None
     for row in STAGE_TABLE:
-        if needed is not None and row.key not in needed:
+        if (needed is not None and row.key not in needed) or not row.launched(cfg):
             continue
         inputs = row.inputs(chain)
         stage_config = row.config(cfg, workdir)
@@ -383,7 +371,7 @@ def reads_digest(reads: Sequence[SeqRecord]) -> str:
 #: miss that recomputes, never an object of the wrong shape handed back
 #: as "restored".  Bump it with any change to ``StageResult``'s fields,
 #: to ``CommStats`` or to a pickled outputs type.
-_CHECKPOINT_LAYOUT = 4
+_CHECKPOINT_LAYOUT = 5
 
 
 def _checkpoint_key(
@@ -398,15 +386,12 @@ def _checkpoint_key(
 
     The stage and its full config, the launch shape, network and fault
     plan, the workdir its files land in, the reads' content digest, the
-    glue knobs its inputs read, the payload layout version, and —
-    transitively — the keys of its upstream stages.  Any mismatch
-    recomputes.
+    payload layout version, and — transitively — the keys of its
+    launched upstream stages.  Any mismatch recomputes.
     """
     parts = (
         _CHECKPOINT_LAYOUT, row.fn.__name__, stage_config, cfg.nprocs, cfg.nthreads,
-        cfg.network, cfg.faults, str(workdir), digest,
-        [(knob, getattr(cfg.trinity, knob)) for knob in row.glue],
-        list(upstream_keys),
+        cfg.network, cfg.faults, str(workdir), digest, list(upstream_keys),
     )
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
@@ -496,8 +481,9 @@ class ParallelTrinityDriver:
         Returns a :class:`~repro.obs.result.StageResult` whose ``outputs``
         is the :class:`TrinityResult` and whose ``children`` are the six
         ``mpirun`` StageResults in :data:`STAGE_TABLE` order (jellyfish,
-        inchworm, bowtie, gff, rtt, and the fused chrysalis back end) —
-        the per-stage virtual timings, and the full span tree a single
+        inchworm, bowtie, gff, rtt, and the fused chrysalis back end; no
+        bowtie without ``use_bowtie_scaffolds``) — the per-stage virtual
+        timings, and the full span tree a single
         :func:`repro.obs.chrome.write_chrome_trace` can export.
 
         With ``checkpoint_dir``, each MPI stage's result is pickled there
@@ -536,7 +522,7 @@ class ParallelTrinityDriver:
             if checkpoint_dir is not None:
                 key = keys[row.key] = _checkpoint_key(
                     row, stage_config, cfg, wd, digest,
-                    [keys[up] for up in row.upstream],
+                    [keys[up] for up in row.upstream if up in keys],
                 )
                 cached = _load_checkpoint(checkpoint_dir, stage, key)
                 if cached is not None:
@@ -555,11 +541,10 @@ class ParallelTrinityDriver:
         files: Dict[str, Path] = {
             row.file_key: chain.out(row.key).out_path
             for row in STAGE_TABLE
-            if row.file_key and chain.out(row.key).out_path is not None
+            if row.file_key and row.key in runs and chain.out(row.key).out_path is not None
         }
 
         gff = chain.out("gff")
-        assignments = chain.out("rtt").assignments
         transcripts = chain.out("chrysalis").transcripts
         # Graphs stay rank-local in the stage; the serial-shaped quants
         # dict (ascending component id, like the serial pipeline's
@@ -570,14 +555,6 @@ class ParallelTrinityDriver:
             for cid, q in rank.outputs.local_quants.items()
         }
         spans = chain.spans
-        if cfg.trinity.use_pair_reconciliation:
-            with host_stage(spans, "butterfly.pair_reconciliation"):
-                transcripts, _pair_stats = reconcile_with_pairs(
-                    transcripts, list(reads), assignments
-                )
-        if wd is not None:
-            files["transcripts"] = wd / "Trinity.fasta"
-            write_fasta(files["transcripts"], [t.to_record() for t in transcripts])
 
         logger.info(
             "mpi stage makespans: %s (gff imb %.2fx)",
@@ -597,7 +574,7 @@ class ParallelTrinityDriver:
             gff=GraphFromFastaResult(
                 welds=gff.welds, pairs=gff.pairs, components=gff.components
             ),
-            assignments=assignments,
+            assignments=chain.out("rtt").assignments,
             quants=dict(sorted(local_quants.items())),
             counts=chain.out("jellyfish").counts,
             files=files,

@@ -33,12 +33,20 @@ type that holds its bound (twice the read count, the contig count, the
 longest contig, ``max_mismatches`` — the same on every rank; 6 bytes a
 record for a few thousand reads on a few hundred contigs).  In
 ``bowtie:merge`` one ``alltoall`` takes each record to the owner of its
-read's block, who takes each row's lexicographic minimum and renders the
-block's :class:`SamRecord`s; one ``allgather`` in block order — read
-order — puts the full SAM on every rank.  Each rank writes its block's
-lines at its offset of ``bowtie.sam``, rank 0's after the header;
-``bowtie.part<r>.sam`` stays piece-local (every read against piece
-``r``: the paper's per-node artefact).
+read's block, who takes each row's lexicographic minimum and keeps its
+reads' alignments as :data:`~repro.trinity.bowtie.READ_HIT` columns; one
+``allgather`` in block order — read order — puts them all on every rank.
+SAM text is rendered only where it is written: each rank writes its
+block's lines at its offset of ``bowtie.sam``, rank 0's after the
+header, and ``bowtie.part<r>.sam`` stays piece-local (every read against
+piece ``r``: the paper's per-node artefact).
+
+**Scaffold support** is counted from the columns, in ``bowtie:merge``:
+the same ``alltoall`` sends the index of each mate of a rank's block to
+the owner of its base (:func:`~repro.seq.records.mate_owner`; every rank
+holds the names), which joins the mapped ones and counts the pairs that
+span two contigs; one ``allgather`` plus a keyed sum and the
+``min_support`` filter gives GraphFromFasta its scaffold pairs.
 
 The PyFasta split balances bases across pieces: the LPT deal of the
 contigs by length (:func:`~repro.parallel.component_stage.lpt_assign`),
@@ -50,8 +58,9 @@ total-time curve in Figure 10.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +69,7 @@ from repro.obs.result import StageResult
 from repro.parallel.chunks import static_block_ranges
 from repro.parallel.component_stage import lpt_assign, write_merged, write_part
 from repro.parallel.recovery import with_retry
-from repro.seq.records import Contig, SeqRecord
+from repro.seq.records import Contig, SeqRecord, mate_index, mate_owner
 from repro.seq.sam import SamRecord, format_sam, sam_header
 from repro.trinity.bowtie import (
     BestHits,
@@ -68,7 +77,11 @@ from repro.trinity.bowtie import (
     BowtieIndex,
     ReadSeeds,
     align_seeds,
+    hit_records,
+    read_hits,
     sam_records,
+    scaffold_support,
+    supported_pairs,
 )
 
 PathLike = Union[str, Path]
@@ -94,9 +107,18 @@ class BowtieStageConfig:
 class BowtieOutputs:
     """What the parallel Bowtie computes."""
 
-    records: List[SamRecord]  # full merged SAM (on all ranks)
+    hits: np.ndarray  # every read's READ_HIT row, read order (on all ranks)
+    #: Contig pairs with enough spanning mate pairs, ascending (on all ranks).
+    scaffolds: Tuple[Tuple[int, int], ...]
+    reads: Sequence[SeqRecord]  # the aligned reads, for ``records``
+    contig_names: Sequence[str]  # contig index -> name, for ``records``
     out_path: Optional[Path] = None  # merged SAM (on rank 0, if written)
     part_path: Optional[Path] = None  # this rank's SAM piece, if written
+
+    @cached_property
+    def records(self) -> List[SamRecord]:
+        """The merged SAM's records, rendered on first read."""
+        return hit_records(self.reads, self.hits, self.contig_names)
 
 
 def mpi_bowtie(
@@ -145,47 +167,70 @@ def mpi_bowtie(
         with comm.compute("bowtie:align"):
             index = BowtieIndex([contigs[g] for g in my_globals.tolist()], cfg)
             local = align_seeds(read_seeds, index)
-            hits = BestHits(local.rows, my_globals[local.contig], local.pos, local.mm)
+            piece = BestHits(local.rows, my_globals[local.contig], local.pos, local.mm)
 
     part_path = write_part(
         comm, "bowtie:write_part", workdir, f"bowtie.part{comm.rank}.sam",
-        lambda: format_sam(sam_records(reads, hits, names)).encode("ascii"),
+        lambda: format_sam(sam_records(reads, piece, names)).encode("ascii"),
     )
 
     # -- merge: a row's bests meet at the owner of its read's block, which
-    # reduces them and renders the block's records ----------------------------
+    # reduces them to its reads' alignments, and this block's mates meet at
+    # the owners of their bases (as indices: every rank holds the names),
+    # which join and count the mapped ones ---------------------------------
     with comm.region("bowtie:merge"):
-        wire = _to_wire(hits, inputs, cfg)
+        with comm.compute("bowtie:mates"):
+            owner = mate_owner([r.name for r in reads[lo:hi]], p)
+            narrow = np.min_scalar_type(n)
+            mates_to = [(lo + np.flatnonzero(owner == r)).astype(narrow) for r in range(p)]
+        wire = _to_wire(piece, inputs, cfg)
         dest = np.searchsorted(first, wire["rows"] % max(n, 1), side="right") - 1
         by_dest = np.split(
             wire[np.argsort(dest, kind="stable")], np.cumsum(np.bincount(dest, minlength=p))[:-1]
         )
-        routed = comm.alltoall(by_dest)
+        routed = comm.alltoall(list(zip(by_dest, mates_to)))
         with comm.compute("bowtie:merge"):
-            table = np.concatenate(routed)
+            table = np.concatenate([rows for rows, _mates in routed])
             # Library row -> row of this block (forward rows first).
             rows = table["rows"].astype(np.int64)
             rows -= lo + np.where(rows >= n, n - (hi - lo), 0)
             best = BestHits.best(rows, *(table[f] for f in _WIRE_FIELDS[1:]))
-            mine = sam_records(reads[lo:hi], best, names)
-        parts = comm.allgather(mine)
-        merged = comm.shared(
-            "bowtie:merged", lambda: [record for part in parts for record in part], cost=0.0
+            mine = read_hits(best, int(hi - lo))
+        blocks = comm.allgather(mine)
+        hits = comm.shared("bowtie:merged", lambda: np.concatenate(blocks), cost=0.0)
+        with comm.compute("bowtie:scaffolds"):
+            held = np.concatenate([mates for _rows, mates in routed]).astype(np.int64)
+            held = held[hits["contig"][held] >= 0]
+            mates = held[mate_index([reads[i].name for i in held.tolist()])]
+            # Read lengths: the stitched table's forward rows are the reads.
+            counted = scaffold_support(
+                hits, read_seeds.lengths[:n],
+                np.fromiter((len(c.seq) for c in contigs), np.int64, len(contigs)), mates,
+            )
+        pieces = comm.allgather(counted)
+        scaffolds = comm.shared(
+            "bowtie:scaffolds",
+            lambda: tuple(supported_pairs(*(np.concatenate(c) for c in zip(*pieces)))),
+            cost=0.0,
         )
     # -- the merged SAM: each rank's block of records, the header on rank 0 ----
     final_sam = write_merged(
         comm, "bowtie:write_sam", workdir, "bowtie.sam",
         lambda: format_sam(
-            mine, sam_header([(c.name, len(c.seq)) for c in contigs]) if comm.rank == 0 else ()
+            hit_records(reads[lo:hi], mine, names),
+            sam_header([(c.name, len(c.seq)) for c in contigs]) if comm.rank == 0 else (),
         ).encode("ascii"),
     )
     return StageResult(
         stage="bowtie",
-        outputs=BowtieOutputs(records=merged, out_path=final_sam, part_path=part_path),
+        outputs=BowtieOutputs(
+            hits=hits, scaffolds=scaffolds, reads=reads, contig_names=names,
+            out_path=final_sam, part_path=part_path,
+        ),
         makespan=comm.clock.now,
         metrics={
             **comm.phase_seconds(),
-            "n_records": float(len(merged)),
+            "n_records": float(len(hits)),
             # This piece's share of the work (sums over ranks to the single-
             # index counts; lookups: plus shared codes), this block's reads.
             "n_seed_lookups": float(local.n_seed_lookups),

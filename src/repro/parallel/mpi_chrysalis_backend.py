@@ -26,17 +26,24 @@ no other).  Tables of units dealt away from their owner reach it in one
 ``alltoall``; the owner lands a component's tables with one ``add_kmers``
 (:func:`~repro.trinity.chrysalis.quantify.pool_blocks`: integer counts,
 so neither cut nor arrival order can change a byte) and walks, one
-component per task — the walk is what stays indivisible.  Graphs and
-quantified weights never cross the wire: only block tables, transcripts
-and light per-component quant stats do.  What every real rank would
-rebuild (component and unit tables, solid index, LPT costs) is the
-stage's serial time: a first, ``serial=True`` entry of ``chrysalis:deal``.
+component per task — the walk is what stays indivisible.  With
+``use_pair_reconciliation`` (paper SS:II.A) the owner then joins the
+mates among its components' reads and scores their candidates against
+them, one (component, :data:`PAIR_BLOCK` pairs) item per task; supports
+add over blocks.
+Graphs and quantified weights never cross the wire: only block tables,
+transcripts and light per-component quant stats do.  What every real
+rank would rebuild (component and unit tables, repeated read names,
+solid index, LPT costs) is the stage's serial time: a first, ``serial=True`` entry of
+``chrysalis:deal``.
 
 Outputs are **byte-identical to the serial pipeline** at every rank
 count: the fused chain per component is the serial code path over more
 blocks (reads routed in serial assignment order, Butterfly enumeration
 salted by ``(seed, cid)`` only), and the merge concatenates per-component
-results in ascending component-id order.  Rank-independence again makes
+results in ascending component-id order (reconciled: by name within
+one, as :func:`~repro.trinity.pairs.reconcile_with_pairs` leaves them),
+written as ``Trinity.fasta``.  Rank-independence again makes
 crash recovery free: a relaunch on ``p - 1`` survivors re-deals
 deterministically and reproduces the same merged outputs.
 
@@ -61,6 +68,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
 from repro.parallel import component_stage
@@ -81,6 +90,7 @@ from repro.trinity.chrysalis.quantify import (
     solid_index,
 )
 from repro.trinity.chrysalis.reads_to_transcripts import ReadAssignment
+from repro.trinity.pairs import component_mates, mate_support, repeated_names, supported
 
 PathLike = Union[str, Path]
 
@@ -88,6 +98,10 @@ PathLike = Union[str, Path]
 #: Threading one routed read costs what walking this many node x path
 #: units costs (the fit in :func:`estimated_component_cost`).
 READ_COST = 80.0
+
+#: Mate pairs scored per reconciliation task: whitefly-half's largest
+#: component (422 pairs) is seven tasks, most components one.
+PAIR_BLOCK = 64
 
 
 def estimated_component_cost(
@@ -190,7 +204,10 @@ class ChrysalisBackendStageConfig:
     butterfly: ButterflyConfig = field(default_factory=ButterflyConfig)
     nthreads: int = 16
     strategy: str = "round_robin"  # or "dynamic" (LPT)
-    workdir: Optional[PathLike] = None  # per-rank FASTA parts + merged FASTA
+    workdir: Optional[PathLike] = None  # per-rank FASTA parts + Trinity.fasta
+    #: Filter each component's candidates on mate-pair support
+    #: (``TrinityConfig.use_pair_reconciliation``).
+    use_pair_reconciliation: bool = False
 
     def __post_init__(self) -> None:
         component_stage.check_strategy(self.strategy, "chrysalis-backend")
@@ -208,7 +225,7 @@ class ChrysalisBackendOutputs:
     #: design; the driver unions them host-side into the serial-shaped
     #: quants dict.
     local_quants: Dict[int, ComponentQuant]
-    out_path: Optional[Path] = None  # merged FASTA (master, if written)
+    out_path: Optional[Path] = None  # Trinity.fasta (master, if written)
     part_path: Optional[Path] = None  # this rank's FASTA piece, if written
 
 
@@ -250,13 +267,14 @@ def mpi_chrysalis_backend(
             "chrysalis:order", lambda: sorted(comp_by_id), cost=0.0
         )
         # RTT routing table (component id -> read indices in assignment
-        # order), cut into the units of deal.
-        units = comm.shared(
-            "chrysalis:route",
-            lambda: read_block_units(
-                inputs.reads, reads_by_component(inputs.assignments), cids
-            ),
-        )
+        # order), cut into the units of deal; the names no mate join may pair.
+        def route() -> tuple:
+            routed = reads_by_component(inputs.assignments)
+            return routed, read_block_units(inputs.reads, routed, cids)
+
+        routed, units = comm.shared("chrysalis:route", route)
+        if config.use_pair_reconciliation:
+            repeated = comm.shared("chrysalis:mates", lambda: repeated_names(inputs.reads))
         # Solid canonical-k-mer index shared by every rank's read pack.
         solid = (
             comm.shared(
@@ -303,6 +321,11 @@ def mpi_chrysalis_backend(
         quant = pool_blocks(cid, graphs[cid], tables[cid])
         return quant, butterfly_component(cid, quant.graph, bf_cfg)
 
+    def score(item: Tuple[int, int]) -> np.ndarray:
+        cid, at = item
+        seqs, windows = candidates[cid]
+        return mate_support(seqs, inputs.reads, mates[cid][at : at + PAIR_BLOCK], windows)
+
     graphs: Dict[int, object] = {}
     tables: Dict[int, list] = {}
     outbox: List[list] = [[] for _ in range(comm.size)]
@@ -338,6 +361,27 @@ def mpi_chrysalis_backend(
             tables.setdefault(cid, []).append(table)
         result = comm.map("chrysalis:components", backend_component, owned, config.nthreads)
         local = [(cid, q, ts) for cid, (q, ts) in zip(owned, result)]
+        if config.use_pair_reconciliation:
+            # The owner joins the mates among its components' reads, one
+            # array pass its team divides by read; a component's blocks
+            # share its candidates' sorted windows.
+            with comm.compute("chrysalis:mates", threads=config.nthreads) as joining:
+                mates = component_mates(inputs.reads, routed, owned, repeated)
+                joining.weights = np.ones(sum(len(routed.get(cid, ())) for cid in owned))
+            candidates = {
+                cid: ([t.seq for t in ts], {}) for cid, _q, ts in local if ts and cid in mates
+            }
+            items = [
+                (cid, at) for cid in candidates for at in range(0, len(mates[cid]), PAIR_BLOCK)
+            ]
+            scored = comm.map("chrysalis:pairs", score, items, config.nthreads)
+            support: Dict[int, np.ndarray] = {}
+            for (cid, _at), n in zip(items, scored):
+                support[cid] = support.get(cid, 0) + n
+            local = [
+                (cid, q, sorted(supported(ts, support.get(cid)), key=lambda t: t.name))
+                for cid, q, ts in local
+            ]
 
     part_path = component_stage.write_part(
         comm, "chrysalis:write_part", config.workdir,
@@ -361,7 +405,7 @@ def mpi_chrysalis_backend(
     )
 
     out_path = component_stage.write_merged(
-        comm, "chrysalis:write_merged", config.workdir, "chrysalis_backend.fasta",
+        comm, "chrysalis:write_merged", config.workdir, "Trinity.fasta",
         component_stage.fasta_block(comm, transcripts),
     )
 

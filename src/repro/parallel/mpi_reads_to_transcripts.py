@@ -15,18 +15,23 @@ of Figure 9); here each rank writes the same bytes at its offset of the
 merged file (:func:`~repro.parallel.component_stage.write_merged`).
 
 The main loop runs the **batched sorted-array kernel**
-(:func:`~repro.trinity.chrysalis.reads_to_transcripts.assign_reads_batched`):
+(:func:`~repro.trinity.chrysalis.reads_to_transcripts.assignment_table`):
 each ``max_mem_reads`` chunk is assigned in a handful of numpy passes
-against the shared :class:`~repro.seq.kmer_index.KmerMap`, and every
-rank returns the full pooled assignment table the back end consumes.
+against the shared :class:`~repro.seq.kmer_index.KmerMap`, one integer
+row per read.  The rows cross the wire as the narrowest integer type that
+holds them, and the one shared merge builds the full
+:class:`~repro.trinity.chrysalis.reads_to_transcripts.ReadAssignment`
+list the back end consumes; text is rendered only where it is written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import cache
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
@@ -37,7 +42,8 @@ from repro.trinity.chrysalis.components import Component
 from repro.trinity.chrysalis.reads_to_transcripts import (
     ReadAssignment,
     ReadsToTranscriptsConfig,
-    assign_reads_batched,
+    assignment_records,
+    assignment_table,
     build_kmer_map,
     format_assignments,
     stream_chunks,
@@ -103,7 +109,7 @@ def mpi_reads_to_transcripts(
     plan = comm.shared(
         "rtt:chunk_plan", lambda: _chunk_plan(reads, cfg.max_mem_reads), cost=0.0
     )
-    mine: List[ReadAssignment] = []
+    tables: List[np.ndarray] = [np.empty((0, 5), dtype=np.int64)]
     with comm.region("rtt:loop"):
         for chunk_idx, (start, stop, read_cost) in enumerate(plan):
             # Every rank "reads" the chunk (redundant I/O, no communication)…
@@ -120,34 +126,35 @@ def mpi_reads_to_transcripts(
             # One vectorised call per chunk on the OpenMP team; its thread
             # CPU time is apportioned across the reads by k-mer-position
             # count (each read's share of the flattened code array).
-            chunk = [(i, reads[i]) for i in range(start, stop)]
-            weights = [max(len(read.seq) - cfg.k + 1, 1) for _i, read in chunk]
+            seqs = [reads[i].seq for i in range(start, stop)]
+            weights = [max(len(seq) - cfg.k + 1, 1) for seq in seqs]
             with comm.compute(
                 f"rtt:assign_chunk{chunk_idx}", threads=config.nthreads
             ) as kernel:
-                mine.extend(assign_reads_batched(chunk, kmer_map, cfg))
+                tables.append(assignment_table(range(start, stop), seqs, kmer_map, cfg))
                 kernel.weights = weights
+    table = np.concatenate(tables)
+    # The narrowest integer type that holds both ends of the rows' range
+    # (signed, where it must be, down to -(max + 1)).
+    lo, hi = int(table.min(initial=0)), int(table.max(initial=0))
+    table = table.astype(np.result_type(*map(np.min_scalar_type, (lo, -hi - 1 if lo < 0 else hi))))
+    mine = cache(lambda: _records(reads, [table]))  # rendered at most once, for the files
 
     # -- per-rank output file, and the merged one striped over the ranks: the
     # same bytes in rank order, what a ``cat`` of the parts gives ----------------
     write_part(
         comm, "rtt:write_part", workdir, f"readsToComponents.part{comm.rank}.out",
-        lambda: format_assignments(mine).encode("ascii"),
+        lambda: format_assignments(mine()).encode("ascii"),
     )
     out_path = write_merged(
         comm, "rtt:concat", workdir, "readsToComponents.out",
-        lambda: format_assignments(mine).encode("ascii"),
+        lambda: format_assignments(mine()).encode("ascii"),
     )
 
-    # Pool assignments so every rank returns the full, ordered table
-    # (downstream QuantifyGraph needs it; rank order then index sort is
-    # deterministic and equals the serial order) — one shared object.
-    pooled = comm.allgather(mine)
-    assignments = comm.shared(
-        "rtt:assignments",
-        lambda: sorted((a for part in pooled for a in part), key=attrgetter("read_index")),
-        cost=0.0,
-    )
+    # Pool the rows so every rank returns the full, read-ordered records
+    # (downstream QuantifyGraph needs them) — one shared object.
+    pooled = comm.allgather(table)
+    assignments = comm.shared("rtt:assignments", lambda: _records(reads, pooled), cost=0.0)
     return StageResult(
         stage="rtt",
         outputs=RttOutputs(assignments=assignments, out_path=out_path),
@@ -158,6 +165,13 @@ def mpi_reads_to_transcripts(
         },
         rank=comm.rank,
     )
+
+
+def _records(reads: Sequence[SeqRecord], tables: List[np.ndarray]) -> List[ReadAssignment]:
+    """Assignment rows as records, in read order."""
+    table = np.concatenate(tables)
+    table = table[np.argsort(table[:, 0])]
+    return assignment_records([reads[i].name for i in table[:, 0].tolist()], table)
 
 
 def _chunk_read_cost(chunk: Sequence[Tuple[int, SeqRecord]]) -> float:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.errors import SequenceError
 
@@ -33,33 +35,65 @@ class SeqRecord:
         return f"{self.name} {self.description}".strip()
 
 
-def mate_key(name: str) -> Optional[Tuple[str, int]]:
-    """``(base, 1 | 2)`` of a paired-end read name, else None.
+def _mate_names(names: Sequence[str]) -> tuple:
+    """``names`` as one array of code points (``text``, name ``i`` ending at
+    ``ends[i]``, ``lens[i]`` long) and the indices ``at`` of the names that
+    end in a mate suffix after a non-empty base, ``second`` where ``/2``."""
+    lens = np.fromiter(map(len, names), dtype=np.int64, count=len(names))
+    text = np.frombuffer("".join(names).encode("utf-32-le"), dtype=np.uint32)
+    ends = np.cumsum(lens)
+    at = np.flatnonzero(lens > 2)
+    tail = text[ends[at] - 1]
+    keep = (text[ends[at] - 2] == ord("/")) & ((tail == ord("1")) | (tail == ord("2")))
+    return lens, text, ends, at[keep], tail[keep] == ord("2")
 
-    Only a final ``/1`` or ``/2`` is a mate suffix: ``lib/a`` and ``solo``
-    name no mate.
 
-    >>> mate_key("read7/2"), mate_key("lib/a"), mate_key("solo")
-    (('read7', 2), None, None)
+def mate_owner(names: Sequence[str], nprocs: int) -> np.ndarray:
+    """Per name, the one of ``nprocs`` owners its base hashes to (a
+    position-weighted sum of its code points), or -1 for a name with no
+    mate suffix: both mates of a pair, and every repeat of them, meet at
+    one owner, so :func:`mate_index` over what each owner is sent finds
+    every pair once."""
+    lens, text, ends, at, _second = _mate_names(names)
+    pos = np.arange(text.size) - np.repeat(ends - lens, lens)
+    summed = np.concatenate(([0], np.cumsum((text + 1) * (2 * pos + 1))))
+    start = ends[at] - lens[at]
+    owner = np.full(len(names), -1, dtype=np.int64)
+    owner[at] = (summed[start + lens[at] - 2] - summed[start]) % nprocs
+    return owner
+
+
+def mate_index(names: Sequence[str]) -> np.ndarray:
+    """The complete mate pairs among ``names``: ``(n_pairs, 2)`` indices of
+    each pair's ``base/1`` and ``base/2`` — exactly one of each, after a
+    non-empty base (``lib/a``, ``/1`` and a repeated mate pair nothing).
+
+    One array pass: a candidate's base is a row of its code points plus
+    one (zero pads), led by its mate slot and viewed as uint64 words.
+    Sorted, a base's rows are adjacent, ``/1`` first; a pair is a run of
+    exactly those two.
+
+    >>> mate_index(["r/2", "lib/a", "r/1", "x/1", "x/1", "y/2"]).tolist()
+    [[2, 0]]
     """
-    base, _slash, mate = name.rpartition("/")
-    return (base, int(mate)) if base and mate in ("1", "2") else None
-
-
-def mate_pairs(names: Iterable[str]) -> Dict[str, List[int]]:
-    """Indices into ``names`` of the two mates of every complete pair,
-    keyed by base name, in input order.
-
-    A pair is exactly one ``base/1`` and one ``base/2``: records that
-    merely share a prefix, or repeat a mate, pair with nothing.
-    """
-    slots: Dict[str, List[int]] = {}  # base -> [index of /1, of /2]; -1 unseen, -2 repeated
-    for i, name in enumerate(names):
-        key = mate_key(name)
-        if key is not None:
-            slot = slots.setdefault(key[0], [-1, -1])
-            slot[key[1] - 1] = i if slot[key[1] - 1] == -1 else -2
-    return {base: sorted(slot) for base, slot in slots.items() if min(slot) >= 0}
+    lens, text, ends, at, second = _mate_names(names)
+    base = lens[at] - 2
+    size = next(s for s in (1, 2, 4) if int(text.max(initial=0)) + 1 < 1 << (8 * s))
+    per = 8 // size
+    cols = np.arange((int(base.max(initial=0)) // per + 1) * per)
+    inside = (cols >= 1) & (cols <= base[:, None])
+    from_text = np.where(inside, (ends[at] - lens[at])[:, None] + cols - 1, 0)
+    grid = np.where(inside, text[from_text] + 1, 0).astype(f"<u{size}")
+    grid[:, 0] = second
+    words = grid.view("<u8")
+    # The mate slot's word is the least significant key (one word: a plain sort).
+    order = np.lexsort(words.T) if words.shape[1] > 1 else np.argsort(words[:, 0])
+    words, at, second = words[order], at[order], second[order]
+    words[:, 0] >>= np.uint64(8 * size)  # drop the mate slot: the base alone
+    runs = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1), True])
+    first = runs[:-1][np.diff(runs) == 2]
+    first = first[~second[first] & second[first + 1]]
+    return np.column_stack((at[first], at[first + 1]))
 
 
 @dataclass(frozen=True)

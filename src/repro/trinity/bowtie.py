@@ -5,7 +5,7 @@ Inchworm contigs; read pairs whose mates land on the single ends of two
 different contigs contribute scaffolding welds to Chrysalis (paper
 SS:III.A).  This module provides the same interface surface: build an
 index over a contig FASTA, align reads to SAM, and extract scaffold pairs
-from the SAM output.
+from the alignments.
 
 Substitution note: real Bowtie is an FM-index aligner; a seed-and-extend
 aligner has the same inputs, outputs and accuracy regime at our error
@@ -35,8 +35,11 @@ in aggregated batches against a partitioned seed index):
     and orientation, the minimum by ``(mismatches, contig, start)``.
 :class:`BestHits`
     Those minima, rows with a hit only.  :meth:`BestHits.best` is also
-    the reduction across target pieces, and :func:`sam_records` applies
-    the orientation rule (forward preferred on equal mismatches).
+    the reduction across target pieces, and :func:`read_hits` applies
+    the orientation rule (forward preferred on equal mismatches): one
+    :data:`READ_HIT` row per read, the columns scaffold support is
+    counted from (:func:`scaffold_support`) and SAM is rendered from
+    (:func:`hit_records`).
 
 Seed coordinates are window *starts* on both sides, so an ``N`` — which
 drops the windows covering it — shifts no other seed.
@@ -52,7 +55,7 @@ import numpy as np
 from repro.errors import PipelineError
 from repro.seq.alphabet import ASCII_TO_CODE, reverse_complement
 from repro.seq.kmers import clean_window_runs, kmer_windows_batch, pack_windows_at
-from repro.seq.records import Contig, SeqRecord, mate_pairs
+from repro.seq.records import Contig, SeqRecord, mate_index
 from repro.seq.sam import FLAG_REVERSE, FLAG_UNMAPPED, SamRecord, sam_header
 
 #: Bases compared per flat mismatch pass.  Bounds the transient index
@@ -82,8 +85,7 @@ class BowtieIndex:
     """Sorted-array seed index over a set of target contigs.
 
     ``seed_codes`` (sorted, duplicates kept), ``seed_contig`` and
-    ``seed_pos`` are parallel: one entry per clean seed window, equal
-    codes in ``(contig, pos)`` order.  Contig ``i`` is
+    ``seed_pos`` are parallel: one entry per clean seed window.  Contig ``i`` is
     ``text[offsets[i] : offsets[i] + lengths[i]]``.
     """
 
@@ -95,7 +97,7 @@ class BowtieIndex:
         self.offsets = np.cumsum(self.lengths) - self.lengths
         self.text = np.frombuffer("".join(seqs).encode(), dtype=np.uint8)
         codes, contig, pos = kmer_windows_batch(seqs, self.cfg.seed_len)
-        order = np.argsort(codes, kind="stable")
+        order = np.argsort(codes)
         self.seed_codes = codes[order]
         self.seed_contig = contig[order].astype(np.int32)
         self.seed_pos = pos[order].astype(np.int32)
@@ -166,7 +168,7 @@ class ReadSeeds:
             seed_at.append(run_starts[run] + nth - before[run])
         seed_rows, seed_at = np.concatenate(seed_rows), np.concatenate(seed_at)
         seed_codes = pack_windows_at(codes, seed_at, s)
-        order = np.argsort(seed_codes, kind="stable")
+        order = np.argsort(seed_codes)
         return cls(
             n_reads=len(seqs),
             seed_len=s,
@@ -186,20 +188,35 @@ class ReadSeeds:
         n = sum(b.n_reads for b in blocks)
         first = np.cumsum([0] + [b.n_reads for b in blocks])
         text_at = np.cumsum([0] + [b.text.size for b in blocks])
-        # Library row of each block's rows: reverse ones n - n_reads on.
-        rows = [
-            np.arange(2 * b.n_reads) + at + np.repeat([0, n - b.n_reads], b.n_reads)
+
+        def by_row(field: str, shift: Sequence[int]) -> np.ndarray:
+            # The blocks' forward rows in block order, then their reverse ones.
+            return np.concatenate([
+                getattr(b, field)[o * b.n_reads : (o + 1) * b.n_reads] + at
+                for o in (0, 1) for b, at in zip(blocks, shift)
+            ])
+
+        # A block's reverse rows move n - n_reads on.
+        seed_rows = np.concatenate([
+            b.seed_rows + at + np.where(b.seed_rows >= b.n_reads, n - b.n_reads, 0)
             for b, at in zip(blocks, first)
-        ]
-        by_row = np.argsort(np.concatenate(rows))
+        ])
         cat = lambda field: np.concatenate([getattr(b, field) for b in blocks])
         codes = cat("seed_codes")
-        order = np.argsort(codes, kind="stable")
-        starts = np.concatenate([b.starts + at for b, at in zip(blocks, text_at)])
-        seed_rows = np.concatenate([r[b.seed_rows] for r, b in zip(rows, blocks)])
+        # Merged as one uint64 sort of each code over its position, when
+        # both fit (twice as fast as an argsort of the codes); ties keep
+        # block order either way.
+        bits = codes.size.bit_length()
+        if 2 * blocks[0].seed_len + bits <= 64:
+            keys = np.sort(codes << np.uint64(bits) | np.arange(codes.size, dtype=np.uint64))
+            order, codes = keys & np.uint64((1 << bits) - 1), keys >> np.uint64(bits)
+        else:
+            order = np.argsort(codes, kind="stable")
+            codes = codes[order]
         return cls(
-            n, blocks[0].seed_len, cat("text"), starts[by_row], cat("lengths")[by_row],
-            codes[order], seed_rows[order].astype(np.int32), cat("seed_offsets")[order],
+            n, blocks[0].seed_len, cat("text"), by_row("starts", text_at),
+            by_row("lengths", [0] * len(blocks)), codes, seed_rows[order].astype(np.int32),
+            cat("seed_offsets")[order],
         )
 
 
@@ -324,17 +341,15 @@ def align_seeds(read_seeds: ReadSeeds, index: BowtieIndex) -> BestHits:
     )
 
 
-def sam_records(
-    reads: Sequence[SeqRecord], hits: BestHits, contig_names: Sequence[str]
-) -> List[SamRecord]:
-    """One SAM record per read from per-orientation bests.
+#: One read's alignment as columns: ``contig`` (-1 = unmapped), the
+#: 0-based ``pos``, the strand and the mismatch count.
+READ_HIT = np.dtype([("contig", "<i4"), ("pos", "<i4"), ("reverse", "?"), ("mm", "<i2")])
 
-    ``hits`` rows index ``reads`` as in :class:`ReadSeeds`;
-    ``contig_names[idx]`` names contig ``idx`` of whatever index space
-    ``hits.contig`` is in.  Forward wins on equal mismatches; a read with
-    no hit in either orientation is unmapped.
-    """
-    n = len(reads)
+
+def read_hits(hits: BestHits, n: int) -> np.ndarray:
+    """The :data:`READ_HIT` row of each of ``n`` reads from its rows'
+    bests (numbered as in :class:`ReadSeeds`): forward wins on equal
+    mismatches, no hit in either orientation is unmapped."""
     chosen = np.full(n, -1, dtype=np.int64)  # index into hits, -1 = unmapped
     n_fwd = int(np.searchsorted(hits.rows, n))
     chosen[hits.rows[n_fwd:] - n] = np.arange(n_fwd, hits.rows.size)
@@ -342,32 +357,79 @@ def sam_records(
     rev = chosen[fwd_reads]
     fwd_wins = (rev < 0) | (hits.mm[:n_fwd] <= hits.mm[rev])
     chosen[fwd_reads[fwd_wins]] = np.flatnonzero(fwd_wins)
-    contig, pos, mm = hits.contig.tolist(), hits.pos.tolist(), hits.mm.tolist()
+    out = np.zeros(n, dtype=READ_HIT)
+    out["contig"] = -1
+    mapped = chosen >= 0
+    h = chosen[mapped]
+    for field, column in zip(READ_HIT.names, (hits.contig[h], hits.pos[h], h >= n_fwd, hits.mm[h])):
+        out[field][mapped] = column
+    return out
+
+
+def hit_records(
+    reads: Sequence[SeqRecord], hits: np.ndarray, contig_names: Sequence[str]
+) -> List[SamRecord]:
+    """The SAM record of each read from its :data:`READ_HIT` row;
+    ``contig_names[idx]`` names contig ``idx`` of ``hits["contig"]``."""
     records = []
-    for read, h in zip(reads, chosen.tolist()):
-        if h < 0:
+    for read, contig, pos, reverse, mm in zip(reads, *(hits[f].tolist() for f in READ_HIT.names)):
+        if contig < 0:
             records.append(SamRecord(read.name, FLAG_UNMAPPED, "*", 0, 0, "*", read.seq))
-            continue
-        reverse = h >= n_fwd
-        records.append(
-            SamRecord(
-                qname=read.name,
-                flag=FLAG_REVERSE if reverse else 0,
-                rname=contig_names[contig[h]],
-                pos=pos[h] + 1,  # SAM is 1-based
-                mapq=255,
-                cigar=f"{len(read.seq)}M",
-                seq=reverse_complement(read.seq) if reverse else read.seq,
-                nm=mm[h],
-            )
-        )
+        else:  # SAM positions are 1-based
+            seq = reverse_complement(read.seq) if reverse else read.seq
+            flag = FLAG_REVERSE if reverse else 0
+            records.append(SamRecord(
+                read.name, flag, contig_names[contig], pos + 1, 255, f"{len(seq)}M", seq, mm
+            ))
     return records
+
+
+def sam_records(
+    reads: Sequence[SeqRecord], hits: BestHits, contig_names: Sequence[str]
+) -> List[SamRecord]:
+    """One SAM record per read from per-orientation bests (:func:`read_hits`
+    rendered by :func:`hit_records`)."""
+    return hit_records(reads, read_hits(hits, len(reads)), contig_names)
 
 
 def align_reads(reads: Sequence[SeqRecord], index: BowtieIndex) -> List[SamRecord]:
     """Align a batch of reads against one index."""
     hits = align_seeds(ReadSeeds.build(reads, index.cfg), index)
     return sam_records(reads, hits, [c.name for c in index.contigs])
+
+
+def scaffold_support(
+    hits: np.ndarray,
+    read_lengths: np.ndarray,
+    contig_lengths: np.ndarray,
+    mates: np.ndarray,
+    end_window: int = 300,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(pairs, counts)``: each contig pair ``(a, b)``, ``a < b``, and how
+    many of ``mates`` (rows of read indices) span it — align to ``a`` and
+    to ``b`` (``hits``: :data:`READ_HIT` rows), each mate within
+    ``end_window`` of a contig end (paper SS:III.A)."""
+    mates = mates.reshape(-1, 2)
+    contig = hits["contig"][mates].astype(np.int64)
+    start = hits["pos"][mates].astype(np.int64)
+    length = contig_lengths[np.maximum(contig, 0)] if contig_lengths.size else contig
+    near = (contig >= 0) & (
+        (start < end_window) | (start + read_lengths[mates] > length - end_window)
+    )
+    span = near.all(axis=1) & (contig[:, 0] != contig[:, 1])
+    pairs, counts = np.unique(np.sort(contig[span], axis=1), axis=0, return_counts=True)
+    return pairs.reshape(-1, 2), counts
+
+
+def supported_pairs(
+    pairs: np.ndarray, counts: np.ndarray, min_support: int = 2
+) -> List[Tuple[int, int]]:
+    """The keyed sum of ``counts`` over equal rows of ``pairs`` (pieces of
+    :func:`scaffold_support` in any number and order): the pairs it takes
+    to ``min_support`` or more, ascending."""
+    keys, inverse = np.unique(pairs.reshape(-1, 2), axis=0, return_inverse=True)
+    total = np.bincount(inverse.ravel(), weights=counts, minlength=len(keys))
+    return [(a, b) for a, b in keys[total >= min_support].tolist()]
 
 
 def scaffold_pairs_from_sam(
@@ -377,36 +439,21 @@ def scaffold_pairs_from_sam(
     contig_lengths: Optional[Dict[str, int]] = None,
     min_support: int = 2,
 ) -> List[Tuple[int, int]]:
-    """Contig pairs supported by read pairs spanning two contigs.
-
-    A mate pair ``x/1``, ``x/2`` mapping to *different* contigs, each
-    within ``end_window`` of a contig end, is evidence the contigs belong
-    to one transcript (paper SS:III.A); pairs with at least
-    ``min_support`` spanning mate pairs are emitted.
-    """
-    mapped = [rec for rec in records if not rec.is_unmapped]
-    support: Dict[Tuple[int, int], int] = {}
-    for first, second in mate_pairs(rec.qname for rec in mapped).values():
-        a, b = mapped[first], mapped[second]
-        if a.rname == b.rname:
-            continue
-        if contig_lengths is not None and not (
-            _near_end(a, end_window, contig_lengths) and _near_end(b, end_window, contig_lengths)
-        ):
-            continue
-        ia = contig_name_to_idx.get(a.rname)
-        ib = contig_name_to_idx.get(b.rname)
-        if ia is None or ib is None:
-            continue
-        key = (min(ia, ib), max(ia, ib))
-        support[key] = support.get(key, 0) + 1
-    return sorted(pair for pair, n in support.items() if n >= min_support)
-
-
-def _near_end(rec: SamRecord, window: int, lengths: Dict[str, int]) -> bool:
-    length = lengths.get(rec.rname)
-    if length is None:
-        return False
-    start = rec.pos - 1
-    end = start + len(rec.seq)
-    return start < window or end > length - window
+    """:func:`supported_pairs` of :func:`scaffold_support` over SAM records,
+    mates joined over the mapped ones.  A mapped record whose contig has
+    no index or, with ``contig_lengths``, no length spans nothing; without
+    them every placement is near an end (its end is past ``-end_window``)."""
+    if contig_lengths is None:
+        contig_lengths = dict.fromkeys(contig_name_to_idx, -end_window)
+    index = {n: i for n, i in contig_name_to_idx.items() if n in contig_lengths}
+    lengths = np.zeros(max(contig_name_to_idx.values(), default=-1) + 1, dtype=np.int64)
+    lengths[list(index.values())] = [contig_lengths[n] for n in index]
+    hits = np.zeros(len(records), dtype=READ_HIT)
+    hits["contig"] = [-1 if r.is_unmapped else index.get(r.rname, -1) for r in records]
+    hits["pos"] = [r.pos - 1 for r in records]
+    read_lengths = np.array([len(r.seq) for r in records], dtype=np.int64)
+    mapped = np.flatnonzero([not r.is_unmapped for r in records])
+    mates = mapped[mate_index([records[i].qname for i in mapped.tolist()])]
+    return supported_pairs(
+        *scaffold_support(hits, read_lengths, lengths, mates, end_window), min_support
+    )

@@ -138,6 +138,7 @@ def shared_seed_array(contigs: Sequence[Contig], cfg: GraphFromFastaConfig) -> n
     """
     codes, contig_ids, _starts = kmer_windows_batch([c.seq for c in contigs], cfg.k)
     canon = np.minimum(codes, revcomp_codes(codes, cfg.k))
+    # Stable: the shared seed set counts a code run's contig boundaries.
     order = np.argsort(canon, kind="stable")
     canon, contig_ids = canon[order], contig_ids[order]
     new_code = np.ones(canon.size, dtype=bool)

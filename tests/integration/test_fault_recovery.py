@@ -350,7 +350,7 @@ class TestDriverFaultsAndCheckpoints:
         assert _ckpt_counters(warm) == (6, 0)
         assert (wd / "Trinity.fasta").read_bytes() == cold and cold.count(b">") > 0
         merged = (
-            ("counts",), ("contigs",), ("records",), ("welds", "pairs", "components"),
+            ("counts",), ("contigs",), ("hits", "scaffolds"), ("welds", "pairs", "components"),
             ("assignments",), ("transcripts", "quant_stats"),
         )
         for stage, names in zip(warm.children, merged):
@@ -431,9 +431,7 @@ class TestDriverFaultsAndCheckpoints:
         def old_key(row, stage_config, cfg, workdir, digest, upstream_keys):
             parts = (
                 row.fn.__name__, stage_config, cfg.nprocs, cfg.nthreads, cfg.faults,
-                str(workdir), digest,
-                [(knob, getattr(cfg.trinity, knob)) for knob in row.glue],
-                list(upstream_keys),
+                str(workdir), digest, list(upstream_keys),
             )
             return hashlib.sha256(repr(parts).encode()).hexdigest()
 
@@ -473,18 +471,28 @@ class TestDriverFaultsAndCheckpoints:
     def test_changed_stage_knob_recomputes_it_and_downstream_only(
         self, smoke_reads, tmp_path
     ):
-        """A GFF-only knob restores jellyfish/inchworm/bowtie and recomputes
-        gff plus everything reading from it (rtt, chrysalis)."""
+        """A knob recomputes exactly the stages that read it and those
+        downstream of them: a GFF knob gff, rtt and chrysalis; the scaffold
+        knob, off, launches no bowtie and recomputes gff, rtt and chrysalis;
+        the pair knob, read by the back end alone, chrysalis only.  Each
+        flip is against checkpoints of the base config."""
         base = ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=2, nthreads=2)
         ckpt = tmp_path / "ckpts"
         ParallelTrinityDriver(base).run(smoke_reads, checkpoint_dir=ckpt)
-        for knob in ({"min_weld_read_support": 3}, {"use_bowtie_scaffolds": False}):
+        for knob, counters in (
+            ({"min_weld_read_support": 3}, (3, 3)),
+            ({"use_bowtie_scaffolds": False}, (2, 3)),
+            ({"use_pair_reconciliation": False}, (5, 1)),
+        ):
             cfg = ParallelTrinityConfig(
                 trinity=TrinityConfig(seed=1, **knob), nprocs=2, nthreads=2
             )
             rerun = ParallelTrinityDriver(cfg).run(smoke_reads, checkpoint_dir=ckpt)
-            assert _ckpt_counters(rerun) == (3, 3), knob
+            assert _ckpt_counters(rerun) == counters, knob
             assert _seqs(rerun) == _seqs(ParallelTrinityDriver(cfg).run(smoke_reads))
+            assert _ckpt_counters(
+                ParallelTrinityDriver(base).run(smoke_reads, checkpoint_dir=ckpt)
+            ) == (6 - counters[1], counters[1]), knob
 
     @pytest.mark.timeout(300)
     def test_other_network_recomputes_everything(self, smoke_reads, tmp_path):
@@ -499,6 +507,80 @@ class TestDriverFaultsAndCheckpoints:
         warm = ParallelTrinityDriver(slow).run(smoke_reads, checkpoint_dir=ckpt)
         assert _ckpt_counters(warm) == (6, 0)
         assert _seqs(warm) == _seqs(cold)
+
+
+class TestPairSteps:
+    """Both pair steps run inside stages: Bowtie's scaffold count and the
+    back end's reconciliation are crash points like any window, and a
+    checkpointed restart re-runs neither."""
+
+    @pytest.mark.timeout(300)
+    @pytest.mark.parametrize("nprocs", [3, 8])
+    def test_crash_in_each_pair_window_recovers_serial_bytes(
+        self, smoke_reads, tmp_path, nprocs
+    ):
+        """One rank dies entering Bowtie's scaffold count, another entering
+        the back end's pair scoring, under flaky I/O: each stage re-deals
+        on its survivors and ``Trinity.fasta`` is the serial file."""
+        from repro.trinity import TrinityPipeline
+
+        trinity = TrinityConfig(seed=1)
+        want = (
+            TrinityPipeline(trinity).run(smoke_reads, workdir=tmp_path / "serial")
+            .outputs.files["transcripts"].read_bytes()
+        )
+        plan = FaultPlan(
+            crashes=(
+                CrashFault(rank=1, phase="bowtie:scaffolds"),
+                CrashFault(rank=nprocs - 1, phase="chrysalis:pairs"),
+            ),
+            flaky_io=FlakyIO(rate=0.2),
+        )
+        cfg = ParallelTrinityConfig(trinity=trinity, nprocs=nprocs, nthreads=2, faults=plan)
+        result = ParallelTrinityDriver(cfg).run(smoke_reads, workdir=tmp_path / "par")
+        assert result.outputs.files["transcripts"].read_bytes() == want
+        lost = {child.stage: child.metrics.get("faults.rank_losses", 0.0)
+                for child in result.children}
+        assert lost["mpi_bowtie"] == lost["mpi_chrysalis_backend"] == 1.0
+        assert result.metrics["faults.rank_losses"] == 2.0
+
+    @pytest.mark.timeout(300)
+    def test_restart_launches_nothing_and_runs_no_pair_step(
+        self, smoke_reads, tmp_path, monkeypatch
+    ):
+        """A checkpointed rerun restores all six stages: no ``mpirun``, no
+        mate join, scaffold count or pair scoring, and the same
+        ``Trinity.fasta`` bytes, which are the serial pipeline's."""
+        from importlib import import_module
+
+        from repro.trinity import TrinityPipeline
+
+        driver, mpi_bowtie, mpi_chrysalis_backend = (
+            import_module(f"repro.parallel.{name}")
+            for name in ("driver", "mpi_bowtie", "mpi_chrysalis_backend")
+        )
+
+        trinity = TrinityConfig(seed=1)
+        cfg = ParallelTrinityConfig(trinity=trinity, nprocs=3, nthreads=2)
+        wd, ckpt = tmp_path / "wd", tmp_path / "ckpt"
+        cold = ParallelTrinityDriver(cfg).run(smoke_reads, workdir=wd, checkpoint_dir=ckpt)
+        written = cold.outputs.files["transcripts"].read_bytes()
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a restart ran a stage or a pair step")
+
+        for module, name in (
+            (driver, "mpirun_with_recovery"),
+            (mpi_bowtie, "mate_index"), (mpi_bowtie, "scaffold_support"),
+            (mpi_chrysalis_backend, "component_mates"), (mpi_chrysalis_backend, "mate_support"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        warm = ParallelTrinityDriver(cfg).run(smoke_reads, workdir=wd, checkpoint_dir=ckpt)
+        assert _ckpt_counters(warm) == (6, 0)
+        assert warm.outputs.files["transcripts"].read_bytes() == written
+        monkeypatch.undo()
+        serial = TrinityPipeline(trinity).run(smoke_reads, workdir=tmp_path / "serial")
+        assert serial.outputs.files["transcripts"].read_bytes() == written
 
 
 class TestRunRecord:

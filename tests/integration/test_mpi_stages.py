@@ -1,5 +1,6 @@
 """Integration tests for the three MPI stages run standalone."""
 
+import random
 import threading
 
 import pytest
@@ -28,8 +29,11 @@ from repro.trinity.chrysalis.graph_from_fasta import (
     graph_from_fasta,
     shared_seed_array,
 )
+from repro.trinity.chrysalis.components import Component
 from repro.trinity.chrysalis.reads_to_transcripts import (
     ReadsToTranscriptsConfig,
+    assign_reads_batched,
+    build_kmer_map,
     reads_to_transcripts,
 )
 from repro.trinity.inchworm import InchwormConfig, inchworm_assemble
@@ -85,6 +89,39 @@ class TestMpiBowtie:
         rewrite = sum(len(c.seq) for c in contigs) / 200e6
         assert sum(s.duration for s in split) > rewrite
 
+
+    @pytest.mark.parametrize("nprocs", [1, 3, 8])
+    def test_scaffolds_are_the_serial_count(self, smoke_reads, artefacts, nprocs):
+        """Scaffold support counted at the mates' owners equals the serial
+        count over the SAM, mates joined over mapped reads only: here an
+        unmapped copy of a mate's name leaves its pair counting."""
+        from repro.trinity.bowtie import scaffold_pairs_from_sam
+
+        _counts, contigs, _gff = artefacts
+        rng = random.Random(nprocs)
+        a, b = (c.seq for c in sorted(contigs, key=lambda c: -len(c.seq))[:2])
+        reads = list(smoke_reads) + [
+            SeqRecord("x0/1", "".join(rng.choice("ACGT") for _ in range(60))),
+        ]
+        for i in range(2):  # two pairs spanning the two longest contigs
+            reads += [SeqRecord(f"x{i}/1", a[-60:]), SeqRecord(f"x{i}/2", b[:60])]
+        rng.shuffle(reads)
+        run = mpirun(
+            mpi_bowtie, nprocs,
+            BowtieInputs(reads=reads, contigs=contigs),
+            BowtieStageConfig(bowtie=BowtieConfig()),
+        )
+        records = bowtie_align(reads, contigs, BowtieConfig())
+        assert sorted(r.is_unmapped for r in records if r.qname == "x0/1") == [False, True]
+        scaffolds = lambda records: scaffold_pairs_from_sam(
+            records, {c.name: i for i, c in enumerate(contigs)},
+            contig_lengths={c.name: len(c.seq) for c in contigs},
+        )
+        want = scaffolds(records)
+        pair = tuple(sorted(i for i, c in enumerate(contigs) if c.seq in (a, b)))
+        assert pair in want
+        assert pair not in scaffolds(bowtie_align(smoke_reads, contigs, BowtieConfig()))
+        assert all(list(r.scaffolds) == want for r in run.outputs)
 
     @pytest.mark.parametrize("nprocs", [1, 3, 8])
     def test_target_split_partitions_the_work(self, smoke_reads, artefacts, nprocs):
@@ -387,6 +424,32 @@ class TestMpiRtt:
         )
         for r in run.outputs:
             assert len(r.assignments) == len(smoke_reads)
+
+    @pytest.mark.parametrize("length", [128, 32768])
+    def test_rows_at_a_signed_bound_keep_their_values(self, length):
+        """Rows cross the wire in the narrowest type that holds them: a
+        largest value of exactly 128 or 32768 (one past a signed type's
+        top) must come back unwrapped, as the serial kernel's records."""
+        rng = random.Random(length)
+        contig = Contig("c0", "".join(rng.choice("ACGT") for _ in range(length)))
+        # The whole-contig read's region ends at ``length``; at 128 the
+        # last read's index is 128 too.
+        reads = [SeqRecord("whole", contig.seq)] + [
+            SeqRecord(f"r{i}", contig.seq[i : i + 30]) for i in range(min(length, 200))
+        ]
+        cfg = ReadsToTranscriptsConfig(k=25)
+        components = [Component(0, (0,))]
+        serial = assign_reads_batched(
+            list(enumerate(reads)), build_kmer_map([contig], components, 25), cfg
+        )
+        assert max(max(a.read_index, a.region_end) for a in serial) == length
+        for nprocs in (1, 3):
+            run = mpirun(
+                mpi_reads_to_transcripts, nprocs,
+                RttInputs(reads=reads, contigs=[contig], components=components),
+                RttStageConfig(rtt=cfg, nthreads=1),
+            )
+            assert all(r.assignments == serial for r in run.outputs)
 
 
 class TestMpiRttSerialEquality:

@@ -120,3 +120,51 @@ class TestReadsWithN:
         assert {c: (q.n_reads, q.read_edge_weight) for c, q in par.outputs.quants.items()} == {
             c: (q.n_reads, q.read_edge_weight) for c, q in serial.outputs.quants.items()
         }
+
+
+class TestPairSteps:
+    """Scaffold support and pair reconciliation run inside Bowtie and the
+    back end; the driver writes what the serial pipeline writes."""
+
+    @pytest.mark.timeout(300)
+    @pytest.mark.parametrize("scaffolds", [True, False])
+    def test_files_are_the_serial_runs(self, smoke_reads, tmp_path, scaffolds):
+        """The same file keys — no ``bowtie_sam`` when the serial pipeline
+        runs no Bowtie — and the same bytes in each."""
+        trinity = TrinityConfig(seed=1, use_bowtie_scaffolds=scaffolds)
+        serial = TrinityPipeline(trinity).run(smoke_reads, workdir=tmp_path / "serial")
+        par = ParallelTrinityDriver(
+            ParallelTrinityConfig(trinity=trinity, nprocs=3, nthreads=4)
+        ).run(smoke_reads, workdir=tmp_path / "par")
+        want, got = serial.outputs.files, par.outputs.files
+        assert sorted(got) == sorted(want)
+        assert ("bowtie_sam" in got) == scaffolds
+        assert {k: p.read_bytes() for k, p in got.items()} == {
+            k: p.read_bytes() for k, p in want.items()
+        }
+        assert len(par.children) == 5 + scaffolds
+
+    @pytest.mark.timeout(300)
+    @pytest.mark.parametrize("names", ["single-end", "malformed"])
+    def test_odd_mate_names_equal_serial_bytes(self, smoke_reads, tmp_path, names):
+        """Single-end names (no mate suffix) and malformed ones — a
+        repeated ``/1``, lone ``/2``s, ``lib/a``-style and bare ``/1``
+        names — give the serial ``Trinity.fasta`` at 1, 3 and 8 ranks."""
+        from repro.seq.records import SeqRecord
+
+        def rename(i, name):
+            if names == "single-end":
+                return f"solo{i}"
+            return {0: "/1", 1: "/2", 2: "lib/a", 3: name.replace("/1", "/2")}.get(i % 11, name)
+
+        reads = [SeqRecord(rename(i, r.name), r.seq) for i, r in enumerate(smoke_reads)]
+        trinity = TrinityConfig(seed=1)
+        want = (
+            TrinityPipeline(trinity).run(reads, workdir=tmp_path / "serial")
+            .outputs.files["transcripts"].read_bytes()
+        )
+        for nprocs in (1, 3, 8):
+            par = ParallelTrinityDriver(
+                ParallelTrinityConfig(trinity=trinity, nprocs=nprocs, nthreads=4)
+            ).run(reads, workdir=tmp_path / f"par{nprocs}")
+            assert par.outputs.files["transcripts"].read_bytes() == want, nprocs

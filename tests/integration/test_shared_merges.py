@@ -32,7 +32,7 @@ NPROCS = 3
 MERGED = {
     "jellyfish": ("counts",),
     "inchworm": ("contigs",),
-    "bowtie": ("records",),
+    "bowtie": ("hits", "scaffolds"),
     "gff": ("welds", "pairs", "components"),
     "rtt": ("assignments",),
     "chrysalis": ("transcripts", "quant_stats"),

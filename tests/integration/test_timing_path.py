@@ -34,7 +34,7 @@ SERIAL_METRICS = [
 DRIVER_METRICS = [
     "stage.jellyfish[mpi]_s", "stage.inchworm[mpi]_s", "stage.chrysalis.bowtie[mpi]_s",
     "stage.chrysalis.graph_from_fasta[mpi]_s", "stage.chrysalis.reads_to_transcripts[mpi]_s",
-    "stage.chrysalis.backend[mpi]_s", "stage.butterfly.pair_reconciliation_s",
+    "stage.chrysalis.backend[mpi]_s",
     "inchworm.n_threads", "inchworm.team_serial_s", "inchworm.team_makespan_s",
     "inchworm.speedup", "nprocs", "nthreads", "inchworm_threads", "n_transcripts",
     "mpi.jellyfish_makespan_s", "mpi.inchworm_makespan_s", "mpi.bowtie_makespan_s",

@@ -17,19 +17,97 @@ it: codes fold case, ``str in str`` does not); the bounds filter off by
 one (``<`` drops a mate ending on a transcript's last base — a suffix
 mate, or a prefix mate on the other strand; ``<= len + 1`` lets a mate
 run on into the first base of the text joined after it); only the
-forward strand indexed; the string fallback dropped for mates whose seed
+forward strand seeded; the string fallback dropped for mates whose seed
 window holds an ``N``; "both mates" weakened to "either"; duplicated
 pairs counted once.
+
+``test_mate_index_equals_the_name_loop`` holds the vectorised mate join
+(``repro.seq.records.mate_index``) to the per-name dict loop of
+``tests/reference_pairs.py`` on generated names: repeated and lone
+mates, ``lib/a`` and bare ``/1`` names, inner slashes, and bases that
+differ only in a trailing NUL, a non-Latin character or their length.
+Hand mutants it kills: the mate slot kept in the base's key (``x/1`` and
+``x/2`` never meet); runs of any length taken as pairs (a repeated
+``/1`` pairs); the zero padding not offset by one (``d`` and ``d\x00``
+share a key); the base allowed empty (``/1`` and ``/2`` pair).
 """
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.seq.alphabet import reverse_complement
-from repro.seq.records import SeqRecord, Transcript
+from repro.seq.records import SeqRecord, Transcript, mate_index, mate_owner
 from repro.trinity.chrysalis.reads_to_transcripts import ReadAssignment
-from repro.trinity.pairs import _pair_supports, component_pairs, reconcile_with_pairs
+from repro.trinity.pairs import _pair_supports, reconcile_with_pairs
 from tests import reference_pairs
+
+
+_BASES = st.sampled_from(
+    ["r1", "r2", "lib", "a/b", "a/b/c", "", "d", "d\x00", "é", "\U0001F600", "x" * 9]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_BASES, st.sampled_from(["/1", "/2", "/3", "/", "", "/a"])), max_size=14))
+@example(
+    [("", "/1"), ("", "/2"), ("d", "/1"), ("d\x00", "/2"), ("r1", "/1"), ("r1", "/1"), ("r1", "/2")]
+)
+def test_mate_index_equals_the_name_loop(parts):
+    names = [base + suffix for base, suffix in parts]
+    got = mate_index(names).tolist()
+    assert all(names[a].endswith("/1") and names[b].endswith("/2") for a, b in got)
+    assert sorted(sorted(row) for row in got) == sorted(
+        reference_pairs.mate_pairs(names).values()
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_BASES, st.sampled_from(["/1", "/2", "", "/a"])), max_size=14),
+    st.integers(1, 8),
+)
+def test_joining_at_each_owner_finds_every_pair_once(parts, nprocs):
+    """Bowtie's distributed join: ``mate_index`` over the names each
+    ``mate_owner`` receives finds exactly ``mate_index``'s pairs."""
+    names = [base + suffix for base, suffix in parts]
+    owner = mate_owner(names, nprocs)
+    assert ((owner >= -1) & (owner < nprocs)).all()
+    got = []
+    for rank in range(nprocs):
+        held = np.flatnonzero(owner == rank)
+        got += held[mate_index([names[i] for i in held])].tolist()
+    assert sorted(got) == sorted(mate_index(names).tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_BASES, st.sampled_from(["/1", "/2", ""]), st.integers(-1, 2)), max_size=14
+    ),
+    st.sets(st.integers(0, 2)),
+)
+@example([("r1", "/1", 0), ("r1", "/2", 0), ("r1", "/1", 1), ("d", "/1", 0), ("d", "/2", 2)], {0})
+def test_joining_an_owners_components_finds_their_pairs(parts, cids):
+    """The back end's per-owner join: ``component_mates`` over some
+    components' reads finds exactly the pairs of a join over all the
+    reads whose two mates are routed to one of those components."""
+    from repro.trinity.pairs import component_mates, repeated_names
+
+    reads = [SeqRecord(base + suffix or "solo", "ACGT") for base, suffix, _c in parts]
+    routed = {}
+    for i, (_b, _s, comp) in enumerate(parts):
+        if comp >= 0:
+            routed.setdefault(comp, []).append(i)
+    got = component_mates(reads, routed, cids, repeated_names(reads))
+    comp_of = {i: c for c, held in routed.items() for i in held}
+    want = {}
+    for a, b in reference_pairs.mate_pairs(r.name for r in reads).values():
+        if comp_of.get(a, -1) in cids and comp_of.get(a) == comp_of.get(b):
+            want.setdefault(comp_of[a], []).append(sorted((a, b)))
+    assert {c: sorted(sorted(row) for row in rows.tolist()) for c, rows in got.items()} == {
+        c: sorted(rows) for c, rows in want.items()
+    }
 
 
 def _dna(lo, hi):
@@ -110,7 +188,7 @@ def test_batched_reconciliation_equals_string_scans(component, min_support):
     )
     assert [(t.name, t.seq) for t in kept] == [(t.name, t.seq) for t in want]
     assert stats == want_stats
-    by_component = component_pairs(reads, assignments)
+    by_component = reference_pairs.component_pairs(reads, assignments)
     for t in transcripts:
         pairs = by_component.get(t.component, [])
         assert _pair_supports([t.seq], pairs) == [reference_pairs.pair_support(t.seq, pairs)]

@@ -7,17 +7,58 @@ scans per (pair, transcript) — each mate, each strand — and one
 for any strings: empty mates occur everywhere, an ``N`` matches only an
 ``N``.  ``reconcile_with_pairs`` and the per-transcript counts it filters
 on (``_pair_supports``) must return exactly what these do.
+
+The per-name mate join is here too (``mate_key`` / ``mate_pairs`` /
+``mate_groups`` / ``component_pairs``): the dict loop that
+``repro.seq.records.mate_index`` replaced, and the oracle it is held to.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.seq.alphabet import reverse_complement
 from repro.seq.records import SeqRecord, Transcript
 from repro.trinity.chrysalis.reads_to_transcripts import ReadAssignment
-from repro.trinity.pairs import PairFilterStats, component_pairs
+from repro.trinity.pairs import PairFilterStats
+
+
+def mate_key(name: str) -> Optional[Tuple[str, int]]:
+    """``(base, 1 | 2)`` of a paired-end read name, else None: only a final
+    ``/1`` or ``/2`` is a mate suffix."""
+    base, _slash, mate = name.rpartition("/")
+    return (base, int(mate)) if base and mate in ("1", "2") else None
+
+
+def mate_pairs(names: Iterable[str]) -> Dict[str, List[int]]:
+    """Indices into ``names`` of the two mates of every complete pair,
+    keyed by base name: exactly one ``base/1`` and one ``base/2``."""
+    slots: Dict[str, List[int]] = {}  # base -> [index of /1, of /2]; -1 unseen, -2 repeated
+    for i, name in enumerate(names):
+        key = mate_key(name)
+        if key is not None:
+            slot = slots.setdefault(key[0], [-1, -1])
+            slot[key[1] - 1] = i if slot[key[1] - 1] == -1 else -2
+    return {base: sorted(slot) for base, slot in slots.items() if min(slot) >= 0}
+
+
+def mate_groups(reads: Sequence[SeqRecord]) -> Dict[str, List[int]]:
+    """Read indices of every mate pair ``x/1``, ``x/2``, by base name."""
+    return mate_pairs(rec.name for rec in reads)
+
+
+def component_pairs(
+    reads: Sequence[SeqRecord], assignments: Sequence[ReadAssignment]
+) -> Dict[int, List[Tuple[str, str]]]:
+    """Mate-pair sequences per component (both mates assigned to it)."""
+    comp_of = {a.read_index: a.component for a in assignments}
+    out: Dict[int, List[Tuple[str, str]]] = defaultdict(list)
+    for a, b in mate_groups(reads).values():
+        ca, cb = comp_of.get(a, -1), comp_of.get(b, -1)
+        if ca >= 0 and ca == cb:
+            out[ca].append((reads[a].seq, reads[b].seq))
+    return dict(out)
 
 
 def _occurs(seq: str, transcript: str) -> bool:

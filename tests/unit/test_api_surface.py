@@ -273,13 +273,13 @@ class TestChrysalisBackendSurface:
         }
         assert {f.name for f in fields(ChrysalisBackendStageConfig)} == {
             "k", "weld_k", "min_kmer_count", "butterfly", "nthreads", "strategy",
-            "workdir",
+            "workdir", "use_pair_reconciliation",
         }
 
     def test_package_exports_and_config_fields_pinned(self):
         """``repro.trinity.chrysalis.__all__`` after the array graph, and the
-        four config dataclasses it could have leaked a knob into: none
-        gained a field."""
+        four config dataclasses it could have leaked a knob into: only the
+        back end's gained one, the pair knob it reads."""
         from dataclasses import fields
 
         from repro.parallel import ChrysalisBackendStageConfig, ParallelTrinityConfig
@@ -299,7 +299,7 @@ class TestChrysalisBackendSurface:
             "quantify_graph", "quantify_component", "pack_routed_reads", "ReadPack",
             "reads_by_component", "solid_index", "ComponentQuant",
         ])
-        assert len(fields(ChrysalisBackendStageConfig)) == 7
+        assert len(fields(ChrysalisBackendStageConfig)) == 8
         assert len(fields(ButterflyConfig)) == 5
         assert [f.name for f in fields(TrinityConfig)] == [
             "k", "min_kmer_count", "seed", "max_mem_reads", "use_bowtie_scaffolds",

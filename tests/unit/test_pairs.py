@@ -3,13 +3,14 @@
 import pytest
 
 from repro.seq.alphabet import reverse_complement
-from repro.seq.records import SeqRecord, Transcript
+from repro.seq.records import SeqRecord, Transcript, mate_index
+from repro.trinity.chrysalis.quantify import reads_by_component
 from repro.trinity.chrysalis.reads_to_transcripts import ReadAssignment
 from repro.trinity.pairs import (
     _pair_supports,
-    component_pairs,
-    mate_groups,
+    component_mates,
     reconcile_with_pairs,
+    repeated_names,
 )
 
 ISO1 = "ATCGGATTACAGTCCGGTTAACGAGCTTGGCATGCATTTGGCCAATGG"
@@ -20,6 +21,24 @@ def pair_support(transcript_seq, pairs):
     """Pairs with both mates in one transcript, by the pass
     ``reconcile_with_pairs`` runs."""
     return _pair_supports([transcript_seq], pairs)[0]
+
+
+def mate_groups(reads):
+    """Read indices of every mate pair, by base name (``mate_index``)."""
+    return {
+        reads[a].name[:-2]: sorted((a, b))
+        for a, b in mate_index([r.name for r in reads]).tolist()
+    }
+
+
+def component_pairs(reads, assigns):
+    """Mate-pair sequences per component (``component_mates``)."""
+    routed = reads_by_component(assigns)
+    by_component = component_mates(reads, routed, routed, repeated_names(reads))
+    return {
+        cid: [(reads[a].seq, reads[b].seq) for a, b in rows.tolist()]
+        for cid, rows in by_component.items()
+    }
 
 
 def assignment(idx, comp):

@@ -184,7 +184,7 @@ def test_bench_dynamic_deal_beats_round_robin(benchmark, best_launch):
 
     def launch(strategy):
         config = ChrysalisBackendStageConfig(
-            k=25, weld_k=24, butterfly=bf_cfg, nthreads=1, strategy=strategy
+            k=25, butterfly=bf_cfg, nthreads=1, strategy=strategy
         )
         return lambda: mpirun(mpi_chrysalis_backend, NPROCS, inputs, config)
 

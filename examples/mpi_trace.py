@@ -23,7 +23,7 @@ The same workflow is packaged as ``python -m repro profile``.
 import sys
 
 from repro.mpi import mpirun
-from repro.obs import critical_path, render_gantt, trace_summary, verify_attribution
+from repro.obs import critical_path, render_gantt, verify_attribution
 from repro.parallel.mpi_graph_from_fasta import (
     GffInputs,
     GffStageConfig,
@@ -52,8 +52,6 @@ def main() -> None:
         trace=True,
     )
     print(render_gantt(run))
-    print()
-    print(trace_summary(run))
     print(f"\nmakespan {run.makespan:.3f}s, rank imbalance {run.imbalance:.2f}x")
     r = run.outputs[0]
     print(f"{len(r.welds)} welds -> {len(r.pairs)} pairs -> {len(r.components)} components")

@@ -3,8 +3,9 @@
 
 Mirrors how the real pipeline is operated: the dataset is written to
 FASTA first, every stage exchanges data through files in a working
-directory, and the run finishes with the Collectl-style stage/RAM report
-(the miniature analogue of the paper's Figures 2 and 11).
+directory, and each run finishes with its per-stage host-time table (the
+time half of the paper's Figures 2 and 11; their RAM traces are modelled
+at paper scale, ``python -m repro experiments fig02 fig11``).
 
 Run:  python examples/sugarbeet_workflow.py [workdir]
 """
@@ -13,7 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.obs.span import render_stage_table, render_timeline
+from repro.obs.span import render_stage_table
 from repro.parallel import ParallelTrinityDriver
 from repro.parallel.driver import ParallelTrinityConfig
 from repro.seq.fasta import iter_fasta
@@ -33,7 +34,7 @@ def main() -> None:
 
     print("\n--- serial Trinity (original workflow) ---")
     serial = TrinityPipeline(config).run(reads, workdir=workdir / "serial")
-    print(render_timeline(serial.spans))
+    print(render_stage_table(serial.spans))
 
     print("\n--- hybrid Trinity (mpirun -np 4, 4 threads/rank) ---")
     driver = ParallelTrinityDriver(ParallelTrinityConfig(trinity=config, nprocs=4, nthreads=4))

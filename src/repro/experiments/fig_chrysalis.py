@@ -201,7 +201,7 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigChrysalisResult
             assignments=assignments, counts=counts,
         ),
         ChrysalisBackendStageConfig(
-            k=tcfg.k, weld_k=tcfg.weld_k, min_kmer_count=tcfg.min_kmer_count,
+            k=tcfg.k, min_kmer_count=tcfg.min_kmer_count,
             butterfly=tcfg.butterfly(), nthreads=1, strategy="dynamic",
         ),
     )

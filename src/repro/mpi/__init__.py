@@ -27,7 +27,6 @@ from repro.mpi.faults import (
 )
 from repro.mpi.launcher import mpirun
 from repro.mpi.datatypes import pack_strings, unpack_strings, nbytes_of
-from repro.obs.critical import render_gantt, trace_summary
 from repro.obs.result import StageResult
 from repro.obs.span import Span
 
@@ -48,6 +47,4 @@ __all__ = [
     "pack_strings",
     "unpack_strings",
     "nbytes_of",
-    "render_gantt",
-    "trace_summary",
 ]

@@ -10,8 +10,8 @@ The subsystem has five pieces, each consuming the one before:
 * :mod:`repro.obs.chrome` — Chrome trace-event / Perfetto export of any
   StageResult;
 * :mod:`repro.obs.critical` — makespan attribution (compute/wait/comm per
-  rank, Figure-8 serial fraction, top-k spans), the Gantt chart and the
-  per-rank totals, all views over a traced run's ``rank r`` spans;
+  rank, Figure-8 serial fraction, top-k spans) and the Gantt chart, both
+  views over a traced run's ``rank r`` spans;
 * :mod:`repro.obs.metrics` — the one process-wide counter, the driver's
   checkpoint restores; every other fact a run produces is on its own
   StageResult.
@@ -27,7 +27,6 @@ from repro.obs.critical import (
     RankBreakdown,
     critical_path,
     render_gantt,
-    trace_summary,
     verify_attribution,
 )
 from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
@@ -43,7 +42,6 @@ __all__ = [
     "RankBreakdown",
     "critical_path",
     "render_gantt",
-    "trace_summary",
     "verify_attribution",
     "GLOBAL_METRICS",
     "MetricsRegistry",

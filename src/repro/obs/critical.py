@@ -12,8 +12,8 @@ rank's three totals sum to its end time — and the slowest ("critical")
 rank's totals sum to the job makespan.  That identity is a tested
 invariant and makes the attribution exact rather than sampled.
 
-:func:`render_gantt` and :func:`trace_summary` are two more views over
-the same spans: an ASCII timeline per rank and its per-kind totals.
+:func:`render_gantt` is one more view over the same spans: an ASCII
+timeline per rank (the per-rank totals are the report's rank table).
 """
 
 from __future__ import annotations
@@ -199,13 +199,4 @@ def render_gantt(result: StageResult, width: int = 72) -> str:
             for i in range(a, min(b, width)):
                 row[i] = _GLYPH[seg.kind]
         lines.append(f"rank {rank:3d} |{''.join(row)}|")
-    return "\n".join(lines)
-
-
-def trace_summary(result: StageResult) -> str:
-    """Per-rank compute/wait/comm totals of a traced run — the imbalance at a glance."""
-    lines = ["rank  compute     wait        comm"]
-    for rank, spans in enumerate(rank_clock_spans(result)):
-        b = _breakdown(rank, spans)
-        lines.append(f"{rank:4d}  {b.compute:<10.4g}  {b.wait:<10.4g}  {b.comm:<10.4g}")
     return "\n".join(lines)

@@ -14,15 +14,17 @@ analyser and the validation harness each read:
     track; for the two pipeline drivers, their back-to-back ``stage``
     spans;
 ``comm`` / ``metrics``
-    communication accounting and scalar counters/gauges.
+    communication accounting and scalar counters/gauges; a fact a span
+    already records (a duration, a span's attrs) is read off the span,
+    not copied here.
 
 Every distributed stage body, ``stage(comm, inputs, config=None)``, sets
 ``outputs`` to a typed per-stage dataclass (``GffOutputs``,
 ``RttOutputs``, ``BowtieOutputs``, ``ChrysalisBackendOutputs``, …), so
 the preferred reads are explicit: ``run.outputs[0].welds`` on an ``mpirun``
 result, ``result.outputs.welds`` on a per-rank one.  Attribute
-delegation to ``outputs`` and ``metrics`` (``result.welds``,
-``result.serial_time``) remains for the untyped callers.
+delegation to ``outputs`` (``result.welds``) remains for the untyped
+callers; a metric is read as ``result.metrics[name]`` only.
 """
 
 from __future__ import annotations
@@ -81,17 +83,14 @@ class StageResult:
 
     def __getattr__(self, name: str) -> Any:
         # Delegation keeps pre-StageResult field access working: stage
-        # outputs (r.welds, r.transcripts) and timing metrics
-        # (r.serial_time) were fields of the per-stage result classes.
+        # outputs (r.welds, r.transcripts) were fields of the per-stage
+        # result classes.
         if name.startswith("_"):
             raise AttributeError(name)
         outputs = object.__getattribute__(self, "outputs")
         if outputs is not None and hasattr(outputs, name):
             return getattr(outputs, name)
-        metrics = object.__getattribute__(self, "metrics")
-        if name in metrics:
-            return metrics[name]
         raise AttributeError(
             f"{type(self).__name__} for stage {self.stage!r} has no attribute {name!r} "
-            "(not a field, not on .outputs, not in .metrics)"
+            "(not a field, not on .outputs)"
         )

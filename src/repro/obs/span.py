@@ -19,10 +19,11 @@ Vocabulary
     Free-form annotations — byte counts, item counts, cache hits, RAM.
 
 Stage spans on the ``driver`` track are the Collectl-style traces of the
-paper's Figures 2 and 11: :func:`append_stage` lays them back to back
-(each carries its estimated resident size as ``attrs["ram_gb"]``), the
-modelled timelines of :mod:`repro.parallel.scaling` call it directly and
-the two pipeline drivers time live stages with :func:`host_stage`.
+paper's Figures 2 and 11: :func:`append_stage` lays them back to back.
+The modelled timelines of :mod:`repro.parallel.scaling` call it directly,
+each span carrying its modelled resident size as ``attrs["ram_gb"]``;
+the two pipeline drivers time live stages with :func:`host_stage`, whose
+spans carry host wall time only (nothing measures a live stage's RAM).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
 
 from repro.util.fmt import format_table, human_time
@@ -73,23 +73,23 @@ class Span:
         return replace(self, start=self.start + dt, stop=self.stop + dt)
 
 
-def append_stage(spans: List[Span], label: str, duration_s: float, ram_gb: float) -> Span:
-    """Append a driver-track ``stage`` span starting where the last one stopped."""
-    if ram_gb < 0:
+def append_stage(
+    spans: List[Span], label: str, duration_s: float, ram_gb: Optional[float] = None
+) -> Span:
+    """Append a driver-track ``stage`` span starting where the last one
+    stopped, annotated with ``ram_gb`` when given (the modelled timelines)."""
+    if ram_gb is not None and ram_gb < 0:
         raise ValueError(f"negative RAM for stage {label!r}")
     start = spans[-1].stop if spans else 0.0
-    span = Span("stage", start, start + duration_s, label, "driver", {"ram_gb": ram_gb})
+    attrs = None if ram_gb is None else {"ram_gb": ram_gb}
+    span = Span("stage", start, start + duration_s, label, "driver", attrs)
     spans.append(span)
     return span
 
 
 @contextmanager
-def host_stage(spans: List[Span], label: str) -> Iterator[SimpleNamespace]:
+def host_stage(spans: List[Span], label: str) -> Iterator[None]:
     """Time the body on the host wall clock as one :func:`append_stage` span.
-
-    The body may set ``ram_bytes`` on the yielded object: the stage's
-    resident size, estimated from the sizes of its own tables (Python
-    object introspection is unreliable).
 
     Clock choice: ``perf_counter``, by design.  The span brackets work
     that runs in *other* threads (the simulated MPI ranks and OpenMP
@@ -98,10 +98,9 @@ def host_stage(spans: List[Span], label: str) -> Iterator[SimpleNamespace]:
     elapsed time.  ``thread_time`` belongs inside the rank bodies, which
     charge their own virtual clocks.
     """
-    stage = SimpleNamespace(ram_bytes=0)
     t0 = time.perf_counter()
-    yield stage
-    append_stage(spans, label, time.perf_counter() - t0, stage.ram_bytes / 1e9)
+    yield
+    append_stage(spans, label, time.perf_counter() - t0)
 
 
 def stage_seconds(spans: Iterable[Span]) -> Dict[str, float]:
@@ -113,27 +112,21 @@ def stage_seconds(spans: Iterable[Span]) -> Dict[str, float]:
 
 
 def peak_ram_gb(spans: Iterable[Span]) -> float:
-    """The largest ``ram_gb`` any span carries (0 for none)."""
+    """The largest ``ram_gb`` any span carries (0 for none): a modelled
+    timeline's peak."""
     return max((s.attr("ram_gb", 0.0) for s in spans), default=0.0)
 
 
 def render_stage_table(spans: List[Span]) -> str:
-    """Per-stage duration / peak-RAM table of back-to-back stage spans."""
-    rows: List[List[object]] = [
-        [
-            label,
-            human_time(seconds),
-            f"{peak_ram_gb(s for s in spans if s.label == label):.1f}",
-        ]
-        for label, seconds in stage_seconds(spans).items()
-    ]
-    total = spans[-1].stop if spans else 0.0
-    rows.append(["TOTAL", human_time(total), f"{peak_ram_gb(spans):.1f}"])
-    return format_table(["stage", "time", "peak RAM (GB)"], rows)
+    """Per-stage duration table of back-to-back stage spans."""
+    rows = [[label, human_time(seconds)] for label, seconds in stage_seconds(spans).items()]
+    rows.append(["TOTAL", human_time(spans[-1].stop if spans else 0.0)])
+    return format_table(["stage", "time"], rows)
 
 
 def render_timeline(spans: List[Span], width: int = 72) -> str:
-    """ASCII Collectl-style trace: one bar per stage span, length ~ duration."""
+    """ASCII Collectl-style trace of a modelled timeline: one bar per stage
+    span, length ~ duration, with its ``ram_gb``."""
     total = spans[-1].stop if spans else 0.0
     if total <= 0:
         return "(empty timeline)"

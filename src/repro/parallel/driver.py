@@ -51,7 +51,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Ty
 from repro.errors import PipelineError
 from repro.obs.metrics import GLOBAL_METRICS
 from repro.obs.result import StageResult
-from repro.obs.span import Span, host_stage, peak_ram_gb, stage_seconds
+from repro.obs.span import Span, host_stage, stage_seconds
 from repro.mpi.faults import FaultPlan
 from repro.mpi.network import IDATAPLEX_FDR10, NetworkModel
 from repro.parallel.recovery import mpirun_with_recovery
@@ -166,7 +166,6 @@ class ParallelTrinityConfig:
     ) -> ChrysalisBackendStageConfig:
         return ChrysalisBackendStageConfig(
             k=self.trinity.k,
-            weld_k=self.trinity.weld_k,
             min_kmer_count=self.trinity.min_kmer_count,
             butterfly=self.trinity.butterfly(),
             nthreads=self.nthreads,
@@ -217,15 +216,10 @@ class StageRow:
     file_key: Optional[str] = None  # TrinityResult.files key of outputs[0].out_path
     #: Whether a run of this config launches the stage at all.
     launched: Callable[[ParallelTrinityConfig], bool] = lambda cfg: True
-    ram_bytes: Callable[[StageChain], float] = lambda chain: 0.0  # Collectl-style estimate
 
     def inputs(self, chain: StageChain) -> Any:
         """The stage's ``*Inputs`` from the chain so far."""
         return self.inputs_type(**self.args(chain))
-
-
-def _counts_bytes(chain: StageChain) -> float:
-    return chain.out("jellyfish").counts.memory_bytes()
 
 
 #: The six-stage chain, in launch order: the one list of stages.  Adding
@@ -236,7 +230,7 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
         "jellyfish", "jellyfish", mpi_jellyfish, JellyfishInputs, "jellyfish[mpi]",
         lambda chain: dict(reads=chain.reads),
         lambda cfg, wd: cfg.jellyfish_stage(workdir=wd),
-        upstream=(), file_key="jellyfish_dump", ram_bytes=_counts_bytes,
+        upstream=(), file_key="jellyfish_dump",
     ),
     # Components of the k-mer overlap graph dealt to ranks, each rank
     # building successor rows for its own components and walking them
@@ -246,13 +240,6 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
         lambda chain: dict(counts=chain.out("jellyfish").counts),
         lambda cfg, wd: cfg.inchworm_stage(workdir=wd),
         upstream=("jellyfish",), file_key="inchworm_contigs",
-        # The counter, the contigs, and the successor table's real size on
-        # its largest holder (absent from a checkpoint an older version wrote).
-        ram_bytes=lambda chain: _counts_bytes(chain)
-        + sum(len(c.seq) for c in chain.contigs)
-        + max(
-            rank.metrics.get("table_bytes", 0.0) for rank in chain.runs["inchworm"].outputs
-        ),
     ),
     StageRow(
         "bowtie", "bowtie", mpi_bowtie, BowtieInputs, "chrysalis.bowtie[mpi]",
@@ -260,11 +247,6 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
         lambda cfg, wd: cfg.bowtie_stage(workdir=wd),
         upstream=("inchworm",), file_key="bowtie_sam",
         launched=lambda cfg: cfg.trinity.use_bowtie_scaffolds,
-        # The piece indexes' real sizes (absent from a checkpoint an older
-        # version wrote).
-        ram_bytes=lambda chain: sum(
-            rank.metrics.get("index_bytes", 0.0) for rank in chain.runs["bowtie"].outputs
-        ),
     ),
     StageRow(
         "gff", "gff", mpi_graph_from_fasta, GffInputs, "chrysalis.graph_from_fasta[mpi]",
@@ -301,11 +283,6 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
         lambda cfg, wd: cfg.chrysalis_stage(workdir=wd),
         upstream=("jellyfish", "inchworm", "gff", "rtt"),
         file_key="transcripts",
-        ram_bytes=lambda chain: sum(
-            q.graph.nbytes
-            for rank in chain.runs["chrysalis"].outputs
-            for q in rank.outputs.local_quants.values()
-        ),
     ),
 )
 
@@ -339,8 +316,8 @@ def run_chain(
 ) -> StageChain:
     """Walk :data:`STAGE_TABLE` in order, launching each row via ``launch``.
 
-    Each launch and its RAM estimate run inside one :func:`host_stage`
-    span labelled by the row (its inputs are built outside it).  With
+    Each launch runs inside one :func:`host_stage` span labelled by the
+    row (its inputs are built outside it).  With
     ``target`` (a row key), only that stage and its transitive upstream
     stages run; a row whose ``launched(cfg)`` is false never does.
     """
@@ -351,9 +328,8 @@ def run_chain(
             continue
         inputs = row.inputs(chain)
         stage_config = row.config(cfg, workdir)
-        with host_stage(chain.spans, row.label) as st:
+        with host_stage(chain.spans, row.label):
             chain.runs[row.key] = launch(row, inputs, stage_config)
-            st.ram_bytes = row.ram_bytes(chain)
     return chain
 
 
@@ -561,13 +537,6 @@ class ParallelTrinityDriver:
             " ".join(f"{key}={run.makespan:.3f}s" for key, run in runs.items()),
             runs["gff"].imbalance,
         )
-        # Aggregate the per-rank thread-team totals into the historical
-        # pipeline-level attrs (host-measured: a straggler stretches the
-        # rank clocks, ``mpi.inchworm_makespan_s``, not these).
-        team_serial = sum(r.metrics["team_serial_s"] for r in runs["inchworm"].outputs)
-        team_makespan = sum(
-            r.metrics["team_makespan_s"] for r in runs["inchworm"].outputs
-        )
         result = TrinityResult(
             transcripts=transcripts,
             contigs=chain.contigs,
@@ -586,18 +555,11 @@ class ParallelTrinityDriver:
             spans=spans,
             metrics={
                 **{f"stage.{label}_s": s for label, s in stage_seconds(spans).items()},
-                "inchworm.n_threads": float(cfg.inchworm_threads),
-                "inchworm.team_serial_s": team_serial,
-                "inchworm.team_makespan_s": team_makespan,
-                "inchworm.speedup": (
-                    team_serial / team_makespan if team_makespan > 0 else 1.0
-                ),
                 "nprocs": float(cfg.nprocs),
                 "nthreads": float(cfg.nthreads),
                 "inchworm_threads": float(cfg.inchworm_threads),
                 "n_transcripts": float(len(transcripts)),
                 **{f"mpi.{key}_makespan_s": run.makespan for key, run in runs.items()},
-                "peak_ram_gb": peak_ram_gb(spans),
                 "checkpoint.restores": float(restores),
                 "checkpoint.writes": float(writes),
                 "faults.rank_losses": sum(

@@ -236,7 +236,6 @@ def mpi_bowtie(
             "n_seed_lookups": float(local.n_seed_lookups),
             "n_seed_hits": float(local.n_seed_hits),
             "n_verified": float(local.n_verified),
-            "index_bytes": float(index.memory_bytes()),
             "n_block_reads": float(hi - lo),
             "n_rows_routed": float(wire.size),
         },

@@ -199,7 +199,6 @@ class ChrysalisBackendStageConfig:
     """Distribution + kernel knobs for the fused Chrysalis back end."""
 
     k: int = 25  # de Bruijn k (graph nodes are (k-1)-mers)
-    weld_k: int = 24  # orientation k-mer size (assembly k - 1)
     min_kmer_count: int = 2  # solid-k-mer threshold for read threading
     butterfly: ButterflyConfig = field(default_factory=ButterflyConfig)
     nthreads: int = 16
@@ -211,6 +210,11 @@ class ChrysalisBackendStageConfig:
 
     def __post_init__(self) -> None:
         component_stage.check_strategy(self.strategy, "chrysalis-backend")
+
+    @property
+    def weld_k(self) -> int:
+        """Orientation k-mer size: ``k - 1``, as ``TrinityConfig.weld_k``."""
+        return self.k - 1
 
 
 @dataclass

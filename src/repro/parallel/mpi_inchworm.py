@@ -218,14 +218,6 @@ def mpi_inchworm(
             "n_components": float(len(cids)),
             "n_local_components": float(len(mine)),
             "n_contigs": float(len(contigs)),
-            # Per-rank thread-team totals: the driver aggregates these
-            # into the pipeline-level inchworm.speedup metric.
-            "team_makespan_s": float(iw.thread_clocks.max()),
-            "team_serial_s": float(iw.thread_clocks.sum()),
-            "n_threads": float(config.n_threads),
-            # The successor table as this rank holds it: the shared probe
-            # plus the rows its own threads built.
-            "table_bytes": float(landing.nbytes + iw.row_bytes),
         },
         rank=comm.rank,
     )

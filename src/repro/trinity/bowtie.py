@@ -102,14 +102,6 @@ class BowtieIndex:
         self.seed_contig = contig[order].astype(np.int32)
         self.seed_pos = pos[order].astype(np.int32)
 
-    def memory_bytes(self) -> int:
-        """Actual backing-store size (seed arrays + contig text)."""
-        arrays = (
-            self.seed_codes, self.seed_contig, self.seed_pos,
-            self.text, self.offsets, self.lengths,
-        )
-        return int(sum(a.nbytes for a in arrays))
-
     def header(self) -> List[str]:
         return sam_header([(c.name, len(c.seq)) for c in self.contigs])
 

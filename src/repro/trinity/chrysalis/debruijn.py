@@ -80,10 +80,6 @@ class DeBruijnGraph:
     def n_nodes(self) -> int:
         return int(self.nodes().size)
 
-    @property
-    def nbytes(self) -> int:
-        return int(self.codes.nbytes + self.weights.nbytes)
-
     def _ends(self) -> np.ndarray:
         """Every edge's prefix node code, then every edge's suffix node code."""
         suffix = np.uint64((1 << (2 * (self.k - 1))) - 1)

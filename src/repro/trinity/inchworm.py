@@ -343,11 +343,11 @@ def _assemble_queue(
     cfg: InchwormConfig,
     landing: np.ndarray,
     queue: np.ndarray,
-) -> Tuple[List[Tuple[int, str, float]], int, int]:
+) -> Tuple[List[Tuple[int, str, float]], int]:
     """Rows over ``queue`` — whole components' positions in seeding order
     — then one walk from every entry still unclaimed when its turn comes.
 
-    Returns ``(contigs, rows read, row bytes)``; a contig is ``(index in
+    Returns ``(contigs, rows read)``; a contig is ``(index in
     queue of its seed, bases, coverage)``, in seeding order.  Bases and
     coverage are read off the visited states in one pass at the end: the
     directed code of a state is the stored code or its reverse
@@ -375,7 +375,7 @@ def _assemble_queue(
             seeds.append(seed)
             paths.append(path)
     if not paths:
-        return [], n_reads, rows.nbytes
+        return [], n_reads
     lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
     states = np.fromiter(chain.from_iterable(paths), dtype=np.int64, count=int(lengths.sum()))
     at = queue[states >> o_bits]
@@ -392,7 +392,7 @@ def _assemble_queue(
             seeds, directed[starts].tolist(), starts.tolist(), lengths.tolist(), totals.tolist()
         )
     ]
-    return contigs, n_reads, rows.nbytes
+    return contigs, n_reads
 
 
 def keyed_contigs(keyed: Iterable[tuple]) -> List[Contig]:
@@ -417,7 +417,7 @@ def inchworm_assemble(
         raise PipelineError(f"inchworm needs k >= 2, got {counts.k}")
     filtered = counts.index.filtered(cfg.min_kmer_count)
     queue = _seed_order(filtered, derive_seed(cfg.seed, "inchworm-ties"))
-    contigs, _reads, _bytes = _assemble_queue(
+    contigs, _reads = _assemble_queue(
         filtered, counts.canonical, cfg, neighbours(filtered, counts.canonical), queue
     )
     return keyed_contigs(contigs)
@@ -437,7 +437,6 @@ class ComponentAssembly:
     keyed: List[Tuple[Tuple[int, int, int], str, float]]
     thread_clocks: np.ndarray  # virtual seconds per simulated thread
     n_steps: int  # rows read by the walks
-    row_bytes: int  # the threads' preference rows, summed
 
 
 def inchworm_assemble_components(
@@ -482,20 +481,17 @@ def inchworm_assemble_components(
     salt = derive_seed(config.seed, "inchworm-ties")
     keyed: List[Tuple[Tuple[int, int, int], str, float]] = []
     clocks = np.zeros(n_threads)
-    n_steps = row_bytes = 0
+    n_steps = 0
     queues = _thread_queues(filtered, salt, component_ids, thread_components)
     for t, queue in enumerate(queues):
         if not queue.size:
             continue
-        contigs, reads, nbytes = _assemble_queue(filtered, canonical, config, landing, queue)
+        contigs, reads = _assemble_queue(filtered, canonical, config, landing, queue)
         seeds = queue[[seed for seed, _seq, _cov in contigs]]
         keys = zip(*(key.tolist() for key in _seed_keys(filtered, salt, seeds)))
         keyed += [(key, seq, cov) for key, (_seed, seq, cov) in zip(keys, contigs)]
         n_steps += reads
-        row_bytes += nbytes
         now = time.thread_time()
         clocks[t] += now - stamp
         stamp = now
-    return ComponentAssembly(
-        keyed=keyed, thread_clocks=clocks, n_steps=n_steps, row_bytes=row_bytes
-    )
+    return ComponentAssembly(keyed=keyed, thread_clocks=clocks, n_steps=n_steps)

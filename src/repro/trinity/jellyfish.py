@@ -109,7 +109,7 @@ class JellyfishCounts:
         return JellyfishCounts(self.k, canonical=self.canonical, index=self.index.filtered(min_count))
 
     def memory_bytes(self) -> int:
-        """Resident size of the backing store (a stage span's RAM estimate).
+        """Resident size of the backing store (the DSK ablation's working set).
 
         The sorted-array index holds exactly two parallel arrays, so this
         is the true footprint (16 B/key).

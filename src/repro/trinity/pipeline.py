@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import PipelineError
 from repro.obs.result import StageResult
-from repro.obs.span import Span, host_stage, peak_ram_gb, stage_seconds
+from repro.obs.span import Span, host_stage, stage_seconds
 from repro.seq.fasta import write_fasta
 from repro.seq.records import Contig, SeqRecord, Transcript
 from repro.seq.sam import write_sam
@@ -174,21 +174,19 @@ class TrinityPipeline:
         logger.info("trinity: %d reads, k=%d, seed=%d", len(reads), cfg.k, cfg.seed)
 
         # -- Jellyfish ------------------------------------------------------
-        with host_stage(spans, "jellyfish") as st:
+        with host_stage(spans, "jellyfish"):
             jcfg = cfg.jellyfish()
             counts = jellyfish_count(
                 reads, jcfg.k, canonical=jcfg.canonical, batch_bases=jcfg.batch_bases
             )
-            st.ram_bytes = counts.memory_bytes()
         logger.info("jellyfish: %d distinct %d-mers", len(counts), cfg.k)
         if wd is not None:
             files["jellyfish_dump"] = wd / "jellyfish.kmers.fa"
             jellyfish_dump(counts, files["jellyfish_dump"])
 
         # -- Inchworm --------------------------------------------------------
-        with host_stage(spans, "inchworm") as st:
+        with host_stage(spans, "inchworm"):
             contigs = inchworm_assemble(counts, cfg.inchworm())
-            st.ram_bytes = counts.memory_bytes() + sum(len(c.seq) for c in contigs)
         if not contigs:
             raise PipelineError(
                 "inchworm produced no contigs; reads may be too sparse for "
@@ -202,10 +200,9 @@ class TrinityPipeline:
         # -- Chrysalis: Bowtie ------------------------------------------------
         scaffolds: List[Tuple[int, int]] = []
         if cfg.use_bowtie_scaffolds:
-            with host_stage(spans, "chrysalis.bowtie") as st:
+            with host_stage(spans, "chrysalis.bowtie"):
                 index = BowtieIndex(contigs, cfg.bowtie())
                 sams = align_reads(reads, index)
-                st.ram_bytes = index.memory_bytes()
             if wd is not None:
                 files["bowtie_sam"] = wd / "bowtie.sam"
                 write_sam(files["bowtie_sam"], sams, index.header())
@@ -214,9 +211,8 @@ class TrinityPipeline:
             scaffolds = scaffold_pairs_from_sam(sams, name_to_idx, contig_lengths=lengths)
 
         # -- Chrysalis: GraphFromFasta ----------------------------------------
-        with host_stage(spans, "chrysalis.graph_from_fasta") as st:
+        with host_stage(spans, "chrysalis.graph_from_fasta"):
             gff_result = graph_from_fasta(contigs, reads, cfg.gff(), extra_pairs=scaffolds)
-            st.ram_bytes = sum(len(w.window) for w in gff_result.welds) * 2
 
         logger.info(
             "graph_from_fasta: %d welds, %d pairs, %d components",
@@ -224,35 +220,32 @@ class TrinityPipeline:
         )
 
         # -- Chrysalis: FastaToDebruijn ---------------------------------------
-        with host_stage(spans, "chrysalis.fasta_to_debruijn") as st:
+        with host_stage(spans, "chrysalis.fasta_to_debruijn"):
             graphs: Dict[int, DeBruijnGraph] = {}
             for comp in gff_result.components:
                 oriented = orient_component(
                     [contigs[m].seq for m in comp.members], cfg.weld_k
                 )
                 graphs[comp.id] = fasta_to_debruijn(oriented, cfg.k)
-            st.ram_bytes = sum(g.nbytes for g in graphs.values())
 
         # -- Chrysalis: ReadsToTranscripts ------------------------------------
-        with host_stage(spans, "chrysalis.reads_to_transcripts") as st:
+        with host_stage(spans, "chrysalis.reads_to_transcripts"):
             out_path = (wd / "readsToComponents.out") if wd is not None else None
             assignments = reads_to_transcripts(
                 reads, contigs, gff_result.components, cfg.rtt(), out_path=out_path
             )
             if out_path is not None:
                 files["reads_to_transcripts"] = out_path
-            st.ram_bytes = cfg.max_mem_reads * 200
 
         # -- Chrysalis: QuantifyGraph -----------------------------------------
-        with host_stage(spans, "chrysalis.quantify_graph") as st:
+        with host_stage(spans, "chrysalis.quantify_graph"):
             quants = quantify_graph(
                 graphs, list(reads), assignments,
                 kmer_counts=counts, min_kmer_count=cfg.min_kmer_count,
             )
-            st.ram_bytes = sum(g.nbytes for g in graphs.values())
 
         # -- Butterfly ---------------------------------------------------------
-        with host_stage(spans, "butterfly") as st:
+        with host_stage(spans, "butterfly"):
             transcripts = butterfly_assemble(graphs, cfg.butterfly())
             if cfg.use_pair_reconciliation:
                 from repro.trinity.pairs import reconcile_with_pairs
@@ -260,7 +253,6 @@ class TrinityPipeline:
                 transcripts, _pair_stats = reconcile_with_pairs(
                     transcripts, list(reads), assignments
                 )
-            st.ram_bytes = sum(len(t.seq) for t in transcripts)
         logger.info("butterfly: %d transcripts", len(transcripts))
         if wd is not None:
             files["transcripts"] = wd / "Trinity.fasta"
@@ -285,6 +277,5 @@ class TrinityPipeline:
                 "n_transcripts": float(len(transcripts)),
                 "n_contigs": float(len(contigs)),
                 "n_components": float(result.n_components),
-                "peak_ram_gb": peak_ram_gb(spans),
             },
         )

@@ -86,9 +86,9 @@ class TestFaultPlansReachInchworm:
         assert sorted(t.seq for t in slowed.outputs.transcripts) == sorted(
             t.seq for t in base.outputs.transcripts
         )
-        # Inchworm stage attrs flow into the driver metrics, and the
-        # straggling rank's clock, threads and all, stretches the stage.
-        assert slowed.metrics["inchworm.n_threads"] == 4.0
+        # The run records its Inchworm team size, and the straggling
+        # rank's clock, threads and all, stretches the stage.
+        assert slowed.metrics["inchworm_threads"] == 4.0
         assert (
             slowed.metrics["mpi.inchworm_makespan_s"]
             > base.metrics["mpi.inchworm_makespan_s"]

@@ -83,7 +83,7 @@ def _fused_inputs(workload, smoke_reads):
 
 def _fused_config(tcfg, **overrides):
     kwargs = dict(
-        k=tcfg.k, weld_k=tcfg.weld_k, min_kmer_count=tcfg.min_kmer_count,
+        k=tcfg.k, min_kmer_count=tcfg.min_kmer_count,
         butterfly=tcfg.butterfly(), nthreads=2,
     )
     kwargs.update(overrides)

@@ -88,7 +88,7 @@ class TestThreadedInchwormBytes:
                     )
                 ).run(smoke_reads, workdir=wd)
                 assert par.outputs.files["transcripts"].read_bytes() == want
-                assert par.metrics["inchworm.n_threads"] == 4.0
+                assert par.metrics["inchworm_threads"] == 4.0
 
 
 class TestReadsWithN:

@@ -272,9 +272,10 @@ class TestChrysalisBackendSurface:
             "max_path_nodes", "seed",
         }
         assert {f.name for f in fields(ChrysalisBackendStageConfig)} == {
-            "k", "weld_k", "min_kmer_count", "butterfly", "nthreads", "strategy",
+            "k", "min_kmer_count", "butterfly", "nthreads", "strategy",
             "workdir", "use_pair_reconciliation",
         }
+        assert ChrysalisBackendStageConfig(k=31).weld_k == 30
 
     def test_package_exports_and_config_fields_pinned(self):
         """``repro.trinity.chrysalis.__all__`` after the array graph, and the
@@ -299,7 +300,7 @@ class TestChrysalisBackendSurface:
             "quantify_graph", "quantify_component", "pack_routed_reads", "ReadPack",
             "reads_by_component", "solid_index", "ComponentQuant",
         ])
-        assert len(fields(ChrysalisBackendStageConfig)) == 8
+        assert len(fields(ChrysalisBackendStageConfig)) == 7
         assert len(fields(ButterflyConfig)) == 5
         assert [f.name for f in fields(TrinityConfig)] == [
             "k", "min_kmer_count", "seed", "max_mem_reads", "use_bowtie_scaffolds",
@@ -359,7 +360,7 @@ class TestOneClockSurface:
             "VirtualClock", "NetworkModel", "IDATAPLEX_FDR10", "SimComm", "CommStats",
             "CrashFault", "StragglerFault", "FlakyIO", "FaultPlan", "RankFaultInjector",
             "mpirun", "StageResult", "Span", "pack_strings", "unpack_strings",
-            "nbytes_of", "render_gantt", "trace_summary",
+            "nbytes_of",
         ])
         assert [f.name for f in fields(StageResult)] == [
             "stage", "outputs", "makespan", "spans", "comm", "metrics", "elapsed",
@@ -424,7 +425,11 @@ class TestDeletedSurface:
             "Schedule", "simulate_schedule", "static_makespan", "guided_makespan",
             "static_chunks", "per_thread_busy_times", "ThreadTeam", "TeamResult",
         ),
+        "repro.mpi": ("render_gantt", "trace_summary"),
+        "repro.obs": ("trace_summary",),
+        "repro.obs.critical": ("trace_summary",),
         "repro.parallel": ("ParallelStage", "StageSpec", "parallel_stage"),
+        "repro.parallel.driver": ("_counts_bytes",),
         "repro.openmp.schedule": (
             "Schedule", "simulate_schedule", "static_makespan", "guided_makespan",
             "static_chunks", "per_thread_busy_times",
@@ -465,13 +470,24 @@ class TestDeletedSurface:
             importlib.import_module(module)
 
     def test_names_gone(self):
+        from dataclasses import fields
+
+        from repro.parallel.driver import StageRow
         from repro.seq.kmer_index import KmerCounter
+        from repro.trinity.bowtie import BowtieIndex
+        from repro.trinity.chrysalis.debruijn import DeBruijnGraph
+        from repro.trinity.inchworm import ComponentAssembly
 
         for module, names in self.GONE.items():
             mod = importlib.import_module(module)
             assert [n for n in names if hasattr(mod, n)] == [], module
             assert not set(names) & set(getattr(mod, "__all__", ())), module
         assert not hasattr(KmerCounter, "histogram")
+        # The live runs' RAM estimates and what only they read.
+        assert "ram_bytes" not in {f.name for f in fields(StageRow)}
+        assert "row_bytes" not in {f.name for f in fields(ComponentAssembly)}
+        assert not hasattr(DeBruijnGraph, "nbytes")
+        assert not hasattr(BowtieIndex, "memory_bytes")
 
     def test_one_schedule_no_knobs(self):
         from dataclasses import fields

@@ -97,11 +97,9 @@ class TestAlignment:
         # Three forward seeds, each found once, all proposing one placement.
         assert (hits.n_seed_hits, hits.n_verified) == (3, 1)
 
-    def test_memory_bytes_is_the_arrays(self, index):
+    def test_one_seed_per_window(self, index):
         n_windows = sum(len(c) - 12 + 1 for c in (C1, C2))
-        assert index.seed_codes.size == n_windows
-        # 16 bytes per seed entry, one per base, two int64 per contig.
-        assert index.memory_bytes() == 16 * n_windows + len(C1) + len(C2) + 2 * 16
+        assert index.seed_codes.size == index.seed_contig.size == n_windows
 
     def test_verification_in_blocks(self, monkeypatch):
         """Candidates are compared ``_VERIFY_BASES`` bases at a time; the

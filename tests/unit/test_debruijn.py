@@ -88,7 +88,6 @@ class TestConstruction:
         assert g.edge_weights() == ref.edge_weights(
             ref.fasta_to_debruijn(["TTTTACGT", "ACGTTTT"], 4)
         )
-        assert g.nbytes == 16 * g.n_edges
 
 
 def _kmers(seq, k):

@@ -193,7 +193,7 @@ class TestSharedCellRelease:
 
         monkeypatch.setattr(stage, "reads_by_component", corrupt)
         inputs = stage.contig_only_inputs(["ACGTTGCAAGGCTTAACCGGATCCATGCAAGT"] * 4)
-        config = stage.ChrysalisBackendStageConfig(k=7, weld_k=6, nthreads=2)
+        config = stage.ChrysalisBackendStageConfig(k=7, nthreads=2)
         t0 = time.monotonic()
         with pytest.raises(MpiAbortError) as ei:
             mpirun(stage.mpi_chrysalis_backend, 4, inputs, config)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ObsError
-from repro.mpi import mpirun, render_gantt, trace_summary
+from repro.mpi import mpirun
+from repro.obs import render_gantt
 from repro.mpi.network import ZERO_COST
 from repro.obs.critical import rank_clock_spans
 from repro.obs.span import CLOCK_KINDS, Span
@@ -59,11 +60,6 @@ class TestTrace:
     def test_render_empty(self):
         with pytest.raises(ObsError):
             render_gantt(mpirun(lambda comm: None, 2))
-
-    def test_summary(self):
-        res = mpirun(lambda comm: comm.clock.advance(2.0), 1, trace=True)
-        out = trace_summary(res)
-        assert "compute" in out and "2" in out
 
     def test_invalid_segment(self):
         with pytest.raises(ValueError):

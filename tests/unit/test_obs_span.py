@@ -91,10 +91,13 @@ class TestStageResult:
         with pytest.raises(AttributeError):
             r.stats
 
-    def test_delegates_to_outputs_then_metrics(self):
+    def test_delegates_to_outputs_not_metrics(self):
+        # A metric has one spelling, ``r.metrics[name]``.
         r = self._result()
         assert r.welds == ["w"]
-        assert r.loop1_time == 1.25
+        assert r.metrics["loop1_time"] == 1.25
+        with pytest.raises(AttributeError):
+            r.loop1_time
 
     def test_missing_attribute_raises(self):
         with pytest.raises(AttributeError):

@@ -102,8 +102,10 @@ def library(tmp_path_factory):
             seed = LIBRARY_SEEDS[recipe]
             _txome, pairs = get_recipe(recipe).materialize(seed=seed)
             reads = flatten_reads(pairs)
-            # Without reconciliation the serial transcripts are the back
-            # end's own artefact (the driver reconciles after the stage).
+            # Reconciliation off keeps the back end's launch the walk
+            # alone, as when its floors were set.  On, the stage would
+            # filter candidates inside ``chrysalis:loop`` and still equal
+            # the serial pipeline, which filters after Butterfly.
             tcfg = TrinityConfig(seed=seed, use_pair_reconciliation=False)
             serial = TrinityPipeline(tcfg).run(reads, workdir=tmp_path_factory.mktemp(recipe))
             built[recipe] = (tcfg, reads, serial.outputs, {})

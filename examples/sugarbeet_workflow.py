@@ -8,6 +8,9 @@ time half of the paper's Figures 2 and 11; their RAM traces are modelled
 at paper scale, ``python -m repro experiments fig02 fig11``).
 
 Run:  python examples/sugarbeet_workflow.py [workdir]
+
+Without ``workdir`` the files go to a temporary directory that is
+removed on exit.
 """
 
 import sys
@@ -24,7 +27,15 @@ from repro.validation import reference_recovery
 
 
 def main() -> None:
-    workdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(tempfile.mkdtemp())
+    if len(sys.argv) > 1:
+        run(Path(sys.argv[1]))
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        run(Path(tmp))
+        print(f"\n(files under {tmp} are removed on exit; pass a workdir to keep them)")
+
+
+def run(workdir: Path) -> None:
     recipe = get_recipe("sugarbeet-mini")
     paths = recipe.write(workdir / "data", seed=0)
     print(f"wrote {paths['reads']} and {paths['reference']}")

@@ -16,10 +16,13 @@ fusing the whole back-end chain into one component-parallel stage
   and as the units the stage deals (:func:`unit_costs`: what stays
   indivisible is the walk) — against :func:`prefusion_total_s`, the
   serial-middle + graph-allgather + distributed-walk baseline.
-* **Real execution check** — the actual simulated-MPI fused stage on the
-  smoke workload at 8 ranks, asserting transcripts and quant stats
-  reproduce the serial ``fasta_to_debruijn`` + ``quantify_graph`` +
-  ``butterfly_assemble`` chain exactly.
+* **Measured line** — the stage as the driver ships it (round-robin
+  deal, 16 threads per rank, pair reconciliation on) on the smoke
+  workload at 1 and 8 ranks
+  (:func:`repro.experiments.measured.row_runs`): both virtual makespans,
+  and whether the 8-rank transcripts and quant stats equal the 1-rank
+  ones.  Equality with the serial chain is
+  ``tests/integration/test_mpi_chrysalis_backend.py``'s.
 """
 
 from __future__ import annotations
@@ -29,12 +32,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.mpi.launcher import mpirun
-from repro.parallel.mpi_chrysalis_backend import (
-    ChrysalisBackendInputs,
-    ChrysalisBackendStageConfig,
-    mpi_chrysalis_backend,
-)
+from repro.experiments.measured import REAL_NPROCS, agree, row_runs
 from repro.parallel.scaling import NETWORK, ScalingPoint, rank_loads
 from repro.util.fmt import format_table
 from repro.util.rng import spawn_rng
@@ -42,7 +40,7 @@ from repro.util.rng import spawn_rng
 #: Paper-scale sweep: the node counts of the Figure 7/9 series.
 SWEEP_NODES = (8, 16, 32, 64, 128)
 N_COMPONENTS = 2_000
-REAL_NPROCS = 8
+RECIPE = "smoke"
 #: Pooled-payload stand-ins for the analytic sweep (arbitrary but
 #: size-ordered: quantified graphs outweigh transcripts ~30x).
 GRAPH_BYTES = 6e9
@@ -91,22 +89,16 @@ def prefusion_total_s(
 
 @dataclass
 class FigChrysalisResult:
-    """Analytic fusion sweep plus the real-execution identity check."""
+    """Analytic fusion sweep plus the measured 1-vs-8-rank line."""
 
     #: (nodes, pre-fusion total, fused dealt by component, ... by unit)
     rows: List[Tuple[int, float, ScalingPoint, ScalingPoint]]
     #: QuantifyGraph's share of the summed fused cost: the slowest rank's
     #: loop splits build / quantify / walk in the global proportions.
     quantify_share: float
-    real_fused_makespan: float
-    real_serial_middle_s: float
+    real_serial_makespan: float
+    real_mpi_makespan: float
     outputs_identical: bool
-
-    def gain(self, nodes: int) -> float:
-        for n, prefusion, fused, _by_unit in self.rows:
-            if n == nodes:
-                return prefusion / fused.total_s
-        raise KeyError(f"no simulated point at {nodes} nodes")
 
     def render(self) -> str:
         rows = [
@@ -128,29 +120,15 @@ class FigChrysalisResult:
         )
         check = "identical" if self.outputs_identical else "DIVERGED"
         real = (
-            f"real mpirun @{REAL_NPROCS} ranks: fused stage {self.real_fused_makespan:.4f}s "
-            f"vs serial middle {self.real_serial_middle_s:.4f}s alone, "
-            f"outputs vs serial: {check}"
+            f"measured ({RECIPE}, virtual s): 1 rank {self.real_serial_makespan:.4f}, "
+            f"{REAL_NPROCS} ranks {self.real_mpi_makespan:.4f} "
+            f"({self.real_serial_makespan / self.real_mpi_makespan:.2f}x), "
+            f"{REAL_NPROCS}-rank transcripts + quant stats vs 1-rank: {check}"
         )
         return f"Fused Chrysalis back end — serial middle eliminated\n{table}\n\n{real}"
 
 
 def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigChrysalisResult:
-    import time
-
-    from repro.simdata import get_recipe
-    from repro.simdata.reads import flatten_reads
-    from repro.trinity import TrinityConfig
-    from repro.trinity.bowtie import scaffold_pairs_from_sam
-    from repro.trinity.butterfly import butterfly_assemble
-    from repro.trinity.chrysalis.debruijn import fasta_to_debruijn
-    from repro.trinity.chrysalis.graph_from_fasta import graph_from_fasta
-    from repro.trinity.chrysalis.orient import orient_component
-    from repro.trinity.chrysalis.quantify import quantify_graph
-    from repro.trinity.chrysalis.reads_to_transcripts import reads_to_transcripts
-    from repro.trinity.inchworm import inchworm_assemble
-    from repro.trinity.jellyfish import jellyfish_count
-
     build, quantify, walk = sample_phase_costs(seed=seed)
     fused_costs = build + quantify + walk
     rows = [
@@ -169,51 +147,12 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigChrysalisResult
         for n in nodes
     ]
 
-    # -- real execution on the smoke workload --------------------------------
-    tcfg = TrinityConfig(seed=1)
-    _txome, pairs = get_recipe("smoke").materialize(seed=1)
-    reads = flatten_reads(pairs)
-    counts = jellyfish_count(reads, tcfg.k)
-    contigs = inchworm_assemble(counts, tcfg.inchworm())
-    gff = graph_from_fasta(contigs, reads, tcfg.gff())
-    assignments = reads_to_transcripts(reads, contigs, gff.components, tcfg.rtt())
-
-    # Serial reference chain (the pre-fusion middle) + host time spent in it.
-    t0 = time.perf_counter()
-    graphs = {
-        comp.id: fasta_to_debruijn(
-            orient_component([contigs[m].seq for m in comp.members], tcfg.weld_k),
-            tcfg.k,
-        )
-        for comp in gff.components
-    }
-    quants = quantify_graph(
-        graphs, list(reads), assignments,
-        kmer_counts=counts, min_kmer_count=tcfg.min_kmer_count,
-    )
-    serial_middle_s = time.perf_counter() - t0
-    serial_transcripts = butterfly_assemble(graphs, tcfg.butterfly())
-
-    fused_run = mpirun(
-        mpi_chrysalis_backend, REAL_NPROCS,
-        ChrysalisBackendInputs(
-            contigs=contigs, reads=reads, components=gff.components,
-            assignments=assignments, counts=counts,
-        ),
-        ChrysalisBackendStageConfig(
-            k=tcfg.k, min_kmer_count=tcfg.min_kmer_count,
-            butterfly=tcfg.butterfly(), nthreads=1, strategy="dynamic",
-        ),
-    )
-    out = fused_run.outputs[0]
-    identical = out.transcripts == serial_transcripts and all(
-        out.quant_stats[cid] == (q.n_reads, q.read_edge_weight)
-        for cid, q in quants.items()
-    )
+    # The smoke library at seed 1, whatever the sweep's seed.
+    _chain, (runs,) = row_runs("chrysalis", RECIPE, 1, (1, REAL_NPROCS))
     return FigChrysalisResult(
         rows=rows,
         quantify_share=float(quantify.sum() / fused_costs.sum()),
-        real_fused_makespan=fused_run.makespan,
-        real_serial_middle_s=serial_middle_s,
-        outputs_identical=identical,
+        real_serial_makespan=runs[1].makespan,
+        real_mpi_makespan=runs[REAL_NPROCS].makespan,
+        outputs_identical=agree(runs.values(), lambda out: (out.transcripts, out.quant_stats)),
     )

@@ -4,6 +4,9 @@ Render output is the harness's user-facing deliverable (the rows/series
 each paper figure reports), so malformed tables are product bugs.
 """
 
+import re
+from functools import lru_cache
+
 import pytest
 
 from repro.cluster.workload import build_workload
@@ -77,13 +80,36 @@ ANALYTIC = {
 }
 
 
-@pytest.mark.parametrize("exp_id", sorted(ANALYTIC))
+#: The extension experiments: modelled sweeps plus one measured line.
+EXTENSIONS = ("fig-butterfly", "fig-chrysalis", "fig-inchworm", "fig-jellyfish")
+
+
+@lru_cache(maxsize=None)
+def _render(exp_id):
+    return run_experiment(exp_id, **ANALYTIC.get(exp_id, {})).render()
+
+
+@pytest.mark.parametrize("exp_id", sorted(ANALYTIC) + list(EXTENSIONS))
 def test_no_measured_header(exp_id):
-    """A model's numbers sit under "modelled"; "measured" is for real runs."""
-    lines = run_experiment(exp_id, **ANALYTIC[exp_id]).render().splitlines()
+    """A model's numbers sit under "modelled"; "measured" is for real runs.
+    An extension's first table is its modelled sweep; fig-inchworm's
+    second (the traced stages' critical paths) is a real run's."""
+    lines = _render(exp_id).splitlines()
     headers = [h for h, rule in zip(lines, lines[1:]) if rule and not rule.strip("- ")]
     assert headers, "no table rendered"
+    if exp_id in EXTENSIONS:
+        headers = headers[:1]
     assert not any("measured" in h.split() for h in headers), headers
+
+
+@pytest.mark.parametrize("exp_id", EXTENSIONS)
+def test_one_measured_line_reads_identical(exp_id):
+    """An extension's real launches print one line of virtual makespans,
+    and more ranks (or the other deal) change no output."""
+    lines = [line for line in _render(exp_id).splitlines() if line.startswith("measured (")]
+    assert len(lines) == 1, lines
+    assert re.match(r"measured \([\w -]+, virtual s\)", lines[0]), lines[0]
+    assert lines[0].endswith(": identical"), lines[0]
 
 
 class TestAblationRenders:

@@ -2,9 +2,9 @@
 
 The rule set lives in pyproject.toml (`[tool.ruff.lint]`): pyflakes plus
 the bug-prone pycodestyle classes.  Where ruff is not installed the gate
-degrades to a skip rather than an error; two always-on floors remain:
-every module under ``src/repro`` compiles, and the stage bodies measure
-no time of their own (an AST check).
+degrades to a skip rather than an error; three always-on floors remain:
+every module under ``src/repro`` compiles, reads every name it imports,
+and the stage bodies measure no time of their own (AST checks).
 """
 
 import ast
@@ -40,6 +40,39 @@ def test_compileall_over_src():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_unused_imports_in_src():
+    """Always-on floor of ruff's F401: every name a module under
+    ``src/repro`` imports is read in that module.  An ``__init__.py``
+    imports to re-export, and a ``__future__`` import is a directive."""
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                # ``import a.b`` binds ``a``.
+                imported.update(
+                    (alias.asname or alias.name.partition(".")[0], node.lineno)
+                    for alias in node.names
+                )
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(
+                    (alias.asname or alias.name, node.lineno)
+                    for alias in node.names if alias.name != "*"
+                )
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        found += [
+            f"{path.relative_to(REPO_ROOT)}:{line} imports {name}"
+            for name, line in imported.items() if name not in read
+        ]
+    assert found == []
 
 
 #: The analytic replay: it schedules modelled costs with the same

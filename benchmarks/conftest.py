@@ -84,7 +84,7 @@ def best_launch(benchmark):
     charge their switches to each other, and one pass of the cyclic
     collector (10-20 ms) lands on whichever rank thread allocated last.
     Pinning removes the first, best-of-N the second; both go when rank
-    compute runs under a run token (ROADMAP item 4).  The one
+    compute runs under a run token (ROADMAP item 6).  The one
     ``recorded`` configuration of a test runs under pytest-benchmark
     (its column in the report); every round it makes is kept and counts
     towards the three.

@@ -14,7 +14,7 @@ from repro.seq.kmers import kmer_array, revcomp_codes
 from repro.openmp.schedule import dynamic_makespan
 from repro.simdata.reads import flatten_reads
 from repro.trinity import TrinityConfig, TrinityPipeline
-from repro.trinity.bowtie import BowtieConfig, BowtieIndex, align_reads
+from repro.trinity.bowtie import BowtieConfig, BowtieIndex, ReadSeeds, align_seeds, read_hits
 from repro.trinity.butterfly import butterfly_assemble, butterfly_component
 from repro.trinity.chrysalis.debruijn import fasta_to_debruijn
 from repro.trinity.chrysalis.graph_from_fasta import (
@@ -82,8 +82,12 @@ def test_bench_bowtie_align(benchmark, bench_reads):
     contigs = inchworm_assemble(counts, InchwormConfig(seed=0))
     index = BowtieIndex(contigs, BowtieConfig())
     reads = bench_reads[:200]
-    records = benchmark(align_reads, reads, index)
-    assert len(records) == 200
+
+    def align():
+        return read_hits(align_seeds(ReadSeeds.build(reads, index.cfg), index), len(reads))
+
+    hits = benchmark(align)
+    assert len(hits) == 200
 
 
 def test_bench_smith_waterman(benchmark):

@@ -36,10 +36,11 @@ record for a few thousand reads on a few hundred contigs).  In
 read's block, who takes each row's lexicographic minimum and keeps its
 reads' alignments as :data:`~repro.trinity.bowtie.READ_HIT` columns; one
 ``allgather`` in block order — read order — puts them all on every rank.
-SAM text is rendered only where it is written: each rank writes its
-block's lines at its offset of ``bowtie.sam``, rank 0's after the
-header, and ``bowtie.part<r>.sam`` stays piece-local (every read against
-piece ``r``: the paper's per-node artefact).
+SAM text is rendered only where it is written, straight from those
+columns (:func:`~repro.trinity.bowtie.format_hits`; no record is built):
+each rank writes its block's lines at its offset of ``bowtie.sam``,
+rank 0's after the header, and ``bowtie.part<r>.sam`` stays piece-local
+(every read against piece ``r``: the paper's per-node artefact).
 
 **Scaffold support** is counted from the columns, in ``bowtie:merge``:
 the same ``alltoall`` sends the index of each mate of a rank's block to
@@ -70,16 +71,16 @@ from repro.parallel.chunks import static_block_ranges
 from repro.parallel.component_stage import lpt_assign, write_merged, write_part
 from repro.parallel.recovery import with_retry
 from repro.seq.records import Contig, SeqRecord, mate_index, mate_owner
-from repro.seq.sam import SamRecord, format_sam, sam_header
+from repro.seq.sam import SamRecord, sam_header
 from repro.trinity.bowtie import (
     BestHits,
     BowtieConfig,
     BowtieIndex,
     ReadSeeds,
     align_seeds,
+    format_hits,
     hit_records,
     read_hits,
-    sam_records,
     scaffold_support,
     supported_pairs,
 )
@@ -171,7 +172,7 @@ def mpi_bowtie(
 
     part_path = write_part(
         comm, "bowtie:write_part", workdir, f"bowtie.part{comm.rank}.sam",
-        lambda: format_sam(sam_records(reads, piece, names)).encode("ascii"),
+        lambda: format_hits(reads, read_hits(piece, n), names),
     )
 
     # -- merge: a row's bests meet at the owner of its read's block, which
@@ -213,13 +214,13 @@ def mpi_bowtie(
             lambda: tuple(supported_pairs(*(np.concatenate(c) for c in zip(*pieces)))),
             cost=0.0,
         )
-    # -- the merged SAM: each rank's block of records, the header on rank 0 ----
+    # -- the merged SAM: each rank's block of lines, the header on rank 0 ------
     final_sam = write_merged(
         comm, "bowtie:write_sam", workdir, "bowtie.sam",
-        lambda: format_sam(
-            hit_records(reads[lo:hi], mine, names),
+        lambda: format_hits(
+            reads[lo:hi], mine, names,
             sam_header([(c.name, len(c.seq)) for c in contigs]) if comm.rank == 0 else (),
-        ).encode("ascii"),
+        ),
     )
     return StageResult(
         stage="bowtie",

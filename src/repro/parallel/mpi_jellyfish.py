@@ -135,8 +135,9 @@ def mpi_jellyfish(
                 return
             n_local_kmers += int(codes.size)
             uniq, cnts = np.unique(codes, return_counts=True)
-            owner = _partition_of(uniq, comm.size)
-            for dest in np.unique(owner).tolist():
+            owner = _partition_of(uniq, comm.size).astype(np.intp)
+            # The owners present, ascending (a bincount: plain np.unique hashes).
+            for dest in np.flatnonzero(np.bincount(owner, minlength=comm.size)).tolist():
                 sel = owner == dest
                 send_codes[dest].append(uniq[sel])
                 send_counts[dest].append(cnts[sel].astype(np.int64))

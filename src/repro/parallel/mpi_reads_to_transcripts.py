@@ -21,7 +21,11 @@ against the shared :class:`~repro.seq.kmer_index.KmerMap`, one integer
 row per read.  The rows cross the wire as the narrowest integer type that
 holds them, and the one shared merge builds the full
 :class:`~repro.trinity.chrysalis.reads_to_transcripts.ReadAssignment`
-list the back end consumes; text is rendered only where it is written.
+list the back end consumes.  A rank's text is rendered once, straight
+from its rows
+(:func:`~repro.trinity.chrysalis.reads_to_transcripts.format_assignment_table`),
+and only if it is written: its part file and its piece of the merged
+file are those same bytes.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from repro.trinity.chrysalis.reads_to_transcripts import (
     assignment_records,
     assignment_table,
     build_kmer_map,
-    format_assignments,
+    format_assignment_table,
     stream_chunks,
 )
 
@@ -138,18 +142,17 @@ def mpi_reads_to_transcripts(
     # (signed, where it must be, down to -(max + 1)).
     lo, hi = int(table.min(initial=0)), int(table.max(initial=0))
     table = table.astype(np.result_type(*map(np.min_scalar_type, (lo, -hi - 1 if lo < 0 else hi))))
-    mine = cache(lambda: _records(reads, [table]))  # rendered at most once, for the files
+    # Rendered at most once, for the files (the rows are in read order).
+    text = cache(lambda: format_assignment_table(
+        [reads[i].name for i in table[:, 0].tolist()], table
+    ))
 
     # -- per-rank output file, and the merged one striped over the ranks: the
     # same bytes in rank order, what a ``cat`` of the parts gives ----------------
     write_part(
-        comm, "rtt:write_part", workdir, f"readsToComponents.part{comm.rank}.out",
-        lambda: format_assignments(mine()).encode("ascii"),
+        comm, "rtt:write_part", workdir, f"readsToComponents.part{comm.rank}.out", text
     )
-    out_path = write_merged(
-        comm, "rtt:concat", workdir, "readsToComponents.out",
-        lambda: format_assignments(mine()).encode("ascii"),
-    )
+    out_path = write_merged(comm, "rtt:concat", workdir, "readsToComponents.out", text)
 
     # Pool the rows so every rank returns the full, read-ordered records
     # (downstream QuantifyGraph needs them) — one shared object.

@@ -279,4 +279,4 @@ def canonical_kmers(seq: str, k: int) -> np.ndarray:
 def kmer_set(seq: str, k: int, canonical: bool = False) -> Set[int]:
     """Distinct k-mer codes of ``seq`` as a Python set of ints."""
     arr = canonical_kmers(seq, k) if canonical else kmer_array(seq, k)
-    return set(int(v) for v in np.unique(arr))
+    return set(arr.tolist())

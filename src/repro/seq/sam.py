@@ -1,16 +1,18 @@
-"""Minimal SAM records, writer and reader.
+"""Minimal SAM records, header and reader.
 
 The MPI Bowtie step in the paper produces one SAM file per node, merged
 into a single file at the end of the job; in :mod:`repro.parallel.mpi_bowtie`
-each rank writes its block's records at its offset of the one file.
+each rank writes its block's lines at its offset of the one file.  The
+text is rendered from alignment columns
+(:func:`repro.trinity.bowtie.format_hits`); a :class:`SamRecord` is what
+:func:`read_sam` parses a line back into.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, List, Sequence, Union
+from typing import Iterator, List, Sequence, Union
 
 from repro.errors import SequenceError
 
@@ -41,24 +43,6 @@ class SamRecord:
     def is_unmapped(self) -> bool:
         return bool(self.flag & FLAG_UNMAPPED)
 
-    def to_line(self) -> str:
-        fields = [
-            self.qname,
-            str(self.flag),
-            self.rname,
-            str(self.pos),
-            str(self.mapq),
-            self.cigar,
-            "*",  # RNEXT
-            "0",  # PNEXT
-            "0",  # TLEN
-            self.seq,
-            "*",  # QUAL
-        ]
-        if self.nm >= 0:
-            fields.append(f"NM:i:{self.nm}")
-        return "\t".join(fields)
-
     @classmethod
     def from_line(cls, line: str) -> "SamRecord":
         parts = line.rstrip("\n").split("\t")
@@ -87,18 +71,6 @@ def sam_header(reference_lengths: Sequence[tuple]) -> List[str]:
     for name, length in reference_lengths:
         lines.append(f"@SQ\tSN:{name}\tLN:{length}")
     return lines
-
-
-def format_sam(records: Iterable[SamRecord], header: Sequence[str] = ()) -> str:
-    """Header lines then one line per alignment record, as SAM text."""
-    return "".join(f"{line}\n" for line in chain(header, (rec.to_line() for rec in records)))
-
-
-def write_sam(path: PathLike, records: Iterable[SamRecord], header: Sequence[str] = ()) -> int:
-    """Write :func:`format_sam` of ``records``; returns the record count."""
-    records = list(records)
-    Path(path).write_text(format_sam(records, header), encoding="ascii")
-    return len(records)
 
 
 def read_sam(path: PathLike) -> Iterator[SamRecord]:

@@ -24,7 +24,7 @@ from repro.trinity.jellyfish import (
     jellyfish_dump,
 )
 from repro.trinity.inchworm import InchwormConfig, inchworm_assemble
-from repro.trinity.bowtie import BowtieIndex, align_reads, scaffold_pairs_from_sam
+from repro.trinity.bowtie import BowtieIndex, scaffold_pairs_from_sam
 from repro.trinity.butterfly import butterfly_assemble
 from repro.trinity.pipeline import TrinityConfig, TrinityPipeline, TrinityResult
 
@@ -36,7 +36,6 @@ __all__ = [
     "InchwormConfig",
     "inchworm_assemble",
     "BowtieIndex",
-    "align_reads",
     "scaffold_pairs_from_sam",
     "butterfly_assemble",
     "TrinityConfig",

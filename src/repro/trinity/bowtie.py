@@ -39,7 +39,7 @@ in aggregated batches against a partitioned seed index):
     the orientation rule (forward preferred on equal mismatches): one
     :data:`READ_HIT` row per read, the columns scaffold support is
     counted from (:func:`scaffold_support`) and SAM is rendered from
-    (:func:`hit_records`).
+    (:func:`format_hits`).
 
 Seed coordinates are window *starts* on both sides, so an ``N`` — which
 drops the windows covering it — shifts no other seed.
@@ -151,7 +151,7 @@ class ReadSeeds:
         seed_at = [np.empty(0, dtype=np.int64)]  # the seeds' start bases in text
         # One np.linspace per distinct window count (a single one for
         # equal-length reads without N) keeps its rounding exactly.
-        for n in np.unique(n_clean[n_clean > 0]).tolist():
+        for n in np.flatnonzero(np.bincount(n_clean[n_clean > 0])).tolist():
             of_n = np.flatnonzero(n_clean == n)
             ranks = np.linspace(0, n - 1, min(cfg.n_seed_offsets, n)).astype(int)
             nth = (first[of_n][:, None] + ranks).ravel()
@@ -376,18 +376,26 @@ def hit_records(
     return records
 
 
-def sam_records(
-    reads: Sequence[SeqRecord], hits: BestHits, contig_names: Sequence[str]
-) -> List[SamRecord]:
-    """One SAM record per read from per-orientation bests (:func:`read_hits`
-    rendered by :func:`hit_records`)."""
-    return hit_records(reads, read_hits(hits, len(reads)), contig_names)
-
-
-def align_reads(reads: Sequence[SeqRecord], index: BowtieIndex) -> List[SamRecord]:
-    """Align a batch of reads against one index."""
-    hits = align_seeds(ReadSeeds.build(reads, index.cfg), index)
-    return sam_records(reads, hits, [c.name for c in index.contigs])
+def format_hits(
+    reads: Sequence[SeqRecord],
+    hits: np.ndarray,
+    contig_names: Sequence[str],
+    header: Sequence[str] = (),
+) -> bytes:
+    """SAM text: the ``header`` lines, then the line of each read's
+    :data:`READ_HIT` row — :func:`hit_records`' records as text, one
+    f-string a line and no record built."""
+    lines = [f"{line}\n" for line in header]
+    for read, contig, pos, reverse, mm in zip(reads, *(hits[f].tolist() for f in READ_HIT.names)):
+        if contig < 0:
+            lines.append(f"{read.name}\t{FLAG_UNMAPPED}\t*\t0\t0\t*\t*\t0\t0\t{read.seq}\t*\n")
+        else:
+            seq = reverse_complement(read.seq) if reverse else read.seq
+            lines.append(
+                f"{read.name}\t{FLAG_REVERSE if reverse else 0}\t{contig_names[contig]}"
+                f"\t{pos + 1}\t255\t{len(seq)}M\t*\t0\t0\t{seq}\t*\tNM:i:{mm}\n"
+            )
+    return "".join(lines).encode("ascii")
 
 
 def scaffold_support(

@@ -14,10 +14,12 @@ Split into kernels so the hybrid MPI version can reuse them:
   a sorted-array :class:`~repro.seq.kmer_index.KmerMap`;
 * :func:`assignment_table` — the whole-chunk batched kernel of the
   MPI-enabled main loop: one ``searchsorted`` against the map plus
-  per-(read, component) segmented reductions, one integer row per read;
-  :func:`assign_reads_batched` is it as :class:`ReadAssignment` records
-  (:func:`assignment_records`), byte-identical to the per-read oracle
+  per-(read, component) segmented reductions, one integer row per read,
+  byte-identical as :class:`ReadAssignment` records
+  (:func:`assignment_records`) to the per-read oracle
   ``tests/reference_rtt.py``;
+* :func:`format_assignment_table` — ``readsToComponents.out`` text
+  straight from those rows (no record built);
 * :func:`reads_to_transcripts` — the serial streaming driver.
 """
 
@@ -62,12 +64,6 @@ class ReadAssignment(NamedTuple):
     region_start: int  # first base of the read contributing a k-mer
     region_end: int  # one past the last contributing base
 
-    def to_line(self) -> str:
-        return (
-            f"{self.read_index}\t{self.read_name}\t{self.component}"
-            f"\t{self.shared_kmers}\t{self.region_start}\t{self.region_end}"
-        )
-
     @classmethod
     def from_line(cls, line: str) -> "ReadAssignment":
         parts = line.rstrip("\n").split("\t")
@@ -106,17 +102,6 @@ def build_kmer_map(
     # keeps the smallest component id per code, and duplicates within a
     # contig carry the same id — identical to deduping per contig first.
     return KmerMap.from_pairs(canon, comps, k)
-
-
-def assign_reads_batched(
-    chunk: Sequence[Tuple[int, SeqRecord]],
-    kmer_map: KmerMap,
-    cfg: ReadsToTranscriptsConfig,
-) -> List[ReadAssignment]:
-    """The assignments of one ``(global index, read)`` chunk: its
-    :func:`assignment_table` as records."""
-    table = assignment_table([i for i, _r in chunk], [r.seq for _i, r in chunk], kmer_map, cfg)
-    return assignment_records([r.name for _i, r in chunk], table)
 
 
 def assignment_records(names: Sequence[str], table: np.ndarray) -> List[ReadAssignment]:
@@ -273,22 +258,25 @@ def reads_to_transcripts(
     """
     cfg = cfg or ReadsToTranscriptsConfig()
     kmer_map = build_kmer_map(contigs, components, cfg.k)  # OpenMP-only setup
-    out: List[ReadAssignment] = []
+    tables = [np.empty((0, 5), dtype=np.int64)]
+    names: List[str] = []
     for chunk in stream_chunks(reads, cfg.max_mem_reads):  # streaming model
         # the MPI-enabled loop in the hybrid version, one batch per upload
-        out.extend(assign_reads_batched(chunk, kmer_map, cfg))
+        tables.append(
+            assignment_table([i for i, _r in chunk], [r.seq for _i, r in chunk], kmer_map, cfg)
+        )
+        names.extend(r.name for _i, r in chunk)
+    table = np.concatenate(tables)
     if out_path is not None:
-        write_assignments(out_path, out)
-    return out
+        Path(out_path).write_bytes(format_assignment_table(names, table))
+    return assignment_records(names, table)
 
 
-def format_assignments(assignments: Iterable[ReadAssignment]) -> str:
-    """``readsToComponents.out`` text: one line per assignment."""
-    return "".join(f"{a.to_line()}\n" for a in assignments)
-
-
-def write_assignments(path: PathLike, assignments: Iterable[ReadAssignment]) -> int:
-    """Write :func:`format_assignments` of ``assignments``; returns the count."""
-    assignments = list(assignments)
-    Path(path).write_text(format_assignments(assignments), encoding="ascii")
-    return len(assignments)
+def format_assignment_table(names: Sequence[str], table: np.ndarray) -> bytes:
+    """``readsToComponents.out`` text of :func:`assignment_table` rows (any
+    integer dtype), the read of each named by ``names``: one line per row,
+    the fields of :class:`ReadAssignment` in order, tab-separated."""
+    return "".join(
+        f"{i}\t{name}\t{component}\t{shared}\t{start}\t{end}\n"
+        for name, (i, component, shared, start, end) in zip(names, table.tolist())
+    ).encode("ascii")

@@ -160,7 +160,7 @@ def _spill(
                 arr = np.minimum(arr, revcomp_codes(arr, k))
             stats.n_kmers_streamed += int(arr.size)
             parts = _partition_of(arr, cfg.n_partitions)
-            for p in np.unique(parts).tolist():
+            for p in np.flatnonzero(np.bincount(parts.astype(np.intp))).tolist():
                 chunk = arr[parts == p]
                 buffers[p].append(chunk)
                 buffered[p] += chunk.size

@@ -19,13 +19,23 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.errors import PipelineError
 from repro.obs.result import StageResult
 from repro.obs.span import Span, host_stage, stage_seconds
 from repro.seq.fasta import write_fasta
-from repro.seq.records import Contig, SeqRecord, Transcript
-from repro.seq.sam import write_sam
-from repro.trinity.bowtie import BowtieConfig, BowtieIndex, align_reads, scaffold_pairs_from_sam
+from repro.seq.records import Contig, SeqRecord, Transcript, mate_index
+from repro.trinity.bowtie import (
+    BowtieConfig,
+    BowtieIndex,
+    ReadSeeds,
+    align_seeds,
+    format_hits,
+    read_hits,
+    scaffold_support,
+    supported_pairs,
+)
 from repro.trinity.butterfly import ButterflyConfig, butterfly_assemble
 from repro.trinity.chrysalis.debruijn import DeBruijnGraph, fasta_to_debruijn
 from repro.trinity.chrysalis.graph_from_fasta import (
@@ -202,13 +212,19 @@ class TrinityPipeline:
         if cfg.use_bowtie_scaffolds:
             with host_stage(spans, "chrysalis.bowtie"):
                 index = BowtieIndex(contigs, cfg.bowtie())
-                sams = align_reads(reads, index)
+                seeds = ReadSeeds.build(reads, index.cfg)
+                hits = read_hits(align_seeds(seeds, index), len(reads))
             if wd is not None:
                 files["bowtie_sam"] = wd / "bowtie.sam"
-                write_sam(files["bowtie_sam"], sams, index.header())
-            name_to_idx = {c.name: i for i, c in enumerate(contigs)}
-            lengths = {c.name: len(c.seq) for c in contigs}
-            scaffolds = scaffold_pairs_from_sam(sams, name_to_idx, contig_lengths=lengths)
+                files["bowtie_sam"].write_bytes(
+                    format_hits(reads, hits, [c.name for c in contigs], index.header())
+                )
+            # Mates joined over the mapped reads, as the MPI stage's owners do.
+            mapped = np.flatnonzero(hits["contig"] >= 0)
+            mates = mapped[mate_index([reads[i].name for i in mapped.tolist()])]
+            scaffolds = supported_pairs(
+                *scaffold_support(hits, seeds.lengths[: len(reads)], index.lengths, mates)
+            )
 
         # -- Chrysalis: GraphFromFasta ----------------------------------------
         with host_stage(spans, "chrysalis.graph_from_fasta"):

@@ -32,13 +32,14 @@ from repro.trinity.chrysalis.graph_from_fasta import (
 from repro.trinity.chrysalis.components import Component
 from repro.trinity.chrysalis.reads_to_transcripts import (
     ReadsToTranscriptsConfig,
-    assign_reads_batched,
     build_kmer_map,
     reads_to_transcripts,
 )
 from repro.trinity.inchworm import InchwormConfig, inchworm_assemble
 from repro.trinity.jellyfish import jellyfish_count
-from tests.helpers import bowtie_align
+from tests.helpers import assign_reads_batched, bowtie_align, sam_records
+from tests.reference_rtt import format_assignments, write_assignments
+from tests.reference_sam import format_sam, sam_line, write_sam
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +60,7 @@ class TestMpiBowtie:
             BowtieStageConfig(bowtie=BowtieConfig()),
         )
         merged = run.outputs[0].records
-        assert [r.to_line() for r in merged] == [r.to_line() for r in serial]
+        assert [sam_line(r) for r in merged] == [sam_line(r) for r in serial]
 
     def test_writes_parts_and_merged_sam(self, smoke_reads, artefacts, tmp_path):
         _counts, contigs, _gff = artefacts
@@ -150,11 +151,10 @@ class TestMpiBowtie:
     ):
         """Seeds, reduce and render are per read block (block ``r`` of the
         reads is rank ``r``'s), the index per target piece: the merged SAM
-        is the serial file byte for byte, part ``r`` is every read against
-        piece ``r`` alone, and the merge is serial on no rank."""
+        is the serial file byte for byte, part ``r`` is the record oracle's
+        text of every read against piece ``r`` alone, and the merge is
+        serial on no rank."""
         from repro.parallel.component_stage import lpt_assign
-        from repro.seq.sam import write_sam
-        from repro.trinity.bowtie import sam_records
 
         _counts, contigs, _gff = artefacts
         cfg = BowtieConfig()
@@ -175,7 +175,7 @@ class TestMpiBowtie:
             want = sam_records(
                 smoke_reads, align_seeds(seeds, BowtieIndex(alone, cfg)), [c.name for c in alone]
             )
-            assert list(read_sam(tmp_path / f"bowtie.part{rank}.sam")) == want
+            assert (tmp_path / f"bowtie.part{rank}.sam").read_bytes() == format_sam(want).encode()
         blocks = [r.metrics["n_block_reads"] for r in run.outputs]
         assert sum(blocks) == len(smoke_reads) and max(blocks) - min(blocks) <= 1
         assert sum(r.metrics["n_rows_routed"] for r in run.outputs) >= len(
@@ -412,6 +412,35 @@ class TestMpiRtt:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == len(smoke_reads)
 
+    @pytest.mark.parametrize("flaky", [False, True], ids=["plain", "flaky"])
+    @pytest.mark.parametrize("nprocs", [1, 3, 8])
+    def test_files_are_the_record_oracles_text(
+        self, smoke_reads, artefacts, tmp_path, nprocs, flaky
+    ):
+        """Part ``r`` is the record oracle's text of rank ``r``'s chunks
+        (chunk ``c`` is rank ``c % nprocs``'s), in read order, and the
+        merged file is the parts in rank order — also when every write
+        fails twice before it lands."""
+        _counts, contigs, gff = artefacts
+        cfg = ReadsToTranscriptsConfig(k=25, max_mem_reads=50)
+        serial = reads_to_transcripts(smoke_reads, contigs, gff.components, cfg)
+        faults = FaultPlan(flaky_io=FlakyIO(rate=1.0, max_consecutive=2), seed=7)
+        run = mpirun(
+            mpi_reads_to_transcripts, nprocs,
+            RttInputs(reads=smoke_reads, contigs=contigs, components=gff.components),
+            RttStageConfig(rtt=cfg, nthreads=2, workdir=tmp_path),
+            trace=True, faults=faults if flaky else None,
+        )
+        parts = [
+            format_assignments(a for a in serial if a.read_index // 50 % nprocs == r).encode()
+            for r in range(nprocs)
+        ]
+        for r, part in enumerate(parts):
+            assert (tmp_path / f"readsToComponents.part{r}.out").read_bytes() == part
+        assert (tmp_path / "readsToComponents.out").read_bytes() == b"".join(parts)
+        retried = {s.label for s in run.spans if s.label.startswith("fault:retry:rtt:")}
+        assert ({"fault:retry:rtt:write_part", "fault:retry:rtt:concat"} <= retried) == flaky
+
     def test_every_rank_holds_full_table(self, smoke_reads, artefacts):
         _counts, contigs, gff = artefacts
         cfg = ReadsToTranscriptsConfig(k=25, max_mem_reads=50)
@@ -467,8 +496,6 @@ class TestMpiRttSerialEquality:
     def test_file_matches_serial_driver(
         self, smoke_reads, artefacts, tmp_path, serial_bytes, nprocs
     ):
-        from repro.trinity.chrysalis.reads_to_transcripts import write_assignments
-
         _counts, contigs, gff = artefacts
         cfg = ReadsToTranscriptsConfig(k=25, max_mem_reads=50)
         run = mpirun(
@@ -486,7 +513,6 @@ class TestMpiRttSerialEquality:
     ):
         from repro.mpi import CrashFault, FaultPlan
         from repro.parallel import mpirun_with_recovery
-        from repro.trinity.chrysalis.reads_to_transcripts import write_assignments
 
         _counts, contigs, gff = artefacts
         cfg = ReadsToTranscriptsConfig(k=25, max_mem_reads=50)

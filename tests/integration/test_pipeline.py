@@ -103,6 +103,37 @@ class TestFileExchange:
         recs = read_fasta(result.files["inchworm_contigs"])
         assert [r.seq for r in recs] == [c.seq for c in result.contigs]
 
+    def test_bowtie_and_assignment_files_are_the_record_oracles_text(
+        self, smoke_reads, tmp_path
+    ):
+        """The two Chrysalis files render from columns: ``bowtie.sam`` is the
+        record oracle's text of the single-index run, and
+        ``readsToComponents.out`` of the returned assignments; the
+        scaffold pairs counted from the columns are the ones
+        ``scaffold_pairs_from_sam`` counts over those records."""
+        from repro.trinity.bowtie import BowtieIndex, scaffold_pairs_from_sam
+        from repro.trinity.chrysalis.graph_from_fasta import graph_from_fasta
+        from tests.helpers import bowtie_align
+        from tests.reference_rtt import format_assignments
+        from tests.reference_sam import format_sam
+
+        cfg = TrinityConfig(seed=1)
+        result = TrinityPipeline(cfg).run(smoke_reads, workdir=tmp_path)
+        contigs = result.contigs
+        records = bowtie_align(smoke_reads, contigs, cfg.bowtie())
+        header = BowtieIndex(contigs, cfg.bowtie()).header()
+        assert result.files["bowtie_sam"].read_bytes() == format_sam(records, header).encode()
+        assert result.files["reads_to_transcripts"].read_bytes() == format_assignments(
+            result.assignments
+        ).encode()
+        scaffolds = scaffold_pairs_from_sam(
+            records, {c.name: i for i, c in enumerate(contigs)},
+            contig_lengths={c.name: len(c.seq) for c in contigs},
+        )
+        assert scaffolds
+        want = graph_from_fasta(contigs, smoke_reads, cfg.gff(), extra_pairs=scaffolds)
+        assert result.gff.components == want.components
+
     def test_transcript_fasta_matches_result(self, smoke_reads, tmp_path):
         result = TrinityPipeline(TrinityConfig(seed=1)).run(smoke_reads, workdir=tmp_path)
         recs = read_fasta(result.files["transcripts"])

@@ -42,9 +42,8 @@ from repro.trinity.bowtie import (
     BowtieIndex,
     ReadSeeds,
     align_seeds,
-    sam_records,
 )
-from tests.helpers import bowtie_align
+from tests.helpers import bowtie_align, sam_records
 from tests.reference_bowtie import reference_align
 
 SEED_LEN = 8  # the smallest BowtieConfig allows: short inputs still seed

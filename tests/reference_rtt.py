@@ -1,17 +1,23 @@
-"""Per-read ReadsToTranscripts assignment: the oracle for
-``repro.trinity.chrysalis.reads_to_transcripts.assign_reads_batched``.
+"""Per-read ReadsToTranscripts assignment and per-record text: the oracles
+for ``repro.trinity.chrysalis.reads_to_transcripts.assignment_table`` (as
+records, ``tests.helpers.assign_reads_batched``) and
+``format_assignment_table``.
 
-This is the scalar loop the batched kernel replaced, moved here unchanged:
-one read at a time, one binary-search ``KmerMap.get`` per k-mer position,
-plain dicts for the per-component counts and region extents.  It is the
-readable specification of the assignment rule — largest shared k-mer
-count, ties to the smallest component id — and every ``assign_read`` case
-in ``tests/unit/test_reads_to_transcripts.py`` runs against it.
+:func:`assign_read` is the scalar loop the batched kernel replaced, moved
+here unchanged: one read at a time, one binary-search ``KmerMap.get`` per
+k-mer position, plain dicts for the per-component counts and region
+extents.  It is the readable specification of the assignment rule —
+largest shared k-mer count, ties to the smallest component id — and every
+``assign_read`` case in ``tests/unit/test_reads_to_transcripts.py`` runs
+against it.  :func:`format_assignments` is the writer the columnar
+formatter replaced (``ReadAssignment.to_line`` per record), also moved
+unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from pathlib import Path
+from typing import Dict, Iterable, Union
 
 import numpy as np
 
@@ -60,3 +66,23 @@ def assign_read(
         region_start=first_pos[best],
         region_end=last_pos[best] + cfg.k,
     )
+
+
+def assignment_line(a: ReadAssignment) -> str:
+    """One ``readsToComponents.out`` line (no newline)."""
+    return (
+        f"{a.read_index}\t{a.read_name}\t{a.component}"
+        f"\t{a.shared_kmers}\t{a.region_start}\t{a.region_end}"
+    )
+
+
+def format_assignments(assignments: Iterable[ReadAssignment]) -> str:
+    """``readsToComponents.out`` text: one line per assignment."""
+    return "".join(f"{assignment_line(a)}\n" for a in assignments)
+
+
+def write_assignments(path: Union[str, Path], assignments: Iterable[ReadAssignment]) -> int:
+    """Write :func:`format_assignments` of ``assignments``; returns the count."""
+    assignments = list(assignments)
+    Path(path).write_text(format_assignments(assignments), encoding="ascii")
+    return len(assignments)

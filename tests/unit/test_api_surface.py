@@ -436,20 +436,22 @@ class TestDeletedSurface:
         ),
         "repro.seq": (
             "is_valid_dna", "complement", "read_fastq", "write_fastq", "iter_fastq",
-            "FastaIndex", "split_fasta", "merge_sam_files",
+            "FastaIndex", "split_fasta", "merge_sam_files", "write_sam",
         ),
         "repro.seq.alphabet": ("decode_bases", "is_valid_dna", "complement"),
         "repro.seq.kmers": ("count_kmers_into", "shared_kmer_count"),
         "repro.seq.kmer_index": ("counter_from_reads",),
-        "repro.seq.sam": ("merge_sam_files",),
+        "repro.seq.sam": ("merge_sam_files", "format_sam", "write_sam"),
         "repro.simdata": ("simulate_reads",),
         "repro.simdata.expression": ("uniform_expression",),
         "repro.simdata.reads": ("simulate_reads",),
         "repro.simdata.transcriptome": ("fuse_transcripts",),
-        "repro.trinity": ("bowtie_align", "jellyfish_load"),
-        "repro.trinity.bowtie": ("align_read", "bowtie_align"),
+        "repro.trinity": ("bowtie_align", "jellyfish_load", "align_reads"),
+        "repro.trinity.bowtie": ("align_read", "bowtie_align", "align_reads", "sam_records"),
         "repro.trinity.chrysalis": ("simplify",),
-        "repro.trinity.chrysalis.reads_to_transcripts": ("read_assignments",),
+        "repro.trinity.chrysalis.reads_to_transcripts": (
+            "read_assignments", "format_assignments", "write_assignments", "assign_reads_batched",
+        ),
         "repro.trinity.dsk": ("dsk_count",),
         "repro.trinity.inchworm": ("mean_coverage", "tie_break_code"),
         "repro.trinity.jellyfish": ("jellyfish_load", "kmer_histogram"),
@@ -474,7 +476,9 @@ class TestDeletedSurface:
 
         from repro.parallel.driver import StageRow
         from repro.seq.kmer_index import KmerCounter
+        from repro.seq.sam import SamRecord
         from repro.trinity.bowtie import BowtieIndex
+        from repro.trinity.chrysalis.reads_to_transcripts import ReadAssignment
         from repro.trinity.chrysalis.debruijn import DeBruijnGraph
         from repro.trinity.inchworm import ComponentAssembly
 
@@ -488,6 +492,9 @@ class TestDeletedSurface:
         assert "row_bytes" not in {f.name for f in fields(ComponentAssembly)}
         assert not hasattr(DeBruijnGraph, "nbytes")
         assert not hasattr(BowtieIndex, "memory_bytes")
+        # Text is rendered from columns; the per-record writers are oracles.
+        assert not hasattr(SamRecord, "to_line")
+        assert not hasattr(ReadAssignment, "to_line")
 
     def test_one_schedule_no_knobs(self):
         from dataclasses import fields

@@ -10,11 +10,10 @@ from repro.trinity.bowtie import (
     BowtieConfig,
     BowtieIndex,
     ReadSeeds,
-    align_reads,
     align_seeds,
     scaffold_pairs_from_sam,
 )
-from tests.helpers import bowtie_align
+from tests.helpers import bowtie_align, sam_records
 from tests.reference_bowtie import reference_align
 
 C1 = "ATCGGATTACAGTCCGGTTAACGAGCTTGGCATGCATTTGGCCAATGGCAT"
@@ -23,7 +22,8 @@ C2 = "TTGACCGTAGGCTAACCGTTAGGCCTATGCGATCAGGCTTATTACCGGCAG"
 
 def align_read(read, index):
     """One read aligned as a batch of one."""
-    (rec,) = align_reads([read], index)
+    hits = align_seeds(ReadSeeds.build([read], index.cfg), index)
+    (rec,) = sam_records([read], hits, [c.name for c in index.contigs])
     return rec
 
 

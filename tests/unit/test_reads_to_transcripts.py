@@ -12,13 +12,12 @@ from repro.trinity.chrysalis.components import build_components
 from repro.trinity.chrysalis.reads_to_transcripts import (
     ReadAssignment,
     ReadsToTranscriptsConfig,
-    assign_reads_batched,
     build_kmer_map,
     reads_to_transcripts,
     stream_chunks,
-    write_assignments,
 )
-from tests.reference_rtt import assign_read
+from tests.helpers import assign_reads_batched
+from tests.reference_rtt import assign_read, assignment_line, write_assignments
 
 K = 9
 SRC_A = "ATCGGATTACAGTCCGGTTAACGAGCTTGGCATGCAT"
@@ -149,7 +148,7 @@ class TestBatchedEquivalence:
         chunk = list(enumerate(reads))
         got = assign_reads_batched(chunk, kmer_map, cfg)
         want = [assign_read(i, r, kmer_map, cfg) for i, r in chunk]
-        assert [a.to_line() for a in got] == [a.to_line() for a in want]
+        assert list(map(assignment_line, got)) == list(map(assignment_line, want))
         return got
 
     def test_tie_goes_to_smallest_component(self):
@@ -225,7 +224,7 @@ class TestBatchedEquivalence:
         chunk = [(0, SeqRecord("r", SRC_A[:20]))]
         got = assign_reads_batched(chunk, big, cfg)
         want = [assign_read(0, chunk[0][1], big, cfg)]
-        assert [a.to_line() for a in got] == [a.to_line() for a in want]
+        assert list(map(assignment_line, got)) == list(map(assignment_line, want))
         assert got[0].component == 2 ** 21
 
 

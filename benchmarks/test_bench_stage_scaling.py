@@ -5,9 +5,9 @@ come from ``run_chain(..., target=row.key)``: upstream rows are launched
 once per library at one rank and reused (stage outputs do not depend on
 the rank count — a tier-1 invariant), the target row is launched at 1
 and 8 ranks through the shared ``best_launch`` fixture, every launch's
-rank-0 outputs must equal the serial ``TrinityPipeline``'s artefact for
-that stage, and the rows that carry a floor in :data:`CASES` must clear
-it.  Plus the one case that is not a table row: the LPT deal against the
+rank-0 outputs must give the artefact the row's serial body gives on
+the same inputs, and the rows that carry a floor in :data:`CASES` must
+clear it.  Plus the one case that is not a table row: the LPT deal against the
 cost-blind round-robin on stride-skewed contig-only components.
 """
 
@@ -23,10 +23,9 @@ from repro.parallel.mpi_chrysalis_backend import (
     contig_only_inputs,
     mpi_chrysalis_backend,
 )
-from repro.seq.sam import read_sam
 from repro.simdata import get_recipe
 from repro.simdata.reads import flatten_reads
-from repro.trinity import TrinityConfig, TrinityPipeline
+from repro.trinity import TrinityConfig
 from repro.trinity.butterfly import ButterflyConfig, butterfly_assemble
 from repro.trinity.chrysalis.debruijn import fasta_to_debruijn
 
@@ -63,52 +62,35 @@ INCHWORM_TEAM = 4
 _weld_key = lambda w: (w.owner, w.seed_code, w.left_flank, w.seed, w.right_flank)
 _index = lambda counts: (counts.index.codes.tobytes(), counts.index.values.tobytes())
 
-#: row key -> (artefact of the stage's rank-0 ``*Outputs``, the same
-#: artefact of the serial ``TrinityResult``).
+#: row key -> the artefact of a ``*Outputs`` the two bodies must agree on.
 ARTEFACTS = {
-    "jellyfish": (lambda out: _index(out.counts), lambda serial: _index(serial.counts)),
-    "inchworm": (lambda out: out.contigs, lambda serial: serial.contigs),
-    "bowtie": (
-        lambda out: out.records,
-        lambda serial: list(read_sam(serial.files["bowtie_sam"])),
-    ),
+    "jellyfish": lambda out: _index(out.counts),
+    "inchworm": lambda out: out.contigs,
+    "bowtie": lambda out: (out.hits.tobytes(), out.scaffolds),
     # Pooling permutes chunk order: welds compare under a canonical sort.
-    "gff": (
-        lambda out: (sorted(out.welds, key=_weld_key), out.pairs, out.components),
-        lambda serial: (
-            sorted(serial.gff.welds, key=_weld_key), serial.gff.pairs, serial.gff.components,
-        ),
-    ),
-    "rtt": (lambda out: out.assignments, lambda serial: serial.assignments),
-    "chrysalis": (
-        lambda out: (out.transcripts, out.quant_stats),
-        lambda serial: (
-            serial.transcripts,
-            {cid: (q.n_reads, q.read_edge_weight) for cid, q in serial.quants.items()},
-        ),
-    ),
+    "gff": lambda out: (sorted(out.welds, key=_weld_key), out.pairs, out.components),
+    "rtt": lambda out: out.assignments,
+    "chrysalis": lambda out: (out.transcripts, out.quant_stats),
 }
 
 
 @pytest.fixture(scope="session")
-def library(tmp_path_factory):
-    """``library(recipe) -> (tcfg, reads, serial TrinityResult, upstream)``,
-    built on first use; ``upstream`` caches the one-rank stage launches
-    the rows of that library share."""
+def library():
+    """``library(recipe) -> (tcfg, reads, upstream)``, built on first use;
+    ``upstream`` caches the one-rank stage launches the rows of that
+    library share."""
     built = {}
 
     def get(recipe):
         if recipe not in built:
             seed = LIBRARY_SEEDS[recipe]
             _txome, pairs = get_recipe(recipe).materialize(seed=seed)
-            reads = flatten_reads(pairs)
             # Reconciliation off keeps the back end's launch the walk
             # alone, as when its floors were set.  On, the stage would
             # filter candidates inside ``chrysalis:loop`` and still equal
-            # the serial pipeline, which filters after Butterfly.
+            # its serial body, which filters after Butterfly.
             tcfg = TrinityConfig(seed=seed, use_pair_reconciliation=False)
-            serial = TrinityPipeline(tcfg).run(reads, workdir=tmp_path_factory.mktemp(recipe))
-            built[recipe] = (tcfg, reads, serial.outputs, {})
+            built[recipe] = (tcfg, flatten_reads(pairs), {})
         return built[recipe]
 
     return get
@@ -122,7 +104,7 @@ def test_every_row_has_a_case():
 def test_bench_stage_scales(benchmark, best_launch, library, case):
     row = ROWS[case.partition("@")[0]]
     recipe, nthreads, strategy, floors = CASES[case]
-    tcfg, reads, serial, upstream = library(recipe)
+    tcfg, reads, upstream = library(recipe)
     cfg = ParallelTrinityConfig(
         trinity=replace(tcfg, inchworm_threads=nthreads),
         nprocs=NPROCS, nthreads=nthreads, butterfly_strategy=strategy,
@@ -141,20 +123,22 @@ def test_bench_stage_scales(benchmark, best_launch, library, case):
             launches.append(
                 mpirun(r.fn, NPROCS, inputs, replace(config, n_threads=INCHWORM_TEAM))
             )
-        measured.update(one=one, eight=eight, launches=launches)
+        measured.update(
+            one=one, eight=eight, launches=launches, serial=r.serial(inputs, config)
+        )
         return eight.run
 
     run_chain(cfg, reads, launch, target=row.key)
     one, eight = measured["one"], measured["eight"]
 
-    ours, theirs = ARTEFACTS[row.key]
-    want = theirs(serial)
-    assert all(ours(run.outputs[0].outputs) == want for run in measured["launches"])
+    artefact, serial = ARTEFACTS[row.key], measured["serial"]
+    want = artefact(serial)
+    assert all(artefact(run.outputs[0].outputs) == want for run in measured["launches"])
     if row.key == "chrysalis":
         # The graphs never cross the wire: they live only in per-rank
         # locals, and the union covers every component exactly once.
         owned = [cid for rank in eight.run.outputs for cid in rank.outputs.local_quants]
-        assert sorted(owned) == sorted(serial.quants)
+        assert sorted(owned) == sorted(serial.local_quants)
 
     ratios = {
         "makespan": one.run.makespan / eight.run.makespan,

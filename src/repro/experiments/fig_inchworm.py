@@ -161,7 +161,7 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigInchwormResult:
     return FigInchwormResult(
         rows=rows,
         serial_baseline_s=CALIBRATION.inchworm_serial_s,  # paper Fig 2: ~5 h
-        n_components=int(chain.out("inchworm").n_components),
+        n_components=int(chain.runs["inchworm"].outputs[0].metrics["n_components"]),
         real_makespans=[
             (deal, dealt[1].makespan, dealt[REAL_NPROCS].makespan)
             for deal, dealt in zip(DEALS, runs)

@@ -19,7 +19,7 @@ analyser and the validation harness each read:
     not copied here.
 
 Every distributed stage body, ``stage(comm, inputs, config=None)``, sets
-``outputs`` to a typed per-stage dataclass (``GffOutputs``,
+``outputs`` to a typed per-stage dataclass (``GraphFromFastaResult``,
 ``RttOutputs``, ``BowtieOutputs``, ``ChrysalisBackendOutputs``, …), so
 the preferred reads are explicit: ``run.outputs[0].welds`` on an ``mpirun``
 result, ``result.outputs.welds`` on a per-rank one.  Attribute

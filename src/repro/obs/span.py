@@ -88,8 +88,9 @@ def append_stage(
 
 
 @contextmanager
-def host_stage(spans: List[Span], label: str) -> Iterator[None]:
-    """Time the body on the host wall clock as one :func:`append_stage` span.
+def host_stage(spans: Optional[List[Span]], label: str) -> Iterator[None]:
+    """Time the body on the host wall clock as one :func:`append_stage` span
+    (none when ``spans`` is None: a serial stage body called on its own).
 
     Clock choice: ``perf_counter``, by design.  The span brackets work
     that runs in *other* threads (the simulated MPI ranks and OpenMP
@@ -100,7 +101,8 @@ def host_stage(spans: List[Span], label: str) -> Iterator[None]:
     """
     t0 = time.perf_counter()
     yield
-    append_stage(spans, label, time.perf_counter() - t0)
+    if spans is not None:
+        append_stage(spans, label, time.perf_counter() - t0)
 
 
 def stage_seconds(spans: Iterable[Span]) -> Dict[str, float]:

@@ -10,7 +10,9 @@ All distributed stages share one calling convention,
 ``stage(comm, inputs, config=None) -> StageResult`` with typed
 ``*Inputs`` / ``*StageConfig`` / ``*Outputs`` dataclasses, and each is one
 row of the driver's :data:`~repro.parallel.driver.STAGE_TABLE`;
-:data:`STAGES` is those rows keyed by stage name.
+:data:`STAGES` is those rows keyed by stage name.  Each submodule also
+holds its stage's serial body (``serial_<stage>``, from the serial
+kernels alone): what the serial pipeline runs and the MPI body equals.
 
 * :mod:`repro.parallel.chunks` — the chunked round-robin distribution
   (paper Fig 3).
@@ -44,48 +46,23 @@ row of the driver's :data:`~repro.parallel.driver.STAGE_TABLE`;
   over the fault-injected runtime (:mod:`repro.mpi.faults`).
 * :mod:`repro.parallel.driver` — ``Trinity.pl --nprocs`` equivalent: the
   six-stage table (the stage registry) and the one chain function that
-  walks it.
+  walks it, for the serial pipeline and the hybrid driver alike.
 * :mod:`repro.parallel.scaling` — calibrated paper-scale replays that
   regenerate the scaling figures.
 """
 
 from repro.parallel.chunks import chunk_ranges, chunks_for_rank, rank_items
-from repro.parallel.mpi_bowtie import (
-    BowtieInputs,
-    BowtieOutputs,
-    BowtieStageConfig,
-    mpi_bowtie,
-)
+from repro.parallel.mpi_bowtie import BowtieInputs, BowtieOutputs, BowtieStageConfig
 from repro.parallel.mpi_chrysalis_backend import (
     ChrysalisBackendInputs,
     ChrysalisBackendOutputs,
     ChrysalisBackendStageConfig,
-    mpi_chrysalis_backend,
 )
-from repro.parallel.mpi_inchworm import (
-    InchwormInputs,
-    InchwormOutputs,
-    InchwormStageConfig,
-    mpi_inchworm,
-)
-from repro.parallel.mpi_graph_from_fasta import (
-    GffInputs,
-    GffOutputs,
-    GffStageConfig,
-    mpi_graph_from_fasta,
-)
-from repro.parallel.mpi_jellyfish import (
-    JellyfishInputs,
-    JellyfishOutputs,
-    JellyfishStageConfig,
-    mpi_jellyfish,
-)
-from repro.parallel.mpi_reads_to_transcripts import (
-    RttInputs,
-    RttOutputs,
-    RttStageConfig,
-    mpi_reads_to_transcripts,
-)
+from repro.parallel.mpi_inchworm import InchwormInputs, InchwormOutputs, InchwormStageConfig
+from repro.parallel.mpi_graph_from_fasta import GffInputs, GffStageConfig
+from repro.parallel.mpi_jellyfish import JellyfishInputs, JellyfishOutputs, JellyfishStageConfig
+from repro.parallel.mpi_reads_to_transcripts import RttInputs, RttOutputs, RttStageConfig
+from repro.trinity.chrysalis.graph_from_fasta import GraphFromFastaResult
 from repro.parallel.recovery import mpirun_with_recovery, with_retry
 from repro.parallel.driver import STAGES, ParallelTrinityConfig, ParallelTrinityDriver
 
@@ -99,27 +76,21 @@ __all__ = [
     "BowtieInputs",
     "BowtieOutputs",
     "BowtieStageConfig",
-    "mpi_bowtie",
     "ChrysalisBackendInputs",
     "ChrysalisBackendOutputs",
     "ChrysalisBackendStageConfig",
-    "mpi_chrysalis_backend",
     "GffInputs",
-    "GffOutputs",
     "GffStageConfig",
-    "mpi_graph_from_fasta",
+    "GraphFromFastaResult",
     "InchwormInputs",
     "InchwormOutputs",
     "InchwormStageConfig",
-    "mpi_inchworm",
     "JellyfishInputs",
     "JellyfishOutputs",
     "JellyfishStageConfig",
-    "mpi_jellyfish",
     "RttInputs",
     "RttOutputs",
     "RttStageConfig",
-    "mpi_reads_to_transcripts",
     "ParallelTrinityConfig",
     "ParallelTrinityDriver",
 ]

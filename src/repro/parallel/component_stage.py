@@ -152,6 +152,16 @@ def fasta_block(comm: SimComm, items: Sequence[Any]) -> Callable[[], bytes]:
     return lambda: format_fasta([item.to_record() for item in block]).encode("ascii")
 
 
+def stage_file(workdir: Optional[PathLike], filename: str) -> Optional[Path]:
+    """Where a serial stage body writes its file: ``workdir/filename``,
+    its directory made, or None without a ``workdir``."""
+    if workdir is None:
+        return None
+    path = Path(workdir) / filename
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def write_part(
     comm: SimComm,
     label: str,

@@ -28,15 +28,14 @@ launched, as in the serial pipeline.
 Every MPI stage body is ``stage(comm, inputs, config=None) -> StageResult``
 with typed ``*Inputs`` / ``*StageConfig`` / ``*Outputs`` dataclasses, so
 the six-stage chain is said once.  :data:`STAGE_TABLE` is the one list of
-stages: each row names a stage's body, inputs type and builder, config
-accessor and upstream stages, and :data:`STAGES` is the same rows keyed
-by name.  :func:`run_chain` walks the table with whatever *launcher* the
-caller passes: :meth:`ParallelTrinityDriver.run`'s checkpoint and
-recovery ``launch``, or a traced ``mpirun`` for ``repro profile`` and
-``fig-inchworm``.
-
-The result object is a :class:`repro.trinity.pipeline.TrinityResult`, so
-serial and parallel outputs feed the same validation harness.
+stages: each row names a stage's MPI body and serial body, inputs type
+and builder, config accessor and upstream stages, and :data:`STAGES` is
+the same rows keyed by name.  :func:`run_chain` walks the table with
+whatever *launcher* the caller passes: :meth:`ParallelTrinityDriver.run`'s
+checkpoint and recovery ``launch``, a traced ``mpirun`` for ``repro
+profile`` and ``fig-inchworm``, or :func:`serial_launcher`, which runs the
+serial bodies for :class:`~repro.trinity.pipeline.TrinityPipeline`.  Both
+drivers build their result with :func:`chain_result`.
 """
 
 from __future__ import annotations
@@ -56,34 +55,24 @@ from repro.mpi.faults import FaultPlan
 from repro.mpi.network import IDATAPLEX_FDR10, NetworkModel
 from repro.parallel.recovery import mpirun_with_recovery
 from repro.seq.records import SeqRecord
-from repro.trinity.chrysalis.graph_from_fasta import GraphFromFastaResult
-from repro.trinity.pipeline import TrinityConfig, TrinityResult
+from repro.trinity.config import TrinityConfig, TrinityResult
 from repro.parallel.component_stage import check_strategy
-from repro.parallel.mpi_bowtie import BowtieInputs, BowtieStageConfig, mpi_bowtie
+from repro.parallel.mpi_bowtie import BowtieInputs, BowtieStageConfig, mpi_bowtie, serial_bowtie
 from repro.parallel.mpi_inchworm import (
-    InchwormInputs,
-    InchwormStageConfig,
-    mpi_inchworm,
+    InchwormInputs, InchwormStageConfig, mpi_inchworm, serial_inchworm,
 )
 from repro.parallel.mpi_chrysalis_backend import (
-    ChrysalisBackendInputs,
-    ChrysalisBackendStageConfig,
-    mpi_chrysalis_backend,
+    ChrysalisBackendInputs, ChrysalisBackendStageConfig, mpi_chrysalis_backend,
+    serial_chrysalis_backend,
 )
 from repro.parallel.mpi_jellyfish import (
-    JellyfishInputs,
-    JellyfishStageConfig,
-    mpi_jellyfish,
+    JellyfishInputs, JellyfishStageConfig, mpi_jellyfish, serial_jellyfish,
 )
 from repro.parallel.mpi_graph_from_fasta import (
-    GffInputs,
-    GffStageConfig,
-    mpi_graph_from_fasta,
+    GffInputs, GffStageConfig, mpi_graph_from_fasta, serial_graph_from_fasta,
 )
 from repro.parallel.mpi_reads_to_transcripts import (
-    RttInputs,
-    RttStageConfig,
-    mpi_reads_to_transcripts,
+    RttInputs, RttStageConfig, mpi_reads_to_transcripts, serial_reads_to_transcripts,
 )
 
 PathLike = Union[str, Path]
@@ -132,8 +121,8 @@ class ParallelTrinityConfig:
         """
         return self.trinity.inchworm_threads
 
-    # -- stage-config accessors (the parallel analogue of TrinityConfig's
-    # .inchworm()/.gff()/.rtt()/.butterfly() serial accessors) -------------
+    # -- stage-config accessors, for both bodies of each row (on top of
+    # TrinityConfig's .inchworm()/.gff()/.rtt()/.butterfly() accessors) ----
 
     def jellyfish_stage(
         self, workdir: Optional[PathLike] = None
@@ -178,14 +167,12 @@ class ParallelTrinityConfig:
 @dataclass
 class StageChain:
     """State of one walk of :data:`STAGE_TABLE`: config, reads, and the
-    ``mpirun`` result and host-wall span of every stage launched so far
-    (results keyed by row key, both in launch order)."""
+    launcher's result of every stage launched so far (keyed by row key,
+    in launch order)."""
 
     cfg: ParallelTrinityConfig
     reads: Sequence[SeqRecord]
     runs: Dict[str, StageResult] = field(default_factory=dict)
-    #: One driver-track ``stage`` span per launch, back to back.
-    spans: List[Span] = field(default_factory=list)
 
     def out(self, key: str) -> Any:
         """Rank 0's typed ``*Outputs`` of stage ``key``."""
@@ -195,7 +182,11 @@ class StageChain:
     def contigs(self) -> Sequence[Any]:
         contigs = self.out("inchworm").contigs
         if not contigs:
-            raise PipelineError("inchworm produced no contigs")
+            tcfg = self.cfg.trinity
+            raise PipelineError(
+                "inchworm produced no contigs; reads may be too sparse for "
+                f"k={tcfg.k} with min_kmer_count={tcfg.min_kmer_count}"
+            )
         return contigs
 
 
@@ -213,6 +204,9 @@ class StageRow:
     args: Callable[[StageChain], Dict[str, Any]]  # ``inputs_type`` fields from the chain
     config: Callable[[ParallelTrinityConfig, Optional[Path]], Any]
     upstream: Tuple[str, ...]  # row keys whose outputs ``args`` reads (if launched)
+    #: The serial body, ``serial(inputs, config=None, spans=None) -> *Outputs``:
+    #: the stage from the serial kernels, timing them into ``spans``.
+    serial: Callable[..., Any]
     file_key: Optional[str] = None  # TrinityResult.files key of outputs[0].out_path
     #: Whether a run of this config launches the stage at all.
     launched: Callable[[ParallelTrinityConfig], bool] = lambda cfg: True
@@ -230,7 +224,7 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
         "jellyfish", "jellyfish", mpi_jellyfish, JellyfishInputs, "jellyfish[mpi]",
         lambda chain: dict(reads=chain.reads),
         lambda cfg, wd: cfg.jellyfish_stage(workdir=wd),
-        upstream=(), file_key="jellyfish_dump",
+        upstream=(), serial=serial_jellyfish, file_key="jellyfish_dump",
     ),
     # Components of the k-mer overlap graph dealt to ranks, each rank
     # building successor rows for its own components and walking them
@@ -239,13 +233,13 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
         "inchworm", "inchworm", mpi_inchworm, InchwormInputs, "inchworm[mpi]",
         lambda chain: dict(counts=chain.out("jellyfish").counts),
         lambda cfg, wd: cfg.inchworm_stage(workdir=wd),
-        upstream=("jellyfish",), file_key="inchworm_contigs",
+        upstream=("jellyfish",), serial=serial_inchworm, file_key="inchworm_contigs",
     ),
     StageRow(
         "bowtie", "bowtie", mpi_bowtie, BowtieInputs, "chrysalis.bowtie[mpi]",
         lambda chain: dict(reads=chain.reads, contigs=chain.contigs),
         lambda cfg, wd: cfg.bowtie_stage(workdir=wd),
-        upstream=("inchworm",), file_key="bowtie_sam",
+        upstream=("inchworm",), serial=serial_bowtie, file_key="bowtie_sam",
         launched=lambda cfg: cfg.trinity.use_bowtie_scaffolds,
     ),
     StageRow(
@@ -255,7 +249,7 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
             extra_pairs=chain.out("bowtie").scaffolds if "bowtie" in chain.runs else (),
         ),
         lambda cfg, wd: cfg.gff_stage(),
-        upstream=("inchworm", "bowtie"),
+        upstream=("inchworm", "bowtie"), serial=serial_graph_from_fasta,
     ),
     # Straight after GFF: the fused back end consumes RTT's routing, so
     # no graphs are ever built on the front-end node.
@@ -267,7 +261,8 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
             components=chain.out("gff").components,
         ),
         lambda cfg, wd: cfg.rtt_stage(workdir=wd),
-        upstream=("inchworm", "gff"), file_key="reads_to_transcripts",
+        upstream=("inchworm", "gff"), serial=serial_reads_to_transcripts,
+        file_key="reads_to_transcripts",
     ),
     # orient + FastaToDebruijn + QuantifyGraph + Butterfly per component
     # on its owner rank; the graphs never cross the wire.
@@ -281,7 +276,7 @@ STAGE_TABLE: Tuple[StageRow, ...] = (
             counts=chain.out("jellyfish").counts,
         ),
         lambda cfg, wd: cfg.chrysalis_stage(workdir=wd),
-        upstream=("jellyfish", "inchworm", "gff", "rtt"),
+        upstream=("jellyfish", "inchworm", "gff", "rtt"), serial=serial_chrysalis_backend,
         file_key="transcripts",
     ),
 )
@@ -291,6 +286,19 @@ STAGES: Dict[str, StageRow] = {row.name: row for row in STAGE_TABLE}
 
 #: ``launch(row, inputs, stage_config) -> StageResult`` — how one row runs.
 Launcher = Callable[[StageRow, Any, Any], StageResult]
+
+
+def serial_launcher(spans: Optional[List[Span]] = None) -> Launcher:
+    """A launcher running each row's serial body, its kernels timed into
+    ``spans``, as a one-rank result: the serial pipeline's."""
+
+    def launch(row: StageRow, inputs: Any, stage_config: Any) -> StageResult:
+        outputs = row.serial(inputs, stage_config, spans)
+        return StageResult(
+            stage=row.name, outputs=[StageResult(stage=row.name, outputs=outputs, rank=0)]
+        )
+
+    return launch
 
 
 def _with_upstream(target: str) -> Set[str]:
@@ -314,23 +322,55 @@ def run_chain(
     workdir: Optional[Path] = None,
     target: Optional[str] = None,
 ) -> StageChain:
-    """Walk :data:`STAGE_TABLE` in order, launching each row via ``launch``.
+    """Walk :data:`STAGE_TABLE` in order, launching each row via ``launch``
+    (which times what it runs: the driver's launch as one host span per
+    row, the serial bodies their kernels).
 
-    Each launch runs inside one :func:`host_stage` span labelled by the
-    row (its inputs are built outside it).  With
-    ``target`` (a row key), only that stage and its transitive upstream
-    stages run; a row whose ``launched(cfg)`` is false never does.
+    With ``target`` (a row key), only that stage and its transitive
+    upstream stages run; a row whose ``launched(cfg)`` is false never
+    does.  ``workdir`` is made first; no reads is a :class:`PipelineError`.
     """
+    if not reads:
+        raise PipelineError("no reads supplied")
+    if workdir is not None:
+        Path(workdir).mkdir(parents=True, exist_ok=True)
     chain = StageChain(cfg, reads)
     needed = _with_upstream(target) if target is not None else None
     for row in STAGE_TABLE:
         if (needed is not None and row.key not in needed) or not row.launched(cfg):
             continue
         inputs = row.inputs(chain)
-        stage_config = row.config(cfg, workdir)
-        with host_stage(chain.spans, row.label):
-            chain.runs[row.key] = launch(row, inputs, stage_config)
+        chain.runs[row.key] = launch(row, inputs, row.config(cfg, workdir))
     return chain
+
+
+def chain_result(chain: StageChain) -> TrinityResult:
+    """A full walk's :class:`TrinityResult`: each row's rank-0 outputs,
+    the files the rows wrote (by ``file_key``), and the quantified graphs
+    unioned over the back end's ranks.
+
+    Graphs stay rank-local in the back end; the serial-shaped quants dict
+    (ascending component id) is their union, taken host-side.
+    """
+    files: Dict[str, Path] = {
+        row.file_key: chain.out(row.key).out_path
+        for row in STAGE_TABLE
+        if row.file_key and row.key in chain.runs and chain.out(row.key).out_path is not None
+    }
+    quants = {
+        cid: q
+        for rank in chain.runs["chrysalis"].outputs
+        for cid, q in rank.outputs.local_quants.items()
+    }
+    return TrinityResult(
+        transcripts=chain.out("chrysalis").transcripts,
+        contigs=chain.contigs,
+        gff=chain.out("gff"),
+        assignments=chain.out("rtt").assignments,
+        quants=dict(sorted(quants.items())),
+        counts=chain.out("jellyfish").counts,
+        files=files,
+    )
 
 
 def reads_digest(reads: Sequence[SeqRecord]) -> str:
@@ -347,7 +387,7 @@ def reads_digest(reads: Sequence[SeqRecord]) -> str:
 #: miss that recomputes, never an object of the wrong shape handed back
 #: as "restored".  Bump it with any change to ``StageResult``'s fields,
 #: to ``CommStats`` or to a pickled outputs type.
-_CHECKPOINT_LAYOUT = 5
+_CHECKPOINT_LAYOUT = 6
 
 
 def _checkpoint_key(
@@ -478,8 +518,6 @@ class ParallelTrinityDriver:
         """
         cfg = self.config
         wd = Path(workdir) if workdir is not None else None
-        if wd is not None:
-            wd.mkdir(parents=True, exist_ok=True)
 
         logger.info(
             "parallel trinity: %d reads, nprocs=%d, nthreads=%d",
@@ -489,65 +527,39 @@ class ParallelTrinityDriver:
         digest = reads_digest(reads) if checkpoint_dir is not None else ""
         keys: Dict[str, str] = {}
         restores = writes = 0
+        spans: List[Span] = []  # one driver-track ``stage`` span per launch
 
         def launch(row: StageRow, inputs: Any, stage_config: Any) -> StageResult:
             """Checkpoint restore, else a recovering ``mpirun``, then
-            checkpoint write."""
+            checkpoint write, timed as one host span labelled by the row."""
             nonlocal restores, writes
             stage = row.fn.__name__
-            if checkpoint_dir is not None:
-                key = keys[row.key] = _checkpoint_key(
-                    row, stage_config, cfg, wd, digest,
-                    [keys[up] for up in row.upstream if up in keys],
+            with host_stage(spans, row.label):
+                if checkpoint_dir is not None:
+                    key = keys[row.key] = _checkpoint_key(
+                        row, stage_config, cfg, wd, digest,
+                        [keys[up] for up in row.upstream if up in keys],
+                    )
+                    cached = _load_checkpoint(checkpoint_dir, stage, key)
+                    if cached is not None:
+                        restores += 1
+                        return cached
+                res = mpirun_with_recovery(
+                    row.fn, cfg.nprocs, inputs, stage_config,
+                    faults=cfg.faults, network=cfg.network,
                 )
-                cached = _load_checkpoint(checkpoint_dir, stage, key)
-                if cached is not None:
-                    restores += 1
-                    return cached
-            res = mpirun_with_recovery(
-                row.fn, cfg.nprocs, inputs, stage_config,
-                faults=cfg.faults, network=cfg.network,
-            )
-            if checkpoint_dir is not None:
-                writes += _write_checkpoint(checkpoint_dir, stage, key, res)
+                if checkpoint_dir is not None:
+                    writes += _write_checkpoint(checkpoint_dir, stage, key, res)
             return res
 
         chain = run_chain(cfg, reads, launch, workdir=wd)
         runs = chain.runs
-        files: Dict[str, Path] = {
-            row.file_key: chain.out(row.key).out_path
-            for row in STAGE_TABLE
-            if row.file_key and row.key in runs and chain.out(row.key).out_path is not None
-        }
-
-        gff = chain.out("gff")
-        transcripts = chain.out("chrysalis").transcripts
-        # Graphs stay rank-local in the stage; the serial-shaped quants
-        # dict (ascending component id, like the serial pipeline's
-        # component order) is unioned host-side from the per-rank locals.
-        local_quants = {
-            cid: q
-            for rank in runs["chrysalis"].outputs
-            for cid, q in rank.outputs.local_quants.items()
-        }
-        spans = chain.spans
-
         logger.info(
             "mpi stage makespans: %s (gff imb %.2fx)",
             " ".join(f"{key}={run.makespan:.3f}s" for key, run in runs.items()),
             runs["gff"].imbalance,
         )
-        result = TrinityResult(
-            transcripts=transcripts,
-            contigs=chain.contigs,
-            gff=GraphFromFastaResult(
-                welds=gff.welds, pairs=gff.pairs, components=gff.components
-            ),
-            assignments=chain.out("rtt").assignments,
-            quants=dict(sorted(local_quants.items())),
-            counts=chain.out("jellyfish").counts,
-            files=files,
-        )
+        result = chain_result(chain)
         return StageResult(
             stage="parallel-trinity",
             outputs=result,
@@ -558,7 +570,7 @@ class ParallelTrinityDriver:
                 "nprocs": float(cfg.nprocs),
                 "nthreads": float(cfg.nthreads),
                 "inchworm_threads": float(cfg.inchworm_threads),
-                "n_transcripts": float(len(transcripts)),
+                "n_transcripts": float(len(result.transcripts)),
                 **{f"mpi.{key}_makespan_s": run.makespan for key, run in runs.items()},
                 "checkpoint.restores": float(restores),
                 "checkpoint.writes": float(writes),

@@ -67,8 +67,9 @@ import numpy as np
 
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
+from repro.obs.span import Span, host_stage
 from repro.parallel.chunks import static_block_ranges
-from repro.parallel.component_stage import lpt_assign, write_merged, write_part
+from repro.parallel.component_stage import lpt_assign, stage_file, write_merged, write_part
 from repro.parallel.recovery import with_retry
 from repro.seq.records import Contig, SeqRecord, mate_index, mate_owner
 from repro.seq.sam import SamRecord, sam_header
@@ -262,3 +263,31 @@ def _to_wire(hits: BestHits, inputs: BowtieInputs, cfg: BowtieConfig) -> np.ndar
     for f in _WIRE_FIELDS:
         table[f] = getattr(hits, f)
     return table
+
+
+def serial_bowtie(
+    inputs: BowtieInputs,
+    config: Optional[BowtieStageConfig] = None,
+    spans: Optional[List[Span]] = None,
+) -> BowtieOutputs:
+    """The serial body, one index over all contigs: :func:`mpi_bowtie`'s
+    oracle, its alignment timed as ``chrysalis.bowtie``."""
+    config = config or BowtieStageConfig()
+    reads, contigs = inputs.reads, inputs.contigs
+    with host_stage(spans, "chrysalis.bowtie"):
+        index = BowtieIndex(contigs, config.bowtie)
+        seeds = ReadSeeds.build(reads, index.cfg)
+        hits = read_hits(align_seeds(seeds, index), len(reads))
+    names = [c.name for c in contigs]
+    out_path = stage_file(config.workdir, "bowtie.sam")
+    if out_path is not None:
+        out_path.write_bytes(format_hits(reads, hits, names, index.header()))
+    # Mates joined over the mapped reads, as the MPI stage's owners do.
+    mapped = np.flatnonzero(hits["contig"] >= 0)
+    mates = mapped[mate_index([reads[i].name for i in mapped.tolist()])]
+    scaffolds = tuple(supported_pairs(
+        *scaffold_support(hits, seeds.lengths[: len(reads)], index.lengths, mates)
+    ))
+    return BowtieOutputs(
+        hits=hits, scaffolds=scaffolds, reads=reads, contig_names=names, out_path=out_path
+    )

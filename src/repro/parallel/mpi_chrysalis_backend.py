@@ -72,12 +72,13 @@ import numpy as np
 
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
+from repro.obs.span import Span, host_stage
 from repro.parallel import component_stage
 from repro.parallel.recovery import with_retry
 from repro.seq import kmers
-from repro.seq.fasta import format_fasta
+from repro.seq.fasta import format_fasta, write_fasta
 from repro.seq.records import Contig, SeqRecord, Transcript
-from repro.trinity.butterfly import ButterflyConfig, butterfly_component
+from repro.trinity.butterfly import ButterflyConfig, butterfly_assemble, butterfly_component
 from repro.trinity.chrysalis.components import Component
 from repro.trinity.chrysalis.debruijn import fasta_to_debruijn
 from repro.trinity.chrysalis.orient import orient_component
@@ -86,11 +87,18 @@ from repro.trinity.chrysalis.quantify import (
     count_block,
     pack_routed_reads,
     pool_blocks,
+    quantify_graph,
     reads_by_component,
     solid_index,
 )
 from repro.trinity.chrysalis.reads_to_transcripts import ReadAssignment
-from repro.trinity.pairs import component_mates, mate_support, repeated_names, supported
+from repro.trinity.pairs import (
+    component_mates,
+    mate_support,
+    reconcile_with_pairs,
+    repeated_names,
+    supported,
+)
 
 PathLike = Union[str, Path]
 
@@ -443,4 +451,41 @@ def mpi_chrysalis_backend(
             )),
         },
         rank=comm.rank,
+    )
+
+
+def serial_chrysalis_backend(
+    inputs: ChrysalisBackendInputs,
+    config: Optional[ChrysalisBackendStageConfig] = None,
+    spans: Optional[List[Span]] = None,
+) -> ChrysalisBackendOutputs:
+    """The serial body: :func:`mpi_chrysalis_backend`'s oracle (its
+    ``local_quants`` unioned over the ranks), timed as three stages."""
+    config = config or ChrysalisBackendStageConfig()
+    contigs, reads = inputs.contigs, list(inputs.reads)
+    with host_stage(spans, "chrysalis.fasta_to_debruijn"):
+        graphs = {
+            comp.id: fasta_to_debruijn(
+                orient_component([contigs[m].seq for m in comp.members], config.weld_k),
+                config.k,
+            )
+            for comp in inputs.components
+        }
+    with host_stage(spans, "chrysalis.quantify_graph"):
+        quants = quantify_graph(
+            graphs, reads, inputs.assignments,
+            kmer_counts=inputs.counts, min_kmer_count=config.min_kmer_count,
+        )
+    with host_stage(spans, "butterfly"):
+        transcripts = butterfly_assemble(graphs, config.butterfly)
+        if config.use_pair_reconciliation:
+            transcripts, _stats = reconcile_with_pairs(transcripts, reads, inputs.assignments)
+    out_path = component_stage.stage_file(config.workdir, "Trinity.fasta")
+    if out_path is not None:
+        write_fasta(out_path, [t.to_record() for t in transcripts])
+    return ChrysalisBackendOutputs(
+        transcripts=transcripts,
+        quant_stats={cid: (q.n_reads, q.read_edge_weight) for cid, q in quants.items()},
+        local_quants=quants,
+        out_path=out_path,
     )

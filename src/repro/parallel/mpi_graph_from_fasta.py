@@ -35,15 +35,18 @@ import numpy as np
 from repro.mpi.comm import SimComm
 from repro.mpi.datatypes import pack_int_pairs, pack_strings, unpack_int_pairs, unpack_strings
 from repro.obs.result import StageResult
+from repro.obs.span import Span, host_stage
 from repro.parallel.chunks import chunk_ranges, chunks_for_rank, default_chunk_size, rank_items
 from repro.parallel.recovery import with_retry
 from repro.seq.records import Contig, SeqRecord
-from repro.trinity.chrysalis.components import Component, build_components
+from repro.trinity.chrysalis.components import build_components
 from repro.trinity.chrysalis.graph_from_fasta import (
     GraphFromFastaConfig,
+    GraphFromFastaResult,
     WeldCandidate,
     build_weld_index,
     find_weld_pairs_for_contig,
+    graph_from_fasta,
     harvest_welds_for_contig,
     scan_weldmers,
     shared_seed_array,
@@ -72,19 +75,6 @@ class GffStageConfig:
 
     gff: GraphFromFastaConfig = GraphFromFastaConfig()
     nthreads: int = 16
-
-
-@dataclass
-class GffOutputs:
-    """What the hybrid GraphFromFasta computes.
-
-    All ranks hold identical ``welds`` / ``pairs`` / ``components`` (the
-    pooling collectives guarantee it — also a tested invariant).
-    """
-
-    welds: List[WeldCandidate]
-    pairs: List[Tuple[int, int]]
-    components: List[Component]
 
 
 def mpi_graph_from_fasta(
@@ -210,7 +200,7 @@ def mpi_graph_from_fasta(
 
     return StageResult(
         stage="gff",
-        outputs=GffOutputs(welds=welds, pairs=pairs, components=components),
+        outputs=GraphFromFastaResult(welds=welds, pairs=pairs, components=components),
         makespan=comm.clock.now,
         metrics={
             **comm.phase_seconds(),
@@ -223,3 +213,17 @@ def mpi_graph_from_fasta(
         },
         rank=comm.rank,
     )
+
+
+def serial_graph_from_fasta(
+    inputs: GffInputs,
+    config: Optional[GffStageConfig] = None,
+    spans: Optional[List[Span]] = None,
+) -> GraphFromFastaResult:
+    """The serial body: :func:`mpi_graph_from_fasta`'s oracle (welds up to
+    pooling order), timed as ``chrysalis.graph_from_fasta``."""
+    config = config or GffStageConfig()
+    with host_stage(spans, "chrysalis.graph_from_fasta"):
+        return graph_from_fasta(
+            inputs.contigs, inputs.reads, config.gff, extra_pairs=inputs.extra_pairs
+        )

@@ -59,13 +59,16 @@ import numpy as np
 from repro.errors import PipelineError
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
+from repro.obs.span import Span, host_stage
 from repro.parallel import component_stage
 from repro.parallel.chunks import static_block_ranges
 from repro.parallel.recovery import with_retry
+from repro.seq.fasta import write_fasta
 from repro.seq.kmer_index import KmerCounter
 from repro.seq.records import Contig
 from repro.trinity.inchworm import (
     InchwormConfig,
+    inchworm_assemble,
     inchworm_assemble_components,
     keyed_contigs,
     neighbours,
@@ -110,7 +113,6 @@ class InchwormOutputs:
 
     contigs: List[Contig]  # full, global-seed-order (on all ranks)
     out_path: Optional[Path] = None  # merged FASTA (master, if written)
-    n_components: int = 0  # k-mer-graph components in the whole workload
 
 
 def _component_setup(filtered: KmerCounter, blocks: Sequence[np.ndarray]):
@@ -209,9 +211,7 @@ def mpi_inchworm(
 
     return StageResult(
         stage="inchworm",
-        outputs=InchwormOutputs(
-            contigs=contigs, out_path=out_path, n_components=len(cids)
-        ),
+        outputs=InchwormOutputs(contigs=contigs, out_path=out_path),
         makespan=comm.clock.now,
         metrics={
             **comm.phase_seconds(),
@@ -221,3 +221,19 @@ def mpi_inchworm(
         },
         rank=comm.rank,
     )
+
+
+def serial_inchworm(
+    inputs: InchwormInputs,
+    config: Optional[InchwormStageConfig] = None,
+    spans: Optional[List[Span]] = None,
+) -> InchwormOutputs:
+    """The serial body: :func:`mpi_inchworm`'s oracle, timed as ``inchworm``
+    (one thread: ``n_threads`` and ``strategy`` are the MPI body's)."""
+    config = config or InchwormStageConfig()
+    with host_stage(spans, "inchworm"):
+        contigs = inchworm_assemble(inputs.counts, config.inchworm)
+    out_path = component_stage.stage_file(config.workdir, "inchworm.contigs.fa")
+    if out_path is not None:
+        write_fasta(out_path, [c.to_record() for c in contigs])
+    return InchwormOutputs(contigs=contigs, out_path=out_path)

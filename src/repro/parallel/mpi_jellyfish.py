@@ -46,8 +46,9 @@ import numpy as np
 
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
+from repro.obs.span import Span, host_stage
 from repro.parallel.chunks import static_block_ranges
-from repro.parallel.component_stage import write_merged
+from repro.parallel.component_stage import stage_file, write_merged
 from repro.parallel.recovery import with_retry
 from repro.seq.kmer_index import KmerCounter, format_counter_dump
 from repro.seq.kmers import base_blocks
@@ -57,6 +58,8 @@ from repro.trinity.jellyfish import (
     JellyfishConfig,
     JellyfishCounts,
     _batch_codes,
+    jellyfish_count,
+    jellyfish_dump,
 )
 
 PathLike = Union[str, Path]
@@ -198,3 +201,21 @@ def mpi_jellyfish(
         },
         rank=comm.rank,
     )
+
+
+def serial_jellyfish(
+    inputs: JellyfishInputs,
+    config: Optional[JellyfishStageConfig] = None,
+    spans: Optional[List[Span]] = None,
+) -> JellyfishOutputs:
+    """The serial body: :func:`mpi_jellyfish`'s oracle, timed as ``jellyfish``."""
+    config = config or JellyfishStageConfig()
+    jcfg = config.jellyfish
+    with host_stage(spans, "jellyfish"):
+        counts = jellyfish_count(
+            inputs.reads, jcfg.k, canonical=jcfg.canonical, batch_bases=jcfg.batch_bases
+        )
+    out_path = stage_file(config.workdir, "jellyfish.kmers.fa")
+    if out_path is not None:
+        jellyfish_dump(counts, out_path)
+    return JellyfishOutputs(counts=counts, out_path=out_path)

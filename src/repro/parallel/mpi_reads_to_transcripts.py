@@ -39,7 +39,8 @@ import numpy as np
 
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
-from repro.parallel.component_stage import write_merged, write_part
+from repro.obs.span import Span, host_stage
+from repro.parallel.component_stage import stage_file, write_merged, write_part
 from repro.parallel.recovery import with_retry
 from repro.seq.records import Contig, SeqRecord
 from repro.trinity.chrysalis.components import Component
@@ -50,6 +51,7 @@ from repro.trinity.chrysalis.reads_to_transcripts import (
     assignment_table,
     build_kmer_map,
     format_assignment_table,
+    reads_to_transcripts,
     stream_chunks,
 )
 
@@ -202,3 +204,19 @@ def _chunk_plan(
         plan.append((start, start + len(chunk), _chunk_read_cost(chunk)))
         start += len(chunk)
     return plan
+
+
+def serial_reads_to_transcripts(
+    inputs: RttInputs,
+    config: Optional[RttStageConfig] = None,
+    spans: Optional[List[Span]] = None,
+) -> RttOutputs:
+    """The serial body: :func:`mpi_reads_to_transcripts`' oracle, timed
+    (file included) as ``chrysalis.reads_to_transcripts``."""
+    config = config or RttStageConfig()
+    out_path = stage_file(config.workdir, "readsToComponents.out")
+    with host_stage(spans, "chrysalis.reads_to_transcripts"):
+        assignments = reads_to_transcripts(
+            inputs.reads, inputs.contigs, inputs.components, config.rtt, out_path=out_path
+        )
+    return RttOutputs(assignments=assignments, out_path=out_path)

@@ -28,7 +28,7 @@ from repro.seq.kmer_index import (
 )
 from repro.seq.records import SeqRecord, ReadPair
 from repro.seq.fasta import read_fasta, write_fasta, iter_fasta
-from repro.seq.sam import SamRecord, read_sam
+from repro.seq.sam import SamRecord
 
 __all__ = [
     "BASES",
@@ -52,5 +52,4 @@ __all__ = [
     "write_fasta",
     "iter_fasta",
     "SamRecord",
-    "read_sam",
 ]

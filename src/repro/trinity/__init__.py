@@ -10,11 +10,14 @@ original (paper SS:II.A):
   QuantifyGraph)
 * :mod:`repro.trinity.butterfly`  — transcript reconstruction
 
-:mod:`repro.trinity.pipeline` wires them together (the ``Trinity.pl``
-equivalent).  The hybrid MPI+OpenMP versions of the Chrysalis substeps —
-the paper's contribution — live in :mod:`repro.parallel` and reuse the
-kernels defined here, so serial and parallel code paths cannot drift
-apart.
+:mod:`repro.trinity.pipeline` runs them in order (the ``Trinity.pl``
+equivalent), with :mod:`repro.trinity.config` holding what a run takes
+and gives.  The order itself is said once, by the hybrid driver's stage
+table (:data:`repro.parallel.driver.STAGE_TABLE`): each row carries an
+MPI body — the paper's hybrid MPI+OpenMP stages, which reuse the kernels
+defined here — and a serial body built from these kernels alone, which
+the serial pipeline runs.  So the two runs share their wiring but not
+their code paths, and the serial one stays the hybrid one's oracle.
 """
 
 from repro.trinity.jellyfish import (
@@ -26,7 +29,8 @@ from repro.trinity.jellyfish import (
 from repro.trinity.inchworm import InchwormConfig, inchworm_assemble
 from repro.trinity.bowtie import BowtieIndex, scaffold_pairs_from_sam
 from repro.trinity.butterfly import butterfly_assemble
-from repro.trinity.pipeline import TrinityConfig, TrinityPipeline, TrinityResult
+from repro.trinity.config import TrinityConfig, TrinityResult
+from repro.trinity.pipeline import TrinityPipeline
 
 __all__ = [
     "JellyfishConfig",

@@ -408,7 +408,8 @@ def _junction_supported(
 
 @dataclass
 class GraphFromFastaResult:
-    """Everything GraphFromFasta produces."""
+    """Everything GraphFromFasta produces, serial or on every MPI rank
+    (there with the welds in pooling order)."""
 
     welds: List[WeldCandidate]
     pairs: List[Tuple[int, int]]

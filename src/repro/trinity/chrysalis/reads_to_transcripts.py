@@ -64,20 +64,6 @@ class ReadAssignment(NamedTuple):
     region_start: int  # first base of the read contributing a k-mer
     region_end: int  # one past the last contributing base
 
-    @classmethod
-    def from_line(cls, line: str) -> "ReadAssignment":
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 6:
-            raise PipelineError(f"malformed assignment line: {line!r}")
-        return cls(
-            read_index=int(parts[0]),
-            read_name=parts[1],
-            component=int(parts[2]),
-            shared_kmers=int(parts[3]),
-            region_start=int(parts[4]),
-            region_end=int(parts[5]),
-        )
-
 
 def build_kmer_map(
     contigs: Sequence[Contig],

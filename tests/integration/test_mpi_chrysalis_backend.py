@@ -2,9 +2,9 @@
 
 The invariant everything else hangs off: at every rank count, with
 either deal strategy, with or without an injected rank crash,
-``mpi_chrysalis_backend`` reproduces the serial
+``mpi_chrysalis_backend`` reproduces its serial body — the serial
 ``fasta_to_debruijn`` + ``quantify_graph`` + ``butterfly_assemble``
-chain *exactly* — the fused per-component chain is the serial code path,
+chain — *exactly* — the fused per-component chain is the serial code path,
 and the merge follows ascending component id regardless of the deal.
 """
 
@@ -25,6 +25,7 @@ from repro.parallel.mpi_chrysalis_backend import (
     estimated_component_cost,
     mpi_chrysalis_backend,
     read_block_units,
+    serial_chrysalis_backend,
 )
 from repro.parallel.recovery import mpirun_with_recovery
 from repro.seq.fasta import write_fasta
@@ -33,7 +34,6 @@ from repro.trinity.butterfly import ButterflyConfig, butterfly_assemble
 from repro.trinity.chrysalis.debruijn import fasta_to_debruijn
 from repro.trinity.chrysalis.graph_from_fasta import graph_from_fasta
 from repro.trinity.chrysalis.orient import orient_component
-from repro.trinity.chrysalis.quantify import quantify_graph
 from repro.trinity.chrysalis.reads_to_transcripts import reads_to_transcripts
 from repro.trinity.inchworm import inchworm_assemble
 from repro.trinity.jellyfish import jellyfish_count
@@ -56,21 +56,11 @@ def workload(smoke_reads):
 
 @pytest.fixture(scope="module")
 def serial_reference(workload, smoke_reads):
-    """The pre-fusion serial chain: graphs, quants, transcripts."""
-    tcfg, contigs, components, assignments, counts = workload
-    graphs = {
-        comp.id: fasta_to_debruijn(
-            orient_component([contigs[m].seq for m in comp.members], tcfg.weld_k),
-            tcfg.k,
-        )
-        for comp in components
-    }
-    quants = quantify_graph(
-        graphs, list(smoke_reads), assignments,
-        kmer_counts=counts, min_kmer_count=tcfg.min_kmer_count,
+    """The back end's serial body on the workload (``local_quants``: every
+    component's quantified graph): what every launch below must equal."""
+    return serial_chrysalis_backend(
+        _fused_inputs(workload, smoke_reads), _fused_config(workload[0])
     )
-    transcripts = butterfly_assemble(graphs, tcfg.butterfly())
-    return graphs, quants, transcripts
 
 
 def _fused_inputs(workload, smoke_reads):
@@ -91,25 +81,8 @@ def _fused_config(tcfg, **overrides):
 
 
 class TestSerialEquality:
-    @pytest.mark.parametrize("nprocs", [1, 3, NPROCS])
-    @pytest.mark.parametrize("strategy", ["round_robin", "dynamic"])
-    def test_matches_serial_exactly(
-        self, workload, serial_reference, smoke_reads, nprocs, strategy
-    ):
-        tcfg = workload[0]
-        _graphs, quants, serial = serial_reference
-        run = mpirun(
-            mpi_chrysalis_backend, nprocs,
-            _fused_inputs(workload, smoke_reads),
-            _fused_config(tcfg, strategy=strategy),
-        )
-        for r in run.outputs:
-            # Every rank returns the identical merged, component-ordered list.
-            assert r.transcripts == serial
-            assert r.quant_stats == {
-                cid: (q.n_reads, q.read_edge_weight) for cid, q in quants.items()
-            }
-
+    # Equality with the serial body at 1/3/8 ranks under both deals, and
+    # ``Trinity.fasta``'s bytes: ``tests/integration/test_parallel_equivalence.py``.
     def test_fused_equals_separate_butterfly_walk(self):
         """Walk-only distributed Butterfly is this stage on contig-only
         inputs (one contig per singleton component, no reads): it equals
@@ -183,7 +156,7 @@ class TestSerialEquality:
         from tests import reference_chrysalis as ref
 
         tcfg, contigs, components, assignments, counts = workload
-        _graphs, quants, serial = serial_reference
+        quants, serial = serial_reference.local_quants, serial_reference.transcripts
         routed = reads_by_component(assignments)
         solid = solid_index(counts, tcfg.min_kmer_count)
         for walk in (ref.dfs_in_place, ref.dfs):
@@ -202,31 +175,10 @@ class TestSerialEquality:
                 oracle += ref.butterfly_component(comp.id, graph, tcfg.butterfly(), walk)
             assert oracle == serial
 
-    def test_merged_fasta_byte_identical_to_serial_write(
-        self, workload, serial_reference, smoke_reads, tmp_path
-    ):
-        tcfg = workload[0]
-        _graphs, _quants, serial = serial_reference
-        serial_path = tmp_path / "serial.fasta"
-        write_fasta(serial_path, [t.to_record() for t in serial])
-        for strategy in ("round_robin", "dynamic"):
-            wd = tmp_path / strategy
-            run = mpirun(
-                mpi_chrysalis_backend, 3,
-                _fused_inputs(workload, smoke_reads),
-                _fused_config(tcfg, strategy=strategy, workdir=wd),
-            )
-            out = run.outputs[0].out_path
-            assert out is not None
-            assert out.read_bytes() == serial_path.read_bytes()
-            # Each rank also left its part file behind.
-            for rank in range(3):
-                assert (wd / f"chrysalis_backend.part{rank}.fasta").exists()
-
     def test_graphs_stay_rank_local(self, workload, serial_reference, smoke_reads):
         """Full quants (graphs embedded) partition across ranks, no overlap."""
         tcfg = workload[0]
-        graphs, quants, _serial = serial_reference
+        quants = serial_reference.local_quants
         run = mpirun(
             mpi_chrysalis_backend, NPROCS,
             _fused_inputs(workload, smoke_reads),
@@ -236,7 +188,7 @@ class TestSerialEquality:
         for r in run.outputs:
             assert not set(merged) & set(r.local_quants)
             merged.update(r.local_quants)
-        assert sorted(merged) == sorted(graphs)
+        assert sorted(merged) == sorted(quants)
         for cid, q in merged.items():
             assert q.graph.edge_weights() == quants[cid].graph.edge_weights()
 
@@ -248,7 +200,7 @@ class TestRecovery:
         self, workload, serial_reference, smoke_reads, tmp_path, strategy
     ):
         tcfg = workload[0]
-        _graphs, _quants, serial = serial_reference
+        serial = serial_reference.transcripts
         serial_path = tmp_path / "serial.fasta"
         write_fasta(serial_path, [t.to_record() for t in serial])
         wd = tmp_path / strategy
@@ -274,7 +226,7 @@ class TestRecovery:
         ``comm.shared`` cell it might own is published — releases its
         peers, and the survivors' re-deal gives the same bytes."""
         tcfg = workload[0]
-        _graphs, quants, serial = serial_reference
+        quants, serial = serial_reference.local_quants, serial_reference.transcripts
         plan = FaultPlan(crashes=(CrashFault(rank=0, phase="chrysalis:deal"),))
         rec = mpirun_with_recovery(
             mpi_chrysalis_backend, 3,
@@ -309,7 +261,7 @@ class TestReadBlockUnits:
         from repro.trinity.chrysalis.quantify import reads_by_component
 
         tcfg, _contigs, components, assignments, _counts = workload
-        _graphs, quants, serial = serial_reference
+        quants, serial = serial_reference.local_quants, serial_reference.transcripts
         units = read_block_units(
             smoke_reads, reads_by_component(assignments), sorted(c.id for c in components)
         )
@@ -383,7 +335,7 @@ class TestReadBlockUnits:
         after its tables arrived; the ``p - 1`` survivors re-deal the
         units and reproduce the serial bytes."""
         tcfg = workload[0]
-        _graphs, quants, serial = serial_reference
+        quants, serial = serial_reference.local_quants, serial_reference.transcripts
         alltoall, crashed, lock = SimComm.alltoall, [], threading.Lock()
 
         def first_to_ask(comm):
@@ -507,27 +459,14 @@ class TestNonAcgtContigs:
         assert whole.edge_weights() == halves.edge_weights()
         assert whole.n_edges == len(seq) - tcfg.k + 1 - tcfg.k
 
-        graphs = {
-            comp.id: fasta_to_debruijn(
-                orient_component([edited[m].seq for m in comp.members], tcfg.weld_k),
-                tcfg.k,
-            )
-            for comp in components
-        }
-        quants = quantify_graph(
-            graphs, list(smoke_reads), assignments,
-            kmer_counts=counts, min_kmer_count=tcfg.min_kmer_count,
+        inputs = ChrysalisBackendInputs(
+            contigs=edited, reads=smoke_reads, components=components,
+            assignments=assignments, counts=counts,
         )
-        serial = butterfly_assemble(graphs, tcfg.butterfly())
+        want = serial_chrysalis_backend(inputs, _fused_config(tcfg))
+        quants, serial = want.local_quants, want.transcripts
         assert serial and not any(set(t.seq) - set("ACGT") for t in serial)
-        run = mpirun(
-            mpi_chrysalis_backend, 3,
-            ChrysalisBackendInputs(
-                contigs=edited, reads=smoke_reads, components=components,
-                assignments=assignments, counts=counts,
-            ),
-            _fused_config(tcfg, strategy="dynamic"),
-        )
+        run = mpirun(mpi_chrysalis_backend, 3, inputs, _fused_config(tcfg, strategy="dynamic"))
         for out in run.outputs:
             assert out.transcripts == serial
             assert out.quant_stats == {
@@ -537,7 +476,7 @@ class TestNonAcgtContigs:
         # windows that held the N (here the reads still bridge the gap).
         (cid,) = [comp.id for comp in components if long in comp.members]
         assert quants[cid].graph.weights.sum() == (
-            serial_reference[1][cid].graph.weights.sum() - tcfg.k
+            serial_reference.local_quants[cid].graph.weights.sum() - tcfg.k
         )
 
 
@@ -634,7 +573,7 @@ class TestMetrics:
         from repro.seq.kmers import kmer_windows_batch
 
         tcfg, _contigs, _components, assignments, _counts = workload
-        graphs, _quants, _serial = serial_reference
+        quants = serial_reference.local_quants
         routed = [smoke_reads[a.read_index].seq for a in assignments if a.component >= 0]
         n_windows = kmer_windows_batch(routed, tcfg.k - 1)[0].size
         for nprocs in (1, 3):
@@ -652,6 +591,6 @@ class TestMetrics:
             ]
             assert per_rank[0] == per_rank[1]
             edges, windows, nbytes = map(sum, zip(*per_rank[0]))
-            assert edges == sum(g.n_edges for g in graphs.values())
+            assert edges == sum(q.graph.n_edges for q in quants.values())
             assert windows == n_windows
             assert nbytes >= 16 * windows

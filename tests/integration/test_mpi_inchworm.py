@@ -10,8 +10,6 @@ byte.  Threads and stragglers move virtual clocks only; the output
 never depends on them.
 """
 
-from importlib import import_module
-
 import numpy as np
 import pytest
 
@@ -19,6 +17,7 @@ from repro.errors import PipelineError
 from repro.mpi import CrashFault, FaultPlan, StragglerFault, mpirun
 from repro.obs.critical import rank_clock_spans
 from repro.obs.span import stage_seconds
+import repro.parallel.mpi_inchworm
 from repro.parallel.driver import ParallelTrinityConfig, ParallelTrinityDriver
 from repro.parallel.mpi_inchworm import (
     InchwormInputs,
@@ -30,7 +29,6 @@ from repro.seq.records import SeqRecord
 from repro.trinity import TrinityConfig, inchworm
 from repro.trinity.inchworm import InchwormConfig, inchworm_assemble, preference_rows
 from repro.trinity.jellyfish import jellyfish_count
-from repro.trinity.pipeline import TrinityPipeline
 from tests import reference_inchworm
 
 NPROCS = 8
@@ -48,40 +46,8 @@ def serial_contigs(smoke_counts):
 
 
 class TestSerialEquality:
-    @pytest.mark.parametrize("nprocs", [1, 3, NPROCS])
-    @pytest.mark.parametrize("strategy", ["round_robin", "dynamic"])
-    def test_matches_serial_exactly(
-        self, smoke_counts, serial_contigs, nprocs, strategy
-    ):
-        run = mpirun(
-            mpi_inchworm, nprocs,
-            InchwormInputs(counts=smoke_counts),
-            InchwormStageConfig(inchworm=InchwormConfig(seed=1), strategy=strategy),
-        )
-        for r in run.outputs:
-            # Every rank returns the identical full seed-ordered list.
-            assert r.outputs.contigs == serial_contigs
-
-    def test_file_bytes_identical_to_serial_write(
-        self, smoke_reads, smoke_counts, serial_contigs, tmp_path
-    ):
-        serial = TrinityPipeline(TrinityConfig(seed=1)).run(
-            smoke_reads, workdir=tmp_path / "serial"
-        )
-        run = mpirun(
-            mpi_inchworm, 3,
-            InchwormInputs(counts=smoke_counts),
-            InchwormStageConfig(
-                inchworm=InchwormConfig(seed=1), workdir=tmp_path / "mpi"
-            ),
-        )
-        out = run.outputs[0].out_path
-        assert out == tmp_path / "mpi" / "inchworm.contigs.fa"
-        assert (
-            out.read_bytes()
-            == serial.outputs.files["inchworm_contigs"].read_bytes()
-        )
-
+    # Equality with the serial body at 1/3/8 ranks under both deals, and
+    # the contig file's bytes: ``tests/integration/test_parallel_equivalence.py``.
     def test_threaded_output_invariant_in_nprocs(self, smoke_counts, serial_contigs):
         # Threads own whole components, so at n_threads > 1 the output is
         # still the serial one: neither the deal, the rank count nor the
@@ -130,7 +96,7 @@ class TestSerialEquality:
         def no_global_order(*_args):
             raise AssertionError("mpi_inchworm built the global seed order")
 
-        for module in (inchworm, import_module("repro.parallel.mpi_inchworm")):
+        for module in (inchworm, repro.parallel.mpi_inchworm):
             monkeypatch.setattr(module, "_seed_order", no_global_order, raising=False)
         run = mpirun(
             mpi_inchworm, 3,
@@ -160,7 +126,7 @@ class TestSerialEquality:
         )
         for r in run.outputs:
             assert r.outputs.contigs == []
-            assert r.outputs.n_components == 0
+            assert r.metrics["n_components"] == 0
 
 
 class TestFewComponents:
@@ -189,7 +155,7 @@ class TestFewComponents:
         owners = 0
         for r, spans in zip(run.outputs, rank_clock_spans(run)):
             assert r.outputs.contigs == serial
-            assert r.outputs.n_components == 2
+            assert r.metrics["n_components"] == 2
             advances = [
                 seg for seg in spans
                 if seg.label == "inchworm:assemble_components"

@@ -40,33 +40,8 @@ def _assert_table_equal(counts, serial):
 
 
 class TestSerialEquality:
-    @pytest.mark.parametrize("nprocs", [1, 3, NPROCS])
-    def test_matches_serial_exactly(self, smoke_reads, serial_counts, nprocs):
-        run = mpirun(
-            mpi_jellyfish, nprocs,
-            JellyfishInputs(reads=smoke_reads),
-            JellyfishStageConfig(jellyfish=JellyfishConfig(k=K)),
-        )
-        for r in run.outputs:
-            # Every rank returns the identical full merged table.
-            _assert_table_equal(r.outputs.counts, serial_counts)
-
-    @pytest.mark.parametrize("nprocs", [1, 3, NPROCS])
-    def test_dump_bytes_identical_to_serial_write(
-        self, smoke_reads, serial_counts, nprocs, tmp_path
-    ):
-        serial_path = tmp_path / "serial.kmers.fa"
-        jellyfish_dump(serial_counts, serial_path)
-        wd = tmp_path / f"wd{nprocs}"
-        run = mpirun(
-            mpi_jellyfish, nprocs,
-            JellyfishInputs(reads=smoke_reads),
-            JellyfishStageConfig(jellyfish=JellyfishConfig(k=K), workdir=wd),
-        )
-        out = run.outputs[0].out_path
-        assert out == wd / "jellyfish.kmers.fa"
-        assert out.read_bytes() == serial_path.read_bytes()
-
+    # Equality with the serial body at 1/3/8 ranks, and the dump's bytes:
+    # ``tests/integration/test_parallel_equivalence.py``.
     def test_tiny_batches_still_identical(self, smoke_reads, serial_counts):
         # batch_bases=1 flushes per read on every rank — the most hostile
         # batching still merges to the same table.

@@ -21,7 +21,6 @@ from repro.parallel.mpi_reads_to_transcripts import (
 )
 from repro.parallel.recovery import mpirun_with_recovery
 from repro.seq.records import Contig, SeqRecord
-from repro.seq.sam import read_sam
 from repro.trinity.bowtie import BowtieConfig, BowtieIndex, ReadSeeds, align_seeds
 from repro.trinity.chrysalis.graph_from_fasta import (
     GraphFromFastaConfig,
@@ -39,7 +38,7 @@ from repro.trinity.inchworm import InchwormConfig, inchworm_assemble
 from repro.trinity.jellyfish import jellyfish_count
 from tests.helpers import assign_reads_batched, bowtie_align, sam_records
 from tests.reference_rtt import format_assignments, write_assignments
-from tests.reference_sam import format_sam, sam_line, write_sam
+from tests.reference_sam import format_sam, read_sam, sam_line, write_sam
 
 
 @pytest.fixture(scope="module")

@@ -1,71 +1,94 @@
 """Integration tests: the paper's central validation claim, as exact
-invariants — the hybrid MPI+OpenMP Chrysalis computes the same welds,
-pairs, components, read assignments and transcripts as the serial code.
+invariants — the hybrid MPI+OpenMP stages compute what the serial ones
+compute.
 
 (The paper shows statistical equivalence because real Trinity is
 nondeterministic across runs; our runs are seed-deterministic, so for a
 fixed seed we can assert *exact* equality, which is strictly stronger.)
+
+The property is stated once, per stage-table row: on one upstream chain
+of the smoke library, the row's serial body and rank 0 of its MPI body
+at 1, 3 and 8 ranks, under both deals, give equal outputs and equal file
+bytes, and every rank agrees with rank 0.  The classes after it compare
+whole runs of the two drivers.
 """
 
+from dataclasses import fields, is_dataclass, replace
+
+import numpy as np
 import pytest
 
+from repro.mpi import mpirun
 from repro.parallel import ParallelTrinityDriver
-from repro.parallel.driver import ParallelTrinityConfig
+from repro.parallel.driver import (
+    STAGE_TABLE,
+    ParallelTrinityConfig,
+    run_chain,
+    serial_launcher,
+)
 from repro.trinity import TrinityConfig, TrinityPipeline
+from repro.trinity.chrysalis.graph_from_fasta import WeldCandidate
+
+DEALS = ("round_robin", "dynamic")
+#: Output fields a rank holds for itself: its file paths, and the back
+#: end's quantified graphs of the components it owns.
+RANK_LOCAL = ("out_path", "part_path", "local_quants")
+
+
+def _plain(value):
+    """``value`` as plain comparable data: dataclasses by field (rank-local
+    fields left out), arrays by dtype and bytes, welds as a multiset (the
+    pooling collectives permute chunk order)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if is_dataclass(value):
+        return tuple(
+            (f.name, _plain(getattr(value, f.name)))
+            for f in fields(value) if f.name not in RANK_LOCAL
+        )
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        items = [_plain(item) for item in value]
+        return sorted(items) if value and isinstance(value[0], WeldCandidate) else items
+    return value
 
 
 @pytest.fixture(scope="module")
-def serial(smoke_reads):
-    return TrinityPipeline(TrinityConfig(seed=1)).run(smoke_reads)
+def upstream(smoke_reads, tmp_path_factory):
+    """The serial chain on the smoke library, and a directory for the
+    rows' files."""
+    cfg = ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nthreads=2)
+    chain = run_chain(cfg, smoke_reads, serial_launcher())
+    return chain, tmp_path_factory.mktemp("rows")
 
 
-@pytest.fixture(scope="module", params=[1, 2, 3, 5])
-def parallel(request, smoke_reads):
-    result = ParallelTrinityDriver(
-        ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=request.param, nthreads=4)
-    ).run(smoke_reads)
-    return result, {child.stage: child for child in result.children}
-
-
-class TestEquivalence:
-    def test_same_weld_multiset(self, serial, parallel):
-        par, _t = parallel
-        key = lambda w: (w.window, w.owner, w.seed_code)
-        assert sorted(map(key, serial.gff.welds)) == sorted(map(key, par.gff.welds))
-
-    def test_same_pairs(self, serial, parallel):
-        par, _t = parallel
-        assert serial.gff.pairs == par.gff.pairs
-
-    def test_same_components(self, serial, parallel):
-        par, _t = parallel
-        assert serial.gff.components == par.gff.components
-
-    def test_same_assignments(self, serial, parallel):
-        par, _t = parallel
-        s = [(a.read_index, a.component, a.shared_kmers) for a in serial.assignments]
-        p = [(a.read_index, a.component, a.shared_kmers) for a in par.assignments]
-        assert s == p
-
-    def test_same_transcripts(self, serial, parallel):
-        par, _t = parallel
-        assert sorted(t.seq for t in serial.transcripts) == sorted(
-            t.seq for t in par.transcripts
-        )
-
-    def test_virtual_times_recorded(self, parallel):
-        _par, timings = parallel
-        assert timings["mpi_graph_from_fasta"].makespan > 0
-        assert timings["mpi_reads_to_transcripts"].makespan > 0
-        assert timings["mpi_bowtie"].makespan > 0
-
-    def test_rank_returns_consistent(self, parallel):
-        par, timings = parallel
-        # Every rank returns identical pooled results.
-        first = timings["mpi_graph_from_fasta"].outputs[0]
-        for r in timings["mpi_graph_from_fasta"].outputs[1:]:
-            assert r.pairs == first.pairs
-            assert r.components == first.components
+@pytest.mark.timeout(300)
+@pytest.mark.parametrize("nprocs", [1, 3, 8])
+@pytest.mark.parametrize("key", [row.key for row in STAGE_TABLE])
+def test_mpi_body_equals_serial_body(upstream, key, nprocs):
+    chain, root = upstream
+    row = next(row for row in STAGE_TABLE if row.key == key)
+    inputs = row.inputs(chain)
+    want = row.serial(inputs, row.config(chain.cfg, root / "serial"))
+    configs = []
+    for deal in DEALS:  # a row without a deal has one config for both
+        config = row.config(replace(chain.cfg, butterfly_strategy=deal), root / f"{deal}{nprocs}")
+        if config not in configs:
+            configs.append(config)
+    for config in configs:
+        run = mpirun(row.fn, nprocs, inputs, config)
+        assert run.makespan > 0  # the launch charged virtual time
+        got = run.outputs[0].outputs
+        assert _plain(got) == _plain(want), config
+        for rank in run.outputs[1:]:
+            assert _plain(rank.outputs) == _plain(got), rank.rank
+        if hasattr(want, "local_quants"):
+            union = {cid: q for rank in run.outputs for cid, q in rank.outputs.local_quants.items()}
+            assert _plain(dict(sorted(union.items()))) == _plain(dict(sorted(want.local_quants.items())))
+        if row.file_key:
+            assert got.out_path.name == want.out_path.name
+            assert got.out_path.read_bytes() == want.out_path.read_bytes()
 
 
 class TestThreadedInchwormBytes:

@@ -77,8 +77,26 @@ class TestSmokeRun:
         assert 0.5 < len(other.transcripts) / max(1, len(smoke_result.transcripts)) < 2.0
 
     def test_empty_reads_rejected(self):
-        with pytest.raises(PipelineError):
-            TrinityPipeline().run([])
+        """Both drivers walk one chain, which refuses an empty read set
+        before any stage runs."""
+        from repro.parallel.driver import ParallelTrinityDriver
+
+        for driver in (TrinityPipeline(), ParallelTrinityDriver()):
+            with pytest.raises(PipelineError, match="no reads supplied"):
+                driver.run([])
+
+    def test_contigless_reads_rejected_with_the_hint(self, smoke_reads):
+        """Reads too sparse for any contig stop both drivers at the first
+        stage that needs contigs, naming ``k`` and ``min_kmer_count``."""
+        from repro.parallel.driver import ParallelTrinityConfig, ParallelTrinityDriver
+
+        cfg = TrinityConfig(seed=1, min_kmer_count=10_000)
+        for driver in (
+            TrinityPipeline(cfg),
+            ParallelTrinityDriver(ParallelTrinityConfig(trinity=cfg, nprocs=2, nthreads=2)),
+        ):
+            with pytest.raises(PipelineError, match="k=25 with min_kmer_count=10000"):
+                driver.run(smoke_reads[:20])
 
     def test_even_k_rejected(self):
         with pytest.raises(PipelineError):

@@ -11,7 +11,9 @@ largest shared k-mer count, ties to the smallest component id — and every
 ``assign_read`` case in ``tests/unit/test_reads_to_transcripts.py`` runs
 against it.  :func:`format_assignments` is the writer the columnar
 formatter replaced (``ReadAssignment.to_line`` per record), also moved
-unchanged.
+unchanged, and :func:`parse_assignment` (``ReadAssignment.from_line``)
+the parser the file tests read it back with: nothing in the pipeline
+reads ``readsToComponents.out``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Dict, Iterable, Union
 
 import numpy as np
 
+from repro.errors import PipelineError
 from repro.seq.kmer_index import KmerMap
 from repro.seq.kmers import kmer_array, revcomp_codes
 from repro.seq.records import SeqRecord
@@ -86,3 +89,18 @@ def write_assignments(path: Union[str, Path], assignments: Iterable[ReadAssignme
     assignments = list(assignments)
     Path(path).write_text(format_assignments(assignments), encoding="ascii")
     return len(assignments)
+
+
+def parse_assignment(line: str) -> ReadAssignment:
+    """One ``readsToComponents.out`` line back as its record."""
+    parts = line.rstrip("\n").split("\t")
+    if len(parts) != 6:
+        raise PipelineError(f"malformed assignment line: {line!r}")
+    return ReadAssignment(
+        read_index=int(parts[0]),
+        read_name=parts[1],
+        component=int(parts[2]),
+        shared_kmers=int(parts[3]),
+        region_start=int(parts[4]),
+        region_end=int(parts[5]),
+    )

@@ -75,6 +75,15 @@ class TestStageTable:
         assert STAGES == {row.name: row for row in STAGE_TABLE}
         assert list(STAGES.values()) == list(STAGE_TABLE)
 
+    def test_stage_submodules_are_not_shadowed(self):
+        """``repro.parallel.mpi_<stage>`` is the submodule, so a monkeypatch
+        on it reaches the body; the bodies are ``STAGES[...].fn`` /
+        ``.serial`` or the submodules' own names."""
+        names = [n for n in dir(repro.parallel) if n.startswith("mpi_")]
+        assert sorted(names) == sorted(row.fn.__name__ for row in STAGE_TABLE)
+        for name in names:
+            assert inspect.ismodule(getattr(repro.parallel, name)), name
+
     @pytest.mark.parametrize("name", NAMES)
     def test_outputs(self, one_rank, name):
         """A one-rank run's per-rank results: the row's inputs type went in,
@@ -156,12 +165,9 @@ class TestChrysalisFrontSurface:
         scalar loop is the oracle in ``tests/reference_rtt.py``)."""
         from dataclasses import fields
 
-        from repro.parallel import (
-            GffStageConfig,
-            RttStageConfig,
-            mpi_graph_from_fasta,
-            mpi_reads_to_transcripts,
-        )
+        from repro.parallel import GffStageConfig, RttStageConfig
+        from repro.parallel.mpi_graph_from_fasta import mpi_graph_from_fasta
+        from repro.parallel.mpi_reads_to_transcripts import mpi_reads_to_transcripts
         from repro.trinity import chrysalis
         from repro.trinity.chrysalis import reads_to_transcripts
 
@@ -436,12 +442,12 @@ class TestDeletedSurface:
         ),
         "repro.seq": (
             "is_valid_dna", "complement", "read_fastq", "write_fastq", "iter_fastq",
-            "FastaIndex", "split_fasta", "merge_sam_files", "write_sam",
+            "FastaIndex", "split_fasta", "merge_sam_files", "write_sam", "read_sam",
         ),
         "repro.seq.alphabet": ("decode_bases", "is_valid_dna", "complement"),
         "repro.seq.kmers": ("count_kmers_into", "shared_kmer_count"),
         "repro.seq.kmer_index": ("counter_from_reads",),
-        "repro.seq.sam": ("merge_sam_files", "format_sam", "write_sam"),
+        "repro.seq.sam": ("merge_sam_files", "format_sam", "write_sam", "read_sam"),
         "repro.simdata": ("simulate_reads",),
         "repro.simdata.expression": ("uniform_expression",),
         "repro.simdata.reads": ("simulate_reads",),
@@ -495,6 +501,8 @@ class TestDeletedSurface:
         # Text is rendered from columns; the per-record writers are oracles.
         assert not hasattr(SamRecord, "to_line")
         assert not hasattr(ReadAssignment, "to_line")
+        assert not hasattr(ReadAssignment, "from_line")  # tests/reference_rtt.py
+        assert not hasattr(SamRecord, "from_line")  # tests/reference_sam.py
 
     def test_one_schedule_no_knobs(self):
         from dataclasses import fields

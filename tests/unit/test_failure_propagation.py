@@ -146,12 +146,8 @@ class TestSharedCellRelease:
         fails while summing the pooled tables.  Its peers are leaving the
         ``allgatherv`` before it or waiting in ``shared()``; wherever they
         are released from, none hangs and each is only a secondary."""
-        import importlib
-
+        import repro.parallel.mpi_graph_from_fasta as stage
         from repro.seq.records import Contig, SeqRecord
-
-        # (the package re-exports a same-named function; fetch the module)
-        stage = importlib.import_module("repro.parallel.mpi_graph_from_fasta")
 
         def corrupt(tables):
             raise ValueError("corrupt weldmer payload")
@@ -184,9 +180,7 @@ class TestSharedCellRelease:
         the owner of ``chrysalis:route`` fails building the routing table;
         its peers wait on that cell (or on a later one) inside the region
         and are released as secondaries."""
-        import importlib
-
-        stage = importlib.import_module("repro.parallel.mpi_chrysalis_backend")
+        import repro.parallel.mpi_chrysalis_backend as stage
 
         def corrupt(assignments):
             raise ValueError("corrupt routing table")

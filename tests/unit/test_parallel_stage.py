@@ -1,35 +1,41 @@
 """Unit tests for the stage table's conventions.
 
-Every row of ``STAGE_TABLE`` runs a body ``fn(comm, inputs, config=None)``
-whose inputs and config bundles are exported, documented dataclasses,
-and no two rows share a name, a key or a body.  The checks below state
-those rules once; ``TestRegistry`` holds the shipped table to them and
-``TestDecorator`` shows each one rejects the bad row it exists for.
+Every row of ``STAGE_TABLE`` runs a body ``fn(comm, inputs, config=None)``,
+defined in its namesake submodule beside the row's serial body
+``serial(inputs, config=None, spans=None)``, whose inputs and config
+bundles are exported, documented dataclasses, and no two rows share a
+name, a key or a body.  The checks below state those rules once;
+``TestRegistry`` holds the shipped table to them and ``TestDecorator``
+shows each one rejects the bad row it exists for.
 """
 
 import inspect
 from dataclasses import dataclass, replace
 
-import repro.parallel
 from repro.obs.result import StageResult
 from repro.parallel import STAGES, ParallelTrinityConfig
 from repro.parallel.driver import STAGE_TABLE
 from tests.unit.test_api_surface import _is_documented_export
 
 STAGE_PARAMS = ("comm", "inputs", "config")
+SERIAL_PARAMS = ("inputs", "config", "spans")
 
 
 def _signature_faults(row):
-    """The body's calling convention: ``(comm, inputs, config=None)``,
-    exported from :mod:`repro.parallel`."""
-    params = list(inspect.signature(row.fn).parameters.values())
+    """The bodies' calling conventions: ``fn(comm, inputs, config=None)``
+    in the submodule ``repro.parallel.<fn name>``, and beside it
+    ``serial(inputs, config=None, spans=None)``."""
     faults = []
-    if tuple(p.name for p in params) != STAGE_PARAMS:
-        faults.append(f"{row.name}: signature {[p.name for p in params]}")
-    elif params[2].default is not None:
-        faults.append(f"{row.name}: config has no None default")
-    if getattr(repro.parallel, row.fn.__name__, None) is not row.fn:
-        faults.append(f"{row.name}: {row.fn.__name__} is not exported")
+    for fn, names in ((row.fn, STAGE_PARAMS), (row.serial, SERIAL_PARAMS)):
+        params = list(inspect.signature(fn).parameters.values())
+        if tuple(p.name for p in params) != names:
+            faults.append(f"{row.name}: signature {[p.name for p in params]}")
+        elif any(p.default is not None for p in params[names.index("inputs") + 1 :]):
+            faults.append(f"{row.name}: config has no None default")
+    if row.fn.__module__ != f"repro.parallel.{row.fn.__name__}":
+        faults.append(f"{row.name}: {row.fn.__name__} is not its submodule's namesake")
+    if row.serial.__module__ != row.fn.__module__:
+        faults.append(f"{row.name}: {row.serial.__name__} is not beside {row.fn.__name__}")
     return faults
 
 

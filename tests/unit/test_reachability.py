@@ -10,7 +10,8 @@ nor an ``__all__`` entry: a reference is a name or attribute *read* in
 code, or a string that is exactly the name outside ``__all__`` (what a
 registry hands to ``getattr``).  The scan is by bare name, so it is a
 floor, not a call graph: a name shared with some other used function
-passes.
+passes — except through a class: ``Cls.member``, where ``Cls`` names a
+class defined under ``src/repro``, counts for that class's member only.
 """
 
 import ast
@@ -60,7 +61,9 @@ def _definitions(path: Path, tree: ast.Module) -> Iterator[Tuple[str, str, Span]
                     )
 
 
-def _references(tree: ast.Module) -> Iterator[Tuple[str, int]]:
+def _references(tree: ast.Module, classes: FrozenSet[str]) -> Iterator[Tuple[str, int]]:
+    """(name, line) of each read; ``Cls.member`` on a class in ``classes``
+    is the qualified name."""
     exports = {
         id(const)
         for node in tree.body
@@ -72,7 +75,8 @@ def _references(tree: ast.Module) -> Iterator[Tuple[str, int]]:
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            yield (f"{owner}.{node.attr}" if owner in classes else node.attr), node.lineno
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
@@ -84,14 +88,19 @@ def _references(tree: ast.Module) -> Iterator[Tuple[str, int]]:
 
 @lru_cache(maxsize=None)
 def unreferenced_names() -> FrozenSet[str]:
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in _python_files()}
+    src = [(path, tree) for path, tree in trees.items()
+           if path.is_relative_to(REPO_ROOT / "src" / "repro")]
     defs: Dict[str, List[Tuple[str, Span]]] = {}  # bare name -> (qualified name, span)
-    refs: Dict[str, List[Tuple[Path, int]]] = {}
-    for path in _python_files():
-        tree = ast.parse(path.read_text(), filename=str(path))
-        if path.is_relative_to(REPO_ROOT / "src" / "repro"):
-            for name, qualname, span in _definitions(path, tree):
-                defs.setdefault(name, []).append((qualname, span))
-        for name, line in _references(tree):
+    for path, tree in src:
+        for name, qualname, span in _definitions(path, tree):
+            defs.setdefault(name, []).append((qualname, span))
+    classes = frozenset(
+        node.name for _path, tree in src for node in tree.body if isinstance(node, ast.ClassDef)
+    )
+    refs: Dict[str, List[Tuple[Path, int]]] = {}  # bare or ``Cls.member`` name -> sites
+    for path, tree in trees.items():
+        for name, line in _references(tree, classes):
             refs.setdefault(name, []).append((path, line))
 
     def inside_own_body(name: str, path: Path, line: int) -> bool:
@@ -100,8 +109,12 @@ def unreferenced_names() -> FrozenSet[str]:
     return frozenset(
         qualname
         for name, entries in defs.items()
-        if not any(not inside_own_body(name, p, line) for p, line in refs.get(name, ()))
         for qualname, _span in entries
+        if not any(
+            not inside_own_body(name, p, line)
+            for key in {name, qualname}
+            for p, line in refs.get(key, ())
+        )
     )
 
 

@@ -17,7 +17,12 @@ from repro.trinity.chrysalis.reads_to_transcripts import (
     stream_chunks,
 )
 from tests.helpers import assign_reads_batched
-from tests.reference_rtt import assign_read, assignment_line, write_assignments
+from tests.reference_rtt import (
+    assign_read,
+    assignment_line,
+    parse_assignment,
+    write_assignments,
+)
 
 K = 9
 SRC_A = "ATCGGATTACAGTCCGGTTAACGAGCTTGGCATGCAT"
@@ -113,7 +118,7 @@ class TestStreaming:
 
 
 def read_assignments(path):
-    return [ReadAssignment.from_line(line) for line in path.read_text().splitlines()]
+    return [parse_assignment(line) for line in path.read_text().splitlines()]
 
 
 class TestFileFormat:
@@ -128,7 +133,7 @@ class TestFileFormat:
 
     def test_malformed_line_rejected(self):
         with pytest.raises(PipelineError):
-            ReadAssignment.from_line("1\t2\t3")
+            parse_assignment("1\t2\t3")
 
     def test_driver_writes_file(self, setup, tmp_path):
         contigs, comps, cfg, _m = setup

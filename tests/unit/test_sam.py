@@ -1,17 +1,11 @@
-"""Unit tests for SAM records, the header and the reader (lines written by
-the per-record oracle ``tests/reference_sam.py``)."""
+"""Unit tests for SAM records, the header and the test oracle's reader
+(lines written by the per-record oracle ``tests/reference_sam.py``)."""
 
 import pytest
 
 from repro.errors import SequenceError
-from repro.seq.sam import (
-    FLAG_REVERSE,
-    FLAG_UNMAPPED,
-    SamRecord,
-    read_sam,
-    sam_header,
-)
-from tests.reference_sam import sam_line, write_sam
+from repro.seq.sam import FLAG_REVERSE, FLAG_UNMAPPED, SamRecord, sam_header
+from tests.reference_sam import parse_sam_line, read_sam, sam_line, write_sam
 
 
 def rec(name="r1", flag=0, rname="c1", pos=5, nm=-1):
@@ -21,13 +15,13 @@ def rec(name="r1", flag=0, rname="c1", pos=5, nm=-1):
 class TestRecord:
     def test_roundtrip_line(self):
         r = rec(nm=2)
-        assert SamRecord.from_line(sam_line(r)) == r
+        assert parse_sam_line(sam_line(r)) == r
 
     def test_roundtrip_without_nm(self):
         r = rec()
         line = sam_line(r)
         assert "NM:i:" not in line
-        assert SamRecord.from_line(line) == r
+        assert parse_sam_line(line) == r
 
     def test_flags(self):
         assert rec(flag=FLAG_UNMAPPED).is_unmapped
@@ -40,7 +34,7 @@ class TestRecord:
 
     def test_malformed_line_rejected(self):
         with pytest.raises(SequenceError):
-            SamRecord.from_line("too\tfew\tfields")
+            parse_sam_line("too\tfew\tfields")
 
 
 class TestHeader:

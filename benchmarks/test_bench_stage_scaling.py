@@ -157,7 +157,7 @@ def test_bench_stage_scales(benchmark, best_launch, library, case):
 
 def test_bench_dynamic_deal_beats_round_robin(benchmark, best_launch):
     """Contig-only (walk-only) components, 24 of them with a 12x heavy one
-    at every stride-8 id — under the chunked round-robin all three heavies
+    at every stride-8 id — under the round robin (`i mod p`) all three heavies
     land on rank 0, one per rank under LPT.  One walk thread per rank:
     with spare threads a rank's time is the max, not the sum, of its
     components and the two deals converge."""

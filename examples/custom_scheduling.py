@@ -11,8 +11,8 @@ order and compares three distribution strategies at several node counts:
 Run:  python examples/custom_scheduling.py
 """
 
-from repro.cluster.costmodel import CALIBRATION
 from repro.cluster.workload import build_workload
+from repro.parallel.chunks import chunk_size
 from repro.parallel.scaling import TEAM, chunk_makespans, rank_loads
 from repro.util.fmt import format_table
 
@@ -20,12 +20,12 @@ from repro.util.fmt import format_table
 def main() -> None:
     workload = build_workload(seed=0, order="abundance")
     costs = workload.loop2_costs
-    # A round-robin rank runs its chunks one after another on its team.
-    chunks = chunk_makespans(costs, CALIBRATION.chunk_size(costs.size))
     rows = []
     for nodes in (16, 32, 64, 128):
         sb = rank_loads(costs, nodes, "static_block").max()
-        rr = rank_loads(chunks, nodes, nthreads=1, chunk_size=1).max()
+        # A round-robin rank runs its chunks one after another on its team.
+        chunks = chunk_makespans(costs, chunk_size(costs.size, nodes, TEAM))
+        rr = rank_loads(chunks, nodes, nthreads=1).max()
         # One global work queue over all node-threads: the achievable floor.
         ideal = rank_loads(costs, 1, "static_block", nthreads=nodes * TEAM).max()
         rows.append(

@@ -106,17 +106,6 @@ class PaperCalibration:
     bowtie_index_build_s: float = 900.0  # full-index build; scales with piece
     sam_merge_s_per_piece: float = 4.0
 
-    # ---- chunking ----
-    #: Number of contigs per round-robin chunk for the paper-scale
-    #: workload.  The paper sets the OpenMP chunk "proportional to the
-    #:  number of Inchworm contigs divided by the number of threads"; at
-    #: 1.1 M contigs this default gives 512 chunks, few enough that the
-    #: long cost tail produces the Fig 7 imbalance at 192 ranks.
-    chunks_total: int = 512
-
-    def chunk_size(self, n_items: int) -> int:
-        return max(1, n_items // self.chunks_total)
-
 
 #: The library-wide default calibration.
 CALIBRATION = PaperCalibration()

@@ -4,8 +4,10 @@ The paper does not publish its chunk-size constant, and our one known
 divergence from Figure 7 (EXPERIMENTS.md) hinges on it: with few chunks
 per rank, count lumpiness at non-divisor node counts produces exactly the
 loop-2 collapse the paper measures at 192 nodes.  This ablation sweeps
-``chunks_total`` and reports loop-2 time and imbalance at 128 and 192
-nodes, exposing the regime where the paper's regression appears.
+the ``chunks_total`` of the stages' own chunk rule
+(:func:`repro.parallel.chunks.chunk_size`) and reports loop-2 time and
+imbalance at 128 and 192 nodes, exposing the regime where the paper's
+regression appears.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.cluster.workload import build_workload
-from repro.parallel.chunks import chunks_for_rank
-from repro.parallel.scaling import chunk_makespans, rank_loads
+from repro.parallel.chunks import chunk_size, chunks_for_rank
+from repro.parallel.scaling import TEAM, chunk_makespans, rank_loads
 from repro.util.fmt import format_table
 
 
@@ -59,12 +59,12 @@ def run(nprocs: int = 4, nthreads: int = 2, seed: int = 0) -> Fig03Result:
     # sank the authors' first, pre-allocated strategy — at 64 nodes x 16
     # threads.  A round-robin rank runs its chunks one after another.
     costs = build_workload(seed=seed, order="abundance").loop2_costs
-    chunks = chunk_makespans(costs, max(1, costs.size // 512))
+    chunks = chunk_makespans(costs, chunk_size(costs.size, 64, TEAM))
     return Fig03Result(
         nprocs=nprocs,
         nthreads=nthreads,
         n_chunks=n_chunks,
         dealing=dealing,
-        round_robin_makespan=float(rank_loads(chunks, 64, nthreads=1, chunk_size=1).max()),
+        round_robin_makespan=float(rank_loads(chunks, 64, nthreads=1).max()),
         static_block_makespan=float(rank_loads(costs, 64, "static_block").max()),
     )

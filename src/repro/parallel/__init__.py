@@ -51,7 +51,7 @@ kernels alone): what the serial pipeline runs and the MPI body equals.
   regenerate the scaling figures.
 """
 
-from repro.parallel.chunks import chunk_ranges, chunks_for_rank, rank_items
+from repro.parallel.chunks import chunk_ranges, chunks_for_rank
 from repro.parallel.mpi_bowtie import BowtieInputs, BowtieOutputs, BowtieStageConfig
 from repro.parallel.mpi_chrysalis_backend import (
     ChrysalisBackendInputs,
@@ -72,7 +72,6 @@ __all__ = [
     "with_retry",
     "chunk_ranges",
     "chunks_for_rank",
-    "rank_items",
     "BowtieInputs",
     "BowtieOutputs",
     "BowtieStageConfig",

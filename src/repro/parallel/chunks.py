@@ -4,7 +4,8 @@
 each MPI process getting a chunk, distributing to its multiple threads,
 and then working on the next chunk."  Chunk *i* goes to rank
 ``i mod nprocs``; within a rank, each chunk's items are spread over the
-OpenMP threads with dynamic scheduling.
+OpenMP threads with dynamic scheduling.  :func:`chunk_size` is the one
+sizing rule, for the stages and the paper-scale replays alike.
 
 The paper warns about the final partial chunk ("the end index of the
 inner thread loop might have to be changed depending on how many Inchworm
@@ -14,7 +15,7 @@ property test asserts the partition is exact for all inputs.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import ScheduleError
 
@@ -47,26 +48,29 @@ def chunks_for_rank(total_chunks: int, rank: int, nprocs: int) -> List[int]:
     return list(range(rank, total_chunks, nprocs))
 
 
-def rank_items(
-    n_items: int, chunk_size: int, rank: int, nprocs: int
-) -> Iterator[Tuple[int, int]]:
-    """(start, stop) item ranges of every chunk owned by ``rank`` (its own
-    entries of :func:`chunk_ranges`, without building everyone's)."""
-    for c in chunks_for_rank(n_chunks(n_items, chunk_size), rank, nprocs):
-        yield c * chunk_size, min((c + 1) * chunk_size, n_items)
+#: The paper-scale replays' chunk count: at 1.1 M contigs it gives 2 148
+#: contigs a chunk, few enough chunks that the long cost tail produces the
+#: Fig 7 imbalance at 192 ranks.
+CHUNKS_TOTAL = 512
 
 
-def default_chunk_size(n_items: int, nprocs: int, nthreads: int) -> int:
-    """The paper's chunk sizing: "proportional to the number of Inchworm
+def chunk_size(
+    n_items: int, nprocs: int, nthreads: int, chunks_total: int = CHUNKS_TOTAL
+) -> int:
+    """The one chunk sizing, "proportional to the number of Inchworm
     contigs divided by the number of threads".
 
-    We use ``n_items / (nprocs * nthreads * oversubscription)`` with 8x
-    oversubscription so each rank sees several chunks even at 192 nodes
-    (fewer chunks than ranks would idle ranks entirely).
+    Where ``n_items >= nprocs * nthreads`` each rank gets
+    ``n_items // (nprocs * nthreads)`` chunks of at least ``nthreads``
+    items, so every chunk fills its rank's team; below that each rank gets
+    about one chunk.  Never finer than ``n_items // chunks_total``: that
+    floor keeps the paper-scale replay's chunks at every node count, and
+    where it binds some ranks may get no chunk.
     """
-    if nprocs <= 0 or nthreads <= 0:
-        raise ScheduleError("nprocs and nthreads must be positive")
-    return max(1, n_items // (nprocs * nthreads * 8))
+    if nprocs <= 0 or nthreads <= 0 or chunks_total <= 0:
+        raise ScheduleError("nprocs, nthreads and chunks_total must be positive")
+    per_rank = max(1, n_items // (nprocs * nthreads))
+    return max(n_items // (nprocs * per_rank), n_items // chunks_total, 1)
 
 
 def static_block_ranges(n_items: int, rank: int, nprocs: int) -> Tuple[int, int]:

@@ -13,8 +13,9 @@ body + wire tuple* (:mod:`repro.parallel.mpi_chrysalis_backend`,
 
 Two dealing strategies:
 
-* ``"round_robin"`` — the paper's chunked round-robin over the id list
-  (:mod:`repro.parallel.chunks`, Fig 3), cost-blind;
+* ``"round_robin"`` — id ``i`` of the list to rank ``i mod p``,
+  cost-blind.  A rank runs its whole list as one team, so there is no
+  chunk to fill: one-item chunks spread the ids most evenly;
 * ``"dynamic"`` — LPT: the items in descending predicted cost, each to
   the least-loaded rank.  Every rank holds the cost vector, so every rank
   evaluates the same pure deal and takes its own row — no messages, as
@@ -31,7 +32,7 @@ from typing import Any, Callable, List, Optional, Sequence, Union
 
 from repro.errors import PipelineError
 from repro.mpi.comm import SimComm
-from repro.parallel.chunks import default_chunk_size, rank_items, static_block_ranges
+from repro.parallel.chunks import static_block_ranges
 from repro.parallel.recovery import with_retry
 from repro.seq.fasta import format_fasta
 
@@ -47,17 +48,6 @@ def check_strategy(strategy: str, what: str) -> None:
         raise PipelineError(
             f"unknown {what} strategy {strategy!r}; known: {STRATEGIES}"
         )
-
-
-def round_robin_assign(
-    ids: Sequence[int], rank: int, nprocs: int, chunk_size: int
-) -> List[int]:
-    """``rank``'s ids under the chunked round-robin (chunk i -> rank i mod p)."""
-    return [
-        ids[i]
-        for start, stop in rank_items(len(ids), chunk_size, rank, nprocs)
-        for i in range(start, stop)
-    ]
 
 
 def lpt_assign(
@@ -83,21 +73,15 @@ def assign(
     ids: Sequence[int],
     nprocs: int,
     costs: Optional[Sequence[float]] = None,
-    *,
-    nthreads: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> List[List[int]]:
     """Every rank's ids under one deal; pure in its arguments.
 
-    ``costs`` is indexable by id and read only under ``"dynamic"``;
-    ``chunk_size`` is round-robin only and defaults to the paper's sizing
-    over ``nthreads`` threads per rank.
+    ``costs`` is indexable by id and read only under ``"dynamic"``; the
+    round robin gives rank ``r`` the ids ``ids[r::nprocs]``.
     """
     if strategy == "dynamic":
         return lpt_assign([float(costs[i]) for i in ids], ids, nprocs)
-    if chunk_size is None:
-        chunk_size = default_chunk_size(len(ids), nprocs, nthreads)
-    return [round_robin_assign(ids, r, nprocs, chunk_size) for r in range(nprocs)]
+    return [list(ids[r::nprocs]) for r in range(nprocs)]
 
 
 def deal(
@@ -107,7 +91,6 @@ def deal(
     costs: Optional[Sequence[float]],
     *,
     strategy: str,
-    nthreads: int,
 ) -> List[int]:
     """The ``<prefix>:deal`` region: row ``comm.rank`` of :func:`assign`.
 
@@ -115,7 +98,7 @@ def deal(
     ``mpirun`` (a ``comm.shared`` entry, uncharged like the round-robin's
     index arithmetic).
     """
-    lists = partial(assign, strategy, ids, comm.size, costs, nthreads=nthreads)
+    lists = partial(assign, strategy, ids, comm.size, costs)
     with comm.region(f"{prefix}:deal", strategy=strategy):
         if strategy == "dynamic":
             dealt = comm.shared(f"{prefix}:deal", lists, cost=0.0)

@@ -100,8 +100,8 @@ class ParallelTrinityConfig:
     faults: Optional[FaultPlan] = None
     #: Component-dealing strategy for the component-parallel stages
     #: (Inchworm and the fused Chrysalis back end): ``"round_robin"``
-    #: (cost-blind chunked deal) or ``"dynamic"`` (LPT over the
-    #: per-component cost model).
+    #: (cost-blind, item ``i`` to rank ``i mod p``) or ``"dynamic"`` (LPT
+    #: over the per-component cost model).
     butterfly_strategy: str = "round_robin"
 
     def __post_init__(self) -> None:

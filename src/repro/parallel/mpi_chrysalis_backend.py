@@ -13,10 +13,10 @@ This stage fuses the whole back-end chain — **orient → fasta_to_debruijn
 stage on the :mod:`repro.parallel.component_stage` skeleton.  What is
 dealt is a **(component, read block)** unit (:func:`read_block_units`),
 a component with no more than a pack block of routed reads being one:
-cost-blind round-robin over the unit list, or LPT (``dynamic``) over
-``READ_COST x block reads`` with the component's walk term
-(:func:`estimated_component_cost`) riding on its block 0 — whose
-rank is the component's **owner**.  A rank packs the reads of its units
+cost-blind round-robin over the unit list (unit ``i`` to rank
+``i mod p``), or LPT (``dynamic``) over ``READ_COST x block reads``
+with the component's walk term (:func:`estimated_component_cost`)
+riding on its block 0 — whose rank is the component's **owner**.  A rank packs the reads of its units
 once (:func:`~repro.trinity.chrysalis.quantify.pack_routed_reads`; a
 unit's windows are one slice; DESIGN §5.20) and its OpenMP team counts
 them, one unit per task, against the component's contig-built graph
@@ -317,9 +317,7 @@ def mpi_chrysalis_backend(
 
     # -- deal units across ranks ---------------------------------------------
     mine = component_stage.deal(
-        comm, "chrysalis", range(len(units)), costs,
-        strategy=config.strategy,
-        nthreads=config.nthreads,
+        comm, "chrysalis", range(len(units)), costs, strategy=config.strategy
     )
     owned = [units[u][0] for u in mine if units[u][1] == 0]
 

@@ -1,10 +1,11 @@
 """Hybrid MPI+OpenMP GraphFromFasta (paper SS:III.B).
 
 Each of the two compute loops is distributed with the chunked round-robin
-strategy; after each loop the per-rank results are pooled on *every* rank
-with ``allgatherv`` — strings (packed welding subsequences) after loop 1,
-a flat int array (pair indices) after loop 2, exactly the wire formats
-the paper describes.  The paper's non-MPI regions run redundantly on
+strategy, its chunks sized by :func:`~repro.parallel.chunks.chunk_size`
+to fill each rank's OpenMP team; after each loop the per-rank results
+are pooled on *every* rank with ``allgatherv`` — strings (packed welding
+subsequences) after loop 1, a flat int array (pair indices) after loop
+2, exactly the wire formats the paper describes.  The paper's non-MPI regions run redundantly on
 every *real* rank, which is why their share of total time grows with node
 count (Figure 8); here that is true of the shared-seed array over the
 contigs, the weld index and component construction only.  In the
@@ -13,9 +14,9 @@ simulation those read-only structures are built once per run through
 single-rank build cost on its virtual clock, but the host no longer pays
 O(nprocs x setup) wall-clock.  The read weldmer scan, the dominant share
 of that setup and the paper's named future work (SS:VI), is
-owner-computes: each rank scans its round-robin blocks of the reads once
-(a weldmer is a pair of packed k-mer codes, the scan array passes), and
-the partial tables are pooled with a third ``allgatherv`` as the kernel's
+owner-computes: each rank scans one contiguous block of the reads once,
+as Bowtie deals them (a weldmer is a pair of packed k-mer codes, the
+scan array passes), and the partial tables are pooled with a third ``allgatherv`` as the kernel's
 ``(hi, lo, counts)`` arrays — 24 B per distinct weldmer — summed by key
 and decoded to the strings loop 2 probes once per run.
 
@@ -36,7 +37,7 @@ from repro.mpi.comm import SimComm
 from repro.mpi.datatypes import pack_int_pairs, pack_strings, unpack_int_pairs, unpack_strings
 from repro.obs.result import StageResult
 from repro.obs.span import Span, host_stage
-from repro.parallel.chunks import chunk_ranges, chunks_for_rank, default_chunk_size, rank_items
+from repro.parallel.chunks import chunk_ranges, chunk_size, chunks_for_rank, static_block_ranges
 from repro.parallel.recovery import with_retry
 from repro.seq.records import Contig, SeqRecord
 from repro.trinity.chrysalis.components import build_components
@@ -87,7 +88,7 @@ def mpi_graph_from_fasta(
     contigs, reads, extra_pairs = inputs.contigs, inputs.reads, inputs.extra_pairs
     cfg = config.gff
     nthreads = config.nthreads
-    ranges = chunk_ranges(len(contigs), default_chunk_size(len(contigs), comm.size, nthreads))
+    ranges = chunk_ranges(len(contigs), chunk_size(len(contigs), comm.size, nthreads))
     my_chunks = chunks_for_rank(len(ranges), comm.rank, comm.size)
 
     # Simulated input-FASTA read: the retryable I/O point for flaky-I/O
@@ -100,16 +101,12 @@ def mpi_graph_from_fasta(
     with comm.region("gff:setup", serial=True):
         shared_seeds = comm.shared("gff:setup", lambda: shared_seed_array(contigs, cfg))
 
-    # -- read weldmer scan, owner-computes: each rank scans its round-robin
-    # blocks of the reads and the partial tables are pooled like the welds
-    # below.  Still setup (same label), no longer serial.
+    # -- read weldmer scan, owner-computes: each rank scans its block of the
+    # reads and the partial tables are pooled like the welds below (summed
+    # by key, so any deal gives the same table).  Still setup (same label),
+    # no longer serial.
     with comm.region("gff:setup"):
-        read_block = default_chunk_size(len(reads), comm.size, nthreads)
-        mine = [
-            reads[i]
-            for start, stop in rank_items(len(reads), read_block, comm.rank, comm.size)
-            for i in range(start, stop)
-        ]
+        mine = reads[slice(*static_block_ranges(len(reads), comm.rank, comm.size))]
         with comm.compute("gff:weldmer_scan", reads=len(mine)) as scan:
             my_weldmers = scan_weldmers(mine, shared_seeds, cfg)
             n_hits = scan.attrs["hits"] = int(my_weldmers[2].sum())

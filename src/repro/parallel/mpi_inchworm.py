@@ -18,7 +18,7 @@ factors exactly over the components of the k-mer overlap graph
    ``comm.shared``, charged per-rank, the stage's serial region — is the
    filtered counter and the component labelling of the pooled probe,
    with each position's dense component id and each component's cost;
-2. components are dealt to ranks — chunked ``"round_robin"`` or
+2. components are dealt to ranks — ``"round_robin"`` (``i mod p``) or
    LPT ``"dynamic"``, the one deal of
    :mod:`repro.parallel.component_stage` — with per-component cost =
    the sum of member k-mer counts;
@@ -180,11 +180,7 @@ def mpi_inchworm(
 
     # -- deal components across ranks ----------------------------------------
     cids = list(range(len(costs)))
-    mine = component_stage.deal(
-        comm, "inchworm", cids, costs,
-        strategy=config.strategy,
-        nthreads=config.n_threads,
-    )
+    mine = component_stage.deal(comm, "inchworm", cids, costs, strategy=config.strategy)
 
     # -- rows over my components, then the walks; only keyed strings ship -----
     with comm.region(

@@ -10,15 +10,16 @@ that in:
   attribution.
 * **Rank loss** (fail-stop crash) is recovered by
   :func:`mpirun_with_recovery`: the stage is relaunched on the surviving
-  ranks and the paper's ``i mod p`` chunked round-robin map re-deals
-  every chunk — including the dead rank's — over the new ``p``.  No
-  per-rank state needs migrating: GraphFromFasta pools results on every
-  rank (and the read-block deal of its sharded weldmer scan is a function
-  of ``p`` alone), ReadsToTranscripts re-reads the whole file anyway
+  ranks and the paper's ``i mod p`` round-robin map re-deals every
+  chunk — including the dead rank's — over the new ``p``.  No per-rank
+  state needs migrating: GraphFromFasta pools results on every rank
+  (and the read blocks of its sharded weldmer scan are a function of
+  ``p`` alone), ReadsToTranscripts re-reads the whole file anyway
   (redundant I/O), MPI Bowtie re-splits the contigs into ``p - 1``
   pieces, and the distributed Butterfly re-deals its components
-  (both the round-robin and the LPT assignments are pure functions of
-  the workload and the new ``p``, evaluated by every rank).  Stage outputs are
+  (both the round robin, item ``i`` to rank ``i mod p``, and the LPT
+  assignments are pure functions of the workload and the new ``p``,
+  evaluated by every rank).  Stage outputs are
   therefore identical to a fault-free run — a tested invariant.
 
 Faults and recoveries are recorded on the run itself: ``fault`` spans on
@@ -105,7 +106,7 @@ def mpirun_with_recovery(
     On a :class:`~repro.errors.RankCrash` primary failure, the dead
     rank's faults are dropped (:meth:`FaultPlan.restrict`), the virtual
     time burnt by the failed attempt (its makespan at abort) is banked,
-    and the stage is relaunched with ``p - 1`` ranks — the chunked
+    and the stage is relaunched with ``p - 1`` ranks — the ``i mod p``
     round-robin map redistributes the dead rank's work automatically.
     Repeats up to ``max_rank_losses`` times while a rank survives.
     Non-crash failures (genuine bugs, exhausted retries) are re-raised

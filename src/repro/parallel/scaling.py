@@ -30,7 +30,7 @@ from repro.errors import ScheduleError
 from repro.mpi.network import IDATAPLEX_FDR10
 from repro.obs.span import Span, append_stage
 from repro.openmp.schedule import dynamic_makespan
-from repro.parallel.chunks import chunk_ranges, static_block_ranges
+from repro.parallel.chunks import CHUNKS_TOTAL, chunk_ranges, chunk_size, static_block_ranges
 from repro.parallel.component_stage import STRATEGIES, assign
 from repro.simdata.datasets import SUGARBEET_PAPER
 
@@ -96,12 +96,10 @@ def rank_loads(
     nodes: int,
     strategy: str = "round_robin",
     nthreads: int = TEAM,
-    chunk_size: Optional[int] = None,
 ) -> np.ndarray:
     """Each rank's time under one deal of the items.
 
-    ``round_robin`` — the paper's chunked round-robin (chunk ``i`` to rank
-    ``i mod nodes``; ``chunk_size`` defaults to the stages' sizing) and
+    ``round_robin`` — item ``i`` to rank ``i mod nodes`` — and
     ``dynamic`` — LPT — are :func:`~repro.parallel.component_stage.assign`'s
     lists, the ones every rank's ``deal`` takes its row of;
     ``static_block`` — the paper's rejected pre-allocation.  A rank runs
@@ -113,9 +111,7 @@ def rank_loads(
     if strategy == "static_block":
         dealt = [range(*static_block_ranges(costs.size, r, nodes)) for r in range(nodes)]
     elif strategy in STRATEGIES:
-        dealt = assign(
-            strategy, range(costs.size), nodes, costs, nthreads=nthreads, chunk_size=chunk_size
-        )
+        dealt = assign(strategy, range(costs.size), nodes, costs)
     else:
         raise ScheduleError(f"unknown strategy {strategy!r}")
     return np.array(
@@ -141,26 +137,32 @@ def simulate_gff(
     nodes: Sequence[int],
     workload: ChrysalisWorkload,
     strategy: str = "round_robin",
-    chunks_total: int = CALIBRATION.chunks_total,
+    chunks_total: int = CHUNKS_TOTAL,
 ) -> List[ScalingPoint]:
     """Hybrid GraphFromFasta, 16 threads per node (Fig 7: 16-192 nodes).
 
-    A chunk's team makespan does not depend on the node count, so the
-    chunks are timed once and dealt whole at every node count; the
-    static-block deal hands each rank one block of contigs instead.
+    The chunks are sized by the stage's own :func:`chunk_size`.  A chunk's
+    team makespan does not depend on the node count, so each chunk size
+    is timed once and its chunks dealt whole; the static-block deal hands
+    each rank one block of contigs instead.
     """
     cal = CALIBRATION
     loops = (workload.loop1_costs, workload.loop2_costs)
-    if strategy == "static_block":
-        items, team = loops, TEAM
-    else:
-        size = max(1, workload.n_contigs // chunks_total)
-        items, team = [chunk_makespans(c, size) for c in loops], 1
+    timed: Dict[int, List[np.ndarray]] = {}  # chunk size -> each loop's chunk makespans
+
+    def loop_loads(n: int, loop: int) -> np.ndarray:
+        if strategy == "static_block":
+            return rank_loads(loops[loop], n, strategy)
+        size = chunk_size(workload.n_contigs, n, TEAM, chunks_total)
+        if size not in timed:
+            timed[size] = [chunk_makespans(c, size) for c in loops]
+        return rank_loads(timed[size][loop], n, strategy, 1)
+
     return [
         ScalingPoint.of(
             n,
-            loop1=rank_loads(items[0], n, strategy, team, 1) + cal.gff_loop1_rank_overhead_s,
-            loop2=rank_loads(items[1], n, strategy, team, 1) + cal.gff_loop2_rank_overhead_s,
+            loop1=loop_loads(n, 0) + cal.gff_loop1_rank_overhead_s,
+            loop2=loop_loads(n, 1) + cal.gff_loop2_rank_overhead_s,
             comm=NETWORK.allgatherv(n, workload.weld_payload_bytes)
             + NETWORK.allgatherv(n, workload.pair_payload_bytes),
             setup=cal.gff_serial_region_s,
@@ -191,7 +193,7 @@ def simulate_rtt(
     return [
         ScalingPoint.of(
             n,
-            loop=rank_loads(workload.rtt_chunk_costs, n, "round_robin", 1, 1) + read_s,
+            loop=rank_loads(workload.rtt_chunk_costs, n, "round_robin", 1) + read_s,
             setup=cal.rtt_assign_s,
             concat=cal.rtt_concat_s,
         )

@@ -250,9 +250,10 @@ for _b in range(256):
 def revcomp_code(code: int, k: int) -> int:
     """Scalar reverse-complement of one packed k-mer code.
 
-    Table-driven (4 bases per lookup) — the hot path of Inchworm's
-    per-candidate canonicalisation, where a vectorised call on a
-    1-element array costs ~100x more than this.
+    Table-driven (4 bases per lookup), for one code at a time, where a
+    vectorised call on a 1-element array costs ~100x more.  Its callers,
+    through :func:`canonical_code`, are Figure 1's extension walk and the
+    test oracles; array code uses :func:`revcomp_codes`.
     """
     _check_k(k)
     nbits = 2 * k

@@ -30,9 +30,9 @@ import numpy as np
 
 from repro.errors import PipelineError
 from repro.seq.kmer_index import KmerCounterBuilder
-from repro.seq.kmers import kmer_array, revcomp_codes
+from repro.seq.kmers import base_blocks
 from repro.seq.records import SeqRecord
-from repro.trinity.jellyfish import JellyfishCounts
+from repro.trinity.jellyfish import JellyfishCounts, _batch_codes
 
 PathLike = Union[str, Path]
 
@@ -147,17 +147,14 @@ def _spill(
     stats: DskStats,
     canonical: bool,
 ) -> None:
-    """Pass 1: stream reads, hash each k-mer to its partition file."""
+    """Pass 1: stream the reads a pack block at a time, encoded as
+    Jellyfish encodes them, and hash each k-mer to its partition file."""
     buffers: List[List[np.ndarray]] = [[] for _ in part_paths]
     buffered: List[int] = [0] * len(part_paths)
     handles = [open(p, "wb") for p in part_paths]
     try:
-        for rec in reads:
-            arr = kmer_array(rec.seq, k)
-            if arr.size == 0:
-                continue
-            if canonical:
-                arr = np.minimum(arr, revcomp_codes(arr, k))
+        for block in base_blocks(rec.seq for rec in reads):
+            arr = _batch_codes(block, k, canonical)
             stats.n_kmers_streamed += int(arr.size)
             parts = _partition_of(arr, cfg.n_partitions)
             for p in np.flatnonzero(np.bincount(parts.astype(np.intp))).tolist():

@@ -3,9 +3,8 @@
 Both strategies must partition the ids exactly for every (nprocs, ids,
 costs) — including all-equal and all-zero costs and fewer ids than
 ranks; LPT is deterministic with (id, rank) tie-breaks and within the
-classic greedy bound; the round-robin branch is the spelled-out
-``chunk_ranges`` / ``chunks_for_rank`` comprehension every stage used to
-carry; and the ids each rank's ``deal`` region takes under ``mpirun``
+classic greedy bound; the round robin is ``ids[r::p]``, which LPT at
+equal costs also is; and the ids each rank's ``deal`` region takes under ``mpirun``
 are the pure function's rows, with nothing sent.
 """
 
@@ -16,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpi import mpirun
-from repro.parallel.chunks import chunk_ranges, chunks_for_rank
-from repro.parallel.component_stage import assign, deal, lpt_assign, round_robin_assign
+from repro.parallel.component_stage import assign, deal, lpt_assign
 
 nprocs_st = st.integers(min_value=1, max_value=9)
 
@@ -75,24 +73,17 @@ def test_equal_costs_deal_ids_in_order_round_the_ranks(data, nprocs):
     assert dealt == [ids[r::nprocs] for r in range(nprocs)]
 
 
-@given(ids_and_costs(), nprocs_st, st.integers(min_value=1, max_value=12))
-def test_round_robin_is_the_spelled_out_chunk_comprehension(data, nprocs, chunk_size):
+@given(ids_and_costs(), nprocs_st)
+def test_round_robin_is_i_mod_p(data, nprocs):
     ids, _costs = data
-    ranges = chunk_ranges(len(ids), chunk_size)
-    per_rank = []
-    for rank in range(nprocs):
-        expected = [
-            ids[i]
-            for c in chunks_for_rank(len(ranges), rank, nprocs)
-            for i in range(*ranges[c])
-        ]
-        assert round_robin_assign(ids, rank, nprocs, chunk_size) == expected
-        per_rank.append(expected)
-    _assert_partition(per_rank, ids)
+    dealt = assign("round_robin", ids, nprocs)
+    _assert_partition(dealt, ids)
+    assert dealt == [ids[r::nprocs] for r in range(nprocs)]
+    assert dealt == lpt_assign([1.0] * len(ids), ids, nprocs)
 
 
 def _deal_body(comm, ids, costs, strategy):
-    return deal(comm, "prop", ids, costs, strategy=strategy, nthreads=2)
+    return deal(comm, "prop", ids, costs, strategy=strategy)
 
 
 @settings(max_examples=5, deadline=None)
@@ -105,7 +96,7 @@ def test_shipped_lists_are_the_pure_assignment(data, nprocs):
     assert run.outputs == assign("dynamic", ids, nprocs, cost_of)
     rr = mpirun(_deal_body, nprocs, ids, cost_of, "round_robin")
     _assert_partition(rr.outputs, ids)
-    assert rr.outputs == assign("round_robin", ids, nprocs, nthreads=2)
+    assert rr.outputs == assign("round_robin", ids, nprocs)
 
 
 @pytest.mark.parametrize("nprocs", [1, 3, 5])

@@ -1,22 +1,24 @@
 """Property tests for the sharded weldmer scan inside ``gff:setup``.
 
-Each rank scans its round-robin blocks of the reads once, the partial
-weldmer tables are pooled with ``allgatherv`` and summed.  Whatever the
+Each rank scans its one block of the reads (``static_block_ranges``, as
+Bowtie deals them) once, the partial weldmer tables are pooled with
+``allgatherv`` and summed.  Whatever the
 input and the rank count, every rank must return the serial
 ``graph_from_fasta`` ``pairs`` and ``components``, and the merged table
 must equal the serial ``build_weldmer_index`` dict as a mapping — i.e.
 every read was scanned exactly once.  Generated cases are tiny and
-include the degenerate shards: fewer read blocks than ranks (idle ranks
-pool an empty table), zero reads, only reads shorter than the 2k window,
+include the degenerate shards: fewer reads than ranks (idle ranks pool
+an empty table), zero reads, only reads shorter than the 2k window,
 all-``N`` reads, and no seed shared by two contigs (the kernel's empty
 early return on every rank).
 
 Hand mutants tried against this file (each fails both tests below):
 
-* overlapping blocks (``range(start, min(stop + 1, len(reads)))``): a read
-  counted twice — the table check, on any case with two scannable reads;
-* a dropped last block (``rank_items(len(reads) - 1, …)``): a read never
-  counted — the table check, on any case whose last read is scannable;
+* overlapping blocks (``reads[start : stop + 1]``): a read counted twice
+  — the table check, on any case with two scannable reads;
+* a dropped last read (``static_block_ranges(len(reads) - 1, …)``): a
+  read never counted — the table check, on any case whose last read is
+  scannable;
 * merge that overwrites instead of adds (``merged[window] = n``): the
   cases whose reads repeat across blocks; in
   ``test_support_reached_only_across_ranks`` the pair disappears at 3 and

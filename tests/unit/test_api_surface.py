@@ -434,7 +434,9 @@ class TestDeletedSurface:
         "repro.mpi": ("render_gantt", "trace_summary"),
         "repro.obs": ("trace_summary",),
         "repro.obs.critical": ("trace_summary",),
-        "repro.parallel": ("ParallelStage", "StageSpec", "parallel_stage"),
+        "repro.parallel": ("ParallelStage", "StageSpec", "parallel_stage", "rank_items"),
+        "repro.parallel.chunks": ("rank_items", "default_chunk_size"),
+        "repro.parallel.component_stage": ("round_robin_assign",),
         "repro.parallel.driver": ("_counts_bytes",),
         "repro.openmp.schedule": (
             "Schedule", "simulate_schedule", "static_makespan", "guided_makespan",
@@ -479,8 +481,12 @@ class TestDeletedSurface:
 
     def test_names_gone(self):
         from dataclasses import fields
+        from inspect import signature
 
+        from repro.cluster.costmodel import PaperCalibration
+        from repro.parallel.component_stage import assign, deal
         from repro.parallel.driver import StageRow
+        from repro.parallel.scaling import rank_loads
         from repro.seq.kmer_index import KmerCounter
         from repro.seq.sam import SamRecord
         from repro.trinity.bowtie import BowtieIndex
@@ -503,6 +509,12 @@ class TestDeletedSurface:
         assert not hasattr(ReadAssignment, "to_line")
         assert not hasattr(ReadAssignment, "from_line")  # tests/reference_rtt.py
         assert not hasattr(SamRecord, "from_line")  # tests/reference_sam.py
+        # One chunk rule, ``chunks.chunk_size``; the component deal is i mod p.
+        assert "chunks_total" not in {f.name for f in fields(PaperCalibration)}
+        assert not hasattr(PaperCalibration, "chunk_size")
+        assert list(signature(assign).parameters) == ["strategy", "ids", "nprocs", "costs"]
+        assert "nthreads" not in signature(deal).parameters
+        assert "chunk_size" not in signature(rank_loads).parameters
 
     def test_one_schedule_no_knobs(self):
         from dataclasses import fields

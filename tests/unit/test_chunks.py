@@ -1,14 +1,16 @@
 """Unit tests for the chunked round-robin distribution (paper Fig 3)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ScheduleError
 from repro.parallel.chunks import (
+    CHUNKS_TOTAL,
     chunk_ranges,
+    chunk_size,
     chunks_for_rank,
-    default_chunk_size,
     n_chunks,
-    rank_items,
     static_block_ranges,
 )
 
@@ -60,28 +62,48 @@ class TestRoundRobin:
         with pytest.raises(ScheduleError):
             chunks_for_rank(4, 0, 0)
 
-    def test_rank_items_partition(self):
-        n, cs, p = 103, 7, 4
-        seen = set()
-        for r in range(p):
-            for start, stop in rank_items(n, cs, r, p):
-                for i in range(start, stop):
-                    assert i not in seen
-                    seen.add(i)
-        assert seen == set(range(n))
 
+class TestChunkSize:
+    """The one chunk rule: GraphFromFasta's loops and the paper-scale
+    replays size their chunks with :func:`chunk_size`."""
 
-class TestDefaults:
-    def test_default_chunk_size_oversubscribes(self):
-        cs = default_chunk_size(1_100_000, 16, 16)
-        assert 1 <= cs <= 1_100_000 // (16 * 16)
+    @given(
+        st.integers(0, 5_000),
+        st.integers(1, 64),
+        st.integers(1, 32),
+        st.integers(1, 1_024),
+    )
+    def test_fills_teams_reaches_every_rank_and_keeps_the_floor(self, n, p, t, total):
+        sizes = [b - a for a, b in chunk_ranges(n, chunk_size(n, p, t, total))]
+        # Never finer than the replay's floor: ``chunks_total`` is honoured.
+        assert min(sizes[:-1], default=n // total) >= n // total
+        # Full teams: every chunk but the last holds a team's worth.
+        if n >= p * t:
+            assert min(sizes[:-1], default=t) >= t
+        # Every rank gets a chunk where the floor is not what caps the
+        # chunk count (below ``p`` chunks in total it must).
+        if n // total <= t and total >= p:
+            assert len(sizes) >= min(p, n)
 
-    def test_default_chunk_size_floor_one(self):
-        assert default_chunk_size(3, 16, 16) == 1
+    @pytest.mark.parametrize("p", [16, 32, 64, 128, 192, 1024])
+    def test_paper_scale_chunks_are_the_replays(self, p):
+        n = 1_100_000
+        assert chunk_size(n, p, 16) == n // CHUNKS_TOTAL == 2_148
+
+    def test_chunks_total_honoured(self):
+        assert chunk_size(1_100_000, 192, 16, chunks_total=2_048) == 1_100_000 // 2_048
+        assert chunk_size(1_100_000, 192, 16, chunks_total=192) == 1_100_000 // 192
+
+    def test_whitefly_half(self):
+        # 76 contigs on 16-thread teams: 19-item chunks at 1 and 4 ranks,
+        # one chunk a rank (and a short ninth) at 8.
+        assert [chunk_size(76, p, 16) for p in (1, 4, 8)] == [19, 19, 9]
 
     def test_invalid(self):
         with pytest.raises(ScheduleError):
-            default_chunk_size(10, 0, 16)
+            chunk_size(10, 0, 16)
+        with pytest.raises(ScheduleError):
+            chunk_size(10, 4, 16, chunks_total=0)
 
 
 class TestStaticBlocks:

@@ -23,13 +23,9 @@ class TestCalibration:
         total = c.rtt_loop_work_s + c.rtt_assign_s + c.rtt_concat_s + c.rtt_serial_residual_s
         assert total == pytest.approx(c.rtt_serial_total_s, rel=0.01)
 
-    def test_chunk_size(self):
-        assert CALIBRATION.chunk_size(1_100_000) == 1_100_000 // 512
-        assert CALIBRATION.chunk_size(10) == 1
-
     def test_frozen(self):
         with pytest.raises(Exception):
-            CALIBRATION.chunks_total = 3
+            CALIBRATION.gff_serial_region_s = 3.0
 
 
 class TestWorkload:

@@ -24,7 +24,7 @@ def gff(workload):
 
 class TestRankLoopTimes:
     def test_round_robin_covers_all_work(self):
-        times = rank_loads(np.ones(100), 4, "round_robin", nthreads=1, chunk_size=10)
+        times = rank_loads(np.ones(100), 4, "round_robin", nthreads=1)
         # With one thread a rank's time is the exact sum of its items.
         assert times.sum() == pytest.approx(100.0)
 
@@ -36,7 +36,7 @@ class TestRankLoopTimes:
         rng = np.random.default_rng(0)
         costs = rng.lognormal(0, 1, 500)
         times = rank_loads(costs, 8, "dynamic", nthreads=1)
-        rr = rank_loads(costs, 8, "round_robin", nthreads=1, chunk_size=10)
+        rr = rank_loads(costs, 8, "round_robin", nthreads=1)
         assert times.sum() == pytest.approx(costs.sum())
         # The LPT makespan is bounded below by work/nodes and above by RR.
         assert times.max() <= rr.max() + 1e-9

@@ -29,12 +29,13 @@ from repro.trinity.chrysalis.quantify import (
     reads_by_component,
     solid_index,
 )
-from repro.parallel.mpi_inchworm import _component_setup
+from repro.parallel.mpi_inchworm import component_setup
 from repro.trinity.inchworm import (
     InchwormConfig,
+    assemble_queue,
     inchworm_assemble,
-    inchworm_assemble_components,
     neighbours,
+    seed_queues,
 )
 from repro.trinity.jellyfish import jellyfish_count
 from repro.trinity.kmer_components import kmer_components, overlap_edges
@@ -238,19 +239,21 @@ def test_bench_inchworm_table_walk(benchmark, whitefly_half):
     tcfg, _reads, out = whitefly_half
     cfg = tcfg.inchworm()
     filtered = out.counts.index.filtered(cfg.min_kmer_count)
-    landing, ids, _costs = _component_setup(
+    landing, ids, _costs = component_setup(
         filtered, [neighbours(filtered, out.counts.canonical)]
     )
     sizes = np.bincount(ids)
     giant = int(np.argmax(sizes))
-    res = benchmark(
-        inchworm_assemble_components,
-        filtered, out.counts.canonical, cfg, landing, ids, [[giant]],
-    )
-    assert sizes[giant] > 2000 and res.n_steps > sizes[giant]
+
+    def giant_component():
+        (queue,) = seed_queues(filtered, cfg, ids, [[giant]])
+        return assemble_queue(filtered, out.counts.canonical, cfg, landing, queue)
+
+    keyed = benchmark(giant_component)
+    assert sizes[giant] > 2000
     oracle = reference_inchworm.inchworm_assemble(out.counts, cfg)
-    assert res.keyed
-    assert {(seq, cov) for _key, seq, cov in res.keyed} <= {(c.seq, c.coverage) for c in oracle}
+    assert keyed
+    assert {(seq, cov) for _key, seq, cov in keyed} <= {(c.seq, c.coverage) for c in oracle}
 
 
 def test_bench_kmer_components(benchmark, whitefly_half):

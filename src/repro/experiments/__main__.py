@@ -13,10 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments.registry import EXPERIMENTS, run_experiment
-
-#: Experiments that assemble miniature datasets repeatedly.
-SLOW = {"fig04", "fig05_06"}
+from repro.experiments.registry import EXPERIMENTS, SLOW, run_experiment
 
 
 def main(argv=None) -> int:

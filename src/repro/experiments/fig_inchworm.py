@@ -34,19 +34,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from repro.cluster.costmodel import CALIBRATION
 from repro.experiments.measured import REAL_NPROCS, agree, row_runs
 from repro.mpi.launcher import mpirun
 from repro.obs import critical_path, verify_attribution
 from repro.parallel.driver import ParallelTrinityConfig, run_chain
+from repro.parallel.mpi_inchworm import component_setup
 from repro.parallel.scaling import ScalingPoint, simulate_inchworm
 from repro.simdata import get_recipe
 from repro.simdata.reads import flatten_reads
 from repro.trinity import TrinityConfig
 from repro.trinity.inchworm import neighbours
-from repro.trinity.kmer_components import component_ids, kmer_components
 from repro.util.fmt import format_table
 
 #: Paper-scale sweep, starting at 1 to show the serial anchor.
@@ -150,8 +148,7 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigInchwormResult:
     tcfg = chain.cfg.trinity
     counts = chain.out("jellyfish").counts
     filtered = counts.index.filtered(tcfg.min_kmer_count)
-    ids = component_ids(kmer_components(neighbours(filtered, counts.canonical)))
-    costs = np.bincount(ids, weights=filtered.values)
+    _landing, _ids, costs = component_setup(filtered, [neighbours(filtered, counts.canonical)])
     contig_bytes = float(sum(len(c.seq) for c in chain.contigs))
     rows = list(zip(
         nodes,

@@ -60,6 +60,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
 }
 
 
+#: Experiments that assemble miniature datasets repeatedly: ``all`` and
+#: the report run them only when asked.
+SLOW = {"fig04", "fig05_06"}
+
+
 def get_experiment(exp_id: str) -> Experiment:
     try:
         return EXPERIMENTS[exp_id]

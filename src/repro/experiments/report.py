@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro._version import __version__
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.registry import EXPERIMENTS, SLOW, run_experiment
 
 #: Report layout: (section title, experiment ids).  Validation sweeps are
 #: only included when slow mode is requested.
@@ -31,8 +31,6 @@ SECTIONS: List[Tuple[str, List[str]]] = [
     ("Fault injection", ["faults"]),
     ("Output validation (slow)", ["fig04", "fig05_06"]),
 ]
-
-SLOW_IDS = {"fig04", "fig05_06"}
 
 
 @dataclass
@@ -57,14 +55,14 @@ def generate_report(options: Optional[ReportOptions] = None) -> str:
         "",
     ]
     for title, ids in SECTIONS:
-        runnable = [i for i in ids if opts.include_slow or i not in SLOW_IDS]
+        runnable = [i for i in ids if opts.include_slow or i not in SLOW]
         if not runnable:
             continue
         parts.append(f"## {title}")
         parts.append("")
         for exp_id in runnable:
             kwargs: Dict[str, object] = {}
-            if exp_id in SLOW_IDS:
+            if exp_id in SLOW:
                 kwargs["n_runs"] = opts.validation_runs
             result = run_experiment(exp_id, **kwargs)
             parts.append(f"### {EXPERIMENTS[exp_id].title} (`{exp_id}`)")

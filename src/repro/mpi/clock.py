@@ -26,10 +26,7 @@ class Stopwatch:
     :meth:`repro.mpi.comm.SimComm.compute` charges a window to the rank's
     clock (its ``map`` times each item of a team's loop the same way);
     ``comm.shared`` reads the stopwatch bare and hands the cost to every
-    rank.  The one other per-thread clock is Inchworm's component kernel
-    (:func:`repro.trinity.inchworm.inchworm_assemble_components`), whose
-    simulated threads' clocks are reported into a ``comm.compute``
-    window as its per-item costs.
+    rank.
     """
 
     __slots__ = ("seconds", "_t0")

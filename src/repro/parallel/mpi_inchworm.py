@@ -23,14 +23,15 @@ factors exactly over the components of the k-mer overlap graph
    :mod:`repro.parallel.component_stage` — with per-component cost =
    the sum of member k-mer counts;
 3. each rank deals its owned components to its ``n_threads`` simulated
-   OpenMP threads (LPT over the same costs — hybrid MPI x threads) and
-   makes *one* call to the component kernel
-   :func:`~repro.trinity.inchworm.inchworm_assemble_components`: one
-   sort queues the rank's positions per thread in seed order, and each
-   thread orders its members' landings into successor rows and walks
-   them by lookup — the table is owner-built, never replicated — and
-   ships back only the contig strings keyed by their seed's comparator
-   tuple ``(-count, tie hash, code)``: no global permutation is built;
+   OpenMP threads (LPT over the same costs — hybrid MPI x threads); one
+   sort queues the rank's positions per thread in seed order
+   (:func:`~repro.trinity.inchworm.seed_queues`), and the team runs
+   :func:`~repro.trinity.inchworm.assemble_queue` on each thread's queue
+   in a ``comm.map`` window: a thread orders its members' landings into
+   successor rows and walks them by lookup — the table is owner-built,
+   never replicated — and ships back only the contig strings keyed by
+   their seed's comparator tuple ``(-count, tie hash, code)``: no global
+   permutation is built;
 4. the merge pools the keyed contigs and re-emits them in ascending
    key order — the exact global ``_seed_order`` sequence — renaming
    ``iw_contig_{i}`` globally.
@@ -68,10 +69,11 @@ from repro.seq.kmer_index import KmerCounter
 from repro.seq.records import Contig
 from repro.trinity.inchworm import (
     InchwormConfig,
+    assemble_queue,
     inchworm_assemble,
-    inchworm_assemble_components,
     keyed_contigs,
     neighbours,
+    seed_queues,
 )
 from repro.trinity.jellyfish import JellyfishCounts
 from repro.trinity.kmer_components import component_ids, kmer_components
@@ -115,7 +117,7 @@ class InchwormOutputs:
     out_path: Optional[Path] = None  # merged FASTA (master, if written)
 
 
-def _component_setup(filtered: KmerCounter, blocks: Sequence[np.ndarray]):
+def component_setup(filtered: KmerCounter, blocks: Sequence[np.ndarray]):
     """The pooled probe, per-position component ids and component costs.
 
     Built once per simulated ``mpirun`` (every real rank would rebuild it
@@ -175,7 +177,7 @@ def mpi_inchworm(
     # -- connected components of the k-mer overlap graph, read off it --------
     with comm.region("inchworm:components", serial=True):
         landing, ids, costs = comm.shared(
-            "inchworm:setup", lambda: _component_setup(filtered, blocks)
+            "inchworm:setup", lambda: component_setup(filtered, blocks)
         )
 
     # -- deal components across ranks ----------------------------------------
@@ -189,17 +191,20 @@ def mpi_inchworm(
         teams = component_stage.lpt_assign(
             [float(costs[cid]) for cid in mine], mine, config.n_threads
         )
-        with comm.compute(
-            "inchworm:assemble_components", threads=config.n_threads, components=len(mine)
-        ) as kernel:
-            iw = inchworm_assemble_components(
-                filtered, counts.canonical, cfg, landing, ids, teams
-            )
-            kernel.costs = iw.thread_clocks
-            kernel.attrs["steps"] = iw.n_steps
+        queues: List[np.ndarray] = []
+        if mine:
+            with comm.compute("inchworm:seed_queues"):
+                queues = [q for q in seed_queues(filtered, cfg, ids, teams) if q.size]
+        keyed = comm.map(
+            "inchworm:assemble_components",
+            lambda queue: assemble_queue(filtered, counts.canonical, cfg, landing, queue),
+            queues, config.n_threads, components=len(mine),
+        )
 
     # -- merge: pool keyed contigs, re-emit the global seed-order sequence ---
-    contigs = component_stage.merge(comm, "inchworm", iw.keyed, keyed_contigs)
+    contigs = component_stage.merge(
+        comm, "inchworm", [c for part in keyed for c in part], keyed_contigs
+    )
     out_path = component_stage.write_merged(
         comm, "inchworm:write_merged", config.workdir, "inchworm.contigs.fa",
         component_stage.fasta_block(comm, contigs),

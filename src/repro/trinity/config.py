@@ -57,10 +57,11 @@ class TrinityConfig:
     strand_specific: bool = False
     #: Simulated OpenMP threads per rank of the *distributed* Inchworm
     #: (:mod:`repro.parallel.mpi_inchworm`), which deals each rank's k-mer-
-    #: graph components to that many thread clocks.  Timing only: the
-    #: contigs are the same at every value.  The serial pipeline's
-    #: Inchworm body ignores it and runs the one-thread assembler; a
-    #: one-node threaded Inchworm is the parallel driver at ``nprocs=1``.
+    #: graph components to a ``comm.map`` team of that many threads.
+    #: Timing only: the contigs are the same at every value.  The serial
+    #: pipeline's Inchworm body ignores it and runs the one-thread
+    #: assembler; a one-node threaded Inchworm is the parallel driver at
+    #: ``nprocs=1``.
     inchworm_threads: int = 1
 
     def __post_init__(self) -> None:

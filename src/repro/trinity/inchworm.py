@@ -30,21 +30,21 @@ is therefore probe -> rows -> walk:
 :func:`walk`
     One contig: from a seed, the first not-yet-used entry of each row.
 
-Both assemblers are that walk.  :func:`inchworm_assemble` builds rows
-for every position and walks the global seed order; the serial pipeline
-runs it.  :func:`inchworm_assemble_components`, the kernel behind
-:mod:`repro.parallel.mpi_inchworm`, builds rows for the components it
-was dealt only: a greedy walk never leaves the connected component of
-its seed in the k-mer overlap graph, so every landing is owned and the
-keyed union over any deal is the serial output.  Simulated OpenMP
-threads each own whole components; a thread's virtual clock is charged
-the measured cost of its own rows and walks, never changing the output.  The per-step scalar loop both
-replaced is the oracle in ``tests/reference_inchworm.py``.
+Both assemblers are that walk over a seed queue, :func:`assemble_queue`:
+rows for the queued positions, then a walk from each in queue order.
+:func:`inchworm_assemble`, which the serial pipeline runs, queues every
+position in the global seed order.  :mod:`repro.parallel.mpi_inchworm`
+queues, per simulated OpenMP thread, the positions of the components
+its rank dealt it (:func:`seed_queues`): a greedy walk never leaves the
+connected component of its seed in the k-mer overlap graph, so every
+landing is owned and the keyed union over any deal is the serial
+output.  The kernel reads no clock: the stage's ``comm.map`` window
+times each thread's call.  The per-step scalar loop both replaced is the
+oracle in ``tests/reference_inchworm.py``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -132,31 +132,41 @@ def _seed_keys(
     return -filtered.values[at], tie_break_codes(codes, salt), codes
 
 
+def _salt(config: InchwormConfig) -> int:
+    """The tie-break salt of a run: the seed order and the rows hash with it."""
+    return derive_seed(config.seed, "inchworm-ties")
+
+
 def _seed_order(filtered: KmerCounter, salt: int) -> np.ndarray:
     """Seeding priority, as a permutation of ``filtered``'s positions."""
     return np.lexsort(_seed_keys(filtered, salt)[::-1])
 
 
-def _thread_queues(
+def seed_queues(
     filtered: KmerCounter,
-    salt: int,
+    config: InchwormConfig,
     component_ids: np.ndarray,
     thread_components: Sequence[Sequence[int]],
 ) -> List[np.ndarray]:
-    """Per thread, the positions of its components in seeding order.
+    """Per simulated thread, the positions of its components in seeding order.
 
-    One pass over the owned positions: each is tagged with its thread and
-    all are sorted by (thread, :func:`_seed_keys`), so a thread's queue is
-    the global seed order restricted to its positions, with no global
+    ``component_ids[p]`` is position ``p``'s dense component id
+    (:func:`repro.trinity.kmer_components.component_ids`) and
+    ``thread_components[t]`` lists the ids thread ``t`` owns.  One pass
+    over the owned positions: each is tagged with its thread and all are
+    sorted by (thread, :func:`_seed_keys`), so a thread's queue is the
+    global seed order restricted to its positions, with no global
     permutation built.
     """
+    if not thread_components:
+        raise PipelineError("inchworm needs at least one thread's component list")
     thread_of = np.full(len(filtered), -1, dtype=np.intp)
     for t, components in enumerate(thread_components):
         thread_of[np.asarray(components, dtype=np.intp)] = t
     thread = thread_of[component_ids]
     at = np.flatnonzero(thread >= 0)
     thread = thread[at]
-    order = np.lexsort((*_seed_keys(filtered, salt, at)[::-1], thread))
+    order = np.lexsort((*_seed_keys(filtered, _salt(config), at)[::-1], thread))
     bounds = np.searchsorted(thread[order], np.arange(1, len(thread_components)))
     return np.split(at[order], bounds)
 
@@ -304,21 +314,20 @@ def preference_rows(
 
 def walk(
     rows: Sequence[int], used: bytearray, o_bits: int, seed: int, max_len: int
-) -> Tuple[List[int], int]:
+) -> List[int]:
     """Greedily extend one contig from walk state ``seed``.
 
     ``rows`` is :func:`preference_rows` flattened; ``used`` has one slot
     per row index and the caller has claimed the seed's.  Extends right
     until a row has no unused entry, then left from the seed, claiming
     each landing, for at most ``max_len`` k-mers in all.  Returns the
-    visited states left end first, and the number of rows read.
+    visited states, left end first.
     """
     arms: Tuple[List[int], List[int]] = ([seed], [])
-    n = reads = 0
+    n = 0
     for d, arm in enumerate(arms):
         cur = seed
         while n + 1 < max_len:
-            reads += 1
             base = (cur << 3) | (d << 2)
             for nxt in rows[base : base + 4]:
                 if nxt < 0 or not used[nxt >> o_bits]:
@@ -331,51 +340,57 @@ def walk(
             arm.append(nxt)
             cur = nxt
             n += 1
-    return arms[1][::-1] + arms[0], reads
+    return arms[1][::-1] + arms[0]
 
 
 _BASE_BYTES = np.frombuffer(b"ACGT", dtype=np.uint8)
 
 
-def _assemble_queue(
+def assemble_queue(
     filtered: KmerCounter,
     canonical: bool,
-    cfg: InchwormConfig,
+    config: InchwormConfig,
     landing: np.ndarray,
     queue: np.ndarray,
-) -> Tuple[List[Tuple[int, str, float]], int]:
-    """Rows over ``queue`` — whole components' positions in seeding order
-    — then one walk from every entry still unclaimed when its turn comes.
+) -> List[Tuple[Tuple[int, int, int], str, float]]:
+    """The contigs seeded from ``queue``: the positions of whole
+    components in seeding order (:func:`seed_queues`), or of the whole
+    table (:func:`_seed_order`).
 
-    Returns ``(contigs, rows read)``; a contig is ``(index in
-    queue of its seed, bases, coverage)``, in seeding order.  Bases and
-    coverage are read off the visited states in one pass at the end: the
-    directed code of a state is the stored code or its reverse
-    complement, consecutive codes overlap by k-1 so each adds its last
-    base, and coverage is the mean of the visited *filtered* counts.
+    Rows over ``queue``, then one walk from every entry still unclaimed
+    when its turn comes.  A greedy walk never leaves its seed's component
+    and a component's seed order is the global order restricted to it,
+    so every walk replays exactly the steps the serial assembler takes
+    inside that component: the contigs are the serial output restricted
+    to ``queue``'s components, in seeding order, each keyed by its seed's
+    comparator tuple so that :func:`keyed_contigs` re-emits any union of
+    them as the serial list.  Bases and coverage are read off the visited
+    states in one pass at the end: the directed code of a state is the
+    stored code or its reverse complement, consecutive codes overlap by
+    k-1 so each adds its last base, and coverage is the mean of the
+    visited *filtered* counts.
     """
     k = filtered.k
+    if k < 2:
+        raise PipelineError(f"inchworm needs k >= 2, got {k}")
     o_bits = 1 if canonical else 0
-    rows = preference_rows(
-        filtered, canonical, derive_seed(cfg.seed, "inchworm-ties"), landing, queue
-    )
+    salt = _salt(config)
+    rows = preference_rows(filtered, canonical, salt, landing, queue)
     flat = memoryview(rows.reshape(-1))  # plain ints out, no second copy of the table
     used = bytearray(queue.size)
-    min_kmers = cfg.resolved_min_length(k) - k + 1
+    min_kmers = config.resolved_min_length(k) - k + 1
     seeds: List[int] = []
     paths: List[List[int]] = []
-    n_reads = 0
     for seed, mark in enumerate(_seed_marks(filtered, canonical, queue).tolist()):
         if used[mark]:
             continue
         used[mark] = 1
-        path, reads = walk(flat, used, o_bits, seed << o_bits, cfg.max_contig_length)
-        n_reads += reads
+        path = walk(flat, used, o_bits, seed << o_bits, config.max_contig_length)
         if len(path) >= min_kmers:
             seeds.append(seed)
             paths.append(path)
     if not paths:
-        return [], n_reads
+        return []
     lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
     states = np.fromiter(chain.from_iterable(paths), dtype=np.int64, count=int(lengths.sum()))
     at = queue[states >> o_bits]
@@ -386,13 +401,13 @@ def _assemble_queue(
     starts = np.cumsum(lengths) - lengths
     totals = np.add.reduceat(filtered.values[at], starts)
     last_bases = _BASE_BYTES[(directed & np.uint64(3)).astype(np.intp)].tobytes().decode("ascii")
-    contigs = [
-        (seed, decode_kmer(first, k) + last_bases[a + 1 : a + n], float(total) / n)
-        for seed, first, a, n, total in zip(
-            seeds, directed[starts].tolist(), starts.tolist(), lengths.tolist(), totals.tolist()
+    keys = zip(*(key.tolist() for key in _seed_keys(filtered, salt, queue[seeds])))
+    return [
+        (key, decode_kmer(first, k) + last_bases[a + 1 : a + n], float(total) / n)
+        for key, first, a, n, total in zip(
+            keys, directed[starts].tolist(), starts.tolist(), lengths.tolist(), totals.tolist()
         )
     ]
-    return contigs, n_reads
 
 
 def keyed_contigs(keyed: Iterable[tuple]) -> List[Contig]:
@@ -416,82 +431,7 @@ def inchworm_assemble(
     if counts.k < 2:
         raise PipelineError(f"inchworm needs k >= 2, got {counts.k}")
     filtered = counts.index.filtered(cfg.min_kmer_count)
-    queue = _seed_order(filtered, derive_seed(cfg.seed, "inchworm-ties"))
-    contigs, _reads = _assemble_queue(
-        filtered, counts.canonical, cfg, neighbours(filtered, counts.canonical), queue
+    queue = _seed_order(filtered, _salt(cfg))
+    return keyed_contigs(
+        assemble_queue(filtered, counts.canonical, cfg, neighbours(filtered, counts.canonical), queue)
     )
-    return keyed_contigs(contigs)
-
-
-# --------------------------------------------------------------------------
-# Component kernel: rows and walks over the components one rank was dealt
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class ComponentAssembly:
-    """Keyed contigs of one kernel call plus its simulated threads' clocks."""
-
-    #: ``(seed's :func:`_seed_keys` tuple, seq, coverage)`` per contig;
-    #: :func:`keyed_contigs` re-emits any union of these as the serial list.
-    keyed: List[Tuple[Tuple[int, int, int], str, float]]
-    thread_clocks: np.ndarray  # virtual seconds per simulated thread
-    n_steps: int  # rows read by the walks
-
-
-def inchworm_assemble_components(
-    filtered: KmerCounter,
-    canonical: bool,
-    config: InchwormConfig,
-    landing: np.ndarray,
-    component_ids: np.ndarray,
-    thread_components: Sequence[Sequence[int]],
-) -> ComponentAssembly:
-    """Assemble whole k-mer-graph components, thread by thread.
-
-    ``component_ids[p]`` is position ``p``'s dense component id
-    (:func:`repro.trinity.kmer_components.component_ids`) and
-    ``thread_components[t]`` lists the ids simulated thread ``t`` owns;
-    ``landing`` is :func:`neighbours` of the same table.  One sort puts
-    every owned position in its thread's queue in :func:`_seed_order`'s
-    order; each thread builds :func:`preference_rows` for its own members
-    and walks them in that order.  A greedy walk never leaves its seed's
-    component and a component's seed order is the global order restricted
-    to it, so every walk replays exactly the steps the serial assembler
-    takes inside that component, and the contigs — keyed by their seed's
-    comparator tuple — are the serial output restricted to these
-    components, at any thread count.
-
-    Timing: one ``thread_time`` window covers the call; what a thread's
-    rows and walks took (the call's own setup, the sort included, goes to
-    the first busy thread) is charged to its clock in ``thread_clocks``.
-    The stage hands them to its ``comm.compute`` window as per-item costs,
-    one item per thread, so the team's makespan is the largest clock; a
-    component is indivisible, so the thread holding the largest one is
-    its floor.  A straggling rank stretches the makespan on its own
-    clock, not here.
-    """
-    if filtered.k < 2:
-        raise PipelineError(f"inchworm needs k >= 2, got {filtered.k}")
-    n_threads = len(thread_components)
-    if n_threads == 0:
-        raise PipelineError("inchworm needs at least one thread's component list")
-
-    stamp = time.thread_time()
-    salt = derive_seed(config.seed, "inchworm-ties")
-    keyed: List[Tuple[Tuple[int, int, int], str, float]] = []
-    clocks = np.zeros(n_threads)
-    n_steps = 0
-    queues = _thread_queues(filtered, salt, component_ids, thread_components)
-    for t, queue in enumerate(queues):
-        if not queue.size:
-            continue
-        contigs, reads = _assemble_queue(filtered, canonical, config, landing, queue)
-        seeds = queue[[seed for seed, _seq, _cov in contigs]]
-        keys = zip(*(key.tolist() for key in _seed_keys(filtered, salt, seeds)))
-        keyed += [(key, seq, cov) for key, (_seed, seq, cov) in zip(keys, contigs)]
-        n_steps += reads
-        now = time.thread_time()
-        clocks[t] += now - stamp
-        stamp = now
-    return ComponentAssembly(keyed=keyed, thread_clocks=clocks, n_steps=n_steps)

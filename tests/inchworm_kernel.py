@@ -1,21 +1,16 @@
-"""Test helper: a Jellyfish counter through the component kernel.
+"""Test helper: a Jellyfish counter through the per-thread queue kernel.
 
 Spells out what ``mpi_inchworm``'s assemble region does on one rank —
 component setup, LPT deal of the owned components to the simulated
-threads, one kernel call — so unit and property tests can drive
-``inchworm_assemble_components`` without an ``mpirun``.
+threads, one ``seed_queues`` pass, ``assemble_queue`` per thread — so
+unit and property tests can drive the kernel without an ``mpirun``.
 """
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.parallel.component_stage import lpt_assign
-from repro.parallel.mpi_inchworm import _component_setup
-from repro.trinity.inchworm import (
-    ComponentAssembly,
-    InchwormConfig,
-    inchworm_assemble_components,
-    neighbours,
-)
+from repro.parallel.mpi_inchworm import component_setup
+from repro.trinity.inchworm import InchwormConfig, assemble_queue, neighbours, seed_queues
 from repro.trinity.jellyfish import JellyfishCounts
 
 
@@ -24,13 +19,16 @@ def assemble_components(
     cfg: Optional[InchwormConfig] = None,
     n_threads: int = 1,
     owned: Optional[Sequence[int]] = None,
-) -> ComponentAssembly:
-    """All of ``counts``' components (or just the ``owned`` ids) on one rank."""
+) -> List[tuple]:
+    """The keyed contigs of all of ``counts``' components (or just the
+    ``owned`` ids) on one rank, pooled over its threads."""
     cfg = cfg or InchwormConfig()
     filtered = counts.index.filtered(cfg.min_kmer_count)
-    landing, ids, costs = _component_setup(filtered, [neighbours(filtered, counts.canonical)])
+    landing, ids, costs = component_setup(filtered, [neighbours(filtered, counts.canonical)])
     mine = list(range(len(costs))) if owned is None else list(owned)
     teams = lpt_assign([float(costs[c]) for c in mine], mine, n_threads)
-    return inchworm_assemble_components(
-        filtered, counts.canonical, cfg, landing, ids, teams
-    )
+    return [
+        contig
+        for queue in seed_queues(filtered, cfg, ids, teams)
+        for contig in assemble_queue(filtered, counts.canonical, cfg, landing, queue)
+    ]

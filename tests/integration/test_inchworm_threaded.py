@@ -46,7 +46,7 @@ class TestSingleThreadByteIdentity:
         for n_threads in (1, 4):
             res = assemble_components(counts0, cfg, n_threads=n_threads)
             assert [(c.name, c.seq, c.coverage) for c in serial] == [
-                (c.name, c.seq, c.coverage) for c in keyed_contigs(res.keyed)
+                (c.name, c.seq, c.coverage) for c in keyed_contigs(res)
             ]
 
     def test_strand_specific_counts_equal_the_oracle(self):
@@ -56,7 +56,7 @@ class TestSingleThreadByteIdentity:
         cfg = InchwormConfig(seed=3)
         oracle = reference_inchworm.inchworm_assemble(counts, cfg)
         assert oracle and inchworm_assemble(counts, cfg) == oracle
-        assert keyed_contigs(assemble_components(counts, cfg, n_threads=4).keyed) == oracle
+        assert keyed_contigs(assemble_components(counts, cfg, n_threads=4)) == oracle
 
 
 @pytest.fixture(scope="module")

@@ -166,12 +166,14 @@ class TestFewComponents:
                 assert advances == []
             else:
                 owners += 1
-                # The team window's span is the one record of the team.
+                # The team window's span is the one record of the team:
+                # one item per busy thread, each owning one component.
                 (seg,) = advances
                 assert set(seg.attrs) == {
-                    "components", "n_threads", "steps", "items", "serial_time", "speedup",
+                    "components", "n_threads", "items", "serial_time", "speedup",
                 }
-                assert seg.attrs["n_threads"] == seg.attrs["items"] == 8
+                assert seg.attrs["n_threads"] == 8
+                assert seg.attrs["items"] == r.metrics["n_local_components"]
                 assert seg.duration > 0 and seg.attrs["speedup"] >= 1.0
                 assert seg.duration == pytest.approx(
                     seg.attrs["serial_time"] / seg.attrs["speedup"]
@@ -179,8 +181,8 @@ class TestFewComponents:
         assert 1 <= owners <= 2
 
     def test_eight_threads_two_components_one_rank(self, two_component_counts):
-        # At most two of the eight thread clocks can move; the team
-        # makespan is the busier of the two, never a sum over threads.
+        # At most two of the eight threads get a queue; the team makespan
+        # is the busier of the two, never a sum over threads.
         run = mpirun(
             mpi_inchworm, 1,
             InchwormInputs(counts=two_component_counts),
@@ -192,6 +194,7 @@ class TestFewComponents:
             two_component_counts, InchwormConfig(seed=1)
         )
         (seg,) = [s for s in run.spans if s.label == "inchworm:assemble_components"]
+        assert seg.attrs["items"] == 2
         assert seg.duration > 0 and seg.attrs["speedup"] >= 1.0
         assert seg.duration == pytest.approx(seg.attrs["serial_time"] / seg.attrs["speedup"])
 

@@ -4,7 +4,8 @@ are exercised piecemeal; here we check structure with a stubbed runner)."""
 import pytest
 
 from repro.experiments import report as report_mod
-from repro.experiments.report import ReportOptions, SECTIONS, SLOW_IDS, write_report
+from repro.experiments.registry import SLOW
+from repro.experiments.report import ReportOptions, SECTIONS, write_report
 
 
 class _Stub:
@@ -28,7 +29,7 @@ class TestReport:
     def test_fast_mode_skips_slow(self, stubbed, tmp_path):
         out = write_report(tmp_path / "r.md", ReportOptions(include_slow=False))
         ids = [c[0] for c in stubbed]
-        assert not set(ids) & SLOW_IDS
+        assert not set(ids) & SLOW
         text = out.read_text()
         assert text.startswith("# Reproduction report")
         assert "stub-render" in text
@@ -53,7 +54,7 @@ class TestReport:
         out = write_report(tmp_path / "r.md", ReportOptions())
         text = out.read_text()
         for title, ids in SECTIONS:
-            if all(i in SLOW_IDS for i in ids):
+            if all(i in SLOW for i in ids):
                 continue
             assert f"## {title}" in text
 

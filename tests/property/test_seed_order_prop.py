@@ -1,9 +1,9 @@
 """Property: an owner's seed order is the global seed order restricted.
 
-The component kernel never sees a global seed permutation: it sorts the
-positions its threads own by (thread, -count, tie hash, code) in one
-pass and keys each contig by its seed's ``(-count, tie hash, code)``
-tuple.  For any table and any assignment of any subset of positions to
+The distributed Inchworm never builds a global seed permutation:
+``seed_queues`` sorts the positions a rank's threads own by (thread,
+-count, tie hash, code) in one pass, and ``assemble_queue`` keys each
+contig by its seed's ``(-count, tie hash, code)`` tuple.  For any table and any assignment of any subset of positions to
 threads, each thread's queue must be ``_seed_order`` restricted to its
 positions, and every key the comparator tuple spelled out here — so the
 keyed merge re-emits the serial sequence.
@@ -25,10 +25,10 @@ from repro.trinity.inchworm import (
     InchwormConfig,
     _seed_keys,
     _seed_order,
-    _thread_queues,
     inchworm_assemble,
     keyed_contigs,
     neighbours,
+    seed_queues,
 )
 from repro.trinity.jellyfish import JellyfishCounts
 from repro.trinity.kmer_components import component_ids, kmer_components
@@ -45,8 +45,8 @@ def _spelled(filtered, salt, p):
 
 @st.composite
 def owned_tables(draw):
-    """A table with tying counts, a salt, and per position its owning
-    thread (-1: not owned by this rank)."""
+    """A table with tying counts, a config (its seed salts the tie hash),
+    and per position its owning thread (-1: not owned by this rank)."""
     k = draw(st.sampled_from([5, 6, 7, 17]))
     codes = draw(st.sets(st.integers(0, 4**k - 1), max_size=60))
     codes = np.array(sorted(codes), dtype=np.uint64)
@@ -56,16 +56,18 @@ def owned_tables(draw):
     )
     n_threads = draw(st.integers(1, 4))
     owner = draw(st.lists(st.integers(-1, n_threads - 1), min_size=codes.size, max_size=codes.size))
-    return KmerCounter(k, codes, values), draw(st.integers(0, 2**32 - 1)), n_threads, owner
+    cfg = InchwormConfig(seed=draw(st.integers(0, 2**32 - 1)))
+    return KmerCounter(k, codes, values), cfg, n_threads, owner
 
 
 @settings(max_examples=150, deadline=None)
 @given(owned_tables())
 def test_owner_queues_are_the_seed_order_restricted(case):
-    filtered, salt, n_threads, owner = case
+    filtered, cfg, n_threads, owner = case
+    salt = derive_seed(cfg.seed, "inchworm-ties")
     # Every position its own "component": any subset, any thread split.
     threads = [[p for p, t in enumerate(owner) if t == thread] for thread in range(n_threads)]
-    queues = _thread_queues(filtered, salt, np.arange(len(filtered)), threads)
+    queues = seed_queues(filtered, cfg, np.arange(len(filtered)), threads)
     perm = _seed_order(filtered, salt).tolist()
     assert len(queues) == n_threads
     for mine, queue in zip(threads, queues):
@@ -94,7 +96,7 @@ def test_equal_count_and_tie_hash_fall_to_the_code():
     backwards = sorted(range(len(filtered)), reverse=True)
     perm = _seed_order(filtered, salt).tolist()
     for threads in ([backwards], [backwards[::3], backwards[1::3], backwards[2::3]]):
-        queues = _thread_queues(filtered, salt, np.arange(len(filtered)), threads)
+        queues = seed_queues(filtered, cfg, np.arange(len(filtered)), threads)
         for mine, queue in zip(threads, queues):
             assert queue.tolist() == [p for p in perm if p in mine]
 
@@ -109,10 +111,10 @@ def test_equal_count_and_tie_hash_fall_to_the_code():
     for owned in ([p for p in backwards if p % 2], [p for p in backwards if not p % 2]):
         res = assemble_components(counts, cfg, n_threads=2, owned=owned)
         seeds = filtered.find(
-            np.array([encode_kmer(seq) for _key, seq, _cov in res.keyed], dtype=np.uint64)
+            np.array([encode_kmer(seq) for _key, seq, _cov in res], dtype=np.uint64)
         )[0]
-        assert [key for key, _seq, _cov in res.keyed] == [
+        assert [key for key, _seq, _cov in res] == [
             _spelled(filtered, salt, p) for p in seeds.tolist()
         ]
-        pooled += res.keyed
+        pooled += res
     assert keyed_contigs(pooled) == serial

@@ -6,7 +6,8 @@ extension step one ``searchsorted`` over the four (k-1)-overlap
 candidates of the growing end, compared with a strict ``>`` on
 ``(count, -tie hash)`` so an exact tie falls to the lowest base.  It is
 the readable specification of the greedy rule; ``inchworm_assemble``
-and ``inchworm_assemble_components`` must reproduce its contigs —
+and the pooled ``assemble_queue`` calls over any component deal must
+reproduce its contigs —
 names, bases and coverage ``repr`` — on any table.
 
 Only the definitions both sides must share are imported: the seeding

@@ -112,10 +112,11 @@ class TestStageTable:
 
 class TestInchwormSurface:
     def test_two_assemblers_and_no_window_knob(self):
-        """Probe -> rows -> walk behind two assemblers: no second engine,
-        no per-step search and no option beside threads per rank (the
-        per-step loops are the oracles in ``tests/reference_inchworm.py``
-        and ``tests/reference_pairs.py``)."""
+        """Probe -> rows -> walk behind two assemblers, the serial one and
+        the stage's per-thread queue kernel, which is the serial one's walk
+        too: no second engine, no per-step search, no clock and no option
+        beside threads per rank (the per-step loops are the oracles in
+        ``tests/reference_inchworm.py`` and ``tests/reference_pairs.py``)."""
         from dataclasses import fields
         from inspect import signature
         from pathlib import Path
@@ -129,11 +130,13 @@ class TestInchwormSurface:
             return list(signature(fn).parameters)
 
         assemblers = {n for n in vars(inchworm) if n.startswith("inchworm_assemble")}
-        assert assemblers == {"inchworm_assemble", "inchworm_assemble_components"}
+        assert assemblers == {"inchworm_assemble"}
         assert params(inchworm.inchworm_assemble) == ["counts", "config"]
-        assert params(inchworm.inchworm_assemble_components) == [
-            "filtered", "canonical", "config", "landing", "component_ids",
-            "thread_components",
+        assert params(inchworm.assemble_queue) == [
+            "filtered", "canonical", "config", "landing", "queue",
+        ]
+        assert params(inchworm.seed_queues) == [
+            "filtered", "config", "component_ids", "thread_components",
         ]
         assert params(inchworm.neighbours) == ["filtered", "canonical", "start", "stop"]
         assert params(inchworm.preference_rows) == [
@@ -461,7 +464,12 @@ class TestDeletedSurface:
             "read_assignments", "format_assignments", "write_assignments", "assign_reads_batched",
         ),
         "repro.trinity.dsk": ("dsk_count",),
-        "repro.trinity.inchworm": ("mean_coverage", "tie_break_code"),
+        "repro.trinity.inchworm": (
+            "mean_coverage", "tie_break_code", "inchworm_assemble_components",
+            "ComponentAssembly", "_thread_queues",
+        ),
+        "repro.parallel.mpi_inchworm": ("_component_setup",),
+        "repro.experiments.report": ("SLOW_IDS",),
         "repro.trinity.jellyfish": ("jellyfish_load", "kmer_histogram"),
         "repro.trinity.pairs": ("pair_support",),
         "repro.util": ("format_series",),
@@ -492,7 +500,6 @@ class TestDeletedSurface:
         from repro.trinity.bowtie import BowtieIndex
         from repro.trinity.chrysalis.reads_to_transcripts import ReadAssignment
         from repro.trinity.chrysalis.debruijn import DeBruijnGraph
-        from repro.trinity.inchworm import ComponentAssembly
 
         for module, names in self.GONE.items():
             mod = importlib.import_module(module)
@@ -501,7 +508,6 @@ class TestDeletedSurface:
         assert not hasattr(KmerCounter, "histogram")
         # The live runs' RAM estimates and what only they read.
         assert "ram_bytes" not in {f.name for f in fields(StageRow)}
-        assert "row_bytes" not in {f.name for f in fields(ComponentAssembly)}
         assert not hasattr(DeBruijnGraph, "nbytes")
         assert not hasattr(BowtieIndex, "memory_bytes")
         # Text is rendered from columns; the per-record writers are oracles.

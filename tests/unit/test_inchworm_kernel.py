@@ -1,27 +1,26 @@
-"""Unit tests for the Inchworm successor table and the component kernel:
+"""Unit tests for the Inchworm successor table and the queue kernel:
 shared tie-break helper, filtered-table coverage, the probe and the rows
 against direct lookups, byte identity with the per-step oracle at every
-length cap, and the thread-clock accounting."""
-
-import time
+length cap, and the per-thread seed queues."""
 
 import numpy as np
 import pytest
 
 from repro.errors import PipelineError
 from repro.parallel.component_stage import lpt_assign
-from repro.parallel.mpi_inchworm import _component_setup
+from repro.parallel.mpi_inchworm import component_setup
 from repro.seq.kmers import canonical_code, encode_kmer, revcomp_codes
 from repro.seq.records import SeqRecord
 from repro.trinity.inchworm import (
     InchwormConfig,
     _seed_order,
+    assemble_queue,
     extension_candidates,
     inchworm_assemble,
-    inchworm_assemble_components,
     keyed_contigs,
     neighbours,
     preference_rows,
+    seed_queues,
     tie_break_codes,
     walk,
 )
@@ -105,7 +104,7 @@ class TestCoverageUsesFilteredTable:
         )
         cfg = InchwormConfig(min_kmer_count=2, min_contig_length=1)
         res = assemble_components(counts, cfg)
-        assert [cov for _key, _seq, cov in res.keyed] == [pytest.approx(5.0)]
+        assert [cov for _key, _seq, cov in res] == [pytest.approx(5.0)]
 
 
 def _triples(contigs):
@@ -136,7 +135,7 @@ class TestBatchedKernel:
 
     def test_select_respects_blocking(self):
         # With every slot already used no row offers anything: the walk
-        # reads the seed's two rows and stops on the bare seed.
+        # stops on the bare seed.
         counts = counts_for(SRC1, SRC2, k=7)
         filtered = counts.index.filtered(1)
         queue = np.arange(len(filtered))
@@ -144,7 +143,7 @@ class TestBatchedKernel:
         assert (rows >= 0).any()
         all_blocked = bytearray(b"\x01" * len(filtered))
         for seed in (0, 5, 2 * len(filtered) - 1):
-            assert walk(memoryview(rows.reshape(-1)), all_blocked, 1, seed, 100) == ([seed], 2)
+            assert walk(memoryview(rows.reshape(-1)), all_blocked, 1, seed, 100) == [seed]
 
     def test_rows_hold_the_comparator_order(self):
         # Each row against the rule spelled out: present candidates by
@@ -212,7 +211,7 @@ class TestBatchedKernel:
             oracle = reference_inchworm.inchworm_assemble(counts, cfg)
             assert oracle
             assert _triples(inchworm_assemble(counts, cfg)) == _triples(oracle)
-            batched = keyed_contigs(assemble_components(counts, cfg).keyed)
+            batched = keyed_contigs(assemble_components(counts, cfg))
             assert _triples(batched) == _triples(oracle)
 
 
@@ -223,7 +222,7 @@ class TestThreadedDriver:
         serial = inchworm_assemble(counts, cfg)
         res = assemble_components(counts, cfg)
         assert [(c.name, c.seq, c.coverage) for c in serial] == [
-            (c.name, c.seq, c.coverage) for c in keyed_contigs(res.keyed)
+            (c.name, c.seq, c.coverage) for c in keyed_contigs(res)
         ]
 
     @pytest.mark.parametrize("n_threads", [2, 4, 8])
@@ -236,57 +235,53 @@ class TestThreadedDriver:
         cfg = InchwormConfig(min_kmer_count=1)
         res = assemble_components(counts, cfg, n_threads=n_threads)
         seen = set()
-        for _key, seq, _cov in res.keyed:
+        for _key, seq, _cov in res:
             for code in canonical_kmers(seq, 7).tolist():
                 assert code not in seen
                 assert counts.get(code) > 0
                 seen.add(code)
 
-    def test_team_timing_populated(self):
-        counts = counts_for(SRC1, SRC2, k=7)
-        res = assemble_components(counts, InchwormConfig(min_kmer_count=1), n_threads=4)
-        assert res.thread_clocks.shape == (4,)
-        assert res.thread_clocks.max() > 0
-        assert res.n_steps > 0
+    @staticmethod
+    def queues(counts, n_threads, cfg=InchwormConfig(min_kmer_count=1)):
+        """The LPT deal of all components to ``n_threads`` threads, queued."""
+        filtered = counts.index.filtered(cfg.min_kmer_count)
+        landing, ids, costs = component_setup(filtered, [neighbours(filtered, counts.canonical)])
+        teams = lpt_assign(costs.tolist(), range(len(costs)), n_threads)
+        return filtered, landing, ids, teams, seed_queues(filtered, cfg, ids, teams)
 
-    def test_clocks_cover_the_whole_call(self, smoke_counts):
-        # Everything the kernel does — queue setup, row builds, seed scans
-        # and emits, not just the walks — reaches a thread clock.
-        assemble_components(smoke_counts, n_threads=4)  # warm the index
-        cfg = InchwormConfig()
-        filtered = smoke_counts.index.filtered(cfg.min_kmer_count)
-        landing, ids, costs = _component_setup(
-            filtered, [neighbours(filtered, smoke_counts.canonical)]
-        )
-        teams = lpt_assign(costs.tolist(), range(len(costs)), 4)
-        t0 = time.thread_time()
-        res = inchworm_assemble_components(
-            filtered, smoke_counts.canonical, cfg, landing, ids, teams
-        )
-        measured = time.thread_time() - t0
-        assert 0.9 * measured <= res.thread_clocks.sum() <= measured
-
-    def test_more_threads_than_components_idle_at_zero(self):
+    def test_one_queue_per_thread(self):
+        # A queue per thread, holding exactly the positions of its
+        # components; each busy queue assembles on its own.
         counts = counts_for(SRC1, SRC2, k=7)
-        res = assemble_components(counts, InchwormConfig(min_kmer_count=1), n_threads=8)
-        busy = np.flatnonzero(res.thread_clocks)
-        assert 0 < busy.size < 8  # fewer components than threads
+        filtered, landing, ids, teams, queues = self.queues(counts, 4)
+        assert len(queues) == 4
+        for team, queue in zip(teams, queues):
+            assert sorted(queue.tolist()) == np.flatnonzero(np.isin(ids, team)).tolist()
+        assert sorted(np.concatenate(queues).tolist()) == list(range(len(filtered)))
+        cfg = InchwormConfig(min_kmer_count=1)
+        assert all(
+            assemble_queue(filtered, True, cfg, landing, queue) for queue in queues if queue.size
+        )
+
+    def test_more_threads_than_components_leave_queues_empty(self):
+        counts = counts_for(SRC1, SRC2, k=7)
+        *_setup, queues = self.queues(counts, 8)
+        busy = [queue for queue in queues if queue.size]
+        assert 0 < len(busy) < 8  # fewer components than threads
 
     def test_empty_counts(self):
         counts = counts_for("AAA", k=3)
-        res = assemble_components(counts, InchwormConfig(min_kmer_count=10), n_threads=2)
-        assert res.keyed == []
-        assert res.thread_clocks.tolist() == [0.0, 0.0]
-        assert res.n_steps == 0
+        cfg = InchwormConfig(min_kmer_count=10)
+        filtered, landing, _ids, _teams, queues = self.queues(counts, 2, cfg)
+        assert [queue.size for queue in queues] == [0, 0]
+        assert assemble_queue(filtered, True, cfg, landing, queues[0]) == []
+        assert assemble_components(counts, cfg, n_threads=2) == []
 
     def test_invalid_args_rejected(self):
         counts = counts_for(SRC1, k=7)
         filtered = counts.index.filtered(1)
         with pytest.raises(PipelineError):  # no thread at all
-            inchworm_assemble_components(
-                filtered, True, InchwormConfig(), neighbours(filtered),
-                np.arange(len(filtered)), [],
-            )
+            seed_queues(filtered, InchwormConfig(), np.arange(len(filtered)), [])
 
 
 class TestPipelineKnob:

@@ -9,7 +9,7 @@ contig's k-mers fall inside exactly one component.
 import numpy as np
 import pytest
 
-from repro.parallel.mpi_inchworm import _component_setup
+from repro.parallel.mpi_inchworm import component_setup
 from repro.seq.kmer_index import KmerCounter
 from repro.seq.kmers import canonical_kmers, kmer_array
 from repro.seq.records import SeqRecord
@@ -92,7 +92,7 @@ class TestEdgeCases:
     def test_costs_are_member_count_sums(self):
         rng = np.random.default_rng(4)
         counter = random_counter(rng, n=200)
-        landing, ids, costs = _component_setup(counter, [neighbours(counter)])
+        landing, ids, costs = component_setup(counter, [neighbours(counter)])
         assert np.array_equal(landing, neighbours(counter))
         assert np.array_equal(ids, component_ids(kmer_components(landing)))
         assert costs.shape == (int(ids.max()) + 1,)

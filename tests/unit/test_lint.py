@@ -4,7 +4,8 @@ The rule set lives in pyproject.toml (`[tool.ruff.lint]`): pyflakes plus
 the bug-prone pycodestyle classes.  Where ruff is not installed the gate
 degrades to a skip rather than an error; three always-on floors remain:
 every module under ``src/repro`` compiles, reads every name it imports,
-and the stage bodies measure no time of their own (AST checks).
+and neither the stage bodies nor the kernels they call measure time of
+their own (AST checks).
 """
 
 import ast
@@ -82,10 +83,18 @@ _ANALYTIC = {"scaling.py"}
 
 def test_parallel_modules_measure_nothing_themselves():
     """``SimComm`` is the one place a measured rank cost becomes virtual
-    time: no module of ``repro.parallel`` imports ``time``, ``Stopwatch``
-    or the OpenMP model, or reads a host clock."""
+    time: no module of ``repro.parallel``, nor any kernel module of
+    ``repro.trinity`` (``chrysalis`` included) or ``repro.seq`` the stage
+    bodies call, imports ``time``, ``Stopwatch`` or the OpenMP model, or
+    reads a host clock."""
+    src = REPO_ROOT / "src" / "repro"
+    paths = [
+        *sorted((src / "parallel").glob("*.py")),
+        *sorted((src / "trinity").rglob("*.py")),
+        *sorted((src / "seq").rglob("*.py")),
+    ]
     found = []
-    for path in sorted((REPO_ROOT / "src" / "repro" / "parallel").glob("*.py")):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -97,14 +106,14 @@ def test_parallel_modules_measure_nothing_themselves():
                 fn = node.func
                 called = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
                 if called in ("thread_time", "perf_counter"):
-                    found.append(f"{path.name}:{node.lineno} calls {called}")
+                    found.append(f"{path.relative_to(src)}:{node.lineno} calls {called}")
                 continue
             else:
                 continue
             if "time" in modules or "Stopwatch" in names:
-                found.append(f"{path.name}:{node.lineno} imports a clock")
+                found.append(f"{path.relative_to(src)}:{node.lineno} imports a clock")
             if path.name not in _ANALYTIC and any(
                 m == "repro.openmp" or m.startswith("repro.openmp.") for m in modules
             ):
-                found.append(f"{path.name}:{node.lineno} imports repro.openmp")
+                found.append(f"{path.relative_to(src)}:{node.lineno} imports repro.openmp")
     assert found == []

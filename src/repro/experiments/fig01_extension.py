@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.seq.kmers import canonical_code, decode_kmer, encode_kmer, revcomp_codes
 from repro.seq.records import SeqRecord
-from repro.trinity.inchworm import neighbours, preference_rows
+from repro.trinity.inchworm import chain_table, neighbours
 from repro.trinity.jellyfish import jellyfish_count
 from repro.util.fmt import format_table
 from repro.util.rng import derive_seed
@@ -73,7 +73,7 @@ def run(seed: int = 0) -> Fig01Result:
     filtered = counts.index  # no abundance floor in the illustration
     # The shipped kernel's successor table over the whole toy dictionary:
     # each k-mer's candidates, best first, as the walk states they lead to.
-    rows = preference_rows(
+    table = chain_table(
         filtered, True, derive_seed(seed, "inchworm-ties"),
         neighbours(filtered), np.arange(len(filtered)),
     )
@@ -93,7 +93,7 @@ def run(seed: int = 0) -> Fig01Result:
     steps: List[ExtensionStep] = []
     for pos in range(len(TRUE_SEQ)):
         current = kmer_and_count(state)[0]
-        row = [nxt for nxt in rows[state >> 1, state & 1, 0].tolist() if nxt >= 0]
+        row = table.row(state >> 1, state & 1, 0)
         # Shown in base order, as the figure draws them; taken in row order.
         candidates = sorted(kmer_and_count(nxt) for nxt in row)
         state = next((nxt for nxt in row if nxt >> 1 not in used), -1)

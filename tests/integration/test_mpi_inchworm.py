@@ -27,7 +27,7 @@ from repro.parallel.mpi_inchworm import (
 from repro.parallel.recovery import mpirun_with_recovery
 from repro.seq.records import SeqRecord
 from repro.trinity import TrinityConfig, inchworm
-from repro.trinity.inchworm import InchwormConfig, inchworm_assemble, preference_rows
+from repro.trinity.inchworm import InchwormConfig, chain_table, inchworm_assemble
 from repro.trinity.jellyfish import jellyfish_count
 from tests import reference_inchworm
 
@@ -73,9 +73,9 @@ class TestSerialEquality:
 
         def counted_rows(filtered, canonical, salt, landing, queue):
             built.append(queue.size)
-            return preference_rows(filtered, canonical, salt, landing, queue)
+            return chain_table(filtered, canonical, salt, landing, queue)
 
-        monkeypatch.setattr(inchworm, "preference_rows", counted_rows)
+        monkeypatch.setattr(inchworm, "chain_table", counted_rows)
         run = mpirun(
             mpi_inchworm, 3,
             InchwormInputs(counts=smoke_counts),

@@ -112,10 +112,11 @@ class TestStageTable:
 
 class TestInchwormSurface:
     def test_two_assemblers_and_no_window_knob(self):
-        """Probe -> rows -> walk behind two assemblers, the serial one and
-        the stage's per-thread queue kernel, which is the serial one's walk
-        too: no second engine, no per-step search, no clock and no option
-        beside threads per rank (the per-step loops are the oracles in
+        """Probe -> links and forks -> chain walk behind two assemblers, the
+        serial one and the stage's per-thread queue kernel, which is the
+        serial one's walk too: no second engine, no per-step search, no
+        clock and no option beside threads per rank (the per-step loops
+        and the fully sorted rows are the oracles in
         ``tests/reference_inchworm.py`` and ``tests/reference_pairs.py``)."""
         from dataclasses import fields
         from inspect import signature
@@ -139,10 +140,10 @@ class TestInchwormSurface:
             "filtered", "config", "component_ids", "thread_components",
         ]
         assert params(inchworm.neighbours) == ["filtered", "canonical", "start", "stop"]
-        assert params(inchworm.preference_rows) == [
+        assert params(inchworm.chain_table) == [
             "filtered", "canonical", "salt", "landing", "queue",
         ]
-        assert params(inchworm.walk) == ["rows", "used", "o_bits", "seed", "max_len"]
+        assert params(inchworm.walk) == ["table", "used", "seed", "max_len"]
         assert params(pairs.reconcile_with_pairs) == [
             "transcripts", "reads", "assignments", "min_support",
         ]

@@ -19,8 +19,8 @@ strand: canonical tables walk both); the landing orientation dropped
 from the entry (any canonical walk that changes strand); ``used``
 tested on the row's own slot instead of the landing's (every second
 contig of a component); the reverse orientation's bases not mirrored
-(``land = half``); ``_seed_marks`` without its own-slot fallback (the
-injected directed code).
+(``land = half``); ``chain_table``'s seed marks without their own-slot
+fallback (the injected directed code).
 """
 
 from hypothesis import given, settings
@@ -64,7 +64,7 @@ def assembly_cases(draw):
       in their low 32 bits, so the tie hash cannot separate an equal
       count and only the base index does;
     * in a canonical table, a stored *directed* code whose canonical
-      partner is absent (``_seed_marks``' own-slot fallback).
+      partner is absent (the seed marks' own-slot fallback).
     """
     k = draw(st.sampled_from([5, 6, 7, 17]))
     dna = lambda lo, hi: st.text(alphabet="ACGT", min_size=lo, max_size=hi)

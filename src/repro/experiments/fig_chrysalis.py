@@ -17,8 +17,8 @@ fusing the whole back-end chain into one component-parallel stage
   indivisible is the walk) — against :func:`prefusion_total_s`, the
   serial-middle + graph-allgather + distributed-walk baseline.
 * **Measured line** — the stage as the driver ships it (round-robin
-  deal, 16 threads per rank, pair reconciliation on) on the smoke
-  workload at 1 and 8 ranks
+  deal, 16 threads per rank, pair reconciliation on) on the whitefly
+  miniature at 1 and 8 ranks, as fig-jellyfish and fig-inchworm measure
   (:func:`repro.experiments.measured.row_runs`): both virtual makespans,
   and whether the 8-rank transcripts and quant stats equal the 1-rank
   ones.  Equality with the serial chain is
@@ -40,7 +40,7 @@ from repro.util.rng import spawn_rng
 #: Paper-scale sweep: the node counts of the Figure 7/9 series.
 SWEEP_NODES = (8, 16, 32, 64, 128)
 N_COMPONENTS = 2_000
-RECIPE = "smoke"
+RECIPE = "whitefly-mini"
 #: Pooled-payload stand-ins for the analytic sweep (arbitrary but
 #: size-ordered: quantified graphs outweigh transcripts ~30x).
 GRAPH_BYTES = 6e9
@@ -147,7 +147,7 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigChrysalisResult
         for n in nodes
     ]
 
-    # The smoke library at seed 1, whatever the sweep's seed.
+    # The whitefly miniature at seed 1, whatever the sweep's seed.
     _chain, (runs,) = row_runs("chrysalis", RECIPE, 1, (1, REAL_NPROCS))
     return FigChrysalisResult(
         rows=rows,

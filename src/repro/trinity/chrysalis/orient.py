@@ -72,7 +72,10 @@ def reverse_votes(
 
     A window's reverse complement is node ``n`` iff the window is
     ``rc(n)``, so both strands are read off one search against the nodes
-    and their reverse complements together.
+    and their reverse complements together.  The windows are searched
+    sorted, as sorted needles walk the table front to back, saving more
+    than the sort costs (a read block of whitefly-half's largest
+    component: 0.8-0.9 ms in read order, 0.4-0.5 ms sorted, x86 host).
     """
     if not (windows.size and nodes.size):
         return np.zeros(n_seqs, dtype=bool)
@@ -81,7 +84,9 @@ def reverse_votes(
     )
     strand = np.zeros((2, table.size), dtype=bool)  # entry is a node / an rc(node)
     strand[0, row[: nodes.size]] = strand[1, row[nodes.size :]] = True
-    pos = np.searchsorted(table, windows)
+    order = np.argsort(windows)
+    pos = np.empty(windows.size, dtype=np.intp)
+    pos[order] = np.searchsorted(table, windows[order])
     pos[pos == table.size] = 0
     hit = table[pos] == windows
     # One key per (sequence, table entry): a repeated (k-1)-mer votes once.

@@ -53,8 +53,8 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import PipelineError
-from repro.seq.kmer_index import KmerCounter
-from repro.seq.kmers import decode_kmer, revcomp_codes
+from repro.seq.kmer_index import KmerCounter, decode_kmers
+from repro.seq.kmers import revcomp_codes
 from repro.seq.records import Contig
 from repro.trinity.jellyfish import JellyfishCounts
 from repro.util.rng import derive_seed
@@ -403,6 +403,9 @@ def walk(
 
 
 _BASE_BYTES = np.frombuffer(b"ACGT", dtype=np.uint8)
+#: Queue entries whose claims one gather reads: most are claimed before
+#: their turn, so only the rest are visited one by one.
+_SEED_BLOCK = 256
 
 
 def assemble_queue(
@@ -438,13 +441,18 @@ def assemble_queue(
     used = bytearray(queue.size)
     min_kmers = config.resolved_min_length(k) - k + 1
     walks: List[Tuple[int, int, List[int]]] = []
-    starts = table.starts
-    for seed, mark in enumerate(table.marks):
-        if not used[mark]:
-            used[mark] = 1
-            n, runs = walk(table, used, starts[seed], config.max_contig_length)
-            if n >= min_kmers:
-                walks.append((seed, n, runs))
+    starts, marks = table.starts, table.marks
+    claimed, mark_of = np.frombuffer(used, dtype=np.uint8), np.asarray(marks)
+    for at in range(0, queue.size, _SEED_BLOCK):
+        # A block's seeds still unclaimed as it starts, found in one
+        # gather; a walk may claim a later one, so each is checked again.
+        block = np.flatnonzero(claimed[mark_of[at : at + _SEED_BLOCK]] == 0)
+        for seed in (block + at).tolist():
+            if not used[marks[seed]]:
+                used[marks[seed]] = 1
+                n, runs = walk(table, used, starts[seed], config.max_contig_length)
+                if n >= min_kmers:
+                    walks.append((seed, n, runs))
     if not walks:
         return []
     seeds, lengths, paths = zip(*walks)
@@ -462,9 +470,9 @@ def assemble_queue(
     last_bases = _BASE_BYTES[(directed & np.uint64(3)).astype(np.intp)].tobytes().decode("ascii")
     keys = zip(*(key.tolist() for key in _seed_keys(filtered, salt, queue[list(seeds)])))
     return [
-        (key, decode_kmer(first, k) + last_bases[a + 1 : a + n], float(total) / n)
+        (key, first + last_bases[a + 1 : a + n], float(total) / n)
         for key, first, a, n, total in zip(
-            keys, directed[starts].tolist(), starts.tolist(), lengths, totals.tolist()
+            keys, decode_kmers(directed[starts], k), starts.tolist(), lengths, totals.tolist()
         )
     ]
 

@@ -22,9 +22,16 @@ rows — equals the string-keyed code it replaced
   blocks packed in any order, their tables pooled in any order): the
   same contract, the same old loop, and weights equal to the one-block
   ``quantify_component``'s to the byte.
-* ``butterfly_component`` against both dict-graph walks (the in-place
-  ``dfs_in_place`` and the copying ``dfs``) on the ordered ``(name, seq)``
-  list, at four salts.
+* ``butterfly_component`` — the run walk — against the per-node walk
+  over the same integer rows (``ref.butterfly_rows``) and both dict-graph
+  walks (the in-place ``dfs_in_place`` and the copying ``dfs``) on the
+  ordered ``(name, seq)`` list, at four salts; and again on long runs
+  that every shape a run meets cuts (entered mid-run through a branch
+  edge, two runs merging, a cycle closing into a run's middle, a run
+  ending at a repeat, a later walk jumping onto its own path) with caps
+  anywhere along them.
+* ``reverse_votes``, which searches its windows sorted, against the
+  search in window order (``ref.reverse_votes_unsorted``).
 
 Assertions that moved here from the unit files when the graph stopped
 being a dict: ``test_debruijn.py``'s ``(bulk.edges, bulk._in_edges) ==
@@ -70,7 +77,7 @@ test that fails:
 * solid filter applied on one strand (``solid.contains(kmer)``): same
   test, and the one-block test above
 * floor taken after the on-path filter (``strongest`` over off-path
-  siblings only, i.e. computed in ``_dfs``): ``test_walk_equals_copying_dfs``
+  siblings only, i.e. computed in the walk): ``test_walk_equals_copying_dfs``
   and ``test_floor_counts_on_path_siblings``
 * tie-break on code instead of ``crc32 ^ salt`` (key ``(-w, name)``):
   ``test_tied_siblings_follow_the_salt``, ``test_walk_equals_copying_dfs``
@@ -83,6 +90,22 @@ test that fails:
   (cyclic graphs: the walk no longer terminates a path at a repeat node)
 * ``max_paths`` re-check dropped (``while stack:``): ``test_walk_equals_copying_dfs``
   at ``max_paths_per_component`` 1 and 2
+* a jump that skips the on-path ``find`` (``hit = -1``):
+  ``test_walk_equals_copying_dfs``, ``test_run_walk_equals_rows_oracle``,
+  ``test_run_walk_on_named_shapes`` [cycle into mid-run, run ends at a
+  repeat, jump onto the path]
+* the cap off by one (``s + limit - size``): ``test_walk_equals_copying_dfs``,
+  ``test_run_walk_equals_rows_oracle`` and every named shape
+* a sibling sharing its parent's ``on_path`` or ``runs`` (no copy at the
+  branch): the same two tests and two named shapes or more
+* branch successors not filtered by ``on_path`` (the path then ends on
+  its strongest sibling): ``test_floor_counts_on_path_siblings`` at one
+  path, ``test_run_walk_equals_rows_oracle``
+* later runs spelled from their second slot (``tails[a + 1 : b]``, the
+  head whole): the same two tests and four named shapes
+* vote positions left in sorted order (``pos[:] = ...`` for
+  ``pos[order] = ...``): ``test_sorted_vote_equals_unsorted_search``
+  (and ``test_quantify_component_equals_contract_and_oracle``)
 """
 
 from contextlib import contextmanager
@@ -96,9 +119,10 @@ from repro.seq import kmers
 from repro.seq.alphabet import reverse_complement
 from repro.seq.kmer_index import KmerCounter, decode_kmers
 from repro.seq.records import SeqRecord
+from repro.trinity import butterfly
 from repro.trinity.butterfly import ButterflyConfig, butterfly_component
 from repro.trinity.chrysalis.debruijn import DeBruijnGraph, fasta_to_debruijn
-from repro.trinity.chrysalis.orient import orient_component
+from repro.trinity.chrysalis.orient import orient_component, reverse_votes
 from repro.trinity.chrysalis.quantify import (
     count_block,
     pack_routed_reads,
@@ -504,9 +528,113 @@ def test_walk_equals_copying_dfs(case, max_paths, max_path_nodes, fraction):
             seed=seed,
         )
         got = transcripts(butterfly_component(7, graph, cfg))
+        assert got == transcripts(ref.butterfly_rows(7, graph, cfg))
         assert got == transcripts(ref.butterfly_component(7, oracle, cfg, ref.dfs_in_place))
         assert got == transcripts(ref.butterfly_component(7, oracle, cfg, ref.dfs))
         assert len(got) <= max_paths
+
+
+@st.composite
+def run_shapes(draw):
+    """``(k, [(sequence, weight)])`` at k=7 (4 096 possible nodes, so a 20-
+    60 base backbone is one branch-free run until a shape cuts it):
+    detours that leave the backbone and rejoin it later (a run entered
+    mid-run through a branch edge, the rejoined node of step in-degree 2)
+    or earlier (a cycle closing into the run's middle: the detour's run
+    ends at a node already on the path), prefixes joining mid-run from
+    sources of their own (two runs merging) and a backbone repeating one
+    of its nodes (a run that ends at a repeat)."""
+    k = 7
+    weights = st.sampled_from([1.0, 2.0, 2.0, 5.0])
+    backbone = draw(dna(20, 60))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(backbone) - k + 1))
+        to = draw(st.integers(at + 1, len(backbone)))
+        backbone = backbone[:to] + backbone[at : at + k - 1] + backbone[to:]
+    seqs = [(backbone, draw(weights))]
+    for _ in range(draw(st.integers(0, 3))):
+        leave = draw(st.integers(k - 1, len(backbone)))
+        rejoin = draw(st.integers(0, len(backbone) - k + 1))
+        seqs.append((backbone[:leave] + draw(dna(0, 3)) + backbone[rejoin:], draw(weights)))
+    for _ in range(draw(st.integers(0, 2))):
+        rejoin = draw(st.integers(1, len(backbone) - k + 1))
+        seqs.append((draw(dna(1, 8)) + backbone[rejoin:], draw(weights)))
+    return k, seqs
+
+
+def assert_walks_agree(graph, oracle, cfg):
+    got = transcripts(butterfly_component(7, graph, cfg))
+    assert got == transcripts(ref.butterfly_rows(7, graph, cfg))
+    assert got == transcripts(ref.butterfly_component(7, oracle, cfg, ref.dfs_in_place))
+    assert got == transcripts(ref.butterfly_component(7, oracle, cfg, ref.dfs))
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    run_shapes(),
+    st.sampled_from([1, 2, 12]),
+    st.integers(1, 70),
+    st.sampled_from([0.0, 0.3]),
+)
+def test_run_walk_equals_rows_oracle(case, max_paths, max_path_nodes, fraction):
+    """The run walk, the per-node walk over the same rows and both
+    dict-graph walks agree on long runs cut by every shape a run meets,
+    with caps anywhere along them."""
+    k, seqs = case
+    graph, oracle = both_graphs(k, seqs)
+    for seed in range(2):
+        cfg = ButterflyConfig(
+            max_paths_per_component=max_paths,
+            max_path_nodes=max_path_nodes,
+            min_edge_fraction=fraction,
+            min_transcript_length=1,
+            seed=seed,
+        )
+        assert len(assert_walks_agree(graph, oracle, cfg)) <= max_paths
+
+
+BACKBONE = "GATTACAGCCTTAGGCATCGATGCAAGTCCGTTAGCTAACGGT"  # no 6-mer twice
+
+
+def step_in_degrees(graph, cfg):
+    """Per node, how many nodes have it as their only survivor."""
+    _nodes, _sources, step, _branches = butterfly._walk_rows(graph, cfg, 0)
+    return np.bincount([s for s in step if s >= 0], minlength=len(step))
+
+
+@pytest.mark.parametrize(
+    "name, extra",
+    [
+        # A branch at 12 whose arm re-enters the backbone's run at 20.
+        ("entered mid-run", [BACKBONE[:12] + "T" + BACKBONE[20:]]),
+        # A second source's run merging into the backbone's at 15.
+        ("runs merging", ["CCCCCC" + BACKBONE[15:]]),
+        # An arm leaving at 30 and closing into the run's middle at 5.
+        ("cycle into mid-run", [BACKBONE[:30] + "G" + BACKBONE[5:]]),
+        # The backbone's run steps onto its own 6-mer at 8 again.
+        ("run ends at a repeat", [BACKBONE[:25] + BACKBONE[8:14] + BACKBONE[25:]]),
+        # The backbone's walk lays 0-30 out as one run; a later source's
+        # joins it at 15, leaves at 30 and re-enters at 5: its jump from 5
+        # must stop at 14, the slot before its own.
+        ("jump onto the path", ["TTTTTT" + BACKBONE[15:], BACKBONE[:30] + "G" + BACKBONE[5:]]),
+    ],
+)
+def test_run_walk_on_named_shapes(name, extra):
+    """Each shape a run meets, at every cap: the walks agree."""
+    k = 7
+    nodes = [BACKBONE[i : i + k - 1] for i in range(len(BACKBONE) - k + 2)]
+    assert len(set(nodes)) == len(nodes)
+    graph, oracle = both_graphs(k, [(BACKBONE, 2.0)] + [(seq, 2.0) for seq in extra])
+    assert step_in_degrees(graph, ButterflyConfig()).max() == 2  # a run is entered mid-run
+    for max_path_nodes in (*range(1, len(BACKBONE) + 4), 100_000):  # every cap, mid-run too
+        for max_paths in (1, 2, 12):
+            cfg = ButterflyConfig(
+                max_paths_per_component=max_paths,
+                max_path_nodes=max_path_nodes,
+                min_transcript_length=1,
+            )
+            assert_walks_agree(graph, oracle, cfg)
 
 
 def test_tied_siblings_follow_the_salt():
@@ -532,16 +660,21 @@ def test_floor_counts_on_path_siblings():
     """The edge closing a cycle is its node's strongest, and leads to a
     node already on the path; the way out is below ``min_edge_fraction``
     of it, so the path ends there although the strong sibling cannot be
-    taken."""
+    taken.  Above the floor, the way out is the path's first choice: one
+    path allowed, it leaves."""
     k = 5
     loop = "ACGGTCA" + "ACGG"  # ACGG -> ... -> AACG -> ACGG
     seqs = [("TT" + loop, 10.0), ("CAACGTTTGC", 1.0)]  # weak exit AACG -> ACGT
     graph, oracle = both_graphs(k, seqs)
     for fraction, leaves in ((0.05, True), (0.5, False)):
-        cfg = ButterflyConfig(min_edge_fraction=fraction, min_transcript_length=1)
-        got = transcripts(butterfly_component(0, graph, cfg))
-        assert got == transcripts(ref.butterfly_component(0, oracle, cfg))
-        assert any("TTTGC" in seq for _name, seq in got) == leaves
+        for max_paths in (1, 12):
+            cfg = ButterflyConfig(
+                min_edge_fraction=fraction, min_transcript_length=1,
+                max_paths_per_component=max_paths,
+            )
+            got = transcripts(butterfly_component(0, graph, cfg))
+            assert got == transcripts(ref.butterfly_component(0, oracle, cfg))
+            assert any("TTTGC" in seq for _name, seq in got) == leaves
 
 
 def test_sources_count_pruned_edges():
@@ -565,3 +698,27 @@ def test_no_source_graph_falls_back_to_unitigs():
     got = transcripts(butterfly_component(0, graph, cfg))
     assert got == transcripts(ref.butterfly_component(0, oracle, cfg))
     assert len(got) == 2
+
+
+# -- the read vote --------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sorted_vote_equals_unsorted_search(data):
+    """``reverse_votes`` searching its windows sorted equals the search in
+    window order: windows repeated, absent from the table, on either
+    strand, from sequences in any order, and empty inputs on either side."""
+    k = 5
+    codes = st.integers(0, 255)  # (k-1)-mers
+    nodes = np.unique(np.array(data.draw(st.lists(codes, max_size=20)), dtype=np.uint64))
+    pool = [*nodes.tolist(), *kmers.revcomp_codes(nodes, k - 1).tolist()]
+    window = st.sampled_from(pool) | codes if pool else codes
+    windows = np.array(data.draw(st.lists(window, max_size=60)), dtype=np.uint64)
+    n_seqs = data.draw(st.integers(1, 6))
+    ids = st.lists(st.integers(0, n_seqs - 1), min_size=windows.size, max_size=windows.size)
+    seq_ids = np.array(data.draw(ids), dtype=np.int64)
+    if data.draw(st.booleans()):
+        seq_ids.sort()  # read order, as the pack lists them
+    got = reverse_votes(windows, seq_ids, n_seqs, nodes, k)
+    assert got.tolist() == ref.reverse_votes_unsorted(windows, seq_ids, n_seqs, nodes, k).tolist()

@@ -9,16 +9,23 @@ Everything here is code the array kernels replaced, moved unchanged:
   (until PR 22 ``repro.trinity.chrysalis.debruijn``);
 * the per-read QuantifyGraph loop with its string-set orientation vote
   (``best_orientation``) and per-window ``add_sequence_masked`` /
-  ``add_sequence_filtered`` threading (until PR 18);
+  ``add_sequence_filtered`` threading (until PR 18), and the batched
+  vote's binary search of its windows in read order
+  (:func:`reverse_votes_unsorted`; ``orient.reverse_votes`` sorts them);
 * two Butterfly walks over the dict graph: :func:`dfs`, which copies its
   path and ``on_path`` set at every node (until PR 18), and
   :func:`dfs_in_place`, which extends them in place and sorts siblings
   at each branch it reaches (until PR 22) — and :func:`butterfly_component`,
-  the enumeration around either.
+  the enumeration around either;
+* the rows oracle: :func:`rows_dfs`, the walk over the array graph's
+  integer rows that steps one node at a time and keys its paths by their
+  node tuples (``butterfly._dfs`` before the run walk), and
+  :func:`butterfly_rows`, the enumeration around it.
 
-Reads and contigs are handled as strings throughout — nothing here
-touches ``repro.seq.kmers`` except the solid lookup the old loop itself
-made.
+The dict-graph code handles reads and contigs as strings throughout —
+it touches ``repro.seq.kmers`` only for the solid lookup the old loop
+itself made.  The rows oracle and the unsorted vote take the array
+kernels' own inputs.
 
 Things the oracle does that the kernels deliberately do not (the ``N``
 rule of DESIGN §5.16, extended to contigs in §5.20): it threads windows
@@ -43,7 +50,9 @@ from repro.errors import PipelineError
 from repro.seq.alphabet import reverse_complement
 from repro.seq.kmers import kmer_array, revcomp_codes
 from repro.seq.records import SeqRecord, Transcript
+from repro.trinity import butterfly
 from repro.trinity.butterfly import ButterflyConfig, _dedup_contained
+from repro.trinity.chrysalis import debruijn
 from repro.trinity.chrysalis.quantify import ComponentQuant
 from repro.util.rng import derive_seed
 
@@ -200,6 +209,31 @@ def best_orientation(seq: str, node_set: Set[str], k: int) -> str:
     if len(rev_nodes & node_set) > len(fwd_nodes & node_set):
         return rc
     return seq
+
+
+def reverse_votes_unsorted(
+    windows: np.ndarray, seq_ids: np.ndarray, n_seqs: int, nodes: np.ndarray, k: int
+) -> np.ndarray:
+    """``orient.reverse_votes`` searching its windows in the order given."""
+    if not (windows.size and nodes.size):
+        return np.zeros(n_seqs, dtype=bool)
+    table, row = np.unique(
+        np.concatenate((nodes, revcomp_codes(nodes, k - 1))), return_inverse=True
+    )
+    strand = np.zeros((2, table.size), dtype=bool)  # entry is a node / an rc(node)
+    strand[0, row[: nodes.size]] = strand[1, row[nodes.size :]] = True
+    pos = np.searchsorted(table, windows)
+    pos[pos == table.size] = 0
+    hit = table[pos] == windows
+    # One key per (sequence, table entry): a repeated (k-1)-mer votes once.
+    pairs = np.sort(seq_ids[hit] * table.size + pos[hit])
+    first = np.ones(pairs.size, dtype=bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    seq, entry = np.divmod(pairs[first], table.size)
+    forward, reverse = (
+        np.bincount(seq[strand[s, entry]], minlength=n_seqs) for s in (0, 1)
+    )
+    return reverse > forward
 
 
 def add_sequence_filtered(
@@ -431,3 +465,72 @@ def dfs(
         # Depth-first: push in reverse so the best branch is explored first.
         for nxt, _w in reversed(viable):
             stack.append((path + [nxt], on_path | {nxt}))
+
+
+def butterfly_rows(
+    component_id: int, graph: debruijn.DeBruijnGraph, cfg: Optional[ButterflyConfig] = None
+) -> List[Transcript]:
+    """Enumerate transcripts for one array component graph with
+    :func:`rows_dfs` over ``butterfly._walk_rows``' rows."""
+    cfg = cfg or ButterflyConfig()
+    min_len = cfg.resolved_min_length(graph.k)
+    salt = derive_seed(cfg.seed, "butterfly", component_id)
+    nodes, sources, step, branches = butterfly._walk_rows(graph, cfg, salt)
+    if not sources:
+        return butterfly._from_unitigs(component_id, graph, cfg)
+    paths: List[Tuple[int, ...]] = []
+    seen_paths: Set[Tuple[int, ...]] = set()
+    for src in sources:
+        rows_dfs(step, branches, src, cfg, paths, seen_paths)
+        if len(paths) >= cfg.max_paths_per_component:
+            break
+    seqs = _dedup_contained([debruijn.spell_path(nodes[list(p)], graph.k) for p in paths])
+    return [
+        Transcript(name=f"comp{component_id}_seq{i}", seq=seq, component=component_id)
+        for i, seq in enumerate(seqs)
+        if len(seq) >= min_len
+    ]
+
+
+def rows_dfs(
+    step: List[int],
+    branches: Dict[int, Tuple[int, ...]],
+    src: int,
+    cfg: ButterflyConfig,
+    paths: List[Tuple[int, ...]],
+    seen_paths: Set[Tuple[int, ...]],
+) -> None:
+    """Iterative DFS from one source row over ``_walk_rows``' rows.
+
+    A stack entry owns its ``path`` list and ``on_path`` set, so the
+    best viable successor extends both in place; only the other siblings
+    at a node with two or more viable successors get copies.  Component
+    graphs are mostly unbranched chains, which makes one path cost
+    O(nodes) instead of the O(nodes^2) of a copy per node.
+    """
+    limit = cfg.max_path_nodes
+    stack: List[Tuple[List[int], Set[int]]] = [([src], {src})]
+    while stack and len(paths) < cfg.max_paths_per_component:
+        path, on_path = stack.pop()
+        node, size = path[-1], len(path)
+        while True:
+            # The node's surviving successors, minus those already on the
+            # path (no cycles in one transcript).
+            best = step[node]
+            if best == butterfly._BRANCH:
+                viable = [nxt for nxt in branches[node] if nxt not in on_path]
+                best = viable[0] if viable else butterfly._END
+                # Depth-first: the best branch is walked next (in place,
+                # below); the rest wait beneath it, next-best on top.
+                if size < limit:
+                    for nxt in reversed(viable[1:]):
+                        stack.append(([*path, nxt], {*on_path, nxt}))
+            if best == butterfly._END or best in on_path or size >= limit:
+                key = tuple(path)
+                if key not in seen_paths:
+                    seen_paths.add(key)
+                    paths.append(key)
+                break
+            path.append(best)
+            on_path.add(best)
+            node, size = best, size + 1

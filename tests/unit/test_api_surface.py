@@ -262,9 +262,8 @@ class TestChrysalisBackendSurface:
         assert params(butterfly.butterfly_component) == ["component_id", "graph", "cfg"]
         assert params(butterfly.butterfly_assemble) == ["graphs", "cfg"]
         assert params(butterfly._walk_rows) == ["graph", "cfg", "salt"]
-        assert params(butterfly._dfs) == [
-            "step", "branches", "src", "cfg", "paths", "seen_paths",
-        ]
+        assert params(butterfly._walk_runs) == ["step", "branches", "sources", "cfg"]
+        assert not hasattr(butterfly, "_dfs")  # one walk; the per-node one is an oracle
         assert params(estimated_component_cost) == [
             "component", "contigs", "k", "max_paths", "n_reads",
         ]

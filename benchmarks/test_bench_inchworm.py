@@ -69,7 +69,7 @@ def test_bench_threaded_engine(benchmark, bench_reads):
     """The component kernel on a 4-thread team (one-rank ``mpi_inchworm``)
     reproduces the serial contigs byte for byte while the team's virtual
     speedup scales (history tracks exact makespans)."""
-    counts = jellyfish_count(bench_reads, K)
+    counts = jellyfish_count(bench_reads, K).filtered(2)  # the solid table
     cfg = InchwormConfig(seed=0)
     serial = inchworm_assemble(counts, cfg)
 

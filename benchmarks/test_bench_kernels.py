@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.seq.kmer_index import sorted_rows
 from repro.seq.kmers import kmer_array, revcomp_codes
 from repro.openmp.schedule import dynamic_makespan
 from repro.simdata.reads import flatten_reads
@@ -27,12 +28,13 @@ from repro.trinity.chrysalis.quantify import (
     pack_routed_reads,
     quantify_component,
     reads_by_component,
-    solid_index,
 )
+from repro.trinity.chrysalis.reads_to_transcripts import build_kmer_map
 from repro.parallel.mpi_inchworm import component_setup
 from repro.trinity.inchworm import (
     InchwormConfig,
     _salt,
+    _seed_keys,
     _seed_order,
     assemble_queue,
     chain_table,
@@ -46,7 +48,9 @@ from repro.trinity.kmer_components import kmer_components, overlap_edges
 from repro.trinity.pairs import reconcile_with_pairs
 from repro.util.rng import spawn_rng
 from repro.validation.smith_waterman import sw_align, sw_score
-from tests import reference_chrysalis, reference_gff, reference_inchworm, reference_pairs
+from tests import (
+    reference_chrysalis, reference_gff, reference_inchworm, reference_pairs, reference_sorts,
+)
 from tests.reference_components import bfs_labels
 
 
@@ -73,7 +77,7 @@ def test_bench_jellyfish_count(benchmark, bench_reads):
 
 
 def test_bench_inchworm(benchmark, bench_reads):
-    counts = jellyfish_count(bench_reads, 25)
+    counts = jellyfish_count(bench_reads, 25).filtered(2)  # the solid table
 
     def assemble():
         return inchworm_assemble(counts, InchwormConfig(seed=0))
@@ -83,7 +87,7 @@ def test_bench_inchworm(benchmark, bench_reads):
 
 
 def test_bench_bowtie_align(benchmark, bench_reads):
-    counts = jellyfish_count(bench_reads, 25)
+    counts = jellyfish_count(bench_reads, 25).filtered(2)
     contigs = inchworm_assemble(counts, InchwormConfig(seed=0))
     index = BowtieIndex(contigs, BowtieConfig())
     reads = bench_reads[:200]
@@ -134,7 +138,7 @@ def giant_component(whitefly_half):
     routed = reads_by_component(out.assignments)
     comp = max(out.gff.components, key=lambda c: len(routed.get(c.id, ())))
     oriented = orient_component([out.contigs[m].seq for m in comp.members], tcfg.weld_k)
-    solid = solid_index(out.counts, tcfg.min_kmer_count)
+    solid = out.counts.index
     return tcfg, comp.id, oriented, reads, routed[comp.id], solid
 
 
@@ -210,7 +214,7 @@ def test_bench_butterfly_runs_vs_rows(benchmark, whitefly_half):
         )
         for comp in out.gff.components
     }
-    solid = solid_index(out.counts, tcfg.min_kmer_count)
+    solid = out.counts.index
     pack = pack_routed_reads(reads, {cid: routed.get(cid, ()) for cid in graphs}, tcfg.k, solid)
     for cid, graph in graphs.items():
         quantify_component(cid, graph, pack)
@@ -247,7 +251,7 @@ def test_bench_backend_chain_is_linear(benchmark):
             comp.id: orient_component([out.contigs[m].seq for m in comp.members], tcfg.weld_k)
             for comp in out.gff.components
         }
-        return reads, members, out.assignments, solid_index(out.counts, tcfg.min_kmer_count)
+        return reads, members, out.assignments, out.counts.index
 
     def chain(reads, members, assignments, solid):
         graphs = {cid: fasta_to_debruijn(seqs, tcfg.k) for cid, seqs in members.items()}
@@ -287,7 +291,7 @@ def test_bench_inchworm_table_walk(benchmark, whitefly_half):
 
     tcfg, _reads, out = whitefly_half
     cfg, canonical = tcfg.inchworm(), out.counts.canonical
-    filtered = out.counts.index.filtered(cfg.min_kmer_count)
+    filtered = out.counts.index
     landing, ids, _costs = component_setup(filtered, [neighbours(filtered, canonical)])
     sizes = np.bincount(ids)
     giant = int(np.argmax(sizes))
@@ -324,7 +328,7 @@ def test_bench_kmer_components(benchmark, whitefly_half):
     from benchmarks.conftest import _best_of
 
     tcfg, _reads, out = whitefly_half
-    filtered = out.counts.index.filtered(tcfg.min_kmer_count)
+    filtered = out.counts.index
     landing = neighbours(filtered, out.counts.canonical)
     labels = benchmark(kmer_components, landing)
     assert np.array_equal(labels, bfs_labels(len(filtered), *overlap_edges(landing)))
@@ -365,7 +369,7 @@ def test_bench_weldmer_scan(benchmark):
         )
         _txome, pairs = recipe.materialize(seed=LIBRARY_SEED)
         reads = flatten_reads(pairs)
-        return reads, inchworm_assemble(jellyfish_count(reads, 25), InchwormConfig(seed=1))
+        return reads, inchworm_assemble(jellyfish_count(reads, 25).filtered(2), InchwormConfig(seed=1))
 
     def setup(reads, contigs):
         return build_weldmer_index(reads, shared_seed_array(contigs, cfg), cfg)
@@ -386,3 +390,67 @@ def test_bench_weldmer_scan(benchmark):
     )
     assert oracle_s >= 5 * kernel_s
     assert big_s <= 6 * kernel_s
+
+
+def test_bench_packed_sorts(benchmark, whitefly_half):
+    """The replicated table builds that sort one packed key, on
+    whitefly-half, against the stable-argsort / lexsort code they replaced
+    (``tests/reference_sorts.py``): equal outputs, and each sort step
+    >= 2x faster than the merge sort it replaced — GFF's (contig, code)
+    rows, RTT's k-mer map from its (code, component) pairs, and
+    ``sorted_rows`` over Inchworm's seed comparator keys.  The whole
+    ``shared_seed_array`` / ``build_kmer_map`` calls are recorded beside
+    them: their window encoding is unchanged, so they gain less (measured
+    2.1x and 1.8x).  Host wall, best of 50; ``extra_info`` holds the ms."""
+    from benchmarks.conftest import _best_of
+    from repro.seq.kmer_index import KmerMap
+    from repro.seq.kmers import kmer_arrays_batch, kmer_windows_batch
+    from repro.trinity.chrysalis.components import component_of_map
+
+    tcfg, _reads, out = whitefly_half
+    gff, comps, k = tcfg.gff(), out.gff.components, tcfg.k
+    seqs = [c.seq for c in out.contigs]
+    codes, contig_ids, _starts = kmer_windows_batch(seqs, gff.k)
+    windows = (contig_ids, np.minimum(codes, revcomp_codes(codes, gff.k)))
+    flat, of_contig, _pos = kmer_arrays_batch(seqs, k)
+    component = np.asarray(component_of_map(comps, len(seqs)), dtype=np.int64)
+    pairs = (np.minimum(flat, revcomp_codes(flat, k)), component[of_contig])
+    count, tie, _code = _seed_keys(out.counts.index, _salt(tcfg.inchworm()))
+    keys = (np.arange(count.size), tie, count)
+
+    seeds = benchmark(shared_seed_array, out.contigs, gff)
+    assert np.array_equal(seeds, reference_sorts.shared_seed_array(out.contigs, gff))
+    kmap, want = build_kmer_map(out.contigs, comps, k), reference_sorts.build_kmer_map(out.contigs, comps, k)
+    assert np.array_equal(kmap.codes, want.codes) and np.array_equal(kmap.values, want.values)
+    for rows in (windows, keys):
+        for got, oracle in zip(sorted_rows(rows), reference_sorts.sorted_rows(rows)):
+            assert np.array_equal(got, oracle)
+
+    def gff_oracle_sort():
+        order = np.argsort(windows[1], kind="stable")
+        return windows[0][order], windows[1][order]
+
+    steps = {
+        "gff_rows": (lambda: sorted_rows(windows), gff_oracle_sort),
+        "rtt_map": (
+            lambda: KmerMap.from_pairs(*pairs, k),
+            lambda: reference_sorts.kmer_map_from_pairs(*pairs, k),
+        ),
+        "seed_keys": (lambda: sorted_rows(keys), lambda: reference_sorts.sorted_rows(keys)),
+    }
+    wholes = {
+        "shared_seed_array": (
+            lambda: shared_seed_array(out.contigs, gff),
+            lambda: reference_sorts.shared_seed_array(out.contigs, gff),
+        ),
+        "build_kmer_map": (
+            lambda: build_kmer_map(out.contigs, comps, k),
+            lambda: reference_sorts.build_kmer_map(out.contigs, comps, k),
+        ),
+    }
+    ratios = {}
+    for name, (kernel, oracle) in {**steps, **wholes}.items():
+        kernel_s, oracle_s = _best_of(kernel, 50), _best_of(oracle, 50)
+        benchmark.extra_info.update({f"{name}_ms": 1e3 * kernel_s, f"{name}_oracle_ms": 1e3 * oracle_s})
+        ratios[name] = oracle_s / kernel_s
+    assert all(ratios[name] >= 2 for name in steps), ratios

@@ -40,7 +40,7 @@ def main() -> None:
     nprocs = int(sys.argv[1]) if len(sys.argv) > 1 else 4
     _txome, pairs = get_recipe("whitefly-mini").materialize(seed=0)
     reads = flatten_reads(pairs)
-    counts = jellyfish_count(reads, 25)
+    counts = jellyfish_count(reads, 25).filtered(2)  # the solid table Jellyfish hands on
     contigs = inchworm_assemble(counts, InchwormConfig(seed=0))
     print(f"{len(reads)} reads -> {len(contigs)} contigs; tracing {nprocs} ranks\n")
 

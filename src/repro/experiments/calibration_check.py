@@ -86,7 +86,7 @@ class CalibrationCheckResult:
 def run(dataset: str = "whitefly-mini", seed: int = 0) -> CalibrationCheckResult:
     _txome, pairs = get_recipe(dataset).materialize(seed=seed)
     reads = flatten_reads(pairs)
-    counts = jellyfish_count(reads, 25)
+    counts = jellyfish_count(reads, 25).filtered(2)  # the pipeline's solid table
     contigs = inchworm_assemble(counts, InchwormConfig(seed=seed))
     sample = measure_gff_item_costs(contigs, reads, GraphFromFastaConfig(k=24))
     return CalibrationCheckResult(

@@ -145,10 +145,9 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigInchwormResult:
     chain, runs = row_runs("inchworm", RECIPE, seed, (1, REAL_NPROCS), tuple(DEALS.values()))
 
     # -- real component masses drive the analytic sweep ----------------------
-    tcfg = chain.cfg.trinity
     counts = chain.out("jellyfish").counts
-    filtered = counts.index.filtered(tcfg.min_kmer_count)
-    _landing, _ids, costs = component_setup(filtered, [neighbours(filtered, counts.canonical)])
+    solid = counts.index
+    _landing, _ids, costs = component_setup(solid, [neighbours(solid, counts.canonical)])
     contig_bytes = float(sum(len(c.seq) for c in chain.contigs))
     rows = list(zip(
         nodes,

@@ -40,6 +40,7 @@ drivers build their result with :func:`chain_result`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import pickle
@@ -127,7 +128,11 @@ class ParallelTrinityConfig:
     def jellyfish_stage(
         self, workdir: Optional[PathLike] = None
     ) -> JellyfishStageConfig:
-        return JellyfishStageConfig(jellyfish=self.trinity.jellyfish(), workdir=workdir)
+        return JellyfishStageConfig(
+            jellyfish=self.trinity.jellyfish(),
+            min_kmer_count=self.trinity.min_kmer_count,
+            workdir=workdir,
+        )
 
     def inchworm_stage(
         self, workdir: Optional[PathLike] = None
@@ -155,7 +160,6 @@ class ParallelTrinityConfig:
     ) -> ChrysalisBackendStageConfig:
         return ChrysalisBackendStageConfig(
             k=self.trinity.k,
-            min_kmer_count=self.trinity.min_kmer_count,
             butterfly=self.trinity.butterfly(),
             nthreads=self.nthreads,
             strategy=self.butterfly_strategy,
@@ -381,13 +385,22 @@ def reads_digest(reads: Sequence[SeqRecord]) -> str:
     return h.hexdigest()
 
 
-#: Version of what a checkpointed ``StageResult`` pickles to.  Part of
-#: every key, so a payload written under another layout — e.g. component
-#: graphs as dicts of strings, before they were two arrays — is a logged
-#: miss that recomputes, never an object of the wrong shape handed back
-#: as "restored".  Bump it with any change to ``StageResult``'s fields,
-#: to ``CommStats`` or to a pickled outputs type.
-_CHECKPOINT_LAYOUT = 6
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """SHA-256 over the ``repro`` package's ``.py`` sources (relative path
+    and bytes, in path order), computed once per process.
+
+    Part of every checkpoint key: a checkpoint serves a restart of the
+    code that wrote it, so a payload written by other code — another
+    kernel, another pickled layout — is a logged miss that recomputes,
+    never a stale result handed back as "restored".
+    """
+    root = Path(__file__).resolve().parents[1]
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        h.update(f"{path.relative_to(root).as_posix()}\0".encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 def _checkpoint_key(
@@ -402,11 +415,11 @@ def _checkpoint_key(
 
     The stage and its full config, the launch shape, network and fault
     plan, the workdir its files land in, the reads' content digest, the
-    payload layout version, and — transitively — the keys of its
+    source digest of the code, and — transitively — the keys of its
     launched upstream stages.  Any mismatch recomputes.
     """
     parts = (
-        _CHECKPOINT_LAYOUT, row.fn.__name__, stage_config, cfg.nprocs, cfg.nthreads,
+        _source_digest(), row.fn.__name__, stage_config, cfg.nprocs, cfg.nthreads,
         cfg.network, cfg.faults, str(workdir), digest, list(upstream_keys),
     )
     return hashlib.sha256(repr(parts).encode()).hexdigest()
@@ -422,8 +435,8 @@ def _load_checkpoint(
     """A previously checkpointed StageResult, or None if absent/stale.
 
     Corrupt or truncated pickles, payloads without a result, key
-    mismatches (other reads, config, nprocs, network, fault plan or upstream
-    stage) and results naming a file (any rank's ``out_path`` or
+    mismatches (other reads, code, config, nprocs, network, fault plan or
+    upstream stage) and results naming a file (any rank's ``out_path`` or
     ``part_path``) that no longer exists are treated as misses — the stage
     recomputes.
     """

@@ -71,6 +71,7 @@ from repro.obs.span import Span, host_stage
 from repro.parallel.chunks import static_block_ranges
 from repro.parallel.component_stage import lpt_assign, stage_file, write_merged, write_part
 from repro.parallel.recovery import with_retry
+from repro.seq.kmer_index import sorted_rows
 from repro.seq.records import Contig, SeqRecord, mate_index, mate_owner
 from repro.seq.sam import SamRecord, sam_header
 from repro.trinity.bowtie import (
@@ -188,7 +189,7 @@ def mpi_bowtie(
         wire = _to_wire(piece, inputs, cfg)
         dest = np.searchsorted(first, wire["rows"] % max(n, 1), side="right") - 1
         by_dest = np.split(
-            wire[np.argsort(dest, kind="stable")], np.cumsum(np.bincount(dest, minlength=p))[:-1]
+            wire[sorted_rows((np.arange(dest.size), dest))[0]], np.cumsum(np.bincount(dest, minlength=p))[:-1]
         )
         routed = comm.alltoall(list(zip(by_dest, mates_to)))
         with comm.compute("bowtie:merge"):

@@ -34,7 +34,7 @@ add over blocks.
 Graphs and quantified weights never cross the wire: only block tables,
 transcripts and light per-component quant stats do.  What every real
 rank would rebuild (component and unit tables, repeated read names,
-solid index, LPT costs) is the stage's serial time: a first, ``serial=True`` entry of
+LPT costs) is the stage's serial time: a first, ``serial=True`` entry of
 ``chrysalis:deal``.
 
 Outputs are **byte-identical to the serial pipeline** at every rank
@@ -89,7 +89,6 @@ from repro.trinity.chrysalis.quantify import (
     pool_blocks,
     quantify_graph,
     reads_by_component,
-    solid_index,
 )
 from repro.trinity.chrysalis.reads_to_transcripts import ReadAssignment
 from repro.trinity.pairs import (
@@ -180,9 +179,9 @@ class ChrysalisBackendInputs:
     """Workload data for the fused back end (identical on every rank).
 
     Everything the serial middle consumed: Inchworm contigs, the reads,
-    GraphFromFasta's components, RTT's read assignments, and the
-    Jellyfish counts that gate solid-k-mer threading (None disables the
-    solidity filter, like the serial path).
+    GraphFromFasta's components, RTT's read assignments, and
+    Jellyfish's solid table, which gates read threading (None disables
+    the solidity filter, like the serial path).
     """
 
     contigs: Sequence[Contig]
@@ -207,7 +206,6 @@ class ChrysalisBackendStageConfig:
     """Distribution + kernel knobs for the fused Chrysalis back end."""
 
     k: int = 25  # de Bruijn k (graph nodes are (k-1)-mers)
-    min_kmer_count: int = 2  # solid-k-mer threshold for read threading
     butterfly: ButterflyConfig = field(default_factory=ButterflyConfig)
     nthreads: int = 16
     strategy: str = "round_robin"  # or "dynamic" (LPT)
@@ -287,15 +285,6 @@ def mpi_chrysalis_backend(
         routed, units = comm.shared("chrysalis:route", route)
         if config.use_pair_reconciliation:
             repeated = comm.shared("chrysalis:mates", lambda: repeated_names(inputs.reads))
-        # Solid canonical-k-mer index shared by every rank's read pack.
-        solid = (
-            comm.shared(
-                "chrysalis:solid",
-                lambda: solid_index(inputs.counts, config.min_kmer_count),
-            )
-            if inputs.counts is not None
-            else None
-        )
         # Graphs don't exist yet, so the LPT cost model works from contig
         # lengths and routed read counts; the walk rides on block 0.
         costs = (
@@ -351,7 +340,8 @@ def mpi_chrysalis_backend(
             "chrysalis:pack", threads=config.nthreads, units=len(mine)
         ) as packing:
             pack = pack_routed_reads(
-                inputs.reads, {u: units[u][2] for u in mine}, config.k, solid
+                inputs.reads, {u: units[u][2] for u in mine}, config.k,
+                inputs.counts.index if inputs.counts is not None else None,
             )
             packing.weights = pack.block_bases
             n_read_windows, pack_bytes = int(pack.nodes.size), pack.nbytes
@@ -472,7 +462,7 @@ def serial_chrysalis_backend(
     with host_stage(spans, "chrysalis.quantify_graph"):
         quants = quantify_graph(
             graphs, reads, inputs.assignments,
-            kmer_counts=inputs.counts, min_kmer_count=config.min_kmer_count,
+            kmer_counts=inputs.counts,
         )
     with host_stage(spans, "butterfly"):
         transcripts = butterfly_assemble(graphs, config.butterfly)

@@ -5,7 +5,7 @@ distributed, Inchworm was the last stage still assembling on the
 front-end node — the dominant Amdahl term of the driver's timeline.
 The escape hatch (as in distributed string-graph assemblers such as
 Guidi et al.'s): the greedy walk only ever follows (k-1)-overlap
-extension edges that land inside the filtered counter, so it can never
+extension edges that land inside the solid counter, so it can never
 leave the connected component of its seed.  Contig assembly therefore
 factors exactly over the components of the k-mer overlap graph
 (:mod:`repro.trinity.kmer_components`):
@@ -16,8 +16,9 @@ factors exactly over the components of the k-mer overlap graph
    positions and the ``int32`` rows are pooled with one ``allgatherv``;
    what stays replicated — built once per simulation via
    ``comm.shared``, charged per-rank, the stage's serial region — is the
-   filtered counter and the component labelling of the pooled probe,
-   with each position's dense component id and each component's cost;
+   component labelling of the pooled probe, with each position's dense
+   component id and each component's cost (the table itself is
+   Jellyfish's solid one, taken as it is);
 2. components are dealt to ranks — ``"round_robin"`` (``i mod p``) or
    LPT ``"dynamic"``, the one deal of
    :mod:`repro.parallel.component_stage` — with per-component cost =
@@ -85,8 +86,8 @@ PathLike = Union[str, Path]
 class InchwormInputs:
     """Workload data for distributed Inchworm (identical on every rank).
 
-    The full Jellyfish counter; error-kmer filtering happens inside the
-    stage so serial and distributed runs share the one threshold.
+    Jellyfish's solid table: error k-mers were dropped where they were
+    counted, so both pipelines walk the one table.
     """
 
     counts: JellyfishCounts
@@ -156,12 +157,7 @@ def mpi_inchworm(
     # fault plans (a no-op in fault-free runs).
     with_retry(comm, "inchworm:read_counts", lambda: None)
 
-    # -- every rank filters the whole counter: replicated, so serial ------
-    with comm.region("inchworm:components", serial=True):
-        filtered = comm.shared(
-            "inchworm:filtered", lambda: counts.index.filtered(cfg.min_kmer_count)
-        )
-
+    filtered = counts.index  # Jellyfish's solid table, as it is
     # -- the probe, owner-computes: each rank resolves the extensions of
     # its block of stored positions (every position costs the same, so
     # contiguous blocks balance) and the blocks are pooled.  Still

@@ -9,31 +9,38 @@ decomposition here is the standard one:
 1. **deal** — read ``i`` belongs to rank ``i mod p`` (a pure function of
    the workload and the rank count, so a recovery relaunch on ``p - 1``
    survivors re-deals deterministically);
-2. **count** — each rank encodes + canonicalises its reads in
-   ``batch_bases``-bounded batches (the serial
-   :func:`~repro.trinity.jellyfish._batch_codes` kernel, which packs a
-   cache-sized block of reads at a time), reduces each
-   batch to (unique code, count) pairs, and buckets them by *owner*: the
-   DSK multiplicative hash (:func:`~repro.trinity.dsk._partition_of`)
-   over ``p`` partitions of k-mer space;
-3. **exchange** — one ``alltoall`` ships every bucket to its owner
-   (comm cost charged to the virtual clocks by the network model);
-4. **owner merge** — each owner runs one sort + segmented-sum merge
-   (:meth:`~repro.seq.kmer_index.KmerCounter.from_pairs`) over its
-   disjoint slice of k-mer space;
-5. **gather** — an ``allgather`` pools the owner slices; since the
-   slices are disjoint, one final ``from_pairs`` just sorts them into
-   the exact serial array.  Every rank would build that same table from
-   the same snapshot, so it is built once per ``mpirun``
-   (``comm.shared("jellyfish:final_merge")``, its one-rank cost charged
-   to every rank) and all ranks hold the one read-only object.
+2. **count** — each rank counts its deal as the serial
+   :func:`~repro.trinity.jellyfish.jellyfish_count` does, in
+   ``batch_bases``-bounded batches, into one sorted-unique (code, count)
+   table;
+3. **exchange** — owners are *ranges* of k-mer space: each rank takes
+   ``p - 1`` evenly spaced codes of its table, one ``allgather`` pools
+   them, and the pooled sample's p-quantiles are the splitters.  A
+   rank's table is already sorted, so each owner's part is one slice of
+   it (``searchsorted`` on the splitters), and one ``alltoall`` ships
+   the slices (comm cost charged to the virtual clocks by the network
+   model).  At one rank no sample is taken: the one part is the rank's
+   own table;
+4. **owner merge** — each owner sums its parts with one sort +
+   segmented-sum merge
+   (:meth:`~repro.seq.kmer_index.KmerCounter.from_pairs`), or takes a
+   lone part as it is, and writes its slice of ``jellyfish.kmers.fa``:
+   rank order is code order, so the striped file is the serial dump of
+   the *full* count;
+5. **gather** — each owner keeps only its *solid* k-mers (count >=
+   ``min_kmer_count``, the one threshold of the pipeline), and one
+   ``allgather`` pools them.  The slices are disjoint ranges in rank
+   order, so the table is their concatenation: built once per
+   ``mpirun`` (``comm.shared("jellyfish:final_merge")``, its one-rank
+   cost charged to every rank), no sort, all ranks holding the one
+   read-only object.  Inchworm and the back end take it as they get it.
 
-Because counting is a commutative multiset reduction and the final
-arrays are sorted-unique, the result — :class:`JellyfishCounts` index
-arrays *and* the ``jellyfish dump`` file bytes — is **identical to
-serial** :func:`~repro.trinity.jellyfish.jellyfish_count` at every rank
-count (a tested invariant at nprocs 1/3/8, including under an injected
-rank crash with survivor re-deal).
+Because counting is a commutative multiset reduction and the owner
+ranges tile k-mer space in order, the result — :class:`JellyfishCounts`
+index arrays *and* the ``jellyfish dump`` file bytes — is **identical to
+the serial body** at every rank count (a tested invariant at nprocs
+1/3/8, including under an injected rank crash with survivor re-deal, and
+over drawn reads at 1-8 ranks).
 """
 
 from __future__ import annotations
@@ -47,25 +54,18 @@ import numpy as np
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
 from repro.obs.span import Span, host_stage
-from repro.parallel.chunks import static_block_ranges
 from repro.parallel.component_stage import stage_file, write_merged
 from repro.parallel.recovery import with_retry
 from repro.seq.kmer_index import KmerCounter, format_counter_dump
-from repro.seq.kmers import base_blocks
 from repro.seq.records import SeqRecord
-from repro.trinity.dsk import _partition_of
 from repro.trinity.jellyfish import (
     JellyfishConfig,
     JellyfishCounts,
-    _batch_codes,
     jellyfish_count,
     jellyfish_dump,
 )
 
 PathLike = Union[str, Path]
-
-_EMPTY_U64 = np.empty(0, dtype=np.uint64)
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,10 @@ class JellyfishStageConfig:
     """Distribution knobs on top of the serial :class:`JellyfishConfig`."""
 
     jellyfish: JellyfishConfig = JellyfishConfig()
+    #: The solid threshold: the stage hands on only k-mers counted at
+    #: least this often (``TrinityConfig.min_kmer_count``); the dump
+    #: holds them all.
+    min_kmer_count: int = 2
     workdir: Optional[PathLike] = None  # the ranks write jellyfish.kmers.fa here
 
 
@@ -87,17 +91,30 @@ class JellyfishStageConfig:
 class JellyfishOutputs:
     """What the distributed Jellyfish computes."""
 
-    counts: JellyfishCounts  # full merged table (identical on all ranks)
+    counts: JellyfishCounts  # the solid table (identical on all ranks)
     out_path: Optional[Path] = None  # the dump file (on rank 0, if written)
 
 
-def _pack_pairs(
-    codes: List[np.ndarray], counts: List[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate one destination's per-batch (code, count) buckets."""
-    if not codes:
-        return _EMPTY_U64, _EMPTY_I64
-    return np.concatenate(codes), np.concatenate(counts)
+def _merge_parts(parts: Sequence[Tuple[np.ndarray, np.ndarray]], k: int) -> KmerCounter:
+    """Sum sorted-unique (code, count) parts into one table; a lone part
+    is taken as it is."""
+    parts = [part for part in parts if part[0].size]
+    if len(parts) == 1:
+        return KmerCounter(k, *parts[0])
+    if not parts:
+        return KmerCounter.empty(k)
+    return KmerCounter.from_pairs(
+        np.concatenate([c for c, _n in parts]), np.concatenate([n for _c, n in parts]), k
+    )
+
+
+def _splitters(comm: SimComm, codes: np.ndarray) -> np.ndarray:
+    """The ``p - 1`` range boundaries of k-mer space: the p-quantiles of
+    the ranks' pooled samples of ``p - 1`` evenly spaced sorted codes."""
+    p = comm.size
+    sample = codes[np.arange(1, p) * codes.size // p] if codes.size else codes
+    pooled = np.sort(np.concatenate(comm.allgather(sample)))
+    return pooled[np.arange(1, p) * pooled.size // p] if pooled.size else np.zeros(p - 1, np.uint64)
 
 
 def mpi_jellyfish(
@@ -107,9 +124,8 @@ def mpi_jellyfish(
 ) -> StageResult:
     """SPMD body; run under :func:`repro.mpi.mpirun`.
 
-    Every rank returns the full merged :class:`JellyfishCounts` —
-    index arrays identical to serial
-    :func:`~repro.trinity.jellyfish.jellyfish_count` at any rank count.
+    Every rank returns the merged solid :class:`JellyfishCounts` — index
+    arrays identical to :func:`serial_jellyfish`'s at any rank count.
     """
     config = config or JellyfishStageConfig()
     jcfg = config.jellyfish
@@ -121,71 +137,44 @@ def mpi_jellyfish(
     with_retry(comm, "jellyfish:read_reads", lambda: None)
 
     # -- deal: read i -> rank i mod p ---------------------------------------
-    mine = [reads[i].seq for i in range(comm.rank, len(reads), comm.size)]
+    mine = [reads[i] for i in range(comm.rank, len(reads), comm.size)]
 
-    # -- count my deal in batches, bucketed by k-mer-space owner ------------
-    send_codes: List[List[np.ndarray]] = [[] for _ in range(comm.size)]
-    send_counts: List[List[np.ndarray]] = [[] for _ in range(comm.size)]
-    n_local_kmers = 0
+    # -- count my deal in batches, into one sorted-unique table -------------
     with comm.region("jellyfish:count", reads=len(mine)), comm.compute("jellyfish:encode"):
+        local = jellyfish_count(mine, k, canonical, jcfg.batch_bases).index
 
-        # A function, so a batch's code arrays die with its frame and not
-        # with the stage's (~2 MB of peak RSS at 4 ranks when inlined).
-        def _flush(seqs: List[str]) -> None:
-            nonlocal n_local_kmers
-            codes = _batch_codes(seqs, k, canonical)
-            if codes.size == 0:
-                return
-            n_local_kmers += int(codes.size)
-            uniq, cnts = np.unique(codes, return_counts=True)
-            owner = _partition_of(uniq, comm.size).astype(np.intp)
-            # The owners present, ascending (a bincount: plain np.unique hashes).
-            for dest in np.flatnonzero(np.bincount(owner, minlength=comm.size)).tolist():
-                sel = owner == dest
-                send_codes[dest].append(uniq[sel])
-                send_counts[dest].append(cnts[sel].astype(np.int64))
-
-        for batch in base_blocks(mine, jcfg.batch_bases):
-            _flush(batch)
-
-    # -- exchange: ship each bucket to its owner ----------------------------
+    # -- exchange: each owner's range is one slice of my sorted table -------
     with comm.region("jellyfish:exchange"):
-        payload = [
-            _pack_pairs(send_codes[dest], send_counts[dest])
-            for dest in range(comm.size)
-        ]
-        received = comm.alltoall(payload)
+        bounds = [0, local.codes.size]
+        if comm.size > 1:
+            bounds[1:1] = np.searchsorted(local.codes, _splitters(comm, local.codes)).tolist()
+        received = comm.alltoall([
+            (local.codes[lo:hi], local.values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+        ])
 
-    # -- owner merge: one sort + segmented sum over my k-mer-space slice ----
+    # -- owner merge: one sort + segmented sum over my range, and my slice
+    # of the dump (rank order is code order) --------------------------------
     with comm.region("jellyfish:merge"), comm.compute("jellyfish:merge_sort"):
-        owned_codes, owned_counts = _pack_pairs(
-            [c for c, _n in received if c.size],
-            [n for c, n in received if c.size],
-        )
-        owned = KmerCounter.from_pairs(owned_codes, owned_counts, k)
-
-    # -- gather: pool the disjoint owner slices onto every rank; the merged
-    # table is one shared object, its one-rank build charged to every rank --
-    def final_merge() -> JellyfishCounts:
-        all_codes, all_values = _pack_pairs(
-            [c for c, _v in parts if c.size], [v for c, v in parts if c.size]
-        )
-        # Owner slices are disjoint, so this from_pairs only sorts — the
-        # result is the exact serial sorted-unique (read-only) array.
-        index = KmerCounter.from_pairs(all_codes, all_values, k)
-        return JellyfishCounts(k=k, canonical=canonical, index=index)
-
-    with comm.region("jellyfish:gather"):
-        parts = comm.allgather((owned.codes, owned.values))
-        counts = comm.shared("jellyfish:final_merge", final_merge)
-
-    # -- the dump file: each rank renders its block of the merged index -------
-    index = counts.index
-    block = slice(*static_block_ranges(len(index), comm.rank, comm.size))
+        owned = _merge_parts(received, k)
     out_path = write_merged(
         comm, "jellyfish:write_dump", config.workdir, "jellyfish.kmers.fa",
-        lambda: format_counter_dump(index.codes[block], index.values[block], k),
+        lambda: format_counter_dump(owned.codes, owned.values, k),
     )
+
+    # -- gather: pool the owners' solid slices onto every rank; their
+    # concatenation is one shared object, its one-rank build charged to
+    # every rank ----------------------------------------------------------
+    with comm.region("jellyfish:gather"):
+        solid = owned.filtered(config.min_kmer_count)
+        parts = comm.allgather((solid.codes, solid.values, len(owned)))
+
+        def final_merge() -> JellyfishCounts:
+            # Disjoint ranges in rank order: the concatenation is sorted-unique.
+            codes, values, _sizes = zip(*parts)
+            index = KmerCounter(k, np.concatenate(codes), np.concatenate(values))
+            return JellyfishCounts(k=k, canonical=canonical, index=index)
+
+        counts = comm.shared("jellyfish:final_merge", final_merge)
 
     return StageResult(
         stage="jellyfish",
@@ -195,9 +184,9 @@ def mpi_jellyfish(
             **comm.phase_seconds(),
             "n_reads": float(len(reads)),
             "n_local_reads": float(len(mine)),
-            "n_local_kmers": float(n_local_kmers),
+            "n_local_kmers": float(local.total),
             "n_owned_kmers": float(len(owned)),
-            "n_kmers": float(len(counts)),
+            "n_kmers": float(sum(n for _c, _v, n in parts)),
         },
         rank=comm.rank,
     )
@@ -208,14 +197,16 @@ def serial_jellyfish(
     config: Optional[JellyfishStageConfig] = None,
     spans: Optional[List[Span]] = None,
 ) -> JellyfishOutputs:
-    """The serial body: :func:`mpi_jellyfish`'s oracle, timed as ``jellyfish``."""
+    """The serial body: :func:`mpi_jellyfish`'s oracle, timed as ``jellyfish``:
+    the full count dumped, its solid k-mers handed on."""
     config = config or JellyfishStageConfig()
     jcfg = config.jellyfish
     with host_stage(spans, "jellyfish"):
         counts = jellyfish_count(
             inputs.reads, jcfg.k, canonical=jcfg.canonical, batch_bases=jcfg.batch_bases
         )
+        solid = counts.filtered(config.min_kmer_count)
     out_path = stage_file(config.workdir, "jellyfish.kmers.fa")
     if out_path is not None:
         jellyfish_dump(counts, out_path)
-    return JellyfishOutputs(counts=counts, out_path=out_path)
+    return JellyfishOutputs(counts=solid, out_path=out_path)

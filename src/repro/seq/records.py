@@ -8,6 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import SequenceError
+from repro.seq.kmer_index import sorted_rows
 
 
 @dataclass(frozen=True)
@@ -85,12 +86,10 @@ def mate_index(names: Sequence[str]) -> np.ndarray:
     from_text = np.where(inside, (ends[at] - lens[at])[:, None] + cols - 1, 0)
     grid = np.where(inside, text[from_text] + 1, 0).astype(f"<u{size}")
     grid[:, 0] = second
-    words = grid.view("<u8")
-    # The mate slot's word is the least significant key (one word: a plain sort).
-    order = np.lexsort(words.T) if words.shape[1] > 1 else np.argsort(words[:, 0])
-    words, at, second = words[order], at[order], second[order]
-    words[:, 0] >>= np.uint64(8 * size)  # drop the mate slot: the base alone
-    runs = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1), True])
+    # The mate slot's word is the least significant key.
+    at, second, *words = sorted_rows((at, second, *grid.view("<u8").T))
+    words[0] = words[0] >> np.uint64(8 * size)  # drop the mate slot: the base alone
+    runs = np.flatnonzero(np.r_[True, np.any([w[1:] != w[:-1] for w in words], axis=0), True])
     first = runs[:-1][np.diff(runs) == 2]
     first = first[~second[first] & second[first + 1]]
     return np.column_stack((at[first], at[first + 1]))

@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.errors import PipelineError
 from repro.seq.alphabet import ASCII_TO_CODE, reverse_complement
+from repro.seq.kmer_index import sorted_rows
 from repro.seq.kmers import clean_window_runs, kmer_windows_batch, pack_windows_at
 from repro.seq.records import Contig, SeqRecord, mate_index
 from repro.seq.sam import FLAG_REVERSE, FLAG_UNMAPPED, SamRecord, sam_header
@@ -195,16 +196,7 @@ class ReadSeeds:
         ])
         cat = lambda field: np.concatenate([getattr(b, field) for b in blocks])
         codes = cat("seed_codes")
-        # Merged as one uint64 sort of each code over its position, when
-        # both fit (twice as fast as an argsort of the codes); ties keep
-        # block order either way.
-        bits = codes.size.bit_length()
-        if 2 * blocks[0].seed_len + bits <= 64:
-            keys = np.sort(codes << np.uint64(bits) | np.arange(codes.size, dtype=np.uint64))
-            order, codes = keys & np.uint64((1 << bits) - 1), keys >> np.uint64(bits)
-        else:
-            order = np.argsort(codes, kind="stable")
-            codes = codes[order]
+        order, codes = sorted_rows((np.arange(codes.size), codes))  # ties keep block order
         return cls(
             n, blocks[0].seed_len, cat("text"), by_row("starts", text_at),
             by_row("lengths", [0] * len(blocks)), codes, seed_rows[order].astype(np.int32),
@@ -246,11 +238,9 @@ class BestHits:
     ) -> "BestHits":
         """Reduce alignments (any order, any number per row) to each row's
         lexicographic minimum ``(mm, contig, pos)``."""
-        order = np.lexsort((pos, contig, mm, rows))
-        by_row = rows[order]
-        leads = np.ones(order.size, dtype=bool)
-        leads[1:] = by_row[1:] != by_row[:-1]
-        lead = order[leads]
+        pos, contig, mm, rows = sorted_rows((pos, contig, mm, rows))
+        lead = np.ones(rows.size, dtype=bool)
+        lead[1:] = rows[1:] != rows[:-1]
         return cls(
             *(a[lead].astype(np.int32) for a in (rows, contig, pos, mm)),
             n_seed_hits=n_seed_hits,
@@ -318,8 +308,7 @@ def align_seeds(read_seeds: ReadSeeds, index: BowtieIndex) -> BestHits:
     inside = (start >= 0) & (start + read_seeds.lengths[rows] <= index.lengths[contig])
     rows, contig, start = rows[inside], contig[inside], start[inside]
     # Seeds of one read mostly propose the same placement: verify it once.
-    order = np.lexsort((start, contig, rows))
-    rows, contig, start = rows[order], contig[order], start[order]
+    start, contig, rows = sorted_rows((start, contig, rows))
     distinct = np.ones(rows.size, dtype=bool)
     distinct[1:] = (
         (rows[1:] != rows[:-1]) | (contig[1:] != contig[:-1]) | (start[1:] != start[:-1])

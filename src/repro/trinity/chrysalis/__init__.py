@@ -43,7 +43,6 @@ from repro.trinity.chrysalis.quantify import (
     quantify_component,
     quantify_graph,
     reads_by_component,
-    solid_index,
 )
 
 __all__ = [
@@ -74,6 +73,5 @@ __all__ = [
     "pack_routed_reads",
     "ReadPack",
     "reads_by_component",
-    "solid_index",
     "ComponentQuant",
 ]

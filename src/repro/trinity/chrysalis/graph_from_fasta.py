@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.errors import PipelineError
 from repro.seq.alphabet import encode_bases, reverse_complement
-from repro.seq.kmer_index import decode_kmers
+from repro.seq.kmer_index import decode_kmers, sorted_rows
 from repro.seq.kmers import (
     MAX_K,
     base_blocks,
@@ -131,16 +131,13 @@ def shared_seed_array(contigs: Sequence[Contig], cfg: GraphFromFastaConfig) -> n
     """Sorted canonical weld-k-mer codes held by at least
     ``min_contigs_sharing`` *distinct* contigs.
 
-    One pass: every contig window, canonical, stably sorted by code — the
-    windows arrive contig by contig, so inside a code's run each contig
-    boundary is one more distinct holder (a repeat inside one contig is
-    one holder).
+    One pass: every contig window, canonical, its (code, contig) rows
+    sorted as one packed key — inside a code's run each contig boundary is
+    one more distinct holder (a repeat inside one contig is one holder).
     """
     codes, contig_ids, _starts = kmer_windows_batch([c.seq for c in contigs], cfg.k)
     canon = np.minimum(codes, revcomp_codes(codes, cfg.k))
-    # Stable: the shared seed set counts a code run's contig boundaries.
-    order = np.argsort(canon, kind="stable")
-    canon, contig_ids = canon[order], contig_ids[order]
+    contig_ids, canon = sorted_rows((contig_ids, canon))
     new_code = np.ones(canon.size, dtype=bool)
     new_code[1:] = canon[1:] != canon[:-1]
     new_contig = new_code.copy()

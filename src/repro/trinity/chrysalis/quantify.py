@@ -19,8 +19,8 @@ packed, so the module is a pack, a per-block count and a pool:
   (component, read block) and ships to the component's owner;
 * :func:`pool_blocks` — a component's tables landed with one ``add_kmers``
   (:func:`quantify_component`, :func:`quantify_graph`: both, one block);
-* :func:`reads_by_component` / :func:`solid_index` — the routing table
-  and solid-k-mer filter both callers build exactly once.
+* :func:`reads_by_component` — the routing table both callers build
+  exactly once.  The solid k-mers are Jellyfish's table as it hands it on.
 
 Neither the order of a component's routed reads nor their cut into
 blocks matters: every read is oriented against the graph's nodes as they
@@ -71,16 +71,6 @@ def reads_by_component(
             continue
         routed.setdefault(a.component, []).append(a.read_index)
     return routed
-
-
-def solid_index(kmer_counts, min_kmer_count: int):
-    """Sorted-array index of *solid* canonical k-mer codes.
-
-    One vectorised membership structure shared by every component's
-    threading pass (``kmer_counts`` is a
-    :class:`~repro.trinity.jellyfish.JellyfishCounts`).
-    """
-    return kmer_counts.index.filtered(min_kmer_count)
 
 
 @dataclass
@@ -153,7 +143,7 @@ def pack_routed_reads(
 
     ``routed`` maps a key -> read indices (a row of
     :func:`reads_by_component`, or a run of one) and its order is the
-    pack's; ``solid`` is the pre-filtered :func:`solid_index` (None keeps
+    pack's; ``solid`` is the index of solid canonical k-mers (None keeps
     every clean k-mer).
     Packed in :func:`~repro.seq.kmers.base_blocks` blocks, so the
     temporaries stay cache-sized whatever a rank owns (taken in one pass
@@ -232,7 +222,6 @@ def quantify_graph(
     reads: Sequence[SeqRecord],
     assignments: Iterable[ReadAssignment],
     kmer_counts=None,
-    min_kmer_count: int = 2,
 ) -> Dict[int, ComponentQuant]:
     """Thread each assigned read through its component's graph.
 
@@ -241,14 +230,12 @@ def quantify_graph(
     are skipped.  Edge weights added by reads come on top of the contig
     weights FastaToDebruijn installed.
 
-    If ``kmer_counts`` (a :class:`~repro.trinity.jellyfish.JellyfishCounts`)
-    is given, only *solid* read k-mers — abundance >= ``min_kmer_count``
-    — are threaded, so sequencing errors do not grow junk branches that
+    If ``kmer_counts`` (a :class:`~repro.trinity.jellyfish.JellyfishCounts`,
+    Jellyfish's solid table) is given, only read k-mers it holds are
+    threaded, so sequencing errors do not grow junk branches that
     Butterfly would then have to prune.
     """
-    solid = None
-    if kmer_counts is not None:
-        solid = solid_index(kmer_counts, min_kmer_count)
+    solid = kmer_counts.index if kmer_counts is not None else None
     routed = reads_by_component(assignments)
     ks = {graph.k for graph in graphs.values()}
     if len(ks) > 1:

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 import numpy as np
 
 from repro.errors import PipelineError
-from repro.seq.kmer_index import KmerMap
+from repro.seq.kmer_index import KmerMap, sorted_rows
 from repro.seq.kmers import kmer_arrays_batch, revcomp_codes
 from repro.seq.records import Contig, SeqRecord
 from repro.trinity.chrysalis.components import Component, component_of_map
@@ -76,7 +76,7 @@ def build_kmer_map(
     id (deterministic; such k-mers are rare once welding has merged the
     overlapping contigs).  All contigs are encoded in one batched pass
     into a (code, component) pair stream; :meth:`KmerMap.from_pairs`
-    then resolves duplicates with a lexsort + first-per-segment min.
+    then resolves duplicates with one sort + a per-segment minimum.
     """
     table = component_of_map(components, len(contigs))
     flat, contig_ids, _pos = kmer_arrays_batch([c.seq for c in contigs], k)
@@ -114,10 +114,10 @@ def assignment_table(
     and position bookkeeping; a single ``searchsorted`` against the
     sorted :class:`KmerMap` resolves every position's component;
     shared-k-mer counts and contributing-region extents then come from
-    per-(read, component) segmented reductions (composite-key sort +
+    per-(read, component) segmented reductions (one packed-key sort +
     boundary diffs), and the best component per read falls out of a
-    segmented min whose key mirrors the per-read tie-break (largest
-    shared count, then smallest component id).  Byte-identical to
+    segmented max that mirrors the per-read tie-break (largest shared
+    count, then smallest component id).  Byte-identical to
     mapping the per-read oracle (``tests/reference_rtt.py``) over the
     chunk — a tested invariant.
 
@@ -142,65 +142,20 @@ def assignment_table(
         c = kmer_map.values[hit_at[found]]
         p = pos[found]
         if r.size:
-            # Segment the hits by (read, component), pos ascending within
-            # each segment.  The hot branch packs (read, component, pos)
-            # into one int64 key so a single np.sort replaces a 3-key
-            # lexsort (~18x at chunk scale); guards fall back to lexsort
-            # when any field would overflow its bit budget.
-            cmax = int(c.max())
-            pmax = int(p.max())
-            mask20 = np.int64((1 << 20) - 1)
-            u20 = np.int64(20)
-            if (
-                pmax < (1 << 20)
-                and cmax < (1 << 20)
-                and r.size < (1 << 20)
-                and n < (1 << 22)
-            ):
-                span = np.int64(cmax + 1)
-                key = ((r * span + c) << u20) | p
-                key.sort()
-                rc = key >> u20
-                seg = np.flatnonzero(np.concatenate(([True], rc[1:] != rc[:-1])))
-                seg_rc = rc[seg]
-                seg_read = seg_rc // span
-                seg_comp = seg_rc % span
-                seg_count = np.diff(np.concatenate((seg, [r.size])))
-                seg_first = key[seg] & mask20
-                seg_last = key[np.concatenate((seg[1:], [r.size])) - 1] & mask20
-                # Best segment per read: largest shared count, ties to the
-                # smallest component id.  Segments are already grouped by
-                # read, so a reduceat-min over a (count desc, comp asc,
-                # segment index) composite resolves every read at once;
-                # the low 20 bits carry the winning segment's index out.
-                big = np.int64(1 << 20)
-                choose_key = (
-                    ((big - seg_count) << np.int64(40))
-                    | (seg_comp << u20)
-                    | np.arange(seg.size, dtype=np.int64)
-                )
-                read_start = np.flatnonzero(
-                    np.concatenate(([True], seg_read[1:] != seg_read[:-1]))
-                )
-                best = np.minimum.reduceat(choose_key, read_start) & mask20
-            else:
-                order = np.lexsort((p, c, r))
-                r, c, p = r[order], c[order], p[order]
-                seg = np.flatnonzero(
-                    np.concatenate(([True], (r[1:] != r[:-1]) | (c[1:] != c[:-1])))
-                )
-                seg_read = r[seg]
-                seg_comp = c[seg]
-                seg_count = np.diff(np.concatenate((seg, [r.size])))
-                seg_first = p[seg]
-                seg_last = p[np.concatenate((seg[1:], [r.size])) - 1]
-                choose = np.lexsort((seg_comp, -seg_count, seg_read))
-                first_of_read = np.flatnonzero(
-                    np.concatenate(
-                        ([True], seg_read[choose][1:] != seg_read[choose][:-1])
-                    )
-                )
-                best = choose[first_of_read]
+            # Segment the hits by (read, component) — one dense key — with
+            # pos ascending within each.
+            span = int(c.max()) + 1
+            p, rc = sorted_rows((p, r * span + c))
+            seg = np.flatnonzero(np.concatenate(([True], rc[1:] != rc[:-1])))
+            ends = np.append(seg[1:], rc.size)
+            seg_read, seg_comp = np.divmod(rc[seg], span)
+            seg_count, seg_first, seg_last = ends - seg, p[seg], p[ends - 1]
+            # Best segment per read: its largest shared count, ties to the
+            # smallest component id (segments ascend by component in a read).
+            read_start = np.flatnonzero(np.concatenate(([True], seg_read[1:] != seg_read[:-1])))
+            most = np.maximum.reduceat(seg_count, read_start)
+            top = np.flatnonzero(seg_count == np.repeat(most, np.diff(np.append(read_start, seg.size))))
+            best = top[np.concatenate(([True], seg_read[top][1:] != seg_read[top][:-1]))]
             ok = seg_count[best] >= cfg.min_shared_kmers
             winners = seg_read[best][ok]
             best_comp[winners] = seg_comp[best][ok]

@@ -40,6 +40,8 @@ class TrinityConfig:
     """
 
     k: int = 25
+    #: The solid threshold: Jellyfish hands on only k-mers counted at least
+    #: this often, and Inchworm and the back end read that table as it is.
     min_kmer_count: int = 2
     seed: int = 0
     max_mem_reads: int = 1000
@@ -83,7 +85,7 @@ class TrinityConfig:
         return JellyfishConfig(k=self.k, canonical=not self.strand_specific)
 
     def inchworm(self) -> InchwormConfig:
-        return InchwormConfig(min_kmer_count=self.min_kmer_count, seed=self.seed)
+        return InchwormConfig(seed=self.seed)
 
     def bowtie(self) -> BowtieConfig:
         return BowtieConfig()
@@ -109,7 +111,7 @@ class TrinityResult:
     gff: GraphFromFastaResult
     assignments: List[ReadAssignment]
     quants: Dict[int, ComponentQuant]
-    counts: JellyfishCounts
+    counts: JellyfishCounts  # the solid table (the dump holds the whole count)
     files: Dict[str, Path] = field(default_factory=dict)
 
     @property

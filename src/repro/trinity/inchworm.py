@@ -53,7 +53,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import PipelineError
-from repro.seq.kmer_index import KmerCounter, decode_kmers
+from repro.seq.kmer_index import KmerCounter, decode_kmers, sorted_rows
 from repro.seq.kmers import revcomp_codes
 from repro.seq.records import Contig
 from repro.trinity.jellyfish import JellyfishCounts
@@ -69,16 +69,18 @@ _MAX_POSITIONS = 1 << 30
 
 @dataclass(frozen=True)
 class InchwormConfig:
-    """Inchworm parameters (defaults mirror Trinity's spirit, scaled)."""
+    """Inchworm parameters (defaults mirror Trinity's spirit, scaled).
 
-    min_kmer_count: int = 2  # error-kmer removal threshold
+    Error k-mers are not Inchworm's to remove: it walks the table it is
+    given, which in the pipeline is Jellyfish's solid one
+    (``TrinityConfig.min_kmer_count``).
+    """
+
     min_contig_length: int = 0  # 0 -> use 2*k (GraphFromFasta window size)
     max_contig_length: int = 200_000  # cycle guard, in k-mers
     seed: int = 0  # tie-break stream
 
     def __post_init__(self) -> None:
-        if self.min_kmer_count < 0:
-            raise PipelineError(f"min_kmer_count must be >= 0, got {self.min_kmer_count}")
         if self.min_contig_length < 0:
             raise PipelineError(
                 f"min_contig_length must be >= 0, got {self.min_contig_length}"
@@ -134,8 +136,10 @@ def _salt(config: InchwormConfig) -> int:
 
 
 def _seed_order(filtered: KmerCounter, salt: int) -> np.ndarray:
-    """Seeding priority, as a permutation of ``filtered``'s positions."""
-    return np.lexsort(_seed_keys(filtered, salt)[::-1])
+    """Seeding priority, as a permutation of ``filtered``'s positions
+    (which ascend with code, the comparator's last key)."""
+    count, tie, _code = _seed_keys(filtered, salt)
+    return sorted_rows((np.arange(len(filtered)), tie, count))[0]
 
 
 def seed_queues(
@@ -152,7 +156,8 @@ def seed_queues(
     over the owned positions: each is tagged with its thread and all are
     sorted by (thread, :func:`_seed_keys`), so a thread's queue is the
     global seed order restricted to its positions, with no global
-    permutation built.
+    permutation built.  The owned positions ascend, and with them their
+    codes, so ties on (thread, count, hash) keep code order by themselves.
     """
     if not thread_components:
         raise PipelineError("inchworm needs at least one thread's component list")
@@ -162,9 +167,9 @@ def seed_queues(
     thread = thread_of[component_ids]
     at = np.flatnonzero(thread >= 0)
     thread = thread[at]
-    order = np.lexsort((*_seed_keys(filtered, _salt(config), at)[::-1], thread))
-    bounds = np.searchsorted(thread[order], np.arange(1, len(thread_components)))
-    return np.split(at[order], bounds)
+    count, tie, _code = _seed_keys(filtered, _salt(config), at)
+    at, _tie, _count, thread = sorted_rows((at, tie, count, thread))
+    return np.split(at, np.searchsorted(thread, np.arange(1, len(thread_components))))
 
 
 # --------------------------------------------------------------------------
@@ -497,7 +502,7 @@ def inchworm_assemble(
     cfg = config or InchwormConfig()
     if counts.k < 2:
         raise PipelineError(f"inchworm needs k >= 2, got {counts.k}")
-    filtered = counts.index.filtered(cfg.min_kmer_count)
+    filtered = counts.index
     queue = _seed_order(filtered, _salt(cfg))
     return keyed_contigs(
         assemble_queue(filtered, counts.canonical, cfg, neighbours(filtered, counts.canonical), queue)

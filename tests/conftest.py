@@ -95,6 +95,12 @@ def smoke_counts(smoke_reads):
 
 
 @pytest.fixture(scope="session")
+def smoke_solid(smoke_counts):
+    """What Jellyfish hands on: the counts at the pipeline's solid threshold."""
+    return smoke_counts.filtered(TrinityConfig().min_kmer_count)
+
+
+@pytest.fixture(scope="session")
 def smoke_result(smoke_reads):
     """One full serial pipeline run on the smoke dataset."""
     return TrinityPipeline(TrinityConfig(seed=1)).run(smoke_reads)

@@ -23,7 +23,7 @@ def assemble_components(
     """The keyed contigs of all of ``counts``' components (or just the
     ``owned`` ids) on one rank, pooled over its threads."""
     cfg = cfg or InchwormConfig()
-    filtered = counts.index.filtered(cfg.min_kmer_count)
+    filtered = counts.index
     landing, ids, costs = component_setup(filtered, [neighbours(filtered, counts.canonical)])
     mine = list(range(len(costs))) if owned is None else list(owned)
     teams = lpt_assign([float(costs[c]) for c in mine], mine, n_threads)

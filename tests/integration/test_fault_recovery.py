@@ -47,7 +47,8 @@ def tcfg():
 
 @pytest.fixture(scope="module")
 def contigs(smoke_reads, tcfg):
-    return inchworm_assemble(jellyfish_count(smoke_reads, tcfg.k), tcfg.inchworm())
+    solid = jellyfish_count(smoke_reads, tcfg.k).filtered(tcfg.min_kmer_count)
+    return inchworm_assemble(solid, tcfg.inchworm())
 
 
 @pytest.fixture(scope="module")
@@ -454,6 +455,26 @@ class TestDriverFaultsAndCheckpoints:
         assert len(stale) == 6 and all("recomputing" in msg for msg in stale)
         assert new == old and new.count(b">") > 0
         assert run() == (new, (6, 0))
+
+    @pytest.mark.timeout(300)
+    def test_checkpoint_of_other_code_recomputes_everything(
+        self, smoke_reads, tmp_path, monkeypatch
+    ):
+        """The key carries a digest of the package's sources: checkpoints
+        written by other code (a kernel change that alters output, a
+        pickled layout) all miss, and the same code restores six of six."""
+        from repro.parallel import driver
+
+        cfg = ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nprocs=2, nthreads=2)
+        ckpt = tmp_path / "ckpts"
+        cold = ParallelTrinityDriver(cfg).run(smoke_reads, checkpoint_dir=ckpt)
+        assert driver._source_digest.cache_info().misses == 1  # once per process
+        monkeypatch.setattr(driver, "_source_digest", lambda: "other code")
+        other = ParallelTrinityDriver(cfg).run(smoke_reads, checkpoint_dir=ckpt)
+        assert _ckpt_counters(cold) == _ckpt_counters(other) == (0, 6)
+        same = ParallelTrinityDriver(cfg).run(smoke_reads, checkpoint_dir=ckpt)
+        assert _ckpt_counters(same) == (6, 0)
+        assert _seqs(same) == _seqs(other) == _seqs(cold)
 
     @pytest.mark.timeout(300)
     def test_other_reads_of_same_count_recompute_everything(self, smoke_reads, tmp_path):

@@ -45,7 +45,7 @@ NPROCS = 8
 def workload(smoke_reads):
     """Real front-end products (everything the fused stage consumes)."""
     tcfg = TrinityConfig(seed=1)
-    counts = jellyfish_count(smoke_reads, tcfg.k)
+    counts = jellyfish_count(smoke_reads, tcfg.k).filtered(tcfg.min_kmer_count)
     contigs = inchworm_assemble(counts, tcfg.inchworm())
     gff = graph_from_fasta(contigs, smoke_reads, tcfg.gff())
     assignments = reads_to_transcripts(
@@ -73,8 +73,7 @@ def _fused_inputs(workload, smoke_reads):
 
 def _fused_config(tcfg, **overrides):
     kwargs = dict(
-        k=tcfg.k, min_kmer_count=tcfg.min_kmer_count,
-        butterfly=tcfg.butterfly(), nthreads=2,
+        k=tcfg.k, butterfly=tcfg.butterfly(), nthreads=2,
     )
     kwargs.update(overrides)
     return ChrysalisBackendStageConfig(**kwargs)
@@ -152,13 +151,13 @@ class TestSerialEquality:
         """On these (``N``-free) inputs every quantified graph and every
         transcript equals what the dict graph, the scalar loop and both
         string-keyed walks in ``tests/reference_chrysalis.py`` produce."""
-        from repro.trinity.chrysalis.quantify import reads_by_component, solid_index
+        from repro.trinity.chrysalis.quantify import reads_by_component
         from tests import reference_chrysalis as ref
 
         tcfg, contigs, components, assignments, counts = workload
         quants, serial = serial_reference.local_quants, serial_reference.transcripts
         routed = reads_by_component(assignments)
-        solid = solid_index(counts, tcfg.min_kmer_count)
+        solid = counts.index
         for walk in (ref.dfs_in_place, ref.dfs):
             oracle = []
             for comp in sorted(components, key=lambda c: c.id):
@@ -395,7 +394,7 @@ class TestRegions:
             _fused_config(tcfg, strategy=strategy),
             trace=True,
         )
-        shared = ["components", "route", "solid"]  # (``order`` is charged 0: no span)
+        shared = ["components", "route"]  # (``order`` is charged 0: no span)
         shared += ["costs"] if strategy == "dynamic" else []
         for rank in range(3):
             mine = [s for s in run.spans if s.track == f"rank {rank}"]

@@ -35,12 +35,12 @@ NPROCS = 8
 
 
 @pytest.fixture(scope="module")
-def serial_contigs(smoke_counts):
-    contigs = inchworm_assemble(smoke_counts, InchwormConfig(seed=1))
+def serial_contigs(smoke_solid):
+    contigs = inchworm_assemble(smoke_solid, InchwormConfig(seed=1))
     # The serial assembler is itself a table walk: pin it to the per-step
     # oracle, so "equals serial" below means "equals the greedy rule".
     assert contigs == reference_inchworm.inchworm_assemble(
-        smoke_counts, InchwormConfig(seed=1)
+        smoke_solid, InchwormConfig(seed=1)
     )
     return contigs
 
@@ -48,7 +48,7 @@ def serial_contigs(smoke_counts):
 class TestSerialEquality:
     # Equality with the serial body at 1/3/8 ranks under both deals, and
     # the contig file's bytes: ``tests/integration/test_parallel_equivalence.py``.
-    def test_threaded_output_invariant_in_nprocs(self, smoke_counts, serial_contigs):
+    def test_threaded_output_invariant_in_nprocs(self, smoke_solid, serial_contigs):
         # Threads own whole components, so at n_threads > 1 the output is
         # still the serial one: neither the deal, the rank count nor the
         # thread count may show through.
@@ -56,7 +56,7 @@ class TestSerialEquality:
             for strategy in ("round_robin", "dynamic"):
                 run = mpirun(
                     mpi_inchworm, nprocs,
-                    InchwormInputs(counts=smoke_counts),
+                    InchwormInputs(counts=smoke_solid),
                     InchwormStageConfig(
                         inchworm=InchwormConfig(seed=1),
                         n_threads=4,
@@ -65,7 +65,7 @@ class TestSerialEquality:
                 )
                 assert run.outputs[0].outputs.contigs == serial_contigs
 
-    def test_probe_is_dealt_and_rows_are_owned(self, smoke_counts, monkeypatch):
+    def test_probe_is_dealt_and_rows_are_owned(self, smoke_solid, monkeypatch):
         # Each rank probes one block of positions, and every stored k-mer's
         # rows are built once over all ranks and threads: by its
         # component's owner.
@@ -78,20 +78,20 @@ class TestSerialEquality:
         monkeypatch.setattr(inchworm, "chain_table", counted_rows)
         run = mpirun(
             mpi_inchworm, 3,
-            InchwormInputs(counts=smoke_counts),
+            InchwormInputs(counts=smoke_solid),
             InchwormStageConfig(inchworm=InchwormConfig(seed=1)),
             trace=True,
         )
-        assert sum(built) == len(smoke_counts.index.filtered(InchwormConfig().min_kmer_count))
+        assert sum(built) == len(smoke_solid)
         for spans in rank_clock_spans(run):
             assert len([s for s in spans if s.label == "inchworm:probe"]) == 1
 
     @pytest.mark.parametrize("strategy", ["round_robin", "dynamic"])
     def test_serial_region_is_the_replicated_builds(
-        self, smoke_counts, serial_contigs, strategy, monkeypatch
+        self, smoke_solid, serial_contigs, strategy, monkeypatch
     ):
-        """What is replicated is the filter and the labelling, charged at
-        single-rank cost; no global seed order is built on any rank."""
+        """What is replicated is the labelling, charged at single-rank
+        cost; no global seed order is built on any rank."""
 
         def no_global_order(*_args):
             raise AssertionError("mpi_inchworm built the global seed order")
@@ -100,19 +100,19 @@ class TestSerialEquality:
             monkeypatch.setattr(module, "_seed_order", no_global_order, raising=False)
         run = mpirun(
             mpi_inchworm, 3,
-            InchwormInputs(counts=smoke_counts),
+            InchwormInputs(counts=smoke_solid),
             InchwormStageConfig(inchworm=InchwormConfig(seed=1), strategy=strategy),
             trace=True,
         )
         assert run.outputs[0].outputs.contigs == serial_contigs
-        for key in ("inchworm:filtered", "inchworm:setup"):
+        for key in ("inchworm:setup",):
             charges = [s for s in run.spans if s.label == f"shared:{key}"]
             assert len({s.track for s in charges}) == 3 and len(charges) == 3
             assert len({s.duration for s in charges}) == 1
         for rank in range(3):
             mine = [s for s in run.spans if s.track == f"rank {rank}"]
             serial = [s for s in mine if s.kind == "phase" and s.attr("serial")]
-            assert {s.label for s in serial} == {"inchworm:components"} and len(serial) == 2
+            assert {s.label for s in serial} == {"inchworm:components"} and len(serial) == 1
             assert sum(s.duration for s in serial) == pytest.approx(
                 sum(s.duration for s in mine if s.label.startswith("shared:inchworm:"))
             )
@@ -136,7 +136,7 @@ class TestFewComponents:
     def two_component_counts(self):
         rng = np.random.default_rng(5)
         seqs = ["".join(rng.choice(list("ACGT"), size=n).tolist()) for n in (90, 60)]
-        # Two copies of each clear the error-kmer filter (min_kmer_count).
+        # Two copies of each: every k-mer is solid.
         return jellyfish_count(
             [SeqRecord(f"r{i}", seq) for i, seq in enumerate(seqs + seqs)], 25
         )
@@ -203,13 +203,13 @@ class TestRecovery:
     @pytest.mark.timeout(120)
     @pytest.mark.parametrize("strategy", ["round_robin", "dynamic"])
     def test_crash_recovery_byte_identical(
-        self, smoke_counts, serial_contigs, strategy
+        self, smoke_solid, serial_contigs, strategy
     ):
         plan = FaultPlan(crashes=(CrashFault(rank=2, phase="inchworm:assemble"),))
         for n_threads in (1, 4):
             rec = mpirun_with_recovery(
                 mpi_inchworm, NPROCS,
-                InchwormInputs(counts=smoke_counts),
+                InchwormInputs(counts=smoke_solid),
                 InchwormStageConfig(
                     inchworm=InchwormConfig(seed=1), strategy=strategy,
                     n_threads=n_threads,
@@ -231,7 +231,7 @@ class TestStragglers:
         # bit-identical to fault-free.
         rng = np.random.default_rng(7)
         seq = "".join(rng.choice(list("ACGT"), size=120).tolist())
-        # Two copies clear the error-kmer filter (min_kmer_count).
+        # Two copies: every k-mer is solid.
         counts = jellyfish_count([SeqRecord("r0", seq), SeqRecord("r1", seq)], 25)
         config = InchwormStageConfig(inchworm=InchwormConfig(seed=1), n_threads=2)
         base = mpirun(mpi_inchworm, 3, InchwormInputs(counts=counts), config)
@@ -245,10 +245,10 @@ class TestStragglers:
 
 
 class TestMetrics:
-    def test_stage_metrics_present(self, smoke_counts):
+    def test_stage_metrics_present(self, smoke_solid):
         run = mpirun(
             mpi_inchworm, 3,
-            InchwormInputs(counts=smoke_counts),
+            InchwormInputs(counts=smoke_solid),
             InchwormStageConfig(inchworm=InchwormConfig(seed=1)),
         )
         per_rank = run.outputs
@@ -281,9 +281,8 @@ class TestDriverIntegration:
         assert iw.makespan > 0
         assert result.metrics["mpi.inchworm_makespan_s"] == iw.makespan
         assert "inchworm[mpi]" in stage_seconds(result.spans)
-        serial = inchworm_assemble(
-            jellyfish_count(smoke_reads, cfg.trinity.k), cfg.trinity.inchworm()
-        )
+        solid = jellyfish_count(smoke_reads, cfg.trinity.k).filtered(cfg.trinity.min_kmer_count)
+        serial = inchworm_assemble(solid, cfg.trinity.inchworm())
         assert result.outputs.contigs == serial
         contig_file = result.outputs.files["inchworm_contigs"]
         assert contig_file.read_bytes() and contig_file.name == "inchworm.contigs.fa"

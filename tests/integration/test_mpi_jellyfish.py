@@ -1,11 +1,13 @@
 """Integration tests for the distributed Jellyfish stage.
 
 The invariant everything else hangs off: at every rank count, with or
-without an injected rank crash, ``mpi_jellyfish`` reproduces the serial
-``jellyfish_count`` table *exactly* — counting is a commutative multiset
-reduction and the owner slices are disjoint, so the gathered index
-arrays (and the rank-0 dump file bytes) are the serial sorted-unique
-arrays at any ``nprocs``.
+without an injected rank crash, ``mpi_jellyfish`` hands on the serial
+``jellyfish_count`` table filtered to ``min_kmer_count`` *exactly*, and
+its dump holds the whole count — counting is a commutative multiset
+reduction and the owner ranges tile k-mer space in rank order, so the
+gathered index arrays and the striped dump bytes are the serial ones at
+any ``nprocs``.  The drawn-reads property is
+``tests/property/test_jellyfish_prop.py``.
 """
 
 import numpy as np
@@ -33,6 +35,12 @@ def serial_counts(smoke_reads):
     return jellyfish_count(smoke_reads, K)
 
 
+@pytest.fixture(scope="module")
+def serial_solid(serial_counts):
+    """What the stage hands on at its default threshold."""
+    return serial_counts.filtered(JellyfishStageConfig().min_kmer_count)
+
+
 def _assert_table_equal(counts, serial):
     assert counts.k == serial.k and counts.canonical == serial.canonical
     assert np.array_equal(counts.index.codes, serial.index.codes)
@@ -42,7 +50,7 @@ def _assert_table_equal(counts, serial):
 class TestSerialEquality:
     # Equality with the serial body at 1/3/8 ranks, and the dump's bytes:
     # ``tests/integration/test_parallel_equivalence.py``.
-    def test_tiny_batches_still_identical(self, smoke_reads, serial_counts):
+    def test_tiny_batches_still_identical(self, smoke_reads, serial_solid):
         # batch_bases=1 flushes per read on every rank — the most hostile
         # batching still merges to the same table.
         run = mpirun(
@@ -50,7 +58,7 @@ class TestSerialEquality:
             JellyfishInputs(reads=smoke_reads),
             JellyfishStageConfig(jellyfish=JellyfishConfig(k=K, batch_bases=1)),
         )
-        _assert_table_equal(run.outputs[0].counts, serial_counts)
+        _assert_table_equal(run.outputs[0].counts, serial_solid)
 
     def test_empty_read_set(self):
         run = mpirun(
@@ -64,7 +72,9 @@ class TestSerialEquality:
 
 class TestRecovery:
     @pytest.mark.timeout(120)
-    def test_crash_recovery_byte_identical(self, smoke_reads, serial_counts, tmp_path):
+    def test_crash_recovery_byte_identical(
+        self, smoke_reads, serial_counts, serial_solid, tmp_path
+    ):
         plan = FaultPlan(crashes=(CrashFault(rank=2, phase="jellyfish:count"),))
         wd = tmp_path / "recovered"
         rec = mpirun_with_recovery(
@@ -76,7 +86,7 @@ class TestRecovery:
         # The i-mod-p deal is a pure function of (reads, nprocs), so the
         # survivor re-deal reproduces the identical table and dump.
         assert len(rec.outputs) == NPROCS - 1
-        _assert_table_equal(rec.outputs[0].counts, serial_counts)
+        _assert_table_equal(rec.outputs[0].counts, serial_solid)
         serial_path = tmp_path / "serial.kmers.fa"
         jellyfish_dump(serial_counts, serial_path)
         assert rec.outputs[0].out_path.read_bytes() == serial_path.read_bytes()
@@ -95,8 +105,9 @@ class TestMetrics:
         assert r.metrics["n_reads"] == len(smoke_reads)
         # The deal covers every read exactly once...
         assert sum(x.metrics["n_local_reads"] for x in per_rank) == len(smoke_reads)
-        # ...and the disjoint owner slices tile the merged table exactly.
+        # ...and the disjoint owner slices tile the distinct k-mers exactly.
         assert sum(x.metrics["n_owned_kmers"] for x in per_rank) == r.metrics["n_kmers"]
+        assert r.metrics["n_kmers"] == len(jellyfish_count(smoke_reads, K))
         assert run.makespan > 0
 
     def test_config_validation(self):
@@ -119,6 +130,7 @@ class TestDriverIntegration:
         assert result.metrics["mpi.jellyfish_makespan_s"] == jf.makespan
         assert "jellyfish[mpi]" in stage_seconds(result.spans)
         serial = jellyfish_count(smoke_reads, cfg.trinity.k)
-        _assert_table_equal(jf.outputs[0].counts, serial)
+        _assert_table_equal(jf.outputs[0].counts, serial.filtered(cfg.trinity.min_kmer_count))
+        assert result.outputs.counts == jf.outputs[0].counts
         dump = result.outputs.files["jellyfish_dump"]
         assert dump.read_bytes() and dump.name == "jellyfish.kmers.fa"

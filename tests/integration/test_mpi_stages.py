@@ -43,7 +43,7 @@ from tests.reference_sam import format_sam, read_sam, sam_line, write_sam
 
 @pytest.fixture(scope="module")
 def artefacts(smoke_reads):
-    counts = jellyfish_count(smoke_reads, 25)
+    counts = jellyfish_count(smoke_reads, 25).filtered(2)  # the solid table
     contigs = inchworm_assemble(counts, InchwormConfig(seed=1))
     gff = graph_from_fasta(contigs, smoke_reads, GraphFromFastaConfig(k=24))
     return counts, contigs, gff

@@ -79,7 +79,7 @@ def _serial_files(chain, cfg, tmp_path):
     tcfg = cfg.trinity
     counts = jellyfish_count(chain.reads, tcfg.k)
     jellyfish_dump(counts, tmp_path / "serial.kmers.fa")
-    contigs = inchworm_assemble(counts, tcfg.inchworm())
+    contigs = inchworm_assemble(counts.filtered(tcfg.min_kmer_count), tcfg.inchworm())
     write_fasta(tmp_path / "serial.contigs.fa", [c.to_record() for c in contigs])
     return {
         "jellyfish": (tmp_path / "serial.kmers.fa").read_bytes(),

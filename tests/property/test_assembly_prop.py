@@ -27,7 +27,7 @@ def test_inchworm_invariants(seqs, seed):
     """Every contig k-mer was counted; no k-mer is used by two contigs;
     contigs meet the minimum length."""
     counts = jellyfish_count([SeqRecord(f"r{i}", s) for i, s in enumerate(seqs)], K)
-    cfg = InchwormConfig(min_kmer_count=1, seed=seed)
+    cfg = InchwormConfig(seed=seed)
     contigs = inchworm_assemble(counts, cfg)
     seen = set()
     for contig in contigs:
@@ -42,7 +42,7 @@ def test_inchworm_invariants(seqs, seed):
 @given(source_seqs, st.integers(0, 3))
 def test_inchworm_deterministic_per_seed(seqs, seed):
     counts = jellyfish_count([SeqRecord(f"r{i}", s) for i, s in enumerate(seqs)], K)
-    cfg = InchwormConfig(min_kmer_count=1, seed=seed)
+    cfg = InchwormConfig(seed=seed)
     a = inchworm_assemble(counts, cfg)
     b = inchworm_assemble(counts, cfg)
     assert [c.seq for c in a] == [c.seq for c in b]
@@ -53,7 +53,7 @@ def test_inchworm_deterministic_per_seed(seqs, seed):
 def test_gff_components_partition_contigs(seqs):
     reads = [SeqRecord(f"r{i}", s) for i, s in enumerate(seqs * 2)]
     counts = jellyfish_count(reads, K)
-    contigs = inchworm_assemble(counts, InchwormConfig(min_kmer_count=1))
+    contigs = inchworm_assemble(counts, InchwormConfig())
     if not contigs:
         return
     result = graph_from_fasta(contigs, reads, GraphFromFastaConfig(k=K - 1))
@@ -68,7 +68,7 @@ def test_gff_components_partition_contigs(seqs):
 def test_rtt_covers_every_read_once(seqs, chunk):
     reads = [SeqRecord(f"r{i}", s) for i, s in enumerate(seqs * 2)]
     counts = jellyfish_count(reads, K)
-    contigs = inchworm_assemble(counts, InchwormConfig(min_kmer_count=1))
+    contigs = inchworm_assemble(counts, InchwormConfig())
     if not contigs:
         return
     components = build_components(len(contigs), [])

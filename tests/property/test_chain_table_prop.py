@@ -75,9 +75,8 @@ def tables(draw):
     values = draw(st.lists(st.sampled_from([0, 1, 2, 2, 3]), min_size=n, max_size=n))
     counts = JellyfishCounts(
         k=k, canonical=canonical, index=counter_from_dict(dict(zip(sorted(kmers), values)), k)
-    )
+    ).filtered(draw(st.sampled_from([1, 2])))
     cfg = InchwormConfig(
-        min_kmer_count=draw(st.sampled_from([1, 2])),
         min_contig_length=draw(st.sampled_from([1, k + 2])),
         max_contig_length=draw(st.sampled_from([1, 2, 8, 32])),
         seed=draw(st.integers(0, 3)),
@@ -93,7 +92,7 @@ def _triples(contigs):
 @given(tables(), st.randoms(use_true_random=False))
 def test_chain_table_equals_the_row_oracle(case, rng):
     counts, cfg = case
-    filtered = counts.index.filtered(cfg.min_kmer_count)
+    filtered = counts.index
     canonical, salt = counts.canonical, _salt(cfg)
     landing = neighbours(filtered, canonical)
     ids = component_ids(kmer_components(landing))

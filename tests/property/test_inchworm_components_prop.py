@@ -94,8 +94,8 @@ def assembly_cases(draw):
         # on both strands, with counts that tie.
         seqs += draw(st.lists(dna(k, k + 3), min_size=8, max_size=24))
     seqs += draw(st.lists(st.sampled_from(seqs), max_size=4)) if seqs else []
+    solid = draw(st.sampled_from([1, 1, 2, 50]))
     cfg = InchwormConfig(
-        min_kmer_count=draw(st.sampled_from([1, 1, 2, 50])),
         min_contig_length=draw(st.sampled_from([0, 1, k + 2])),
         max_contig_length=draw(st.sampled_from([1, 2, k, 200_000])),
         seed=draw(st.integers(0, 5)),
@@ -109,7 +109,7 @@ def assembly_cases(draw):
             table = dict(zip(counts.index.codes.tolist(), counts.index.values.tolist()))
             table[directed] = draw(st.integers(1, 60))
             counts = JellyfishCounts(k=k, canonical=True, index=counter_from_dict(table, k))
-    return counts, cfg
+    return counts.filtered(solid), cfg
 
 
 def _triples(contigs):
@@ -127,7 +127,7 @@ def test_any_rank_and_thread_split_equals_serial(case, n_ranks, n_threads, rng):
     counts, cfg = case
     oracle = _triples(reference_inchworm.inchworm_assemble(counts, cfg))
     assert _triples(inchworm_assemble(counts, cfg)) == oracle
-    filtered = counts.index.filtered(cfg.min_kmer_count)
+    filtered = counts.index
     ids = component_ids(kmer_components(neighbours(filtered, counts.canonical)))
     n_components = int(ids.max(initial=-1)) + 1
     owner = [rng.randrange(n_ranks) for _ in range(n_components)]

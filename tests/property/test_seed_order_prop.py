@@ -81,7 +81,7 @@ def test_equal_count_and_tie_hash_fall_to_the_code():
     # At k 17 codes 2**32 apart share their tie hash (the multiplier is
     # odd and the hash keeps 32 bits), so with equal counts only the code
     # orders them — in the queues and in the contigs' merge keys.
-    k, cfg = 17, InchwormConfig(min_kmer_count=1, min_contig_length=1, seed=4)
+    k, cfg = 17, InchwormConfig(min_contig_length=1, seed=4)
     salt = derive_seed(cfg.seed, "inchworm-ties")
     twins = [5 + j * 2**32 for j in range(3)] + [9 + j * 2**32 for j in range(2)]
     table = {code: 3 for code in twins}

@@ -74,7 +74,7 @@ def inchworm_assemble(
     k = counts.k
     if k < 2:
         raise PipelineError(f"inchworm needs k >= 2, got {k}")
-    filtered = counts.index.filtered(cfg.min_kmer_count)
+    filtered = counts.index
     if len(filtered) == 0:
         return []
     canonical = counts.canonical

@@ -155,7 +155,7 @@ class TestInchwormSurface:
             "inchworm", "n_threads", "strategy", "workdir",
         }
         assert {f.name for f in fields(InchwormConfig)} == {
-            "min_kmer_count", "min_contig_length", "max_contig_length", "seed",
+            "min_contig_length", "max_contig_length", "seed",
         }
         assert [f.name for f in fields(TrinityConfig) if "inchworm" in f.name] == [
             "inchworm_threads"
@@ -252,7 +252,7 @@ class TestChrysalisBackendSurface:
         assert params(quantify.pack_routed_reads) == ["reads", "routed", "k", "solid"]
         assert params(quantify.quantify_component) == ["component", "graph", "pack"]
         assert params(quantify.quantify_graph) == [
-            "graphs", "reads", "assignments", "kmer_counts", "min_kmer_count",
+            "graphs", "reads", "assignments", "kmer_counts",
         ]
         assert params(orient.reverse_votes) == ["windows", "seq_ids", "n_seqs", "nodes", "k"]
         assert [f.name for f in fields(debruijn.DeBruijnGraph)] == ["k", "codes", "weights"]
@@ -281,8 +281,7 @@ class TestChrysalisBackendSurface:
             "max_path_nodes", "seed",
         }
         assert {f.name for f in fields(ChrysalisBackendStageConfig)} == {
-            "k", "min_kmer_count", "butterfly", "nthreads", "strategy",
-            "workdir", "use_pair_reconciliation",
+            "k", "butterfly", "nthreads", "strategy", "workdir", "use_pair_reconciliation",
         }
         assert ChrysalisBackendStageConfig(k=31).weld_k == 30
 
@@ -307,9 +306,9 @@ class TestChrysalisBackendSurface:
             "ReadsToTranscriptsConfig", "ReadAssignment", "reads_to_transcripts",
             "build_kmer_map",
             "quantify_graph", "quantify_component", "pack_routed_reads", "ReadPack",
-            "reads_by_component", "solid_index", "ComponentQuant",
+            "reads_by_component", "ComponentQuant",
         ])
-        assert len(fields(ChrysalisBackendStageConfig)) == 7
+        assert len(fields(ChrysalisBackendStageConfig)) == 6
         assert len(fields(ButterflyConfig)) == 5
         assert [f.name for f in fields(TrinityConfig)] == [
             "k", "min_kmer_count", "seed", "max_mem_reads", "use_bowtie_scaffolds",
@@ -347,7 +346,9 @@ class TestMeasurementSurface:
             "rank", "size", "region", "phase_seconds", "compute", "map", "check_io_fault",
             "shared", "barrier", "bcast", "allgather", "allgatherv", "alltoall",
         ])
-        assert [f.name for f in fields(JellyfishStageConfig)] == ["jellyfish", "workdir"]
+        assert [f.name for f in fields(JellyfishStageConfig)] == [
+            "jellyfish", "min_kmer_count", "workdir",
+        ]
         assert [f.name for f in fields(BowtieStageConfig)] == ["bowtie", "workdir"]
 
 
@@ -440,7 +441,6 @@ class TestDeletedSurface:
         "repro.parallel": ("ParallelStage", "StageSpec", "parallel_stage", "rank_items"),
         "repro.parallel.chunks": ("rank_items", "default_chunk_size"),
         "repro.parallel.component_stage": ("round_robin_assign",),
-        "repro.parallel.driver": ("_counts_bytes",),
         "repro.openmp.schedule": (
             "Schedule", "simulate_schedule", "static_makespan", "guided_makespan",
             "static_chunks", "per_thread_busy_times",
@@ -469,6 +469,10 @@ class TestDeletedSurface:
             "ComponentAssembly", "_thread_queues",
         ),
         "repro.parallel.mpi_inchworm": ("_component_setup",),
+        # Range owners and one solid table: no hash partition, no second filter.
+        "repro.parallel.mpi_jellyfish": ("_partition_of", "_pack_pairs"),
+        "repro.trinity.chrysalis.quantify": ("solid_index",),
+        "repro.parallel.driver": ("_counts_bytes", "_CHECKPOINT_LAYOUT"),
         "repro.experiments.report": ("SLOW_IDS",),
         "repro.trinity.jellyfish": ("jellyfish_load", "kmer_histogram"),
         "repro.trinity.pairs": ("pair_support",),

@@ -74,8 +74,8 @@ class TestCoverageUsesFilteredTable:
 
     def test_noncanonical_alias_does_not_leak_unfiltered_count(self):
         # Malformed-on-purpose table: a directed (non-canonical) code F
-        # with count 5 and its canonical partner C with count 1.  With
-        # min_kmer_count=2 the filtered table keeps only F, so extension
+        # with count 5 and its canonical partner C with count 1.  At a
+        # solid threshold of 2 the filtered table keeps only F, so extension
         # seeds from F; coverage must be F's filtered count (5.0) — the
         # old code re-canonicalised the contig against the *unfiltered*
         # table and read C's count (1.0) instead.
@@ -87,8 +87,8 @@ class TestCoverageUsesFilteredTable:
             k=k,
             canonical=True,
             index=counter_from_dict({f_code: 5, c_code: 1}, k),
-        )
-        cfg = InchwormConfig(min_kmer_count=2, min_contig_length=1)
+        ).filtered(2)
+        cfg = InchwormConfig(min_contig_length=1)
         contigs = inchworm_assemble(counts, cfg)
         assert len(contigs) == 1
         assert contigs[0].coverage == pytest.approx(5.0)
@@ -101,8 +101,8 @@ class TestCoverageUsesFilteredTable:
             k=k,
             canonical=True,
             index=counter_from_dict({f_code: 5, c_code: 1}, k),
-        )
-        cfg = InchwormConfig(min_kmer_count=2, min_contig_length=1)
+        ).filtered(2)
+        cfg = InchwormConfig(min_contig_length=1)
         res = assemble_components(counts, cfg)
         assert [cov for _key, _seq, cov in res] == [pytest.approx(5.0)]
 
@@ -170,9 +170,7 @@ class TestBatchedKernel:
             counts = jellyfish_count([SeqRecord("r", unit * 6)], 5, canonical=canonical)
             for cap in (2, 8, 32):
                 for seed in range(3):
-                    cfg = InchwormConfig(
-                        min_kmer_count=1, min_contig_length=1, max_contig_length=cap, seed=seed
-                    )
+                    cfg = InchwormConfig(min_contig_length=1, max_contig_length=cap, seed=seed)
                     oracle = reference_inchworm.inchworm_assemble(counts, cfg)
                     assert _triples(inchworm_assemble(counts, cfg)) == _triples(oracle)
 
@@ -206,7 +204,7 @@ class TestBatchedKernel:
         kmers = ["AAAAC", "AAACA", "AACAG"]  # ascending codes: positions 0, 1, 2
         table = dict(zip(map(encode_kmer, kmers), (4, 0, 3)))
         counts = JellyfishCounts(k=k, canonical=False, index=counter_from_dict(table, k))
-        cfg = InchwormConfig(min_kmer_count=0, min_contig_length=1)
+        cfg = InchwormConfig(min_contig_length=1)
         filtered = counts.index.filtered(0)
         table = chain_table(
             filtered, False, 0, neighbours(filtered, False), np.arange(len(filtered))
@@ -232,9 +230,7 @@ class TestBatchedKernel:
         # 32 = nothing is cut.
         counts = counts_for(SRC1, SRC2, SRC3, SRC1, k=7)
         for seed in (0, 3):
-            cfg = InchwormConfig(
-                min_kmer_count=1, min_contig_length=1, max_contig_length=cutoff, seed=seed
-            )
+            cfg = InchwormConfig(min_contig_length=1, max_contig_length=cutoff, seed=seed)
             oracle = reference_inchworm.inchworm_assemble(counts, cfg)
             assert oracle
             assert _triples(inchworm_assemble(counts, cfg)) == _triples(oracle)
@@ -245,7 +241,7 @@ class TestBatchedKernel:
 class TestThreadedDriver:
     def test_single_thread_byte_identical(self):
         counts = counts_for(SRC1, SRC2, SRC3, k=7)
-        cfg = InchwormConfig(min_kmer_count=1, seed=2)
+        cfg = InchwormConfig(seed=2)
         serial = inchworm_assemble(counts, cfg)
         res = assemble_components(counts, cfg)
         assert [(c.name, c.seq, c.coverage) for c in serial] == [
@@ -259,7 +255,7 @@ class TestThreadedDriver:
         from repro.seq.kmers import canonical_kmers
 
         counts = counts_for(SRC1, SRC2, SRC3, SRC1, k=7)
-        cfg = InchwormConfig(min_kmer_count=1)
+        cfg = InchwormConfig()
         res = assemble_components(counts, cfg, n_threads=n_threads)
         seen = set()
         for _key, seq, _cov in res:
@@ -269,9 +265,9 @@ class TestThreadedDriver:
                 seen.add(code)
 
     @staticmethod
-    def queues(counts, n_threads, cfg=InchwormConfig(min_kmer_count=1)):
+    def queues(counts, n_threads, cfg=InchwormConfig()):
         """The LPT deal of all components to ``n_threads`` threads, queued."""
-        filtered = counts.index.filtered(cfg.min_kmer_count)
+        filtered = counts.index
         landing, ids, costs = component_setup(filtered, [neighbours(filtered, counts.canonical)])
         teams = lpt_assign(costs.tolist(), range(len(costs)), n_threads)
         return filtered, landing, ids, teams, seed_queues(filtered, cfg, ids, teams)
@@ -285,7 +281,7 @@ class TestThreadedDriver:
         for team, queue in zip(teams, queues):
             assert sorted(queue.tolist()) == np.flatnonzero(np.isin(ids, team)).tolist()
         assert sorted(np.concatenate(queues).tolist()) == list(range(len(filtered)))
-        cfg = InchwormConfig(min_kmer_count=1)
+        cfg = InchwormConfig()
         assert all(
             assemble_queue(filtered, True, cfg, landing, queue) for queue in queues if queue.size
         )
@@ -297,8 +293,8 @@ class TestThreadedDriver:
         assert 0 < len(busy) < 8  # fewer components than threads
 
     def test_empty_counts(self):
-        counts = counts_for("AAA", k=3)
-        cfg = InchwormConfig(min_kmer_count=10)
+        counts = counts_for("AAA", k=3).filtered(10)
+        cfg = InchwormConfig()
         filtered, landing, _ids, _teams, queues = self.queues(counts, 2, cfg)
         assert [queue.size for queue in queues] == [0, 0]
         assert assemble_queue(filtered, True, cfg, landing, queues[0]) == []
@@ -320,7 +316,7 @@ class TestPipelineKnob:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"min_kmer_count": -1}, {"min_contig_length": -1}, {"max_contig_length": 0}],
+        [{"min_contig_length": -1}, {"max_contig_length": 0}],
     )
     def test_inchworm_config_rejects_values_that_mean_something_else(self, bad):
         with pytest.raises(PipelineError, match=next(iter(bad))):

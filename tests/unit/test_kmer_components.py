@@ -13,6 +13,7 @@ from repro.parallel.mpi_inchworm import component_setup
 from repro.seq.kmer_index import KmerCounter
 from repro.seq.kmers import canonical_kmers, kmer_array
 from repro.seq.records import SeqRecord
+from repro.trinity import TrinityConfig
 from repro.trinity.inchworm import InchwormConfig, inchworm_assemble, neighbours
 from repro.trinity.jellyfish import jellyfish_count
 from repro.trinity.kmer_components import (
@@ -116,7 +117,7 @@ class TestContractedRounds:
 
 
 class TestContigFactorisation:
-    def test_every_serial_contig_stays_in_one_component(self, smoke_counts):
+    def test_every_serial_contig_stays_in_one_component(self, smoke_solid):
         """The fidelity regression behind the distributed stage.
 
         Every k-mer a serial contig consumed must resolve to a filtered
@@ -125,28 +126,28 @@ class TestContigFactorisation:
         component.
         """
         cfg = InchwormConfig(seed=1)
-        contigs = inchworm_assemble(smoke_counts, cfg)
+        contigs = inchworm_assemble(smoke_solid, cfg)
         assert contigs
-        filtered = smoke_counts.index.filtered(cfg.min_kmer_count)
-        labels = kmer_components(neighbours(filtered, smoke_counts.canonical))
+        filtered = smoke_solid.index
+        labels = kmer_components(neighbours(filtered, smoke_solid.canonical))
         for contig in contigs:
             codes = (
                 canonical_kmers(contig.seq, filtered.k)
-                if smoke_counts.canonical
+                if smoke_solid.canonical
                 else kmer_array(contig.seq, filtered.k)
             )
             pos, found = filtered.find(codes)
             assert found.all()
             assert np.unique(labels[pos]).size == 1
 
-    def test_contigs_cover_components_at_most_once(self, smoke_counts):
+    def test_contigs_cover_components_at_most_once(self, smoke_solid):
         # Two different contigs may share a component (several seeds per
         # component), but a single contig never spans two: the map from
         # contigs to components is well-defined.
         cfg = InchwormConfig(seed=1)
-        contigs = inchworm_assemble(smoke_counts, cfg)
-        filtered = smoke_counts.index.filtered(cfg.min_kmer_count)
-        labels = kmer_components(neighbours(filtered, smoke_counts.canonical))
+        contigs = inchworm_assemble(smoke_solid, cfg)
+        filtered = smoke_solid.index
+        labels = kmer_components(neighbours(filtered, smoke_solid.canonical))
         spans = []
         for contig in contigs:
             codes = canonical_kmers(contig.seq, filtered.k)
@@ -161,7 +162,7 @@ def test_whitefly_regression_component_count():
 
     _txome, pairs = get_recipe("whitefly-mini").materialize(seed=0)
     counts = jellyfish_count(flatten_reads(pairs), K)
-    filtered = counts.index.filtered(InchwormConfig().min_kmer_count)
+    filtered = counts.index.filtered(TrinityConfig().min_kmer_count)
     ids = component_ids(kmer_components(neighbours(filtered, counts.canonical)))
     # Pinned: the miniature's filtered graph resolves to 228 components.
     assert int(ids.max()) + 1 == 228

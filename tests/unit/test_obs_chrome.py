@@ -20,7 +20,7 @@ from repro.trinity.jellyfish import jellyfish_count
 @pytest.fixture(scope="module")
 def gff_run_8(smoke_reads):
     """An 8-rank traced GraphFromFasta run (the acceptance scenario)."""
-    counts = jellyfish_count(smoke_reads, 25)
+    counts = jellyfish_count(smoke_reads, 25).filtered(2)  # the solid table
     contigs = inchworm_assemble(counts, InchwormConfig(seed=1))
     return mpirun(
         mpi_graph_from_fasta,

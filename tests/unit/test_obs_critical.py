@@ -17,7 +17,7 @@ from repro.trinity.jellyfish import jellyfish_count
 
 @pytest.fixture(scope="module")
 def stage_inputs(smoke_reads):
-    counts = jellyfish_count(smoke_reads, 25)
+    counts = jellyfish_count(smoke_reads, 25).filtered(2)  # the solid table
     contigs = inchworm_assemble(counts, InchwormConfig(seed=1))
     return contigs, smoke_reads
 

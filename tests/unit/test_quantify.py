@@ -52,11 +52,9 @@ class TestQuantify:
         graphs = {0: fasta_to_debruijn([SRC], K)}
         n_nodes_before = graphs[0].n_nodes
         bad = SRC[3:14] + "T" + SRC[15:25]  # one substitution mid-read
-        counts = jellyfish_count([SeqRecord("x", SRC), SeqRecord("y", SRC)], K)
+        counts = jellyfish_count([SeqRecord("x", SRC), SeqRecord("y", SRC)], K).filtered(2)
         reads = [SeqRecord("r0", bad)]
-        quantify_graph(
-            graphs, reads, [make_assignment(0, 0)], kmer_counts=counts, min_kmer_count=2
-        )
+        quantify_graph(graphs, reads, [make_assignment(0, 0)], kmer_counts=counts)
         # Error k-mers are not solid, so no junk nodes appear.
         assert graphs[0].n_nodes == n_nodes_before
 
@@ -109,7 +107,7 @@ class TestReadsWithN:
     def kmer_counts(self, request):
         if request.param == "unfiltered":
             return None
-        return jellyfish_count([SeqRecord("x", SRC), SeqRecord("y", SRC)], K)
+        return jellyfish_count([SeqRecord("x", SRC), SeqRecord("y", SRC)], K).filtered(2)
 
     @pytest.mark.parametrize("at", [0, 15, 29], ids=["first", "mid", "last"])
     def test_n_window_is_a_gap(self, kmer_counts, at):

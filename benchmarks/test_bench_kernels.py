@@ -40,18 +40,18 @@ from repro.trinity.inchworm import (
     chain_table,
     inchworm_assemble,
     keyed_contigs,
-    neighbours,
+    probe,
     seed_queues,
 )
 from repro.trinity.jellyfish import jellyfish_count
-from repro.trinity.kmer_components import kmer_components, overlap_edges
-from repro.trinity.pairs import reconcile_with_pairs
+from repro.trinity.kmer_components import component_ids
+from repro.trinity.pairs import component_mates, mate_support, reconcile_with_pairs, repeated_names
 from repro.util.rng import spawn_rng
 from repro.validation.smith_waterman import sw_align, sw_score
 from tests import (
     reference_chrysalis, reference_gff, reference_inchworm, reference_pairs, reference_sorts,
 )
-from tests.reference_components import bfs_labels
+from tests.reference_components import bfs_labels, landing_components, landing_edges
 
 
 def _random_seq(n, seed=0):
@@ -292,7 +292,7 @@ def test_bench_inchworm_table_walk(benchmark, whitefly_half):
     tcfg, _reads, out = whitefly_half
     cfg, canonical = tcfg.inchworm(), out.counts.canonical
     filtered = out.counts.index
-    landing, ids, _costs = component_setup(filtered, [neighbours(filtered, canonical)])
+    landing, ids, _costs = component_setup(filtered, [probe(filtered, canonical)])
     sizes = np.bincount(ids)
     giant = int(np.argmax(sizes))
     whole = _seed_order(filtered, _salt(cfg))
@@ -320,20 +320,92 @@ def test_bench_inchworm_table_walk(benchmark, whitefly_half):
     })
 
 
-def test_bench_kmer_components(benchmark, whitefly_half):
-    """The replicated part of Inchworm's set-up — the Shiloach-Vishkin
-    labelling of the whole filtered table, run by every rank — on
-    whitefly-half: the labels must be the BFS oracle's (measured 1.3 ms
-    with contracted edge lists, 2.0 ms without)."""
-    from benchmarks.conftest import _best_of
+def _thread_best_ms(fn, rounds=30):
+    """Lowest thread CPU of ``rounds`` calls of ``fn``, in ms."""
+    from repro.mpi.clock import Stopwatch
 
-    tcfg, _reads, out = whitefly_half
-    filtered = out.counts.index
-    landing = neighbours(filtered, out.counts.canonical)
-    labels = benchmark(kmer_components, landing)
-    assert np.array_equal(labels, bfs_labels(len(filtered), *overlap_edges(landing)))
-    assert np.unique(labels).size > 50
-    benchmark.extra_info["labelling_ms"] = 1e3 * _best_of(lambda: kmer_components(landing), 10)
+    watches = []
+    for _ in range(rounds):
+        with Stopwatch() as watch:
+            fn()
+        watches.append(watch.seconds)
+    return 1e3 * min(watches)
+
+
+def test_bench_kmer_components(benchmark, whitefly_half):
+    """The replicated part of Inchworm's set-up — ``component_setup`` over
+    the eight ranks' probe blocks: the union-find of their pooled ``u < v``
+    edges, dense ids and costs, run by every rank — on whitefly-half.
+    The labels must be the BFS oracle's over every landing, and the build
+    at most 0.6x the one it replaced, which labelled the stacked ``(n, 8)``
+    probe's landings both ways (``landing_components``).  Thread CPU,
+    one core, best of 30: measured 1.17-1.41 -> 0.49-0.65 ms (0.39-0.46x)."""
+    from repro.parallel.chunks import static_block_ranges
+
+    _tcfg, _reads, out = whitefly_half
+    filtered, canonical = out.counts.index, out.counts.canonical
+    blocks = [
+        probe(filtered, canonical, *static_block_ranges(len(filtered), rank, 8)) for rank in range(8)
+    ]
+    landing, ids, _costs = benchmark(component_setup, filtered, blocks)
+    labels = bfs_labels(len(filtered), *landing_edges(landing))
+    assert np.array_equal(ids, component_ids(labels)) and np.unique(labels).size > 50
+
+    def replaced():
+        stacked = np.concatenate([rows for rows, _edges in blocks])
+        ids = component_ids(landing_components(stacked))
+        return stacked, ids, np.bincount(ids, weights=filtered.values)
+
+    assert np.array_equal(replaced()[1], ids)
+
+    new_ms = _thread_best_ms(lambda: component_setup(filtered, blocks))
+    old_ms = _thread_best_ms(replaced)
+    benchmark.extra_info.update({"setup_ms": new_ms, "landing_scan_ms": old_ms})
+    assert new_ms <= 0.6 * old_ms
+
+
+def test_bench_giant_pair_scoring(benchmark, whitefly_half):
+    """The fused back end's ``chrysalis:pairs`` on its largest component
+    (422 pairs, 11 candidates, 17.2 kb on whitefly-half): mate support by
+    chunk codes against the byte-verify pass it replaced
+    (``reference_pairs.contained_by_bytes``), supports equal.  Thread CPU,
+    one core, best of 30 (of 60 for a block): the whole support cold
+    (windows built) at most 0.6x, a cached 64-pair block at most 0.7x;
+    measured 4.2-4.3 -> 1.9-2.2 ms (0.44-0.52x) and 0.50-0.51 -> 0.27-0.34
+    ms (0.54-0.67x)."""
+    from repro.trinity import pairs
+
+    _tcfg, reads, out = whitefly_half
+    routed = reads_by_component(out.assignments)
+    mates = component_mates(reads, routed, routed, repeated_names(reads))
+    seqs = {}
+    for t in out.transcripts:
+        seqs.setdefault(t.component, []).append(t.seq)
+    giant = max((c for c in mates if c in seqs), key=lambda c: len(mates[c]))
+    texts, rows = seqs[giant], mates[giant]
+    assert len(rows) > 400 and len(texts) > 5
+
+    def timings():
+        cached = {}
+        mate_support(texts, reads, rows[:64], cached)
+        return (
+            mate_support(texts, reads, rows, {}),
+            _thread_best_ms(lambda: mate_support(texts, reads, rows, {})),
+            _thread_best_ms(lambda: mate_support(texts, reads, rows[:64], cached), 60),
+        )
+
+    support = benchmark(mate_support, texts, reads, rows, {})
+    new = timings()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pairs, "_contained", reference_pairs.contained_by_bytes)
+        old = timings()
+    assert np.array_equal(support, new[0]) and np.array_equal(new[0], old[0])
+    benchmark.extra_info.update({
+        "support_ms": new[1], "bytes_support_ms": old[1],
+        "block_ms": new[2], "bytes_block_ms": old[2],
+    })
+    assert new[1] <= 0.6 * old[1]
+    assert new[2] <= 0.7 * old[2]
 
 
 def test_bench_pair_support(benchmark, whitefly_half):

@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
-from repro.seq.alphabet import sanitize
 from repro.seq.fasta import read_fasta, write_fasta
 from repro.seq.stats import assembly_stats
 from repro.simdata import get_recipe, list_recipes
@@ -44,9 +42,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_assemble(args: argparse.Namespace) -> int:
     from repro.trinity import TrinityConfig, TrinityPipeline
 
-    # A soft-masked (lower-case) base is the base it masks; anything
-    # outside ACGTN is an input error.
-    reads = [replace(r, seq=sanitize(r.seq)) for r in read_fasta(args.reads)]
+    reads = read_fasta(args.reads)  # sanitised by the chain, before any launch
     config = TrinityConfig(k=args.k, seed=args.seed, max_mem_reads=args.max_mem_reads)
     if args.nprocs > 1:
         from repro.parallel import ParallelTrinityDriver

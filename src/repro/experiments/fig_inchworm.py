@@ -44,7 +44,7 @@ from repro.parallel.scaling import ScalingPoint, simulate_inchworm
 from repro.simdata import get_recipe
 from repro.simdata.reads import flatten_reads
 from repro.trinity import TrinityConfig
-from repro.trinity.inchworm import neighbours
+from repro.trinity.inchworm import probe
 from repro.util.fmt import format_table
 
 #: Paper-scale sweep, starting at 1 to show the serial anchor.
@@ -147,7 +147,7 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigInchwormResult:
     # -- real component masses drive the analytic sweep ----------------------
     counts = chain.out("jellyfish").counts
     solid = counts.index
-    _landing, _ids, costs = component_setup(solid, [neighbours(solid, counts.canonical)])
+    _landing, _ids, costs = component_setup(solid, [probe(solid, counts.canonical)])
     contig_bytes = float(sum(len(c.seq) for c in chain.contigs))
     rows = list(zip(
         nodes,

@@ -8,10 +8,9 @@ what the distributed stage of :mod:`repro.parallel.mpi_jellyfish` buys:
 * **Analytic sweep** — the sugarbeet-scale counting pass replayed
   through :func:`repro.parallel.scaling.simulate_jellyfish` at
   paper-scale node counts, splitting each point into count / exchange /
-  merge / gather / resort.  The final allgather + re-sort replicate the
-  whole table on every rank, so the speedup saturates — the stage's
-  Amdahl floor, and the number to beat for any future sharded-table
-  variant.
+  merge / gather (modelled).  The final allgatherv replicates the solid
+  table on every rank, so the speedup saturates — the stage's Amdahl
+  floor, and the number to beat for any future sharded-table variant.
 * **Measured line** — the stage on the whitefly miniature at 1 and 8
   ranks (:func:`repro.experiments.measured.row_runs`): both virtual
   makespans, and whether the 8-rank table equals the 1-rank one.
@@ -50,7 +49,6 @@ class FigJellyfishResult:
                 p.nodes,
                 f"{p.count_max:.0f}",
                 f"{p.merge_max:.0f}",
-                f"{p.resort_max:.0f}",
                 f"{p.exchange_max + p.gather_max:.1f}",
                 f"{p.total_s:.0f}",
                 f"{self.serial_baseline_s / p.total_s:.2f}",
@@ -58,7 +56,7 @@ class FigJellyfishResult:
             for p in self.points
         ]
         table = format_table(
-            ["nodes", "count (s)", "merge (s)", "resort (s)", "comm (s)", "total (s)", "speedup"],
+            ["nodes", "count (s)", "merge (s)", "comm (s)", "total (s)", "speedup"],
             rows,
         )
         check = "identical" if self.outputs_identical else "DIVERGED"
@@ -68,7 +66,7 @@ class FigJellyfishResult:
             f"({self.real_serial_makespan / self.real_mpi_makespan:.2f}x), "
             f"{REAL_NPROCS}-rank table vs 1-rank: {check}"
         )
-        return f"Distributed Jellyfish — scaling decomposition\n{table}\n\n{real}"
+        return f"Distributed Jellyfish — scaling decomposition (modelled)\n{table}\n\n{real}"
 
 
 def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigJellyfishResult:

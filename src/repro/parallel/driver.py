@@ -55,7 +55,7 @@ from repro.obs.span import Span, host_stage, stage_seconds
 from repro.mpi.faults import FaultPlan
 from repro.mpi.network import IDATAPLEX_FDR10, NetworkModel
 from repro.parallel.recovery import mpirun_with_recovery
-from repro.seq.records import SeqRecord
+from repro.seq.records import SeqRecord, sanitize_reads
 from repro.trinity.config import TrinityConfig, TrinityResult
 from repro.parallel.component_stage import check_strategy
 from repro.parallel.mpi_bowtie import BowtieInputs, BowtieStageConfig, mpi_bowtie, serial_bowtie
@@ -333,9 +333,11 @@ def run_chain(
     With ``target`` (a row key), only that stage and its transitive
     upstream stages run; a row whose ``launched(cfg)`` is false never
     does.  ``workdir`` is made first; no reads is a :class:`PipelineError`.
+    Reads are sanitised first (:func:`~repro.seq.records.sanitize_reads`).
     """
     if not reads:
         raise PipelineError("no reads supplied")
+    reads = sanitize_reads(reads)
     if workdir is not None:
         Path(workdir).mkdir(parents=True, exist_ok=True)
     chain = StageChain(cfg, reads)

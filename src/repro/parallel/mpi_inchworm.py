@@ -13,10 +13,11 @@ factors exactly over the components of the k-mer overlap graph
 1. the probe — where each stored k-mer's eight extensions land,
    :func:`~repro.trinity.inchworm.neighbours`, the stage's only table
    search — is owner-computes: every rank resolves one block of stored
-   positions and the ``int32`` rows are pooled with one ``allgatherv``;
-   what stays replicated — built once per simulation via
+   positions and its ``u < v`` overlap edges
+   (:func:`~repro.trinity.inchworm.probe`), pooled with one
+   ``allgatherv``; what stays replicated — built once per simulation via
    ``comm.shared``, charged per-rank, the stage's serial region — is the
-   component labelling of the pooled probe, with each position's dense
+   union-find over the pooled edges, with each position's dense
    component id and each component's cost (the table itself is
    Jellyfish's solid one, taken as it is);
 2. components are dealt to ranks — ``"round_robin"`` (``i mod p``) or
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,7 +74,7 @@ from repro.trinity.inchworm import (
     assemble_queue,
     inchworm_assemble,
     keyed_contigs,
-    neighbours,
+    probe,
     seed_queues,
 )
 from repro.trinity.jellyfish import JellyfishCounts
@@ -118,22 +119,22 @@ class InchwormOutputs:
     out_path: Optional[Path] = None  # merged FASTA (master, if written)
 
 
-def component_setup(filtered: KmerCounter, blocks: Sequence[np.ndarray]):
+def component_setup(filtered: KmerCounter, blocks: Sequence[Tuple[np.ndarray, np.ndarray]]):
     """The pooled probe, per-position component ids and component costs.
 
     Built once per simulated ``mpirun`` (every real rank would rebuild it
     redundantly — the stage's replicated serial region) and treated as
-    read-only by all ranks.  ``blocks`` are the ranks' position blocks of
-    :func:`~repro.trinity.inchworm.neighbours` in rank order; stacked
-    they are ``landing``, the one search of the table: the components
-    are labelled off it here and each owner builds the chain table of
-    its own rows of it later.  A component's deal cost is its k-mer
+    read-only by all ranks.  ``blocks`` are the ranks'
+    :func:`~repro.trinity.inchworm.probe` blocks in rank order: their
+    stacked rows are ``landing``, the one search of the table, which
+    owners build chain tables from later; the components are labelled
+    on their pooled edges here.  A component's deal cost is its k-mer
     count mass: tables and walks are proportional to the k-mers it holds,
     and abundance weights the ones long walks are made of.
     """
-    landing = np.concatenate(blocks)
-    ids = component_ids(kmer_components(landing))
-    return landing, ids, np.bincount(ids, weights=filtered.values)
+    rows, edges = zip(*blocks)
+    ids = component_ids(kmer_components(len(filtered), np.concatenate(edges, axis=1)))
+    return np.concatenate(rows), ids, np.bincount(ids, weights=filtered.values)
 
 
 def mpi_inchworm(
@@ -160,17 +161,17 @@ def mpi_inchworm(
     filtered = counts.index  # Jellyfish's solid table, as it is
     # -- the probe, owner-computes: each rank resolves the extensions of
     # its block of stored positions (every position costs the same, so
-    # contiguous blocks balance) and the blocks are pooled.  Still
-    # "components" (same label), not serial.
+    # contiguous blocks balance) and reads its edges off them; the blocks
+    # are pooled.  Still "components" (same label), not serial.
     with comm.region("inchworm:components"):
         with comm.compute("inchworm:probe"):
-            block = neighbours(
+            block = probe(
                 filtered, counts.canonical,
                 *static_block_ranges(len(filtered), comm.rank, comm.size),
             )
         blocks = comm.allgatherv(block)
 
-    # -- connected components of the k-mer overlap graph, read off it --------
+    # -- connected components of the pooled overlap edges --------------------
     with comm.region("inchworm:components", serial=True):
         landing, ids, costs = comm.shared(
             "inchworm:setup", lambda: component_setup(filtered, blocks)

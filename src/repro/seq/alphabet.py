@@ -4,9 +4,10 @@ The canonical alphabet is ``ACGT`` with 2-bit codes A=0, C=1, G=2, T=3
 (the ordering Jellyfish uses).  Ambiguity codes are not modelled: k-mer
 extraction skips every window holding a non-ACGT base, mirroring
 Trinity's behaviour of discarding k-mers containing non-ACGT characters.
-``repro assemble`` passes each input read through :func:`sanitize`, so
-soft-masked (lower-case) bases count as the bases they mask and anything
-outside ``ACGTN`` is rejected before the assembly stages see it.
+Both drivers pass their reads through :func:`sanitize` before any stage
+runs (``repro.seq.records.sanitize_reads``), so soft-masked (lower-case)
+bases count as the bases they mask and anything outside ``ACGTN`` is
+rejected before the assembly stages see it.
 """
 
 from __future__ import annotations
@@ -43,17 +44,19 @@ def reverse_complement(seq: str) -> str:
     return seq.encode().translate(_COMPLEMENT_TABLE)[::-1].decode()
 
 
-def sanitize(seq: str) -> str:
+def sanitize(seq: str, name: str = "") -> str:
     """Upper-case ``seq`` and verify it is ACGTN; raise otherwise.
 
     ``N`` characters are allowed through — k-mer extraction skips windows
-    containing them — but anything else is rejected loudly.
+    containing them — but anything else is rejected loudly, naming the
+    record ``name`` if given.
     """
     up = seq.upper()
     allowed = set("ACGTN")
     bad = set(up) - allowed
     if bad:
-        raise SequenceError(f"invalid characters in sequence: {sorted(bad)!r}")
+        where = f" of read {name!r}" if name else ""
+        raise SequenceError(f"invalid characters in sequence{where}: {sorted(bad)!r}")
     return up
 
 

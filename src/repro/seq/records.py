@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import SequenceError
+from repro.seq.alphabet import sanitize
 from repro.seq.kmer_index import sorted_rows
 
 
@@ -34,6 +35,17 @@ class SeqRecord:
     def header(self) -> str:
         """The FASTA header line content (without the leading ``>``)."""
         return f"{self.name} {self.description}".strip()
+
+
+def sanitize_reads(reads: Sequence[SeqRecord]) -> Sequence[SeqRecord]:
+    """``reads`` through :func:`~repro.seq.alphabet.sanitize`, checked in
+    one pass: ``reads`` itself if all is ACGTN, else only changed reads
+    are copied.  A read holding a character outside ``ACGTNacgtn`` raises,
+    named."""
+    if not "".join([read.seq for read in reads]).encode().translate(None, b"ACGTN"):
+        return reads
+    clean = [(read, sanitize(read.seq, read.name)) for read in reads]
+    return [read if seq == read.seq else replace(read, seq=seq) for read, seq in clean]
 
 
 def _mate_names(names: Sequence[str]) -> tuple:

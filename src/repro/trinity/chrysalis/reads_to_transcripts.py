@@ -151,11 +151,11 @@ def assignment_table(
             seg_read, seg_comp = np.divmod(rc[seg], span)
             seg_count, seg_first, seg_last = ends - seg, p[seg], p[ends - 1]
             # Best segment per read: its largest shared count, ties to the
-            # smallest component id (segments ascend by component in a read).
+            # smallest component id: segments ascend by component in a
+            # read, so the maximum of one (count, -segment) key picks it.
             read_start = np.flatnonzero(np.concatenate(([True], seg_read[1:] != seg_read[:-1])))
-            most = np.maximum.reduceat(seg_count, read_start)
-            top = np.flatnonzero(seg_count == np.repeat(most, np.diff(np.append(read_start, seg.size))))
-            best = top[np.concatenate(([True], seg_read[top][1:] != seg_read[top][:-1]))]
+            key = seg_count * seg.size + np.arange(seg.size - 1, -1, -1)
+            best = seg.size - 1 - np.maximum.reduceat(key, read_start) % seg.size
             ok = seg_count[best] >= cfg.min_shared_kmers
             winners = seg_read[best][ok]
             best_comp[winners] = seg_comp[best][ok]

@@ -57,6 +57,7 @@ from repro.seq.kmer_index import KmerCounter, decode_kmers, sorted_rows
 from repro.seq.kmers import revcomp_codes
 from repro.seq.records import Contig
 from repro.trinity.jellyfish import JellyfishCounts
+from repro.trinity.kmer_components import overlap_edges
 from repro.util.rng import derive_seed
 
 #: Fibonacci-hash multiplier shared by every Inchworm tie-break.
@@ -217,6 +218,17 @@ def neighbours(
         pos, found = filtered.find(cands)
         half[...] = np.where(found, pos, -1).reshape(-1, 4)
     return landing
+
+
+def probe(
+    filtered: KmerCounter, canonical: bool = True, start: int = 0, stop: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`neighbours` of positions ``start:stop`` and that block's
+    :func:`~repro.trinity.kmer_components.overlap_edges`."""
+    landing = neighbours(filtered, canonical, start, stop)
+    stored = filtered.codes[start:stop]
+    one_sided = revcomp_codes(stored, filtered.k) < stored if canonical else None
+    return landing, overlap_edges(landing, start, one_sided)
 
 
 # --------------------------------------------------------------------------

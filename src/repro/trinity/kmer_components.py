@@ -18,7 +18,11 @@ extension of ``c`` — so the four right plus four left canonicalised
 neighbours of each stored canonical code cover every transition either
 strand of the walk can take.  Eight landings per stored k-mer close the
 reachability relation, and this module searches for none of them: it
-reads its edges off the probe the walk's rows are built from.
+reads its edges off the probe the walk's rows are built from, block by
+block (:func:`overlap_edges`).  ``u`` lands on ``v`` iff ``v`` lands
+on ``u``, so a block keeps the landings above its rows: each edge once.
+Only a stored *directed* code in a canonical table (hand-built tables)
+has no mirror, and keeps its edges whichever way they point.
 
 The component labelling itself is a vectorised union-find of the
 classic Shiloach-Vishkin shape: root-hooking over the edge list
@@ -30,40 +34,39 @@ edge list, no Python-level per-node loop.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional
 
 import numpy as np
 
-__all__ = [
-    "overlap_edges",
-    "kmer_components",
-    "component_ids",
-]
+__all__ = ["overlap_edges", "kmer_components", "component_ids"]
 
 
-def overlap_edges(landing: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Edge list of the (k-1)-overlap graph, read off the probe.
-
-    ``landing`` is :func:`repro.trinity.inchworm.neighbours` of the
-    table.  Returns parallel ``(u, v)`` position arrays: one edge for
-    every single-base extension of a stored code (four right, four left)
-    that is itself stored — by construction the candidates the greedy
-    walk's rows hold.  Self-loops (palindromic neighbours resolving to
-    their own source) are dropped; duplicate edges are harmless to the
-    label propagation and not deduplicated.
+def overlap_edges(
+    landing: np.ndarray, start: int = 0, one_sided: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The overlap edges of the probe's block ``landing`` of positions
+    ``start ..`` (:func:`repro.trinity.inchworm.neighbours`), as a
+    ``(2, m)`` ``int32`` array of ``u < v`` pairs: every landing above
+    its row, and below it too on rows ``one_sided`` flags (no mirror).
+    Self-loops are dropped; an edge two columns find is kept twice,
+    which the labelling does not mind.  Blocks concatenate on axis 1.
     """
-    u, col = np.nonzero(landing >= 0)
-    v = landing[u, col].astype(np.intp)
-    keep = u != v
-    return u[keep], v[keep]
+    rows = np.arange(start, start + len(landing), dtype=np.int32)[:, None]
+    keep = landing > rows
+    if one_sided is not None and one_sided.any():
+        keep |= (landing >= 0) & one_sided[:, None]
+    hit = np.flatnonzero(keep)
+    u, v = rows.ravel()[hit // landing.shape[1]], landing.ravel()[hit]
+    return np.stack((np.minimum(u, v), np.maximum(u, v)))
 
 
-def kmer_components(landing: np.ndarray) -> np.ndarray:
-    """Component label for every position of the table ``landing`` probes.
+def kmer_components(n: int, edges: np.ndarray) -> np.ndarray:
+    """Component label of each of ``n`` positions joined by ``edges``.
 
-    The label of a component is the minimum position among its members,
-    so labels are stable under any edge ordering and directly comparable
-    across runs.  Positions with no surviving overlap edges are
+    ``edges`` are :func:`overlap_edges` rows, pooled over the table's
+    blocks.  The label of a component is the minimum position among its
+    members, so labels are stable under any edge ordering and directly
+    comparable across runs.  Positions with no overlap edges are
     singleton components labelled by themselves.
 
     Shiloach-Vishkin rounds over a contracting edge list: every edge
@@ -77,8 +80,8 @@ def kmer_components(landing: np.ndarray) -> np.ndarray:
     minimum position can never be hooked away from itself, so the
     fixpoint labels every member with that minimum.
     """
-    parent = np.arange(len(landing), dtype=np.intp)
-    u, v = overlap_edges(landing)
+    parent = np.arange(n, dtype=np.intp)
+    u, v = edges.astype(np.intp)  # ``np.minimum.at``'s fast path indexes with intp
     while u.size:
         np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
         while True:

@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence
 
 from repro.parallel.component_stage import lpt_assign
 from repro.parallel.mpi_inchworm import component_setup
-from repro.trinity.inchworm import InchwormConfig, assemble_queue, neighbours, seed_queues
+from repro.trinity.inchworm import InchwormConfig, assemble_queue, probe, seed_queues
 from repro.trinity.jellyfish import JellyfishCounts
 
 
@@ -24,7 +24,7 @@ def assemble_components(
     ``owned`` ids) on one rank, pooled over its threads."""
     cfg = cfg or InchwormConfig()
     filtered = counts.index
-    landing, ids, costs = component_setup(filtered, [neighbours(filtered, counts.canonical)])
+    landing, ids, costs = component_setup(filtered, [probe(filtered, counts.canonical)])
     mine = list(range(len(costs))) if owned is None else list(owned)
     teams = lpt_assign([float(costs[c]) for c in mine], mine, n_threads)
     return [

@@ -37,7 +37,7 @@ from repro.trinity.inchworm import (
     chain_table,
     inchworm_assemble,
     keyed_contigs,
-    neighbours,
+    probe,
     seed_queues,
 )
 from repro.trinity.jellyfish import JellyfishCounts
@@ -94,8 +94,8 @@ def test_chain_table_equals_the_row_oracle(case, rng):
     counts, cfg = case
     filtered = counts.index
     canonical, salt = counts.canonical, _salt(cfg)
-    landing = neighbours(filtered, canonical)
-    ids = component_ids(kmer_components(landing))
+    landing, edges = probe(filtered, canonical)
+    ids = component_ids(kmer_components(len(filtered), edges))
     owner = [rng.randrange(DEAL) for _ in range(int(ids.max(initial=-1)) + 1)]
     pooled = []
     for rank in range(DEAL):

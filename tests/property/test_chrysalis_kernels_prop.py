@@ -106,6 +106,12 @@ test that fails:
 * vote positions left in sorted order (``pos[:] = ...`` for
   ``pos[order] = ...``): ``test_sorted_vote_equals_unsorted_search``
   (and ``test_quantify_component_equals_contract_and_oracle``)
+* the slot-set test of ``_dedup_contained`` reversed (``mask & ~masks[s]``)
+  or a run's mask one slot short (``(1 << b - 1) - (1 << a)``):
+  ``test_dedup_by_slots_on_nested_windows`` (Butterfly's own paths never
+  nest — two paths from one source part at a branch — so
+  ``test_dedup_by_slots_equals_the_string_scan`` only sees the masks
+  skip every scan)
 """
 
 from contextlib import contextmanager
@@ -532,6 +538,54 @@ def test_walk_equals_copying_dfs(case, max_paths, max_path_nodes, fraction):
         assert got == transcripts(ref.butterfly_component(7, oracle, cfg, ref.dfs_in_place))
         assert got == transcripts(ref.butterfly_component(7, oracle, cfg, ref.dfs))
         assert len(got) <= max_paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_sequences(), st.sampled_from([0.0, 0.3]))
+def test_dedup_by_slots_equals_the_string_scan(case, fraction):
+    """Every string set ``butterfly_component`` dedups by its paths' slot
+    sets dedups as the scan of every pair does (``ref.dedup_contained``)."""
+    k, seqs = case
+    graph, _oracle = both_graphs(k, seqs)
+    calls = []
+
+    def spy(strings, paths=()):
+        calls.append((list(strings), paths))
+        return dedup(strings, paths)
+
+    dedup = butterfly._dedup_contained
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(butterfly, "_dedup_contained", spy)
+        for seed in range(4):
+            cfg = ButterflyConfig(min_edge_fraction=fraction, min_transcript_length=1, seed=seed)
+            butterfly_component(7, graph, cfg)
+    for strings, paths in calls:
+        assert len(paths) == len(strings)
+        assert dedup(strings, paths) == ref.dedup_contained(strings)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dedup_by_slots_on_nested_windows(data):
+    """Windows of one backbone whose (k-1)-mers are distinct, as paths:
+    slot ``i`` is the backbone's i-th node, and a window's slots are cut
+    into runs anywhere.  ``_dedup_contained`` over the windows and their
+    runs keeps what the scan of every pair keeps — nested windows
+    included."""
+    k = 8
+    backbone = data.draw(st.text(alphabet="ACGT", min_size=k, max_size=80))
+    nodes = [backbone[i : i + k - 1] for i in range(len(backbone) - k + 2)]
+    if len(set(nodes)) < len(nodes):
+        return
+    strings, paths = [], []
+    for _ in range(data.draw(st.integers(1, 8))):
+        a = data.draw(st.integers(0, len(nodes) - 1))
+        b = data.draw(st.integers(a + 1, len(nodes)))
+        cuts = sorted(data.draw(st.sets(st.integers(a + 1, b - 1), max_size=3)) if b - a > 1 else [])
+        bounds = [a, *cuts, b]
+        strings.append(backbone[a : b + k - 2])
+        paths.append([x for pair in zip(bounds, bounds[1:]) for x in pair])
+    assert butterfly._dedup_contained(strings, paths) == ref.dedup_contained(strings)
 
 
 @st.composite

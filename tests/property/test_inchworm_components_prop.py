@@ -33,7 +33,7 @@ from repro.trinity.inchworm import (
     InchwormConfig,
     inchworm_assemble,
     keyed_contigs,
-    neighbours,
+    probe,
 )
 from repro.trinity.jellyfish import JellyfishCounts, jellyfish_count
 from repro.trinity.kmer_components import component_ids, kmer_components
@@ -128,7 +128,7 @@ def test_any_rank_and_thread_split_equals_serial(case, n_ranks, n_threads, rng):
     oracle = _triples(reference_inchworm.inchworm_assemble(counts, cfg))
     assert _triples(inchworm_assemble(counts, cfg)) == oracle
     filtered = counts.index
-    ids = component_ids(kmer_components(neighbours(filtered, counts.canonical)))
+    ids = component_ids(kmer_components(len(filtered), probe(filtered, counts.canonical)[1]))
     n_components = int(ids.max(initial=-1)) + 1
     owner = [rng.randrange(n_ranks) for _ in range(n_components)]
     pooled = []

@@ -2,7 +2,8 @@
 
 For any component — isoforms sharing most of their sequence, mates taken
 from either strand of any of them or from nowhere, shorter than the
-31-base seed, of mixed lengths, longer than a transcript, duplicated,
+31-base seed or one or two seeds long, of mixed lengths, longer than a
+transcript, running past a text's end, duplicated as pairs or as mates,
 with ``N`` or lower-case bases in mate or transcript, or no pairs at all
 — ``reconcile_with_pairs`` must keep the same transcripts and report the
 same ``PairFilterStats`` as ``tests/reference_pairs.py``, and
@@ -19,7 +20,10 @@ mate, or a prefix mate on the other strand; ``<= len + 1`` lets a mate
 run on into the first base of the text joined after it); only the
 forward strand seeded; the string fallback dropped for mates whose seed
 window holds an ``N``; "both mates" weakened to "either"; duplicated
-pairs counted once.
+pairs counted once; the code verify's last chunk dropped (a mate's tail
+past its last whole seed unchecked: the "tail" mates); a lower-case mate verified by its
+folded codes; the texts' exact codes taken where a window holds a
+lower-case base.
 
 ``test_mate_index_equals_the_name_loop`` holds the vectorised mate join
 (``repro.seq.records.mate_index``) to the per-name dict loop of
@@ -141,9 +145,12 @@ def components(draw):
 
         def mate():
             source = draw(st.sampled_from(isoforms))
-            kind = draw(
-                st.sampled_from(["inside", "inside", "prefix", "suffix", "long", "spill", "random"])
-            )
+            kind = draw(st.sampled_from(
+                ["inside", "inside", "prefix", "suffix", "long", "spill", "random", "chunked"]
+                + ["tail"] + ["again"] * bool(drawn)
+            ))
+            if kind == "again":
+                return draw(st.sampled_from(drawn))
             if kind == "random":
                 seq = draw(_dna(0, 50))
             elif kind == "long":
@@ -158,6 +165,16 @@ def components(draw):
                     reverse_complement(source),
                 ]))
                 seq = source[-draw(st.integers(28, 40)) :] + after[: draw(st.integers(1, 2))]
+            elif kind in ("chunked", "tail"):
+                # Past one or two 31-base seeds: the verify's last chunk
+                # overlaps the one before it; "tail" changes a base near
+                # the end, behind the last whole seed.
+                length = draw(st.integers(min(len(source), 31), min(len(source), 94)))
+                at = draw(st.integers(0, len(source) - length))
+                seq = source[at : at + length]
+                if kind == "tail" and seq:
+                    cut = len(seq) - 1 - draw(st.integers(0, min(len(seq) - 1, 12)))
+                    seq = seq[:cut] + "ACGT"[("ACGT".find(seq[cut].upper()) + 1) % 4] + seq[cut + 1 :]
             else:
                 length = draw(st.integers(1, max(1, min(len(source), 60))))
                 at = {"prefix": 0, "suffix": len(source) - length}.get(
@@ -166,7 +183,10 @@ def components(draw):
                 seq = source[at : at + length]
             if draw(st.booleans()):
                 seq = reverse_complement(seq)
-            return draw(_spoiled(seq))
+            drawn.append(draw(_spoiled(seq)))
+            return drawn[-1]
+
+        drawn = []  # this component's mates so far: "again" repeats one
 
         pairs = [(mate(), mate()) for _ in range(draw(st.integers(0, 6)))]
         pairs += draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []

@@ -27,7 +27,7 @@ from repro.trinity.inchworm import (
     _seed_order,
     inchworm_assemble,
     keyed_contigs,
-    neighbours,
+    probe,
     seed_queues,
 )
 from repro.trinity.jellyfish import JellyfishCounts
@@ -103,7 +103,7 @@ def test_equal_count_and_tie_hash_fall_to_the_code():
     # Every k-mer is its own component and contig; each key is its seed's
     # comparator tuple, and ranks owning the twins in reverse order still
     # merge to the serial list.
-    ids = component_ids(kmer_components(neighbours(filtered, canonical=False)))
+    ids = component_ids(kmer_components(len(filtered), probe(filtered, canonical=False)[1]))
     assert ids.tolist() == list(range(len(filtered)))
     serial = inchworm_assemble(counts, cfg)
     assert len(serial) == len(filtered)

@@ -51,7 +51,7 @@ from repro.seq.alphabet import reverse_complement
 from repro.seq.kmers import kmer_array, revcomp_codes
 from repro.seq.records import SeqRecord, Transcript
 from repro.trinity import butterfly
-from repro.trinity.butterfly import ButterflyConfig, _dedup_contained
+from repro.trinity.butterfly import ButterflyConfig
 from repro.trinity.chrysalis import debruijn
 from repro.trinity.chrysalis.quantify import ComponentQuant
 from repro.util.rng import derive_seed
@@ -320,6 +320,18 @@ def quantify_component(
 # -- Butterfly ----------------------------------------------------------------
 
 
+def dedup_contained(seqs: Sequence[str]) -> List[str]:
+    """Drop sequences wholly contained in another (longest kept): the
+    string scan of every pair that ``butterfly._dedup_contained`` skips
+    where the paths' slot sets cannot nest."""
+    ordered = sorted(set(seqs), key=lambda s: (-len(s), s))
+    kept: List[str] = []
+    for s in ordered:
+        if not any(s in longer for longer in kept):
+            kept.append(s)
+    return kept
+
+
 def butterfly_component(
     component_id: int,
     graph: DeBruijnGraph,
@@ -346,7 +358,7 @@ def butterfly_component(
         if len(paths) >= cfg.max_paths_per_component:
             break
 
-    seqs = _dedup_contained([spell_path(p) for p in paths])
+    seqs = dedup_contained([spell_path(p) for p in paths])
     out: List[Transcript] = []
     for i, seq in enumerate(seqs):
         if len(seq) < min_len:
@@ -484,7 +496,7 @@ def butterfly_rows(
         rows_dfs(step, branches, src, cfg, paths, seen_paths)
         if len(paths) >= cfg.max_paths_per_component:
             break
-    seqs = _dedup_contained([debruijn.spell_path(nodes[list(p)], graph.k) for p in paths])
+    seqs = dedup_contained([debruijn.spell_path(nodes[list(p)], graph.k) for p in paths])
     return [
         Transcript(name=f"comp{component_id}_seq{i}", seq=seq, component=component_id)
         for i, seq in enumerate(seqs)

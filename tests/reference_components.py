@@ -3,7 +3,9 @@
 One BFS from every position not yet reached, over the overlap edges read
 as undirected; every member of a component is labelled with its minimum
 position.  The vectorised Shiloach-Vishkin labelling must return exactly
-these labels on any edge list.
+these labels on any edge list, and on the ``u < v`` edges the probe's
+blocks emit (``repro.trinity.inchworm.probe``) the labels of the BFS
+over every landing (:func:`landing_edges`).
 """
 
 from collections import deque
@@ -33,3 +35,31 @@ def bfs_labels(n, u, v):
                     queue.append(y)
         labels[np.array(seen)] = min(seen)
     return labels
+
+
+def landing_edges(landing):
+    """Every landing of the probe as a ``(u, v)`` pair: both directions of
+    each edge, self-loops included (the BFS reads them as undirected)."""
+    u, col = np.nonzero(landing >= 0)
+    return u, landing[u, col].astype(np.intp)
+
+
+def landing_components(landing):
+    """The labelling the pooled ``u < v`` edges replaced: Shiloach-Vishkin
+    over every landing of the whole ``(n, 8)`` probe, both directions
+    (the timing baseline of ``benchmarks/test_bench_kernels.py``)."""
+    parent = np.arange(len(landing), dtype=np.intp)
+    u, v = landing_edges(landing)
+    keep = u != v
+    u, v = u[keep], v[keep]
+    while u.size:
+        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        u, v = parent[u], parent[v]
+        live = u != v
+        u, v = u[live], v[live]
+    return parent

@@ -8,6 +8,9 @@ for any strings: empty mates occur everywhere, an ``N`` matches only an
 ``N``.  ``reconcile_with_pairs`` and the per-transcript counts it filters
 on (``_pair_supports``) must return exactly what these do.
 
+``contained_by_bytes`` is the byte-verify pass the chunk codes replaced,
+kept as the kernel benchmark's baseline.
+
 The per-name mate join is here too (``mate_key`` / ``mate_pairs`` /
 ``mate_groups`` / ``component_pairs``): the dict loop that
 ``repro.seq.records.mate_index`` replaced, and the oracle it is held to.
@@ -18,9 +21,13 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.seq.alphabet import reverse_complement
+from repro.seq.kmers import MAX_K, kmer_windows_batch
 from repro.seq.records import SeqRecord, Transcript
 from repro.trinity.chrysalis.reads_to_transcripts import ReadAssignment
+from repro.trinity.bowtie import _VERIFY_BASES
 from repro.trinity.pairs import PairFilterStats
 
 
@@ -106,3 +113,48 @@ def reconcile_with_pairs(
         n_out=len(kept),
         n_components_filtered=n_filtered_components,
     )
+
+
+def contained_by_bytes(mates: Sequence[str], texts: Sequence[str], windows: dict) -> np.ndarray:
+    """The seed-and-verify pass the chunk codes replaced: seeds found by
+    ``kmer_windows_batch``, the texts' windows sorted by ``argsort``, and
+    every placement compared byte by byte (the timing baseline of
+    ``benchmarks/test_bench_kernels.py``; same result as ``str in str``)."""
+    out = np.zeros((len(mates), len(texts)), dtype=bool)
+    text_bytes = np.frombuffer("".join(texts).encode(), dtype=np.uint8)
+    text_len = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    text_at = np.cumsum(text_len) - text_len
+    by_length: Dict[int, List[int]] = defaultdict(list)
+    for i, mate in enumerate(mates):
+        by_length[len(mate)].append(i)
+    for length, members in by_length.items():
+        group = np.asarray(members)
+        seed_len = min(length, MAX_K)
+        seeded = np.empty(0, dtype=np.int64)
+        if seed_len:
+            seeds, seeded, _ = kmer_windows_batch([mates[i][:seed_len] for i in members], seed_len)
+        for i in np.delete(group, seeded).tolist():
+            out[i] = [mates[i] in text for text in texts]
+        if seeded.size == 0:
+            continue
+        if seed_len not in windows:
+            codes, text, start = kmer_windows_batch(texts, seed_len)
+            order = np.argsort(codes)
+            windows[seed_len] = codes[order], text[order], start[order]
+        codes, text, start = windows[seed_len]
+        lo = np.searchsorted(codes, seeds, side="left")
+        n = np.searchsorted(codes, seeds, side="right") - lo
+        entry = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(int(n.sum()))
+        mate, text, start = np.repeat(seeded, n), text[entry], start[entry]
+        inside = start + length <= text_len[text]
+        mate, text, start = mate[inside], text[inside], text_at[text[inside]] + start[inside]
+        mate_bytes = np.frombuffer(
+            "".join(mates[i] for i in members).encode(), dtype=np.uint8
+        ).reshape(len(members), length)
+        along = np.arange(length)
+        block = max(1, _VERIFY_BASES // length)
+        for a in range(0, mate.size, block):
+            part = slice(a, a + block)
+            same = (text_bytes[start[part, None] + along] == mate_bytes[mate[part]]).all(axis=1)
+            out[group[mate[part][same]], text[part][same]] = True
+    return out

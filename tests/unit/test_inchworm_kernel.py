@@ -20,6 +20,7 @@ from repro.trinity.inchworm import (
     inchworm_assemble,
     keyed_contigs,
     neighbours,
+    probe,
     seed_queues,
     tie_break_codes,
     walk,
@@ -268,7 +269,7 @@ class TestThreadedDriver:
     def queues(counts, n_threads, cfg=InchwormConfig()):
         """The LPT deal of all components to ``n_threads`` threads, queued."""
         filtered = counts.index
-        landing, ids, costs = component_setup(filtered, [neighbours(filtered, counts.canonical)])
+        landing, ids, costs = component_setup(filtered, [probe(filtered, counts.canonical)])
         teams = lpt_assign(costs.tolist(), range(len(costs)), n_threads)
         return filtered, landing, ids, teams, seed_queues(filtered, cfg, ids, teams)
 

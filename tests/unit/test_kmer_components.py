@@ -14,16 +14,17 @@ from repro.seq.kmer_index import KmerCounter
 from repro.seq.kmers import canonical_kmers, kmer_array
 from repro.seq.records import SeqRecord
 from repro.trinity import TrinityConfig
-from repro.trinity.inchworm import InchwormConfig, inchworm_assemble, neighbours
+from repro.trinity.inchworm import InchwormConfig, inchworm_assemble, neighbours, probe
 from repro.trinity.jellyfish import jellyfish_count
-from repro.trinity.kmer_components import (
-    component_ids,
-    kmer_components,
-    overlap_edges,
-)
-from tests.reference_components import bfs_labels
+from repro.trinity.kmer_components import component_ids, kmer_components, overlap_edges
+from tests.reference_components import bfs_labels, landing_edges
 
 K = 25
+
+
+def labels_of(counter, canonical=True):
+    """The stage's labelling: the whole table's probe edges, unioned."""
+    return kmer_components(len(counter), probe(counter, canonical)[1])
 
 
 def random_counter(rng, n, k=8):
@@ -38,25 +39,32 @@ class TestAgainstNaiveBFS:
     def test_random_kmer_sets(self, seed, canonical):
         rng = np.random.default_rng(seed)
         counter = random_counter(rng, n=400)
-        u, v = overlap_edges(neighbours(counter, canonical))
-        expected = bfs_labels(len(counter), u, v)
-        assert np.array_equal(kmer_components(neighbours(counter, canonical)), expected)
+        expected = bfs_labels(len(counter), *landing_edges(neighbours(counter, canonical)))
+        assert np.array_equal(labels_of(counter, canonical), expected)
 
     def test_real_counter(self, smoke_counts):
         filtered = smoke_counts.index.filtered(2)
-        u, v = overlap_edges(neighbours(filtered, smoke_counts.canonical))
-        expected = bfs_labels(len(filtered), u, v)
-        assert np.array_equal(
-            kmer_components(neighbours(filtered, smoke_counts.canonical)), expected
-        )
+        landing = neighbours(filtered, smoke_counts.canonical)
+        expected = bfs_labels(len(filtered), *landing_edges(landing))
+        assert np.array_equal(labels_of(filtered, smoke_counts.canonical), expected)
+
+    def test_each_real_edge_once_from_its_lower_end(self, smoke_counts):
+        # A well-formed table's landings are symmetric, so the ``u < v``
+        # edges are every landing pair seen from its lower end.
+        filtered = smoke_counts.index.filtered(2)
+        landing = neighbours(filtered, smoke_counts.canonical)
+        u, v = landing_edges(landing)
+        edges = probe(filtered, smoke_counts.canonical)[1]
+        both = {(a, b) for a, b in zip(u.tolist(), v.tolist()) if a != b}
+        assert both == {(b, a) for a, b in both}
+        assert sorted(zip(*edges.tolist())) == sorted((a, b) for a, b in both if a < b)
 
 
 class TestEdgeCases:
     def test_empty_counter(self):
         counter = KmerCounter(K, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        assert kmer_components(neighbours(counter)).size == 0
-        u, v = overlap_edges(neighbours(counter))
-        assert u.size == 0 and v.size == 0
+        assert labels_of(counter).size == 0
+        assert overlap_edges(neighbours(counter)).shape == (2, 0)
         assert component_ids(np.empty(0, dtype=np.intp)).size == 0
 
     def test_singletons_label_themselves(self):
@@ -71,14 +79,14 @@ class TestEdgeCases:
             )
         )
         counter = KmerCounter(8, codes, np.ones(3, dtype=np.int64))
-        labels = kmer_components(neighbours(counter))
+        labels = labels_of(counter)
         assert np.array_equal(labels, np.arange(3))
         assert component_ids(labels).tolist() == [0, 1, 2]
 
     def test_members_are_dense_ascending_partition(self):
         rng = np.random.default_rng(3)
         counter = random_counter(rng, n=300)
-        labels = kmer_components(neighbours(counter))
+        labels = labels_of(counter)
         ids = component_ids(labels)
         members = [np.flatnonzero(ids == c) for c in range(int(ids.max()) + 1)]
         # Dense component ids, every one with members, ascending by their
@@ -93,9 +101,9 @@ class TestEdgeCases:
     def test_costs_are_member_count_sums(self):
         rng = np.random.default_rng(4)
         counter = random_counter(rng, n=200)
-        landing, ids, costs = component_setup(counter, [neighbours(counter)])
+        landing, ids, costs = component_setup(counter, [probe(counter)])
         assert np.array_equal(landing, neighbours(counter))
-        assert np.array_equal(ids, component_ids(kmer_components(landing)))
+        assert np.array_equal(ids, component_ids(labels_of(counter)))
         assert costs.shape == (int(ids.max()) + 1,)
         assert costs.sum() == pytest.approx(float(counter.values.sum()))
         for c, cost in enumerate(costs):
@@ -112,7 +120,7 @@ class TestContractedRounds:
         # and can stay live forever.
         seq = "".join(np.random.default_rng(9).choice(list("ACGT"), size=3000).tolist())
         counts = jellyfish_count([SeqRecord("r0", seq)], K, canonical=canonical)
-        labels = kmer_components(neighbours(counts.index, canonical))
+        labels = labels_of(counts.index, canonical)
         assert labels.size > 2900 and not labels.any()
 
 
@@ -129,7 +137,7 @@ class TestContigFactorisation:
         contigs = inchworm_assemble(smoke_solid, cfg)
         assert contigs
         filtered = smoke_solid.index
-        labels = kmer_components(neighbours(filtered, smoke_solid.canonical))
+        labels = labels_of(filtered, smoke_solid.canonical)
         for contig in contigs:
             codes = (
                 canonical_kmers(contig.seq, filtered.k)
@@ -147,7 +155,7 @@ class TestContigFactorisation:
         cfg = InchwormConfig(seed=1)
         contigs = inchworm_assemble(smoke_solid, cfg)
         filtered = smoke_solid.index
-        labels = kmer_components(neighbours(filtered, smoke_solid.canonical))
+        labels = labels_of(filtered, smoke_solid.canonical)
         spans = []
         for contig in contigs:
             codes = canonical_kmers(contig.seq, filtered.k)
@@ -163,7 +171,7 @@ def test_whitefly_regression_component_count():
     _txome, pairs = get_recipe("whitefly-mini").materialize(seed=0)
     counts = jellyfish_count(flatten_reads(pairs), K)
     filtered = counts.index.filtered(TrinityConfig().min_kmer_count)
-    ids = component_ids(kmer_components(neighbours(filtered, counts.canonical)))
+    ids = component_ids(labels_of(filtered, counts.canonical))
     # Pinned: the miniature's filtered graph resolves to 228 components.
     assert int(ids.max()) + 1 == 228
     assert np.bincount(ids).min() >= 1 and ids.size == len(filtered)

@@ -163,6 +163,15 @@ class TestBatchedEquivalence:
         got = self._check(contigs, [SeqRecord("r", shared)], ReadsToTranscriptsConfig(k=K))
         assert got[0].component == 0
 
+    def test_tie_of_distinct_kmers_goes_to_smallest_component(self):
+        # Three k-mers of each contig and none shared: a real tie between
+        # two segments, whichever side of the read each lies on.
+        contigs = [Contig("A", SRC_A), Contig("B", SRC_B)]
+        a, b = SRC_A[-(K + 2) :], SRC_B[: K + 2]
+        reads = [SeqRecord("ab", a + b), SeqRecord("ba", b + a), SeqRecord("bb", SRC_B[5:25])]
+        got = self._check(contigs, reads, ReadsToTranscriptsConfig(k=K))
+        assert [(r.component, r.shared_kmers) for r in got] == [(0, 3), (0, 3), (1, 12)]
+
     def test_non_acgt_reads(self):
         contigs = [Contig("A", SRC_A), Contig("B", SRC_B)]
         reads = [

@@ -31,12 +31,11 @@ K = 25
 
 
 def test_bench_batched_extension_kernel(benchmark, bench_reads):
-    counts = jellyfish_count(bench_reads, K)
-    filtered = counts.index.filtered(2)
+    filtered = jellyfish_count(bench_reads, K).filtered(2)
     salt = derive_seed(InchwormConfig().seed, "inchworm-ties")
     rng = np.random.default_rng(0)
     at = rng.choice(len(filtered), size=REFERENCE_BATCH, replace=False)
-    table = chain_table(filtered, True, salt, neighbours(filtered), np.arange(len(filtered)))
+    table = chain_table(filtered, salt, neighbours(filtered), np.arange(len(filtered)))
     states = np.asarray(table.starts)[at].tolist()  # each end as stored
     unused = bytearray(len(filtered))
 

@@ -38,6 +38,7 @@ from repro.trinity.inchworm import (
     _seed_order,
     assemble_queue,
     chain_table,
+    extension_candidates,
     inchworm_assemble,
     keyed_contigs,
     probe,
@@ -138,7 +139,7 @@ def giant_component(whitefly_half):
     routed = reads_by_component(out.assignments)
     comp = max(out.gff.components, key=lambda c: len(routed.get(c.id, ())))
     oriented = orient_component([out.contigs[m].seq for m in comp.members], tcfg.weld_k)
-    solid = out.counts.index
+    solid = out.counts
     return tcfg, comp.id, oriented, reads, routed[comp.id], solid
 
 
@@ -214,7 +215,7 @@ def test_bench_butterfly_runs_vs_rows(benchmark, whitefly_half):
         )
         for comp in out.gff.components
     }
-    solid = out.counts.index
+    solid = out.counts
     pack = pack_routed_reads(reads, {cid: routed.get(cid, ()) for cid in graphs}, tcfg.k, solid)
     for cid, graph in graphs.items():
         quantify_component(cid, graph, pack)
@@ -251,7 +252,7 @@ def test_bench_backend_chain_is_linear(benchmark):
             comp.id: orient_component([out.contigs[m].seq for m in comp.members], tcfg.weld_k)
             for comp in out.gff.components
         }
-        return reads, members, out.assignments, out.counts.index
+        return reads, members, out.assignments, out.counts
 
     def chain(reads, members, assignments, solid):
         graphs = {cid: fasta_to_debruijn(seqs, tcfg.k) for cid, seqs in members.items()}
@@ -290,20 +291,19 @@ def test_bench_inchworm_table_walk(benchmark, whitefly_half):
     from repro.mpi.clock import Stopwatch
 
     tcfg, _reads, out = whitefly_half
-    cfg, canonical = tcfg.inchworm(), out.counts.canonical
-    filtered = out.counts.index
-    landing, ids, _costs = component_setup(filtered, [probe(filtered, canonical)])
+    cfg, filtered = tcfg.inchworm(), out.counts
+    landing, ids, _costs = component_setup(filtered, [probe(filtered)])
     sizes = np.bincount(ids)
     giant = int(np.argmax(sizes))
     whole = _seed_order(filtered, _salt(cfg))
 
     def giant_component():
         (queue,) = seed_queues(filtered, cfg, ids, [[giant]])
-        return assemble_queue(filtered, canonical, cfg, landing, queue)
+        return assemble_queue(filtered, cfg, landing, queue)
 
     def whole_table_s():
         with Stopwatch() as watch:
-            assemble_queue(filtered, canonical, cfg, landing, whole)
+            assemble_queue(filtered, cfg, landing, whole)
         return watch.seconds
 
     keyed = benchmark(giant_component)
@@ -311,8 +311,8 @@ def test_bench_inchworm_table_walk(benchmark, whitefly_half):
     oracle = reference_inchworm.inchworm_assemble(out.counts, cfg)
     assert keyed
     assert {(seq, cov) for _key, seq, cov in keyed} <= {(c.seq, c.coverage) for c in oracle}
-    assert keyed_contigs(assemble_queue(filtered, canonical, cfg, landing, whole)) == oracle
-    table = chain_table(filtered, canonical, _salt(cfg), landing, whole)
+    assert keyed_contigs(assemble_queue(filtered, cfg, landing, whole)) == oracle
+    table = chain_table(filtered, _salt(cfg), landing, whole)
     benchmark.extra_info.update({
         "fork_rows": len(table.forks),
         "chains": len(set(table.lo.tolist())),
@@ -343,10 +343,8 @@ def test_bench_kmer_components(benchmark, whitefly_half):
     from repro.parallel.chunks import static_block_ranges
 
     _tcfg, _reads, out = whitefly_half
-    filtered, canonical = out.counts.index, out.counts.canonical
-    blocks = [
-        probe(filtered, canonical, *static_block_ranges(len(filtered), rank, 8)) for rank in range(8)
-    ]
+    filtered = out.counts
+    blocks = [probe(filtered, *static_block_ranges(len(filtered), rank, 8)) for rank in range(8)]
     landing, ids, _costs = benchmark(component_setup, filtered, blocks)
     labels = bfs_labels(len(filtered), *landing_edges(landing))
     assert np.array_equal(ids, component_ids(labels)) and np.unique(labels).size > 50
@@ -362,6 +360,34 @@ def test_bench_kmer_components(benchmark, whitefly_half):
     old_ms = _thread_best_ms(replaced)
     benchmark.extra_info.update({"setup_ms": new_ms, "landing_scan_ms": old_ms})
     assert new_ms <= 0.6 * old_ms
+
+
+def test_bench_find_beats_searchsorted(benchmark, whitefly_half):
+    """``KmerIndex.find``'s bucket accelerator against a bare
+    ``np.searchsorted`` on the Inchworm probe's queries: every stored
+    k-mer's eight extensions, canonicalised, looked up in whitefly-half's
+    solid table (81 792 queries, 10 224 codes); results equal.  Thread
+    CPU, one core, best of 30: ``find`` at least 1.3x faster; measured
+    3.4 against 6.5 ms (1.9x), and 2.0 against 5.8 ms (2.9x) on one RTT
+    chunk's 51 000 queries."""
+    _tcfg, _reads, out = whitefly_half
+    solid = out.counts
+    queries = np.concatenate([
+        extension_candidates(solid.codes, solid.k, right).ravel() for right in (True, False)
+    ])
+    queries = np.minimum(queries, revcomp_codes(queries, solid.k))
+
+    def bare():
+        pos = np.searchsorted(solid.codes, queries)
+        pos[pos == solid.codes.size] = 0
+        return pos, solid.codes[pos] == queries
+
+    pos, found = benchmark(solid.find, queries)
+    want_pos, want_found = bare()
+    assert np.array_equal(found, want_found) and np.array_equal(pos[found], want_pos[found])
+    find_ms, bare_ms = _thread_best_ms(lambda: solid.find(queries)), _thread_best_ms(bare)
+    benchmark.extra_info.update({"n_queries": int(queries.size), "find_ms": find_ms, "searchsorted_ms": bare_ms})
+    assert bare_ms >= 1.3 * find_ms
 
 
 def test_bench_giant_pair_scoring(benchmark, whitefly_half):
@@ -487,7 +513,7 @@ def test_bench_packed_sorts(benchmark, whitefly_half):
     flat, of_contig, _pos = kmer_arrays_batch(seqs, k)
     component = np.asarray(component_of_map(comps, len(seqs)), dtype=np.int64)
     pairs = (np.minimum(flat, revcomp_codes(flat, k)), component[of_contig])
-    count, tie, _code = _seed_keys(out.counts.index, _salt(tcfg.inchworm()))
+    count, tie, _code = _seed_keys(out.counts, _salt(tcfg.inchworm()))
     keys = (np.arange(count.size), tie, count)
 
     seeds = benchmark(shared_seed_array, out.contigs, gff)

@@ -60,11 +60,10 @@ ROWS = {row.key: row for row in STAGE_TABLE}
 INCHWORM_TEAM = 4
 
 _weld_key = lambda w: (w.owner, w.seed_code, w.left_flank, w.seed, w.right_flank)
-_index = lambda counts: (counts.index.codes.tobytes(), counts.index.values.tobytes())
 
 #: row key -> the artefact of a ``*Outputs`` the two bodies must agree on.
 ARTEFACTS = {
-    "jellyfish": lambda out: _index(out.counts),
+    "jellyfish": lambda out: out.counts,
     "inchworm": lambda out: out.contigs,
     "bowtie": lambda out: (out.hits.tobytes(), out.scaffolds),
     # Pooling permutes chunk order: welds compare under a canonical sort.

@@ -18,17 +18,18 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.seq.kmer_index import KmerCounter
 from repro.seq.kmers import base_blocks
 from repro.seq.records import SeqRecord
 from repro.simdata import get_recipe
 from repro.simdata.reads import flatten_reads
 from repro.trinity.dsk import DskConfig, dsk_count_with_stats
-from repro.trinity.jellyfish import JellyfishConfig, JellyfishCounts, jellyfish_count
+from repro.trinity.jellyfish import JellyfishConfig, jellyfish_count
 from repro.util.fmt import format_table
 
 
 def jellyfish_peak_bytes(
-    reads: Sequence[SeqRecord], counts: JellyfishCounts, batch_bases: int
+    reads: Sequence[SeqRecord], counts: KmerCounter, batch_bases: int
 ) -> int:
     """Jellyfish's counting-pass peak, in real bytes.
 

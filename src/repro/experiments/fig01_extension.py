@@ -69,12 +69,11 @@ def run(seed: int = 0) -> Fig01Result:
     reads = [SeqRecord(f"t{i}", TRUE_SEQ) for i in range(5)] + [
         SeqRecord("err", ERROR_SEQ)
     ]
-    counts = jellyfish_count(reads, K)
-    filtered = counts.index  # no abundance floor in the illustration
+    filtered = jellyfish_count(reads, K)  # no abundance floor in the illustration
     # The shipped kernel's successor table over the whole toy dictionary:
     # each k-mer's candidates, best first, as the walk states they lead to.
     table = chain_table(
-        filtered, True, derive_seed(seed, "inchworm-ties"),
+        filtered, derive_seed(seed, "inchworm-ties"),
         neighbours(filtered), np.arange(len(filtered)),
     )
 

@@ -145,9 +145,8 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigInchwormResult:
     chain, runs = row_runs("inchworm", RECIPE, seed, (1, REAL_NPROCS), tuple(DEALS.values()))
 
     # -- real component masses drive the analytic sweep ----------------------
-    counts = chain.out("jellyfish").counts
-    solid = counts.index
-    _landing, _ids, costs = component_setup(solid, [probe(solid, counts.canonical)])
+    solid = chain.out("jellyfish").counts
+    _landing, _ids, costs = component_setup(solid, [probe(solid)])
     contig_bytes = float(sum(len(c.seq) for c in chain.contigs))
     rows = list(zip(
         nodes,

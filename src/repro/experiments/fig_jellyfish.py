@@ -78,6 +78,6 @@ def run(seed: int = 0, nodes: Sequence[int] = SWEEP_NODES) -> FigJellyfishResult
         real_mpi_makespan=runs[REAL_NPROCS].makespan,
         outputs_identical=agree(
             runs.values(),
-            lambda out: (out.counts.index.codes.tobytes(), out.counts.index.values.tobytes()),
+            lambda out: (out.counts.codes.tobytes(), out.counts.values.tobytes()),
         ),
     )

@@ -2,9 +2,10 @@
 
 GraphFromFasta's loop 1 packs its vector of welding subsequences "into a
 single sequence for MPI communication", exchanges sizes, then Allgatherv's
-the packed payload; loop 2 does the same with integer pair indices.  These
-helpers implement that packing so payload byte counts — which feed the
-network cost model — are faithful.
+the packed payload; loop 2 does the same with integer pair indices, which
+it holds as one ``(m, 2)`` array already.  These helpers implement that
+packing so payload byte counts — which feed the network cost model — are
+faithful.
 """
 
 from __future__ import annotations
@@ -46,24 +47,6 @@ def unpack_strings(payload: bytes, lengths: np.ndarray) -> List[str]:
         payload[s:e].decode("ascii")
         for s, e in zip(starts.tolist(), ends.tolist())
     ]
-
-
-def pack_int_pairs(pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
-    """Flatten (i, j) index pairs into a single int64 array (paper loop 2)."""
-    arr = np.asarray(pairs, dtype=np.int64)
-    if arr.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected an (n, 2) pair array, got shape {arr.shape}")
-    return arr.reshape(-1)
-
-
-def unpack_int_pairs(flat: np.ndarray) -> List[Tuple[int, int]]:
-    """Inverse of :func:`pack_int_pairs`."""
-    flat = np.asarray(flat, dtype=np.int64)
-    if flat.size % 2 != 0:
-        raise ValueError(f"flat pair array has odd length {flat.size}")
-    return [tuple(row) for row in flat.reshape(-1, 2).tolist()]
 
 
 def nbytes_of(obj: object) -> int:

@@ -74,10 +74,14 @@ def chunk_size(
 
 
 def static_block_ranges(n_items: int, rank: int, nprocs: int) -> Tuple[int, int]:
-    """The pre-allocated contiguous-block strategy the paper tried first
-    ("we pre-allocated chunks of Inchworm contigs to each MPI process.
-    However, this did not give us a good speedup") — kept for the
-    scheduling ablation benchmark."""
+    """Rank ``rank``'s contiguous block ``[start, stop)`` of ``n_items``
+    items over ``nprocs`` ranks, the first ``n_items % nprocs`` blocks one
+    longer.  The deal of items that cost the same each: Inchworm's probe
+    positions, Bowtie's read blocks, GFF's weldmer scan and
+    ``component_stage.fasta_block``.  For contigs it is the pre-allocation
+    the paper tried first ("we pre-allocated chunks of Inchworm contigs to
+    each MPI process.  However, this did not give us a good speedup"),
+    which the scheduling ablation replays."""
     if not (0 <= rank < nprocs):
         raise ScheduleError(f"rank {rank} out of range for nprocs {nprocs}")
     base, extra = divmod(n_items, nprocs)

@@ -77,6 +77,7 @@ from repro.parallel import component_stage
 from repro.parallel.recovery import with_retry
 from repro.seq import kmers
 from repro.seq.fasta import format_fasta, write_fasta
+from repro.seq.kmer_index import KmerCounter
 from repro.seq.records import Contig, SeqRecord, Transcript
 from repro.trinity.butterfly import ButterflyConfig, butterfly_assemble, butterfly_component
 from repro.trinity.chrysalis.components import Component
@@ -188,7 +189,7 @@ class ChrysalisBackendInputs:
     reads: Sequence[SeqRecord]
     components: Sequence[Component]
     assignments: Sequence[ReadAssignment]
-    counts: object = None  # Optional[JellyfishCounts]
+    counts: Optional[KmerCounter] = None
 
 
 def contig_only_inputs(seqs: Sequence[str]) -> ChrysalisBackendInputs:
@@ -340,8 +341,7 @@ def mpi_chrysalis_backend(
             "chrysalis:pack", threads=config.nthreads, units=len(mine)
         ) as packing:
             pack = pack_routed_reads(
-                inputs.reads, {u: units[u][2] for u in mine}, config.k,
-                inputs.counts.index if inputs.counts is not None else None,
+                inputs.reads, {u: units[u][2] for u in mine}, config.k, inputs.counts
             )
             packing.weights = pack.block_bases
             n_read_windows, pack_bytes = int(pack.nodes.size), pack.nbytes

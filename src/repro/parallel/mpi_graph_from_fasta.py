@@ -29,12 +29,12 @@ tested invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.mpi.comm import SimComm
-from repro.mpi.datatypes import pack_int_pairs, pack_strings, unpack_int_pairs, unpack_strings
+from repro.mpi.datatypes import pack_strings, unpack_strings
 from repro.obs.result import StageResult
 from repro.obs.span import Span, host_stage
 from repro.parallel.chunks import chunk_ranges, chunk_size, chunks_for_rank, static_block_ranges
@@ -49,9 +49,11 @@ from repro.trinity.chrysalis.graph_from_fasta import (
     find_weld_pairs_for_contig,
     graph_from_fasta,
     harvest_welds_for_contig,
+    pair_array,
     scan_weldmers,
     shared_seed_array,
     sum_weldmer_tables,
+    unique_pairs,
     weld_index_keys,
     weldmer_index,
 )
@@ -162,7 +164,7 @@ def mpi_graph_from_fasta(
         weld_index, weld_keys = comm.shared("gff:weld_index", _weld_index)
 
     # -- loop 2: find pairs over my chunks ----------------------------------
-    my_pairs: Set[Tuple[int, int]] = set()
+    my_pairs: List[Tuple[int, int]] = []
     with comm.region("gff:loop2", chunks=len(my_chunks)):
         for c in my_chunks:
             start, stop = ranges[c]
@@ -174,19 +176,11 @@ def mpi_graph_from_fasta(
                 range(start, stop),
                 nthreads,
             ):
-                my_pairs.update(pairs)
+                my_pairs += pairs
 
-    # -- pool pairs on every rank (flat int array + Allgatherv) ------------
-    flat = pack_int_pairs(sorted(my_pairs))
-    pooled_pairs = comm.allgatherv(flat)
-    pairs = comm.shared(
-        "gff:pairs",
-        lambda: sorted(
-            {pair for arr in pooled_pairs for pair in unpack_int_pairs(arr)}
-            | {(min(a, b), max(a, b)) for a, b in extra_pairs}
-        ),
-        cost=0.0,
-    )
+    # -- pool pairs on every rank (one (m, 2) int array each + Allgatherv) --
+    pooled_pairs = comm.allgatherv(np.unique(pair_array(my_pairs), axis=0))
+    pairs = comm.shared("gff:pairs", lambda: unique_pairs(pooled_pairs, extra_pairs), cost=0.0)
 
     # -- serial region: components (charged per rank, built once; the
     # pooled pair list is identical on every rank) --------------------------

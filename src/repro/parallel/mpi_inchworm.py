@@ -77,7 +77,6 @@ from repro.trinity.inchworm import (
     probe,
     seed_queues,
 )
-from repro.trinity.jellyfish import JellyfishCounts
 from repro.trinity.kmer_components import component_ids, kmer_components
 
 PathLike = Union[str, Path]
@@ -88,10 +87,10 @@ class InchwormInputs:
     """Workload data for distributed Inchworm (identical on every rank).
 
     Jellyfish's solid table: error k-mers were dropped where they were
-    counted, so both pipelines walk the one table.
+    counted, so both pipelines walk the one table, in its strand mode.
     """
 
-    counts: JellyfishCounts
+    counts: KmerCounter
 
 
 @dataclass(frozen=True)
@@ -152,23 +151,19 @@ def mpi_inchworm(
     """
     config = config or InchwormStageConfig()
     cfg = config.inchworm
-    counts = inputs.counts
+    filtered = inputs.counts  # Jellyfish's solid table, as it is
 
     # Simulated counter read: the retryable I/O point for flaky-I/O
     # fault plans (a no-op in fault-free runs).
     with_retry(comm, "inchworm:read_counts", lambda: None)
 
-    filtered = counts.index  # Jellyfish's solid table, as it is
     # -- the probe, owner-computes: each rank resolves the extensions of
     # its block of stored positions (every position costs the same, so
     # contiguous blocks balance) and reads its edges off them; the blocks
     # are pooled.  Still "components" (same label), not serial.
     with comm.region("inchworm:components"):
         with comm.compute("inchworm:probe"):
-            block = probe(
-                filtered, counts.canonical,
-                *static_block_ranges(len(filtered), comm.rank, comm.size),
-            )
+            block = probe(filtered, *static_block_ranges(len(filtered), comm.rank, comm.size))
         blocks = comm.allgatherv(block)
 
     # -- connected components of the pooled overlap edges --------------------
@@ -194,7 +189,7 @@ def mpi_inchworm(
                 queues = [q for q in seed_queues(filtered, cfg, ids, teams) if q.size]
         keyed = comm.map(
             "inchworm:assemble_components",
-            lambda queue: assemble_queue(filtered, counts.canonical, cfg, landing, queue),
+            lambda queue: assemble_queue(filtered, cfg, landing, queue),
             queues, config.n_threads, components=len(mine),
         )
 

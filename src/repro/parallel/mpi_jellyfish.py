@@ -36,11 +36,12 @@ decomposition here is the standard one:
    read-only object.  Inchworm and the back end take it as they get it.
 
 Because counting is a commutative multiset reduction and the owner
-ranges tile k-mer space in order, the result — :class:`JellyfishCounts`
-index arrays *and* the ``jellyfish dump`` file bytes — is **identical to
-the serial body** at every rank count (a tested invariant at nprocs
-1/3/8, including under an injected rank crash with survivor re-deal, and
-over drawn reads at 1-8 ranks).
+ranges tile k-mer space in order, the result — the solid
+:class:`~repro.seq.kmer_index.KmerCounter`, strand mode included, *and*
+the ``jellyfish dump`` file bytes — is **identical to the serial body**
+at every rank count (a tested invariant at nprocs 1/3/8, including under
+an injected rank crash with survivor re-deal, and over drawn reads at
+1-8 ranks).
 """
 
 from __future__ import annotations
@@ -58,12 +59,7 @@ from repro.parallel.component_stage import stage_file, write_merged
 from repro.parallel.recovery import with_retry
 from repro.seq.kmer_index import KmerCounter, format_counter_dump
 from repro.seq.records import SeqRecord
-from repro.trinity.jellyfish import (
-    JellyfishConfig,
-    JellyfishCounts,
-    jellyfish_count,
-    jellyfish_dump,
-)
+from repro.trinity.jellyfish import JellyfishConfig, jellyfish_count, jellyfish_dump
 
 PathLike = Union[str, Path]
 
@@ -91,21 +87,31 @@ class JellyfishStageConfig:
 class JellyfishOutputs:
     """What the distributed Jellyfish computes."""
 
-    counts: JellyfishCounts  # the solid table (identical on all ranks)
+    counts: KmerCounter  # the solid table (identical on all ranks)
     out_path: Optional[Path] = None  # the dump file (on rank 0, if written)
 
 
-def _merge_parts(parts: Sequence[Tuple[np.ndarray, np.ndarray]], k: int) -> KmerCounter:
+def _merge_parts(
+    parts: Sequence[Tuple[np.ndarray, np.ndarray]], k: int, canonical: bool
+) -> KmerCounter:
     """Sum sorted-unique (code, count) parts into one table; a lone part
     is taken as it is."""
     parts = [part for part in parts if part[0].size]
     if len(parts) == 1:
-        return KmerCounter(k, *parts[0])
+        return KmerCounter(k, *parts[0], canonical)
     if not parts:
-        return KmerCounter.empty(k)
+        return KmerCounter.empty(k, canonical)
     return KmerCounter.from_pairs(
-        np.concatenate([c for c, _n in parts]), np.concatenate([n for _c, n in parts]), k
+        np.concatenate([c for c, _n in parts]), np.concatenate([n for _c, n in parts]), k,
+        canonical,
     )
+
+
+def _concatenate_slices(parts: Sequence[tuple], k: int, canonical: bool) -> KmerCounter:
+    """The owners' solid ``(codes, values, n_owned)`` slices as one table:
+    disjoint ranges in rank order, so the concatenation is sorted-unique."""
+    codes, values, _sizes = zip(*parts)
+    return KmerCounter(k, np.concatenate(codes), np.concatenate(values), canonical)
 
 
 def _splitters(comm: SimComm, codes: np.ndarray) -> np.ndarray:
@@ -124,8 +130,8 @@ def mpi_jellyfish(
 ) -> StageResult:
     """SPMD body; run under :func:`repro.mpi.mpirun`.
 
-    Every rank returns the merged solid :class:`JellyfishCounts` — index
-    arrays identical to :func:`serial_jellyfish`'s at any rank count.
+    Every rank returns the merged solid table — equal to
+    :func:`serial_jellyfish`'s at any rank count.
     """
     config = config or JellyfishStageConfig()
     jcfg = config.jellyfish
@@ -141,7 +147,7 @@ def mpi_jellyfish(
 
     # -- count my deal in batches, into one sorted-unique table -------------
     with comm.region("jellyfish:count", reads=len(mine)), comm.compute("jellyfish:encode"):
-        local = jellyfish_count(mine, k, canonical, jcfg.batch_bases).index
+        local = jellyfish_count(mine, k, canonical, jcfg.batch_bases)
 
     # -- exchange: each owner's range is one slice of my sorted table -------
     with comm.region("jellyfish:exchange"):
@@ -155,7 +161,7 @@ def mpi_jellyfish(
     # -- owner merge: one sort + segmented sum over my range, and my slice
     # of the dump (rank order is code order) --------------------------------
     with comm.region("jellyfish:merge"), comm.compute("jellyfish:merge_sort"):
-        owned = _merge_parts(received, k)
+        owned = _merge_parts(received, k, canonical)
     out_path = write_merged(
         comm, "jellyfish:write_dump", config.workdir, "jellyfish.kmers.fa",
         lambda: format_counter_dump(owned.codes, owned.values, k),
@@ -167,14 +173,9 @@ def mpi_jellyfish(
     with comm.region("jellyfish:gather"):
         solid = owned.filtered(config.min_kmer_count)
         parts = comm.allgather((solid.codes, solid.values, len(owned)))
-
-        def final_merge() -> JellyfishCounts:
-            # Disjoint ranges in rank order: the concatenation is sorted-unique.
-            codes, values, _sizes = zip(*parts)
-            index = KmerCounter(k, np.concatenate(codes), np.concatenate(values))
-            return JellyfishCounts(k=k, canonical=canonical, index=index)
-
-        counts = comm.shared("jellyfish:final_merge", final_merge)
+        counts = comm.shared(
+            "jellyfish:final_merge", lambda: _concatenate_slices(parts, k, canonical)
+        )
 
     return StageResult(
         stage="jellyfish",

@@ -19,7 +19,8 @@ pair of parallel numpy arrays — ``codes`` (sorted unique ``uint64``
 Two payload interpretations cover every consumer:
 
 :class:`KmerCounter`
-    code -> abundance (Jellyfish / DSK / Inchworm).
+    code -> abundance (Jellyfish / DSK / Inchworm), with the strand mode
+    its codes were made in.
 :class:`KmerMap`
     code -> component id, smallest id winning ties (ReadsToTranscripts).
 
@@ -172,14 +173,41 @@ class KmerIndex:
 
 
 class KmerCounter(KmerIndex):
-    """code -> count, built by segmented reduction over raw code streams."""
+    """code -> count, built by segmented reduction over raw code streams.
+
+    ``canonical`` is the table's strand mode, set where its codes are
+    made: True when each k-mer is stored as ``min(code, revcomp)``
+    (Jellyfish's ``-C``), False when it is stored as read (Trinity's
+    ``--SS_lib_type``).  Every consumer reads the mode from the table.
+    """
+
+    __slots__ = ("canonical",)
+
+    def __init__(self, k: int, codes: np.ndarray, values: np.ndarray, canonical: bool) -> None:
+        super().__init__(k, codes, values)
+        self.canonical = bool(canonical)
+
+    def __reduce__(self):
+        return type(self), (self.k, self.codes, self.values, self.canonical)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KmerCounter):
+            return NotImplemented
+        return (
+            self.k == other.k
+            and self.canonical == other.canonical
+            and np.array_equal(self.codes, other.codes)
+            and np.array_equal(self.values, other.values)
+        )
 
     @classmethod
-    def empty(cls, k: int) -> "KmerCounter":
-        return cls(k, _EMPTY_U64, _EMPTY_I64)
+    def empty(cls, k: int, canonical: bool) -> "KmerCounter":
+        return cls(k, _EMPTY_U64, _EMPTY_I64, canonical)
 
     @classmethod
-    def from_pairs(cls, codes: np.ndarray, counts: np.ndarray, k: int) -> "KmerCounter":
+    def from_pairs(
+        cls, codes: np.ndarray, counts: np.ndarray, k: int, canonical: bool
+    ) -> "KmerCounter":
         """Merge (code, count) pairs, summing duplicate codes.
 
         Sort + ``np.add.reduceat`` over segment starts — the merge step of
@@ -190,19 +218,19 @@ class KmerCounter(KmerIndex):
         codes = np.asarray(codes, dtype=np.uint64)
         counts = np.asarray(counts, dtype=np.int64)
         if codes.size == 0:
-            return cls.empty(k)
+            return cls.empty(k, canonical)
         order = np.argsort(codes, kind="stable")
         cs = codes[order]
         ns = counts[order]
         starts = np.flatnonzero(np.concatenate(([True], cs[1:] != cs[:-1])))
-        return cls(k, cs[starts], np.add.reduceat(ns, starts))
+        return cls(k, cs[starts], np.add.reduceat(ns, starts), canonical)
 
     def filtered(self, min_count: int) -> "KmerCounter":
         """Drop codes below ``min_count`` (error-kmer removal)."""
         if min_count <= 1:
             return self
         keep = self.values >= min_count
-        return KmerCounter(self.k, self.codes[keep], self.values[keep])
+        return KmerCounter(self.k, self.codes[keep], self.values[keep], self.canonical)
 
     @property
     def total(self) -> int:
@@ -217,9 +245,10 @@ class KmerCounterBuilder:
     merges all partials with one sort + segmented sum.
     """
 
-    def __init__(self, k: int) -> None:
+    def __init__(self, k: int, canonical: bool) -> None:
         _check_k(k)
         self.k = k
+        self.canonical = canonical
         self._codes: List[np.ndarray] = []
         self._counts: List[np.ndarray] = []
 
@@ -260,11 +289,11 @@ class KmerCounterBuilder:
 
     def build(self) -> KmerCounter:
         if not self._codes:
-            return KmerCounter.empty(self.k)
+            return KmerCounter.empty(self.k, self.canonical)
         if len(self._codes) == 1:
-            return KmerCounter(self.k, self._codes[0], self._counts[0])
+            return KmerCounter(self.k, self._codes[0], self._counts[0], self.canonical)
         return KmerCounter.from_pairs(
-            np.concatenate(self._codes), np.concatenate(self._counts), self.k
+            np.concatenate(self._codes), np.concatenate(self._counts), self.k, self.canonical
         )
 
 
@@ -425,11 +454,12 @@ def write_counter_dump(counter: KmerCounter, path: PathLike) -> int:
     return len(counter)
 
 
-def read_counter_dump(path: PathLike) -> KmerCounter:
+def read_counter_dump(path: PathLike, canonical: bool) -> KmerCounter:
     """Parse a Jellyfish text dump back into a :class:`KmerCounter`.
 
     Accepts only what :func:`format_counter_dump` can emit: decimal,
-    positive counts and each k-mer once.
+    positive counts and each k-mer once.  The dump does not record the
+    strand mode its codes were counted in: ``canonical`` states it.
     """
     counts: List[int] = []
     kmers: List[str] = []
@@ -458,4 +488,4 @@ def read_counter_dump(path: PathLike) -> KmerCounter:
     if len(set(kmers)) != len(kmers):
         raise SequenceError(f"k-mer repeated in dump: {path}")
     codes = np.fromiter((encode_kmer(m) for m in kmers), dtype=np.uint64, count=len(kmers))
-    return KmerCounter.from_pairs(codes, np.asarray(counts, dtype=np.int64), k)
+    return KmerCounter.from_pairs(codes, np.asarray(counts, dtype=np.int64), k, canonical)

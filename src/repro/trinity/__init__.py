@@ -22,7 +22,6 @@ their code paths, and the serial one stays the hybrid one's oracle.
 
 from repro.trinity.jellyfish import (
     JellyfishConfig,
-    JellyfishCounts,
     jellyfish_count,
     jellyfish_dump,
 )
@@ -34,7 +33,6 @@ from repro.trinity.pipeline import TrinityPipeline
 
 __all__ = [
     "JellyfishConfig",
-    "JellyfishCounts",
     "jellyfish_count",
     "jellyfish_dump",
     "InchwormConfig",

@@ -6,7 +6,9 @@ Substeps, in workflow order (paper SS:II.A, SS:III):
    — read pairs spanning two contigs contribute scaffolding welds.
 2. :mod:`~repro.trinity.chrysalis.graph_from_fasta` — loop 1 harvests
    read-supported "welding" 2k-mers shared between contigs; loop 2 finds
-   contig pairs sharing a weld; union-find clustering builds components.
+   contig pairs sharing a weld; the connected components of the pairs
+   (labelled by the Shiloach-Vishkin kernel Inchworm runs on its k-mer
+   edges, :mod:`repro.trinity.kmer_components`) are the components.
 3. :mod:`~repro.trinity.chrysalis.debruijn` (FastaToDebruijn) builds a de
    Bruijn graph per component: sorted k-mer edge codes and their weights.
 4. :mod:`~repro.trinity.chrysalis.reads_to_transcripts` assigns each read
@@ -15,7 +17,7 @@ Substeps, in workflow order (paper SS:II.A, SS:III):
    component graph with its assigned reads.
 """
 
-from repro.trinity.chrysalis.components import UnionFind, Component, build_components
+from repro.trinity.chrysalis.components import Component, build_components
 from repro.trinity.chrysalis.graph_from_fasta import (
     GraphFromFastaConfig,
     WeldCandidate,
@@ -46,7 +48,6 @@ from repro.trinity.chrysalis.quantify import (
 )
 
 __all__ = [
-    "UnionFind",
     "Component",
     "build_components",
     "GraphFromFastaConfig",

@@ -1,11 +1,13 @@
-"""Union-find clustering of Inchworm contigs into components.
+"""Clustering of Inchworm contigs into components.
 
 A *component* (the paper also says "Inchworm bundle") is a set of contigs
 connected by welds (GraphFromFasta) and/or scaffolding read pairs
-(Bowtie).  Component identity is canonicalised — the component id is the
-smallest member contig index — so clustering is invariant to the order in
-which pairs are discovered, which is what makes the serial and MPI code
-paths comparable.
+(Bowtie).  The labelling is the one connected-components kernel of the
+package, :func:`repro.trinity.kmer_components.kmer_components`, which
+Inchworm runs over its k-mer overlap edges.  Component identity is
+canonicalised — the component id is the smallest member contig index —
+so clustering is invariant to the order in which pairs are discovered,
+which is what makes the serial and MPI code paths comparable.
 """
 
 from __future__ import annotations
@@ -13,45 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+import numpy as np
 
-class UnionFind:
-    """Disjoint-set forest with path compression and union by size."""
-
-    def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        self._parent = list(range(n))
-        self._size = [1] * n
-
-    def __len__(self) -> int:
-        return len(self._parent)
-
-    def find(self, x: int) -> int:
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of ``a`` and ``b``; True if they were separate."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        return True
-
-    def groups(self) -> Dict[int, List[int]]:
-        """Map canonical (minimum) member -> sorted member list."""
-        by_root: Dict[int, List[int]] = {}
-        for x in range(len(self._parent)):
-            by_root.setdefault(self.find(x), []).append(x)
-        return {min(members): sorted(members) for members in by_root.values()}
+from repro.trinity.kmer_components import kmer_components
 
 
 @dataclass(frozen=True)
@@ -78,16 +44,18 @@ def build_components(n_contigs: int, pairs: Iterable[Tuple[int, int]]) -> List[C
     a gene with one isoform and no paralogs is a component of one contig).
     Output is sorted by component id, hence deterministic.
     """
-    uf = UnionFind(n_contigs)
-    for i, j in pairs:
-        if not (0 <= i < n_contigs and 0 <= j < n_contigs):
-            raise ValueError(f"pair ({i}, {j}) out of range for {n_contigs} contigs")
-        uf.union(i, j)
-    comps = [
-        Component(id=cid, members=tuple(members))
-        for cid, members in sorted(uf.groups().items())
-    ]
-    return comps
+    if n_contigs < 0:
+        raise ValueError(f"n_contigs must be >= 0, got {n_contigs}")
+    edges = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+    bad = (edges < 0) | (edges >= n_contigs)
+    if bad.any():
+        i, j = edges[bad.any(axis=1)][0].tolist()
+        raise ValueError(f"pair ({i}, {j}) out of range for {n_contigs} contigs")
+    groups: Dict[int, List[int]] = {}
+    for contig, label in enumerate(kmer_components(n_contigs, edges.T).tolist()):
+        groups.setdefault(label, []).append(contig)
+    # A label is its component's minimum member, so labels arrive ascending.
+    return [Component(id=label, members=tuple(members)) for label, members in groups.items()]
 
 
 def component_of_map(components: Sequence[Component], n_contigs: int) -> List[int]:

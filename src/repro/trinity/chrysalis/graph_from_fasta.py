@@ -398,6 +398,25 @@ def _junction_supported(
     return False
 
 
+def pair_array(pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """Contig index pairs as one ``(m, 2)`` ``int64`` array, the form
+    GraphFromFasta pools them in."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    if pairs.size and pairs.shape[-1] != 2:
+        raise ValueError(f"expected (i, j) pairs, got shape {pairs.shape}")
+    return pairs.reshape(-1, 2)
+
+
+def unique_pairs(
+    parts: Sequence[np.ndarray], extra_pairs: Sequence[Tuple[int, int]] = ()
+) -> List[Tuple[int, int]]:
+    """The distinct ``(i, j)`` pairs, ``i <= j``, of the weld pairs'
+    :func:`pair_array` parts and the scaffold ``extra_pairs``, ascending:
+    one ``np.unique`` over their rows."""
+    extra = np.sort(pair_array(extra_pairs), axis=1)
+    return [tuple(pair) for pair in np.unique(np.concatenate([*parts, extra]), axis=0).tolist()]
+
+
 # --------------------------------------------------------------------------
 # Serial driver (the original OpenMP-only GraphFromFasta)
 # --------------------------------------------------------------------------
@@ -433,15 +452,13 @@ def graph_from_fasta(
         welds.extend(harvest_welds_for_contig(idx, contig, cfg, shared))
     weld_index = build_weld_index(welds)  # serial region
     weld_keys = weld_index_keys(weld_index)
-    pair_set: Set[Tuple[int, int]] = set()
-    for idx, contig in enumerate(contigs):  # loop 2
-        pair_set.update(
-            find_weld_pairs_for_contig(
-                idx, contig, welds, weld_index, weldmers, cfg, weld_keys
-            )
+    found = [
+        pair
+        for idx, contig in enumerate(contigs)  # loop 2
+        for pair in find_weld_pairs_for_contig(
+            idx, contig, welds, weld_index, weldmers, cfg, weld_keys
         )
-    for a, b in extra_pairs:
-        pair_set.add((min(a, b), max(a, b)))
-    pairs = sorted(pair_set)
+    ]
+    pairs = unique_pairs([pair_array(found)], extra_pairs)
     components = build_components(len(contigs), pairs)  # serial region (output)
     return GraphFromFastaResult(welds=welds, pairs=pairs, components=components)

@@ -33,12 +33,13 @@ time) is the oracle in ``tests/reference_chrysalis.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import PipelineError
 from repro.seq.alphabet import encode_bases
+from repro.seq.kmer_index import KmerCounter
 from repro.seq.kmers import base_blocks, pack_windows, revcomp_codes
 from repro.seq.records import SeqRecord
 from repro.trinity.chrysalis.debruijn import DeBruijnGraph
@@ -101,7 +102,9 @@ class ReadPack:
         return int(sum(a.nbytes for a in arrays))
 
 
-def _pack_block(seqs: Sequence[str], k: int, solid) -> Tuple[np.ndarray, ...]:
+def _pack_block(
+    seqs: Sequence[str], k: int, solid: Optional[KmerCounter]
+) -> Tuple[np.ndarray, ...]:
     """One block of reads: ``(nodes, nodes per read, kmer_fwd, kmer_rev,
     kmers per read, has_kmer)``."""
     bases = encode_bases("N".join(seqs))
@@ -126,8 +129,8 @@ def _pack_block(seqs: Sequence[str], k: int, solid) -> Tuple[np.ndarray, ...]:
         return before[np.minimum(start + lens, ok.size)] - before[np.minimum(start, ok.size)]
 
     has_kmer = per_read(kmer_ok) > 0
-    if solid is not None:
-        keep = solid.contains(np.minimum(kmer, kmer_rev))
+    if solid is not None:  # looked up as the table stores it
+        keep = solid.contains(np.minimum(kmer, kmer_rev) if solid.canonical else kmer)
         kmer, kmer_rev = kmer[keep], kmer_rev[keep]
         kmer_ok[at[~keep]] = False
     return node[node_ok], per_read(node_ok), kmer, kmer_rev, per_read(kmer_ok), has_kmer
@@ -137,14 +140,15 @@ def pack_routed_reads(
     reads: Sequence[SeqRecord],
     routed: Mapping[Hashable, Sequence[int]],
     k: int,
-    solid=None,
+    solid: Optional[KmerCounter] = None,
 ) -> ReadPack:
     """Encode and pack the reads listed in ``routed``, once.
 
     ``routed`` maps a key -> read indices (a row of
     :func:`reads_by_component`, or a run of one) and its order is the
-    pack's; ``solid`` is the index of solid canonical k-mers (None keeps
-    every clean k-mer).
+    pack's; ``solid`` is Jellyfish's solid table (None keeps every clean
+    k-mer), which a read k-mer is looked up in as the table stores it:
+    canonicalised, or as read in a strand-specific table.
     Packed in :func:`~repro.seq.kmers.base_blocks` blocks, so the
     temporaries stay cache-sized whatever a rank owns (taken in one pass
     they grow every concurrent rank thread's malloc arena by megabytes
@@ -178,7 +182,7 @@ def count_block(key: Hashable, graph: DeBruijnGraph, pack: ReadPack) -> tuple:
     nodes (:func:`~repro.trinity.chrysalis.orient.reverse_votes`), its
     k-mers are taken on that strand, and each distinct k-mer is listed
     once with its multiplicity.  A window that holds a non-ACGT base or —
-    with a solid filter — whose canonical k-mer is not solid is a gap: it
+    with a solid filter — whose k-mer is not solid is a gap: it
     adds no edge and no node, and the windows either side of it are not
     joined.  ``n_has_kmer`` counts the reads with at least one clean
     k-mer window, with and without the filter.
@@ -221,7 +225,7 @@ def quantify_graph(
     graphs: Mapping[int, DeBruijnGraph],
     reads: Sequence[SeqRecord],
     assignments: Iterable[ReadAssignment],
-    kmer_counts=None,
+    kmer_counts: Optional[KmerCounter] = None,
 ) -> Dict[int, ComponentQuant]:
     """Thread each assigned read through its component's graph.
 
@@ -230,12 +234,10 @@ def quantify_graph(
     are skipped.  Edge weights added by reads come on top of the contig
     weights FastaToDebruijn installed.
 
-    If ``kmer_counts`` (a :class:`~repro.trinity.jellyfish.JellyfishCounts`,
-    Jellyfish's solid table) is given, only read k-mers it holds are
-    threaded, so sequencing errors do not grow junk branches that
-    Butterfly would then have to prune.
+    If ``kmer_counts`` (Jellyfish's solid table) is given, only read
+    k-mers it holds are threaded, so sequencing errors do not grow junk
+    branches that Butterfly would then have to prune.
     """
-    solid = kmer_counts.index if kmer_counts is not None else None
     routed = reads_by_component(assignments)
     ks = {graph.k for graph in graphs.values()}
     if len(ks) > 1:
@@ -243,6 +245,6 @@ def quantify_graph(
     if not graphs:
         return {}
     pack = pack_routed_reads(
-        reads, {cid: routed.get(cid, ()) for cid in graphs}, ks.pop(), solid
+        reads, {cid: routed.get(cid, ()) for cid in graphs}, ks.pop(), kmer_counts
     )
     return {cid: quantify_component(cid, graph, pack) for cid, graph in graphs.items()}

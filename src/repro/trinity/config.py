@@ -11,6 +11,7 @@ from pathlib import Path
 from typing import Dict, List
 
 from repro.errors import PipelineError
+from repro.seq.kmer_index import KmerCounter
 from repro.seq.records import Contig, SeqRecord, Transcript
 from repro.trinity.bowtie import BowtieConfig
 from repro.trinity.butterfly import ButterflyConfig
@@ -24,7 +25,7 @@ from repro.trinity.chrysalis.reads_to_transcripts import (
     ReadsToTranscriptsConfig,
 )
 from repro.trinity.inchworm import InchwormConfig
-from repro.trinity.jellyfish import JellyfishConfig, JellyfishCounts
+from repro.trinity.jellyfish import JellyfishConfig
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ class TrinityResult:
     gff: GraphFromFastaResult
     assignments: List[ReadAssignment]
     quants: Dict[int, ComponentQuant]
-    counts: JellyfishCounts  # the solid table (the dump holds the whole count)
+    counts: KmerCounter  # the solid table (the dump holds the whole count)
     files: Dict[str, Path] = field(default_factory=dict)
 
     @property

@@ -32,7 +32,7 @@ from repro.errors import PipelineError
 from repro.seq.kmer_index import KmerCounterBuilder
 from repro.seq.kmers import base_blocks
 from repro.seq.records import SeqRecord
-from repro.trinity.jellyfish import JellyfishCounts, _batch_codes
+from repro.trinity.jellyfish import _batch_codes
 
 PathLike = Union[str, Path]
 
@@ -98,8 +98,9 @@ def dsk_count_with_stats(
     """Count k-mers with DSK's partition-then-count strategy.
 
     ``workdir`` holds the partition spill files (a temp dir by default,
-    removed afterwards).  Returns the same :class:`JellyfishCounts` as
-    Jellyfish would, plus a :class:`DskStats` (for the memory bench).
+    removed afterwards).  Returns the same
+    :class:`~repro.seq.kmer_index.KmerCounter` as Jellyfish would, plus
+    a :class:`DskStats` (for the memory bench).
     """
     cfg = config or DskConfig()
     stats = DskStats()
@@ -113,7 +114,7 @@ def dsk_count_with_stats(
         # builder as (code, count) arrays — at no point is more than one
         # partition's raw code stream resident, and the merged table is
         # never re-materialised as a Python dict.
-        builder = KmerCounterBuilder(k)
+        builder = KmerCounterBuilder(k, canonical)
         for path in part_paths:
             vals, cnts = _count_partition(path)
             if vals.size == 0:
@@ -127,8 +128,7 @@ def dsk_count_with_stats(
             stats.peak_builder_bytes = max(
                 stats.peak_builder_bytes, builder.memory_bytes()
             )
-        index = builder.build()
-        return JellyfishCounts(k=k, canonical=canonical, index=index), stats
+        return builder.build(), stats
     finally:
         for path in part_paths:
             path.unlink(missing_ok=True)

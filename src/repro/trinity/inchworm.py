@@ -56,7 +56,6 @@ from repro.errors import PipelineError
 from repro.seq.kmer_index import KmerCounter, decode_kmers, sorted_rows
 from repro.seq.kmers import revcomp_codes
 from repro.seq.records import Contig
-from repro.trinity.jellyfish import JellyfishCounts
 from repro.trinity.kmer_components import overlap_edges
 from repro.util.rng import derive_seed
 
@@ -189,15 +188,13 @@ def extension_candidates(cur: np.ndarray, k: int, right: bool) -> np.ndarray:
     return (b << np.uint64(2 * (k - 1))) | (cur[:, None] >> np.uint64(2))
 
 
-def neighbours(
-    filtered: KmerCounter, canonical: bool = True, start: int = 0, stop: Optional[int] = None
-) -> np.ndarray:
+def neighbours(filtered: KmerCounter, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
     """Where each stored k-mer's single-base extensions land in ``filtered``.
 
     ``(n, 8)`` ``int32``: row ``p`` holds the position of
     ``filtered.codes[p]`` extended right by base ``b`` in column ``b`` and
-    left by base ``b`` in column ``4 + b`` (canonicalised first when
-    ``canonical``), or -1 where that k-mer is not stored.  This is the
+    left by base ``b`` in column ``4 + b`` (canonicalised first in a
+    canonical table), or -1 where that k-mer is not stored.  This is the
     whole reachability relation of the greedy walk — the edges
     :mod:`repro.trinity.kmer_components` labels and the candidates
     :func:`chain_table` links — and the only search of the table
@@ -213,7 +210,7 @@ def neighbours(
     landing = np.empty((stored.size, 8), dtype=np.int32)
     for half, right in ((landing[:, :4], True), (landing[:, 4:], False)):
         cands = extension_candidates(stored, k, right).reshape(-1)
-        if canonical:
+        if filtered.canonical:
             cands = np.minimum(cands, revcomp_codes(cands, k))
         pos, found = filtered.find(cands)
         half[...] = np.where(found, pos, -1).reshape(-1, 4)
@@ -221,13 +218,13 @@ def neighbours(
 
 
 def probe(
-    filtered: KmerCounter, canonical: bool = True, start: int = 0, stop: Optional[int] = None
+    filtered: KmerCounter, start: int = 0, stop: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`neighbours` of positions ``start:stop`` and that block's
     :func:`~repro.trinity.kmer_components.overlap_edges`."""
-    landing = neighbours(filtered, canonical, start, stop)
+    landing = neighbours(filtered, start, stop)
     stored = filtered.codes[start:stop]
-    one_sided = revcomp_codes(stored, filtered.k) < stored if canonical else None
+    one_sided = revcomp_codes(stored, filtered.k) < stored if filtered.canonical else None
     return landing, overlap_edges(landing, start, one_sided)
 
 
@@ -299,7 +296,6 @@ def _chain_slots(j: np.ndarray, flip: np.ndarray, n_live: np.ndarray) -> Tuple[n
 
 def chain_table(
     filtered: KmerCounter,
-    canonical: bool,
     salt: int,
     landing: np.ndarray,
     queue: np.ndarray,
@@ -307,14 +303,15 @@ def chain_table(
     """The successor table of ``queue``'s positions (whole components).
 
     A candidate is a landing stored with a count > 0.  The row of
-    orientation ``o`` (0 as stored, 1 reverse complemented; 0 only unless
-    ``canonical``) towards ``d`` lands where side ``o ^ d`` of the stored
-    code does, as ``rightext_b(rc(c)) == rc(leftext_{3-b}(c))``.  Only
+    orientation ``o`` (0 as stored, 1 reverse complemented; 0 only in a
+    strand-specific table) towards ``d`` lands where side ``o ^ d`` of the
+    stored code does, as ``rightext_b(rc(c)) == rc(leftext_{3-b}(c))``.  Only
     fork rows are ordered by the greedy comparator: count descending,
     salted hash of the *directed* candidate, base.  Sides that are each
     other's only candidate join chains (:func:`_chain_slots`).
     """
     k, codes, values, n = filtered.k, filtered.codes, filtered.values, queue.size
+    canonical = filtered.canonical
     row_of = np.append(np.full(len(filtered), -2, np.int32), np.int32(-1))  # -1: no k-mer
     row_of[queue] = np.arange(n)
     # A seed claims its canonical k-mer: its own entry in a well-formed
@@ -427,7 +424,6 @@ _SEED_BLOCK = 256
 
 def assemble_queue(
     filtered: KmerCounter,
-    canonical: bool,
     config: InchwormConfig,
     landing: np.ndarray,
     queue: np.ndarray,
@@ -453,7 +449,7 @@ def assemble_queue(
     if k < 2:
         raise PipelineError(f"inchworm needs k >= 2, got {k}")
     salt = _salt(config)
-    table = chain_table(filtered, canonical, salt, landing, queue)
+    table = chain_table(filtered, salt, landing, queue)
     fwd = np.asarray(table.fwd)
     used = bytearray(queue.size)
     min_kmers = config.resolved_min_length(k) - k + 1
@@ -504,7 +500,7 @@ def keyed_contigs(keyed: Iterable[tuple]) -> List[Contig]:
 
 
 def inchworm_assemble(
-    counts: JellyfishCounts,
+    counts: KmerCounter,
     config: Optional[InchwormConfig] = None,
 ) -> List[Contig]:
     """Assemble contigs from k-mer counts; deterministic given the seed.
@@ -514,8 +510,5 @@ def inchworm_assemble(
     cfg = config or InchwormConfig()
     if counts.k < 2:
         raise PipelineError(f"inchworm needs k >= 2, got {counts.k}")
-    filtered = counts.index
-    queue = _seed_order(filtered, _salt(cfg))
-    return keyed_contigs(
-        assemble_queue(filtered, counts.canonical, cfg, neighbours(filtered, counts.canonical), queue)
-    )
+    queue = _seed_order(counts, _salt(cfg))
+    return keyed_contigs(assemble_queue(counts, cfg, neighbours(counts), queue))

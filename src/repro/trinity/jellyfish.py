@@ -8,8 +8,9 @@ header is the count and the body is the k-mer (``jellyfish dump`` default
 format).
 
 The in-memory representation is a :class:`repro.seq.kmer_index.KmerCounter`
-— the shared sorted-array k-mer index — so downstream consumers (Inchworm,
-QuantifyGraph, coverage) probe it with batched ``searchsorted`` lookups.
+— the shared sorted-array k-mer index, which carries its strand mode —
+so downstream consumers (Inchworm, QuantifyGraph) probe it with batched
+``searchsorted`` lookups and read from it how its codes were made.
 Batch consumers read the index arrays, scalar consumers use ``get``.
 ``batch_bases`` bounds what one sort + count reduces; inside a batch the
 window pack runs a cache-sized block
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -62,75 +63,21 @@ class JellyfishConfig:
             raise PipelineError(f"batch_bases must be positive, got {self.batch_bases}")
 
 
-class JellyfishCounts:
-    """K-mer counts plus the k they were counted at.
-
-    Array-backed: ``index`` is the sorted-array :class:`KmerCounter`;
-    batch access goes through its ``codes``/``values`` arrays and
-    ``find``, scalar access through ``get``.
-    """
-
-    __slots__ = ("k", "canonical", "index")
-
-    def __init__(
-        self,
-        k: int,
-        canonical: bool = True,
-        index: Optional[KmerCounter] = None,
-    ) -> None:
-        self.k = k
-        self.canonical = canonical
-        self.index = index if index is not None else KmerCounter.empty(k)
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, JellyfishCounts):
-            return NotImplemented
-        return (
-            self.k == other.k
-            and self.canonical == other.canonical
-            and np.array_equal(self.index.codes, other.index.codes)
-            and np.array_equal(self.index.values, other.index.values)
-        )
-
-    def get(self, code: int, default: int = 0) -> int:
-        return self.index.get(code, default)
-
-    @property
-    def total(self) -> int:
-        return self.index.total
-
-    def filtered(self, min_count: int) -> "JellyfishCounts":
-        """Drop k-mers below ``min_count`` (error-kmer removal)."""
-        if min_count <= 1:
-            return self
-        return JellyfishCounts(self.k, canonical=self.canonical, index=self.index.filtered(min_count))
-
-    def memory_bytes(self) -> int:
-        """Resident size of the backing store (the DSK ablation's working set).
-
-        The sorted-array index holds exactly two parallel arrays, so this
-        is the true footprint (16 B/key).
-        """
-        return self.index.memory_bytes()
-
-
 def jellyfish_count(
     reads: Iterable[SeqRecord], k: int, canonical: bool = True, batch_bases: int = 4_000_000
-) -> JellyfishCounts:
+) -> KmerCounter:
     """``jellyfish count``: count k-mers across all reads.
 
     Batched vectorisation: reads are joined with ``N`` separators (which
     no valid k-mer window can span) so each batch needs a single packing
     pass; per-batch partial (code, count) pairs are merged by the
-    :class:`KmerCounterBuilder`'s final sort + segmented sum.
+    :class:`KmerCounterBuilder`'s final sort + segmented sum.  The table
+    carries ``canonical``, the strand mode its codes were made in.
     """
-    builder = KmerCounterBuilder(k)
+    builder = KmerCounterBuilder(k, canonical)
     for batch in base_blocks((rec.seq for rec in reads), batch_bases):
         builder.add_codes(_batch_codes(batch, k, canonical))
-    return JellyfishCounts(k=k, canonical=canonical, index=builder.build())
+    return builder.build()
 
 
 def _batch_codes(seqs: Sequence[str], k: int, canonical: bool) -> np.ndarray:
@@ -141,7 +88,7 @@ def _batch_codes(seqs: Sequence[str], k: int, canonical: bool) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
 
 
-def jellyfish_dump(counts: JellyfishCounts, path: PathLike) -> int:
+def jellyfish_dump(counts: KmerCounter, path: PathLike) -> int:
     """``jellyfish dump``: write counts as FASTA (header=count, body=kmer).
 
     Returns the number of records written.  The dump can be "extremely
@@ -149,4 +96,4 @@ def jellyfish_dump(counts: JellyfishCounts, path: PathLike) -> int:
     Records are emitted in ascending code order, byte-identical to the
     historical ``sorted(dict)`` emission.
     """
-    return write_counter_dump(counts.index, path)
+    return write_counter_dump(counts, path)

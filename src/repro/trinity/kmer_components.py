@@ -63,8 +63,10 @@ def overlap_edges(
 def kmer_components(n: int, edges: np.ndarray) -> np.ndarray:
     """Component label of each of ``n`` positions joined by ``edges``.
 
-    ``edges`` are :func:`overlap_edges` rows, pooled over the table's
-    blocks.  The label of a component is the minimum position among its
+    ``edges`` is a ``(2, m)`` integer array of position pairs: Inchworm's
+    :func:`overlap_edges` rows pooled over the table's blocks, or
+    GraphFromFasta's contig pairs
+    (:func:`repro.trinity.chrysalis.components.build_components`).  The label of a component is the minimum position among its
     members, so labels are stable under any edge ordering and directly
     comparable across runs.  Positions with no overlap edges are
     singleton components labelled by themselves.

@@ -68,17 +68,18 @@ def assign_reads_batched(
 
 def counter_from_reads(seqs: Iterable[str], k: int, canonical: bool = True) -> KmerCounter:
     """One-shot k-mer counter over sequence strings."""
-    builder = KmerCounterBuilder(k)
+    builder = KmerCounterBuilder(k, canonical)
     for seq in seqs:
         builder.add_codes(canonical_kmers(seq, k) if canonical else kmer_array(seq, k))
     return builder.build()
 
 
-def counter_from_dict(counts: Mapping[int, int], k: int) -> KmerCounter:
-    """A counter holding a hand-made ``{code: count}`` table."""
+def counter_from_dict(counts: Mapping[int, int], k: int, canonical: bool) -> KmerCounter:
+    """A counter holding a hand-made ``{code: count}`` table, keyed in
+    strand mode ``canonical``."""
     codes = np.fromiter(counts.keys(), dtype=np.uint64, count=len(counts))
     vals = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-    return KmerCounter.from_pairs(codes, vals, k)
+    return KmerCounter.from_pairs(codes, vals, k, canonical)
 
 
 def uniform_expression(n_isoforms: int) -> ExpressionModel:

@@ -11,24 +11,23 @@ from typing import List, Optional, Sequence
 from repro.parallel.component_stage import lpt_assign
 from repro.parallel.mpi_inchworm import component_setup
 from repro.trinity.inchworm import InchwormConfig, assemble_queue, probe, seed_queues
-from repro.trinity.jellyfish import JellyfishCounts
+from repro.seq.kmer_index import KmerCounter
 
 
 def assemble_components(
-    counts: JellyfishCounts,
+    filtered: KmerCounter,
     cfg: Optional[InchwormConfig] = None,
     n_threads: int = 1,
     owned: Optional[Sequence[int]] = None,
 ) -> List[tuple]:
-    """The keyed contigs of all of ``counts``' components (or just the
+    """The keyed contigs of all of ``filtered``'s components (or just the
     ``owned`` ids) on one rank, pooled over its threads."""
     cfg = cfg or InchwormConfig()
-    filtered = counts.index
-    landing, ids, costs = component_setup(filtered, [probe(filtered, counts.canonical)])
+    landing, ids, costs = component_setup(filtered, [probe(filtered)])
     mine = list(range(len(costs))) if owned is None else list(owned)
     teams = lpt_assign([float(costs[c]) for c in mine], mine, n_threads)
     return [
         contig
         for queue in seed_queues(filtered, cfg, ids, teams)
-        for contig in assemble_queue(filtered, counts.canonical, cfg, landing, queue)
+        for contig in assemble_queue(filtered, cfg, landing, queue)
     ]

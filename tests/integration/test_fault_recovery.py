@@ -360,7 +360,7 @@ class TestDriverFaultsAndCheckpoints:
             for name in names:
                 assert all(getattr(o, name) is getattr(outs[0], name) for o in outs), name
         # ... and the restored k-mer table is as read-only as the shared one.
-        assert not warm.outputs.counts.index.codes.flags.writeable
+        assert not warm.outputs.counts.codes.flags.writeable
 
     @pytest.mark.timeout(300)
     def test_deleted_workdir_recomputes_the_stages_that_wrote_it(

@@ -157,7 +157,7 @@ class TestSerialEquality:
         tcfg, contigs, components, assignments, counts = workload
         quants, serial = serial_reference.local_quants, serial_reference.transcripts
         routed = reads_by_component(assignments)
-        solid = counts.index
+        solid = counts
         for walk in (ref.dfs_in_place, ref.dfs):
             oracle = []
             for comp in sorted(components, key=lambda c: c.id):

@@ -71,9 +71,9 @@ class TestSerialEquality:
         # component's owner.
         built = []
 
-        def counted_rows(filtered, canonical, salt, landing, queue):
+        def counted_rows(filtered, salt, landing, queue):
             built.append(queue.size)
-            return chain_table(filtered, canonical, salt, landing, queue)
+            return chain_table(filtered, salt, landing, queue)
 
         monkeypatch.setattr(inchworm, "chain_table", counted_rows)
         run = mpirun(

@@ -43,8 +43,8 @@ def serial_solid(serial_counts):
 
 def _assert_table_equal(counts, serial):
     assert counts.k == serial.k and counts.canonical == serial.canonical
-    assert np.array_equal(counts.index.codes, serial.index.codes)
-    assert np.array_equal(counts.index.values, serial.index.values)
+    assert np.array_equal(counts.codes, serial.codes)
+    assert np.array_equal(counts.values, serial.values)
 
 
 class TestSerialEquality:

@@ -9,7 +9,7 @@ fixed seed we can assert *exact* equality, which is strictly stronger.)
 The property is stated once, per stage-table row: on one upstream chain
 of the smoke library, the row's serial body and rank 0 of its MPI body
 at 1, 3 and 8 ranks, under both deals, give equal outputs and equal file
-bytes, and every rank agrees with rank 0.  The classes after it compare
+bytes, and every rank agrees with rank 0; in both strand modes.  The classes after it compare
 whole runs of the two drivers.
 """
 
@@ -54,20 +54,25 @@ def _plain(value):
     return value
 
 
+def _upstream(reads, root, strand_specific):
+    """The serial chain on ``reads`` in one strand mode, and a directory
+    for the rows' files."""
+    trinity = TrinityConfig(seed=1, strand_specific=strand_specific)
+    cfg = ParallelTrinityConfig(trinity=trinity, nthreads=2)
+    return run_chain(cfg, reads, serial_launcher()), root
+
+
 @pytest.fixture(scope="module")
 def upstream(smoke_reads, tmp_path_factory):
-    """The serial chain on the smoke library, and a directory for the
-    rows' files."""
-    cfg = ParallelTrinityConfig(trinity=TrinityConfig(seed=1), nthreads=2)
-    chain = run_chain(cfg, smoke_reads, serial_launcher())
-    return chain, tmp_path_factory.mktemp("rows")
+    return _upstream(smoke_reads, tmp_path_factory.mktemp("rows"), strand_specific=False)
 
 
-@pytest.mark.timeout(300)
-@pytest.mark.parametrize("nprocs", [1, 3, 8])
-@pytest.mark.parametrize("key", [row.key for row in STAGE_TABLE])
-def test_mpi_body_equals_serial_body(upstream, key, nprocs):
-    chain, root = upstream
+@pytest.fixture(scope="module")
+def stranded_upstream(smoke_reads, tmp_path_factory):
+    return _upstream(smoke_reads, tmp_path_factory.mktemp("stranded"), strand_specific=True)
+
+
+def _row_equals_serial(chain, root, key, nprocs):
     row = next(row for row in STAGE_TABLE if row.key == key)
     inputs = row.inputs(chain)
     want = row.serial(inputs, row.config(chain.cfg, root / "serial"))
@@ -89,6 +94,24 @@ def test_mpi_body_equals_serial_body(upstream, key, nprocs):
         if row.file_key:
             assert got.out_path.name == want.out_path.name
             assert got.out_path.read_bytes() == want.out_path.read_bytes()
+
+
+@pytest.mark.timeout(300)
+@pytest.mark.parametrize("nprocs", [1, 3, 8])
+@pytest.mark.parametrize("key", [row.key for row in STAGE_TABLE])
+def test_mpi_body_equals_serial_body(upstream, key, nprocs):
+    _row_equals_serial(*upstream, key, nprocs)
+
+
+@pytest.mark.timeout(300)
+@pytest.mark.parametrize("nprocs", [1, 3, 8])
+@pytest.mark.parametrize("key", [row.key for row in STAGE_TABLE])
+def test_mpi_body_equals_serial_body_strand_specific(stranded_upstream, key, nprocs):
+    """The same on a strand-specific chain: every row reads the mode off
+    the solid table it is handed."""
+    chain, _root = stranded_upstream
+    assert not chain.out("jellyfish").counts.canonical
+    _row_equals_serial(*stranded_upstream, key, nprocs)
 
 
 class TestThreadedInchwormBytes:

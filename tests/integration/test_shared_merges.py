@@ -131,7 +131,7 @@ def test_crash_entering_a_shared_merge_recovers(chain, cfg, tmp_path, key, phase
 
 @pytest.mark.timeout(120)
 @pytest.mark.parametrize(
-    "key, name", [("jellyfish", "JellyfishCounts"), ("inchworm", "keyed_contigs")]
+    "key, name", [("jellyfish", "_concatenate_slices"), ("inchworm", "keyed_contigs")]
 )
 def test_crash_inside_a_shared_merge_abandons_its_waiters(
     chain, cfg, tmp_path, monkeypatch, key, name

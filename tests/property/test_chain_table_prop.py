@@ -40,7 +40,6 @@ from repro.trinity.inchworm import (
     probe,
     seed_queues,
 )
-from repro.trinity.jellyfish import JellyfishCounts
 from repro.trinity.kmer_components import component_ids, kmer_components
 from tests import reference_inchworm
 from tests.helpers import counter_from_dict
@@ -73,9 +72,9 @@ def tables(draw):
     # Few distinct counts, zero among them: most forks tie on count.
     n = len(kmers)
     values = draw(st.lists(st.sampled_from([0, 1, 2, 2, 3]), min_size=n, max_size=n))
-    counts = JellyfishCounts(
-        k=k, canonical=canonical, index=counter_from_dict(dict(zip(sorted(kmers), values)), k)
-    ).filtered(draw(st.sampled_from([1, 2])))
+    counts = counter_from_dict(dict(zip(sorted(kmers), values)), k, canonical).filtered(
+        draw(st.sampled_from([1, 2]))
+    )
     cfg = InchwormConfig(
         min_contig_length=draw(st.sampled_from([1, k + 2])),
         max_contig_length=draw(st.sampled_from([1, 2, 8, 32])),
@@ -92,22 +91,21 @@ def _triples(contigs):
 @given(tables(), st.randoms(use_true_random=False))
 def test_chain_table_equals_the_row_oracle(case, rng):
     counts, cfg = case
-    filtered = counts.index
-    canonical, salt = counts.canonical, _salt(cfg)
-    landing, edges = probe(filtered, canonical)
+    filtered, salt = counts, _salt(cfg)
+    landing, edges = probe(filtered)
     ids = component_ids(kmer_components(len(filtered), edges))
     owner = [rng.randrange(DEAL) for _ in range(int(ids.max(initial=-1)) + 1)]
     pooled = []
     for rank in range(DEAL):
         owned = [c for c, r in enumerate(owner) if r == rank]
         (queue,) = seed_queues(filtered, cfg, ids, [owned])
-        table = chain_table(filtered, canonical, salt, landing, queue)
-        rows = reference_inchworm.preference_rows(filtered, canonical, salt, landing, queue)
+        table = chain_table(filtered, salt, landing, queue)
+        rows = reference_inchworm.preference_rows(filtered, salt, landing, queue)
         for i, o, d in zip(*(a.ravel().tolist() for a in np.indices(rows.shape[:3]))):
-            oracle = [x << (1 - canonical) for x in rows[i, o, d].tolist() if x >= 0]
+            oracle = [x << (1 - filtered.canonical) for x in rows[i, o, d].tolist() if x >= 0]
             assert table.row(i, o, d) == oracle
-        keyed = assemble_queue(filtered, canonical, cfg, landing, queue)
-        assert keyed == reference_inchworm.assemble_queue(filtered, canonical, cfg, landing, queue)
+        keyed = assemble_queue(filtered, cfg, landing, queue)
+        assert keyed == reference_inchworm.assemble_queue(filtered, cfg, landing, queue)
         pooled += keyed
     oracle = _triples(reference_inchworm.inchworm_assemble(counts, cfg))
     assert _triples(keyed_contigs(pooled)) == oracle

@@ -106,12 +106,9 @@ test that fails:
 * vote positions left in sorted order (``pos[:] = ...`` for
   ``pos[order] = ...``): ``test_sorted_vote_equals_unsorted_search``
   (and ``test_quantify_component_equals_contract_and_oracle``)
-* the slot-set test of ``_dedup_contained`` reversed (``mask & ~masks[s]``)
-  or a run's mask one slot short (``(1 << b - 1) - (1 << a)``):
-  ``test_dedup_by_slots_on_nested_windows`` (Butterfly's own paths never
-  nest — two paths from one source part at a branch — so
-  ``test_dedup_by_slots_equals_the_string_scan`` only sees the masks
-  skip every scan)
+* canonical solid lookup in a strand-specific table (``np.minimum(kmer,
+  kmer_rev)`` whatever ``solid.canonical``):
+  ``test_quantify_component_equals_contract_and_oracle``
 """
 
 from contextlib import contextmanager
@@ -312,19 +309,22 @@ def components(draw):
     reads = draw(st.permutations(reads))
 
     solid_kind = draw(st.sampled_from(["present", "empty", "absent"]))
+    canonical = draw(st.booleans())  # the solid table's strand mode
     solid = None
     if solid_kind == "present":
         clean = [s for s in (*contigs, *reads) if "N" not in s]
-        solid = counter_from_reads(clean, k).filtered(draw(st.integers(1, 2)))
+        solid = counter_from_reads(clean, k, canonical).filtered(draw(st.integers(1, 2)))
     elif solid_kind == "empty":
-        solid = KmerCounter.empty(k)
+        solid = KmerCounter.empty(k, canonical)
     return k, members, list(reads), solid
 
 
-def contract_quantify(graph, seqs, solid_kmers):
+def contract_quantify(graph, seqs, solid):
     """The kernel's contract in strings, on the dict graph: returns
-    ``(n_reads, weight)``."""
+    ``(n_reads, weight)``.  A window threads if ``solid`` holds its k-mer:
+    canonicalised, or in a strand-specific table as the read has it."""
     k = graph.k
+    solid_kmers = None if solid is None else set(decode_kmers(solid.codes, k))
     node_set = set(graph.edges)
     n_reads, weight = 0, 0.0
     for seq in seqs:
@@ -336,7 +336,9 @@ def contract_quantify(graph, seqs, solid_kmers):
         ]
         n_reads += bool(clean)
         for kmer in clean:
-            if solid_kmers is None or min(kmer, reverse_complement(kmer)) in solid_kmers:
+            rc = reverse_complement(kmer)
+            stored = min(kmer, rc) if solid and solid.canonical else kmer if oriented == seq else rc
+            if solid_kmers is None or stored in solid_kmers:
                 graph._add_edge(kmer[:-1], kmer[1:], 1.0)
                 weight += 1.0
     return n_reads, weight
@@ -360,8 +362,7 @@ def test_quantify_component_equals_contract_and_oracle(case, block, right):
     assert got.component == 3 and got.graph is got_graph
 
     want_graph = ref.fasta_to_debruijn(oriented, k)
-    solid_kmers = None if solid is None else set(decode_kmers(solid.codes, k))
-    n_reads, weight = contract_quantify(want_graph, seqs, solid_kmers)
+    n_reads, weight = contract_quantify(want_graph, seqs, solid)
     assert got_graph.edge_weights() == ref.edge_weights(want_graph)
     assert (got.n_reads, got.read_edge_weight) == (n_reads, weight)
 
@@ -407,8 +408,7 @@ def test_pooled_blocks_equal_contract_whatever_the_cut(case, data):
     got = pool_blocks(3, got_graph, data.draw(st.permutations(tables)))
 
     want_graph = ref.fasta_to_debruijn(oriented, k)
-    solid_kmers = None if solid is None else set(decode_kmers(solid.codes, k))
-    n_reads, weight = contract_quantify(want_graph, seqs, solid_kmers)
+    n_reads, weight = contract_quantify(want_graph, seqs, solid)
     assert got_graph.edge_weights() == ref.edge_weights(want_graph)
     assert (got.n_reads, got.read_edge_weight) == (n_reads, weight)
     assert type(got.n_reads) is int
@@ -541,51 +541,48 @@ def test_walk_equals_copying_dfs(case, max_paths, max_path_nodes, fraction):
 
 
 @settings(max_examples=200, deadline=None)
-@given(weighted_sequences(), st.sampled_from([0.0, 0.3]))
-def test_dedup_by_slots_equals_the_string_scan(case, fraction):
-    """Every string set ``butterfly_component`` dedups by its paths' slot
-    sets dedups as the scan of every pair does (``ref.dedup_contained``)."""
+@given(weighted_sequences(), st.sampled_from([0.0, 0.3]), st.sampled_from([2, 12]))
+def test_paths_never_nest_so_the_string_scan_keeps_them(case, fraction, max_paths):
+    """``butterfly_component`` runs no containment scan: every path starts
+    at a source and two walks from one source part at a branch, so no
+    sequence it emits nests in another or repeats it, and the scan of
+    every pair (``ref.dedup_contained``) returns them unchanged."""
     k, seqs = case
     graph, _oracle = both_graphs(k, seqs)
-    calls = []
-
-    def spy(strings, paths=()):
-        calls.append((list(strings), paths))
-        return dedup(strings, paths)
-
-    dedup = butterfly._dedup_contained
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(butterfly, "_dedup_contained", spy)
-        for seed in range(4):
-            cfg = ButterflyConfig(min_edge_fraction=fraction, min_transcript_length=1, seed=seed)
-            butterfly_component(7, graph, cfg)
-    for strings, paths in calls:
-        assert len(paths) == len(strings)
-        assert dedup(strings, paths) == ref.dedup_contained(strings)
+    if not graph.sources().size:  # a source-less graph falls back to unitigs
+        return
+    for seed in range(4):
+        cfg = ButterflyConfig(
+            max_paths_per_component=max_paths, min_edge_fraction=fraction,
+            min_transcript_length=1, seed=seed,
+        )
+        found = [t.seq for t in butterfly_component(7, graph, cfg)]
+        assert not [(i, j) for i, a in enumerate(found) for j, b in enumerate(found) if i != j and a in b]
+        assert ref.dedup_contained(found) == found
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_dedup_by_slots_on_nested_windows(data):
-    """Windows of one backbone whose (k-1)-mers are distinct, as paths:
-    slot ``i`` is the backbone's i-th node, and a window's slots are cut
-    into runs anywhere.  ``_dedup_contained`` over the windows and their
-    runs keeps what the scan of every pair keeps — nested windows
-    included."""
+    """Windows of one backbone whose (k-1)-mers are distinct: a window is a
+    run of slots (the backbone's nodes), and it nests in another window
+    exactly when its slot run does.  The oracle's string scan keeps the
+    windows whose slot runs no other run holds, longest first."""
     k = 8
     backbone = data.draw(st.text(alphabet="ACGT", min_size=k, max_size=80))
     nodes = [backbone[i : i + k - 1] for i in range(len(backbone) - k + 2)]
     if len(set(nodes)) < len(nodes):
         return
-    strings, paths = [], []
+    runs = set()
     for _ in range(data.draw(st.integers(1, 8))):
         a = data.draw(st.integers(0, len(nodes) - 1))
-        b = data.draw(st.integers(a + 1, len(nodes)))
-        cuts = sorted(data.draw(st.sets(st.integers(a + 1, b - 1), max_size=3)) if b - a > 1 else [])
-        bounds = [a, *cuts, b]
-        strings.append(backbone[a : b + k - 2])
-        paths.append([x for pair in zip(bounds, bounds[1:]) for x in pair])
-    assert butterfly._dedup_contained(strings, paths) == ref.dedup_contained(strings)
+        runs.add((a, data.draw(st.integers(a + 1, len(nodes)))))
+    kept = [
+        (a, b) for a, b in runs
+        if not any(c <= a and b <= d and (c, d) != (a, b) for c, d in runs)
+    ]
+    want = sorted((backbone[a : b + k - 2] for a, b in kept), key=lambda s: (-len(s), s))
+    assert ref.dedup_contained([backbone[a : b + k - 2] for a, b in runs]) == want
 
 
 @st.composite

@@ -35,7 +35,7 @@ from repro.trinity.inchworm import (
     keyed_contigs,
     probe,
 )
-from repro.trinity.jellyfish import JellyfishCounts, jellyfish_count
+from repro.trinity.jellyfish import jellyfish_count
 from repro.trinity.kmer_components import component_ids, kmer_components
 from tests import reference_inchworm
 from tests.inchworm_kernel import assemble_components
@@ -105,10 +105,10 @@ def assembly_cases(draw):
     if counts.canonical and draw(st.booleans()):
         directed = encode_kmer(draw(dna(k, k)))
         partner = canonical_code(directed, k)
-        if partner != directed and counts.index.get(partner) == 0:
-            table = dict(zip(counts.index.codes.tolist(), counts.index.values.tolist()))
+        if partner != directed and counts.get(partner) == 0:
+            table = dict(zip(counts.codes.tolist(), counts.values.tolist()))
             table[directed] = draw(st.integers(1, 60))
-            counts = JellyfishCounts(k=k, canonical=True, index=counter_from_dict(table, k))
+            counts = counter_from_dict(table, k, canonical=True)
     return counts.filtered(solid), cfg
 
 
@@ -127,8 +127,8 @@ def test_any_rank_and_thread_split_equals_serial(case, n_ranks, n_threads, rng):
     counts, cfg = case
     oracle = _triples(reference_inchworm.inchworm_assemble(counts, cfg))
     assert _triples(inchworm_assemble(counts, cfg)) == oracle
-    filtered = counts.index
-    ids = component_ids(kmer_components(len(filtered), probe(filtered, counts.canonical)[1]))
+    filtered = counts
+    ids = component_ids(kmer_components(len(filtered), probe(filtered)[1]))
     n_components = int(ids.max(initial=-1)) + 1
     owner = [rng.randrange(n_ranks) for _ in range(n_components)]
     pooled = []

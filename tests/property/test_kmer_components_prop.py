@@ -34,26 +34,26 @@ from tests.reference_components import bfs_labels, landing_edges
 def _counter(seq: str, k: int, canonical: bool) -> KmerCounter:
     codes = canonical_kmers(seq, k) if canonical else kmer_array(seq, k)
     codes, counts = np.unique(codes, return_counts=True)
-    return KmerCounter(k, codes.astype(np.int64), counts.astype(np.int64))
+    return KmerCounter(k, codes.astype(np.int64), counts.astype(np.int64), canonical)
 
 
-def _pooled_labels(counter: KmerCounter, canonical: bool, cuts) -> np.ndarray:
+def _pooled_labels(counter: KmerCounter, cuts) -> np.ndarray:
     """Labels from the edges of the probe's blocks between ``cuts``."""
     n = len(counter)
     bounds = [0, *sorted(min(c, n) for c in cuts), n]
-    blocks = [probe(counter, canonical, a, b) for a, b in zip(bounds, bounds[1:])]
+    blocks = [probe(counter, a, b) for a, b in zip(bounds, bounds[1:])]
     edges = np.concatenate([edges for _rows, edges in blocks], axis=1)
     assert edges.dtype == np.int32 and (edges[0] < edges[1]).all()
     labels = kmer_components(n, edges)
     landing, ids, costs = component_setup(counter, blocks)
-    assert np.array_equal(landing, neighbours(counter, canonical))
+    assert np.array_equal(landing, neighbours(counter))
     assert np.array_equal(ids, component_ids(labels))
     assert costs.sum() == counter.values.sum()
     return labels
 
 
-def _oracle(counter: KmerCounter, canonical: bool) -> np.ndarray:
-    return bfs_labels(len(counter), *landing_edges(neighbours(counter, canonical)))
+def _oracle(counter: KmerCounter) -> np.ndarray:
+    return bfs_labels(len(counter), *landing_edges(neighbours(counter)))
 
 
 _cuts = st.lists(st.integers(0, 400), max_size=7)
@@ -69,7 +69,7 @@ _cuts = st.lists(st.integers(0, 400), max_size=7)
 @example("TTACGTAACCGGTTAACG", 6, False, [2, 5, 9])
 def test_labels_match_bfs_on_dna_spectra(seq, k, canonical, cuts):
     counter = _counter(seq, k, canonical)
-    assert np.array_equal(_pooled_labels(counter, canonical, cuts), _oracle(counter, canonical))
+    assert np.array_equal(_pooled_labels(counter, cuts), _oracle(counter))
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,8 +80,8 @@ def test_labels_match_bfs_on_random_codes(seed, canonical, cuts):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(4, 8))
     codes = np.unique(rng.integers(0, 4**k, size=int(rng.integers(1, 300)), dtype=np.int64))
-    counter = KmerCounter(k, codes, np.ones(codes.size, dtype=np.int64))
-    assert np.array_equal(_pooled_labels(counter, canonical, cuts), _oracle(counter, canonical))
+    counter = KmerCounter(k, codes, np.ones(codes.size, dtype=np.int64), canonical)
+    assert np.array_equal(_pooled_labels(counter, cuts), _oracle(counter))
 
 
 @pytest.mark.timeout(30)
@@ -90,8 +90,8 @@ def test_one_long_chain_over_eight_blocks():
     for canonical in (True, False):
         counter = _counter(seq, 25, canonical)
         cuts = [len(counter) * r // 8 for r in range(1, 8)]
-        labels = _pooled_labels(counter, canonical, cuts)
-        assert np.array_equal(labels, _oracle(counter, canonical))
+        labels = _pooled_labels(counter, cuts)
+        assert np.array_equal(labels, _oracle(counter))
         assert not labels.any()
 
 
@@ -99,7 +99,7 @@ def test_one_long_chain_over_eight_blocks():
 @given(st.text(alphabet="ACGT", min_size=6, max_size=120))
 def test_members_partition_positions(seq):
     counter = _counter(seq, 6, True)
-    labels = kmer_components(len(counter), probe(counter, canonical=True)[1])
+    labels = kmer_components(len(counter), probe(counter)[1])
     ids = component_ids(labels)
     # Dense ids ascending by component, each labelled by its first member.
     firsts = np.flatnonzero(labels == np.arange(labels.size))

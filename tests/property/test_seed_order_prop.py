@@ -30,7 +30,6 @@ from repro.trinity.inchworm import (
     probe,
     seed_queues,
 )
-from repro.trinity.jellyfish import JellyfishCounts
 from repro.trinity.kmer_components import component_ids, kmer_components
 from repro.util.rng import derive_seed
 from tests.inchworm_kernel import assemble_components
@@ -57,7 +56,7 @@ def owned_tables(draw):
     n_threads = draw(st.integers(1, 4))
     owner = draw(st.lists(st.integers(-1, n_threads - 1), min_size=codes.size, max_size=codes.size))
     cfg = InchwormConfig(seed=draw(st.integers(0, 2**32 - 1)))
-    return KmerCounter(k, codes, values), cfg, n_threads, owner
+    return KmerCounter(k, codes, values, canonical=False), cfg, n_threads, owner
 
 
 @settings(max_examples=150, deadline=None)
@@ -86,8 +85,8 @@ def test_equal_count_and_tie_hash_fall_to_the_code():
     twins = [5 + j * 2**32 for j in range(3)] + [9 + j * 2**32 for j in range(2)]
     table = {code: 3 for code in twins}
     table.update({77: 3, 12345: 8, 2**33 + 1001: 1})
-    counts = JellyfishCounts(k=k, canonical=False, index=counter_from_dict(table, k))
-    filtered = counts.index.filtered(1)
+    counts = counter_from_dict(table, k, canonical=False)
+    filtered = counts.filtered(1)
     at = filtered.find(np.array(twins, dtype=np.uint64))[0]
     assert len({_spelled(filtered, salt, p)[:2] for p in at[:3].tolist()}) == 1
     assert len({_spelled(filtered, salt, p)[:2] for p in at[3:].tolist()}) == 1
@@ -103,7 +102,7 @@ def test_equal_count_and_tie_hash_fall_to_the_code():
     # Every k-mer is its own component and contig; each key is its seed's
     # comparator tuple, and ranks owning the twins in reverse order still
     # merge to the serial list.
-    ids = component_ids(kmer_components(len(filtered), probe(filtered, canonical=False)[1]))
+    ids = component_ids(kmer_components(len(filtered), probe(filtered)[1]))
     assert ids.tolist() == list(range(len(filtered)))
     serial = inchworm_assemble(counts, cfg)
     assert len(serial) == len(filtered)

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi.datatypes import pack_int_pairs, pack_strings, unpack_int_pairs, unpack_strings
+from repro.mpi.datatypes import pack_strings, unpack_strings
 from repro.seq.fasta import parse_fasta
 from repro.seq.records import SeqRecord
 from repro.trinity.chrysalis.components import build_components
+from repro.trinity.chrysalis.graph_from_fasta import pair_array, unique_pairs
 from repro.validation.smith_waterman import sw_align, sw_score
 
 dna = st.text(alphabet="ACGT", min_size=1, max_size=60)
@@ -61,9 +62,17 @@ def test_unpack_strings_rejects_truncated_payload(strings, cut):
             unpack_strings(payload[:-1], lengths)
 
 
-@given(st.lists(st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9)), max_size=50))
-def test_pack_pairs_roundtrip(pairs):
-    assert unpack_int_pairs(pack_int_pairs(pairs)) == pairs
+_pairs = st.lists(st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9)), max_size=50)
+
+
+@given(_pairs, _pairs)
+def test_pack_pairs_roundtrip(pairs, extra):
+    """Weld pairs packed as ``(m, 2)`` arrays and the scaffold pairs come
+    back as the sorted set union the tuple sets gave, scaffold pairs
+    ordered ``(min, max)``."""
+    want = sorted(set(pairs) | {(min(a, b), max(a, b)) for a, b in extra})
+    half = len(pairs) // 2
+    assert unique_pairs([pair_array(pairs[:half]), pair_array(pairs[half:])], extra) == want
 
 
 @settings(max_examples=40, deadline=None)

@@ -305,8 +305,11 @@ def quantify_component(
             arr = kmer_array(oriented, graph.k)
             if arr.size == 0:
                 continue
-            canon = np.minimum(arr, revcomp_codes(arr, graph.k))
-            mask = solid.contains(canon).tolist()
+            if solid.canonical:
+                stored = np.minimum(arr, revcomp_codes(arr, graph.k))
+            else:  # a strand-specific table holds the k-mers as read
+                stored = arr if oriented == read.seq else revcomp_codes(arr, graph.k)
+            mask = solid.contains(stored).tolist()
             add_sequence_masked(graph, oriented, mask)
         n_reads += 1
     return ComponentQuant(
@@ -322,8 +325,8 @@ def quantify_component(
 
 def dedup_contained(seqs: Sequence[str]) -> List[str]:
     """Drop sequences wholly contained in another (longest kept): the
-    string scan of every pair that ``butterfly._dedup_contained`` skips
-    where the paths' slot sets cannot nest."""
+    string scan of every pair.  ``butterfly.butterfly_component`` runs
+    none, as its paths never nest; this holds it to that."""
     ordered = sorted(set(seqs), key=lambda s: (-len(s), s))
     kept: List[str] = []
     for s in ordered:

@@ -43,7 +43,6 @@ from repro.trinity.inchworm import (
     extension_candidates,
     tie_break_codes,
 )
-from repro.trinity.jellyfish import JellyfishCounts
 from repro.util.rng import derive_seed
 
 
@@ -53,9 +52,9 @@ def tie_break_code(code: int, salt: int) -> int:
     return (code * GOLDEN ^ salt) & 0xFFFFFFFF
 
 
-def _seed_mark(filtered: KmerCounter, canonical: bool, position: int) -> int:
+def _seed_mark(filtered: KmerCounter, position: int) -> int:
     """The ``used`` slot that seeding from ``position`` claims."""
-    if not canonical:
+    if not filtered.canonical:
         return position
     code = int(filtered.codes[position])
     canon = canonical_code(code, filtered.k)
@@ -66,23 +65,21 @@ def _seed_mark(filtered: KmerCounter, canonical: bool, position: int) -> int:
 
 
 def inchworm_assemble(
-    counts: JellyfishCounts,
+    filtered: KmerCounter,
     config: Optional[InchwormConfig] = None,
 ) -> List[Contig]:
     """Assemble contigs from k-mer counts; deterministic given the seed."""
     cfg = config or InchwormConfig()
-    k = counts.k
+    k = filtered.k
     if k < 2:
         raise PipelineError(f"inchworm needs k >= 2, got {k}")
-    filtered = counts.index
     if len(filtered) == 0:
         return []
-    canonical = counts.canonical
     salt = derive_seed(cfg.seed, "inchworm-ties")
     perm = _seed_order(filtered, salt)
     order_codes = filtered.codes[perm].tolist()
     order_values = filtered.values[perm].tolist()
-    order_marks = [_seed_mark(filtered, canonical, p) for p in perm.tolist()]
+    order_marks = [_seed_mark(filtered, p) for p in perm.tolist()]
 
     used = np.zeros(len(filtered), dtype=bool)  # consumed canonical k-mers, by position
     contigs: List[Contig] = []
@@ -101,7 +98,7 @@ def inchworm_assemble(
         # Extend right.
         cur = seed_code
         while len(seq_codes) < cfg.max_contig_length:
-            nxt = _best_extension(filtered, canonical, used, cur, salt, right=True)
+            nxt = _best_extension(filtered, used, cur, salt, right=True)
             if nxt is None:
                 break
             cur, cnt, pos = nxt
@@ -112,7 +109,7 @@ def inchworm_assemble(
         cur = seed_code
         left_codes: List[int] = []
         while len(seq_codes) + len(left_codes) < cfg.max_contig_length:
-            nxt = _best_extension(filtered, canonical, used, cur, salt, right=False)
+            nxt = _best_extension(filtered, used, cur, salt, right=False)
             if nxt is None:
                 break
             cur, cnt, pos = nxt
@@ -130,7 +127,6 @@ def inchworm_assemble(
 
 def _best_extension(
     filtered: KmerCounter,
-    canonical: bool,
     used: np.ndarray,
     cur: int,
     salt: int,
@@ -150,7 +146,7 @@ def _best_extension(
         cands = [((cur << 2) | b) & mask for b in range(4)]
     else:
         cands = [(b << (2 * (k - 1))) | (cur >> 2) for b in range(4)]
-    canons = [canonical_code(c, k) for c in cands] if canonical else cands
+    canons = [canonical_code(c, k) for c in cands] if filtered.canonical else cands
     pos, found = filtered.find(np.asarray(canons, dtype=np.uint64))
     best: Optional[Tuple[int, int, int, int]] = None  # (count, -tiebreak, candidate, position)
     for cand, p, hit in zip(cands, pos.tolist(), found.tolist()):
@@ -171,7 +167,6 @@ def _codes_to_seq(codes: List[int], k: int) -> str:
 
 def preference_rows(
     filtered: KmerCounter,
-    canonical: bool,
     salt: int,
     landing: np.ndarray,
     queue: np.ndarray,
@@ -180,7 +175,7 @@ def preference_rows(
 
     ``rows[i, o, d]`` are the up to four extensions of ``queue[i]``'s
     k-mer read in orientation ``o`` (0 as stored, 1 reverse-complemented;
-    0 only unless ``canonical``) towards ``d`` (0 right, 1 left), best
+    0 only in a strand-specific table) towards ``d`` (0 right, 1 left), best
     first by the greedy comparator — count descending, then the salted
     hash of the *directed* candidate ascending, then base ascending —
     and padded with -1.  A candidate that is absent, or stored with a
@@ -191,7 +186,7 @@ def preference_rows(
     where the stored one's other direction does, bases mirrored.
     """
     k, codes, values = filtered.k, filtered.codes, filtered.values
-    o_bits = 1 if canonical else 0
+    o_bits = 1 if filtered.canonical else 0
     row_of = np.full(len(filtered), -1, dtype=np.int32)
     row_of[queue] = np.arange(queue.size, dtype=np.int32)
     rows = np.empty((queue.size, 1 + o_bits, 2, 4), dtype=np.int32)
@@ -244,21 +239,20 @@ def walk(
 
 def assemble_queue(
     filtered: KmerCounter,
-    canonical: bool,
     config: InchwormConfig,
     landing: np.ndarray,
     queue: np.ndarray,
 ) -> List[Tuple[Tuple[int, int, int], str, float]]:
     """The keyed contigs of ``queue`` by :func:`preference_rows` and the
     per-step :func:`walk`, bases and coverage read state by state."""
-    k, o_bits = filtered.k, 1 if canonical else 0
+    k, o_bits = filtered.k, 1 if filtered.canonical else 0
     salt = _salt(config)
-    rows = preference_rows(filtered, canonical, salt, landing, queue).reshape(-1).tolist()
+    rows = preference_rows(filtered, salt, landing, queue).reshape(-1).tolist()
     used = bytearray(queue.size)
     row_of = {p: i for i, p in enumerate(queue.tolist())}
     keyed = []
     for i, p in enumerate(queue.tolist()):
-        mark = row_of.get(_seed_mark(filtered, canonical, p), i)
+        mark = row_of.get(_seed_mark(filtered, p), i)
         if used[mark]:
             continue
         used[mark] = 1

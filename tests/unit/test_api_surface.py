@@ -133,16 +133,13 @@ class TestInchwormSurface:
         assemblers = {n for n in vars(inchworm) if n.startswith("inchworm_assemble")}
         assert assemblers == {"inchworm_assemble"}
         assert params(inchworm.inchworm_assemble) == ["counts", "config"]
-        assert params(inchworm.assemble_queue) == [
-            "filtered", "canonical", "config", "landing", "queue",
-        ]
+        assert params(inchworm.assemble_queue) == ["filtered", "config", "landing", "queue"]
         assert params(inchworm.seed_queues) == [
             "filtered", "config", "component_ids", "thread_components",
         ]
-        assert params(inchworm.neighbours) == ["filtered", "canonical", "start", "stop"]
-        assert params(inchworm.chain_table) == [
-            "filtered", "canonical", "salt", "landing", "queue",
-        ]
+        assert params(inchworm.neighbours) == ["filtered", "start", "stop"]
+        assert params(inchworm.probe) == ["filtered", "start", "stop"]
+        assert params(inchworm.chain_table) == ["filtered", "salt", "landing", "queue"]
         assert params(inchworm.walk) == ["table", "used", "seed", "max_len"]
         assert params(pairs.reconcile_with_pairs) == [
             "transcripts", "reads", "assignments", "min_support",
@@ -296,7 +293,7 @@ class TestChrysalisBackendSurface:
         from repro.trinity.butterfly import ButterflyConfig
 
         assert sorted(chrysalis.__all__) == sorted([
-            "UnionFind", "Component", "build_components",
+            "Component", "build_components",
             "GraphFromFastaConfig", "WeldCandidate", "graph_from_fasta",
             "harvest_welds_for_contig", "find_weld_pairs_for_contig",
             "build_weld_index", "build_weldmer_index", "shared_seed_array",
@@ -457,9 +454,14 @@ class TestDeletedSurface:
         "repro.simdata.expression": ("uniform_expression",),
         "repro.simdata.reads": ("simulate_reads",),
         "repro.simdata.transcriptome": ("fuse_transcripts",),
-        "repro.trinity": ("bowtie_align", "jellyfish_load", "align_reads"),
+        "repro.trinity": ("bowtie_align", "jellyfish_load", "align_reads", "JellyfishCounts"),
         "repro.trinity.bowtie": ("align_read", "bowtie_align", "align_reads", "sam_records"),
-        "repro.trinity.chrysalis": ("simplify",),
+        # One connected-components kernel (``kmer_components``), no wrapper
+        # beside the solid table and no containment scan nothing can hit.
+        "repro.trinity.chrysalis": ("simplify", "UnionFind"),
+        "repro.trinity.chrysalis.components": ("UnionFind",),
+        "repro.mpi.datatypes": ("pack_int_pairs", "unpack_int_pairs"),
+        "repro.trinity.butterfly": ("_dedup_contained",),
         "repro.trinity.chrysalis.reads_to_transcripts": (
             "read_assignments", "format_assignments", "write_assignments", "assign_reads_batched",
         ),
@@ -474,7 +476,7 @@ class TestDeletedSurface:
         "repro.trinity.chrysalis.quantify": ("solid_index",),
         "repro.parallel.driver": ("_counts_bytes", "_CHECKPOINT_LAYOUT"),
         "repro.experiments.report": ("SLOW_IDS",),
-        "repro.trinity.jellyfish": ("jellyfish_load", "kmer_histogram"),
+        "repro.trinity.jellyfish": ("jellyfish_load", "kmer_histogram", "JellyfishCounts"),
         "repro.trinity.pairs": ("pair_support",),
         "repro.util": ("format_series",),
         "repro.util.fmt": ("format_series", "render_mapping"),
@@ -525,6 +527,21 @@ class TestDeletedSurface:
         assert list(signature(assign).parameters) == ["strategy", "ids", "nprocs", "costs"]
         assert "nthreads" not in signature(deal).parameters
         assert "chunk_size" not in signature(rank_loads).parameters
+
+    def test_no_strand_flag_beside_a_table(self):
+        """The solid table carries its strand mode: no function takes a
+        ``canonical`` flag next to a ``KmerCounter``."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+                    tables = [a for a in args if a.annotation and "KmerCounter" in ast.unparse(a.annotation)]
+                    assert not (tables and "canonical" in {a.arg for a in args}), (path, node.name)
 
     def test_one_schedule_no_knobs(self):
         from dataclasses import fields

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import PipelineError
 from repro.trinity.butterfly import (
     ButterflyConfig,
-    _dedup_contained,
     butterfly_assemble,
     butterfly_component,
 )
@@ -85,36 +84,39 @@ class TestCyclicFallback:
 
 
 class TestDedup:
+    """The containment oracle ``butterfly_component``'s paths are held to
+    (``test_chrysalis_kernels_prop.py``: it returns them unchanged)."""
+
     def test_contained_removed(self):
-        assert _dedup_contained(["ACGTACGT", "CGTA"]) == ["ACGTACGT"]
+        assert ref.dedup_contained(["ACGTACGT", "CGTA"]) == ["ACGTACGT"]
 
     def test_distinct_kept(self):
-        out = _dedup_contained(["ACGTAAAA", "TTTTACGT"])
+        out = ref.dedup_contained(["ACGTAAAA", "TTTTACGT"])
         assert sorted(out) == ["ACGTAAAA", "TTTTACGT"]
 
     def test_duplicates_collapsed(self):
-        assert _dedup_contained(["ACGT", "ACGT"]) == ["ACGT"]
+        assert ref.dedup_contained(["ACGT", "ACGT"]) == ["ACGT"]
 
     def test_many_identical_collapse_to_one(self):
-        assert _dedup_contained(["TTAGC"] * 5) == ["TTAGC"]
+        assert ref.dedup_contained(["TTAGC"] * 5) == ["TTAGC"]
 
     def test_containment_chain_keeps_only_longest(self):
         # A ⊃ B ⊃ C presented in reverse (shortest first): the length-sort
         # must still resolve the whole chain to the longest member.
         chain = ["GT", "CGTA", "ACGTAC", "AACGTACC"]
-        assert _dedup_contained(chain) == ["AACGTACC"]
+        assert ref.dedup_contained(chain) == ["AACGTACC"]
 
     def test_two_chains_interleaved(self):
-        out = _dedup_contained(["AC", "TTTTGG", "ACACAC", "TTGG"])
+        out = ref.dedup_contained(["AC", "TTTTGG", "ACACAC", "TTGG"])
         assert sorted(out) == ["ACACAC", "TTTTGG"]
 
     def test_equal_length_non_contained_both_kept(self):
-        out = _dedup_contained(["AAAA", "TTTT"])
+        out = ref.dedup_contained(["AAAA", "TTTT"])
         assert out == sorted(out, key=lambda s: (-len(s), s))
         assert set(out) == {"AAAA", "TTTT"}
 
     def test_empty_input(self):
-        assert _dedup_contained([]) == []
+        assert ref.dedup_contained([]) == []
 
 
 class TestResolvedMinLength:

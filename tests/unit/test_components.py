@@ -1,51 +1,42 @@
 """Unit tests for union-find clustering and components."""
 
+import numpy as np
 import pytest
 
-from repro.trinity.chrysalis.components import (
-    Component,
-    UnionFind,
-    build_components,
-    component_of_map,
-)
+from repro.trinity.chrysalis.components import Component, build_components, component_of_map
+from repro.trinity.kmer_components import kmer_components
 
 
 class TestUnionFind:
+    """The package's one union-find, the Shiloach-Vishkin labelling of
+    ``kmer_components``, over contig pairs as ``build_components`` runs it."""
+
     def test_initially_disjoint(self):
-        uf = UnionFind(3)
-        assert uf.find(0) != uf.find(1)
+        assert kmer_components(3, np.empty((2, 0), dtype=np.int64)).tolist() == [0, 1, 2]
 
     def test_union_merges(self):
-        uf = UnionFind(3)
-        assert uf.union(0, 2)
-        assert uf.find(0) == uf.find(2)
+        labels = kmer_components(3, np.array([[0], [2]]))
+        assert labels[0] == labels[2] != labels[1]
 
     def test_union_idempotent(self):
-        uf = UnionFind(3)
-        uf.union(0, 1)
-        assert not uf.union(0, 1)
+        once = kmer_components(3, np.array([[0], [1]]))
+        assert np.array_equal(kmer_components(3, np.array([[0, 1, 0], [1, 0, 1]])), once)
 
     def test_transitivity(self):
-        uf = UnionFind(4)
-        uf.union(0, 1)
-        uf.union(1, 2)
-        assert uf.find(0) == uf.find(2)
-        assert uf.find(3) != uf.find(0)
+        labels = kmer_components(4, np.array([[0, 1], [1, 2]]))
+        assert labels[0] == labels[2] and labels[3] != labels[0]
 
     def test_groups_canonical_keys(self):
-        uf = UnionFind(5)
-        uf.union(4, 2)
-        uf.union(2, 3)
-        groups = uf.groups()
-        assert groups[2] == [2, 3, 4]
-        assert groups[0] == [0]
+        comps = build_components(5, [(4, 2), (2, 3)])
+        assert comps[2] == Component(id=2, members=(2, 3, 4))
+        assert comps[0] == Component(id=0, members=(0,))
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
-            UnionFind(-1)
+            build_components(-1, [])
 
     def test_len(self):
-        assert len(UnionFind(7)) == 7
+        assert kmer_components(7, np.empty((2, 0), dtype=np.int64)).size == 7
 
 
 class TestComponent:

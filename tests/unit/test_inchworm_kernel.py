@@ -25,7 +25,7 @@ from repro.trinity.inchworm import (
     tie_break_codes,
     walk,
 )
-from repro.trinity.jellyfish import JellyfishCounts, jellyfish_count
+from repro.trinity.jellyfish import jellyfish_count
 from tests import reference_inchworm
 from tests.reference_inchworm import tie_break_code
 from tests.inchworm_kernel import assemble_components
@@ -84,11 +84,7 @@ class TestCoverageUsesFilteredTable:
         f_code = encode_kmer("TTTTT")
         c_code = canonical_code(f_code, k)  # AAAAA = 0
         assert c_code != f_code
-        counts = JellyfishCounts(
-            k=k,
-            canonical=True,
-            index=counter_from_dict({f_code: 5, c_code: 1}, k),
-        ).filtered(2)
+        counts = counter_from_dict({f_code: 5, c_code: 1}, k, canonical=True).filtered(2)
         cfg = InchwormConfig(min_contig_length=1)
         contigs = inchworm_assemble(counts, cfg)
         assert len(contigs) == 1
@@ -98,11 +94,7 @@ class TestCoverageUsesFilteredTable:
         k = 5
         f_code = encode_kmer("TTTTT")
         c_code = canonical_code(f_code, k)
-        counts = JellyfishCounts(
-            k=k,
-            canonical=True,
-            index=counter_from_dict({f_code: 5, c_code: 1}, k),
-        ).filtered(2)
+        counts = counter_from_dict({f_code: 5, c_code: 1}, k, canonical=True).filtered(2)
         cfg = InchwormConfig(min_contig_length=1)
         res = assemble_components(counts, cfg)
         assert [cov for _key, _seq, cov in res] == [pytest.approx(5.0)]
@@ -115,8 +107,8 @@ def _triples(contigs):
 class TestBatchedKernel:
     def test_probe_matches_table(self):
         counts = counts_for(SRC1, SRC1, SRC2, k=7)
-        filtered = counts.index.filtered(1)
-        landing = neighbours(filtered, canonical=True)
+        filtered = counts.filtered(1)
+        landing = neighbours(filtered)
         assert landing.shape == (len(filtered), 8) and landing.dtype == np.int32
         # Every landing must equal a direct scalar lookup of the
         # canonicalised candidate, and -1 exactly where that is absent.
@@ -131,15 +123,15 @@ class TestBatchedKernel:
                         assert int(filtered.codes[half[i, b]]) == canon
         # Position blocks, empty ones included, stack into the whole table.
         cuts = [0, 3, 3, len(filtered) // 2, len(filtered)]
-        blocks = [neighbours(filtered, True, a, b) for a, b in zip(cuts, cuts[1:])]
+        blocks = [neighbours(filtered, a, b) for a, b in zip(cuts, cuts[1:])]
         assert np.array_equal(np.concatenate(blocks), landing)
 
     def test_select_respects_blocking(self):
         # With every slot already used neither a chain nor a row offers
         # anything: the walk stops on the bare seed.
         counts = counts_for(SRC1, SRC2, k=7)
-        filtered = counts.index.filtered(1)
-        table = chain_table(filtered, True, 0, neighbours(filtered), np.arange(len(filtered)))
+        filtered = counts.filtered(1)
+        table = chain_table(filtered, 0, neighbours(filtered), np.arange(len(filtered)))
         assert any(table.row(i, o, d) for i in range(len(filtered)) for o in (0, 1) for d in (0, 1))
         all_blocked = bytearray(b"\x01" * len(filtered))
         for seed in (0, 5, 2 * len(filtered) - 1):
@@ -150,9 +142,9 @@ class TestBatchedKernel:
         # slots, no row is sorted, and a walk from any seed jumps the run
         # each way.
         counts = counts_for(SRC1, k=9)
-        filtered = counts.index.filtered(1)
+        filtered = counts.filtered(1)
         n = len(filtered)
-        table = chain_table(filtered, True, 0, neighbours(filtered), np.arange(n))
+        table = chain_table(filtered, 0, neighbours(filtered), np.arange(n))
         assert table.forks == [] and set(table.lo) == {0} and set(table.hi) == {n - 1}
         seed = 7 << 1 | int(table.fwd[7])
         used = bytearray(n)
@@ -180,9 +172,9 @@ class TestBatchedKernel:
         # count descending, directed tie hash ascending, base ascending;
         # the reverse orientation's rows hash the reverse strand's codes.
         counts = counts_for(SRC1, SRC2, SRC3, SRC1, k=7)
-        filtered = counts.index.filtered(1)
+        filtered = counts.filtered(1)
         queue = _seed_order(filtered, 9)
-        table = chain_table(filtered, True, 9, neighbours(filtered), queue)
+        table = chain_table(filtered, 9, neighbours(filtered), queue)
         stored = filtered.codes[queue]
         for o, directed in enumerate((stored, revcomp_codes(stored, 7))):
             for d, right in enumerate((True, False)):
@@ -204,12 +196,10 @@ class TestBatchedKernel:
         k = 5
         kmers = ["AAAAC", "AAACA", "AACAG"]  # ascending codes: positions 0, 1, 2
         table = dict(zip(map(encode_kmer, kmers), (4, 0, 3)))
-        counts = JellyfishCounts(k=k, canonical=False, index=counter_from_dict(table, k))
+        counts = counter_from_dict(table, k, canonical=False)
         cfg = InchwormConfig(min_contig_length=1)
-        filtered = counts.index.filtered(0)
-        table = chain_table(
-            filtered, False, 0, neighbours(filtered, False), np.arange(len(filtered))
-        )
+        filtered = counts.filtered(0)
+        table = chain_table(filtered, 0, neighbours(filtered), np.arange(len(filtered)))
         assert [[table.row(i, 0, d) for d in (0, 1)] for i in range(3)] == [
             [[], []], [[2 << 1], [0]], [[], []],
         ]
@@ -219,10 +209,10 @@ class TestBatchedKernel:
 
     def test_rows_reject_a_landing_outside_the_queue(self):
         counts = counts_for(SRC1, k=7)
-        filtered = counts.index.filtered(1)
+        filtered = counts.filtered(1)
         landing = neighbours(filtered)
         with pytest.raises(PipelineError, match="whole components"):
-            chain_table(filtered, True, 0, landing, np.arange(len(filtered) // 2))
+            chain_table(filtered, 0, landing, np.arange(len(filtered) // 2))
 
     @pytest.mark.parametrize("cutoff", [1, 2, 8, 32])
     def test_batched_identical_to_serial(self, cutoff):
@@ -268,8 +258,8 @@ class TestThreadedDriver:
     @staticmethod
     def queues(counts, n_threads, cfg=InchwormConfig()):
         """The LPT deal of all components to ``n_threads`` threads, queued."""
-        filtered = counts.index
-        landing, ids, costs = component_setup(filtered, [probe(filtered, counts.canonical)])
+        filtered = counts
+        landing, ids, costs = component_setup(filtered, [probe(filtered)])
         teams = lpt_assign(costs.tolist(), range(len(costs)), n_threads)
         return filtered, landing, ids, teams, seed_queues(filtered, cfg, ids, teams)
 
@@ -284,7 +274,7 @@ class TestThreadedDriver:
         assert sorted(np.concatenate(queues).tolist()) == list(range(len(filtered)))
         cfg = InchwormConfig()
         assert all(
-            assemble_queue(filtered, True, cfg, landing, queue) for queue in queues if queue.size
+            assemble_queue(filtered, cfg, landing, queue) for queue in queues if queue.size
         )
 
     def test_more_threads_than_components_leave_queues_empty(self):
@@ -298,12 +288,12 @@ class TestThreadedDriver:
         cfg = InchwormConfig()
         filtered, landing, _ids, _teams, queues = self.queues(counts, 2, cfg)
         assert [queue.size for queue in queues] == [0, 0]
-        assert assemble_queue(filtered, True, cfg, landing, queues[0]) == []
+        assert assemble_queue(filtered, cfg, landing, queues[0]) == []
         assert assemble_components(counts, cfg, n_threads=2) == []
 
     def test_invalid_args_rejected(self):
         counts = counts_for(SRC1, k=7)
-        filtered = counts.index.filtered(1)
+        filtered = counts.filtered(1)
         with pytest.raises(PipelineError):  # no thread at all
             seed_queues(filtered, InchwormConfig(), np.arange(len(filtered)), [])
 

@@ -22,15 +22,15 @@ from tests.reference_components import bfs_labels, landing_edges
 K = 25
 
 
-def labels_of(counter, canonical=True):
+def labels_of(counter):
     """The stage's labelling: the whole table's probe edges, unioned."""
-    return kmer_components(len(counter), probe(counter, canonical)[1])
+    return kmer_components(len(counter), probe(counter)[1])
 
 
-def random_counter(rng, n, k=8):
+def random_counter(rng, n, k=8, canonical=True):
     codes = np.unique(rng.integers(0, 4**k, size=n, dtype=np.int64))
     values = rng.integers(1, 100, size=codes.size, dtype=np.int64)
-    return KmerCounter(k, codes, values)
+    return KmerCounter(k, codes, values, canonical)
 
 
 class TestAgainstNaiveBFS:
@@ -38,23 +38,23 @@ class TestAgainstNaiveBFS:
     @pytest.mark.parametrize("canonical", [True, False])
     def test_random_kmer_sets(self, seed, canonical):
         rng = np.random.default_rng(seed)
-        counter = random_counter(rng, n=400)
-        expected = bfs_labels(len(counter), *landing_edges(neighbours(counter, canonical)))
-        assert np.array_equal(labels_of(counter, canonical), expected)
+        counter = random_counter(rng, n=400, canonical=canonical)
+        expected = bfs_labels(len(counter), *landing_edges(neighbours(counter)))
+        assert np.array_equal(labels_of(counter), expected)
 
     def test_real_counter(self, smoke_counts):
-        filtered = smoke_counts.index.filtered(2)
-        landing = neighbours(filtered, smoke_counts.canonical)
+        filtered = smoke_counts.filtered(2)
+        landing = neighbours(filtered)
         expected = bfs_labels(len(filtered), *landing_edges(landing))
-        assert np.array_equal(labels_of(filtered, smoke_counts.canonical), expected)
+        assert np.array_equal(labels_of(filtered), expected)
 
     def test_each_real_edge_once_from_its_lower_end(self, smoke_counts):
         # A well-formed table's landings are symmetric, so the ``u < v``
         # edges are every landing pair seen from its lower end.
-        filtered = smoke_counts.index.filtered(2)
-        landing = neighbours(filtered, smoke_counts.canonical)
+        filtered = smoke_counts.filtered(2)
+        landing = neighbours(filtered)
         u, v = landing_edges(landing)
-        edges = probe(filtered, smoke_counts.canonical)[1]
+        edges = probe(filtered)[1]
         both = {(a, b) for a, b in zip(u.tolist(), v.tolist()) if a != b}
         assert both == {(b, a) for a, b in both}
         assert sorted(zip(*edges.tolist())) == sorted((a, b) for a, b in both if a < b)
@@ -62,7 +62,7 @@ class TestAgainstNaiveBFS:
 
 class TestEdgeCases:
     def test_empty_counter(self):
-        counter = KmerCounter(K, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        counter = KmerCounter.empty(K, canonical=True)
         assert labels_of(counter).size == 0
         assert overlap_edges(neighbours(counter)).shape == (2, 0)
         assert component_ids(np.empty(0, dtype=np.intp)).size == 0
@@ -78,7 +78,7 @@ class TestEdgeCases:
                 dtype=np.int64,
             )
         )
-        counter = KmerCounter(8, codes, np.ones(3, dtype=np.int64))
+        counter = KmerCounter(8, codes, np.ones(3, dtype=np.int64), canonical=True)
         labels = labels_of(counter)
         assert np.array_equal(labels, np.arange(3))
         assert component_ids(labels).tolist() == [0, 1, 2]
@@ -120,7 +120,7 @@ class TestContractedRounds:
         # and can stay live forever.
         seq = "".join(np.random.default_rng(9).choice(list("ACGT"), size=3000).tolist())
         counts = jellyfish_count([SeqRecord("r0", seq)], K, canonical=canonical)
-        labels = labels_of(counts.index, canonical)
+        labels = labels_of(counts)
         assert labels.size > 2900 and not labels.any()
 
 
@@ -136,12 +136,12 @@ class TestContigFactorisation:
         cfg = InchwormConfig(seed=1)
         contigs = inchworm_assemble(smoke_solid, cfg)
         assert contigs
-        filtered = smoke_solid.index
-        labels = labels_of(filtered, smoke_solid.canonical)
+        filtered = smoke_solid
+        labels = labels_of(filtered)
         for contig in contigs:
             codes = (
                 canonical_kmers(contig.seq, filtered.k)
-                if smoke_solid.canonical
+                if filtered.canonical
                 else kmer_array(contig.seq, filtered.k)
             )
             pos, found = filtered.find(codes)
@@ -154,8 +154,8 @@ class TestContigFactorisation:
         # contigs to components is well-defined.
         cfg = InchwormConfig(seed=1)
         contigs = inchworm_assemble(smoke_solid, cfg)
-        filtered = smoke_solid.index
-        labels = labels_of(filtered, smoke_solid.canonical)
+        filtered = smoke_solid
+        labels = labels_of(filtered)
         spans = []
         for contig in contigs:
             codes = canonical_kmers(contig.seq, filtered.k)
@@ -170,8 +170,8 @@ def test_whitefly_regression_component_count():
 
     _txome, pairs = get_recipe("whitefly-mini").materialize(seed=0)
     counts = jellyfish_count(flatten_reads(pairs), K)
-    filtered = counts.index.filtered(TrinityConfig().min_kmer_count)
-    ids = component_ids(labels_of(filtered, counts.canonical))
+    filtered = counts.filtered(TrinityConfig().min_kmer_count)
+    ids = component_ids(labels_of(filtered))
     # Pinned: the miniature's filtered graph resolves to 228 components.
     assert int(ids.max()) + 1 == 228
     assert np.bincount(ids).min() >= 1 and ids.size == len(filtered)

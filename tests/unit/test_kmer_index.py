@@ -85,19 +85,20 @@ class TestKmerIndex:
 class TestKmerCounter:
     def test_from_pairs_merges(self):
         c = KmerCounter.from_pairs(
-            np.array([9, 2, 9], dtype=np.uint64), np.array([1, 4, 2], dtype=np.int64), k=4
+            np.array([9, 2, 9], dtype=np.uint64), np.array([1, 4, 2], dtype=np.int64), k=4,
+            canonical=True,
         )
         assert c.codes.tolist() == [2, 9]
         assert c.values.tolist() == [4, 3]
 
     def test_filtered(self):
-        c = counter_from_dict({3: 2, 1: 3, 2: 1}, k=4)
+        c = counter_from_dict({3: 2, 1: 3, 2: 1}, k=4, canonical=True)
         f = c.filtered(2)
         assert f.codes.tolist() == [1, 3]
         assert c.filtered(1) is c
 
     def test_builder_streams(self):
-        b = KmerCounterBuilder(4)
+        b = KmerCounterBuilder(4, canonical=True)
         b.add_codes(np.array([1, 1, 2], dtype=np.uint64))
         b.add_codes(np.array([2, 3], dtype=np.uint64))
         b.add_codes(np.empty(0, dtype=np.uint64))
@@ -108,7 +109,7 @@ class TestKmerCounter:
     def test_builder_add_pairs_merges_partials(self):
         # Pre-reduced (code, count) partials — per-partition np.unique
         # output — merge identically to feeding the raw streams.
-        b = KmerCounterBuilder(4)
+        b = KmerCounterBuilder(4, canonical=True)
         b.add_pairs(
             np.array([1, 2], dtype=np.uint64), np.array([2, 1], dtype=np.int64)
         )
@@ -121,14 +122,14 @@ class TestKmerCounter:
         assert c.values.tolist() == [2, 2, 1]
 
     def test_builder_add_pairs_rejects_mismatched_shapes(self):
-        b = KmerCounterBuilder(4)
+        b = KmerCounterBuilder(4, canonical=True)
         with pytest.raises(SequenceError):
             b.add_pairs(
                 np.array([1, 2], dtype=np.uint64), np.array([1], dtype=np.int64)
             )
 
     def test_builder_memory_bytes_tracks_partials(self):
-        b = KmerCounterBuilder(4)
+        b = KmerCounterBuilder(4, canonical=True)
         assert b.memory_bytes() == 0
         b.add_pairs(
             np.array([1, 2], dtype=np.uint64), np.array([2, 1], dtype=np.int64)
@@ -146,18 +147,18 @@ class TestKmerCounter:
         ]
         counts = jellyfish_count(reads, k)
         expected = counter_from_reads((r.seq for r in reads), k, canonical=True)
-        assert np.array_equal(counts.index.codes, expected.codes)
-        assert np.array_equal(counts.index.values, expected.values)
+        assert np.array_equal(counts.codes, expected.codes)
+        assert np.array_equal(counts.values, expected.values)
         # ...and with a brute-force dict built the pre-index way.
         brute = {}
         for r in reads:
             for code in canonical_kmers(r.seq, k).tolist():
                 brute[code] = brute.get(code, 0) + 1
-        assert dict(zip(counts.index.codes.tolist(), counts.index.values.tolist())) == brute
+        assert dict(zip(counts.codes.tolist(), counts.values.tolist())) == brute
 
     def test_memory_bytes_reports_backing_store(self):
         counts = jellyfish_count([SeqRecord("r", "ACGTACGTACGT")], 5)
-        assert counts.memory_bytes() == 16 * len(counts.index)
+        assert counts.memory_bytes() == 16 * len(counts)
 
 
 class TestKmerMap:
@@ -187,7 +188,7 @@ class TestDumpSerialization:
         path = tmp_path / "dump.fa"
         n = write_counter_dump(c, path)
         assert n == len(c)
-        back = read_counter_dump(path)
+        back = read_counter_dump(path, canonical=True)
         assert back.k == 5
         assert np.array_equal(back.codes, c.codes)
         assert np.array_equal(back.values, c.values)
@@ -196,27 +197,27 @@ class TestDumpSerialization:
         path = tmp_path / "bad.fa"
         path.write_text("ACGT\n")
         with pytest.raises(SequenceError):
-            read_counter_dump(path)
+            read_counter_dump(path, canonical=True)
         path.write_text(">notanumber\nACGT\n")
         with pytest.raises(SequenceError):
-            read_counter_dump(path)
+            read_counter_dump(path, canonical=True)
 
     @pytest.mark.parametrize("header", ["-3", "+5", "1_0", " 7"])
     def test_non_decimal_count_rejected(self, tmp_path, header):
         path = tmp_path / "bad.fa"
         path.write_text(f">{header}\nACGTA\n")
         with pytest.raises(SequenceError, match="not a positive count"):
-            read_counter_dump(path)
+            read_counter_dump(path, canonical=True)
 
     def test_zero_count_rejected(self, tmp_path):
         path = tmp_path / "bad.fa"
         path.write_text(">0\nACGTA\n")
         with pytest.raises(SequenceError, match="not a positive count"):
-            read_counter_dump(path)
+            read_counter_dump(path, canonical=True)
 
     def test_repeated_kmer_rejected(self, tmp_path):
         """Two records for one k-mer are not summed into one."""
         path = tmp_path / "bad.fa"
         path.write_text(">3\nACGTA\n>4\nACGTA\n")
         with pytest.raises(SequenceError, match="repeated"):
-            read_counter_dump(path)
+            read_counter_dump(path, canonical=True)

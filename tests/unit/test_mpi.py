@@ -6,14 +6,9 @@ import pytest
 from repro.errors import CommError
 from repro.mpi import IDATAPLEX_FDR10, NetworkModel, mpirun
 from repro.mpi.clock import VirtualClock
-from repro.mpi.datatypes import (
-    nbytes_of,
-    pack_int_pairs,
-    pack_strings,
-    unpack_int_pairs,
-    unpack_strings,
-)
+from repro.mpi.datatypes import nbytes_of, pack_strings, unpack_strings
 from repro.mpi.network import ZERO_COST
+from repro.trinity.chrysalis.graph_from_fasta import pair_array, unique_pairs
 
 
 class TestClock:
@@ -72,19 +67,22 @@ class TestDatatypes:
             unpack_strings(b"ABC", np.array([1, 1]))
 
     def test_pack_unpack_pairs(self):
-        pairs = [(1, 2), (3, 4)]
-        assert unpack_int_pairs(pack_int_pairs(pairs)) == pairs
+        # GraphFromFasta's loop-2 wire format: one (m, 2) int64 array.
+        packed = pair_array([(1, 2), (3, 4)])
+        assert packed.shape == (2, 2) and packed.nbytes == 32
+        assert unique_pairs([packed]) == [(1, 2), (3, 4)]
 
     def test_pack_empty_pairs(self):
-        assert unpack_int_pairs(pack_int_pairs([])) == []
+        assert pair_array([]).shape == (0, 2)
+        assert unique_pairs([pair_array([])]) == []
 
     def test_odd_flat_rejected(self):
         with pytest.raises(ValueError):
-            unpack_int_pairs(np.array([1, 2, 3]))
+            pair_array(np.array([1, 2, 3]))
 
     def test_bad_pair_shape_rejected(self):
         with pytest.raises(ValueError):
-            pack_int_pairs(np.ones((2, 3), dtype=np.int64))
+            pair_array(np.ones((2, 3), dtype=np.int64))
 
     def test_nbytes_exact_for_buffers(self):
         assert nbytes_of(np.zeros(10, dtype=np.int64)) == 80

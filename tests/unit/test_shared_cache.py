@@ -93,6 +93,6 @@ class TestSharedMergesAreFrozen:
         counts = run.outputs[1].outputs.counts
         assert counts is run.outputs[0].outputs.counts
         with pytest.raises(ValueError):
-            counts.index.codes[0] = 0
+            counts.codes[0] = 0
         with pytest.raises(ValueError):
-            counts.index.values[0] = 0
+            counts.values[0] = 0
